@@ -202,8 +202,8 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 			ts = timeseries.New("ts-vitals")
 		}
 		if bk != nil {
-			bk.AttachRelational("db-clinical", rel)
-			bk.AttachTimeseries("ts-vitals", ts)
+			bk.Attach("db-clinical", rel)
+			bk.Attach("ts-vitals", ts)
 		}
 		opts = append(opts,
 			polystore.WithRelational("db-clinical", rel),
@@ -231,9 +231,9 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 			kv = kvstore.New("kv-events")
 		}
 		if bk != nil {
-			bk.AttachRelational("db-retail", rel)
-			bk.AttachTimeseries("ts-clicks", ts)
-			bk.AttachKV("kv-events", kv)
+			bk.Attach("db-retail", rel)
+			bk.Attach("ts-clicks", ts)
+			bk.Attach("kv-events", kv)
 		}
 		opts = append(opts,
 			polystore.WithRelational("db-retail", rel),
@@ -287,6 +287,8 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 		bs := bk.Stats()
 		fmt.Printf("polyserve: durability dir=%s sync=%s snapshot-trigger=%d recovered=%t replay-records=%d\n",
 			dataDir, bs.SyncPolicy, bs.SnapshotTrigger, recovering, bs.ReplayRecords)
+		fmt.Printf("polyserve: durable stores=%v; volatile engines (state lost on restart)=%v\n",
+			bs.Stores, bs.Volatile(sys.Engines()))
 	}
 	err := sys.Serve(ctx, addr, cfg)
 	if err != nil && ctx.Err() == nil {

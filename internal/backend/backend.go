@@ -11,11 +11,15 @@
 // write-ahead log with fsync-batched group commit, replayed on boot, and
 // compacted into a snapshot once the log passes a size threshold.
 //
+// The package knows store names and opaque bytes only: a store takes part by
+// implementing Durable, encoding its own records and snapshot section, and
+// no engine package is imported here (CI enforces it).
+//
 // The correctness seam is the version vector. Every store's monotonic
 // mutation counter keys the serving layer's result and subplan caches; each
-// WAL record carries the counter value its mutation produced, the snapshot
-// header persists the counters at snapshot time, and recovery pins the
-// restored counters to those watermarks plus one epoch bump — so a
+// journal record carries the counter value its mutation produced, each
+// snapshot section persists the counters at snapshot time, and recovery
+// pins the restored counters to those watermarks plus one epoch bump — so a
 // post-restart version vector is always strictly past any value an
 // acknowledged pre-crash state ever presented, and cache keys can never
 // alias stale pre-restart entries.
@@ -25,19 +29,50 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
-
-	"polystorepp/internal/kvstore"
-	"polystorepp/internal/relational"
-	"polystorepp/internal/timeseries"
 )
 
-// ErrClosed is returned by operations on a closed backend.
-var ErrClosed = errors.New("backend: closed")
+// Errors. ErrFormat marks on-disk state written in a layout this build does
+// not read (there is no compatibility reader: an old data directory is
+// refused at Recover, never half-loaded); ErrCorrupt marks damaged state.
+var (
+	ErrClosed  = errors.New("backend: closed")
+	ErrFormat  = errors.New("backend: unsupported on-disk format version")
+	ErrCorrupt = errors.New("backend: corrupt record")
+)
+
+// Durable is what a store implements to be hosted by a durable backend. The
+// store owns its bytes — record and snapshot layouts are its private
+// business, encoded next to the locks that order its mutations — and the
+// backend owns framing, fsync and files.
+type Durable interface {
+	// SetJournal installs (nil removes) the mutation tap. The store calls fn
+	// once per applied mutation, after the apply, under the lock that orders
+	// that mutation, with a record carrying the version the mutation
+	// produced. fn must be fast and must not call back into the store.
+	SetJournal(fn func(record []byte))
+	// Apply replays one journaled record during recovery. applied is false
+	// when the record's version is not past the restored watermark (the
+	// snapshot already covers it); otherwise the mutation is applied and the
+	// counter pinned to the record's. An error leaves the versions unchanged.
+	Apply(record []byte) (applied bool, err error)
+	// Snapshot writes the store's state and version watermarks as one
+	// consistent cut: every (state, watermark) pair is read under the lock
+	// that orders it. w is buffered. Writers may run concurrently.
+	Snapshot(w io.Writer) error
+	// Restore loads what Snapshot wrote into the still-empty store and pins
+	// its counters to the persisted watermarks. A failed Restore leaves the
+	// store undefined; the boot must abort.
+	Restore(r io.Reader) error
+	// BumpVersion advances the store's version by one with no data change:
+	// the epoch bump after any recovery.
+	BumpVersion()
+}
 
 // Backend is one storage substrate hosting the native engines' stores.
-// Lifecycle: Open (via the Registry) → Attach* each store → Recover (load
+// Lifecycle: Open (via the Registry) → Attach each store → Recover (load
 // any persisted state into the attached, still-empty stores) → seed if
 // Recover found nothing → Start (begin journaling new mutations) → serve,
 // calling Barrier after each acknowledged write batch → Close.
@@ -47,11 +82,16 @@ type Backend interface {
 	// Capabilities reports what the backend executes natively.
 	Capabilities() Capabilities
 
-	// AttachKV, AttachTimeseries and AttachRelational bind engine stores to
-	// the backend under their engine names. Attach before Recover/Start.
-	AttachKV(name string, s *kvstore.Store)
-	AttachTimeseries(name string, s *timeseries.Store)
-	AttachRelational(name string, s *relational.Store)
+	// Attach binds a store to the backend under its engine name. Attach
+	// before Recover/Start.
+	Attach(name string, s Durable)
+	// Deprecated: use Attach. Kept for bench/, which is frozen outside
+	// benchmark PRs; the next benchmark PR deletes these.
+	AttachKV(name string, s Durable)
+	// Deprecated: use Attach.
+	AttachTimeseries(name string, s Durable)
+	// Deprecated: use Attach.
+	AttachRelational(name string, s Durable)
 
 	// Recover loads persisted state (snapshot, then WAL replay) into the
 	// attached stores and advances their version counters past the persisted
@@ -99,6 +139,9 @@ type Stats struct {
 	Durable      bool
 	SyncPolicy   string
 	Capabilities string
+	// Stores names the attached stores, sorted: what survives a restart.
+	// Every other registered engine is volatile (see Volatile).
+	Stores []string
 
 	WALAppends      uint64 // records journaled
 	WALBytes        uint64 // framed bytes appended
@@ -115,6 +158,18 @@ type Stats struct {
 	SnapshotWrites    uint64 // snapshots written since open
 	SnapshotLastBytes int64  // size of the most recent snapshot
 	SnapshotTrigger   int64  // configured WAL size that forces a snapshot
+}
+
+// Volatile returns the engines whose state this backend does not persist:
+// those of engines that are not attached stores.
+func (s Stats) Volatile(engines []string) []string {
+	out := []string{}
+	for _, e := range engines {
+		if i := sort.SearchStrings(s.Stores, e); i == len(s.Stores) || s.Stores[i] != e {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Config parameterizes backend construction. Memory ignores everything but
@@ -179,5 +234,5 @@ func Kinds() []string {
 
 func init() {
 	Register("memory", func(cfg Config) (Backend, error) { return NewMemory(), nil })
-	Register("wal", func(cfg Config) (Backend, error) { return OpenDurable(cfg) })
+	Register("wal", func(cfg Config) (Backend, error) { return openWALBackend(cfg) })
 }

@@ -1,10 +1,14 @@
 package backend
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,9 +44,9 @@ func newStores(t *testing.T) stores {
 }
 
 func attach(b Backend, s stores) {
-	b.AttachKV("kv", s.kv)
-	b.AttachTimeseries("ts", s.ts)
-	b.AttachRelational("db", s.rel)
+	b.Attach("kv", s.kv)
+	b.Attach("ts", s.ts)
+	b.Attach("db", s.rel)
 }
 
 // writeMix applies n writes across all three engines, identical for any
@@ -540,5 +544,136 @@ func TestHasState(t *testing.T) {
 	}
 	if !HasState(dir) {
 		t.Fatal("dir with segments reports no state")
+	}
+}
+
+// TestOversizedRecordRefusedNotAcked pins the frame-limit hole: replay
+// treats a frame longer than maxFrame as torn and cuts the segment there, so
+// a record that large must be refused at append — the writer's Barrier
+// fails — rather than written, acknowledged, and then dropped on restart
+// together with every acknowledged record behind it.
+func TestOversizedRecordRefusedNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	live := newStores(t)
+	b, _ := openStarted(t, dir, live)
+	writeMix(t, live, 0, 10)
+	if err := b.Barrier(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	blobs, err := live.rel.CreateTable("blobs", cast.MustSchema(cast.Column{Name: "body", Type: cast.String}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := cast.NewBatch(blobs.Schema(), 1)
+	if err := huge.AppendRow(strings.Repeat("x", maxFrame)); err != nil {
+		t.Fatal(err)
+	}
+	if err := blobs.InsertBatch(huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Barrier(context.Background()); err == nil {
+		t.Fatal("Barrier acknowledged a record replay would cut as torn")
+	}
+	if b.Stats().WALErrors == 0 {
+		t.Fatal("refused record not counted in wal errors")
+	}
+	// Hard stop; everything acknowledged before the refusal must come back
+	// from an untorn log.
+	ref := newStores(t)
+	writeMix(t, ref, 0, 10)
+	recovered := newStores(t)
+	b2, rec := openStarted(t, dir, recovered)
+	defer b2.Close()
+	if rec.Truncated {
+		t.Fatalf("the refused record still reached the log: %+v", rec)
+	}
+	assertEquiv(t, ref, recovered)
+}
+
+// Files of a data directory written by the parent commit's layout (typed
+// per-engine WAL records, one whole-deployment PPSNAP1 snapshot): a kv put,
+// a checkpoint, then a timeseries append, a table creation, a row insert and
+// a kv delete.
+const (
+	parentWAL = "260000000b4b2b460302000000747303000000637075e803000000000000000000000000e03f010000000000" +
+		"00001f000000e46f648905020000006462010000007401000000020000006964010100000000000000250000" +
+		"0010df55b0040200000064620100000074020000000000000001000000010000000107000000000000001400" +
+		"00009f314d7e02020000006b76010000006b0200000000000000"
+	parentSnapshot = "5050534e4150310ae3000000000000003ed382d80300000001020000006b7610000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000100000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000002020000007473000000000000" +
+		"00000302000000646200000000000000000000000001000000010000006b010000000100000000000000c42e" +
+		"72cd8555d918000000000000000001000000760000000000000000"
+)
+
+// TestParentFormatRejected pins the no-compatibility-reader rule: a data
+// directory in the parent layout fails Recover loudly with ErrFormat —
+// whichever file is met first — and no store is touched.
+func TestParentFormatRejected(t *testing.T) {
+	for name, files := range map[string]map[string]string{
+		"wal":      {segName(2): parentWAL},
+		"snapshot": {snapFile: parentSnapshot},
+		"both":     {segName(2): parentWAL, snapFile: parentSnapshot},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, hexBytes := range files {
+				raw, err := hex.DecodeString(hexBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !HasState(dir) {
+				t.Fatal("fixture not seen as state")
+			}
+			s := newStores(t)
+			before := versions(s)
+			b, err := Open("wal", Config{Dir: dir, SnapshotBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			attach(b, s)
+			if _, err := b.Recover(); !errors.Is(err, ErrFormat) {
+				t.Fatalf("Recover over the parent layout: want ErrFormat, got %v", err)
+			}
+			if after := versions(s); after != before {
+				t.Fatalf("a rejected directory moved store versions: %v -> %v", before, after)
+			}
+			if n := len(s.kv.ScanPrefix("")); n != 0 {
+				t.Fatalf("a rejected directory left %d kv keys", n)
+			}
+			if n := len(s.ts.SeriesNames()); n != 0 {
+				t.Fatalf("a rejected directory left %d series", n)
+			}
+			if tables := s.rel.Tables(); len(tables) != 1 {
+				t.Fatalf("a rejected directory changed the tables: %v", tables)
+			}
+			raw, _ := os.ReadFile(filepath.Join(dir, segName(2)))
+			if want, _ := hex.DecodeString(files[segName(2)]); !bytes.Equal(raw, want) {
+				t.Fatal("a rejected log was repaired (truncated) on disk")
+			}
+		})
+	}
+}
+
+// TestStatsNamesStores pins what /stats reports as durable and volatile.
+func TestStatsNamesStores(t *testing.T) {
+	b, _ := openStarted(t, t.TempDir(), newStores(t))
+	defer b.Close()
+	st := b.Stats()
+	if got := fmt.Sprint(st.Stores); got != "[db kv ts]" {
+		t.Fatalf("wal stores = %s", got)
+	}
+	if got := fmt.Sprint(st.Volatile([]string{"db", "graph", "kv", "txt"})); got != "[graph txt]" {
+		t.Fatalf("volatile = %s", got)
+	}
+	if got := fmt.Sprint(NewMemory().Stats().Volatile([]string{"db", "kv"})); got != "[db kv]" {
+		t.Fatalf("memory backend volatile = %s", got)
 	}
 }

@@ -1,12 +1,6 @@
 package backend
 
-import (
-	"context"
-
-	"polystorepp/internal/kvstore"
-	"polystorepp/internal/relational"
-	"polystorepp/internal/timeseries"
-)
+import "context"
 
 // Memory is the reference backend: the native in-memory engines exactly as
 // they are, full pushdown, nothing persisted. Every durable backend must be
@@ -23,14 +17,17 @@ func (m *Memory) Kind() string { return "memory" }
 // Capabilities implements Backend: full pushdown, not durable.
 func (m *Memory) Capabilities() Capabilities { return Full() }
 
-// AttachKV implements Backend (stores need no binding; they are the storage).
-func (m *Memory) AttachKV(name string, s *kvstore.Store) {}
+// Attach implements Backend (stores need no binding; they are the storage).
+func (m *Memory) Attach(name string, s Durable) {}
 
-// AttachTimeseries implements Backend.
-func (m *Memory) AttachTimeseries(name string, s *timeseries.Store) {}
+// Deprecated: use Attach.
+func (m *Memory) AttachKV(name string, s Durable) {}
 
-// AttachRelational implements Backend.
-func (m *Memory) AttachRelational(name string, s *relational.Store) {}
+// Deprecated: use Attach.
+func (m *Memory) AttachTimeseries(name string, s Durable) {}
+
+// Deprecated: use Attach.
+func (m *Memory) AttachRelational(name string, s Durable) {}
 
 // Recover implements Backend: there is never persisted state.
 func (m *Memory) Recover() (RecoverStats, error) { return RecoverStats{}, nil }

@@ -1,84 +1,32 @@
 package backend
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
-
-	"polystorepp/internal/cast"
-	"polystorepp/internal/kvstore"
-	"polystorepp/internal/relational"
-	"polystorepp/internal/timeseries"
+	"strings"
 )
 
 // Snapshot layout. One file, written atomically (temp + fsync + rename):
 //
-//	magic "PPSNAP1\n" | payload len u64 | payload crc u32 | payload
+//	magic "PPSNAP2\n" | section count u32
+//	per section: name (u32 length + bytes) | length u64 | crc u32 | bytes
 //
-// The payload opens with the version-vector header: every attached store's
-// persisted version watermarks (per-shard counters for kv, the store counter
-// for timeseries, store + per-table counters for relational). Recovery pins
-// the restored counters to these watermarks — the seam that keeps
-// post-restart version vectors strictly monotonic past the acknowledged
-// pre-crash state. Data sections follow in the same store order.
-const snapMagic = "PPSNAP1\n"
-
+// One section per attached store, in name order. The bytes are whatever the
+// store's Snapshot wrote — its state and version watermarks as one
+// consistent cut — streamed straight to the file; length and CRC-32/IEEE
+// (over name and bytes) are patched into the section header afterwards.
+// Recovery verifies every section before it restores any.
 const (
-	snapFile = "snapshot.db"
-	snapTemp = "snapshot.tmp"
+	snapMagic = "PPSNAP2\n"
+	snapFile  = "snapshot.db"
+	snapTemp  = "snapshot.tmp"
 )
-
-// Engine kinds in the snapshot header.
-const (
-	engKV byte = iota + 1
-	engTS
-	engRel
-)
-
-// kvDump is one kv store's snapshot state.
-type kvDump struct {
-	data          map[string][]kvstore.Entry
-	shardVersions []uint64
-}
-
-// tsDump is one timeseries store's snapshot state.
-type tsDump struct {
-	series  map[string][]timeseries.Point
-	version uint64
-}
-
-// relDump is one relational store's snapshot state.
-type relDump struct {
-	tables       []relational.TableDump
-	storeVersion uint64
-}
-
-// snapshotData is the decoded whole-deployment snapshot.
-type snapshotData struct {
-	kv  map[string]kvDump
-	ts  map[string]tsDump
-	rel map[string]relDump
-}
-
-// unixNano encodes a time with the zero value as 0 (time.Time{}.UnixNano()
-// is a large negative sentinel that must not round-trip as a real instant).
-func unixNano(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-func fromUnixNano(n int64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
-}
 
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -89,278 +37,25 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// encodeSnapshot renders the deployment state as a snapshot payload.
-func encodeSnapshot(s snapshotData) ([]byte, error) {
-	e := &encoder{}
-	kvNames, tsNames, relNames := sortedKeys(s.kv), sortedKeys(s.ts), sortedKeys(s.rel)
-	e.u32(uint32(len(kvNames) + len(tsNames) + len(relNames)))
-
-	// Version-vector header.
-	for _, n := range kvNames {
-		d := s.kv[n]
-		e.u8(engKV)
-		e.str(n)
-		e.u32(uint32(len(d.shardVersions)))
-		for _, v := range d.shardVersions {
-			e.u64(v)
-		}
-	}
-	for _, n := range tsNames {
-		e.u8(engTS)
-		e.str(n)
-		e.u64(s.ts[n].version)
-	}
-	for _, n := range relNames {
-		d := s.rel[n]
-		e.u8(engRel)
-		e.str(n)
-		e.u64(d.storeVersion)
-		e.u32(uint32(len(d.tables)))
-		for _, t := range d.tables {
-			e.str(t.Name)
-			e.u64(t.Version)
-		}
-	}
-
-	// Data sections, same order.
-	for _, n := range kvNames {
-		d := s.kv[n]
-		e.u32(uint32(len(d.data)))
-		for _, key := range sortedKeys(d.data) {
-			vs := d.data[key]
-			e.str(key)
-			e.u32(uint32(len(vs)))
-			for _, ent := range vs {
-				e.i64(ent.Version)
-				e.i64(unixNano(ent.WrittenAt))
-				e.i64(unixNano(ent.ExpiresAt))
-				e.bytes(ent.Value)
-			}
-		}
-	}
-	for _, n := range tsNames {
-		d := s.ts[n]
-		e.u32(uint32(len(d.series)))
-		for _, sn := range sortedKeys(d.series) {
-			pts := d.series[sn]
-			e.str(sn)
-			e.u32(uint32(len(pts)))
-			for _, p := range pts {
-				e.i64(p.TS)
-				e.f64(p.Value)
-			}
-		}
-	}
-	for _, n := range relNames {
-		d := s.rel[n]
-		e.u32(uint32(len(d.tables)))
-		for _, t := range d.tables {
-			e.str(t.Name)
-			e.schema(t.Schema)
-			e.u32(uint32(len(t.BTreeCols)))
-			for _, c := range t.BTreeCols {
-				e.str(c)
-			}
-			e.u32(uint32(len(t.HashCols)))
-			for _, c := range t.HashCols {
-				e.str(c)
-			}
-			rows := t.Rows.Rows()
-			cols := t.Schema.Len()
-			e.u32(uint32(rows))
-			e.u32(uint32(cols))
-			for r := 0; r < rows; r++ {
-				for c := 0; c < cols; c++ {
-					v, err := t.Rows.Value(r, c)
-					if err != nil {
-						return nil, err
-					}
-					if err := e.val(v); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return e.buf, nil
-}
-
-// decodeSnapshot parses a snapshot payload.
-func decodeSnapshot(buf []byte) (snapshotData, error) {
-	out := snapshotData{
-		kv:  make(map[string]kvDump),
-		ts:  make(map[string]tsDump),
-		rel: make(map[string]relDump),
-	}
-	d := &decoder{buf: buf}
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
-		return out, ErrCorrupt
-	}
-	type hdr struct {
-		kind byte
-		name string
-	}
-	order := make([]hdr, 0, n)
-	relTableVersions := make(map[string]map[string]uint64)
-	for i := 0; i < n; i++ {
-		kind := d.u8()
-		name := d.str()
-		order = append(order, hdr{kind, name})
-		switch kind {
-		case engKV:
-			ns := int(d.u32())
-			if d.err != nil || ns < 0 || ns > 1<<10 {
-				return out, ErrCorrupt
-			}
-			vs := make([]uint64, ns)
-			for j := range vs {
-				vs[j] = d.u64()
-			}
-			out.kv[name] = kvDump{data: make(map[string][]kvstore.Entry), shardVersions: vs}
-		case engTS:
-			out.ts[name] = tsDump{series: make(map[string][]timeseries.Point), version: d.u64()}
-		case engRel:
-			sv := d.u64()
-			nt := int(d.u32())
-			if d.err != nil || nt < 0 || nt > 1<<20 {
-				return out, ErrCorrupt
-			}
-			tv := make(map[string]uint64, nt)
-			for j := 0; j < nt; j++ {
-				tn := d.str()
-				tv[tn] = d.u64()
-			}
-			out.rel[name] = relDump{storeVersion: sv}
-			relTableVersions[name] = tv
-		default:
-			return out, ErrCorrupt
-		}
-		if d.err != nil {
-			return out, d.err
-		}
-	}
-	for _, h := range order {
-		switch h.kind {
-		case engKV:
-			dump := out.kv[h.name]
-			nk := int(d.u32())
-			for i := 0; i < nk && d.err == nil; i++ {
-				key := d.str()
-				nv := int(d.u32())
-				if d.err != nil || nv < 0 || nv > 1<<24 {
-					return out, ErrCorrupt
-				}
-				vs := make([]kvstore.Entry, 0, nv)
-				for j := 0; j < nv; j++ {
-					var ent kvstore.Entry
-					ent.Version = d.i64()
-					ent.WrittenAt = fromUnixNano(d.i64())
-					ent.ExpiresAt = fromUnixNano(d.i64())
-					ent.Value = d.bytes()
-					vs = append(vs, ent)
-				}
-				dump.data[key] = vs
-			}
-			out.kv[h.name] = dump
-		case engTS:
-			dump := out.ts[h.name]
-			ns := int(d.u32())
-			for i := 0; i < ns && d.err == nil; i++ {
-				name := d.str()
-				np := int(d.u32())
-				if d.err != nil || np < 0 || np > 1<<28 {
-					return out, ErrCorrupt
-				}
-				pts := make([]timeseries.Point, 0, np)
-				for j := 0; j < np; j++ {
-					ts := d.i64()
-					v := d.f64()
-					pts = append(pts, timeseries.Point{TS: ts, Value: v})
-				}
-				dump.series[name] = pts
-			}
-			out.ts[h.name] = dump
-		case engRel:
-			dump := out.rel[h.name]
-			nt := int(d.u32())
-			for i := 0; i < nt && d.err == nil; i++ {
-				tname := d.str()
-				schema := d.schema()
-				nb := int(d.u32())
-				if d.err != nil || nb < 0 || nb > 1<<10 {
-					return out, ErrCorrupt
-				}
-				var btrees, hashes []string
-				for j := 0; j < nb; j++ {
-					btrees = append(btrees, d.str())
-				}
-				nh := int(d.u32())
-				if d.err != nil || nh < 0 || nh > 1<<10 {
-					return out, ErrCorrupt
-				}
-				for j := 0; j < nh; j++ {
-					hashes = append(hashes, d.str())
-				}
-				rows := int(d.u32())
-				cols := int(d.u32())
-				if d.err != nil || rows < 0 || cols < 0 || cols != schema.Len() {
-					return out, ErrCorrupt
-				}
-				batch := cast.NewBatch(schema, rows)
-				vals := make([]any, cols)
-				for r := 0; r < rows; r++ {
-					for c := 0; c < cols; c++ {
-						vals[c] = d.val()
-					}
-					if d.err != nil {
-						return out, d.err
-					}
-					if err := batch.AppendRow(vals...); err != nil {
-						return out, fmt.Errorf("backend: snapshot table %q row %d: %w", tname, r, err)
-					}
-				}
-				dump.tables = append(dump.tables, relational.TableDump{
-					Name: tname, Schema: schema, Rows: batch,
-					BTreeCols: btrees, HashCols: hashes,
-					Version: relTableVersions[h.name][tname],
-				})
-			}
-			out.rel[h.name] = dump
-		}
-		if d.err != nil {
-			return out, d.err
-		}
-	}
-	return out, d.err
-}
-
-// writeSnapshot persists the payload atomically into dir.
-func writeSnapshot(dir string, payload []byte) (int64, error) {
-	hdr := make([]byte, len(snapMagic)+12)
-	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+8:], crc32.ChecksumIEEE(payload))
-
+// writeSnapshot persists every store's section atomically into dir and
+// returns the file size.
+func writeSnapshot(dir string, stores map[string]Durable) (int64, error) {
 	tmp := filepath.Join(dir, snapTemp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(payload)
-	}
+	size, err := writeSections(f, stores)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, snapFile))
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapFile)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}
@@ -368,31 +63,133 @@ func writeSnapshot(dir string, payload []byte) (int64, error) {
 		_ = d.Sync()
 		d.Close()
 	}
-	return int64(len(hdr) + len(payload)), nil
+	return size, nil
 }
 
-// readSnapshot loads and verifies the snapshot file; ok is false when none
-// exists.
-func readSnapshot(dir string) (data snapshotData, size int64, ok bool, err error) {
-	raw, rerr := os.ReadFile(filepath.Join(dir, snapFile))
-	if rerr != nil {
-		if os.IsNotExist(rerr) {
-			return snapshotData{}, 0, false, nil
+// writeSections streams the header and each store's section to f.
+func writeSections(f *os.File, stores map[string]Durable) (size int64, err error) {
+	names := sortedKeys(stores)
+	crc := crc32.NewIEEE()
+	out := &countWriter{w: io.MultiWriter(f, crc)}
+	bw := bufio.NewWriterSize(out, 1<<16) // write errors stick until Flush
+	bw.WriteString(snapMagic)
+	bw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(names))))
+	for _, name := range names {
+		// Section header; length and CRC stay zero until the section has
+		// been streamed.
+		bw.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(name))))
+		bw.WriteString(name)
+		bw.Write(make([]byte, 12))
+		if err := bw.Flush(); err != nil {
+			return 0, err
 		}
-		return snapshotData{}, 0, false, rerr
+		start := out.n
+		crc.Reset()
+		io.WriteString(crc, name)
+		if err := stores[name].Snapshot(bw); err != nil {
+			return 0, fmt.Errorf("store %q: %w", name, err)
+		}
+		if err := bw.Flush(); err != nil {
+			return 0, err
+		}
+		patch := binary.LittleEndian.AppendUint64(nil, uint64(out.n-start))
+		patch = binary.LittleEndian.AppendUint32(patch, crc.Sum32())
+		if _, err := f.WriteAt(patch, start-int64(len(patch))); err != nil {
+			return 0, err
+		}
 	}
-	if len(raw) < len(snapMagic)+12 || string(raw[:len(snapMagic)]) != snapMagic {
-		return snapshotData{}, 0, false, fmt.Errorf("%w: snapshot header", ErrCorrupt)
+	return out.n, bw.Flush()
+}
+
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// section locates one verified store section inside the snapshot file.
+type section struct {
+	name   string
+	off, n int64
+}
+
+// restoreSnapshot verifies the snapshot file in cfg.Dir end to end, then
+// restores each section into the store attached under its name; ok is false
+// when no snapshot exists. Nothing is restored unless everything verified.
+func restoreSnapshot(cfg Config, stores map[string]Durable) (size int64, ok bool, err error) {
+	f, err := os.Open(filepath.Join(cfg.Dir, snapFile))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, false, nil
+		}
+		return 0, false, err
 	}
-	n := binary.LittleEndian.Uint64(raw[len(snapMagic):])
-	crc := binary.LittleEndian.Uint32(raw[len(snapMagic)+8:])
-	payload := raw[len(snapMagic)+12:]
-	if uint64(len(payload)) != n || crc32.ChecksumIEEE(payload) != crc {
-		return snapshotData{}, 0, false, fmt.Errorf("%w: snapshot payload", ErrCorrupt)
+	defer f.Close()
+	sections, size, err := verifySnapshot(f)
+	if err != nil {
+		return 0, false, err
 	}
-	data, derr := decodeSnapshot(payload)
-	if derr != nil {
-		return snapshotData{}, 0, false, derr
+	for _, sec := range sections {
+		s, ok := stores[sec.name]
+		if !ok {
+			cfg.logf("backend: snapshot store %q not attached; dropped", sec.name)
+			continue
+		}
+		if err := s.Restore(io.NewSectionReader(f, sec.off, sec.n)); err != nil {
+			return 0, false, fmt.Errorf("store %q: %w", sec.name, err)
+		}
 	}
-	return data, int64(len(raw)), true, nil
+	return size, true, nil
+}
+
+// verifySnapshot walks the file once, checking the magic, every section's
+// length and CRC, and that the last section ends the file. Lengths come
+// from the file itself, so sections are checksummed as a stream: a damaged
+// length costs an error, not an allocation.
+func verifySnapshot(f *os.File) (sections []section, size int64, err error) {
+	br := bufio.NewReaderSize(f, 1<<16)
+	hdr := make([]byte, len(snapMagic)+4)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, 0, fmt.Errorf("%w: snapshot header", ErrCorrupt)
+	}
+	if magic := string(hdr[:len(snapMagic)]); magic != snapMagic {
+		if strings.HasPrefix(magic, snapMagic[:6]) {
+			return nil, 0, fmt.Errorf("%w: snapshot magic %q, this build reads %q", ErrFormat, magic, snapMagic)
+		}
+		return nil, 0, fmt.Errorf("%w: snapshot header", ErrCorrupt)
+	}
+	size = int64(len(hdr))
+	crc := crc32.NewIEEE()
+	for left := binary.LittleEndian.Uint32(hdr[len(snapMagic):]); left > 0; left-- {
+		var u32 [4]byte
+		var tail [12]byte
+		var name strings.Builder
+		crc.Reset()
+		if _, err := io.ReadFull(br, u32[:]); err != nil {
+			return nil, 0, fmt.Errorf("%w: snapshot section header", ErrCorrupt)
+		}
+		nameLen := int64(binary.LittleEndian.Uint32(u32[:]))
+		if n, _ := io.CopyN(io.MultiWriter(&name, crc), br, nameLen); n != nameLen {
+			return nil, 0, fmt.Errorf("%w: snapshot section name", ErrCorrupt)
+		}
+		if _, err := io.ReadFull(br, tail[:]); err != nil {
+			return nil, 0, fmt.Errorf("%w: snapshot section %q header", ErrCorrupt, name.String())
+		}
+		sec := section{name: name.String(), off: size + 4 + nameLen + 12,
+			n: int64(binary.LittleEndian.Uint64(tail[:8]))}
+		if n, _ := io.CopyN(crc, br, sec.n); n != sec.n || crc.Sum32() != binary.LittleEndian.Uint32(tail[8:]) {
+			return nil, 0, fmt.Errorf("%w: snapshot section %q", ErrCorrupt, sec.name)
+		}
+		sections = append(sections, sec)
+		size = sec.off + sec.n
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, 0, fmt.Errorf("%w: snapshot has trailing bytes", ErrCorrupt)
+	}
+	return sections, size, nil
 }

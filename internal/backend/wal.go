@@ -2,10 +2,8 @@ package backend
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,6 +54,11 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".log"
 )
+
+// maxFrame bounds a single framed payload: replay treats a longer length as
+// a torn frame (a defense against decoding garbage as gigabytes), so append
+// must never write one.
+const maxFrame = 64 << 20
 
 func segName(index uint64) string {
 	return fmt.Sprintf("%s%08d%s", segPrefix, index, segSuffix)
@@ -140,13 +143,22 @@ func frame(payload []byte) []byte {
 // record may be lost, every later Barrier fails, and the serving layer stops
 // acknowledging writes.
 func (w *wal) append(payload []byte) uint64 {
-	fr := frame(payload)
+	var fr []byte
+	if len(payload) <= maxFrame {
+		fr = frame(payload)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.seq++
 	seq := w.seq
 	if w.werr == nil {
-		if w.f == nil {
+		if fr == nil {
+			// Replay would classify this frame as torn and cut the segment
+			// there, taking every later acknowledged record with it. Refuse
+			// it instead: sticky, so the writer's Barrier fails.
+			w.werr = fmt.Errorf("backend: wal append: %d-byte record exceeds the %d-byte frame limit", len(payload), maxFrame)
+			w.errors.Add(1)
+		} else if w.f == nil {
 			// A record arriving after close() released the handle is lost;
 			// sticky failure so a concurrent Barrier fails instead of
 			// acknowledging a write that was never journaled.
@@ -364,7 +376,7 @@ func replaySegments(dir string, segs []uint64, fn replayFn) (bytes uint64, trunc
 func removeSegments(dir string, segs []uint64) error {
 	var first error
 	for _, idx := range segs {
-		if err := os.Remove(filepath.Join(dir, segName(idx))); err != nil && !errors.Is(err, io.EOF) && !os.IsNotExist(err) && first == nil {
+		if err := os.Remove(filepath.Join(dir, segName(idx))); err != nil && !os.IsNotExist(err) && first == nil {
 			first = err
 		}
 	}

@@ -12,6 +12,7 @@ package cast
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -92,10 +93,18 @@ var (
 // NewSchema builds a schema from the given columns. It returns an error when
 // a column name repeats or a type is invalid.
 func NewSchema(cols ...Column) (Schema, error) {
+	// The binary pipe format (codec.go) counts columns and name bytes in a
+	// u16; a schema it could not carry is refused here, once.
+	if len(cols) > math.MaxUint16 {
+		return Schema{}, fmt.Errorf("cast: %d columns exceed the wire limit", len(cols))
+	}
 	byName := make(map[string]int, len(cols))
 	for i, c := range cols {
 		if !c.Type.Valid() {
 			return Schema{}, fmt.Errorf("cast: column %q: invalid type %d", c.Name, int(c.Type))
+		}
+		if len(c.Name) > math.MaxUint16 {
+			return Schema{}, fmt.Errorf("cast: column name of %d bytes exceeds the wire limit", len(c.Name))
 		}
 		if _, dup := byName[c.Name]; dup {
 			return Schema{}, fmt.Errorf("%w: %q", ErrDuplicateName, c.Name)
@@ -344,6 +353,15 @@ func (b *Batch) truncCol(i, n int) {
 	case Bool:
 		c.bools = c.bools[:n]
 	}
+}
+
+// Truncate drops the rows from n on — the undo of an append that failed
+// part-way. Views taken before the append are unaffected.
+func (b *Batch) Truncate(n int) {
+	for i := range b.cols {
+		b.truncCol(i, n)
+	}
+	b.rows = n
 }
 
 // Ints returns the backing int64 slice for an Int64/Timestamp column. The

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The wire formats in this file are what the data migrator moves between
@@ -92,6 +93,163 @@ func ReadCSV(r io.Reader, s Schema) (*Batch, error) {
 	}
 }
 
+// maxStep bounds how much memory a decoder commits ahead of the bytes it has
+// actually read. Every length in the formats below comes from the stream
+// itself, so a damaged header must cost an error, not an allocation.
+const maxStep = 1 << 16
+
+// Encoder appends little-endian fields to a byte slice — the write half of
+// the byte cursor shared by the pipe format, the stores' WAL records and
+// their snapshot sections. It is an io.Writer, so WriteBinary can append a
+// batch behind hand-written fields.
+type Encoder struct{ buf []byte }
+
+func (e *Encoder) U8(v byte)     { e.buf = append(e.buf, v) }
+func (e *Encoder) U16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
+func (e *Encoder) U32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) U64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Encoder) I64(v int64)   { e.U64(uint64(v)) }
+func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
+
+// Str and Blob append a u32 length and the bytes.
+func (e *Encoder) Str(s string)  { e.U32(uint32(len(s))); e.buf = append(e.buf, s...) }
+func (e *Encoder) Blob(b []byte) { e.U32(uint32(len(b))); e.buf = append(e.buf, b...) }
+
+// Write implements io.Writer by appending p verbatim.
+func (e *Encoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+// Bytes returns what has been encoded since the last Reset. The slice
+// aliases the encoder until then.
+func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset empties the encoder, keeping its storage.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for n more bytes, so a record whose size is known up
+// front is built in one allocation.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Decoder is the read half of the cursor. The first failure sticks: every
+// later read returns zero values, and Err or Finish reports it wrapped in
+// ErrCodec — callers decode a whole record and check once.
+type Decoder struct {
+	buf     []byte        // what is left of an in-memory input (DecodeBytes)
+	r       *bufio.Reader // a streamed input (NewDecoder); nil when decoding buf
+	err     error
+	scratch []byte // only for a caller's bufio.Reader smaller than a field
+}
+
+// NewDecoder reads fields from the stream r. An existing bufio.Reader is
+// used as is: wrapping it again would read ahead and strand bytes, which
+// corrupts multi-batch streams.
+func NewDecoder(r io.Reader) *Decoder {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, maxStep)
+	}
+	return &Decoder{r: br}
+}
+
+// DecodeBytes reads fields straight out of b — a WAL record — without
+// copying; b must not change while the decoder is in use.
+func DecodeBytes(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// Err returns the sticky decode error, if any.
+func (d *Decoder) Err() error { return d.err }
+
+// Finish returns the sticky error, or an error when input remains: a record
+// or section must be consumed exactly.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.r == nil {
+		if len(d.buf) > 0 {
+			d.fail("%d trailing bytes", len(d.buf))
+		}
+	} else if d.err == nil {
+		if _, err := d.r.ReadByte(); err == nil {
+			d.fail("trailing bytes")
+		} else if err != io.EOF {
+			d.fail("%v", err)
+		}
+	}
+	return d.err
+}
+
+func (d *Decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCodec, fmt.Sprintf(format, args...))
+	}
+}
+
+// zeros is what every read yields after a failure.
+var zeros [maxStep]byte
+
+// fill returns the next n <= maxStep bytes without copying them: a slice of
+// the in-memory input or of the stream's buffer, read-only and valid until
+// the next read. An in-memory input knows what is left, so a length past it
+// fails before anything is allocated for it.
+func (d *Decoder) fill(n int) []byte {
+	if d.r == nil && n > len(d.buf) {
+		d.fail("%d bytes wanted, %d left", n, len(d.buf))
+	}
+	if d.err != nil {
+		return zeros[:n]
+	}
+	if d.r == nil {
+		p := d.buf[:n]
+		d.buf = d.buf[n:]
+		return p
+	}
+	p, err := d.r.Peek(n)
+	if err == bufio.ErrBufferFull { // the caller's reader buffers less than n
+		if cap(d.scratch) < n {
+			d.scratch = make([]byte, n)
+		}
+		p = d.scratch[:n]
+		_, err = io.ReadFull(d.r, p)
+	} else if err == nil {
+		_, err = d.r.Discard(n)
+	}
+	if err != nil {
+		d.fail("%v", err)
+		return zeros[:n]
+	}
+	return p
+}
+
+// take reads the next n bytes, growing its result only as bytes arrive; nil
+// after a failure.
+func (d *Decoder) take(n int) []byte {
+	if n <= maxStep {
+		if p := d.fill(n); d.err == nil {
+			return p
+		}
+		return nil
+	}
+	var out []byte
+	for len(out) < n {
+		p := d.fill(min(n-len(out), maxStep))
+		if d.err != nil {
+			return nil
+		}
+		out = append(out, p...)
+	}
+	return out
+}
+
+func (d *Decoder) U8() byte     { return d.fill(1)[0] }
+func (d *Decoder) U16() uint16  { return binary.LittleEndian.Uint16(d.fill(2)) }
+func (d *Decoder) U32() uint32  { return binary.LittleEndian.Uint32(d.fill(4)) }
+func (d *Decoder) U64() uint64  { return binary.LittleEndian.Uint64(d.fill(8)) }
+func (d *Decoder) I64() int64   { return int64(d.U64()) }
+func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Str and Blob read a u32 length and that many bytes.
+func (d *Decoder) Str() string  { return string(d.take(int(d.U32()))) }
+func (d *Decoder) Blob() []byte { return append([]byte(nil), d.take(int(d.U32()))...) }
+
 // WriteBinary writes the batch in the columnar binary pipe format:
 //
 //	magic u32 | version u16 | ncols u16 | nrows u64
@@ -99,51 +257,40 @@ func ReadCSV(r io.Reader, s Schema) (*Batch, error) {
 //	per column: payload (fixed-width values back to back; strings as
 //	            len u32 + bytes)
 func WriteBinary(w io.Writer, b *Batch) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	s := b.Schema()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], binaryMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(s.Len()))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(b.Rows()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	// One buffer, sized to the batch (a one-row WAL record must not pay for
+	// a pipe-sized one) and written out whenever it passes maxStep.
+	e := Encoder{buf: make([]byte, 0, min(maxStep+8, 16+(32+9*b.Rows())*s.Len()))}
+	e.U32(binaryMagic)
+	e.U16(binaryVersion)
+	e.U16(uint16(s.Len()))
+	e.U64(uint64(b.Rows()))
 	for i := 0; i < s.Len(); i++ {
-		c := s.Col(i)
-		if len(c.Name) > math.MaxUint16 {
-			return fmt.Errorf("%w: column name too long", ErrCodec)
-		}
-		var nl [2]byte
-		binary.LittleEndian.PutUint16(nl[:], uint16(len(c.Name)))
-		if _, err := bw.Write(nl[:]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(c.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(c.Type)); err != nil {
-			return err
+		c := s.Col(i) // NewSchema bounds the count and the name to a u16
+		e.U16(uint16(len(c.Name)))
+		e.buf = append(e.buf, c.Name...)
+		e.U8(byte(c.Type))
+	}
+	var err error
+	spill := func() {
+		if len(e.buf) >= maxStep && err == nil {
+			_, err = w.Write(e.buf)
+			e.buf = e.buf[:0]
 		}
 	}
-	var scratch [8]byte
-	for i := 0; i < s.Len(); i++ {
+	for i := 0; i < s.Len() && err == nil; i++ {
 		switch s.Col(i).Type {
 		case Int64, Timestamp:
 			ints, _ := b.Ints(i)
 			for _, v := range ints {
-				binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-				if _, err := bw.Write(scratch[:]); err != nil {
-					return err
-				}
+				e.I64(v)
+				spill()
 			}
 		case Float64:
 			flts, _ := b.Floats(i)
 			for _, v := range flts {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-				if _, err := bw.Write(scratch[:]); err != nil {
-					return err
-				}
+				e.F64(v)
+				spill()
 			}
 		case Bool:
 			bools, _ := b.Bools(i)
@@ -152,125 +299,137 @@ func WriteBinary(w io.Writer, b *Batch) error {
 				if v {
 					bt = 1
 				}
-				if err := bw.WriteByte(bt); err != nil {
-					return err
-				}
+				e.U8(bt)
+				spill()
 			}
 		case String:
 			strs, _ := b.Strings(i)
 			for _, v := range strs {
-				binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v)))
-				if _, err := bw.Write(scratch[:4]); err != nil {
-					return err
-				}
-				if _, err := bw.WriteString(v); err != nil {
-					return err
-				}
+				e.Str(v)
+				spill()
 			}
 		}
 	}
-	return bw.Flush()
+	if err == nil {
+		_, err = w.Write(e.buf)
+	}
+	return err
 }
 
 // ReadBinary decodes one batch from the columnar binary pipe format.
 func ReadBinary(r io.Reader) (*Batch, error) {
-	// Reuse an existing bufio.Reader: wrapping it again would read ahead and
-	// strand bytes, corrupting multi-batch streams.
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCodec, err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCodec, m)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCodec, v)
-	}
-	ncols := int(binary.LittleEndian.Uint16(hdr[6:8]))
-	nrows := binary.LittleEndian.Uint64(hdr[8:16])
-	if nrows > math.MaxInt32*64 {
-		return nil, fmt.Errorf("%w: implausible row count %d", ErrCodec, nrows)
-	}
-	cols := make([]Column, ncols)
-	for i := range cols {
-		var nl [2]byte
-		if _, err := io.ReadFull(br, nl[:]); err != nil {
-			return nil, fmt.Errorf("%w: column header: %v", ErrCodec, err)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(nl[:]))
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("%w: column name: %v", ErrCodec, err)
-		}
-		tb, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: column type: %v", ErrCodec, err)
-		}
-		t := Type(tb)
-		if !t.Valid() {
-			return nil, fmt.Errorf("%w: invalid column type %d", ErrCodec, tb)
-		}
-		cols[i] = Column{Name: string(name), Type: t}
+	d := NewDecoder(r)
+	b := d.Batch()
+	return b, d.Err()
+}
+
+// Batch decodes one pipe-format batch (see WriteBinary), nil on failure.
+func (d *Decoder) Batch() *Batch {
+	cols, n := d.header(nil)
+	if d.err != nil {
+		return nil
 	}
 	s, err := NewSchema(cols...)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
+		d.fail("%v", err)
+		return nil
 	}
-	n := int(nrows)
-	b := NewBatch(s, n)
-	var scratch [8]byte
-	for i := 0; i < ncols; i++ {
-		switch s.Col(i).Type {
+	b := NewBatch(s, 0)
+	if d.columns(b, n); d.err != nil {
+		return nil
+	}
+	return b
+}
+
+// AppendTo decodes one pipe-format batch whose schema must equal dst's and
+// appends its rows to dst; a failure leaves dst as it was. Replay uses it to
+// decode an insert straight into the table heap, against the table's schema,
+// instead of building a schema and a batch per record.
+func (d *Decoder) AppendTo(dst *Batch) {
+	_, n := d.header(&dst.schema)
+	d.columns(dst, n)
+}
+
+// header reads a batch header: the columns and the row count. With want
+// set, the columns must be want's and none are returned.
+func (d *Decoder) header(want *Schema) (cols []Column, nrows int) {
+	if m := d.U32(); d.err == nil && m != binaryMagic {
+		d.fail("bad magic %#x", m)
+	}
+	if v := d.U16(); d.err == nil && v != binaryVersion {
+		d.fail("unsupported version %d", v)
+	}
+	ncols, n := int(d.U16()), d.U64()
+	if n > math.MaxInt32 || (ncols == 0 && n > 0) {
+		d.fail("implausible shape: %d rows of %d columns", n, ncols)
+	}
+	if want != nil && d.err == nil && ncols != want.Len() {
+		d.fail("%d columns, schema has %d", ncols, want.Len())
+	}
+	for i := 0; i < ncols && d.err == nil; i++ {
+		name := d.take(int(d.U16()))
+		if want != nil {
+			if c := want.Col(i); d.err == nil && (string(name) != c.Name || Type(d.U8()) != c.Type) {
+				d.fail("column %d is not %s %s", i, c.Name, c.Type)
+			}
+			continue
+		}
+		c := Column{Name: string(name)} // copied out before the next read reuses the buffer
+		c.Type = Type(d.U8())
+		if d.err == nil && !c.Type.Valid() {
+			d.fail("invalid column type %d", c.Type)
+		}
+		cols = append(cols, c)
+	}
+	return cols, int(n)
+}
+
+// columns appends n rows of column payload to b, or nothing on failure. The
+// row count came from the header and is not trusted: an empty b is sized up
+// front for no more of it than the input can hold (or one step of a stream),
+// and columns grow as their values arrive.
+func (d *Decoder) columns(b *Batch, n int) {
+	for i := range b.cols {
+		c, t, end := &b.cols[i], b.schema.Col(i).Type, b.rows+n
+		if b.rows == 0 {
+			hint := maxStep / 16 // a stream: one step's worth of the widest element
+			if d.r == nil {
+				hint = len(d.buf) // in memory: an element takes at least a byte
+			}
+			c.grow(t, min(n, hint))
+		}
+		switch t {
 		case Int64, Timestamp:
-			dst := make([]int64, n)
-			for j := 0; j < n; j++ {
-				if _, err := io.ReadFull(br, scratch[:]); err != nil {
-					return nil, fmt.Errorf("%w: int column %d row %d: %v", ErrCodec, i, j, err)
+			for len(c.ints) < end && d.err == nil {
+				for p := d.fill(8 * min(end-len(c.ints), maxStep/8)); len(p) > 0 && d.err == nil; p = p[8:] {
+					c.ints = append(c.ints, int64(binary.LittleEndian.Uint64(p)))
 				}
-				dst[j] = int64(binary.LittleEndian.Uint64(scratch[:]))
 			}
-			b.cols[i].ints = dst
 		case Float64:
-			dst := make([]float64, n)
-			for j := 0; j < n; j++ {
-				if _, err := io.ReadFull(br, scratch[:]); err != nil {
-					return nil, fmt.Errorf("%w: float column %d row %d: %v", ErrCodec, i, j, err)
+			for len(c.flts) < end && d.err == nil {
+				for p := d.fill(8 * min(end-len(c.flts), maxStep/8)); len(p) > 0 && d.err == nil; p = p[8:] {
+					c.flts = append(c.flts, math.Float64frombits(binary.LittleEndian.Uint64(p)))
 				}
-				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
 			}
-			b.cols[i].flts = dst
 		case Bool:
-			dst := make([]bool, n)
-			for j := 0; j < n; j++ {
-				bt, err := br.ReadByte()
-				if err != nil {
-					return nil, fmt.Errorf("%w: bool column %d row %d: %v", ErrCodec, i, j, err)
+			for len(c.bools) < end && d.err == nil {
+				for p := d.fill(min(end-len(c.bools), maxStep)); len(p) > 0 && d.err == nil; p = p[1:] {
+					c.bools = append(c.bools, p[0] != 0)
 				}
-				dst[j] = bt != 0
 			}
-			b.cols[i].bools = dst
 		case String:
-			dst := make([]string, n)
-			for j := 0; j < n; j++ {
-				if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-					return nil, fmt.Errorf("%w: string column %d row %d: %v", ErrCodec, i, j, err)
+			for len(c.strs) < end && d.err == nil {
+				if v := d.Str(); d.err == nil {
+					c.strs = append(c.strs, v)
 				}
-				slen := binary.LittleEndian.Uint32(scratch[:4])
-				sb := make([]byte, slen)
-				if _, err := io.ReadFull(br, sb); err != nil {
-					return nil, fmt.Errorf("%w: string column %d row %d: %v", ErrCodec, i, j, err)
-				}
-				dst[j] = string(sb)
 			}
-			b.cols[i].strs = dst
 		}
 	}
-	b.rows = n
-	return b, nil
+	if d.err != nil {
+		b.Truncate(b.rows)
+		return
+	}
+	b.rows += n
 }
 
 // StreamWriter writes a sequence of batches (chunks) over one connection,
@@ -298,11 +457,13 @@ func (sw *StreamWriter) Close() error {
 // StreamReader reads the chunk sequence produced by StreamWriter.
 type StreamReader struct {
 	br *bufio.Reader
+	d  *Decoder // over br; kept across chunks so its scratch buffer is too
 }
 
 // NewStreamReader returns a StreamReader over r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{br: bufio.NewReaderSize(r, 1<<16)}
+	br := bufio.NewReaderSize(r, 1<<16)
+	return &StreamReader{br: br, d: NewDecoder(br)}
 }
 
 // ReadChunk returns the next batch, or io.EOF after the end-of-stream
@@ -319,5 +480,6 @@ func (sr *StreamReader) ReadChunk() (*Batch, error) {
 		}
 		return nil, io.EOF
 	}
-	return ReadBinary(sr.br)
+	b := sr.d.Batch()
+	return b, sr.d.Err()
 }

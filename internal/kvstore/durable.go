@@ -1,50 +1,33 @@
-// Durability hooks: the journal tap the storage backend layer
-// (internal/backend) uses to capture every applied mutation, plus the
-// replay/snapshot/restore surface recovery drives. The store itself stays
-// storage-agnostic — it emits typed records and accepts them back; framing,
-// fsync policy and files belong to the backend.
+// Durability surface: the store implements backend.Durable. It encodes and
+// decodes its own journal records and snapshot section here, next to the
+// shard locks that order them; the backend frames, fsyncs and files opaque
+// bytes and never learns this layout.
 package kvstore
 
 import (
 	"fmt"
-	"sync/atomic"
+	"io"
+	"time"
+
+	"polystorepp/internal/cast"
 )
 
-// ShardCount is the fixed hash-shard count, exported so snapshot encodings
-// can persist the per-shard mutation counters (the store's version vector
-// contribution is their sum).
-const ShardCount = numShards
-
-// JournalOp identifies a journaled mutation kind.
-type JournalOp uint8
-
-// Journaled mutation kinds.
+// Journal record: op u8 | key str | shard version u64 | entry (puts only).
+// The shard version is the key's shard mutation counter immediately after
+// the apply. Counters are bumped under the shard lock, so records for one
+// shard carry strictly increasing versions — Apply uses them as per-shard
+// log sequence numbers to skip records a snapshot already covers.
 const (
-	JournalPut JournalOp = iota + 1
-	JournalDelete
+	opPut byte = iota + 1
+	opDelete
 )
 
-// JournalRecord describes one applied mutation. ShardVersion is the key's
-// shard mutation counter immediately after the apply: per-shard counters are
-// bumped under the shard lock, so records for the same shard carry strictly
-// increasing ShardVersion values — replay uses them as per-shard log sequence
-// numbers to skip records already covered by a snapshot.
-type JournalRecord struct {
-	Op           JournalOp
-	Key          string
-	Entry        Entry // JournalPut only; Value must be treated as read-only
-	ShardVersion uint64
-}
-
-// JournalFn receives every applied mutation. It is called while the key's
-// shard lock is held, so it must be fast and must not call back into the
-// store.
-type JournalFn func(JournalRecord)
-
-// SetJournal installs (or, with nil, removes) the mutation journal. Install
-// it after any bulk load or recovery so seed data is captured by snapshots
-// rather than re-journaled.
-func (s *Store) SetJournal(fn JournalFn) {
+// SetJournal installs (or, with nil, removes) the mutation journal. fn
+// receives one encoded record per applied mutation while the key's shard
+// lock is held, so it must be fast and must not call back into the store.
+// Install it after any bulk load or recovery so seed data is captured by
+// snapshots rather than re-journaled.
+func (s *Store) SetJournal(fn func(record []byte)) {
 	if fn == nil {
 		s.journal.Store(nil)
 		return
@@ -52,101 +35,146 @@ func (s *Store) SetJournal(fn JournalFn) {
 	s.journal.Store(&fn)
 }
 
-// journalTap is the Store-side storage for the hook; it lives here (not in
-// kvstore.go) so the hot path only pays an atomic load.
-type journalTap = atomic.Pointer[JournalFn]
+// record encodes one applied mutation; e is ignored for deletes.
+func record(op byte, key string, shardVersion uint64, e Entry) []byte {
+	var enc cast.Encoder
+	enc.Grow(1 + 4 + len(key) + 8 + 24 + 4 + len(e.Value))
+	enc.U8(op)
+	enc.Str(key)
+	enc.U64(shardVersion)
+	if op == opPut {
+		encodeEntry(&enc, e)
+	}
+	return enc.Bytes()
+}
 
-// ReplayPut applies a journaled put during recovery, returning false when the
-// record is already covered by the shard's restored state (ShardVersion not
-// past the shard counter). The entry is stored verbatim — version, write time
-// and absolute expiry — so recovered reads are byte-identical to the
-// pre-crash store.
-func (s *Store) ReplayPut(key string, e Entry, shardVersion uint64) bool {
+// An entry travels verbatim — version, write time and absolute expiry — so
+// recovered reads are byte-identical to the pre-crash store.
+func encodeEntry(enc *cast.Encoder, e Entry) {
+	enc.I64(e.Version)
+	enc.I64(unixNano(e.WrittenAt))
+	enc.I64(unixNano(e.ExpiresAt))
+	enc.Blob(e.Value)
+}
+
+func decodeEntry(d *cast.Decoder) Entry {
+	return Entry{Version: d.I64(), WrittenAt: fromUnixNano(d.I64()),
+		ExpiresAt: fromUnixNano(d.I64()), Value: d.Blob()}
+}
+
+// unixNano encodes a time with the zero value as 0 (time.Time{}.UnixNano()
+// is a large negative sentinel that must not round-trip as a real instant).
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+func fromUnixNano(n int64) time.Time {
+	if n == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, n)
+}
+
+// Apply replays one journaled mutation during recovery. It returns false
+// when the record is already covered by the shard's restored state (shard
+// version not past the shard counter); otherwise the shard counter is
+// pinned to the record's.
+func (s *Store) Apply(rec []byte) (bool, error) {
+	d := cast.DecodeBytes(rec)
+	op, key, shardVersion := d.U8(), d.Str(), d.U64()
+	var e Entry
+	if op == opPut {
+		e = decodeEntry(d)
+	}
+	if err := d.Finish(); err != nil {
+		return false, fmt.Errorf("kvstore: %q record: %w", s.name, err)
+	}
+	if op != opPut && op != opDelete {
+		return false, fmt.Errorf("kvstore: %q record: %w: op %d", s.name, cast.ErrCodec, op)
+	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if shardVersion <= sh.version {
-		return false
+		return false, nil
 	}
-	own := make([]byte, len(e.Value))
-	copy(own, e.Value)
-	e.Value = own
-	sh.data[key] = append(sh.data[key], e)
-	if !e.ExpiresAt.IsZero() && s.now().Before(e.ExpiresAt) &&
-		(sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry)) {
-		sh.nextExpiry = e.ExpiresAt
+	if op == opDelete {
+		delete(sh.data, key)
+	} else {
+		sh.data[key] = append(sh.data[key], e)
+		sh.noteExpiry(e, s.now())
 	}
 	sh.version = shardVersion
-	return true
+	return true, nil
 }
 
-// ReplayDelete applies a journaled delete during recovery; false when the
-// record is already covered by the shard's restored state.
-func (s *Store) ReplayDelete(key string, shardVersion uint64) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if shardVersion <= sh.version {
-		return false
-	}
-	delete(sh.data, key)
-	sh.version = shardVersion
-	return true
-}
-
-// SnapshotState returns a deep-enough copy of the store for snapshot
-// encoding: every key's version list plus the per-shard mutation counters.
-// Each shard's keys and counter are captured together under its read lock,
-// so every (key set, counter) pair is a consistent cut — the property replay
-// needs to skip WAL records the snapshot already covers. Entry values are
-// shared (they are immutable once written).
-func (s *Store) SnapshotState() (map[string][]Entry, []uint64) {
-	data := make(map[string][]Entry)
-	versions := make([]uint64, numShards)
+// Snapshot writes the store's section: the shard count, then per shard its
+// mutation counter and every key's version list. Each shard is encoded
+// under its read lock — so every (keys, counter) pair is a consistent cut,
+// the property Apply needs to skip records the snapshot covers — and
+// written after the lock is released, so a slow disk never stalls writers.
+func (s *Store) Snapshot(w io.Writer) error {
+	var enc cast.Encoder
+	enc.U32(numShards)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
+		enc.U64(sh.version)
+		enc.U32(uint32(len(sh.data)))
 		for k, vs := range sh.data {
-			cp := make([]Entry, len(vs))
-			copy(cp, vs)
-			data[k] = cp
-		}
-		versions[i] = sh.version
-		sh.mu.RUnlock()
-	}
-	return data, versions
-}
-
-// RestoreState loads a snapshot dump into an empty store: entries verbatim,
-// per-shard counters to the persisted watermarks, expiry watermarks
-// recomputed from entries still in the future. Call before SetJournal.
-func (s *Store) RestoreState(data map[string][]Entry, shardVersions []uint64) error {
-	if len(shardVersions) != numShards {
-		return fmt.Errorf("kvstore: restore %q: %d shard versions, want %d",
-			s.name, len(shardVersions), numShards)
-	}
-	now := s.now()
-	for k, vs := range data {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		cp := make([]Entry, len(vs))
-		copy(cp, vs)
-		sh.data[k] = cp
-		for _, e := range cp {
-			if !e.ExpiresAt.IsZero() && now.Before(e.ExpiresAt) &&
-				(sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry)) {
-				sh.nextExpiry = e.ExpiresAt
+			enc.Str(k)
+			enc.U32(uint32(len(vs)))
+			for _, e := range vs {
+				encodeEntry(&enc, e)
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
+		if _, err := w.Write(enc.Bytes()); err != nil {
+			return err
+		}
+		enc.Reset()
 	}
-	for i := range s.shards {
+	return nil
+}
+
+// Restore loads a Snapshot section into an empty store: entries verbatim,
+// shard counters to the persisted watermarks, expiry watermarks recomputed
+// from entries still in the future. Call before SetJournal.
+func (s *Store) Restore(r io.Reader) error {
+	d := cast.NewDecoder(r)
+	if n := d.U32(); d.Err() == nil && n != numShards {
+		return fmt.Errorf("kvstore: restore %q: %d shards, want %d", s.name, n, numShards)
+	}
+	now := s.now()
+	for i := 0; i < numShards && d.Err() == nil; i++ {
+		version := d.U64()
+		for k := d.U32(); k > 0 && d.Err() == nil; k-- {
+			key := d.Str()
+			var vs []Entry
+			for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+				vs = append(vs, decodeEntry(d))
+			}
+			if d.Err() != nil {
+				break
+			}
+			sh := s.shardFor(key)
+			sh.mu.Lock()
+			sh.data[key] = vs
+			for _, e := range vs {
+				sh.noteExpiry(e, now)
+			}
+			sh.mu.Unlock()
+		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if shardVersions[i] > sh.version {
-			sh.version = shardVersions[i]
-		}
+		sh.version = max(sh.version, version)
 		sh.mu.Unlock()
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("kvstore: restore %q: %w", s.name, err)
 	}
 	return nil
 }

@@ -1,0 +1,40 @@
+package kvstore
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// FuzzApply feeds arbitrary bytes to the recovery path, seeded from records
+// a live store journaled. Apply must never panic, never allocate beyond a
+// multiple of the record's own size whatever lengths it claims, and leave
+// the store's version unchanged when it reports an error.
+func FuzzApply(f *testing.F) {
+	src := New("kv")
+	src.SetJournal(func(record []byte) { f.Add(append([]byte(nil), record...)) })
+	src.Put("k1", []byte("value"))
+	src.PutTTL("k2", []byte("ttl"), time.Hour)
+	src.Put("k1", nil)
+	src.Delete("k2")
+	src.SetJournal(nil)
+
+	f.Fuzz(func(t *testing.T, record []byte) {
+		s := New("kv")
+		s.Put("k1", []byte("present"))
+		before := s.Version()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		applied, err := s.Apply(record)
+		runtime.ReadMemStats(&m1)
+		if got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(16<<10+64*len(record)); got > budget {
+			t.Fatalf("applying %d bytes allocated %d", len(record), got)
+		}
+		if err != nil && (applied || s.Version() != before) {
+			t.Fatalf("failed Apply changed the store: applied=%t version %d -> %d (%v)", applied, before, s.Version(), err)
+		}
+		if err == nil && !applied && s.Version() != before {
+			t.Fatalf("skipped record moved the version %d -> %d", before, s.Version())
+		}
+	})
+}

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"polystorepp/internal/partition"
@@ -59,9 +60,10 @@ type Store struct {
 	name   string
 	now    func() time.Time
 	shards [numShards]shard
-	// journal, when installed, receives every applied mutation (durability
-	// tap; see durable.go). Atomic so installation never races hot-path puts.
-	journal journalTap
+	// journal, when installed, receives every applied mutation as an encoded
+	// record (durability tap; see durable.go). Atomic so installation never
+	// races hot-path puts.
+	journal atomic.Pointer[func(record []byte)]
 }
 
 // Option configures a Store.
@@ -123,14 +125,12 @@ func (s *Store) PutTTL(key string, value []byte, ttl time.Duration) int64 {
 		// version bump below covers it and the watermark stays an earliest
 		// *future* expiry.
 		e.ExpiresAt = e.WrittenAt.Add(ttl)
-		if ttl > 0 && (sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry)) {
-			sh.nextExpiry = e.ExpiresAt
-		}
+		sh.noteExpiry(e, e.WrittenAt)
 	}
 	sh.data[key] = append(versions, e)
 	sh.version++
 	if j := s.journal.Load(); j != nil {
-		(*j)(JournalRecord{Op: JournalPut, Key: key, Entry: e, ShardVersion: sh.version})
+		(*j)(record(opPut, key, sh.version, e))
 	}
 	return ver
 }
@@ -170,6 +170,15 @@ func (sh *shard) versionNow(now func() time.Time) uint64 {
 		sh.advanceExpiryLocked(now)
 	}
 	return sh.version
+}
+
+// noteExpiry lowers the shard's expiry watermark to e's expiry when that is
+// still in the future. Caller holds the shard lock.
+func (sh *shard) noteExpiry(e Entry, now time.Time) {
+	if !e.ExpiresAt.IsZero() && now.Before(e.ExpiresAt) &&
+		(sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry)) {
+		sh.nextExpiry = e.ExpiresAt
+	}
 }
 
 // advanceExpiryLocked recomputes the shard's earliest future ExpiresAt. All
@@ -239,7 +248,7 @@ func (s *Store) Delete(key string) {
 		delete(sh.data, key)
 		sh.version++
 		if j := s.journal.Load(); j != nil {
-			(*j)(JournalRecord{Op: JournalDelete, Key: key, ShardVersion: sh.version})
+			(*j)(record(opDelete, key, sh.version, Entry{}))
 		}
 	}
 }

@@ -1,53 +1,39 @@
-// Durability hooks: the journal tap the storage backend layer
-// (internal/backend) uses to capture applied mutations — row inserts and
-// schema changes — plus the replay/snapshot/restore surface recovery drives.
-// The store emits typed records and accepts them back; framing, fsync policy
-// and files belong to the backend.
+// Durability surface: the store implements backend.Durable. It encodes and
+// decodes its own journal records and snapshot section here, next to the
+// store and table locks that order them; rows travel as typed columns in
+// cast's binary pipe format — the migrator's — never boxed to values. The
+// backend frames, fsyncs and files opaque bytes and never learns this
+// layout.
 package relational
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"polystorepp/internal/cast"
 )
 
-// JournalOp identifies a journaled mutation kind.
-type JournalOp uint8
-
-// Journaled mutation kinds.
+// Journal record: op u8 | table str | version u64 | body. The version is the
+// counter the mutation bumped, read immediately after the apply under the
+// lock that ordered it: the table's mutation count for inserts and index
+// builds, the store's schema count for table creation. Records for one
+// table therefore carry strictly increasing versions — Apply uses them as
+// per-table log sequence numbers to skip records a snapshot already covers.
 const (
-	JournalCreateTable JournalOp = iota + 1
-	JournalInsert
-	JournalBTreeIndex
-	JournalHashIndex
+	opCreateTable byte = iota + 1 // body: zero-row batch carrying the schema
+	opInsert                      // body: the appended rows as one batch
+	opBTreeIndex                  // body: column str
+	opHashIndex                   // body: column str
 )
 
-// JournalRecord describes one applied mutation. TableVersion is the table's
-// mutation count immediately after the apply: it is bumped under the table
-// lock, so records for one table carry strictly increasing versions — replay
-// uses them as per-table log sequence numbers to skip records a snapshot
-// already covers. StoreVersion plays the same role for schema mutations
-// (table creation), which bump the store-level counter instead.
-type JournalRecord struct {
-	Op           JournalOp
-	Table        string
-	Schema       cast.Schema // JournalCreateTable only
-	Rows         [][]any     // JournalInsert only; values must be treated as read-only
-	Col          string      // index ops only
-	StoreVersion uint64      // JournalCreateTable only
-	TableVersion uint64
-}
-
-// JournalFn receives every applied mutation. It is called while the store or
-// table lock is held, so it must be fast and must not call back into the
-// store.
-type JournalFn func(JournalRecord)
-
 // SetJournal installs (or, with nil, removes) the mutation journal for the
-// store and every table it ever creates. Install it after any bulk load or
-// recovery so seed data is captured by snapshots rather than re-journaled.
-func (s *Store) SetJournal(fn JournalFn) {
+// store and every table it ever creates. fn receives one encoded record per
+// applied mutation while the store or table lock is held, so it must be
+// fast and must not call back into the store. Install it after any bulk
+// load or recovery so seed data is captured by snapshots rather than
+// re-journaled.
+func (s *Store) SetJournal(fn func(record []byte)) {
 	if fn == nil {
 		s.journal.Store(nil)
 		return
@@ -55,173 +41,194 @@ func (s *Store) SetJournal(fn JournalFn) {
 	s.journal.Store(&fn)
 }
 
-// ReplayCreateTable applies a journaled table creation during recovery;
-// false when the table already exists (covered by the snapshot).
-func (s *Store) ReplayCreateTable(name string, schema cast.Schema, storeVersion uint64) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[name]; ok {
-		return false, nil
+// record encodes one applied mutation; the body is rows when non-nil, else
+// col.
+func record(op byte, table string, version uint64, rows *cast.Batch, col string) []byte {
+	var enc cast.Encoder
+	if rows != nil {
+		enc.Grow(64 + len(table) + (32+9*rows.Rows())*rows.Schema().Len())
 	}
-	t := &Table{name: name, schema: schema, heap: cast.NewBatch(schema, 0),
-		btrees: make(map[string]*btree), hashes: make(map[string]map[string][]int32),
-		version: 1, journal: &s.journal}
-	s.tables[name] = t
-	if storeVersion > s.version {
-		s.version = storeVersion
+	enc.U8(op)
+	enc.Str(table)
+	enc.U64(version)
+	if rows != nil {
+		// Writing into an Encoder cannot fail, and a schema that reached a
+		// table is encodable.
+		_ = cast.WriteBinary(&enc, rows)
 	} else {
-		s.version++
+		enc.Str(col)
 	}
-	return true, nil
+	return enc.Bytes()
 }
 
-// ReplayInsert applies a journaled insert during recovery, returning false
-// when the record is already covered by the table's restored state
-// (TableVersion not past the table counter). The table version is pinned to
-// the record's, keeping post-recovery version vectors identical to the
-// pre-crash acknowledged state.
-func (s *Store) ReplayInsert(table string, rows [][]any, tableVersion uint64) (bool, error) {
+// Apply replays one journaled mutation during recovery. It returns false
+// when the record is already covered by restored state (the table exists,
+// or its version is not behind the record's); otherwise the counter the
+// mutation bumped is pinned to the record's, keeping post-recovery version
+// vectors identical to the pre-crash acknowledged state.
+func (s *Store) Apply(rec []byte) (bool, error) {
+	d := cast.DecodeBytes(rec)
+	op, table, version := d.U8(), d.Str(), d.U64()
+	if op == opCreateTable {
+		empty := d.Batch()
+		if err := d.Finish(); err != nil {
+			return false, fmt.Errorf("relational: %q record: %w", s.name, err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.tables[table]; ok {
+			return false, nil
+		}
+		s.newTableLocked(table, empty.Schema())
+		s.version = max(s.version+1, version)
+		return true, nil
+	}
+	if d.Err() != nil {
+		return false, fmt.Errorf("relational: %q record: %w", s.name, d.Err())
+	}
 	t, err := s.Table(table)
 	if err != nil {
 		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tableVersion <= t.version {
-		return false, nil
-	}
-	for _, vals := range rows {
-		r := t.heap.Rows()
-		if err := t.heap.AppendRow(vals...); err != nil {
-			return false, err
-		}
-		if err := t.indexRow(r); err != nil {
-			return false, err
-		}
-	}
-	t.version = tableVersion
-	return true, nil
-}
-
-// ReplayIndex applies a journaled index build during recovery; false when
-// already covered.
-func (s *Store) ReplayIndex(table, col string, op JournalOp, tableVersion uint64) (bool, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return false, err
-	}
-	if tableVersion <= t.Version() {
+	if version <= t.version {
 		return false, nil
 	}
 	switch op {
-	case JournalBTreeIndex:
-		err = t.CreateBTreeIndex(col)
-	case JournalHashIndex:
-		err = t.CreateHashIndex(col)
+	case opInsert:
+		// Straight into the heap, against the table's schema: no schema or
+		// batch is built per record, and rows of another shape fail here.
+		start := t.heap.Rows()
+		d.AppendTo(t.heap)
+		if err = d.Finish(); err != nil {
+			t.heap.Truncate(start)
+		} else {
+			err = t.indexFrom(start)
+		}
+	case opBTreeIndex, opHashIndex:
+		col := d.Str()
+		if err = d.Finish(); err != nil {
+			break
+		}
+		if op == opBTreeIndex {
+			err = t.buildBTreeLocked(col)
+		} else {
+			err = t.buildHashLocked(col)
+		}
 	default:
-		err = fmt.Errorf("relational: replay index op %d", op)
+		err = fmt.Errorf("%w: op %d", cast.ErrCodec, op)
 	}
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("relational: %q record: %w", s.name, err)
 	}
-	t.mu.Lock()
-	if tableVersion > t.version {
-		t.version = tableVersion
-	}
-	t.mu.Unlock()
+	t.version = version
 	return true, nil
 }
 
-// TableDump is the serializable state of one table: schema, heap rows
-// (a read-only view — append-only storage keeps it stable), index column
-// lists (indexes themselves are rebuilt on restore) and the mutation count,
-// all captured together under the table read lock so the pair is a
-// consistent cut.
-type TableDump struct {
-	Name      string
-	Schema    cast.Schema
-	Rows      *cast.Batch
-	BTreeCols []string
-	HashCols  []string
-	Version   uint64
-}
-
-// SnapshotState returns every table's dump plus the store-level schema
-// mutation count.
-func (s *Store) SnapshotState() ([]TableDump, uint64) {
+// Snapshot writes the store's section: schema version u64 | table count u32
+// | per table name str, version u64, btree columns, hash columns, heap as
+// one pipe-format batch. Each table's heap view, version and index lists
+// are captured together under its read lock, so the triple is a consistent
+// cut; the heap is append-only, so the view streams out after the lock is
+// released. Indexes are rebuilt on Restore, not stored.
+func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
+	names := sortedKeys(s.tables)
 	storeVersion := s.version
 	s.mu.RUnlock()
-	sort.Strings(names)
-	dumps := make([]TableDump, 0, len(names))
-	for _, n := range names {
-		t, err := s.Table(n)
+	var enc cast.Encoder
+	enc.U64(storeVersion)
+	enc.U32(uint32(len(names)))
+	for _, name := range names {
+		t, err := s.Table(name)
 		if err != nil {
-			continue // dropped between the list and the dump; tables are never dropped today
+			return err // unreachable: tables are never dropped
 		}
 		t.mu.RLock()
-		d := TableDump{Name: n, Schema: t.schema, Rows: t.heap.View(), Version: t.version}
-		for col := range t.btrees {
-			d.BTreeCols = append(d.BTreeCols, col)
-		}
-		for col := range t.hashes {
-			d.HashCols = append(d.HashCols, col)
-		}
+		heap, version := t.heap.View(), t.version
+		btrees, hashes := sortedKeys(t.btrees), sortedKeys(t.hashes)
 		t.mu.RUnlock()
-		sort.Strings(d.BTreeCols)
-		sort.Strings(d.HashCols)
-		dumps = append(dumps, d)
+		enc.Str(name)
+		enc.U64(version)
+		for _, cols := range [][]string{btrees, hashes} {
+			enc.U32(uint32(len(cols)))
+			for _, c := range cols {
+				enc.Str(c)
+			}
+		}
+		if _, err := w.Write(enc.Bytes()); err != nil {
+			return err
+		}
+		enc.Reset()
+		if err := cast.WriteBinary(w, heap); err != nil {
+			return err
+		}
 	}
-	return dumps, storeVersion
+	_, err := w.Write(enc.Bytes())
+	return err
 }
 
-// RestoreState loads a snapshot dump into an empty store: tables recreated,
+// Restore loads a Snapshot section into an empty store: tables recreated,
 // heaps bulk-loaded, indexes rebuilt, and every version counter pinned to
 // its persisted watermark. A table that already exists is reused when it is
 // still empty (the boot code pre-created the schema before recovery); a
 // table that already holds rows is a real conflict and fails the restore.
 // Call before SetJournal.
-func (s *Store) RestoreState(dumps []TableDump, storeVersion uint64) error {
-	for _, d := range dumps {
-		t, err := s.Table(d.Name)
-		switch {
-		case err == nil:
-			if t.Rows() != 0 {
-				return fmt.Errorf("relational: restore %q table %q: already holds %d rows", s.name, d.Name, t.Rows())
-			}
-		default:
-			if t, err = s.CreateTable(d.Name, d.Schema); err != nil {
-				return fmt.Errorf("relational: restore %q: %w", s.name, err)
+func (s *Store) Restore(r io.Reader) error {
+	d := cast.NewDecoder(r)
+	storeVersion := d.U64()
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		name, version := d.Str(), d.U64()
+		var indexCols [2][]string
+		for i := range indexCols {
+			for k := d.U32(); k > 0 && d.Err() == nil; k-- {
+				indexCols[i] = append(indexCols[i], d.Str())
 			}
 		}
-		if err := t.InsertBatch(d.Rows); err != nil {
-			return fmt.Errorf("relational: restore %q table %q: %w", s.name, d.Name, err)
+		heap := d.Batch()
+		if d.Err() != nil {
+			break
 		}
-		for _, col := range d.BTreeCols {
-			if err := t.CreateBTreeIndex(col); err != nil {
-				return fmt.Errorf("relational: restore %q table %q btree %q: %w", s.name, d.Name, col, err)
-			}
+		if err := s.restoreTable(name, version, heap, indexCols[0], indexCols[1]); err != nil {
+			return fmt.Errorf("relational: restore %q table %q: %w", s.name, name, err)
 		}
-		for _, col := range d.HashCols {
-			if err := t.CreateHashIndex(col); err != nil {
-				return fmt.Errorf("relational: restore %q table %q hash %q: %w", s.name, d.Name, col, err)
-			}
-		}
-		t.mu.Lock()
-		if d.Version > t.version {
-			t.version = d.Version
-		}
-		t.mu.Unlock()
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("relational: restore %q: %w", s.name, err)
 	}
 	s.mu.Lock()
-	if storeVersion > s.version {
-		s.version = storeVersion
+	s.version = max(s.version, storeVersion)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *Store) restoreTable(name string, version uint64, heap *cast.Batch, btrees, hashes []string) error {
+	s.mu.Lock()
+	t, ok := s.tables[name]
+	if !ok {
+		t = s.newTableLocked(name, heap.Schema())
 	}
 	s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.heap.Rows() != 0 {
+		return fmt.Errorf("already holds %d rows", t.heap.Rows())
+	}
+	if err := t.appendLocked(heap); err != nil {
+		return err
+	}
+	for _, col := range btrees {
+		if err := t.buildBTreeLocked(col); err != nil {
+			return fmt.Errorf("btree %q: %w", col, err)
+		}
+	}
+	for _, col := range hashes {
+		if err := t.buildHashLocked(col); err != nil {
+			return fmt.Errorf("hash %q: %w", col, err)
+		}
+	}
+	t.version = max(t.version, version)
 	return nil
 }
 
@@ -235,16 +242,11 @@ func (s *Store) BumpVersion() {
 	s.mu.Unlock()
 }
 
-// journalRows extracts the just-appended heap rows [start, end) as value
-// slices for a journal record. Caller holds the table lock.
-func (t *Table) journalRows(start, end int) [][]any {
-	rows := make([][]any, 0, end-start)
-	for r := start; r < end; r++ {
-		vals, err := t.heap.Row(r)
-		if err != nil {
-			continue // unreachable: r is in range and the heap is well-typed
-		}
-		rows = append(rows, vals)
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	return rows
+	sort.Strings(out)
+	return out
 }

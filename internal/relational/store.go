@@ -32,10 +32,12 @@ type Store struct {
 	// version counts schema mutations (table creation); see Version.
 	version uint64
 	// journal, when installed, receives every applied mutation across the
-	// store and its tables (durability tap; see durable.go). Atomic so
-	// installation never races hot-path inserts.
-	journal atomic.Pointer[JournalFn]
+	// store and its tables as an encoded record (durability tap; see
+	// durable.go). Atomic so installation never races hot-path inserts.
+	journal journalTap
 }
+
+type journalTap = atomic.Pointer[func(record []byte)]
 
 // NewStore returns an empty store with the given instance name.
 func NewStore(name string) *Store {
@@ -52,18 +54,23 @@ func (s *Store) CreateTable(name string, schema cast.Schema) (*Table, error) {
 	if _, ok := s.tables[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrTableExist, name)
 	}
-	// A fresh table starts at version 1 so its creation is itself a visible
-	// mutation to table-scoped version queries (a missing table reads as 0).
+	t := s.newTableLocked(name, schema)
+	s.version++
+	if j := s.journal.Load(); j != nil {
+		(*j)(record(opCreateTable, name, s.version, t.heap, ""))
+	}
+	return t, nil
+}
+
+// newTableLocked registers an empty table. It starts at version 1 so its
+// creation is itself a visible mutation to table-scoped version queries (a
+// missing table reads as 0). Caller holds the store write lock.
+func (s *Store) newTableLocked(name string, schema cast.Schema) *Table {
 	t := &Table{name: name, schema: schema, heap: cast.NewBatch(schema, 0),
 		btrees: make(map[string]*btree), hashes: make(map[string]map[string][]int32),
 		version: 1, journal: &s.journal}
 	s.tables[name] = t
-	s.version++
-	if j := s.journal.Load(); j != nil {
-		(*j)(JournalRecord{Op: JournalCreateTable, Table: name, Schema: schema,
-			StoreVersion: s.version, TableVersion: t.version})
-	}
-	return t, nil
+	return t
 }
 
 // Version returns the store's monotonic data version: the sum of every
@@ -140,7 +147,7 @@ type Table struct {
 	// version counts mutations (inserts and index builds); see Version.
 	version uint64
 	// journal points at the owning store's mutation tap (see durable.go).
-	journal *atomic.Pointer[JournalFn]
+	journal *journalTap
 }
 
 // Version returns the table's monotonic mutation count.
@@ -175,22 +182,18 @@ func (t *Table) Insert(vals ...any) error {
 	if err := t.indexRow(row); err != nil {
 		return err
 	}
-	if j := t.loadJournal(); j != nil {
-		j(JournalRecord{Op: JournalInsert, Table: t.name,
-			Rows: t.journalRows(row, t.heap.Rows()), TableVersion: t.version})
-	}
+	t.journalInsert(row)
 	return nil
 }
 
-// loadJournal returns the installed mutation tap, if any.
-func (t *Table) loadJournal() JournalFn {
-	if t.journal == nil {
-		return nil
-	}
+// journalInsert journals the heap rows from start on — the ones the caller
+// just appended — as typed columns, a zero-copy view of the heap. Caller
+// holds the write lock and has bumped the version.
+func (t *Table) journalInsert(start int) {
 	if j := t.journal.Load(); j != nil {
-		return *j
+		rows, _ := t.heap.ViewRange(start, t.heap.Rows()) // in range by construction
+		(*j)(record(opInsert, t.name, t.version, rows, ""))
 	}
-	return nil
 }
 
 // InsertBatch appends all rows of b (schema-checked).
@@ -198,18 +201,31 @@ func (t *Table) InsertBatch(b *cast.Batch) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	start := t.heap.Rows()
-	if err := t.heap.AppendBatch(b); err != nil {
+	if err := t.appendLocked(b); err != nil {
 		return err
 	}
 	t.version++
+	t.journalInsert(start)
+	return nil
+}
+
+// appendLocked appends all rows of b to the heap and indexes them. Caller
+// holds the write lock and owns the version bump.
+func (t *Table) appendLocked(b *cast.Batch) error {
+	start := t.heap.Rows()
+	if err := t.heap.AppendBatch(b); err != nil {
+		return err
+	}
+	return t.indexFrom(start)
+}
+
+// indexFrom maintains all indexes for the heap rows from start on. Caller
+// holds the write lock.
+func (t *Table) indexFrom(start int) error {
 	for r := start; r < t.heap.Rows(); r++ {
 		if err := t.indexRow(r); err != nil {
 			return err
 		}
-	}
-	if j := t.loadJournal(); j != nil {
-		j(JournalRecord{Op: JournalInsert, Table: t.name,
-			Rows: t.journalRows(start, t.heap.Rows()), TableVersion: t.version})
 	}
 	return nil
 }
@@ -247,6 +263,23 @@ func (t *Table) indexRow(r int) error {
 func (t *Table) CreateBTreeIndex(col string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.buildBTreeLocked(col); err != nil {
+		return err
+	}
+	t.indexBuilt(opBTreeIndex, col)
+	return nil
+}
+
+// indexBuilt counts and journals a finished index build. Caller holds the
+// write lock.
+func (t *Table) indexBuilt(op byte, col string) {
+	t.version++
+	if j := t.journal.Load(); j != nil {
+		(*j)(record(op, t.name, t.version, nil, col))
+	}
+}
+
+func (t *Table) buildBTreeLocked(col string) error {
 	i, err := t.schema.Index(col)
 	if err != nil {
 		return err
@@ -264,10 +297,6 @@ func (t *Table) CreateBTreeIndex(col string) error {
 		bt.Insert(v, int32(r))
 	}
 	t.btrees[col] = bt
-	t.version++
-	if j := t.loadJournal(); j != nil {
-		j(JournalRecord{Op: JournalBTreeIndex, Table: t.name, Col: col, TableVersion: t.version})
-	}
 	return nil
 }
 
@@ -275,6 +304,14 @@ func (t *Table) CreateBTreeIndex(col string) error {
 func (t *Table) CreateHashIndex(col string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.buildHashLocked(col); err != nil {
+		return err
+	}
+	t.indexBuilt(opHashIndex, col)
+	return nil
+}
+
+func (t *Table) buildHashLocked(col string) error {
 	i, err := t.schema.Index(col)
 	if err != nil {
 		return err
@@ -288,10 +325,6 @@ func (t *Table) CreateHashIndex(col string) error {
 		h[key] = append(h[key], int32(r))
 	}
 	t.hashes[col] = h
-	t.version++
-	if j := t.loadJournal(); j != nil {
-		j(JournalRecord{Op: JournalHashIndex, Table: t.name, Col: col, TableVersion: t.version})
-	}
 	return nil
 }
 

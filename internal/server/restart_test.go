@@ -26,7 +26,7 @@ func buildDurableServer(t *testing.T, dir string) (*Server, backend.Backend, bac
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.AttachKV("kv-events", store)
+	b.Attach("kv-events", store)
 	rec, err := b.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -1208,6 +1208,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("server.data_version").Set(float64(s.rt.DataVersion()))
 	if s.cfg.Backend != nil {
 		bs := s.cfg.Backend.Stats()
+		s.reg.Gauge("backend.volatile_engines").Set(float64(len(bs.Volatile(s.rt.Engines()))))
 		s.reg.Gauge("backend.wal.appends").Set(float64(bs.WALAppends))
 		s.reg.Gauge("backend.wal.bytes").Set(float64(bs.WALBytes))
 		s.reg.Gauge("backend.wal.fsyncs").Set(float64(bs.WALFsyncs))
@@ -1363,6 +1364,8 @@ func (s *Server) backendStats() map[string]any {
 		"durable":             bs.Durable,
 		"sync_policy":         bs.SyncPolicy,
 		"capabilities":        bs.Capabilities,
+		"stores":              append([]string{}, bs.Stores...), // what a restart keeps
+		"volatile_engines":    bs.Volatile(s.rt.Engines()),      // what it loses
 		"wal_appends":         bs.WALAppends,
 		"wal_bytes":           bs.WALBytes,
 		"wal_fsyncs":          bs.WALFsyncs,

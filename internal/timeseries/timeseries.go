@@ -119,9 +119,9 @@ type Store struct {
 	series map[string]*series
 	// version counts appends; result caches key on it (see Version).
 	version uint64
-	// journal, when installed, receives every applied append (durability
-	// tap; see durable.go). Guarded by mu.
-	journal JournalFn
+	// journal, when installed, receives every applied append as an encoded
+	// record (durability tap; see durable.go). Guarded by mu.
+	journal func(record []byte)
 }
 
 // New returns an empty store.
@@ -137,19 +137,25 @@ func (s *Store) Name() string { return s.name }
 func (s *Store) Append(name string, ts int64, v float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.seriesLocked(name).append(ts, v); err != nil {
+		return err
+	}
+	s.version++
+	if s.journal != nil {
+		s.journal(record(name, ts, v, s.version))
+	}
+	return nil
+}
+
+// seriesLocked returns the named series, creating it on first use. Caller
+// holds the write lock.
+func (s *Store) seriesLocked(name string) *series {
 	sr, ok := s.series[name]
 	if !ok {
 		sr = &series{}
 		s.series[name] = sr
 	}
-	if err := sr.append(ts, v); err != nil {
-		return err
-	}
-	s.version++
-	if s.journal != nil {
-		s.journal(name, ts, v, s.version)
-	}
-	return nil
+	return sr
 }
 
 // Version returns the store's monotonic mutation count. The serving layer

@@ -72,7 +72,7 @@ type (
 	// weighted-fair admission weight (ServeConfig.TenantQuotas).
 	TenantQuota = tenant.Quota
 	// Backend is a pluggable storage backend hosting the engines' stores
-	// ("memory" or "wal"); open one with OpenBackend, attach stores, Recover,
+	// ("memory" or "wal"); open one with OpenBackend, Attach stores, Recover,
 	// then pass it to WithBackend so acknowledged writes wait on its
 	// durability barrier.
 	Backend = backend.Backend
@@ -316,6 +316,9 @@ func (sys *System) Ingest(ctx context.Context, engine string, w Ingest) error {
 
 // Metrics exposes the middleware's runtime-statistics registry.
 func (sys *System) Metrics() *metrics.Registry { return sys.runtime.Metrics() }
+
+// Engines returns the registered engine instance names, sorted.
+func (sys *System) Engines() []string { return sys.runtime.Engines() }
 
 // DataVersion returns the sum of the registered stores' mutation counters.
 // Any store write changes it. (The serving layer's result cache keys on
