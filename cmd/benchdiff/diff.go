@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,9 +10,14 @@ import (
 
 // Result is the recorded performance of one benchmark: the best run across
 // repetitions. ReqPerSec is 0 when the benchmark reports no req/s metric.
+// Mem says the run carried -benchmem columns (or b.ReportAllocs), so
+// BytesPerOp and AllocsPerOp are measurements — a recorded 0 is a real 0.
 type Result struct {
-	NsPerOp   float64 `json:"ns_per_op"`
-	ReqPerSec float64 `json:"req_per_sec,omitempty"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	ReqPerSec   float64 `json:"req_per_sec,omitempty"`
+	Mem         bool    `json:"mem,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // Baseline is the committed BENCH_BASELINE.json schema.
@@ -22,13 +28,14 @@ type Baseline struct {
 
 // ParseBench extracts benchmark results from `go test -bench` output,
 // keeping the best run per benchmark across -count repetitions: minimum
-// ns/op and maximum req/s. The GOMAXPROCS suffix (-8) is stripped so
-// baselines recorded on different machines still key the same benchmarks.
+// ns/op, B/op and allocs/op, maximum req/s. The GOMAXPROCS suffix (-8) is
+// stripped so baselines recorded on different machines still key the same
+// benchmarks.
 func ParseBench(out string) map[string]Result {
 	results := make(map[string]Result)
 	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)
-		// BenchmarkName-8  1234  56.7 ns/op  890 req/s  12 p99-us ...
+		// BenchmarkName-8  1234  56.7 ns/op  890 req/s  12 p99-us  64 B/op  2 allocs/op
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -51,6 +58,10 @@ func ParseBench(out string) map[string]Result {
 				ok = true
 			case "req/s":
 				r.ReqPerSec = v
+			case "B/op":
+				r.BytesPerOp, r.Mem = v, true
+			case "allocs/op":
+				r.AllocsPerOp, r.Mem = v, true
 			}
 		}
 		if !ok {
@@ -63,6 +74,10 @@ func ParseBench(out string) map[string]Result {
 			if r.ReqPerSec < prev.ReqPerSec {
 				r.ReqPerSec = prev.ReqPerSec
 			}
+			if prev.Mem && r.Mem {
+				r.BytesPerOp = min(r.BytesPerOp, prev.BytesPerOp)
+				r.AllocsPerOp = min(r.AllocsPerOp, prev.AllocsPerOp)
+			}
 		}
 		results[name] = r
 	}
@@ -72,11 +87,23 @@ func ParseBench(out string) map[string]Result {
 // Compare checks every baseline benchmark against the new results and
 // returns a human-readable report plus whether the gate failed. Throughput
 // (req/s, higher is better) is compared when both sides report it; ns/op
-// (lower is better) otherwise. New benchmarks absent from the baseline are
-// reported but never fail; baseline benchmarks absent from the results fail.
+// (lower is better) otherwise. Beside it, a baseline recorded with -benchmem
+// gates B/op and allocs/op growth by the same percentage — from a recorded
+// 0, any growth fails — and a run without those columns fails rather than
+// passing unmeasured. New benchmarks absent from the baseline are reported
+// but never fail; baseline benchmarks absent from the results fail.
 func Compare(base, got map[string]Result, maxDropPct float64) (string, bool) {
 	var sb strings.Builder
 	failed := false
+	// gate reports one metric that got worse by pct percent.
+	gate := func(name, unit string, b, g, pct float64) {
+		status := "ok  "
+		if pct > maxDropPct {
+			status = "FAIL"
+			failed = true
+		}
+		fmt.Fprintf(&sb, "%s %s: %.0f -> %.0f %s (%+.1f%% vs baseline, limit %.0f%%)\n", status, name, b, g, unit, -pct, maxDropPct)
+	}
 	names := make([]string, 0, len(base))
 	for n := range base {
 		names = append(names, n)
@@ -90,25 +117,22 @@ func Compare(base, got map[string]Result, maxDropPct float64) (string, bool) {
 			failed = true
 			continue
 		}
-		var drop float64
-		var detail string
 		switch {
 		case b.ReqPerSec > 0 && g.ReqPerSec > 0:
-			drop = (b.ReqPerSec - g.ReqPerSec) / b.ReqPerSec * 100
-			detail = fmt.Sprintf("%.0f -> %.0f req/s", b.ReqPerSec, g.ReqPerSec)
+			gate(name, "req/s", b.ReqPerSec, g.ReqPerSec, (b.ReqPerSec-g.ReqPerSec)/b.ReqPerSec*100)
 		case b.NsPerOp > 0:
-			drop = (g.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-			detail = fmt.Sprintf("%.0f -> %.0f ns/op", b.NsPerOp, g.NsPerOp)
+			gate(name, "ns/op", b.NsPerOp, g.NsPerOp, growth(b.NsPerOp, g.NsPerOp))
 		default:
 			fmt.Fprintf(&sb, "SKIP %s: baseline has no comparable metric\n", name)
-			continue
 		}
-		status := "ok  "
-		if drop > maxDropPct {
-			status = "FAIL"
+		switch {
+		case b.Mem && g.Mem:
+			gate(name, "B/op", b.BytesPerOp, g.BytesPerOp, growth(b.BytesPerOp, g.BytesPerOp))
+			gate(name, "allocs/op", b.AllocsPerOp, g.AllocsPerOp, growth(b.AllocsPerOp, g.AllocsPerOp))
+		case b.Mem:
+			fmt.Fprintf(&sb, "FAIL %s: baseline records B/op and allocs/op but the run has none (missing -benchmem?)\n", name)
 			failed = true
 		}
-		fmt.Fprintf(&sb, "%s %s: %s (%+.1f%% vs baseline, limit %.0f%%)\n", status, name, detail, -drop, maxDropPct)
 	}
 	for name := range got {
 		if _, ok := base[name]; !ok {
@@ -116,4 +140,16 @@ func Compare(base, got map[string]Result, maxDropPct float64) (string, bool) {
 		}
 	}
 	return sb.String(), failed
+}
+
+// growth is how much a lower-is-better metric rose from b to g, in percent;
+// from a measured 0, any rise is unbounded.
+func growth(b, g float64) float64 {
+	switch {
+	case b > 0:
+		return (g - b) / b * 100
+	case g > 0:
+		return math.Inf(1)
+	}
+	return 0
 }

@@ -15,7 +15,9 @@
 // req/s, min ns/op), so one noisy run cannot fail the gate; a regression
 // must reproduce across every repetition to trip it. Throughput (req/s) is
 // preferred when the benchmark reports it, ns/op otherwise. A baseline
-// benchmark missing from the new output is an error — a silently-skipped
+// recorded with -benchmem (or b.ReportAllocs) also gates B/op and allocs/op
+// growth by the same percentage, and from a recorded 0 any growth fails. A
+// baseline benchmark missing from the new output is an error — a silently-skipped
 // benchmark (bad -bench regexp) must fail the job, not pass it vacuously.
 package main
 

@@ -83,3 +83,55 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 		t.Fatalf("missing benchmark did not fail the gate:\n%s", report)
 	}
 }
+
+// memOut's FilterSequential lines are captured from `go test
+// ./internal/relational -bench ... -benchmem -count 2`: the B/op and
+// allocs/op columns follow ns/op. The last line has the same shape with a
+// measured zero.
+const memOut = `BenchmarkFilterSequential-2     	      20	   6393969 ns/op	 7137176 B/op	      33 allocs/op
+BenchmarkFilterSequential-2     	      20	   7258240 ns/op	 7136830 B/op	      31 allocs/op
+BenchmarkRunEmitSingleBatch-2   	 3000000	       335.4 ns/op	      24 B/op	       0 allocs/op
+`
+
+func TestParseBenchMem(t *testing.T) {
+	got := ParseBench(memOut)
+	want := Result{NsPerOp: 6393969, Mem: true, BytesPerOp: 7136830, AllocsPerOp: 31}
+	if got["BenchmarkFilterSequential"] != want {
+		t.Fatalf("FilterSequential = %+v, want best-of-count %+v", got["BenchmarkFilterSequential"], want)
+	}
+	if r := got["BenchmarkRunEmitSingleBatch"]; !r.Mem || r.AllocsPerOp != 0 || r.BytesPerOp != 24 {
+		t.Fatalf("RunEmitSingleBatch = %+v, want a measured 0 allocs/op", r)
+	}
+	if r := ParseBench(sampleOut)["BenchmarkWindowSequential"]; r.Mem {
+		t.Fatalf("a line without -benchmem columns parsed as measured: %+v", r)
+	}
+}
+
+func TestCompareMemGate(t *testing.T) {
+	base := ParseBench(memOut)
+	got := ParseBench(memOut)
+	if report, failed := Compare(base, got, 25); failed {
+		t.Fatalf("identical run failed:\n%s", report)
+	}
+	// Time holds, allocations regress: the gate must name the metric.
+	r := got["BenchmarkFilterSequential"]
+	r.AllocsPerOp = 400_000
+	got["BenchmarkFilterSequential"] = r
+	report, failed := Compare(base, got, 25)
+	if !failed || !strings.Contains(report, "FAIL BenchmarkFilterSequential: 31 -> 400000 allocs/op") {
+		t.Fatalf("allocs/op regression passed:\n%s", report)
+	}
+	got["BenchmarkFilterSequential"] = base["BenchmarkFilterSequential"]
+	// Any growth from a recorded zero fails.
+	z := got["BenchmarkRunEmitSingleBatch"]
+	z.AllocsPerOp = 1
+	got["BenchmarkRunEmitSingleBatch"] = z
+	if report, failed := Compare(base, got, 25); !failed || !strings.Contains(report, "0 -> 1 allocs/op") {
+		t.Fatalf("0 -> 1 allocs/op passed:\n%s", report)
+	}
+	// A run that dropped -benchmem must not pass unmeasured.
+	got["BenchmarkRunEmitSingleBatch"] = Result{NsPerOp: 300}
+	if report, failed := Compare(base, got, 25); !failed || !strings.Contains(report, "missing -benchmem") {
+		t.Fatalf("unmeasured run passed:\n%s", report)
+	}
+}

@@ -87,18 +87,21 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if err != nil {
 			return Value{}, info, err
 		}
-		op := relational.NewIndexScan(t, n.StringAttr("col"), n.IntAttr("lo"), n.IntAttr("hi"))
-		out, err := relational.Run(ctx, op)
+		col := n.StringAttr("col")
+		info.Native = fmt.Sprintf("IndexScan(%s.%s)", table, col)
+		out, err := relational.Run(ctx, relational.NewIndexScan(t, col, n.IntAttr("lo"), n.IntAttr("hi")))
 		if errors.Is(err, relational.ErrNoIndex) {
-			// L2 chose an index the engine doesn't have: fall back to a
-			// sequential scan (the residual filter still applies).
-			out, err = relational.Run(ctx, relational.NewSeqScan(t))
+			// L2 chose an index the engine doesn't have: hand on the heap
+			// snapshot exactly as OpScan does (the residual filter still
+			// applies), and say so.
+			out, err = t.Snapshot(), nil
+			info.Native = fmt.Sprintf("SeqScan(%s) [no index on %s]", table, col)
+			info.NoIndex = true
 		}
 		if err != nil {
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("IndexScan(%s.%s)", table, n.StringAttr("col"))
 		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(out.Rows()), Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
@@ -261,7 +264,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if nLimit > in.Rows() {
 			nLimit = in.Rows()
 		}
-		out, err := in.Slice(0, nLimit)
+		out, err := in.ViewRange(0, nLimit)
 		if err != nil {
 			return Value{}, info, err
 		}

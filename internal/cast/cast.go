@@ -5,14 +5,23 @@
 // The central type is Batch: a typed, columnar collection of rows. Engines
 // produce and consume batches; the data migrator serializes them; hardware
 // kernels stream them. The package also defines Schema/Column metadata and
-// value-level helpers (comparison, hashing) shared by join, sort and group-by
-// implementations across the repository.
+// value-level helpers (comparison, key rendering) shared by join, sort and
+// group-by implementations across the repository.
+//
+// Ownership: a batch is mutable only while its producer is building it
+// (AppendRow, AppendBatch, CopyRows, Truncate). Once handed on — returned from
+// an operator, emitted to a sink, published to a cache — it is immutable, so
+// hand-offs are by reference and View, ViewRange, Project, HConcat and
+// BatchOf share column storage. Only a table heap keeps growing while
+// visible, append-only under the contract View states. The full rules:
+// docs/architecture.md, "Batch immutability and ownership".
 package cast
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -228,30 +237,22 @@ type column struct {
 func (c *column) grow(t Type, n int) {
 	switch t {
 	case Int64, Timestamp:
-		if cap(c.ints) < n {
-			nw := make([]int64, len(c.ints), n)
-			copy(nw, c.ints)
-			c.ints = nw
-		}
+		c.ints = grown(c.ints, n)
 	case Float64:
-		if cap(c.flts) < n {
-			nw := make([]float64, len(c.flts), n)
-			copy(nw, c.flts)
-			c.flts = nw
-		}
+		c.flts = grown(c.flts, n)
 	case String:
-		if cap(c.strs) < n {
-			nw := make([]string, len(c.strs), n)
-			copy(nw, c.strs)
-			c.strs = nw
-		}
+		c.strs = grown(c.strs, n)
 	case Bool:
-		if cap(c.bools) < n {
-			nw := make([]bool, len(c.bools), n)
-			copy(nw, c.bools)
-			c.bools = nw
-		}
+		c.bools = grown(c.bools, n)
 	}
+}
+
+// grown returns s with capacity for at least n elements.
+func grown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, n), s...)
 }
 
 // Batch is a columnar collection of rows sharing one schema. The zero value
@@ -526,95 +527,118 @@ func (b *Batch) ForEachChunk(size int, fn func(chunk *Batch) error) error {
 // Slice returns a new batch holding rows [lo, hi). Data is copied so the
 // result is independent of the receiver.
 func (b *Batch) Slice(lo, hi int) (*Batch, error) {
-	if lo < 0 || hi > b.rows || lo > hi {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRowOutOfRange, lo, hi, b.rows)
+	view, err := b.ViewRange(lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	out := NewBatch(b.schema, hi-lo)
-	for i := range b.cols {
-		switch b.schema.Col(i).Type {
-		case Int64, Timestamp:
-			out.cols[i].ints = append(out.cols[i].ints, b.cols[i].ints[lo:hi]...)
-		case Float64:
-			out.cols[i].flts = append(out.cols[i].flts, b.cols[i].flts[lo:hi]...)
-		case String:
-			out.cols[i].strs = append(out.cols[i].strs, b.cols[i].strs[lo:hi]...)
-		case Bool:
-			out.cols[i].bools = append(out.cols[i].bools, b.cols[i].bools[lo:hi]...)
-		}
-	}
-	out.rows = hi - lo
-	return out, nil
+	return out, out.AppendBatch(view)
 }
 
-// Gather returns a new batch with the rows at the given indices, in order.
+// NewBatchRows returns a batch of n zero-valued rows for its producer to
+// fill with CopyRows before handing it on.
+func NewBatchRows(s Schema, n int) *Batch {
+	b := NewBatch(s, n)
+	b.Truncate(n) // lengthens each zeroed column to its capacity
+	return b
+}
+
+// CopyRows writes rows sel of src, in order, over rows [at, at+len(sel)) of
+// b; src must have b's column types and sel must index src. Producers
+// filling disjoint row ranges of one batch may call it concurrently.
+func (b *Batch) CopyRows(at int, src *Batch, sel []int32) {
+	for c := range b.cols {
+		d, s := &b.cols[c], &src.cols[c]
+		switch b.schema.Col(c).Type {
+		case Int64, Timestamp:
+			gather(d.ints[at:], s.ints, sel)
+		case Float64:
+			gather(d.flts[at:], s.flts, sel)
+		case String:
+			gather(d.strs[at:], s.strs, sel)
+		case Bool:
+			gather(d.bools[at:], s.bools, sel)
+		}
+	}
+}
+
+func gather[T any](dst, src []T, sel []int32) {
+	dst = dst[:len(sel)]
+	for j, r := range sel {
+		dst[j] = src[r]
+	}
+}
+
+// Take returns a new batch with the rows of a selection vector, in order.
+// sel must index b: kernels build it from b's own row numbers.
+func (b *Batch) Take(sel []int32) *Batch {
+	out := NewBatchRows(b.schema, len(sel))
+	out.CopyRows(0, b, sel)
+	return out
+}
+
+// Gather is Take for indices of unknown provenance: each is range-checked.
 func (b *Batch) Gather(idx []int) (*Batch, error) {
-	out := NewBatch(b.schema, len(idx))
-	for _, r := range idx {
+	sel := make([]int32, len(idx))
+	for i, r := range idx {
 		if r < 0 || r >= b.rows {
 			return nil, fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, r, b.rows)
 		}
+		sel[i] = int32(r)
 	}
-	for i := range b.cols {
-		switch b.schema.Col(i).Type {
-		case Int64, Timestamp:
-			dst := make([]int64, len(idx))
-			for j, r := range idx {
-				dst[j] = b.cols[i].ints[r]
-			}
-			out.cols[i].ints = dst
-		case Float64:
-			dst := make([]float64, len(idx))
-			for j, r := range idx {
-				dst[j] = b.cols[i].flts[r]
-			}
-			out.cols[i].flts = dst
-		case String:
-			dst := make([]string, len(idx))
-			for j, r := range idx {
-				dst[j] = b.cols[i].strs[r]
-			}
-			out.cols[i].strs = dst
-		case Bool:
-			dst := make([]bool, len(idx))
-			for j, r := range idx {
-				dst[j] = b.cols[i].bools[r]
-			}
-			out.cols[i].bools = dst
-		}
-	}
-	out.rows = len(idx)
-	return out, nil
+	return b.Take(sel), nil
 }
 
-// Project returns a new batch containing only the named columns. Column data
-// is copied.
+// Project returns a batch of only the named columns, sharing their storage.
 func (b *Batch) Project(names ...string) (*Batch, error) {
 	s, err := b.schema.Project(names...)
 	if err != nil {
 		return nil, err
 	}
-	out := NewBatch(s, b.rows)
+	out := &Batch{schema: s, cols: make([]column, len(names)), rows: b.rows}
 	for j, n := range names {
-		i, _ := b.schema.Index(n)
-		switch b.schema.Col(i).Type {
-		case Int64, Timestamp:
-			out.cols[j].ints = append(out.cols[j].ints, b.cols[i].ints...)
-		case Float64:
-			out.cols[j].flts = append(out.cols[j].flts, b.cols[i].flts...)
-		case String:
-			out.cols[j].strs = append(out.cols[j].strs, b.cols[i].strs...)
-		case Bool:
-			out.cols[j].bools = append(out.cols[j].bools, b.cols[i].bools...)
-		}
+		out.cols[j] = b.cols[b.schema.byName[n]]
 	}
-	out.rows = b.rows
 	return out, nil
 }
 
+// BatchOf assembles a batch from finished columns: cols[i] is the []int64
+// (Int64 and Timestamp), []float64, []string or []bool of s.Col(i), all of
+// one length. The batch adopts the slices; the caller must not write to them
+// again.
+func BatchOf(s Schema, cols ...any) (*Batch, error) {
+	if len(cols) != s.Len() {
+		return nil, fmt.Errorf("%w: got %d columns for %d", ErrSchemaMismatch, len(cols), s.Len())
+	}
+	b := &Batch{schema: s, cols: make([]column, len(cols))}
+	for i, c := range cols {
+		col, t := &b.cols[i], s.Col(i).Type
+		n, ok := 0, false
+		switch v := c.(type) {
+		case []int64:
+			col.ints, n, ok = v, len(v), t == Int64 || t == Timestamp
+		case []float64:
+			col.flts, n, ok = v, len(v), t == Float64
+		case []string:
+			col.strs, n, ok = v, len(v), t == String
+		case []bool:
+			col.bools, n, ok = v, len(v), t == Bool
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: column %q wants %s, got %T", ErrBadValue, s.Col(i).Name, t, c)
+		}
+		if i > 0 && n != b.rows {
+			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrSchemaMismatch, s.Col(i).Name, n, b.rows)
+		}
+		b.rows = n
+	}
+	return b, nil
+}
+
 // HConcat zips two equal-length batches column-wise under the combined
-// schema s (the columns of l followed by the columns of r). Column data is
-// copied column-at-a-time, so joins can materialize wide outputs without
-// boxing every value the way row-wise appends do.
+// schema s (the columns of l followed by the columns of r). The result shares
+// the inputs' column storage — nothing is copied — which the immutability of
+// handed-on batches makes safe; joins zip their two gathered sides with it.
 func HConcat(s Schema, l, r *Batch) (*Batch, error) {
 	if l.rows != r.rows {
 		return nil, fmt.Errorf("%w: HConcat of %d vs %d rows", ErrSchemaMismatch, l.rows, r.rows)
@@ -624,8 +648,9 @@ func HConcat(s Schema, l, r *Batch) (*Batch, error) {
 		return nil, fmt.Errorf("%w: HConcat schema has %d columns for %d+%d inputs",
 			ErrSchemaMismatch, s.Len(), nl, r.schema.Len())
 	}
-	out := NewBatch(s, l.rows)
-	for i := 0; i < s.Len(); i++ {
+	out := &Batch{schema: s, cols: make([]column, 0, s.Len()), rows: l.rows}
+	out.cols = append(append(out.cols, l.cols...), r.cols...)
+	for i := range out.cols {
 		src, sc := l, i
 		if i >= nl {
 			src, sc = r, i-nl
@@ -634,19 +659,7 @@ func HConcat(s Schema, l, r *Batch) (*Batch, error) {
 			return nil, fmt.Errorf("%w: HConcat column %q is %s, schema wants %s",
 				ErrSchemaMismatch, s.Col(i).Name, got, want)
 		}
-		c := &src.cols[sc]
-		switch s.Col(i).Type {
-		case Int64, Timestamp:
-			out.cols[i].ints = append(out.cols[i].ints, c.ints[:src.rows]...)
-		case Float64:
-			out.cols[i].flts = append(out.cols[i].flts, c.flts[:src.rows]...)
-		case String:
-			out.cols[i].strs = append(out.cols[i].strs, c.strs[:src.rows]...)
-		case Bool:
-			out.cols[i].bools = append(out.cols[i].bools, c.bools[:src.rows]...)
-		}
 	}
-	out.rows = l.rows
 	return out, nil
 }
 
@@ -688,31 +701,10 @@ func (b *Batch) Equal(o *Batch) bool {
 		return false
 	}
 	for i := range b.cols {
-		switch b.schema.Col(i).Type {
-		case Int64, Timestamp:
-			for j := 0; j < b.rows; j++ {
-				if b.cols[i].ints[j] != o.cols[i].ints[j] {
-					return false
-				}
-			}
-		case Float64:
-			for j := 0; j < b.rows; j++ {
-				if b.cols[i].flts[j] != o.cols[i].flts[j] {
-					return false
-				}
-			}
-		case String:
-			for j := 0; j < b.rows; j++ {
-				if b.cols[i].strs[j] != o.cols[i].strs[j] {
-					return false
-				}
-			}
-		case Bool:
-			for j := 0; j < b.rows; j++ {
-				if b.cols[i].bools[j] != o.cols[i].bools[j] {
-					return false
-				}
-			}
+		c, oc := &b.cols[i], &o.cols[i]
+		if !slices.Equal(c.ints, oc.ints) || !slices.Equal(c.flts, oc.flts) ||
+			!slices.Equal(c.strs, oc.strs) || !slices.Equal(c.bools, oc.bools) {
+			return false
 		}
 	}
 	return true

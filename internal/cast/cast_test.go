@@ -298,15 +298,25 @@ func TestSortBy(t *testing.T) {
 	}
 }
 
-func TestFilterRows(t *testing.T) {
+func TestTakeSelection(t *testing.T) {
 	b := testBatch(t, 10)
 	ids, _ := b.Ints(0)
-	f, err := b.FilterRows(func(r int) bool { return ids[r]%2 == 0 })
-	if err != nil {
-		t.Fatalf("FilterRows: %v", err)
+	var sel []int32
+	for r, id := range ids {
+		if id%2 == 0 {
+			sel = append(sel, int32(r))
+		}
 	}
+	f := b.Take(sel)
 	if f.Rows() != 5 {
-		t.Fatalf("filtered rows = %d, want 5", f.Rows())
+		t.Fatalf("taken rows = %d, want 5", f.Rows())
+	}
+	want, err := b.Gather([]int{0, 2, 4, 6, 8})
+	if err != nil || !f.Equal(want) {
+		t.Fatalf("Take differs from Gather of the same rows (err %v)", err)
+	}
+	if e := b.Take(nil); e.Rows() != 0 || !e.Schema().Equal(b.Schema()) {
+		t.Fatalf("empty selection: %d rows", e.Rows())
 	}
 }
 

@@ -213,26 +213,6 @@ func TestPropertySortIsPermutationAndOrdered(t *testing.T) {
 	}
 }
 
-func TestPropertyHashRowKeyDeterministic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := randomBatch(rng, 8)
-		cols := []int{0, 2}
-		h1, err := b.HashRowKey(3, cols)
-		if err != nil {
-			return false
-		}
-		h2, err := b.HashRowKey(3, cols)
-		if err != nil {
-			return false
-		}
-		return h1 == h2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertyGatherSliceAgree(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -2,9 +2,7 @@ package cast
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -36,16 +34,21 @@ func CompareValues(a, b any) (int, error) {
 		if !ok {
 			return 0, fmt.Errorf("%w: bool vs %T", ErrTypeMismatch, b)
 		}
-		switch {
-		case x == y:
-			return 0, nil
-		case !x:
-			return -1, nil
-		default:
-			return 1, nil
-		}
+		return cmpBool(x, y), nil
 	default:
 		return 0, fmt.Errorf("%w: unsupported value type %T", ErrTypeMismatch, a)
+	}
+}
+
+// cmpBool orders false before true.
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	default:
+		return 1
 	}
 }
 
@@ -60,69 +63,35 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	}
 }
 
-// HashValue hashes one boxed value with FNV-1a, for hash joins and group-by.
-func HashValue(v any) uint64 {
-	h := fnv.New64a()
-	switch x := v.(type) {
-	case int64:
-		var buf [8]byte
-		putUint64(buf[:], uint64(x))
-		_, _ = h.Write(buf[:])
-	case float64:
-		var buf [8]byte
-		putUint64(buf[:], math.Float64bits(x))
-		_, _ = h.Write(buf[:])
-	case string:
-		_, _ = h.Write([]byte(x))
-	case bool:
-		if x {
-			_, _ = h.Write([]byte{1})
-		} else {
-			_, _ = h.Write([]byte{0})
-		}
-	}
-	return h.Sum64()
-}
-
-// HashRowKey hashes the values of the given columns of row r, combining the
-// per-column hashes so distinct key tuples rarely collide.
-func (b *Batch) HashRowKey(r int, cols []int) (uint64, error) {
-	const prime = 1099511628211
-	var acc uint64 = 14695981039346656037
-	for _, c := range cols {
-		v, err := b.Value(r, c)
-		if err != nil {
-			return 0, err
-		}
-		acc ^= HashValue(v)
-		acc *= prime
-	}
-	return acc, nil
-}
-
 // KeyString renders the key columns of row r as a canonical string usable as
 // a map key (exact, unlike a hash). The encoding quotes strings so that
 // adjacent values cannot alias.
 func (b *Batch) KeyString(r int, cols []int) (string, error) {
-	out := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		v, err := b.Value(r, c)
-		if err != nil {
-			return "", err
-		}
-		switch x := v.(type) {
-		case int64:
-			out = strconv.AppendInt(out, x, 10)
-		case float64:
-			out = strconv.AppendFloat(out, x, 'g', -1, 64)
-		case string:
-			out = strconv.AppendQuote(out, x)
-		case bool:
-			out = strconv.AppendBool(out, x)
-		}
-		out = append(out, '|')
+	if r < 0 || r >= b.rows {
+		return "", fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, r, b.rows)
 	}
-	return string(out), nil
+	return string(b.AppendKey(make([]byte, 0, 16*len(cols)), r, cols)), nil
+}
+
+// AppendKey appends KeyString's encoding of row r to dst, reading the typed
+// columns directly: per-row callers reuse one buffer and allocate nothing.
+// r must be in range.
+func (b *Batch) AppendKey(dst []byte, r int, cols []int) []byte {
+	for _, c := range cols {
+		col := &b.cols[c]
+		switch b.schema.Col(c).Type {
+		case Int64, Timestamp:
+			dst = strconv.AppendInt(dst, col.ints[r], 10)
+		case Float64:
+			dst = strconv.AppendFloat(dst, col.flts[r], 'g', -1, 64)
+		case String:
+			dst = strconv.AppendQuote(dst, col.strs[r])
+		case Bool:
+			dst = strconv.AppendBool(dst, col.bools[r])
+		}
+		dst = append(dst, '|')
+	}
+	return dst
 }
 
 // SortKey describes one ordering column for SortBy.
@@ -132,71 +101,55 @@ type SortKey struct {
 }
 
 // SortBy returns a new batch with rows ordered by the given keys
-// (lexicographically across keys). The sort is stable.
+// (lexicographically across keys). The sort is stable. Each key column is
+// resolved to a comparator over its typed slice once, and the row-index
+// vector is sorted with no boxing.
 func (b *Batch) SortBy(keys ...SortKey) (*Batch, error) {
-	type kc struct {
-		idx  int
-		desc bool
-	}
-	kcs := make([]kc, 0, len(keys))
-	for _, k := range keys {
-		i, err := b.schema.Index(k.Col)
+	cmps := make([]func(x, y int32) int, len(keys))
+	for i, k := range keys {
+		ci, err := b.schema.Index(k.Col)
 		if err != nil {
 			return nil, err
 		}
-		kcs = append(kcs, kc{idx: i, desc: k.Desc})
+		cmps[i] = b.Comparator(ci)
 	}
-	order := make([]int, b.rows)
+	order := make([]int32, b.rows)
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	var sortErr error
-	sort.SliceStable(order, func(x, y int) bool {
-		if sortErr != nil {
-			return false
-		}
-		rx, ry := order[x], order[y]
-		for _, k := range kcs {
-			vx, err := b.Value(rx, k.idx)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			vy, err := b.Value(ry, k.idx)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			c, err := CompareValues(vx, vy)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if k.desc {
-					return c > 0
+	slices.SortStableFunc(order, func(x, y int32) int {
+		for i, cmp := range cmps {
+			if c := cmp(x, y); c != 0 {
+				if keys[i].Desc {
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	return b.Gather(order)
+	return b.Take(order), nil
 }
 
-// FilterRows returns a new batch containing only rows where keep returns
-// true. keep receives the row index.
-func (b *Batch) FilterRows(keep func(row int) bool) (*Batch, error) {
-	idx := make([]int, 0, b.rows)
-	for i := 0; i < b.rows; i++ {
-		if keep(i) {
-			idx = append(idx, i)
-		}
+// Comparator returns the three-way ordering of rows x and y on column col,
+// read from the typed slice with no boxing: CompareValues' ordering of the
+// two values.
+func (b *Batch) Comparator(col int) func(x, y int32) int {
+	c := &b.cols[col]
+	switch b.schema.Col(col).Type {
+	case Int64, Timestamp:
+		v := c.ints
+		return func(x, y int32) int { return cmpOrdered(v[x], v[y]) }
+	case Float64:
+		v := c.flts
+		return func(x, y int32) int { return cmpOrdered(v[x], v[y]) }
+	case String:
+		v := c.strs
+		return func(x, y int32) int { return cmpOrdered(v[x], v[y]) }
+	default:
+		v := c.bools
+		return func(x, y int32) int { return cmpBool(v[x], v[y]) }
 	}
-	return b.Gather(idx)
 }
 
 // FormatValue renders a boxed value for CSV output and debugging.
@@ -242,16 +195,4 @@ func ParseValue(t Type, s string) (any, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadValue, int(t))
 	}
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

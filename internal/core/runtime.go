@@ -540,6 +540,9 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	run.bytesOut = valueBytes(out)
 	run.rows = run.out.Rows()
 	r.reg.Counter("core.rule_nodes").Add(info.RuleNodes)
+	if info.NoIndex {
+		r.reg.Counter("relational.indexscan_fallback").Inc()
+	}
 	r.reg.Counter("core.nodes").Inc()
 	r.reg.Timer("core.node." + n.Kind.String()).Observe(run.wall)
 	r.observeOp(n, run)

@@ -366,9 +366,10 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 	}
 }
 
-// publish memoizes one executed subtree: per-node replay data plus a deep
-// copy of the root's output (engine batches can be zero-copy views of
-// storage; the cache must hold an immutable snapshot). The version vector
+// publish memoizes one executed subtree: per-node replay data plus the root's
+// output batch itself. A batch that has left its producer is immutable
+// (package cast), so the entry, this request's downstream nodes and every
+// later replay share it; nothing is cloned. The version vector
 // is re-checked against its prepare-time value so a write to a touched
 // store while the subtree executed suppresses the publication — the batch
 // belongs to neither the old version nor reliably the new one.
@@ -400,7 +401,7 @@ func (pr *planProbe) publish(pub pendingPub) {
 		return // non-tabular root: nothing to memoize
 	}
 	e := &subplan.Entry{
-		Output: root.out.Batch.Clone(),
+		Output: root.out.Batch,
 		Costs:  costs,
 		Bytes:  root.out.Batch.ByteSize(),
 	}

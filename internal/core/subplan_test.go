@@ -409,3 +409,87 @@ func TestSubplanPropertyRandomPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestSubplanPublishedBatchIsShared: publish stores the root's batch itself,
+// not a clone, so the entry, the publishing request's downstream nodes and
+// every replay read the same storage. Batches are immutable once handed on
+// (package cast) — this drives the publishing plan by hand, stops it right
+// after its sort subtree publishes, and replays that subtree from 8
+// goroutines while the publisher's own limit node keeps reading it. Under
+// -race any write to the shared batch fails the run; every result must
+// equal a cache-off runtime's.
+func TestSubplanPublishedBatchIsShared(t *testing.T) {
+	ctx := context.Background()
+	plan := mustCompile(t, limitProgram(75), 3)
+	off := testRuntime(t, 2000, false)
+	off.ConfigureSubplanCache(-1)
+	want, _, err := off.Execute(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rt := testRuntime(t, 2000, false)
+	pr := rt.prepareSubplan(ctx, plan)
+	if pr == nil || len(pr.pubs) == 0 {
+		t.Fatalf("probe = %+v, want pending publications", pr)
+	}
+	order, err := plan.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make(map[ir.NodeID]adapter.Value)
+	run := func(id ir.NodeID) *nodeRun {
+		n := plan.Graph.MustNode(id)
+		inputs := make([]adapter.Value, len(n.Inputs))
+		for i, in := range n.Inputs {
+			inputs[i] = values[in]
+		}
+		r := rt.runNode(ctx, n, inputs, nil, pr, nil)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r
+	}
+	sink := order[len(order)-1]
+	for _, id := range order[:len(order)-1] {
+		r := run(id)
+		values[id] = r.out
+		pr.onNodeCosted(id, r)
+	}
+	pr.close() // the subtree is published: followers may replay it
+	if rt.Metrics().Counter("core.subplan.published").Value() == 0 {
+		t.Fatal("the sort subtree was not published")
+	}
+	e, ok := rt.subplan.Load().cache.Get(pr.pubs[order[len(order)-2]].key)
+	if !ok || e.Output != values[order[len(order)-2]].Batch {
+		t.Fatal("the cache entry does not hold the published batch itself")
+	}
+
+	var wg sync.WaitGroup
+	ress := make([]*Results, 8)
+	errs := make([]error, 8)
+	for i := range ress {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ress[i], _, errs[i] = rt.Execute(ctx, plan)
+		}(i)
+	}
+	var last *nodeRun
+	for i := 0; i < 50; i++ { // the publisher's downstream node, still running
+		last = run(sink)
+	}
+	wg.Wait()
+	if !last.out.Batch.Equal(want.Values[sink].Batch) {
+		t.Fatal("publisher's own result differs from the cache-off baseline")
+	}
+	for i, res := range ress {
+		if errs[i] != nil {
+			t.Fatalf("replay %d: %v", i, errs[i])
+		}
+		batchesEqual(t, res, want)
+	}
+	if rt.Metrics().Counter("core.subplan.hits").Value() == 0 {
+		t.Fatal("no replay was served from the cache")
+	}
+}

@@ -1,9 +1,10 @@
 package relational
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"polystorepp/internal/cast"
@@ -51,8 +52,19 @@ func RunEmit(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*c
 		return nil, err
 	}
 	defer func() { _ = op.Close() }()
-	out := cast.NewBatch(op.Schema(), 0)
+	return drain(ctx, op, emit)
+}
+
+// drain pulls op dry and returns its output as one batch. An operator that
+// yields a single batch — every bulk producer does — has that batch handed
+// back by reference; only a second batch makes it concatenate, once, into a
+// batch allocated at the final size.
+func drain(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*cast.Batch, error) {
+	var parts []*cast.Batch
+	total := 0
 	for {
+		// Checked per batch so a materializing consumer (join build, sort)
+		// aborts promptly when the request deadline hits mid-drain.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -61,7 +73,7 @@ func RunEmit(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*c
 			return nil, err
 		}
 		if b == nil {
-			return out, nil
+			break
 		}
 		if b.Rows() == 0 {
 			continue
@@ -71,10 +83,19 @@ func RunEmit(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*c
 				return nil, err
 			}
 		}
+		parts = append(parts, b)
+		total += b.Rows()
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	out := cast.NewBatch(op.Schema(), total)
+	for _, b := range parts {
 		if err := out.AppendBatch(b); err != nil {
 			return nil, err
 		}
 	}
+	return out, nil
 }
 
 // WalkStats collects stats of the whole operator tree, parents first.
@@ -137,7 +158,7 @@ func (s *SeqScan) Next(context.Context) (*cast.Batch, error) {
 	if hi > s.snap.Rows() {
 		hi = s.snap.Rows()
 	}
-	b, err := s.snap.Slice(s.pos, hi)
+	b, err := s.snap.ViewRange(s.pos, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -181,6 +202,7 @@ type IndexScan struct {
 	Col    string
 	Lo, Hi int64
 
+	snap *cast.Batch
 	rows []int32
 	pos  int
 	out  int64
@@ -196,11 +218,11 @@ func (s *IndexScan) Schema() cast.Schema { return s.Table.Schema() }
 
 // Open implements Operator.
 func (s *IndexScan) Open(context.Context) error {
-	rows, err := s.Table.LookupRange(s.Col, s.Lo, s.Hi)
+	snap, rows, err := s.Table.SnapshotRange(s.Col, s.Lo, s.Hi)
 	if err != nil {
 		return err
 	}
-	s.rows = rows
+	s.snap, s.rows = snap, rows
 	s.pos = 0
 	s.out = 0
 	return nil
@@ -215,15 +237,8 @@ func (s *IndexScan) Next(context.Context) (*cast.Batch, error) {
 	if hi > len(s.rows) {
 		hi = len(s.rows)
 	}
-	idx := make([]int, 0, hi-s.pos)
-	for _, r := range s.rows[s.pos:hi] {
-		idx = append(idx, int(r))
-	}
+	b := s.snap.Take(s.rows[s.pos:hi])
 	s.pos = hi
-	b, err := s.Table.Snapshot().Gather(idx)
-	if err != nil {
-		return nil, err
-	}
 	s.out += int64(b.Rows())
 	return b, nil
 }
@@ -269,35 +284,30 @@ func (f *FilterOp) Schema() cast.Schema { return f.Child.Schema() }
 // Open implements Operator.
 func (f *FilterOp) Open(ctx context.Context) error { return f.Child.Open(ctx) }
 
+// nextInput pulls an operator's next input batch and the fan-out to run it
+// at: the child's whole remaining output, at parts, the first time a
+// BulkSource child may surrender it (stream off); the child's next batch, at
+// one partition, otherwise. An empty bulk batch reads as the exhausted stream.
+func nextInput(ctx context.Context, child Operator, stream bool, bulked *bool, parts int) (*cast.Batch, int, error) {
+	if bs, ok := child.(BulkSource); ok && !stream && !*bulked {
+		*bulked = true
+		if b, err := bs.Bulk(ctx); err != nil || (b != nil && b.Rows() > 0) {
+			return b, parts, err
+		}
+	}
+	b, err := child.Next(ctx)
+	return b, 1, err
+}
+
 // Next implements Operator.
 func (f *FilterOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if bs, ok := f.Child.(BulkSource); ok && !f.Stream && !f.bulked {
-		f.bulked = true
-		in, err := bs.Bulk(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if in != nil && in.Rows() > 0 {
-			f.in += int64(in.Rows())
-			kept, err := parFilter(ctx, in, f.Pred, f.Parts)
-			if err != nil {
-				return nil, err
-			}
-			if kept.Rows() > 0 {
-				f.out += int64(kept.Rows())
-				return kept, nil
-			}
-		}
-		// Nothing kept (or empty input): fall through to the exhausted
-		// stream, which reports end-of-stream.
-	}
 	for {
-		b, err := f.Child.Next(ctx)
+		b, parts, err := nextInput(ctx, f.Child, f.Stream, &f.bulked, f.Parts)
 		if err != nil || b == nil {
 			return nil, err
 		}
 		f.in += int64(b.Rows())
-		kept, err := filterRange(b, f.Pred)
+		kept, err := parFilter(ctx, b, f.Pred, parts)
 		if err != nil {
 			return nil, err
 		}
@@ -372,24 +382,12 @@ func (p *ProjectOp) Open(ctx context.Context) error { return p.Child.Open(ctx) }
 
 // Next implements Operator.
 func (p *ProjectOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if bs, ok := p.Child.(BulkSource); ok && !p.Stream && !p.bulked {
-		p.bulked = true
-		in, err := bs.Bulk(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if in != nil && in.Rows() > 0 {
-			p.in += int64(in.Rows())
-			return parProject(ctx, in, p.Items, p.schema, p.Parts)
-		}
-		// Empty input: the exhausted stream below reports end-of-stream.
-	}
-	b, err := p.Child.Next(ctx)
+	b, parts, err := nextInput(ctx, p.Child, p.Stream, &p.bulked, p.Parts)
 	if err != nil || b == nil {
 		return nil, err
 	}
 	p.in += int64(b.Rows())
-	return projectRange(b, p.Items, p.schema)
+	return parProject(ctx, b, p.Items, p.schema, parts)
 }
 
 // Close implements Operator.
@@ -427,6 +425,7 @@ type HashJoinOp struct {
 	schema   cast.Schema
 	built    bool
 	bulked   bool
+	li       int // probe key column, resolved by build
 	table    *joinTable
 	rightMat *cast.Batch
 	in, out  int64
@@ -462,7 +461,10 @@ func (j *HashJoinOp) build(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	j.table, err = buildJoinTable(ctx, j.rightMat, ci, j.Parts)
+	if j.li, err = j.Left.Schema().Index(baseName(j.LeftCol)); err != nil {
+		return err
+	}
+	j.table, err = buildJoinTable(ctx, j.rightMat, ci, j.Left.Schema().Col(j.li).Type, j.Parts)
 	if err != nil {
 		return err
 	}
@@ -477,40 +479,16 @@ func (j *HashJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 			return nil, err
 		}
 	}
-	li, err := j.Left.Schema().Index(baseName(j.LeftCol))
-	if err != nil {
-		return nil, err
-	}
-	if bs, ok := j.Left.(BulkSource); ok && !j.Stream && !j.bulked {
-		j.bulked = true
-		in, err := bs.Bulk(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if in != nil && in.Rows() > 0 {
-			j.in += int64(in.Rows())
-			out, err := parProbe(ctx, in, li, j.table, j.rightMat, j.schema, j.Parts)
-			if err != nil {
-				return nil, err
-			}
-			if out.Rows() > 0 {
-				j.out += int64(out.Rows())
-				return out, nil
-			}
-		}
-		// No matches (or empty probe input): fall through to the exhausted
-		// stream, which reports end-of-stream.
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lb, err := j.Left.Next(ctx)
+		lb, parts, err := nextInput(ctx, j.Left, j.Stream, &j.bulked, j.Parts)
 		if err != nil || lb == nil {
 			return nil, err
 		}
 		j.in += int64(lb.Rows())
-		out, err := probeRange(lb, li, j.table, j.rightMat, j.schema)
+		out, err := parProbe(ctx, lb, j.li, j.table, j.rightMat, j.schema, parts)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +505,7 @@ func (j *HashJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 // result and fan out over it. The stream is left exhausted and stats account
 // as if the output had been streamed.
 func (j *HashJoinOp) Bulk(ctx context.Context) (*cast.Batch, error) {
-	return drain(ctx, j)
+	return drain(ctx, j, nil)
 }
 
 // Close implements Operator.
@@ -629,7 +607,7 @@ func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("merge join needs int64 keys: %w", err)
 	}
-	var leftIdx, rightIdx []int
+	var leftIdx, rightIdx []int32
 	a, b := 0, 0
 	for a < len(lk) && b < len(rk) {
 		switch {
@@ -649,69 +627,20 @@ func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 			}
 			for x := a; x < a2; x++ {
 				for y := b; y < b2; y++ {
-					leftIdx = append(leftIdx, x)
-					rightIdx = append(rightIdx, y)
+					leftIdx = append(leftIdx, int32(x))
+					rightIdx = append(rightIdx, int32(y))
 				}
 			}
 			a, b = a2, b2
 		}
 	}
-	lg, err := ls.Gather(leftIdx)
-	if err != nil {
-		return nil, err
-	}
-	rg, err := rs.Gather(rightIdx)
-	if err != nil {
-		return nil, err
-	}
-	j.result, err = cast.HConcat(j.schema, lg, rg)
+	j.result, err = cast.HConcat(j.schema, ls.Take(leftIdx), rs.Take(rightIdx))
 	if err != nil {
 		return nil, err
 	}
 	j.out = int64(j.result.Rows())
 	j.emitted = true
 	return j.result, nil
-}
-
-func drain(ctx context.Context, op Operator) (*cast.Batch, error) {
-	var out *cast.Batch
-	owned := false
-	for {
-		// Checked per batch so a materializing consumer (join build, sort)
-		// aborts promptly when the request deadline hits mid-drain.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if out == nil {
-				out = cast.NewBatch(op.Schema(), 0)
-			}
-			return out, nil
-		}
-		if out == nil {
-			// Single-batch fast path: bulk producers (a partitioned join's
-			// merged probe output, an adapter's materialized input) emit
-			// exactly one batch — hand it back without re-copying, and only
-			// start copying if a second batch shows up.
-			out = b
-			continue
-		}
-		if !owned {
-			fresh := cast.NewBatch(op.Schema(), 0)
-			if err := fresh.AppendBatch(out); err != nil {
-				return nil, err
-			}
-			out = fresh
-			owned = true
-		}
-		if err := out.AppendBatch(b); err != nil {
-			return nil, err
-		}
-	}
 }
 
 // Close implements Operator.
@@ -887,112 +816,133 @@ func (g *GroupByOp) Schema() cast.Schema { return g.schema }
 // Open implements Operator.
 func (g *GroupByOp) Open(ctx context.Context) error { return g.Child.Open(ctx) }
 
+// aggState is one aggregate of one group. The extreme of a MIN or MAX is
+// kept as the input row holding it, so no value is ever boxed.
 type aggState struct {
 	count int64
 	sum   float64
-	min   any
-	max   any
-	rep   []any // group key values
+	ext   int32 // row of the running minimum or maximum; -1 when none
 }
 
-// groupAccum is the aggregation state of one contiguous row range: one
-// aggState per aggregate per group, plus the keys in first-appearance (row)
-// order.
+// aggInput is the typed view of one aggregate's input column.
+type aggInput struct {
+	ints []int64   // set for Int64/Timestamp inputs: summed
+	flts []float64 // set for Float64 inputs: summed
+	// beats is set for MIN and MAX: whether row x strictly beats row y as
+	// the extreme, so ties keep the earlier row.
+	beats func(x, y int32) bool
+}
+
+// groupAccum is the aggregation state of one contiguous row range of the
+// input: its groups in first-appearance order (each remembered by its first
+// row, which also carries the group's key values) with one aggState per
+// aggregate per group. Groups are found through the typed key: an int64 or
+// string map for a single key column of that type, else the key columns'
+// cast.AppendKey rendering built in a reused buffer.
 type groupAccum struct {
-	states map[string][]*aggState
-	order  []string
+	in      *cast.Batch
+	keyCols []int
+	keyInts []int64  // single Int64/Timestamp key column
+	keyStrs []string // single String key column
+	byInt   map[int64]int32
+	byStr   map[string]int32
+	buf     []byte
+
+	aggs   []aggInput
+	first  []int32
+	states []aggState // len(first) * len(aggs)
 }
 
-// accumulate folds every row of m into a fresh accumulator.
-func (g *GroupByOp) accumulate(m *cast.Batch, groupIdx, aggIdx []int) (*groupAccum, error) {
-	acc := &groupAccum{states: make(map[string][]*aggState)}
-	for r := 0; r < m.Rows(); r++ {
-		key, err := m.KeyString(r, groupIdx)
-		if err != nil {
-			return nil, err
+func newGroupAccum(in *cast.Batch, keyCols []int, aggs []aggInput) *groupAccum {
+	acc := &groupAccum{in: in, keyCols: keyCols, aggs: aggs}
+	if len(keyCols) == 1 {
+		switch in.Schema().Col(keyCols[0]).Type {
+		case cast.Int64, cast.Timestamp:
+			acc.keyInts, _ = in.Ints(keyCols[0])
+			acc.byInt = make(map[int64]int32)
+			return acc
+		case cast.String:
+			acc.keyStrs, _ = in.Strings(keyCols[0])
 		}
-		sts, ok := acc.states[key]
-		if !ok {
-			sts = make([]*aggState, len(g.Aggs))
-			rep := make([]any, len(groupIdx))
-			for i, gi := range groupIdx {
-				v, err := m.Value(r, gi)
-				if err != nil {
-					return nil, err
-				}
-				rep[i] = v
-			}
-			for i := range sts {
-				sts[i] = &aggState{rep: rep}
-			}
-			acc.states[key] = sts
-			acc.order = append(acc.order, key)
+	}
+	acc.byStr = make(map[string]int32)
+	return acc
+}
+
+// group returns the group of input row r, opening it (first row r, zero
+// states) when the key is new.
+func (acc *groupAccum) group(r int32) int32 {
+	g, next := int32(0), int32(len(acc.first))
+	var ok bool
+	switch {
+	case len(acc.keyCols) == 0:
+		ok = next > 0
+	case acc.byInt != nil:
+		if g, ok = acc.byInt[acc.keyInts[r]]; !ok {
+			acc.byInt[acc.keyInts[r]] = next
 		}
-		for i, a := range g.Aggs {
-			st := sts[i]
+	case acc.keyStrs != nil:
+		if g, ok = acc.byStr[acc.keyStrs[r]]; !ok {
+			acc.byStr[acc.keyStrs[r]] = next
+		}
+	default:
+		acc.buf = acc.in.AppendKey(acc.buf[:0], int(r), acc.keyCols)
+		if g, ok = acc.byStr[string(acc.buf)]; !ok {
+			acc.byStr[string(acc.buf)] = next
+		}
+	}
+	if ok {
+		return g
+	}
+	acc.first = append(acc.first, r)
+	for range acc.aggs {
+		acc.states = append(acc.states, aggState{ext: -1})
+	}
+	return next
+}
+
+// of returns the aggregate states of group g.
+func (acc *groupAccum) of(g int32) []aggState {
+	n := len(acc.aggs)
+	return acc.states[int(g)*n : (int(g)+1)*n]
+}
+
+// accumulate folds input rows [lo, hi) into a fresh accumulator, in row
+// order.
+func accumulate(m *cast.Batch, groupIdx []int, aggs []aggInput, lo, hi int) *groupAccum {
+	acc := newGroupAccum(m, groupIdx, aggs)
+	for r := int32(lo); r < int32(hi); r++ {
+		sts := acc.of(acc.group(r))
+		for i := range sts {
+			st, a := &sts[i], &aggs[i]
 			st.count++
-			if aggIdx[i] < 0 {
-				continue
+			switch {
+			case a.ints != nil:
+				st.sum += float64(a.ints[r])
+			case a.flts != nil:
+				st.sum += a.flts[r]
 			}
-			v, err := m.Value(r, aggIdx[i])
-			if err != nil {
-				return nil, err
-			}
-			switch x := v.(type) {
-			case int64:
-				st.sum += float64(x)
-			case float64:
-				st.sum += x
-			}
-			if a.Fn == AggMin {
-				if st.min == nil {
-					st.min = v
-				} else if c, err := cast.CompareValues(v, st.min); err == nil && c < 0 {
-					st.min = v
-				}
-			}
-			if a.Fn == AggMax {
-				if st.max == nil {
-					st.max = v
-				} else if c, err := cast.CompareValues(v, st.max); err == nil && c > 0 {
-					st.max = v
-				}
+			if a.beats != nil && (st.ext < 0 || a.beats(r, st.ext)) {
+				st.ext = r
 			}
 		}
 	}
-	return acc, nil
+	return acc
 }
 
 // combine folds a later partition's accumulator into acc, preserving
-// row-order semantics: reps come from the earliest partition containing the
-// group, mins/maxes keep the earlier value on ties (as row-order iteration
-// does), and sums add in ascending partition order.
-func (acc *groupAccum) combine(next *groupAccum, aggs []AggSpec) {
-	for _, key := range next.order {
-		nsts := next.states[key]
-		sts, ok := acc.states[key]
-		if !ok {
-			acc.states[key] = nsts
-			acc.order = append(acc.order, key)
-			continue
-		}
-		for i, a := range aggs {
-			st, nx := sts[i], nsts[i]
+// row-order semantics: a group's first row comes from the earliest partition
+// containing it, mins/maxes keep the earlier row on ties (as row-order
+// iteration does), and sums add in ascending partition order.
+func (acc *groupAccum) combine(next *groupAccum) {
+	for ng, row := range next.first {
+		sts, nsts := acc.of(acc.group(row)), next.of(int32(ng))
+		for i := range sts {
+			st, nx := &sts[i], &nsts[i]
 			st.count += nx.count
 			st.sum += nx.sum
-			if a.Fn == AggMin && nx.min != nil {
-				if st.min == nil {
-					st.min = nx.min
-				} else if c, err := cast.CompareValues(nx.min, st.min); err == nil && c < 0 {
-					st.min = nx.min
-				}
-			}
-			if a.Fn == AggMax && nx.max != nil {
-				if st.max == nil {
-					st.max = nx.max
-				} else if c, err := cast.CompareValues(nx.max, st.max); err == nil && c > 0 {
-					st.max = nx.max
-				}
+			if nx.ext >= 0 && (st.ext < 0 || acc.aggs[i].beats(nx.ext, st.ext)) {
+				st.ext = nx.ext
 			}
 		}
 	}
@@ -1017,106 +967,118 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 		}
 		groupIdx[i] = gi
 	}
-	aggIdx := make([]int, len(g.Aggs))
+	aggs := make([]aggInput, len(g.Aggs))
 	for i, a := range g.Aggs {
 		if a.Fn == AggCount && a.Col == "" {
-			aggIdx[i] = -1
 			continue
 		}
 		ai, err := cs.Index(baseName(a.Col))
 		if err != nil {
 			return nil, err
 		}
-		aggIdx[i] = ai
+		switch cs.Col(ai).Type {
+		case cast.Int64, cast.Timestamp:
+			aggs[i].ints, _ = m.Ints(ai)
+		case cast.Float64:
+			aggs[i].flts, _ = m.Floats(ai)
+		}
+		switch cmp := m.Comparator(ai); a.Fn {
+		case AggMin:
+			aggs[i].beats = func(x, y int32) bool { return cmp(x, y) < 0 }
+		case AggMax:
+			aggs[i].beats = func(x, y int32) bool { return cmp(x, y) > 0 }
+		}
 	}
-	pool := partition.Shared()
-	parts := g.Parts
-	if parts <= 0 {
-		parts = partition.Auto(m.Rows(), pool)
-	}
-	ranges := partition.Split(m.Rows(), parts)
+	ranges := splitRows(m.Rows(), g.Parts)
 	accums := make([]*groupAccum, len(ranges))
-	if err := pool.Do(ctx, len(ranges), func(i int) error {
-		view, err := m.ViewRange(ranges[i].Lo, ranges[i].Hi)
-		if err != nil {
-			return err
-		}
-		acc, err := g.accumulate(view, groupIdx, aggIdx)
-		if err != nil {
-			return err
-		}
-		accums[i] = acc
+	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
+		accums[i] = accumulate(m, groupIdx, aggs, ranges[i].Lo, ranges[i].Hi)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	acc := accums[0]
 	for _, nx := range accums[1:] {
-		acc.combine(nx, g.Aggs)
+		acc.combine(nx)
 	}
-	states, order := acc.states, acc.order
-	if len(g.GroupCols) == 0 && len(order) == 0 {
-		// Global aggregate over empty input still yields one row.
-		sts := make([]*aggState, len(g.Aggs))
-		for i := range sts {
-			sts[i] = &aggState{}
-		}
-		states[""] = sts
-		order = append(order, "")
-	}
-	sort.Strings(order)
-	out := cast.NewBatch(g.schema, len(order))
-	for _, key := range order {
-		sts := states[key]
-		vals := make([]any, 0, g.schema.Len())
-		vals = append(vals, sts[0].rep...)
-		for i, a := range g.Aggs {
-			st := sts[i]
-			switch a.Fn {
-			case AggCount:
-				vals = append(vals, st.count)
-			case AggSum:
-				if g.schema.Col(len(groupIdx)+i).Type == cast.Int64 {
-					vals = append(vals, int64(st.sum))
-				} else {
-					vals = append(vals, st.sum)
-				}
-			case AggAvg:
-				if st.count == 0 {
-					vals = append(vals, 0.0)
-				} else {
-					vals = append(vals, st.sum/float64(st.count))
-				}
-			case AggMin:
-				vals = append(vals, zeroIfNil(st.min, g.schema.Col(len(groupIdx)+i).Type))
-			case AggMax:
-				vals = append(vals, zeroIfNil(st.max, g.schema.Col(len(groupIdx)+i).Type))
-			}
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
+	out, err := g.emit(m, acc, groupIdx)
+	if err != nil {
+		return nil, err
 	}
 	g.out = int64(out.Rows())
 	g.done = true
 	return out, nil
 }
 
-func zeroIfNil(v any, t cast.Type) any {
-	if v != nil {
-		return v
+// emit renders the groups, ordered by their KeyString rendering (the order
+// the operator has always produced), as typed output columns.
+func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.Batch, error) {
+	n := len(acc.first)
+	if n == 0 {
+		// No input rows, so no groups: no output rows either, except that a
+		// global aggregate (no group columns) still yields one row, every
+		// aggregate at its zero.
+		return cast.NewBatchRows(g.schema, 1-min(len(groupIdx), 1)), nil
 	}
-	switch t {
-	case cast.Int64, cast.Timestamp:
-		return int64(0)
-	case cast.Float64:
-		return 0.0
-	case cast.String:
-		return ""
-	case cast.Bool:
-		return false
+	var keys []byte
+	ends, order := make([]int, n+1), make([]int32, n)
+	for i, row := range acc.first {
+		keys = m.AppendKey(keys, int(row), groupIdx)
+		ends[i+1], order[i] = len(keys), int32(i)
 	}
-	return nil
+	slices.SortFunc(order, func(x, y int32) int {
+		return bytes.Compare(keys[ends[x]:ends[x+1]], keys[ends[y]:ends[y+1]])
+	})
+
+	rows := make([]int32, n)
+	for i, gi := range order {
+		rows[i] = acc.first[gi]
+	}
+	cols := make([]any, 0, g.schema.Len())
+	for _, ci := range groupIdx {
+		cols = append(cols, columnAt(m, ci, rows))
+	}
+	for i, a := range g.Aggs {
+		counts, sums := make([]int64, n), make([]float64, n)
+		for j, gi := range order {
+			st := acc.of(gi)[i]
+			counts[j], sums[j], rows[j] = st.count, st.sum, st.ext
+		}
+		switch a.Fn {
+		case AggCount:
+			cols = append(cols, counts)
+		case AggSum:
+			if g.schema.Col(len(groupIdx)+i).Type != cast.Int64 {
+				cols = append(cols, sums)
+				continue
+			}
+			for j, s := range sums {
+				counts[j] = int64(s)
+			}
+			cols = append(cols, counts)
+		case AggAvg:
+			for j, c := range counts {
+				if c != 0 {
+					sums[j] /= float64(c)
+				}
+			}
+			cols = append(cols, sums)
+		case AggMin, AggMax:
+			ci, err := m.Schema().Index(baseName(a.Col))
+			if err != nil {
+				return nil, err
+			}
+			cols = append(cols, columnAt(m, ci, rows))
+		}
+	}
+	return cast.BatchOf(g.schema, cols...)
+}
+
+// columnAt gathers column ci of m at rows into a fresh typed slice for
+// cast.BatchOf.
+func columnAt(m *cast.Batch, ci int, rows []int32) any {
+	v, n, _ := ColRef{Name: m.Schema().Col(ci).Name}.evalVec(m, rows, len(rows))
+	return v.column(n)
 }
 
 // Close implements Operator.
@@ -1159,7 +1121,7 @@ func (l *LimitOp) Next(ctx context.Context) (*cast.Batch, error) {
 		return nil, err
 	}
 	if l.seen+b.Rows() > l.N {
-		b, err = b.Slice(0, l.N-l.seen)
+		b, err = b.ViewRange(0, l.N-l.seen)
 		if err != nil {
 			return nil, err
 		}

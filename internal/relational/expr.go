@@ -7,12 +7,24 @@ import (
 	"polystorepp/internal/cast"
 )
 
-// Expr is a typed scalar expression evaluated against one row of a batch.
-// Expressions are the WHERE/SELECT language of the relational engine and
-// are also the IR payload adapters receive for filter nodes.
+// Expr is a typed scalar expression over the rows of a batch. Expressions
+// are the WHERE/SELECT language of the relational engine and are also the IR
+// payload adapters receive for filter nodes. The node set is closed (ColRef,
+// Const, Bin, Not): operators evaluate through the unexported vector method.
 type Expr interface {
-	// Eval returns the boxed value of the expression for the given row.
+	// Eval returns the boxed value of the expression for the given row. It
+	// is the reference semantics and serves single-row callers; operators
+	// run evalVec.
 	Eval(b *cast.Batch, row int) (any, error)
+	// evalVec evaluates the node at the first n positions of the selection
+	// vector sel (nil: rows 0..n-1) over typed column slices (vector.go). It
+	// returns the values of the first ok positions; ok < n means the row at
+	// position ok failed with err, and err is nil otherwise. Operands are
+	// evaluated only as far as earlier operands succeeded, and AND/OR
+	// evaluate their right side only on the rows the left side leaves
+	// undecided, so the failing row and its error are exactly those of a
+	// row-order loop over Eval.
+	evalVec(b *cast.Batch, sel []int32, n int) (v vec, ok int, err error)
 	// ResultType returns the expression's type under the given input schema.
 	ResultType(s cast.Schema) (cast.Type, error)
 	// String renders the expression in SQL-ish syntax.
@@ -129,6 +141,9 @@ func (o BinOp) String() string {
 // comparable operands.
 func (o BinOp) IsComparison() bool { return o >= OpEq && o <= OpGe }
 
+// isArith reports whether the operator is + - * or /.
+func (o BinOp) isArith() bool { return o >= OpAdd && o <= OpDiv }
+
 // IsLogical reports whether the operator combines two booleans.
 func (o BinOp) IsLogical() bool { return o == OpAnd || o == OpOr }
 
@@ -176,20 +191,7 @@ func (b Bin) Eval(batch *cast.Batch, row int) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExpr, err)
 		}
-		switch b.Op {
-		case OpEq:
-			return c == 0, nil
-		case OpNe:
-			return c != 0, nil
-		case OpLt:
-			return c < 0, nil
-		case OpLe:
-			return c <= 0, nil
-		case OpGt:
-			return c > 0, nil
-		case OpGe:
-			return c >= 0, nil
-		}
+		return cmpHolds[b.Op][c+1], nil
 	}
 	return evalArith(b.Op, lv, rv)
 }
@@ -217,33 +219,19 @@ func evalArith(op BinOp, lv, rv any) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s int64 vs %T", ErrExpr, op, rv)
 		}
-		switch op {
-		case OpAdd:
-			return l + r, nil
-		case OpSub:
-			return l - r, nil
-		case OpMul:
-			return l * r, nil
-		case OpDiv:
-			if r == 0 {
-				return nil, fmt.Errorf("%w: integer division by zero", ErrExpr)
-			}
-			return l / r, nil
+		if op == OpDiv && r == 0 {
+			return nil, fmt.Errorf("%w: integer division by zero", ErrExpr)
+		}
+		if op.isArith() {
+			return arith(op, l, r), nil
 		}
 	case float64:
 		r, ok := rv.(float64)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s float64 vs %T", ErrExpr, op, rv)
 		}
-		switch op {
-		case OpAdd:
-			return l + r, nil
-		case OpSub:
-			return l - r, nil
-		case OpMul:
-			return l * r, nil
-		case OpDiv:
-			return l / r, nil
+		if op.isArith() {
+			return arith(op, l, r), nil
 		}
 	case string:
 		if op == OpAdd {

@@ -11,10 +11,11 @@ import (
 // operators (filter, project, group-by): the input is split into fixed
 // contiguous row ranges, one task per partition fans out over the shared
 // bounded scan-worker pool (internal/partition), and the per-partition
-// results are merged in partition order. Because partitions are contiguous
-// row ranges and every merge preserves partition order, the parallel path
-// produces results identical to the sequential one: filters and projections
-// are row-order-preserving by construction, and group-by partial aggregates
+// results — selection vectors for a filter — are merged in partition order.
+// The sequential path is the same code at one partition. Because partitions
+// are contiguous row ranges and every merge preserves partition order, any
+// fan-out produces identical results: filters and projections are
+// row-order-preserving by construction, and group-by partial aggregates
 // combine in ascending partition order, so the combine is deterministic
 // regardless of goroutine schedule and exact (hence partition-invariant)
 // whenever the underlying additions are exact — always for counts and
@@ -43,124 +44,160 @@ func bulkOrDrain(ctx context.Context, op Operator) (*cast.Batch, error) {
 		}
 		return b, nil
 	}
-	return drain(ctx, op)
+	return drain(ctx, op, nil)
 }
 
-// filterRange evaluates pred over every row of b and returns the kept rows
-// in order. Shared by the sequential and parallel filter paths.
-func filterRange(b *cast.Batch, pred Expr) (*cast.Batch, error) {
-	var evalErr error
-	kept, err := b.FilterRows(func(r int) bool {
-		ok, err := EvalBool(pred, b, r)
-		if err != nil && evalErr == nil {
-			evalErr = err
-		}
-		return ok
-	})
+// splitRows resolves a partition knob against n input rows: parts <= 0 sizes
+// the fan-out from n and the pool width, 1 keeps one range.
+func splitRows(n, parts int) []partition.Range {
+	if parts <= 0 {
+		parts = partition.Auto(n, partition.Shared())
+	}
+	return partition.Split(n, parts)
+}
+
+// filterRange evaluates pred over every row of b and returns the kept row
+// numbers, shifted by base (the range's offset in the whole input). It stops
+// at the first failing row, with that row's error.
+func filterRange(b *cast.Batch, pred Expr, base int) ([]int32, error) {
+	n := b.Rows()
+	v, ok, err := pred.evalVec(b, nil, n)
+	if ok > 0 && v.t != cast.Bool {
+		_, err = EvalBool(pred, b, 0) // row 0 evaluates, but not to a bool
+	}
 	if err != nil {
 		return nil, err
 	}
-	if evalErr != nil {
-		return nil, evalErr
+	keep, kept := boolsOf(v), 0
+	for i := 0; i < n; i++ {
+		if keep.at(i) {
+			kept++
+		}
 	}
-	return kept, nil
+	sel := make([]int32, 0, kept)
+	for i := 0; i < n; i++ {
+		if keep.at(i) {
+			sel = append(sel, int32(base+i))
+		}
+	}
+	return sel, nil
 }
 
-// parFilter filters in across partitions and merges the kept rows in
-// partition order. parts <= 0 selects automatically from the input size.
+// parFilter filters in across partitions: each computes the selection of its
+// row range, and the kept rows are gathered once, in partition order.
 func parFilter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast.Batch, error) {
-	pool := partition.Shared()
-	if parts <= 0 {
-		parts = partition.Auto(in.Rows(), pool)
-	}
-	if parts == 1 {
-		return filterRange(in, pred)
-	}
-	ranges := partition.Split(in.Rows(), parts)
-	outs := make([]*cast.Batch, len(ranges))
-	if err := pool.Do(ctx, len(ranges), func(i int) error {
-		view, err := in.ViewRange(ranges[i].Lo, ranges[i].Hi)
-		if err != nil {
-			return err
+	ranges := splitRows(in.Rows(), parts)
+	sels := make([][]int32, len(ranges))
+	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
+		view := in // a single range is the input itself
+		if len(ranges) > 1 {
+			if view, err = in.ViewRange(ranges[i].Lo, ranges[i].Hi); err != nil {
+				return err
+			}
 		}
-		kept, err := filterRange(view, pred)
-		if err != nil {
-			return err
-		}
-		outs[i] = kept
-		return nil
+		sels[i], err = filterRange(view, pred, ranges[i].Lo)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	return mergeOrdered(in.Schema(), outs)
+	return takeParts(ctx, in, sels)
 }
 
-// projectRange evaluates items over every row of b into a fresh batch under
-// schema. Shared by the sequential and parallel project paths.
-func projectRange(b *cast.Batch, items []ProjItem, schema cast.Schema) (*cast.Batch, error) {
-	out := cast.NewBatch(schema, b.Rows())
-	vals := make([]any, len(items))
-	for r := 0; r < b.Rows(); r++ {
-		for i, it := range items {
-			v, err := it.E.Eval(b, r)
-			if err != nil {
-				return nil, err
-			}
-			// Timestamp columns surface as int64; widen int64 to float64
-			// when the projected type demands it.
-			if schema.Col(i).Type == cast.Float64 {
-				if iv, ok := v.(int64); ok {
-					v = float64(iv)
-				}
-			}
-			vals[i] = v
+// takeParts returns the rows of src the per-partition selections name, in
+// partition order. One unbroken row run (a range predicate over clustered
+// rows, a join whose every row matches once) is a zero-copy view; anything
+// else is gathered into a batch allocated once at its final size, every
+// partition filling its own disjoint row range on the pool.
+func takeParts(ctx context.Context, src *cast.Batch, sels [][]int32) (*cast.Batch, error) {
+	at, total, first, run := make([]int, len(sels)), 0, 0, true
+	for i, sel := range sels {
+		if total == 0 && len(sel) > 0 {
+			first = int(sel[0])
 		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
+		for j := 0; run && j < len(sel); j++ {
+			run = int(sel[j]) == first+total+j
 		}
+		at[i] = total
+		total += len(sel)
+	}
+	if run && total > 0 {
+		return src.ViewRange(first, first+total)
+	}
+	out := cast.NewBatchRows(src.Schema(), total)
+	if err := partition.Shared().Do(ctx, len(sels), func(i int) error {
+		out.CopyRows(at[i], src, sels[i])
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// parProject projects in across partitions, merging in partition order.
-func parProject(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema, parts int) (*cast.Batch, error) {
-	pool := partition.Shared()
-	if parts <= 0 {
-		parts = partition.Auto(in.Rows(), pool)
+// projectRange evaluates items over every row of b into a batch under schema.
+// A bare column reference shares b's column storage; computed items get
+// fresh columns.
+func projectRange(b *cast.Batch, items []ProjItem, schema cast.Schema) (*cast.Batch, error) {
+	n := b.Rows()
+	if n == 0 {
+		return cast.NewBatch(schema, 0), nil
 	}
-	if parts == 1 {
+	// A row-order loop fails on the lowest failing row, and there on the
+	// leftmost failing item: each item is evaluated only up to the earliest
+	// failure so far, so a later item's error wins only on a strictly
+	// earlier row.
+	var firstErr error
+	vecs, upto := make([]vec, len(items)), n
+	for i, it := range items {
+		v, ok, err := it.E.evalVec(b, nil, upto)
+		if err != nil {
+			firstErr, upto = err, ok
+		}
+		vecs[i] = v
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	cols := make([]any, len(items))
+	for i, v := range vecs {
+		// An int64 value under a float64 column widens; an identity-selected
+		// column is shared as it stands.
+		if v.t == cast.Int64 && schema.Col(i).Type == cast.Float64 {
+			v = convert(v, n)
+		}
+		cols[i] = v.column(n)
+	}
+	return cast.BatchOf(schema, cols...)
+}
+
+// parProject projects in across partitions, concatenating in partition
+// order. A projection that only picks columns or constants has nothing to
+// fan out: it shares the input's column storage whole.
+func parProject(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema, parts int) (*cast.Batch, error) {
+	computes := false
+	for _, it := range items {
+		switch it.E.(type) {
+		case ColRef, Const:
+		default:
+			computes = true
+		}
+	}
+	ranges := splitRows(in.Rows(), parts)
+	if len(ranges) == 1 || !computes {
 		return projectRange(in, items, schema)
 	}
-	ranges := partition.Split(in.Rows(), parts)
 	outs := make([]*cast.Batch, len(ranges))
-	if err := pool.Do(ctx, len(ranges), func(i int) error {
+	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
 		view, err := in.ViewRange(ranges[i].Lo, ranges[i].Hi)
 		if err != nil {
 			return err
 		}
-		out, err := projectRange(view, items, schema)
-		if err != nil {
-			return err
-		}
-		outs[i] = out
-		return nil
+		outs[i], err = projectRange(view, items, schema)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	return mergeOrdered(schema, outs)
-}
-
-// mergeOrdered concatenates the per-partition outputs in partition order.
-func mergeOrdered(schema cast.Schema, outs []*cast.Batch) (*cast.Batch, error) {
-	total := 0
+	merged := cast.NewBatch(schema, in.Rows())
 	for _, o := range outs {
-		total += o.Rows()
-	}
-	merged := cast.NewBatch(schema, total)
-	for _, o := range outs {
-		if o.Rows() == 0 {
-			continue
-		}
 		if err := merged.AppendBatch(o); err != nil {
 			return nil, err
 		}

@@ -36,6 +36,7 @@ func benchTable(b *testing.B) *Table {
 
 func benchFilter(b *testing.B, parts int) {
 	tab := benchTable(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewFilter(NewSeqScan(tab), pred())
@@ -59,6 +60,7 @@ func benchGroupBy(b *testing.B, parts int) {
 		{Fn: AggSum, Col: "val", As: "total"},
 		{Fn: AggMax, Col: "id", As: "hi"},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := NewGroupBy(NewSeqScan(tab), []string{"grp"}, aggs)
@@ -125,6 +127,7 @@ func benchJoinTables(b *testing.B) (*Table, *Table) {
 
 func benchHashJoin(b *testing.B, parts int) {
 	left, right := benchJoinTables(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j, err := NewHashJoin(NewSeqScan(left), NewSeqScan(right), "k", "k2")
@@ -147,3 +150,33 @@ func BenchmarkHashJoinSequential(b *testing.B) { benchHashJoin(b, 1) }
 // this benchmark tracks BenchmarkHashJoinSequential (inline-fallback
 // parity); the speedup engages at >= 4 partitions on multi-core hosts.
 func BenchmarkHashJoinParallel(b *testing.B) { benchHashJoin(b, 0) }
+
+// BenchmarkSortBy50k sorts a 50k-row table on a float key, descending, with
+// an int tiebreak — the cold_analytic ORDER BY shape.
+func BenchmarkSortBy50k(b *testing.B) {
+	in, err := benchTable(b).Snapshot().ViewRange(0, 50_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.SortBy(cast.SortKey{Col: "val", Desc: true}, cast.SortKey{Col: "id"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunEmitSingleBatch drains an operator that yields one batch — the
+// hand-off every adapter node ends with; it must cost no copy.
+func BenchmarkRunEmitSingleBatch(b *testing.B) {
+	in := benchTable(b).Snapshot()
+	sink := func(*cast.Batch) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunEmit(context.Background(), &memSource{b: in}, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

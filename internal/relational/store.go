@@ -392,16 +392,24 @@ func (t *Table) LookupEq(col string, v any) ([]int32, error) {
 // LookupRange returns row ids with lo <= col <= hi from the B-tree index,
 // in ascending key order.
 func (t *Table) LookupRange(col string, lo, hi int64) ([]int32, error) {
+	_, rows, err := t.SnapshotRange(col, lo, hi)
+	return rows, err
+}
+
+// SnapshotRange is LookupRange together with the heap snapshot the row ids
+// index, both taken under one read of the table, so every id is a row of the
+// snapshot whatever is inserted afterwards.
+func (t *Table) SnapshotRange(col string, lo, hi int64) (*cast.Batch, []int32, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	bt, ok := t.btrees[col]
 	if !ok {
-		return nil, fmt.Errorf("%w: column %q", ErrNoIndex, col)
+		return nil, nil, fmt.Errorf("%w: column %q", ErrNoIndex, col)
 	}
 	var out []int32
 	bt.Range(lo, hi, func(_ int64, rows []int32) bool {
 		out = append(out, rows...)
 		return true
 	})
-	return out, nil
+	return t.heap.View(), out, nil
 }

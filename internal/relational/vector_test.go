@@ -1,0 +1,369 @@
+package relational
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"polystorepp/internal/cast"
+)
+
+// memSource is a one-batch BulkSource, so operators above it take the
+// partitioned path at whatever fan-out the test pins.
+type memSource struct {
+	b    *cast.Batch
+	done bool
+}
+
+func (s *memSource) Schema() cast.Schema        { return s.b.Schema() }
+func (s *memSource) Open(context.Context) error { s.done = false; return nil }
+func (s *memSource) Close() error               { return nil }
+func (s *memSource) Stats() OpStats             { return OpStats{Kind: "Mem"} }
+func (s *memSource) Children() []Operator       { return nil }
+func (s *memSource) Next(context.Context) (*cast.Batch, error) {
+	if s.done {
+		return nil, nil
+	}
+	s.done = true
+	return s.b, nil
+}
+func (s *memSource) Bulk(ctx context.Context) (*cast.Batch, error) { return s.Next(ctx) }
+
+// vecSchema has every column type, two of each kind the kernels pair up.
+func vecSchema() cast.Schema {
+	return cast.MustSchema(
+		cast.Column{Name: "i", Type: cast.Int64},
+		cast.Column{Name: "j", Type: cast.Int64},
+		cast.Column{Name: "ts", Type: cast.Timestamp},
+		cast.Column{Name: "f", Type: cast.Float64},
+		cast.Column{Name: "g", Type: cast.Float64},
+		cast.Column{Name: "s", Type: cast.String},
+		cast.Column{Name: "u", Type: cast.String},
+		cast.Column{Name: "p", Type: cast.Bool},
+		cast.Column{Name: "q", Type: cast.Bool},
+	)
+}
+
+// vecBatch draws n rows from small domains, so equal values, zero divisors
+// and NaNs all occur.
+func vecBatch(t testing.TB, rng *rand.Rand, n int) *cast.Batch {
+	t.Helper()
+	flt := func() float64 {
+		if rng.Intn(8) == 0 {
+			return math.NaN()
+		}
+		return float64(rng.Intn(7)-3) * 0.5
+	}
+	b := cast.NewBatch(vecSchema(), n)
+	for r := 0; r < n; r++ {
+		if err := b.AppendRow(int64(rng.Intn(7)-3), int64(rng.Intn(4)), int64(rng.Intn(5)),
+			flt(), flt(), fmt.Sprint("s", rng.Intn(3)), fmt.Sprint("s", rng.Intn(3)),
+			rng.Intn(2) == 0, rng.Intn(3) == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// genExpr builds a random tree meant to have kind k ('n' numeric, 's'
+// string, 'b' bool) but, one time in ten, plants a subtree of another kind
+// or an outright defect — a missing column, a literal of a Go type no column
+// has — so every error class is reached at every depth.
+func genExpr(rng *rand.Rand, depth int, k byte) Expr {
+	if rng.Intn(10) == 0 {
+		switch rng.Intn(4) {
+		case 0:
+			return ColRef{Name: "missing"}
+		case 1:
+			return Const{V: 7} // int, not int64
+		default:
+			k = "nsb"[rng.Intn(3)]
+		}
+	}
+	pick := func(names ...string) Expr { return ColRef{Name: names[rng.Intn(len(names))]} }
+	if depth == 0 || rng.Intn(4) == 0 {
+		switch k {
+		case 'n':
+			switch rng.Intn(4) {
+			case 0:
+				return Const{V: int64(rng.Intn(5) - 2)}
+			case 1:
+				return Const{V: [...]float64{-1, 0, 0.5, math.NaN()}[rng.Intn(4)]}
+			}
+			return pick("i", "j", "ts", "f", "g", "t.i")
+		case 's':
+			if rng.Intn(3) == 0 {
+				return Const{V: fmt.Sprint("s", rng.Intn(3))}
+			}
+			return pick("s", "u")
+		}
+		if rng.Intn(3) == 0 {
+			return Const{V: rng.Intn(2) == 0}
+		}
+		return pick("p", "q")
+	}
+	switch k {
+	case 'n':
+		return Bin{Op: OpAdd + BinOp(rng.Intn(4)), L: genExpr(rng, depth-1, 'n'), R: genExpr(rng, depth-1, 'n')}
+	case 's':
+		return Bin{Op: OpAdd, L: genExpr(rng, depth-1, 's'), R: genExpr(rng, depth-1, 's')}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return Not{E: genExpr(rng, depth-1, 'b')}
+	case 1:
+		return Bin{Op: OpAnd + BinOp(rng.Intn(2)), L: genExpr(rng, depth-1, 'b'), R: genExpr(rng, depth-1, 'b')}
+	}
+	sub := "nsb"[rng.Intn(3)]
+	return Bin{Op: OpEq + BinOp(rng.Intn(6)), L: genExpr(rng, depth-1, sub), R: genExpr(rng, depth-1, sub)}
+}
+
+// sameBatch is Batch.Equal with floats compared by bit pattern: NaN results
+// must match too.
+func sameBatch(a, b *cast.Batch) bool {
+	if a.Rows() != b.Rows() || !a.Schema().Equal(b.Schema()) {
+		return false
+	}
+	for r := 0; r < a.Rows(); r++ {
+		ra, _ := a.Row(r)
+		rb, _ := b.Row(r)
+		for c := range ra {
+			fa, isF := ra[c].(float64)
+			if isF {
+				if math.Float64bits(fa) != math.Float64bits(rb[c].(float64)) {
+					return false
+				}
+			} else if ra[c] != rb[c] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameError(got, want error) bool {
+	if got == nil || want == nil {
+		return got == nil && want == nil
+	}
+	return got.Error() == want.Error() && errors.Is(got, ErrExpr) == errors.Is(want, ErrExpr)
+}
+
+// TestVectorEqualsRowFilter: at every fan-out, the filter keeps exactly the
+// rows a row-order EvalBool loop keeps, or fails with that loop's first
+// error.
+func TestVectorEqualsRowFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 1500; trial++ {
+		b := vecBatch(t, rng, []int{0, 1, 2, rng.Intn(300)}[rng.Intn(4)])
+		pred := genExpr(rng, 1+rng.Intn(4), 'b')
+		var kept []int
+		var wantErr error
+		for r := 0; r < b.Rows() && wantErr == nil; r++ {
+			ok, err := EvalBool(pred, b, r)
+			if wantErr = err; ok {
+				kept = append(kept, r)
+			}
+		}
+		for _, parts := range partCounts {
+			op := NewFilter(&memSource{b: b}, pred)
+			op.Parts = parts
+			got, err := Run(context.Background(), op)
+			if !sameError(err, wantErr) {
+				t.Fatalf("trial %d parts %d: %s\nerror %v, row loop says %v", trial, parts, pred, err, wantErr)
+			}
+			if want, _ := b.Gather(kept); err == nil && !sameBatch(got, want) {
+				t.Fatalf("trial %d parts %d: %s\nkept %d rows, row loop keeps %d", trial, parts, pred, got.Rows(), len(kept))
+			}
+		}
+	}
+}
+
+// TestVectorEqualsRowProject: at every fan-out, a projection yields the
+// values of a row-major Eval loop, or that loop's first error (lowest row,
+// then leftmost item).
+func TestVectorEqualsRowProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 1500; trial++ {
+		b := vecBatch(t, rng, []int{0, 1, 2, rng.Intn(300)}[rng.Intn(4)])
+		items := make([]ProjItem, 1+rng.Intn(3))
+		for i := range items {
+			items[i] = ProjItem{E: genExpr(rng, rng.Intn(4), "nsb"[rng.Intn(3)]), Name: fmt.Sprint("c", i)}
+		}
+		ref, err := NewProject(&memSource{b: b}, items)
+		if err != nil {
+			continue // an item with no result type: rejected before any row
+		}
+		want := cast.NewBatch(ref.Schema(), b.Rows())
+		var wantErr error
+		for r := 0; r < b.Rows() && wantErr == nil; r++ {
+			vals := make([]any, len(items))
+			for i, it := range items {
+				if vals[i], wantErr = it.E.Eval(b, r); wantErr != nil {
+					break
+				}
+			}
+			if wantErr == nil {
+				wantErr = want.AppendRow(vals...)
+			}
+		}
+		for _, parts := range partCounts {
+			op, _ := NewProject(&memSource{b: b}, items)
+			op.Parts = parts
+			got, err := Run(context.Background(), op)
+			if !sameError(err, wantErr) {
+				t.Fatalf("trial %d parts %d: %v\nerror %v, row loop says %v", trial, parts, items, err, wantErr)
+			}
+			if err == nil && !sameBatch(got, want) {
+				t.Fatalf("trial %d parts %d: %v\nvalues differ from the row loop's", trial, parts, items)
+			}
+		}
+	}
+}
+
+// TestVectorPinnedSemantics names the cases the random trees reach only by
+// luck: NaN compares equal to everything (CompareValues' ordering, kept as
+// is), timestamps meet int64s, ints widen to floats, and a guard on the left
+// of AND/OR keeps a zero divisor on the right from ever being evaluated.
+func TestVectorPinnedSemantics(t *testing.T) {
+	b := cast.NewBatch(vecSchema(), 4)
+	for r, f := range []float64{math.NaN(), 1, 2, math.NaN()} {
+		if err := b.AppendRow(int64(r), int64(r%2), int64(r), f, 1.0, "a", "b", true, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col := func(n string) Expr { return ColRef{Name: n} }
+	cases := []struct {
+		pred Expr
+		want []int
+	}{
+		{Bin{Op: OpEq, L: col("f"), R: Const{V: 1.0}}, []int{0, 1, 3}},
+		{Bin{Op: OpNe, L: col("f"), R: col("g")}, []int{2}},
+		{Bin{Op: OpLe, L: col("f"), R: Const{V: 0.0}}, []int{0, 3}},
+		{Bin{Op: OpEq, L: col("ts"), R: col("i")}, []int{0, 1, 2, 3}},
+		{Bin{Op: OpGt, L: col("i"), R: Const{V: 1.5}}, []int{2, 3}},
+		{Bin{Op: OpAnd, L: Bin{Op: OpNe, L: col("j"), R: Const{V: int64(0)}},
+			R: Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int{3}},
+		{Bin{Op: OpOr, L: Bin{Op: OpEq, L: col("j"), R: Const{V: int64(0)}},
+			R: Bin{Op: OpLt, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int{0, 1, 2}},
+		{Bin{Op: OpLt, L: col("q"), R: col("p")}, []int{0, 1, 2, 3}},
+	}
+	for _, tc := range cases {
+		got := mustRun(t, NewFilter(&memSource{b: b}, tc.pred))
+		if want, _ := b.Gather(tc.want); !sameBatch(got, want) {
+			ids, _ := got.Ints(0)
+			t.Errorf("%s keeps rows %v, want %v", tc.pred, ids, tc.want)
+		}
+	}
+	// The same division, unguarded, fails on the first zero divisor.
+	_, err := Run(context.Background(), NewFilter(&memSource{b: b},
+		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}}))
+	if _, want := EvalBool(Bin{Op: OpDiv, L: col("i"), R: col("j")}, b, 0); !sameError(err, want) {
+		t.Errorf("unguarded division: %v, want %v", err, want)
+	}
+}
+
+// counted counts how often its expression is evaluated, by either method.
+type counted struct {
+	Expr
+	calls *int
+}
+
+func (c counted) Eval(b *cast.Batch, row int) (any, error) {
+	*c.calls++
+	return c.Expr.Eval(b, row)
+}
+
+func (c counted) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
+	*c.calls++
+	return c.Expr.evalVec(b, sel, n)
+}
+
+// TestFilterStopsAtFirstError: a predicate whose comparison mismatches types
+// fails on row 0. The filter must return that row's error after one vector
+// pass (plus the one row Eval that words the error), not evaluate the other
+// 49 999 rows and throw the work away.
+func TestFilterStopsAtFirstError(t *testing.T) {
+	const n = 50_000
+	b := cast.NewBatch(cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64}), n)
+	for i := 0; i < n; i++ {
+		if err := b.AppendRow(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := 0
+	pred := Bin{Op: OpEq, L: counted{ColRef{Name: "id"}, &calls}, R: Const{V: "zero"}}
+	_, want := EvalBool(pred, b, 0)
+	calls = 0
+	op := NewFilter(&memSource{b: b}, pred)
+	op.Parts = 1
+	_, err := Run(context.Background(), op)
+	if err == nil || !sameError(err, want) || !errors.Is(err, ErrExpr) {
+		t.Fatalf("error %v, want row 0's %v", err, want)
+	}
+	if calls > 2 {
+		t.Fatalf("operand evaluated %d times for a predicate that fails on row 0", calls)
+	}
+}
+
+// TestRunEmitSingleBatchShares: an operator that yields one batch has that
+// batch returned by reference — same column storage, nothing copied — and
+// the sink sees the same one.
+func TestRunEmitSingleBatchShares(t *testing.T) {
+	in := vecBatch(t, rand.New(rand.NewSource(1)), 100)
+	var emitted []*cast.Batch
+	out, err := RunEmit(context.Background(), &memSource{b: in}, func(b *cast.Batch) error {
+		emitted = append(emitted, b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := out.Ints(0)
+	want, _ := in.Ints(0)
+	if len(emitted) != 1 || emitted[0] != out || &got[0] != &want[0] {
+		t.Fatalf("RunEmit copied a single-batch result (emitted %d)", len(emitted))
+	}
+}
+
+// TestIndexScanReadsItsOpenSnapshot: the row ids an index scan resolved in
+// Open index the snapshot taken with them, so rows inserted while the scan
+// is being drained neither appear nor shift anything.
+func TestIndexScanReadsItsOpenSnapshot(t *testing.T) {
+	ctx := context.Background()
+	users, _ := newTestStore(t, 3000).Table("users")
+	if err := users.CreateBTreeIndex("uid"); err != nil {
+		t.Fatal(err)
+	}
+	want := mustRun(t, NewIndexScan(users, "uid", 0, 1<<40))
+	is := NewIndexScan(users, "uid", 0, 1<<40)
+	if err := is.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := is.snap
+	got := cast.NewBatch(is.Schema(), 0)
+	for {
+		b, err := is.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if is.snap != snap {
+			t.Fatal("index scan took a new snapshot mid-scan")
+		}
+		if err := got.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		row, _ := want.Row(0)
+		if err := users.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !got.Equal(want) {
+		t.Fatalf("scan saw %d rows, want the %d present at Open", got.Rows(), want.Rows())
+	}
+}

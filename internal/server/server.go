@@ -1206,6 +1206,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("server.queued").Set(float64(s.adm.queueDepth()))
 	s.reg.Gauge("server.tenants").Set(float64(s.tenants.registry.Len()))
 	s.reg.Gauge("server.data_version").Set(float64(s.rt.DataVersion()))
+	s.reg.Counter("relational.indexscan_fallback") // rendered from 0, not from its first bump
 	if s.cfg.Backend != nil {
 		bs := s.cfg.Backend.Stats()
 		s.reg.Gauge("backend.volatile_engines").Set(float64(len(bs.Volatile(s.rt.Engines()))))
@@ -1334,7 +1335,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"stream_ttfr_us":     s.latencyQuantilesUS("server.stream.ttfr_seconds"),
 		"partition_spawned":  pSpawned,
 		"partition_inlined":  pInlined,
-		"traces_recorded":    traceTotal,
+		// Index scans the compiler asked for on a column the engine has no
+		// B-tree on, executed as sequential scans instead.
+		"relational_indexscan_fallback": s.reg.Counter("relational.indexscan_fallback").Value(),
+		"traces_recorded":               traceTotal,
 		// Adaptive feedback loop: runtime statistics closing the loop into
 		// partition sizing and engine placement (this PR's layer).
 		"feedback_enabled":          fbStats.Enabled,
