@@ -53,25 +53,13 @@ func (r *Runtime) ConfigureFeedback(cfg feedback.Config) {
 // static cost models and pinned fan-outs run as pinned.
 func (r *Runtime) DisableFeedback() { r.fb.Store(nil) }
 
-// FeedbackStats is the structural snapshot /stats and /metrics expose
-// (zero value when feedback is disabled).
-type FeedbackStats struct {
-	Enabled   bool
-	Samples   int64
-	Keys      int
-	Evictions int64
-	Epoch     int64
-}
-
-// FeedbackStats snapshots the feedback store.
-func (r *Runtime) FeedbackStats() FeedbackStats {
-	fs := r.fb.Load()
-	if fs == nil {
-		return FeedbackStats{}
+// FeedbackStats snapshots the feedback store; enabled is false (and the
+// snapshot zero) when the loop is disabled.
+func (r *Runtime) FeedbackStats() (st feedback.Stats, enabled bool) {
+	if fs := r.fb.Load(); fs != nil {
+		return fs.store.Stats(), true
 	}
-	st := fs.store.Stats()
-	return FeedbackStats{Enabled: true, Samples: st.Samples, Keys: st.Keys,
-		Evictions: st.Evictions, Epoch: st.Epoch}
+	return st, false
 }
 
 // adaptiveKinds are the operator kinds whose pinned partition fan-out the
@@ -129,10 +117,10 @@ func (r *Runtime) prepareFeedback(plan *compiler.Plan) *fbExec {
 			fb.over = make(map[ir.NodeID]fbOverride)
 		}
 		fb.over[n.ID] = fbOverride{parts: advised, was: pinned}
-		r.reg.Counter("core.feedback.fanout_overrides").Inc()
+		r.st.feedbackFanoutOverrides.Inc()
 	}
 	if len(fb.over) > 0 {
-		r.reg.Counter("core.feedback.plans_influenced").Inc()
+		r.st.feedbackInfluenced.Inc()
 	}
 	return fb
 }
@@ -181,7 +169,7 @@ func (r *Runtime) observedHostSeconds(n *ir.Node, static float64) float64 {
 	blended := optimizer.BlendedSeconds(static, st.WallSeconds,
 		st.Samples, fs.store.Config().ConfidenceSamples)
 	if blended != static {
-		r.reg.Counter("core.feedback.blended_costs").Inc()
+		r.st.feedbackBlended.Inc()
 	}
 	return blended
 }

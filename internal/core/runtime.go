@@ -55,6 +55,7 @@ type Runtime struct {
 	mode     hw.Mode
 	migrator *migrate.Migrator
 	reg      *metrics.Registry
+	st       coreStats
 	ops      *obs.OpStats
 
 	// engineWorkers bounds concurrent node executions per engine queue in
@@ -145,6 +146,7 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 	if r.migrator == nil {
 		r.migrator = migrate.New(host, hw.NewRDMANIC())
 	}
+	r.st = newCoreStats(r.reg, r.accels)
 	r.ConfigureSubplanCache(r.subplanBytes)
 	if r.fbOn {
 		r.ConfigureFeedback(r.fbCfg)
@@ -385,7 +387,7 @@ func (r *Runtime) executeSequential(ctx context.Context, plan *compiler.Plan, st
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrExec, err)
 	}
-	r.reg.Counter("core.exec.sequential").Inc()
+	r.st.execSequential.Inc()
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
@@ -509,9 +511,8 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 		run.wall = time.Since(t0)
 		run.bytesOut = valueBytes(run.out)
 		run.rows = run.out.Rows()
-		r.reg.Counter("core.migrations").Inc()
-		r.reg.Counter("core.nodes").Inc()
-		r.reg.Timer("core.node." + n.Kind.String()).Observe(run.wall)
+		r.st.migrations.Inc()
+		r.st.nodes.Inc()
 		r.observeOp(n, run)
 		return run
 	}
@@ -539,12 +540,11 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	run.wall = time.Since(t0)
 	run.bytesOut = valueBytes(out)
 	run.rows = run.out.Rows()
-	r.reg.Counter("core.rule_nodes").Add(info.RuleNodes)
+	r.st.ruleNodes.Add(info.RuleNodes)
 	if info.NoIndex {
-		r.reg.Counter("relational.indexscan_fallback").Inc()
+		r.st.indexScanFallback.Inc()
 	}
-	r.reg.Counter("core.nodes").Inc()
-	r.reg.Timer("core.node." + n.Kind.String()).Observe(run.wall)
+	r.st.nodes.Inc()
 	r.observeOp(n, run)
 	return run
 }
@@ -616,10 +616,10 @@ func (r *Runtime) chargeKernel(n *ir.Node, call adapter.KernelCall) (*hw.Device,
 			if err != nil {
 				return nil, hw.Zero, fmt.Errorf("pinned device %q: %w", n.Device, err)
 			}
-			r.reg.Counter("core.offloads." + d.Name).Inc()
+			r.st.offloads[d].Inc()
 			return d, c, nil
 		}
-		return nil, hw.Zero, fmt.Errorf("%w: %q (attached: %s)", ErrNoDevice, n.Device, strings.Join(r.deviceNames(), ", "))
+		return nil, hw.Zero, fmt.Errorf("%w: %q (attached: %s)", ErrNoDevice, n.Device, strings.Join(append([]string{r.host.Name}, r.Accelerators()...), ", "))
 	}
 	if n.Device == "" || len(r.accels) == 0 {
 		return r.hostCharge(call)
@@ -655,7 +655,7 @@ func (r *Runtime) chargeKernel(n *ir.Node, call adapter.KernelCall) (*hw.Device,
 		// Offload refused (e.g. area budget): run on the host instead.
 		return r.hostCharge(call)
 	}
-	r.reg.Counter("core.offloads." + bestDev.Name).Inc()
+	r.st.offloads[bestDev].Inc()
 	return bestDev, c, nil
 }
 
@@ -669,11 +669,11 @@ func (r *Runtime) hostCharge(call adapter.KernelCall) (*hw.Device, hw.Cost, erro
 	return r.host, c, nil
 }
 
-// deviceNames lists the host plus attached accelerator names.
-func (r *Runtime) deviceNames() []string {
-	out := []string{r.host.Name}
-	for _, d := range r.accels {
-		out = append(out, d.Name)
+// Accelerators lists the attached accelerator names, in attachment order.
+func (r *Runtime) Accelerators() []string {
+	out := make([]string, len(r.accels))
+	for i, d := range r.accels {
+		out[i] = d.Name
 	}
 	return out
 }

@@ -113,7 +113,7 @@ func TestOffloadCountsInMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rt.Metrics().Counter("core.offloads.fpga-stratix").Value() == 0 {
-		t.Fatalf("expected FPGA offloads; metrics:\n%s", rt.Metrics().Dump())
+		t.Fatal("expected FPGA offloads")
 	}
 }
 

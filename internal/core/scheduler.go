@@ -70,7 +70,7 @@ func (r *Runtime) executeConcurrent(ctx context.Context, plan *compiler.Plan, st
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrExec, err)
 	}
-	r.reg.Counter("core.exec.concurrent").Inc()
+	r.st.execConcurrent.Inc()
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
@@ -207,7 +207,7 @@ func (r *Runtime) executeConcurrent(ctx context.Context, plan *compiler.Plan, st
 		}
 		return nil, nil, execErr
 	}
-	r.reg.Gauge("core.exec.max_parallel").SetMax(float64(sched.maxInflight.Load()))
+	r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
 	rep.finalize(t0, g, finish)
 	return &Results{Values: values, Sinks: g.Sinks()}, rep, nil
 }

@@ -39,7 +39,7 @@ func (r *Runtime) ExecuteStream(ctx context.Context, plan *compiler.Plan, sink R
 		return r.Execute(ctx, plan)
 	}
 	st := &nodeStream{sink: sink, node: sinks[0]}
-	r.reg.Counter("core.exec.streamed").Inc()
+	r.st.execStreamed.Inc()
 	if !r.sequential && planWidth(plan) > 1 {
 		return r.executeConcurrent(ctx, plan, st)
 	}

@@ -68,31 +68,13 @@ func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	r.subplan.Store(&subplanState{cache: subplan.NewCacheShared(n, share), flight: subplan.NewFlight()})
 }
 
-// SubplanCacheStats is the structural snapshot /stats and /metrics expose.
-type SubplanCacheStats struct {
-	Enabled   bool
-	Entries   int
-	Bytes     int64
-	MaxBytes  int64
-	Evictions int64
-	Owners    int
-}
-
-// SubplanCacheStats snapshots the subplan cache (zero value when disabled).
-func (r *Runtime) SubplanCacheStats() SubplanCacheStats {
-	sp := r.subplan.Load()
-	if sp == nil {
-		return SubplanCacheStats{}
+// SubplanCacheStats snapshots the subplan cache; enabled is false (and the
+// snapshot zero) when subplan caching is disabled.
+func (r *Runtime) SubplanCacheStats() (st subplan.Stats, enabled bool) {
+	if sp := r.subplan.Load(); sp != nil {
+		return sp.cache.Stats(), true
 	}
-	s := sp.cache.Stats()
-	return SubplanCacheStats{
-		Enabled:   true,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-		MaxBytes:  s.MaxBytes,
-		Evictions: s.Evictions,
-		Owners:    s.Owners,
-	}
+	return st, false
 }
 
 // SubplanOwnerBytes snapshots per-tenant subplan cache charges (nil when
@@ -194,7 +176,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 			}
 			continue
 		}
-		r.reg.Counter("core.subplan.misses").Inc()
+		r.st.subplanMisses.Inc()
 		if tr != nil {
 			tr.Event("cache.subplan", fmt.Sprintf("miss root=%d nodes=%d key=%s",
 				st.Root, len(st.Closure), shortKey(key)))
@@ -221,7 +203,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 				leased[m.key] = true
 				break
 			}
-			r.reg.Counter("core.subplan.flight_waits").Inc()
+			r.st.subplanFlightWaits.Inc()
 			select {
 			case <-done:
 			case <-ctx.Done():
@@ -257,9 +239,9 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		}
 	}
 
-	r.reg.Counter("core.subplan.plans_probed").Inc()
+	r.st.subplanPlansProbed.Inc()
 	if len(pr.out) > 0 {
-		r.reg.Counter("core.subplan.plans_reused").Inc()
+		r.st.subplanPlansReused.Inc()
 	}
 	if len(pr.serve) == 0 && len(pr.pubs) == 0 && len(pr.leases) == 0 {
 		return nil
@@ -298,7 +280,7 @@ func (pr *planProbe) lookup(key string, closureLen int) *subplan.Entry {
 	if !ok || e.Output == nil || len(e.Costs) != closureLen {
 		return nil
 	}
-	pr.rt.reg.Counter("core.subplan.hits").Inc()
+	pr.rt.st.subplanHits.Inc()
 	return e
 }
 
@@ -311,8 +293,8 @@ func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry, covered map
 		pr.serve[id] = &e.Costs[i]
 	}
 	pr.out[st.Root] = adapter.Value{Batch: e.Output}
-	pr.rt.reg.Counter("core.subplan.nodes_served").Add(int64(len(st.Closure)))
-	pr.rt.reg.Counter("core.subplan.bytes_served").Add(e.Bytes)
+	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
+	pr.rt.st.subplanBytesServed.Add(e.Bytes)
 }
 
 // serveNode returns a synthesized run for a node covered by a cache hit
@@ -375,7 +357,7 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 // belongs to neither the old version nor reliably the new one.
 func (pr *planProbe) publish(pub pendingPub) {
 	if pr.rt.VersionVector(pub.sub.Touches) != pub.vv {
-		pr.rt.reg.Counter("core.subplan.stale_skips").Inc()
+		pr.rt.st.subplanStaleSkips.Inc()
 		return
 	}
 	costs := make([]subplan.NodeCost, len(pub.sub.Closure))
@@ -406,9 +388,9 @@ func (pr *planProbe) publish(pub pendingPub) {
 		Bytes:  root.out.Batch.ByteSize(),
 	}
 	if pr.sp.cache.Put(pub.key, e, pr.tenant) {
-		pr.rt.reg.Counter("core.subplan.published").Inc()
+		pr.rt.st.subplanPublished.Inc()
 	} else {
-		pr.rt.reg.Counter("core.subplan.bypassed").Inc()
+		pr.rt.st.subplanBypassed.Inc()
 	}
 }
 

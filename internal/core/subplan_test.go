@@ -312,7 +312,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 	if got := rt.Metrics().Counter("core.subplan.published").Value(); got != 0 {
 		t.Fatalf("published %d entries despite mid-flight write", got)
 	}
-	if s := rt.SubplanCacheStats(); s.Entries != 0 {
+	if s, _ := rt.SubplanCacheStats(); s.Entries != 0 {
 		t.Fatalf("cache holds %d entries after suppressed publish", s.Entries)
 	}
 }

@@ -3,70 +3,54 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// WriteText renders the registry in the Prometheus text exposition format
-// (version 0.0.4): one `# TYPE` line per metric family followed by its
-// sample. Metric names are sanitized to the [a-zA-Z0-9_] alphabet with dots
-// and other separators mapped to underscores, so the registry's hierarchical
-// names ("core.node.sort") become flat families ("core_node_sort"). Timers
-// expand into _count, _seconds_total and _seconds_max samples. Output is
-// sorted by name so scrapes are diffable.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	type sample struct {
-		name string
-		typ  string
-		text string
+// WriteHeader opens one metric family in the Prometheus text exposition
+// format (version 0.0.4): a `# HELP` line when help is non-empty, then
+// `# TYPE`. Every exposition the repository emits goes through WriteHeader
+// and WriteSample, so there is one spelling of the format.
+func WriteHeader(w io.Writer, family, typ, help string) {
+	if help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", family, help)
 	}
-	samples := make([]sample, 0, len(r.counters)+len(r.gauges)+3*len(r.timers)+5*len(r.histograms))
-	for name, c := range r.counters {
-		n := SanitizeMetricName(name)
-		samples = append(samples, sample{n, "counter", fmt.Sprintf("%s %d\n", n, c.Value())})
-	}
-	for name, g := range r.gauges {
-		n := SanitizeMetricName(name)
-		samples = append(samples, sample{n, "gauge", fmt.Sprintf("%s %g\n", n, g.Value())})
-	}
-	for name, t := range r.timers {
-		n := SanitizeMetricName(name)
-		cnt, total, _, max := t.Snapshot()
-		samples = append(samples,
-			sample{n + "_count", "counter", fmt.Sprintf("%s_count %d\n", n, cnt)},
-			sample{n + "_seconds_total", "counter", fmt.Sprintf("%s_seconds_total %g\n", n, total.Seconds())},
-			sample{n + "_seconds_max", "gauge", fmt.Sprintf("%s_seconds_max %g\n", n, max.Seconds())},
-		)
-	}
-	for name, h := range r.histograms {
-		n := SanitizeMetricName(name)
-		cnt, sum := h.Snapshot()
-		samples = append(samples,
-			sample{n + "_count", "counter", fmt.Sprintf("%s_count %d\n", n, cnt)},
-			sample{n + "_sum", "counter", fmt.Sprintf("%s_sum %g\n", n, sum)},
-			sample{n + "_p50", "gauge", fmt.Sprintf("%s_p50 %g\n", n, h.Quantile(0.50))},
-			sample{n + "_p95", "gauge", fmt.Sprintf("%s_p95 %g\n", n, h.Quantile(0.95))},
-			sample{n + "_p99", "gauge", fmt.Sprintf("%s_p99 %g\n", n, h.Quantile(0.99))},
-		)
-	}
-	r.mu.Unlock()
+	fmt.Fprintf(w, "# TYPE %s %s\n", family, typ)
+}
 
-	sort.Slice(samples, func(i, j int) bool { return samples[i].name < samples[j].name })
-	for _, s := range samples {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.name, s.typ); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, s.text); err != nil {
-			return err
-		}
+// WriteSample writes one sample of a family; labels is the rendered label
+// set without braces (`tenant="a"`), empty for an unlabelled family. value
+// is any integer or float.
+func WriteSample(w io.Writer, family, labels string, value any) {
+	if labels != "" {
+		family += "{" + labels + "}"
 	}
-	return nil
+	fmt.Fprintf(w, "%s %v\n", family, value)
+}
+
+// WriteProm renders the histogram as five families under name: _count and
+// _sum counters plus _p50/_p95/_p99 gauges, in the unit observed.
+func (h *Histogram) WriteProm(w io.Writer, name, help string) {
+	n, sum := h.Snapshot()
+	for _, f := range []struct {
+		suffix, typ string
+		value       any
+	}{
+		{"_count", "counter", n},
+		{"_p50", "gauge", h.Quantile(0.50)},
+		{"_p95", "gauge", h.Quantile(0.95)},
+		{"_p99", "gauge", h.Quantile(0.99)},
+		{"_sum", "counter", sum},
+	} {
+		WriteHeader(w, name+f.suffix, f.typ, help)
+		WriteSample(w, name+f.suffix, "", f.value)
+	}
 }
 
 // SanitizeMetricName maps an arbitrary registry name onto the exposition
 // alphabet: runs of characters outside [a-zA-Z0-9_] become single
-// underscores, and a leading digit gets an underscore prefix.
+// underscores, and a leading digit gets an underscore prefix — the
+// registry's hierarchical names ("core.subplan.hits") become flat families
+// ("core_subplan_hits").
 func SanitizeMetricName(name string) string {
 	var sb strings.Builder
 	sb.Grow(len(name) + 1)

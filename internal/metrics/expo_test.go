@@ -3,34 +3,33 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("core.nodes").Add(7)
-	r.Gauge("server.queue-depth").Set(3.5)
-	r.Timer("core.node.sort").Observe(250 * time.Millisecond)
-
 	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
+	WriteHeader(&sb, "core_nodes", "counter", "")
+	WriteSample(&sb, "core_nodes", "", int64(7))
+	WriteHeader(&sb, "tenant_requests_total", "counter", "Requests per tenant.")
+	WriteSample(&sb, "tenant_requests_total", `tenant="a"`, 3)
+	WriteSample(&sb, "server_queue_depth", "", 3.5)
+	h := NewHistogram([]float64{0.1, 0.5})
+	h.Observe(0.25)
+	h.WriteProm(&sb, "lat_seconds", "Latency.")
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE core_nodes counter\ncore_nodes 7\n",
-		"# TYPE server_queue_depth gauge\nserver_queue_depth 3.5\n",
-		"core_node_sort_count 1\n",
-		"core_node_sort_seconds_total 0.25\n",
-		"core_node_sort_seconds_max 0.25\n",
+		"# HELP tenant_requests_total Requests per tenant.\n# TYPE tenant_requests_total counter\ntenant_requests_total{tenant=\"a\"} 3\n",
+		"server_queue_depth 3.5\n",
+		"# HELP lat_seconds_p95 Latency.\n# TYPE lat_seconds_p95 gauge\nlat_seconds_p95 0.5\n",
+		"# TYPE lat_seconds_count counter\nlat_seconds_count 1\n",
+		"lat_seconds_sum 0.25\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	// Sorted output: counters for core_* precede server_*.
-	if strings.Index(out, "core_nodes") > strings.Index(out, "server_queue_depth") {
-		t.Error("exposition not sorted by name")
+	if strings.Contains(out, "# HELP core_nodes") {
+		t.Error("empty help must not render a HELP line")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics provides the runtime statistics fabric of the Polystore++
-// middleware (§IV-D-d of the paper): counters, gauges, timers and
-// fixed-boundary histograms collected by adapters, the executor and the
+// middleware (§IV-D-d of the paper): counters, gauges and one
+// fixed-boundary histogram, collected by adapters, the executor and the
 // hardware simulators, and consumed by the runtime optimizer's cost models.
 //
 // All types are safe for concurrent use.
@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter. Lock-free: executor workers
@@ -76,206 +74,113 @@ func (g *Gauge) SetMax(v float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Timer accumulates durations and exposes count/total/mean/max.
-type Timer struct {
-	mu    sync.Mutex
-	n     int64
-	total time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.mu.Lock()
-	t.n++
-	t.total += d
-	if d > t.max {
-		t.max = d
-	}
-	t.mu.Unlock()
-}
-
-// Time runs fn and records its duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
-// Snapshot returns (count, total, mean, max).
-func (t *Timer) Snapshot() (n int64, total, mean, max time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, total, max = t.n, t.total, t.max
-	if n > 0 {
-		mean = time.Duration(int64(total) / n)
-	}
-	return n, total, mean, max
-}
-
 // Histogram counts observations into fixed boundaries. Boundaries are upper
 // bounds; an observation lands in the first bucket whose bound is >= value.
-// Values beyond the last bound land in the overflow bucket.
+// Values beyond the last bound land in the overflow bucket. Observe is
+// lock-free (one atomic bucket add plus a CAS'd float sum), so the executor
+// and the request path observe without serializing on a mutex.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []int64 // len(bounds)+1, last is overflow
-	sum    float64
-	n      int64
+	bounds  []float64
+	buckets []atomic.Int64 // len(bounds)+1, last is overflow
+	sum     Gauge
 }
 
 // NewHistogram builds a histogram with the given ascending upper bounds.
-func NewHistogram(bounds []float64) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bound")
+// Empty or unsorted bounds panic — bounds are compile-time choices, not
+// request data.
+func NewHistogram(bounds []float64) *Histogram {
+	if len(bounds) == 0 || !sort.Float64sAreSorted(bounds) {
+		panic(fmt.Sprintf("metrics: histogram bounds must be non-empty and ascending, got %v", bounds))
 	}
-	if !sort.Float64sAreSorted(bounds) {
-		return nil, fmt.Errorf("metrics: histogram bounds must be ascending")
-	}
-	own := make([]float64, len(bounds))
-	copy(own, bounds)
-	return &Histogram{bounds: own, counts: make([]int64, len(bounds)+1)}, nil
+	return &Histogram{bounds: append([]float64(nil), bounds...), buckets: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.n++
-	h.sum += v
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.sum.Add(v)
 }
 
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) from the
-// bucket counts, using the bucket upper bound as the estimate.
+// Quantile returns an estimate of the q-quantile (0 <= q <= 1): the upper
+// bound of the bucket holding the target observation (the overflow bucket
+// clamps to the last bound; an empty histogram reports 0). The buckets are
+// read without stopping writers, so a quantile taken under load is
+// approximate.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
+	counts := make([]int64, len(h.buckets))
+	var n int64
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+		n += counts[i]
+	}
+	if n == 0 {
 		return 0
 	}
-	target := int64(q * float64(h.n))
-	if target >= h.n {
-		target = h.n - 1
+	target := int64(q * float64(n))
+	if target >= n {
+		target = n - 1
 	}
 	var seen int64
-	for i, c := range h.counts {
-		seen += c
-		if seen > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
+	for i, c := range counts[:len(h.bounds)] {
+		if seen += c; seen > target {
+			return h.bounds[i]
 		}
 	}
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Snapshot returns (count, sum).
+// Snapshot returns (count, sum). The count is the sum of the buckets, so it
+// always equals what Quantile ranks over.
 func (h *Histogram) Snapshot() (n int64, sum float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n, h.sum
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n, h.sum.Value()
 }
 
-// Registry is a namespace of named metrics. The zero value is not usable;
-// construct with NewRegistry.
+// Registry is a namespace of named counters and gauges, created on first
+// use. Code that bumps a metric per request resolves its handle once at
+// construction; lookups by name are for readers (experiments, tests). The
+// zero value is not usable; construct with NewRegistry.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	timers     map[string]*Timer
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
-		histograms: make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter), gauges: make(map[string]*Gauge)}
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return getOrCreate(r, r.counters, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Registry) Gauge(name string) *Gauge { return getOrCreate(r, r.gauges, name) }
+
+// Names lists every registered counter and gauge, sorted.
+func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	names := make([]string, 0, len(r.counters)+len(r.gauges))
+	for name := range r.counters {
+		names = append(names, name)
 	}
-	return g
+	for name := range r.gauges {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
+func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.timers[name]
+	v, ok := m[name]
 	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
+		v = new(T)
+		m[name] = v
 	}
-	return t
-}
-
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use. Later calls return the existing histogram regardless of
-// bounds, so callers must agree on boundaries per name. Invalid bounds
-// (empty or unsorted) panic — histogram names and bounds are compile-time
-// choices, not request data.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		var err error
-		h, err = NewHistogram(bounds)
-		if err != nil {
-			panic(err)
-		}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Dump renders all metrics sorted by name, one per line — the executor's
-// debugging report.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.timers)+len(r.histograms))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s = %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s = %g", name, g.Value()))
-	}
-	for name, t := range r.timers {
-		n, total, mean, max := t.Snapshot()
-		lines = append(lines, fmt.Sprintf("timer %s: n=%d total=%s mean=%s max=%s", name, n, total, mean, max))
-	}
-	for name, h := range r.histograms {
-		n, sum := h.Snapshot()
-		lines = append(lines, fmt.Sprintf("histogram %s: n=%d sum=%g p50=%g p95=%g p99=%g",
-			name, n, sum, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	return v
 }

@@ -3,10 +3,14 @@ package obs
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"polystorepp/internal/metrics"
 )
 
 // A nil trace must be invisible: context unchanged, every method a no-op.
@@ -169,15 +173,13 @@ func TestOpStatsWriteProm(t *testing.T) {
 	s := NewOpStats()
 	s.Observe("db1", "hash_join", Obs{Wall: time.Millisecond, RowsIn: 100, RowsOut: 30})
 	var sb strings.Builder
-	ident := func(n string) string { return strings.NewReplacer(".", "_", "-", "_").Replace(n) }
-	if err := s.WriteProm(&sb, ident); err != nil {
-		t.Fatal(err)
-	}
+	s.WriteProm(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		"core_op_db1_hash_join_count 1",
 		"core_op_db1_hash_join_rows_out_total 30",
 		"# TYPE core_op_db1_hash_join_wall_seconds_total counter",
+		"# HELP core_op_db1_hash_join_p95_us p95 latency in microseconds of hash_join on engine db1.",
 		"core_op_db1_hash_join_p95_us 1000",
 	} {
 		if !strings.Contains(out, want) {
@@ -198,15 +200,86 @@ func TestOpStatsTailQuantile(t *testing.T) {
 	}
 }
 
+// refBucketOf and refBucketQuantile are the private bucket search and
+// quantile rule OpStats carried before it moved onto metrics.Histogram,
+// kept as the reference the shared type is checked against.
+func refBucketOf(bounds []int64, v int64) int {
+	for i, b := range bounds {
+		if v <= b {
+			return i
+		}
+	}
+	return len(bounds)
+}
+
+func refBucketQuantile(bounds, counts []int64, n int64, q float64) int64 {
+	if n == 0 {
+		return 0
+	}
+	target := int64(q * float64(n))
+	if target >= n {
+		target = n - 1
+	}
+	var seen int64
+	for i, c := range counts {
+		seen += c
+		if seen > target {
+			if i < len(bounds) {
+				return bounds[i]
+			}
+			return bounds[len(bounds)-1]
+		}
+	}
+	return bounds[len(bounds)-1]
+}
+
 func TestBucketQuantileEdges(t *testing.T) {
-	if q := bucketQuantile(latBoundsUS[:], make([]int64, len(latBoundsUS)+1), 0, 0.5); q != 0 {
-		t.Fatalf("empty quantile = %d, want 0", q)
+	s := NewOpStats()
+	// An entry that exists but never observed a latency cannot be built
+	// through Observe; the empty case is the histogram's own.
+	if q := metrics.NewHistogram(latBoundsUS).Quantile(0.5); q != 0 {
+		t.Fatalf("empty quantile = %g, want 0", q)
 	}
 	// Everything in the overflow bucket clamps to the last bound.
-	counts := make([]int64, len(latBoundsUS)+1)
-	counts[len(counts)-1] = 10
-	if q := bucketQuantile(latBoundsUS[:], counts, 10, 0.99); q != latBoundsUS[len(latBoundsUS)-1] {
-		t.Fatalf("overflow quantile = %d", q)
+	for i := 0; i < 10; i++ {
+		s.Observe("e", "scan", Obs{Wall: time.Minute})
+	}
+	last := int64(latBoundsUS[len(latBoundsUS)-1])
+	if o := s.Snapshot()["e/scan"]; o.P50US != last || o.P99US != last {
+		t.Fatalf("overflow quantiles = %d/%d, want %d", o.P50US, o.P99US, last)
+	}
+	// A latency exactly on a bound belongs to that bound's bucket.
+	s.Observe("e", "edge", Obs{Wall: 25 * time.Microsecond})
+	if o := s.Snapshot()["e/edge"]; o.P50US != 25 {
+		t.Fatalf("on-bound quantile = %d, want 25", o.P50US)
+	}
+}
+
+func TestOpStatsQuantilesMatchReference(t *testing.T) {
+	bounds := make([]int64, len(latBoundsUS))
+	for i, b := range latBoundsUS {
+		bounds[i] = int64(b)
+	}
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 500; trial++ {
+		s := NewOpStats()
+		counts := make([]int64, len(bounds)+1)
+		n := int64(1 + rng.Intn(60))
+		for i := int64(0); i < n; i++ {
+			// Log-uniform over 100ns .. ~100s: sub-microsecond walls, every
+			// bucket and the overflow all occur; some land exactly on a bound.
+			wall := time.Duration(100 * math.Pow(10, rng.Float64()*9))
+			if rng.Intn(8) == 0 {
+				wall = time.Duration(bounds[rng.Intn(len(bounds))]) * time.Microsecond
+			}
+			s.Observe("e", "op", Obs{Wall: wall})
+			counts[refBucketOf(bounds, wall.Microseconds())]++
+		}
+		o := s.Snapshot()["e/op"]
+		want := [3]int64{refBucketQuantile(bounds, counts, n, 0.50), refBucketQuantile(bounds, counts, n, 0.95), refBucketQuantile(bounds, counts, n, 0.99)}
+		if got := [3]int64{o.P50US, o.P95US, o.P99US}; got != want || o.Count != n {
+			t.Fatalf("trial %d: count=%d quantiles=%v, reference n=%d %v", trial, o.Count, got, n, want)
+		}
 	}
 }
 

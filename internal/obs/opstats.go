@@ -1,39 +1,37 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"polystorepp/internal/metrics"
 )
 
-// Per-operator latency buckets: exponential upper bounds in microseconds,
-// 10µs .. 10s, chosen to straddle both cached sub-millisecond node
-// executions and multi-second scans. Observations beyond the last bound
-// land in the overflow bucket and quantiles clamp to the last bound.
-var latBoundsUS = [...]int64{
+// latBoundsUS are the per-operator latency buckets: exponential upper
+// bounds in microseconds, 10µs .. 10s, chosen to straddle both cached
+// sub-millisecond node executions and multi-second scans. Observations
+// beyond the last bound land in the overflow bucket and quantiles clamp to
+// the last bound.
+var latBoundsUS = []float64{
 	10, 25, 50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
 	100_000, 250_000, 1_000_000, 10_000_000,
 }
 
-// Per-operator output-cardinality buckets (rows, powers of ten).
-var rowBoundsOut = [...]int64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
-
-// opEntry aggregates one (engine, op-kind) pair. All fields are atomics so
-// the executor's hot path observes without taking a lock.
+// opEntry aggregates one (engine, op-kind) pair. All fields are lock-free so
+// the executor's hot path observes without taking a lock; the execution
+// count is the latency histogram's.
 type opEntry struct {
-	count     atomic.Int64
 	rowsIn    atomic.Int64
 	rowsOut   atomic.Int64
 	bytesIn   atomic.Int64
 	bytesOut  atomic.Int64
 	wallNanos atomic.Int64
-	maxParts  atomic.Int64
-	lat       [len(latBoundsUS) + 1]atomic.Int64
-	rows      [len(rowBoundsOut) + 1]atomic.Int64
+	maxParts  metrics.Gauge
+	lat       *metrics.Histogram // whole microseconds per execution
 }
 
 // Obs is one node execution's contribution to the registry.
@@ -72,39 +70,18 @@ func (s *OpStats) Observe(engine, op string, o Obs) {
 	if e == nil {
 		s.mu.Lock()
 		if e = s.m[k]; e == nil {
-			e = &opEntry{}
+			e = &opEntry{lat: metrics.NewHistogram(latBoundsUS)}
 			s.m[k] = e
 		}
 		s.mu.Unlock()
 	}
-	e.count.Add(1)
 	e.rowsIn.Add(o.RowsIn)
 	e.rowsOut.Add(o.RowsOut)
 	e.bytesIn.Add(o.BytesIn)
 	e.bytesOut.Add(o.BytesOut)
 	e.wallNanos.Add(o.Wall.Nanoseconds())
-	if p := int64(o.Parts); p > 0 {
-		for {
-			cur := e.maxParts.Load()
-			if p <= cur || e.maxParts.CompareAndSwap(cur, p) {
-				break
-			}
-		}
-	}
-	e.lat[bucketOf(latBoundsUS[:], o.Wall.Microseconds())].Add(1)
-	e.rows[bucketOf(rowBoundsOut[:], o.RowsOut)].Add(1)
-}
-
-// bucketOf returns the index of the first bound >= v (len(bounds) for
-// overflow). bounds are tiny fixed arrays, so a linear scan beats a binary
-// search here.
-func bucketOf(bounds []int64, v int64) int {
-	for i, b := range bounds {
-		if v <= b {
-			return i
-		}
-	}
-	return len(bounds)
+	e.maxParts.SetMax(float64(o.Parts))
+	e.lat.Observe(float64(o.Wall.Microseconds()))
 }
 
 // OpSnapshot is the rendered aggregate of one (engine, op-kind) pair — the
@@ -132,77 +109,37 @@ func (o OpSnapshot) MeanUS() float64 {
 	return o.WallSeconds * 1e6 / float64(o.Count)
 }
 
-// Snapshot renders every aggregate keyed "engine/op", sorted keys implied by
-// map iteration being rebuilt per call. Bucket counts are read without
-// stopping writers, so a snapshot taken under load is approximate — fine
-// for its consumers (dashboards, regression attribution).
+// Snapshot renders every aggregate keyed "engine/op". Fields are read
+// without stopping writers, so a snapshot taken under load is approximate — fine for its
+// consumers (dashboards, regression attribution).
 func (s *OpStats) Snapshot() map[string]OpSnapshot {
 	s.mu.RLock()
-	keys := make([]opKey, 0, len(s.m))
-	entries := make([]*opEntry, 0, len(s.m))
+	defer s.mu.RUnlock()
+	out := make(map[string]OpSnapshot, len(s.m))
 	for k, e := range s.m {
-		keys = append(keys, k)
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
-
-	out := make(map[string]OpSnapshot, len(keys))
-	for i, k := range keys {
-		e := entries[i]
-		var lat [len(latBoundsUS) + 1]int64
-		var n int64
-		for j := range e.lat {
-			lat[j] = e.lat[j].Load()
-			n += lat[j]
-		}
+		n, _ := e.lat.Snapshot()
 		out[k.engine+"/"+k.op] = OpSnapshot{
 			Engine:      k.engine,
 			Op:          k.op,
-			Count:       e.count.Load(),
+			Count:       n,
 			RowsIn:      e.rowsIn.Load(),
 			RowsOut:     e.rowsOut.Load(),
 			BytesIn:     e.bytesIn.Load(),
 			BytesOut:    e.bytesOut.Load(),
 			WallSeconds: float64(e.wallNanos.Load()) / 1e9,
-			P50US:       bucketQuantile(latBoundsUS[:], lat[:], n, 0.50),
-			P95US:       bucketQuantile(latBoundsUS[:], lat[:], n, 0.95),
-			P99US:       bucketQuantile(latBoundsUS[:], lat[:], n, 0.99),
-			MaxParts:    e.maxParts.Load(),
+			P50US:       int64(e.lat.Quantile(0.50)),
+			P95US:       int64(e.lat.Quantile(0.95)),
+			P99US:       int64(e.lat.Quantile(0.99)),
+			MaxParts:    int64(e.maxParts.Value()),
 		}
 	}
 	return out
 }
 
-// bucketQuantile estimates the q-quantile from bucket counts, reporting the
-// upper bound of the bucket holding the target observation (the overflow
-// bucket clamps to the last bound).
-func bucketQuantile(bounds, counts []int64, n int64, q float64) int64 {
-	if n == 0 {
-		return 0
-	}
-	target := int64(q * float64(n))
-	if target >= n {
-		target = n - 1
-	}
-	var seen int64
-	for i, c := range counts {
-		seen += c
-		if seen > target {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			return bounds[len(bounds)-1]
-		}
-	}
-	return bounds[len(bounds)-1]
-}
-
 // WriteProm renders the registry as Prometheus text families, one set per
-// (engine, op): _count, _wall_seconds_total, _rows_out_total and latency
-// quantile gauges. sanitize maps registry names onto the exposition
-// alphabet (the caller passes metrics.SanitizeMetricName; obs stays
-// dependency-free).
-func (s *OpStats) WriteProm(w io.Writer, sanitize func(string) string) error {
+// (engine, op): _count, _wall_seconds_total, _rows_out_total and the p95
+// latency gauge.
+func (s *OpStats) WriteProm(w io.Writer) {
 	snap := s.Snapshot()
 	keys := make([]string, 0, len(snap))
 	for k := range snap {
@@ -211,16 +148,19 @@ func (s *OpStats) WriteProm(w io.Writer, sanitize func(string) string) error {
 	sort.Strings(keys)
 	for _, k := range keys {
 		o := snap[k]
-		base := sanitize("core.op." + o.Engine + "." + o.Op)
-		_, err := fmt.Fprintf(w,
-			"# TYPE %[1]s_count counter\n%[1]s_count %[2]d\n"+
-				"# TYPE %[1]s_wall_seconds_total counter\n%[1]s_wall_seconds_total %[3]g\n"+
-				"# TYPE %[1]s_rows_out_total counter\n%[1]s_rows_out_total %[4]d\n"+
-				"# TYPE %[1]s_p95_us gauge\n%[1]s_p95_us %[5]d\n",
-			base, o.Count, o.WallSeconds, o.RowsOut, o.P95US)
-		if err != nil {
-			return err
+		base := metrics.SanitizeMetricName("core.op." + o.Engine + "." + o.Op)
+		of := " of " + o.Op + " on engine " + o.Engine + "."
+		for _, f := range []struct {
+			suffix, typ, help string
+			value             any
+		}{
+			{"_count", "counter", "Executions", o.Count},
+			{"_wall_seconds_total", "counter", "Summed host wall time", o.WallSeconds},
+			{"_rows_out_total", "counter", "Rows produced by executions", o.RowsOut},
+			{"_p95_us", "gauge", "p95 latency in microseconds", o.P95US},
+		} {
+			metrics.WriteHeader(w, base+f.suffix, f.typ, f.help+of)
+			metrics.WriteSample(w, base+f.suffix, "", f.value)
 		}
 	}
-	return nil
 }

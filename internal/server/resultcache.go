@@ -84,6 +84,9 @@ func resultBytes(res *core.Results) int64 {
 
 // size returns the current entry count.
 func (c *resultCache) size() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.entries.Len()
@@ -92,6 +95,9 @@ func (c *resultCache) size() int {
 // bytes returns the summed payload cost of the cached entries, and how many
 // oversized results have bypassed admission.
 func (c *resultCache) bytes() (total, bypassed int64) {
+	if c == nil {
+		return 0, 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.entries.Cost(), c.bypassed
@@ -99,6 +105,9 @@ func (c *resultCache) bytes() (total, bypassed int64) {
 
 // ownerBytes snapshots per-tenant charged bytes.
 func (c *resultCache) ownerBytes() map[string]int64 {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := make(map[string]int64, c.entries.Owners())

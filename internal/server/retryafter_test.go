@@ -63,8 +63,8 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 		err        error
 		wantStatus int
 	}{
-		{"rate-limit zero hint", &RejectError{Status: http.StatusTooManyRequests, Reason: "rate", RetryAfter: 0, msg: "over rate"}, http.StatusTooManyRequests},
-		{"breaker subsecond hint", &RejectError{Status: http.StatusServiceUnavailable, Reason: "breaker", RetryAfter: 50 * time.Millisecond, msg: "breaker open"}, http.StatusServiceUnavailable},
+		{"rate-limit zero hint", &RejectError{Status: http.StatusTooManyRequests, RetryAfter: 0, msg: "over rate"}, http.StatusTooManyRequests},
+		{"breaker subsecond hint", &RejectError{Status: http.StatusServiceUnavailable, RetryAfter: 50 * time.Millisecond, msg: "breaker open"}, http.StatusServiceUnavailable},
 		{"queue overload", &OverloadError{Depth: 0}, http.StatusTooManyRequests},
 		{"shed zero hint", &ShedError{Reason: "cold", RetryAfter: 0}, http.StatusServiceUnavailable},
 		{"leaders gone", errLeadersGone, http.StatusServiceUnavailable},
@@ -99,26 +99,42 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 	}
 }
 
-// TestIngestRateLimitRetryAfter pins the third emission site: the ingest
-// handler's own 429 (it bypasses writeQueryError) must carry Retry-After
-// >= 1 even when the token bucket's suggested wait is sub-second.
+// TestIngestRateLimitRetryAfter: /ingest charges the tenant's bucket through
+// the same rate gate as /query and answers through writeQueryError, so an
+// exhausted bucket refuses a write exactly as it refuses a query — same
+// body, same Retry-After (>= 1 even though the bucket's suggested wait is
+// sub-second, the truncation hazard), same counter deltas.
 func TestIngestRateLimitRetryAfter(t *testing.T) {
 	rt := core.NewRuntime(hw.NewHostCPU())
-	// Rate 1000 req/s, burst 1: the second request is refused with a ~1ms
-	// suggested wait — exactly the truncation hazard.
-	s := New(rt, compiler.Options{}, Config{TenantRate: 1000, TenantBurst: 1})
-	body := `{"engine":"nope"}`
-
-	first := httptest.NewRecorder()
-	s.ServeHTTP(first, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("second ingest status = %d, want 429", rec.Code)
+	// Rate 2 req/s, burst 1: for half a second after the first request every
+	// other one is refused, with a suggested wait under 500ms.
+	s := New(rt, compiler.Options{}, Config{TenantRate: 2, TenantBurst: 1})
+	post := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"engine":"nope"}`)))
+		return rec
 	}
-	ra := rec.Header().Get("Retry-After")
-	if ra == "" || ra == "0" {
-		t.Fatalf("ingest 429 Retry-After = %q, want >= 1", ra)
+	post("/ingest") // spends the only token (and fails validation: 400)
+
+	refused := map[string]*httptest.ResponseRecorder{}
+	deltas := map[string][2]int64{}
+	for _, path := range []string{"/query", "/ingest"} {
+		rate, rejected := s.st.tenantRate.Value(), s.st.rejected.Value()
+		refused[path] = post(path)
+		deltas[path] = [2]int64{s.st.tenantRate.Value() - rate, s.st.rejected.Value() - rejected}
+	}
+	q, ing := refused["/query"], refused["/ingest"]
+	if ing.Code != http.StatusTooManyRequests || q.Code != ing.Code {
+		t.Fatalf("status: /query %d, /ingest %d, want 429 on both", q.Code, ing.Code)
+	}
+	if ra := ing.Header().Get("Retry-After"); ra == "" || ra == "0" || ra != q.Header().Get("Retry-After") {
+		t.Fatalf("Retry-After: /query %q, /ingest %q, want equal and >= 1", q.Header().Get("Retry-After"), ra)
+	}
+	if q.Body.String() != ing.Body.String() || !strings.Contains(ing.Body.String(), "over its request rate") {
+		t.Fatalf("body: /query %s, /ingest %s", q.Body, ing.Body)
+	}
+	if deltas["/ingest"] != [2]int64{1, 1} || deltas["/query"] != deltas["/ingest"] {
+		t.Fatalf("(tenant_ratelimited, rejected) deltas: /query %v, /ingest %v, want 1,1 on both", deltas["/query"], deltas["/ingest"])
 	}
 }
 

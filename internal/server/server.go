@@ -22,9 +22,9 @@
 //     oversized-entry bypass.
 //   - Single-flight: identical queries in flight at the same time share one
 //     execution; only the leader holds a worker slot (singleflight.go).
-//   - Observability: /metrics exposes the runtime-statistics registry in
-//     Prometheus text format; /healthz and /stats report liveness and
-//     serving counters.
+//   - Observability: every reported number is declared once in the stat
+//     table (stats.go), which /stats renders as JSON and /metrics as
+//     Prometheus text; /healthz reports liveness.
 //
 // Endpoints:
 //
@@ -60,9 +60,7 @@ import (
 	"polystorepp/internal/feedback"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
-	"polystorepp/internal/metrics"
 	"polystorepp/internal/obs"
-	"polystorepp/internal/partition"
 	"polystorepp/internal/resilience"
 	"polystorepp/internal/tenant"
 )
@@ -231,9 +229,15 @@ type Server struct {
 	adm     *admission
 	tenants *tenantControl
 	nl      *eide.NLTranslator
-	reg     *metrics.Registry
 	mux     *http.ServeMux
 	traces  *obs.TraceLog
+	backend backend.Backend // cfg.Backend, or the in-memory one when nil
+
+	// st holds the counters and histograms the request path bumps; stats is
+	// the table that declared them and that /stats and /metrics render
+	// (stats.go).
+	st    serverStats
+	stats []stat
 
 	// draining rejects new work with 503 while in-flight requests finish
 	// (graceful shutdown); httpInflight counts requests currently inside
@@ -257,12 +261,14 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		cfg:     cfg,
 		cache:   compiler.NewPlanCache(cfg.PlanCacheSize),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
-		reg:     rt.Metrics(),
 		mux:     http.NewServeMux(),
 		traces:  obs.NewTraceLog(traceLogRecent, traceLogSlowest),
 		touches: lru.New[compiler.Touches](cfg.PlanCacheSize),
 	}
 	s.tenants = newTenantControl(cfg)
+	if s.backend = cfg.Backend; s.backend == nil {
+		s.backend = backend.NewMemory()
+	}
 	if cfg.ResultCacheSize > 0 {
 		s.results = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
 	}
@@ -280,6 +286,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	if cfg.NL.enabled() {
 		s.nl = eide.NewNLTranslator(cfg.NL.Relational, cfg.NL.Timeseries, cfg.NL.Text, cfg.NL.ML)
 	}
+	s.st, s.stats = newStatTable(s)
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/query/stream", s.handleQueryStream)
 	s.mux.HandleFunc("/ingest", s.handleIngest)
@@ -298,7 +305,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 // the drain), and it counts in-flight requests so Drain can wait for them.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() && drainRejected(r.URL.Path) {
-		s.reg.Counter("server.drain.rejected").Inc()
+		s.st.drainRejected.Inc()
 		w.Header().Set("Connection", "close")
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "%v", errDraining)
@@ -344,18 +351,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// PlanCacheStats returns (hits, misses, size) of the plan cache.
-func (s *Server) PlanCacheStats() (hits, misses int64, size int) { return s.cache.Stats() }
-
 // ResultCacheStats returns (hits, misses, size) of the result cache; all
 // zero when result caching is disabled.
 func (s *Server) ResultCacheStats() (hits, misses int64, size int) {
-	if s.results == nil {
-		return 0, 0, 0
-	}
-	return s.reg.Counter("server.resultcache.hits").Value(),
-		s.reg.Counter("server.resultcache.misses").Value(),
-		s.results.size()
+	return s.st.resultHits.Value(), s.st.resultMisses.Value(), s.results.size()
 }
 
 // QueryRequest is the POST /query body.
@@ -479,7 +478,7 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p.req); err != nil {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil
 	}
@@ -492,7 +491,7 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string
 	}
 	class, ok := tenant.ParseClass(className)
 	if !ok {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "unknown class %q (want interactive, batch or background)", className)
 		return nil
 	}
@@ -502,12 +501,12 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string
 	var err error
 	p.prog, p.nlRule, err = s.buildProgram(&p.req)
 	if err != nil {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
 	if err := s.checkEngines(p.prog.Graph()); err != nil {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
@@ -582,7 +581,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	s.reg.Counter("server.requests").Inc()
+	s.st.requests.Inc()
 	t0 := time.Now()
 
 	ten := tenant.FromHTTP(r)
@@ -615,7 +614,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.encodeResults(&p.req, out.res, out.rep)
 	if err != nil {
-		s.reg.Counter("server.exec_errors").Inc()
+		s.st.execErrors.Inc()
 		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
 		return
 	}
@@ -623,8 +622,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if p.req.Trace {
 		resp.Trace = tree
 	}
-	s.reg.Timer("server.request").Observe(time.Since(t0))
-	s.observeLatency(t0)
+	s.st.latency.Observe(time.Since(t0).Seconds())
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -637,20 +635,6 @@ func (s *Server) startTrace(p *preparedQuery) *obs.Trace {
 		return nil
 	}
 	return obs.New(p.planKey)
-}
-
-// latencyBounds are the request-latency histogram buckets (seconds), 100µs
-// to 30s — the span between a cache-served hot query and a deadline-bounded
-// straggler.
-var latencyBounds = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// observeLatency folds one served request into the latency histogram backing
-// the /stats and /metrics p50/p95/p99 families.
-func (s *Server) observeLatency(t0 time.Time) {
-	s.reg.Histogram("server.request.latency_seconds", latencyBounds).Observe(time.Since(t0).Seconds())
 }
 
 // decorateResponse fills the serving-metadata fields shared by buffered
@@ -715,11 +699,11 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 	tr := obs.From(ctx)
 	if s.results != nil {
 		if res, rep, ok := s.results.get(p.resKey); ok {
-			s.reg.Counter("server.resultcache.hits").Inc()
+			s.st.resultHits.Inc()
 			tr.Event("cache.result", "hit")
 			return queryOutcome{res: res, rep: rep, planHit: true, resultHit: true}, nil
 		}
-		s.reg.Counter("server.resultcache.misses").Inc()
+		s.st.resultMisses.Inc()
 		tr.Event("cache.result", "miss")
 	}
 	if s.flight == nil {
@@ -757,7 +741,7 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 		break
 	}
 	if shared {
-		s.reg.Counter("server.singleflight.shared").Inc()
+		s.st.flightShared.Inc()
 		tr.Annotate("single_flight", "follower")
 	} else {
 		tr.Annotate("single_flight", "leader")
@@ -788,7 +772,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	}
 	if v := s.tenants.shedder.Decide(kind, s.adm.inflight(), s.adm.capacity(),
 		s.adm.queueDepth(), s.cfg.Workers, remaining); v.Shed {
-		s.reg.Counter("server.shed." + v.Reason).Inc()
+		s.st.shed(v.Reason).Inc()
 		if p.state != nil {
 			p.state.shed.Add(1)
 		}
@@ -811,11 +795,6 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	plan, hit, err := s.cache.GetOrCompileKeyed(p.planKey, p.prog.Graph(), p.opts)
 	if err != nil {
 		return nil, nil, false, err
-	}
-	if hit {
-		s.reg.Counter("server.plancache.hits").Inc()
-	} else {
-		s.reg.Counter("server.plancache.misses").Inc()
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
@@ -869,13 +848,15 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 	case errors.As(err, &reject):
 		// Pre-execution refusal: per-tenant rate limit (429) or open circuit
 		// breaker (503), each carrying its own honest backoff.
-		s.reg.Counter("server.tenant." + reject.Reason).Inc()
 		if reject.Status == http.StatusTooManyRequests {
-			s.reg.Counter("server.rejected").Inc()
+			s.st.tenantRate.Inc()
+			s.st.rejected.Inc()
+		} else {
+			s.st.tenantBreaker.Inc()
 		}
 		return reject.Status, reject.msg, ceilSecond(reject.RetryAfter)
 	case errors.Is(err, ErrOverloaded):
-		s.reg.Counter("server.rejected").Inc()
+		s.st.rejected.Inc()
 		// The typed error carries the queue depth at rejection time; convert
 		// it to an honest drain estimate instead of a hard-coded hint.
 		retry := time.Second
@@ -884,7 +865,7 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 		}
 		return http.StatusTooManyRequests, err.Error(), retry
 	case errors.Is(err, errShed):
-		s.reg.Counter("server.rejected").Inc()
+		s.st.rejected.Inc()
 		retry := time.Second
 		var se *ShedError
 		if errors.As(err, &se) && se.RetryAfter > 0 {
@@ -892,13 +873,13 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 		}
 		return http.StatusServiceUnavailable, err.Error(), retry
 	case errors.Is(err, compiler.ErrCompile):
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		return http.StatusBadRequest, fmt.Sprintf("compile: %v", err), 0
 	case errors.Is(err, errLeadersGone):
-		s.reg.Counter("server.exec_errors").Inc()
+		s.st.execErrors.Inc()
 		return http.StatusServiceUnavailable, err.Error(), time.Second
 	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.Counter("server.deadline").Inc()
+		s.st.deadline.Inc()
 		return http.StatusGatewayTimeout, fmt.Sprintf("deadline exceeded after %s", timeout), 0
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status code is never seen.
@@ -908,7 +889,7 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 		// (writeStreamError counts the abort).
 		return 499, err.Error(), 0
 	default:
-		s.reg.Counter("server.exec_errors").Inc()
+		s.st.execErrors.Inc()
 		return http.StatusInternalServerError, fmt.Sprintf("execute: %v", err), 0
 	}
 }
@@ -1120,17 +1101,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Writes share the tenant's token bucket with queries (one entitlement
-	// per tenant, not one per endpoint) but skip the breaker: ingest failures
-	// are validation errors, not worker-budget burn.
-	ten := tenant.FromHTTP(r)
-	ts := s.tenants.state(ten)
-	ts.requests.Add(1)
-	if ok, retry := ts.bucket.Allow(time.Now()); !ok {
-		ts.ratelimited.Add(1)
-		s.reg.Counter("server.tenant.rate").Inc()
-		s.reg.Counter("server.rejected").Inc()
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(ceilSecond(retry)/time.Second), 10))
-		writeError(w, http.StatusTooManyRequests, "tenant %q over its request rate", ten)
+	// per tenant, not one per endpoint) and answer an exhausted one exactly
+	// like /query does.
+	if err := s.tenants.admitRate(s.tenants.state(tenant.FromHTTP(r)), time.Now()); err != nil {
+		s.writeQueryError(w, err, 0)
 		return
 	}
 
@@ -1138,17 +1112,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Engine == "" {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "ingest needs an engine")
 		return
 	}
 	if !s.rt.HasEngine(req.Engine) {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "unknown engine %q (registered: %v)", req.Engine, s.rt.Engines())
 		return
 	}
@@ -1158,11 +1132,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Key: req.Key, Data: []byte(req.Data),
 	})
 	if err != nil {
-		s.reg.Counter("server.bad_request").Inc()
+		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "ingest: %v", err)
 		return
 	}
-	s.reg.Counter("server.ingests").Inc()
+	s.st.ingests.Inc()
 	writeJSON(w, http.StatusOK, IngestResponse{OK: true, DataVersion: s.rt.DataVersion()})
 }
 
@@ -1180,223 +1154,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleMetrics renders the stat table, the storage backend block, the
+// per-(engine, op) aggregates and the per-tenant rows as Prometheus text.
+// Every family is present from boot: nothing here creates a metric.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Sync point-in-time values into the registry so one exposition carries
-	// everything: serving gauges plus the runtime's own statistics.
-	_, _, size := s.cache.Stats()
-	s.reg.Gauge("server.plancache.size").Set(float64(size))
-	if s.results != nil {
-		s.reg.Gauge("server.resultcache.size").Set(float64(s.results.size()))
-		bytes, bypassed := s.results.bytes()
-		s.reg.Gauge("server.resultcache.bytes").Set(float64(bytes))
-		s.reg.Gauge("server.resultcache.bypassed").Set(float64(bypassed))
-	}
-	if sp := s.rt.SubplanCacheStats(); sp.Enabled {
-		s.reg.Gauge("core.subplan.entries").Set(float64(sp.Entries))
-		s.reg.Gauge("core.subplan.bytes").Set(float64(sp.Bytes))
-		s.reg.Gauge("core.subplan.evictions").Set(float64(sp.Evictions))
-	}
-	if fb := s.rt.FeedbackStats(); fb.Enabled {
-		s.reg.Gauge("core.feedback.samples").Set(float64(fb.Samples))
-		s.reg.Gauge("core.feedback.keys").Set(float64(fb.Keys))
-		s.reg.Gauge("core.feedback.evictions").Set(float64(fb.Evictions))
-		s.reg.Gauge("core.feedback.epoch").Set(float64(fb.Epoch))
-	}
-	s.reg.Gauge("server.inflight").Set(float64(s.adm.inflight()))
-	s.reg.Gauge("server.queued").Set(float64(s.adm.queueDepth()))
-	s.reg.Gauge("server.tenants").Set(float64(s.tenants.registry.Len()))
-	s.reg.Gauge("server.data_version").Set(float64(s.rt.DataVersion()))
-	s.reg.Counter("relational.indexscan_fallback") // rendered from 0, not from its first bump
-	if s.cfg.Backend != nil {
-		bs := s.cfg.Backend.Stats()
-		s.reg.Gauge("backend.volatile_engines").Set(float64(len(bs.Volatile(s.rt.Engines()))))
-		s.reg.Gauge("backend.wal.appends").Set(float64(bs.WALAppends))
-		s.reg.Gauge("backend.wal.bytes").Set(float64(bs.WALBytes))
-		s.reg.Gauge("backend.wal.fsyncs").Set(float64(bs.WALFsyncs))
-		s.reg.Gauge("backend.wal.errors").Set(float64(bs.WALErrors))
-		s.reg.Gauge("backend.wal.segment_bytes").Set(float64(bs.WALSegmentBytes))
-		s.reg.Gauge("backend.replay.records").Set(float64(bs.ReplayRecords))
-		s.reg.Gauge("backend.replay.skipped").Set(float64(bs.ReplaySkipped))
-		s.reg.Gauge("backend.replay.bytes").Set(float64(bs.ReplayBytes))
-		s.reg.Gauge("backend.replay.truncated").Set(float64(bs.ReplayTruncated))
-		s.reg.Gauge("backend.replay.snapshot").Set(float64(bs.ReplaySnapshot))
-		s.reg.Gauge("backend.snapshot.writes").Set(float64(bs.SnapshotWrites))
-		s.reg.Gauge("backend.snapshot.last_bytes").Set(float64(bs.SnapshotLastBytes))
-	}
-	if ewma := s.tenants.shedder.ServiceEWMA(); ewma > 0 {
-		s.reg.Gauge("server.shed.service_ewma_seconds").Set(ewma.Seconds())
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.reg.WriteText(w); err != nil {
-		return
-	}
-	_ = s.rt.OpStats().WriteProm(w, metrics.SanitizeMetricName)
-	// Per-tenant families (tenant_*, breaker_*) carry manual labels from the
-	// bounded tenant registry — the label-free metrics registry never learns
-	// tenant names, so hostile identity floods cannot grow it.
+	writeProm(w, s.stats, []promRow{{defs: s.stats}})
+	bk := s.backendStats()
+	writeProm(w, bk, []promRow{{defs: bk}})
+	s.rt.OpStats().WriteProm(w)
 	s.tenants.writeProm(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.cache.Stats()
-	pSpawned, pInlined := partition.Shared().Stats()
-	_, _, traceTotal := s.traces.Snapshot()
-	resultSize := 0
-	var resultBytes, resultBypassed int64
-	if s.results != nil {
-		resultSize = s.results.size()
-		resultBytes, resultBypassed = s.results.bytes()
-	}
-	spStats := s.rt.SubplanCacheStats()
-	fbStats := s.rt.FeedbackStats()
-	resultOwners := map[string]int64{}
-	if s.results != nil {
-		resultOwners = s.results.ownerBytes()
-	}
-	subplanOwners := s.rt.SubplanOwnerBytes()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"requests":        s.reg.Counter("server.requests").Value(),
-		"rejected":        s.reg.Counter("server.rejected").Value(),
-		"bad_requests":    s.reg.Counter("server.bad_request").Value(),
-		"exec_errors":     s.reg.Counter("server.exec_errors").Value(),
-		"deadline_errors": s.reg.Counter("server.deadline").Value(),
-		"plan_cache_hits": hits,
-		"plan_cache_miss": misses,
-		"plan_cache_size": size,
-		// Result cache + single-flight (the serving accelerations of PR 2).
-		"result_cache_enabled":  s.results != nil,
-		"result_cache_hits":     s.reg.Counter("server.resultcache.hits").Value(),
-		"result_cache_miss":     s.reg.Counter("server.resultcache.misses").Value(),
-		"result_cache_size":     resultSize,
-		"result_cache_bytes":    resultBytes,
-		"result_cache_bypassed": resultBypassed,
-		"result_cache_max_bytes": func() int64 {
-			if s.results == nil {
-				return 0
-			}
-			return s.cfg.ResultCacheBytes
-		}(),
-		"ingests": s.reg.Counter("server.ingests").Value(),
-		// Subplan cache: memoized intermediates shared across near-identical
-		// plans, plus subtree-level single-flight (this PR's tier between the
-		// plan cache and the result cache).
-		"subplan_cache_enabled":     spStats.Enabled,
-		"subplan_cache_entries":     spStats.Entries,
-		"subplan_cache_bytes":       spStats.Bytes,
-		"subplan_cache_max_bytes":   spStats.MaxBytes,
-		"subplan_cache_evictions":   spStats.Evictions,
-		"subplan_cache_hits":        s.reg.Counter("core.subplan.hits").Value(),
-		"subplan_cache_miss":        s.reg.Counter("core.subplan.misses").Value(),
-		"subplan_cache_published":   s.reg.Counter("core.subplan.published").Value(),
-		"subplan_cache_bypassed":    s.reg.Counter("core.subplan.bypassed").Value(),
-		"subplan_cache_stale_skips": s.reg.Counter("core.subplan.stale_skips").Value(),
-		"subplan_nodes_served":      s.reg.Counter("core.subplan.nodes_served").Value(),
-		"subplan_bytes_served":      s.reg.Counter("core.subplan.bytes_served").Value(),
-		"subplan_plans_probed":      s.reg.Counter("core.subplan.plans_probed").Value(),
-		"subplan_plans_reused":      s.reg.Counter("core.subplan.plans_reused").Value(),
-		"subplan_flight_waits":      s.reg.Counter("core.subplan.flight_waits").Value(),
-		// Streaming path (POST /query/stream).
-		"stream_requests":      s.reg.Counter("server.stream.requests").Value(),
-		"stream_rows":          s.reg.Counter("server.stream.rows").Value(),
-		"stream_batches":       s.reg.Counter("server.stream.batches").Value(),
-		"stream_errors_inband": s.reg.Counter("server.stream.errors_inband").Value(),
-		"single_flight":        s.flight != nil,
-		"single_flight_shared": s.reg.Counter("server.singleflight.shared").Value(),
-		"data_version":         s.rt.DataVersion(),
-		// Executor concurrency: how plans were scheduled and the widest
-		// observed node parallelism inside one plan.
-		"executor_concurrent_plans": s.reg.Counter("core.exec.concurrent").Value(),
-		"executor_sequential_plans": s.reg.Counter("core.exec.sequential").Value(),
-		"executor_max_parallel":     s.reg.Gauge("core.exec.max_parallel").Value(),
-		"inflight":                  s.adm.inflight(),
-		"queued":                    s.adm.queueDepth(),
-		"workers":                   s.cfg.Workers,
-		"queue_depth":               max(0, s.cfg.QueueDepth),
-		// Multi-tenant resilience: per-tenant quotas, weighted-fair admission,
-		// circuit breakers and load shedding (this PR's layer).
-		"draining":           s.draining.Load(),
-		"tenant_count":       s.tenants.registry.Len(),
-		"tenant_ratelimited": s.reg.Counter("server.tenant.rate").Value(),
-		"tenant_shed_stream": s.reg.Counter("server.shed.stream").Value(),
-		"tenant_shed_cold":   s.reg.Counter("server.shed.cold").Value(),
-		"tenant_shed_deadline": s.reg.Counter(
-			"server.shed.deadline").Value(),
-		"breaker_rejects": s.reg.Counter("server.tenant.breaker").Value(),
-		"drain_rejected":  s.reg.Counter("server.drain.rejected").Value(),
-		"tenants":         s.tenants.snapshot(resultOwners, subplanOwners),
-		"engines":         s.rt.Engines(),
-		"default_level":   s.opts.Level,
-		"default_accel":   s.opts.Accel,
-		"default_timeout": s.cfg.DefaultTimeout.String(),
-		// Per-operator runtime statistics (the obs.OpStats registry) and the
-		// serving-latency quantiles — the observability surfaces PR 6 added.
-		"op_stats":           s.rt.OpStats().Snapshot(),
-		"request_latency_us": s.latencyQuantilesUS("server.request.latency_seconds"),
-		"stream_ttfr_us":     s.latencyQuantilesUS("server.stream.ttfr_seconds"),
-		"partition_spawned":  pSpawned,
-		"partition_inlined":  pInlined,
-		// Index scans the compiler asked for on a column the engine has no
-		// B-tree on, executed as sequential scans instead.
-		"relational_indexscan_fallback": s.reg.Counter("relational.indexscan_fallback").Value(),
-		"traces_recorded":               traceTotal,
-		// Adaptive feedback loop: runtime statistics closing the loop into
-		// partition sizing and engine placement (this PR's layer).
-		"feedback_enabled":          fbStats.Enabled,
-		"feedback_samples":          fbStats.Samples,
-		"feedback_keys":             fbStats.Keys,
-		"feedback_evictions":        fbStats.Evictions,
-		"feedback_epoch":            fbStats.Epoch,
-		"feedback_plans_influenced": s.reg.Counter("core.feedback.plans_influenced").Value(),
-		"feedback_fanout_overrides": s.reg.Counter("core.feedback.fanout_overrides").Value(),
-		"feedback_blended_costs":    s.reg.Counter("core.feedback.blended_costs").Value(),
-		// Storage backend durability (WAL + snapshots, this PR's layer).
-		"backend": s.backendStats(),
-	})
-}
-
-// backendStats renders the storage backend's durability counters for /stats.
-// The in-memory default reports itself with Durable false so dashboards can
-// key off one shape either way.
-func (s *Server) backendStats() map[string]any {
-	b := s.cfg.Backend
-	if b == nil {
-		b = backend.NewMemory()
-	}
-	bs := b.Stats()
-	return map[string]any{
-		"kind":                bs.Kind,
-		"durable":             bs.Durable,
-		"sync_policy":         bs.SyncPolicy,
-		"capabilities":        bs.Capabilities,
-		"stores":              append([]string{}, bs.Stores...), // what a restart keeps
-		"volatile_engines":    bs.Volatile(s.rt.Engines()),      // what it loses
-		"wal_appends":         bs.WALAppends,
-		"wal_bytes":           bs.WALBytes,
-		"wal_fsyncs":          bs.WALFsyncs,
-		"wal_errors":          bs.WALErrors,
-		"wal_segment_bytes":   bs.WALSegmentBytes,
-		"replay_records":      bs.ReplayRecords,
-		"replay_skipped":      bs.ReplaySkipped,
-		"replay_bytes":        bs.ReplayBytes,
-		"replay_truncated":    bs.ReplayTruncated,
-		"replay_snapshot":     bs.ReplaySnapshot,
-		"snapshot_writes":     bs.SnapshotWrites,
-		"snapshot_last_bytes": bs.SnapshotLastBytes,
-		"snapshot_trigger":    bs.SnapshotTrigger,
-	}
-}
-
-// latencyQuantilesUS renders a latency histogram's p50/p95/p99 in
-// microseconds for /stats (and polybench -loadgen).
-func (s *Server) latencyQuantilesUS(name string) map[string]float64 {
-	h := s.reg.Histogram(name, latencyBounds)
-	n, _ := h.Snapshot()
-	return map[string]float64{
-		"count": float64(n),
-		"p50":   h.Quantile(0.50) * 1e6,
-		"p95":   h.Quantile(0.95) * 1e6,
-		"p99":   h.Quantile(0.99) * 1e6,
-	}
+	writeJSON(w, http.StatusOK, statsJSON(s.stats))
 }
 
 // ListenAndServe runs the server on addr until ctx is canceled, then drains

@@ -336,7 +336,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"server_requests 1",
 		"server_plancache_misses 1",
 		"core_nodes",
-		"server_request_count",
+		"server_request_latency_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

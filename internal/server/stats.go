@@ -1,0 +1,278 @@
+// The stat table. Every number the server reports is declared here once —
+// its /stats key, its registry name (the /metrics family once sanitized),
+// its kind and its help text — next to the handle the request path bumps or
+// the getter that reads a value another component owns. /stats (JSON),
+// /metrics (Prometheus text) and the generated block of docs/operations.md
+// are three renderers over these declarations; none of them names a stat.
+package server
+
+import (
+	"io"
+
+	"polystorepp/internal/feedback"
+	"polystorepp/internal/metrics"
+	"polystorepp/internal/partition"
+	"polystorepp/internal/subplan"
+)
+
+// A stat's kind is its /metrics TYPE; info declarations (configuration, a
+// flag, a list or a nested block) appear on /stats only.
+const (
+	kindCounter   = "counter"   // monotonic count
+	kindGauge     = "gauge"     // point-in-time number
+	kindHistogram = "histogram" // latency distribution, observed in seconds
+	kindInfo      = "info"
+)
+
+// stat is one declaration. An empty key keeps it off /stats, an empty name
+// off /metrics.
+type stat struct {
+	key, name string
+	kind      string
+	help      string
+	get       func() any         // current value, in its /stats JSON type
+	hist      *metrics.Histogram // kindHistogram only
+}
+
+// statsJSON renders the declarations that carry a /stats key.
+func statsJSON(defs []stat) map[string]any {
+	out := make(map[string]any, len(defs))
+	for _, d := range defs {
+		if d.key != "" {
+			out[d.key] = d.get()
+		}
+	}
+	return out
+}
+
+// promRow is one labelled source of a block: the block's declarations bound
+// to it, contributing one sample per family.
+type promRow struct {
+	labels string // rendered label set, "" for an unlabelled block
+	defs   []stat
+}
+
+// writeProm renders the declarations that carry a family name: schema names
+// the families, each row adds its sample. An unlabelled block is its own
+// single row.
+func writeProm(w io.Writer, schema []stat, rows []promRow) {
+	for i, d := range schema {
+		if d.name == "" {
+			continue
+		}
+		family := metrics.SanitizeMetricName(d.name)
+		if d.kind == kindHistogram {
+			d.hist.WriteProm(w, family, d.help)
+			continue
+		}
+		metrics.WriteHeader(w, family, d.kind, d.help)
+		for _, row := range rows {
+			metrics.WriteSample(w, family, row.labels, row.defs[i].get())
+		}
+	}
+}
+
+// val binds an already-read value as a declaration's getter.
+func val(v any) func() any { return func() any { return v } }
+
+// latencyBounds are the request-latency histogram buckets (seconds), 100µs
+// to 30s — the span between a cache-served hot query and a deadline-bounded
+// straggler.
+var latencyBounds = []float64{
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
+}
+
+// quantilesUS is a latency histogram's /stats rendering: count and
+// p50/p95/p99 in microseconds (polybench -loadgen and bench/ read it).
+func quantilesUS(h *metrics.Histogram) map[string]float64 {
+	n, _ := h.Snapshot()
+	return map[string]float64{
+		"count": float64(n),
+		"p50":   h.Quantile(0.50) * 1e6,
+		"p95":   h.Quantile(0.95) * 1e6,
+		"p99":   h.Quantile(0.99) * 1e6,
+	}
+}
+
+// serverStats are the handles the request path bumps, handed out by the
+// declarations in newStatTable.
+type serverStats struct {
+	requests, rejected, badRequest, execErrors, deadline, ingests *metrics.Counter
+	resultHits, resultMisses, flightShared                        *metrics.Counter
+	streamRequests, streamRows, streamBatches                     *metrics.Counter
+	streamErrorsInband, streamAborted                             *metrics.Counter
+	tenantRate, tenantBreaker, drainRejected                      *metrics.Counter
+	shedStream, shedCold, shedDeadline                            *metrics.Counter
+	latency, ttfr                                                 *metrics.Histogram
+}
+
+// shed returns the counter of one resilience.Verdict reason.
+func (st *serverStats) shed(reason string) *metrics.Counter {
+	switch reason {
+	case "stream":
+		return st.shedStream
+	case "deadline":
+		return st.shedDeadline
+	}
+	return st.shedCold
+}
+
+// newStatTable declares every top-level stat of s. Called once from New,
+// after every component the getters read has been built.
+func newStatTable(s *Server) (st serverStats, defs []stat) {
+	reg := s.rt.Metrics()
+	add := func(key, name, kind, help string, get func() any) {
+		defs = append(defs, stat{key: key, name: name, kind: kind, help: help, get: get})
+	}
+	// counter declares a registry counter and returns its handle: the
+	// server's own bump sites keep it; for counters the runtime bumps, the
+	// registry name resolves to the handle core holds.
+	counter := func(key, name, help string) *metrics.Counter {
+		c := reg.Counter(name)
+		add(key, name, kindCounter, help, func() any { return c.Value() })
+		return c
+	}
+	histogram := func(key, name, help string) *metrics.Histogram {
+		h := metrics.NewHistogram(latencyBounds)
+		defs = append(defs, stat{key: key, name: name, kind: kindHistogram, help: help, get: func() any { return quantilesUS(h) }, hist: h})
+		return h
+	}
+
+	// Requests and their outcomes.
+	st.requests = counter("requests", "server.requests", "Requests received on /query and /query/stream.")
+	st.rejected = counter("rejected", "server.rejected", "Requests refused with 429 or 503: rate limit, queue overflow or shedding.")
+	st.badRequest = counter("bad_requests", "server.bad_request", "Requests answered 400: malformed body, unknown engine, compile or ingest validation error.")
+	st.execErrors = counter("exec_errors", "server.exec_errors", "Requests that failed during execution or encoding (500, or 503 when every shared leader was canceled).")
+	st.deadline = counter("deadline_errors", "server.deadline", "Requests that outlived their deadline (504).")
+	st.ingests = counter("ingests", "server.ingests", "Writes acknowledged on /ingest.")
+	st.latency = histogram("request_latency_us", "server.request.latency_seconds", "Latency of served queries, buffered and streamed (seconds on /metrics, microseconds on /stats).")
+	add("inflight", "server.inflight", kindGauge, "Executions holding a worker slot.", func() any { return s.adm.inflight() })
+	add("queued", "server.queued", kindGauge, "Requests waiting for a worker slot.", func() any { return s.adm.queueDepth() })
+	add("workers", "", kindInfo, "Configured worker slots.", val(s.cfg.Workers))
+	add("queue_depth", "", kindInfo, "Configured admission queue bound.", val(max(0, s.cfg.QueueDepth)))
+	add("data_version", "server.data_version", kindGauge, "Sum of every store's mutation counter.", func() any { return s.rt.DataVersion() })
+	add("engines", "", kindInfo, "Registered engine instances.", func() any { return s.rt.Engines() })
+	add("default_level", "", kindInfo, "Default compiler optimization level.", val(s.opts.Level))
+	add("default_accel", "", kindInfo, "Whether plans may target accelerators by default.", val(s.opts.Accel))
+	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
+
+	// Plan cache, result cache, single-flight.
+	add("plan_cache_hits", "server.plancache.hits", kindCounter, "Compiled plans served from the plan cache.", func() any { h, _, _ := s.cache.Stats(); return h })
+	add("plan_cache_miss", "server.plancache.misses", kindCounter, "Plans compiled because the plan cache missed.", func() any { _, m, _ := s.cache.Stats(); return m })
+	add("plan_cache_size", "server.plancache.size", kindGauge, "Compiled plans cached.", func() any { _, _, n := s.cache.Stats(); return n })
+	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
+	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
+	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
+	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.size() })
+	add("result_cache_bytes", "server.resultcache.bytes", kindGauge, "Payload bytes of the cached results.", func() any { b, _ := s.results.bytes(); return b })
+	add("result_cache_bypassed", "server.resultcache.bypassed", kindGauge, "Results too large for the byte budget, served uncached.", func() any { _, b := s.results.bytes(); return b })
+	maxBytes := int64(0)
+	if s.results != nil {
+		maxBytes = s.cfg.ResultCacheBytes
+	}
+	add("result_cache_max_bytes", "", kindInfo, "Result-cache byte budget (0 when disabled).", val(maxBytes))
+	add("single_flight", "", kindInfo, "Whether identical in-flight queries share one execution.", val(s.flight != nil))
+	st.flightShared = counter("single_flight_shared", "server.singleflight.shared", "Requests that shared another request's in-flight execution.")
+
+	// Subplan cache (values owned by the runtime).
+	sp := func() subplan.Stats { st, _ := s.rt.SubplanCacheStats(); return st }
+	add("subplan_cache_enabled", "", kindInfo, "Whether materialized intermediates are cached.", func() any { _, on := s.rt.SubplanCacheStats(); return on })
+	add("subplan_cache_entries", "core.subplan.entries", kindGauge, "Intermediates cached.", func() any { return sp().Entries })
+	add("subplan_cache_bytes", "core.subplan.bytes", kindGauge, "Bytes of the cached intermediates.", func() any { return sp().Bytes })
+	add("subplan_cache_max_bytes", "", kindInfo, "Subplan-cache byte budget.", func() any { return sp().MaxBytes })
+	add("subplan_cache_evictions", "core.subplan.evictions", kindGauge, "Intermediates evicted for space.", func() any { return sp().Evictions })
+	counter("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache.")
+	counter("subplan_cache_miss", "core.subplan.misses", "Subtree probes that missed.")
+	counter("subplan_cache_published", "core.subplan.published", "Executed subtrees memoized.")
+	counter("subplan_cache_bypassed", "core.subplan.bypassed", "Executed subtrees refused by the cache (oversized or over the tenant share).")
+	counter("subplan_cache_stale_skips", "core.subplan.stale_skips", "Publications dropped because a touched store moved during execution.")
+	counter("subplan_nodes_served", "core.subplan.nodes_served", "Plan nodes replayed from cached subtrees instead of executing.")
+	counter("subplan_bytes_served", "core.subplan.bytes_served", "Bytes of cached intermediates handed to plans.")
+	counter("subplan_plans_probed", "core.subplan.plans_probed", "Plans that probed the subplan cache.")
+	counter("subplan_plans_reused", "core.subplan.plans_reused", "Plans that reused at least one cached subtree.")
+	counter("subplan_flight_waits", "core.subplan.flight_waits", "Waits on another execution producing the same subtree.")
+
+	// Streaming path.
+	st.streamRequests = counter("stream_requests", "server.stream.requests", "Requests received on /query/stream.")
+	st.streamRows = counter("stream_rows", "server.stream.rows", "Rows written to streaming responses.")
+	st.streamBatches = counter("stream_batches", "server.stream.batches", "Batch records written to streaming responses.")
+	st.streamErrorsInband = counter("stream_errors_inband", "server.stream.errors_inband", "Streams that failed after the first byte and ended with an in-band error record.")
+	st.streamAborted = counter("", "server.stream.aborted", "Streams abandoned because the client stopped reading.")
+	st.ttfr = histogram("stream_ttfr_us", "server.stream.ttfr_seconds", "Time to the first streamed record (seconds on /metrics, microseconds on /stats).")
+
+	// Executor.
+	counter("executor_concurrent_plans", "core.exec.concurrent", "Plans run by the concurrent DAG scheduler.")
+	counter("executor_sequential_plans", "core.exec.sequential", "Plans run one node at a time.")
+	counter("", "core.exec.streamed", "Plans executed with a streaming sink.")
+	maxPar := reg.Gauge("core.exec.max_parallel")
+	add("executor_max_parallel", "core.exec.max_parallel", kindGauge, "Widest node parallelism observed inside one plan.", func() any { return maxPar.Value() })
+	counter("", "core.nodes", "Plan nodes executed.")
+	counter("", "core.migrations", "Cross-engine migrations executed.")
+	counter("", "core.rule_nodes", "Rule-engine nodes evaluated inside adapters.")
+	for _, d := range s.rt.Accelerators() {
+		counter("", "core.offloads."+d, "Kernel calls offloaded to accelerator "+d+".")
+	}
+	counter("relational_indexscan_fallback", "relational.indexscan_fallback", "Index scans on a column without an index, executed as sequential scans.")
+	add("partition_spawned", "", kindCounter, "Partition tasks run on a pool goroutine.", func() any { n, _ := partition.Shared().Stats(); return n })
+	add("partition_inlined", "", kindCounter, "Partition tasks run inline on the caller.", func() any { _, n := partition.Shared().Stats(); return n })
+	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates; on /metrics as `core_op_<engine>_<op>_*`.", func() any { return s.rt.OpStats().Snapshot() })
+	add("traces_recorded", "", kindCounter, "Request traces kept by the flight recorder.", func() any { _, _, n := s.traces.Snapshot(); return n })
+
+	// Tenancy, shedding, drain.
+	add("draining", "", kindInfo, "Whether the server is refusing new work for shutdown.", func() any { return s.draining.Load() })
+	add("tenant_count", "server.tenants", kindGauge, "Live tenant records.", func() any { return s.tenants.registry.Len() })
+	st.tenantRate = counter("tenant_ratelimited", "server.tenant.rate", "Requests refused by a tenant's token bucket (429).")
+	st.tenantBreaker = counter("breaker_rejects", "server.tenant.breaker", "Requests refused by an open tenant circuit breaker (503).")
+	st.shedStream = counter("tenant_shed_stream", "server.shed.stream", "Streaming executions shed under overload.")
+	st.shedCold = counter("tenant_shed_cold", "server.shed.cold", "Cold executions shed under overload.")
+	st.shedDeadline = counter("tenant_shed_deadline", "server.shed.deadline", "Executions shed because the queue wait would outlive their deadline.")
+	add("", "server.shed.service_ewma_seconds", kindGauge, "The shedder's service-time estimate (0 before the first execution).", func() any { return s.tenants.shedder.ServiceEWMA().Seconds() })
+	st.drainRejected = counter("drain_rejected", "server.drain.rejected", "Requests refused with 503 while draining.")
+	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any { return s.tenants.statsJSON(s.results.ownerBytes(), s.rt.SubplanOwnerBytes()) })
+
+	// Adaptive feedback loop (values owned by the runtime).
+	fb := func() feedback.Stats { st, _ := s.rt.FeedbackStats(); return st }
+	add("feedback_enabled", "", kindInfo, "Whether the adaptive feedback loop is on.", func() any { _, on := s.rt.FeedbackStats(); return on })
+	add("feedback_samples", "core.feedback.samples", kindGauge, "Node executions folded into the feedback store.", func() any { return fb().Samples })
+	add("feedback_keys", "core.feedback.keys", kindGauge, "(engine, op, subtree) keys tracked.", func() any { return fb().Keys })
+	add("feedback_evictions", "core.feedback.evictions", kindGauge, "Feedback keys evicted for space.", func() any { return fb().Evictions })
+	add("feedback_epoch", "core.feedback.epoch", kindGauge, "Feedback decay epoch.", func() any { return fb().Epoch })
+	counter("feedback_plans_influenced", "core.feedback.plans_influenced", "Plans that ran with at least one adaptive fan-out override.")
+	counter("feedback_fanout_overrides", "core.feedback.fanout_overrides", "Pinned partition fan-outs capped from observed cardinality.")
+	counter("feedback_blended_costs", "core.feedback.blended_costs", "Placement decisions that blended observed wall time into the host estimate.")
+
+	add("backend", "", kindInfo, "Storage backend block (fields below).", func() any { return statsJSON(s.backendStats()) })
+	return st, defs
+}
+
+// backendStats declares the storage backend block over one Stats snapshot:
+// the "backend" object on /stats and the backend_* families on /metrics.
+// Deployments without a backend report the in-memory one, so dashboards key
+// off one shape either way.
+func (s *Server) backendStats() []stat {
+	bs := s.backend.Stats()
+	volatile := bs.Volatile(s.rt.Engines())
+	return []stat{
+		{key: "kind", kind: kindInfo, help: "Backend kind: memory or wal.", get: val(bs.Kind)},
+		{key: "durable", kind: kindInfo, help: "Whether acknowledged writes survive a restart.", get: val(bs.Durable)},
+		{key: "sync_policy", kind: kindInfo, help: "WAL fsync policy: group, interval or off.", get: val(bs.SyncPolicy)},
+		{key: "capabilities", kind: kindInfo, help: "Capabilities the backend offers.", get: val(bs.Capabilities)},
+		{key: "stores", kind: kindInfo, help: "Attached stores: what a restart keeps.", get: val(append([]string{}, bs.Stores...))},
+		{key: "volatile_engines", kind: kindInfo, help: "Registered engines that are not attached stores: what a restart loses.", get: val(volatile)},
+		{name: "backend.volatile_engines", kind: kindGauge, help: "Number of registered engines whose state a restart loses.", get: val(len(volatile))},
+		{key: "wal_appends", name: "backend.wal.appends", kind: kindGauge, help: "Records journaled.", get: val(bs.WALAppends)},
+		{key: "wal_bytes", name: "backend.wal.bytes", kind: kindGauge, help: "Framed bytes appended to the log.", get: val(bs.WALBytes)},
+		{key: "wal_fsyncs", name: "backend.wal.fsyncs", kind: kindGauge, help: "fsync calls issued.", get: val(bs.WALFsyncs)},
+		{key: "wal_errors", name: "backend.wal.errors", kind: kindGauge, help: "Write or fsync failures (sticky: the barrier refuses to acknowledge after one).", get: val(bs.WALErrors)},
+		{key: "wal_segment_bytes", name: "backend.wal.segment_bytes", kind: kindGauge, help: "Bytes in the active segment (the snapshot trigger's input).", get: val(bs.WALSegmentBytes)},
+		{key: "replay_records", name: "backend.replay.records", kind: kindGauge, help: "Records applied by the last recovery.", get: val(bs.ReplayRecords)},
+		{key: "replay_skipped", name: "backend.replay.skipped", kind: kindGauge, help: "Records the last recovery skipped (covered by the snapshot, or unroutable).", get: val(bs.ReplaySkipped)},
+		{key: "replay_bytes", name: "backend.replay.bytes", kind: kindGauge, help: "Payload bytes read by the last recovery.", get: val(bs.ReplayBytes)},
+		{key: "replay_truncated", name: "backend.replay.truncated", kind: kindGauge, help: "1 when the last recovery cut a torn tail.", get: val(bs.ReplayTruncated)},
+		{key: "replay_snapshot", name: "backend.replay.snapshot", kind: kindGauge, help: "1 when the last recovery loaded a snapshot.", get: val(bs.ReplaySnapshot)},
+		{key: "snapshot_writes", name: "backend.snapshot.writes", kind: kindGauge, help: "Snapshots written since open.", get: val(bs.SnapshotWrites)},
+		{key: "snapshot_last_bytes", name: "backend.snapshot.last_bytes", kind: kindGauge, help: "Size of the most recent snapshot.", get: val(bs.SnapshotLastBytes)},
+		{key: "snapshot_trigger", kind: kindInfo, help: "Log size that forces a snapshot.", get: val(bs.SnapshotTrigger)},
+	}
+}

@@ -38,7 +38,6 @@ import (
 	"polystorepp/internal/cast"
 	"polystorepp/internal/core"
 	"polystorepp/internal/ir"
-	"polystorepp/internal/metrics"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/tenant"
 )
@@ -89,7 +88,7 @@ type streamErrorRecord struct {
 type ndjsonStream struct {
 	w       http.ResponseWriter
 	fl      http.Flusher // nil when the transport cannot flush
-	reg     *metrics.Registry
+	stats   *serverStats
 	t0      time.Time
 	maxRows int
 
@@ -97,9 +96,9 @@ type ndjsonStream struct {
 	sent    int  // rows emitted so far
 }
 
-func newNDJSONStream(w http.ResponseWriter, maxRows int, reg *metrics.Registry, t0 time.Time) *ndjsonStream {
+func newNDJSONStream(w http.ResponseWriter, maxRows int, st *serverStats, t0 time.Time) *ndjsonStream {
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{w: w, fl: fl, reg: reg, t0: t0, maxRows: maxRows}
+	return &ndjsonStream{w: w, fl: fl, stats: st, t0: t0, maxRows: maxRows}
 }
 
 // streamWriteGrace is how long past the execution deadline a streaming
@@ -119,9 +118,7 @@ func (st *ndjsonStream) writeRecord(v any) error {
 	if !st.started {
 		st.started = true
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
-		ttfr := time.Since(st.t0)
-		st.reg.Timer("server.stream.first_byte").Observe(ttfr)
-		st.reg.Histogram("server.stream.ttfr_seconds", latencyBounds).Observe(ttfr.Seconds())
+		st.stats.ttfr.Observe(time.Since(st.t0).Seconds())
 	}
 	enc := json.NewEncoder(st.w)
 	if err := enc.Encode(v); err != nil {
@@ -168,8 +165,8 @@ func (st *ndjsonStream) EmitBatch(_ ir.NodeID, b *cast.Batch) error {
 		return err
 	}
 	st.sent += n
-	st.reg.Counter("server.stream.rows").Add(int64(n))
-	st.reg.Counter("server.stream.batches").Inc()
+	st.stats.streamRows.Add(int64(n))
+	st.stats.streamBatches.Inc()
 	return nil
 }
 
@@ -212,8 +209,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	s.reg.Counter("server.requests").Inc()
-	s.reg.Counter("server.stream.requests").Inc()
+	s.st.requests.Inc()
+	s.st.streamRequests.Inc()
 	t0 := time.Now()
 
 	ten := tenant.FromHTTP(r)
@@ -244,7 +241,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	tr.Annotate("class", p.class.String())
 	ctx = obs.With(ctx, tr)
 
-	stream := newNDJSONStream(w, s.effectiveMaxRows(&p.req), s.reg, t0)
+	stream := newNDJSONStream(w, s.effectiveMaxRows(&p.req), &s.st, t0)
 	out, err := s.runQuery(ctx, p, stream)
 	s.tenants.finish(ts, err, time.Since(t0), time.Now())
 	tree := tr.Finish()
@@ -258,25 +255,23 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// the outcome arrived materialized; replay it through the stream.
 		if err := stream.replay(out.res); err != nil && err != errReplayDone {
 			// Client write failure mid-replay: nothing sane left to send.
-			s.reg.Counter("server.stream.aborted").Inc()
+			s.st.streamAborted.Inc()
 			return
 		}
 	}
 	if p.req.Trace && tree != nil {
 		if err := stream.writeRecord(streamTraceRecord{Type: "trace", Trace: tree}); err != nil {
-			s.reg.Counter("server.stream.aborted").Inc()
+			s.st.streamAborted.Inc()
 			return
 		}
 	}
 	resp, _ := s.summarize(&p.req, out.res, out.rep)
 	s.decorateResponse(resp, p, out)
 	if err := stream.writeRecord(streamSummaryRecord{Type: "summary", QueryResponse: resp}); err != nil {
-		s.reg.Counter("server.stream.aborted").Inc()
+		s.st.streamAborted.Inc()
 		return
 	}
-	s.reg.Timer("server.request").Observe(time.Since(t0))
-	s.reg.Timer("server.stream.request").Observe(time.Since(t0))
-	s.observeLatency(t0)
+	s.st.latency.Observe(time.Since(t0).Seconds())
 }
 
 // writeStreamError reports a streaming failure: with nothing flushed yet the
@@ -297,12 +292,12 @@ func (s *Server) writeStreamError(w http.ResponseWriter, stream *ndjsonStream, e
 		// as "in-band" would report query failures that never happened. The
 		// server-imposed deadline (DeadlineExceeded) is different: that
 		// client is alive and owed the trailing 504 record.
-		s.reg.Counter("server.stream.aborted").Inc()
+		s.st.streamAborted.Inc()
 		return
 	}
 	if werr := stream.writeRecord(streamErrorRecord{Type: "error", Error: msg, Status: status}); werr != nil {
-		s.reg.Counter("server.stream.aborted").Inc()
+		s.st.streamAborted.Inc()
 		return
 	}
-	s.reg.Counter("server.stream.errors_inband").Inc()
+	s.st.streamErrorsInband.Inc()
 }

@@ -126,7 +126,7 @@ func TestStreamSingleFlightFollowerReplay(t *testing.T) {
 	if got != rows {
 		t.Fatalf("follower replay carried %d rows, want %d", got, rows)
 	}
-	if shared := s.reg.Counter("server.singleflight.shared").Value(); shared == 0 {
+	if shared := s.st.flightShared.Value(); shared == 0 {
 		t.Fatal("no single-flight share recorded — the follower ran its own execution")
 	}
 }

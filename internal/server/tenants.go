@@ -70,27 +70,36 @@ func newTenantControl(cfg Config) *tenantControl {
 // state returns (building if first seen) the tenant's record.
 func (tc *tenantControl) state(id string) *tenantState { return tc.registry.Get(id) }
 
-// admit runs the pre-execution gates for one request: the tenant's token
-// bucket, then its circuit breaker. A nil error admits; otherwise the
-// returned error is a *RejectError carrying the wire status and Retry-After.
+// admit runs the pre-execution gates for one query: the tenant's rate gate,
+// then its circuit breaker. A nil error admits; otherwise the returned error
+// is a *RejectError carrying the wire status and Retry-After.
 func (tc *tenantControl) admit(ts *tenantState, now time.Time) error {
-	ts.requests.Add(1)
-	if ok, retry := ts.bucket.Allow(now); !ok {
-		ts.ratelimited.Add(1)
-		return &RejectError{
-			Status:     429,
-			Reason:     "rate",
-			RetryAfter: retry,
-			msg:        fmt.Sprintf("tenant %q over its request rate", ts.id),
-		}
+	if err := tc.admitRate(ts, now); err != nil {
+		return err
 	}
 	if ok, retry := ts.breaker.Allow(now); !ok {
 		ts.breakerRejects.Add(1)
 		return &RejectError{
 			Status:     503,
-			Reason:     "breaker",
 			RetryAfter: retry,
 			msg:        fmt.Sprintf("tenant %q circuit breaker open", ts.id),
+		}
+	}
+	return nil
+}
+
+// admitRate counts the request and charges the tenant's token bucket — the
+// one entitlement queries and writes share. /ingest stops here: ingest
+// failures are validation errors, not worker-budget burn, so writes skip
+// the breaker.
+func (tc *tenantControl) admitRate(ts *tenantState, now time.Time) error {
+	ts.requests.Add(1)
+	if ok, retry := ts.bucket.Allow(now); !ok {
+		ts.ratelimited.Add(1)
+		return &RejectError{
+			Status:     429,
+			RetryAfter: retry,
+			msg:        fmt.Sprintf("tenant %q over its request rate", ts.id),
 		}
 	}
 	return nil
@@ -148,7 +157,6 @@ func isTenantFailure(err error) bool {
 // request was never admitted, and the client owes a backoff of RetryAfter.
 type RejectError struct {
 	Status     int // 429 (rate) or 503 (breaker)
-	Reason     string
 	RetryAfter time.Duration
 	msg        string
 }
@@ -176,76 +184,49 @@ func (e *ShedError) Is(target error) bool { return target == errShed }
 // errDraining rejects new work while the server drains for shutdown.
 var errDraining = errors.New("server: draining for shutdown")
 
-// tenantSnapshot is one tenant's row in /stats.
-type tenantSnapshot struct {
-	Requests       int64   `json:"requests"`
-	RateLimited    int64   `json:"ratelimited"`
-	Shed           int64   `json:"shed"`
-	BreakerRejects int64   `json:"breaker_rejects"`
-	BreakerState   string  `json:"breaker_state"`
-	BreakerOpens   int64   `json:"breaker_opens"`
-	Failures       int64   `json:"failures"`
-	MeanLatencyUS  float64 `json:"mean_latency_us"`
-	ResultBytes    int64   `json:"result_cache_bytes"`
-	SubplanBytes   int64   `json:"subplan_cache_bytes"`
+// tenantDefs declares one tenant's row — the fields of its /stats "tenants"
+// entry and its samples in the per-tenant /metrics families — bound to the
+// tenant's counters and its charges in the two byte-bounded caches.
+func tenantDefs(ts *tenantState, resultBytes, subplanBytes int64) []stat {
+	mean := 0.0
+	if served := ts.served.Load(); served > 0 {
+		mean = float64(ts.latencyUS.Load()) / float64(served)
+	}
+	state := ts.breaker.State()
+	return []stat{
+		{key: "requests", name: "tenant_requests_total", kind: kindCounter, help: "Requests received per tenant.", get: val(ts.requests.Load())},
+		{key: "ratelimited", name: "tenant_ratelimited_total", kind: kindCounter, help: "Requests rejected by per-tenant token buckets.", get: val(ts.ratelimited.Load())},
+		{key: "shed", name: "tenant_shed_total", kind: kindCounter, help: "Requests dropped by the load shedder per tenant.", get: val(ts.shed.Load())},
+		{key: "failures", name: "tenant_failures_total", kind: kindCounter, help: "Executed requests that errored or timed out per tenant.", get: val(ts.failures.Load())},
+		{key: "breaker_rejects", name: "breaker_rejects_total", kind: kindCounter, help: "Requests rejected by open circuit breakers per tenant.", get: val(ts.breakerRejects.Load())},
+		{key: "breaker_opens", name: "breaker_opens_total", kind: kindCounter, help: "Circuit breaker trips per tenant.", get: val(ts.breaker.Opens())},
+		{key: "breaker_state", kind: kindInfo, help: "Circuit breaker position: closed, open or half-open.", get: val(state.String())},
+		{name: "breaker_state", kind: kindGauge, help: "Circuit breaker position per tenant (0=closed 1=open 2=half-open).", get: val(int(state))},
+		{key: "mean_latency_us", kind: kindGauge, help: "Mean wall time of the tenant's completed requests.", get: val(mean)},
+		{key: "result_cache_bytes", kind: kindGauge, help: "Result-cache bytes charged to the tenant.", get: val(resultBytes)},
+		{key: "subplan_cache_bytes", kind: kindGauge, help: "Subplan-cache bytes charged to the tenant.", get: val(subplanBytes)},
+	}
 }
 
-// snapshot renders every live tenant's counters, folding in per-tenant
-// cache charges from the two byte-bounded caches.
-func (tc *tenantControl) snapshot(resultBytes, subplanBytes map[string]int64) map[string]tenantSnapshot {
-	out := make(map[string]tenantSnapshot)
+// statsJSON renders every live tenant's row for /stats, folding in
+// per-tenant cache charges from the two byte-bounded caches.
+func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) map[string]any {
+	out := make(map[string]any)
 	tc.registry.Each(func(id string, ts *tenantState) {
-		snap := tenantSnapshot{
-			Requests:       ts.requests.Load(),
-			RateLimited:    ts.ratelimited.Load(),
-			Shed:           ts.shed.Load(),
-			BreakerRejects: ts.breakerRejects.Load(),
-			BreakerState:   ts.breaker.State().String(),
-			BreakerOpens:   ts.breaker.Opens(),
-			Failures:       ts.failures.Load(),
-			ResultBytes:    resultBytes[id],
-			SubplanBytes:   subplanBytes[id],
-		}
-		if served := ts.served.Load(); served > 0 {
-			snap.MeanLatencyUS = float64(ts.latencyUS.Load()) / float64(served)
-		}
-		out[id] = snap
+		out[id] = statsJSON(tenantDefs(ts, resultBytes[id], subplanBytes[id]))
 	})
 	return out
 }
 
-// writeProm emits the per-tenant metric families in Prometheus text format
-// with manual tenant labels (the metrics registry is label-free; emitting
-// from the bounded registry snapshot keeps cardinality bounded too).
+// writeProm emits the per-tenant families with manual tenant labels, sorted
+// by tenant. The metrics registry is label-free and never learns tenant
+// names; emitting from the bounded tenant registry keeps cardinality bounded
+// under hostile identity floods.
 func (tc *tenantControl) writeProm(w io.Writer) {
-	type row struct {
-		id string
-		ts *tenantState
-	}
-	var rows []row
-	tc.registry.Each(func(id string, ts *tenantState) { rows = append(rows, row{id, ts}) })
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-
-	emit := func(name, help string, value func(*tenantState) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, r.id, value(r.ts))
-		}
-	}
-	emit("tenant_requests_total", "Requests received per tenant.",
-		func(ts *tenantState) int64 { return ts.requests.Load() })
-	emit("tenant_ratelimited_total", "Requests rejected by per-tenant token buckets.",
-		func(ts *tenantState) int64 { return ts.ratelimited.Load() })
-	emit("tenant_shed_total", "Requests dropped by the load shedder per tenant.",
-		func(ts *tenantState) int64 { return ts.shed.Load() })
-	emit("tenant_failures_total", "Executed requests that errored or timed out per tenant.",
-		func(ts *tenantState) int64 { return ts.failures.Load() })
-	emit("breaker_rejects_total", "Requests rejected by open circuit breakers per tenant.",
-		func(ts *tenantState) int64 { return ts.breakerRejects.Load() })
-	emit("breaker_opens_total", "Circuit breaker trips per tenant.",
-		func(ts *tenantState) int64 { return ts.breaker.Opens() })
-	fmt.Fprintf(w, "# HELP breaker_state Circuit breaker position per tenant (0=closed 1=open 2=half-open).\n# TYPE breaker_state gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "breaker_state{tenant=%q} %d\n", r.id, int(r.ts.breaker.State()))
-	}
+	var rows []promRow
+	tc.registry.Each(func(id string, ts *tenantState) {
+		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", id), defs: tenantDefs(ts, 0, 0)})
+	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
+	writeProm(w, tenantDefs(&tenantState{}, 0, 0), rows)
 }
