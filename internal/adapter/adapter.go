@@ -165,61 +165,49 @@ type ScopedVersioner interface {
 	ScopedVersion(resources []string) uint64
 }
 
-// batchSource adapts an in-memory batch to a relational.Operator so native
-// Volcano operators can run over migrated intermediate results.
-type batchSource struct {
+// memSource adapts an in-memory batch to a relational.Operator so native
+// Volcano operators can run over migrated intermediate results. It offers
+// both deliveries and the operator above picks: Bulk surrenders the whole
+// batch at once, so the operator can partition it and fan out; Next yields
+// StreamChunkRows row views, which an operator with Stream set pulls instead
+// so a terminal filter, project or hash-join probe emits per-chunk results
+// as they are produced. Results are identical either way (the
+// partition-equivalence guarantee); only the delivery granularity changes.
+type memSource struct {
 	b   *cast.Batch
 	pos int
 }
 
-func (s *batchSource) Schema() cast.Schema             { return s.b.Schema() }
-func (s *batchSource) Open(context.Context) error      { s.pos = 0; return nil }
-func (s *batchSource) Close() error                    { return nil }
-func (s *batchSource) Stats() relational.OpStats       { return relational.OpStats{Kind: "Mem"} }
-func (s *batchSource) Children() []relational.Operator { return nil }
-func (s *batchSource) Next(context.Context) (*cast.Batch, error) {
-	if s.pos > 0 {
-		return nil, nil
-	}
-	s.pos = 1
-	return s.b, nil
-}
+func (s *memSource) Schema() cast.Schema             { return s.b.Schema() }
+func (s *memSource) Open(context.Context) error      { s.pos = 0; return nil }
+func (s *memSource) Close() error                    { return nil }
+func (s *memSource) Stats() relational.OpStats       { return relational.OpStats{Kind: "Mem"} }
+func (s *memSource) Children() []relational.Operator { return nil }
 
-// Bulk implements relational.BulkSource so the native operators above a
-// migrated intermediate result can partition it and fan out.
-func (s *batchSource) Bulk(ctx context.Context) (*cast.Batch, error) { return s.Next(ctx) }
-
-var _ relational.BulkSource = (*batchSource)(nil)
-
-// chunkedSource adapts an in-memory batch to a relational.Operator that
-// yields StreamChunkRows row views per Next instead of the whole batch at
-// once. It deliberately does NOT implement BulkSource: operators above it
-// stay on their streaming path, so a terminal Filter/Project/HashJoin probe
-// emits per-chunk results as they are produced — the streaming execution
-// source. Results are identical to the bulk path (the partition-equivalence
-// guarantee), only the delivery granularity changes.
-type chunkedSource struct {
-	b   *cast.Batch
-	pos int
-}
-
-func (s *chunkedSource) Schema() cast.Schema             { return s.b.Schema() }
-func (s *chunkedSource) Open(context.Context) error      { s.pos = 0; return nil }
-func (s *chunkedSource) Close() error                    { return nil }
-func (s *chunkedSource) Stats() relational.OpStats       { return relational.OpStats{Kind: "Mem"} }
-func (s *chunkedSource) Children() []relational.Operator { return nil }
-func (s *chunkedSource) Next(context.Context) (*cast.Batch, error) {
-	if s.pos >= s.b.Rows() {
-		return nil, nil
-	}
+// Next implements relational.Operator: the next StreamChunkRows rows.
+func (s *memSource) Next(context.Context) (*cast.Batch, error) {
 	hi := s.pos + StreamChunkRows
 	if hi > s.b.Rows() {
 		hi = s.b.Rows()
 	}
-	view, err := s.b.ViewRange(s.pos, hi)
-	if err != nil {
-		return nil, err
-	}
-	s.pos = hi
-	return view, nil
+	return s.take(hi)
 }
+
+// Bulk implements relational.BulkSource: everything not yet yielded.
+func (s *memSource) Bulk(context.Context) (*cast.Batch, error) { return s.take(s.b.Rows()) }
+
+// take yields rows [pos, hi) and advances; nil once exhausted. The untouched
+// batch is handed over itself, not as a view.
+func (s *memSource) take(hi int) (*cast.Batch, error) {
+	lo := s.pos
+	s.pos = hi
+	switch {
+	case lo >= hi:
+		return nil, nil
+	case lo == 0 && hi == s.b.Rows():
+		return s.b, nil
+	}
+	return s.b.ViewRange(lo, hi)
+}
+
+var _ relational.BulkSource = (*memSource)(nil)

@@ -638,7 +638,8 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 	case ir.OpFilter, ir.OpProject:
 		// The ML engine hosts a general-purpose runtime (the Python/Spark
 		// role of Figure 5), so plain dataflow operators run here too.
-		return execTabular(ctx, n, inputs)
+		out, err := execTabular(ctx, n, inputs, 0, nil, &info)
+		return Value{Batch: out}, info, err
 	case ir.OpTrain:
 		in, err := tabular(inputs, 0)
 		if err != nil {
@@ -843,49 +844,46 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// execTabular executes engine-agnostic Filter/Project nodes over a tabular
-// input — used by adapters whose engines host general-purpose runtimes.
-func execTabular(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+// execTabular runs an engine-agnostic Filter or Project node over its
+// tabular input with the native Volcano operator: the relational adapter's
+// rule for both kinds, and what adapters whose engines host general-purpose
+// runtimes run too. parts pins the partition fan-out (0 sizes it from the
+// input); a non-nil emit receives the output chunk by chunk as it is
+// produced, which never fans out. It fills every info field but Parts.
+func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, emit BatchSink, info *ExecInfo) (*cast.Batch, error) {
 	in, err := tabular(inputs, 0)
 	if err != nil {
-		return Value{}, info, err
+		return nil, err
 	}
+	var op relational.Operator
+	class := hw.KFilter
 	switch n.Kind {
 	case ir.OpFilter:
 		pred, ok := n.Attr("pred").(relational.Expr)
 		if !ok {
-			return Value{}, info, fmt.Errorf("%w: filter without pred", ErrBadNode)
+			return nil, fmt.Errorf("%w: filter without pred", ErrBadNode)
 		}
-		op := relational.NewFilter(&batchSource{b: in}, pred)
-		out, err := relational.Run(ctx, op)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Native = "Filter" + pred.String()
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		f := relational.NewFilter(&memSource{b: in}, pred)
+		f.Parts, f.Stream = parts, emit != nil
+		op, info.Native = f, "Filter"+pred.String()
 	case ir.OpProject:
 		items, ok := n.Attr("items").([]relational.ProjItem)
 		if !ok {
-			return Value{}, info, fmt.Errorf("%w: project without items", ErrBadNode)
+			return nil, fmt.Errorf("%w: project without items", ErrBadNode)
 		}
-		op, err := relational.NewProject(&batchSource{b: in}, items)
+		p, err := relational.NewProject(&memSource{b: in}, items)
 		if err != nil {
-			return Value{}, info, err
+			return nil, err
 		}
-		out, err := relational.Run(ctx, op)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Native = "Project"
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		p.Parts, p.Stream = parts, emit != nil
+		op, class, info.Native = p, hw.KProject, "Project"
 	default:
-		return Value{}, info, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)
+		return nil, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)
 	}
+	out, err := relational.RunEmit(ctx, op, emit)
+	if err != nil {
+		return nil, err
+	}
+	info.unary(class, in, out)
+	return out, nil
 }

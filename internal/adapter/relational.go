@@ -64,93 +64,73 @@ func (a *Relational) Ingest(_ context.Context, w Ingest) error {
 	return t.Insert(vals...)
 }
 
-// Execute implements Adapter.
+// Execute implements Adapter: exec with no sink.
 func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
+	return a.exec(ctx, n, inputs, nil)
+}
+
+// ExecuteStream implements StreamExecutor: terminal relational operators
+// emit result batches as they are produced. Filter, project and the probe
+// side of a hash join run their Volcano operators chunk by chunk, so every
+// per-chunk output batch goes out the moment it exists, and SQL streams the
+// root operator's batches. Kinds that materialize regardless (scans, sort,
+// group-by, merge join, limit) emit their result in StreamChunkRows views.
+func (a *Relational) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
+	return a.exec(ctx, n, inputs, emit)
+}
+
+// exec is the one implementation behind Execute and ExecuteStream: the rule
+// table from IR op kinds to native operators. emit only changes delivery —
+// the Value and the ExecInfo are those of the buffered execution, except
+// Parts, which reports the fan-out the chosen delivery really used.
+func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
+	var out *cast.Batch
+	// delivered is set by the kinds whose operator pushed its own batches
+	// through emit; every other kind has its result chunked out below.
+	delivered := false
+	parts := partition.CapParts(ctx, int(n.IntAttr("parts")))
 	switch n.Kind {
-	case ir.OpScan:
+	case ir.OpScan, ir.OpIndexScan:
 		table := n.StringAttr("table")
 		t, err := a.engine.Store().Table(table)
 		if err != nil {
 			return Value{}, info, err
 		}
-		out := t.Snapshot()
+		if n.Kind == ir.OpScan {
+			out = t.Snapshot()
+			info.Native = "SeqScan(" + table + ")"
+		} else {
+			col := n.StringAttr("col")
+			info.Native = fmt.Sprintf("IndexScan(%s.%s)", table, col)
+			out, err = relational.Run(ctx, relational.NewIndexScan(t, col, n.IntAttr("lo"), n.IntAttr("hi")))
+			if errors.Is(err, relational.ErrNoIndex) {
+				// L2 chose an index the engine doesn't have: hand on the heap
+				// snapshot exactly as OpScan does (the residual filter still
+				// applies), and say so.
+				out, err = t.Snapshot(), nil
+				info.Native = fmt.Sprintf("SeqScan(%s) [no index on %s]", table, col)
+				info.NoIndex = true
+			}
+			if err != nil {
+				return Value{}, info, err
+			}
+		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = "SeqScan(" + table + ")"
 		// Scans stream from storage; charge a project-shaped pass.
 		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(out.Rows()), Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
 
-	case ir.OpIndexScan:
-		table := n.StringAttr("table")
-		t, err := a.engine.Store().Table(table)
-		if err != nil {
+	case ir.OpFilter, ir.OpProject:
+		var err error
+		if out, err = execTabular(ctx, n, inputs, parts, emit, &info); err != nil {
 			return Value{}, info, err
 		}
-		col := n.StringAttr("col")
-		info.Native = fmt.Sprintf("IndexScan(%s.%s)", table, col)
-		out, err := relational.Run(ctx, relational.NewIndexScan(t, col, n.IntAttr("lo"), n.IntAttr("hi")))
-		if errors.Is(err, relational.ErrNoIndex) {
-			// L2 chose an index the engine doesn't have: hand on the heap
-			// snapshot exactly as OpScan does (the residual filter still
-			// applies), and say so.
-			out, err = t.Snapshot(), nil
-			info.Native = fmt.Sprintf("SeqScan(%s) [no index on %s]", table, col)
-			info.NoIndex = true
+		delivered = true
+		// Chunk-by-chunk delivery never fans out; over the whole input the
+		// operator partitions.
+		if emit == nil {
+			info.Parts = partition.Effective(int(info.RowsIn), parts)
 		}
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(out.Rows()), Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpFilter:
-		in, err := tabular(inputs, 0)
-		if err != nil {
-			return Value{}, info, err
-		}
-		pred, ok := n.Attr("pred").(relational.Expr)
-		if !ok {
-			return Value{}, info, fmt.Errorf("%w: filter without pred", ErrBadNode)
-		}
-		op := relational.NewFilter(&batchSource{b: in}, pred)
-		op.Parts = partition.CapParts(ctx, int(n.IntAttr("parts")))
-		out, err := relational.Run(ctx, op)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Parts = partition.Effective(in.Rows(), op.Parts)
-		info.Native = "Filter" + pred.String()
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpProject:
-		in, err := tabular(inputs, 0)
-		if err != nil {
-			return Value{}, info, err
-		}
-		items, ok := n.Attr("items").([]relational.ProjItem)
-		if !ok {
-			return Value{}, info, fmt.Errorf("%w: project without items", ErrBadNode)
-		}
-		op, err := relational.NewProject(&batchSource{b: in}, items)
-		if err != nil {
-			return Value{}, info, err
-		}
-		op.Parts = partition.CapParts(ctx, int(n.IntAttr("parts")))
-		out, err := relational.Run(ctx, op)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Parts = partition.Effective(in.Rows(), op.Parts)
-		info.Native = "Project"
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
 
 	case ir.OpHashJoin, ir.OpMergeJoin:
 		left, err := tabular(inputs, 0)
@@ -166,33 +146,36 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if !right.Schema().Has(base(rc)) && right.Schema().Has(base(lc)) {
 			lc, rc = rc, lc
 		}
-		var (
-			out *cast.Batch
-		)
 		if n.Kind == ir.OpHashJoin {
-			op, err := relational.NewHashJoin(&batchSource{b: left}, &batchSource{b: right}, lc, rc)
+			// The build side drains in full (and fans out under the parts knob)
+			// either way; only probe delivery streams per chunk.
+			op, err := relational.NewHashJoin(&memSource{b: left}, &memSource{b: right}, lc, rc)
 			if err != nil {
 				return Value{}, info, err
 			}
-			op.Parts = partition.CapParts(ctx, int(n.IntAttr("parts")))
-			out, err = relational.Run(ctx, op)
-			if err != nil {
+			op.Parts, op.Stream = parts, emit != nil
+			if out, err = relational.RunEmit(ctx, op, emit); err != nil {
 				return Value{}, info, err
 			}
-			// The probe side drives the fan-out (build uses the same knob).
-			info.Parts = partition.Effective(left.Rows(), op.Parts)
+			delivered = true
+			// The probe side drives the buffered fan-out; a streamed probe goes
+			// chunk by chunk, so the fan-out reported is the build side's.
+			fanned := left
+			if emit != nil {
+				fanned = right
+			}
+			info.Parts = partition.Effective(fanned.Rows(), parts)
 			info.Kernels = []KernelCall{
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
 			}
 			info.Native = fmt.Sprintf("HashJoin(%s=%s)", lc, rc)
 		} else {
-			op, err := relational.NewMergeJoin(&batchSource{b: left}, &batchSource{b: right}, lc, rc)
+			op, err := relational.NewMergeJoin(&memSource{b: left}, &memSource{b: right}, lc, rc)
 			if err != nil {
 				return Value{}, info, err
 			}
-			out, err = relational.Run(ctx, op)
-			if err != nil {
+			if out, err = relational.Run(ctx, op); err != nil {
 				return Value{}, info, err
 			}
 			info.Kernels = []KernelCall{
@@ -204,7 +187,6 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		}
 		info.RowsIn = int64(left.Rows() + right.Rows())
 		info.RowsOut = int64(out.Rows())
-		return Value{Batch: out}, info, nil
 
 	case ir.OpSort:
 		in, err := tabular(inputs, 0)
@@ -219,15 +201,11 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		for _, o := range order {
 			keys = append(keys, cast.SortKey{Col: base(o.Col), Desc: o.Desc})
 		}
-		out, err := in.SortBy(keys...)
-		if err != nil {
+		if out, err = in.SortBy(keys...); err != nil {
 			return Value{}, info, err
 		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
 		info.Native = "Sort"
-		info.Kernels = []KernelCall{{Class: hw.KSort, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		info.unary(hw.KSort, in, out)
 
 	case ir.OpGroupBy:
 		in, err := tabular(inputs, 0)
@@ -239,21 +217,17 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if !ok {
 			return Value{}, info, fmt.Errorf("%w: group-by without aggs", ErrBadNode)
 		}
-		op, err := relational.NewGroupBy(&batchSource{b: in}, groupCols, aggs)
+		op, err := relational.NewGroupBy(&memSource{b: in}, groupCols, aggs)
 		if err != nil {
 			return Value{}, info, err
 		}
-		op.Parts = partition.CapParts(ctx, int(n.IntAttr("parts")))
-		out, err := relational.Run(ctx, op)
-		if err != nil {
+		op.Parts = parts
+		if out, err = relational.Run(ctx, op); err != nil {
 			return Value{}, info, err
 		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Parts = partition.Effective(in.Rows(), op.Parts)
+		info.Parts = partition.Effective(in.Rows(), parts)
 		info.Native = "GroupBy"
-		info.Kernels = []KernelCall{{Class: hw.KHashBuild, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		info.unary(hw.KHashBuild, in, out)
 
 	case ir.OpLimit:
 		in, err := tabular(inputs, 0)
@@ -264,172 +238,48 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if nLimit > in.Rows() {
 			nLimit = in.Rows()
 		}
-		out, err := in.ViewRange(0, nLimit)
-		if err != nil {
+		if out, err = in.ViewRange(0, nLimit); err != nil {
 			return Value{}, info, err
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
 		info.Native = fmt.Sprintf("Limit(%d)", nLimit)
-		return Value{Batch: out}, info, nil
-
-	case ir.OpSQL:
-		sql := n.StringAttr("sql")
-		out, stats, err := a.engine.Query(ctx, sql)
-		if err != nil {
-			return Value{}, info, err
-		}
-		var rowsIn int64
-		for _, st := range stats {
-			rowsIn += st.RowsIn
-		}
-		info.RowsIn = rowsIn
-		info.RowsOut = int64(out.Rows())
-		info.Native = sql
-		info.RuleNodes = int64(len(stats))
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: rowsIn, Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	default:
-		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)
-	}
-}
-
-// ExecuteStream implements StreamExecutor: terminal relational operators
-// emit result batches as they are produced. Scans emit StreamChunkRows
-// views of the snapshot, filter/project/hash-join run their Volcano
-// operators over a chunked source so every per-chunk output batch goes out
-// the moment it exists, and SQL streams the root operator's batches. Kinds
-// that materialize regardless (sort, group-by, merge join, limit, index
-// scan) execute buffered and emit the result chunked — same wire shape,
-// same Value/ExecInfo as Execute in every case.
-func (a *Relational) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
-	switch n.Kind {
-	case ir.OpScan:
-		table := n.StringAttr("table")
-		t, err := a.engine.Store().Table(table)
-		if err != nil {
-			return Value{}, info, err
-		}
-		out := t.Snapshot()
-		if err := EmitChunked(ctx, emit, out); err != nil {
-			return Value{}, info, err
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = "SeqScan(" + table + ")"
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(out.Rows()), Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpFilter:
-		in, err := tabular(inputs, 0)
-		if err != nil {
-			return Value{}, info, err
-		}
-		pred, ok := n.Attr("pred").(relational.Expr)
-		if !ok {
-			return Value{}, info, fmt.Errorf("%w: filter without pred", ErrBadNode)
-		}
-		op := relational.NewFilter(&chunkedSource{b: in}, pred)
-		out, err := relational.RunEmit(ctx, op, emit)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Native = "Filter" + pred.String()
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpProject:
-		in, err := tabular(inputs, 0)
-		if err != nil {
-			return Value{}, info, err
-		}
-		items, ok := n.Attr("items").([]relational.ProjItem)
-		if !ok {
-			return Value{}, info, fmt.Errorf("%w: project without items", ErrBadNode)
-		}
-		op, err := relational.NewProject(&chunkedSource{b: in}, items)
-		if err != nil {
-			return Value{}, info, err
-		}
-		out, err := relational.RunEmit(ctx, op, emit)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = int64(in.Rows())
-		info.RowsOut = int64(out.Rows())
-		info.Native = "Project"
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpHashJoin:
-		left, err := tabular(inputs, 0)
-		if err != nil {
-			return Value{}, info, err
-		}
-		right, err := tabular(inputs, 1)
-		if err != nil {
-			return Value{}, info, err
-		}
-		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
-		if !right.Schema().Has(base(rc)) && right.Schema().Has(base(lc)) {
-			lc, rc = rc, lc
-		}
-		// The build side drains in full (and still fans out under the parts
-		// knob); only probe delivery streams per chunk.
-		op, err := relational.NewHashJoin(&chunkedSource{b: left}, &batchSource{b: right}, lc, rc)
-		if err != nil {
-			return Value{}, info, err
-		}
-		op.Parts = partition.CapParts(ctx, int(n.IntAttr("parts")))
-		out, err := relational.RunEmit(ctx, op, emit)
-		if err != nil {
-			return Value{}, info, err
-		}
-		// Probe delivery streams chunk-at-a-time; the fan-out reported here
-		// is the build side's.
-		info.Parts = partition.Effective(right.Rows(), op.Parts)
-		info.Kernels = []KernelCall{
-			{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
-			{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
-		}
-		info.Native = fmt.Sprintf("HashJoin(%s=%s)", lc, rc)
-		info.RowsIn = int64(left.Rows() + right.Rows())
-		info.RowsOut = int64(out.Rows())
-		return Value{Batch: out}, info, nil
 
 	case ir.OpSQL:
 		sql := n.StringAttr("sql")
 		// BatchSink's underlying type matches QueryStream's parameter, and
-		// passing emit directly preserves nilness (a nil sink means
-		// buffered execution sharing this code path).
-		out, stats, err := a.engine.QueryStream(ctx, sql, emit)
-		if err != nil {
+		// passing emit directly preserves nilness.
+		var stats []relational.OpStats
+		var err error
+		if out, stats, err = a.engine.QueryStream(ctx, sql, emit); err != nil {
 			return Value{}, info, err
 		}
-		var rowsIn int64
+		delivered = true
 		for _, st := range stats {
-			rowsIn += st.RowsIn
+			info.RowsIn += st.RowsIn
 		}
-		info.RowsIn = rowsIn
 		info.RowsOut = int64(out.Rows())
 		info.Native = sql
 		info.RuleNodes = int64(len(stats))
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: rowsIn, Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: info.RowsIn, Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
 
 	default:
-		out, info, err := a.Execute(ctx, n, inputs)
-		if err != nil {
-			return out, info, err
-		}
-		if err := EmitChunked(ctx, emit, out.Batch); err != nil {
+		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)
+	}
+	if !delivered {
+		if err := EmitChunked(ctx, emit, out); err != nil {
 			return Value{}, info, err
 		}
-		return out, info, nil
 	}
+	return Value{Batch: out}, info, nil
+}
+
+// unary fills the report fields every one-input kind derives the same way:
+// cardinalities, and one kernel call of class over the input.
+func (info *ExecInfo) unary(class hw.KernelClass, in, out *cast.Batch) {
+	info.RowsIn = int64(in.Rows())
+	info.RowsOut = int64(out.Rows())
+	info.Kernels = []KernelCall{{Class: class, Work: hw.Work{Items: int64(in.Rows()), Bytes: in.ByteSize()}, OutBytes: out.ByteSize()}}
 }
 
 // tabular extracts the i-th input as a batch.

@@ -1,0 +1,51 @@
+//go:build !race
+
+package core
+
+import (
+	"context"
+	"testing"
+
+	"polystorepp/internal/adapter"
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/hw"
+	"polystorepp/internal/ir"
+	"polystorepp/internal/relational"
+)
+
+// chainExecuteAllocs is what Runtime.Execute allocated per run on the plan
+// below when the sequential executor was its own function. The inline
+// dispatch mode of the one driver is held to it: a width-1 plan allocates no
+// queue, goroutine or per-node scheduling state. (The race runtime allocates
+// on its own account, hence the build tag.)
+const chainExecuteAllocs = 79
+
+// TestChainExecuteAllocBudget runs scan -> filter -> sort — a chain, so the
+// inline mode — with the subplan cache off, so every run executes.
+func TestChainExecuteAllocBudget(t *testing.T) {
+	rt := NewRuntime(hw.NewHostCPU(), WithSubplanCacheBytes(-1))
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(testStore(t, 200))))
+	g := ir.NewGraph()
+	scan := g.Add(ir.OpScan, "db", map[string]any{"table": "t"})
+	filter := g.Add(ir.OpFilter, "db", map[string]any{
+		"pred": relational.Bin{Op: relational.OpLt, L: relational.ColRef{Name: "v"}, R: relational.Const{V: int64(500)}},
+	}, scan)
+	g.Add(ir.OpSort, "db", map[string]any{"order_by": []relational.OrderItem{{Col: "v"}}}, filter)
+	plan, err := compiler.Compile(g, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Graph.Len() != 3 || planWidth(plan) != 1 {
+		t.Fatalf("plan has %d nodes, width %d; want a 3-node chain", plan.Graph.Len(), planWidth(plan))
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > chainExecuteAllocs {
+		t.Fatalf("Execute on a 3-node chain: %.0f allocs/run, ceiling %d", allocs, chainExecuteAllocs)
+	}
+	t.Logf("%.0f allocs/run", allocs)
+}

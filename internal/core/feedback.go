@@ -11,7 +11,7 @@ import (
 // Adaptive feedback integration: when a feedback store is installed
 // (ConfigureFeedback), every executed plan node feeds its observed facts —
 // cardinality, bytes, wall time, realized fan-out — into the store at the
-// coordinator's costing point (deterministic topological order, single
+// driver's costing point (deterministic topological order, single
 // goroutine, subplan-cache replays excluded so memoized hits cannot
 // pollute wall statistics). Two planning decisions read the store back:
 //
@@ -77,7 +77,7 @@ type fbOverride struct{ parts, was int }
 // fbExec is one execution's feedback state: the captured store, the plan's
 // shape keys, and the fan-out overrides decided before any node runs. The
 // override map is read-only during execution, so scheduler workers consult
-// it without coordination; observation happens only on the coordinator
+// it without coordination; observation happens only on the driver
 // goroutine. All methods tolerate a nil receiver — the disabled path costs
 // one atomic load per plan.
 type fbExec struct {
@@ -135,7 +135,7 @@ func (fb *fbExec) override(id ir.NodeID) (fbOverride, bool) {
 }
 
 // observe feeds one finished, costed node into the feedback store. Called
-// by both executors at the coordinator's costing point — topological
+// by the driver at its costing point — topological
 // order, one goroutine — and never for subplan-cache replays (cached runs
 // carry memoized wall times of zero).
 func (fb *fbExec) observe(n *ir.Node, run *nodeRun) {

@@ -38,6 +38,10 @@ var (
 	ErrNoAdapter = errors.New("core: no adapter for engine")
 	ErrExec      = errors.New("core: execution")
 	ErrNoDevice  = errors.New("core: unknown device")
+	// ErrDurability marks a write that applied in memory but that the storage
+	// backend could not confirm durable: the server's condition, not the
+	// client's, and the write must not be acknowledged.
+	ErrDurability = errors.New("core: durability barrier")
 )
 
 // defaultEngineWorkers is the per-engine-queue concurrency bound of the DAG
@@ -59,7 +63,7 @@ type Runtime struct {
 	ops      *obs.OpStats
 
 	// engineWorkers bounds concurrent node executions per engine queue in
-	// the DAG scheduler; sequential forces the one-node-at-a-time executor.
+	// the DAG scheduler; sequential forces the driver's inline mode.
 	engineWorkers int
 	sequential    bool
 
@@ -115,9 +119,10 @@ func WithEngineWorkers(n int) Option {
 	}
 }
 
-// WithSequentialExecutor forces the one-node-at-a-time executor — the
-// baseline the concurrent scheduler is verified against, and an ablation
-// knob for experiments.
+// WithSequentialExecutor forces the driver's inline mode (one node at a
+// time on the calling goroutine) for every plan — the baseline the
+// concurrent scheduler is verified against, and an ablation knob for
+// experiments.
 func WithSequentialExecutor() Option {
 	return func(r *Runtime) { r.sequential = true }
 }
@@ -147,7 +152,7 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 		r.migrator = migrate.New(host, hw.NewRDMANIC())
 	}
 	r.st = newCoreStats(r.reg, r.accels)
-	r.ConfigureSubplanCache(r.subplanBytes)
+	r.ConfigureSubplanCacheShared(r.subplanBytes, 0)
 	if r.fbOn {
 		r.ConfigureFeedback(r.fbCfg)
 	}
@@ -245,7 +250,7 @@ func (r *Runtime) Ingest(ctx context.Context, engine string, w adapter.Ingest) e
 	}
 	if r.barrier != nil {
 		if err := r.barrier.Barrier(ctx); err != nil {
-			return fmt.Errorf("%w: durability barrier: %w", ErrExec, err)
+			return fmt.Errorf("%w: %w", ErrDurability, err)
 		}
 	}
 	return nil
@@ -347,17 +352,10 @@ func (res *Results) First() adapter.Value {
 	return res.Values[res.Sinks[0]]
 }
 
-// Execute runs the plan and returns its sink values and the report.
-//
-// Plans whose stage schedule exposes parallelism (any stage wider than one
-// node) go through the concurrent DAG scheduler (scheduler.go); chain-shaped
-// plans take the sequential path, which has no coordination overhead. Both
-// produce identical Results and Reports (modulo host wall times).
+// Execute runs the plan and returns its sink values and the report: the
+// buffered delivery, ExecuteStream with no sink.
 func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
-	if !r.sequential && planWidth(plan) > 1 {
-		return r.executeConcurrent(ctx, plan, nil)
-	}
-	return r.executeSequential(ctx, plan, nil)
+	return r.ExecuteStream(ctx, plan, nil)
 }
 
 // planWidth returns the widest stage of the plan's schedule — the maximum
@@ -372,42 +370,72 @@ func planWidth(plan *compiler.Plan) int {
 	return w
 }
 
-// executeSequential is the baseline executor: one node at a time in
-// topological order, interleaving real execution and simulated costing.
+// execute is the plan driver: it walks the nodes in topological order and,
+// for each, obtains the node's real execution (a *nodeRun), charges it to the
+// simulated clock and hands the outcome to the report, the trace, the subplan
+// cache and the feedback loop. Costing in one deterministic order over one
+// reservation ledger is what makes Reports independent of how the real
+// executions were dispatched.
+//
+// There are two dispatch modes. Plans whose stage schedule is a chain (no
+// stage wider than one node), and every plan under WithSequentialExecutor,
+// run inline: runNode is called on this goroutine, one node at a time, and
+// nothing is allocated for coordination — the reference the concurrent mode
+// is verified against. Plans with a stage wider than one node are dispatched
+// to per-engine worker queues (scheduler.go) and the driver awaits each run.
 // st, when non-nil, streams the designated sink node's batches (stream.go).
-func (r *Runtime) executeSequential(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
+func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
 	t0 := time.Now()
 	g := plan.Graph
-	values := make(map[ir.NodeID]adapter.Value, g.Len())
-	finish := make(map[ir.NodeID]float64, g.Len())
-	led := hw.NewReservations()
-	rep := &Report{}
-
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrExec, err)
 	}
-	r.st.execSequential.Inc()
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
 	fb := r.prepareFeedback(plan)
+
+	var sched *scheduler
+	if !r.sequential && planWidth(plan) > 1 {
+		r.st.execConcurrent.Inc()
+		sched = r.dispatch(ctx, plan, order, st, tr, pr, fb)
+		// Tears the worker pools down on every exit path, before the subplan
+		// leases are released; in-flight adapter calls observe the cancellation.
+		defer sched.stop()
+	} else {
+		r.st.execSequential.Inc()
+	}
+
+	values := make(map[ir.NodeID]adapter.Value, len(order))
+	finish := make(map[ir.NodeID]float64, len(order))
+	led := hw.NewReservations()
+	rep := &Report{}
 	for _, id := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
 		n := g.MustNode(id)
-		inputs := make([]adapter.Value, len(n.Inputs))
+		var run *nodeRun
+		if sched != nil {
+			if run, err = sched.await(ctx, id); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			inputs := make([]adapter.Value, len(n.Inputs))
+			for i, in := range n.Inputs {
+				inputs[i] = values[in]
+			}
+			run = r.runNode(ctx, n, inputs, st, pr, fb)
+		}
+		if run.err != nil {
+			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
+		}
 		start := 0.0
-		for i, in := range n.Inputs {
-			inputs[i] = values[in]
+		for _, in := range n.Inputs {
 			if finish[in] > start {
 				start = finish[in]
 			}
-		}
-		run := r.runNode(ctx, n, inputs, st, pr, fb)
-		if run.err != nil {
-			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
 		}
 		nr, err := r.costNode(n, run, start, led)
 		if err != nil {
@@ -421,6 +449,9 @@ func (r *Runtime) executeSequential(ctx context.Context, plan *compiler.Plan, st
 		rep.absorb(nr, run)
 		pr.onNodeCosted(id, run)
 		fb.observe(n, run)
+	}
+	if sched != nil {
+		r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
 	}
 	rep.finalize(t0, g, finish)
 	return &Results{Values: values, Sinks: g.Sinks()}, rep, nil
@@ -461,7 +492,7 @@ type nodeRun struct {
 	err       error
 	// hostStart is when the real execution began on the host clock; queue is
 	// the dispatch-to-run wait stamped by the concurrent scheduler (zero on
-	// the sequential path, and only measured for traced executions).
+	// the inline mode, and only measured for traced executions).
 	hostStart time.Time
 	queue     time.Duration
 	// bytesIn/bytesOut approximate the tabular data volume through the node,
@@ -499,49 +530,28 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	for _, in := range inputs {
 		run.bytesIn += valueBytes(in)
 	}
-	if n.Kind == ir.OpMigrate {
+	switch a, ok := r.adapters[n.Engine]; {
+	case n.Kind == ir.OpMigrate:
 		run.isMigrate = true
-		out, bd, err := r.executeMigrate(ctx, n, inputs)
-		if err != nil {
-			run.err = err
-			return run
-		}
-		run.out = adapter.Value{Batch: out}
-		run.bd = bd
-		run.wall = time.Since(t0)
-		run.bytesOut = valueBytes(run.out)
-		run.rows = run.out.Rows()
-		r.st.migrations.Inc()
-		r.st.nodes.Inc()
-		r.observeOp(n, run)
-		return run
-	}
-	a, ok := r.adapters[n.Engine]
-	if !ok {
+		run.out.Batch, run.bd, run.err = r.executeMigrate(ctx, n, inputs)
+	case !ok:
 		run.err = fmt.Errorf("%w: %q", ErrNoAdapter, n.Engine)
+	case st != nil && st.node == n.ID:
+		run.out, run.info, run.err = r.runStreamedNode(ctx, a, n, inputs, st)
+	default:
+		run.out, run.info, run.err = a.Execute(ctx, n, inputs)
+	}
+	if run.err != nil {
 		return run
 	}
-	var (
-		out  adapter.Value
-		info adapter.ExecInfo
-		err  error
-	)
-	if st != nil && st.node == n.ID {
-		out, info, err = r.runStreamedNode(ctx, a, n, inputs, st)
-	} else {
-		out, info, err = a.Execute(ctx, n, inputs)
-	}
-	if err != nil {
-		run.err = err
-		return run
-	}
-	run.out = out
-	run.info = info
 	run.wall = time.Since(t0)
-	run.bytesOut = valueBytes(out)
+	run.bytesOut = valueBytes(run.out)
 	run.rows = run.out.Rows()
-	r.st.ruleNodes.Add(info.RuleNodes)
-	if info.NoIndex {
+	if run.isMigrate {
+		r.st.migrations.Inc()
+	}
+	r.st.ruleNodes.Add(run.info.RuleNodes)
+	if run.info.NoIndex {
 		r.st.indexScanFallback.Inc()
 	}
 	r.st.nodes.Inc()
@@ -553,7 +563,8 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 // it on the simulated clock: the node starts once its inputs have finished
 // (start) and each kernel waits for its device to free up in the ledger.
 // Callers must cost nodes in a deterministic topological order — reservation
-// order decides contention, and the reports are compared across executors.
+// order decides contention, and the reports are compared across dispatch
+// modes.
 func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *hw.Reservations) (NodeReport, error) {
 	nr := NodeReport{Node: n.ID, Kind: n.Kind, Engine: n.Engine, Start: start, Wall: run.wall}
 	if run.isMigrate {
@@ -706,10 +717,5 @@ func (r *Runtime) executeMigrate(ctx context.Context, n *ir.Node, inputs []adapt
 	if len(inputs) != 1 || inputs[0].Batch == nil {
 		return nil, migrate.Breakdown{}, fmt.Errorf("%w: migrate wants one tabular input", ErrExec)
 	}
-	tr := migrate.Transport(n.IntAttr("transport"))
-	out, bd, err := r.migrator.Migrate(ctx, inputs[0].Batch, tr)
-	if err != nil {
-		return nil, bd, err
-	}
-	return out, bd, nil
+	return r.migrator.Migrate(ctx, inputs[0].Batch, migrate.Transport(n.IntAttr("transport")))
 }

@@ -2,24 +2,24 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/compiler"
-	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
 )
 
-// Concurrent stage-aware DAG executor (§IV-D).
+// Concurrent dispatch mode of the plan driver (§IV-D).
 //
 // The paper's middleware executes plan DAGs with device-level parallelism,
 // and BigDAWG-style polystores dispatch independent sub-plans to their
-// engines concurrently. This scheduler brings real wall-clock time in line
-// with the parallelism the simulated clock already models:
+// engines concurrently. For plans with a stage wider than one node the
+// driver (Runtime.execute) hands real execution to this scheduler, which
+// brings wall-clock time in line with the parallelism the simulated clock
+// already models:
 //
 //   - Dispatch: a node becomes ready when all its producers have run; ready
 //     nodes go to a bounded worker queue per engine (migrations get the
@@ -28,16 +28,15 @@ import (
 //     queues and the initial ready set.
 //   - Real execution (runNode): adapter translation and native operators run
 //     concurrently across queues — this is where host wall time is won.
-//   - Simulated costing (costNode): applied by the coordinator in the exact
-//     topological order the sequential executor uses, over one
-//     hw.Reservations ledger. Reservation order decides device contention,
-//     so serializing it keeps Reports identical to the sequential baseline
-//     (modulo host wall times) no matter how real executions interleave.
+//   - Simulated costing stays with the driver, which awaits the runs in the
+//     topological order the inline mode executes them in, so Reports are
+//     identical to the inline mode's (modulo host wall times) no matter how
+//     real executions interleave.
 //
 // Errors surface at the earliest failing node in topological order — the
-// same node the sequential executor stops at. Consumers of a failed node are
-// never dispatched; the coordinator reaches the failure first (producers
-// precede consumers in topological order) and tears the pools down.
+// same node the inline mode stops at. Consumers of a failed node are never
+// dispatched; the driver reaches the failure first (producers precede
+// consumers in topological order) and tears the pools down.
 
 // middlewareQueue is the dispatch queue for engine-less nodes (migrations).
 const middlewareQueue = ""
@@ -58,46 +57,44 @@ type schedNode struct {
 	enqueued time.Time
 }
 
-// executeConcurrent runs the plan through the concurrent DAG scheduler.
-// st, when non-nil, streams the designated sink node's batches (stream.go);
-// only the single worker executing that node touches the sink, and the
-// coordinator's cancel+wait teardown guarantees no emission outlives this
-// call.
-func (r *Runtime) executeConcurrent(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
-	t0 := time.Now()
+// scheduler is the dispatch state of one concurrently executed plan.
+type scheduler struct {
+	rt        *Runtime
+	nodes     map[ir.NodeID]*schedNode
+	consumers map[ir.NodeID][]ir.NodeID
+	queues    map[string]chan *schedNode
+	// st streams the designated sink node's output; nil for buffered runs.
+	// Only the single worker executing that node touches the sink.
+	st *nodeStream
+	// tr is the request's trace (nil when untraced); workers use it to decide
+	// whether queue-wait stamping is worth the clock reads.
+	tr *obs.Trace
+	// pr is the execution's subplan-cache probe (nil when inactive); its
+	// decision maps are read-only during execution, so workers consult it
+	// without coordination.
+	pr *planProbe
+	// fb is the execution's feedback state (nil when disabled); the override
+	// map is read-only during execution, so workers consult it without
+	// coordination, and only the driver feeds observations back.
+	fb *fbExec
+
+	// cancel stops every in-flight worker; wg waits for them to exit.
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	inflight    atomic.Int32
+	maxInflight atomic.Int32
+}
+
+// dispatch starts the per-engine worker pools for plan and seeds them with
+// the nodes that have no producers. The caller awaits each node's run in
+// topological order and must call stop.
+func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.NodeID, st *nodeStream, tr *obs.Trace, pr *planProbe, fb *fbExec) *scheduler {
 	g := plan.Graph
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrExec, err)
-	}
-	r.st.execConcurrent.Inc()
-	tr := obs.From(ctx)
-	pr := r.prepareSubplan(ctx, plan)
-	defer pr.close()
-	fb := r.prepareFeedback(plan)
-
-	// execCtx cancels every in-flight worker when the coordinator returns
-	// early (error or caller cancellation).
-	execCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	consumers := g.ConsumerIndex()
-	nodes := make(map[ir.NodeID]*schedNode, len(order))
-	for _, id := range order {
-		n := g.MustNode(id)
-		sn := &schedNode{n: n, done: make(chan struct{})}
-		producers := make(map[ir.NodeID]bool, len(n.Inputs))
-		for _, in := range n.Inputs {
-			producers[in] = true
-		}
-		sn.waits.Store(int32(len(producers)))
-		nodes[id] = sn
-	}
-
-	sched := &scheduler{
+	s := &scheduler{
 		rt:        r,
-		nodes:     nodes,
-		consumers: consumers,
+		nodes:     make(map[ir.NodeID]*schedNode, len(order)),
+		consumers: g.ConsumerIndex(),
 		queues:    make(map[string]chan *schedNode),
 		st:        st,
 		tr:        tr,
@@ -110,30 +107,35 @@ func (r *Runtime) executeConcurrent(ctx context.Context, plan *compiler.Plan, st
 	// never needs more than two goroutines.
 	queueNodes := make(map[string]int, 4)
 	for _, id := range order {
-		queueNodes[queueKey(nodes[id].n)]++
-	}
-	var wg sync.WaitGroup
-	for _, id := range order {
-		key := queueKey(nodes[id].n)
-		if _, ok := sched.queues[key]; ok {
-			continue
+		n := g.MustNode(id)
+		sn := &schedNode{n: n, done: make(chan struct{})}
+		producers := make(map[ir.NodeID]bool, len(n.Inputs))
+		for _, in := range n.Inputs {
+			producers[in] = true
 		}
-		q := make(chan *schedNode, queueNodes[key])
-		sched.queues[key] = q
+		sn.waits.Store(int32(len(producers)))
+		s.nodes[id] = sn
+		queueNodes[queueKey(n)]++
+	}
+	execCtx, cancel := context.WithCancel(ctx)
+	s.cancel = cancel
+	for key, count := range queueNodes {
+		q := make(chan *schedNode, count)
+		s.queues[key] = q
 		workers := r.engineWorkers
-		if n := queueNodes[key]; n < workers {
-			workers = n
+		if count < workers {
+			workers = count
 		}
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
+			s.wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer s.wg.Done()
 				for {
 					select {
 					case <-execCtx.Done():
 						return
 					case sn := <-q:
-						sched.runScheduled(execCtx, sn)
+						s.runScheduled(execCtx, sn)
 					}
 				}
 			}()
@@ -146,70 +148,40 @@ func (r *Runtime) executeConcurrent(ctx context.Context, plan *compiler.Plan, st
 	// dispatch such a node a second time.
 	for _, stage := range plan.Stages {
 		for _, id := range stage {
-			if sn := nodes[id]; len(sn.n.Inputs) == 0 {
-				if tr != nil {
-					sn.enqueued = time.Now()
-				}
-				sched.queues[queueKey(sn.n)] <- sn
+			if sn := s.nodes[id]; len(sn.n.Inputs) == 0 {
+				s.enqueue(sn)
 			}
 		}
 	}
+	return s
+}
 
-	// Coordinator: cost finished nodes in sequential topological order.
-	values := make(map[ir.NodeID]adapter.Value, len(order))
-	finish := make(map[ir.NodeID]float64, len(order))
-	led := hw.NewReservations()
-	rep := &Report{}
-	var execErr error
-	for _, id := range order {
-		sn := nodes[id]
-		select {
-		case <-sn.done:
-		case <-ctx.Done():
-			execErr = ctx.Err()
-		}
-		if execErr != nil {
-			break
-		}
-		if sn.run.err != nil {
-			execErr = fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, sn.n.Kind, sn.run.err)
-			break
-		}
-		start := 0.0
-		for _, in := range sn.n.Inputs {
-			if finish[in] > start {
-				start = finish[in]
-			}
-		}
-		nr, err := r.costNode(sn.n, sn.run, start, led)
-		if err != nil {
-			execErr = fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, sn.n.Kind, err)
-			break
-		}
-		if tr != nil {
-			tr.AddSpan(nodeSpan(tr, sn.n, sn.run, nr))
-		}
-		values[id] = sn.run.out
-		finish[id] = nr.Finish
-		rep.absorb(nr, sn.run)
-		pr.onNodeCosted(id, sn.run)
-		fb.observe(sn.n, sn.run)
+// await blocks until node id has run and returns its outcome, or the
+// caller's context error if that comes first.
+func (s *scheduler) await(ctx context.Context, id ir.NodeID) (*nodeRun, error) {
+	sn := s.nodes[id]
+	select {
+	case <-sn.done:
+		return sn.run, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
+}
 
-	// Tear down the pools; in-flight adapter calls observe the cancellation.
-	cancel()
-	wg.Wait()
-	if execErr != nil {
-		// Pure cancellation surfaces as the bare context error, matching the
-		// sequential path.
-		if ctxErr := ctx.Err(); ctxErr != nil && execErr == ctxErr {
-			return nil, nil, ctxErr
-		}
-		return nil, nil, execErr
+// stop cancels the workers and waits for them to exit, so no node execution
+// — and no stream emission — outlives the driver's call.
+func (s *scheduler) stop() {
+	s.cancel()
+	s.wg.Wait()
+}
+
+// enqueue hands a ready node to its queue. Queues are buffered to every node
+// they will ever receive, so this never blocks.
+func (s *scheduler) enqueue(sn *schedNode) {
+	if s.tr != nil {
+		sn.enqueued = time.Now()
 	}
-	r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
-	rep.finalize(t0, g, finish)
-	return &Results{Values: values, Sinks: g.Sinks()}, rep, nil
+	s.queues[queueKey(sn.n)] <- sn
 }
 
 // queueKey maps a node to its dispatch queue: its engine, or the middleware
@@ -219,30 +191,6 @@ func queueKey(n *ir.Node) string {
 		return middlewareQueue
 	}
 	return n.Engine
-}
-
-// scheduler is the shared dispatch state of one executeConcurrent call.
-type scheduler struct {
-	rt        *Runtime
-	nodes     map[ir.NodeID]*schedNode
-	consumers map[ir.NodeID][]ir.NodeID
-	queues    map[string]chan *schedNode
-	// st streams the designated sink node's output; nil for buffered runs.
-	st *nodeStream
-	// tr is the request's trace (nil when untraced); workers use it to decide
-	// whether queue-wait stamping is worth the clock reads.
-	tr *obs.Trace
-	// pr is the execution's subplan-cache probe (nil when inactive); its
-	// decision maps are read-only during execution, so workers consult it
-	// without coordination.
-	pr *planProbe
-	// fb is the execution's feedback state (nil when disabled); the override
-	// map is read-only during execution, so workers consult it without
-	// coordination, and only the coordinator feeds observations back.
-	fb *fbExec
-
-	inflight    atomic.Int32
-	maxInflight atomic.Int32
 }
 
 // runScheduled executes one dispatched node and releases its consumers.
@@ -276,16 +224,11 @@ func (s *scheduler) runScheduled(ctx context.Context, sn *schedNode) {
 	sn.run.queue = queued
 	close(sn.done)
 	if sn.run.err != nil {
-		return // consumers stay undispatched; the coordinator stops first
+		return // consumers stay undispatched; the driver stops first
 	}
 	for _, c := range s.consumers[sn.n.ID] {
-		cn := s.nodes[c]
-		if cn.waits.Add(-1) == 0 {
-			if s.tr != nil {
-				cn.enqueued = time.Now()
-			}
-			// Buffered to the full plan; never blocks.
-			s.queues[queueKey(cn.n)] <- cn
+		if cn := s.nodes[c]; cn.waits.Add(-1) == 0 {
+			s.enqueue(cn)
 		}
 	}
 }

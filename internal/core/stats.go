@@ -6,7 +6,7 @@ import (
 )
 
 // coreStats are the runtime's counters, resolved from the registry once at
-// construction: the executors bump a handle per node and per plan, never a
+// construction: the driver bumps a handle per node and per plan, never a
 // name. The serving layer's stat table (internal/server/stats.go) declares
 // the same registry names with their /stats keys and help text.
 type coreStats struct {

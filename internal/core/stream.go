@@ -27,23 +27,20 @@ type ResultSink interface {
 	EmitBatch(node ir.NodeID, b *cast.Batch) error
 }
 
-// ExecuteStream runs the plan like Execute while streaming the first sink
-// node's output batches to sink as the terminal operator produces them.
-// Model-valued sinks stream nothing (there are no batches to deliver); the
-// returned Results and Report are identical to Execute's, so callers cache
-// and report streamed executions exactly like buffered ones. A nil sink
-// degrades to Execute.
+// ExecuteStream runs the plan, streaming the first sink node's output
+// batches to sink as the terminal operator produces them. Model-valued sinks
+// stream nothing (there are no batches to deliver). The returned Results and
+// Report do not depend on sink, so callers cache and report streamed
+// executions exactly like buffered ones; a nil sink is the buffered delivery.
 func (r *Runtime) ExecuteStream(ctx context.Context, plan *compiler.Plan, sink ResultSink) (*Results, *Report, error) {
-	sinks := plan.Graph.Sinks()
-	if sink == nil || len(sinks) == 0 {
-		return r.Execute(ctx, plan)
+	var st *nodeStream
+	if sink != nil {
+		if sinks := plan.Graph.Sinks(); len(sinks) > 0 {
+			st = &nodeStream{sink: sink, node: sinks[0]}
+			r.st.execStreamed.Inc()
+		}
 	}
-	st := &nodeStream{sink: sink, node: sinks[0]}
-	r.st.execStreamed.Inc()
-	if !r.sequential && planWidth(plan) > 1 {
-		return r.executeConcurrent(ctx, plan, st)
-	}
-	return r.executeSequential(ctx, plan, st)
+	return r.execute(ctx, plan, st)
 }
 
 // nodeStream is the per-execution streaming state: which node streams, and

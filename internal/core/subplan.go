@@ -17,10 +17,10 @@ import (
 // content-addressed subplan cache for each of the plan's cacheable subtrees
 // (compiler.Plan.Subtrees). A hit marks the whole subtree served: every
 // node in its closure skips real execution inside runNode, the root yields
-// the memoized batch, and the coordinator still costs each node from the
+// the memoized batch, and the driver still costs each node from the
 // entry's replay data in topological order over the shared reservation
 // ledger — so warm Reports are byte-identical to cold ones (modulo host
-// wall times, like everything else the executors exclude). Misses elect a
+// wall times, like everything else Reports exclude from equivalence). Misses elect a
 // per-key single-flight leader so concurrent plans sharing a hot subtree
 // execute it once; everyone who executes a candidate publishes it when the
 // root's run is costed, guarded by a version-vector re-check so a write to
@@ -46,17 +46,12 @@ func WithSubplanCacheBytes(n int64) Option {
 	return func(r *Runtime) { r.subplanBytes = n }
 }
 
-// ConfigureSubplanCache installs a fresh subplan cache bounded to n bytes
-// (0 means the default size), or disables subplan caching when n is
-// negative. Safe to call while plans execute: in-flight executions keep
-// the state they started with, and the old cache drains by garbage
-// collection.
-func (r *Runtime) ConfigureSubplanCache(n int64) {
-	r.ConfigureSubplanCacheShared(n, 0)
-}
-
-// ConfigureSubplanCacheShared is ConfigureSubplanCache with an explicit
-// per-tenant byte share (see subplan.NewCacheShared).
+// ConfigureSubplanCacheShared installs a fresh subplan cache bounded to n
+// bytes (0 means DefaultSubplanCacheBytes), or disables subplan caching when
+// n is negative. share is the per-tenant byte share (0 means the default; see
+// subplan.NewCacheShared). Safe to call while plans execute: in-flight
+// executions keep the state they started with, and the old cache drains by
+// garbage collection.
 func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	if n < 0 {
 		r.subplan.Store(nil)
@@ -97,8 +92,8 @@ type pendingPub struct {
 
 // planProbe is one execution's subplan-cache decision state. It is built
 // before any node runs (prepareSubplan), consulted from runNode in both
-// executors (read-only maps, safe under worker concurrency), and fed
-// finished runs by the coordinator (single goroutine) for publication.
+// dispatch modes (read-only maps, safe under worker concurrency), and fed
+// finished runs by the driver (single goroutine) for publication.
 // All methods tolerate a nil receiver so the disabled path stays free.
 type planProbe struct {
 	rt *Runtime
@@ -113,7 +108,7 @@ type planProbe struct {
 	serve map[ir.NodeID]*subplan.NodeCost
 	out   map[ir.NodeID]adapter.Value
 	// capture marks nodes whose finished runs must be retained for a
-	// pending publication; runs collects them as the coordinator costs
+	// pending publication; runs collects them as the driver costs
 	// nodes in topological order.
 	capture map[ir.NodeID]bool
 	runs    map[ir.NodeID]*nodeRun
@@ -139,7 +134,7 @@ func shortKey(key string) string {
 // subtrees and decides, per candidate: serve from cache (hit), wait for a
 // concurrent leader producing the same key (single-flight), or execute and
 // publish. Returns nil when the cache is disabled or the plan has no
-// candidates — the executors then skip all per-node bookkeeping.
+// candidates — the driver then skips all per-node bookkeeping.
 func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *planProbe {
 	sp := r.subplan.Load()
 	if sp == nil || len(plan.Subtrees) == 0 {
@@ -335,7 +330,7 @@ func (pr *planProbe) serveNode(ctx context.Context, n *ir.Node, st *nodeStream) 
 	return run
 }
 
-// onNodeCosted feeds the coordinator's finished runs to the pending
+// onNodeCosted feeds the driver's finished runs to the pending
 // publications. Called in topological order from a single goroutine, so
 // when a pub's root arrives every closure run has been captured.
 func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {

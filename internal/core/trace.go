@@ -6,7 +6,7 @@ import (
 	"polystorepp/internal/obs"
 )
 
-// Trace and OpStats wiring for both executors. The executors fetch the
+// Trace and OpStats wiring for the plan driver, which fetches the
 // request's trace from the context once per plan (obs.From), so an untraced
 // execution pays one context lookup total — the nil-trace fast path the
 // serving benchmark pins.

@@ -165,7 +165,7 @@ func shardOf(k Key) uint32 {
 }
 
 // Observe folds one node execution into k's entry and into the (engine,
-// op, "") aggregate. Safe for concurrent use from both executors.
+// op, "") aggregate. Safe for concurrent use across plan executions.
 func (s *Store) Observe(k Key, o Obs) {
 	s.observeOne(k, o)
 	if k.FP != "" {

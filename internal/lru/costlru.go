@@ -2,68 +2,135 @@ package lru
 
 import "container/list"
 
-// CostCache is Cache with a per-entry cost dimension: eviction is driven by
-// total cost (e.g. result bytes) as well as entry count, so one cache bound
-// can mean "at most 64 MiB of cached results" instead of only "at most 256
-// results". Entries whose cost alone exceeds the cost bound are bypassed
-// rather than admitted (admitting one would evict the whole cache for an
-// entry unlikely to be re-served before aging out). Like Cache, it is NOT
-// safe for concurrent use: callers guard it with their own lock.
+// CostCache is a least-recently-used map bounded by entry count and by a
+// per-entry cost dimension, so one cache bound can mean "at most 64 MiB of
+// cached results" instead of only "at most 256 results". Entries whose cost
+// alone exceeds the cost bound are bypassed rather than admitted (admitting
+// one would evict the whole cache for an entry unlikely to be re-served
+// before aging out).
+//
+// An entry may be charged to an owner (PutOwned): while more than one owner
+// holds entries, each owner's total charge is capped at a share of the cost
+// budget. A tenant flooding the cache with its own results then evicts its
+// *own* oldest entries, not everyone else's — cache pollution stops being a
+// cross-tenant attack. With a single owner (the common single-tenant
+// deployment) no share is enforced and the full budget applies.
+//
+// It is NOT safe for concurrent use: callers guard it with their own lock
+// alongside their hit/miss accounting.
 type CostCache[V any] struct {
 	maxEntries int
-	maxCost    int64 // <= 0 means no cost bound
+	maxCost    int64   // <= 0 means no cost bound
+	share      float64 // per-owner fraction of maxCost, enforced when owners > 1
 	cost       int64
 	evictions  int64
-	order      *list.List // front = most recently used; values are *costEntry[V]
-	entries    map[string]*list.Element
-	onEvict    func(key string, cost int64)
+	entries    map[string]*costEntry[V]
+	// root is the sentinel of the intrusive recency ring: root.next is the
+	// most recently used entry, root.prev the least.
+	root   costEntry[V]
+	owners map[string]*ownerCharge
 }
 
 type costEntry[V any] struct {
-	key  string
-	val  V
-	cost int64
+	key        string
+	val        V
+	cost       int64
+	prev, next *costEntry[V]
+	// owner is who the entry is charged to (nil for plain Put); ownerEl is
+	// its cell in the owner's insertion-order list.
+	owner   *ownerCharge
+	ownerEl *list.Element
 }
 
+// ownerCharge is one owner's ledger: summed cost and its entries in
+// insertion order (front = oldest), the order the share trims in.
+type ownerCharge struct {
+	name  string
+	cost  int64
+	order list.List // values are *costEntry[V]
+}
+
+// DefaultTenantShare is the per-owner cost fraction when none is
+// configured: half the budget, so two contending tenants split it evenly
+// and no one tenant can hold more than half while contended.
+const DefaultTenantShare = 0.5
+
 // NewCost returns a cache bounded to maxEntries entries (< 1 treated as 1)
-// and maxCost total cost (<= 0 disables the cost bound).
+// and maxCost total cost (<= 0 disables the cost bound), with the default
+// per-owner share.
 func NewCost[V any](maxEntries int, maxCost int64) *CostCache[V] {
+	return NewCostShared[V](maxEntries, maxCost, 0)
+}
+
+// NewCostShared is NewCost with an explicit per-owner share: the fraction of
+// maxCost one owner may hold while more than one owner holds entries.
+// share <= 0 selects DefaultTenantShare, share >= 1 disables per-owner
+// capping.
+func NewCostShared[V any](maxEntries int, maxCost int64, share float64) *CostCache[V] {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	return &CostCache[V]{
+	if share <= 0 {
+		share = DefaultTenantShare
+	}
+	c := &CostCache[V]{
 		maxEntries: maxEntries,
 		maxCost:    maxCost,
-		order:      list.New(),
-		entries:    make(map[string]*list.Element),
+		share:      share,
+		entries:    make(map[string]*costEntry[V]),
+		owners:     make(map[string]*ownerCharge),
 	}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+// touch makes e the most recently used entry (linking it if it is new).
+func (c *CostCache[V]) touch(e *costEntry[V]) {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Get returns the value under key, marking it most recently used.
 func (c *CostCache[V]) Get(key string) (V, bool) {
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*costEntry[V]).val, true
+	if e, ok := c.entries[key]; ok {
+		c.touch(e)
+		return e.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// Put stores v under key with the given cost. It returns the value now
-// cached plus whether the key is cached at all: the incumbent when the key
-// is already present (racing fills produce equivalent values; the
-// incumbent's cost is kept), and (v, false) when the entry is oversized —
-// its cost alone exceeds the cost bound — and was bypassed.
+// Put stores v under key with the given cost, charged to no owner. See
+// PutOwned for the return values.
+func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
+	return c.put(key, v, cost, "", false)
+}
+
+// PutOwned stores v under key with the given cost, charged to owner. It
+// returns the value now cached plus whether the key is cached at all: the
+// incumbent when the key is already present (racing fills produce
+// equivalent values; the incumbent's cost and owner are kept), and
+// (v, false) when the entry is oversized — its cost alone exceeds the cost
+// bound — and was bypassed. After an insert, if more than one owner holds
+// entries and owner's total charge exceeds its share of the budget, owner's
+// oldest entries are evicted (never the entry just inserted) until it fits.
 //
 // Costs below 1 are clamped to 1: every entry occupies real memory beyond
 // its payload, and admitting "free" entries would let a flood of zero-cost
 // (or, worse, negative-cost) values grow the cache unboundedly under an
 // intact-looking cost bound — or drive the running total negative, wedging
 // eviction permanently.
-func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*costEntry[V]).val, true
+func (c *CostCache[V]) PutOwned(key string, v V, cost int64, owner string) (V, bool) {
+	return c.put(key, v, cost, owner, true)
+}
+
+func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool) (V, bool) {
+	if e, ok := c.entries[key]; ok {
+		c.touch(e)
+		return e.val, true
 	}
 	if cost < 1 {
 		cost = 1
@@ -71,49 +138,80 @@ func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
 	if c.maxCost > 0 && cost > c.maxCost {
 		return v, false
 	}
-	c.entries[key] = c.order.PushFront(&costEntry[V]{key: key, val: v, cost: cost})
+	e := &costEntry[V]{key: key, val: v, cost: cost}
+	c.entries[key] = e
+	c.touch(e)
 	c.cost += cost
-	for c.order.Len() > c.maxEntries || (c.maxCost > 0 && c.cost > c.maxCost) {
-		oldest := c.order.Back()
-		e := oldest.Value.(*costEntry[V])
-		c.order.Remove(oldest)
-		delete(c.entries, e.key)
-		c.cost -= e.cost
-		c.evictions++
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.cost)
+	if owned {
+		oc := c.owners[owner]
+		if oc == nil {
+			oc = &ownerCharge{name: owner}
+			c.owners[owner] = oc
 		}
+		oc.cost += cost
+		e.owner, e.ownerEl = oc, oc.order.PushBack(e)
+	}
+	for len(c.entries) > c.maxEntries || (c.maxCost > 0 && c.cost > c.maxCost) {
+		c.evict(c.root.prev)
+	}
+	if e.owner != nil {
+		c.enforceShare(e)
 	}
 	return v, true
 }
 
-// Remove evicts the entry under key, reporting whether it was present. The
-// eviction callback fires for removed entries, and removals count toward
-// Evictions.
-func (c *CostCache[V]) Remove(key string) bool {
-	el, ok := c.entries[key]
-	if !ok {
-		return false
+// enforceShare trims keep's owner back under its budget share, sparing keep
+// (the entry that triggered the trim): a single entry larger than the share
+// is admitted — the global cost bound still applies — because evicting the
+// newcomer itself would make oversized inserts silently uncacheable for
+// contended tenants only.
+func (c *CostCache[V]) enforceShare(keep *costEntry[V]) {
+	if c.maxCost <= 0 || c.share >= 1 || len(c.owners) < 2 {
+		return
 	}
-	e := el.Value.(*costEntry[V])
-	c.order.Remove(el)
-	delete(c.entries, e.key)
-	c.cost -= e.cost
-	c.evictions++
-	if c.onEvict != nil {
-		c.onEvict(e.key, e.cost)
+	limit := int64(c.share * float64(c.maxCost))
+	if limit < 1 {
+		// Fractional shares of tiny budgets truncate to 0, which would trim
+		// every contended tenant down to a single entry regardless of cost.
+		// The share is "a fraction of the budget", never "nothing".
+		limit = 1
 	}
-	return true
+	for oc := keep.owner; oc.cost > limit; {
+		oldest := oc.order.Front().Value.(*costEntry[V])
+		if oldest == keep {
+			break
+		}
+		c.evict(oldest)
+	}
 }
 
-// SetOnEvict registers fn to run whenever an entry leaves the cache (LRU
-// eviction or Remove), receiving the departing key and its charged cost.
-// Callbacks run synchronously inside Put/Remove and must not call back into
-// the cache.
-func (c *CostCache[V]) SetOnEvict(fn func(key string, cost int64)) { c.onEvict = fn }
+// evict drops e from the map, the recency ring and its owner's ledger.
+func (c *CostCache[V]) evict(e *costEntry[V]) {
+	delete(c.entries, e.key)
+	e.prev.next, e.next.prev = e.next, e.prev
+	c.cost -= e.cost
+	c.evictions++
+	if oc := e.owner; oc != nil {
+		oc.cost -= e.cost
+		oc.order.Remove(e.ownerEl)
+		if oc.order.Len() == 0 {
+			delete(c.owners, oc.name)
+		}
+	}
+}
+
+// Remove evicts the entry under key, reporting whether it was present.
+// Removals count toward Evictions.
+func (c *CostCache[V]) Remove(key string) bool {
+	e, ok := c.entries[key]
+	if ok {
+		c.evict(e)
+	}
+	return ok
+}
 
 // Len returns the number of cached entries.
-func (c *CostCache[V]) Len() int { return c.order.Len() }
+func (c *CostCache[V]) Len() int { return len(c.entries) }
 
 // Cost returns the summed cost of the cached entries.
 func (c *CostCache[V]) Cost() int64 { return c.cost }
@@ -121,3 +219,21 @@ func (c *CostCache[V]) Cost() int64 { return c.cost }
 // Evictions returns how many entries the cache has evicted over its
 // lifetime (bypassed oversized entries are not evictions).
 func (c *CostCache[V]) Evictions() int64 { return c.evictions }
+
+// Owners returns how many distinct owners currently hold entries.
+func (c *CostCache[V]) Owners() int { return len(c.owners) }
+
+// OwnerCost returns the cost currently charged to one owner.
+func (c *CostCache[V]) OwnerCost(owner string) int64 {
+	if oc := c.owners[owner]; oc != nil {
+		return oc.cost
+	}
+	return 0
+}
+
+// EachOwner visits every owner's current charge.
+func (c *CostCache[V]) EachOwner(fn func(owner string, cost int64)) {
+	for owner, oc := range c.owners {
+		fn(owner, oc.cost)
+	}
+}

@@ -3,11 +3,11 @@ package lru
 import "testing"
 
 func TestTenantCostSingleOwnerUncapped(t *testing.T) {
-	c := NewTenantCost[int](100, 1000, 0.5)
+	c := NewCostShared[int](100, 1000, 0.5)
 	// One owner may use the whole budget: the share only binds under
 	// contention.
 	for i, k := range []string{"a", "b", "c", "d"} {
-		if _, ok := c.Put(k, i, 250, "alice"); !ok {
+		if _, ok := c.PutOwned(k, i, 250, "alice"); !ok {
 			t.Fatalf("put %q rejected", k)
 		}
 	}
@@ -20,12 +20,12 @@ func TestTenantCostSingleOwnerUncapped(t *testing.T) {
 }
 
 func TestTenantCostShareEnforcedUnderContention(t *testing.T) {
-	c := NewTenantCost[string](100, 1000, 0.5)
-	c.Put("bob-1", "x", 100, "bob")
+	c := NewCostShared[string](100, 1000, 0.5)
+	c.PutOwned("bob-1", "x", 100, "bob")
 	// Alice floods: with bob present her charge is capped at 500, evicting
 	// her own oldest entries — never bob's.
 	for _, k := range []string{"a1", "a2", "a3", "a4", "a5", "a6", "a7"} {
-		c.Put(k, "y", 100, "alice")
+		c.PutOwned(k, "y", 100, "alice")
 	}
 	if got := c.OwnerCost("alice"); got != 500 {
 		t.Fatalf("alice charge = %d, want 500", got)
@@ -50,10 +50,10 @@ func TestTenantCostShareEnforcedUnderContention(t *testing.T) {
 }
 
 func TestTenantCostGlobalEvictionRefundsOwner(t *testing.T) {
-	c := NewTenantCost[int](100, 300, 1) // share 1: only the global bound binds
-	c.Put("a", 1, 150, "alice")
-	c.Put("b", 2, 150, "bob")
-	c.Put("c", 3, 150, "bob") // over budget: evicts LRU ("a"), refunds alice
+	c := NewCostShared[int](100, 300, 1) // share 1: only the global bound binds
+	c.PutOwned("a", 1, 150, "alice")
+	c.PutOwned("b", 2, 150, "bob")
+	c.PutOwned("c", 3, 150, "bob") // over budget: evicts LRU ("a"), refunds alice
 	if got := c.OwnerCost("alice"); got != 0 {
 		t.Fatalf("alice charge = %d after global eviction, want 0", got)
 	}
@@ -66,9 +66,9 @@ func TestTenantCostGlobalEvictionRefundsOwner(t *testing.T) {
 }
 
 func TestTenantCostIncumbentKeepsOriginalOwner(t *testing.T) {
-	c := NewTenantCost[int](100, 1000, 0.5)
-	c.Put("k", 1, 100, "alice")
-	got, ok := c.Put("k", 2, 999, "bob")
+	c := NewCostShared[int](100, 1000, 0.5)
+	c.PutOwned("k", 1, 100, "alice")
+	got, ok := c.PutOwned("k", 2, 999, "bob")
 	if !ok || got != 1 {
 		t.Fatalf("incumbent put = (%d, %v), want (1, true)", got, ok)
 	}
@@ -78,8 +78,8 @@ func TestTenantCostIncumbentKeepsOriginalOwner(t *testing.T) {
 }
 
 func TestTenantCostOversizedBypassed(t *testing.T) {
-	c := NewTenantCost[int](100, 100, 0.5)
-	if _, ok := c.Put("big", 1, 200, "alice"); ok {
+	c := NewCostShared[int](100, 100, 0.5)
+	if _, ok := c.PutOwned("big", 1, 200, "alice"); ok {
 		t.Fatal("oversized entry admitted")
 	}
 	if c.Owners() != 0 || c.Len() != 0 {
@@ -88,18 +88,18 @@ func TestTenantCostOversizedBypassed(t *testing.T) {
 }
 
 func TestTenantCostSingleHugeEntryToleratedUnderContention(t *testing.T) {
-	c := NewTenantCost[int](100, 1000, 0.5)
-	c.Put("b", 1, 100, "bob")
+	c := NewCostShared[int](100, 1000, 0.5)
+	c.PutOwned("b", 1, 100, "bob")
 	// Alice's single 700-cost entry exceeds her 500 share but is her only
 	// entry: admitted (the global bound still protects the cache).
-	if _, ok := c.Put("a", 2, 700, "alice"); !ok {
+	if _, ok := c.PutOwned("a", 2, 700, "alice"); !ok {
 		t.Fatal("single over-share entry rejected")
 	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("over-share entry self-evicted")
 	}
 	// Her next insert trims back toward the share, evicting her oldest.
-	c.Put("a2", 3, 100, "alice")
+	c.PutOwned("a2", 3, 100, "alice")
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("oldest over-share entry survived the trim")
 	}
@@ -110,9 +110,7 @@ func TestTenantCostSingleHugeEntryToleratedUnderContention(t *testing.T) {
 
 func TestCostCacheRemove(t *testing.T) {
 	c := NewCost[int](10, 100)
-	var evicted []string
-	c.SetOnEvict(func(key string, cost int64) { evicted = append(evicted, key) })
-	c.Put("a", 1, 10)
+	c.PutOwned("a", 1, 10, "alice")
 	if !c.Remove("a") {
 		t.Fatal("Remove missed present key")
 	}
@@ -122,8 +120,8 @@ func TestCostCacheRemove(t *testing.T) {
 	if c.Cost() != 0 || c.Len() != 0 || c.Evictions() != 1 {
 		t.Fatalf("cost=%d len=%d evictions=%d", c.Cost(), c.Len(), c.Evictions())
 	}
-	if len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("evict callback saw %v", evicted)
+	if c.OwnerCost("alice") != 0 || c.Owners() != 0 {
+		t.Fatalf("removal left alice charged %d (%d owners)", c.OwnerCost("alice"), c.Owners())
 	}
 }
 
@@ -133,10 +131,10 @@ func TestTenantCostTinyBudgetShareClampsToOne(t *testing.T) {
 	// entries were. The limit clamps to >= 1, so unit-cost entries behave
 	// like any other cost that exceeds the share: the newcomer is spared and
 	// older entries trim one at a time, not wholesale.
-	c := NewTenantCost[int](100, 4, 0.1) // share limit would truncate to 0
-	c.Put("bob-1", 1, 1, "bob")
-	c.Put("a1", 1, 1, "alice")
-	c.Put("a2", 2, 1, "alice")
+	c := NewCostShared[int](100, 4, 0.1) // share limit would truncate to 0
+	c.PutOwned("bob-1", 1, 1, "bob")
+	c.PutOwned("a1", 1, 1, "alice")
+	c.PutOwned("a2", 2, 1, "alice")
 	// Alice is over the clamped limit (1), so her older entry trims — but
 	// she keeps the newest rather than being flushed to nothing.
 	if _, ok := c.Get("a2"); !ok {

@@ -20,24 +20,16 @@ func NewEngine(store *Store) *Engine { return &Engine{store: store} }
 func (e *Engine) Store() *Store { return e.store }
 
 // Query parses, plans, and executes sql, returning the result and the
-// per-operator stats of the executed plan.
+// per-operator stats of the executed plan: QueryStream with no sink.
 func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats, error) {
-	plan, err := e.Plan(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := Run(ctx, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, WalkStats(plan), nil
+	return e.QueryStream(ctx, sql, nil)
 }
 
 // QueryStream is Query with incremental result delivery: every batch the
 // root operator yields is handed to emit in order before the next one is
 // pulled (RunEmit), and the returned batch is the concatenation of exactly
 // the emitted batches — the invariant streaming responses are pinned
-// against. Stats are collected after the drain, as Query does.
+// against. A nil emit only drains. Stats are collected after the drain.
 func (e *Engine) QueryStream(ctx context.Context, sql string, emit func(*cast.Batch) error) (*cast.Batch, []OpStats, error) {
 	plan, err := e.Plan(sql)
 	if err != nil {

@@ -28,10 +28,10 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	queued := make(chan error, 1)
 	go func() {
 		err := a.acquire(ctx, anonFlow, 0)
-		queued <- err
 		if err == nil {
-			a.release()
+			a.release() // before the send: the test reads inflight right after receiving
 		}
+		queued <- err
 	}()
 	// Wait until the queued request is counted.
 	for i := 0; a.inflight() < 2 && i < 1000; i++ {

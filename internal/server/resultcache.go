@@ -22,10 +22,10 @@ import (
 // the tenant whose execution filled each entry, and while more than one
 // tenant holds entries each is capped at a share of the budget — one
 // tenant's churn evicts its own results, not everyone else's
-// (lru.TenantCostCache).
+// (lru.CostCache).
 type resultCache struct {
 	mu       sync.Mutex
-	entries  *lru.TenantCostCache[resultEntry]
+	entries  *lru.CostCache[resultEntry]
 	bypassed int64
 }
 
@@ -44,7 +44,7 @@ const entryOverheadBytes = 512
 // per-tenant byte fraction enforced under contention (0 selects the
 // default).
 func newResultCache(capacity int, maxBytes int64, share float64) *resultCache {
-	return &resultCache{entries: lru.NewTenantCost[resultEntry](capacity, maxBytes, share)}
+	return &resultCache{entries: lru.NewCostShared[resultEntry](capacity, maxBytes, share)}
 }
 
 // get returns the cached outcome for key, marking it most recently used.
@@ -66,7 +66,7 @@ func (c *resultCache) put(key string, res *core.Results, rep *core.Report, owner
 	cost := resultBytes(res) + entryOverheadBytes
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, admitted := c.entries.Put(key, resultEntry{res: res, rep: rep}, cost, owner); !admitted {
+	if _, admitted := c.entries.PutOwned(key, resultEntry{res: res, rep: rep}, cost, owner); !admitted {
 		c.bypassed++
 	}
 }

@@ -54,6 +54,7 @@ import (
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/backend"
+	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
@@ -446,6 +447,55 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// postOnly is the method check of the work-bearing endpoints; on any other
+// method it writes the 405 and returns false.
+func postOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	return true
+}
+
+// admitTenant resolves the request's tenant and runs it through gate —
+// tenantControl.admit for queries, admitRate for writes. On refusal it writes
+// the 429/503 with its Retry-After and returns ok false.
+func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, gate func(*tenantState, time.Time) error, now time.Time) (ten string, ts *tenantState, ok bool) {
+	ten = tenant.FromHTTP(r)
+	ts = s.tenants.state(ten)
+	if err := gate(ts, now); err != nil {
+		s.writeQueryError(w, err, 0)
+		return ten, ts, false
+	}
+	return ten, ts, true
+}
+
+// decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
+// unknown fields; on failure it writes the 400 and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.st.badRequest.Inc()
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// requestTimeout resolves a request's timeout_ms against the configured
+// default and cap. The cap is applied in the millisecond domain, before
+// converting: a huge timeout_ms times time.Millisecond wraps negative.
+func (c Config) requestTimeout(ms int64) time.Duration {
+	if ms > int64(c.MaxTimeout/time.Millisecond) {
+		return c.MaxTimeout
+	}
+	if ms > 0 {
+		return time.Duration(ms) * time.Millisecond
+	}
+	return min(c.DefaultTimeout, c.MaxTimeout)
+}
+
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
 // /query/stream: the built program, the per-request deadline, the effective
 // compiler options, and the cache keys.
@@ -475,11 +525,7 @@ type preparedQuery struct {
 // paths).
 func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string, ts *tenantState) *preparedQuery {
 	p := &preparedQuery{tenant: ten, state: ts}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p.req); err != nil {
-		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &p.req) {
 		return nil
 	}
 
@@ -516,13 +562,7 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string
 
 	// Per-request deadline: admission waiting and execution both run under
 	// it, so a request stuck in the queue cannot outlive its budget.
-	p.timeout = s.cfg.DefaultTimeout
-	if p.req.TimeoutMS > 0 {
-		p.timeout = time.Duration(p.req.TimeoutMS) * time.Millisecond
-	}
-	if p.timeout > s.cfg.MaxTimeout {
-		p.timeout = s.cfg.MaxTimeout
-	}
+	p.timeout = s.cfg.requestTimeout(p.req.TimeoutMS)
 
 	p.opts = s.opts
 	if p.req.Level != nil {
@@ -577,20 +617,29 @@ func stampParts(g *ir.Graph, parts int) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	s.serveQuery(w, r, false)
+}
+
+// serveQuery is the spine /query and /query/stream share: method check,
+// tenant gates, prepare, deadline, trace, run through the acceleration
+// layers, tenant accounting, respond. The endpoints differ only in how the
+// outcome leaves: /query buffers it into one JSON body, so every failure
+// still has its HTTP status; /query/stream hands runQuery an NDJSON sink
+// (ndjsonStream, stream.go) that also replays buffered outcomes and reports
+// late failures in-band.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bool) {
+	if !postOnly(w, r) {
 		return
 	}
 	s.st.requests.Inc()
+	if streaming {
+		s.st.streamRequests.Inc()
+	}
 	t0 := time.Now()
-
-	ten := tenant.FromHTTP(r)
-	ts := s.tenants.state(ten)
-	if err := s.tenants.admit(ts, t0); err != nil {
-		s.writeQueryError(w, err, 0)
+	ten, ts, ok := s.admitTenant(w, r, s.tenants.admit, t0)
+	if !ok {
 		return
 	}
-
 	p := s.prepareQuery(w, r, ten, ts)
 	if p == nil {
 		return
@@ -603,27 +652,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr.Annotate("class", p.class.String())
 	ctx = obs.With(ctx, tr)
 
-	out, err := s.runQuery(ctx, p, nil)
+	var stream *ndjsonStream // nil on /query
+	var sink core.ResultSink
+	if streaming {
+		stream = newNDJSONStream(s, w, s.effectiveMaxRows(&p.req), t0, p.timeout)
+		sink = stream
+	}
+	out, err := s.runQuery(ctx, p, sink)
 	s.tenants.finish(ts, err, time.Since(t0), time.Now())
 	tree := tr.Finish()
 	s.traces.Record(tree)
+	if !p.req.Trace {
+		tree = nil
+	}
 	if err != nil {
-		s.writeQueryError(w, err, p.timeout)
+		if streaming {
+			stream.fail(err, p.timeout)
+		} else {
+			s.writeQueryError(w, err, p.timeout)
+		}
 		return
 	}
-
-	resp, err := s.encodeResults(&p.req, out.res, out.rep)
-	if err != nil {
+	resp, n := s.summarize(&p.req, out.res, out.rep)
+	s.decorateResponse(resp, p, out)
+	if streaming {
+		stream.deliver(out.res, resp, tree)
+		return
+	}
+	if err := fillRows(resp, out.res.First().Batch, n); err != nil {
 		s.st.execErrors.Inc()
 		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
 		return
 	}
-	s.decorateResponse(resp, p, out)
-	if p.req.Trace {
-		resp.Trace = tree
-	}
+	resp.Trace = tree
 	s.st.latency.Observe(time.Since(t0).Seconds())
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// fillRows boxes the first n rows of b (nil for model results) into resp.
+func fillRows(resp *QueryResponse, b *cast.Batch, n int) error {
+	if b == nil {
+		return nil
+	}
+	resp.Rows = make([][]any, 0, n)
+	for i := 0; i < n; i++ {
+		row, err := b.Row(i)
+		if err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+		resp.Rows = append(resp.Rows, row)
+	}
+	return nil
 }
 
 // startTrace creates the request's trace when the client asked for one (or
@@ -886,8 +965,15 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 		return 499, "canceled", 0
 	case errors.Is(err, errStreamWrite):
 		// The streaming client stopped reading; nobody sees this either
-		// (writeStreamError counts the abort).
+		// (ndjsonStream.fail counts the abort).
 		return 499, err.Error(), 0
+	case errors.Is(err, core.ErrDurability):
+		// The write applied but the backend could not make it durable: the
+		// server's condition (a failing disk fails every write), so neither a
+		// client error nor acknowledged. Ranked after the context cases — a
+		// barrier still waiting at the deadline is a 504.
+		s.st.execErrors.Inc()
+		return http.StatusServiceUnavailable, err.Error(), time.Second
 	default:
 		s.st.execErrors.Inc()
 		return http.StatusInternalServerError, fmt.Sprintf("execute: %v", err), 0
@@ -1046,24 +1132,6 @@ func (s *Server) summarize(req *QueryRequest, res *core.Results, rep *core.Repor
 	return resp, n
 }
 
-// encodeResults renders the first sink value plus the execution report.
-func (s *Server) encodeResults(req *QueryRequest, res *core.Results, rep *core.Report) (*QueryResponse, error) {
-	resp, n := s.summarize(req, res, rep)
-	b := res.First().Batch
-	if b == nil || resp.Model {
-		return resp, nil
-	}
-	resp.Rows = make([][]any, 0, n)
-	for i := 0; i < n; i++ {
-		row, err := b.Row(i)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	return resp, nil
-}
-
 // IngestRequest is the POST /ingest body: one write to one engine. Exactly
 // one field group applies, matching the engine family.
 type IngestRequest struct {
@@ -1096,24 +1164,17 @@ type IngestResponse struct {
 // addressable (results over other stores stay cached; that is the point of
 // the version vector).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !postOnly(w, r) {
 		return
 	}
 	// Writes share the tenant's token bucket with queries (one entitlement
 	// per tenant, not one per endpoint) and answer an exhausted one exactly
 	// like /query does.
-	if err := s.tenants.admitRate(s.tenants.state(tenant.FromHTTP(r)), time.Now()); err != nil {
-		s.writeQueryError(w, err, 0)
+	if _, _, ok := s.admitTenant(w, r, s.tenants.admitRate, time.Now()); !ok {
 		return
 	}
-
 	var req IngestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Engine == "" {
@@ -1126,18 +1187,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown engine %q (registered: %v)", req.Engine, s.rt.Engines())
 		return
 	}
-	err := s.rt.Ingest(r.Context(), req.Engine, adapter.Ingest{
+	// The write runs under the default deadline: the durability barrier can
+	// wait on a stuck fsync, which must not pin the handler forever.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
+	defer cancel()
+	err := s.rt.Ingest(ctx, req.Engine, adapter.Ingest{
 		Table: req.Table, Row: req.Row,
 		Series: req.Series, TS: req.TS, Value: req.Value,
 		Key: req.Key, Data: []byte(req.Data),
 	})
-	if err != nil {
+	switch {
+	case err == nil:
+		s.st.ingests.Inc()
+		writeJSON(w, http.StatusOK, IngestResponse{OK: true, DataVersion: s.rt.DataVersion()})
+	case errors.Is(err, core.ErrDurability), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// Not the client's fault: durability failure (503), deadline (504) or
+		// a client that went away (499), classified as /query classifies them.
+		s.writeQueryError(w, err, s.cfg.DefaultTimeout)
+	default:
+		// What is left is validation: an engine that takes no writes, a
+		// missing table, a row that does not fit the schema.
 		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "ingest: %v", err)
-		return
 	}
-	s.st.ingests.Inc()
-	writeJSON(w, http.StatusOK, IngestResponse{OK: true, DataVersion: s.rt.DataVersion()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

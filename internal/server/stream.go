@@ -39,7 +39,6 @@ import (
 	"polystorepp/internal/core"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
-	"polystorepp/internal/tenant"
 )
 
 // streamSchemaRecord is the first NDJSON line of a tabular stream.
@@ -86,9 +85,9 @@ type streamErrorRecord struct {
 // matching the buffered response) and records first-byte latency plus
 // streamed-row counters.
 type ndjsonStream struct {
+	s       *Server
 	w       http.ResponseWriter
 	fl      http.Flusher // nil when the transport cannot flush
-	stats   *serverStats
 	t0      time.Time
 	maxRows int
 
@@ -96,9 +95,19 @@ type ndjsonStream struct {
 	sent    int  // rows emitted so far
 }
 
-func newNDJSONStream(w http.ResponseWriter, maxRows int, st *serverStats, t0 time.Time) *ndjsonStream {
+// newNDJSONStream answers /query/stream on w under the request's execution
+// budget.
+//
+// Streaming writes happen while the request holds its worker slot, and a ctx
+// deadline cannot interrupt a socket write blocked on a client that stopped
+// reading. The whole response is therefore bounded by a write deadline
+// (execution budget + a transfer grace period) so stalled readers fail the
+// write — freeing the slot — instead of pinning a worker forever. Transports
+// without deadline support (test recorders) just skip it.
+func newNDJSONStream(s *Server, w http.ResponseWriter, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + streamWriteGrace))
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{w: w, fl: fl, stats: st, t0: t0, maxRows: maxRows}
+	return &ndjsonStream{s: s, w: w, fl: fl, t0: t0, maxRows: maxRows}
 }
 
 // streamWriteGrace is how long past the execution deadline a streaming
@@ -118,7 +127,7 @@ func (st *ndjsonStream) writeRecord(v any) error {
 	if !st.started {
 		st.started = true
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
-		st.stats.ttfr.Observe(time.Since(st.t0).Seconds())
+		st.s.st.ttfr.Observe(time.Since(st.t0).Seconds())
 	}
 	enc := json.NewEncoder(st.w)
 	if err := enc.Encode(v); err != nil {
@@ -165,8 +174,8 @@ func (st *ndjsonStream) EmitBatch(_ ir.NodeID, b *cast.Batch) error {
 		return err
 	}
 	st.sent += n
-	st.stats.streamRows.Add(int64(n))
-	st.stats.streamBatches.Inc()
+	st.s.st.streamRows.Add(int64(n))
+	st.s.st.streamBatches.Inc()
 	return nil
 }
 
@@ -205,86 +214,45 @@ func (e errSentinel) Error() string { return string(e) }
 
 // handleQueryStream serves POST /query/stream.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.st.requests.Inc()
-	s.st.streamRequests.Inc()
-	t0 := time.Now()
-
-	ten := tenant.FromHTTP(r)
-	ts := s.tenants.state(ten)
-	if err := s.tenants.admit(ts, t0); err != nil {
-		s.writeQueryError(w, err, 0)
-		return
-	}
-
-	p := s.prepareQuery(w, r, ten, ts)
-	if p == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
-	defer cancel()
-	ctx = tenant.With(ctx, ten)
-
-	// Streaming writes happen while this request holds its worker slot, and
-	// a ctx deadline cannot interrupt a socket write blocked on a client
-	// that stopped reading. Bound the whole response with a write deadline
-	// (execution budget + a transfer grace period) so stalled readers fail
-	// the write — freeing the slot — instead of pinning a worker forever.
-	// Transports without deadline support (test recorders) just skip it.
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(p.timeout + streamWriteGrace))
-
-	tr := s.startTrace(p)
-	tr.Annotate("tenant", ten)
-	tr.Annotate("class", p.class.String())
-	ctx = obs.With(ctx, tr)
-
-	stream := newNDJSONStream(w, s.effectiveMaxRows(&p.req), &s.st, t0)
-	out, err := s.runQuery(ctx, p, stream)
-	s.tenants.finish(ts, err, time.Since(t0), time.Now())
-	tree := tr.Finish()
-	s.traces.Record(tree)
-	if err != nil {
-		s.writeStreamError(w, stream, err, p.timeout)
-		return
-	}
-	if !stream.started {
-		// Cache hit, single-flight follower, or a buffered execution path:
-		// the outcome arrived materialized; replay it through the stream.
-		if err := stream.replay(out.res); err != nil && err != errReplayDone {
-			// Client write failure mid-replay: nothing sane left to send.
-			s.st.streamAborted.Inc()
-			return
-		}
-	}
-	if p.req.Trace && tree != nil {
-		if err := stream.writeRecord(streamTraceRecord{Type: "trace", Trace: tree}); err != nil {
-			s.st.streamAborted.Inc()
-			return
-		}
-	}
-	resp, _ := s.summarize(&p.req, out.res, out.rep)
-	s.decorateResponse(resp, p, out)
-	if err := stream.writeRecord(streamSummaryRecord{Type: "summary", QueryResponse: resp}); err != nil {
-		s.st.streamAborted.Inc()
-		return
-	}
-	s.st.latency.Observe(time.Since(t0).Seconds())
+	s.serveQuery(w, r, true)
 }
 
-// writeStreamError reports a streaming failure: with nothing flushed yet the
-// plain HTTP error path still applies (same statuses as /query); after the
-// first byte the failure travels as the terminal in-band error record —
-// writeQueryError is structurally unreachable there, since the 200 status
-// line left with the first flush.
-func (s *Server) writeStreamError(w http.ResponseWriter, stream *ndjsonStream, err error, timeout time.Duration) {
-	if !stream.started {
-		s.writeQueryError(w, err, timeout)
+// deliver completes a served stream: whatever the execution did not stream
+// live is replayed, then the trace record (when asked for) and the summary
+// close it. A failed client write leaves nothing sane to send.
+func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *obs.Tree) {
+	var err error
+	if !st.started {
+		// Cache hit, single-flight follower, or a buffered execution path:
+		// the outcome arrived materialized; replay it through the stream.
+		if err = st.replay(res); err == errReplayDone {
+			err = nil
+		}
+	}
+	if err == nil && tree != nil {
+		err = st.writeRecord(streamTraceRecord{Type: "trace", Trace: tree})
+	}
+	if err == nil {
+		err = st.writeRecord(streamSummaryRecord{Type: "summary", QueryResponse: resp})
+	}
+	if err != nil {
+		st.s.st.streamAborted.Inc()
 		return
 	}
-	status, msg, _ := s.classifyQueryError(err, timeout)
+	st.s.st.latency.Observe(time.Since(st.t0).Seconds())
+}
+
+// fail reports a runQuery failure: with nothing flushed yet the plain HTTP error
+// path still applies (same statuses as /query); after the first byte the
+// failure travels as the terminal in-band error record — writeQueryError is
+// structurally unreachable there, since the 200 status line left with the
+// first flush.
+func (st *ndjsonStream) fail(err error, timeout time.Duration) {
+	if !st.started {
+		st.s.writeQueryError(st.w, err, timeout)
+		return
+	}
+	status, msg, _ := st.s.classifyQueryError(err, timeout)
 	if errors.Is(err, errStreamWrite) || errors.Is(err, context.Canceled) {
 		// The client is gone — whether a write failed (errStreamWrite) or a
 		// per-batch ctx check saw the request context die first (Canceled).
@@ -292,12 +260,12 @@ func (s *Server) writeStreamError(w http.ResponseWriter, stream *ndjsonStream, e
 		// as "in-band" would report query failures that never happened. The
 		// server-imposed deadline (DeadlineExceeded) is different: that
 		// client is alive and owed the trailing 504 record.
-		s.st.streamAborted.Inc()
+		st.s.st.streamAborted.Inc()
 		return
 	}
-	if werr := stream.writeRecord(streamErrorRecord{Type: "error", Error: msg, Status: status}); werr != nil {
-		s.st.streamAborted.Inc()
+	if werr := st.writeRecord(streamErrorRecord{Type: "error", Error: msg, Status: status}); werr != nil {
+		st.s.st.streamAborted.Inc()
 		return
 	}
-	s.st.streamErrorsInband.Inc()
+	st.s.st.streamErrorsInband.Inc()
 }

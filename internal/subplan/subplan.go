@@ -75,10 +75,10 @@ func maxEntriesFor(maxBytes int64) int {
 // are charged to the tenant whose execution published them: while more than
 // one tenant holds entries, each tenant's bytes are capped at a share of
 // the budget, so one tenant's working set cannot evict everyone else's
-// memoized intermediates (see lru.TenantCostCache).
+// memoized intermediates (see lru.CostCache).
 type Cache struct {
 	mu       sync.Mutex
-	entries  *lru.TenantCostCache[*Entry]
+	entries  *lru.CostCache[*Entry]
 	maxBytes int64
 }
 
@@ -91,7 +91,7 @@ func NewCache(maxBytes int64) *Cache { return NewCacheShared(maxBytes, 0) }
 // share <= 0 selects the default, >= 1 disables per-tenant capping.
 func NewCacheShared(maxBytes int64, share float64) *Cache {
 	return &Cache{
-		entries:  lru.NewTenantCost[*Entry](maxEntriesFor(maxBytes), maxBytes, share),
+		entries:  lru.NewCostShared[*Entry](maxEntriesFor(maxBytes), maxBytes, share),
 		maxBytes: maxBytes,
 	}
 }
@@ -110,7 +110,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 func (c *Cache) Put(key string, e *Entry, owner string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries.Put(key, e, e.Bytes+entryOverheadBytes, owner)
+	_, ok := c.entries.PutOwned(key, e, e.Bytes+entryOverheadBytes, owner)
 	return ok
 }
 
