@@ -25,3 +25,25 @@ func TestSortByAllocBudget(t *testing.T) {
 		t.Fatalf("SortBy of 10k rows: %.0f allocations, budget 8", allocs)
 	}
 }
+
+// TestAppendJSONRowsAllocBudget: encoding into a buffer that already has the
+// room allocates nothing — no cell is boxed, no row slice built.
+func TestAppendJSONRowsAllocBudget(t *testing.T) {
+	b := NewBatch(testSchema(t), 1024)
+	for i := 0; i < 1024; i++ {
+		if err := b.AppendRow(int64(i), float64(i)/8, "row <"+string(rune('a'+i%26))+">", i%2 == 0, int64(i)*1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := b.AppendJSONRows(nil, 0, b.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if buf, err = b.AppendJSONRows(buf[:0], 0, b.Rows()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendJSONRows of 1024 rows into a sized buffer: %.0f allocations, want 0", allocs)
+	}
+}

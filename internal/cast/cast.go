@@ -261,6 +261,10 @@ type Batch struct {
 	schema Schema
 	cols   []column
 	rows   int
+	// A view is rows [off, off+rows) of root, itself an immutable view; root
+	// is nil for a batch that is not a view. Concat reads it.
+	root *Batch
+	off  int
 }
 
 // NewBatch returns an empty batch with the given schema and capacity hint.
@@ -461,11 +465,14 @@ func (b *Batch) AppendBatch(src *Batch) error {
 // backing array (the view keeps the old one); existing elements are never
 // written in place. The view must not be mutated, and callers appending to
 // b concurrently must synchronize the View call itself against appends (the
-// relational table takes its lock).
+// relational table takes its lock). The view is a provenance root: ranges
+// cut from it remember their offset in it.
 func (b *Batch) View() *Batch {
 	cols := make([]column, len(b.cols))
 	copy(cols, b.cols)
-	return &Batch{schema: b.schema, cols: cols, rows: b.rows}
+	out := &Batch{schema: b.schema, cols: cols, rows: b.rows}
+	out.root = out
+	return out
 }
 
 // ViewRange returns a read-only view of rows [lo, hi) sharing b's column
@@ -473,12 +480,18 @@ func (b *Batch) View() *Batch {
 // View (safe against append-only growth of b, must not be mutated); the
 // backing slices are capacity-clamped so even an erroneous append to the
 // view cannot clobber b's rows. Partition-parallel scans use it to hand each
-// worker a zero-copy row range.
+// worker a zero-copy row range. A range of a view records the view's root
+// and its own offset there; a range of anything else is its own root, so a
+// batch that may still grow is never reached through a view of it.
 func (b *Batch) ViewRange(lo, hi int) (*Batch, error) {
 	if lo < 0 || hi > b.rows || lo > hi {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRowOutOfRange, lo, hi, b.rows)
 	}
 	out := &Batch{schema: b.schema, cols: make([]column, len(b.cols)), rows: hi - lo}
+	out.root, out.off = b.root, b.off+lo
+	if b.root == nil {
+		out.root, out.off = out, 0
+	}
 	for i := range b.cols {
 		switch b.schema.Col(i).Type {
 		case Int64, Timestamp:
@@ -577,16 +590,30 @@ func (b *Batch) Take(sel []int32) *Batch {
 	return out
 }
 
-// Gather is Take for indices of unknown provenance: each is range-checked.
-func (b *Batch) Gather(idx []int) (*Batch, error) {
-	sel := make([]int32, len(idx))
-	for i, r := range idx {
-		if r < 0 || r >= b.rows {
-			return nil, fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, r, b.rows)
-		}
-		sel[i] = int32(r)
+// Concat returns the rows of parts, in order, as one batch of schema s. One
+// part is handed back itself. Parts that tile one view root — consecutive
+// row ranges of it, as the chunks of a streamed scan or of a range filter
+// over one are — come back as a single view of the root, nothing copied;
+// anything else is copied once into a batch allocated at the final size.
+func Concat(s Schema, parts []*Batch) (*Batch, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
-	return b.Take(sel), nil
+	total, tiled := 0, len(parts) > 0
+	for _, p := range parts {
+		tiled = tiled && p.root != nil && p.root == parts[0].root && p.off == parts[0].off+total
+		total += p.rows
+	}
+	if tiled && parts[0].root.schema.Equal(s) {
+		return parts[0].root.ViewRange(parts[0].off, parts[0].off+total)
+	}
+	out := NewBatch(s, total)
+	for _, p := range parts {
+		if err := out.AppendBatch(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Project returns a batch of only the named columns, sharing their storage.

@@ -224,15 +224,11 @@ func TestPropertyGatherSliceAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		idx := make([]int, 0, hi-lo)
+		sel := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
+			sel = append(sel, int32(i))
 		}
-		g, err := b.Gather(idx)
-		if err != nil {
-			return false
-		}
-		return sl.Equal(g)
+		return sl.Equal(b.Take(sel))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -277,4 +273,33 @@ func benchBatch(n int) *Batch {
 		}
 	}
 	return b
+}
+
+// BenchmarkEncodeRows10k encodes 10k rows of the bench/ events schema
+// (id, kind, value) as a /query/stream response carries them: 1024-row
+// chunks appended into one reused buffer.
+func BenchmarkEncodeRows10k(b *testing.B) {
+	const rows = 10_000
+	rng := rand.New(rand.NewSource(1))
+	batch := NewBatch(MustSchema(Column{Name: "id", Type: Int64}, Column{Name: "kind", Type: Int64},
+		Column{Name: "value", Type: Float64}), rows)
+	for i := 0; i < rows; i++ {
+		if err := batch.AppendRow(int64(40_000+i), int64(i%16), float64(rng.Intn(8_000_000))/8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf, err := batch.AppendJSONRows(nil, 0, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < rows; lo += 1024 {
+			if buf, err = batch.AppendJSONRows(buf[:0], lo, min(lo+1024, rows)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -2,8 +2,10 @@ package cast
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -89,6 +91,64 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("decode/encode is not a fixed point")
+		}
+	})
+}
+
+// FuzzAppendJSONRows holds the typed row encoder to encoding/json: over all
+// five column types and any row sub-range, AppendJSONRows produces the bytes
+// json.Marshal produces for the same rows boxed by Batch.Row, and where
+// json.Marshal refuses (NaN, ±Inf) it refuses too and hands dst back
+// untouched. Rows after the first are the fuzzed row negated, shifted and
+// rotated, so byte rotations of a valid string supply broken UTF-8.
+func FuzzAppendJSONRows(f *testing.F) {
+	f.Add(int64(0), 0.0, "", false, int64(0), uint8(0), uint8(0), uint8(0)) // empty batch
+	f.Add(int64(math.MaxInt64), math.Copysign(0, -1), `<a href="x">&amp;</a>`, true, int64(math.MinInt64), uint8(4), uint8(0), uint8(4))
+	f.Add(int64(-1), 5e-324, "caf\xc3\xa9 \xff\xfe \xe2\x80\xa8|\xe2\x80\xa9 \xf0\x9f\x98\x80", false, int64(1), uint8(4), uint8(0), uint8(4))
+	f.Add(int64(7), 1e-7, "\x00\x1f\b\f\n\r\t\\\"\x7f/", true, int64(2), uint8(3), uint8(1), uint8(3)) // a sub-range
+	f.Add(int64(7), 1e21, "plain", true, int64(3), uint8(3), uint8(2), uint8(2))                       // lo == hi
+	f.Add(int64(7), 999999999999999868928.0, "", false, int64(4), uint8(1), uint8(0), uint8(1))        // largest below 1e21
+	f.Add(int64(7), 1e-6, "", false, int64(5), uint8(2), uint8(0), uint8(2))
+	f.Add(int64(7), 2.2250738585072014e-308, "", false, int64(6), uint8(2), uint8(0), uint8(2))
+	f.Add(int64(7), 123456789.123456789e-15, "", false, int64(6), uint8(2), uint8(0), uint8(2))
+	f.Add(int64(7), math.NaN(), "x", false, int64(7), uint8(2), uint8(0), uint8(2))
+	f.Add(int64(7), math.Inf(-1), "x", false, int64(8), uint8(2), uint8(1), uint8(2))
+	f.Add(int64(7), math.MaxFloat64, "x", false, int64(9), uint8(4), uint8(0), uint8(4))
+
+	schema := MustSchema(Column{Name: "i", Type: Int64}, Column{Name: "f", Type: Float64},
+		Column{Name: "s", Type: String}, Column{Name: "b", Type: Bool}, Column{Name: "ts", Type: Timestamp})
+	f.Fuzz(func(t *testing.T, i int64, x float64, s string, flag bool, ts int64, n, lo, hi uint8) {
+		b := NewBatch(schema, 0)
+		for k := 0; k < int(n%5); k++ {
+			rot := s
+			if len(s) > 0 {
+				rot = s[k%len(s):] + s[:k%len(s)]
+			}
+			fl := []float64{x, -x, x / 3, float64(float32(x))}[k]
+			if err := b.AppendRow(i^int64(k)<<40, fl, rot, flag != (k%2 == 1), ts-int64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from := int(lo) % (b.Rows() + 1)
+		to := from + int(hi)%(b.Rows()-from+1)
+		rows := make([][]any, 0, to-from)
+		for r := from; r < to; r++ {
+			row, err := b.Row(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
+		want, wantErr := json.Marshal(rows)
+		got, err := b.AppendJSONRows([]byte("dst"), from, to)
+		if wantErr != nil {
+			if err == nil || string(got) != "dst" {
+				t.Fatalf("json.Marshal fails (%v); AppendJSONRows returned %q, %v", wantErr, got, err)
+			}
+			return
+		}
+		if err != nil || string(got) != "dst"+string(want) {
+			t.Fatalf("rows [%d,%d):\n got %s (err %v)\nwant dst%s", from, to, got, err, want)
 		}
 	})
 }

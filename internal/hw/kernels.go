@@ -29,18 +29,19 @@ const (
 	KKMeansAssign
 )
 
+var kernelClassNames = [...]string{
+	KSort: "sort", KFilter: "filter", KProject: "project",
+	KHashBuild: "hash-build", KHashProbe: "hash-probe",
+	KGEMM: "gemm", KGEMV: "gemv",
+	KSerialize: "serialize", KDeserialize: "deserialize",
+	KWindowAgg: "window-agg", KRuleMatch: "rule-match",
+	KKMeansAssign: "kmeans-assign",
+}
+
 // String implements fmt.Stringer.
 func (k KernelClass) String() string {
-	names := map[KernelClass]string{
-		KSort: "sort", KFilter: "filter", KProject: "project",
-		KHashBuild: "hash-build", KHashProbe: "hash-probe",
-		KGEMM: "gemm", KGEMV: "gemv",
-		KSerialize: "serialize", KDeserialize: "deserialize",
-		KWindowAgg: "window-agg", KRuleMatch: "rule-match",
-		KKMeansAssign: "kmeans-assign",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if k >= KSort && int(k) < len(kernelClassNames) {
+		return kernelClassNames[k]
 	}
 	return fmt.Sprintf("KernelClass(%d)", int(k))
 }

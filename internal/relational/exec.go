@@ -55,13 +55,12 @@ func RunEmit(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*c
 	return drain(ctx, op, emit)
 }
 
-// drain pulls op dry and returns its output as one batch. An operator that
-// yields a single batch — every bulk producer does — has that batch handed
-// back by reference; only a second batch makes it concatenate, once, into a
-// batch allocated at the final size.
+// drain pulls op dry and returns its output as one batch, by cast.Concat's
+// rules: a single batch — every bulk producer yields one — is handed back by
+// reference, chunks that tile one snapshot become a view of it, and only
+// what is left is copied, once, at the final size.
 func drain(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*cast.Batch, error) {
 	var parts []*cast.Batch
-	total := 0
 	for {
 		// Checked per batch so a materializing consumer (join build, sort)
 		// aborts promptly when the request deadline hits mid-drain.
@@ -84,18 +83,8 @@ func drain(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*cas
 			}
 		}
 		parts = append(parts, b)
-		total += b.Rows()
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	out := cast.NewBatch(op.Schema(), total)
-	for _, b := range parts {
-		if err := out.AppendBatch(b); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return cast.Concat(op.Schema(), parts)
 }
 
 // WalkStats collects stats of the whole operator tree, parents first.

@@ -124,6 +124,64 @@ func TestSnapshotIsolatedFromInserts(t *testing.T) {
 	}
 }
 
+// TestStreamedScanDrainsToSnapshotView: a streamed range filter over a scan
+// hands drain consecutive chunks of one table snapshot, and drain answers
+// with a view of that snapshot instead of a copy — while a writer keeps
+// appending to the table (-race validates that nothing behind the view's
+// frozen length, and nothing of the live heap, is read).
+func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
+	const rows, from = 5000, 700
+	s := NewStore("db")
+	tb, err := s.CreateTable("users", usersSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := tb.Insert(int64(i), int64(20+i%50), "u", 1.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() *cast.Batch {
+		t.Helper()
+		f := NewFilter(NewSeqScan(tb), Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}})
+		f.Stream = true
+		chunks := 0
+		out, err := RunEmit(context.Background(), f, func(*cast.Batch) error { chunks++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids, _ := out.Ints(0); chunks < 2 || len(ids) < rows-from || ids[0] != from || ids[rows-from-1] != rows-1 {
+			t.Fatalf("streamed %d chunks, %d rows starting at %d", chunks, len(ids), ids[0])
+		}
+		return out
+	}
+	got, _ := scan().Ints(0)
+	heap, _ := tb.Snapshot().Ints(0)
+	if &got[0] != &heap[from] {
+		t.Fatal("drain copied chunks that tile one snapshot")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := rows; i < rows+2000; i++ {
+			if err := tb.Insert(int64(i), int64(99), "w", 2.0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		ids, _ := scan().Ints(0)
+		for i, id := range ids {
+			if id != int64(from+i) {
+				t.Fatalf("round %d: row %d holds uid %d", round, i, id)
+			}
+		}
+	}
+	<-done
+}
+
 func TestTableInsertTypeCheck(t *testing.T) {
 	s := newTestStore(t, 5)
 	users, _ := s.Table("users")

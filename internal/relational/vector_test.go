@@ -159,12 +159,12 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 	for trial := 0; trial < 1500; trial++ {
 		b := vecBatch(t, rng, []int{0, 1, 2, rng.Intn(300)}[rng.Intn(4)])
 		pred := genExpr(rng, 1+rng.Intn(4), 'b')
-		var kept []int
+		var kept []int32
 		var wantErr error
 		for r := 0; r < b.Rows() && wantErr == nil; r++ {
 			ok, err := EvalBool(pred, b, r)
 			if wantErr = err; ok {
-				kept = append(kept, r)
+				kept = append(kept, int32(r))
 			}
 		}
 		for _, parts := range partCounts {
@@ -174,7 +174,7 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 			if !sameError(err, wantErr) {
 				t.Fatalf("trial %d parts %d: %s\nerror %v, row loop says %v", trial, parts, pred, err, wantErr)
 			}
-			if want, _ := b.Gather(kept); err == nil && !sameBatch(got, want) {
+			if err == nil && !sameBatch(got, b.Take(kept)) {
 				t.Fatalf("trial %d parts %d: %s\nkept %d rows, row loop keeps %d", trial, parts, pred, got.Rows(), len(kept))
 			}
 		}
@@ -237,22 +237,22 @@ func TestVectorPinnedSemantics(t *testing.T) {
 	col := func(n string) Expr { return ColRef{Name: n} }
 	cases := []struct {
 		pred Expr
-		want []int
+		want []int32
 	}{
-		{Bin{Op: OpEq, L: col("f"), R: Const{V: 1.0}}, []int{0, 1, 3}},
-		{Bin{Op: OpNe, L: col("f"), R: col("g")}, []int{2}},
-		{Bin{Op: OpLe, L: col("f"), R: Const{V: 0.0}}, []int{0, 3}},
-		{Bin{Op: OpEq, L: col("ts"), R: col("i")}, []int{0, 1, 2, 3}},
-		{Bin{Op: OpGt, L: col("i"), R: Const{V: 1.5}}, []int{2, 3}},
+		{Bin{Op: OpEq, L: col("f"), R: Const{V: 1.0}}, []int32{0, 1, 3}},
+		{Bin{Op: OpNe, L: col("f"), R: col("g")}, []int32{2}},
+		{Bin{Op: OpLe, L: col("f"), R: Const{V: 0.0}}, []int32{0, 3}},
+		{Bin{Op: OpEq, L: col("ts"), R: col("i")}, []int32{0, 1, 2, 3}},
+		{Bin{Op: OpGt, L: col("i"), R: Const{V: 1.5}}, []int32{2, 3}},
 		{Bin{Op: OpAnd, L: Bin{Op: OpNe, L: col("j"), R: Const{V: int64(0)}},
-			R: Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int{3}},
+			R: Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int32{3}},
 		{Bin{Op: OpOr, L: Bin{Op: OpEq, L: col("j"), R: Const{V: int64(0)}},
-			R: Bin{Op: OpLt, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int{0, 1, 2}},
-		{Bin{Op: OpLt, L: col("q"), R: col("p")}, []int{0, 1, 2, 3}},
+			R: Bin{Op: OpLt, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(3)}}}, []int32{0, 1, 2}},
+		{Bin{Op: OpLt, L: col("q"), R: col("p")}, []int32{0, 1, 2, 3}},
 	}
 	for _, tc := range cases {
 		got := mustRun(t, NewFilter(&memSource{b: b}, tc.pred))
-		if want, _ := b.Gather(tc.want); !sameBatch(got, want) {
+		if !sameBatch(got, b.Take(tc.want)) {
 			ids, _ := got.Ints(0)
 			t.Errorf("%s keeps rows %v, want %v", tc.pred, ids, tc.want)
 		}

@@ -54,7 +54,6 @@ import (
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/backend"
-	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
@@ -398,10 +397,12 @@ type QueryRequest struct {
 
 // QueryResponse is the POST /query success body.
 type QueryResponse struct {
-	Columns   []string `json:"columns,omitempty"`
-	Rows      [][]any  `json:"rows,omitempty"`
-	RowCount  int      `json:"row_count"`
-	Truncated bool     `json:"truncated,omitempty"`
+	Columns []string `json:"columns,omitempty"`
+	// Rows is the JSON array of row arrays, encoded from the result's typed
+	// columns (cast.AppendJSONRows) before the envelope is.
+	Rows      json.RawMessage `json:"rows,omitempty"`
+	RowCount  int             `json:"row_count"`
+	Truncated bool            `json:"truncated,omitempty"`
 	// Model is set when the sink value is a trained model rather than a
 	// tabular batch.
 	Model bool `json:"model,omitempty"`
@@ -437,10 +438,40 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// wireBuf is a pooled buffer a response is encoded into in full before its
+// first byte is written, so a value that cannot be encoded still has a
+// status line to fail with. Append to b, or hand the wireBuf to an encoder
+// as its io.Writer.
+type wireBuf struct{ b []byte }
+
+func (buf *wireBuf) Write(p []byte) (int, error) {
+	buf.b = append(buf.b, p...)
+	return len(p), nil
+}
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+// putWireBuf recycles buf unless a rare huge response grew it: the pool
+// must not pin one MaxRows-sized buffer per worker.
+func putWireBuf(buf *wireBuf) {
+	if cap(buf.b) <= 1<<20 {
+		buf.b = buf.b[:0]
+		wireBufs.Put(buf)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.b) // a client that went away; nothing is left to tell it
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -667,7 +698,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	}
 	if err != nil {
 		if streaming {
-			stream.fail(err, p.timeout)
+			stream.fail(err)
 		} else {
 			s.writeQueryError(w, err, p.timeout)
 		}
@@ -679,30 +710,19 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 		stream.deliver(out.res, resp, tree)
 		return
 	}
-	if err := fillRows(resp, out.res.First().Batch, n); err != nil {
-		s.st.execErrors.Inc()
-		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
-		return
+	if n > 0 { // no rows, no "rows" field
+		rows := getWireBuf()
+		defer putWireBuf(rows)
+		if rows.b, err = out.res.First().Batch.AppendJSONRows(rows.b, 0, n); err != nil {
+			s.st.execErrors.Inc()
+			writeError(w, http.StatusInternalServerError, "encode results: %v", err)
+			return
+		}
+		resp.Rows = rows.b
 	}
 	resp.Trace = tree
 	s.st.latency.Observe(time.Since(t0).Seconds())
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fillRows boxes the first n rows of b (nil for model results) into resp.
-func fillRows(resp *QueryResponse, b *cast.Batch, n int) error {
-	if b == nil {
-		return nil
-	}
-	resp.Rows = make([][]any, 0, n)
-	for i := 0; i < n; i++ {
-		row, err := b.Row(i)
-		if err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	return nil
 }
 
 // startTrace creates the request's trace when the client asked for one (or

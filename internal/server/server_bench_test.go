@@ -261,6 +261,7 @@ func BenchmarkServeStream(b *testing.B) {
 		rows   atomic.Int64
 	)
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	t0 := time.Now()
 	b.RunParallel(func(pb *testing.PB) {

@@ -52,7 +52,14 @@ func newTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Server {
 	return ts
 }
 
-func postQuery(t *testing.T, ts *httptest.Server, body string) (int, *server.QueryResponse, string) {
+// queryResponse is a client's reading of server.QueryResponse: the rows,
+// which the server sends pre-encoded, decoded.
+type queryResponse struct {
+	server.QueryResponse
+	Rows [][]any `json:"rows"`
+}
+
+func postQuery(t *testing.T, ts *httptest.Server, body string) (int, *queryResponse, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -63,7 +70,7 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (int, *server.Que
 	if err != nil {
 		t.Fatal(err)
 	}
-	var qr server.QueryResponse
+	var qr queryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &qr); err != nil {
 			t.Fatalf("bad response JSON: %v\n%s", err, raw)

@@ -48,12 +48,6 @@ type streamSchemaRecord struct {
 	Types   []string `json:"types"`
 }
 
-// streamBatchRecord carries one batch of rows.
-type streamBatchRecord struct {
-	Type string  `json:"type"` // "batch"
-	Rows [][]any `json:"rows"`
-}
-
 // streamSummaryRecord terminates a successful stream with the same
 // serving metadata the buffered QueryResponse carries (minus "rows").
 type streamSummaryRecord struct {
@@ -89,6 +83,7 @@ type ndjsonStream struct {
 	w       http.ResponseWriter
 	fl      http.Flusher // nil when the transport cannot flush
 	t0      time.Time
+	timeout time.Duration // the request's budget, for wording a 504
 	maxRows int
 
 	started bool // first byte flushed; HTTP status is committed
@@ -107,7 +102,7 @@ type ndjsonStream struct {
 func newNDJSONStream(s *Server, w http.ResponseWriter, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + streamWriteGrace))
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{s: s, w: w, fl: fl, t0: t0, maxRows: maxRows}
+	return &ndjsonStream{s: s, w: w, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
 }
 
 // streamWriteGrace is how long past the execution deadline a streaming
@@ -119,24 +114,35 @@ const streamWriteGrace = 30 * time.Second
 // errStreamWrite marks a failure to write to the streaming client — the
 // client went away, not the query. Single-flight treats a leader dying of
 // it like a canceled leader (followers re-elect instead of inheriting a
-// 500), and the leader's own response maps to the never-seen 499.
+// 500), and the leader's own response maps to the never-seen 499. A record
+// that cannot be encoded is the query's failure and is not wrapped in it.
 var errStreamWrite = errors.New("server: stream client write failed")
 
-// writeRecord marshals one NDJSON line and flushes it.
-func (st *ndjsonStream) writeRecord(v any) error {
+// write sends one encoded NDJSON line and flushes it.
+func (st *ndjsonStream) write(line []byte) error {
 	if !st.started {
 		st.started = true
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
 		st.s.st.ttfr.Observe(time.Since(st.t0).Seconds())
 	}
-	enc := json.NewEncoder(st.w)
-	if err := enc.Encode(v); err != nil {
+	if _, err := st.w.Write(line); err != nil {
 		return fmt.Errorf("%w: %v", errStreamWrite, err)
 	}
 	if st.fl != nil {
 		st.fl.Flush()
 	}
 	return nil
+}
+
+// writeRecord marshals one NDJSON line — every record but the row batches —
+// and sends it.
+func (st *ndjsonStream) writeRecord(v any) error {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return fmt.Errorf("encode %T: %w", v, err)
+	}
+	return st.write(buf.b)
 }
 
 // StartStream implements core.ResultSink: announce the schema.
@@ -154,63 +160,53 @@ func (st *ndjsonStream) StartStream(_ ir.NodeID, schema cast.Schema) error {
 // execution still runs to completion so the result cache gets the full
 // result and the summary the true row count, exactly like /query).
 func (st *ndjsonStream) EmitBatch(_ ir.NodeID, b *cast.Batch) error {
-	remaining := st.maxRows - st.sent
-	if remaining <= 0 {
+	return st.emitRows(b, 0, min(b.Rows(), st.maxRows-st.sent))
+}
+
+// emitRows sends rows [lo, hi) of b as one {"type":"batch","rows":[[..],..]}
+// line, encoded from the typed columns into a pooled buffer: one Write and
+// one Flush per record, nothing allocated per row.
+func (st *ndjsonStream) emitRows(b *cast.Batch, lo, hi int) error {
+	if hi <= lo {
 		return nil
 	}
-	n := b.Rows()
-	if n > remaining {
-		n = remaining
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	line, err := b.AppendJSONRows(append(buf.b, `{"type":"batch","rows":`...), lo, hi)
+	if err != nil {
+		return fmt.Errorf("encode results: %w", err)
 	}
-	rec := streamBatchRecord{Type: "batch", Rows: make([][]any, 0, n)}
-	for i := 0; i < n; i++ {
-		row, err := b.Row(i)
-		if err != nil {
-			return err
-		}
-		rec.Rows = append(rec.Rows, row)
-	}
-	if err := st.writeRecord(rec); err != nil {
+	buf.b = append(line, '}', '\n') // the pool keeps what the line grew to
+	if err := st.write(buf.b); err != nil {
 		return err
 	}
-	st.sent += n
-	st.s.st.streamRows.Add(int64(n))
+	st.sent += hi - lo
+	st.s.st.streamRows.Add(int64(hi - lo))
 	st.s.st.streamBatches.Inc()
 	return nil
 }
 
 // replay streams a buffered outcome — a result-cache hit or a single-flight
 // follower's shared result — as if it had executed live: schema record,
-// then the cached sink batch in StreamChunkRows slices. The concatenation
-// equals the cached batch, so replayed streams are indistinguishable from
-// live ones on the wire.
+// then the cached sink batch, up to the row cap, in StreamChunkRows records.
+// Live streams chunk and encode the same way, so the two are byte-identical
+// on the wire.
 func (st *ndjsonStream) replay(res *core.Results) error {
-	v := res.First()
-	if v.Batch == nil {
+	b := res.First().Batch
+	if b == nil {
 		return nil // model or empty result: summary-only stream
 	}
-	var node ir.NodeID
-	if len(res.Sinks) > 0 {
-		node = res.Sinks[0]
-	}
-	if err := st.StartStream(node, v.Batch.Schema()); err != nil {
+	if err := st.StartStream(0, b.Schema()); err != nil {
 		return err
 	}
-	return v.Batch.ForEachChunk(adapter.StreamChunkRows, func(chunk *cast.Batch) error {
-		if st.sent >= st.maxRows {
-			return errReplayDone
+	n := min(b.Rows(), st.maxRows)
+	for lo := 0; lo < n; lo += adapter.StreamChunkRows {
+		if err := st.emitRows(b, lo, min(lo+adapter.StreamChunkRows, n)); err != nil {
+			return err
 		}
-		return st.EmitBatch(node, chunk)
-	})
+	}
+	return nil
 }
-
-// errReplayDone short-circuits a replay once the row cap is reached; it
-// never escapes replay's caller path as a failure.
-var errReplayDone = errSentinel("replay row cap reached")
-
-type errSentinel string
-
-func (e errSentinel) Error() string { return string(e) }
 
 // handleQueryStream serves POST /query/stream.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
@@ -219,15 +215,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 // deliver completes a served stream: whatever the execution did not stream
 // live is replayed, then the trace record (when asked for) and the summary
-// close it. A failed client write leaves nothing sane to send.
+// close it. Whatever goes wrong on the way is reported as fail reports it.
 func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *obs.Tree) {
 	var err error
 	if !st.started {
 		// Cache hit, single-flight follower, or a buffered execution path:
 		// the outcome arrived materialized; replay it through the stream.
-		if err = st.replay(res); err == errReplayDone {
-			err = nil
-		}
+		err = st.replay(res)
 	}
 	if err == nil && tree != nil {
 		err = st.writeRecord(streamTraceRecord{Type: "trace", Trace: tree})
@@ -236,23 +230,23 @@ func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *ob
 		err = st.writeRecord(streamSummaryRecord{Type: "summary", QueryResponse: resp})
 	}
 	if err != nil {
-		st.s.st.streamAborted.Inc()
+		st.fail(err)
 		return
 	}
 	st.s.st.latency.Observe(time.Since(st.t0).Seconds())
 }
 
-// fail reports a runQuery failure: with nothing flushed yet the plain HTTP error
-// path still applies (same statuses as /query); after the first byte the
-// failure travels as the terminal in-band error record — writeQueryError is
-// structurally unreachable there, since the 200 status line left with the
-// first flush.
-func (st *ndjsonStream) fail(err error, timeout time.Duration) {
+// fail reports a failure of runQuery or of delivering its outcome: with
+// nothing flushed yet the plain HTTP error path still applies (same statuses
+// as /query); after the first byte the failure travels as the terminal
+// in-band error record — writeQueryError is structurally unreachable there,
+// since the 200 status line left with the first flush.
+func (st *ndjsonStream) fail(err error) {
 	if !st.started {
-		st.s.writeQueryError(st.w, err, timeout)
+		st.s.writeQueryError(st.w, err, st.timeout)
 		return
 	}
-	status, msg, _ := st.s.classifyQueryError(err, timeout)
+	status, msg, _ := st.s.classifyQueryError(err, st.timeout)
 	if errors.Is(err, errStreamWrite) || errors.Is(err, context.Canceled) {
 		// The client is gone — whether a write failed (errStreamWrite) or a
 		// per-batch ctx check saw the request context die first (Canceled).

@@ -391,6 +391,73 @@ func TestStreamMidStreamErrorInBand(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFloatFailsLoudly: JSON cannot carry ±Inf or NaN, so a result
+// holding one fails the request where the client can see it — /query with a
+// 500 and its reason, /query/stream with a terminal in-band 500 record —
+// whether the rows were just computed or are replayed from the result cache.
+// Neither is a client that went away: nothing may count as a stream abort.
+func TestNonFiniteFloatFailsLoudly(t *testing.T) {
+	ts := newStreamTestServer(t, polystore.ServeConfig{})
+	counters := func() (execErrors, inband, hits int64) {
+		t.Helper()
+		var st struct {
+			ExecErrors int64 `json:"exec_errors"`
+			Inband     int64 `json:"stream_errors_inband"`
+			Hits       int64 `json:"result_cache_hits"`
+		}
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.ExecErrors, st.Inband, st.Hits
+	}
+	inf := `{"frontend":"sql","statement":"SELECT k, val * 1e308 * 1e308 AS y FROM points WHERE k > 0 LIMIT 2"}`
+	nan := `{"frontend":"sql","statement":"SELECT k, val * 1e308 * 1e308 - val * 1e308 * 1e308 AS y FROM points WHERE k > 0 LIMIT 2"}`
+
+	// Buffered: computed, then replayed from the result cache (the result
+	// itself is sound and is cached; it is its JSON rendering that fails).
+	for i, want := range []string{"miss", "hit"} {
+		code, _, raw := postQuery(t, ts, inf)
+		if code != http.StatusInternalServerError || !strings.Contains(raw, `"error":"encode results: `) || !strings.Contains(raw, "+Inf") {
+			t.Fatalf("/query (result cache %s): status %d, body %q", want, code, raw)
+		}
+		if execErrors, _, hits := counters(); execErrors != int64(i+1) || hits != int64(i) {
+			t.Fatalf("/query (result cache %s): exec_errors=%d result_cache_hits=%d", want, execErrors, hits)
+		}
+	}
+	// Streamed: a replay of that cached result, then a live execution of
+	// another statement.
+	for i, body := range []string{inf, nan} {
+		code, lines, raw := postStream(t, ts, body)
+		if code != http.StatusOK {
+			t.Fatalf("/query/stream #%d: status %d: %s", i, code, raw)
+		}
+		schema, batches, terminal := splitStream(t, lines)
+		if schema == nil || len(batches) != 0 || terminal.Type != "error" ||
+			terminal.Status != http.StatusInternalServerError || !strings.Contains(terminal.Error, "encode results: ") {
+			t.Fatalf("/query/stream #%d: want schema then a terminal 500 error record, got\n%s", i, raw)
+		}
+		if _, inband, hits := counters(); inband != int64(i+1) || hits != 2 {
+			t.Fatalf("/query/stream #%d: stream_errors_inband=%d result_cache_hits=%d", i, inband, hits)
+		}
+	}
+	if execErrors, _, _ := counters(); execErrors != 4 {
+		t.Fatalf("exec_errors = %d after four failed encodes", execErrors)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if prom, _ := io.ReadAll(resp.Body); !strings.Contains(string(prom), "\nserver_stream_aborted 0\n") {
+		t.Fatal("a failed encode was counted as a client that stopped reading (server_stream_aborted != 0)")
+	}
+}
+
 // TestStreamDeadlineMidStream: a deadline that expires after the stream
 // started (the fast sink already flushed; a slow ML sink is still training)
 // emits the trailing 504-classified error record.
