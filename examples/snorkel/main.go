@@ -40,6 +40,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	ws, err := model.NewWorkspace(batchSize)
+	if err != nil {
+		return err
+	}
 
 	fpga := hw.NewFPGA()
 	if _, err := fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)); err != nil {
@@ -95,7 +99,7 @@ func run() error {
 					return err
 				}
 			}
-			loss, err := model.TrainBatch(x, y, 0.3)
+			loss, err := model.TrainBatch(ws, x, y, 0.3)
 			if err != nil {
 				return err
 			}

@@ -264,6 +264,102 @@ func TestMLAdapterTrainPredict(t *testing.T) {
 	}
 }
 
+// Zero rows in is zero rows out: an empty join used to reach the model as one
+// all-zero example (a phantom training step, a phantom prediction).
+func TestMLAdapterEmptyInput(t *testing.T) {
+	ctx := context.Background()
+	a := NewML("ml", 3)
+	empty := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "x", Type: cast.Float64},
+		cast.Column{Name: "y", Type: cast.Int64},
+		cast.Column{Name: "note", Type: cast.String},
+	), 0)
+	train := func(features ...string) (Value, ExecInfo, error) {
+		return a.Execute(ctx, node(ir.OpTrain, "ml", map[string]any{
+			"feature_cols": features, "label_col": "y", "hidden": int64(8), "epochs": int64(2), "batch": int64(50),
+		}), []Value{{Batch: empty}})
+	}
+	model, info, err := train("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.Model == nil || info.RowsIn != 0 || len(info.Kernels) != 0 {
+		t.Fatalf("train over no rows: model %v, RowsIn %d, %d kernels charged", model.Model, info.RowsIn, len(info.Kernels))
+	}
+	pred, info, err := a.Execute(ctx, node(ir.OpPredict, "ml", map[string]any{"feature_cols": []string{"x"}}),
+		[]Value{model, {Batch: empty}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Batch.Rows() != 0 || info.RowsIn != 0 || info.RowsOut != 0 || len(info.Kernels) != 0 {
+		t.Fatalf("predict over no rows: %d rows out, info %+v", pred.Batch.Rows(), info)
+	}
+	if got := pred.Batch.Schema().String(); got != "(row int64, prob float64)" {
+		t.Fatalf("empty prediction schema = %s", got)
+	}
+	// The columns are still checked when there is nothing in them.
+	if _, _, err := train("note"); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("string feature: %v", err)
+	}
+	if _, _, err := train("absent"); err == nil {
+		t.Fatal("unknown feature column accepted")
+	}
+	if _, _, err := a.Execute(ctx, node(ir.OpKMeans, "ml", map[string]any{"cols": []string{"x"}, "k": int64(1), "iters": int64(3)}),
+		[]Value{{Batch: empty}}); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("kmeans over no rows: %v", err)
+	}
+}
+
+// Features come straight from the typed columns — every numeric type widens
+// to float64 — and the kernel calls charged are the GEMM sequence of the
+// steps run: three per layer per mini-batch, one per layer per prediction.
+func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
+	ctx := context.Background()
+	a := NewML("ml", 3)
+	b := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "f", Type: cast.Float64},
+		cast.Column{Name: "i", Type: cast.Int64},
+		cast.Column{Name: "ok", Type: cast.Bool},
+		cast.Column{Name: "at", Type: cast.Timestamp},
+		cast.Column{Name: "y", Type: cast.Int64},
+	), 0)
+	for i := 0; i < 130; i++ {
+		if err := b.AppendRow(float64(i)/130, int64(i%7), i%2 == 0, int64(i), int64(i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, err := featureTensor(b, []string{"ok", "t.i", "f", "at"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := x.Data()[4*3 : 4*4]; x.Dim(0) != 130 || row[0] != 0 || row[1] != 3 || row[2] != 3.0/130 || row[3] != 3 {
+		t.Fatalf("row 3 of the feature tensor = %v", row)
+	}
+	features := []string{"f", "i", "ok", "at"}
+	model, info, err := a.Execute(ctx, node(ir.OpTrain, "ml", map[string]any{
+		"feature_cols": features, "label_col": "y", "hidden": int64(8), "epochs": int64(2), "batch": int64(50),
+	}), []Value{{Batch: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 130 rows in batches of 50 = 3 steps an epoch; 2 layers × 3 GEMMs each.
+	if len(info.Kernels) != 2*3*3*2 || cap(info.Kernels) != len(info.Kernels) || info.RowsIn != 130 {
+		t.Fatalf("train charged %d kernels (cap %d) over %d rows", len(info.Kernels), cap(info.Kernels), info.RowsIn)
+	}
+	if w := info.Kernels[0].Work; w.M != 50 || w.K != 4 || w.N != 8 || info.Kernels[35].Work.K != 8 {
+		t.Fatalf("kernel shapes: first %+v, last %+v", w, info.Kernels[35].Work)
+	}
+	pred, info, err := a.Execute(ctx, node(ir.OpPredict, "ml", map[string]any{"feature_cols": features}),
+		[]Value{model, {Batch: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := pred.Batch.Ints(0)
+	if len(info.Kernels) != 2 || info.Kernels[0].Work.M != 130 || pred.Batch.Rows() != 130 || rows[129] != 129 {
+		t.Fatalf("predict: %d kernels, %d rows", len(info.Kernels), pred.Batch.Rows())
+	}
+}
+
 // indexScanNode asks for an index range scan of patients.age, a column the
 // clinical dataset builds no B-tree on.
 func indexScanNode() *ir.Node {

@@ -650,7 +650,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
-		y, err := labelTensor(in, n.StringAttr("label_col"))
+		y, err := featureTensor(in, []string{n.StringAttr("label_col")})
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -660,16 +660,26 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
+		epochs := int(n.IntAttr("epochs"))
+		info.Native = fmt.Sprintf("TrainMLP(%d->%d->1, %d epochs)", len(featureCols), hidden, epochs)
+		if x == nil { // nothing to learn from: the initialised model, no kernel charged
+			return Value{Model: m}, info, nil
+		}
 		lr, _ := n.Attr("lr").(float64)
 		if lr == 0 {
 			lr = 0.1
 		}
-		epochs := int(n.IntAttr("epochs"))
-		batch := int(n.IntAttr("batch"))
-		if batch <= 0 || batch > x.Dim(0) {
-			batch = x.Dim(0)
-		}
 		nRows := x.Dim(0)
+		batch := int(n.IntAttr("batch"))
+		if batch <= 0 || batch > nRows {
+			batch = nRows
+		}
+		// One workspace and two row-range views serve every step.
+		ws, err := m.NewWorkspace(batch)
+		if err != nil {
+			return Value{}, info, err
+		}
+		var xb, yb tensor.Tensor
 		for e := 0; e < epochs; e++ {
 			// Checked per epoch so a canceled request (deadline, disconnect)
 			// stops burning CPU instead of finishing a doomed training run.
@@ -677,29 +687,25 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 				return Value{}, info, err
 			}
 			for lo := 0; lo < nRows; lo += batch {
-				hi := lo + batch
-				if hi > nRows {
-					hi = nRows
-				}
-				xb, err := sliceRows(x, lo, hi)
-				if err != nil {
+				hi := min(lo+batch, nRows)
+				if err := x.RowRangeInto(&xb, lo, hi); err != nil {
 					return Value{}, info, err
 				}
-				yb, err := sliceRows(y, lo, hi)
-				if err != nil {
+				if err := y.RowRangeInto(&yb, lo, hi); err != nil {
 					return Value{}, info, err
 				}
-				if _, err := m.TrainBatch(xb, yb, lr); err != nil {
+				if _, err := m.TrainBatch(ws, &xb, &yb, lr); err != nil {
 					return Value{}, info, err
 				}
 			}
 		}
 		info.RowsIn = int64(nRows)
-		info.Native = fmt.Sprintf("TrainMLP(%d->%d->1, %d epochs)", len(featureCols), hidden, epochs)
-		for _, w := range m.EpochGEMMWork(nRows, batch) {
-			batches := w.Items
+		works := m.EpochGEMMWork(nRows, batch)
+		steps := (nRows + batch - 1) / batch * epochs
+		info.Kernels = make([]KernelCall, 0, len(works)*steps)
+		for _, w := range works {
 			w.Items = 0
-			for b := int64(0); b < batches*int64(epochs); b++ {
+			for b := 0; b < steps; b++ {
 				info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: w})
 			}
 		}
@@ -719,28 +725,33 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
-		probs, err := m.Predict(x)
-		if err != nil {
-			return Value{}, info, err
-		}
-		s := cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "prob", Type: cast.Float64})
-		out := cast.NewBatch(s, x.Dim(0))
-		pd := probs.Data()
-		for i := 0; i < x.Dim(0); i++ {
-			if err := out.AppendRow(int64(i), pd[i]); err != nil {
+		rows, probs := make([]int64, in.Rows()), []float64{}
+		if x != nil {
+			p, err := m.Predict(x)
+			if err != nil {
 				return Value{}, info, err
 			}
+			probs = p.Data()
+			sizes := m.Sizes()
+			info.Kernels = make([]KernelCall, 0, len(sizes)-1)
+			for i := 0; i+1 < len(sizes); i++ {
+				info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: hw.Work{
+					M: x.Dim(0), K: sizes[i], N: sizes[i+1],
+					Bytes: int64(x.Dim(0)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
+				}})
+			}
+		}
+		for i := range rows {
+			rows[i] = int64(i)
+		}
+		s := cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "prob", Type: cast.Float64})
+		out, err := cast.BatchOf(s, rows, probs)
+		if err != nil {
+			return Value{}, info, err
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
 		info.Native = "Predict"
-		sizes := m.Sizes()
-		for i := 0; i+1 < len(sizes); i++ {
-			info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: hw.Work{
-				M: x.Dim(0), K: sizes[i], N: sizes[i+1],
-				Bytes: int64(x.Dim(0)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
-			}})
-		}
 		return Value{Batch: out}, info, nil
 
 	case ir.OpKMeans:
@@ -752,6 +763,9 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		x, err := featureTensor(in, cols)
 		if err != nil {
 			return Value{}, info, err
+		}
+		if x == nil {
+			return Value{}, info, fmt.Errorf("%w: kmeans over no rows", ErrBadInput)
 		}
 		k := int(n.IntAttr("k"))
 		iters := int(n.IntAttr("iters"))
@@ -782,66 +796,50 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 }
 
 // featureTensor extracts named numeric columns as a [rows, len(cols)]
-// tensor. Int64/Timestamp columns are widened to float64.
+// tensor, straight from the typed column slices. Int64/Timestamp and Bool
+// columns are widened to float64. A batch without rows has no tensor: the
+// columns are checked and nil is returned.
 func featureTensor(b *cast.Batch, cols []string) (*tensor.Tensor, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrBadNode)
 	}
-	out, err := tensor.New(maxInt(b.Rows(), 1), len(cols))
-	if err != nil {
-		return nil, err
+	var out *tensor.Tensor
+	var data []float64
+	if b.Rows() > 0 {
+		var err error
+		if out, err = tensor.New(b.Rows(), len(cols)); err != nil {
+			return nil, err
+		}
+		data = out.Data()
 	}
-	data := out.Data()
 	for j, name := range cols {
 		idx, err := b.Schema().Index(base(name))
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < b.Rows(); i++ {
-			v, err := b.Value(i, idx)
-			if err != nil {
-				return nil, err
+		switch b.Schema().Col(idx).Type {
+		case cast.Int64, cast.Timestamp:
+			ints, _ := b.Ints(idx) // the schema just named the type
+			for i, v := range ints {
+				data[i*len(cols)+j] = float64(v)
 			}
-			var f float64
-			switch x := v.(type) {
-			case int64:
-				f = float64(x)
-			case float64:
-				f = x
-			case bool:
-				if x {
-					f = 1
+		case cast.Float64:
+			flts, _ := b.Floats(idx)
+			for i, v := range flts {
+				data[i*len(cols)+j] = v
+			}
+		case cast.Bool:
+			bools, _ := b.Bools(idx)
+			for i, v := range bools {
+				if v {
+					data[i*len(cols)+j] = 1
 				}
-			default:
-				return nil, fmt.Errorf("%w: column %q is not numeric", ErrBadInput, name)
 			}
-			data[i*len(cols)+j] = f
+		default:
+			return nil, fmt.Errorf("%w: column %q is not numeric", ErrBadInput, name)
 		}
 	}
-	if b.Rows() == 0 {
-		return tensor.New(1, len(cols))
-	}
 	return out, nil
-}
-
-func labelTensor(b *cast.Batch, col string) (*tensor.Tensor, error) {
-	t, err := featureTensor(b, []string{col})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func sliceRows(t *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
-	cols := t.Dim(1)
-	return tensor.FromSlice(t.Data()[lo*cols:hi*cols], hi-lo, cols)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // execTabular runs an engine-agnostic Filter or Project node over its

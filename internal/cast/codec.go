@@ -257,10 +257,36 @@ func (d *Decoder) Blob() []byte { return append([]byte(nil), d.take(int(d.U32())
 //	per column: payload (fixed-width values back to back; strings as
 //	            len u32 + bytes)
 func WriteBinary(w io.Writer, b *Batch) error {
-	s := b.Schema()
 	// One buffer, sized to the batch (a one-row WAL record must not pay for
 	// a pipe-sized one) and written out whenever it passes maxStep.
-	e := Encoder{buf: make([]byte, 0, min(maxStep+8, 16+(32+9*b.Rows())*s.Len()))}
+	e := Encoder{buf: make([]byte, 0, min(maxStep+8, 16+(32+9*b.Rows())*b.Schema().Len()))}
+	return e.writeBatch(w, b)
+}
+
+// spill writes the buffer out to w once it has reached maxStep.
+func (e *Encoder) spill(w io.Writer) (err error) {
+	if len(e.buf) >= maxStep {
+		_, err = w.Write(e.buf)
+		e.buf = e.buf[:0]
+	}
+	return err
+}
+
+// block extends the buffer by the next run of width-byte values of a column
+// with left of them to go — as many as bring it to a spill — and returns how
+// many and where they go: fixed-width columns are encoded a block at a time,
+// one spill test per block instead of per value.
+func (e *Encoder) block(left, width int) (n int, dst []byte) {
+	n = min(left, (maxStep-len(e.buf)+width-1)/width)
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n*width)[:at+n*width]
+	return n, e.buf[at:]
+}
+
+// writeBatch encodes b through the encoder's buffer (see WriteBinary for the
+// format), spilling to w as it fills and flushing what is left.
+func (e *Encoder) writeBatch(w io.Writer, b *Batch) error {
+	s := b.Schema()
 	e.U32(binaryMagic)
 	e.U16(binaryVersion)
 	e.U16(uint16(s.Len()))
@@ -271,42 +297,41 @@ func WriteBinary(w io.Writer, b *Batch) error {
 		e.buf = append(e.buf, c.Name...)
 		e.U8(byte(c.Type))
 	}
-	var err error
-	spill := func() {
-		if len(e.buf) >= maxStep && err == nil {
-			_, err = w.Write(e.buf)
-			e.buf = e.buf[:0]
-		}
-	}
-	for i := 0; i < s.Len() && err == nil; i++ {
+	err := e.spill(w)
+	for i := 0; i < s.Len(); i++ {
+		c := &b.cols[i]
 		switch s.Col(i).Type {
 		case Int64, Timestamp:
-			ints, _ := b.Ints(i)
-			for _, v := range ints {
-				e.I64(v)
-				spill()
+			for vals := c.ints; len(vals) > 0 && err == nil; err = e.spill(w) {
+				n, dst := e.block(len(vals), 8)
+				for j, v := range vals[:n] {
+					binary.LittleEndian.PutUint64(dst[8*j:], uint64(v))
+				}
+				vals = vals[n:]
 			}
 		case Float64:
-			flts, _ := b.Floats(i)
-			for _, v := range flts {
-				e.F64(v)
-				spill()
+			for vals := c.flts; len(vals) > 0 && err == nil; err = e.spill(w) {
+				n, dst := e.block(len(vals), 8)
+				for j, v := range vals[:n] {
+					binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
+				}
+				vals = vals[n:]
 			}
 		case Bool:
-			bools, _ := b.Bools(i)
-			for _, v := range bools {
-				bt := byte(0)
-				if v {
-					bt = 1
+			for vals := c.bools; len(vals) > 0 && err == nil; err = e.spill(w) {
+				n, dst := e.block(len(vals), 1)
+				for j, v := range vals[:n] {
+					dst[j] = 0
+					if v {
+						dst[j] = 1
+					}
 				}
-				e.U8(bt)
-				spill()
+				vals = vals[n:]
 			}
 		case String:
-			strs, _ := b.Strings(i)
-			for _, v := range strs {
-				e.Str(v)
-				spill()
+			for j := 0; j < len(c.strs) && err == nil; j++ {
+				e.Str(c.strs[j])
+				err = e.spill(w)
 			}
 		}
 	}
@@ -434,17 +459,23 @@ func (d *Decoder) columns(b *Batch, n int) {
 
 // StreamWriter writes a sequence of batches (chunks) over one connection,
 // each length-delimited, so a receiver can process chunks as they arrive —
-// the "network pipe" of PipeGen.
+// the "network pipe" of PipeGen. Chunks are encoded through one buffer the
+// writer keeps, across Reset too, so a pooled writer allocates nothing.
 type StreamWriter struct {
 	w io.Writer
+	e Encoder
 }
 
 // NewStreamWriter returns a StreamWriter over w.
 func NewStreamWriter(w io.Writer) *StreamWriter { return &StreamWriter{w: w} }
 
+// Reset points the writer at a new stream.
+func (sw *StreamWriter) Reset(w io.Writer) { sw.w = w }
+
 // WriteChunk writes one batch as a chunk. A zero-row batch is legal.
 func (sw *StreamWriter) WriteChunk(b *Batch) error {
-	return WriteBinary(sw.w, b)
+	sw.e.Reset()
+	return sw.e.writeBatch(sw.w, b)
 }
 
 // Close writes the end-of-stream marker (a frame with zero magic).
@@ -462,24 +493,50 @@ type StreamReader struct {
 
 // NewStreamReader returns a StreamReader over r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, maxStep)
 	return &StreamReader{br: br, d: NewDecoder(br)}
+}
+
+// Reset points the reader at a new stream, keeping its buffers.
+func (sr *StreamReader) Reset(r io.Reader) {
+	sr.br.Reset(r)
+	sr.d.err = nil
+}
+
+// next consumes the end-of-stream marker, if that is what comes next, and
+// reports io.EOF; otherwise a chunk follows.
+func (sr *StreamReader) next() error {
+	peek, err := sr.br.Peek(4)
+	if err != nil {
+		return fmt.Errorf("%w: peeking frame: %v", ErrCodec, err)
+	}
+	if binary.LittleEndian.Uint32(peek) != binaryMagic {
+		if _, err := sr.br.Discard(4); err != nil {
+			return fmt.Errorf("%w: consuming eos: %v", ErrCodec, err)
+		}
+		return io.EOF
+	}
+	return nil
 }
 
 // ReadChunk returns the next batch, or io.EOF after the end-of-stream
 // marker.
 func (sr *StreamReader) ReadChunk() (*Batch, error) {
-	peek, err := sr.br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: peeking frame: %v", ErrCodec, err)
-	}
-	if binary.LittleEndian.Uint32(peek) != binaryMagic {
-		// End-of-stream marker: consume and report EOF.
-		if _, err := sr.br.Discard(4); err != nil {
-			return nil, fmt.Errorf("%w: consuming eos: %v", ErrCodec, err)
-		}
-		return nil, io.EOF
+	if err := sr.next(); err != nil {
+		return nil, err
 	}
 	b := sr.d.Batch()
 	return b, sr.d.Err()
+}
+
+// AppendChunk decodes the next chunk, whose schema must equal dst's, straight
+// onto the end of dst (see Decoder.AppendTo), or returns io.EOF after the
+// end-of-stream marker. A receiver that knows the final size decodes every
+// chunk into one presized batch.
+func (sr *StreamReader) AppendChunk(dst *Batch) error {
+	if err := sr.next(); err != nil {
+		return err
+	}
+	sr.d.AppendTo(dst)
+	return sr.d.Err()
 }

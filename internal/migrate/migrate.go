@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"polystorepp/internal/cast"
@@ -183,85 +184,103 @@ func (m *Migrator) migrateCSV(ctx context.Context, b *cast.Batch) (*cast.Batch, 
 	return out, bd, nil
 }
 
+// The pipe's sender encodes through a pooled buffer and its receiver decodes
+// out of a pooled read buffer, so a migration allocates the received batch
+// and little else.
+var (
+	pipeWriters = sync.Pool{New: func() any { return cast.NewStreamWriter(nil) }}
+	pipeReaders = sync.Pool{New: func() any { return cast.NewStreamReader(nil) }}
+)
+
+type recvResult struct {
+	batch *cast.Batch
+	dur   time.Duration
+	err   error
+}
+
+// receivePipe accepts the one connection of a migration and decodes its
+// chunks straight into a single batch of the announced size. It returns once
+// the stream ends or the sender closes the connection.
+func receivePipe(ln net.Listener, s cast.Schema, rows int) recvResult {
+	conn, err := ln.Accept()
+	if err != nil {
+		return recvResult{err: err}
+	}
+	defer func() { _ = conn.Close() }()
+	t := time.Now()
+	sr := pipeReaders.Get().(*cast.StreamReader)
+	defer pipeReaders.Put(sr)
+	sr.Reset(conn)
+	out := cast.NewBatch(s, rows)
+	for {
+		if err := sr.AppendChunk(out); errors.Is(err, io.EOF) {
+			return recvResult{batch: out, dur: time.Since(t)}
+		} else if err != nil {
+			return recvResult{err: err}
+		}
+	}
+}
+
+// sendPipe streams b over conn as zero-copy row-range chunks and closes it.
+func (m *Migrator) sendPipe(ctx context.Context, conn net.Conn, b *cast.Batch) (err error) {
+	defer func() {
+		if cerr := conn.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("%w: close conn: %v", ErrTransport, cerr)
+		}
+	}()
+	sw := pipeWriters.Get().(*cast.StreamWriter)
+	defer pipeWriters.Put(sw)
+	sw.Reset(conn)
+	// An empty batch is an empty stream: the receiver already has the schema.
+	if err := b.ForEachChunk(m.chunkRows, func(chunk *cast.Batch) error {
+		// Checked per chunk: closing the connection short of the end marker
+		// is what stops the receiver of a canceled request.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := sw.WriteChunk(chunk); err != nil {
+			return fmt.Errorf("%w: write chunk: %v", ErrTransport, err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	if err := sw.Close(); err != nil {
+		return fmt.Errorf("%w: close stream: %v", ErrTransport, err)
+	}
+	return nil
+}
+
 func (m *Migrator) migratePipe(ctx context.Context, b *cast.Batch) (*cast.Batch, Breakdown, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Breakdown{}, err
+	}
 	bd := Breakdown{Transport: Pipe, Rows: b.Rows()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, bd, fmt.Errorf("%w: listen: %v", ErrTransport, err)
 	}
-	defer func() { _ = ln.Close() }()
-
-	type recvResult struct {
-		batch *cast.Batch
-		dur   time.Duration
-		err   error
-	}
 	done := make(chan recvResult, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- recvResult{err: err}
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		t := time.Now()
-		sr := cast.NewStreamReader(conn)
-		out := cast.NewBatch(b.Schema(), b.Rows())
-		for {
-			chunk, err := sr.ReadChunk()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				done <- recvResult{err: err}
-				return
-			}
-			if err := out.AppendBatch(chunk); err != nil {
-				done <- recvResult{err: err}
-				return
-			}
-		}
-		done <- recvResult{batch: out, dur: time.Since(t)}
-	}()
+	go func() { done <- receivePipe(ln, b.Schema(), b.Rows()) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
+		_ = ln.Close() // fails the pending Accept
+		<-done
 		return nil, bd, fmt.Errorf("%w: dial: %v", ErrTransport, err)
 	}
 	t0 := time.Now()
-	sw := cast.NewStreamWriter(conn)
-	for lo := 0; lo < b.Rows() || lo == 0; lo += m.chunkRows {
-		hi := lo + m.chunkRows
-		if hi > b.Rows() {
-			hi = b.Rows()
-		}
-		chunk, err := b.Slice(lo, hi)
-		if err != nil {
-			_ = conn.Close()
-			return nil, bd, err
-		}
-		if err := sw.WriteChunk(chunk); err != nil {
-			_ = conn.Close()
-			return nil, bd, fmt.Errorf("%w: write chunk: %v", ErrTransport, err)
-		}
-		if hi == b.Rows() {
-			break
-		}
-	}
-	if err := sw.Close(); err != nil {
-		_ = conn.Close()
-		return nil, bd, fmt.Errorf("%w: close stream: %v", ErrTransport, err)
-	}
-	if err := conn.Close(); err != nil {
-		return nil, bd, fmt.Errorf("%w: close conn: %v", ErrTransport, err)
-	}
+	err = m.sendPipe(ctx, conn, b)
 	sendDur := time.Since(t0)
-
-	var res recvResult
-	select {
-	case res = <-done:
-	case <-ctx.Done():
-		return nil, bd, ctx.Err()
+	// The connection is closed on every path out of sendPipe, so the receiver
+	// finishes: the migration never outlives its goroutine.
+	res := <-done
+	_ = ln.Close()
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, bd, cerr
+	}
+	if err != nil {
+		return nil, bd, err
 	}
 	if res.err != nil {
 		return nil, bd, fmt.Errorf("%w: receive: %v", ErrTransport, res.err)

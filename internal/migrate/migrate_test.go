@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/hw"
@@ -117,11 +121,101 @@ func TestContextCancelled(t *testing.T) {
 	m := New(hw.NewHostCPU(), hw.NewRDMANIC())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.Migrate(ctx, testBatch(t, 1), CSV); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled csv: %v", err)
+	for _, tr := range []Transport{CSV, Pipe, RDMA} {
+		if out, _, err := m.Migrate(ctx, testBatch(t, 1), tr); !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("cancelled %s: returned a batch: %t, err %v", tr, out != nil, err)
+		}
 	}
-	if _, _, err := m.Migrate(ctx, testBatch(t, 1), RDMA); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled rdma: %v", err)
+}
+
+// lateCancel reports cancellation from its n-th Err call on: a request that
+// is given up while its batch is on the wire.
+type lateCancel struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *lateCancel) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A pipe migration canceled before or during the transfer returns the
+// context's error, never the batch, and leaves no receiver goroutine behind.
+func TestPipeCancellationLeaksNoGoroutine(t *testing.T) {
+	m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(1))
+	b := testBatch(t, 200)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		ctx := &lateCancel{Context: context.Background()}
+		ctx.left.Store(int32(i % 5)) // 0: before listening; else after i%5-1 chunks
+		if out, _, err := m.Migrate(ctx, b, Pipe); !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("migration %d: returned a batch: %t, err %v", i, out != nil, err)
+		}
+	}
+	// migratePipe waits for its receiver's result; the goroutine itself may
+	// still be a few instructions from gone.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 50 cancelled migrations, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+	if out, _, err := m.Migrate(context.Background(), b, Pipe); err != nil || !out.Equal(b) {
+		t.Fatalf("migration after the cancelled ones (pooled buffers reused): %v", err)
+	}
+}
+
+// allTypes is a batch with a column of each type, rows of varied width.
+func allTypes(t testing.TB, n int) *cast.Batch {
+	t.Helper()
+	s := cast.MustSchema(
+		cast.Column{Name: "i", Type: cast.Int64},
+		cast.Column{Name: "f", Type: cast.Float64},
+		cast.Column{Name: "s", Type: cast.String},
+		cast.Column{Name: "b", Type: cast.Bool},
+		cast.Column{Name: "t", Type: cast.Timestamp},
+	)
+	rng := rand.New(rand.NewSource(int64(n)))
+	b := cast.NewBatch(s, n)
+	for i := 0; i < n; i++ {
+		if err := b.AppendRow(rng.Int63()-rng.Int63(), rng.NormFloat64(), strings.Repeat("é", i%9), i%3 == 0, int64(i)*1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// The pipe decodes every chunk into one batch: whatever the chunking, the
+// output equals the input and owns its storage.
+func TestPipeRoundTripEveryTypeAndChunking(t *testing.T) {
+	for _, rows := range []int{0, 1000} {
+		for _, chunk := range []int{1, 7, 4096} {
+			in := allTypes(t, rows)
+			m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(chunk))
+			out, bd, err := m.Migrate(context.Background(), in, Pipe)
+			if err != nil {
+				t.Fatalf("rows=%d chunk=%d: %v", rows, chunk, err)
+			}
+			if !out.Equal(in) || bd.Rows != rows || bd.WireBytes != in.ByteSize() {
+				t.Fatalf("rows=%d chunk=%d: output differs from input (breakdown %+v)", rows, chunk, bd)
+			}
+			if rows == 0 {
+				continue
+			}
+			want := in.Clone()
+			ints, _ := in.Ints(0)
+			flts, _ := in.Floats(1)
+			bools, _ := in.Bools(3)
+			stamps, _ := in.Ints(4)
+			for i := range ints {
+				ints[i], flts[i], bools[i], stamps[i] = -1, -1, !bools[i], -1
+			}
+			if !out.Equal(want) {
+				t.Fatalf("rows=%d chunk=%d: output shares storage with its input", rows, chunk)
+			}
+		}
 	}
 }
 
@@ -180,5 +274,28 @@ func TestPropertyPipeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// numeric2k is the shape the cross-engine pipeline migrates: a few thousand
+// rows of fixed-width columns.
+func numeric2k(t testing.TB) *cast.Batch {
+	b, err := allTypes(t, 2000).Project("i", "f", "b", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func BenchmarkMigratePipe2k(b *testing.B) {
+	m := New(hw.NewHostCPU(), hw.NewRDMANIC())
+	in := numeric2k(b)
+	b.ReportAllocs()
+	b.SetBytes(in.ByteSize())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := m.Migrate(context.Background(), in, Pipe); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

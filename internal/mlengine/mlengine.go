@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"polystorepp/internal/hw"
 	"polystorepp/internal/tensor"
@@ -75,49 +77,130 @@ func (m *MLP) ParamCount() int {
 func (m *MLP) Weights() []*tensor.Tensor { return m.weights }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func relu(x float64) float64    { return math.Max(0, x) }
 
-// forward computes activations per layer; returns pre-activation (z) and
-// post-activation (a) lists, with a[0] = x.
-func (m *MLP) forward(x *tensor.Tensor) (zs, as []*tensor.Tensor, err error) {
-	as = append(as, x)
-	cur := x
-	for i, w := range m.weights {
-		z, err := tensor.MatMul(cur, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Add bias row-wise.
-		zd := z.Data()
-		bd := m.biases[i].Data()
-		cols := z.Dim(1)
-		for r := 0; r < z.Dim(0); r++ {
-			for c := 0; c < cols; c++ {
-				zd[r*cols+c] += bd[c]
-			}
-		}
-		zs = append(zs, z)
-		var a *tensor.Tensor
-		if i == len(m.weights)-1 {
-			a = z.Apply(sigmoid)
-		} else {
-			a = z.Apply(func(v float64) float64 { return math.Max(0, v) })
-		}
-		as = append(as, a)
-		cur = a
-	}
-	return zs, as, nil
+// Workspace holds every buffer a forward or training pass writes, so a step
+// allocates nothing. It belongs to one goroutine at a time and is never part
+// of the model: one *MLP can feed concurrent predict nodes of a wide plan.
+type Workspace struct {
+	sizes []int // of the model it was built for
+	rows  int   // how many rows act and delta span right now
+	// actBuf[i] and deltaBuf[i] are full-size storage for layer i's output
+	// and its loss gradient; act[i+1] and delta[i] view their first rows
+	// rows, and act[0] is the caller's input.
+	actBuf, deltaBuf []*tensor.Tensor
+	act, delta       []*tensor.Tensor
+	gradW, gradB     []*tensor.Tensor
+	in               tensor.Tensor // Predict's view of its current block
 }
 
-// Predict returns P(label=1) per row of x (shape [n, inputDim]).
+// NewWorkspace returns a training workspace for mini-batches of up to rows
+// examples. Its single owner hands it to every TrainBatch call.
+func (m *MLP) NewWorkspace(rows int) (*Workspace, error) {
+	return newWorkspace(m.sizes, rows, true)
+}
+
+func newWorkspace(sizes []int, rows int, train bool) (*Workspace, error) {
+	if rows <= 0 {
+		return nil, fmt.Errorf("%w: workspace of %d rows", ErrConfig, rows)
+	}
+	zeros := func(shape ...int) *tensor.Tensor {
+		t, _ := tensor.New(shape...) // cannot fail: rows is positive, and so are the sizes of a built model
+		return t
+	}
+	ws := &Workspace{sizes: sizes, act: make([]*tensor.Tensor, len(sizes))}
+	for i := 0; i+1 < len(sizes); i++ {
+		ws.actBuf = append(ws.actBuf, zeros(rows, sizes[i+1]))
+		ws.act[i+1] = new(tensor.Tensor)
+		if train {
+			ws.deltaBuf = append(ws.deltaBuf, zeros(rows, sizes[i+1]))
+			ws.delta = append(ws.delta, new(tensor.Tensor))
+			ws.gradW = append(ws.gradW, zeros(sizes[i], sizes[i+1]))
+			ws.gradB = append(ws.gradB, zeros(sizes[i+1]))
+		}
+	}
+	return ws, ws.setRows(rows)
+}
+
+// setRows points the row-shaped views at the first n rows of their buffers:
+// the last mini-batch of an epoch, or block of a prediction, may be short.
+func (ws *Workspace) setRows(n int) error {
+	if n == ws.rows {
+		return nil
+	}
+	for i, buf := range ws.actBuf {
+		if err := buf.RowRangeInto(ws.act[i+1], 0, n); err != nil {
+			return fmt.Errorf("%w: %d rows in a workspace of %d", ErrData, n, buf.Dim(0))
+		}
+		if ws.delta != nil {
+			_ = ws.deltaBuf[i].RowRangeInto(ws.delta[i], 0, n) // shaped like actBuf[i]
+		}
+	}
+	ws.rows = n
+	return nil
+}
+
+// forward leaves layer i's activation over x in ws.act[i+1]. Only the
+// activations are kept: ReLU's derivative gate reads them, since a == 0
+// exactly where the pre-activation was <= 0.
+func (m *MLP) forward(ws *Workspace, x *tensor.Tensor) error {
+	if err := ws.setRows(x.Dim(0)); err != nil {
+		return err
+	}
+	ws.act[0] = x
+	for i, w := range m.weights {
+		a := ws.act[i+1]
+		if err := tensor.MatMulInto(a, ws.act[i], w); err != nil {
+			return err
+		}
+		if err := a.AddRowInPlace(m.biases[i]); err != nil {
+			return err
+		}
+		if i == len(m.weights)-1 {
+			a.ApplyInPlace(sigmoid)
+		} else {
+			a.ApplyInPlace(relu)
+		}
+	}
+	return nil
+}
+
+// predictBlock is how many rows Predict pushes through the network at a
+// time, and predictPool holds workspaces of that many rows: a prediction
+// allocates its output and nothing else.
+const predictBlock = 256
+
+var predictPool sync.Pool // of *Workspace
+
+// Predict returns P(label=1) per row of x (shape [n, inputDim]). It is safe
+// to call from several goroutines on one model.
 func (m *MLP) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 2 || x.Dim(1) != m.sizes[0] {
 		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, x.Shape(), m.sizes[0])
 	}
-	_, as, err := m.forward(x)
+	n := x.Dim(0)
+	out, err := tensor.New(n, 1)
 	if err != nil {
 		return nil, err
 	}
-	return as[len(as)-1], nil
+	ws, _ := predictPool.Get().(*Workspace)
+	if ws == nil || !slices.Equal(ws.sizes, m.sizes) {
+		if ws, err = newWorkspace(m.sizes, predictBlock, false); err != nil {
+			return nil, err
+		}
+	}
+	defer predictPool.Put(ws)
+	for lo := 0; lo < n; lo += predictBlock {
+		hi := min(lo+predictBlock, n)
+		if err := x.RowRangeInto(&ws.in, lo, hi); err != nil {
+			return nil, err
+		}
+		if err := m.forward(ws, &ws.in); err != nil {
+			return nil, err
+		}
+		copy(out.Data()[lo:hi], ws.act[len(ws.act)-1].Data())
+	}
+	return out, nil
 }
 
 // TrainStats reports one epoch of training.
@@ -129,52 +212,40 @@ type TrainStats struct {
 	GEMMCost hw.Cost
 }
 
-// TrainBatch performs one SGD step on (x, y) with learning rate lr and
-// returns the mean binary cross-entropy loss before the step.
-func (m *MLP) TrainBatch(x, y *tensor.Tensor, lr float64) (float64, error) {
+// TrainBatch performs one SGD step on (x, y) with learning rate lr, out of a
+// workspace from NewWorkspace, and returns the mean binary cross-entropy loss
+// before the step.
+func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float64, error) {
 	n := x.Dim(0)
 	if y.Rank() != 2 || y.Dim(0) != n || y.Dim(1) != 1 {
 		return 0, fmt.Errorf("%w: labels shape %v, want [%d,1]", ErrData, y.Shape(), n)
 	}
-	zs, as, err := m.forward(x)
-	if err != nil {
+	if err := m.forward(ws, x); err != nil {
 		return 0, err
 	}
-	pred := as[len(as)-1]
+	last := len(m.weights) - 1
 	// BCE loss and output delta (sigmoid + BCE gives delta = pred - y).
 	var loss float64
-	pd, yd := pred.Data(), y.Data()
+	pd, yd, dd := ws.act[last+1].Data(), y.Data(), ws.delta[last].Data()
 	for i := range pd {
 		p := math.Min(math.Max(pd[i], 1e-12), 1-1e-12)
 		loss += -(yd[i]*math.Log(p) + (1-yd[i])*math.Log(1-p))
+		dd[i] = pd[i] - yd[i]
 	}
 	loss /= float64(n)
 
-	delta, err := tensor.Sub(pred, y)
-	if err != nil {
-		return 0, err
-	}
 	// Backprop.
-	for layer := len(m.weights) - 1; layer >= 0; layer-- {
-		aPrev := as[layer]
-		aT, err := tensor.Transpose(aPrev)
-		if err != nil {
-			return 0, err
-		}
-		gradW, err := tensor.MatMul(aT, delta)
-		if err != nil {
+	for layer := last; layer >= 0; layer-- {
+		delta, gradW, gradB := ws.delta[layer], ws.gradW[layer], ws.gradB[layer]
+		if err := tensor.MatMulTransAInto(gradW, ws.act[layer], delta); err != nil {
 			return 0, err
 		}
 		gradW.Scale(1 / float64(n))
 		// Bias gradient: column means of delta.
 		cols := delta.Dim(1)
-		gradB, err := tensor.New(cols)
-		if err != nil {
-			return 0, err
-		}
-		dd := delta.Data()
-		gb := gradB.Data()
-		for r := 0; r < delta.Dim(0); r++ {
+		dd, gb := delta.Data(), gradB.Data()
+		clear(gb)
+		for r := 0; r < n; r++ {
 			for c := 0; c < cols; c++ {
 				gb[c] += dd[r*cols+c]
 			}
@@ -183,23 +254,17 @@ func (m *MLP) TrainBatch(x, y *tensor.Tensor, lr float64) (float64, error) {
 			gb[c] /= float64(n)
 		}
 		if layer > 0 {
-			wT, err := tensor.Transpose(m.weights[layer])
-			if err != nil {
-				return 0, err
-			}
-			next, err := tensor.MatMul(delta, wT)
-			if err != nil {
+			next := ws.delta[layer-1]
+			if err := tensor.MatMulTransBInto(next, delta, m.weights[layer]); err != nil {
 				return 0, err
 			}
 			// ReLU derivative gate.
-			zd := zs[layer-1].Data()
-			nd := next.Data()
+			ad, nd := ws.act[layer].Data(), next.Data()
 			for i := range nd {
-				if zd[i] <= 0 {
+				if ad[i] <= 0 {
 					nd[i] = 0
 				}
 			}
-			delta = next
 		}
 		if err := m.weights[layer].AddInPlace(gradW.Scale(-lr)); err != nil {
 			return 0, err

@@ -51,13 +51,17 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := m.TrainBatch(x, y, 0.5)
+	ws, err := m.NewWorkspace(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.TrainBatch(ws, x, y, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for e := 0; e < 60; e++ {
-		last, err = m.TrainBatch(x, y, 0.5)
+		last, err = m.TrainBatch(ws, x, y, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +102,16 @@ func TestMLPTrainBatchLabelShape(t *testing.T) {
 	m, _ := NewMLP(rng, 4, 1)
 	x, _ := tensor.New(8, 4)
 	badY, _ := tensor.New(8, 2)
-	if _, err := m.TrainBatch(x, badY, 0.1); !errors.Is(err, ErrData) {
+	ws, _ := m.NewWorkspace(4)
+	if _, err := m.TrainBatch(ws, x, badY, 0.1); !errors.Is(err, ErrData) {
 		t.Fatalf("bad labels: %v", err)
+	}
+	y, _ := tensor.New(8, 1)
+	if _, err := m.TrainBatch(ws, x, y, 0.1); !errors.Is(err, ErrData) {
+		t.Fatalf("8 rows through a 4-row workspace: %v", err)
+	}
+	if _, err := m.NewWorkspace(0); !errors.Is(err, ErrConfig) {
+		t.Fatalf("empty workspace: %v", err)
 	}
 }
 

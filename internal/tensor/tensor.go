@@ -170,27 +170,48 @@ func (t *Tensor) AlmostEqual(o *Tensor, eps float64) bool {
 	return true
 }
 
-// MatMul computes C = A × B for 2-D tensors (GEMM). A is m×k, B is k×n.
-// The inner loops are ordered i-k-j for cache-friendly row-major access.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: MatMul wants rank-2, got %v × %v", ErrShape, a.shape, b.shape)
+// The GEMM kernels are destination-passing: the caller owns dst, which must
+// already have the product's shape and share no storage with a or b, and the
+// kernel overwrites it without allocating. Every output element is summed
+// over the inner dimension in ascending order from zero, skipping terms whose
+// left factor is exactly zero, so the three kernels agree bit for bit with
+// one another composed with Transpose.
+
+// gemmShape checks dst = op(a) × op(b) and returns the product's m, k, n.
+func gemmShape(dst, a, b *Tensor, transA, transB bool) (m, k, n int, err error) {
+	if dst.Rank() != 2 || a.Rank() != 2 || b.Rank() != 2 {
+		return 0, 0, 0, fmt.Errorf("%w: GEMM wants rank-2, got %v = %v × %v", ErrShape, dst.shape, a.shape, b.shape)
 	}
-	m, k := a.shape[0], a.shape[1]
+	m, k = a.shape[0], a.shape[1]
+	if transA {
+		m, k = k, m
+	}
 	k2, n := b.shape[0], b.shape[1]
+	if transB {
+		k2, n = n, k2
+	}
 	if k != k2 {
-		return nil, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, k2)
+		return 0, 0, 0, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, k2)
 	}
-	c, err := New(m, n)
+	if dst.shape[0] != m || dst.shape[1] != n {
+		return 0, 0, 0, fmt.Errorf("%w: destination %v for a %d×%d product", ErrShape, dst.shape, m, n)
+	}
+	return m, k, n, nil
+}
+
+// MatMulInto computes dst = A × B (GEMM). A is m×k, B is k×n, dst m×n. The
+// inner loops are ordered i-k-j for cache-friendly row-major access.
+func MatMulInto(dst, a, b *Tensor) error {
+	m, k, n, err := gemmShape(dst, a, b, false, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ad, bd, cd := a.data, b.data, c.data
+	ad, bd, cd := a.data, b.data, dst.data
+	clear(cd)
 	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
+		for kk, av := range arow {
 			if av == 0 {
 				continue
 			}
@@ -199,6 +220,71 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 				crow[j] += av * brow[j]
 			}
 		}
+	}
+	return nil
+}
+
+// MatMulTransAInto computes dst = Aᵀ × B without materialising the
+// transpose. A is k×m, B is k×n, dst m×n — the weight gradient of a dense
+// layer (activationsᵀ × delta).
+func MatMulTransAInto(dst, a, b *Tensor) error {
+	m, k, n, err := gemmShape(dst, a, b, true, false)
+	if err != nil {
+		return err
+	}
+	ad, bd, cd := a.data, b.data, dst.data
+	clear(cd)
+	for kk := 0; kk < k; kk++ {
+		brow := bd[kk*n : (kk+1)*n]
+		for i, av := range ad[kk*m : (kk+1)*m] {
+			if av == 0 {
+				continue
+			}
+			crow := cd[i*n : (i+1)*n]
+			for j := range brow {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+	return nil
+}
+
+// MatMulTransBInto computes dst = A × Bᵀ without materialising the
+// transpose. A is m×k, B is n×k, dst m×n — the delta a dense layer hands to
+// the one below it (delta × weightsᵀ).
+func MatMulTransBInto(dst, a, b *Tensor) error {
+	m, k, n, err := gemmShape(dst, a, b, false, true)
+	if err != nil {
+		return err
+	}
+	ad, bd, cd := a.data, b.data, dst.data
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			var acc float64
+			for kk, av := range arow {
+				if av != 0 {
+					acc += av * brow[kk]
+				}
+			}
+			cd[i*n+j] = acc
+		}
+	}
+	return nil
+}
+
+// MatMul computes C = A × B for 2-D tensors into a new tensor.
+func MatMul(a, b *Tensor) (*Tensor, error) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return nil, fmt.Errorf("%w: MatMul wants rank-2, got %v × %v", ErrShape, a.shape, b.shape)
+	}
+	c, err := New(a.shape[0], b.shape[1])
+	if err != nil {
+		return nil, err
+	}
+	if err := MatMulInto(c, a, b); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -290,14 +376,32 @@ func (t *Tensor) AddInPlace(o *Tensor) error {
 	return nil
 }
 
-// Apply maps f over every element into a new tensor.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] = f(out.data[i])
+// AddRowInPlace adds the rank-1 tensor row to every row of a rank-2 receiver —
+// the bias add of a dense layer.
+func (t *Tensor) AddRowInPlace(row *Tensor) error {
+	if t.Rank() != 2 || row.Rank() != 1 || row.shape[0] != t.shape[1] {
+		return fmt.Errorf("%w: row %v onto %v", ErrShape, row.shape, t.shape)
 	}
-	return out
+	cols := t.shape[1]
+	for r := 0; r < len(t.data); r += cols {
+		trow := t.data[r : r+cols]
+		for c, v := range row.data {
+			trow[c] += v
+		}
+	}
+	return nil
 }
+
+// ApplyInPlace maps f over every element in place and returns the receiver.
+func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
+	for i, v := range t.data {
+		t.data[i] = f(v)
+	}
+	return t
+}
+
+// Apply maps f over every element into a new tensor.
+func (t *Tensor) Apply(f func(float64) float64) *Tensor { return t.Clone().ApplyInPlace(f) }
 
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
@@ -338,6 +442,33 @@ func (t *Tensor) Row(i int) (*Tensor, error) {
 		return nil, fmt.Errorf("%w: row %d of %d", ErrBound, i, m)
 	}
 	return FromSlice(t.data[i*n:(i+1)*n], n)
+}
+
+// RowRangeInto makes v a view of rows [lo, hi) of a rank-2 tensor: v shares
+// t's storage, so writes through either are seen by both. v's own header is
+// reused, so re-pointing a view allocates nothing; the view's capacity is
+// clamped to its rows.
+func (t *Tensor) RowRangeInto(v *Tensor, lo, hi int) error {
+	if t.Rank() != 2 {
+		return fmt.Errorf("%w: RowRange wants rank-2", ErrShape)
+	}
+	if lo < 0 || hi > t.shape[0] || lo >= hi {
+		return fmt.Errorf("%w: rows [%d,%d) of %d", ErrBound, lo, hi, t.shape[0])
+	}
+	cols := t.shape[1]
+	v.shape = append(v.shape[:0], hi-lo, cols)
+	v.data = t.data[lo*cols : hi*cols : hi*cols]
+	return nil
+}
+
+// RowRange returns rows [lo, hi) of a rank-2 tensor as a new view (see
+// RowRangeInto).
+func (t *Tensor) RowRange(lo, hi int) (*Tensor, error) {
+	v := new(Tensor)
+	if err := t.RowRangeInto(v, lo, hi); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // FLOPsMatMul returns the floating-point operation count of an m×k by k×n

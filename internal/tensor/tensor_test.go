@@ -303,6 +303,168 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 	}
 }
 
+// refMatMul is the allocating GEMM every kernel is held to, kept here as the
+// reference: c starts at zero and c[i][j] takes its terms in ascending k,
+// skipping those whose left factor is zero.
+func refMatMul(a, b *Tensor) *Tensor {
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	c, _ := New(m, n)
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk++ {
+			av := a.data[i*k+kk]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c.data[i*n+j] += av * b.data[kk*n+j]
+			}
+		}
+	}
+	return c
+}
+
+// sparseRand is Rand with about a third of the entries exactly zero, some of
+// them negative zero, so the kernels' zero skip is exercised.
+func sparseRand(rng *rand.Rand, shape ...int) *Tensor {
+	t, _ := Rand(rng, 3, shape...)
+	for i := range t.data {
+		switch rng.Intn(6) {
+		case 0:
+			t.data[i] = 0
+		case 1:
+			t.data[i] = math.Copysign(0, -1)
+		}
+	}
+	return t
+}
+
+// dirty is a destination full of garbage: a kernel must overwrite, not
+// accumulate into, what it is handed.
+func dirty(m, n int) *Tensor {
+	t, _ := New(m, n)
+	for i := range t.data {
+		t.data[i] = math.NaN()
+	}
+	return t
+}
+
+// sameBits is Equal that also tells -0 from +0.
+func sameBits(a, b *Tensor) bool {
+	for i := range a.data {
+		if math.Float64bits(a.data[i]) != math.Float64bits(b.data[i]) {
+			return false
+		}
+	}
+	return a.Equal(b)
+}
+
+// Property: the destination-passing kernels are bit-identical to the
+// reference GEMM over explicit transposes, for every shape down to 1×1 and
+// an inner dimension of 1.
+func TestPropertyFusedKernelsEqualReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m, k, n := rng.Intn(9)+1, rng.Intn(9)+1, rng.Intn(9)+1
+		if seed%5 == 0 {
+			k = 1
+		}
+		if seed%7 == 0 {
+			m, n = 1, 1
+		}
+		a, b := sparseRand(rng, m, k), sparseRand(rng, k, n)
+		aT, _ := Transpose(a)
+		bT, _ := Transpose(b)
+		want := refMatMul(a, b)
+
+		plain, viaA, viaB := dirty(m, n), dirty(m, n), dirty(m, n)
+		if MatMulInto(plain, a, b) != nil || MatMulTransAInto(viaA, aT, b) != nil || MatMulTransBInto(viaB, a, bT) != nil {
+			return false
+		}
+		alloc, err := MatMul(a, b)
+		return err == nil && sameBits(plain, want) && sameBits(viaA, want) && sameBits(viaB, want) && sameBits(alloc, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIntoKernelShapeErrors(t *testing.T) {
+	a, _ := New(2, 3)
+	b, _ := New(3, 4)
+	v, _ := New(3)
+	for name, err := range map[string]error{
+		"dst shape":   MatMulInto(dirty(2, 3), a, b),
+		"inner dims":  MatMulInto(dirty(2, 2), a, a),
+		"rank":        MatMulInto(dirty(2, 4), a, v),
+		"transA dst":  MatMulTransAInto(dirty(2, 4), a, b),
+		"transB dims": MatMulTransBInto(dirty(2, 3), a, b),
+		"bias width":  a.AddRowInPlace(b),
+		"bias rank":   a.AddRowInPlace(a),
+	} {
+		if !errors.Is(err, ErrShape) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if err := MatMulTransAInto(dirty(3, 3), a, a); err != nil { // (3×2)·(2×3)
+		t.Fatal(err)
+	}
+	if err := MatMulTransBInto(dirty(2, 2), a, a); err != nil { // (2×3)·(3×2)
+		t.Fatal(err)
+	}
+}
+
+func TestInPlaceBiasAndActivation(t *testing.T) {
+	a, _ := FromSlice([]float64{1, -2, 3, -4, 5, -6}, 3, 2)
+	bias, _ := FromSlice([]float64{10, 20}, 2)
+	if err := a.AddRowInPlace(bias); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := FromSlice([]float64{11, 18, 13, 16, 15, 14}, 3, 2)
+	if !a.Equal(want) {
+		t.Fatalf("AddRowInPlace = %v", a.data)
+	}
+	if got := a.ApplyInPlace(math.Sqrt); got != a || a.data[3] != 4 {
+		t.Fatalf("ApplyInPlace = %v", a.data)
+	}
+	if applied := want.Apply(math.Sqrt); !applied.Equal(a) || want.data[3] != 16 {
+		t.Fatal("Apply must leave its receiver alone and agree with ApplyInPlace")
+	}
+}
+
+func TestRowRangeIsAView(t *testing.T) {
+	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
+	v, err := a.RowRange(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
+	if !v.Equal(want) {
+		t.Fatalf("RowRange(1,3) = %v %v", v.shape, v.data)
+	}
+	v.data[0] = 30
+	if a.data[2] != 30 {
+		t.Fatal("a view must share its parent's storage")
+	}
+	if cap(v.data) != 4 {
+		t.Fatalf("view capacity %d reaches past its rows", cap(v.data))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.RowRangeInto(v, 2, 4) }); allocs != 0 {
+		t.Fatalf("re-pointing a view allocated %v times", allocs)
+	}
+	if v.data[0] != 5 || v.shape[0] != 2 {
+		t.Fatalf("re-pointed view = %v %v", v.shape, v.data)
+	}
+	for _, r := range [][2]int{{-1, 2}, {2, 5}, {2, 2}, {3, 1}} {
+		if _, err := a.RowRange(r[0], r[1]); !errors.Is(err, ErrBound) {
+			t.Errorf("RowRange(%d,%d): %v", r[0], r[1], err)
+		}
+	}
+	flat, _ := New(4)
+	if _, err := flat.RowRange(0, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("rank-1 RowRange: %v", err)
+	}
+}
+
 func BenchmarkMatMul128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, _ := Rand(rng, 1, 128, 128)
