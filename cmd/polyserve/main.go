@@ -97,8 +97,7 @@ func main() {
 	breakerRatio := flag.Float64("breaker-ratio", 0, "failure ratio that trips a tenant's breaker (0 = default 0.5)")
 	noBreaker := flag.Bool("no-breaker", false, "disable per-tenant circuit breakers")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "bound on draining in-flight requests at shutdown; new work gets 503 while draining")
-	adaptive := flag.Bool("adaptive", true, "adaptive feedback-driven planning: observed per-operator statistics cap pinned partition fan-outs and inform device placement")
-	noAdaptive := flag.Bool("no-adaptive", false, "disable adaptive feedback-driven planning (overrides -adaptive)")
+	noAdaptive := flag.Bool("no-adaptive", false, "disable adaptive feedback-driven planning (on by default: observed per-operator statistics cap pinned partition fan-outs and inform device placement); results are identical either way")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL + snapshot persistence for relational, timeseries and kv engines (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (fsync before ack), interval (ack first, fsync every 100ms), off (never fsync)")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0, "WAL size that triggers snapshot compaction (0 = default 8 MiB; negative disables automatic snapshots)")
@@ -146,7 +145,7 @@ func main() {
 		BreakerMinSamples:   *breakerMinSamples,
 		BreakerFailureRatio: *breakerRatio,
 		DrainTimeout:        *drainTimeout,
-		DisableAdaptive:     !*adaptive || *noAdaptive,
+		DisableAdaptive:     *noAdaptive,
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,

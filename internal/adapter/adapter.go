@@ -62,11 +62,6 @@ type ExecInfo struct {
 	// operator does not partition or ran a streaming path that never fans
 	// out) — surfaced in trace spans and the per-operator stats registry.
 	Parts int
-	// NoIndex marks an index scan the engine had no index for, executed as a
-	// sequential scan instead; the runtime counts these
-	// (relational.indexscan_fallback) so a compiler asking for an index that
-	// is not there is visible.
-	NoIndex bool
 }
 
 // Adapter translates and executes IR nodes on one engine instance.

@@ -133,22 +133,6 @@ func TestRelationalJoinSortGroupLimit(t *testing.T) {
 	}
 }
 
-func TestRelationalSQLNode(t *testing.T) {
-	ctx := context.Background()
-	data := clinical(t)
-	a := NewRelational("db", relational.NewEngine(data.Relational))
-	out, info, err := a.Execute(ctx, node(ir.OpSQL, "db", map[string]any{
-		"sql": "SELECT count(*) AS n FROM patients",
-	}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := out.Batch.Ints(0)
-	if n[0] != 60 || info.RuleNodes < 2 {
-		t.Fatalf("sql node: n=%v rules=%d", n, info.RuleNodes)
-	}
-}
-
 func TestRelationalErrors(t *testing.T) {
 	ctx := context.Background()
 	data := clinical(t)
@@ -357,61 +341,5 @@ func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
 	rows, _ := pred.Batch.Ints(0)
 	if len(info.Kernels) != 2 || info.Kernels[0].Work.M != 130 || pred.Batch.Rows() != 130 || rows[129] != 129 {
 		t.Fatalf("predict: %d kernels, %d rows", len(info.Kernels), pred.Batch.Rows())
-	}
-}
-
-// indexScanNode asks for an index range scan of patients.age, a column the
-// clinical dataset builds no B-tree on.
-func indexScanNode() *ir.Node {
-	return node(ir.OpIndexScan, "db", map[string]any{"table": "patients", "col": "age", "lo": int64(0), "hi": int64(200)})
-}
-
-// TestIndexScanFallbackIsVisibleAndCopiesNothing: an index scan the engine
-// has no index for hands on the heap snapshot exactly as OpScan does — same
-// rows, same costing inputs, shared storage — and reports itself.
-func TestIndexScanFallbackIsVisibleAndCopiesNothing(t *testing.T) {
-	ctx := context.Background()
-	a := NewRelational("db", relational.NewEngine(clinical(t).Relational))
-	scan, scanInfo, err := a.Execute(ctx, node(ir.OpScan, "db", map[string]any{"table": "patients"}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, info, err := a.Execute(ctx, indexScanNode(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.NoIndex || info.Native != "SeqScan(patients) [no index on age]" {
-		t.Fatalf("fallback not reported: %+v", info)
-	}
-	if !got.Batch.Equal(scan.Batch) || info.RowsOut != scanInfo.RowsOut || info.Kernels[0] != scanInfo.Kernels[0] {
-		t.Fatalf("fallback differs from a scan: %+v vs %+v", info, scanInfo)
-	}
-	x, _ := got.Batch.Ints(0)
-	y, _ := scan.Batch.Ints(0)
-	if &x[0] != &y[0] {
-		t.Fatal("fallback copied the table instead of sharing the heap snapshot")
-	}
-	// With the index in place the same node is a real index scan.
-	tab, _ := a.engine.Store().Table("patients")
-	if err := tab.CreateBTreeIndex("age"); err != nil {
-		t.Fatal(err)
-	}
-	if _, info, err = a.Execute(ctx, indexScanNode(), nil); err != nil || info.NoIndex || info.Native != "IndexScan(patients.age)" {
-		t.Fatalf("indexed scan: %+v, %v", info, err)
-	}
-}
-
-// BenchmarkIndexScanFallback is the cost of the compiler asking for an index
-// that is not there: it must stay a snapshot, never a table copy.
-func BenchmarkIndexScanFallback(b *testing.B) {
-	ctx := context.Background()
-	a := NewRelational("db", relational.NewEngine(clinical(b).Relational))
-	n := indexScanNode()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := a.Execute(ctx, n, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

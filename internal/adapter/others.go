@@ -201,24 +201,8 @@ func (a *Timeseries) Ingest(_ context.Context, w Ingest) error {
 	return a.store.Append(w.Series, w.TS, w.Value)
 }
 
-// Execute implements Adapter (the buffered path: exec with no sink).
-func (a *Timeseries) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, nil)
-}
-
-// ExecuteStream implements StreamExecutor: range scans and window
-// aggregations emit StreamChunkRows row views while the result batch is
-// being built from the store's (already computed, already parallel-decoded)
-// points, so wire encoding overlaps row materialization. Everything else
-// emits its buffered result chunked.
-func (a *Timeseries) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, emit)
-}
-
-// exec is the single implementation behind Execute and ExecuteStream — a
-// nil emit buffers, a non-nil emit receives row chunks mid-build
-// (growEmitter no-ops on nil) — so the two paths cannot drift apart.
-func (a *Timeseries) exec(ctx context.Context, n *ir.Node, _ []Value, emit BatchSink) (Value, ExecInfo, error) {
+// Execute implements Adapter.
+func (a *Timeseries) Execute(ctx context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	switch n.Kind {
 	case ir.OpTSRange:
@@ -226,18 +210,13 @@ func (a *Timeseries) exec(ctx context.Context, n *ir.Node, _ []Value, emit Batch
 		if err != nil {
 			return Value{}, info, err
 		}
-		s := cast.MustSchema(cast.Column{Name: "ts", Type: cast.Timestamp}, cast.Column{Name: "value", Type: cast.Float64})
-		out := cast.NewBatch(s, len(pts))
-		ge := growEmitter{emit: emit}
-		for _, p := range pts {
-			if err := out.AppendRow(p.TS, p.Value); err != nil {
-				return Value{}, info, err
-			}
-			if err := ge.flush(ctx, out, false); err != nil {
-				return Value{}, info, err
-			}
+		ts, vals := make([]int64, len(pts)), make([]float64, len(pts))
+		for i, p := range pts {
+			ts[i], vals[i] = p.TS, p.Value
 		}
-		if err := ge.flush(ctx, out, true); err != nil {
+		s := cast.MustSchema(cast.Column{Name: "ts", Type: cast.Timestamp}, cast.Column{Name: "value", Type: cast.Float64})
+		out, err := cast.BatchOf(s, ts, vals)
+		if err != nil {
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
@@ -247,14 +226,7 @@ func (a *Timeseries) exec(ctx context.Context, n *ir.Node, _ []Value, emit Batch
 
 	case ir.OpTSWindow:
 		if prefix := n.StringAttr("series_prefix"); prefix != "" {
-			out, info, err := a.entitySummary(prefix, info)
-			if err != nil {
-				return out, info, err
-			}
-			if err := EmitChunked(ctx, emit, out.Batch); err != nil {
-				return Value{}, info, err
-			}
-			return out, info, nil
+			return a.entitySummary(prefix, info)
 		}
 		agg, err := parseAgg(n.StringAttr("agg"))
 		if err != nil {
@@ -265,24 +237,19 @@ func (a *Timeseries) exec(ctx context.Context, n *ir.Node, _ []Value, emit Batch
 		if err != nil {
 			return Value{}, info, err
 		}
+		starts, vals, counts := make([]int64, len(wrs)), make([]float64, len(wrs)), make([]int64, len(wrs))
+		var items int64
+		for i, w := range wrs {
+			starts[i], vals[i], counts[i] = w.Start, w.Value, int64(w.N)
+			items += int64(w.N)
+		}
 		s := cast.MustSchema(
 			cast.Column{Name: "start", Type: cast.Timestamp},
 			cast.Column{Name: "value", Type: cast.Float64},
 			cast.Column{Name: "n", Type: cast.Int64},
 		)
-		out := cast.NewBatch(s, len(wrs))
-		ge := growEmitter{emit: emit}
-		var items int64
-		for _, w := range wrs {
-			items += int64(w.N)
-			if err := out.AppendRow(w.Start, w.Value, int64(w.N)); err != nil {
-				return Value{}, info, err
-			}
-			if err := ge.flush(ctx, out, false); err != nil {
-				return Value{}, info, err
-			}
-		}
-		if err := ge.flush(ctx, out, true); err != nil {
+		out, err := cast.BatchOf(s, starts, vals, counts)
+		if err != nil {
 			return Value{}, info, err
 		}
 		info.RowsIn = items
@@ -297,40 +264,6 @@ func (a *Timeseries) exec(ctx context.Context, n *ir.Node, _ []Value, emit Batch
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on timeseries engine", ErrUnsupported, n.Kind)
 	}
-}
-
-// growEmitter streams chunk views of a batch under construction: flush
-// emits every completed StreamChunkRows span (and, with final set, the
-// remainder). Emitted views alias the batch's current backing arrays, which
-// append-only growth never rewrites in place — the same contract ViewRange
-// documents.
-type growEmitter struct {
-	emit BatchSink
-	sent int
-}
-
-func (g *growEmitter) flush(ctx context.Context, b *cast.Batch, final bool) error {
-	if g.emit == nil {
-		return nil // buffered execution sharing a streaming code path
-	}
-	for b.Rows()-g.sent >= StreamChunkRows || (final && b.Rows() > g.sent) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := g.sent + StreamChunkRows
-		if hi > b.Rows() {
-			hi = b.Rows()
-		}
-		view, err := b.ViewRange(g.sent, hi)
-		if err != nil {
-			return err
-		}
-		if err := g.emit(view); err != nil {
-			return err
-		}
-		g.sent = hi
-	}
-	return nil
 }
 
 // entitySummary aggregates all series under prefix into one row per entity:
@@ -527,57 +460,38 @@ func (a *KV) Ingest(_ context.Context, w Ingest) error {
 	return nil
 }
 
-// Execute implements Adapter (the buffered path: exec with no sink).
-func (a *KV) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, nil)
-}
-
-// ExecuteStream implements StreamExecutor: prefix scans emit
-// StreamChunkRows row views while keys are being gathered, so large
-// keyspaces hit the wire before the scan finishes. Point gets are one row
-// and stream trivially.
-func (a *KV) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, emit)
-}
-
-// exec is the single implementation behind Execute and ExecuteStream (nil
-// emit buffers; growEmitter no-ops on nil), so the paths cannot drift.
-func (a *KV) exec(ctx context.Context, n *ir.Node, _ []Value, emit BatchSink) (Value, ExecInfo, error) {
+// Execute implements Adapter.
+func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	switch n.Kind {
 	case ir.OpKVScan:
 		prefix := n.StringAttr("prefix")
-		var keys []string
+		var found []string
 		native := fmt.Sprintf("ScanPrefix(%q)", prefix)
 		if a.caps.PrefixScan {
-			keys = a.store.ScanPrefix(prefix)
+			found = a.store.ScanPrefix(prefix)
 		} else {
 			// Residual compensation: the backend only offers full scans, so
 			// enumerate every key and filter here. Same rows, more work —
 			// visible in Native and charged via the kernel's item count.
 			for _, k := range a.store.ScanPrefix("") {
 				if strings.HasPrefix(k, prefix) {
-					keys = append(keys, k)
+					found = append(found, k)
 				}
 			}
 			native = fmt.Sprintf("Scan()+filter(%q)", prefix)
 		}
-		s := cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
-		out := cast.NewBatch(s, len(keys))
-		ge := growEmitter{emit: emit}
-		for _, k := range keys {
+		keys, vals := make([]string, 0, len(found)), make([]string, 0, len(found))
+		for _, k := range found {
 			v, err := a.store.Get(k)
 			if err != nil {
 				continue // raced with expiry
 			}
-			if err := out.AppendRow(k, string(v)); err != nil {
-				return Value{}, info, err
-			}
-			if err := ge.flush(ctx, out, false); err != nil {
-				return Value{}, info, err
-			}
+			keys, vals = append(keys, k), append(vals, string(v))
 		}
-		if err := ge.flush(ctx, out, true); err != nil {
+		s := cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
+		out, err := cast.BatchOf(s, keys, vals)
+		if err != nil {
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
@@ -586,14 +500,7 @@ func (a *KV) exec(ctx context.Context, n *ir.Node, _ []Value, emit BatchSink) (V
 		return Value{Batch: out}, info, nil
 
 	case ir.OpKVGet:
-		out, info, err := a.kvGet(n)
-		if err != nil {
-			return out, info, err
-		}
-		if err := EmitChunked(ctx, emit, out.Batch); err != nil {
-			return Value{}, info, err
-		}
-		return out, info, nil
+		return a.kvGet(n)
 
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on kv engine", ErrUnsupported, n.Kind)
@@ -813,7 +720,7 @@ func featureTensor(b *cast.Batch, cols []string) (*tensor.Tensor, error) {
 		data = out.Data()
 	}
 	for j, name := range cols {
-		idx, err := b.Schema().Index(base(name))
+		idx, err := b.Schema().Index(relational.BaseName(name))
 		if err != nil {
 			return nil, err
 		}

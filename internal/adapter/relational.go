@@ -2,7 +2,6 @@ package adapter
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"polystorepp/internal/cast"
@@ -72,9 +71,9 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 // ExecuteStream implements StreamExecutor: terminal relational operators
 // emit result batches as they are produced. Filter, project and the probe
 // side of a hash join run their Volcano operators chunk by chunk, so every
-// per-chunk output batch goes out the moment it exists, and SQL streams the
-// root operator's batches. Kinds that materialize regardless (scans, sort,
-// group-by, merge join, limit) emit their result in StreamChunkRows views.
+// per-chunk output batch goes out the moment it exists. Kinds that
+// materialize regardless (scans, sort, group-by, merge join, limit) emit
+// their result in StreamChunkRows views.
 func (a *Relational) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
 	return a.exec(ctx, n, inputs, emit)
 }
@@ -97,24 +96,22 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if err != nil {
 			return Value{}, info, err
 		}
-		if n.Kind == ir.OpScan {
-			out = t.Snapshot()
-			info.Native = "SeqScan(" + table + ")"
-		} else {
-			col := n.StringAttr("col")
-			info.Native = fmt.Sprintf("IndexScan(%s.%s)", table, col)
-			out, err = relational.Run(ctx, relational.NewIndexScan(t, col, n.IntAttr("lo"), n.IntAttr("hi")))
-			if errors.Is(err, relational.ErrNoIndex) {
-				// L2 chose an index the engine doesn't have: hand on the heap
-				// snapshot exactly as OpScan does (the residual filter still
-				// applies), and say so.
-				out, err = t.Snapshot(), nil
-				info.Native = fmt.Sprintf("SeqScan(%s) [no index on %s]", table, col)
-				info.NoIndex = true
-			}
-			if err != nil {
+		// An IndexScan carries the predicate its consumer applies (compiler L2)
+		// and the table decides whether an index serves it; a plain Scan reads
+		// the heap.
+		var pred relational.Expr
+		if n.Kind == ir.OpIndexScan {
+			pred, _ = n.Attr("pred").(relational.Expr)
+		}
+		if col, lo, hi, ok := t.SeekRange(pred); ok {
+			scan := relational.NewIndexScan(t, col, lo, hi)
+			if out, err = relational.Run(ctx, scan); err != nil {
 				return Value{}, info, err
 			}
+			info.Native = scan.Stats().Kind
+		} else {
+			out = t.Snapshot()
+			info.Native = "SeqScan(" + table + ")"
 		}
 		info.RowsOut = int64(out.Rows())
 		// Scans stream from storage; charge a project-shaped pass.
@@ -142,10 +139,6 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 			return Value{}, info, err
 		}
 		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
-		// Accept either column orientation, as the SQL planner does.
-		if !right.Schema().Has(base(rc)) && right.Schema().Has(base(lc)) {
-			lc, rc = rc, lc
-		}
 		if n.Kind == ir.OpHashJoin {
 			// The build side drains in full (and fans out under the parts knob)
 			// either way; only probe delivery streams per chunk.
@@ -169,7 +162,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
 			}
-			info.Native = fmt.Sprintf("HashJoin(%s=%s)", lc, rc)
+			info.Native = op.Stats().Kind
 		} else {
 			op, err := relational.NewMergeJoin(&memSource{b: left}, &memSource{b: right}, lc, rc)
 			if err != nil {
@@ -183,7 +176,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 				{Class: hw.KSort, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KFilter, Work: hw.Work{Items: int64(left.Rows() + right.Rows())}, OutBytes: out.ByteSize()},
 			}
-			info.Native = fmt.Sprintf("MergeJoin(%s=%s)", lc, rc)
+			info.Native = op.Stats().Kind
 		}
 		info.RowsIn = int64(left.Rows() + right.Rows())
 		info.RowsOut = int64(out.Rows())
@@ -197,11 +190,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if !ok || len(order) == 0 {
 			return Value{}, info, fmt.Errorf("%w: sort without order_by", ErrBadNode)
 		}
-		keys := make([]cast.SortKey, 0, len(order))
-		for _, o := range order {
-			keys = append(keys, cast.SortKey{Col: base(o.Col), Desc: o.Desc})
-		}
-		if out, err = in.SortBy(keys...); err != nil {
+		if out, err = in.SortBy(relational.SortKeys(order)...); err != nil {
 			return Value{}, info, err
 		}
 		info.Native = "Sort"
@@ -245,24 +234,6 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		info.RowsOut = int64(out.Rows())
 		info.Native = fmt.Sprintf("Limit(%d)", nLimit)
 
-	case ir.OpSQL:
-		sql := n.StringAttr("sql")
-		// BatchSink's underlying type matches QueryStream's parameter, and
-		// passing emit directly preserves nilness.
-		var stats []relational.OpStats
-		var err error
-		if out, stats, err = a.engine.QueryStream(ctx, sql, emit); err != nil {
-			return Value{}, info, err
-		}
-		delivered = true
-		for _, st := range stats {
-			info.RowsIn += st.RowsIn
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = sql
-		info.RuleNodes = int64(len(stats))
-		info.Kernels = []KernelCall{{Class: hw.KFilter, Work: hw.Work{Items: info.RowsIn, Bytes: out.ByteSize()}, OutBytes: out.ByteSize()}}
-
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)
 	}
@@ -288,14 +259,4 @@ func tabular(inputs []Value, i int) (*cast.Batch, error) {
 		return nil, fmt.Errorf("%w: input %d is not tabular", ErrBadInput, i)
 	}
 	return inputs[i].Batch, nil
-}
-
-// base strips a table qualifier from a column name.
-func base(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '.' {
-			return name[i+1:]
-		}
-	}
-	return name
 }

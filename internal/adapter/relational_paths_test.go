@@ -14,7 +14,7 @@ import (
 
 // TestRelationalBufferedEqualsStreamed runs every relational op kind through
 // Execute and ExecuteStream and holds the two to one contract: equal Value,
-// equal ExecInfo (Native, RowsIn/Out, RuleNodes, Kernels, NoIndex), and the
+// equal ExecInfo (Native, RowsIn/Out, RuleNodes, Kernels), and the
 // emitted batches concatenate to the value. Parts is the one field the two
 // deliveries report differently — a streamed filter/project never fans out,
 // a streamed hash join reports its build side — so it is pinned per delivery
@@ -47,6 +47,8 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 	}
 
 	pred := relational.Bin{Op: relational.OpGt, L: relational.ColRef{Name: "age"}, R: relational.Const{V: int64(40)}}
+	// pid carries the clinical dataset's only B-tree on patients; age has none.
+	onPid := relational.Bin{Op: relational.OpGe, L: relational.ColRef{Name: "pid"}, R: relational.Const{V: int64(10)}}
 	items := []relational.ProjItem{{E: relational.ColRef{Name: "pid"}, Name: "pid"}, {E: relational.ColRef{Name: "age"}, Name: "age"}}
 	join := map[string]any{"left_col": "pid", "right_col": "spid"}
 	group := map[string]any{"group_cols": []string{"pid"}, "aggs": []relational.AggSpec{{Fn: relational.AggCount, As: "n"}}}
@@ -63,12 +65,12 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 		kind                        ir.OpKind
 		attrs                       map[string]any
 		inputs                      []Value
-		noIndex                     bool
+		native                      string // pinned when set
 		partsBuffered, partsStreams int
 	}{
 		{name: "scan", kind: ir.OpScan, attrs: map[string]any{"table": "patients"}},
-		{name: "index-scan", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "col": "pid", "lo": int64(10), "hi": int64(2000)}},
-		{name: "index-scan/no-index", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "col": "age", "lo": int64(0), "hi": int64(200)}, noIndex: true},
+		{name: "index-scan", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": onPid}, native: "IndexScan(patients.pid)"},
+		{name: "index-scan/no-index", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": pred}, native: "SeqScan(patients)"},
 		{name: "filter", kind: ir.OpFilter, attrs: map[string]any{"pred": pred}, inputs: []Value{patients}, partsBuffered: 1},
 		{name: "filter/parts=3", kind: ir.OpFilter, attrs: map[string]any{"pred": pred, "parts": int64(3)}, inputs: []Value{patients}, partsBuffered: 3},
 		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}, partsBuffered: 1},
@@ -80,7 +82,6 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}, partsBuffered: 1, partsStreams: 1},
 		{name: "group-by/parts=3", kind: ir.OpGroupBy, attrs: with(group, "parts", int64(3)), inputs: []Value{patients}, partsBuffered: 3, partsStreams: 3},
 		{name: "limit", kind: ir.OpLimit, attrs: map[string]any{"n": int64(2100)}, inputs: []Value{patients}},
-		{name: "sql", kind: ir.OpSQL, attrs: map[string]any{"sql": "SELECT pid, age FROM patients WHERE age > 10 LIMIT 2200"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,8 +120,17 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 			if !reflect.DeepEqual(gotInfo, wantInfo) {
 				t.Fatalf("ExecInfo differs:\nstreamed %+v\nbuffered %+v", gotInfo, wantInfo)
 			}
-			if wantInfo.NoIndex != tc.noIndex || wantInfo.Native == "" || wantInfo.RuleNodes < 1 {
+			if wantInfo.Native == "" || (tc.native != "" && wantInfo.Native != tc.native) || wantInfo.RuleNodes < 1 {
 				t.Fatalf("ExecInfo = %+v", wantInfo)
+			}
+			// A scan that does not seek hands on the heap snapshot itself: the
+			// table's columns, shared, whether or not a predicate was pushed.
+			if wantInfo.Native == "SeqScan(patients)" {
+				x, _ := want.Batch.Ints(0)
+				y, _ := patients.Batch.Ints(0)
+				if &x[0] != &y[0] {
+					t.Fatal("an unseekable scan copied the table instead of sharing the heap snapshot")
+				}
 			}
 		})
 	}

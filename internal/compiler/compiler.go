@@ -16,7 +16,6 @@ import (
 
 	"polystorepp/internal/ir"
 	"polystorepp/internal/migrate"
-	"polystorepp/internal/relational"
 )
 
 // Sentinel errors.
@@ -85,9 +84,8 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 		eliminateDeadNodes(work)
 	}
 
-	// L2: engine-local physical planning — convert scan+filter pairs into
-	// index range scans where the predicate permits (the adapter falls back
-	// to a sequential scan when the engine has no matching index).
+	// L2: engine-local physical planning — scans learn the predicate their
+	// filter applies, so the engine may seek instead of reading the heap.
 	if opts.Level >= 2 {
 		selectIndexScans(work)
 	}
@@ -178,7 +176,7 @@ func pushdownAcrossEngines(g *ir.Graph) {
 func relationalKind(k ir.OpKind) bool {
 	switch k {
 	case ir.OpScan, ir.OpIndexScan, ir.OpFilter, ir.OpProject, ir.OpHashJoin,
-		ir.OpMergeJoin, ir.OpSort, ir.OpGroupBy, ir.OpLimit, ir.OpSQL:
+		ir.OpMergeJoin, ir.OpSort, ir.OpGroupBy, ir.OpLimit:
 		return true
 	default:
 		return false
@@ -278,74 +276,25 @@ func markOffloadable(g *ir.Graph) {
 	}
 }
 
-// selectIndexScans rewrites Scan feeding a Filter (same engine) into an
-// IndexScan when the filter contains a simple integer comparison — the L2
-// engine-local access-path choice of Figure 6. The filter is kept as a
-// residual predicate, so over-approximation is safe.
+// selectIndexScans is the L2 engine-local access-path pass of Figure 6: a
+// Scan read by a Filter on the same engine, and by nothing else, becomes an
+// IndexScan carrying the filter's predicate — a scan that may seek. Whether
+// and on which index is the engine's choice at execution time, where the
+// catalog is; the compiler knows no engine. The filter stays, so a seek that
+// over-approximates the predicate is safe. A predicate is not pushed through
+// a join: it would key the join's subtree by the predicate's constants and
+// stop the subplan cache sharing it across statements.
 func selectIndexScans(g *ir.Graph) {
 	for _, n := range g.Nodes() {
-		if n.Kind != ir.OpFilter || len(n.Inputs) != 1 {
+		pred, ok := n.Attrs["pred"]
+		if n.Kind != ir.OpFilter || len(n.Inputs) != 1 || !ok {
 			continue
 		}
 		scan, err := g.Node(n.Inputs[0])
-		if err != nil || scan.Kind != ir.OpScan || scan.Engine != n.Engine {
-			continue
-		}
-		pred, ok := n.Attrs["pred"].(relational.Expr)
-		if !ok {
-			continue
-		}
-		col, lo, hi, ok := rangeOfPred(pred)
-		if !ok {
+		if err != nil || scan.Kind != ir.OpScan || scan.Engine != n.Engine || len(g.Consumers(scan.ID)) != 1 {
 			continue
 		}
 		scan.Kind = ir.OpIndexScan
-		scan.Attrs["col"] = col
-		scan.Attrs["lo"] = lo
-		scan.Attrs["hi"] = hi
-	}
-}
-
-// rangeOfPred extracts a (col, lo, hi) range from a simple comparison
-// conjunct, mirroring the relational engine's own planner.
-func rangeOfPred(e relational.Expr) (string, int64, int64, bool) {
-	const minI, maxI = int64(-1) << 62, int64(1) << 62
-	conj := e
-	for {
-		b, ok := conj.(relational.Bin)
-		if !ok {
-			return "", 0, 0, false
-		}
-		if b.Op == relational.OpAnd {
-			// Try the left conjunct first, then the right.
-			if c, lo, hi, ok := rangeOfPred(b.L); ok {
-				return c, lo, hi, ok
-			}
-			conj = b.R
-			continue
-		}
-		col, cok := b.L.(relational.ColRef)
-		lit, lok := b.R.(relational.Const)
-		if !cok || !lok {
-			return "", 0, 0, false
-		}
-		v, vok := lit.V.(int64)
-		if !vok {
-			return "", 0, 0, false
-		}
-		switch b.Op {
-		case relational.OpEq:
-			return col.Name, v, v, true
-		case relational.OpLt:
-			return col.Name, minI, v - 1, true
-		case relational.OpLe:
-			return col.Name, minI, v, true
-		case relational.OpGt:
-			return col.Name, v + 1, maxI, true
-		case relational.OpGe:
-			return col.Name, v, maxI, true
-		default:
-			return "", 0, 0, false
-		}
+		scan.Attrs["pred"] = pred
 	}
 }

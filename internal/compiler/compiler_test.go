@@ -77,9 +77,37 @@ func TestL2SelectsIndexScan(t *testing.T) {
 	}
 	for _, n := range plan.Graph.Nodes() {
 		if n.Kind == ir.OpIndexScan {
-			if n.StringAttr("col") != "x" || n.IntAttr("lo") != 6 {
-				t.Fatalf("index range wrong: col=%s lo=%d", n.StringAttr("col"), n.IntAttr("lo"))
+			if pred, _ := n.Attr("pred").(relational.Bin); pred.String() != "(x > 5)" {
+				t.Fatalf("scan carries predicate %v, want the filter's (x > 5)", n.Attr("pred"))
 			}
+		}
+	}
+	// Below L2 nothing is pushed: the scan stays a scan.
+	if plan, err = Compile(crossEngineGraph(), Options{Level: 1}); err != nil || countKind(plan.Graph, ir.OpIndexScan) != 0 {
+		t.Fatalf("L1 plan has index scans (err %v):\n%s", err, plan.Graph)
+	}
+}
+
+// TestL2PushesOnlyOntoItsOwnScan: the predicate reaches a scan the filter
+// reads directly and alone — not through a join, and never a scan another
+// consumer also reads, which a seek would starve.
+func TestL2PushesOnlyOntoItsOwnScan(t *testing.T) {
+	pred := relational.Bin{Op: relational.OpLt, L: relational.ColRef{Name: "x"}, R: relational.Const{V: int64(5)}}
+	joined := ir.NewGraph()
+	base := joined.Add(ir.OpScan, "db", map[string]any{"table": "t"})
+	build := joined.Add(ir.OpScan, "db", map[string]any{"table": "u"})
+	join := joined.Add(ir.OpHashJoin, "db", map[string]any{"left_col": "x", "right_col": "y"}, base, build)
+	joined.Add(ir.OpFilter, "db", map[string]any{"pred": pred}, join)
+
+	shared := ir.NewGraph()
+	scan := shared.Add(ir.OpScan, "db", map[string]any{"table": "t"})
+	shared.Add(ir.OpFilter, "db", map[string]any{"pred": pred}, scan)
+	shared.Add(ir.OpLimit, "db", map[string]any{"n": int64(3)}, scan)
+
+	for name, g := range map[string]*ir.Graph{"filter over join": joined, "scan with two consumers": shared} {
+		plan, err := Compile(g, Options{Level: 2})
+		if err != nil || countKind(plan.Graph, ir.OpIndexScan) != 0 {
+			t.Fatalf("%s: a scan was narrowed (err %v):\n%s", name, err, plan.Graph)
 		}
 	}
 }
@@ -179,33 +207,5 @@ func TestCompileDoesNotMutateInput(t *testing.T) {
 	}
 	if g.String() != before {
 		t.Fatal("Compile mutated its input graph")
-	}
-}
-
-func TestRangeOfPred(t *testing.T) {
-	mk := func(op relational.BinOp, v int64) relational.Expr {
-		return relational.Bin{Op: op, L: relational.ColRef{Name: "c"}, R: relational.Const{V: v}}
-	}
-	for _, tc := range []struct {
-		e      relational.Expr
-		lo, hi int64
-		ok     bool
-	}{
-		{mk(relational.OpEq, 5), 5, 5, true},
-		{mk(relational.OpLt, 5), -1 << 62, 4, true},
-		{mk(relational.OpLe, 5), -1 << 62, 5, true},
-		{mk(relational.OpGt, 5), 6, 1 << 62, true},
-		{mk(relational.OpGe, 5), 5, 1 << 62, true},
-		{relational.Bin{Op: relational.OpAnd, L: mk(relational.OpGe, 3), R: relational.Const{V: true}}, 3, 1 << 62, true},
-		{relational.Const{V: true}, 0, 0, false},
-		{relational.Bin{Op: relational.OpEq, L: relational.ColRef{Name: "c"}, R: relational.Const{V: "s"}}, 0, 0, false},
-	} {
-		col, lo, hi, ok := rangeOfPred(tc.e)
-		if ok != tc.ok {
-			t.Fatalf("%v: ok=%v", tc.e, ok)
-		}
-		if ok && (col != "c" || lo != tc.lo || hi != tc.hi) {
-			t.Fatalf("%v: got (%s,%d,%d)", tc.e, col, lo, hi)
-		}
 	}
 }

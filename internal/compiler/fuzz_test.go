@@ -14,7 +14,6 @@ import (
 
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/eide"
-	"polystorepp/internal/relational"
 )
 
 func FuzzParseSQL(f *testing.F) {
@@ -37,19 +36,17 @@ func FuzzParseSQL(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		stmt, err := relational.Parse(sql) // must never panic
-		if err != nil {
+		p := eide.NewProgram()
+		if _, err := p.SQL("db", sql); err != nil { // parses; must never panic
 			return
 		}
-		if stmt.From == "" {
-			t.Fatalf("Parse(%q) accepted a statement without a FROM table", sql)
+		// The base table's scan is the first node of the lowering.
+		from := p.Graph().Nodes()[0].StringAttr("table")
+		if from == "" {
+			t.Fatalf("SQL(%q) accepted a statement without a FROM table", sql)
 		}
 		// A statement the frontend accepts becomes a program whose touch set
 		// must cover its engine and base table.
-		p := eide.NewProgram()
-		if _, err := p.SQL("db", sql); err != nil {
-			return
-		}
 		tt := compiler.TouchesOf(p.Graph())
 		if len(tt.Engines()) == 0 {
 			t.Fatalf("TouchesOf(%q) reported no engines for a storage-reading program", sql)
@@ -59,17 +56,17 @@ func FuzzParseSQL(f *testing.F) {
 			t.Fatalf("TouchesOf(%q) missing engine \"db\": %v", sql, tt.ByEngine)
 		}
 		if tables != nil && len(tables) == 0 {
-			t.Fatalf("TouchesOf(%q) reported a pure-dataflow engine for a program that scans %q", sql, stmt.From)
+			t.Fatalf("TouchesOf(%q) reported a pure-dataflow engine for a program that scans %q", sql, from)
 		}
 		if tables != nil {
 			found := false
 			for _, tb := range tables {
-				if tb == stmt.From {
+				if tb == from {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("TouchesOf(%q) table set %v misses base table %q", sql, tables, stmt.From)
+				t.Fatalf("TouchesOf(%q) table set %v misses base table %q", sql, tables, from)
 			}
 		}
 		// The full compiler must also hold up (structural validation, L1-L3

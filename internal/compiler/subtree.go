@@ -35,7 +35,7 @@ type Subtree struct {
 var subplanCacheableKinds = map[ir.OpKind]bool{
 	ir.OpScan: true, ir.OpIndexScan: true, ir.OpFilter: true,
 	ir.OpProject: true, ir.OpHashJoin: true, ir.OpMergeJoin: true,
-	ir.OpSort: true, ir.OpGroupBy: true, ir.OpLimit: true, ir.OpSQL: true,
+	ir.OpSort: true, ir.OpGroupBy: true, ir.OpLimit: true,
 	ir.OpTSRange: true, ir.OpTSWindow: true,
 	ir.OpKVGet: true, ir.OpKVScan: true,
 	ir.OpMigrate: true, ir.OpUnion: true,

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"polystorepp/internal/ir"
-	"polystorepp/internal/relational"
 )
 
 // Touches records the stored data a program reads: which engine instances,
@@ -80,16 +79,6 @@ func (ta *touchAccum) observe(n *ir.Node) {
 			ta.tables[n.Engine][t] = true
 		} else {
 			ta.whole[n.Engine] = true
-		}
-	case n.Kind == ir.OpSQL:
-		stmt, err := relational.Parse(n.StringAttr("sql"))
-		if err != nil {
-			ta.whole[n.Engine] = true
-			break
-		}
-		ta.tables[n.Engine][stmt.From] = true
-		for _, jc := range stmt.Joins {
-			ta.tables[n.Engine][jc.Table] = true
 		}
 	default:
 		// Every other kind (graph/text/ts/stream/kv reads, future

@@ -20,23 +20,6 @@ func TestTouchesOfSQLProgram(t *testing.T) {
 	}
 }
 
-func TestTouchesOfOpaqueSQLNode(t *testing.T) {
-	g := ir.NewGraph()
-	g.Add(ir.OpSQL, "db", map[string]any{"sql": "SELECT count(*) AS n FROM visits"})
-	got := TouchesOf(g)
-	want := map[string][]string{"db": {"visits"}}
-	if !reflect.DeepEqual(got.ByEngine, want) {
-		t.Fatalf("ByEngine = %v, want %v", got.ByEngine, want)
-	}
-	// Unparseable SQL must widen to whole-engine (nil).
-	g2 := ir.NewGraph()
-	g2.Add(ir.OpSQL, "db", map[string]any{"sql": "NOT SQL AT ALL"})
-	got2 := TouchesOf(g2)
-	if v, ok := got2.ByEngine["db"]; !ok || v != nil {
-		t.Fatalf("unparseable SQL: ByEngine[db] = %v (present %v), want nil (whole engine)", v, ok)
-	}
-}
-
 func TestTouchesOfMultiEngine(t *testing.T) {
 	p := eide.NewProgram()
 	if _, err := p.SQL("db", "SELECT pid FROM patients"); err != nil {

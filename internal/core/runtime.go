@@ -551,9 +551,6 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 		r.st.migrations.Inc()
 	}
 	r.st.ruleNodes.Add(run.info.RuleNodes)
-	if run.info.NoIndex {
-		r.st.indexScanFallback.Inc()
-	}
 	r.st.nodes.Inc()
 	r.observeOp(n, run)
 	return run

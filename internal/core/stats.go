@@ -10,9 +10,9 @@ import (
 // name. The serving layer's stat table (internal/server/stats.go) declares
 // the same registry names with their /stats keys and help text.
 type coreStats struct {
-	nodes, migrations, ruleNodes, indexScanFallback *metrics.Counter
-	execSequential, execConcurrent, execStreamed    *metrics.Counter
-	maxParallel                                     *metrics.Gauge
+	nodes, migrations, ruleNodes                 *metrics.Counter
+	execSequential, execConcurrent, execStreamed *metrics.Counter
+	maxParallel                                  *metrics.Gauge
 
 	subplanHits, subplanMisses, subplanPublished, subplanBypassed *metrics.Counter
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
@@ -25,14 +25,13 @@ type coreStats struct {
 func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
 	c := reg.Counter
 	st := coreStats{
-		nodes:             c("core.nodes"),
-		migrations:        c("core.migrations"),
-		ruleNodes:         c("core.rule_nodes"),
-		indexScanFallback: c("relational.indexscan_fallback"),
-		execSequential:    c("core.exec.sequential"),
-		execConcurrent:    c("core.exec.concurrent"),
-		execStreamed:      c("core.exec.streamed"),
-		maxParallel:       reg.Gauge("core.exec.max_parallel"),
+		nodes:          c("core.nodes"),
+		migrations:     c("core.migrations"),
+		ruleNodes:      c("core.rule_nodes"),
+		execSequential: c("core.exec.sequential"),
+		execConcurrent: c("core.exec.concurrent"),
+		execStreamed:   c("core.exec.streamed"),
+		maxParallel:    reg.Gauge("core.exec.max_parallel"),
 
 		subplanHits:             c("core.subplan.hits"),
 		subplanMisses:           c("core.subplan.misses"),

@@ -35,76 +35,34 @@ func (p *Program) Graph() *ir.Graph { return p.g }
 
 // SQL adds a relational sub-program on the named engine. The statement is
 // parsed here (inter-subprogram checks happen in the compiler frontend) and
-// expanded into fine-grained IR operators so the optimizer can move them
+// expanded into fine-grained IR operators, one per step of the statement's
+// lowering (relational.SelectStmt.Steps), so the optimizer can move them
 // across engine boundaries (§IV-B2).
 func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
 	stmt, err := relational.Parse(sql)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrFrontend, err)
 	}
-	return p.expandSelect(engine, stmt)
-}
-
-func (p *Program) expandSelect(engine string, stmt *relational.SelectStmt) (ir.NodeID, error) {
-	cur := p.g.Add(ir.OpScan, engine, map[string]any{"table": stmt.From})
-	for _, jc := range stmt.Joins {
-		rightScan := p.g.Add(ir.OpScan, engine, map[string]any{"table": jc.Table})
-		cur = p.g.Add(ir.OpHashJoin, engine, map[string]any{
-			"left_col": jc.LeftCol, "right_col": jc.RightCol,
-		}, cur, rightScan)
-	}
-	if stmt.Where != nil {
-		cur = p.g.Add(ir.OpFilter, engine, map[string]any{"pred": stmt.Where}, cur)
-	}
-	hasAgg := false
-	for _, it := range stmt.Items {
-		if it.Agg != nil {
-			hasAgg = true
+	var cur ir.NodeID
+	var buf [8]relational.Step
+	for _, st := range stmt.Steps(buf[:0]) {
+		switch st.Kind {
+		case relational.StepScan:
+			cur = p.g.Add(ir.OpScan, engine, map[string]any{"table": st.Table})
+		case relational.StepJoin:
+			right := p.g.Add(ir.OpScan, engine, map[string]any{"table": st.Table})
+			cur = p.Join(engine, cur, right, st.LeftCol, st.RightCol)
+		case relational.StepFilter:
+			cur = p.g.Add(ir.OpFilter, engine, map[string]any{"pred": st.Pred}, cur)
+		case relational.StepGroupBy:
+			cur = p.g.Add(ir.OpGroupBy, engine, map[string]any{"group_cols": st.GroupCols, "aggs": st.Aggs}, cur)
+		case relational.StepProject:
+			cur = p.g.Add(ir.OpProject, engine, map[string]any{"items": st.Items}, cur)
+		case relational.StepSort:
+			cur = p.g.Add(ir.OpSort, engine, map[string]any{"order_by": st.OrderBy}, cur)
+		case relational.StepLimit:
+			cur = p.g.Add(ir.OpLimit, engine, map[string]any{"n": int64(st.N)}, cur)
 		}
-	}
-	switch {
-	case hasAgg || len(stmt.GroupBy) > 0:
-		var aggs []relational.AggSpec
-		for _, it := range stmt.Items {
-			if it.Agg != nil {
-				aggs = append(aggs, *it.Agg)
-			}
-		}
-		cur = p.g.Add(ir.OpGroupBy, engine, map[string]any{
-			"group_cols": append([]string(nil), stmt.GroupBy...),
-			"aggs":       aggs,
-		}, cur)
-		// Re-project to the select list so aliases and ordering hold (the
-		// group-by operator emits group columns under their source names).
-		items := make([]relational.ProjItem, 0, len(stmt.Items))
-		rename := false
-		for _, it := range stmt.Items {
-			if it.Agg != nil {
-				items = append(items, relational.ProjItem{E: relational.ColRef{Name: it.Agg.As}, Name: it.Agg.As})
-				continue
-			}
-			items = append(items, relational.ProjItem{E: it.Expr, Name: it.As})
-			if cr, ok := it.Expr.(relational.ColRef); !ok || cr.Name != it.As {
-				rename = true
-			}
-		}
-		if rename {
-			cur = p.g.Add(ir.OpProject, engine, map[string]any{"items": items}, cur)
-		}
-	case !stmt.Star:
-		items := make([]relational.ProjItem, 0, len(stmt.Items))
-		for _, it := range stmt.Items {
-			items = append(items, relational.ProjItem{E: it.Expr, Name: it.As})
-		}
-		cur = p.g.Add(ir.OpProject, engine, map[string]any{"items": items}, cur)
-	}
-	if len(stmt.OrderBy) > 0 {
-		cur = p.g.Add(ir.OpSort, engine, map[string]any{
-			"order_by": append([]relational.OrderItem(nil), stmt.OrderBy...),
-		}, cur)
-	}
-	if stmt.Limit >= 0 {
-		cur = p.g.Add(ir.OpLimit, engine, map[string]any{"n": int64(stmt.Limit)}, cur)
 	}
 	return cur, nil
 }
@@ -247,7 +205,7 @@ func NewNLTranslator(relationalEngine, timeseriesEngine, textEngine, mlEngine st
 			Pattern: regexp.MustCompile(`(?i)^(?:what is the )?average (\w+) of (\w+) by (\w+)\??$`),
 			Build: func(p *Program, m []string) (ir.NodeID, error) {
 				return p.SQL(t.Relational, fmt.Sprintf(
-					"SELECT avg(%s) AS avg_%s FROM %s GROUP BY %s", m[1], m[1], m[2], m[3]))
+					"SELECT %s, avg(%s) AS avg_%s FROM %s GROUP BY %s", m[3], m[1], m[1], m[2], m[3]))
 			},
 		},
 		{

@@ -30,7 +30,7 @@ const (
 	OpSort
 	OpGroupBy
 	OpLimit
-	OpSQL // opaque SQL pushed down to the relational engine
+	_ // was the opaque-SQL kind; the slot stays so later kinds keep their numbers and fingerprints
 
 	// Graph.
 	OpGraphMatch
@@ -69,7 +69,7 @@ const (
 var opNames = map[OpKind]string{
 	OpScan: "scan", OpIndexScan: "index-scan", OpFilter: "filter",
 	OpProject: "project", OpHashJoin: "hash-join", OpMergeJoin: "merge-join",
-	OpSort: "sort", OpGroupBy: "group-by", OpLimit: "limit", OpSQL: "sql",
+	OpSort: "sort", OpGroupBy: "group-by", OpLimit: "limit",
 	OpGraphMatch: "graph-match", OpGraphPath: "graph-path",
 	OpGraphSubtree: "graph-subtree", OpGraphNeighbors: "graph-neighbors",
 	OpPageRank: "page-rank", OpTextSearch: "text-search", OpTextPhrase: "text-phrase",

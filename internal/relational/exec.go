@@ -420,8 +420,20 @@ type HashJoinOp struct {
 	in, out  int64
 }
 
-// NewHashJoin returns an equi-join on left.LeftCol = right.RightCol.
+// orientJoin returns an ON clause's columns probe side first. The clause may
+// be written in either order: the column the build (right) input has is its
+// key.
+func orientJoin(right cast.Schema, leftCol, rightCol string) (string, string) {
+	if !right.Has(BaseName(rightCol)) && right.Has(BaseName(leftCol)) {
+		return rightCol, leftCol
+	}
+	return leftCol, rightCol
+}
+
+// NewHashJoin returns an equi-join on left.LeftCol = right.RightCol; the two
+// columns may be given in either order.
 func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoinOp, error) {
+	leftCol, rightCol = orientJoin(right.Schema(), leftCol, rightCol)
 	s, err := left.Schema().Concat(right.Schema())
 	if err != nil {
 		return nil, err
@@ -446,11 +458,11 @@ func (j *HashJoinOp) build(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ci, err := j.Right.Schema().Index(baseName(j.RightCol))
+	ci, err := j.Right.Schema().Index(BaseName(j.RightCol))
 	if err != nil {
 		return err
 	}
-	if j.li, err = j.Left.Schema().Index(baseName(j.LeftCol)); err != nil {
+	if j.li, err = j.Left.Schema().Index(BaseName(j.LeftCol)); err != nil {
 		return err
 	}
 	j.table, err = buildJoinTable(ctx, j.rightMat, ci, j.Left.Schema().Col(j.li).Type, j.Parts)
@@ -537,8 +549,10 @@ type MergeJoinOp struct {
 	SortRows [2]int64
 }
 
-// NewMergeJoin returns a sort-merge join on int64 columns.
+// NewMergeJoin returns a sort-merge join on int64 columns, given in either
+// order.
 func NewMergeJoin(left, right Operator, leftCol, rightCol string) (*MergeJoinOp, error) {
+	leftCol, rightCol = orientJoin(right.Schema(), leftCol, rightCol)
 	s, err := left.Schema().Concat(right.Schema())
 	if err != nil {
 		return nil, err
@@ -572,19 +586,19 @@ func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 	}
 	j.in = int64(lm.Rows() + rm.Rows())
 	j.SortRows = [2]int64{int64(lm.Rows()), int64(rm.Rows())}
-	ls, err := lm.SortBy(cast.SortKey{Col: baseName(j.LeftCol)})
+	ls, err := lm.SortBy(cast.SortKey{Col: BaseName(j.LeftCol)})
 	if err != nil {
 		return nil, err
 	}
-	rs, err := rm.SortBy(cast.SortKey{Col: baseName(j.RightCol)})
+	rs, err := rm.SortBy(cast.SortKey{Col: BaseName(j.RightCol)})
 	if err != nil {
 		return nil, err
 	}
-	li, err := ls.Schema().Index(baseName(j.LeftCol))
+	li, err := ls.Schema().Index(BaseName(j.LeftCol))
 	if err != nil {
 		return nil, err
 	}
-	ri, err := rs.Schema().Index(baseName(j.RightCol))
+	ri, err := rs.Schema().Index(BaseName(j.RightCol))
 	if err != nil {
 		return nil, err
 	}
@@ -762,7 +776,7 @@ func NewGroupBy(child Operator, groupCols []string, aggs []AggSpec) (*GroupByOp,
 	cs := child.Schema()
 	cols := make([]cast.Column, 0, len(groupCols)+len(aggs))
 	for _, g := range groupCols {
-		i, err := cs.Index(baseName(g))
+		i, err := cs.Index(BaseName(g))
 		if err != nil {
 			return nil, err
 		}
@@ -776,7 +790,7 @@ func NewGroupBy(child Operator, groupCols []string, aggs []AggSpec) (*GroupByOp,
 		case AggAvg:
 			t = cast.Float64
 		case AggSum, AggMin, AggMax:
-			i, err := cs.Index(baseName(a.Col))
+			i, err := cs.Index(BaseName(a.Col))
 			if err != nil {
 				return nil, err
 			}
@@ -950,7 +964,7 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 	cs := m.Schema()
 	groupIdx := make([]int, len(g.GroupCols))
 	for i, c := range g.GroupCols {
-		gi, err := cs.Index(baseName(c))
+		gi, err := cs.Index(BaseName(c))
 		if err != nil {
 			return nil, err
 		}
@@ -961,7 +975,7 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 		if a.Fn == AggCount && a.Col == "" {
 			continue
 		}
-		ai, err := cs.Index(baseName(a.Col))
+		ai, err := cs.Index(BaseName(a.Col))
 		if err != nil {
 			return nil, err
 		}
@@ -1053,7 +1067,7 @@ func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.
 			}
 			cols = append(cols, sums)
 		case AggMin, AggMax:
-			ci, err := m.Schema().Index(baseName(a.Col))
+			ci, err := m.Schema().Index(BaseName(a.Col))
 			if err != nil {
 				return nil, err
 			}

@@ -42,8 +42,8 @@ type ColRef struct {
 	Name string
 }
 
-// baseName strips an optional table qualifier.
-func baseName(name string) string {
+// BaseName strips an optional table qualifier ("t.col" -> "col").
+func BaseName(name string) string {
 	for i := len(name) - 1; i >= 0; i-- {
 		if name[i] == '.' {
 			return name[i+1:]
@@ -54,7 +54,7 @@ func baseName(name string) string {
 
 // Eval implements Expr.
 func (c ColRef) Eval(b *cast.Batch, row int) (any, error) {
-	idx, err := b.Schema().Index(baseName(c.Name))
+	idx, err := b.Schema().Index(BaseName(c.Name))
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func (c ColRef) Eval(b *cast.Batch, row int) (any, error) {
 
 // ResultType implements Expr.
 func (c ColRef) ResultType(s cast.Schema) (cast.Type, error) {
-	idx, err := s.Index(baseName(c.Name))
+	idx, err := s.Index(BaseName(c.Name))
 	if err != nil {
 		return 0, err
 	}
@@ -317,7 +317,7 @@ func ColumnsOf(e Expr) []string {
 	walk = func(x Expr) {
 		switch v := x.(type) {
 		case ColRef:
-			seen[baseName(v.Name)] = true
+			seen[BaseName(v.Name)] = true
 		case Bin:
 			walk(v.L)
 			walk(v.R)

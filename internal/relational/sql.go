@@ -394,7 +394,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 				if err := p.expectSymbol(")"); err != nil {
 					return SelectItem{}, err
 				}
-				as := fmt.Sprintf("%s_%s", spec.Fn, baseName(spec.Col))
+				as := fmt.Sprintf("%s_%s", spec.Fn, BaseName(spec.Col))
 				if spec.Col == "" {
 					as = "count"
 				}
@@ -418,7 +418,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	}
 	as := ""
 	if cr, ok := e.(ColRef); ok {
-		as = baseName(cr.Name)
+		as = BaseName(cr.Name)
 	}
 	if p.isKeyword("as") {
 		if err := p.advance(); err != nil {

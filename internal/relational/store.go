@@ -344,6 +344,70 @@ func (t *Table) HasHash(col string) bool {
 	return ok
 }
 
+// SeekRange chooses the access path of a scan whose consumer filters by pred:
+// the first top-level conjunct comparing a B-tree-indexed column of t with an
+// integer literal, written in either order, becomes the inclusive key range
+// [lo, hi] on that column. ok is false when nothing is seekable and the scan
+// reads the heap. The range may over-approximate pred — the consumer applies
+// pred in full.
+func (t *Table) SeekRange(pred Expr) (col string, lo, hi int64, ok bool) {
+	const minI, maxI = int64(-1) << 62, int64(1) << 62
+	bin, isBin := pred.(Bin)
+	if !isBin {
+		return "", 0, 0, false
+	}
+	if bin.Op == OpAnd {
+		if col, lo, hi, ok = t.SeekRange(bin.L); ok {
+			return col, lo, hi, true
+		}
+		return t.SeekRange(bin.R)
+	}
+	ref, isCol := bin.L.(ColRef)
+	lit, isLit := bin.R.(Const)
+	op := bin.Op
+	if !isCol || !isLit {
+		// <lit> op <col> reads as <col> flipped-op <lit>.
+		ref, isCol = bin.R.(ColRef)
+		lit, isLit = bin.L.(Const)
+		op = flipCmp(op)
+	}
+	v, isInt := lit.V.(int64)
+	col = BaseName(ref.Name)
+	if !isCol || !isLit || !isInt || !t.HasBTree(col) {
+		return "", 0, 0, false
+	}
+	switch op {
+	case OpEq:
+		return col, v, v, true
+	case OpLt:
+		return col, minI, v - 1, true
+	case OpLe:
+		return col, minI, v, true
+	case OpGt:
+		return col, v + 1, maxI, true
+	case OpGe:
+		return col, v, maxI, true
+	}
+	return "", 0, 0, false
+}
+
+// flipCmp mirrors an ordering comparison; every other operator is its own
+// mirror.
+func flipCmp(op BinOp) BinOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	default:
+		return op
+	}
+}
+
 // Snapshot returns a read-only view of the heap frozen at the current row
 // count. Concurrent inserts never disturb it (append-only storage), so a
 // snapshot taken at one data version keeps showing exactly that version —

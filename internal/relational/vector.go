@@ -69,7 +69,7 @@ func (c ColRef) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
 	if n == 0 {
 		return vec{}, 0, nil
 	}
-	idx, err := b.Schema().Index(baseName(c.Name))
+	idx, err := b.Schema().Index(BaseName(c.Name))
 	if err != nil {
 		return vec{}, 0, err
 	}

@@ -288,7 +288,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	}
 	s.st, s.stats = newStatTable(s)
 	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/query/stream", s.handleQueryStream)
+	s.mux.HandleFunc("/query/stream", s.handleStream)
 	s.mux.HandleFunc("/ingest", s.handleIngest)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

@@ -213,7 +213,6 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	for _, d := range s.rt.Accelerators() {
 		counter("", "core.offloads."+d, "Kernel calls offloaded to accelerator "+d+".")
 	}
-	counter("relational_indexscan_fallback", "relational.indexscan_fallback", "Index scans on a column without an index, executed as sequential scans.")
 	add("partition_spawned", "", kindCounter, "Partition tasks run on a pool goroutine.", func() any { n, _ := partition.Shared().Stats(); return n })
 	add("partition_inlined", "", kindCounter, "Partition tasks run inline on the caller.", func() any { _, n := partition.Shared().Stats(); return n })
 	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates; on /metrics as `core_op_<engine>_<op>_*`.", func() any { return s.rt.OpStats().Snapshot() })

@@ -208,8 +208,8 @@ func (st *ndjsonStream) replay(res *core.Results) error {
 	return nil
 }
 
-// handleQueryStream serves POST /query/stream.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
+// handleStream serves POST /query/stream.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, true)
 }
 

@@ -333,42 +333,3 @@ func mustReadAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 }
-
-// TestIndexScanFallbackVisible: a range predicate on a column with no B-tree
-// still compiles to an index scan; the adapter's fallback must show up as a
-// counter on /stats and /metrics (0 before, 1 after) and in the node's span.
-func TestIndexScanFallbackVisible(t *testing.T) {
-	ts := newTestServer(t, polystore.ServeConfig{})
-	fallbacks := func() (stats float64, metrics string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var doc map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
-		}
-		mresp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mresp.Body.Close()
-		n, _ := doc["relational_indexscan_fallback"].(float64)
-		return n, mustReadAll(t, mresp)
-	}
-	if n, text := fallbacks(); n != 0 || !strings.Contains(text, "relational_indexscan_fallback 0\n") {
-		t.Fatalf("before any query: /stats %v, /metrics lacks the zero sample", n)
-	}
-	code, resp, raw := postQuery(t, ts, withTrace(`{"frontend":"sql","statement":"SELECT pid FROM patients WHERE age > 60"}`))
-	if code != http.StatusOK || resp.Trace == nil {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	if !strings.Contains(raw, "SeqScan(patients) [no index on age]") {
-		t.Fatalf("trace does not name the fallback:\n%s", raw)
-	}
-	if n, text := fallbacks(); n != 1 || !strings.Contains(text, "relational_indexscan_fallback 1\n") {
-		t.Fatalf("after one fallback: /stats %v", n)
-	}
-}
