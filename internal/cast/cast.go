@@ -62,19 +62,6 @@ func (t Type) String() string {
 // Valid reports whether t is one of the declared column types.
 func (t Type) Valid() bool { return t >= Int64 && t <= Timestamp }
 
-// FixedWidth returns the serialized width in bytes for fixed-width types and
-// (0, false) for variable-width types (String).
-func (t Type) FixedWidth() (int, bool) {
-	switch t {
-	case Int64, Float64, Timestamp:
-		return 8, true
-	case Bool:
-		return 1, true
-	default:
-		return 0, false
-	}
-}
-
 // Column describes a single column: a name unique within its schema and a
 // physical type.
 type Column struct {

@@ -358,14 +358,8 @@ func TestKeyStringDistinguishesAdjacentValues(t *testing.T) {
 	if err := b.AppendRow("x", "|y"); err != nil {
 		t.Fatal(err)
 	}
-	k0, err := b.KeyString(0, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, err := b.KeyString(1, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k0 := string(b.AppendKey(nil, 0, []int{0, 1}))
+	k1 := string(b.AppendKey(nil, 1, []int{0, 1}))
 	if k0 == k1 {
 		t.Fatalf("keys alias: %q", k0)
 	}
@@ -406,15 +400,6 @@ func TestParseFormatRoundTrip(t *testing.T) {
 func TestTypeStringAndWidth(t *testing.T) {
 	if Int64.String() != "int64" || Timestamp.String() != "timestamp" {
 		t.Fatal("Type.String broken")
-	}
-	if w, ok := Int64.FixedWidth(); !ok || w != 8 {
-		t.Fatalf("Int64 width = %d, %v", w, ok)
-	}
-	if w, ok := Bool.FixedWidth(); !ok || w != 1 {
-		t.Fatalf("Bool width = %d, %v", w, ok)
-	}
-	if _, ok := String.FixedWidth(); ok {
-		t.Fatal("String should be variable width")
 	}
 }
 

@@ -503,9 +503,11 @@ func (sr *StreamReader) Reset(r io.Reader) {
 	sr.d.err = nil
 }
 
-// next consumes the end-of-stream marker, if that is what comes next, and
-// reports io.EOF; otherwise a chunk follows.
-func (sr *StreamReader) next() error {
+// AppendChunk decodes the next chunk, whose schema must equal dst's, straight
+// onto the end of dst (see Decoder.AppendTo), or consumes the end-of-stream
+// marker and returns io.EOF. A receiver that knows the final size decodes
+// every chunk into one presized batch.
+func (sr *StreamReader) AppendChunk(dst *Batch) error {
 	peek, err := sr.br.Peek(4)
 	if err != nil {
 		return fmt.Errorf("%w: peeking frame: %v", ErrCodec, err)
@@ -515,27 +517,6 @@ func (sr *StreamReader) next() error {
 			return fmt.Errorf("%w: consuming eos: %v", ErrCodec, err)
 		}
 		return io.EOF
-	}
-	return nil
-}
-
-// ReadChunk returns the next batch, or io.EOF after the end-of-stream
-// marker.
-func (sr *StreamReader) ReadChunk() (*Batch, error) {
-	if err := sr.next(); err != nil {
-		return nil, err
-	}
-	b := sr.d.Batch()
-	return b, sr.d.Err()
-}
-
-// AppendChunk decodes the next chunk, whose schema must equal dst's, straight
-// onto the end of dst (see Decoder.AppendTo), or returns io.EOF after the
-// end-of-stream marker. A receiver that knows the final size decodes every
-// chunk into one presized batch.
-func (sr *StreamReader) AppendChunk(dst *Batch) error {
-	if err := sr.next(); err != nil {
-		return err
 	}
 	sr.d.AppendTo(dst)
 	return sr.d.Err()

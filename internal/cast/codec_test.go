@@ -96,15 +96,15 @@ func TestStreamChunks(t *testing.T) {
 	}
 	sr := NewStreamReader(&buf)
 	for i, want := range chunks {
-		got, err := sr.ReadChunk()
-		if err != nil {
-			t.Fatalf("ReadChunk %d: %v", i, err)
+		got := NewBatch(want.Schema(), 0)
+		if err := sr.AppendChunk(got); err != nil {
+			t.Fatalf("AppendChunk %d: %v", i, err)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("chunk %d differs", i)
 		}
 	}
-	if _, err := sr.ReadChunk(); !errors.Is(err, io.EOF) {
+	if err := sr.AppendChunk(NewBatch(chunks[0].Schema(), 0)); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF after stream end, got %v", err)
 	}
 }

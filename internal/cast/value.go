@@ -63,19 +63,10 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	}
 }
 
-// KeyString renders the key columns of row r as a canonical string usable as
-// a map key (exact, unlike a hash). The encoding quotes strings so that
-// adjacent values cannot alias.
-func (b *Batch) KeyString(r int, cols []int) (string, error) {
-	if r < 0 || r >= b.rows {
-		return "", fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, r, b.rows)
-	}
-	return string(b.AppendKey(make([]byte, 0, 16*len(cols)), r, cols)), nil
-}
-
-// AppendKey appends KeyString's encoding of row r to dst, reading the typed
-// columns directly: per-row callers reuse one buffer and allocate nothing.
-// r must be in range.
+// AppendKey appends to dst the key columns of row r rendered as a canonical
+// string usable as a map key (exact, unlike a hash); strings are quoted so
+// that adjacent values cannot alias. It reads the typed columns directly:
+// per-row callers reuse one buffer and allocate nothing. r must be in range.
 func (b *Batch) AppendKey(dst []byte, r int, cols []int) []byte {
 	for _, c := range cols {
 		col := &b.cols[c]

@@ -159,7 +159,7 @@ func pushdownAcrossEngines(g *ir.Graph) {
 			}
 			// Only push down onto relational producers: the predicate and
 			// projection expressions are relational-engine constructs.
-			if prod.Engine == n.Engine || !relationalKind(prod.Kind) {
+			if prod.Engine == n.Engine || !prod.Kind.Relational() {
 				continue
 			}
 			// The producer must have no other consumers, otherwise the
@@ -170,16 +170,6 @@ func pushdownAcrossEngines(g *ir.Graph) {
 			n.Engine = prod.Engine
 			changed = true
 		}
-	}
-}
-
-func relationalKind(k ir.OpKind) bool {
-	switch k {
-	case ir.OpScan, ir.OpIndexScan, ir.OpFilter, ir.OpProject, ir.OpHashJoin,
-		ir.OpMergeJoin, ir.OpSort, ir.OpGroupBy, ir.OpLimit:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -257,20 +247,11 @@ func insertMigrations(g *ir.Graph, tr migrate.Transport) {
 	}
 }
 
-// offloadableKinds maps IR kinds whose dominant kernels have accelerator
-// implementations; the runtime picks the device by cost (LogCA-style
-// break-even) when a node carries Device="auto".
-var offloadableKinds = map[ir.OpKind]bool{
-	ir.OpFilter: true, ir.OpProject: true, ir.OpSort: true,
-	ir.OpHashJoin: true, ir.OpMergeJoin: true, ir.OpGroupBy: true,
-	ir.OpTrain: true, ir.OpPredict: true, ir.OpKMeans: true, ir.OpGEMM: true,
-	ir.OpTSWindow: true, ir.OpStreamWindow: true, ir.OpMigrate: true,
-}
-
-// markOffloadable pins Device="auto" on nodes the runtime may offload.
+// markOffloadable pins Device="auto" on nodes the runtime may offload: it
+// picks the device by cost (LogCA-style break-even) at execution time.
 func markOffloadable(g *ir.Graph) {
 	for _, n := range g.Nodes() {
-		if n.Device == "" && offloadableKinds[n.Kind] {
+		if n.Device == "" && n.Kind.Offloadable() {
 			n.Device = "auto"
 		}
 	}

@@ -45,15 +45,11 @@ func Key(g *ir.Graph, opts Options) string {
 	return fmt.Sprintf("%s|L%d|A%t|T%d", g.Fingerprint(), opts.Level, opts.Accel, int(opts.Transport))
 }
 
-// GetOrCompile returns the cached plan for (g, opts), compiling and caching
-// on a miss. The second result reports whether the plan came from the cache.
-func (c *PlanCache) GetOrCompile(g *ir.Graph, opts Options) (*Plan, bool, error) {
-	return c.GetOrCompileKeyed(Key(g, opts), g, opts)
-}
-
-// GetOrCompileKeyed is GetOrCompile with a precomputed Key(g, opts) — the
-// serving layer already fingerprints the graph for its result cache and must
-// not hash it twice per request.
+// GetOrCompileKeyed returns the cached plan for (g, opts), compiling and
+// caching on a miss. The second result reports whether the plan came from the
+// cache. key is Key(g, opts), precomputed: the serving layer already
+// fingerprints the graph for its result cache and must not hash it twice per
+// request.
 func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*Plan, bool, error) {
 	c.mu.Lock()
 	if plan, ok := c.plans.Get(key); ok {

@@ -14,15 +14,19 @@ func cacheTestGraph(table string) *ir.Graph {
 	return g
 }
 
+func getOrCompile(c *PlanCache, g *ir.Graph, opts Options) (*Plan, bool, error) {
+	return c.GetOrCompileKeyed(Key(g, opts), g, opts)
+}
+
 func TestPlanCacheHitMissLRU(t *testing.T) {
 	c := NewPlanCache(2)
 	opts := Options{Level: 3}
 
-	p1, hit, err := c.GetOrCompile(cacheTestGraph("a"), opts)
+	p1, hit, err := getOrCompile(c, cacheTestGraph("a"), opts)
 	if err != nil || hit {
 		t.Fatalf("first lookup: hit=%t err=%v", hit, err)
 	}
-	p2, hit, err := c.GetOrCompile(cacheTestGraph("a"), opts)
+	p2, hit, err := getOrCompile(c, cacheTestGraph("a"), opts)
 	if err != nil || !hit {
 		t.Fatalf("second lookup: hit=%t err=%v", hit, err)
 	}
@@ -31,13 +35,13 @@ func TestPlanCacheHitMissLRU(t *testing.T) {
 	}
 
 	// Different options miss even for the same graph.
-	if _, hit, _ := c.GetOrCompile(cacheTestGraph("a"), Options{Level: 0}); hit {
+	if _, hit, _ := getOrCompile(c, cacheTestGraph("a"), Options{Level: 0}); hit {
 		t.Fatal("different options should miss")
 	}
 
 	// Capacity 2: inserting a third key evicts the LRU ("a"/L3 was touched
 	// most recently via the options-miss insert... evict order check below).
-	if _, hit, _ := c.GetOrCompile(cacheTestGraph("b"), opts); hit {
+	if _, hit, _ := getOrCompile(c, cacheTestGraph("b"), opts); hit {
 		t.Fatal("new graph should miss")
 	}
 	hits, misses, size := c.Stats()
@@ -58,7 +62,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if _, _, err := c.GetOrCompile(cacheTestGraph("t"), opts); err != nil {
+				if _, _, err := getOrCompile(c, cacheTestGraph("t"), opts); err != nil {
 					t.Error(err)
 					return
 				}

@@ -27,20 +27,6 @@ type Subtree struct {
 	Touches Touches
 }
 
-// subplanCacheableKinds are operators whose output is a pure, deterministic
-// function of their dataflow inputs and the stores they read at a fixed
-// version vector — safe to memoize and replay. ML training (seeded RNG
-// state), loops, graph/text/stream reads (not table-version-scoped today),
-// and anything with side effects stay out.
-var subplanCacheableKinds = map[ir.OpKind]bool{
-	ir.OpScan: true, ir.OpIndexScan: true, ir.OpFilter: true,
-	ir.OpProject: true, ir.OpHashJoin: true, ir.OpMergeJoin: true,
-	ir.OpSort: true, ir.OpGroupBy: true, ir.OpLimit: true,
-	ir.OpTSRange: true, ir.OpTSWindow: true,
-	ir.OpKVGet: true, ir.OpKVScan: true,
-	ir.OpMigrate: true, ir.OpUnion: true,
-}
-
 // subtreesOf selects the plan's subplan-cache candidates: closed subtrees
 // of at least two cacheable, unpinned nodes. Candidates are returned
 // outermost first (closure size descending, root id ascending on ties);
@@ -63,7 +49,7 @@ func subtreesFrom(g *ir.Graph, fps map[ir.NodeID]ir.SubtreeFP) []Subtree {
 		// results depend on deployment hardware the fingerprint does not
 		// encode. "auto" is the compiler's own offload marker and encodes
 		// into the fingerprint, so it stays cacheable.
-		cacheable[n.ID] = subplanCacheableKinds[n.Kind] && (n.Device == "" || n.Device == "auto")
+		cacheable[n.ID] = n.Kind.Cacheable() && (n.Device == "" || n.Device == "auto")
 	}
 	consumers := g.ConsumerIndex()
 	var out []Subtree

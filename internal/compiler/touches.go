@@ -32,17 +32,6 @@ func (t Touches) Engines() []string {
 	return out
 }
 
-// pureKinds are operators that consume only their dataflow inputs and never
-// read engine storage, so they contribute no version dependency no matter
-// which engine hosts them.
-var pureKinds = map[ir.OpKind]bool{
-	ir.OpFilter: true, ir.OpProject: true, ir.OpHashJoin: true,
-	ir.OpMergeJoin: true, ir.OpSort: true, ir.OpGroupBy: true,
-	ir.OpLimit: true, ir.OpTrain: true, ir.OpPredict: true,
-	ir.OpKMeans: true, ir.OpGEMM: true, ir.OpUnion: true,
-	ir.OpMap: true, ir.OpReduce: true,
-}
-
 // touchAccum accumulates per-node storage reads into the per-engine
 // table/whole-engine sets Touches is rendered from.
 type touchAccum struct {
@@ -72,7 +61,7 @@ func (ta *touchAccum) observe(n *ir.Node) {
 		ta.tables[n.Engine] = make(map[string]bool)
 	}
 	switch {
-	case pureKinds[n.Kind]:
+	case n.Kind.Pure():
 		// No storage read.
 	case n.Kind == ir.OpScan || n.Kind == ir.OpIndexScan:
 		if t := n.StringAttr("table"); t != "" {

@@ -10,10 +10,10 @@ import (
 
 // Adaptive feedback integration: when a feedback store is installed
 // (ConfigureFeedback), every executed plan node feeds its observed facts —
-// cardinality, bytes, wall time, realized fan-out — into the store at the
-// driver's costing point (deterministic topological order, single
-// goroutine, subplan-cache replays excluded so memoized hits cannot
-// pollute wall statistics). Two planning decisions read the store back:
+// input cardinality and wall time — into the store at the driver's costing
+// point (deterministic topological order, single goroutine, subplan-cache
+// replays excluded so memoized hits cannot pollute wall statistics). Two
+// planning decisions read the store back:
 //
 //   - Partition sizing (prepareFeedback): a node with a pinned fan-out is
 //     capped to what the observed input cardinality justifies, carried to
@@ -36,12 +36,6 @@ type feedbackState struct {
 	store *feedback.Store
 }
 
-// WithAdaptiveFeedback enables the feedback store at construction with the
-// given config (zero value selects the documented defaults).
-func WithAdaptiveFeedback(cfg feedback.Config) Option {
-	return func(r *Runtime) { r.fbCfg, r.fbOn = cfg, true }
-}
-
 // ConfigureFeedback installs a fresh feedback store (dropping accumulated
 // statistics). Safe to call while plans execute: in-flight executions keep
 // the state they captured.
@@ -60,14 +54,6 @@ func (r *Runtime) FeedbackStats() (st feedback.Stats, enabled bool) {
 		return fs.store.Stats(), true
 	}
 	return st, false
-}
-
-// adaptiveKinds are the operator kinds whose pinned partition fan-out the
-// feedback loop may cap — the same set whose execution honors a "parts"
-// attribute.
-var adaptiveKinds = map[ir.OpKind]bool{
-	ir.OpFilter: true, ir.OpProject: true, ir.OpGroupBy: true,
-	ir.OpHashJoin: true, ir.OpTSWindow: true,
 }
 
 // fbOverride is one node's adaptive fan-out decision: run at parts, not
@@ -96,8 +82,8 @@ func (r *Runtime) prepareFeedback(plan *compiler.Plan) *fbExec {
 	}
 	fb := &fbExec{store: fs.store, fps: plan.NodeFPs}
 	for _, n := range plan.Graph.Nodes() {
-		if !adaptiveKinds[n.Kind] {
-			continue
+		if !n.Kind.Partitioned() {
+			continue // only a kind that honors "parts" has a fan-out to cap
 		}
 		pinned := int(n.IntAttr("parts"))
 		if pinned <= 1 {
@@ -144,13 +130,7 @@ func (fb *fbExec) observe(n *ir.Node, run *nodeRun) {
 	}
 	fb.store.Observe(feedback.Key{
 		Engine: opEngine(n), Op: n.Kind.String(), FP: fb.fps[n.ID],
-	}, feedback.Obs{
-		RowsIn:  run.rowsIn(),
-		RowsOut: run.rowsOut(),
-		Bytes:   run.bytesIn,
-		Wall:    run.wall,
-		Parts:   run.info.Parts,
-	})
+	}, feedback.Obs{RowsIn: run.rowsIn(), Wall: run.wall})
 }
 
 // observedHostSeconds blends a static host-cost estimate with the observed

@@ -24,7 +24,6 @@ import (
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
-	"polystorepp/internal/feedback"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/metrics"
@@ -74,10 +73,8 @@ type Runtime struct {
 	subplanBytes int64
 
 	// fb is the adaptive feedback state (feedback.go); nil disables the
-	// loop. fbCfg/fbOn carry the construction-time option.
-	fb    atomic.Pointer[feedbackState]
-	fbCfg feedback.Config
-	fbOn  bool
+	// loop.
+	fb atomic.Pointer[feedbackState]
 
 	// barrier, when non-nil, is awaited after every applied ingest so a
 	// write is only acknowledged once the storage backend has made it
@@ -153,9 +150,6 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 	}
 	r.st = newCoreStats(r.reg, r.accels)
 	r.ConfigureSubplanCacheShared(r.subplanBytes, 0)
-	if r.fbOn {
-		r.ConfigureFeedback(r.fbCfg)
-	}
 	r.preloadKernels()
 	return r
 }
@@ -646,7 +640,7 @@ func (r *Runtime) chargeKernel(n *ir.Node, call adapter.KernelCall) (*hw.Device,
 	bestSeconds := r.observedHostSeconds(n, bestCost.Seconds)
 	offload := false
 	for _, d := range r.accels {
-		est, err := estimateOffload(d, r.mode, call)
+		est, err := d.OffloadCost(r.mode, call.Class, call.Work, call.OutBytes)
 		if err != nil {
 			continue
 		}
@@ -684,29 +678,6 @@ func (r *Runtime) Accelerators() []string {
 		out[i] = d.Name
 	}
 	return out
-}
-
-// estimateOffload predicts offload cost without mutating device state
-// (reconfiguration is only counted if the kernel is not already loaded).
-func estimateOffload(d *hw.Device, mode hw.Mode, call adapter.KernelCall) (hw.Cost, error) {
-	kc, err := d.KernelCost(call.Class, call.Work)
-	if err != nil {
-		return hw.Zero, err
-	}
-	total := kc
-	if (d.Kind == hw.FPGA || d.Kind == hw.CGRA) && !d.HasKernel(call.Class.String()) {
-		total = total.AddSeq(hw.Cost{Seconds: d.ReconfigSeconds})
-	}
-	switch mode {
-	case hw.Coprocessor:
-		total = total.AddSeq(d.TransferCost(call.Work.Bytes)).AddSeq(d.TransferCost(call.OutBytes))
-	case hw.BumpInTheWire:
-		line := d.TransferCost(call.Work.Bytes)
-		if line.Seconds > kc.Seconds {
-			total = line
-		}
-	}
-	return total, nil
 }
 
 // executeMigrate moves the single tabular input across engines.

@@ -249,7 +249,7 @@ func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
 	if err := customers.CreateBTreeIndex("cid"); err != nil {
 		return nil, err
 	}
-	if err := transactions.CreateHashIndex("cid"); err != nil {
+	if err := transactions.CreateBTreeIndex("cid"); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -105,8 +105,8 @@ func TestGenerateRetailShape(t *testing.T) {
 	if data.Timeseries.Len("clicks/0/rate") != 96 {
 		t.Fatalf("clicks = %d", data.Timeseries.Len("clicks/0/rate"))
 	}
-	if !tx.HasHash("cid") {
-		t.Fatal("transactions hash index missing")
+	if !tx.HasBTree("cid") {
+		t.Fatal("transactions cid index missing")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package feedback is the runtime-statistics store that closes the loop
 // from observed execution back into planning — the adaptive-optimization
-// prerequisite Polystore++ §IV-D calls out. Both executors feed it one
-// observation per executed plan node (input/output cardinality, bytes,
-// host wall time, realized partition fan-out), keyed by (engine, op kind,
+// prerequisite Polystore++ §IV-D calls out. The executor feeds it one
+// observation per executed plan node (input cardinality and host wall
+// time — what its two consumers read), keyed by (engine, op kind,
 // subtree-fingerprint prefix) so statistics follow the *shape* of the work
 // rather than the request that carried it. Values are EWMA-smoothed, the
 // store is sharded and bounded, and epoch-based decay evicts keys no
@@ -39,11 +39,8 @@ type Key struct {
 
 // Obs is one node execution's contribution.
 type Obs struct {
-	RowsIn  int64
-	RowsOut int64
-	Bytes   int64
-	Wall    time.Duration
-	Parts   int
+	RowsIn int64
+	Wall   time.Duration
 }
 
 // Stat is the smoothed readback of one key. All values are EWMAs except
@@ -52,20 +49,7 @@ type Obs struct {
 type Stat struct {
 	Samples     int64
 	RowsIn      float64
-	RowsOut     float64
-	Bytes       float64
 	WallSeconds float64
-	Parts       float64
-}
-
-// Selectivity returns the smoothed output/input cardinality ratio (1 when
-// the key has never seen input rows — a selectivity nothing should act on,
-// which RowsIn == 0 also signals).
-func (s Stat) Selectivity() float64 {
-	if s.RowsIn <= 0 {
-		return 1
-	}
-	return s.RowsOut / s.RowsIn
 }
 
 // Config tunes a Store. Zero values select the documented defaults.
@@ -115,10 +99,7 @@ type entry struct {
 	samples int64
 	epoch   int64 // epoch of the last observation
 	rowsIn  float64
-	rowsOut float64
-	bytes   float64
 	wall    float64 // seconds
-	parts   float64
 }
 
 type shard struct {
@@ -191,18 +172,12 @@ func (s *Store) observeOne(k Key, o Obs) {
 		if len(sh.m) >= s.cfg.MaxKeys/shardCount {
 			s.evictStalest(sh)
 		}
-		e = &entry{
-			rowsIn: float64(o.RowsIn), rowsOut: float64(o.RowsOut),
-			bytes: float64(o.Bytes), wall: o.Wall.Seconds(), parts: float64(o.Parts),
-		}
+		e = &entry{rowsIn: float64(o.RowsIn), wall: o.Wall.Seconds()}
 		sh.m[k] = e
 	} else {
 		a := s.cfg.Alpha
 		e.rowsIn += a * (float64(o.RowsIn) - e.rowsIn)
-		e.rowsOut += a * (float64(o.RowsOut) - e.rowsOut)
-		e.bytes += a * (float64(o.Bytes) - e.bytes)
 		e.wall += a * (o.Wall.Seconds() - e.wall)
-		e.parts += a * (float64(o.Parts) - e.parts)
 	}
 	e.samples++
 	e.epoch = epoch
@@ -249,10 +224,7 @@ func (s *Store) Confident(k Key) (Stat, bool) {
 }
 
 func statOf(e *entry) Stat {
-	return Stat{
-		Samples: e.samples, RowsIn: e.rowsIn, RowsOut: e.rowsOut,
-		Bytes: e.bytes, WallSeconds: e.wall, Parts: e.parts,
-	}
+	return Stat{Samples: e.samples, RowsIn: e.rowsIn, WallSeconds: e.wall}
 }
 
 // Advance moves the store one epoch forward and evicts entries idle for

@@ -17,29 +17,26 @@ func TestEWMAConvergence(t *testing.T) {
 	s := New(Config{})
 	k := key("abc")
 	for i := 0; i < 50; i++ {
-		s.Observe(k, Obs{RowsIn: 1000, RowsOut: 10, Wall: time.Millisecond, Parts: 4})
+		s.Observe(k, Obs{RowsIn: 10, Wall: time.Millisecond})
 	}
 	st, ok := s.Lookup(k)
 	if !ok {
 		t.Fatal("key missing after observations")
 	}
-	if math.Abs(st.RowsIn-1000) > 1 || math.Abs(st.RowsOut-10) > 0.1 {
-		t.Fatalf("EWMA did not converge to constant input: rowsIn=%.2f rowsOut=%.2f", st.RowsIn, st.RowsOut)
-	}
-	if sel := st.Selectivity(); math.Abs(sel-0.01) > 0.001 {
-		t.Fatalf("selectivity = %.4f, want ~0.01", sel)
+	if math.Abs(st.RowsIn-10) > 0.1 {
+		t.Fatalf("EWMA did not converge to constant input: rowsIn=%.2f", st.RowsIn)
 	}
 	if math.Abs(st.WallSeconds-0.001) > 0.0001 {
 		t.Fatalf("wall EWMA = %.6f, want ~0.001", st.WallSeconds)
 	}
-	// Step change: the workload's post-filter cardinality grows 100x; the
-	// EWMA must track it within a few dozen observations.
+	// Step change: the workload's input cardinality grows 100x; the EWMA
+	// must track it within a few dozen observations.
 	for i := 0; i < 50; i++ {
-		s.Observe(k, Obs{RowsIn: 1000, RowsOut: 1000, Wall: time.Millisecond, Parts: 4})
+		s.Observe(k, Obs{RowsIn: 1000, Wall: time.Millisecond})
 	}
 	st, _ = s.Lookup(k)
-	if math.Abs(st.RowsOut-1000) > 1 {
-		t.Fatalf("EWMA did not re-converge after step change: rowsOut=%.2f", st.RowsOut)
+	if math.Abs(st.RowsIn-1000) > 1 {
+		t.Fatalf("EWMA did not re-converge after step change: rowsIn=%.2f", st.RowsIn)
 	}
 	if st.Samples != 100 {
 		t.Fatalf("samples = %d, want 100", st.Samples)
@@ -52,12 +49,12 @@ func TestConfidenceThreshold(t *testing.T) {
 	s := New(Config{ConfidenceSamples: 3})
 	k := key("fp1")
 	for i := 0; i < 2; i++ {
-		s.Observe(k, Obs{RowsIn: 100, RowsOut: 5})
+		s.Observe(k, Obs{RowsIn: 100})
 		if _, ok := s.Confident(k); ok {
 			t.Fatalf("confident after %d samples, threshold 3", i+1)
 		}
 	}
-	s.Observe(k, Obs{RowsIn: 100, RowsOut: 5})
+	s.Observe(k, Obs{RowsIn: 100})
 	if _, ok := s.Confident(k); !ok {
 		t.Fatal("not confident after 3 samples")
 	}
@@ -97,7 +94,7 @@ func TestBoundedUnderManyFingerprints(t *testing.T) {
 	cfg := Config{MaxKeys: 1024}
 	s := New(cfg)
 	for i := 0; i < 10000; i++ {
-		s.Observe(key(fmt.Sprintf("fp-%05d", i)), Obs{RowsIn: int64(i), RowsOut: 1})
+		s.Observe(key(fmt.Sprintf("fp-%05d", i)), Obs{RowsIn: int64(i)})
 	}
 	st := s.Stats()
 	if st.Keys > cfg.MaxKeys {
@@ -128,7 +125,7 @@ func TestConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := key(fmt.Sprintf("fp-%d", i%37))
-				s.Observe(k, Obs{RowsIn: 100, RowsOut: 10, Wall: time.Microsecond, Parts: 2})
+				s.Observe(k, Obs{RowsIn: 100, Wall: time.Microsecond})
 				if i%13 == 0 {
 					s.Lookup(k)
 					s.Confident(k)
@@ -151,14 +148,5 @@ func TestConcurrentIngest(t *testing.T) {
 	got, ok := s.Lookup(key("fp-0"))
 	if !ok || math.Abs(got.RowsIn-100) > 0.5 {
 		t.Fatalf("fp-0 after concurrent ingest: ok=%v rowsIn=%.2f", ok, got.RowsIn)
-	}
-}
-
-// TestSelectivityZeroInput: a key that never saw input rows reports
-// neutral selectivity instead of dividing by zero.
-func TestSelectivityZeroInput(t *testing.T) {
-	var st Stat
-	if st.Selectivity() != 1 {
-		t.Fatalf("zero-input selectivity = %v, want 1", st.Selectivity())
 	}
 }

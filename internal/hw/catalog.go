@@ -110,14 +110,3 @@ func NewRDMANIC() *Device {
 		LinkLatency:   2e-6,
 	})
 }
-
-// DefaultPool returns one device of each class, keyed by name — the server
-// pool of Figure 4.
-func DefaultPool() map[string]*Device {
-	devs := []*Device{NewHostCPU(), NewGPU(), NewFPGA(), NewCGRA(), NewTPU(), NewRDMANIC()}
-	pool := make(map[string]*Device, len(devs))
-	for _, d := range devs {
-		pool[d.Name] = d
-	}
-	return pool
-}

@@ -3,9 +3,9 @@
 // TPU-like ASICs and RDMA NICs, alongside the host CPUs.
 //
 // Real hardware is not available in this reproduction, so every device is a
-// calibrated analytic model: kernels execute the *real* computation on the
-// host (results are bit-correct and verified against CPU references) while
-// the package charges *simulated* time and energy derived from the device's
+// calibrated analytic model: the engines execute the *real* computation on
+// the host and report it as kernel calls (class and work size), and the
+// package charges *simulated* time and energy derived from the device's
 // clock, parallelism, pipeline and interface parameters. The package also
 // implements the two analytic performance models the paper leans on: LogCA
 // (Altaf & Wood) for offload profitability and the Roofline model for
@@ -43,21 +43,6 @@ func (c Cost) AddSeq(o Cost) Cost {
 	}
 }
 
-// Par composes costs of operations executed concurrently on different
-// resources: elapsed time is the max, energy and traffic add.
-func (c Cost) Par(o Cost) Cost {
-	out := Cost{
-		Cycles:  c.Cycles + o.Cycles,
-		Joules:  c.Joules + o.Joules,
-		Bytes:   c.Bytes + o.Bytes,
-		Seconds: c.Seconds,
-	}
-	if o.Seconds > out.Seconds {
-		out.Seconds = o.Seconds
-	}
-	return out
-}
-
 // Pipe composes two pipelined stages processing the same stream: steady-state
 // time is the max of the stages plus the smaller stage's fill time. It is the
 // cost model behind §III's "pipelining it to reduce latency".
@@ -84,14 +69,4 @@ func (c Cost) Duration() time.Duration {
 // String implements fmt.Stringer.
 func (c Cost) String() string {
 	return fmt.Sprintf("{%.3gs %.3gJ %d cycles %dB}", c.Seconds, c.Joules, c.Cycles, c.Bytes)
-}
-
-// SpeedupOver returns how much faster this cost is than the baseline
-// (baseline.Seconds / c.Seconds). A zero-second cost yields +Inf-free 0 to
-// keep reports sane.
-func (c Cost) SpeedupOver(baseline Cost) float64 {
-	if c.Seconds == 0 {
-		return 0
-	}
-	return baseline.Seconds / c.Seconds
 }

@@ -108,22 +108,15 @@ type Spec struct {
 // ErrUnsupported reports a kernel/device mismatch.
 var ErrUnsupported = errors.New("hw: kernel not supported on device")
 
-// Device is a simulated device instance. It accumulates total busy time and
-// energy across calls, which experiments read for reporting. The Spec is
-// immutable after construction; the mutable accounting and kernel-
-// configuration state is guarded by a mutex, so one Device may be shared by
-// concurrent executors (the serving path runs many plans at once).
+// Device is a simulated device instance: an immutable Spec plus the table of
+// kernels loaded onto a reconfigurable device. Costing a call reads the Spec
+// alone (and, for OffloadCost, whether the kernel is loaded), so one Device
+// is shared by every concurrent executor; mu guards only the
+// kernel-configuration table.
 type Device struct {
 	Spec
 
-	// mu guards every field below: totals and the kernel-configuration
-	// table both mutate under concurrent Offload/ConfigureKernel calls.
 	mu sync.Mutex
-
-	busySeconds float64
-	joules      float64
-	calls       int64
-
 	// configured tracks the loaded kernels of reconfigurable devices (a
 	// device region per kernel) so repeat calls do not pay reconfiguration
 	// again. usedLUTs is the area consumed by loaded kernels.
@@ -179,10 +172,13 @@ func (d *Device) ConfigureKernel(name string, lutCost int64) (Cost, error) {
 	}
 	d.configured[name] = lutCost
 	d.usedLUTs += lutCost
-	secs := d.ReconfigSeconds
-	c := Cost{Seconds: secs, Joules: secs * d.IdleWatts}
-	d.accountLocked(c)
-	return c, nil
+	return d.reconfigCost(), nil
+}
+
+// reconfigCost is the cost of loading one kernel: the device idles for
+// ReconfigSeconds.
+func (d *Device) reconfigCost() Cost {
+	return Cost{Seconds: d.ReconfigSeconds, Joules: d.ReconfigSeconds * d.IdleWatts}
 }
 
 // HasKernel reports whether the named kernel is loaded.
@@ -191,39 +187,4 @@ func (d *Device) HasKernel(name string) bool {
 	defer d.mu.Unlock()
 	_, ok := d.configured[name]
 	return ok
-}
-
-// UsedLUTs returns the area consumed by loaded kernels.
-func (d *Device) UsedLUTs() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.usedLUTs
-}
-
-// account accumulates device totals.
-func (d *Device) account(c Cost) {
-	d.mu.Lock()
-	d.accountLocked(c)
-	d.mu.Unlock()
-}
-
-// accountLocked accumulates device totals; the caller holds d.mu.
-func (d *Device) accountLocked(c Cost) {
-	d.busySeconds += c.Seconds
-	d.joules += c.Joules
-	d.calls++
-}
-
-// Totals returns accumulated busy seconds, joules, and call count.
-func (d *Device) Totals() (busySeconds, joules float64, calls int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.busySeconds, d.joules, d.calls
-}
-
-// ResetTotals clears accumulated totals (between benchmark runs).
-func (d *Device) ResetTotals() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.busySeconds, d.joules, d.calls = 0, 0, 0
 }

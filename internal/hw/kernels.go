@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"polystorepp/internal/tensor"
 )
@@ -262,195 +261,64 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 	return 0, fmt.Errorf("%w: %s on %s", ErrUnsupported, class, d.Kind)
 }
 
-// Offload returns the end-to-end cost of offloading one kernel call to the
+// OffloadCost is the end-to-end cost of offloading one kernel call to the
 // device under the given deployment mode: reconfiguration (if the kernel is
 // not loaded), input transfer, kernel, and output transfer. outBytes is the
-// result size crossing back. The cost is accounted to the device totals.
-func (d *Device) Offload(mode Mode, class KernelClass, w Work, outBytes int64) (Cost, error) {
+// result size crossing back. It changes nothing, so placement compares
+// devices with the formula Offload charges.
+func (d *Device) OffloadCost(mode Mode, class KernelClass, w Work, outBytes int64) (Cost, error) {
 	kc, err := d.KernelCost(class, w)
 	if err != nil {
 		return Zero, err
 	}
-	total := Zero
-	if d.Kind == FPGA || d.Kind == CGRA {
-		rc, err := d.ConfigureKernel(class.String(), lutCosts[class])
-		if err != nil {
-			return Zero, err
-		}
-		total = total.AddSeq(rc)
-	}
+	var total Cost
 	switch mode {
 	case Coprocessor:
-		total = total.AddSeq(d.TransferCost(w.Bytes))
-		total = total.AddSeq(kc)
-		total = total.AddSeq(d.TransferCost(outBytes))
+		total = d.TransferCost(w.Bytes).AddSeq(kc).AddSeq(d.TransferCost(outBytes))
 	case BumpInTheWire:
 		// Data flows through the device on its way to the host anyway; the
 		// device must keep line rate, so cost is max(kernel, line time).
-		line := d.TransferCost(w.Bytes)
-		if kc.Seconds > line.Seconds {
-			total = total.AddSeq(kc)
-		} else {
+		total = kc
+		if line := d.TransferCost(w.Bytes); line.Seconds >= kc.Seconds {
 			line.Cycles = kc.Cycles
 			line.Joules += kc.Joules
-			total = total.AddSeq(line)
+			total = line
 		}
 	case Standalone:
-		total = total.AddSeq(kc)
+		total = kc
 	default:
 		return Zero, fmt.Errorf("hw: invalid mode %d", int(mode))
 	}
-	d.account(total)
+	if d.reconfigurable() && !d.HasKernel(class.String()) {
+		total = d.reconfigCost().AddSeq(total)
+	}
 	return total, nil
 }
 
-// HostCost charges w's kernel to a CPU device and accounts it — the
-// baseline path. Provided so call sites read symmetrically with Offload.
+// Offload charges one kernel call — exactly OffloadCost — and leaves the
+// kernel loaded, so the next call pays no reconfiguration. It fails when the
+// device's area budget cannot take the kernel.
+func (d *Device) Offload(mode Mode, class KernelClass, w Work, outBytes int64) (Cost, error) {
+	c, err := d.OffloadCost(mode, class, w, outBytes)
+	if err != nil {
+		return Zero, err
+	}
+	if d.reconfigurable() {
+		if _, err := d.ConfigureKernel(class.String(), lutCosts[class]); err != nil {
+			return Zero, err
+		}
+	}
+	return c, nil
+}
+
+// reconfigurable reports whether kernels must be loaded before they run.
+func (d *Device) reconfigurable() bool { return d.Kind == FPGA || d.Kind == CGRA }
+
+// HostCost is KernelCost on a CPU device — the baseline path. Provided so
+// call sites read symmetrically with Offload.
 func (d *Device) HostCost(class KernelClass, w Work) (Cost, error) {
 	if d.Kind != CPU {
 		return Zero, fmt.Errorf("%w: HostCost on %s", ErrUnsupported, d.Kind)
 	}
-	c, err := d.KernelCost(class, w)
-	if err != nil {
-		return Zero, err
-	}
-	d.account(c)
-	return c, nil
-}
-
-// --- Real kernel implementations (results verified against references) ---
-
-// BitonicSortInt64 sorts data in place with a bitonic sorting network — the
-// FPGA sort kernel of §III-A1 ("bitonic sort algorithm has inherent pipeline
-// execution"). The input length is padded virtually to a power of two.
-// This is the network a hardware implementation would instantiate; it is
-// executed faithfully so tests can verify the kernel, while the *cost* comes
-// from the device model, not from host wall time.
-func BitonicSortInt64(data []int64) {
-	n := len(data)
-	if n < 2 {
-		return
-	}
-	// Pad to a power of two with +inf sentinels, run the canonical network,
-	// then copy back the first n elements. MaxInt64 inputs are unaffected:
-	// they sort to the tail alongside the sentinels, and only n elements are
-	// copied back in order.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	buf := make([]int64, size)
-	copy(buf, data)
-	for i := n; i < size; i++ {
-		buf[i] = math.MaxInt64
-	}
-	for k := 2; k <= size; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < size; i++ {
-				l := i ^ j
-				if l <= i {
-					continue
-				}
-				up := i&k == 0
-				if (up && buf[i] > buf[l]) || (!up && buf[i] < buf[l]) {
-					buf[i], buf[l] = buf[l], buf[i]
-				}
-			}
-		}
-	}
-	copy(data, buf[:n])
-}
-
-// SortInt64sOn sorts xs on the device (mode-aware) and returns the sorted
-// copy and the simulated cost. The real result uses the bitonic network on
-// FPGA-class devices for small inputs (faithfully exercising the kernel) and
-// a comparison sort otherwise; the returned data is identical either way.
-func SortInt64sOn(d *Device, mode Mode, xs []int64) ([]int64, Cost, error) {
-	out := make([]int64, len(xs))
-	copy(out, xs)
-	w := Work{Items: int64(len(xs)), Bytes: int64(len(xs)) * 8}
-	var (
-		c   Cost
-		err error
-	)
-	if d.Kind == CPU {
-		c, err = d.HostCost(KSort, w)
-	} else {
-		c, err = d.Offload(mode, KSort, w, w.Bytes)
-	}
-	if err != nil {
-		return nil, Zero, err
-	}
-	if (d.Kind == FPGA || d.Kind == CGRA) && len(out) <= 1<<14 {
-		BitonicSortInt64(out)
-	} else {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out, c, nil
-}
-
-// FilterInt64sOn filters xs by pred on the device and returns kept values
-// plus the simulated cost.
-func FilterInt64sOn(d *Device, mode Mode, xs []int64, pred func(int64) bool) ([]int64, Cost, error) {
-	w := Work{Items: int64(len(xs)), Bytes: int64(len(xs)) * 8}
-	out := make([]int64, 0, len(xs)/2)
-	for _, v := range xs {
-		if pred(v) {
-			out = append(out, v)
-		}
-	}
-	var (
-		c   Cost
-		err error
-	)
-	if d.Kind == CPU {
-		c, err = d.HostCost(KFilter, w)
-	} else {
-		c, err = d.Offload(mode, KFilter, w, int64(len(out))*8)
-	}
-	if err != nil {
-		return nil, Zero, err
-	}
-	return out, c, nil
-}
-
-// MatMulOn computes a×b on the device, returning the product and the
-// simulated cost. Results are computed with the verified host GEMM.
-func MatMulOn(d *Device, mode Mode, a, b *tensor.Tensor) (*tensor.Tensor, Cost, error) {
-	prod, err := tensor.MatMul(a, b)
-	if err != nil {
-		return nil, Zero, err
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(1)
-	w := Work{M: m, K: k, N: n, Bytes: int64(a.Size()+b.Size()) * 8}
-	var c Cost
-	if d.Kind == CPU {
-		c, err = d.HostCost(KGEMM, w)
-	} else {
-		c, err = d.Offload(mode, KGEMM, w, int64(prod.Size())*8)
-	}
-	if err != nil {
-		return nil, Zero, err
-	}
-	return prod, c, nil
-}
-
-// MatVecOn computes a×x on the device with simulated cost.
-func MatVecOn(d *Device, mode Mode, a, x *tensor.Tensor) (*tensor.Tensor, Cost, error) {
-	y, err := tensor.MatVec(a, x)
-	if err != nil {
-		return nil, Zero, err
-	}
-	w := Work{M: a.Dim(0), K: a.Dim(1), Bytes: int64(a.Size()+x.Size()) * 8}
-	var c Cost
-	if d.Kind == CPU {
-		c, err = d.HostCost(KGEMV, w)
-	} else {
-		c, err = d.Offload(mode, KGEMV, w, int64(y.Size())*8)
-	}
-	if err != nil {
-		return nil, Zero, err
-	}
-	return y, c, nil
+	return d.KernelCost(class, w)
 }

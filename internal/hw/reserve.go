@@ -36,11 +36,3 @@ func (r *Reservations) Reserve(d *Device, earliest, seconds float64) (start, fin
 	r.free[d] = finish
 	return start, finish
 }
-
-// FreeAt returns the simulated time the device becomes free (0 when it has
-// no reservations).
-func (r *Reservations) FreeAt(d *Device) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.free[d]
-}

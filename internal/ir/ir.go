@@ -66,33 +66,101 @@ const (
 	OpReduce
 )
 
-var opNames = map[OpKind]string{
-	OpScan: "scan", OpIndexScan: "index-scan", OpFilter: "filter",
-	OpProject: "project", OpHashJoin: "hash-join", OpMergeJoin: "merge-join",
-	OpSort: "sort", OpGroupBy: "group-by", OpLimit: "limit",
-	OpGraphMatch: "graph-match", OpGraphPath: "graph-path",
-	OpGraphSubtree: "graph-subtree", OpGraphNeighbors: "graph-neighbors",
-	OpPageRank: "page-rank", OpTextSearch: "text-search", OpTextPhrase: "text-phrase",
-	OpTSRange: "ts-range", OpTSWindow: "ts-window", OpStreamWindow: "stream-window",
-	OpKVGet: "kv-get", OpKVScan: "kv-scan",
-	OpTrain: "train", OpPredict: "predict", OpKMeans: "kmeans", OpGEMM: "gemm",
-	OpMigrate: "migrate", OpLoop: "loop", OpUnion: "union",
-	OpMap: "map", OpReduce: "reduce",
+// opProps are the yes/no questions the middleware asks about an operator
+// kind. A new question is a new bit here and a new column in ops, not a map
+// in the package that asks.
+type opProps uint8
+
+const (
+	// relational: natively executed by the relational engine, so predicate
+	// and projection expressions may be pushed onto it.
+	relational opProps = 1 << iota
+	// pure: consumes only its dataflow inputs and never reads engine
+	// storage, so it adds no version dependency whichever engine hosts it.
+	pure
+	// cacheable: output is a deterministic function of the dataflow inputs
+	// and the stores read at a fixed version vector — safe to memoize and
+	// replay. ML training (seeded RNG state), loops, graph/text/stream reads
+	// (not table-version-scoped today) and anything with side effects are
+	// not.
+	cacheable
+	// offloadable: the dominant kernels have accelerator implementations;
+	// the runtime picks the device by cost when the node is Device="auto".
+	offloadable
+	// partitioned: execution honors a "parts" partition-count attribute.
+	partitioned
+)
+
+// ops declares every operator kind once: its name and its properties.
+var ops = [...]struct {
+	name  string
+	props opProps
+}{
+	OpScan:      {"scan", relational | cacheable},
+	OpIndexScan: {"index-scan", relational | cacheable},
+	OpFilter:    {"filter", relational | pure | cacheable | offloadable | partitioned},
+	OpProject:   {"project", relational | pure | cacheable | offloadable | partitioned},
+	OpHashJoin:  {"hash-join", relational | pure | cacheable | offloadable | partitioned},
+	OpMergeJoin: {"merge-join", relational | pure | cacheable | offloadable},
+	OpSort:      {"sort", relational | pure | cacheable | offloadable},
+	OpGroupBy:   {"group-by", relational | pure | cacheable | offloadable | partitioned},
+	OpLimit:     {"limit", relational | pure | cacheable},
+
+	OpGraphMatch:     {"graph-match", 0},
+	OpGraphPath:      {"graph-path", 0},
+	OpGraphSubtree:   {"graph-subtree", 0},
+	OpGraphNeighbors: {"graph-neighbors", 0},
+	OpPageRank:       {"page-rank", 0},
+
+	OpTextSearch: {"text-search", 0},
+	OpTextPhrase: {"text-phrase", 0},
+
+	OpTSRange:      {"ts-range", cacheable},
+	OpTSWindow:     {"ts-window", cacheable | offloadable | partitioned},
+	OpStreamWindow: {"stream-window", offloadable},
+
+	OpKVGet:  {"kv-get", cacheable},
+	OpKVScan: {"kv-scan", cacheable},
+
+	OpTrain:   {"train", pure | offloadable},
+	OpPredict: {"predict", pure | offloadable},
+	OpKMeans:  {"kmeans", pure | offloadable},
+	OpGEMM:    {"gemm", pure | offloadable},
+
+	OpMigrate: {"migrate", cacheable | offloadable},
+	OpLoop:    {"loop", 0},
+	OpUnion:   {"union", pure | cacheable},
+	OpMap:     {"map", pure},
+	OpReduce:  {"reduce", pure},
 }
 
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
-	if s, ok := opNames[k]; ok {
-		return s
+	if k.Valid() {
+		return ops[k].name
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
 
 // Valid reports whether k is a declared operator kind.
-func (k OpKind) Valid() bool {
-	_, ok := opNames[k]
-	return ok
-}
+func (k OpKind) Valid() bool { return k > 0 && int(k) < len(ops) && ops[k].name != "" }
+
+func (k OpKind) has(p opProps) bool { return k.Valid() && ops[k].props&p != 0 }
+
+// Relational reports whether the relational engine executes k natively.
+func (k OpKind) Relational() bool { return k.has(relational) }
+
+// Pure reports whether k reads no engine storage.
+func (k OpKind) Pure() bool { return k.has(pure) }
+
+// Cacheable reports whether k's output may be memoized by the subplan cache.
+func (k OpKind) Cacheable() bool { return k.has(cacheable) }
+
+// Offloadable reports whether k's kernels have accelerator implementations.
+func (k OpKind) Offloadable() bool { return k.has(offloadable) }
+
+// Partitioned reports whether k's execution honors a "parts" attribute.
+func (k OpKind) Partitioned() bool { return k.has(partitioned) }
 
 // NodeID identifies a node within one graph.
 type NodeID int
@@ -355,24 +423,6 @@ func (g *Graph) Stages() ([][]NodeID, error) {
 		out[level[id]] = append(out[level[id]], id)
 	}
 	return out, nil
-}
-
-// CrossEngineEdges returns (producer, consumer) pairs whose engines differ —
-// the places the data migrator must act (dotted lines of Figure 5).
-func (g *Graph) CrossEngineEdges() [][2]NodeID {
-	var out [][2]NodeID
-	for _, n := range g.Nodes() {
-		for _, in := range n.Inputs {
-			p, ok := g.nodes[in]
-			if !ok {
-				continue
-			}
-			if p.Engine != n.Engine {
-				out = append(out, [2]NodeID{p.ID, n.ID})
-			}
-		}
-	}
-	return out
 }
 
 // Clone deep-copies the graph (attribute values are shallow-copied; they are

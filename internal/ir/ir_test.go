@@ -135,14 +135,6 @@ func TestSinksAndConsumers(t *testing.T) {
 	}
 }
 
-func TestCrossEngineEdges(t *testing.T) {
-	g, _ := linearGraph(t)
-	edges := g.CrossEngineEdges()
-	if len(edges) != 1 {
-		t.Fatalf("cross edges = %v", edges)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g, ids := linearGraph(t)
 	c := g.Clone()
@@ -174,8 +166,16 @@ func TestOpKindStrings(t *testing.T) {
 	if OpScan.String() != "scan" || OpMigrate.String() != "migrate" {
 		t.Fatal("names wrong")
 	}
-	if OpKind(999).Valid() || !OpTrain.Valid() {
+	if OpKind(999).Valid() || OpKind(0).Valid() || !OpTrain.Valid() {
 		t.Fatal("Valid wrong")
+	}
+	// The slot of the deleted opaque-SQL kind is reserved, not a kind; an
+	// undeclared kind has no name and no property.
+	if reserved := OpLimit + 1; reserved.Valid() || reserved.String() != "OpKind(10)" || reserved.Pure() {
+		t.Fatalf("reserved slot: valid=%t name=%q", reserved.Valid(), reserved)
+	}
+	if !OpFilter.Partitioned() || OpSort.Partitioned() || OpKind(999).Cacheable() {
+		t.Fatal("properties wrong")
 	}
 }
 

@@ -223,14 +223,6 @@ func (c *CostCache[V]) Evictions() int64 { return c.evictions }
 // Owners returns how many distinct owners currently hold entries.
 func (c *CostCache[V]) Owners() int { return len(c.owners) }
 
-// OwnerCost returns the cost currently charged to one owner.
-func (c *CostCache[V]) OwnerCost(owner string) int64 {
-	if oc := c.owners[owner]; oc != nil {
-		return oc.cost
-	}
-	return 0
-}
-
 // EachOwner visits every owner's current charge.
 func (c *CostCache[V]) EachOwner(fn func(owner string, cost int64)) {
 	for owner, oc := range c.owners {

@@ -81,6 +81,8 @@ type Migrator struct {
 	// accelerator").
 	accel     *hw.Device
 	accelMode hw.Mode
+	// chunkRows is the pipe chunk size in rows: 4096, lowered by tests to
+	// cross chunk boundaries with small batches.
 	chunkRows int
 }
 
@@ -91,15 +93,6 @@ type Option func(*Migrator)
 // deployment mode.
 func WithAccelerator(d *hw.Device, mode hw.Mode) Option {
 	return func(m *Migrator) { m.accel = d; m.accelMode = mode }
-}
-
-// WithChunkRows sets the pipe chunk size in rows (default 4096).
-func WithChunkRows(n int) Option {
-	return func(m *Migrator) {
-		if n > 0 {
-			m.chunkRows = n
-		}
-	}
 }
 
 // New returns a migrator charging simulated cost to the given host CPU and

@@ -145,7 +145,8 @@ func (c *lateCancel) Err() error {
 // A pipe migration canceled before or during the transfer returns the
 // context's error, never the batch, and leaves no receiver goroutine behind.
 func TestPipeCancellationLeaksNoGoroutine(t *testing.T) {
-	m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(1))
+	m := New(hw.NewHostCPU(), hw.NewRDMANIC())
+	m.chunkRows = 1
 	b := testBatch(t, 200)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -193,7 +194,8 @@ func TestPipeRoundTripEveryTypeAndChunking(t *testing.T) {
 	for _, rows := range []int{0, 1000} {
 		for _, chunk := range []int{1, 7, 4096} {
 			in := allTypes(t, rows)
-			m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(chunk))
+			m := New(hw.NewHostCPU(), hw.NewRDMANIC())
+			m.chunkRows = chunk
 			out, bd, err := m.Migrate(context.Background(), in, Pipe)
 			if err != nil {
 				t.Fatalf("rows=%d chunk=%d: %v", rows, chunk, err)
@@ -236,7 +238,8 @@ func TestEmptyBatch(t *testing.T) {
 
 func TestChunkedPipe(t *testing.T) {
 	ctx := context.Background()
-	m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(100))
+	m := New(hw.NewHostCPU(), hw.NewRDMANIC())
+	m.chunkRows = 100
 	b := testBatch(t, 1234) // forces many chunks including a partial tail
 	out, _, err := m.Migrate(ctx, b, Pipe)
 	if err != nil {
@@ -265,7 +268,8 @@ func TestPropertyPipeRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		m := New(hw.NewHostCPU(), hw.NewRDMANIC(), WithChunkRows(chunk))
+		m := New(hw.NewHostCPU(), hw.NewRDMANIC())
+		m.chunkRows = chunk
 		out, _, err := m.Migrate(ctx, b, Pipe)
 		if err != nil {
 			return false

@@ -101,14 +101,6 @@ type OpSnapshot struct {
 	MaxParts    int64   `json:"max_parts,omitempty"`
 }
 
-// MeanUS returns the mean per-execution latency in microseconds.
-func (o OpSnapshot) MeanUS() float64 {
-	if o.Count == 0 {
-		return 0
-	}
-	return o.WallSeconds * 1e6 / float64(o.Count)
-}
-
 // Snapshot renders every aggregate keyed "engine/op". Fields are read
 // without stopping writers, so a snapshot taken under load is approximate — fine for its
 // consumers (dashboards, regression attribution).

@@ -24,7 +24,7 @@ const (
 	opCreateTable byte = iota + 1 // body: zero-row batch carrying the schema
 	opInsert                      // body: the appended rows as one batch
 	opBTreeIndex                  // body: column str
-	opHashIndex                   // body: column str
+	opHashIndex                   // reserved: written by builds that kept hash indexes; Apply refuses it
 )
 
 // SetJournal installs (or, with nil, removes) the mutation journal for the
@@ -106,17 +106,12 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 		} else {
 			err = t.indexFrom(start)
 		}
-	case opBTreeIndex, opHashIndex:
+	case opBTreeIndex:
 		col := d.Str()
-		if err = d.Finish(); err != nil {
-			break
-		}
-		if op == opBTreeIndex {
+		if err = d.Finish(); err == nil {
 			err = t.buildBTreeLocked(col)
-		} else {
-			err = t.buildHashLocked(col)
 		}
-	default:
+	default: // opHashIndex included: replay names what it cannot rebuild instead of passing over it
 		err = fmt.Errorf("%w: op %d", cast.ErrCodec, op)
 	}
 	if err != nil {
@@ -127,10 +122,11 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 }
 
 // Snapshot writes the store's section: schema version u64 | table count u32
-// | per table name str, version u64, btree columns, hash columns, heap as
-// one pipe-format batch. Each table's heap view, version and index lists
-// are captured together under its read lock, so the triple is a consistent
-// cut; the heap is append-only, so the view streams out after the lock is
+// | per table name str, version u64, btree columns, a reserved empty list
+// (the hash columns of builds that kept hash indexes), heap as one
+// pipe-format batch. Each table's heap view, version and index list are
+// captured together under its read lock, so the triple is a consistent cut;
+// the heap is append-only, so the view streams out after the lock is
 // released. Indexes are rebuilt on Restore, not stored.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
@@ -147,16 +143,15 @@ func (s *Store) Snapshot(w io.Writer) error {
 		}
 		t.mu.RLock()
 		heap, version := t.heap.View(), t.version
-		btrees, hashes := sortedKeys(t.btrees), sortedKeys(t.hashes)
+		btrees := sortedKeys(t.btrees)
 		t.mu.RUnlock()
 		enc.Str(name)
 		enc.U64(version)
-		for _, cols := range [][]string{btrees, hashes} {
-			enc.U32(uint32(len(cols)))
-			for _, c := range cols {
-				enc.Str(c)
-			}
+		enc.U32(uint32(len(btrees)))
+		for _, c := range btrees {
+			enc.Str(c)
 		}
+		enc.U32(0) // reserved hash-index list
 		if _, err := w.Write(enc.Bytes()); err != nil {
 			return err
 		}
@@ -180,17 +175,18 @@ func (s *Store) Restore(r io.Reader) error {
 	storeVersion := d.U64()
 	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
 		name, version := d.Str(), d.U64()
-		var indexCols [2][]string
-		for i := range indexCols {
-			for k := d.U32(); k > 0 && d.Err() == nil; k-- {
-				indexCols[i] = append(indexCols[i], d.Str())
-			}
+		var btrees []string
+		for k := d.U32(); k > 0 && d.Err() == nil; k-- {
+			btrees = append(btrees, d.Str())
+		}
+		if hashes := d.U32(); hashes != 0 && d.Err() == nil {
+			return fmt.Errorf("relational: restore %q table %q: %w: %d hash indexes, which this build cannot rebuild", s.name, name, cast.ErrCodec, hashes)
 		}
 		heap := d.Batch()
 		if d.Err() != nil {
 			break
 		}
-		if err := s.restoreTable(name, version, heap, indexCols[0], indexCols[1]); err != nil {
+		if err := s.restoreTable(name, version, heap, btrees); err != nil {
 			return fmt.Errorf("relational: restore %q table %q: %w", s.name, name, err)
 		}
 	}
@@ -203,7 +199,7 @@ func (s *Store) Restore(r io.Reader) error {
 	return nil
 }
 
-func (s *Store) restoreTable(name string, version uint64, heap *cast.Batch, btrees, hashes []string) error {
+func (s *Store) restoreTable(name string, version uint64, heap *cast.Batch, btrees []string) error {
 	s.mu.Lock()
 	t, ok := s.tables[name]
 	if !ok {
@@ -221,11 +217,6 @@ func (s *Store) restoreTable(name string, version uint64, heap *cast.Batch, btre
 	for _, col := range btrees {
 		if err := t.buildBTreeLocked(col); err != nil {
 			return fmt.Errorf("btree %q: %w", col, err)
-		}
-	}
-	for _, col := range hashes {
-		if err := t.buildHashLocked(col); err != nil {
-			return fmt.Errorf("hash %q: %w", col, err)
 		}
 	}
 	t.version = max(t.version, version)

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"context"
-	"fmt"
 
 	"polystorepp/internal/cast"
 )
@@ -111,14 +110,4 @@ func markStreaming(op Operator) {
 	case *LimitOp:
 		markStreaming(o.Child)
 	}
-}
-
-// MustQuery is Query for tests and examples with known-good SQL; it panics
-// on error.
-func (e *Engine) MustQuery(ctx context.Context, sql string) *cast.Batch {
-	b, _, err := e.Query(ctx, sql)
-	if err != nil {
-		panic(fmt.Sprintf("MustQuery(%q): %v", sql, err))
-	}
-	return b
 }

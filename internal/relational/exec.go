@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/partition"
@@ -94,22 +93,6 @@ func WalkStats(op Operator) []OpStats {
 		out = append(out, WalkStats(c)...)
 	}
 	return out
-}
-
-// Explain renders the operator tree.
-func Explain(op Operator) string {
-	var sb strings.Builder
-	var walk func(Operator, int)
-	walk = func(o Operator, depth int) {
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(o.Stats().Kind)
-		sb.WriteByte('\n')
-		for _, c := range o.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(op, 0)
-	return sb.String()
 }
 
 // --- SeqScan ---
@@ -1013,7 +996,7 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 	return out, nil
 }
 
-// emit renders the groups, ordered by their KeyString rendering (the order
+// emit renders the groups, ordered by their AppendKey rendering (the order
 // the operator has always produced), as typed output columns.
 func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.Batch, error) {
 	n := len(acc.first)

@@ -308,27 +308,3 @@ func EvalBool(e Expr, b *cast.Batch, row int) (bool, error) {
 	}
 	return bv, nil
 }
-
-// ColumnsOf returns the distinct base column names referenced by e, used by
-// the optimizer for projection pruning and pushdown legality.
-func ColumnsOf(e Expr) []string {
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch v := x.(type) {
-		case ColRef:
-			seen[BaseName(v.Name)] = true
-		case Bin:
-			walk(v.L)
-			walk(v.R)
-		case Not:
-			walk(v.E)
-		}
-	}
-	walk(e)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	return out
-}

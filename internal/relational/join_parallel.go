@@ -29,12 +29,12 @@ import (
 // by key hash so parallel builds never contend (one shard is a plain map).
 // Keys are typed: the int64 values when both sides' key columns are
 // Int64/Timestamp, the strings when both are String, and otherwise each
-// side's cast.KeyString rendering — the join's original key — so an int64 5
+// side's cast.AppendKey rendering — the join's original key — so an int64 5
 // still meets a float64 5.
 type joinTable struct {
 	ints     []map[int64][]int32
 	strs     []map[string][]int32
-	rendered bool // strs is keyed by KeyString renderings
+	rendered bool // strs is keyed by AppendKey renderings
 }
 
 // hashKey hashes a string key with FNV-1a for shard selection, inlined so

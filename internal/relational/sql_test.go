@@ -3,7 +3,10 @@ package relational
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
+
+	"polystorepp/internal/cast"
 )
 
 func TestParseBasic(t *testing.T) {
@@ -197,7 +200,7 @@ func TestQueryUsesIndexScan(t *testing.T) {
 	}
 	walk(plan)
 	if !found {
-		t.Fatalf("plan does not use index:\n%s", Explain(plan))
+		t.Fatalf("plan does not use index: %+v", WalkStats(plan))
 	}
 	// Results agree with an unindexed engine.
 	ctx := context.Background()
@@ -239,6 +242,56 @@ func TestQueryIndexRangeOperators(t *testing.T) {
 		}
 		if out.Rows() != want {
 			t.Fatalf("%s: rows = %d, want %d", sql, out.Rows(), want)
+		}
+	}
+}
+
+// TestQueryIndexEqualsHeapAtFarKeys holds the seek to the heap's answer for
+// keys at and beyond the old ±2^62 open-range sentinels and for literals at
+// the int64 limits, where v±1 used to wrap.
+func TestQueryIndexEqualsHeapAtFarKeys(t *testing.T) {
+	ctx := context.Background()
+	engines := make([]*Engine, 2) // heap, index
+	for i := range engines {
+		s := NewStore("far")
+		tb, err := s.CreateTable("t", cast.MustSchema(cast.Column{Name: "k", Type: cast.Int64}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int64{math.MinInt64, -(1 << 62) - 1, -1, 0, 1, (1 << 62) + 1, math.MaxInt64} {
+			if err := tb.Insert(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 1 {
+			if err := tb.CreateBTreeIndex("k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines[i] = NewEngine(s)
+	}
+	for where, want := range map[string]int{
+		"k < 0":                     3,
+		"k > 0":                     3,
+		"0 >= k":                    4,
+		"k < -4611686018427387904":  2,
+		"k > 4611686018427387904":   2,
+		"k < -9223372036854775808":  0,
+		"k <= -9223372036854775808": 1,
+		"k > 9223372036854775807":   0,
+		"k >= 9223372036854775807":  1,
+	} {
+		sql := "SELECT k FROM t WHERE " + where + " ORDER BY k"
+		heap, _, err := engines[0].Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		index, _, err := engines[1].Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if heap.Rows() != want || !index.Equal(heap) {
+			t.Errorf("%s: heap %d rows, index %d rows, want %d", sql, heap.Rows(), index.Rows(), want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -99,7 +100,7 @@ func TestSeekRange(t *testing.T) {
 	if err := users.CreateBTreeIndex("uid"); err != nil {
 		t.Fatal(err)
 	}
-	const minI, maxI = int64(-1) << 62, int64(1) << 62
+	const minI, maxI = math.MinInt64, math.MaxInt64
 	for _, tc := range []struct {
 		where  string
 		lo, hi int64
@@ -113,6 +114,12 @@ func TestSeekRange(t *testing.T) {
 		{"5 > uid", minI, 4, true},
 		{"5 <= uid", 5, maxI, true},
 		{"5 = users.uid", 5, 5, true},
+		// At the int64 limits the ±1 saturates instead of wrapping.
+		{"uid < -9223372036854775808", minI, minI, true},
+		{"uid <= -9223372036854775808", minI, minI, true},
+		{"uid > 9223372036854775807", maxI, maxI, true},
+		{"uid >= 9223372036854775807", maxI, maxI, true},
+		{"9223372036854775807 < uid", maxI, maxI, true},
 		// The first seekable conjunct wins, wherever it stands.
 		{"age > 60 AND uid < 5", minI, 4, true},
 		{"uid < 5 AND age > 60", minI, 4, true},

@@ -1,6 +1,6 @@
 // Package relational implements the relational data-processing engine of the
 // polystore (the Postgres/Oracle role in the paper): heap tables with B-tree
-// and hash indexes, a vectorized Volcano operator tree (scan, filter,
+// indexes, a vectorized Volcano operator tree (scan, filter,
 // project, hash/merge join, group-by, sort, limit), and a SQL-subset
 // frontend. The engine reports per-operator statistics so the Polystore++
 // middleware can cost and offload its operators (§III-A1).
@@ -9,6 +9,7 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -67,8 +68,7 @@ func (s *Store) CreateTable(name string, schema cast.Schema) (*Table, error) {
 // missing table reads as 0). Caller holds the store write lock.
 func (s *Store) newTableLocked(name string, schema cast.Schema) *Table {
 	t := &Table{name: name, schema: schema, heap: cast.NewBatch(schema, 0),
-		btrees: make(map[string]*btree), hashes: make(map[string]map[string][]int32),
-		version: 1, journal: &s.journal}
+		btrees: make(map[string]*btree), version: 1, journal: &s.journal}
 	s.tables[name] = t
 	return t
 }
@@ -122,17 +122,6 @@ func (s *Store) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Tables returns the table names in the store.
-func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Table is a heap of rows plus secondary indexes. Concurrent readers are
 // safe; writers take the table lock.
 type Table struct {
@@ -142,8 +131,6 @@ type Table struct {
 	heap   *cast.Batch
 	// btrees maps column name -> ordered index (Int64/Timestamp columns).
 	btrees map[string]*btree
-	// hashes maps column name -> value-key -> row ids (any indexable type).
-	hashes map[string]map[string][]int32
 	// version counts mutations (inserts and index builds); see Version.
 	version uint64
 	// journal points at the owning store's mutation tap (see durable.go).
@@ -244,17 +231,6 @@ func (t *Table) indexRow(r int) error {
 		}
 		bt.Insert(ints[r], int32(r))
 	}
-	for col, h := range t.hashes {
-		i, err := t.schema.Index(col)
-		if err != nil {
-			return err
-		}
-		key, err := t.heap.KeyString(r, []int{i})
-		if err != nil {
-			return err
-		}
-		h[key] = append(h[key], int32(r))
-	}
 	return nil
 }
 
@@ -266,17 +242,11 @@ func (t *Table) CreateBTreeIndex(col string) error {
 	if err := t.buildBTreeLocked(col); err != nil {
 		return err
 	}
-	t.indexBuilt(opBTreeIndex, col)
-	return nil
-}
-
-// indexBuilt counts and journals a finished index build. Caller holds the
-// write lock.
-func (t *Table) indexBuilt(op byte, col string) {
 	t.version++
 	if j := t.journal.Load(); j != nil {
-		(*j)(record(op, t.name, t.version, nil, col))
+		(*j)(record(opBTreeIndex, t.name, t.version, nil, col))
 	}
+	return nil
 }
 
 func (t *Table) buildBTreeLocked(col string) error {
@@ -300,47 +270,11 @@ func (t *Table) buildBTreeLocked(col string) error {
 	return nil
 }
 
-// CreateHashIndex builds an equality index on any column type.
-func (t *Table) CreateHashIndex(col string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.buildHashLocked(col); err != nil {
-		return err
-	}
-	t.indexBuilt(opHashIndex, col)
-	return nil
-}
-
-func (t *Table) buildHashLocked(col string) error {
-	i, err := t.schema.Index(col)
-	if err != nil {
-		return err
-	}
-	h := make(map[string][]int32)
-	for r := 0; r < t.heap.Rows(); r++ {
-		key, err := t.heap.KeyString(r, []int{i})
-		if err != nil {
-			return err
-		}
-		h[key] = append(h[key], int32(r))
-	}
-	t.hashes[col] = h
-	return nil
-}
-
 // HasBTree reports whether col has an ordered index.
 func (t *Table) HasBTree(col string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.btrees[col]
-	return ok
-}
-
-// HasHash reports whether col has a hash index.
-func (t *Table) HasHash(col string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.hashes[col]
 	return ok
 }
 
@@ -351,7 +285,6 @@ func (t *Table) HasHash(col string) bool {
 // reads the heap. The range may over-approximate pred — the consumer applies
 // pred in full.
 func (t *Table) SeekRange(pred Expr) (col string, lo, hi int64, ok bool) {
-	const minI, maxI = int64(-1) << 62, int64(1) << 62
 	bin, isBin := pred.(Bin)
 	if !isBin {
 		return "", 0, 0, false
@@ -380,13 +313,15 @@ func (t *Table) SeekRange(pred Expr) (col string, lo, hi int64, ok bool) {
 	case OpEq:
 		return col, v, v, true
 	case OpLt:
-		return col, minI, v - 1, true
+		// Saturated: no key is below MinInt64, and [MinInt64, MinInt64]
+		// over-approximates the empty answer the consumer's pred restores.
+		return col, math.MinInt64, max(v, math.MinInt64+1) - 1, true
 	case OpLe:
-		return col, minI, v, true
+		return col, math.MinInt64, v, true
 	case OpGt:
-		return col, v + 1, maxI, true
+		return col, min(v, math.MaxInt64-1) + 1, math.MaxInt64, true
 	case OpGe:
-		return col, v, maxI, true
+		return col, v, math.MaxInt64, true
 	}
 	return "", 0, 0, false
 }
@@ -418,49 +353,8 @@ func (t *Table) Snapshot() *cast.Batch {
 	return t.heap.View()
 }
 
-// LookupEq returns the row ids matching value v on an indexed column
-// (hash index preferred, then B-tree). ErrNoIndex if neither exists.
-func (t *Table) LookupEq(col string, v any) ([]int32, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if h, ok := t.hashes[col]; ok {
-		i, err := t.schema.Index(col)
-		if err != nil {
-			return nil, err
-		}
-		// Build the canonical key via a one-row scratch batch.
-		scratch := cast.NewBatch(cast.MustSchema(t.schema.Col(i)), 1)
-		if err := scratch.AppendRow(v); err != nil {
-			return nil, err
-		}
-		key, err := scratch.KeyString(0, []int{0})
-		if err != nil {
-			return nil, err
-		}
-		return h[key], nil
-	}
-	if bt, ok := t.btrees[col]; ok {
-		iv, ok := v.(int64)
-		if !ok {
-			if i, isInt := v.(int); isInt {
-				iv = int64(i)
-			} else {
-				return nil, fmt.Errorf("%w: btree lookup with %T", ErrIndexType, v)
-			}
-		}
-		return bt.Get(iv), nil
-	}
-	return nil, fmt.Errorf("%w: column %q", ErrNoIndex, col)
-}
-
-// LookupRange returns row ids with lo <= col <= hi from the B-tree index,
-// in ascending key order.
-func (t *Table) LookupRange(col string, lo, hi int64) ([]int32, error) {
-	_, rows, err := t.SnapshotRange(col, lo, hi)
-	return rows, err
-}
-
-// SnapshotRange is LookupRange together with the heap snapshot the row ids
+// SnapshotRange returns the row ids with lo <= col <= hi from the B-tree
+// index, in ascending key order, together with the heap snapshot the ids
 // index, both taken under one read of the table, so every id is a row of the
 // snapshot whatever is inserted afterwards.
 func (t *Table) SnapshotRange(col string, lo, hi int64) (*cast.Batch, []int32, error) {

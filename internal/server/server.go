@@ -330,9 +330,6 @@ func drainRejected(path string) bool {
 // 503 while already-admitted requests (streams included) run to completion.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain blocks until every in-flight request has finished or ctx expires,
 // returning ctx's error in the latter case. Call StartDrain first or new
 // arrivals will keep the count from reaching zero.
@@ -349,12 +346,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-}
-
-// ResultCacheStats returns (hits, misses, size) of the result cache; all
-// zero when result caching is disabled.
-func (s *Server) ResultCacheStats() (hits, misses int64, size int) {
-	return s.st.resultHits.Value(), s.st.resultMisses.Value(), s.results.size()
 }
 
 // QueryRequest is the POST /query body.
@@ -614,13 +605,6 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string
 	return p
 }
 
-// partitionedKinds are the operator kinds whose execution honors a "parts"
-// partition-count attribute.
-var partitionedKinds = map[ir.OpKind]bool{
-	ir.OpFilter: true, ir.OpProject: true, ir.OpGroupBy: true,
-	ir.OpHashJoin: true, ir.OpTSWindow: true,
-}
-
 // maxParts caps the client-requested partition fan-out: far beyond any real
 // core count, small enough that per-partition bookkeeping (range slices,
 // partial accumulators) cannot be driven into absurd allocations by a
@@ -637,7 +621,7 @@ func stampParts(g *ir.Graph, parts int) {
 		parts = maxParts
 	}
 	for _, n := range g.Nodes() {
-		if !partitionedKinds[n.Kind] {
+		if !n.Kind.Partitioned() {
 			continue
 		}
 		if n.Attrs == nil {

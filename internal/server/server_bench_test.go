@@ -134,9 +134,20 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 	b.StopTimer()
 
 	b.ReportMetric(float64(ops.Load())/elapsed.Seconds(), "req/s")
-	hits, misses, _ := srv.ResultCacheStats()
-	if hits+misses > 0 {
-		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
+	resp, err := client.Get(ts.URL + "/stats")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Hits   int64 `json:"result_cache_hits"`
+		Misses int64 `json:"result_cache_miss"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		b.Fatal(err)
+	}
+	if st.Hits+st.Misses > 0 {
+		b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-rate")
 	}
 }
 

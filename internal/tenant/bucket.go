@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,24 +119,4 @@ func ParseQuotas(spec string) (map[string]Quota, error) {
 		out[id] = q
 	}
 	return out, nil
-}
-
-// FormatQuotas renders overrides in ParseQuotas form, sorted by tenant —
-// for startup logs and tests.
-func FormatQuotas(m map[string]Quota) string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	parts := make([]string, 0, len(ids))
-	for _, id := range ids {
-		q := m[id]
-		if q.Weight > 1 {
-			parts = append(parts, fmt.Sprintf("%s=%g:%g:%g", id, q.Rate, q.Burst, q.Weight))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s=%g:%g", id, q.Rate, q.Burst))
-		}
-	}
-	return strings.Join(parts, ",")
 }

@@ -1,0 +1,123 @@
+package polystore
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllow names the exported middleware symbols that may have no caller
+// outside tests, each with the reason it is kept.
+var reachAllow = map[string]string{
+	"cast.ReadBinary":        "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
+	"metrics.Registry.Names": "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
+}
+
+// TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
+// the LOC ratchet: every exported func or method of a middleware package must
+// be named by at least one non-test file of the repository. It matches by
+// name, not by type — a package-level func by pkg.Name (or Name inside its
+// own package), a method by .Name on anything or by an interface that lists
+// it — so it can miss a dead symbol that shares a live one's name, and never
+// reports a live one.
+func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
+	middleware := map[string]bool{}
+	for _, p := range strings.Fields("adapter backend cast compiler core eide feedback hw ir lru metrics migrate obs optimizer partition relational resilience server subplan tenant") {
+		middleware[p] = true
+	}
+	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> name a reference must carry
+	used := map[string]bool{}       // "pkg.Name" for qualified and same-package idents, ".Name" for selections
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git and the like hold no source
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		skip := map[*ast.Ident]bool{} // declaring occurrences and selected names are not same-package references
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			skip[fn.Name] = true
+			if !middleware[pkg] || filepath.Base(filepath.Dir(path)) != pkg || !fn.Name.IsExported() {
+				continue
+			}
+			if fn.Recv == nil {
+				declared[pkg+"."+fn.Name.Name] = pkg + "." + fn.Name.Name
+			} else if recv := receiverName(fn.Recv.List[0].Type); ast.IsExported(recv) {
+				declared[pkg+"."+recv+"."+fn.Name.Name] = "." + fn.Name.Name
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				used["."+n.Sel.Name] = true
+				skip[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					used[x.Name+"."+n.Sel.Name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						used["."+name.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !skip[n] {
+					used[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []string
+	for sym, ref := range declared {
+		if _, allowed := reachAllow[sym]; !used[ref] && !allowed {
+			dead = append(dead, sym)
+		}
+	}
+	sort.Strings(dead)
+	for _, sym := range dead {
+		t.Errorf("%s is exported but no non-test file references it: delete it, or add it to reachAllow with the reason it stays", sym)
+	}
+	for sym := range reachAllow {
+		if ref, ok := declared[sym]; !ok || used[ref] {
+			t.Errorf("reachAllow names %s, which is not declared or is referenced now: drop the entry", sym)
+		}
+	}
+}
+
+// receiverName returns the type name of a method receiver: T, *T, T[K].
+func receiverName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
