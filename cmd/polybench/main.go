@@ -96,7 +96,6 @@ func main() {
 	abuser := flag.Bool("abuser", false, "loadgen: add a dedicated 'abuser' tenant firing unpaced requests for the whole run (excluded from headline stats; give it a low -tenant-quota on the server)")
 	fairBound := flag.Duration("fair-bound", 0, "loadgen: fail (exit 1) when the well-behaved tenants' served p99 exceeds this bound (0 disables)")
 	class := flag.String("class", "", "loadgen: X-Priority class for reads (interactive, batch, background; empty sends none)")
-	parts := flag.Int("parts", 0, "loadgen: pin the partition fan-out of every query body (injects \"parts\":N; 0 leaves bodies untouched) — pair with the server's adaptive planning to watch feedback cap oversized fan-outs")
 	var bodies, writeBodies bodyList
 	flag.Var(&bodies, "body", "POST /query JSON body (repeatable; clients cycle through them)")
 	flag.Var(&writeBodies, "write-body", "POST /ingest JSON body for -write-every (repeatable; %d in the body is replaced by a monotonic counter — with concurrent clients put it in the series/key name, not a timestamp, since arrival order is not send order)")
@@ -111,11 +110,6 @@ func main() {
 	if *loadgen {
 		if *similar > 0 {
 			bodies = append(bodies, similarBodies(*similar)...)
-		}
-		if *parts > 0 {
-			for i, b := range bodies {
-				bodies[i] = withParts(b, *parts)
-			}
 		}
 		opts := loadOpts{tenants: *tenants, abuser: *abuser, fairBound: *fairBound, class: *class}
 		if err := runLoadgen(*url, *clients, *requests, bodies, *writeEvery, writeBodies, *stream, opts); err != nil {
@@ -521,18 +515,6 @@ func similarBodies(n int) []string {
 			`{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 30 ORDER BY age DESC LIMIT %d"}`, i))
 	}
 	return out
-}
-
-// withParts injects a "parts":n option into a JSON query body (after the
-// opening brace), pinning the partition fan-out of every partitionable
-// operator server-side. Bodies that are not objects pass through untouched
-// and fail server-side validation like any other malformed body.
-func withParts(body string, n int) string {
-	i := strings.Index(body, "{")
-	if i < 0 {
-		return body
-	}
-	return fmt.Sprintf(`%s"parts":%d,%s`, body[:i+1], n, body[i+1:])
 }
 
 // pctOf reads the q-quantile of an ascending-sorted duration slice (0 when

@@ -48,10 +48,11 @@ isolate tenants under overload (-tenant-rate, -tenant-quota,
 -shed-highwater, -breaker-*). SIGTERM drains in-flight work bounded by
 -drain-timeout before exiting.
 
-Adaptive feedback-driven planning is on by default: observed per-operator
-statistics cap oversized pinned partition fan-outs and inform device
-placement once confident. Results are byte-identical either way; disable
-with -no-adaptive to pin fully static planning.
+Placement and partition fan-out are static: the device of an offloadable
+kernel is the cheapest under the hw cost model, and a node fans out at its
+request-pinned "parts" or at the size its input justifies. Simulated
+latency and energy are a function of plan, data and attached devices, never
+of request history.
 
 With -data-dir the relational, timeseries and key/value engines persist
 through a write-ahead log with snapshot compaction: acknowledged ingests
@@ -97,7 +98,6 @@ func main() {
 	breakerRatio := flag.Float64("breaker-ratio", 0, "failure ratio that trips a tenant's breaker (0 = default 0.5)")
 	noBreaker := flag.Bool("no-breaker", false, "disable per-tenant circuit breakers")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "bound on draining in-flight requests at shutdown; new work gets 503 while draining")
-	noAdaptive := flag.Bool("no-adaptive", false, "disable adaptive feedback-driven planning (on by default: observed per-operator statistics cap pinned partition fan-outs and inform device placement); results are identical either way")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL + snapshot persistence for relational, timeseries and kv engines (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (fsync before ack), interval (ack first, fsync every 100ms), off (never fsync)")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0, "WAL size that triggers snapshot compaction (0 = default 8 MiB; negative disables automatic snapshots)")
@@ -145,7 +145,6 @@ func main() {
 		BreakerMinSamples:   *breakerMinSamples,
 		BreakerFailureRatio: *breakerRatio,
 		DrainTimeout:        *drainTimeout,
-		DisableAdaptive:     *noAdaptive,
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,
@@ -278,10 +277,9 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d resultcache=%d subplancache=%d accel=%t pprof=%t traceall=%t)\n",
 		scenario, addr, cfg.Workers, cfg.QueueDepth, cfg.DefaultTimeout, cfg.PlanCacheSize,
 		cfg.ResultCacheSize, cfg.SubplanCacheBytes, accel, cfg.EnablePprof, cfg.TraceAll)
-	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d maxtenants=%d shed=%g cacheshare=%g breaker=%t drain=%s adaptive=%t\n",
+	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d maxtenants=%d shed=%g cacheshare=%g breaker=%t drain=%s\n",
 		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.MaxTenants,
-		cfg.ShedHighWater, cfg.TenantCacheShare, !cfg.DisableBreaker, cfg.DrainTimeout,
-		!cfg.DisableAdaptive)
+		cfg.ShedHighWater, cfg.TenantCacheShare, !cfg.DisableBreaker, cfg.DrainTimeout)
 	if bk != nil {
 		bs := bk.Stats()
 		fmt.Printf("polyserve: durability dir=%s sync=%s snapshot-trigger=%d recovered=%t replay-records=%d\n",

@@ -16,7 +16,6 @@ import (
 	"polystorepp/internal/ir"
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/mlengine"
-	"polystorepp/internal/partition"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/streamstore"
 	"polystorepp/internal/tensor"
@@ -232,7 +231,7 @@ func (a *Timeseries) Execute(ctx context.Context, n *ir.Node, _ []Value) (Value,
 		if err != nil {
 			return Value{}, info, err
 		}
-		parts := partition.CapParts(ctx, int(n.IntAttr("parts")))
+		parts := int(n.IntAttr("parts"))
 		wrs, err := a.store.WindowN(n.StringAttr("series"), n.IntAttr("from"), n.IntAttr("to"), n.IntAttr("width"), agg, parts)
 		if err != nil {
 			return Value{}, info, err

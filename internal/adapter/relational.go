@@ -88,7 +88,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 	// delivered is set by the kinds whose operator pushed its own batches
 	// through emit; every other kind has its result chunked out below.
 	delivered := false
-	parts := partition.CapParts(ctx, int(n.IntAttr("parts")))
+	parts := int(n.IntAttr("parts"))
 	switch n.Kind {
 	case ir.OpScan, ir.OpIndexScan:
 		table := n.StringAttr("table")

@@ -56,17 +56,7 @@ type Plan struct {
 	// shared across goroutines, so this — like every Plan field — is
 	// read-only after Compile returns.
 	Subtrees []Subtree
-	// NodeFPs maps every node to a prefix of its position-independent
-	// subtree fingerprint — the shape key the runtime's feedback store
-	// aggregates observed execution statistics under. Derived from the
-	// same SubtreeFingerprints pass as Subtrees, and equally read-only.
-	NodeFPs map[ir.NodeID]string
 }
-
-// nodeFPLen is the fingerprint prefix length NodeFPs keeps: 16 hex chars
-// (64 bits) — collision-safe at feedback-store scale while keeping keys
-// short.
-const nodeFPLen = 16
 
 // Compile runs frontend checks, core passes, and the backend lowering.
 // The input graph is not mutated.
@@ -114,27 +104,12 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCompile, err)
 	}
-	// One fingerprint pass feeds both the subplan-cache candidates and the
-	// per-node shape keys the feedback store aggregates under.
-	fps, err := work.SubtreeFingerprints()
-	if err != nil {
-		return nil, fmt.Errorf("%w: subtree fingerprints: %v", ErrCompile, err)
-	}
-	nodeFPs := make(map[ir.NodeID]string, len(fps))
-	for id, fp := range fps {
-		s := fp.Fingerprint
-		if len(s) > nodeFPLen {
-			s = s[:nodeFPLen]
-		}
-		nodeFPs[id] = s
-	}
 	return &Plan{
 		Graph:    work,
 		Stages:   stages,
 		Opts:     opts,
 		Touches:  TouchesOf(work),
-		Subtrees: subtreesFrom(work, fps),
-		NodeFPs:  nodeFPs,
+		Subtrees: subtreesOf(work),
 	}, nil
 }
 

@@ -37,12 +37,6 @@ func subtreesOf(g *ir.Graph) []Subtree {
 	if err != nil {
 		return nil // Compile validated the graph; unreachable in practice
 	}
-	return subtreesFrom(g, fps)
-}
-
-// subtreesFrom is subtreesOf over precomputed fingerprints, so Compile can
-// share one SubtreeFingerprints pass between Subtrees and NodeFPs.
-func subtreesFrom(g *ir.Graph, fps map[ir.NodeID]ir.SubtreeFP) []Subtree {
 	cacheable := make(map[ir.NodeID]bool, g.Len())
 	for _, n := range g.Nodes() {
 		// Device-pinned nodes (explicit device names) are excluded: their

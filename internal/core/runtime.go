@@ -29,7 +29,6 @@ import (
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/obs"
-	"polystorepp/internal/partition"
 )
 
 // Sentinel errors.
@@ -71,10 +70,6 @@ type Runtime struct {
 	// option (0 default, negative disabled).
 	subplan      atomic.Pointer[subplanState]
 	subplanBytes int64
-
-	// fb is the adaptive feedback state (feedback.go); nil disables the
-	// loop.
-	fb atomic.Pointer[feedbackState]
 
 	// barrier, when non-nil, is awaited after every applied ingest so a
 	// write is only acknowledged once the storage backend has made it
@@ -192,7 +187,7 @@ func (r *Runtime) Register(a adapter.Adapter) {
 func (r *Runtime) Metrics() *metrics.Registry { return r.reg }
 
 // OpStats returns the per-(engine, op-kind) execution-statistics registry —
-// the input surface for adaptive optimization and benchdiff attribution.
+// the input surface for benchdiff attribution.
 func (r *Runtime) OpStats() *obs.OpStats { return r.ops }
 
 // HasEngine reports whether an adapter is registered under name.
@@ -366,8 +361,8 @@ func planWidth(plan *compiler.Plan) int {
 
 // execute is the plan driver: it walks the nodes in topological order and,
 // for each, obtains the node's real execution (a *nodeRun), charges it to the
-// simulated clock and hands the outcome to the report, the trace, the subplan
-// cache and the feedback loop. Costing in one deterministic order over one
+// simulated clock and hands the outcome to the report, the trace and the
+// subplan cache. Costing in one deterministic order over one
 // reservation ledger is what makes Reports independent of how the real
 // executions were dispatched.
 //
@@ -388,12 +383,11 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
-	fb := r.prepareFeedback(plan)
 
 	var sched *scheduler
 	if !r.sequential && planWidth(plan) > 1 {
 		r.st.execConcurrent.Inc()
-		sched = r.dispatch(ctx, plan, order, st, tr, pr, fb)
+		sched = r.dispatch(ctx, plan, order, st, tr, pr)
 		// Tears the worker pools down on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
@@ -420,7 +414,7 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 			for i, in := range n.Inputs {
 				inputs[i] = values[in]
 			}
-			run = r.runNode(ctx, n, inputs, st, pr, fb)
+			run = r.runNode(ctx, n, inputs, st, pr)
 		}
 		if run.err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
@@ -442,7 +436,6 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 		finish[id] = nr.Finish
 		rep.absorb(nr, run)
 		pr.onNodeCosted(id, run)
-		fb.observe(n, run)
 	}
 	if sched != nil {
 		r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
@@ -497,10 +490,6 @@ type nodeRun struct {
 	// interior runs without materialized outputs.
 	rows   int
 	cached bool
-	// adaptParts/adaptWas record an adaptive fan-out override applied to
-	// this node (feedback.go): it ran at adaptParts instead of the pinned
-	// adaptWas. Zero when no override applied; surfaced on trace spans.
-	adaptParts, adaptWas int
 }
 
 // runNode performs a node's real work — adapter translation and native
@@ -508,17 +497,12 @@ type nodeRun struct {
 // st designates this node for streaming, output batches flow through the
 // sink as the adapter produces them (stream.go). Nodes covered by a
 // subplan-cache hit (pr) skip real work entirely and return a synthesized
-// run carrying the memoized batch and replay costing. An adaptive fan-out
-// override (fb) rides the context so the adapter's partition sizing sees it.
-func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, st *nodeStream, pr *planProbe, fb *fbExec) *nodeRun {
+// run carrying the memoized batch and replay costing.
+func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, st *nodeStream, pr *planProbe) *nodeRun {
 	if run := pr.serveNode(ctx, n, st); run != nil {
 		return run
 	}
 	run := &nodeRun{}
-	if o, ok := fb.override(n.ID); ok {
-		ctx = partition.WithMaxParts(ctx, o.parts)
-		run.adaptParts, run.adaptWas = o.parts, o.was
-	}
 	t0 := time.Now()
 	run.hostStart = t0
 	for _, in := range inputs {
@@ -633,23 +617,16 @@ func (r *Runtime) chargeKernel(n *ir.Node, call adapter.KernelCall) (*hw.Device,
 	if err != nil {
 		bestCost = hw.Zero
 	}
-	// The comparison (not the charge) blends the static host estimate with
-	// the observed wall EWMA of this (engine, op) once feedback is confident
-	// — placement decisions track measured reality while simulated Reports
-	// stay within the static cost model.
-	bestSeconds := r.observedHostSeconds(n, bestCost.Seconds)
-	offload := false
 	for _, d := range r.accels {
 		est, err := d.OffloadCost(r.mode, call.Class, call.Work, call.OutBytes)
 		if err != nil {
 			continue
 		}
-		if est.Seconds < bestSeconds {
-			bestDev, bestCost, offload = d, est, true
-			bestSeconds = est.Seconds
+		if est.Seconds < bestCost.Seconds {
+			bestDev, bestCost = d, est
 		}
 	}
-	if !offload {
+	if bestDev == r.host {
 		return r.hostCharge(call)
 	}
 	c, err := bestDev.Offload(r.mode, call.Class, call.Work, call.OutBytes)

@@ -73,10 +73,6 @@ type scheduler struct {
 	// decision maps are read-only during execution, so workers consult it
 	// without coordination.
 	pr *planProbe
-	// fb is the execution's feedback state (nil when disabled); the override
-	// map is read-only during execution, so workers consult it without
-	// coordination, and only the driver feeds observations back.
-	fb *fbExec
 
 	// cancel stops every in-flight worker; wg waits for them to exit.
 	cancel context.CancelFunc
@@ -89,7 +85,7 @@ type scheduler struct {
 // dispatch starts the per-engine worker pools for plan and seeds them with
 // the nodes that have no producers. The caller awaits each node's run in
 // topological order and must call stop.
-func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.NodeID, st *nodeStream, tr *obs.Trace, pr *planProbe, fb *fbExec) *scheduler {
+func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.NodeID, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
 	g := plan.Graph
 	s := &scheduler{
 		rt:        r,
@@ -99,7 +95,6 @@ func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.
 		st:        st,
 		tr:        tr,
 		pr:        pr,
-		fb:        fb,
 	}
 	// Create every queue before any dispatch (workers never mutate the map),
 	// each sized to the nodes it will ever receive so dispatching never
@@ -220,7 +215,7 @@ func (s *scheduler) runScheduled(ctx context.Context, sn *schedNode) {
 		// writes.
 		inputs[i] = s.nodes[in].run.out
 	}
-	sn.run = s.rt.runNode(ctx, sn.n, inputs, s.st, s.pr, s.fb)
+	sn.run = s.rt.runNode(ctx, sn.n, inputs, s.st, s.pr)
 	sn.run.queue = queued
 	close(sn.done)
 	if sn.run.err != nil {

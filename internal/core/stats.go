@@ -17,7 +17,6 @@ type coreStats struct {
 	subplanHits, subplanMisses, subplanPublished, subplanBypassed *metrics.Counter
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
 	subplanPlansProbed, subplanPlansReused, subplanFlightWaits    *metrics.Counter
-	feedbackFanoutOverrides, feedbackInfluenced, feedbackBlended  *metrics.Counter
 
 	offloads map[*hw.Device]*metrics.Counter // one per attached accelerator
 }
@@ -33,19 +32,16 @@ func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
 		execStreamed:   c("core.exec.streamed"),
 		maxParallel:    reg.Gauge("core.exec.max_parallel"),
 
-		subplanHits:             c("core.subplan.hits"),
-		subplanMisses:           c("core.subplan.misses"),
-		subplanPublished:        c("core.subplan.published"),
-		subplanBypassed:         c("core.subplan.bypassed"),
-		subplanStaleSkips:       c("core.subplan.stale_skips"),
-		subplanNodesServed:      c("core.subplan.nodes_served"),
-		subplanBytesServed:      c("core.subplan.bytes_served"),
-		subplanPlansProbed:      c("core.subplan.plans_probed"),
-		subplanPlansReused:      c("core.subplan.plans_reused"),
-		subplanFlightWaits:      c("core.subplan.flight_waits"),
-		feedbackFanoutOverrides: c("core.feedback.fanout_overrides"),
-		feedbackInfluenced:      c("core.feedback.plans_influenced"),
-		feedbackBlended:         c("core.feedback.blended_costs"),
+		subplanHits:        c("core.subplan.hits"),
+		subplanMisses:      c("core.subplan.misses"),
+		subplanPublished:   c("core.subplan.published"),
+		subplanBypassed:    c("core.subplan.bypassed"),
+		subplanStaleSkips:  c("core.subplan.stale_skips"),
+		subplanNodesServed: c("core.subplan.nodes_served"),
+		subplanBytesServed: c("core.subplan.bytes_served"),
+		subplanPlansProbed: c("core.subplan.plans_probed"),
+		subplanPlansReused: c("core.subplan.plans_reused"),
+		subplanFlightWaits: c("core.subplan.flight_waits"),
 
 		offloads: make(map[*hw.Device]*metrics.Counter, len(accels)),
 	}

@@ -79,9 +79,6 @@ func nodeSpan(tr *obs.Trace, n *ir.Node, run *nodeRun, nr NodeReport) obs.Span {
 		Parts:    run.info.Parts,
 		Cached:   run.cached,
 	}
-	if run.adaptParts > 0 {
-		s.Adaptive = &obs.AdaptiveNote{Fanout: run.adaptParts, Was: run.adaptWas}
-	}
 	if !run.hostStart.IsZero() {
 		s.StartUS = run.hostStart.Sub(tr.Start()).Microseconds()
 	}

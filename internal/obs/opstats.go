@@ -45,9 +45,9 @@ type Obs struct {
 }
 
 // OpStats aggregates per-(engine, op-kind) execution statistics across every
-// plan the runtime executes — always on, unlike tracing, because these
-// aggregates are the input surface adaptive optimization consumes. The zero
-// value is not usable; construct with NewOpStats.
+// plan the runtime executes — always on, unlike tracing, because /stats,
+// /metrics and benchdiff -attr read these aggregates. The zero value is not
+// usable; construct with NewOpStats.
 type OpStats struct {
 	mu sync.RWMutex
 	m  map[opKey]*opEntry

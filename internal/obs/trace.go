@@ -58,16 +58,6 @@ type Span struct {
 	Parts    int     `json:"parts,omitempty"`
 	Cached   bool    `json:"cached,omitempty"` // served from the subplan cache, not executed
 	Inputs   []int64 `json:"inputs,omitempty"` // producer node ids (span-tree edges)
-	// Adaptive records a feedback-driven fan-out override: the node ran at
-	// Fanout partitions instead of its pinned Was.
-	Adaptive *AdaptiveNote `json:"adaptive,omitempty"`
-}
-
-// AdaptiveNote annotates a span whose pinned partition fan-out the adaptive
-// feedback loop capped.
-type AdaptiveNote struct {
-	Fanout int `json:"fanout"`
-	Was    int `json:"was"`
 }
 
 // Event is one request-level occurrence: a cache probe outcome, an

@@ -99,38 +99,6 @@ func Effective(n, parts int) int {
 	return Auto(n, Shared())
 }
 
-// ctxMaxPartsKey carries an adaptive fan-out ceiling through a node
-// execution's context (WithMaxParts / CapParts).
-type ctxMaxPartsKey struct{}
-
-// WithMaxParts returns a context carrying a partition fan-out ceiling for
-// the node execution it wraps. The runtime's feedback loop sets it per
-// node when observed input cardinality says a pinned fan-out would spread
-// too few rows per partition; compiled plans are cached and shared, so the
-// override travels beside the plan rather than mutating node attributes.
-func WithMaxParts(ctx context.Context, parts int) context.Context {
-	if parts < 1 {
-		parts = 1
-	}
-	return context.WithValue(ctx, ctxMaxPartsKey{}, parts)
-}
-
-// CapParts resolves an operator's pinned partition count against the
-// context's adaptive ceiling: a pinned fan-out (> 0) is capped at the
-// ceiling when one is set; automatic sizing (pinned <= 0) is never
-// touched — Auto already scales with the live input. Results are
-// byte-identical at any fan-out (the partition-equivalence guarantee), so
-// this only ever changes speed, not answers.
-func CapParts(ctx context.Context, pinned int) int {
-	if pinned <= 0 {
-		return pinned
-	}
-	if ceil, ok := ctx.Value(ctxMaxPartsKey{}).(int); ok && ceil < pinned {
-		return ceil
-	}
-	return pinned
-}
-
 // Pool is a bounded set of scan-worker slots. The zero value is not usable;
 // construct with NewPool or use the process-wide Shared pool.
 type Pool struct {

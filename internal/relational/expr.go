@@ -33,7 +33,11 @@ type Expr interface {
 
 // Sentinel errors.
 var (
+	// ErrExpr marks an expression the engine cannot evaluate whatever the
+	// data: a type mismatch, an unsupported literal or operator.
 	ErrExpr = errors.New("relational: expression")
+	// ErrDivideByZero is a well-formed expression failing on a value it met.
+	ErrDivideByZero = errors.New("relational: integer division by zero")
 )
 
 // ColRef references a column by name. Qualified names ("t.col") match the
@@ -220,7 +224,7 @@ func evalArith(op BinOp, lv, rv any) (any, error) {
 			return nil, fmt.Errorf("%w: %s int64 vs %T", ErrExpr, op, rv)
 		}
 		if op == OpDiv && r == 0 {
-			return nil, fmt.Errorf("%w: integer division by zero", ErrExpr)
+			return nil, ErrDivideByZero
 		}
 		if op.isArith() {
 			return arith(op, l, r), nil

@@ -57,7 +57,6 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
-	"polystorepp/internal/feedback"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
@@ -154,11 +153,6 @@ type Config struct {
 	// rejects new work with 503 and gives in-flight requests (streams
 	// included) this long to finish (default 15s).
 	DrainTimeout time.Duration
-	// DisableAdaptive turns off the adaptive feedback loop (on by default):
-	// observed per-operator statistics capping pinned partition fan-outs
-	// and informing device placement. Results are byte-identical either way
-	// — the loop only changes execution speed and placement.
-	DisableAdaptive bool
 
 	// Backend is the storage backend the deployment's stores are attached to
 	// (nil means the in-memory reference backend). The server does not drive
@@ -234,8 +228,8 @@ type Server struct {
 	backend backend.Backend // cfg.Backend, or the in-memory one when nil
 
 	// st holds the counters and histograms the request path bumps; stats is
-	// the table that declared them and that /stats and /metrics render
-	// (stats.go).
+	// the table that declared them. /stats and /metrics render it followed
+	// by the rows read from per-scrape snapshots (stats.go: topLevel).
 	st    serverStats
 	stats []stat
 
@@ -274,11 +268,6 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	}
 	if cfg.SubplanCacheBytes != 0 {
 		rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
-	}
-	if cfg.DisableAdaptive {
-		rt.DisableFeedback()
-	} else {
-		rt.ConfigureFeedback(feedback.Config{})
 	}
 	if !cfg.DisableSingleFlight {
 		s.flight = newFlightGroup()
@@ -958,6 +947,9 @@ func (s *Server) classifyQueryError(err error, timeout time.Duration) (status in
 	case errors.Is(err, compiler.ErrCompile):
 		s.st.badRequest.Inc()
 		return http.StatusBadRequest, fmt.Sprintf("compile: %v", err), 0
+	case isStatementError(err):
+		s.st.badRequest.Inc()
+		return http.StatusBadRequest, fmt.Sprintf("execute: %v", err), 0
 	case errors.Is(err, errLeadersGone):
 		s.st.execErrors.Inc()
 		return http.StatusServiceUnavailable, err.Error(), time.Second
@@ -1235,15 +1227,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Every family is present from boot: nothing here creates a metric.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	writeProm(w, s.stats, []promRow{{defs: s.stats}})
-	bk := s.backendStats()
-	writeProm(w, bk, []promRow{{defs: bk}})
+	for _, block := range [][]stat{s.topLevel(), s.backendStats()} {
+		writeProm(w, block, []promRow{{defs: block}})
+	}
 	s.rt.OpStats().WriteProm(w)
 	s.tenants.writeProm(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsJSON(s.stats))
+	writeJSON(w, http.StatusOK, statsJSON(s.topLevel()))
 }
 
 // ListenAndServe runs the server on addr until ctx is canceled, then drains

@@ -324,104 +324,6 @@ func BenchmarkServeStream(b *testing.B) {
 	b.ReportMetric(float64(mid(totals).Microseconds()), "full-p50-us")
 }
 
-// BenchmarkServeAdaptive is the adaptive-planning benchmark: every request
-// pins a 64-way partition fan-out onto a skewed workload — a selective
-// filter leaves ~100 of 2k rows for the downstream group-by — so the
-// pinned fan-out spreads a few rows per partition and the per-partition
-// machinery (slab allocs, partial-aggregate merges, pool handoffs)
-// dominates. With adaptive feedback on (this benchmark), the observed
-// cardinalities cap the fan-out after the warm-up crosses the confidence
-// threshold; BenchmarkServeAdaptiveStatic pins the same workload with the
-// loop disabled. The nightly CI gate requires adaptive ≥ 1.3× static
-// throughput, and BENCH_BASELINE.json gates this benchmark's ns/op.
-func BenchmarkServeAdaptive(b *testing.B) {
-	benchAdaptive(b, false)
-}
-
-// BenchmarkServeAdaptiveStatic is the control: the identical pinned-64-way
-// skewed workload with DisableAdaptive set, so every request pays the full
-// fan-out. Kept out of BENCH_BASELINE.json — it exists only as the
-// denominator of the nightly adaptive-speedup gate.
-func BenchmarkServeAdaptiveStatic(b *testing.B) {
-	benchAdaptive(b, true)
-}
-
-func benchAdaptive(b *testing.B, disableAdaptive bool) {
-	store := relational.NewStore("db-bench")
-	events, err := store.CreateTable("events", cast.MustSchema(
-		cast.Column{Name: "id", Type: cast.Int64},
-		cast.Column{Name: "kind", Type: cast.Int64},
-		cast.Column{Name: "value", Type: cast.Float64},
-	))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const totalRows = 2000
-	batch := cast.NewBatch(events.Schema(), totalRows)
-	for i := 0; i < totalRows; i++ {
-		if err := batch.AppendRow(int64(i), int64(i%7), float64(i)*0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := events.InsertBatch(batch); err != nil {
-		b.Fatal(err)
-	}
-	sys := polystore.New(polystore.WithRelational("db-bench", store))
-	ts := httptest.NewServer(sys.Handler(polystore.ServeConfig{
-		Workers: 16, QueueDepth: 256,
-		DefaultSQLEngine: "db-bench",
-		// Every reuse layer off: each request must execute (and observe).
-		ResultCacheSize:     -1,
-		DisableSingleFlight: true,
-		SubplanCacheBytes:   -1,
-		DisableAdaptive:     disableAdaptive,
-	}))
-	defer ts.Close()
-
-	// Skewed post-filter workload: 1.9k of 2k rows die at the filter, and
-	// the pinned 64-way fan-out rides every partitionable operator —
-	// spreading ~2 surviving rows per partition, so per-partition machinery
-	// (slab allocs, partial-aggregate merges, pool handoffs), not data
-	// volume, dominates the static server's cost.
-	body := `{"frontend":"sql","statement":"SELECT kind, count(*) AS n, min(value) AS lo, max(value) AS hi FROM events WHERE id > 1900 GROUP BY kind","parts":64}`
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	post := func() error {
-		resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	// Warm-up (both variants, for parity): past the feedback confidence
-	// threshold, so the adaptive server's timed region runs fully learned.
-	for i := 0; i < 20; i++ {
-		if err := post(); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	var ops atomic.Int64
-	b.ResetTimer()
-	t0 := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := post(); err != nil {
-				b.Error(err)
-				return
-			}
-			ops.Add(1)
-		}
-	})
-	elapsed := time.Since(t0)
-	b.StopTimer()
-	b.ReportMetric(float64(ops.Load())/elapsed.Seconds(), "req/s")
-}
-
 func benchServe(b *testing.B, cfg polystore.ServeConfig) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 200)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"polystorepp"
 	"polystorepp/internal/datagen"
@@ -109,13 +110,39 @@ func TestSQLQueryAndPlanCache(t *testing.T) {
 	}
 }
 
+// statementErrors are program steps that parse and compile but name something
+// the deployment does not have, or ask an operator for what it cannot do: the
+// engine finds out at execution, and the client is told 400 all the same.
+var statementErrors = []struct{ name, steps string }{
+	{"join duplicates a column", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT * FROM patients JOIN admissions ON age = aid"}`},
+	{"unknown column", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT nope FROM patients"}`},
+	{"unknown table", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM ghosts"}`},
+	{"type mismatch", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM patients WHERE age > 'x'"}`},
+	{"operator the engine lacks", `{"id":"q","op":"sql","engine":"ml","sql":"SELECT pid FROM patients"}`},
+	{"unknown aggregate", `{"id":"q","op":"tswindow","engine":"ts-vitals","series":"vitals/0/hr","to":100,"width":10,"agg":"median"}`},
+	{"non-numeric ml feature", `{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT aid, ward FROM admissions"},
+		{"id":"m","op":"train","engine":"ml","input":"a","feature_cols":["ward"],"label_col":"aid"}`},
+}
+
+// programBody wraps program steps (comma-separated JSON objects) in a request.
+func programBody(steps string) string {
+	return `{"frontend":"program","program":[` + steps + `]}`
+}
+
+// TestClientErrors: every client mistake answers 400 and counts under
+// bad_requests, whether the server finds it while decoding, compiling or
+// executing; none counts as an execution error or against the tenant's
+// circuit breaker.
 func TestClientErrors(t *testing.T) {
-	ts := newTestServer(t, polystore.ServeConfig{})
-	cases := []struct {
+	ts := newTestServer(t, polystore.ServeConfig{
+		BreakerMinSamples: 4, BreakerFailureRatio: 0.5, BreakerCooldown: time.Hour,
+	})
+	type clientError struct {
 		name string
 		body string
 		want int
-	}{
+	}
+	cases := []clientError{
 		{"bad engine", `{"frontend":"sql","engine":"no-such-db","statement":"SELECT pid FROM patients"}`, http.StatusBadRequest},
 		{"malformed sql", `{"frontend":"sql","statement":"SELEKT pid FRUM patients"}`, http.StatusBadRequest},
 		{"unknown frontend", `{"frontend":"graphql","statement":"{}"}`, http.StatusBadRequest},
@@ -126,6 +153,9 @@ func TestClientErrors(t *testing.T) {
 		{"program empty", `{"frontend":"program","program":[]}`, http.StatusBadRequest},
 		{"program bad op", `{"frontend":"program","program":[{"id":"a","op":"teleport","engine":"db-clinical"}]}`, http.StatusBadRequest},
 		{"program bad ref", `{"frontend":"program","program":[{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM patients"},{"id":"j","op":"join","engine":"db-clinical","left":"a","right":"ghost","left_col":"pid","right_col":"pid"}]}`, http.StatusBadRequest},
+	}
+	for _, se := range statementErrors {
+		cases = append(cases, clientError{se.name, programBody(se.steps), http.StatusBadRequest})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,15 +168,34 @@ func TestClientErrors(t *testing.T) {
 			}
 		})
 	}
-
-	// GET on /query is a method error.
-	resp, err := http.Get(ts.URL + "/query")
+	// The breaker saw none of them: the same tenant is still served.
+	if code, _, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 3"}`); code != http.StatusOK {
+		t.Fatalf("healthy request after %d client errors: status %d: %s", len(cases), code, raw)
+	}
+	var stats struct {
+		BadRequests int64 `json:"bad_requests"`
+		ExecErrors  int64 `json:"exec_errors"`
+	}
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /query status = %d", resp.StatusCode)
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.BadRequests != int64(len(cases)) || stats.ExecErrors != 0 {
+		t.Fatalf("bad_requests = %d, exec_errors = %d; want %d and 0", stats.BadRequests, stats.ExecErrors, len(cases))
+	}
+
+	// GET on /query is a method error.
+	mresp, err := http.Get(ts.URL + "/query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mresp.Body.Close()
+	if mresp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /query status = %d", mresp.StatusCode)
 	}
 }
 

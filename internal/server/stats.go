@@ -9,10 +9,8 @@ package server
 import (
 	"io"
 
-	"polystorepp/internal/feedback"
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/partition"
-	"polystorepp/internal/subplan"
 )
 
 // A stat's kind is its /metrics TYPE; info declarations (configuration, a
@@ -142,7 +140,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	// Requests and their outcomes.
 	st.requests = counter("requests", "server.requests", "Requests received on /query and /query/stream.")
 	st.rejected = counter("rejected", "server.rejected", "Requests refused with 429 or 503: rate limit, queue overflow or shedding.")
-	st.badRequest = counter("bad_requests", "server.bad_request", "Requests answered 400: malformed body, unknown engine, compile or ingest validation error.")
+	st.badRequest = counter("bad_requests", "server.bad_request", "Requests answered 400: malformed body, unknown engine, compile or ingest validation error, or a statement error the engine found at execution (unknown table or column, duplicate column name, type mismatch, unsupported operator).")
 	st.execErrors = counter("exec_errors", "server.exec_errors", "Requests that failed during execution or encoding (500), or answered 503 because every shared leader was canceled or a write could not be made durable.")
 	st.deadline = counter("deadline_errors", "server.deadline", "Requests that outlived their deadline (504).")
 	st.ingests = counter("ingests", "server.ingests", "Writes acknowledged on /ingest.")
@@ -158,15 +156,10 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
 	// Plan cache, result cache, single-flight.
-	add("plan_cache_hits", "server.plancache.hits", kindCounter, "Compiled plans served from the plan cache.", func() any { h, _, _ := s.cache.Stats(); return h })
-	add("plan_cache_miss", "server.plancache.misses", kindCounter, "Plans compiled because the plan cache missed.", func() any { _, m, _ := s.cache.Stats(); return m })
-	add("plan_cache_size", "server.plancache.size", kindGauge, "Compiled plans cached.", func() any { _, _, n := s.cache.Stats(); return n })
 	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
 	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
 	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.size() })
-	add("result_cache_bytes", "server.resultcache.bytes", kindGauge, "Payload bytes of the cached results.", func() any { b, _ := s.results.bytes(); return b })
-	add("result_cache_bypassed", "server.resultcache.bypassed", kindGauge, "Results too large for the byte budget, served uncached.", func() any { _, b := s.results.bytes(); return b })
 	maxBytes := int64(0)
 	if s.results != nil {
 		maxBytes = s.cfg.ResultCacheBytes
@@ -175,13 +168,8 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("single_flight", "", kindInfo, "Whether identical in-flight queries share one execution.", val(s.flight != nil))
 	st.flightShared = counter("single_flight_shared", "server.singleflight.shared", "Requests that shared another request's in-flight execution.")
 
-	// Subplan cache (values owned by the runtime).
-	sp := func() subplan.Stats { st, _ := s.rt.SubplanCacheStats(); return st }
-	add("subplan_cache_enabled", "", kindInfo, "Whether materialized intermediates are cached.", func() any { _, on := s.rt.SubplanCacheStats(); return on })
-	add("subplan_cache_entries", "core.subplan.entries", kindGauge, "Intermediates cached.", func() any { return sp().Entries })
-	add("subplan_cache_bytes", "core.subplan.bytes", kindGauge, "Bytes of the cached intermediates.", func() any { return sp().Bytes })
-	add("subplan_cache_max_bytes", "", kindInfo, "Subplan-cache byte budget.", func() any { return sp().MaxBytes })
-	add("subplan_cache_evictions", "core.subplan.evictions", kindGauge, "Intermediates evicted for space.", func() any { return sp().Evictions })
+	// Subplan cache (counters the runtime bumps; its gauges are in
+	// snapshotStats).
 	counter("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache.")
 	counter("subplan_cache_miss", "core.subplan.misses", "Subtree probes that missed.")
 	counter("subplan_cache_published", "core.subplan.published", "Executed subtrees memoized.")
@@ -213,8 +201,6 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	for _, d := range s.rt.Accelerators() {
 		counter("", "core.offloads."+d, "Kernel calls offloaded to accelerator "+d+".")
 	}
-	add("partition_spawned", "", kindCounter, "Partition tasks run on a pool goroutine.", func() any { n, _ := partition.Shared().Stats(); return n })
-	add("partition_inlined", "", kindCounter, "Partition tasks run inline on the caller.", func() any { _, n := partition.Shared().Stats(); return n })
 	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates; on /metrics as `core_op_<engine>_<op>_*`.", func() any { return s.rt.OpStats().Snapshot() })
 	add("traces_recorded", "", kindCounter, "Request traces kept by the flight recorder.", func() any { _, _, n := s.traces.Snapshot(); return n })
 
@@ -230,19 +216,39 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	st.drainRejected = counter("drain_rejected", "server.drain.rejected", "Requests refused with 503 while draining.")
 	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any { return s.tenants.statsJSON(s.results.ownerBytes(), s.rt.SubplanOwnerBytes()) })
 
-	// Adaptive feedback loop (values owned by the runtime).
-	fb := func() feedback.Stats { st, _ := s.rt.FeedbackStats(); return st }
-	add("feedback_enabled", "", kindInfo, "Whether the adaptive feedback loop is on.", func() any { _, on := s.rt.FeedbackStats(); return on })
-	add("feedback_samples", "core.feedback.samples", kindGauge, "Node executions folded into the feedback store.", func() any { return fb().Samples })
-	add("feedback_keys", "core.feedback.keys", kindGauge, "(engine, op, subtree) keys tracked.", func() any { return fb().Keys })
-	add("feedback_evictions", "core.feedback.evictions", kindGauge, "Feedback keys evicted for space.", func() any { return fb().Evictions })
-	add("feedback_epoch", "core.feedback.epoch", kindGauge, "Feedback decay epoch.", func() any { return fb().Epoch })
-	counter("feedback_plans_influenced", "core.feedback.plans_influenced", "Plans that ran with at least one adaptive fan-out override.")
-	counter("feedback_fanout_overrides", "core.feedback.fanout_overrides", "Pinned partition fan-outs capped from observed cardinality.")
-	counter("feedback_blended_costs", "core.feedback.blended_costs", "Placement decisions that blended observed wall time into the host estimate.")
-
 	add("backend", "", kindInfo, "Storage backend block (fields below).", func() any { return statsJSON(s.backendStats()) })
 	return st, defs
+}
+
+// snapshotStats declares the top-level rows whose values arrive together in
+// one snapshot another component owns — plan cache, result cache, subplan
+// cache, partition pool — reading each snapshot once per scrape rather than
+// once per row.
+func (s *Server) snapshotStats() []stat {
+	planHits, planMisses, planSize := s.cache.Stats()
+	resultBytes, resultBypassed := s.results.bytes()
+	sp, spOn := s.rt.SubplanCacheStats()
+	spawned, inlined := partition.Shared().Stats()
+	return []stat{
+		{key: "plan_cache_hits", name: "server.plancache.hits", kind: kindCounter, help: "Compiled plans served from the plan cache.", get: val(planHits)},
+		{key: "plan_cache_miss", name: "server.plancache.misses", kind: kindCounter, help: "Plans compiled because the plan cache missed.", get: val(planMisses)},
+		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Compiled plans cached.", get: val(planSize)},
+		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(resultBytes)},
+		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(resultBypassed)},
+		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},
+		{key: "subplan_cache_entries", name: "core.subplan.entries", kind: kindGauge, help: "Intermediates cached.", get: val(sp.Entries)},
+		{key: "subplan_cache_bytes", name: "core.subplan.bytes", kind: kindGauge, help: "Bytes of the cached intermediates.", get: val(sp.Bytes)},
+		{key: "subplan_cache_max_bytes", kind: kindInfo, help: "Subplan-cache byte budget.", get: val(sp.MaxBytes)},
+		{key: "subplan_cache_evictions", name: "core.subplan.evictions", kind: kindGauge, help: "Intermediates evicted for space.", get: val(sp.Evictions)},
+		{key: "partition_spawned", kind: kindCounter, help: "Partition tasks run on a pool goroutine.", get: val(spawned)},
+		{key: "partition_inlined", kind: kindCounter, help: "Partition tasks run inline on the caller.", get: val(inlined)},
+	}
+}
+
+// topLevel is the top-level block of one scrape: the declarations of
+// newStatTable followed by snapshotStats.
+func (s *Server) topLevel() []stat {
+	return append(s.stats[:len(s.stats):len(s.stats)], s.snapshotStats()...)
 }
 
 // backendStats declares the storage backend block over one Stats snapshot:

@@ -21,7 +21,7 @@ import (
 // block and one tenant row.
 func statBlocks(s *Server) map[string][]stat {
 	return map[string][]stat{
-		"top level": s.stats,
+		"top level": s.topLevel(),
 		"backend":   s.backendStats(),
 		"tenants":   tenantDefs(&tenantState{}, 0, 0),
 	}
@@ -211,7 +211,7 @@ func TestOperationsDocInSync(t *testing.T) {
 	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
 	var sb strings.Builder
 	sb.WriteString("| `/stats` key | `/metrics` family | kind | meaning |\n|---|---|---|---|\n")
-	writeDocs(&sb, "top level", s.stats)
+	writeDocs(&sb, "top level", s.topLevel())
 	writeDocs(&sb, "`backend` block", s.backendStats())
 	writeDocs(&sb, "`tenants` rows (their `/metrics` samples carry a `tenant` label)", tenantDefs(&tenantState{}, 0, 0))
 

@@ -569,6 +569,30 @@ func TestStreamRequestErrorsKeepStatusCodes(t *testing.T) {
 			}
 		})
 	}
+	for _, se := range statementErrors {
+		t.Run(se.name, func(t *testing.T) {
+			if code, _, raw := postStream(t, ts, programBody(se.steps)); code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400: %s", code, raw)
+			}
+		})
+		// The same mistake found after the first byte: the program's first
+		// sink streams points in full, then the second sink fails. The 200
+		// is committed, so the 400 rides the in-band error record.
+		t.Run(se.name+" in band", func(t *testing.T) {
+			const first = `{"id":"first","op":"sql","engine":"db-clinical","sql":"SELECT k FROM points"},`
+			code, lines, raw := postStream(t, ts, programBody(first+se.steps))
+			if code != http.StatusOK {
+				t.Fatalf("status = %d, want the committed 200: %s", code, raw)
+			}
+			schema, batches, terminal := splitStream(t, lines)
+			if schema == nil || len(concatRows(batches)) != 10000 {
+				t.Fatalf("first sink not streamed in full before the failure: %d batches", len(batches))
+			}
+			if terminal.Type != "error" || terminal.Status != http.StatusBadRequest {
+				t.Fatalf("terminal = %+v, want an in-band 400", terminal)
+			}
+		})
+	}
 	resp, err := http.Get(ts.URL + "/query/stream")
 	if err != nil {
 		t.Fatal(err)

@@ -21,15 +21,10 @@ import (
 
 // subplanOffCfg disables every other reuse layer so each request truly
 // executes (or truly replays the subplan cache), never the result cache.
-// Adaptive feedback is off too: this suite pins simulated latency/energy
-// across servers with different request histories, and feedback-blended
-// placement is deliberately history-dependent (adaptive_test.go pins what
-// the adaptive loop must keep invariant — the result payload).
 func subplanOffCfg() polystore.ServeConfig {
 	return polystore.ServeConfig{
 		ResultCacheSize: -1, DisableSingleFlight: true,
 		Workers: 8, QueueDepth: 256, SubplanCacheBytes: -1,
-		DisableAdaptive: true,
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"polystorepp/internal/adapter"
+	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/relational"
 	"polystorepp/internal/resilience"
 	"polystorepp/internal/tenant"
 )
@@ -137,6 +140,27 @@ func isRejection(err error) bool {
 		errors.As(err, &re)
 }
 
+// statementErrors are what an engine or adapter answers for a statement
+// that cannot run on any data: it names a table or column that does not
+// exist, produces two columns of one name, or hands an operator an input it
+// does not take. The compiler does not see schemas, so these surface at
+// execution; they are the client's mistake all the same.
+var statementErrors = []error{
+	cast.ErrDuplicateName, cast.ErrColumnNotFound,
+	relational.ErrNoTable, relational.ErrExpr,
+	adapter.ErrBadNode, adapter.ErrBadInput, adapter.ErrUnsupported,
+}
+
+// isStatementError reports whether err is one of statementErrors.
+func isStatementError(err error) bool {
+	for _, target := range statementErrors {
+		if errors.Is(err, target) {
+			return true
+		}
+	}
+	return false
+}
+
 // isTenantFailure reports whether err reflects the tenant's workload
 // failing (executed and errored, or ran out its deadline) — the outcomes a
 // circuit breaker exists to stop paying for.
@@ -146,6 +170,7 @@ func isTenantFailure(err error) bool {
 	}
 	switch {
 	case errors.Is(err, compiler.ErrCompile), // malformed query: cheap, pre-execution
+		isStatementError(err),            // malformed query the engine found at execution
 		errors.Is(err, errStreamWrite),   // client stopped reading
 		errors.Is(err, context.Canceled): // client went away
 		return false

@@ -126,6 +126,37 @@ func TestTraceCrossEnginePlan(t *testing.T) {
 	}
 }
 
+// TestPinnedPartsReportedOnSpan: pinned means pinned. A request that sets
+// "parts" runs every partitioned operator at that fan-out however often the
+// server has seen the statement, and its trace spans say so.
+func TestPinnedPartsReportedOnSpan(t *testing.T) {
+	ts := newStreamTestServer(t, polystore.ServeConfig{
+		ResultCacheSize: -1, DisableSingleFlight: true, SubplanCacheBytes: -1,
+	})
+	// patients holds 120 rows: automatic sizing would not fan out at all.
+	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age + 1 AS adj FROM patients","parts":7}`)
+	for round := 0; round < 8; round++ {
+		code, qr, raw := postQuery(t, ts, body)
+		if code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, code, raw)
+		}
+		assertSpanTree(t, qr.Trace, qr.Nodes, body)
+		pinned := 0
+		for _, sp := range qr.Trace.Spans {
+			switch sp.Parts {
+			case 0: // not a partitioned operator
+			case 7:
+				pinned++
+			default:
+				t.Fatalf("round %d: span %s ran at parts %d, request pinned 7", round, sp.Kind, sp.Parts)
+			}
+		}
+		if pinned == 0 {
+			t.Fatalf("round %d: no span reports the pinned fan-out: %s", round, raw)
+		}
+	}
+}
+
 // TestTraceStreamRecord: on /query/stream the span tree travels as a
 // dedicated NDJSON record between the last batch and the summary.
 func TestTraceStreamRecord(t *testing.T) {

@@ -27,7 +27,7 @@ var reachAllow = map[string]string{
 // reports a live one.
 func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 	middleware := map[string]bool{}
-	for _, p := range strings.Fields("adapter backend cast compiler core eide feedback hw ir lru metrics migrate obs optimizer partition relational resilience server subplan tenant") {
+	for _, p := range strings.Fields("adapter backend cast compiler core eide hw ir lru metrics migrate obs optimizer partition relational resilience server subplan tenant") {
 		middleware[p] = true
 	}
 	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> name a reference must carry
