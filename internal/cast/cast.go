@@ -9,12 +9,24 @@
 // group-by implementations across the repository.
 //
 // Ownership: a batch is mutable only while its producer is building it
-// (AppendRow, AppendBatch, CopyRows, Truncate). Once handed on — returned from
-// an operator, emitted to a sink, published to a cache — it is immutable, so
+// (AppendRow, AppendBatch, Truncate). Once handed on — returned from an
+// operator, emitted to a sink, published to a cache — it is immutable, so
 // hand-offs are by reference and View, ViewRange, Project, HConcat and
 // BatchOf share column storage. Only a table heap keeps growing while
 // visible, append-only under the contract View states. The full rules:
 // docs/architecture.md, "Batch immutability and ownership".
+//
+// Immutability is also what lets Take copy nothing: it returns a batch that
+// remembers (source columns, selection), and a column is gathered by the
+// first reader that asks for its dense slice (Ints, Floats, Strings, Bools,
+// Value, Row, AppendKey, Comparator, the codecs) — once, behind a sync.Once,
+// because a published batch is read from many goroutines. ViewRange, Take,
+// Project, HConcat and ByteSize never gather; AppendBatch and AppendJSONRows
+// read through the selection for just the rows they copy or emit. A reader
+// that knows nothing of selections therefore pays a gather, never reads a
+// wrong value. A selection-backed batch keeps its source alive: Compact
+// returns the same rows in storage of their own, which is what a long-lived
+// holder (a cache) should keep.
 package cast
 
 import (
@@ -23,6 +35,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Type identifies the physical type of a column. Enums start at 1 so the
@@ -213,13 +227,92 @@ func (s Schema) String() string {
 }
 
 // column is the typed storage of one column. Exactly one backing slice is in
-// use, selected by the column type.
+// use, selected by the column type — or none, while sel is set.
 type column struct {
 	ints  []int64 // Int64 and Timestamp
 	flts  []float64
 	strs  []string
 	bools []bool
+	// sel marks a column Take has not gathered. Copies of the column (Project,
+	// HConcat, View) share it, so whoever reads first gathers for all.
+	sel *selected
 }
+
+// selected is a column as Take leaves it: rows rows of the dense column src.
+// Both are immutable; col is written once, inside once, and done says it is
+// there for the readers that only want to know (ViewRange, Take, the
+// read-through loops).
+type selected struct {
+	src  column
+	rows []int32
+	once sync.Once
+	done atomic.Bool
+	col  column
+}
+
+// force gathers the column, if no one has yet, and returns it dense.
+func (s *selected) force(t Type) *column {
+	s.once.Do(func() {
+		switch t {
+		case Int64, Timestamp:
+			s.col.ints = gather(s.src.ints, s.rows)
+		case Float64:
+			s.col.flts = gather(s.src.flts, s.rows)
+		case String:
+			s.col.strs = gather(s.src.strs, s.rows)
+		case Bool:
+			s.col.bools = gather(s.src.bools, s.rows)
+		}
+		s.done.Store(true)
+	})
+	return &s.col
+}
+
+func gather[T any](src []T, rows []int32) []T {
+	out := make([]T, len(rows))
+	for j, r := range rows {
+		out[j] = src[r]
+	}
+	return out
+}
+
+// read returns the column's dense storage and the selection to read it
+// through — nil when the column is dense or has been gathered. It never
+// gathers.
+func (c *column) read() (*column, []int32) {
+	switch s := c.sel; {
+	case s == nil:
+		return c, nil
+	case s.done.Load():
+		return &s.col, nil
+	default:
+		return &s.src, s.rows
+	}
+}
+
+// col returns column i dense, gathering it first if it is selection-backed.
+func (b *Batch) col(i int) *column {
+	c := &b.cols[i]
+	if c.sel != nil {
+		return c.sel.force(b.schema.cols[i].Type)
+	}
+	return c
+}
+
+// mapped derives a batch's selections from another's, one result per distinct
+// input: the columns one Take produced share a selection, and so must theirs.
+type mapped struct{ from, to []int32 }
+
+func (m *mapped) get(from []int32, f func([]int32) []int32) []int32 {
+	if !sameRows(m.from, from) {
+		m.from, m.to = from, f(from)
+	}
+	return m.to
+}
+
+// sameRows reports whether a and b are one selection vector — the same
+// storage, not equal contents. A selection in use is never empty.
+func sameRows(a, b []int32) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
 func (c *column) grow(t Type, n int) {
 	switch t {
@@ -363,7 +456,7 @@ func (b *Batch) Ints(col int) ([]int64, error) {
 	if t != Int64 && t != Timestamp {
 		return nil, fmt.Errorf("%w: column %d is %s, not int64/timestamp", ErrTypeMismatch, col, t)
 	}
-	return b.cols[col].ints, nil
+	return b.col(col).ints, nil
 }
 
 // Floats returns the backing float64 slice for a Float64 column.
@@ -371,7 +464,7 @@ func (b *Batch) Floats(col int) ([]float64, error) {
 	if t := b.schema.Col(col).Type; t != Float64 {
 		return nil, fmt.Errorf("%w: column %d is %s, not float64", ErrTypeMismatch, col, t)
 	}
-	return b.cols[col].flts, nil
+	return b.col(col).flts, nil
 }
 
 // Strings returns the backing string slice for a String column.
@@ -379,7 +472,7 @@ func (b *Batch) Strings(col int) ([]string, error) {
 	if t := b.schema.Col(col).Type; t != String {
 		return nil, fmt.Errorf("%w: column %d is %s, not string", ErrTypeMismatch, col, t)
 	}
-	return b.cols[col].strs, nil
+	return b.col(col).strs, nil
 }
 
 // Bools returns the backing bool slice for a Bool column.
@@ -387,7 +480,7 @@ func (b *Batch) Bools(col int) ([]bool, error) {
 	if t := b.schema.Col(col).Type; t != Bool {
 		return nil, fmt.Errorf("%w: column %d is %s, not bool", ErrTypeMismatch, col, t)
 	}
-	return b.cols[col].bools, nil
+	return b.col(col).bools, nil
 }
 
 // Value returns the value at (row, col) boxed as any.
@@ -395,7 +488,7 @@ func (b *Batch) Value(row, col int) (any, error) {
 	if row < 0 || row >= b.rows {
 		return nil, fmt.Errorf("%w: %d of %d", ErrRowOutOfRange, row, b.rows)
 	}
-	c := &b.cols[col]
+	c := b.col(col)
 	switch b.schema.Col(col).Type {
 	case Int64, Timestamp:
 		return c.ints[row], nil
@@ -425,25 +518,40 @@ func (b *Batch) Row(i int) ([]any, error) {
 	return out, nil
 }
 
-// AppendBatch appends all rows of src (which must have an equal schema).
+// AppendBatch appends all rows of src (which must have an equal schema). A
+// selection-backed column of src is gathered straight into b, not into src.
 func (b *Batch) AppendBatch(src *Batch) error {
 	if !b.schema.Equal(src.schema) {
 		return fmt.Errorf("%w: %s vs %s", ErrSchemaMismatch, b.schema, src.schema)
 	}
 	for i := range b.cols {
+		d := &b.cols[i]
+		c, rows := src.cols[i].read()
 		switch b.schema.Col(i).Type {
 		case Int64, Timestamp:
-			b.cols[i].ints = append(b.cols[i].ints, src.cols[i].ints...)
+			d.ints = appendRows(d.ints, c.ints, rows)
 		case Float64:
-			b.cols[i].flts = append(b.cols[i].flts, src.cols[i].flts...)
+			d.flts = appendRows(d.flts, c.flts, rows)
 		case String:
-			b.cols[i].strs = append(b.cols[i].strs, src.cols[i].strs...)
+			d.strs = appendRows(d.strs, c.strs, rows)
 		case Bool:
-			b.cols[i].bools = append(b.cols[i].bools, src.cols[i].bools...)
+			d.bools = appendRows(d.bools, c.bools, rows)
 		}
 	}
 	b.rows += src.rows
 	return nil
+}
+
+// appendRows appends src — all of it, or its rows rows when rows is set.
+func appendRows[T any](dst, src []T, rows []int32) []T {
+	if rows == nil {
+		return append(dst, src...)
+	}
+	dst = slices.Grow(dst, len(rows))
+	for _, r := range rows {
+		dst = append(dst, src[r])
+	}
+	return dst
 }
 
 // View returns a read-only batch sharing b's column storage, frozen at b's
@@ -469,7 +577,10 @@ func (b *Batch) View() *Batch {
 // view cannot clobber b's rows. Partition-parallel scans use it to hand each
 // worker a zero-copy row range. A range of a view records the view's root
 // and its own offset there; a range of anything else is its own root, so a
-// batch that may still grow is never reached through a view of it.
+// batch that may still grow is never reached through a view of it. A
+// selection-backed column is not gathered: the view takes a copy of its part
+// of the selection (a short view must not keep a long selection alive), or,
+// once some reader has gathered the column, a plain range of the result.
 func (b *Batch) ViewRange(lo, hi int) (*Batch, error) {
 	if lo < 0 || hi > b.rows || lo > hi {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRowOutOfRange, lo, hi, b.rows)
@@ -479,16 +590,28 @@ func (b *Batch) ViewRange(lo, hi int) (*Batch, error) {
 	if b.root == nil {
 		out.root, out.off = out, 0
 	}
+	var narrowed mapped
 	for i := range b.cols {
+		c, rows := b.cols[i].read()
+		if rows != nil {
+			if hi-lo == b.rows {
+				out.cols[i] = b.cols[i] // all of it: one gather serves both
+			} else if lo < hi {
+				out.cols[i].sel = &selected{src: *c, rows: narrowed.get(rows, func(rows []int32) []int32 {
+					return slices.Clone(rows[lo:hi])
+				})}
+			}
+			continue
+		}
 		switch b.schema.Col(i).Type {
 		case Int64, Timestamp:
-			out.cols[i].ints = b.cols[i].ints[lo:hi:hi]
+			out.cols[i].ints = c.ints[lo:hi:hi]
 		case Float64:
-			out.cols[i].flts = b.cols[i].flts[lo:hi:hi]
+			out.cols[i].flts = c.flts[lo:hi:hi]
 		case String:
-			out.cols[i].strs = b.cols[i].strs[lo:hi:hi]
+			out.cols[i].strs = c.strs[lo:hi:hi]
 		case Bool:
-			out.cols[i].bools = b.cols[i].bools[lo:hi:hi]
+			out.cols[i].bools = c.bools[lo:hi:hi]
 		}
 	}
 	return out, nil
@@ -535,45 +658,52 @@ func (b *Batch) Slice(lo, hi int) (*Batch, error) {
 	return out, out.AppendBatch(view)
 }
 
-// NewBatchRows returns a batch of n zero-valued rows for its producer to
-// fill with CopyRows before handing it on.
+// NewBatchRows returns a batch of n zero-valued rows.
 func NewBatchRows(s Schema, n int) *Batch {
 	b := NewBatch(s, n)
 	b.Truncate(n) // lengthens each zeroed column to its capacity
 	return b
 }
 
-// CopyRows writes rows sel of src, in order, over rows [at, at+len(sel)) of
-// b; src must have b's column types and sel must index src. Producers
-// filling disjoint row ranges of one batch may call it concurrently.
-func (b *Batch) CopyRows(at int, src *Batch, sel []int32) {
-	for c := range b.cols {
-		d, s := &b.cols[c], &src.cols[c]
-		switch b.schema.Col(c).Type {
-		case Int64, Timestamp:
-			gather(d.ints[at:], s.ints, sel)
-		case Float64:
-			gather(d.flts[at:], s.flts, sel)
-		case String:
-			gather(d.strs[at:], s.strs, sel)
-		case Bool:
-			gather(d.bools[at:], s.bools, sel)
-		}
-	}
-}
-
-func gather[T any](dst, src []T, sel []int32) {
-	dst = dst[:len(sel)]
-	for j, r := range sel {
-		dst[j] = src[r]
-	}
-}
-
-// Take returns a new batch with the rows of a selection vector, in order.
-// sel must index b: kernels build it from b's own row numbers.
+// Take returns the rows of a selection vector, in order, copying none of
+// them: every column remembers (b's storage, sel) and is gathered by its
+// first reader (see the package comment). sel must index b — kernels build
+// it from b's own row numbers — and belongs to the result from here on. A
+// column of b that is itself still ungathered is not gathered to serve the
+// new selection; the two selections are composed.
 func (b *Batch) Take(sel []int32) *Batch {
-	out := NewBatchRows(b.schema, len(sel))
-	out.CopyRows(0, b, sel)
+	if len(sel) == 0 {
+		return NewBatch(b.schema, 0)
+	}
+	out := &Batch{schema: b.schema, cols: make([]column, len(b.cols)), rows: len(sel)}
+	lazy := make([]selected, len(b.cols))
+	var composed mapped
+	for i := range b.cols {
+		c, rows := b.cols[i].read()
+		lazy[i].src, lazy[i].rows = *c, sel
+		if rows != nil {
+			lazy[i].rows = composed.get(rows, func(rows []int32) []int32 { return gather(rows, sel) })
+		}
+		out.cols[i].sel = &lazy[i]
+	}
+	return out
+}
+
+// Compact returns b's rows in storage of their own: every selection-backed
+// column gathered (once — b's other holders see the same result) and neither
+// the selection nor its source referenced from the returned batch. A batch
+// with no such column is returned itself.
+func (b *Batch) Compact() *Batch {
+	out := b
+	for i := range b.cols {
+		if b.cols[i].sel == nil {
+			continue
+		}
+		if out == b {
+			out = &Batch{schema: b.schema, cols: slices.Clone(b.cols), rows: b.rows}
+		}
+		out.cols[i] = *b.col(i)
+	}
 	return out
 }
 
@@ -689,20 +819,27 @@ func (b *Batch) Clone() *Batch {
 
 // ByteSize returns the approximate in-memory payload size of the batch in
 // bytes, used by cost models and migration accounting.
+//
+// It is the logical size whether or not the columns have been gathered, and
+// computing it gathers nothing.
 func (b *Batch) ByteSize() int64 {
 	var total int64
 	for i := range b.cols {
-		c := &b.cols[i]
 		switch b.schema.Col(i).Type {
-		case Int64, Timestamp:
-			total += int64(len(c.ints)) * 8
-		case Float64:
-			total += int64(len(c.flts)) * 8
+		case Int64, Timestamp, Float64:
+			total += int64(b.rows) * 8
 		case Bool:
-			total += int64(len(c.bools))
+			total += int64(b.rows)
 		case String:
-			for _, s := range c.strs {
-				total += int64(len(s)) + 8
+			total += int64(b.rows) * 8
+			c, rows := b.cols[i].read()
+			for _, r := range rows {
+				total += int64(len(c.strs[r]))
+			}
+			if rows == nil {
+				for _, s := range c.strs {
+					total += int64(len(s))
+				}
 			}
 		}
 	}
@@ -715,7 +852,7 @@ func (b *Batch) Equal(o *Batch) bool {
 		return false
 	}
 	for i := range b.cols {
-		c, oc := &b.cols[i], &o.cols[i]
+		c, oc := b.col(i), o.col(i)
 		if !slices.Equal(c.ints, oc.ints) || !slices.Equal(c.flts, oc.flts) ||
 			!slices.Equal(c.strs, oc.strs) || !slices.Equal(c.bools, oc.bools) {
 			return false

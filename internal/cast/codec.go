@@ -299,7 +299,7 @@ func (e *Encoder) writeBatch(w io.Writer, b *Batch) error {
 	}
 	err := e.spill(w)
 	for i := 0; i < s.Len(); i++ {
-		c := &b.cols[i]
+		c := b.col(i)
 		switch s.Col(i).Type {
 		case Int64, Timestamp:
 			for vals := c.ints; len(vals) > 0 && err == nil; err = e.spill(w) {

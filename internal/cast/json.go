@@ -14,23 +14,37 @@ import (
 // timestamps are integers, floats take the shortest representation that
 // round-trips, strings are HTML-escaped. JSON has no NaN or ±Inf: a
 // non-finite float returns an error and dst at its original length, so a
-// half-encoded row never reaches a caller's wire.
+// half-encoded row never reaches a caller's wire. A selection-backed column
+// is read through its selection, for the emitted rows only.
 func (b *Batch) AppendJSONRows(dst []byte, lo, hi int) ([]byte, error) {
 	if lo < 0 || hi > b.rows || lo > hi {
 		return dst, fmt.Errorf("%w: [%d,%d) of %d", ErrRowOutOfRange, lo, hi, b.rows)
 	}
+	type reader struct {
+		col  *column
+		rows []int32
+	}
+	var stack [16]reader // wider batches allocate the list
+	reads := stack[:0]
+	for c := range b.cols {
+		col, rows := b.cols[c].read()
+		reads = append(reads, reader{col, rows})
+	}
 	start := len(dst)
 	dst = append(dst, '[')
-	for r := lo; r < hi; r++ {
-		if r > lo {
+	for at := lo; at < hi; at++ {
+		if at > lo {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '[')
-		for c := range b.cols {
+		for c, rd := range reads {
 			if c > 0 {
 				dst = append(dst, ',')
 			}
-			col := &b.cols[c]
+			col, r := rd.col, at
+			if rd.rows != nil {
+				r = int(rd.rows[at])
+			}
 			switch b.schema.cols[c].Type {
 			case Int64, Timestamp:
 				dst = strconv.AppendInt(dst, col.ints[r], 10)
@@ -38,7 +52,7 @@ func (b *Batch) AppendJSONRows(dst []byte, lo, hi int) ([]byte, error) {
 				f := col.flts[r]
 				if math.IsInf(f, 0) || math.IsNaN(f) {
 					return dst[:start], fmt.Errorf("cast: row %d column %q is %v, which JSON cannot carry",
-						r, b.schema.cols[c].Name, f)
+						at, b.schema.cols[c].Name, f)
 				}
 				dst = appendJSONFloat(dst, f)
 			case String:

@@ -69,7 +69,7 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 // per-row callers reuse one buffer and allocate nothing. r must be in range.
 func (b *Batch) AppendKey(dst []byte, r int, cols []int) []byte {
 	for _, c := range cols {
-		col := &b.cols[c]
+		col := b.col(c)
 		switch b.schema.Col(c).Type {
 		case Int64, Timestamp:
 			dst = strconv.AppendInt(dst, col.ints[r], 10)
@@ -91,10 +91,10 @@ type SortKey struct {
 	Desc bool
 }
 
-// SortBy returns a new batch with rows ordered by the given keys
-// (lexicographically across keys). The sort is stable. Each key column is
-// resolved to a comparator over its typed slice once, and the row-index
-// vector is sorted with no boxing.
+// SortBy returns the rows ordered by the given keys (lexicographically across
+// keys). The sort is stable. Each key column is resolved to a comparator over
+// its typed slice once, and the row-index vector is sorted with no boxing;
+// the result is Take of that permutation, so only the key columns are read.
 func (b *Batch) SortBy(keys ...SortKey) (*Batch, error) {
 	cmps := make([]func(x, y int32) int, len(keys))
 	for i, k := range keys {
@@ -126,7 +126,7 @@ func (b *Batch) SortBy(keys ...SortKey) (*Batch, error) {
 // read from the typed slice with no boxing: CompareValues' ordering of the
 // two values.
 func (b *Batch) Comparator(col int) func(x, y int32) int {
-	c := &b.cols[col]
+	c := b.col(col)
 	switch b.schema.Col(col).Type {
 	case Int64, Timestamp:
 		v := c.ints

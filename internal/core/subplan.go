@@ -287,7 +287,7 @@ func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry, covered map
 		covered[id] = true
 		pr.serve[id] = &e.Costs[i]
 	}
-	pr.out[st.Root] = adapter.Value{Batch: e.Output}
+	pr.out[st.Root] = adapter.Value{Batch: e.Reused()}
 	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
 	pr.rt.st.subplanBytesServed.Add(e.Bytes)
 }
@@ -346,7 +346,8 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 // publish memoizes one executed subtree: per-node replay data plus the root's
 // output batch itself. A batch that has left its producer is immutable
 // (package cast), so the entry, this request's downstream nodes and every
-// later replay share it; nothing is cloned. The version vector
+// later replay share it; nothing is cloned, and a selection-backed output is
+// not gathered until a hit asks for it (subplan.Entry.Reused). The version vector
 // is re-checked against its prepare-time value so a write to a touched
 // store while the subtree executed suppresses the publication — the batch
 // belongs to neither the old version nor reliably the new one.

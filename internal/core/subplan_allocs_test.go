@@ -1,0 +1,113 @@
+//go:build !race
+
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"polystorepp/internal/adapter"
+	"polystorepp/internal/cast"
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/eide"
+	"polystorepp/internal/hw"
+	"polystorepp/internal/relational"
+)
+
+// TestSubplanHitServesDenseViews: a subplan entry is published by reference —
+// the sort's output still selection-backed — and gathered by its first hit;
+// from then on a hit must cost what it cost when publishing copied: LIMIT L
+// over the entry is a plain view and the response encodes straight from the
+// gathered columns. The traffic is bench/'s similar_family — 32 shared
+// scan -> filter(kind = K) -> project -> sort prefixes under LIMIT L — on a
+// warmed runtime (every prefix published, then hit once), and every measured
+// statement is new, so what it hits is the prefix, not an entry of its own.
+// The budgets are the figures this test read when publishing copied (the
+// parent of the change that made Take lazy): 101 allocations and 9 458 bytes,
+// plus the 16 bytes by which the limit's two-column view header grew when a
+// column gained its selection pointer (and 6 for a stray allocation in a
+// round of 480 requests). Serving the entry ungathered reads 104 and 10 144.
+const servedAllocs, servedBytes = 101, 9458 + 16 + 6
+
+func TestSubplanHitServesDenseViews(t *testing.T) {
+	const kinds, perKind = 32, 100
+	store := relational.NewStore("db")
+	events, err := store.CreateTable("events", cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "kind", Type: cast.Int64},
+		cast.Column{Name: "value", Type: cast.Float64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng, b := rand.New(rand.NewSource(5)), cast.NewBatch(events.Schema(), kinds*perKind)
+	for i := 0; i < kinds*perKind; i++ {
+		if err := b.AppendRow(int64(i), int64(i%kinds), float64(rng.Intn(8000))/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := events.InsertBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(hw.NewHostCPU())
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
+
+	ctx := context.Background()
+	compile := func(k, l int) *compiler.Plan {
+		p := eide.NewProgram()
+		if _, err := p.SQL("db", fmt.Sprintf("SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC LIMIT %d", k, l)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := compiler.Compile(p.Graph(), compiler.Options{Level: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	var buf []byte
+	serve := func(plans []*compiler.Plan) {
+		for _, plan := range plans {
+			res, _, err := rt.Execute(ctx, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := res.First().Batch
+			if buf, err = out.AppendJSONRows(buf[:0], 0, out.Rows()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Rounds of 32 x 15 statements, no limit used twice. The first publishes
+	// the 32 prefixes and takes each one's first hit; the least of the other
+	// four is the figure (the runtime allocates beside some).
+	allocs, bytes := ^uint64(0), ^uint64(0)
+	var before, after runtime.MemStats
+	for round := 0; round < 5; round++ {
+		var plans []*compiler.Plan
+		for k := 0; k < kinds; k++ {
+			for l := 1 + round*15; l <= 15+round*15; l++ {
+				plans = append(plans, compile(k, l))
+			}
+		}
+		hits := rt.Metrics().Counter("core.subplan.hits").Value()
+		runtime.ReadMemStats(&before)
+		serve(plans)
+		runtime.ReadMemStats(&after)
+		if round == 0 {
+			continue
+		}
+		if got := rt.Metrics().Counter("core.subplan.hits").Value() - hits; got != int64(len(plans)) {
+			t.Fatalf("%d subplan hits for %d new statements over warmed prefixes", got, len(plans))
+		}
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/uint64(len(plans)))
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(len(plans)))
+	}
+	t.Logf("per served request: %d allocations, %d bytes", allocs, bytes)
+	if allocs > servedAllocs || bytes > servedBytes {
+		t.Fatalf("a served similar_family request costs %d allocations and %d bytes; publishing by copy cost %d and %d",
+			allocs, bytes, servedAllocs, servedBytes)
+	}
+}

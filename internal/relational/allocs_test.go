@@ -4,6 +4,7 @@ package relational
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -27,19 +28,68 @@ func allocBatch(t testing.TB, n, groups int) *cast.Batch {
 	return b
 }
 
-// TestFilterAllocBudget: a filter allocates the predicate's bool vector, the
-// selection and the kept rows' columns — nothing per input row. (The kept
-// rows are scattered, so this is the gather path, not the zero-copy run.)
+// allocatedBytes returns the heap bytes one call of fn allocates: the least
+// of several calls, so that a runtime goroutine allocating beside one of them
+// does not count.
+func allocatedBytes(fn func()) uint64 {
+	fn() // warm pools and lazily built state
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestFilterAllocBudget: a filter whose kept rows are scattered allocates one
+// selection list of exactly its survivor count and the header of the batch
+// that remembers it — no bool vector over the input, no second list, no
+// column: the rows are gathered by whoever reads them.
 func TestFilterAllocBudget(t *testing.T) {
 	b := allocBatch(t, 10_000, 8)
 	pred := Bin{Op: OpLt, L: ColRef{Name: "value"}, R: Const{V: 20.0}}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := parFilter(context.Background(), b, pred, 1); err != nil {
+	var kept *cast.Batch
+	run := func() {
+		var err error
+		if kept, err = parFilter(context.Background(), b, pred, 1); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 16 {
-		t.Fatalf("filter of 10k rows: %.0f allocations, budget 16", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs > 10 {
+		t.Fatalf("filter of 10k rows: %.0f allocations, budget 10", allocs)
+	}
+	// 8 249 of the 10 000 rows survive: a 32 996-byte list, which the
+	// allocator rounds up to its 40 960-byte class. One []bool over the input
+	// would be another 10 240 bytes, one gathered column another 65 536.
+	if got := allocatedBytes(run); kept.Rows() != 8249 || got < 40960 || got > 40960+2048 {
+		t.Fatalf("filter of 10k rows keeping %d: %d bytes allocated, want the selection's 40960 and at most 2 KiB beside it", kept.Rows(), got)
+	}
+}
+
+// TestRangeFilterAllocatesNoVector: a range predicate over clustered rows
+// keeps one run, finds that out by counting, and hands on a view: under
+// 1 KiB at one partition (the view's header is most of it). Fanned out, the
+// pool's bookkeeping per task comes on top, and still nothing per row — one
+// bool per input row would be 50 000 bytes, one row number per kept row up to
+// 200 000.
+func TestRangeFilterAllocatesNoVector(t *testing.T) {
+	b := allocBatch(t, 50_000, 8)
+	for parts, budget := range map[int]uint64{1: 1 << 10, 0: 4 << 10, 7: 4 << 10} {
+		for _, k := range []int64{0, 12_345, 49_999, 50_000} {
+			pred := Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: k}}
+			got := allocatedBytes(func() {
+				kept, err := parFilter(context.Background(), b, pred, parts)
+				if err != nil || kept.Rows() != 50_000-int(k) {
+					t.Fatalf("id >= %d kept %d rows: %v", k, kept.Rows(), err)
+				}
+			})
+			if got >= budget {
+				t.Errorf("id >= %d over 50k clustered rows at parts %d: %d bytes allocated, budget %d", k, parts, got, budget)
+			}
+		}
 	}
 }
 

@@ -781,9 +781,6 @@ func NewGroupBy(child Operator, groupCols []string, aggs []AggSpec) (*GroupByOp,
 			if t == cast.Timestamp {
 				t = cast.Int64
 			}
-			if a.Fn == AggSum && t == cast.Int64 {
-				t = cast.Int64
-			}
 		default:
 			return nil, fmt.Errorf("%w: unknown aggregate %d", ErrExpr, int(a.Fn))
 		}
@@ -1063,7 +1060,7 @@ func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.
 // columnAt gathers column ci of m at rows into a fresh typed slice for
 // cast.BatchOf.
 func columnAt(m *cast.Batch, ci int, rows []int32) any {
-	v, n, _ := ColRef{Name: m.Schema().Col(ci).Name}.evalVec(m, rows, len(rows))
+	v, n, _ := ColRef{Name: m.Schema().Col(ci).Name}.evalVec(m, selection{rows: rows})
 	return v.column(n)
 }
 

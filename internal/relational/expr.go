@@ -10,21 +10,25 @@ import (
 // Expr is a typed scalar expression over the rows of a batch. Expressions
 // are the WHERE/SELECT language of the relational engine and are also the IR
 // payload adapters receive for filter nodes. The node set is closed (ColRef,
-// Const, Bin, Not): operators evaluate through the unexported vector method.
+// Const, Bin, Not): operators evaluate through the unexported vector methods.
 type Expr interface {
 	// Eval returns the boxed value of the expression for the given row. It
 	// is the reference semantics and serves single-row callers; operators
-	// run evalVec.
+	// run evalSel (predicates) and evalVec (values).
 	Eval(b *cast.Batch, row int) (any, error)
-	// evalVec evaluates the node at the first n positions of the selection
-	// vector sel (nil: rows 0..n-1) over typed column slices (vector.go). It
-	// returns the values of the first ok positions; ok < n means the row at
-	// position ok failed with err, and err is nil otherwise. Operands are
-	// evaluated only as far as earlier operands succeeded, and AND/OR
+	// evalVec evaluates the node at the positions of the selection in, over
+	// typed column slices (vector.go). It returns the values of the first ok
+	// positions; ok < in.len() means the row at position ok failed with err,
+	// and err is nil otherwise. Operands are evaluated only as far as earlier
+	// operands succeeded.
+	evalVec(b *cast.Batch, in selection) (v vec, ok int, err error)
+	// evalSel evaluates the node as a predicate over the rows in names and
+	// returns the ones where it holds. A non-nil err means row fail failed
+	// with it, and holds is then the answer for the rows below fail. AND/OR
 	// evaluate their right side only on the rows the left side leaves
 	// undecided, so the failing row and its error are exactly those of a
 	// row-order loop over Eval.
-	evalVec(b *cast.Batch, sel []int32, n int) (v vec, ok int, err error)
+	evalSel(b *cast.Batch, in selection) (holds selection, fail int, err error)
 	// ResultType returns the expression's type under the given input schema.
 	ResultType(s cast.Schema) (cast.Type, error)
 	// String renders the expression in SQL-ish syntax.

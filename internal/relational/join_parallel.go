@@ -20,8 +20,8 @@ import (
 //
 // Probe: the probe side (when its child can surrender a bulk batch) is split
 // into contiguous row ranges; one task per range computes its matched (left
-// row, build row) pairs as two selection vectors, and both sides are then
-// gathered once, in partition order (takeParts) — the same order-preserving
+// row, build row) pairs as two selections, and both sides are then taken
+// once, in partition order (takeSels) — the same order-preserving
 // discipline parallel.go uses — so the output equals the sequential
 // streaming probe's concatenated batches row for row.
 
@@ -120,10 +120,12 @@ func buildShards[K comparable](ctx context.Context, n, parts int, key func(r int
 }
 
 // probeRange matches rows [lo, hi) of lb's key column li against the table.
-// It returns the matched pairs as two selection vectors — left rows (lb's
-// numbering) and build rows — in left-row order with each left row's matches
-// in build-row order: the sequential emission order.
-func (t *joinTable) probeRange(lb *cast.Batch, li, lo, hi int) (left, right []int32) {
+// It returns the matched pairs as two selections — left rows (lb's numbering)
+// and build rows — in left-row order with each left row's matches in
+// build-row order: the sequential emission order. Unlike a filter's, these
+// lists may repeat a row and the build rows come in any order; a side is a
+// run when the loop saw it be one.
+func (t *joinTable) probeRange(lb *cast.Batch, li, lo, hi int) (left, right selection) {
 	if t.ints != nil {
 		keys, _ := lb.Ints(li)
 		return probeShards(t.ints, lo, hi, func(r int) int64 { return keys[r] }, hashInt)
@@ -131,40 +133,58 @@ func (t *joinTable) probeRange(lb *cast.Batch, li, lo, hi int) (left, right []in
 	return probeShards(t.strs, lo, hi, t.strKey(lb, li), hashKey)
 }
 
-func probeShards[K comparable](shards []map[K][]int32, lo, hi int, key func(r int) K, hash func(K) uint64) (left, right []int32) {
+func probeShards[K comparable](shards []map[K][]int32, lo, hi int, key func(r int) K, hash func(K) uint64) (left, right selection) {
 	mask := uint64(len(shards) - 1)
-	left, right = make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+	// ls stays unlisted while every probe row has matched exactly once: the
+	// left side is then the run [lo, r).
+	var ls []int32
+	rs, consecutive := make([]int32, 0, hi-lo), true
 	for r := lo; r < hi; r++ {
 		k, shard := key(r), shards[0]
 		if mask != 0 {
 			shard = shards[hash(k)&mask]
 		}
-		for _, rr := range shard[k] {
-			left = append(left, int32(r))
-			right = append(right, rr)
+		matches := shard[k]
+		if ls == nil && len(matches) != 1 {
+			ls = runOf(lo, r).list(make([]int32, 0, hi-lo))
 		}
+		for _, rr := range matches {
+			if ls != nil {
+				ls = append(ls, int32(r))
+			}
+			consecutive = consecutive && (len(rs) == 0 || rr == rs[len(rs)-1]+1)
+			rs = append(rs, rr)
+		}
+	}
+	left, right = runOf(lo, hi), selection{rows: rs}
+	if ls != nil {
+		left = selection{rows: ls}
+	}
+	if consecutive && len(rs) > 0 {
+		right = runOf(int(rs[0]), int(rs[0])+len(rs))
 	}
 	return left, right
 }
 
 // parProbe probes in against table across partitions: each computes the
-// matched pairs of its row range, then both sides are gathered once, in
-// partition order, and zipped under schema — the wide-row materialization
-// parallelizes too.
+// matched pairs of its row range, then both sides are handed on as one
+// selection each, in partition order, and zipped under schema. Neither side
+// is gathered here: a consumer that reads three of the joined columns
+// gathers three.
 func parProbe(ctx context.Context, in *cast.Batch, li int, table *joinTable, rightMat *cast.Batch, schema cast.Schema, parts int) (*cast.Batch, error) {
 	ranges := splitRows(in.Rows(), parts)
-	lefts, rights := make([][]int32, len(ranges)), make([][]int32, len(ranges))
+	lefts, rights := make([]selection, len(ranges)), make([]selection, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
 		lefts[i], rights[i] = table.probeRange(in, li, ranges[i].Lo, ranges[i].Hi)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	lg, err := takeParts(ctx, in, lefts)
+	lg, err := takeSels(in, lefts)
 	if err != nil {
 		return nil, err
 	}
-	rg, err := takeParts(ctx, rightMat, rights)
+	rg, err := takeSels(rightMat, rights)
 	if err != nil {
 		return nil, err
 	}

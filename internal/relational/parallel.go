@@ -11,7 +11,7 @@ import (
 // operators (filter, project, group-by): the input is split into fixed
 // contiguous row ranges, one task per partition fans out over the shared
 // bounded scan-worker pool (internal/partition), and the per-partition
-// results — selection vectors for a filter — are merged in partition order.
+// results — selections for a filter — are merged in partition order.
 // The sequential path is the same code at one partition. Because partitions
 // are contiguous row ranges and every merge preserves partition order, any
 // fan-out produces identical results: filters and projections are
@@ -56,81 +56,61 @@ func splitRows(n, parts int) []partition.Range {
 	return partition.Split(n, parts)
 }
 
-// filterRange evaluates pred over every row of b and returns the kept row
-// numbers, shifted by base (the range's offset in the whole input). It stops
-// at the first failing row, with that row's error.
-func filterRange(b *cast.Batch, pred Expr, base int) ([]int32, error) {
-	n := b.Rows()
-	v, ok, err := pred.evalVec(b, nil, n)
-	if ok > 0 && v.t != cast.Bool {
-		_, err = EvalBool(pred, b, 0) // row 0 evaluates, but not to a bool
+// filterRange evaluates pred over rows of b and returns the kept ones. It
+// stops at the first failing row, with that row's error.
+func filterRange(b *cast.Batch, pred Expr, rows selection) (selection, error) {
+	kept, fail, err := pred.evalSel(b, rows)
+	if err == errNotBool {
+		_, err = EvalBool(pred, b, fail) // the row evaluates, but not to a bool
 	}
-	if err != nil {
-		return nil, err
-	}
-	keep, kept := boolsOf(v), 0
-	for i := 0; i < n; i++ {
-		if keep.at(i) {
-			kept++
-		}
-	}
-	sel := make([]int32, 0, kept)
-	for i := 0; i < n; i++ {
-		if keep.at(i) {
-			sel = append(sel, int32(base+i))
-		}
-	}
-	return sel, nil
+	return kept, err
 }
 
 // parFilter filters in across partitions: each computes the selection of its
-// row range, and the kept rows are gathered once, in partition order.
+// row range — in's own row numbers, so no partition needs a view — and the
+// selections are handed on, in partition order, as one.
 func parFilter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast.Batch, error) {
 	ranges := splitRows(in.Rows(), parts)
-	sels := make([][]int32, len(ranges))
+	sels := make([]selection, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
-		view := in // a single range is the input itself
-		if len(ranges) > 1 {
-			if view, err = in.ViewRange(ranges[i].Lo, ranges[i].Hi); err != nil {
-				return err
-			}
-		}
-		sels[i], err = filterRange(view, pred, ranges[i].Lo)
+		sels[i], err = filterRange(in, pred, runOf(ranges[i].Lo, ranges[i].Hi))
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return takeParts(ctx, in, sels)
+	return takeSels(in, sels)
 }
 
-// takeParts returns the rows of src the per-partition selections name, in
-// partition order. One unbroken row run (a range predicate over clustered
-// rows, a join whose every row matches once) is a zero-copy view; anything
-// else is gathered into a batch allocated once at its final size, every
-// partition filling its own disjoint row range on the pool.
-func takeParts(ctx context.Context, src *cast.Batch, sels [][]int32) (*cast.Batch, error) {
-	at, total, first, run := make([]int, len(sels)), 0, 0, true
-	for i, sel := range sels {
-		if total == 0 && len(sel) > 0 {
-			first = int(sel[0])
+// takeSels returns the rows of src the per-partition selections name, in
+// partition order. Runs that meet end to end — a range predicate over
+// clustered rows, a join whose every row matches once — are one zero-copy
+// view; anything else is one selection vector handed to cast.Batch.Take,
+// which gathers nothing until a column is read.
+func takeSels(src *cast.Batch, sels []selection) (*cast.Batch, error) {
+	var all selection // the one piece, while there is only one
+	pieces, total := 0, 0
+	for _, sel := range sels {
+		if sel.len() == 0 {
+			continue
 		}
-		for j := 0; run && j < len(sel); j++ {
-			run = int(sel[j]) == first+total+j
+		total += sel.len()
+		if pieces == 1 && all.rows == nil && sel.rows == nil && all.hi == sel.lo {
+			all.hi = sel.hi
+			continue
 		}
-		at[i] = total
-		total += len(sel)
+		all = sel
+		pieces++
 	}
-	if run && total > 0 {
-		return src.ViewRange(first, first+total)
+	if pieces > 1 {
+		all = selection{rows: make([]int32, 0, total)}
+		for _, sel := range sels {
+			all.rows = sel.list(all.rows)
+		}
 	}
-	out := cast.NewBatchRows(src.Schema(), total)
-	if err := partition.Shared().Do(ctx, len(sels), func(i int) error {
-		out.CopyRows(at[i], src, sels[i])
-		return nil
-	}); err != nil {
-		return nil, err
+	if all.rows == nil {
+		return src.ViewRange(all.lo, all.hi)
 	}
-	return out, nil
+	return src.Take(all.rows), nil
 }
 
 // projectRange evaluates items over every row of b into a batch under schema.
@@ -148,7 +128,7 @@ func projectRange(b *cast.Batch, items []ProjItem, schema cast.Schema) (*cast.Ba
 	var firstErr error
 	vecs, upto := make([]vec, len(items)), n
 	for i, it := range items {
-		v, ok, err := it.E.evalVec(b, nil, upto)
+		v, ok, err := it.E.evalVec(b, runOf(0, upto))
 		if err != nil {
 			firstErr, upto = err, ok
 		}

@@ -167,6 +167,59 @@ func BenchmarkSortBy50k(b *testing.B) {
 	}
 }
 
+// BenchmarkSortLimit50 is ORDER BY … LIMIT 50 out to the wire: sort the same
+// 50k rows, keep the first 50, encode them. Only the 50 are ever gathered.
+func BenchmarkSortLimit50(b *testing.B) {
+	in, err := benchTable(b).Snapshot().ViewRange(0, 50_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sorted, err := in.SortBy(cast.SortKey{Col: "val", Desc: true}, cast.SortKey{Col: "id"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		top, err := sorted.ViewRange(0, 50)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = top.AppendJSONRows(buf[:0], 0, top.Rows()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFilterReadOneColumn is BenchmarkFilterSequential with a consumer:
+// the 200k-row filter, then the sum of one column of what it kept — so a
+// filter that defers its gather is charged for the column somebody reads.
+func BenchmarkFilterReadOneColumn(b *testing.B) {
+	tab := benchTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewFilter(NewSeqScan(tab), pred())
+		f.Parts = 1
+		kept, err := Run(context.Background(), f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals, err := kept.Floats(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum := 0.0
+		for _, v := range vals {
+			sum += v
+		}
+		if sum <= 0 {
+			b.Fatal("nothing kept")
+		}
+	}
+}
+
 // BenchmarkRunEmitSingleBatch drains an operator that yields one batch — the
 // hand-off every adapter node ends with; it must cost no copy.
 func BenchmarkRunEmitSingleBatch(b *testing.B) {

@@ -1,19 +1,148 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"polystorepp/internal/cast"
 )
 
-// This file is the vector evaluator, the only one the operators call: every
-// Expr node evaluates over a batch and a selection vector of row numbers in
-// one pass over typed column slices, with no boxing. Row-at-a-time Eval
+// This file is the vector evaluator, the only one the operators call. It has
+// two halves. A predicate evaluates to a selection (evalSel): the rows of its
+// input selection where it holds, as a run [lo, hi) or a list of row numbers
+// — no bool vector is built for a comparison, AND, OR or NOT, so a range
+// predicate over clustered rows allocates nothing and any other comparison
+// allocates one list of its survivor count. A value evaluates to a vector
+// (evalVec) over typed column slices, with no boxing. Row-at-a-time Eval
 // remains the reference the property tests compare against and the source of
 // every error value: a kernel reports only *where* evaluation fails, and the
 // error is whatever Eval returns for that row. A hardware kernel for filter
-// or project would replace the typed loops (cmpVec, arithVec) behind
-// hw.Device; nothing above them would change.
+// or project would replace the typed loops (cmpSel — stream compaction —
+// and arithVec) behind hw.Device; nothing above them would change.
+
+// selection names rows of a batch in ascending order: the run [lo, hi) while
+// rows is nil, the listed rows otherwise. The kernels hand on a list only
+// for rows that are not one run.
+type selection struct {
+	lo, hi int
+	rows   []int32
+}
+
+func runOf(lo, hi int) selection { return selection{lo: lo, hi: hi} }
+
+// listOf is the selection of an ascending list — as a run when it is one,
+// which for distinct ascending rows the two ends tell.
+func listOf(rows []int32) selection {
+	switch n := len(rows); {
+	case n == 0:
+		return selection{}
+	case int(rows[n-1]-rows[0]) == n-1:
+		return runOf(int(rows[0]), int(rows[n-1])+1)
+	}
+	return selection{rows: rows}
+}
+
+func (s selection) len() int {
+	if s.rows != nil {
+		return len(s.rows)
+	}
+	return s.hi - s.lo
+}
+
+// at returns the row at position i. The receiver is a pointer, like
+// operand.at's, because the kernels call both once per row: inlined with a
+// value receiver, each call copies the struct through the stack, and how long
+// that takes turns on where the goroutine's frame happens to lie (measured:
+// the same filter 5x slower on a pool worker than inline).
+func (s *selection) at(i int) int {
+	if s.rows != nil {
+		return int(s.rows[i])
+	}
+	return s.lo + i
+}
+
+// below returns the rows under row.
+func (s selection) below(row int) selection {
+	if s.rows != nil {
+		n, _ := slices.BinarySearch(s.rows, int32(row))
+		return listOf(s.rows[:n])
+	}
+	return runOf(s.lo, max(s.lo, min(s.hi, row)))
+}
+
+// span returns positions [p, q), sharing s's list.
+func (s selection) span(p, q int) selection {
+	if s.rows != nil {
+		return listOf(s.rows[p:q])
+	}
+	return runOf(s.lo+p, s.lo+q)
+}
+
+// minus returns the rows of s that t, a subset of it, does not name.
+func (s selection) minus(t selection) selection {
+	n := s.len() - t.len()
+	switch {
+	case t.len() == 0:
+		return s
+	case n == 0:
+		return selection{}
+	case s.rows == nil && t.rows == nil && t.lo == s.lo:
+		return runOf(t.hi, s.hi)
+	case s.rows == nil && t.rows == nil && t.hi == s.hi:
+		return runOf(s.lo, t.lo)
+	}
+	out := make([]int32, 0, n)
+	for i, j := 0, 0; i < s.len(); i++ {
+		if r := s.at(i); j < t.len() && t.at(j) == r {
+			j++
+		} else {
+			out = append(out, int32(r))
+		}
+	}
+	return listOf(out)
+}
+
+// union merges two disjoint selections.
+func union(s, t selection) selection {
+	switch {
+	case s.len() == 0:
+		return t
+	case t.len() == 0:
+		return s
+	case s.rows == nil && t.rows == nil && s.hi == t.lo:
+		return runOf(s.lo, t.hi)
+	case s.rows == nil && t.rows == nil && t.hi == s.lo:
+		return runOf(t.lo, s.hi)
+	}
+	out := make([]int32, 0, s.len()+t.len())
+	i, j := 0, 0
+	for i < s.len() && j < t.len() {
+		if a, b := s.at(i), t.at(j); a < b {
+			out, i = append(out, int32(a)), i+1
+		} else {
+			out, j = append(out, int32(b)), j+1
+		}
+	}
+	for ; i < s.len(); i++ {
+		out = append(out, int32(s.at(i)))
+	}
+	for ; j < t.len(); j++ {
+		out = append(out, int32(t.at(j)))
+	}
+	return listOf(out)
+}
+
+// list returns the selection's rows as a list, appended to dst.
+func (s selection) list(dst []int32) []int32 {
+	if s.rows != nil {
+		return append(dst, s.rows...)
+	}
+	for r := s.lo; r < s.hi; r++ {
+		dst = append(dst, int32(r))
+	}
+	return dst
+}
 
 // vec is the value of one expression at the positions of a selection.
 type vec struct {
@@ -25,8 +154,10 @@ type vec struct {
 	flts  []float64
 	strs  []string
 	bools []bool
-	// sel is set on column storage: position i reads element sel[i]. Computed
-	// vectors are dense (position i reads element i), constants read element 0.
+	// sel is set on column storage read through a list: position i reads
+	// element sel[i]. Column storage under a run starts at the run's first
+	// row, and computed vectors are dense (position i reads element i);
+	// constants read element 0.
 	sel   []int32
 	konst bool
 }
@@ -38,7 +169,7 @@ type operand[T any] struct {
 	konst bool
 }
 
-func (o operand[T]) at(i int) T {
+func (o *operand[T]) at(i int) T {
 	switch {
 	case o.konst:
 		return o.v[0]
@@ -53,42 +184,56 @@ func fltsOf(v vec) operand[float64] { return operand[float64]{v.flts, v.sel, v.k
 func strsOf(v vec) operand[string]  { return operand[string]{v.strs, v.sel, v.konst} }
 func boolsOf(v vec) operand[bool]   { return operand[bool]{v.bools, v.sel, v.konst} }
 
-// rowErr is the error Eval reports for the row at position i of sel (nil:
-// row i) — the error of a position a kernel found failing.
-func rowErr(e Expr, b *cast.Batch, sel []int32, i int) error {
-	if sel != nil {
-		i = int(sel[i])
-	}
-	if _, err := e.Eval(b, i); err != nil {
+// rowErr is the error Eval reports for row — the error of a row a kernel
+// found failing.
+func rowErr(e Expr, b *cast.Batch, row int) error {
+	if _, err := e.Eval(b, row); err != nil {
 		return err
 	}
-	return fmt.Errorf("%w: vector and row evaluation of %s disagree at row %d", ErrExpr, e, i)
+	return fmt.Errorf("%w: vector and row evaluation of %s disagree at row %d", ErrExpr, e, row)
 }
 
-func (c ColRef) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
-	if n == 0 {
+// errNotBool is what evalSel answers for an expression that evaluates, but
+// not to a boolean: the node above (or the filter) words the error, as Eval
+// words it there.
+var errNotBool = errors.New("not a boolean")
+
+// under returns a column's storage as positions of in address it.
+func under[T any](col []T, in selection) []T {
+	if in.rows != nil {
+		return col
+	}
+	return col[in.lo:in.hi]
+}
+
+func (c ColRef) evalVec(b *cast.Batch, in selection) (vec, int, error) {
+	if in.len() == 0 {
 		return vec{}, 0, nil
 	}
 	idx, err := b.Schema().Index(BaseName(c.Name))
 	if err != nil {
 		return vec{}, 0, err
 	}
-	v := vec{t: b.Schema().Col(idx).Type, sel: sel}
+	v := vec{t: b.Schema().Col(idx).Type, sel: in.rows}
 	switch v.t {
 	case cast.Int64, cast.Timestamp:
 		v.t = cast.Int64
-		v.ints, _ = b.Ints(idx)
+		col, _ := b.Ints(idx)
+		v.ints = under(col, in)
 	case cast.Float64:
-		v.flts, _ = b.Floats(idx)
+		col, _ := b.Floats(idx)
+		v.flts = under(col, in)
 	case cast.String:
-		v.strs, _ = b.Strings(idx)
+		col, _ := b.Strings(idx)
+		v.strs = under(col, in)
 	case cast.Bool:
-		v.bools, _ = b.Bools(idx)
+		col, _ := b.Bools(idx)
+		v.bools = under(col, in)
 	}
-	return v, n, nil
+	return v, in.len(), nil
 }
 
-func (c Const) evalVec(_ *cast.Batch, _ []int32, n int) (vec, int, error) {
+func (c Const) evalVec(_ *cast.Batch, in selection) (vec, int, error) {
 	v := vec{konst: true}
 	switch x := c.V.(type) {
 	case int64:
@@ -100,113 +245,193 @@ func (c Const) evalVec(_ *cast.Batch, _ []int32, n int) (vec, int, error) {
 	case bool:
 		v.t, v.bools = cast.Bool, []bool{x}
 	}
-	return v, n, nil
+	return v, in.len(), nil
 }
 
-func (x Not) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
-	v, ok, err := x.E.evalVec(b, sel, n)
+func (c ColRef) evalSel(b *cast.Batch, in selection) (selection, int, error) {
+	return valueSel(c, b, in)
+}
+func (c Const) evalSel(b *cast.Batch, in selection) (selection, int, error) {
+	return valueSel(c, b, in)
+}
+
+// valueSel is evalSel for a node that produces values: a bool column or
+// constant selects the rows where it is true, anything else is errNotBool
+// at the first row.
+func valueSel(e Expr, b *cast.Batch, in selection) (selection, int, error) {
+	v, ok, err := e.evalVec(b, in)
 	if ok > 0 && v.t != cast.Bool {
-		return vec{}, 0, rowErr(x, b, sel, 0)
+		return selection{}, in.at(0), errNotBool
 	}
-	in, out := boolsOf(v), make([]bool, ok)
-	for i := range out {
-		out[i] = !in.at(i)
+	count, first, last, keep := 0, 0, -1, boolsOf(v)
+	for i := 0; i < ok; i++ {
+		if keep.at(i) {
+			if count == 0 {
+				first = i
+			}
+			count, last = count+1, i
+		}
 	}
-	return vec{t: cast.Bool, bools: out}, ok, err
+	out := in.span(first, last+1)
+	if count != last-first+1 {
+		rows := make([]int32, 0, count)
+		for i := first; i <= last; i++ {
+			if keep.at(i) {
+				rows = append(rows, int32(in.at(i)))
+			}
+		}
+		out = selection{rows: rows}
+	}
+	if err != nil {
+		return out, in.at(ok), err
+	}
+	return out, 0, nil
 }
 
-func (x Bin) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
-	if x.Op.IsLogical() {
-		return x.evalLogical(b, sel, n)
+// boolVec is evalVec for a node that produces a selection — a comparison, a
+// logical operator, NOT — where a projection wants its value per row.
+func boolVec(x Expr, b *cast.Batch, in selection) (vec, int, error) {
+	holds, fail, err := x.evalSel(b, in)
+	n := in.len()
+	if err != nil {
+		n = in.below(fail).len()
 	}
-	l, nl, lerr := x.L.evalVec(b, sel, n)
-	r, m, rerr := x.R.evalVec(b, sel, nl)
-	out, ok := x.apply(l, r, m)
+	out := make([]bool, n)
+	for i, j := 0, 0; j < holds.len(); i++ {
+		if in.at(i) == holds.at(j) {
+			out[i], j = true, j+1
+		}
+	}
+	return vec{t: cast.Bool, bools: out}, n, err
+}
+
+func (x Not) evalVec(b *cast.Batch, in selection) (vec, int, error) { return boolVec(x, b, in) }
+
+func (x Not) evalSel(b *cast.Batch, in selection) (selection, int, error) {
+	holds, fail, err := x.E.evalSel(b, in)
 	switch {
-	case ok < m:
-		return out, ok, rowErr(x, b, sel, ok)
+	case err == errNotBool:
+		return selection{}, fail, rowErr(x, b, fail)
+	case err != nil:
+		in = in.below(fail)
+	}
+	return in.minus(holds), fail, err
+}
+
+// operands evaluates both sides of x: the values of the first m positions,
+// and of the failure that stopped it short of in (if one did) the row and
+// the error. The right side is evaluated only as far as the left succeeded.
+func (x Bin) operands(b *cast.Batch, in selection) (l, r vec, m, fail int, err error) {
+	l, nl, lerr := x.L.evalVec(b, in)
+	r, m, rerr := x.R.evalVec(b, in.span(0, nl))
+	switch {
 	case m < nl:
-		return out, m, rerr
+		return l, r, m, in.at(m), rerr
+	case lerr != nil:
+		return l, r, m, in.at(nl), lerr
 	}
-	return out, nl, lerr
+	return l, r, m, 0, nil
 }
 
-// evalLogical is AND/OR: the left value decides a row when it is false (AND)
-// or true (OR); only the other rows evaluate the right side.
-func (x Bin) evalLogical(b *cast.Batch, sel []int32, n int) (vec, int, error) {
-	l, nl, lerr := x.L.evalVec(b, sel, n)
-	if nl > 0 && l.t != cast.Bool {
-		return vec{}, 0, rowErr(x, b, sel, 0)
+func (x Bin) evalVec(b *cast.Batch, in selection) (vec, int, error) {
+	if x.Op.IsComparison() || x.Op.IsLogical() {
+		return boolVec(x, b, in)
 	}
-	lb, out := boolsOf(l), make([]bool, nl)
-	undecided, open := x.Op == OpAnd, 0 // the left value that decides nothing
-	for i := range out {
-		if out[i] = lb.at(i); out[i] == undecided {
-			open++
-		}
+	l, r, m, _, err := x.operands(b, in)
+	out, ok := x.arith(l, r, m)
+	if ok < m {
+		return out, ok, rowErr(x, b, in.at(ok))
 	}
-	pos := make([]int32, 0, open) // positions the left side leaves undecided
-	for i, v := range out {
-		if v == undecided {
-			pos = append(pos, int32(i))
-		}
-	}
-	rows := pos
-	if sel != nil {
-		rows = make([]int32, open)
-		for j, p := range pos {
-			rows[j] = sel[p]
-		}
-	}
-	r, nr, rerr := x.R.evalVec(b, rows, open)
-	res := vec{t: cast.Bool, bools: out}
-	if nr > 0 && r.t != cast.Bool {
-		return res, int(pos[0]), rowErr(x, b, sel, int(pos[0]))
-	}
-	rb := boolsOf(r)
-	for j := 0; j < nr; j++ {
-		out[pos[j]] = rb.at(j)
-	}
-	if nr < open {
-		return res, int(pos[nr]), rerr
-	}
-	return res, nl, lerr
+	return out, m, err
 }
 
-// apply runs a comparison or arithmetic operator over the first m positions
-// of its operands and returns how many succeeded: fewer than m means that
-// position fails (the first zero divisor, or position 0 for operand types
-// the operator does not accept).
-func (x Bin) apply(l, r vec, m int) (vec, int) {
-	if m == 0 {
-		return vec{}, 0
+func (x Bin) evalSel(b *cast.Batch, in selection) (selection, int, error) {
+	switch {
+	case x.Op.IsLogical():
+		return x.logicalSel(b, in)
+	case !x.Op.IsComparison():
+		return valueSel(x, b, in)
 	}
+	l, r, m, fail, err := x.operands(b, in)
+	holds, ok := x.compare(l, r, in, m)
+	if ok < m {
+		return holds, in.at(ok), rowErr(x, b, in.at(ok))
+	}
+	return holds, fail, err
+}
+
+// logicalSel is AND/OR. AND hands the right side the rows the left side
+// keeps; OR hands it the rows the left side drops and merges what the two
+// keep. Either way the right side sees only rows the left leaves undecided —
+// which is the short circuit — and only rows below the left side's failure,
+// so the lowest failing row and its error are a row-order loop's.
+func (x Bin) logicalSel(b *cast.Batch, in selection) (selection, int, error) {
+	l, fail, err := x.L.evalSel(b, in)
+	switch {
+	case err == errNotBool:
+		return selection{}, fail, rowErr(x, b, fail)
+	case err != nil:
+		in = in.below(fail)
+	}
+	open := l
+	if x.Op == OpOr {
+		open = in.minus(l)
+	}
+	r, rfail, rerr := x.R.evalSel(b, open)
+	if rerr == errNotBool {
+		r, rerr = selection{}, rowErr(x, b, rfail)
+	}
+	if rerr != nil {
+		fail, err, l = rfail, rerr, l.below(rfail)
+	}
+	if x.Op == OpOr {
+		r = union(l, r)
+	}
+	return r, fail, err
+}
+
+// widen converts the int64 side of an int64-float64 pair to float64.
+func widen(l, r vec, m int) (vec, vec) {
 	switch {
 	case l.t == cast.Int64 && r.t == cast.Float64:
 		l = convert(l, m)
 	case l.t == cast.Float64 && r.t == cast.Int64:
 		r = convert(r, m)
 	}
-	if l.t != r.t {
+	return l, r
+}
+
+// compare runs a comparison over the first m positions of its operands and
+// returns the rows of in where it holds and how many positions it accepted:
+// fewer than m (position 0) means operand types it does not compare.
+func (x Bin) compare(l, r vec, in selection, m int) (selection, int) {
+	if m == 0 {
+		return selection{}, 0
+	}
+	if l, r = widen(l, r, m); l.t != r.t {
+		return selection{}, 0
+	}
+	switch l.t {
+	case cast.Int64:
+		return cmpSel(x.Op, intsOf(l), intsOf(r), in, m), m
+	case cast.Float64:
+		return cmpSel(x.Op, fltsOf(l), fltsOf(r), in, m), m
+	case cast.String:
+		return cmpSel(x.Op, strsOf(l), strsOf(r), in, m), m
+	case cast.Bool:
+		return cmpSel(x.Op, intsOf(convert(l, m)), intsOf(convert(r, m)), in, m), m
+	}
+	return selection{}, 0
+}
+
+// arith runs + - * / over the first m positions of its operands and returns
+// how many succeeded: fewer than m means that position fails (the first zero
+// divisor, or position 0 for operand types the operator does not accept).
+func (x Bin) arith(l, r vec, m int) (vec, int) {
+	if m == 0 || !x.Op.isArith() {
 		return vec{}, 0
 	}
-	if x.Op.IsComparison() {
-		var out []bool
-		switch l.t {
-		case cast.Int64:
-			out = cmpVec(x.Op, intsOf(l), intsOf(r), m)
-		case cast.Float64:
-			out = cmpVec(x.Op, fltsOf(l), fltsOf(r), m)
-		case cast.String:
-			out = cmpVec(x.Op, strsOf(l), strsOf(r), m)
-		case cast.Bool:
-			out = cmpVec(x.Op, intsOf(convert(l, m)), intsOf(convert(r, m)), m)
-		default:
-			return vec{}, 0
-		}
-		return vec{t: cast.Bool, bools: out}, m
-	}
-	if !x.Op.isArith() {
+	if l, r = widen(l, r, m); l.t != r.t {
 		return vec{}, 0
 	}
 	switch l.t {
@@ -292,21 +517,43 @@ var cmpHolds = [...][3]bool{
 	OpGt: {false, false, true}, OpGe: {false, true, true},
 }
 
-// cmpVec compares m positions in cast.CompareValues' ordering: a NaN is
-// neither below nor above anything, so it compares equal to everything.
-func cmpVec[T int64 | float64 | string](op BinOp, l, r operand[T], m int) []bool {
-	holds, out := cmpHolds[op], make([]bool, m)
-	for i := range out {
-		switch a, b := l.at(i), r.at(i); {
-		case a < b:
-			out[i] = holds[0]
-		case a > b:
-			out[i] = holds[2]
-		default:
-			out[i] = holds[1]
+// holdsFor compares in cast.CompareValues' ordering: a NaN is neither below
+// nor above anything, so it compares equal to everything.
+func holdsFor[T int64 | float64 | string](holds [3]bool, a, b T) bool {
+	switch {
+	case a < b:
+		return holds[0]
+	case a > b:
+		return holds[2]
+	}
+	return holds[1]
+}
+
+// cmpSel compares m positions and returns the rows of in where the
+// comparison holds. The first pass counts the survivors and finds the first
+// and the last; when they are consecutive positions the answer is a span of
+// in and nothing is allocated, otherwise a second pass over that stretch
+// fills a list of exactly the count.
+func cmpSel[T int64 | float64 | string](op BinOp, l, r operand[T], in selection, m int) selection {
+	holds, count, first, last := cmpHolds[op], 0, 0, -1
+	for i := 0; i < m; i++ {
+		if holdsFor(holds, l.at(i), r.at(i)) {
+			if count == 0 {
+				first = i
+			}
+			count, last = count+1, i
 		}
 	}
-	return out
+	if count == last-first+1 {
+		return in.span(first, last+1)
+	}
+	rows := make([]int32, 0, count)
+	for i := first; i <= last; i++ {
+		if holdsFor(holds, l.at(i), r.at(i)) {
+			rows = append(rows, int32(in.at(i)))
+		}
+	}
+	return selection{rows: rows}
 }
 
 // arith is one + - * / ; the caller has excluded a zero integer divisor.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -276,9 +277,9 @@ func (c counted) Eval(b *cast.Batch, row int) (any, error) {
 	return c.Expr.Eval(b, row)
 }
 
-func (c counted) evalVec(b *cast.Batch, sel []int32, n int) (vec, int, error) {
+func (c counted) evalVec(b *cast.Batch, in selection) (vec, int, error) {
 	*c.calls++
-	return c.Expr.evalVec(b, sel, n)
+	return c.Expr.evalVec(b, in)
 }
 
 // TestFilterStopsAtFirstError: a predicate whose comparison mismatches types
@@ -365,5 +366,161 @@ func TestIndexScanReadsItsOpenSnapshot(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("scan saw %d rows, want the %d present at Open", got.Rows(), want.Rows())
+	}
+}
+
+// shapeBatch is 210 clustered rows — 7 partitions of 30 — with the columns the
+// shape predicates below pick survivors by.
+func shapeBatch(t testing.TB) *cast.Batch {
+	t.Helper()
+	b := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "alt", Type: cast.Int64},
+		cast.Column{Name: "s", Type: cast.String},
+		cast.Column{Name: "flag", Type: cast.Bool},
+	), 210)
+	for i := 0; i < 210; i++ {
+		if err := b.AppendRow(int64(i), int64(i%2), fmt.Sprint("s", i%3), i%5 < 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// shapeLeaves are predicates whose survivors take each shape the selection
+// kernels special-case — none, all, one run, a run at either end, one run
+// per partition (at 7), alternating rows, a bool column — and three that
+// fail: on row 2, on row 150, and (a type mismatch) on whichever row is
+// evaluated first.
+func shapeLeaves() []Expr {
+	id, n := ColRef{Name: "id"}, func(v int64) Expr { return Const{V: v} }
+	cmp := func(op BinOp, l, r Expr) Expr { return Bin{Op: op, L: l, R: r} }
+	and := func(l, r Expr) Expr { return Bin{Op: OpAnd, L: l, R: r} }
+	in30 := Bin{Op: OpSub, L: id, R: Bin{Op: OpMul, L: Bin{Op: OpDiv, L: id, R: n(30)}, R: n(30)}} // id % 30
+	return []Expr{
+		cmp(OpLt, id, n(0)), // none
+		cmp(OpGe, id, n(0)), // all
+		and(cmp(OpGe, id, n(50)), cmp(OpLt, id, n(120))),                               // one run
+		cmp(OpLt, id, n(45)),                                                           // a run at the start
+		cmp(OpGe, id, n(171)),                                                          // a run at the end
+		and(cmp(OpGe, in30, n(10)), cmp(OpLt, in30, n(20))),                            // one run per partition
+		cmp(OpEq, ColRef{Name: "alt"}, n(1)),                                           // alternating rows
+		ColRef{Name: "flag"},                                                           // a bool column
+		cmp(OpEq, ColRef{Name: "s"}, Const{V: "s1"}),                                   // every third row
+		cmp(OpGt, Bin{Op: OpDiv, L: n(10), R: Bin{Op: OpSub, L: id, R: n(2)}}, n(1)),   // fails on row 2
+		cmp(OpGt, Bin{Op: OpDiv, L: n(10), R: Bin{Op: OpSub, L: id, R: n(150)}}, n(1)), // fails on row 150
+		cmp(OpEq, ColRef{Name: "s"}, n(1)),                                             // fails wherever it is first evaluated
+	}
+}
+
+// rowLoop is the reference: EvalBool over rows, in order, to the first error.
+// It returns the rows kept and how many were evaluated before the error.
+func rowLoop(pred Expr, b *cast.Batch, rows []int32) (kept []int32, evaluated int, err error) {
+	for i, r := range rows {
+		ok, rerr := EvalBool(pred, b, int(r))
+		if rerr != nil {
+			return kept, i, rerr
+		}
+		if ok {
+			kept = append(kept, r)
+		}
+	}
+	return kept, len(rows), nil
+}
+
+// TestSelectionKernelShapes: every survivor shape the kernels special-case,
+// nested three deep under AND, OR and NOT, keeps the rows of a row-order
+// EvalBool loop at 1, 2, 7 and 64 partitions, or fails with that loop's first
+// error — the lowest failing row's, and there the leftmost item's — whether
+// the failing item sits behind a guard that admits it or one that does not.
+func TestSelectionKernelShapes(t *testing.T) {
+	b, leaves := shapeBatch(t), shapeLeaves()
+	all := runOf(0, b.Rows()).list(nil)
+	var preds []Expr
+	for _, p := range leaves {
+		preds = append(preds, p, Not{E: p})
+		for _, q := range leaves {
+			preds = append(preds,
+				Bin{Op: OpAnd, L: p, R: q}, Bin{Op: OpOr, L: p, R: q},
+				Bin{Op: OpAnd, L: p, R: Not{E: q}}, Not{E: Bin{Op: OpOr, L: p, R: q}},
+				Bin{Op: OpOr, L: Bin{Op: OpAnd, L: p, R: q}, R: Bin{Op: OpAnd, L: Not{E: p}, R: Not{E: q}}})
+		}
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 400; i++ { // and three levels of the same, at random
+		pick := func() Expr { return preds[rng.Intn(len(preds))] }
+		preds = append(preds, Bin{Op: OpAnd + BinOp(rng.Intn(2)), L: pick(), R: Not{E: Bin{Op: OpAnd + BinOp(rng.Intn(2)), L: pick(), R: pick()}}})
+	}
+	for _, pred := range preds {
+		want, _, wantErr := rowLoop(pred, b, all)
+		for _, parts := range partCounts {
+			op := NewFilter(&memSource{b: b}, pred)
+			op.Parts = parts
+			got, err := Run(context.Background(), op)
+			if !sameError(err, wantErr) {
+				t.Fatalf("parts %d: %s\nerror %v, row loop says %v", parts, pred, err, wantErr)
+			}
+			if err == nil && !sameBatch(got, b.Take(want)) {
+				t.Fatalf("parts %d: %s\nkept %d rows, row loop keeps %d", parts, pred, got.Rows(), len(want))
+			}
+		}
+	}
+}
+
+// TestPredicateOverSelectedInput: a predicate handed rows some earlier step
+// selected — a run that does not start at row 0, a scattered list — answers
+// for exactly those rows, as a selection and (where a projection wants the
+// value) as a bool vector, and reports the first failing row among them.
+func TestPredicateOverSelectedInput(t *testing.T) {
+	b, leaves := shapeBatch(t), shapeLeaves()
+	inputs := []selection{
+		runOf(0, 0), runOf(40, 41), runOf(3, 177), runOf(150, 210),
+		{rows: []int32{0}}, {rows: []int32{2, 3, 150}}, {rows: []int32{1, 4, 5, 6, 90, 91, 92, 151, 209}},
+	}
+	var odd []int32
+	for r := int32(1); r < 210; r += 2 {
+		odd = append(odd, r)
+	}
+	inputs = append(inputs, selection{rows: odd})
+	var preds []Expr
+	for _, p := range leaves {
+		preds = append(preds, p, Not{E: p})
+		for _, q := range leaves {
+			preds = append(preds, Bin{Op: OpAnd, L: p, R: q}, Bin{Op: OpOr, L: Not{E: p}, R: q})
+		}
+	}
+	for _, pred := range preds {
+		for _, in := range inputs {
+			rows := in.list(nil)
+			want, evaluated, wantErr := rowLoop(pred, b, rows)
+			got, err := filterRange(b, pred, in)
+			if !sameError(err, wantErr) {
+				t.Fatalf("%s over %v: error %v, row loop says %v", pred, in, err, wantErr)
+			}
+			if err == nil && !slices.Equal(got.list(nil), want) {
+				t.Fatalf("%s over %v keeps %v, row loop keeps %v", pred, in, got.list(nil), want)
+			}
+			if _, isCol := pred.(ColRef); isCol {
+				continue // a column's vector is its storage, not a fresh bool slice
+			}
+			// The same predicate as a value: one bool per input position, up
+			// to the failing one.
+			v, ok, verr := pred.evalVec(b, in)
+			if !sameError(verr, wantErr) {
+				t.Fatalf("%s over %v: evalVec error %v, row loop says %v", pred, in, verr, wantErr)
+			}
+			if ok != evaluated {
+				t.Fatalf("%s over %v: evalVec answered %d positions, row loop evaluates %d before %v", pred, in, ok, evaluated, wantErr)
+			}
+			for i, j := 0, 0; i < ok; i++ {
+				holds := j < len(want) && want[j] == rows[i]
+				if holds {
+					j++
+				}
+				if v.t != cast.Bool || v.bools[i] != holds {
+					t.Fatalf("%s over %v: position %d (row %d) reads %v, want %v", pred, in, i, rows[i], v.bools[i], holds)
+				}
+			}
+		}
 	}
 }

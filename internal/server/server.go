@@ -893,17 +893,21 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	return res, rep, hit, nil
 }
 
-// pruneToSinks drops intermediate node values before caching: responses
-// only ever read sink values, and a cached entry pinning every migrated
-// intermediate batch for its LRU lifetime multiplies resident memory by the
-// plan's node count for no serving benefit.
+// pruneToSinks trims a result to what a cached entry should hold for its LRU
+// lifetime. Intermediate node values go: responses only ever read sink
+// values, and an entry pinning every migrated intermediate batch multiplies
+// resident memory by the plan's node count for no serving benefit. And a
+// selection-backed sink batch is compacted: the 50 rows of an ORDER BY …
+// LIMIT 50 would otherwise keep the whole sorted input alive behind a charge
+// of 50 rows.
 func pruneToSinks(res *core.Results) *core.Results {
-	if len(res.Values) == len(res.Sinks) {
-		return res
-	}
 	vals := make(map[ir.NodeID]adapter.Value, len(res.Sinks))
 	for _, s := range res.Sinks {
-		vals[s] = res.Values[s]
+		v := res.Values[s]
+		if v.Batch != nil {
+			v.Batch = v.Batch.Compact()
+		}
+		vals[s] = v
 	}
 	return &core.Results{Values: vals, Sinks: res.Sinks}
 }

@@ -391,6 +391,23 @@ func TestStreamMidStreamErrorInBand(t *testing.T) {
 	}
 }
 
+// TestFilterDivisionBehindGuard: AND hands its right side only the rows its
+// left side keeps. A zero divisor on a row the guard admits still fails the
+// statement — 500, a data-caused failure — and one the guard excludes is
+// never evaluated.
+func TestFilterDivisionBehindGuard(t *testing.T) {
+	ts := newStreamTestServer(t, polystore.ServeConfig{})
+	code, _, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT k FROM points WHERE k < 5 AND 10 / (k - 2) > 1"}`)
+	if code != http.StatusInternalServerError || !strings.Contains(raw, "division by zero") {
+		t.Fatalf("row 2 divides by zero behind a guard that admits it: status %d: %s", code, raw)
+	}
+	code, resp, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT k FROM points WHERE k > 5 AND k < 10 AND 10 / (k - 2) > 1"}`)
+	// 10/(k-2) is 2, 2, 1, 1 for k = 6..9: the rows above 1 are 6 and 7.
+	if code != http.StatusOK || resp.RowCount != 2 {
+		t.Fatalf("a guard that excludes the zero divisor: status %d, %d rows: %s", code, resp.RowCount, raw)
+	}
+}
+
 // TestNonFiniteFloatFailsLoudly: JSON cannot carry ±Inf or NaN, so a result
 // holding one fails the request where the client can see it — /query with a
 // 500 and its reason, /query/stream with a terminal in-band 500 record —

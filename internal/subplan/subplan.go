@@ -19,6 +19,7 @@ package subplan
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
@@ -43,14 +44,31 @@ type NodeCost struct {
 	BytesOut int64
 }
 
-// Entry is one memoized subtree execution: the root's materialized output
-// plus per-node costing replay data. Entries are immutable once published
-// and may be served to many executions concurrently; consumers must not
-// mutate Output.
+// Entry is one memoized subtree execution: the root's output plus per-node
+// costing replay data. Entries are immutable once published and may be
+// served to many executions concurrently; consumers must not mutate Output.
+//
+// Output is the batch as the subtree handed it on — selection-backed if that
+// is what a filter, sort or join left (see package cast) — because every
+// executed candidate publishes and most are never asked for again: publishing
+// copies nothing. The first hit proves the entry reused and gathers it, once;
+// hits serve Reused.
 type Entry struct {
 	Output *cast.Batch
 	Costs  []NodeCost // closure rank -> replay data
 	Bytes  int64      // Output payload size (lru cost accounting)
+
+	dense atomic.Pointer[cast.Batch]
+}
+
+// Reused returns the output for a hit to serve: Output with every column
+// gathered, so that ranges of it are plain views. First hits that race each
+// compact (cast gathers a column once whoever asks) and one header is kept.
+func (e *Entry) Reused() *cast.Batch {
+	if e.dense.Load() == nil {
+		e.dense.CompareAndSwap(nil, e.Output.Compact())
+	}
+	return e.dense.Load()
 }
 
 // entryOverheadBytes approximates the per-entry bookkeeping cost (map and
@@ -107,6 +125,12 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 // publishing tenant). It reports whether the key is now cached: false means
 // the entry was oversized and bypassed. A racing fill keeps the incumbent
 // (equivalent value).
+//
+// The payload is the output's logical size, the size it has once gathered. A
+// selection-backed output owns less than that until someone gathers it (a
+// 4-byte row number per row, over storage other holders keep alive) and that
+// plus the row numbers afterwards; those are not charged, so what fits the
+// budget does not depend on which entries happen to be selection-backed.
 func (c *Cache) Put(key string, e *Entry, owner string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
