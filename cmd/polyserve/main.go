@@ -8,7 +8,9 @@
 //	polyserve -addr :9090 -scenario retail
 //	polyserve -scenario both -patients 500 -workers 16 -queue 64
 //
-// Endpoints: POST /query, GET /healthz, GET /metrics, GET /stats.
+// Endpoints: POST /query, POST /query/stream (the same request, answered as
+// NDJSON records while the result is produced), POST /ingest, GET /healthz,
+// GET /metrics, GET /stats, GET /debug/queries.
 //
 //	curl -s localhost:8080/query -d '{"frontend":"sql","engine":"db-clinical",
 //	  "statement":"SELECT pid, age FROM patients WHERE age > 60 LIMIT 5"}'

@@ -1,10 +1,11 @@
 // Package adapter implements the per-engine adapters of Polystore++
 // (Figure 4, §III-A4): each adapter co-locates with one data-processing
 // engine, receives IR fragments, translates them to native engine calls via
-// a rule table, executes them, and reports performance information back to
-// the middleware. Adapters do not charge hardware cost themselves — they
-// return the kernel work items so the executor can cost them on whatever
-// device the compiler selected.
+// a rule table — for the relational engine, one kernel call per node over the
+// node's finished input batches — executes them, and reports performance
+// information back to the middleware. Adapters do not charge hardware cost
+// themselves — they return the kernel work items so the executor can cost
+// them on whatever device the compiler selected.
 package adapter
 
 import (
@@ -79,10 +80,10 @@ type Adapter interface {
 type BatchSink func(*cast.Batch) error
 
 // StreamChunkRows is the row granularity streaming executions chunk
-// materialized results at — aligned with the Volcano operators' vector width
-// so a streamed scan and a streamed operator pipeline produce equally sized
-// wire batches.
-const StreamChunkRows = 1024
+// materialized results at: the relational engine's own chunk width, so a
+// streamed scan and a kernel run chunk by chunk produce equally sized wire
+// batches.
+const StreamChunkRows = relational.ChunkRows
 
 // StreamExecutor is implemented by adapters whose terminal operators can
 // emit result batches incrementally instead of only returning one
@@ -159,50 +160,3 @@ type Ingestor interface {
 type ScopedVersioner interface {
 	ScopedVersion(resources []string) uint64
 }
-
-// memSource adapts an in-memory batch to a relational.Operator so native
-// Volcano operators can run over migrated intermediate results. It offers
-// both deliveries and the operator above picks: Bulk surrenders the whole
-// batch at once, so the operator can partition it and fan out; Next yields
-// StreamChunkRows row views, which an operator with Stream set pulls instead
-// so a terminal filter, project or hash-join probe emits per-chunk results
-// as they are produced. Results are identical either way (the
-// partition-equivalence guarantee); only the delivery granularity changes.
-type memSource struct {
-	b   *cast.Batch
-	pos int
-}
-
-func (s *memSource) Schema() cast.Schema             { return s.b.Schema() }
-func (s *memSource) Open(context.Context) error      { s.pos = 0; return nil }
-func (s *memSource) Close() error                    { return nil }
-func (s *memSource) Stats() relational.OpStats       { return relational.OpStats{Kind: "Mem"} }
-func (s *memSource) Children() []relational.Operator { return nil }
-
-// Next implements relational.Operator: the next StreamChunkRows rows.
-func (s *memSource) Next(context.Context) (*cast.Batch, error) {
-	hi := s.pos + StreamChunkRows
-	if hi > s.b.Rows() {
-		hi = s.b.Rows()
-	}
-	return s.take(hi)
-}
-
-// Bulk implements relational.BulkSource: everything not yet yielded.
-func (s *memSource) Bulk(context.Context) (*cast.Batch, error) { return s.take(s.b.Rows()) }
-
-// take yields rows [pos, hi) and advances; nil once exhausted. The untouched
-// batch is handed over itself, not as a view.
-func (s *memSource) take(hi int) (*cast.Batch, error) {
-	lo := s.pos
-	s.pos = hi
-	switch {
-	case lo >= hi:
-		return nil, nil
-	case lo == 0 && hi == s.b.Rows():
-		return s.b, nil
-	}
-	return s.b.ViewRange(lo, hi)
-}
-
-var _ relational.BulkSource = (*memSource)(nil)

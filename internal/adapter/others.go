@@ -749,42 +749,44 @@ func featureTensor(b *cast.Batch, cols []string) (*tensor.Tensor, error) {
 }
 
 // execTabular runs an engine-agnostic Filter or Project node over its
-// tabular input with the native Volcano operator: the relational adapter's
-// rule for both kinds, and what adapters whose engines host general-purpose
-// runtimes run too. parts pins the partition fan-out (0 sizes it from the
-// input); a non-nil emit receives the output chunk by chunk as it is
-// produced, which never fans out. It fills every info field but Parts.
+// tabular input with the relational kernel: the relational adapter's rule for
+// both kinds, and what adapters whose engines host general-purpose runtimes
+// run too. parts pins the partition fan-out (0 sizes it from the input); a
+// non-nil emit receives the output chunk by chunk as it is produced, which
+// never fans out. It fills every info field but Parts.
 func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, emit BatchSink, info *ExecInfo) (*cast.Batch, error) {
 	in, err := tabular(inputs, 0)
 	if err != nil {
 		return nil, err
 	}
-	var op relational.Operator
-	class := hw.KFilter
+	var k relational.Kernel
+	schema, class := in.Schema(), hw.KFilter
 	switch n.Kind {
 	case ir.OpFilter:
 		pred, ok := n.Attr("pred").(relational.Expr)
 		if !ok {
 			return nil, fmt.Errorf("%w: filter without pred", ErrBadNode)
 		}
-		f := relational.NewFilter(&memSource{b: in}, pred)
-		f.Parts, f.Stream = parts, emit != nil
-		op, info.Native = f, "Filter"+pred.String()
+		info.Native = "Filter" + pred.String()
+		k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+			return relational.Filter(ctx, b, pred, parts)
+		}
 	case ir.OpProject:
 		items, ok := n.Attr("items").([]relational.ProjItem)
 		if !ok {
 			return nil, fmt.Errorf("%w: project without items", ErrBadNode)
 		}
-		p, err := relational.NewProject(&memSource{b: in}, items)
-		if err != nil {
+		if schema, err = relational.ProjectSchema(schema, items); err != nil {
 			return nil, err
 		}
-		p.Parts, p.Stream = parts, emit != nil
-		op, class, info.Native = p, hw.KProject, "Project"
+		class, info.Native = hw.KProject, "Project"
+		k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+			return relational.Project(ctx, b, items, schema, parts)
+		}
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)
 	}
-	out, err := relational.RunEmit(ctx, op, emit)
+	out, err := deliver(ctx, in, schema, k, parts, emit)
 	if err != nil {
 		return nil, err
 	}

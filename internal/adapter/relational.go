@@ -12,7 +12,10 @@ import (
 )
 
 // Relational adapts a relational engine instance. Its rule table maps the
-// relational subset of the IR taxonomy onto native Volcano operators.
+// relational subset of the IR taxonomy onto the engine's kernels
+// (relational.Scan, Filter, Project, BuildHash/Probe, MergeJoin, GroupBy,
+// Sort, Limit) — the same functions relational.Engine.Query runs a statement
+// with.
 type Relational struct {
 	name   string
 	engine *relational.Engine
@@ -68,31 +71,30 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 	return a.exec(ctx, n, inputs, nil)
 }
 
-// ExecuteStream implements StreamExecutor: terminal relational operators
-// emit result batches as they are produced. Filter, project and the probe
-// side of a hash join run their Volcano operators chunk by chunk, so every
-// per-chunk output batch goes out the moment it exists. Kinds that
-// materialize regardless (scans, sort, group-by, merge join, limit) emit
-// their result in StreamChunkRows views.
+// ExecuteStream implements StreamExecutor: terminal relational kernels emit
+// result batches as they are produced. Filter, project and the probe side of
+// a hash join run chunk by chunk (relational.Chunked), so every per-chunk
+// output batch goes out the moment it exists. Kinds that materialize
+// regardless (scans, sort, group-by, merge join, limit) emit their result in
+// StreamChunkRows views.
 func (a *Relational) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
 	return a.exec(ctx, n, inputs, emit)
 }
 
 // exec is the one implementation behind Execute and ExecuteStream: the rule
-// table from IR op kinds to native operators. emit only changes delivery —
+// table from IR op kinds to relational kernels. emit only changes delivery —
 // the Value and the ExecInfo are those of the buffered execution, except
 // Parts, which reports the fan-out the chosen delivery really used.
 func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	var out *cast.Batch
-	// delivered is set by the kinds whose operator pushed its own batches
+	// delivered is set by the kinds whose kernel pushed its own chunks
 	// through emit; every other kind has its result chunked out below.
 	delivered := false
 	parts := int(n.IntAttr("parts"))
 	switch n.Kind {
 	case ir.OpScan, ir.OpIndexScan:
-		table := n.StringAttr("table")
-		t, err := a.engine.Store().Table(table)
+		t, err := a.engine.Store().Table(n.StringAttr("table"))
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -103,15 +105,8 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if n.Kind == ir.OpIndexScan {
 			pred, _ = n.Attr("pred").(relational.Expr)
 		}
-		if col, lo, hi, ok := t.SeekRange(pred); ok {
-			scan := relational.NewIndexScan(t, col, lo, hi)
-			if out, err = relational.Run(ctx, scan); err != nil {
-				return Value{}, info, err
-			}
-			info.Native = scan.Stats().Kind
-		} else {
-			out = t.Snapshot()
-			info.Native = "SeqScan(" + table + ")"
+		if out, info.Native, err = relational.Scan(ctx, t, pred); err != nil {
+			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
 		// Scans stream from storage; charge a project-shaped pass.
@@ -124,7 +119,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		}
 		delivered = true
 		// Chunk-by-chunk delivery never fans out; over the whole input the
-		// operator partitions.
+		// kernel partitions.
 		if emit == nil {
 			info.Parts = partition.Effective(int(info.RowsIn), parts)
 		}
@@ -140,14 +135,13 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		}
 		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
 		if n.Kind == ir.OpHashJoin {
-			// The build side drains in full (and fans out under the parts knob)
-			// either way; only probe delivery streams per chunk.
-			op, err := relational.NewHashJoin(&memSource{b: left}, &memSource{b: right}, lc, rc)
+			// The build side is indexed whole (and fans out under the parts
+			// knob) either way; only probe delivery streams per chunk.
+			hb, err := relational.BuildHash(ctx, left.Schema(), right, lc, rc, parts)
 			if err != nil {
 				return Value{}, info, err
 			}
-			op.Parts, op.Stream = parts, emit != nil
-			if out, err = relational.RunEmit(ctx, op, emit); err != nil {
+			if out, err = deliver(ctx, left, hb.Schema(), hb.Probe, parts, emit); err != nil {
 				return Value{}, info, err
 			}
 			delivered = true
@@ -162,13 +156,9 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
 			}
-			info.Native = op.Stats().Kind
+			info.Native = hb.Kind
 		} else {
-			op, err := relational.NewMergeJoin(&memSource{b: left}, &memSource{b: right}, lc, rc)
-			if err != nil {
-				return Value{}, info, err
-			}
-			if out, err = relational.Run(ctx, op); err != nil {
+			if out, info.Native, err = relational.MergeJoin(ctx, left, right, lc, rc); err != nil {
 				return Value{}, info, err
 			}
 			info.Kernels = []KernelCall{
@@ -176,7 +166,6 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 				{Class: hw.KSort, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KFilter, Work: hw.Work{Items: int64(left.Rows() + right.Rows())}, OutBytes: out.ByteSize()},
 			}
-			info.Native = op.Stats().Kind
 		}
 		info.RowsIn = int64(left.Rows() + right.Rows())
 		info.RowsOut = int64(out.Rows())
@@ -190,7 +179,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if !ok || len(order) == 0 {
 			return Value{}, info, fmt.Errorf("%w: sort without order_by", ErrBadNode)
 		}
-		if out, err = in.SortBy(relational.SortKeys(order)...); err != nil {
+		if out, err = relational.Sort(ctx, in, order); err != nil {
 			return Value{}, info, err
 		}
 		info.Native = "Sort"
@@ -206,12 +195,11 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if !ok {
 			return Value{}, info, fmt.Errorf("%w: group-by without aggs", ErrBadNode)
 		}
-		op, err := relational.NewGroupBy(&memSource{b: in}, groupCols, aggs)
+		schema, err := relational.GroupBySchema(in.Schema(), groupCols, aggs)
 		if err != nil {
 			return Value{}, info, err
 		}
-		op.Parts = parts
-		if out, err = relational.Run(ctx, op); err != nil {
+		if out, err = relational.GroupBy(ctx, in, groupCols, aggs, schema, parts); err != nil {
 			return Value{}, info, err
 		}
 		info.Parts = partition.Effective(in.Rows(), parts)
@@ -223,16 +211,12 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if err != nil {
 			return Value{}, info, err
 		}
-		nLimit := int(n.IntAttr("n"))
-		if nLimit > in.Rows() {
-			nLimit = in.Rows()
-		}
-		if out, err = in.ViewRange(0, nLimit); err != nil {
+		if out, err = relational.Limit(ctx, in, int(n.IntAttr("n"))); err != nil {
 			return Value{}, info, err
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Limit(%d)", nLimit)
+		info.Native = fmt.Sprintf("Limit(%d)", out.Rows())
 
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)
@@ -243,6 +227,16 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		}
 	}
 	return Value{Batch: out}, info, nil
+}
+
+// deliver applies kernel k to in. With no sink it runs once over the whole
+// input at parts; with one it runs chunk by chunk, each output — of schema —
+// going to emit as it exists. The result is the same batch either way.
+func deliver(ctx context.Context, in *cast.Batch, schema cast.Schema, k relational.Kernel, parts int, emit BatchSink) (*cast.Batch, error) {
+	if emit == nil {
+		return k(ctx, in, parts)
+	}
+	return relational.Chunked(ctx, in, StreamChunkRows, schema, []relational.Kernel{k}, -1, emit)
 }
 
 // unary fills the report fields every one-input kind derives the same way:

@@ -100,12 +100,7 @@ func TestGroupByAllocBudget(t *testing.T) {
 	b := allocBatch(t, 10_000, groups)
 	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "value", As: "total"}, {Fn: AggMax, Col: "value", As: "hi"}}
 	allocs := testing.AllocsPerRun(10, func() {
-		op, err := NewGroupBy(&memSource{b: b}, []string{"kind"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op.Parts = 1
-		if out, err := Run(context.Background(), op); err != nil || out.Rows() != groups {
+		if out, err := groupBy(context.Background(), b, []string{"kind"}, aggs, 1); err != nil || out.Rows() != groups {
 			t.Fatalf("group-by: %v", err)
 		}
 	})

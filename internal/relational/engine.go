@@ -2,12 +2,13 @@ package relational
 
 import (
 	"context"
+	"fmt"
 
 	"polystorepp/internal/cast"
 )
 
-// Engine plans and executes SQL against one store. It is the "native
-// data-processing engine" the polystore adapters talk to.
+// Engine executes SQL against one store. It is the "native data-processing
+// engine" the polystore adapters talk to.
 type Engine struct {
 	store *Store
 }
@@ -18,96 +19,115 @@ func NewEngine(store *Store) *Engine { return &Engine{store: store} }
 // Store returns the underlying store.
 func (e *Engine) Store() *Store { return e.store }
 
-// Query parses, plans, and executes sql, returning the result and the
-// per-operator stats of the executed plan.
+// Query parses sql, lowers it (SelectStmt.Steps) and runs it, one kernel per
+// step: joins are left-deep hash joins in clause order, and the scan seeks
+// when the table has an index the WHERE clause can use. It returns the result
+// and one OpStats per step, in step order.
+//
+// Everything a step needs besides the rows of the step before it — tables,
+// schemas, the build side of each join — is resolved first, so a statement
+// that cannot run fails before any row is read. The steps after the scan then
+// run as a chain: over the whole scan at automatic fan-out, or, for a LIMIT
+// with no sort or group-by beneath it, chunk by chunk until enough rows are
+// out (Chunked), so LIMIT n reads O(n) rows of the table, not all of it.
 func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats, error) {
-	plan, err := e.Plan(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := Run(ctx, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, WalkStats(plan), nil
-}
-
-// Plan parses sql and lowers it to a physical operator tree.
-func (e *Engine) Plan(sql string) (Operator, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.PlanStmt(stmt)
-}
-
-// PlanStmt maps the statement's steps (SelectStmt.Steps) to physical
-// operators, one for one: joins are left-deep hash joins in clause order, and
-// a scan seeks when the table has an index its step's predicate can use.
-func (e *Engine) PlanStmt(stmt *SelectStmt) (Operator, error) {
-	var op Operator
 	var buf [8]Step
-	for _, st := range stmt.Steps(buf[:0]) {
-		var err error
+	steps := stmt.Steps(buf[:0])
+	stats := make([]OpStats, len(steps))
+	chain := make([]Kernel, 0, len(steps))
+	var in *cast.Batch     // the scan's output
+	var schema cast.Schema // of the chain's output so far
+	whole := false         // some step needs all of its input before it answers
+	limit := -1            // the LIMIT, when the chain can stop early at it
+	for i, st := range steps {
+		stat, k := &stats[i], Kernel(nil)
 		switch st.Kind {
 		case StepScan:
 			t, err := e.store.Table(st.Table)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if col, lo, hi, ok := t.SeekRange(st.Pred); ok {
-				op = NewIndexScan(t, col, lo, hi)
-			} else {
-				op = NewSeqScan(t)
+			if in, stat.Kind, err = Scan(ctx, t, st.Pred); err != nil {
+				return nil, nil, err
 			}
+			schema = in.Schema()
+			// The scan's place in the chain counts the rows read of it.
+			k = func(_ context.Context, b *cast.Batch, _ int) (*cast.Batch, error) { return b, nil }
 		case StepJoin:
-			right, err := e.store.Table(st.Table)
+			t, err := e.store.Table(st.Table)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if op, err = NewHashJoin(op, NewSeqScan(right), st.LeftCol, st.RightCol); err != nil {
-				return nil, err
+			right := t.Snapshot()
+			hb, err := BuildHash(ctx, schema, right, st.LeftCol, st.RightCol, 0)
+			if err != nil {
+				return nil, nil, err
 			}
+			k, schema, stat.Kind, stat.RowsIn = hb.Probe, hb.Schema(), hb.Kind, int64(right.Rows())
 		case StepFilter:
-			op = NewFilter(op, st.Pred)
+			stat.Kind = "Filter" + st.Pred.String()
+			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+				return Filter(ctx, b, st.Pred, parts)
+			}
 		case StepGroupBy:
-			op, err = NewGroupBy(op, st.GroupCols, st.Aggs)
+			grouped, err := GroupBySchema(schema, st.GroupCols, st.Aggs)
+			if err != nil {
+				return nil, nil, err
+			}
+			schema, stat.Kind, whole = grouped, "GroupBy", true
+			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+				return GroupBy(ctx, b, st.GroupCols, st.Aggs, grouped, parts)
+			}
 		case StepProject:
-			op, err = NewProject(op, st.Items)
+			projected, err := ProjectSchema(schema, st.Items)
+			if err != nil {
+				return nil, nil, err
+			}
+			schema, stat.Kind = projected, "Project"
+			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+				return Project(ctx, b, st.Items, projected, parts)
+			}
 		case StepSort:
-			op = NewSort(op, SortKeys(st.OrderBy)...)
+			stat.Kind, whole = "Sort", true
+			k = func(ctx context.Context, b *cast.Batch, _ int) (*cast.Batch, error) {
+				return Sort(ctx, b, st.OrderBy)
+			}
 		case StepLimit:
-			// A limit with no materializing ancestor (no sort/group-by) can stop
-			// pulling early; keep the subtree streaming so the bulk fast path
-			// does not turn LIMIT-N into a whole-table scan.
-			markStreaming(op)
-			op = NewLimit(op, st.N)
+			stat.Kind = fmt.Sprintf("Limit(%d)", st.N)
+			if !whole {
+				limit = st.N
+				continue
+			}
+			k = func(ctx context.Context, b *cast.Batch, _ int) (*cast.Batch, error) {
+				return Limit(ctx, b, st.N)
+			}
 		}
-		if err != nil {
-			return nil, err
+		chain = append(chain, func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+			out, err := k(ctx, b, parts)
+			if err == nil {
+				stat.RowsIn += int64(b.Rows())
+				stat.RowsOut += int64(out.Rows())
+			}
+			return out, err
+		})
+	}
+	out := in
+	if limit >= 0 {
+		if out, err = Chunked(ctx, in, ChunkRows, schema, chain, limit, nil); err != nil {
+			return nil, nil, err
+		}
+		last := &stats[len(stats)-1]
+		last.RowsIn, last.RowsOut = int64(out.Rows()), int64(out.Rows())
+		return out, stats, nil
+	}
+	for _, k := range chain {
+		if out, err = k(ctx, out, 0); err != nil {
+			return nil, nil, err
 		}
 	}
-	return op, nil
-}
-
-// markStreaming disables the bulk fast path on the filter/project/hash-join
-// chain under a limit. It stops at fully materializing operators (sort,
-// group-by, merge join): they drain their input entirely regardless, so bulk
-// partitioned execution below them is pure win. A hash join streams its
-// probe side, so it is marked too and the marking continues down its left
-// (probe) child; the build side always drains in full either way.
-func markStreaming(op Operator) {
-	switch o := op.(type) {
-	case *FilterOp:
-		o.Stream = true
-		markStreaming(o.Child)
-	case *ProjectOp:
-		o.Stream = true
-		markStreaming(o.Child)
-	case *HashJoinOp:
-		o.Stream = true
-		markStreaming(o.Left)
-	case *LimitOp:
-		markStreaming(o.Child)
-	}
+	return out, stats, nil
 }

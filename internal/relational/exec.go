@@ -3,6 +3,7 @@ package relational
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -10,299 +11,118 @@ import (
 	"polystorepp/internal/partition"
 )
 
-// batchSize is the vector width of the Volcano operators.
-const batchSize = 1024
+// This file holds the relational kernels: each is a function from whole input
+// batches to one output batch, the unit the middleware dispatches and costs
+// (§III-A1). Engine.Query and the relational adapter call the same ones, so a
+// statement means one thing whichever way it enters. Every kernel reads ctx
+// on entry and returns its error with no output; the partitioned ones read it
+// again per task (partition.Pool.Do). What leaves a kernel is immutable and
+// shares its inputs' column storage wherever it can (see package cast).
 
-// OpStats is the per-operator execution record the middleware's runtime
-// optimizer consumes (§IV-D-d): adapters convert these to hardware kernel
-// costs.
+// ChunkRows is the row width of chunked delivery: what Chunked cuts an input
+// into, and what a materialized result is streamed out in.
+const ChunkRows = 1024
+
+// OpStats is the execution record of one step of a statement, as
+// Engine.Query returns them: what ran, and the rows it read and produced.
 type OpStats struct {
 	Kind    string
 	RowsIn  int64
 	RowsOut int64
-	Bytes   int64
 }
 
-// Operator is a vectorized Volcano iterator. Next returns (nil, nil) when
-// the stream is exhausted.
-type Operator interface {
-	Schema() cast.Schema
-	Open(ctx context.Context) error
-	Next(ctx context.Context) (*cast.Batch, error)
-	Close() error
-	Stats() OpStats
-	Children() []Operator
-}
+// Kernel is a one-input kernel bound to its arguments. parts is the partition
+// fan-out to run at: 0 sizes it from the input and the pool width, 1 keeps
+// one partition; the result is the same at any value.
+type Kernel func(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error)
 
-// Run opens op, drains it into one batch, and closes it.
-func Run(ctx context.Context, op Operator) (*cast.Batch, error) {
-	return RunEmit(ctx, op, nil)
-}
+// errEnough stops Chunked's walk once the limit is met.
+var errEnough = errors.New("relational: enough rows")
 
-// RunEmit is Run with incremental delivery: every non-empty batch the
-// operator yields is handed to emit, in order, before the next one is
-// pulled, and the returned batch is the concatenation of exactly the
-// emitted batches — the invariant streaming result paths are pinned
-// against. A nil emit degrades to the plain drain. ctx is checked per
-// batch so canceled streams stop pulling promptly; a sink error aborts the
-// drain and surfaces as the operator error.
-func RunEmit(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*cast.Batch, error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	defer func() { _ = op.Close() }()
-	return drain(ctx, op, emit)
-}
-
-// drain pulls op dry and returns its output as one batch, by cast.Concat's
-// rules: a single batch — every bulk producer yields one — is handed back by
-// reference, chunks that tile one snapshot become a view of it, and only
-// what is left is copied, once, at the final size.
-func drain(ctx context.Context, op Operator, emit func(*cast.Batch) error) (*cast.Batch, error) {
-	var parts []*cast.Batch
-	for {
-		// Checked per batch so a materializing consumer (join build, sort)
-		// aborts promptly when the request deadline hits mid-drain.
+// Chunked runs chain over in one width-row chunk at a time, each chunk at one
+// partition, in row order. Every non-empty output is handed to emit (when
+// set) before the next chunk is read, and the result is the concatenation of
+// exactly those outputs — by cast.Concat's rules, so a single output is
+// handed back itself and outputs that tile one snapshot become a view of it.
+// With limit >= 0 the walk stops as soon as limit rows are out, the last
+// output cut to fit, and reads nothing of in beyond the chunk that got there.
+// schema is the chain's output schema. ctx is read per chunk; an error from
+// emit aborts the walk and is returned as it is.
+func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema, chain []Kernel, limit int, emit func(*cast.Batch) error) (*cast.Batch, error) {
+	var outs []*cast.Batch
+	total := 0
+	step := func(chunk *cast.Batch) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
+		if limit >= 0 && total >= limit {
+			return errEnough
 		}
-		if b == nil {
-			break
-		}
-		if b.Rows() == 0 {
-			continue
-		}
-		if emit != nil {
-			if err := emit(b); err != nil {
-				return nil, err
+		var err error
+		for _, k := range chain {
+			if chunk, err = k(ctx, chunk, 1); err != nil {
+				return err
 			}
 		}
-		parts = append(parts, b)
+		if limit >= 0 && total+chunk.Rows() > limit {
+			if chunk, err = chunk.ViewRange(0, limit-total); err != nil {
+				return err
+			}
+		}
+		if chunk.Rows() == 0 {
+			return nil
+		}
+		total += chunk.Rows()
+		if emit != nil {
+			if err := emit(chunk); err != nil {
+				return err
+			}
+		}
+		outs = append(outs, chunk)
+		return nil
 	}
-	return cast.Concat(op.Schema(), parts)
-}
-
-// WalkStats collects stats of the whole operator tree, parents first.
-func WalkStats(op Operator) []OpStats {
-	out := []OpStats{op.Stats()}
-	for _, c := range op.Children() {
-		out = append(out, WalkStats(c)...)
+	var err error
+	if in.Rows() > 0 && in.Rows() <= width {
+		err = step(in) // the one chunk is the batch itself: no view of it is cut
+	} else {
+		err = in.ForEachChunk(width, step)
 	}
-	return out
-}
-
-// --- SeqScan ---
-
-// SeqScan emits every row of a table in heap order (§III-A2's sequential
-// scan access path).
-type SeqScan struct {
-	Table *Table
-
-	snap *cast.Batch
-	pos  int
-	out  int64
-}
-
-// NewSeqScan returns a sequential scan over t.
-func NewSeqScan(t *Table) *SeqScan { return &SeqScan{Table: t} }
-
-// Schema implements Operator.
-func (s *SeqScan) Schema() cast.Schema { return s.Table.Schema() }
-
-// Open implements Operator.
-func (s *SeqScan) Open(context.Context) error {
-	s.snap = s.Table.Snapshot()
-	s.pos = 0
-	s.out = 0
-	return nil
-}
-
-// Next implements Operator.
-func (s *SeqScan) Next(context.Context) (*cast.Batch, error) {
-	if s.pos >= s.snap.Rows() {
-		return nil, nil
-	}
-	hi := s.pos + batchSize
-	if hi > s.snap.Rows() {
-		hi = s.snap.Rows()
-	}
-	b, err := s.snap.ViewRange(s.pos, hi)
-	if err != nil {
+	if err != nil && err != errEnough {
 		return nil, err
 	}
-	s.pos = hi
-	s.out += int64(b.Rows())
-	return b, nil
+	return cast.Concat(schema, outs)
 }
 
-// Bulk implements BulkSource: the whole remaining snapshot in one zero-copy
-// view, leaving the stream exhausted and stats as if streamed.
-func (s *SeqScan) Bulk(context.Context) (*cast.Batch, error) {
-	if s.pos >= s.snap.Rows() {
-		return nil, nil
+// Scan reads table t. When an index of t serves part of pred
+// (Table.SeekRange) the result is the rows in that key range, in key order,
+// as one selection over the heap snapshot — no column is gathered until
+// somebody reads it; otherwise it is the heap snapshot itself. pred is a
+// hint: whoever passes it still applies it in full. The second result names
+// the access path taken (§III-A2), for reports.
+func Scan(ctx context.Context, t *Table, pred Expr) (*cast.Batch, string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
 	}
-	b, err := s.snap.ViewRange(s.pos, s.snap.Rows())
+	col, lo, hi, ok := t.SeekRange(pred)
+	if !ok {
+		return t.Snapshot(), "SeqScan(" + t.Name() + ")", nil
+	}
+	snap, rows, err := t.SnapshotRange(col, lo, hi)
 	if err != nil {
+		return nil, "", err
+	}
+	return snap.Take(rows), fmt.Sprintf("IndexScan(%s.%s)", t.Name(), col), nil
+}
+
+// Filter keeps the rows of in that satisfy pred, in order, and fails with the
+// first failing row's error. The predicate fans out over fixed row-range
+// partitions on the shared scan pool (parallel.go).
+func Filter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.pos = s.snap.Rows()
-	s.out += int64(b.Rows())
-	return b, nil
+	return parFilter(ctx, in, pred, parts)
 }
-
-// Close implements Operator.
-func (s *SeqScan) Close() error { return nil }
-
-// Stats implements Operator.
-func (s *SeqScan) Stats() OpStats {
-	return OpStats{Kind: "SeqScan(" + s.Table.Name() + ")", RowsIn: s.out, RowsOut: s.out}
-}
-
-// Children implements Operator.
-func (s *SeqScan) Children() []Operator { return nil }
-
-// --- IndexScan ---
-
-// IndexScan emits the rows whose indexed column falls within [Lo, Hi]
-// (inclusive), using the table's B-tree (§III-A2's index-seek path).
-type IndexScan struct {
-	Table  *Table
-	Col    string
-	Lo, Hi int64
-
-	snap *cast.Batch
-	rows []int32
-	pos  int
-	out  int64
-}
-
-// NewIndexScan returns an index range scan.
-func NewIndexScan(t *Table, col string, lo, hi int64) *IndexScan {
-	return &IndexScan{Table: t, Col: col, Lo: lo, Hi: hi}
-}
-
-// Schema implements Operator.
-func (s *IndexScan) Schema() cast.Schema { return s.Table.Schema() }
-
-// Open implements Operator.
-func (s *IndexScan) Open(context.Context) error {
-	snap, rows, err := s.Table.SnapshotRange(s.Col, s.Lo, s.Hi)
-	if err != nil {
-		return err
-	}
-	s.snap, s.rows = snap, rows
-	s.pos = 0
-	s.out = 0
-	return nil
-}
-
-// Next implements Operator.
-func (s *IndexScan) Next(context.Context) (*cast.Batch, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	hi := s.pos + batchSize
-	if hi > len(s.rows) {
-		hi = len(s.rows)
-	}
-	b := s.snap.Take(s.rows[s.pos:hi])
-	s.pos = hi
-	s.out += int64(b.Rows())
-	return b, nil
-}
-
-// Close implements Operator.
-func (s *IndexScan) Close() error { return nil }
-
-// Stats implements Operator.
-func (s *IndexScan) Stats() OpStats {
-	return OpStats{Kind: fmt.Sprintf("IndexScan(%s.%s)", s.Table.Name(), s.Col), RowsIn: s.out, RowsOut: s.out}
-}
-
-// Children implements Operator.
-func (s *IndexScan) Children() []Operator { return nil }
-
-// --- Filter ---
-
-// FilterOp keeps rows satisfying the predicate. When its child is a
-// BulkSource the predicate fans out over fixed row-range partitions on the
-// shared scan pool (parallel.go); results are identical to the streaming
-// path.
-type FilterOp struct {
-	Child Operator
-	Pred  Expr
-	// Parts overrides the partition fan-out: 0 picks automatically from the
-	// input size and pool width, 1 forces single-partition evaluation.
-	Parts int
-	// Stream disables the bulk fast path so a downstream LimitOp can stop
-	// pulling early instead of paying a whole-input scan (the SQL planner
-	// sets it under LIMIT-without-materializing-ancestor plans).
-	Stream bool
-
-	bulked  bool
-	in, out int64
-}
-
-// NewFilter returns a filter over child.
-func NewFilter(child Operator, pred Expr) *FilterOp { return &FilterOp{Child: child, Pred: pred} }
-
-// Schema implements Operator.
-func (f *FilterOp) Schema() cast.Schema { return f.Child.Schema() }
-
-// Open implements Operator.
-func (f *FilterOp) Open(ctx context.Context) error { return f.Child.Open(ctx) }
-
-// nextInput pulls an operator's next input batch and the fan-out to run it
-// at: the child's whole remaining output, at parts, the first time a
-// BulkSource child may surrender it (stream off); the child's next batch, at
-// one partition, otherwise. An empty bulk batch reads as the exhausted stream.
-func nextInput(ctx context.Context, child Operator, stream bool, bulked *bool, parts int) (*cast.Batch, int, error) {
-	if bs, ok := child.(BulkSource); ok && !stream && !*bulked {
-		*bulked = true
-		if b, err := bs.Bulk(ctx); err != nil || (b != nil && b.Rows() > 0) {
-			return b, parts, err
-		}
-	}
-	b, err := child.Next(ctx)
-	return b, 1, err
-}
-
-// Next implements Operator.
-func (f *FilterOp) Next(ctx context.Context) (*cast.Batch, error) {
-	for {
-		b, parts, err := nextInput(ctx, f.Child, f.Stream, &f.bulked, f.Parts)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		f.in += int64(b.Rows())
-		kept, err := parFilter(ctx, b, f.Pred, parts)
-		if err != nil {
-			return nil, err
-		}
-		if kept.Rows() == 0 {
-			continue
-		}
-		f.out += int64(kept.Rows())
-		return kept, nil
-	}
-}
-
-// Close implements Operator.
-func (f *FilterOp) Close() error { return f.Child.Close() }
-
-// Stats implements Operator.
-func (f *FilterOp) Stats() OpStats {
-	return OpStats{Kind: "Filter" + f.Pred.String(), RowsIn: f.in, RowsOut: f.out}
-}
-
-// Children implements Operator.
-func (f *FilterOp) Children() []Operator { return []Operator{f.Child} }
-
-// --- Project ---
 
 // ProjItem is one output column of a projection: an expression plus its
 // output name.
@@ -311,96 +131,29 @@ type ProjItem struct {
 	Name string
 }
 
-// ProjectOp evaluates a list of expressions per row. When its child is a
-// BulkSource the evaluation fans out over fixed row-range partitions on the
-// shared scan pool (parallel.go); results are identical to the streaming
-// path.
-type ProjectOp struct {
-	Child Operator
-	Items []ProjItem
-	// Parts overrides the partition fan-out (0 = auto, 1 = sequential).
-	Parts int
-	// Stream disables the bulk fast path; see FilterOp.Stream.
-	Stream bool
-
-	schema cast.Schema
-	bulked bool
-	in     int64
-}
-
-// NewProject returns a projection. The output schema is resolved from the
-// child schema at construction.
-func NewProject(child Operator, items []ProjItem) (*ProjectOp, error) {
+// ProjectSchema resolves the output schema of items over input schema in.
+func ProjectSchema(in cast.Schema, items []ProjItem) (cast.Schema, error) {
 	cols := make([]cast.Column, 0, len(items))
 	for _, it := range items {
-		t, err := it.E.ResultType(child.Schema())
+		t, err := it.E.ResultType(in)
 		if err != nil {
-			return nil, err
+			return cast.Schema{}, err
 		}
 		cols = append(cols, cast.Column{Name: it.Name, Type: t})
 	}
-	s, err := cast.NewSchema(cols...)
-	if err != nil {
+	return cast.NewSchema(cols...)
+}
+
+// Project evaluates items per row of in into a batch under schema, which is
+// ProjectSchema of in's — resolved by the caller, once, however many chunks
+// it projects. It fails with the error of the lowest failing row, and there
+// of the leftmost failing item. Computed items fan out over row-range
+// partitions (parallel.go); bare columns share in's storage.
+func Project(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema, parts int) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &ProjectOp{Child: child, Items: items, schema: s}, nil
-}
-
-// Schema implements Operator.
-func (p *ProjectOp) Schema() cast.Schema { return p.schema }
-
-// Open implements Operator.
-func (p *ProjectOp) Open(ctx context.Context) error { return p.Child.Open(ctx) }
-
-// Next implements Operator.
-func (p *ProjectOp) Next(ctx context.Context) (*cast.Batch, error) {
-	b, parts, err := nextInput(ctx, p.Child, p.Stream, &p.bulked, p.Parts)
-	if err != nil || b == nil {
-		return nil, err
-	}
-	p.in += int64(b.Rows())
-	return parProject(ctx, b, p.Items, p.schema, parts)
-}
-
-// Close implements Operator.
-func (p *ProjectOp) Close() error { return p.Child.Close() }
-
-// Stats implements Operator.
-func (p *ProjectOp) Stats() OpStats {
-	return OpStats{Kind: "Project", RowsIn: p.in, RowsOut: p.in}
-}
-
-// Children implements Operator.
-func (p *ProjectOp) Children() []Operator { return []Operator{p.Child} }
-
-// --- HashJoin ---
-
-// HashJoinOp equi-joins two inputs: builds a hash table on the right input,
-// probes with the left. Output schema is left ++ right. Build and probe are
-// partition-parallel on large inputs (join_parallel.go): the build fans out
-// over contiguous row ranges into key-hash-sharded tables merged in
-// partition order, and when the left child is a BulkSource the probe fans
-// out one task per probe partition with an order-preserving merge — results
-// are identical to the sequential streaming path.
-type HashJoinOp struct {
-	Left, Right       Operator
-	LeftCol, RightCol string
-	// Parts overrides the partition fan-out for both build and probe
-	// (0 = auto from input size and pool width, 1 = sequential).
-	Parts int
-	// Stream disables the bulk probe fast path so a downstream LimitOp can
-	// stop pulling early instead of paying a whole-input probe (the SQL
-	// planner sets it under LIMIT-without-materializing-ancestor plans).
-	// The build side is always drained in full regardless.
-	Stream bool
-
-	schema   cast.Schema
-	built    bool
-	bulked   bool
-	li       int // probe key column, resolved by build
-	table    *joinTable
-	rightMat *cast.Batch
-	in, out  int64
+	return parProject(ctx, in, items, schema, parts)
 }
 
 // orientJoin returns an ON clause's columns probe side first. The clause may
@@ -413,185 +166,99 @@ func orientJoin(right cast.Schema, leftCol, rightCol string) (string, string) {
 	return leftCol, rightCol
 }
 
-// NewHashJoin returns an equi-join on left.LeftCol = right.RightCol; the two
-// columns may be given in either order.
-func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoinOp, error) {
+// HashBuild is the build half of a hash equi-join: the right input indexed by
+// its key column, ready for any number of probes. The output schema is
+// left ++ right.
+type HashBuild struct {
+	// Kind names the join for reports, ON columns probe side first.
+	Kind string
+
+	schema cast.Schema
+	li     int // probe key column
+	table  *joinTable
+	right  *cast.Batch
+}
+
+// BuildHash indexes right for a join on left.leftCol = right.rightCol against
+// probe batches of schema left; the two columns may be given in either order.
+// The build fans out over contiguous row ranges into key-hash-sharded tables
+// merged in partition order (join_parallel.go).
+func BuildHash(ctx context.Context, left cast.Schema, right *cast.Batch, leftCol, rightCol string, parts int) (*HashBuild, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	leftCol, rightCol = orientJoin(right.Schema(), leftCol, rightCol)
-	s, err := left.Schema().Concat(right.Schema())
+	schema, err := left.Concat(right.Schema())
 	if err != nil {
 		return nil, err
 	}
-	return &HashJoinOp{Left: left, Right: right, LeftCol: leftCol, RightCol: rightCol, schema: s}, nil
-}
-
-// Schema implements Operator.
-func (j *HashJoinOp) Schema() cast.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *HashJoinOp) Open(ctx context.Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	return j.Right.Open(ctx)
-}
-
-func (j *HashJoinOp) build(ctx context.Context) error {
-	var err error
-	j.rightMat, err = bulkOrDrain(ctx, j.Right)
+	ci, err := right.Schema().Index(BaseName(rightCol))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ci, err := j.Right.Schema().Index(BaseName(j.RightCol))
+	li, err := left.Index(BaseName(leftCol))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if j.li, err = j.Left.Schema().Index(BaseName(j.LeftCol)); err != nil {
-		return err
-	}
-	j.table, err = buildJoinTable(ctx, j.rightMat, ci, j.Left.Schema().Col(j.li).Type, j.Parts)
+	table, err := buildJoinTable(ctx, right, ci, left.Col(li).Type, parts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	j.built = true
-	return nil
+	return &HashBuild{Kind: fmt.Sprintf("HashJoin(%s=%s)", leftCol, rightCol), schema: schema, li: li, table: table, right: right}, nil
 }
 
-// Next implements Operator.
-func (j *HashJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if !j.built {
-		if err := j.build(ctx); err != nil {
-			return nil, err
-		}
+// Schema returns the join's output schema.
+func (h *HashBuild) Schema() cast.Schema { return h.schema }
+
+// Probe is the join's Kernel: the rows of in matched against the build side,
+// in in's row order with each row's matches in build-row order. It fans out
+// one task per probe partition with an order-preserving merge
+// (join_parallel.go), and gathers neither side.
+func (h *HashBuild) Probe(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lb, parts, err := nextInput(ctx, j.Left, j.Stream, &j.bulked, j.Parts)
-		if err != nil || lb == nil {
-			return nil, err
-		}
-		j.in += int64(lb.Rows())
-		out, err := parProbe(ctx, lb, j.li, j.table, j.rightMat, j.schema, parts)
-		if err != nil {
-			return nil, err
-		}
-		if out.Rows() == 0 {
-			continue
-		}
-		j.out += int64(out.Rows())
-		return out, nil
+	return parProbe(ctx, in, h.li, h.table, h.right, h.schema, parts)
+}
+
+// MergeJoin sort-merge equi-joins two inputs on int64 key columns, given in
+// either order — the paper's §III worked example ("DB1 performs a sort-merge
+// on Date"). Both inputs are sorted by their key and merged; the output
+// schema is left ++ right. ctx is read once per run of equal keys, whose
+// cross product is the only part of the merge that can outgrow its inputs.
+// The second result names the join for reports.
+func MergeJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string) (*cast.Batch, string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
 	}
-}
-
-// Bulk implements BulkSource by draining the join's own output, so a parent
-// partitioned operator — or the probe of a stacked join — can grab the full
-// result and fan out over it. The stream is left exhausted and stats account
-// as if the output had been streamed.
-func (j *HashJoinOp) Bulk(ctx context.Context) (*cast.Batch, error) {
-	return drain(ctx, j, nil)
-}
-
-// Close implements Operator.
-func (j *HashJoinOp) Close() error {
-	lerr := j.Left.Close()
-	rerr := j.Right.Close()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
-}
-
-// Stats implements Operator.
-func (j *HashJoinOp) Stats() OpStats {
-	var buildRows int64
-	if j.rightMat != nil {
-		buildRows = int64(j.rightMat.Rows())
-	}
-	return OpStats{Kind: fmt.Sprintf("HashJoin(%s=%s)", j.LeftCol, j.RightCol), RowsIn: j.in + buildRows, RowsOut: j.out}
-}
-
-// Children implements Operator.
-func (j *HashJoinOp) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// --- MergeJoin ---
-
-// MergeJoinOp sort-merge equi-joins two inputs on int64 key columns — the
-// paper's §III worked example ("DB1 performs a sort-merge on Date"). Inputs
-// are materialized and sorted; the merge then streams.
-type MergeJoinOp struct {
-	Left, Right       Operator
-	LeftCol, RightCol string
-
-	schema  cast.Schema
-	result  *cast.Batch
-	emitted bool
-	in, out int64
-	// SortRows records the row counts the two sort phases processed so the
-	// middleware can offload them (FPGA bitonic sort in E4).
-	SortRows [2]int64
-}
-
-// NewMergeJoin returns a sort-merge join on int64 columns, given in either
-// order.
-func NewMergeJoin(left, right Operator, leftCol, rightCol string) (*MergeJoinOp, error) {
 	leftCol, rightCol = orientJoin(right.Schema(), leftCol, rightCol)
-	s, err := left.Schema().Concat(right.Schema())
+	schema, err := left.Schema().Concat(right.Schema())
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return &MergeJoinOp{Left: left, Right: right, LeftCol: leftCol, RightCol: rightCol, schema: s}, nil
-}
-
-// Schema implements Operator.
-func (j *MergeJoinOp) Schema() cast.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *MergeJoinOp) Open(ctx context.Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	return j.Right.Open(ctx)
-}
-
-// Next implements Operator.
-func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if j.emitted {
-		return nil, nil
-	}
-	lm, err := bulkOrDrain(ctx, j.Left)
+	ls, err := left.SortBy(cast.SortKey{Col: BaseName(leftCol)})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	rm, err := bulkOrDrain(ctx, j.Right)
+	rs, err := right.SortBy(cast.SortKey{Col: BaseName(rightCol)})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	j.in = int64(lm.Rows() + rm.Rows())
-	j.SortRows = [2]int64{int64(lm.Rows()), int64(rm.Rows())}
-	ls, err := lm.SortBy(cast.SortKey{Col: BaseName(j.LeftCol)})
+	li, err := ls.Schema().Index(BaseName(leftCol))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	rs, err := rm.SortBy(cast.SortKey{Col: BaseName(j.RightCol)})
+	ri, err := rs.Schema().Index(BaseName(rightCol))
 	if err != nil {
-		return nil, err
-	}
-	li, err := ls.Schema().Index(BaseName(j.LeftCol))
-	if err != nil {
-		return nil, err
-	}
-	ri, err := rs.Schema().Index(BaseName(j.RightCol))
-	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	lk, err := ls.Ints(li)
 	if err != nil {
-		return nil, fmt.Errorf("merge join needs int64 keys: %w", err)
+		return nil, "", fmt.Errorf("merge join needs int64 keys: %w", err)
 	}
 	rk, err := rs.Ints(ri)
 	if err != nil {
-		return nil, fmt.Errorf("merge join needs int64 keys: %w", err)
+		return nil, "", fmt.Errorf("merge join needs int64 keys: %w", err)
 	}
 	var leftIdx, rightIdx []int32
 	a, b := 0, 0
@@ -602,6 +269,9 @@ func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 		case lk[a] > rk[b]:
 			b++
 		default:
+			if err := ctx.Err(); err != nil {
+				return nil, "", err
+			}
 			// Emit the cross product of the equal-key runs.
 			a2 := a
 			for a2 < len(lk) && lk[a2] == lk[a] {
@@ -620,83 +290,35 @@ func (j *MergeJoinOp) Next(ctx context.Context) (*cast.Batch, error) {
 			a, b = a2, b2
 		}
 	}
-	j.result, err = cast.HConcat(j.schema, ls.Take(leftIdx), rs.Take(rightIdx))
+	out, err := cast.HConcat(schema, ls.Take(leftIdx), rs.Take(rightIdx))
 	if err != nil {
+		return nil, "", err
+	}
+	return out, fmt.Sprintf("MergeJoin(%s=%s)", leftCol, rightCol), nil
+}
+
+// Sort returns in ordered by the ORDER BY items, whose columns are in's own
+// (they carry no table qualifier). The result is a permutation over in's
+// storage (cast.Batch.SortBy).
+func Sort(ctx context.Context, in *cast.Batch, order []OrderItem) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	j.out = int64(j.result.Rows())
-	j.emitted = true
-	return j.result, nil
-}
-
-// Close implements Operator.
-func (j *MergeJoinOp) Close() error {
-	lerr := j.Left.Close()
-	rerr := j.Right.Close()
-	if lerr != nil {
-		return lerr
+	keys := make([]cast.SortKey, 0, len(order))
+	for _, o := range order {
+		keys = append(keys, cast.SortKey{Col: BaseName(o.Col), Desc: o.Desc})
 	}
-	return rerr
+	return in.SortBy(keys...)
 }
 
-// Stats implements Operator.
-func (j *MergeJoinOp) Stats() OpStats {
-	return OpStats{Kind: fmt.Sprintf("MergeJoin(%s=%s)", j.LeftCol, j.RightCol), RowsIn: j.in, RowsOut: j.out}
-}
-
-// Children implements Operator.
-func (j *MergeJoinOp) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// --- Sort ---
-
-// SortOp materializes its input and emits it ordered by the keys.
-type SortOp struct {
-	Child Operator
-	Keys  []cast.SortKey
-
-	done bool
-	in   int64
-}
-
-// NewSort returns a sort operator.
-func NewSort(child Operator, keys ...cast.SortKey) *SortOp { return &SortOp{Child: child, Keys: keys} }
-
-// Schema implements Operator.
-func (s *SortOp) Schema() cast.Schema { return s.Child.Schema() }
-
-// Open implements Operator.
-func (s *SortOp) Open(ctx context.Context) error { return s.Child.Open(ctx) }
-
-// Next implements Operator.
-func (s *SortOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	m, err := bulkOrDrain(ctx, s.Child)
-	if err != nil {
+// Limit returns the first n rows of in — all of them when it has fewer — as a
+// view.
+func Limit(ctx context.Context, in *cast.Batch, n int) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.in = int64(m.Rows())
-	out, err := m.SortBy(s.Keys...)
-	if err != nil {
-		return nil, err
-	}
-	s.done = true
-	return out, nil
+	return in.ViewRange(0, min(n, in.Rows()))
 }
-
-// Close implements Operator.
-func (s *SortOp) Close() error { return s.Child.Close() }
-
-// Stats implements Operator.
-func (s *SortOp) Stats() OpStats {
-	return OpStats{Kind: "Sort", RowsIn: s.in, RowsOut: s.in}
-}
-
-// Children implements Operator.
-func (s *SortOp) Children() []Operator { return []Operator{s.Child} }
-
-// --- GroupBy ---
 
 // AggFn identifies an aggregate function.
 type AggFn int
@@ -736,34 +358,17 @@ type AggSpec struct {
 	As  string
 }
 
-// GroupByOp hash-aggregates its input. The accumulation fans out over fixed
-// row-range partitions on the shared scan pool and the partial aggregates
-// combine in ascending partition order (parallel.go's equivalence
-// argument), so results match single-partition execution.
-type GroupByOp struct {
-	Child     Operator
-	GroupCols []string
-	Aggs      []AggSpec
-	// Parts overrides the partition fan-out (0 = auto, 1 = sequential).
-	Parts int
-
-	schema cast.Schema
-	done   bool
-	in     int64
-	out    int64
-}
-
-// NewGroupBy returns a hash aggregation operator. With no group columns it
-// produces a single global-aggregate row.
-func NewGroupBy(child Operator, groupCols []string, aggs []AggSpec) (*GroupByOp, error) {
-	cs := child.Schema()
+// GroupBySchema resolves the output schema of a group-by over input schema
+// in: the group columns under their source names, then one column per
+// aggregate.
+func GroupBySchema(in cast.Schema, groupCols []string, aggs []AggSpec) (cast.Schema, error) {
 	cols := make([]cast.Column, 0, len(groupCols)+len(aggs))
 	for _, g := range groupCols {
-		i, err := cs.Index(BaseName(g))
+		i, err := in.Index(BaseName(g))
 		if err != nil {
-			return nil, err
+			return cast.Schema{}, err
 		}
-		cols = append(cols, cs.Col(i))
+		cols = append(cols, in.Col(i))
 	}
 	for _, a := range aggs {
 		var t cast.Type
@@ -773,31 +378,21 @@ func NewGroupBy(child Operator, groupCols []string, aggs []AggSpec) (*GroupByOp,
 		case AggAvg:
 			t = cast.Float64
 		case AggSum, AggMin, AggMax:
-			i, err := cs.Index(BaseName(a.Col))
+			i, err := in.Index(BaseName(a.Col))
 			if err != nil {
-				return nil, err
+				return cast.Schema{}, err
 			}
-			t = cs.Col(i).Type
+			t = in.Col(i).Type
 			if t == cast.Timestamp {
 				t = cast.Int64
 			}
 		default:
-			return nil, fmt.Errorf("%w: unknown aggregate %d", ErrExpr, int(a.Fn))
+			return cast.Schema{}, fmt.Errorf("%w: unknown aggregate %d", ErrExpr, int(a.Fn))
 		}
 		cols = append(cols, cast.Column{Name: a.As, Type: t})
 	}
-	s, err := cast.NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &GroupByOp{Child: child, GroupCols: groupCols, Aggs: aggs, schema: s}, nil
+	return cast.NewSchema(cols...)
 }
-
-// Schema implements Operator.
-func (g *GroupByOp) Schema() cast.Schema { return g.schema }
-
-// Open implements Operator.
-func (g *GroupByOp) Open(ctx context.Context) error { return g.Child.Open(ctx) }
 
 // aggState is one aggregate of one group. The extreme of a MIN or MAX is
 // kept as the input row holding it, so no value is ever boxed.
@@ -931,27 +526,27 @@ func (acc *groupAccum) combine(next *groupAccum) {
 	}
 }
 
-// Next implements Operator.
-func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if g.done {
-		return nil, nil
-	}
-	m, err := bulkOrDrain(ctx, g.Child)
-	if err != nil {
+// GroupBy hash-aggregates m into a batch under schema, which is
+// GroupBySchema of m's; with no group columns it produces a single
+// global-aggregate row. The accumulation fans out over fixed row-range
+// partitions on the shared scan pool and the partial aggregates combine in
+// ascending partition order (parallel.go's equivalence argument), so results
+// match single-partition execution.
+func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggSpec, schema cast.Schema, parts int) (*cast.Batch, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g.in = int64(m.Rows())
 	cs := m.Schema()
-	groupIdx := make([]int, len(g.GroupCols))
-	for i, c := range g.GroupCols {
+	groupIdx := make([]int, len(groupCols))
+	for i, c := range groupCols {
 		gi, err := cs.Index(BaseName(c))
 		if err != nil {
 			return nil, err
 		}
 		groupIdx[i] = gi
 	}
-	aggs := make([]aggInput, len(g.Aggs))
-	for i, a := range g.Aggs {
+	inputs := make([]aggInput, len(aggs))
+	for i, a := range aggs {
 		if a.Fn == AggCount && a.Col == "" {
 			continue
 		}
@@ -961,21 +556,21 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 		}
 		switch cs.Col(ai).Type {
 		case cast.Int64, cast.Timestamp:
-			aggs[i].ints, _ = m.Ints(ai)
+			inputs[i].ints, _ = m.Ints(ai)
 		case cast.Float64:
-			aggs[i].flts, _ = m.Floats(ai)
+			inputs[i].flts, _ = m.Floats(ai)
 		}
 		switch cmp := m.Comparator(ai); a.Fn {
 		case AggMin:
-			aggs[i].beats = func(x, y int32) bool { return cmp(x, y) < 0 }
+			inputs[i].beats = func(x, y int32) bool { return cmp(x, y) < 0 }
 		case AggMax:
-			aggs[i].beats = func(x, y int32) bool { return cmp(x, y) > 0 }
+			inputs[i].beats = func(x, y int32) bool { return cmp(x, y) > 0 }
 		}
 	}
-	ranges := splitRows(m.Rows(), g.Parts)
+	ranges := splitRows(m.Rows(), parts)
 	accums := make([]*groupAccum, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
-		accums[i] = accumulate(m, groupIdx, aggs, ranges[i].Lo, ranges[i].Hi)
+		accums[i] = accumulate(m, groupIdx, inputs, ranges[i].Lo, ranges[i].Hi)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -984,24 +579,18 @@ func (g *GroupByOp) Next(ctx context.Context) (*cast.Batch, error) {
 	for _, nx := range accums[1:] {
 		acc.combine(nx)
 	}
-	out, err := g.emit(m, acc, groupIdx)
-	if err != nil {
-		return nil, err
-	}
-	g.out = int64(out.Rows())
-	g.done = true
-	return out, nil
+	return renderGroups(m, acc, groupIdx, aggs, schema)
 }
 
-// emit renders the groups, ordered by their AppendKey rendering (the order
-// the operator has always produced), as typed output columns.
-func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.Batch, error) {
+// renderGroups renders the groups, ordered by their AppendKey rendering (the
+// order group-by has always produced), as typed output columns.
+func renderGroups(m *cast.Batch, acc *groupAccum, groupIdx []int, aggs []AggSpec, schema cast.Schema) (*cast.Batch, error) {
 	n := len(acc.first)
 	if n == 0 {
 		// No input rows, so no groups: no output rows either, except that a
 		// global aggregate (no group columns) still yields one row, every
 		// aggregate at its zero.
-		return cast.NewBatchRows(g.schema, 1-min(len(groupIdx), 1)), nil
+		return cast.NewBatchRows(schema, 1-min(len(groupIdx), 1)), nil
 	}
 	var keys []byte
 	ends, order := make([]int, n+1), make([]int32, n)
@@ -1017,11 +606,11 @@ func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.
 	for i, gi := range order {
 		rows[i] = acc.first[gi]
 	}
-	cols := make([]any, 0, g.schema.Len())
+	cols := make([]any, 0, schema.Len())
 	for _, ci := range groupIdx {
 		cols = append(cols, columnAt(m, ci, rows))
 	}
-	for i, a := range g.Aggs {
+	for i, a := range aggs {
 		counts, sums := make([]int64, n), make([]float64, n)
 		for j, gi := range order {
 			st := acc.of(gi)[i]
@@ -1031,7 +620,7 @@ func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.
 		case AggCount:
 			cols = append(cols, counts)
 		case AggSum:
-			if g.schema.Col(len(groupIdx)+i).Type != cast.Int64 {
+			if schema.Col(len(groupIdx)+i).Type != cast.Int64 {
 				cols = append(cols, sums)
 				continue
 			}
@@ -1054,7 +643,7 @@ func (g *GroupByOp) emit(m *cast.Batch, acc *groupAccum, groupIdx []int) (*cast.
 			cols = append(cols, columnAt(m, ci, rows))
 		}
 	}
-	return cast.BatchOf(g.schema, cols...)
+	return cast.BatchOf(schema, cols...)
 }
 
 // columnAt gathers column ci of m at rows into a fresh typed slice for
@@ -1063,63 +652,3 @@ func columnAt(m *cast.Batch, ci int, rows []int32) any {
 	v, n, _ := ColRef{Name: m.Schema().Col(ci).Name}.evalVec(m, selection{rows: rows})
 	return v.column(n)
 }
-
-// Close implements Operator.
-func (g *GroupByOp) Close() error { return g.Child.Close() }
-
-// Stats implements Operator.
-func (g *GroupByOp) Stats() OpStats {
-	return OpStats{Kind: "GroupBy", RowsIn: g.in, RowsOut: g.out}
-}
-
-// Children implements Operator.
-func (g *GroupByOp) Children() []Operator { return []Operator{g.Child} }
-
-// --- Limit ---
-
-// LimitOp truncates its input after N rows.
-type LimitOp struct {
-	Child Operator
-	N     int
-
-	seen int
-}
-
-// NewLimit returns a limit operator.
-func NewLimit(child Operator, n int) *LimitOp { return &LimitOp{Child: child, N: n} }
-
-// Schema implements Operator.
-func (l *LimitOp) Schema() cast.Schema { return l.Child.Schema() }
-
-// Open implements Operator.
-func (l *LimitOp) Open(ctx context.Context) error { return l.Child.Open(ctx) }
-
-// Next implements Operator.
-func (l *LimitOp) Next(ctx context.Context) (*cast.Batch, error) {
-	if l.seen >= l.N {
-		return nil, nil
-	}
-	b, err := l.Child.Next(ctx)
-	if err != nil || b == nil {
-		return nil, err
-	}
-	if l.seen+b.Rows() > l.N {
-		b, err = b.ViewRange(0, l.N-l.seen)
-		if err != nil {
-			return nil, err
-		}
-	}
-	l.seen += b.Rows()
-	return b, nil
-}
-
-// Close implements Operator.
-func (l *LimitOp) Close() error { return l.Child.Close() }
-
-// Stats implements Operator.
-func (l *LimitOp) Stats() OpStats {
-	return OpStats{Kind: fmt.Sprintf("Limit(%d)", l.N), RowsIn: int64(l.seen), RowsOut: int64(l.seen)}
-}
-
-// Children implements Operator.
-func (l *LimitOp) Children() []Operator { return []Operator{l.Child} }

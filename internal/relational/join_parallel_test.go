@@ -2,9 +2,7 @@ package relational
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -81,92 +79,59 @@ func newJoinTables(t testing.TB, c joinCase) (*Table, *Table) {
 	return left, right
 }
 
+// seqJoin is the sequential join: build at one partition, probe ChunkRows
+// rows at a time at one partition.
+func seqJoin(t *testing.T, left, right *cast.Batch, buildParts int) *cast.Batch {
+	t.Helper()
+	hb, err := BuildHash(context.Background(), left.Schema(), right, "k", "k2", buildParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sequential(t, left, hb.Schema(), hb.Probe)
+}
+
 // TestParallelHashJoinEquivalence pins build/probe fan-out at 1/2/7/64 and
-// checks every partitioning produces exactly the sequential streaming join's
-// output and stats, across empty, single-row, all-collide, and skewed keys.
+// checks every partitioning produces exactly the sequential join's output,
+// across empty, single-row, all-collide, and skewed keys.
 func TestParallelHashJoinEquivalence(t *testing.T) {
 	for _, c := range joinCases() {
 		t.Run(c.name, func(t *testing.T) {
-			left, right := newJoinTables(t, c)
-			base, err := NewHashJoin(streamOnly{NewSeqScan(left)}, streamOnly{NewSeqScan(right)}, "k", "k2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Parts = 1
-			want := mustRun(t, base)
-			wantStats := base.Stats()
+			lt, rt := newJoinTables(t, c)
+			left, right := lt.Snapshot(), rt.Snapshot()
+			want := seqJoin(t, left, right, 1)
 			for _, parts := range partCounts {
-				par, err := NewHashJoin(NewSeqScan(left), NewSeqScan(right), "k", "k2")
+				got, err := hashJoin(context.Background(), left, right, "k", "k2", parts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par.Parts = parts
-				got := mustRun(t, par)
 				if !got.Equal(want) {
 					t.Fatalf("parts=%d: join output differs from sequential (%d vs %d rows)",
 						parts, got.Rows(), want.Rows())
-				}
-				if gs := par.Stats(); gs != wantStats {
-					t.Fatalf("parts=%d: stats %+v != sequential %+v", parts, gs, wantStats)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelHashJoinStreamingProbe checks Stream mode keeps per-batch
-// probing (bulk path off) and still matches the baseline.
+// TestParallelHashJoinStreamingProbe checks a partitioned build under a
+// chunk-by-chunk probe — the streamed join — still matches the baseline.
 func TestParallelHashJoinStreamingProbe(t *testing.T) {
-	c := joinCases()[4] // uniform
-	left, right := newJoinTables(t, c)
-	base, err := NewHashJoin(streamOnly{NewSeqScan(left)}, streamOnly{NewSeqScan(right)}, "k", "k2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Parts = 1
-	want := mustRun(t, base)
+	lt, rt := newJoinTables(t, joinCases()[4]) // uniform
+	left, right := lt.Snapshot(), rt.Snapshot()
+	want := seqJoin(t, left, right, 1)
 	for _, parts := range partCounts {
-		par, err := NewHashJoin(NewSeqScan(left), NewSeqScan(right), "k", "k2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.Parts = parts
-		par.Stream = true // parallel build, streaming probe
-		got := mustRun(t, par)
-		if !got.Equal(want) {
+		if got := seqJoin(t, left, right, parts); !got.Equal(want) {
 			t.Fatalf("parts=%d: streaming-probe output differs from sequential", parts)
 		}
 	}
 }
 
-// TestHashJoinCanceledContext guards the build-side drain: with an
-// already-cancelled context the join must abort promptly instead of draining
-// the whole build input.
-func TestHashJoinCanceledContext(t *testing.T) {
-	c := joinCases()[4]
-	left, right := newJoinTables(t, c)
-	// streamOnly hides Bulk, so the build goes through the per-batch drain
-	// loop — the path the cancellation check protects.
-	j, err := NewHashJoin(NewSeqScan(left), streamOnly{NewSeqScan(right)}, "k", "k2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := j.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Next(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next with cancelled ctx = %v, want context.Canceled", err)
-	}
-	_ = j.Close()
-}
-
-// TestParallelJoinSQLEquivalence checks the planner path: a two-table join
-// large enough for automatic partitioning, compared against the all-stream
-// baseline of the same plan.
-func TestParallelJoinSQLEquivalence(t *testing.T) {
-	store := NewStore("sql-join")
+// joinOracleTables builds orders(oid, uid_fk, amount) of n rows over
+// users(uid, name): order i belongs to user i%users, named "u<uid>", and
+// amounts to (i%97)/2.
+func joinOracleTables(t *testing.T, name string, n, users int) *Store {
+	t.Helper()
+	store := NewStore(name)
 	orders, err := store.CreateTable("orders", cast.MustSchema(
 		cast.Column{Name: "oid", Type: cast.Int64},
 		cast.Column{Name: "uid_fk", Type: cast.Int64},
@@ -175,87 +140,68 @@ func TestParallelJoinSQLEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12000; i++ {
-		if err := orders.Insert(int64(i), int64(i%400), float64(i%97)*0.5); err != nil {
+	for i := 0; i < n; i++ {
+		if err := orders.Insert(int64(i), int64(i%users), float64(i%97)*0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	users, err := store.CreateTable("users", cast.MustSchema(
+	ut, err := store.CreateTable("users", cast.MustSchema(
 		cast.Column{Name: "uid", Type: cast.Int64},
 		cast.Column{Name: "name", Type: cast.String},
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 400; i++ {
-		if err := users.Insert(int64(i), fmt.Sprintf("u%d", i)); err != nil {
+	for i := 0; i < users; i++ {
+		if err := ut.Insert(int64(i), fmt.Sprintf("u%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(store)
+	return store
+}
+
+// TestParallelJoinSQLEquivalence checks Engine.Query on a two-table join
+// large enough for automatic partitioning, against the rows a plain loop over
+// the inserted values joins.
+func TestParallelJoinSQLEquivalence(t *testing.T) {
+	store := joinOracleTables(t, "sql-join", 12000, 400)
 	sql := "SELECT oid, name FROM orders JOIN users ON uid_fk = uid WHERE amount > 10.0 ORDER BY oid"
-	par, _, err := e.Query(context.Background(), sql)
+	got, _, err := NewEngine(store).Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := e.Plan(sql)
-	if err != nil {
-		t.Fatal(err)
+	r := 0
+	for i := 0; i < 12000; i++ {
+		if float64(i%97)*0.5 <= 10.0 {
+			continue
+		}
+		if row, err := got.Row(r); err != nil || row[0] != int64(i) || row[1] != fmt.Sprintf("u%d", i%400) {
+			t.Fatalf("sql %q: row %d is %v, want order %d (%v)", sql, r, row, i, err)
+		}
+		r++
 	}
-	forceStream(plan)
-	seq, err := Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(seq) {
-		t.Fatalf("sql %q: auto-partitioned join result differs from streaming baseline", sql)
+	if got.Rows() != r {
+		t.Fatalf("sql %q: %d rows, want %d", sql, got.Rows(), r)
 	}
 }
 
 // TestJoinLimitKeepsStreamingProbe guards LIMIT early-exit through a join:
-// the probe-side scan must stop after a few batches instead of bulk-probing
-// the whole table (the build side necessarily reads everything).
+// the probe-side scan must stop after a few chunks instead of being probed
+// whole (the build side necessarily reads everything).
 func TestJoinLimitKeepsStreamingProbe(t *testing.T) {
-	store := NewStore("join-limit")
-	orders, err := store.CreateTable("orders", cast.MustSchema(
-		cast.Column{Name: "oid", Type: cast.Int64},
-		cast.Column{Name: "uid_fk", Type: cast.Int64},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		if err := orders.Insert(int64(i), int64(i%50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	users, err := store.CreateTable("users", cast.MustSchema(
-		cast.Column{Name: "uid", Type: cast.Int64},
-		cast.Column{Name: "name", Type: cast.String},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := users.Insert(int64(i), fmt.Sprintf("u%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := NewEngine(store)
-	plan, err := e.Plan("SELECT oid, name FROM orders JOIN users ON uid_fk = uid LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), plan)
+	store := joinOracleTables(t, "join-limit", 20000, 50)
+	out, stats, err := NewEngine(store).Query(context.Background(), "SELECT oid, name FROM orders JOIN users ON uid_fk = uid LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 10 {
 		t.Fatalf("rows = %d, want 10", out.Rows())
 	}
-	for _, st := range WalkStats(plan) {
-		if strings.HasPrefix(st.Kind, "SeqScan(orders)") && st.RowsIn >= 20000 {
-			t.Fatalf("probe scan read %d rows under LIMIT 10 — bulk probe defeated early exit", st.RowsIn)
-		}
+	if st := stats[0]; st.Kind != "SeqScan(orders)" || st.RowsIn == 0 || st.RowsIn >= 20000 {
+		t.Fatalf("probe scan %+v under LIMIT 10 — the probe did not stop early", st)
+	}
+	// The join read the probe rows the scan fed it and all 50 build rows.
+	if st := stats[1]; st.Kind != "HashJoin(uid_fk=uid)" || st.RowsIn != stats[0].RowsOut+50 {
+		t.Fatalf("join %+v after scan %+v", st, stats[0])
 	}
 }

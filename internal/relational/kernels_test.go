@@ -1,0 +1,184 @@
+package relational
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"polystorepp/internal/cast"
+)
+
+// afterChecks is a context that reports cancellation from its n+1st Err call
+// on: a cancellation that lands mid-kernel, with no clock involved.
+type afterChecks struct {
+	context.Context
+	n int
+}
+
+func (c *afterChecks) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKernelsHonorCancelledContext hands every kernel an already-cancelled
+// context: each must answer context.Canceled and nothing else. The merge join
+// is also cancelled after its entry check, where only its per-run check can
+// notice.
+func TestKernelsHonorCancelledContext(t *testing.T) {
+	s := newTestStore(t, 300)
+	ut, _ := s.Table("users")
+	ot, _ := s.Table("orders")
+	users, orders := ut.Snapshot(), ot.Snapshot()
+	pred := Bin{Op: OpGt, L: ColRef{Name: "age"}, R: Const{V: int64(30)}}
+	items := []ProjItem{{E: Bin{Op: OpAdd, L: ColRef{Name: "age"}, R: Const{V: int64(1)}}, Name: "next"}}
+	projected, err := ProjectSchema(users.Schema(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []AggSpec{{Fn: AggCount, As: "n"}}
+	grouped, err := GroupBySchema(users.Schema(), []string{"name"}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := BuildHash(context.Background(), orders.Schema(), users, "user_id", "uid", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		run  func(ctx context.Context) (any, error)
+	}{
+		{"scan", cancelled, func(ctx context.Context) (any, error) { b, _, err := Scan(ctx, ut, nil); return b, err }},
+		{"filter", cancelled, func(ctx context.Context) (any, error) { return Filter(ctx, users, pred, 1) }},
+		{"filter/parts=7", cancelled, func(ctx context.Context) (any, error) { return Filter(ctx, users, pred, 7) }},
+		{"project", cancelled, func(ctx context.Context) (any, error) { return Project(ctx, users, items, projected, 1) }},
+		{"hash-build", cancelled, func(ctx context.Context) (any, error) {
+			return BuildHash(ctx, orders.Schema(), users, "user_id", "uid", 1)
+		}},
+		{"hash-probe", cancelled, func(ctx context.Context) (any, error) { return hb.Probe(ctx, orders, 1) }},
+		{"merge-join", cancelled, func(ctx context.Context) (any, error) {
+			b, _, err := MergeJoin(ctx, orders, users, "user_id", "uid")
+			return b, err
+		}},
+		{"merge-join/mid-merge", &afterChecks{Context: context.Background(), n: 1}, func(ctx context.Context) (any, error) {
+			b, _, err := MergeJoin(ctx, orders, users, "user_id", "uid")
+			return b, err
+		}},
+		{"group-by", cancelled, func(ctx context.Context) (any, error) {
+			return GroupBy(ctx, users, []string{"name"}, aggs, grouped, 1)
+		}},
+		{"sort", cancelled, func(ctx context.Context) (any, error) { return Sort(ctx, users, []OrderItem{{Col: "age"}}) }},
+		{"limit", cancelled, func(ctx context.Context) (any, error) { return Limit(ctx, users, 10) }},
+		{"chunked", cancelled, func(ctx context.Context) (any, error) {
+			return Chunked(ctx, users, 7, users.Schema(), nil, -1, func(*cast.Batch) error {
+				t.Error("a chunk was emitted under a cancelled context")
+				return nil
+			})
+		}},
+	} {
+		out, err := tc.run(tc.ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", tc.name, err)
+		}
+		switch v := out.(type) {
+		case *cast.Batch:
+			if v != nil {
+				t.Errorf("%s: returned %d rows beside its error", tc.name, v.Rows())
+			}
+		case *HashBuild:
+			if v != nil {
+				t.Errorf("%s: returned a build beside its error", tc.name)
+			}
+		}
+	}
+}
+
+// TestChunkWidths: a filter, a projection and a hash-join probe run chunk by
+// chunk at widths 1, 7, ChunkRows and rows+1 — a chunk per row, chunks that
+// do not divide the input, the width served, one chunk — emit exactly the
+// result of the same kernel over the whole input, and return it; when a row
+// fails, they fail with the whole-input run's error — the first failing
+// row's — having emitted only what lies before the failing chunk.
+func TestChunkWidths(t *testing.T) {
+	const rows, bad = 2500, 1500
+	in := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "k", Type: cast.Int64},
+	), rows)
+	for i := 0; i < rows; i++ {
+		if err := in.AppendRow(int64(i), int64(i%37)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "k2", Type: cast.Int64},
+		cast.Column{Name: "tag", Type: cast.String},
+	), 60)
+	for i := 0; i < 60; i++ { // keys 0..29, twice each: some probe rows match twice, some never
+		if err := build.AppendRow(int64(i%30), fmt.Sprint("t", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hb, err := BuildHash(context.Background(), in.Schema(), build, "k", "k2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, lit := ColRef{Name: "id"}, func(v int64) Expr { return Const{V: v} }
+	// 10 / (id - bad) divides by zero on row bad, and on no other.
+	failing := Bin{Op: OpDiv, L: lit(10), R: Bin{Op: OpSub, L: id, R: lit(bad)}}
+	project := func(items ...ProjItem) (Kernel, cast.Schema) { return projectK(t, in.Schema(), items) }
+	okProject, okSchema := project(ProjItem{E: id, Name: "id"}, ProjItem{E: Bin{Op: OpMul, L: id, R: lit(3)}, Name: "triple"})
+	badProject, badSchema := project(ProjItem{E: id, Name: "id"}, ProjItem{E: failing, Name: "q"})
+	for _, tc := range []struct {
+		name   string
+		schema cast.Schema
+		chain  []Kernel
+	}{
+		{"filter", in.Schema(), []Kernel{filterK(Bin{Op: OpLt, L: ColRef{Name: "k"}, R: lit(11)})}},
+		{"filter/failing-row", in.Schema(), []Kernel{filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
+		{"project", okSchema, []Kernel{okProject}},
+		{"project/failing-row", badSchema, []Kernel{badProject}},
+		{"probe", hb.Schema(), []Kernel{hb.Probe}},
+		// A probe has no row it can fail on; the filter over it does.
+		{"probe/failing-row", hb.Schema(), []Kernel{hb.Probe, filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
+	} {
+		want, wantErr := in, error(nil)
+		for _, k := range tc.chain {
+			if wantErr == nil {
+				want, wantErr = k(context.Background(), want, 0)
+			}
+		}
+		for _, width := range []int{1, 7, ChunkRows, rows + 1} {
+			emitted := cast.NewBatch(tc.schema, rows)
+			got, err := Chunked(context.Background(), in, width, tc.schema, tc.chain, -1, emitted.AppendBatch)
+			if !sameError(err, wantErr) {
+				t.Fatalf("%s at width %d: error %v, the whole input's is %v", tc.name, width, err, wantErr)
+			}
+			if err != nil {
+				// Everything before the failing chunk went out; nothing of it did.
+				if before, _ := Chunked(context.Background(), mustView(t, in, 0, bad/width*width), width, tc.schema, tc.chain, -1, nil); got != nil || !emitted.Equal(before) {
+					t.Fatalf("%s at width %d: returned %v and emitted %d rows, want nothing and the %d before the failing chunk", tc.name, width, got, emitted.Rows(), before.Rows())
+				}
+				continue
+			}
+			if !got.Equal(want) || !emitted.Equal(want) {
+				t.Fatalf("%s at width %d: returned %d rows and emitted %d, the whole input gives %d", tc.name, width, got.Rows(), emitted.Rows(), want.Rows())
+			}
+		}
+	}
+}
+
+func mustView(t *testing.T, b *cast.Batch, lo, hi int) *cast.Batch {
+	t.Helper()
+	v, err := b.ViewRange(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}

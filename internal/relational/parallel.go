@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements partition-parallel execution of the scan-shaped
-// operators (filter, project, group-by): the input is split into fixed
+// kernels (filter, project, group-by): the input is split into fixed
 // contiguous row ranges, one task per partition fans out over the shared
 // bounded scan-worker pool (internal/partition), and the per-partition
 // results — selections for a filter — are merged in partition order.
@@ -20,32 +20,6 @@ import (
 // regardless of goroutine schedule and exact (hence partition-invariant)
 // whenever the underlying additions are exact — always for counts and
 // integer sums, and for float sums whose accumulations round nowhere.
-
-// BulkSource is implemented by operators able to surrender their entire
-// remaining output as one batch instead of iterating per-batch. Partitioned
-// operators use it to grab a scan's snapshot (or an adapter's materialized
-// input) up front, split it into row ranges, and fan out. Implementations
-// must leave their stream exhausted and their Stats accounting as if the
-// output had been streamed.
-type BulkSource interface {
-	Bulk(ctx context.Context) (*cast.Batch, error)
-}
-
-// bulkOrDrain materializes op's full output, via Bulk when available (zero
-// copies for snapshot-backed scans) and by draining otherwise.
-func bulkOrDrain(ctx context.Context, op Operator) (*cast.Batch, error) {
-	if bs, ok := op.(BulkSource); ok {
-		b, err := bs.Bulk(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			b = cast.NewBatch(op.Schema(), 0)
-		}
-		return b, nil
-	}
-	return drain(ctx, op, nil)
-}
 
 // splitRows resolves a partition knob against n input rows: parts <= 0 sizes
 // the fan-out from n and the pool width, 1 keeps one range.

@@ -34,14 +34,21 @@ func benchTable(b *testing.B) *Table {
 	return tab
 }
 
+// scanFilter is scan -> filter over tab: the snapshot, then pred() at parts.
+func scanFilter(tab *Table, parts int) (*cast.Batch, error) {
+	in, _, err := Scan(context.Background(), tab, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Filter(context.Background(), in, pred(), parts)
+}
+
 func benchFilter(b *testing.B, parts int) {
 	tab := benchTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFilter(NewSeqScan(tab), pred())
-		f.Parts = parts
-		if _, err := Run(context.Background(), f); err != nil {
+		if _, err := scanFilter(tab, parts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +57,7 @@ func benchFilter(b *testing.B, parts int) {
 // BenchmarkFilterSequential pins one partition — the pre-partitioning path.
 func BenchmarkFilterSequential(b *testing.B) { benchFilter(b, 1) }
 
-// BenchmarkFilterParallel lets the operator fan out over the scan pool.
+// BenchmarkFilterParallel lets the kernel fan out over the scan pool.
 func BenchmarkFilterParallel(b *testing.B) { benchFilter(b, 0) }
 
 func benchGroupBy(b *testing.B, parts int) {
@@ -63,12 +70,7 @@ func benchGroupBy(b *testing.B, parts int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := NewGroupBy(NewSeqScan(tab), []string{"grp"}, aggs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.Parts = parts
-		if _, err := Run(context.Background(), g); err != nil {
+		if _, err := groupBy(context.Background(), tab.Snapshot(), []string{"grp"}, aggs, parts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,12 +132,7 @@ func benchHashJoin(b *testing.B, parts int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := NewHashJoin(NewSeqScan(left), NewSeqScan(right), "k", "k2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.Parts = parts
-		if _, err := Run(context.Background(), j); err != nil {
+		if _, err := hashJoin(context.Background(), left.Snapshot(), right.Snapshot(), "k", "k2", parts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,9 +197,7 @@ func BenchmarkFilterReadOneColumn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFilter(NewSeqScan(tab), pred())
-		f.Parts = 1
-		kept, err := Run(context.Background(), f)
+		kept, err := scanFilter(tab, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,15 +215,18 @@ func BenchmarkFilterReadOneColumn(b *testing.B) {
 	}
 }
 
-// BenchmarkRunEmitSingleBatch drains an operator that yields one batch — the
-// hand-off every adapter node ends with; it must cost no copy.
-func BenchmarkRunEmitSingleBatch(b *testing.B) {
+// BenchmarkChunkedSingleBatch is the hand-off every streamed adapter node
+// ends with when its input fits one chunk: the batch through a kernel that
+// keeps every row, then through Chunked to the sink. It must cost no copy —
+// the view the filter hands on, and nothing per row of the 200k.
+func BenchmarkChunkedSingleBatch(b *testing.B) {
 	in := benchTable(b).Snapshot()
+	chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}})}
 	sink := func(*cast.Batch) error { return nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunEmit(context.Background(), &memSource{b: in}, sink); err != nil {
+		if out, err := Chunked(context.Background(), in, in.Rows(), in.Schema(), chain, -1, sink); err != nil || out.Rows() != in.Rows() {
 			b.Fatal(err)
 		}
 	}

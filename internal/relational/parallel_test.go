@@ -9,18 +9,6 @@ import (
 	"polystorepp/internal/cast"
 )
 
-// streamOnly hides a child's BulkSource so operators take the streaming
-// (pre-partitioning) path — the sequential baseline the equivalence tests
-// compare against.
-type streamOnly struct{ op Operator }
-
-func (s streamOnly) Schema() cast.Schema                           { return s.op.Schema() }
-func (s streamOnly) Open(ctx context.Context) error                { return s.op.Open(ctx) }
-func (s streamOnly) Next(ctx context.Context) (*cast.Batch, error) { return s.op.Next(ctx) }
-func (s streamOnly) Close() error                                  { return s.op.Close() }
-func (s streamOnly) Stats() OpStats                                { return s.op.Stats() }
-func (s streamOnly) Children() []Operator                          { return s.op.Children() }
-
 // partCounts are the fan-outs the ISSUE pins: sequential, small, odd (so
 // ranges are unbalanced), and far more partitions than some inputs have rows
 // (so empty and single-row partitions occur).
@@ -52,9 +40,21 @@ func newParTable(t *testing.T, n int) *Table {
 	return tab
 }
 
-func mustRun(t *testing.T, op Operator) *cast.Batch {
+// whole runs k once over all of in at parts.
+func whole(t *testing.T, in *cast.Batch, k Kernel, parts int) *cast.Batch {
 	t.Helper()
-	out, err := Run(context.Background(), op)
+	out, err := k(context.Background(), in, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sequential runs chain the way a streamed request does — ChunkRows rows at a
+// time, each at one partition — the baseline every partitioned run is held to.
+func sequential(t *testing.T, in *cast.Batch, schema cast.Schema, chain ...Kernel) *cast.Batch {
+	t.Helper()
+	out, err := Chunked(context.Background(), in, ChunkRows, schema, chain, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +71,11 @@ func pred() Expr {
 
 func TestParallelFilterEquivalence(t *testing.T) {
 	for _, rows := range []int{0, 1, 5000} {
-		tab := newParTable(t, rows)
-		base := NewFilter(streamOnly{NewSeqScan(tab)}, pred())
-		want := mustRun(t, base)
-		wantStats := base.Stats()
+		in := newParTable(t, rows).Snapshot()
+		want := sequential(t, in, in.Schema(), filterK(pred()))
 		for _, parts := range partCounts {
-			par := NewFilter(NewSeqScan(tab), pred())
-			par.Parts = parts
-			got := mustRun(t, par)
-			if !got.Equal(want) {
+			if got := whole(t, in, filterK(pred()), parts); !got.Equal(want) {
 				t.Fatalf("rows=%d parts=%d: filter output differs from sequential", rows, parts)
-			}
-			if gs := par.Stats(); gs.RowsIn != wantStats.RowsIn || gs.RowsOut != wantStats.RowsOut {
-				t.Fatalf("rows=%d parts=%d: stats %+v != sequential %+v", rows, parts, gs, wantStats)
 			}
 		}
 	}
@@ -96,27 +88,21 @@ func TestParallelProjectEquivalence(t *testing.T) {
 		{E: ColRef{Name: "grp"}, Name: "grp"},
 	}
 	for _, rows := range []int{0, 1, 5000} {
-		tab := newParTable(t, rows)
-		base, err := NewProject(streamOnly{NewSeqScan(tab)}, items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := mustRun(t, base)
-		wantStats := base.Stats()
+		in := newParTable(t, rows).Snapshot()
+		project, schema := projectK(t, in.Schema(), items)
+		want := sequential(t, in, schema, project)
 		for _, parts := range partCounts {
-			par, err := NewProject(NewSeqScan(tab), items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.Parts = parts
-			got := mustRun(t, par)
-			if !got.Equal(want) {
+			if got := whole(t, in, project, parts); !got.Equal(want) {
 				t.Fatalf("rows=%d parts=%d: project output differs from sequential", rows, parts)
 			}
-			if gs := par.Stats(); gs.RowsIn != wantStats.RowsIn {
-				t.Fatalf("rows=%d parts=%d: stats %+v != sequential %+v", rows, parts, gs, wantStats)
-			}
 		}
+	}
+}
+
+// groupK binds a group-by to its arguments.
+func groupK(groupCols []string, aggs []AggSpec) Kernel {
+	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+		return groupBy(ctx, b, groupCols, aggs, parts)
 	}
 }
 
@@ -130,68 +116,42 @@ func TestParallelGroupByEquivalence(t *testing.T) {
 	}
 	for _, rows := range []int{0, 1, 5000} {
 		for _, groupCols := range [][]string{{"grp"}, nil} {
-			tab := newParTable(t, rows)
-			base, err := NewGroupBy(streamOnly{NewSeqScan(tab)}, groupCols, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Parts = 1
-			want := mustRun(t, base)
-			wantStats := base.Stats()
+			in := newParTable(t, rows).Snapshot()
+			group := groupK(groupCols, aggs)
+			want := whole(t, in, group, 1)
 			for _, parts := range partCounts {
-				par, err := NewGroupBy(NewSeqScan(tab), groupCols, aggs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par.Parts = parts
-				got := mustRun(t, par)
-				if !got.Equal(want) {
+				if got := whole(t, in, group, parts); !got.Equal(want) {
 					t.Fatalf("rows=%d groups=%v parts=%d: group-by output differs from sequential", rows, groupCols, parts)
-				}
-				if gs := par.Stats(); gs != wantStats {
-					t.Fatalf("rows=%d groups=%v parts=%d: stats %+v != sequential %+v", rows, groupCols, parts, gs, wantStats)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelPipelineEquivalence runs filter -> project -> group-by stacks
-// with mismatched fan-outs and checks the composed result still matches the
-// all-streaming baseline.
+// TestParallelPipelineEquivalence runs filter -> group-by stacks with
+// mismatched fan-outs and checks the composed result still matches the
+// sequential baseline.
 func TestParallelPipelineEquivalence(t *testing.T) {
-	tab := newParTable(t, 5000)
-	build := func(filterParts, groupParts int, stream bool) Operator {
-		var scan Operator = NewSeqScan(tab)
-		if stream {
-			scan = streamOnly{scan}
-		}
-		f := NewFilter(scan, pred())
-		f.Parts = filterParts
-		g, err := NewGroupBy(f, []string{"grp"}, []AggSpec{
-			{Fn: AggCount, Col: "", As: "n"},
-			{Fn: AggSum, Col: "val", As: "total"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Parts = groupParts
-		return g
-	}
-	want := mustRun(t, build(1, 1, true))
+	in := newParTable(t, 5000).Snapshot()
+	group := groupK([]string{"grp"}, []AggSpec{
+		{Fn: AggCount, Col: "", As: "n"},
+		{Fn: AggSum, Col: "val", As: "total"},
+	})
+	want := whole(t, sequential(t, in, in.Schema(), filterK(pred())), group, 1)
 	for _, fp := range partCounts {
 		for _, gp := range partCounts {
-			got := mustRun(t, build(fp, gp, false))
-			if !got.Equal(want) {
+			if got := whole(t, whole(t, in, filterK(pred()), fp), group, gp); !got.Equal(want) {
 				t.Fatalf("filterParts=%d groupParts=%d: pipeline output differs", fp, gp)
 			}
 		}
 	}
 }
 
-// TestParallelSQLEquivalence checks the SQL planner path end to end on a
-// table large enough for automatic partitioning to engage.
+// TestParallelSQLEquivalence checks Engine.Query end to end on a table large
+// enough for automatic partitioning to engage, against the rows a plain loop
+// over the inserted values keeps.
 func TestParallelSQLEquivalence(t *testing.T) {
+	const rows = 12000
 	store := NewStore("sql-par")
 	s := cast.MustSchema(
 		cast.Column{Name: "id", Type: cast.Int64},
@@ -202,42 +162,56 @@ func TestParallelSQLEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12000; i++ {
-		if err := big.Insert(int64(i), fmt.Sprintf("g%d", i%7), float64(i%31)*0.5); err != nil {
+	grp := func(i int) string { return fmt.Sprintf("g%d", i%7) }
+	val := func(i int) float64 { return float64(i%31) * 0.5 } // halves add exactly in any order
+	for i := 0; i < rows; i++ {
+		if err := big.Insert(int64(i), grp(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e := NewEngine(store)
-	for _, sql := range []string{
-		"SELECT grp, count(*) AS n, sum(val) AS total FROM rows WHERE id > 1000 GROUP BY grp ORDER BY grp",
-		"SELECT id, val FROM rows WHERE val < 3.0 ORDER BY id LIMIT 50",
-	} {
-		// Plan twice: once normally (auto-partitioned), once with streaming
-		// children forced, and compare.
-		par, _, err := e.Query(contextBG(), sql)
-		if err != nil {
-			t.Fatal(err)
+
+	grouped, _, err := e.Query(contextBG(), "SELECT grp, count(*) AS n, sum(val) AS total FROM rows WHERE id > 1000 GROUP BY grp ORDER BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, totals := map[string]int64{}, map[string]float64{}
+	for i := 1001; i < rows; i++ {
+		counts[grp(i)]++
+		totals[grp(i)] += val(i)
+	}
+	for r := 0; r < 7; r++ {
+		row, err := grouped.Row(r)
+		g := fmt.Sprintf("g%d", r)
+		if err != nil || grouped.Rows() != 7 || row[0] != g || row[1] != counts[g] || row[2] != totals[g] {
+			t.Fatalf("group %s of %d: %v, want count %d and total %v (%v)", g, grouped.Rows(), row, counts[g], totals[g], err)
 		}
-		plan, perr := e.Plan(sql)
-		if perr != nil {
-			t.Fatal(perr)
+	}
+
+	top, _, err := e.Query(contextBG(), "SELECT id, val FROM rows WHERE val < 3.0 ORDER BY id LIMIT 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := 0
+	for i := 0; i < rows && r < 50; i++ {
+		if val(i) >= 3.0 {
+			continue
 		}
-		forceStream(plan)
-		seq, err := Run(contextBG(), plan)
-		if err != nil {
-			t.Fatal(err)
+		if row, err := top.Row(r); err != nil || row[0] != int64(i) || row[1] != val(i) {
+			t.Fatalf("row %d: %v, want id %d (%v)", r, row, i, err)
 		}
-		if !par.Equal(seq) {
-			t.Fatalf("sql %q: auto-partitioned result differs from streaming baseline", sql)
-		}
+		r++
+	}
+	if top.Rows() != 50 {
+		t.Fatalf("LIMIT 50 returns %d rows", top.Rows())
 	}
 }
 
 func contextBG() context.Context { return context.Background() }
 
-// TestLimitKeepsStreaming guards LIMIT early-exit: with no materializing
-// ancestor, the planner must keep the filter/project chain streaming so the
-// scan stops after a few batches instead of bulk-reading the whole table.
+// TestLimitKeepsStreaming guards LIMIT early-exit: with no sort or group-by
+// beneath it, the filter/project chain runs chunk by chunk and the scan stops
+// after a few chunks instead of being read whole.
 func TestLimitKeepsStreaming(t *testing.T) {
 	store := NewStore("limit")
 	s := cast.MustSchema(
@@ -253,55 +227,23 @@ func TestLimitKeepsStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(store)
-	plan, err := e.Plan("SELECT id, val FROM rows WHERE id >= 0 LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(contextBG(), plan)
+	out, stats, err := NewEngine(store).Query(contextBG(), "SELECT id, val FROM rows WHERE id >= 0 LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 10 {
 		t.Fatalf("rows = %d, want 10", out.Rows())
 	}
-	for _, st := range WalkStats(plan) {
-		if strings.HasPrefix(st.Kind, "SeqScan") && st.RowsIn >= 20000 {
-			t.Fatalf("SeqScan read %d rows under LIMIT 10 — bulk path defeated early exit", st.RowsIn)
+	scanned := false
+	for _, st := range stats {
+		if strings.HasPrefix(st.Kind, "SeqScan") {
+			scanned = true
+			if st.RowsIn == 0 || st.RowsIn >= 20000 {
+				t.Fatalf("SeqScan read %d rows under LIMIT 10 — the chain did not stop early", st.RowsIn)
+			}
 		}
 	}
-}
-
-// forceStream wraps every scan child in streamOnly and pins Parts=1 so the
-// whole tree takes the sequential path.
-func forceStream(op Operator) {
-	switch o := op.(type) {
-	case *FilterOp:
-		o.Parts = 1
-		if _, ok := o.Child.(BulkSource); ok {
-			o.Child = streamOnly{o.Child}
-		}
-	case *ProjectOp:
-		o.Parts = 1
-		if _, ok := o.Child.(BulkSource); ok {
-			o.Child = streamOnly{o.Child}
-		}
-	case *GroupByOp:
-		o.Parts = 1
-		if _, ok := o.Child.(BulkSource); ok {
-			o.Child = streamOnly{o.Child}
-		}
-	case *HashJoinOp:
-		o.Parts = 1
-		o.Stream = true
-		if _, ok := o.Left.(BulkSource); ok {
-			o.Left = streamOnly{o.Left}
-		}
-		if _, ok := o.Right.(BulkSource); ok {
-			o.Right = streamOnly{o.Right}
-		}
-	}
-	for _, c := range op.Children() {
-		forceStream(c)
+	if !scanned {
+		t.Fatalf("no scan among %+v", stats)
 	}
 }

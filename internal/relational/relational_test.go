@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,44 @@ func newTestStore(t testing.TB, n int) *Store {
 		}
 	}
 	return s
+}
+
+// filterK and projectK bind a kernel to its arguments, as Engine.Query and the
+// adapter do.
+func filterK(pred Expr) Kernel {
+	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+		return Filter(ctx, b, pred, parts)
+	}
+}
+
+func projectK(t testing.TB, in cast.Schema, items []ProjItem) (Kernel, cast.Schema) {
+	t.Helper()
+	schema, err := ProjectSchema(in, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+		return Project(ctx, b, items, schema, parts)
+	}, schema
+}
+
+// hashJoin is the whole join: build over right, probe with left, both at
+// parts.
+func hashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, error) {
+	hb, err := BuildHash(ctx, left.Schema(), right, leftCol, rightCol, parts)
+	if err != nil {
+		return nil, err
+	}
+	return hb.Probe(ctx, left, parts)
+}
+
+// groupBy resolves the output schema and aggregates in at parts.
+func groupBy(ctx context.Context, in *cast.Batch, groupCols []string, aggs []AggSpec, parts int) (*cast.Batch, error) {
+	schema, err := GroupBySchema(in.Schema(), groupCols, aggs)
+	if err != nil {
+		return nil, err
+	}
+	return GroupBy(ctx, in, groupCols, aggs, schema, parts)
 }
 
 func TestStoreCreateAndLookup(t *testing.T) {
@@ -120,11 +159,11 @@ func TestSnapshotIsolatedFromInserts(t *testing.T) {
 	}
 }
 
-// TestStreamedScanDrainsToSnapshotView: a streamed range filter over a scan
-// hands drain consecutive chunks of one table snapshot, and drain answers
-// with a view of that snapshot instead of a copy — while a writer keeps
-// appending to the table (-race validates that nothing behind the view's
-// frozen length, and nothing of the live heap, is read).
+// TestStreamedScanDrainsToSnapshotView: a range filter run chunk by chunk
+// over a scan yields consecutive ranges of one table snapshot, and Chunked
+// answers with a view of that snapshot instead of a copy — while a writer
+// keeps appending to the table (-race validates that nothing behind the
+// view's frozen length, and nothing of the live heap, is read).
 func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 	const rows, from = 5000, 700
 	s := NewStore("db")
@@ -139,10 +178,14 @@ func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 	}
 	scan := func() *cast.Batch {
 		t.Helper()
-		f := NewFilter(NewSeqScan(tb), Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}})
-		f.Stream = true
+		ctx := context.Background()
+		in, _, err := Scan(ctx, tb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}})}
 		chunks := 0
-		out, err := RunEmit(context.Background(), f, func(*cast.Batch) error { chunks++; return nil })
+		out, err := Chunked(ctx, in, ChunkRows, in.Schema(), chain, -1, func(*cast.Batch) error { chunks++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +197,7 @@ func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 	got, _ := scan().Ints(0)
 	heap, _ := tb.Snapshot().Ints(0)
 	if &got[0] != &heap[from] {
-		t.Fatal("drain copied chunks that tile one snapshot")
+		t.Fatal("Chunked copied chunks that tile one snapshot")
 	}
 
 	done := make(chan struct{})
@@ -307,27 +350,33 @@ func TestExprEvalErrors(t *testing.T) {
 
 func TestSeqScanAndFilter(t *testing.T) {
 	ctx := context.Background()
-	s := newTestStore(t, 2500) // multiple batches
+	s := newTestStore(t, 2500) // multiple chunks
 	users, _ := s.Table("users")
-	scan := NewSeqScan(users)
-	out, err := Run(ctx, scan)
+	out, kind, err := Scan(ctx, users, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows() != 2500 {
-		t.Fatalf("scan rows = %d", out.Rows())
+	if out.Rows() != 2500 || kind != "SeqScan(users)" {
+		t.Fatalf("%s rows = %d", kind, out.Rows())
 	}
-	f := NewFilter(NewSeqScan(users), Bin{OpLt, ColRef{Name: "uid"}, Const{V: int64(100)}})
-	out, err = Run(ctx, f)
-	if err != nil {
+	pred := Bin{OpLt, ColRef{Name: "uid"}, Const{V: int64(100)}}
+	if out, err = Filter(ctx, out, pred, 0); err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 100 {
 		t.Fatalf("filter rows = %d", out.Rows())
 	}
-	st := f.Stats()
-	if st.RowsIn != 2500 || st.RowsOut != 100 {
-		t.Fatalf("filter stats = %+v", st)
+	// The same two steps as a statement, and what it reports of them.
+	_, stats, err := NewEngine(s).Query(ctx, "SELECT * FROM users WHERE uid < 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []OpStats{
+		{Kind: "SeqScan(users)", RowsIn: 2500, RowsOut: 2500},
+		{Kind: "Filter" + pred.String(), RowsIn: 2500, RowsOut: 100},
+	}
+	if !slices.Equal(stats, want) {
+		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}
 }
 
@@ -338,15 +387,22 @@ func TestIndexScanMatchesFilteredSeqScan(t *testing.T) {
 	if err := users.CreateBTreeIndex("uid"); err != nil {
 		t.Fatal(err)
 	}
-	is := NewIndexScan(users, "uid", 100, 299)
-	viaIndex, err := Run(ctx, is)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pred := Bin{OpAnd,
 		Bin{OpGe, ColRef{Name: "uid"}, Const{V: int64(100)}},
 		Bin{OpLe, ColRef{Name: "uid"}, Const{V: int64(299)}}}
-	viaScan, err := Run(ctx, NewFilter(NewSeqScan(users), pred))
+	// The seek serves one conjunct; the filter above it applies all of pred.
+	seek, kind, err := Scan(ctx, users, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != "IndexScan(users.uid)" || seek.Rows() != 1100 {
+		t.Fatalf("%s returns %d rows, want the 1100 with uid >= 100 from the index", kind, seek.Rows())
+	}
+	viaIndex, err := Filter(ctx, seek, pred, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaScan, err := Filter(ctx, users.Snapshot(), pred, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +414,7 @@ func TestIndexScanMatchesFilteredSeqScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sortedIdx.Equal(sortedScan) {
+	if viaIndex.Rows() != 200 || !sortedIdx.Equal(sortedScan) {
 		t.Fatal("index scan and filtered seq scan disagree")
 	}
 }
@@ -367,14 +423,11 @@ func TestProject(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 10)
 	users, _ := s.Table("users")
-	p, err := NewProject(NewSeqScan(users), []ProjItem{
+	p, _ := projectK(t, users.Schema(), []ProjItem{
 		{E: ColRef{Name: "name"}, Name: "n"},
 		{E: Bin{OpAdd, ColRef{Name: "age"}, Const{V: int64(1)}}, Name: "age_next"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(ctx, p)
+	out, err := p(ctx, users.Snapshot(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +445,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	users, _ := s.Table("users")
 	orders, _ := s.Table("orders")
 
-	j, err := NewHashJoin(NewSeqScan(orders), NewSeqScan(users), "user_id", "uid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(ctx, j)
+	got, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,21 +475,17 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	s := newTestStore(t, 200)
 	users, _ := s.Table("users")
 	orders, _ := s.Table("orders")
-	hj, err := NewHashJoin(NewSeqScan(orders), NewSeqScan(users), "user_id", "uid")
+	viaHash, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaHash, err := Run(ctx, hj)
+	// The ON columns written build side first: both joins orient them.
+	viaMerge, kind, err := MergeJoin(ctx, orders.Snapshot(), users.Snapshot(), "uid", "user_id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mj, err := NewMergeJoin(NewSeqScan(orders), NewSeqScan(users), "user_id", "uid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMerge, err := Run(ctx, mj)
-	if err != nil {
-		t.Fatal(err)
+	if kind != "MergeJoin(user_id=uid)" {
+		t.Fatalf("merge join reports %s", kind)
 	}
 	if viaHash.Rows() != viaMerge.Rows() {
 		t.Fatalf("hash join %d rows, merge join %d", viaHash.Rows(), viaMerge.Rows())
@@ -456,17 +501,17 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	if !hs.Equal(ms) {
 		t.Fatal("join outputs differ")
 	}
-	if mj.SortRows[0] == 0 || mj.SortRows[1] == 0 {
-		t.Fatal("merge join sort stats not recorded")
-	}
 }
 
 func TestSortAndLimit(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 500)
 	users, _ := s.Table("users")
-	op := NewLimit(NewSort(NewSeqScan(users), cast.SortKey{Col: "age", Desc: true}), 10)
-	out, err := Run(ctx, op)
+	sorted, err := Sort(ctx, users.Snapshot(), []OrderItem{{Col: "users.age", Desc: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Limit(ctx, sorted, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,23 +524,22 @@ func TestSortAndLimit(t *testing.T) {
 			t.Fatalf("not descending: %v", ages)
 		}
 	}
+	if all, err := Limit(ctx, sorted, 501); err != nil || all.Rows() != 500 {
+		t.Fatalf("limit beyond the input: %d rows, %v", all.Rows(), err)
+	}
 }
 
 func TestGroupBy(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 260) // 10 users per name letter
 	users, _ := s.Table("users")
-	g, err := NewGroupBy(NewSeqScan(users), []string{"name"}, []AggSpec{
+	out, err := groupBy(ctx, users.Snapshot(), []string{"name"}, []AggSpec{
 		{Fn: AggCount, As: "n"},
 		{Fn: AggSum, Col: "age", As: "sum_age"},
 		{Fn: AggAvg, Col: "age", As: "avg_age"},
 		{Fn: AggMin, Col: "age", As: "min_age"},
 		{Fn: AggMax, Col: "age", As: "max_age"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(ctx, g)
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,11 +569,7 @@ func TestGroupByGlobalEmptyInput(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore("empty")
 	tb, _ := s.CreateTable("t", usersSchema())
-	g, err := NewGroupBy(NewSeqScan(tb), nil, []AggSpec{{Fn: AggCount, As: "n"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(ctx, g)
+	out, err := groupBy(ctx, tb.Snapshot(), nil, []AggSpec{{Fn: AggCount, As: "n"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,13 +582,14 @@ func TestGroupByGlobalEmptyInput(t *testing.T) {
 	}
 }
 
+// TestRunHonorsContext: a statement run under a cancelled context reads
+// nothing and answers context.Canceled.
 func TestRunHonorsContext(t *testing.T) {
-	s := newTestStore(t, 100)
-	users, _ := s.Table("users")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, NewSeqScan(users)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	out, stats, err := NewEngine(newTestStore(t, 100)).Query(ctx, "SELECT uid FROM users WHERE age > 30 ORDER BY uid")
+	if !errors.Is(err, context.Canceled) || out != nil || stats != nil {
+		t.Fatalf("want context.Canceled and no output, got %v, %v, %v", out, stats, err)
 	}
 }
 
@@ -578,11 +619,7 @@ func TestPropertyHashJoinCardinality(t *testing.T) {
 			}
 			rCount[k]++
 		}
-		j, err := NewHashJoin(NewSeqScan(lt), NewSeqScan(rt), "k", "rk")
-		if err != nil {
-			return false
-		}
-		out, err := Run(ctx, j)
+		out, err := hashJoin(ctx, lt.Snapshot(), rt.Snapshot(), "k", "rk", 0)
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,5 @@
 package relational
 
-import "polystorepp/internal/cast"
-
 // StepKind names one stage of a lowered SELECT.
 type StepKind int
 
@@ -24,7 +22,7 @@ type Step struct {
 	// Table is the scanned table (StepScan) or the joined one (StepJoin).
 	Table string
 	// LeftCol and RightCol are the ON columns as written (StepJoin); the join
-	// operators accept either order.
+	// kernels accept either order.
 	LeftCol, RightCol string
 	// Pred is the WHERE predicate (StepFilter). A StepScan the filter reads
 	// directly — no join in between — carries it too, as a hint: the filter
@@ -41,10 +39,10 @@ type Step struct {
 // Steps lowers the statement to its stages in execution order: scan, one
 // join per JOIN clause, filter, then either group-by (plus a projection when
 // the select list is not exactly the group-by output) or the select-list
-// projection, sort, limit. It is the one place clause order is decided; the
-// native planner (Engine.PlanStmt) and the IR frontend (eide) map steps to
-// operators and nodes one for one. The steps are appended to dst, so a caller
-// that lowers a statement per request can keep the list off the heap.
+// projection, sort, limit. It is the one place clause order is decided:
+// Engine.Query maps steps to kernels and the IR frontend (eide) maps them to
+// nodes, one for one. The steps are appended to dst, so a caller that lowers a
+// statement per request can keep the list off the heap.
 func (s *SelectStmt) Steps(dst []Step) []Step {
 	scan := Step{Kind: StepScan, Table: s.From}
 	if len(s.Joins) == 0 {
@@ -83,7 +81,7 @@ func (s *SelectStmt) Steps(dst []Step) []Step {
 	return steps
 }
 
-// isGroupByOutput reports whether the select list is exactly what GroupByOp
+// isGroupByOutput reports whether the select list is exactly what GroupBy
 // emits — the group columns under their source names, then the aggregates —
 // name for name and position for position, so no projection is needed.
 func isGroupByOutput(items []ProjItem, groupCols []string, aggs []AggSpec) bool {
@@ -103,14 +101,4 @@ func isGroupByOutput(items []ProjItem, groupCols []string, aggs []AggSpec) bool 
 		}
 	}
 	return true
-}
-
-// SortKeys converts ORDER BY items to sort keys over an operator's output
-// columns, which carry no table qualifier.
-func SortKeys(order []OrderItem) []cast.SortKey {
-	keys := make([]cast.SortKey, 0, len(order))
-	for _, o := range order {
-		keys = append(keys, cast.SortKey{Col: BaseName(o.Col), Desc: o.Desc})
-	}
-	return keys
 }

@@ -1,9 +1,12 @@
 // Package relational implements the relational data-processing engine of the
 // polystore (the Postgres/Oracle role in the paper): heap tables with B-tree
-// indexes, a vectorized Volcano operator tree (scan, filter,
-// project, hash/merge join, group-by, sort, limit), and a SQL-subset
-// frontend. The engine reports per-operator statistics so the Polystore++
-// middleware can cost and offload its operators (§III-A1).
+// indexes, the operator kernels (scan, filter, project, hash/merge join,
+// group-by, sort, limit) as plain functions from whole input batches to one
+// output batch — the unit the Polystore++ middleware dispatches, costs and
+// offloads (§III-A1) — and a SQL-subset frontend. Engine.Query runs a
+// statement as one loop over its lowered steps (SelectStmt.Steps), one kernel
+// per step, and reports one OpStats per step; the relational adapter runs IR
+// nodes with the same kernels.
 package relational
 
 import (

@@ -12,27 +12,6 @@ import (
 	"polystorepp/internal/cast"
 )
 
-// memSource is a one-batch BulkSource, so operators above it take the
-// partitioned path at whatever fan-out the test pins.
-type memSource struct {
-	b    *cast.Batch
-	done bool
-}
-
-func (s *memSource) Schema() cast.Schema        { return s.b.Schema() }
-func (s *memSource) Open(context.Context) error { s.done = false; return nil }
-func (s *memSource) Close() error               { return nil }
-func (s *memSource) Stats() OpStats             { return OpStats{Kind: "Mem"} }
-func (s *memSource) Children() []Operator       { return nil }
-func (s *memSource) Next(context.Context) (*cast.Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	s.done = true
-	return s.b, nil
-}
-func (s *memSource) Bulk(ctx context.Context) (*cast.Batch, error) { return s.Next(ctx) }
-
 // vecSchema has every column type, two of each kind the kernels pair up.
 func vecSchema() cast.Schema {
 	return cast.MustSchema(
@@ -169,9 +148,7 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 			}
 		}
 		for _, parts := range partCounts {
-			op := NewFilter(&memSource{b: b}, pred)
-			op.Parts = parts
-			got, err := Run(context.Background(), op)
+			got, err := Filter(context.Background(), b, pred, parts)
 			if !sameError(err, wantErr) {
 				t.Fatalf("trial %d parts %d: %s\nerror %v, row loop says %v", trial, parts, pred, err, wantErr)
 			}
@@ -193,11 +170,11 @@ func TestVectorEqualsRowProject(t *testing.T) {
 		for i := range items {
 			items[i] = ProjItem{E: genExpr(rng, rng.Intn(4), "nsb"[rng.Intn(3)]), Name: fmt.Sprint("c", i)}
 		}
-		ref, err := NewProject(&memSource{b: b}, items)
+		schema, err := ProjectSchema(b.Schema(), items)
 		if err != nil {
 			continue // an item with no result type: rejected before any row
 		}
-		want := cast.NewBatch(ref.Schema(), b.Rows())
+		want := cast.NewBatch(schema, b.Rows())
 		var wantErr error
 		for r := 0; r < b.Rows() && wantErr == nil; r++ {
 			vals := make([]any, len(items))
@@ -211,9 +188,7 @@ func TestVectorEqualsRowProject(t *testing.T) {
 			}
 		}
 		for _, parts := range partCounts {
-			op, _ := NewProject(&memSource{b: b}, items)
-			op.Parts = parts
-			got, err := Run(context.Background(), op)
+			got, err := Project(context.Background(), b, items, schema, parts)
 			if !sameError(err, wantErr) {
 				t.Fatalf("trial %d parts %d: %v\nerror %v, row loop says %v", trial, parts, items, err, wantErr)
 			}
@@ -252,15 +227,15 @@ func TestVectorPinnedSemantics(t *testing.T) {
 		{Bin{Op: OpLt, L: col("q"), R: col("p")}, []int32{0, 1, 2, 3}},
 	}
 	for _, tc := range cases {
-		got := mustRun(t, NewFilter(&memSource{b: b}, tc.pred))
-		if !sameBatch(got, b.Take(tc.want)) {
+		got, err := Filter(context.Background(), b, tc.pred, 0)
+		if err != nil || !sameBatch(got, b.Take(tc.want)) {
 			ids, _ := got.Ints(0)
 			t.Errorf("%s keeps rows %v, want %v", tc.pred, ids, tc.want)
 		}
 	}
 	// The same division, unguarded, fails on the first zero divisor.
-	_, err := Run(context.Background(), NewFilter(&memSource{b: b},
-		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}}))
+	_, err := Filter(context.Background(), b,
+		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}}, 0)
 	if _, want := EvalBool(Bin{Op: OpDiv, L: col("i"), R: col("j")}, b, 0); !sameError(err, want) {
 		t.Errorf("unguarded division: %v, want %v", err, want)
 	}
@@ -298,9 +273,7 @@ func TestFilterStopsAtFirstError(t *testing.T) {
 	pred := Bin{Op: OpEq, L: counted{ColRef{Name: "id"}, &calls}, R: Const{V: "zero"}}
 	_, want := EvalBool(pred, b, 0)
 	calls = 0
-	op := NewFilter(&memSource{b: b}, pred)
-	op.Parts = 1
-	_, err := Run(context.Background(), op)
+	_, err := Filter(context.Background(), b, pred, 1)
 	if err == nil || !sameError(err, want) || !errors.Is(err, ErrExpr) {
 		t.Fatalf("error %v, want row 0's %v", err, want)
 	}
@@ -309,13 +282,18 @@ func TestFilterStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestRunEmitSingleBatchShares: an operator that yields one batch has that
-// batch returned by reference — same column storage, nothing copied — and
-// the sink sees the same one.
-func TestRunEmitSingleBatchShares(t *testing.T) {
+// TestChunkedSingleBatchShares: an input that fits one chunk goes through a
+// kernel and Chunked by reference — the kernel is handed the batch itself,
+// its one output is the result and what the sink sees, and a filter that
+// keeps every row hands on the same column storage, nothing copied.
+func TestChunkedSingleBatchShares(t *testing.T) {
 	in := vecBatch(t, rand.New(rand.NewSource(1)), 100)
-	var emitted []*cast.Batch
-	out, err := RunEmit(context.Background(), &memSource{b: in}, func(b *cast.Batch) error {
+	var handed, emitted []*cast.Batch
+	keepAll := func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+		handed = append(handed, b)
+		return Filter(ctx, b, Bin{Op: OpGe, L: ColRef{Name: "j"}, R: Const{V: int64(0)}}, parts)
+	}
+	out, err := Chunked(context.Background(), in, ChunkRows, in.Schema(), []Kernel{keepAll}, -1, func(b *cast.Batch) error {
 		emitted = append(emitted, b)
 		return nil
 	})
@@ -324,48 +302,42 @@ func TestRunEmitSingleBatchShares(t *testing.T) {
 	}
 	got, _ := out.Ints(0)
 	want, _ := in.Ints(0)
-	if len(emitted) != 1 || emitted[0] != out || &got[0] != &want[0] {
-		t.Fatalf("RunEmit copied a single-batch result (emitted %d)", len(emitted))
+	if len(handed) != 1 || handed[0] != in || len(emitted) != 1 || emitted[0] != out || len(got) != 100 || &got[0] != &want[0] {
+		t.Fatalf("Chunked copied a single-batch result (handed %d, emitted %d)", len(handed), len(emitted))
 	}
 }
 
-// TestIndexScanReadsItsOpenSnapshot: the row ids an index scan resolved in
-// Open index the snapshot taken with them, so rows inserted while the scan
-// is being drained neither appear nor shift anything.
+// TestIndexScanReadsItsOpenSnapshot: the row ids an index scan resolved index
+// the snapshot taken with them, and no row is gathered before it is read — so
+// rows inserted between the scan and its first reader neither appear nor shift
+// anything.
 func TestIndexScanReadsItsOpenSnapshot(t *testing.T) {
 	ctx := context.Background()
 	users, _ := newTestStore(t, 3000).Table("users")
 	if err := users.CreateBTreeIndex("uid"); err != nil {
 		t.Fatal(err)
 	}
-	want := mustRun(t, NewIndexScan(users, "uid", 0, 1<<40))
-	is := NewIndexScan(users, "uid", 0, 1<<40)
-	if err := is.Open(ctx); err != nil {
+	all := Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(0)}}
+	first, _, err := Scan(ctx, users, all)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := is.snap
-	got := cast.NewBatch(is.Schema(), 0)
-	for {
-		b, err := is.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		if is.snap != snap {
-			t.Fatal("index scan took a new snapshot mid-scan")
-		}
-		if err := got.AppendBatch(b); err != nil {
-			t.Fatal(err)
-		}
+	want := first.Clone() // every row, read before any insert
+	got, kind, err := Scan(ctx, users, all)
+	if err != nil || kind != "IndexScan(users.uid)" {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	for i := 0; i < 5; i++ {
 		row, _ := want.Row(0)
 		if err := users.Insert(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !got.Equal(want) {
-		t.Fatalf("scan saw %d rows, want the %d present at Open", got.Rows(), want.Rows())
+		t.Fatalf("scan saw %d rows, want the %d present when it ran", got.Rows(), want.Rows())
+	}
+	if again, _, _ := Scan(ctx, users, all); again.Rows() != want.Rows()+5 {
+		t.Fatalf("a scan after the inserts sees %d rows, want %d", again.Rows(), want.Rows()+5)
 	}
 }
 
@@ -454,9 +426,7 @@ func TestSelectionKernelShapes(t *testing.T) {
 	for _, pred := range preds {
 		want, _, wantErr := rowLoop(pred, b, all)
 		for _, parts := range partCounts {
-			op := NewFilter(&memSource{b: b}, pred)
-			op.Parts = parts
-			got, err := Run(context.Background(), op)
+			got, err := Filter(context.Background(), b, pred, parts)
 			if !sameError(err, wantErr) {
 				t.Fatalf("parts %d: %s\nerror %v, row loop says %v", parts, pred, err, wantErr)
 			}

@@ -1,7 +1,7 @@
 // Package polystore is the public API of Polystore++: an accelerated
 // polystore system for heterogeneous workloads (Singhal et al., ICDCS
 // 2019). A System federates heterogeneous data-processing engines —
-// relational, graph, text, timeseries, stream, key/value, array, and ML —
+// relational, graph, text, timeseries, stream, key/value, and ML —
 // behind one programming environment (the EIDE), compiles heterogeneous
 // programs into a hierarchical IR, optimizes them across engine and
 // hardware boundaries, and executes them on a middleware that offloads
