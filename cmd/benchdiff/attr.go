@@ -1,10 +1,10 @@
 package main
 
-// Attribution mode (-attr): instead of comparing benchmark throughput, diff
-// two per-operator runtime dumps and rank operators by how much wall time
-// they gained. When the nightly gate reports "ServeConcurrent dropped 12%",
-// this answers the follow-up question — WHICH operator got slower — from the
-// /stats snapshots captured before and after the run:
+// Attribution (-attr): diff two per-operator runtime dumps and rank
+// operators by how much wall time they gained. When a benchmark run reports
+// "handler_us rose 12%", this answers the follow-up question — WHICH
+// operator got slower — from the /stats snapshots captured before and after
+// the run:
 //
 //	curl -s localhost:8080/stats > before.json
 //	... run the workload / apply the change ...

@@ -2,8 +2,7 @@
 // that checks the heterogeneous program graph assembled by the EIDE, a core
 // that runs the L1 cross-engine optimizations of Figure 6 (migration
 // insertion, predicate/projection pushdown across engine boundaries,
-// filter+project fusion, dead-node elimination, accelerator kernel
-// selection), and a backend that lowers the optimized IR to a staged
+// dead-node elimination, accelerator kernel selection), and a backend that lowers the optimized IR to a staged
 // execution plan for the middleware. L2 (engine-local planning, e.g. index
 // selection inside the relational engine) and L3 (implementation-level
 // choices, e.g. binary pipes vs CSV for migration) are controlled here as
@@ -29,7 +28,7 @@ type Options struct {
 	//   0 — no cross-engine optimization: operators run where written,
 	//       full intermediate results migrate.
 	//   1 — +L1: predicate/projection pushdown across engine boundaries,
-	//       filter+project fusion, dead-node elimination.
+	//       dead-node elimination.
 	//   2 — +L2: engine-local optimizations (adapters may use indexes and
 	//       native physical plans).
 	//   3 — +L3: implementation-level choices (binary pipe migration,
@@ -48,9 +47,6 @@ type Plan struct {
 	Graph  *ir.Graph
 	Stages [][]ir.NodeID
 	Opts   Options
-	// Touches records which engines (and relational tables) the plan reads;
-	// the serving layer versions result-cache keys against exactly this set.
-	Touches Touches
 	// Subtrees are the plan's subplan-cache candidates, outermost first
 	// (see subtreesOf). Computed once per compile; Plans are cached and
 	// shared across goroutines, so this — like every Plan field — is
@@ -70,7 +66,6 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	// Core (L1) passes.
 	if opts.Level >= 1 {
 		pushdownAcrossEngines(work)
-		fuseFilterProject(work)
 		eliminateDeadNodes(work)
 	}
 
@@ -108,7 +103,6 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 		Graph:    work,
 		Stages:   stages,
 		Opts:     opts,
-		Touches:  TouchesOf(work),
 		Subtrees: subtreesOf(work),
 	}, nil
 }
@@ -145,23 +139,6 @@ func pushdownAcrossEngines(g *ir.Graph) {
 			n.Engine = prod.Engine
 			changed = true
 		}
-	}
-}
-
-// fuseFilterProject marks Project nodes directly over a Filter on the same
-// engine as fused: the adapter pipeline then performs both in one pass over
-// the data (operator fusion, the Weld-style L1 optimization of §II-A).
-func fuseFilterProject(g *ir.Graph) {
-	for _, n := range g.Nodes() {
-		if n.Kind != ir.OpProject || len(n.Inputs) != 1 {
-			continue
-		}
-		in, err := g.Node(n.Inputs[0])
-		if err != nil || in.Kind != ir.OpFilter || in.Engine != n.Engine {
-			continue
-		}
-		n.Attrs["fused_with_filter"] = true
-		in.Attrs["fused_into_project"] = true
 	}
 }
 

@@ -5,48 +5,72 @@ import (
 	"polystorepp/internal/metrics"
 )
 
+// Stat declares one number the runtime counts: its registry name (the
+// /metrics family once sanitized), its /stats key ("" keeps it off /stats)
+// and its help text. The serving layer's stat table (internal/server/
+// stats.go) renders these declarations; it spells none of them.
+type Stat struct {
+	Name, Key, Help string
+	Gauge           bool // a point-in-time number, not a monotonic count
+}
+
 // coreStats are the runtime's counters, resolved from the registry once at
 // construction: the driver bumps a handle per node and per plan, never a
-// name. The serving layer's stat table (internal/server/stats.go) declares
-// the same registry names with their /stats keys and help text.
+// name. decls holds each handle's declaration, in field order.
 type coreStats struct {
-	nodes, migrations, ruleNodes                 *metrics.Counter
-	execSequential, execConcurrent, execStreamed *metrics.Counter
-	maxParallel                                  *metrics.Gauge
-
 	subplanHits, subplanMisses, subplanPublished, subplanBypassed *metrics.Counter
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
 	subplanPlansProbed, subplanPlansReused, subplanFlightWaits    *metrics.Counter
 
+	execConcurrent, execSequential, execStreamed *metrics.Counter
+	maxParallel                                  *metrics.Gauge
+	nodes, migrations, ruleNodes                 *metrics.Counter
+
 	offloads map[*hw.Device]*metrics.Counter // one per attached accelerator
+
+	decls []Stat
 }
 
 func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
-	c := reg.Counter
+	var decls []Stat
+	c := func(key, name, help string) *metrics.Counter {
+		decls = append(decls, Stat{Name: name, Key: key, Help: help})
+		return reg.Counter(name)
+	}
+	g := func(key, name, help string) *metrics.Gauge {
+		decls = append(decls, Stat{Name: name, Key: key, Help: help, Gauge: true})
+		return reg.Gauge(name)
+	}
 	st := coreStats{
-		nodes:          c("core.nodes"),
-		migrations:     c("core.migrations"),
-		ruleNodes:      c("core.rule_nodes"),
-		execSequential: c("core.exec.sequential"),
-		execConcurrent: c("core.exec.concurrent"),
-		execStreamed:   c("core.exec.streamed"),
-		maxParallel:    reg.Gauge("core.exec.max_parallel"),
+		subplanHits:        c("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache."),
+		subplanMisses:      c("subplan_cache_miss", "core.subplan.misses", "Subtree probes that missed."),
+		subplanPublished:   c("subplan_cache_published", "core.subplan.published", "Executed subtrees memoized."),
+		subplanBypassed:    c("subplan_cache_bypassed", "core.subplan.bypassed", "Executed subtrees refused by the cache (oversized or over the tenant share)."),
+		subplanStaleSkips:  c("subplan_cache_stale_skips", "core.subplan.stale_skips", "Publications dropped because a touched store moved during execution."),
+		subplanNodesServed: c("subplan_nodes_served", "core.subplan.nodes_served", "Plan nodes replayed from cached subtrees instead of executing."),
+		subplanBytesServed: c("subplan_bytes_served", "core.subplan.bytes_served", "Bytes of cached intermediates handed to plans."),
+		subplanPlansProbed: c("subplan_plans_probed", "core.subplan.plans_probed", "Plans that probed the subplan cache."),
+		subplanPlansReused: c("subplan_plans_reused", "core.subplan.plans_reused", "Plans that reused at least one cached subtree."),
+		subplanFlightWaits: c("subplan_flight_waits", "core.subplan.flight_waits", "Waits on another execution producing the same subtree."),
 
-		subplanHits:        c("core.subplan.hits"),
-		subplanMisses:      c("core.subplan.misses"),
-		subplanPublished:   c("core.subplan.published"),
-		subplanBypassed:    c("core.subplan.bypassed"),
-		subplanStaleSkips:  c("core.subplan.stale_skips"),
-		subplanNodesServed: c("core.subplan.nodes_served"),
-		subplanBytesServed: c("core.subplan.bytes_served"),
-		subplanPlansProbed: c("core.subplan.plans_probed"),
-		subplanPlansReused: c("core.subplan.plans_reused"),
-		subplanFlightWaits: c("core.subplan.flight_waits"),
+		execConcurrent: c("executor_concurrent_plans", "core.exec.concurrent", "Plans run by the concurrent DAG scheduler."),
+		execSequential: c("executor_sequential_plans", "core.exec.sequential", "Plans run one node at a time."),
+		execStreamed:   c("", "core.exec.streamed", "Plans executed with a streaming sink."),
+		maxParallel:    g("executor_max_parallel", "core.exec.max_parallel", "Widest node parallelism observed inside one plan."),
+		nodes:          c("", "core.nodes", "Plan nodes executed."),
+		migrations:     c("", "core.migrations", "Cross-engine migrations executed."),
+		ruleNodes:      c("", "core.rule_nodes", "Rule-engine nodes evaluated inside adapters."),
 
 		offloads: make(map[*hw.Device]*metrics.Counter, len(accels)),
 	}
 	for _, d := range accels {
-		st.offloads[d] = c("core.offloads." + d.Name)
+		st.offloads[d] = c("", "core.offloads."+d.Name, "Kernel calls offloaded to accelerator "+d.Name+".")
 	}
+	st.decls = decls
 	return st
 }
+
+// Stats lists the declaration of every counter and gauge the runtime
+// registered: the subplan cache's (names under "core.subplan."), then the
+// executor's, then one offload counter per attached accelerator.
+func (r *Runtime) Stats() []Stat { return r.st.decls }

@@ -1,9 +1,9 @@
 // Package graphstore implements the graph engine of the polystore (the
 // Neo4j role: path-finding, pattern matching). It stores a labeled property
 // graph in adjacency lists and executes the graph operators the paper's IR
-// taxonomy names (§III-A1): match, path, subtree, and neighbor expansion,
-// plus BFS shortest paths and a Cypher-ish pattern frontend provided by the
-// EIDE package.
+// taxonomy names (§III-A1): match, weighted shortest path and subtree
+// expansion; the Cypher-ish pattern frontend is provided by the EIDE
+// package.
 package graphstore
 
 import (
@@ -136,34 +136,6 @@ func (s *Store) Edges() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.edges
-}
-
-// ByLabel returns the node ids with the given label, sorted.
-func (s *Store) ByLabel(label string) []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]NodeID, len(s.byLabel[label]))
-	copy(ids, s.byLabel[label])
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Neighbors returns the targets of out-edges of id with the given type
-// ("" = any), sorted.
-func (s *Store) Neighbors(id NodeID, edgeType string) ([]NodeID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.nodes[id]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoNode, id)
-	}
-	var out []NodeID
-	for _, e := range s.out[id] {
-		if edgeType == "" || e.Type == edgeType {
-			out = append(out, e.To)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // MatchPattern finds all (a, b) node pairs where a has labelA, b has labelB,
@@ -322,44 +294,4 @@ func (s *Store) Subtree(root NodeID, edgeType string, maxDepth int) ([]NodeID, e
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// PageRankLite runs a fixed-iteration PageRank (damping 0.85) and returns
-// the scores — used by the recommendation example as a graph-native signal.
-func (s *Store) PageRankLite(iters int) map[NodeID]float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.nodes)
-	if n == 0 {
-		return nil
-	}
-	const d = 0.85
-	rank := make(map[NodeID]float64, n)
-	for id := range s.nodes {
-		rank[id] = 1.0 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		next := make(map[NodeID]float64, n)
-		base := (1 - d) / float64(n)
-		for id := range s.nodes {
-			next[id] = base
-		}
-		for id := range s.nodes {
-			outs := s.out[id]
-			if len(outs) == 0 {
-				// Dangling mass spreads uniformly.
-				share := d * rank[id] / float64(n)
-				for v := range s.nodes {
-					next[v] += share
-				}
-				continue
-			}
-			share := d * rank[id] / float64(len(outs))
-			for _, e := range outs {
-				next[e.To] += share
-			}
-		}
-		rank = next
-	}
-	return rank
 }

@@ -51,36 +51,18 @@ func TestAddAndCounts(t *testing.T) {
 
 func TestByLabelAndReplace(t *testing.T) {
 	s := diamond(t)
-	wards := s.ByLabel("ward")
-	if len(wards) != 2 || wards[0] != 2 || wards[1] != 3 {
+	// The label index is what MatchPattern starts from.
+	wards := s.MatchPattern("ward", "moved", "icu")
+	if len(wards) != 2 || wards[0][0] != 2 || wards[1][0] != 3 {
 		t.Fatalf("wards = %v", wards)
 	}
 	// Relabel node 3.
 	s.AddNode(Node{ID: 3, Label: "icu"})
-	if len(s.ByLabel("ward")) != 1 {
-		t.Fatalf("ward after relabel = %v", s.ByLabel("ward"))
+	if got := s.MatchPattern("ward", "moved", "icu"); len(got) != 1 || got[0][0] != 2 {
+		t.Fatalf("ward after relabel = %v", got)
 	}
-	if len(s.ByLabel("icu")) != 2 {
-		t.Fatalf("icu after relabel = %v", s.ByLabel("icu"))
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	s := diamond(t)
-	ns, err := s.Neighbors(1, "")
-	if err != nil || len(ns) != 2 {
-		t.Fatalf("Neighbors = %v, %v", ns, err)
-	}
-	ns, err = s.Neighbors(1, "admitted")
-	if err != nil || len(ns) != 2 {
-		t.Fatalf("typed Neighbors = %v, %v", ns, err)
-	}
-	ns, err = s.Neighbors(1, "moved")
-	if err != nil || len(ns) != 0 {
-		t.Fatalf("wrong-type Neighbors = %v, %v", ns, err)
-	}
-	if _, err := s.Neighbors(99, ""); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("missing: %v", err)
+	if got := s.MatchPattern("icu", "moved", "icu"); len(got) != 1 || got[0][0] != 3 {
+		t.Fatalf("icu after relabel = %v", got)
 	}
 }
 
@@ -155,30 +137,6 @@ func TestSubtree(t *testing.T) {
 	}
 	if _, err := s.Subtree(99, "", 1); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing root: %v", err)
-	}
-}
-
-func TestPageRankLite(t *testing.T) {
-	s := diamond(t)
-	rank := s.PageRankLite(20)
-	if len(rank) != 4 {
-		t.Fatalf("rank size = %d", len(rank))
-	}
-	// Node 4 receives from both wards: highest rank.
-	for id, r := range rank {
-		if id != 4 && r > rank[4] {
-			t.Fatalf("node %d rank %v > sink rank %v", id, r, rank[4])
-		}
-	}
-	var sum float64
-	for _, r := range rank {
-		sum += r
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Fatalf("ranks sum to %v", sum)
-	}
-	if New("empty").PageRankLite(3) != nil {
-		t.Fatal("empty graph rank should be nil")
 	}
 }
 

@@ -226,19 +226,6 @@ func (s *Store) GetEntry(key string) (Entry, error) {
 	return e, nil
 }
 
-// GetVersion returns a specific version of key (even if a newer one exists).
-func (s *Store) GetVersion(key string, version int64) (Entry, error) {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, e := range sh.data[key] {
-		if e.Version == version {
-			return e, nil
-		}
-	}
-	return Entry{}, fmt.Errorf("%w: %q@%d", ErrNotFound, key, version)
-}
-
 // Delete removes all versions of key. Deleting a missing key is a no-op.
 func (s *Store) Delete(key string) {
 	sh := s.shardFor(key)

@@ -36,13 +36,6 @@ func TestVersioning(t *testing.T) {
 	if err != nil || string(latest) != "v2" {
 		t.Fatalf("latest = %q %v", latest, err)
 	}
-	old, err := s.GetVersion("k", 1)
-	if err != nil || string(old.Value) != "v1" {
-		t.Fatalf("v1 = %q %v", old.Value, err)
-	}
-	if _, err := s.GetVersion("k", 99); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing version: %v", err)
-	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {

@@ -213,6 +213,14 @@ func (c *CostCache[V]) Remove(key string) bool {
 // Len returns the number of cached entries.
 func (c *CostCache[V]) Len() int { return len(c.entries) }
 
+// Each visits every cached entry, most recently used first, without
+// changing recency. fn must not call back into the cache.
+func (c *CostCache[V]) Each(fn func(key string, v V)) {
+	for e := c.root.next; e != &c.root; e = e.next {
+		fn(e.key, e.val)
+	}
+}
+
 // Cost returns the summed cost of the cached entries.
 func (c *CostCache[V]) Cost() int64 { return c.cost }
 

@@ -26,3 +26,7 @@ func (c *Cache[V]) Put(key string, v V) V {
 
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int { return c.c.Len() }
+
+// Each visits every cached entry, most recently used first, without
+// changing recency. fn must not call back into the cache.
+func (c *Cache[V]) Each(fn func(key string, v V)) { c.c.Each(fn) }

@@ -19,6 +19,11 @@ func TestEvictionOrder(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
+	var order string
+	c.Each(func(key string, _ int) { order += key })
+	if order != "ac" {
+		t.Fatalf("Each visited %q, want most recent first: \"ac\"", order)
+	}
 }
 
 func TestPutKeepsIncumbent(t *testing.T) {

@@ -5,6 +5,8 @@ package mlengine
 import (
 	"math/rand"
 	"testing"
+
+	"polystorepp/internal/tensor"
 )
 
 // A training step runs entirely out of its workspace, full batch or short,
@@ -18,8 +20,9 @@ func TestStepAndPredictAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tailX, _ := x.RowRange(0, 9)
-	tailY, _ := y.RowRange(0, 9)
+	tailX, tailY := new(tensor.Tensor), new(tensor.Tensor)
+	_ = x.RowRangeInto(tailX, 0, 9) // in range by construction
+	_ = y.RowRangeInto(tailY, 0, 9)
 	step := func() {
 		if _, err := m.TrainBatch(ws, x, y, 0.1); err != nil {
 			t.Fatal(err)

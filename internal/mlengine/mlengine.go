@@ -1,7 +1,7 @@
 // Package mlengine implements the ML/DL engine of the polystore (the
 // "Deep Neural Network Engine" of Figure 2 and the Snorkel training loop of
-// Figure 3): a feed-forward MLP trained by mini-batch SGD, logistic
-// regression, and k-means clustering. All dense math runs on the tensor
+// Figure 3): a feed-forward MLP trained by mini-batch SGD, and k-means
+// clustering. All dense math runs on the tensor
 // substrate; device-aware entry points charge simulated hardware cost so
 // the middleware can offload GEMM/GEMV to TPU/GPU models (§III-A1).
 package mlengine
@@ -63,18 +63,6 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 
 // Sizes returns the layer sizes.
 func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
-
-// ParamCount returns the number of trainable parameters.
-func (m *MLP) ParamCount() int {
-	n := 0
-	for i, w := range m.weights {
-		n += w.Size() + m.biases[i].Size()
-	}
-	return n
-}
-
-// Weights exposes the weight tensors (aliased) for serialization.
-func (m *MLP) Weights() []*tensor.Tensor { return m.weights }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 func relu(x float64) float64    { return math.Max(0, x) }
@@ -299,100 +287,6 @@ func (m *MLP) EpochGEMMWork(n, b int) []hw.Work {
 		works[i].Items = int64(batches)
 	}
 	return works
-}
-
-// Accuracy computes classification accuracy at threshold 0.5.
-func (m *MLP) Accuracy(x, y *tensor.Tensor) (float64, error) {
-	pred, err := m.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	pd, yd := pred.Data(), y.Data()
-	if len(pd) != len(yd) {
-		return 0, fmt.Errorf("%w: prediction/label size mismatch", ErrData)
-	}
-	correct := 0
-	for i := range pd {
-		label := 0.0
-		if pd[i] >= 0.5 {
-			label = 1
-		}
-		if label == yd[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pd)), nil
-}
-
-// --- Logistic regression ---
-
-// Logistic is a binary logistic-regression model.
-type Logistic struct {
-	w *tensor.Tensor // [dim]
-	b float64
-}
-
-// NewLogistic returns a zero-initialized model of the given dimension.
-func NewLogistic(dim int) (*Logistic, error) {
-	w, err := tensor.New(dim)
-	if err != nil {
-		return nil, err
-	}
-	return &Logistic{w: w}, nil
-}
-
-// Train runs epochs of full-batch gradient descent.
-func (l *Logistic) Train(x, y *tensor.Tensor, lr float64, epochs int) (float64, error) {
-	n, d := x.Dim(0), x.Dim(1)
-	if d != l.w.Size() {
-		return 0, fmt.Errorf("%w: feature dim %d, model dim %d", ErrData, d, l.w.Size())
-	}
-	var loss float64
-	xd, yd, wd := x.Data(), y.Data(), l.w.Data()
-	for e := 0; e < epochs; e++ {
-		gw := make([]float64, d)
-		var gb float64
-		loss = 0
-		for i := 0; i < n; i++ {
-			row := xd[i*d : (i+1)*d]
-			z := l.b
-			for j, v := range row {
-				z += wd[j] * v
-			}
-			p := sigmoid(z)
-			pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
-			loss += -(yd[i]*math.Log(pc) + (1-yd[i])*math.Log(1-pc))
-			diff := p - yd[i]
-			for j, v := range row {
-				gw[j] += diff * v
-			}
-			gb += diff
-		}
-		loss /= float64(n)
-		for j := range wd {
-			wd[j] -= lr * gw[j] / float64(n)
-		}
-		l.b -= lr * gb / float64(n)
-	}
-	return loss, nil
-}
-
-// Predict returns P(label=1) for each row.
-func (l *Logistic) Predict(x *tensor.Tensor) ([]float64, error) {
-	n, d := x.Dim(0), x.Dim(1)
-	if d != l.w.Size() {
-		return nil, fmt.Errorf("%w: feature dim %d, model dim %d", ErrData, d, l.w.Size())
-	}
-	xd, wd := x.Data(), l.w.Data()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		z := l.b
-		for j := 0; j < d; j++ {
-			z += wd[j] * xd[i*d+j]
-		}
-		out[i] = sigmoid(z)
-	}
-	return out, nil
 }
 
 // --- k-means ---

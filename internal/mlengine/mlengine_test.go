@@ -36,10 +36,7 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ParamCount() != 4*8+8+8*1+1 {
-		t.Fatalf("ParamCount = %d", m.ParamCount())
-	}
-	if len(m.Weights()) != 2 || len(m.Sizes()) != 3 {
+	if len(m.Sizes()) != 3 {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -69,11 +66,17 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	if last >= first {
 		t.Fatalf("loss did not decrease: first %v, last %v", first, last)
 	}
-	acc, err := m.Accuracy(x, y)
+	pred, err := m.Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc < 0.8 {
+	correct := 0
+	for i, p := range pred.Data() {
+		if (p >= 0.5) == (y.Data()[i] == 1) {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(len(pred.Data())); acc < 0.8 {
 		t.Fatalf("train accuracy = %v, want >= 0.8", acc)
 	}
 }
@@ -132,54 +135,6 @@ func TestEpochGEMMWork(t *testing.T) {
 	}
 	if got := m.EpochGEMMWork(0, 10); got != nil {
 		t.Fatal("zero examples should yield nil")
-	}
-}
-
-func TestLogisticLearnsAND(t *testing.T) {
-	// Logistic regression can learn a linearly separable function.
-	x, _ := tensor.FromSlice([]float64{
-		0, 0,
-		0, 1,
-		1, 0,
-		1, 1,
-	}, 4, 2)
-	y, _ := tensor.FromSlice([]float64{0, 0, 0, 1}, 4, 1)
-	l, err := NewLogistic(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loss, err := l.Train(x, y, 2.0, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 0.3 {
-		t.Fatalf("final loss = %v", loss)
-	}
-	preds, err := l.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0, 0, 1}
-	for i, p := range preds {
-		got := 0.0
-		if p >= 0.5 {
-			got = 1
-		}
-		if got != want[i] {
-			t.Fatalf("AND(%d) = %v (p=%v)", i, got, p)
-		}
-	}
-}
-
-func TestLogisticDimMismatch(t *testing.T) {
-	l, _ := NewLogistic(3)
-	x, _ := tensor.New(2, 2)
-	y, _ := tensor.New(2, 1)
-	if _, err := l.Train(x, y, 0.1, 1); !errors.Is(err, ErrData) {
-		t.Fatalf("train dim: %v", err)
-	}
-	if _, err := l.Predict(x); !errors.Is(err, ErrData) {
-		t.Fatalf("predict dim: %v", err)
 	}
 }
 

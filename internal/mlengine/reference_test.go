@@ -103,8 +103,9 @@ func TestTrainTrajectoryBitEqualToReference(t *testing.T) {
 	for epoch := 0; epoch < 3; epoch++ {
 		for lo := 0; lo < n; lo += batch {
 			hi := min(lo+batch, n)
-			xb, _ := x.RowRange(lo, hi)
-			yb, _ := y.RowRange(lo, hi)
+			xb, yb := new(tensor.Tensor), new(tensor.Tensor)
+			_ = x.RowRangeInto(xb, lo, hi) // in range by construction
+			_ = y.RowRangeInto(yb, lo, hi)
 			loss, err := got.TrainBatch(ws, xb, yb, 0.3)
 			if err != nil {
 				t.Fatal(err)

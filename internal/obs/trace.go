@@ -89,9 +89,6 @@ func New(id string) *Trace {
 	return &Trace{id: id, start: time.Now()}
 }
 
-// Enabled reports whether the trace records anything (false for nil).
-func (t *Trace) Enabled() bool { return t != nil }
-
 // Start returns the trace start time (zero for nil).
 func (t *Trace) Start() time.Time {
 	if t == nil {

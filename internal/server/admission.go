@@ -3,48 +3,67 @@ package server
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
+	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"polystorepp/internal/tenant"
 )
 
-// ErrOverloaded is the sentinel admission failures match with errors.Is.
-// The concrete error is always an *OverloadError carrying the queue depth
-// at rejection time, so the handler can emit an honest Retry-After instead
-// of a hard-coded hint.
-var ErrOverloaded = errors.New("server: overloaded, queue full")
-
-// OverloadError reports an admission rejection: the wait queue was already
-// full when the request arrived. It matches ErrOverloaded under errors.Is
-// (the polystore equivalent of BigDAWG's middleware refusing work it cannot
-// schedule — load sheds at the front door instead of piling up unbounded
-// goroutines).
-type OverloadError struct {
-	// Depth is the number of requests queued ahead at rejection time.
-	Depth int
+// refusal is the serving layer declining a request it has not run. Every
+// cause — a tenant over its rate, its breaker open, the shedder, a full
+// queue, single-flight leaders that all died, a draining server — is this
+// one value: the wire status, the cause (which names the counters that
+// move, Server.countRefusal) and the backoff the client is owed. A refusal
+// is the server's condition, never the tenant's workload health, so it is
+// the one kind of error that feeds no breaker (outcomeOf).
+type refusal struct {
+	status     int // 429 or 503
+	cause      cause
+	msg        string
+	retryAfter time.Duration // sub-second and zero hints leave as Retry-After: 1
 }
 
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("server: overloaded, queue full (%d queued)", e.Depth)
+func (r *refusal) Error() string { return r.msg }
+
+// cause says why a request was refused.
+type cause uint8
+
+const (
+	causeRate         cause = iota // tenant's token bucket is empty
+	causeBreaker                   // tenant's breaker is open, or its probes are out
+	causeShedStream                // load past the high-water mark
+	causeShedCold                  // load halfway from there to capacity
+	causeShedDeadline              // the queue ahead outlasts the request's deadline
+	causeQueueFull                 // workers and queue both full
+	causeLeadersGone               // every single-flight leader followed was canceled
+	causeDraining                  // shutting down
+)
+
+// String is the cause's label in shed messages and trace events.
+func (c cause) String() string {
+	return [...]string{"rate", "breaker", "stream", "cold", "deadline", "queue", "leaders", "draining"}[c]
 }
 
-// Is makes errors.Is(err, ErrOverloaded) true for every OverloadError.
-func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
-
-// admission is a two-level scheduler in front of the bounded worker pool:
-// per-tenant token buckets gate request *rate* upstream (see tenants.go);
-// this controller schedules request *order*. At most `workers` requests
-// execute concurrently; at most `queueCap` more wait. Waiters are grouped
+// admission is the gate in front of the bounded worker pool: per-tenant
+// token buckets and breakers gate request *rate* and *health* upstream
+// (tenants.go); this controller decides whether the request may wait at all
+// and schedules request *order*. At most `workers` requests execute
+// concurrently; at most `queueCap` more wait; past the high-water mark it
+// sheds before the queue is full — streaming executions first (they pin a
+// worker across the client's read cadence), cold executions halfway from
+// there to capacity, and anything whose estimated queue wait already
+// exceeds its deadline: an honest 503 now instead of a certain 504 after
+// occupying queue space. Result-cache hits and single-flight followers
+// never come here, which is what keeps cached reads serving through an
+// overload. Waiters are grouped
 // into flows keyed (tenant, class) and granted worker slots weighted-fair
 // by virtual time: each grant advances its flow's clock by 1/weight, and
 // the flow with the smallest clock wins the next free worker. One abusive
 // tenant with a thousand queued requests therefore gets the same grant rate
 // as a well-behaved tenant with two — its surplus just waits (or overflows
-// into typed OverloadError rejections), while priority classes weight
+// into queue-full refusals), while priority classes weight
 // interactive grants over batch over background. A single-tenant
 // deployment has exactly one flow, which degenerates to the FIFO semaphore
 // this scheduler replaced.
@@ -52,14 +71,15 @@ type admission struct {
 	mu       sync.Mutex
 	workers  int
 	queueCap int
-	running  int
-	flows    map[flowKey]*admFlow
-	vclock   float64 // virtual time of the last grant
-
-	// Lock-free mirrors for the hot read paths (shedding checks, /healthz,
-	// /stats, /metrics).
-	load  atomic.Int64 // executing + queued
-	depth atomic.Int64 // queued only
+	// highWater is the load fraction of workers+queueCap at which streams
+	// are shed; <= 0 never sheds.
+	highWater float64
+	running   int
+	flows     map[flowKey]*admFlow
+	vclock    float64 // virtual time of the last grant
+	// svc is the EWMA (alpha 1/8) of successful executions' wall time: what
+	// one queued request ahead costs a newcomer.
+	svc time.Duration
 }
 
 // flowKey identifies one weighted-fair flow.
@@ -83,8 +103,8 @@ type admWaiter struct {
 }
 
 // newAdmission builds a controller with the given worker and queue bounds
-// (minimums of 1 and 0 are enforced).
-func newAdmission(workers, queue int) *admission {
+// (minimums of 1 and 0 are enforced) and shedding threshold.
+func newAdmission(workers, queue int, highWater float64) *admission {
 	if workers < 1 {
 		workers = 1
 	}
@@ -92,32 +112,42 @@ func newAdmission(workers, queue int) *admission {
 		queue = 0
 	}
 	return &admission{
-		workers:  workers,
-		queueCap: queue,
-		flows:    make(map[flowKey]*admFlow),
+		workers:   workers,
+		queueCap:  queue,
+		highWater: highWater,
+		flows:     make(map[flowKey]*admFlow),
 	}
 }
 
 // acquire claims a worker slot for the given flow, waiting weighted-fair in
-// the queue if needed. It fails with an *OverloadError (errors.Is
-// ErrOverloaded) when the queue is full, or the context error if the
-// caller's deadline expires while still queued. weight <= 0 derives the
-// flow weight from the class alone.
-func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) error {
+// the queue if needed. It fails with a *refusal when the request is shed or
+// the queue is full, or the context error if the caller's deadline expires
+// while still queued. stream marks an execution that writes to its client
+// while it holds the slot. weight <= 0 derives the flow weight from the
+// class alone.
+func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64, stream bool) error {
 	if weight <= 0 {
 		weight = fk.class.Weight()
 	}
 	a.mu.Lock()
 	queued := a.queuedLocked()
+	if ref := a.shedLocked(ctx, queued, stream); ref != nil {
+		a.mu.Unlock()
+		return ref
+	}
 	if a.running < a.workers && queued == 0 {
 		a.running++
 		a.mu.Unlock()
-		a.load.Add(1)
 		return nil
 	}
 	if queued >= a.queueCap {
 		a.mu.Unlock()
-		return &OverloadError{Depth: queued}
+		return &refusal{
+			status:     http.StatusTooManyRequests,
+			cause:      causeQueueFull,
+			msg:        fmt.Sprintf("server: overloaded, queue full (%d queued)", queued),
+			retryAfter: a.estWaitLocked(queued),
+		}
 	}
 	w := &admWaiter{grant: make(chan struct{}), flow: fk}
 	f := a.flows[fk]
@@ -129,8 +159,6 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) err
 	}
 	f.weight = weight // later arrivals may carry an updated quota weight
 	f.waiters.PushBack(w)
-	a.depth.Add(1)
-	a.load.Add(1)
 	// A worker may have freed between the fast-path check and the enqueue.
 	a.dispatchLocked()
 	a.mu.Unlock()
@@ -144,7 +172,7 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) err
 			// The grant raced the cancellation: the slot is ours, so return
 			// it through the normal release path before reporting the error.
 			a.mu.Unlock()
-			a.release()
+			a.release(0)
 			return ctx.Err()
 		}
 		a.removeWaiterLocked(w)
@@ -153,14 +181,68 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) err
 	}
 }
 
-// release returns the worker slot claimed by a successful acquire and
-// dispatches the next weighted-fair waiter, if any.
-func (a *admission) release() {
+// shedLocked applies the degradation policy to one arrival with queued
+// waiters ahead of it. Called with the lock held.
+func (a *admission) shedLocked(ctx context.Context, queued int, stream bool) *refusal {
+	if a.highWater <= 0 {
+		return nil
+	}
+	shed := func(c cause, retryAfter time.Duration) *refusal {
+		return &refusal{
+			status:     http.StatusServiceUnavailable,
+			cause:      c,
+			msg:        fmt.Sprintf("server: overloaded, %s work shed", c),
+			retryAfter: retryAfter,
+		}
+	}
+	wait := a.estWaitLocked(queued)
+	if dl, ok := ctx.Deadline(); ok {
+		// If the queue ahead already eats the whole budget, the request
+		// cannot finish in time whatever its kind.
+		if remaining := time.Until(dl); remaining > 0 && wait > remaining {
+			return shed(causeShedDeadline, wait-remaining)
+		}
+	}
+	frac := float64(a.running+queued) / float64(a.workers+a.queueCap)
+	switch {
+	case stream && frac >= a.highWater:
+		return shed(causeShedStream, wait)
+	case !stream && frac >= a.highWater+(1-a.highWater)/2:
+		return shed(causeShedCold, wait)
+	}
+	return nil
+}
+
+// estWaitLocked estimates how long queued requests take to drain: spread
+// across the workers at the observed service time (0 before any
+// observation). Called with the lock held.
+func (a *admission) estWaitLocked(queued int) time.Duration {
+	return time.Duration(queued) * a.svc / time.Duration(a.workers)
+}
+
+// serviceEWMA returns the current service-time estimate.
+func (a *admission) serviceEWMA() time.Duration {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.svc
+}
+
+// release returns the worker slot claimed by a successful acquire and
+// dispatches the next weighted-fair waiter, if any. svc is the wall time of
+// the execution the slot was held for when it succeeded (0 otherwise), and
+// is folded into the service-time estimate.
+func (a *admission) release(svc time.Duration) {
+	a.mu.Lock()
+	switch {
+	case svc <= 0:
+	case a.svc == 0:
+		a.svc = svc
+	default:
+		a.svc += (svc - a.svc) / 8
+	}
 	a.running--
 	a.dispatchLocked()
 	a.mu.Unlock()
-	a.load.Add(-1)
 }
 
 // dispatchLocked grants free workers to queued flows in virtual-time order.
@@ -191,7 +273,6 @@ func (a *admission) dispatchLocked() {
 			delete(a.flows, bestKey)
 		}
 		a.running++
-		a.depth.Add(-1)
 		w.granted = true
 		close(w.grant)
 	}
@@ -207,8 +288,6 @@ func (a *admission) removeWaiterLocked(w *admWaiter) {
 	for el := f.waiters.Front(); el != nil; el = el.Next() {
 		if el.Value.(*admWaiter) == w {
 			f.waiters.Remove(el)
-			a.depth.Add(-1)
-			a.load.Add(-1)
 			break
 		}
 	}
@@ -227,27 +306,16 @@ func (a *admission) queuedLocked() int {
 }
 
 // inflight returns the current number of executing plus queued requests.
-func (a *admission) inflight() int64 { return a.load.Load() }
+func (a *admission) inflight() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int64(a.running + a.queuedLocked())
+}
 
 // queueDepth returns the current number of queued (not yet executing)
 // requests.
-func (a *admission) queueDepth() int64 { return a.depth.Load() }
-
-// capacity returns the hard admission bound (workers + queue) — the
-// denominator of the shedder's high-water fraction.
-func (a *admission) capacity() int64 { return int64(a.workers + a.queueCap) }
-
-// retryAfterHint converts a queue depth into a coarse Retry-After for 429
-// responses: the estimated time for that much queued work to drain, floored
-// at one second. svc is the observed per-request service time (0 falls back
-// to the floor).
-func retryAfterHint(depth int, workers int, svc time.Duration) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	d := time.Duration(depth) * svc / time.Duration(workers)
-	if d < time.Second {
-		return time.Second
-	}
-	return d
+func (a *admission) queueDepth() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int64(a.queuedLocked())
 }

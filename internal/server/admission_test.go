@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,19 +18,23 @@ import (
 // FIFO semaphore it replaced.
 var anonFlow = flowKey{tenant: tenant.Anon, class: tenant.Interactive}
 
+// noShed is the high-water mark of a controller that only queues and
+// overflows: the scheduling tests below fill queues the shedder would cut.
+const noShed = -1
+
 func TestAdmissionRejectsBeyondLimit(t *testing.T) {
-	a := newAdmission(1, 1)
+	a := newAdmission(1, 1, noShed)
 	ctx := context.Background()
 
-	if err := a.acquire(ctx, anonFlow, 0); err != nil {
+	if err := a.acquire(ctx, anonFlow, 0, false); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 	// Second request queues; run it in a goroutine so we can fill the queue.
 	queued := make(chan error, 1)
 	go func() {
-		err := a.acquire(ctx, anonFlow, 0)
+		err := a.acquire(ctx, anonFlow, 0, false)
 		if err == nil {
-			a.release() // before the send: the test reads inflight right after receiving
+			a.release(0) // before the send: the test reads inflight right after receiving
 		}
 		queued <- err
 	}()
@@ -37,17 +42,17 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	for i := 0; a.inflight() < 2 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	// Third request exceeds workers+queue and is rejected immediately, with
-	// the queue depth recorded on the typed error.
-	err := a.acquire(ctx, anonFlow, 0)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third acquire = %v, want ErrOverloaded", err)
+	// Third request exceeds workers+queue and is refused immediately, with
+	// the queue depth recorded in the message.
+	err := a.acquire(ctx, anonFlow, 0, false)
+	var ref *refusal
+	if !errors.As(err, &ref) || ref.cause != causeQueueFull || ref.status != 429 {
+		t.Fatalf("third acquire = %v, want a queue-full refusal", err)
 	}
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Depth != 1 {
-		t.Fatalf("overload error = %#v, want Depth=1", err)
+	if !strings.Contains(ref.msg, "(1 queued)") {
+		t.Fatalf("refusal = %q, want the depth (1 queued)", ref.msg)
 	}
-	a.release() // frees the queued one
+	a.release(0) // frees the queued one
 	if err := <-queued; err != nil {
 		t.Fatalf("queued acquire: %v", err)
 	}
@@ -57,15 +62,15 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 }
 
 func TestAdmissionDeadlineWhileQueued(t *testing.T) {
-	a := newAdmission(1, 4)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+	a := newAdmission(1, 4, noShed)
+	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	defer a.release()
+	defer a.release(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := a.acquire(ctx, anonFlow, 0); !errors.Is(err, context.DeadlineExceeded) {
+	if err := a.acquire(ctx, anonFlow, 0, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire = %v, want DeadlineExceeded", err)
 	}
 	if got := a.inflight(); got != 1 {
@@ -77,7 +82,7 @@ func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 }
 
 func TestAdmissionConcurrentChurn(t *testing.T) {
-	a := newAdmission(4, 8)
+	a := newAdmission(4, 8, noShed)
 	var wg sync.WaitGroup
 	var admitted, rejected int64
 	var mu sync.Mutex
@@ -85,7 +90,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := a.acquire(context.Background(), anonFlow, 0)
+			err := a.acquire(context.Background(), anonFlow, 0, false)
 			mu.Lock()
 			if err != nil {
 				rejected++
@@ -95,7 +100,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 			mu.Unlock()
 			if err == nil {
 				time.Sleep(time.Millisecond)
-				a.release()
+				a.release(0)
 			}
 		}()
 	}
@@ -114,8 +119,8 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 // tenant's backlog cannot starve the light tenant the way the old FIFO
 // queue did.
 func TestAdmissionWeightedFairInterleaving(t *testing.T) {
-	a := newAdmission(1, 32)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+	a := newAdmission(1, 32, noShed)
+	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,14 +137,14 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 1); err != nil {
+				if err := a.acquire(context.Background(), fk, 1, false); err != nil {
 					t.Errorf("%s acquire: %v", ten, err)
 					return
 				}
 				mu.Lock()
 				grants = append(grants, grant{tenant: ten, order: len(grants)})
 				mu.Unlock()
-				a.release()
+				a.release(0)
 			}()
 		}
 	}
@@ -153,7 +158,7 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 	for a.queueDepth() < 16 {
 		time.Sleep(time.Millisecond)
 	}
-	a.release() // open the single worker; grants now chain via release()
+	a.release(0) // open the single worker; grants now chain via release()
 	wg.Wait()
 
 	if len(grants) != 16 {
@@ -180,8 +185,8 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 // background priority for the same tenant and checks the interactive flow
 // drains far earlier, proportional to the 16:1 class weights.
 func TestAdmissionClassPriority(t *testing.T) {
-	a := newAdmission(1, 64)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+	a := newAdmission(1, 64, noShed)
+	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,14 +199,14 @@ func TestAdmissionClassPriority(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 0); err != nil {
+				if err := a.acquire(context.Background(), fk, 0, false); err != nil {
 					t.Errorf("acquire: %v", err)
 					return
 				}
 				mu.Lock()
 				order = append(order, c)
 				mu.Unlock()
-				a.release()
+				a.release(0)
 			}()
 		}
 	}
@@ -213,7 +218,7 @@ func TestAdmissionClassPriority(t *testing.T) {
 	for a.queueDepth() < 32 {
 		time.Sleep(time.Millisecond)
 	}
-	a.release()
+	a.release(0)
 	wg.Wait()
 
 	interactiveInFirstHalf := 0
@@ -241,7 +246,7 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 		goroutines = 128
 		rounds     = 20
 	)
-	a := newAdmission(workers, queue)
+	a := newAdmission(workers, queue, noShed)
 	rng := rand.New(rand.NewSource(42))
 	delays := make([]time.Duration, goroutines)
 	for i := range delays {
@@ -258,11 +263,11 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), delays[i])
 				defer cancel()
 				fk := flowKey{tenant: tenant.Anon, class: tenant.Class(i % 3)}
-				err := a.acquire(ctx, fk, 0)
+				err := a.acquire(ctx, fk, 0, false)
 				if err == nil {
 					admitted.Add(1)
 					time.Sleep(50 * time.Microsecond)
-					a.release()
+					a.release(0)
 				}
 			}(i)
 		}
@@ -280,14 +285,112 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < workers; i++ {
-		if err := a.acquire(ctx, anonFlow, 0); err != nil {
+		if err := a.acquire(ctx, anonFlow, 0, false); err != nil {
 			t.Fatalf("post-storm acquire %d: %v (leaked slot)", i, err)
 		}
 	}
 	for i := 0; i < workers; i++ {
-		a.release()
+		a.release(0)
 	}
 	if admitted.Load() == 0 {
 		t.Fatal("storm admitted nothing; test not exercising grant path")
+	}
+}
+
+// shedAt asks a 4-worker, 6-slot controller (capacity 10) for its shed
+// decision on one arrival at the given load; nil admits.
+func shedAt(ctx context.Context, a *admission, running, queued int, stream bool) *refusal {
+	a.running = running
+	return a.shedLocked(ctx, queued, stream)
+}
+
+func TestShedderOrder(t *testing.T) {
+	a := newAdmission(4, 6, 0.8)
+	ctx := context.Background()
+	// Below high water: everything admitted.
+	for _, stream := range []bool{false, true} {
+		if ref := shedAt(ctx, a, 4, 3, stream); ref != nil {
+			t.Fatalf("stream=%v shed at 70%% load: %v", stream, ref)
+		}
+	}
+	// At high water: streams shed, cold still admitted.
+	if ref := shedAt(ctx, a, 4, 4, true); ref == nil || ref.cause != causeShedStream {
+		t.Fatalf("stream at 80%% = %+v", ref)
+	}
+	if ref := shedAt(ctx, a, 4, 4, false); ref != nil {
+		t.Fatal("cold shed at 80%")
+	}
+	// At the cold threshold (0.8 + 0.1 = 0.9): cold shed too.
+	ref := shedAt(ctx, a, 4, 5, false)
+	if ref == nil || ref.cause != causeShedCold || ref.status != 503 || ref.msg != "server: overloaded, cold work shed" {
+		t.Fatalf("cold at 90%% = %+v", ref)
+	}
+	if got := ceilSecond(ref.retryAfter); got < time.Second {
+		t.Fatalf("Retry-After = %v, want >= 1s floor", got)
+	}
+}
+
+func TestShedderDeadlineAware(t *testing.T) {
+	a := newAdmission(4, 96, 0.8)
+	a.svc = 100 * time.Millisecond
+	est := a.estWaitLocked(8) // 8 queued / 4 workers ~ 2 service times ~ 200ms
+	if est < 100*time.Millisecond || est > 400*time.Millisecond {
+		t.Fatalf("estWait = %v", est)
+	}
+	within := func(d time.Duration) context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	// 50ms of budget left but ~200ms of queue ahead: shed regardless of kind
+	// or load fraction.
+	for _, stream := range []bool{false, true} {
+		ref := shedAt(within(50*time.Millisecond), a, 0, 8, stream)
+		if ref == nil || ref.cause != causeShedDeadline {
+			t.Fatalf("deadline verdict (stream=%v) = %+v", stream, ref)
+		}
+	}
+	// Plenty of budget: admitted.
+	if ref := shedAt(within(5*time.Second), a, 0, 8, false); ref != nil {
+		t.Fatalf("shed with ample budget: %+v", ref)
+	}
+	// No deadline: deadline shedding skipped.
+	if ref := shedAt(context.Background(), a, 0, 8, false); ref != nil {
+		t.Fatal("shed with unknown budget")
+	}
+}
+
+func TestShedderDisabled(t *testing.T) {
+	a := newAdmission(1, 9, noShed)
+	a.svc = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if ref := shedAt(ctx, a, 1, 50, true); ref != nil {
+		t.Fatalf("negative high water must disable shedding: %+v", ref)
+	}
+}
+
+func TestShedderEWMAConverges(t *testing.T) {
+	a := newAdmission(1, 0, noShed)
+	finish := func(svc time.Duration) {
+		t.Helper()
+		if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		a.release(svc)
+	}
+	finish(0) // a failed execution teaches nothing
+	if got := a.serviceEWMA(); got != 0 {
+		t.Fatalf("estimate before any success = %v", got)
+	}
+	finish(80 * time.Millisecond)
+	if got := a.serviceEWMA(); got != 80*time.Millisecond {
+		t.Fatalf("first observation = %v", got)
+	}
+	for i := 0; i < 100; i++ {
+		finish(10 * time.Millisecond)
+	}
+	if got := a.serviceEWMA(); got > 15*time.Millisecond {
+		t.Fatalf("EWMA did not converge down: %v", got)
 	}
 }

@@ -34,7 +34,7 @@ func TestEmitBatchAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := newNDJSONStream(s, discardResponse{h: http.Header{}}, 1<<30, time.Now(), time.Minute)
+	st := newNDJSONStream(s, discardResponse{h: http.Header{}}, nil, 1<<30, time.Now(), time.Minute)
 	if err := st.StartStream(0, b.Schema()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,12 @@
 //   - Admission control: a bounded worker pool plus bounded wait queue.
 //     Requests beyond the bound get HTTP 429 immediately; queued requests
 //     that outlive their deadline get 504. Load sheds at the front door.
+//     "Admit or refuse" is one protocol (tenants.go, admission.go): a
+//     query enters through its tenant's rate gate and breaker and holds a
+//     ticket, acquires a worker slot from admission (which sheds, queues or
+//     overflows), and settles the ticket on every way out. Whatever turns
+//     it away on that path is one refusal value carrying its status, cause
+//     and Retry-After.
 //   - A plan cache: programs are fingerprinted (ir.Graph.Fingerprint) and
 //     compiled plans are reused across requests, so hot queries skip the
 //     compiler entirely (hits/misses are exported on /metrics).
@@ -60,7 +66,6 @@ import (
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
-	"polystorepp/internal/resilience"
 	"polystorepp/internal/tenant"
 )
 
@@ -143,7 +148,7 @@ type Config struct {
 	DisableBreaker bool
 	// BreakerWindow / BreakerMinSamples / BreakerFailureRatio /
 	// BreakerCooldown tune the per-tenant breakers (zero values select
-	// resilience.BreakerConfig defaults: 10s window, 20 samples, 0.5 ratio,
+	// tenant.BreakerConfig defaults: 10s window, 20 samples, 0.5 ratio,
 	// 5s cooldown).
 	BreakerWindow       time.Duration
 	BreakerMinSamples   int
@@ -205,11 +210,17 @@ func (c Config) withDefaults() Config {
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = tenant.DefaultMaxTenants
 	}
+	if c.ShedHighWater == 0 {
+		c.ShedHighWater = defaultShedHighWater
+	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
 	return c
 }
+
+// defaultShedHighWater is the shedding threshold when none is configured.
+const defaultShedHighWater = 0.85
 
 // Server serves heterogeneous queries over one core.Runtime. Construct with
 // New; Server implements http.Handler.
@@ -254,7 +265,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		opts:    opts,
 		cfg:     cfg,
 		cache:   compiler.NewPlanCache(cfg.PlanCacheSize),
-		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
+		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
 		mux:     http.NewServeMux(),
 		traces:  obs.NewTraceLog(traceLogRecent, traceLogSlowest),
 		touches: lru.New[compiler.Touches](cfg.PlanCacheSize),
@@ -276,8 +287,8 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		s.nl = eide.NewNLTranslator(cfg.NL.Relational, cfg.NL.Timeseries, cfg.NL.Text, cfg.NL.ML)
 	}
 	s.st, s.stats = newStatTable(s)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/query/stream", s.handleStream)
+	s.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, false) })
+	s.mux.HandleFunc("/query/stream", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, true) })
 	s.mux.HandleFunc("/ingest", s.handleIngest)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -294,10 +305,12 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 // the drain), and it counts in-flight requests so Drain can wait for them.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() && drainRejected(r.URL.Path) {
-		s.st.drainRejected.Inc()
 		w.Header().Set("Connection", "close")
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", errDraining)
+		s.writeQueryError(w, nil, &refusal{
+			status: http.StatusServiceUnavailable,
+			cause:  causeDraining,
+			msg:    "server: draining for shutdown",
+		}, 0)
 		return
 	}
 	s.httpInflight.Add(1)
@@ -468,19 +481,6 @@ func postOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// admitTenant resolves the request's tenant and runs it through gate —
-// tenantControl.admit for queries, admitRate for writes. On refusal it writes
-// the 429/503 with its Retry-After and returns ok false.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, gate func(*tenantState, time.Time) error, now time.Time) (ten string, ts *tenantState, ok bool) {
-	ten = tenant.FromHTTP(r)
-	ts = s.tenants.state(ten)
-	if err := gate(ts, now); err != nil {
-		s.writeQueryError(w, err, 0)
-		return ten, ts, false
-	}
-	return ten, ts, true
-}
-
 // decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
 // unknown fields; on failure it writes the 400 and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -526,7 +526,6 @@ type preparedQuery struct {
 	tenant string
 	class  tenant.Class
 	weight float64
-	state  *tenantState
 }
 
 // prepareQuery decodes the request body, builds and checks the program, and
@@ -534,8 +533,8 @@ type preparedQuery struct {
 // writes the error response and returns nil (nothing has been executed yet,
 // so plain HTTP status codes still apply on both the buffered and streaming
 // paths).
-func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ten string, ts *tenantState) *preparedQuery {
-	p := &preparedQuery{tenant: ten, state: ts}
+func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenantState) *preparedQuery {
+	p := &preparedQuery{tenant: ts.id}
 	if !s.decodeBody(w, r, &p.req) {
 		return nil
 	}
@@ -620,17 +619,13 @@ func stampParts(g *ir.Graph, parts int) {
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, false)
-}
-
 // serveQuery is the spine /query and /query/stream share: method check,
-// tenant gates, prepare, deadline, trace, run through the acceleration
-// layers, tenant accounting, respond. The endpoints differ only in how the
-// outcome leaves: /query buffers it into one JSON body, so every failure
-// still has its HTTP status; /query/stream hands runQuery an NDJSON sink
-// (ndjsonStream, stream.go) that also replays buffered outcomes and reports
-// late failures in-band.
+// tenant gates (whose ticket is settled on every way out), prepare,
+// deadline, trace, run through the acceleration layers, respond. The
+// endpoints differ only in how the outcome leaves: /query buffers it into
+// one JSON body, so every failure still has its HTTP status; /query/stream
+// hands runQuery an NDJSON sink (ndjsonStream, stream.go) that also replays
+// buffered outcomes and reports late failures in-band.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bool) {
 	if !postOnly(w, r) {
 		return
@@ -640,30 +635,36 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 		s.st.streamRequests.Inc()
 	}
 	t0 := time.Now()
-	ten, ts, ok := s.admitTenant(w, r, s.tenants.admit, t0)
-	if !ok {
+	ts := s.tenants.state(tenant.FromHTTP(r))
+	tk, ref := ts.enter(t0)
+	if ref != nil {
+		s.writeQueryError(w, ts, ref, 0)
 		return
 	}
-	p := s.prepareQuery(w, r, ten, ts)
+	// Until runQuery has an outcome the request is neutral: a body that
+	// does not decode or prepare never ran, and still returns its probe.
+	result := neutral
+	defer func() { tk.done(result) }()
+	p := s.prepareQuery(w, r, ts)
 	if p == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
-	ctx = tenant.With(ctx, ten)
+	ctx = tenant.With(ctx, ts.id)
 	tr := s.startTrace(p)
-	tr.Annotate("tenant", ten)
+	tr.Annotate("tenant", ts.id)
 	tr.Annotate("class", p.class.String())
 	ctx = obs.With(ctx, tr)
 
 	var stream *ndjsonStream // nil on /query
 	var sink core.ResultSink
 	if streaming {
-		stream = newNDJSONStream(s, w, s.effectiveMaxRows(&p.req), t0, p.timeout)
+		stream = newNDJSONStream(s, w, ts, s.effectiveMaxRows(&p.req), t0, p.timeout)
 		sink = stream
 	}
 	out, err := s.runQuery(ctx, p, sink)
-	s.tenants.finish(ts, err, time.Since(t0), time.Now())
+	result = outcomeOf(err)
 	tree := tr.Finish()
 	s.traces.Record(tree)
 	if !p.req.Trace {
@@ -673,7 +674,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 		if streaming {
 			stream.fail(err)
 		} else {
-			s.writeQueryError(w, err, p.timeout)
+			s.writeQueryError(w, ts, err, p.timeout)
 		}
 		return
 	}
@@ -740,11 +741,9 @@ type queryOutcome struct {
 
 // touchesFor returns the engines/tables g reads, memoized under the plan
 // key (TouchesOf depends only on the graph, which the key fingerprints).
-// Deliberately NOT served from the plan cache's Plan.Touches: that is
-// computed on the post-optimization graph, and the result-cache key must be
-// derived identically on cold and warm paths — mixing pre- and post-pass
-// touches would split one query across two cache keys whenever a compiler
-// pass removes a scan.
+// Taken from the program as written, before any compiler pass: the
+// result-cache key must be derived identically on cold and warm paths, and
+// a pass that removes a scan must not split one query across two keys.
 func (s *Server) touchesFor(planKey string, g *ir.Graph) compiler.Touches {
 	s.touchesMu.Lock()
 	if t, ok := s.touches.Get(planKey); ok {
@@ -808,7 +807,7 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 			// Retries exhausted on a run of dying leaders. The inherited
 			// context error is the leaders' condition, not this client's —
 			// reporting it raw would 499/504 a perfectly healthy request.
-			err = fmt.Errorf("%w (last leader: %v)", errLeadersGone, err)
+			err = leadersGone(err)
 		}
 		break
 	}
@@ -821,45 +820,41 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 	return queryOutcome{res: res, rep: rep, planHit: planHit, shared: shared}, err
 }
 
-// errLeadersGone reports that every single-flight leader a follower piggy-
-// backed on was canceled before finishing. Transient by construction, so it
-// maps to 503 + Retry-After rather than to the leaders' own 499/504.
-var errLeadersGone = errors.New("server: shared execution repeatedly canceled by its leaders; retry")
+// leadersGone refuses a follower whose every single-flight leader was
+// canceled before finishing (last is the final leader's error). Transient by
+// construction, so it is a 503 + Retry-After rather than the leaders' own
+// 499/504.
+func leadersGone(last error) *refusal {
+	return &refusal{
+		status: http.StatusServiceUnavailable,
+		cause:  causeLeadersGone,
+		msg:    fmt.Sprintf("server: shared execution repeatedly canceled by its leaders; retry (last leader: %v)", last),
+	}
+}
 
-// executeOnce sheds or acquires a worker, compiles (through the plan cache)
-// and executes — streaming sink-node batches through sink when one is
-// attached — then publishes the outcome to the result cache. Result-cache
+// executeOnce acquires a worker (or is shed), compiles (through the plan
+// cache) and executes — streaming sink-node batches through sink when one
+// is attached — then publishes the outcome to the result cache. Result-cache
 // hits and single-flight followers never reach this function, which is what
-// makes the shedder's "cached reads survive overload" policy structural:
-// only work that must actually occupy a worker can be shed.
+// makes admission's "cached reads survive overload" policy structural: only
+// work that must actually occupy a worker can be shed.
 func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.ResultSink) (*core.Results, *core.Report, bool, error) {
 	tr := obs.From(ctx)
-	kind := resilience.KindCold
-	if sink != nil {
-		kind = resilience.KindStream
-	}
-	var remaining time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		remaining = time.Until(dl)
-	}
-	if v := s.tenants.shedder.Decide(kind, s.adm.inflight(), s.adm.capacity(),
-		s.adm.queueDepth(), s.cfg.Workers, remaining); v.Shed {
-		s.st.shed(v.Reason).Inc()
-		if p.state != nil {
-			p.state.shed.Add(1)
-		}
-		tr.Event("admission.shed", v.Reason)
-		return nil, nil, false, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
-	}
-
 	var admT0 time.Time
 	if tr != nil {
 		admT0 = time.Now()
 	}
-	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight); err != nil {
+	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight, sink != nil); err != nil {
+		var ref *refusal
+		if errors.As(err, &ref) && ref.cause != causeQueueFull {
+			tr.Event("admission.shed", ref.cause.String())
+		}
 		return nil, nil, false, err
 	}
-	defer s.adm.release()
+	// A successful execution's wall time feeds admission's service-time
+	// estimate, so its deadline-aware wait estimates track the workload.
+	var svc time.Duration
+	defer func() { s.adm.release(svc) }()
 	if tr != nil {
 		tr.Phase("admission.queue", "", admT0)
 	}
@@ -871,14 +866,10 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
 	res, rep, err := s.rt.ExecuteStream(ctx, plan, sink)
-	if err == nil {
-		// Feed the shedder's service-time EWMA with real execution times so
-		// its deadline-aware wait estimates track the current workload.
-		s.tenants.shedder.Observe(time.Since(execT0))
-	}
 	if err != nil {
 		return nil, nil, hit, err
 	}
+	svc = time.Since(execT0)
 	// Publish only when the version vector of the *touched* engines is still
 	// the one the key was built from: a touched store mutated mid-execution
 	// may have leaked into this result, which must not be addressable as a
@@ -913,50 +904,23 @@ func pruneToSinks(res *core.Results) *core.Results {
 }
 
 // classifyQueryError maps a runQuery failure to its wire status, message
-// and Retry-After hint (0 = none), bumping the matching counter. Shared by
+// and Retry-After hint (0 = none), bumping the matching counter (a
+// refusal's also against ts, the requesting tenant). Shared by
 // the buffered path (real HTTP status) and the streaming path (in-band
 // NDJSON error record — the status line is long gone once partial results
 // have been flushed).
-func (s *Server) classifyQueryError(err error, timeout time.Duration) (status int, msg string, retryAfter time.Duration) {
-	var reject *RejectError
-	var oe *OverloadError
+func (s *Server) classifyQueryError(ts *tenantState, err error, timeout time.Duration) (status int, msg string, retryAfter time.Duration) {
+	var ref *refusal
 	switch {
-	case errors.As(err, &reject):
-		// Pre-execution refusal: per-tenant rate limit (429) or open circuit
-		// breaker (503), each carrying its own honest backoff.
-		if reject.Status == http.StatusTooManyRequests {
-			s.st.tenantRate.Inc()
-			s.st.rejected.Inc()
-		} else {
-			s.st.tenantBreaker.Inc()
-		}
-		return reject.Status, reject.msg, ceilSecond(reject.RetryAfter)
-	case errors.Is(err, ErrOverloaded):
-		s.st.rejected.Inc()
-		// The typed error carries the queue depth at rejection time; convert
-		// it to an honest drain estimate instead of a hard-coded hint.
-		retry := time.Second
-		if errors.As(err, &oe) {
-			retry = retryAfterHint(oe.Depth, s.cfg.Workers, s.tenants.shedder.ServiceEWMA())
-		}
-		return http.StatusTooManyRequests, err.Error(), retry
-	case errors.Is(err, errShed):
-		s.st.rejected.Inc()
-		retry := time.Second
-		var se *ShedError
-		if errors.As(err, &se) && se.RetryAfter > 0 {
-			retry = se.RetryAfter
-		}
-		return http.StatusServiceUnavailable, err.Error(), retry
+	case errors.As(err, &ref):
+		s.countRefusal(ref, ts)
+		return ref.status, ref.msg, ref.retryAfter
 	case errors.Is(err, compiler.ErrCompile):
 		s.st.badRequest.Inc()
 		return http.StatusBadRequest, fmt.Sprintf("compile: %v", err), 0
 	case isStatementError(err):
 		s.st.badRequest.Inc()
 		return http.StatusBadRequest, fmt.Sprintf("execute: %v", err), 0
-	case errors.Is(err, errLeadersGone):
-		s.st.execErrors.Inc()
-		return http.StatusServiceUnavailable, err.Error(), time.Second
 	case errors.Is(err, context.DeadlineExceeded):
 		s.st.deadline.Inc()
 		return http.StatusGatewayTimeout, fmt.Sprintf("deadline exceeded after %s", timeout), 0
@@ -1003,8 +967,8 @@ func ceilSecond(d time.Duration) time.Duration {
 // zero (or absent) hint makes well-behaved clients retry immediately, which
 // is exactly wrong under overload; and the header unit is whole seconds, so
 // sub-second hints must round up, never truncate to 0.
-func (s *Server) writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
-	status, msg, retryAfter := s.classifyQueryError(err, timeout)
+func (s *Server) writeQueryError(w http.ResponseWriter, ts *tenantState, err error, timeout time.Duration) {
+	status, msg, retryAfter := s.classifyQueryError(ts, err, timeout)
 	backpressure := status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 	if backpressure || retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(ceilSecond(retryAfter)/time.Second), 10))
@@ -1170,7 +1134,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Writes share the tenant's token bucket with queries (one entitlement
 	// per tenant, not one per endpoint) and answer an exhausted one exactly
 	// like /query does.
-	if _, _, ok := s.admitTenant(w, r, s.tenants.admitRate, time.Now()); !ok {
+	ts := s.tenants.state(tenant.FromHTTP(r))
+	if ref := ts.enterRate(time.Now()); ref != nil {
+		s.writeQueryError(w, ts, ref, 0)
 		return
 	}
 	var req IngestRequest
@@ -1203,7 +1169,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, core.ErrDurability), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// Not the client's fault: durability failure (503), deadline (504) or
 		// a client that went away (499), classified as /query classifies them.
-		s.writeQueryError(w, err, s.cfg.DefaultTimeout)
+		s.writeQueryError(w, ts, err, s.cfg.DefaultTimeout)
 	default:
 		// What is left is validation: an engine that takes no writes, a
 		// missing table, a row that does not fit the schema.
@@ -1222,7 +1188,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"engines":  s.rt.Engines(),
 		"inflight": s.adm.inflight(),
 		"queued":   s.adm.queueDepth(),
-		"tenants":  s.tenants.registry.Len(),
+		"tenants":  s.tenants.len(),
 	})
 }
 

@@ -55,10 +55,7 @@ func BenchmarkServeConcurrentNoDedup(b *testing.B) {
 // BenchmarkServeConcurrentTraced runs the no-dedup workload with TraceAll
 // on, so every request builds a full span tree and lands in the trace log —
 // the upper bound on tracing cost. Compare against
-// BenchmarkServeConcurrentNoDedup for the overhead; the nightly regression
-// gate pins the traced-OFF path (BenchmarkServeConcurrent vs
-// BENCH_BASELINE.json), which doubles as the zero-cost-when-disabled
-// assertion.
+// BenchmarkServeConcurrentNoDedup for the overhead.
 func BenchmarkServeConcurrentTraced(b *testing.B) {
 	benchServe(b, polystore.ServeConfig{
 		Workers:             16,
@@ -157,8 +154,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 // key but shares the scan→filter→sort prefix. The result cache and
 // single-flight are disabled, leaving the subplan cache (default-on) as the
 // only reuse layer; the benchmark reports throughput and the subtree reuse
-// rate read back from /stats. BENCH_BASELINE.json gates this for
-// regressions in intermediate reuse.
+// rate read back from /stats.
 func BenchmarkServeSimilar(b *testing.B) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 200)
 	if err != nil {
@@ -231,8 +227,7 @@ func BenchmarkServeSimilar(b *testing.B) {
 // throughput (req/s), time-to-first-row, full-result latency and row
 // throughput. The result cache, single-flight and the subplan cache are
 // disabled so every request exercises the live streaming executor rather
-// than a cached replay — this is the benchmark BENCH_BASELINE.json gates
-// for streaming regressions.
+// than a cached replay.
 func BenchmarkServeStream(b *testing.B) {
 	store := relational.NewStore("db-bench")
 	events, err := store.CreateTable("events", cast.MustSchema(

@@ -214,7 +214,7 @@ func TestQueueOverflow429(t *testing.T) {
 	// Disable the dedup layers: identical in-flight queries would otherwise
 	// single-flight into one execution and never overflow the queue.
 	// ShedHighWater -1 disables load shedding so overflow exercises the queue
-	// bound's 429 path rather than the shedder's earlier 503.
+	// bound's 429 path rather than admission's earlier shed 503.
 	ts := newTestServer(t, polystore.ServeConfig{
 		Workers: 1, QueueDepth: 1,
 		ResultCacheSize: -1, DisableSingleFlight: true,

@@ -61,10 +61,10 @@ func TestShedColdServesCached(t *testing.T) {
 	// Pin the only worker: utilization is now 1.0, past both the stream and
 	// cold shed marks for any high water below 1.
 	if err := s.adm.acquire(context.Background(),
-		flowKey{tenant: tenant.Anon, class: tenant.Interactive}, 1); err != nil {
+		flowKey{tenant: tenant.Anon, class: tenant.Interactive}, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	defer s.adm.release()
+	defer s.adm.release(0)
 
 	cold := `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 4"}`
 	resp, raw := post(cold)

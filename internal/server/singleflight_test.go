@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -164,9 +163,8 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 // leader gets a retryable 503, not the leaders' own 499/504.
 func TestLeadersGoneMapsTo503(t *testing.T) {
 	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
-	err := fmt.Errorf("%w (last leader: %v)", errLeadersGone, context.Canceled)
 	rec := httptest.NewRecorder()
-	s.writeQueryError(rec, err, time.Second)
+	s.writeQueryError(rec, nil, leadersGone(context.Canceled), time.Second)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)
 	}

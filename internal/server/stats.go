@@ -8,6 +8,7 @@ package server
 
 import (
 	"io"
+	"strings"
 
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/partition"
@@ -105,17 +106,6 @@ type serverStats struct {
 	latency, ttfr                                                 *metrics.Histogram
 }
 
-// shed returns the counter of one resilience.Verdict reason.
-func (st *serverStats) shed(reason string) *metrics.Counter {
-	switch reason {
-	case "stream":
-		return st.shedStream
-	case "deadline":
-		return st.shedDeadline
-	}
-	return st.shedCold
-}
-
 // newStatTable declares every top-level stat of s. Called once from New,
 // after every component the getters read has been built.
 func newStatTable(s *Server) (st serverStats, defs []stat) {
@@ -123,13 +113,25 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add := func(key, name, kind, help string, get func() any) {
 		defs = append(defs, stat{key: key, name: name, kind: kind, help: help, get: get})
 	}
-	// counter declares a registry counter and returns its handle: the
-	// server's own bump sites keep it; for counters the runtime bumps, the
-	// registry name resolves to the handle core holds.
 	counter := func(key, name, help string) *metrics.Counter {
 		c := reg.Counter(name)
 		add(key, name, kindCounter, help, func() any { return c.Value() })
 		return c
+	}
+	// runtimeStats renders the runtime's own declarations (core/stats.go):
+	// the subplan cache's, or the rest. The registry name resolves to the
+	// handle core bumps.
+	runtimeStats := func(subplan bool) {
+		for _, d := range s.rt.Stats() {
+			switch {
+			case strings.HasPrefix(d.Name, "core.subplan.") != subplan:
+			case d.Gauge:
+				g := reg.Gauge(d.Name)
+				add(d.Key, d.Name, kindGauge, d.Help, func() any { return g.Value() })
+			default:
+				counter(d.Key, d.Name, d.Help)
+			}
+		}
 	}
 	histogram := func(key, name, help string) *metrics.Histogram {
 		h := metrics.NewHistogram(latencyBounds)
@@ -170,16 +172,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 
 	// Subplan cache (counters the runtime bumps; its gauges are in
 	// snapshotStats).
-	counter("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache.")
-	counter("subplan_cache_miss", "core.subplan.misses", "Subtree probes that missed.")
-	counter("subplan_cache_published", "core.subplan.published", "Executed subtrees memoized.")
-	counter("subplan_cache_bypassed", "core.subplan.bypassed", "Executed subtrees refused by the cache (oversized or over the tenant share).")
-	counter("subplan_cache_stale_skips", "core.subplan.stale_skips", "Publications dropped because a touched store moved during execution.")
-	counter("subplan_nodes_served", "core.subplan.nodes_served", "Plan nodes replayed from cached subtrees instead of executing.")
-	counter("subplan_bytes_served", "core.subplan.bytes_served", "Bytes of cached intermediates handed to plans.")
-	counter("subplan_plans_probed", "core.subplan.plans_probed", "Plans that probed the subplan cache.")
-	counter("subplan_plans_reused", "core.subplan.plans_reused", "Plans that reused at least one cached subtree.")
-	counter("subplan_flight_waits", "core.subplan.flight_waits", "Waits on another execution producing the same subtree.")
+	runtimeStats(true)
 
 	// Streaming path.
 	st.streamRequests = counter("stream_requests", "server.stream.requests", "Requests received on /query/stream.")
@@ -190,29 +183,19 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	st.ttfr = histogram("stream_ttfr_us", "server.stream.ttfr_seconds", "Time to the first streamed record (seconds on /metrics, microseconds on /stats).")
 
 	// Executor.
-	counter("executor_concurrent_plans", "core.exec.concurrent", "Plans run by the concurrent DAG scheduler.")
-	counter("executor_sequential_plans", "core.exec.sequential", "Plans run one node at a time.")
-	counter("", "core.exec.streamed", "Plans executed with a streaming sink.")
-	maxPar := reg.Gauge("core.exec.max_parallel")
-	add("executor_max_parallel", "core.exec.max_parallel", kindGauge, "Widest node parallelism observed inside one plan.", func() any { return maxPar.Value() })
-	counter("", "core.nodes", "Plan nodes executed.")
-	counter("", "core.migrations", "Cross-engine migrations executed.")
-	counter("", "core.rule_nodes", "Rule-engine nodes evaluated inside adapters.")
-	for _, d := range s.rt.Accelerators() {
-		counter("", "core.offloads."+d, "Kernel calls offloaded to accelerator "+d+".")
-	}
+	runtimeStats(false)
 	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates; on /metrics as `core_op_<engine>_<op>_*`.", func() any { return s.rt.OpStats().Snapshot() })
 	add("traces_recorded", "", kindCounter, "Request traces kept by the flight recorder.", func() any { _, _, n := s.traces.Snapshot(); return n })
 
 	// Tenancy, shedding, drain.
 	add("draining", "", kindInfo, "Whether the server is refusing new work for shutdown.", func() any { return s.draining.Load() })
-	add("tenant_count", "server.tenants", kindGauge, "Live tenant records.", func() any { return s.tenants.registry.Len() })
+	add("tenant_count", "server.tenants", kindGauge, "Live tenant records.", func() any { return s.tenants.len() })
 	st.tenantRate = counter("tenant_ratelimited", "server.tenant.rate", "Requests refused by a tenant's token bucket (429).")
 	st.tenantBreaker = counter("breaker_rejects", "server.tenant.breaker", "Requests refused by an open tenant circuit breaker (503).")
 	st.shedStream = counter("tenant_shed_stream", "server.shed.stream", "Streaming executions shed under overload.")
 	st.shedCold = counter("tenant_shed_cold", "server.shed.cold", "Cold executions shed under overload.")
 	st.shedDeadline = counter("tenant_shed_deadline", "server.shed.deadline", "Executions shed because the queue wait would outlive their deadline.")
-	add("", "server.shed.service_ewma_seconds", kindGauge, "The shedder's service-time estimate (0 before the first execution).", func() any { return s.tenants.shedder.ServiceEWMA().Seconds() })
+	add("", "server.shed.service_ewma_seconds", kindGauge, "The shedder's service-time estimate (0 before the first execution).", func() any { return s.adm.serviceEWMA().Seconds() })
 	st.drainRejected = counter("drain_rejected", "server.drain.rejected", "Requests refused with 503 while draining.")
 	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any { return s.tenants.statsJSON(s.results.ownerBytes(), s.rt.SubplanOwnerBytes()) })
 

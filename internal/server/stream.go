@@ -81,6 +81,7 @@ type streamErrorRecord struct {
 type ndjsonStream struct {
 	s       *Server
 	w       http.ResponseWriter
+	ts      *tenantState // the requesting tenant, for counting a refusal
 	fl      http.Flusher // nil when the transport cannot flush
 	t0      time.Time
 	timeout time.Duration // the request's budget, for wording a 504
@@ -99,10 +100,10 @@ type ndjsonStream struct {
 // (execution budget + a transfer grace period) so stalled readers fail the
 // write — freeing the slot — instead of pinning a worker forever. Transports
 // without deadline support (test recorders) just skip it.
-func newNDJSONStream(s *Server, w http.ResponseWriter, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
+func newNDJSONStream(s *Server, w http.ResponseWriter, ts *tenantState, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + streamWriteGrace))
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{s: s, w: w, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
+	return &ndjsonStream{s: s, w: w, ts: ts, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
 }
 
 // streamWriteGrace is how long past the execution deadline a streaming
@@ -208,11 +209,6 @@ func (st *ndjsonStream) replay(res *core.Results) error {
 	return nil
 }
 
-// handleStream serves POST /query/stream.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, true)
-}
-
 // deliver completes a served stream: whatever the execution did not stream
 // live is replayed, then the trace record (when asked for) and the summary
 // close it. Whatever goes wrong on the way is reported as fail reports it.
@@ -243,10 +239,10 @@ func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *ob
 // since the 200 status line left with the first flush.
 func (st *ndjsonStream) fail(err error) {
 	if !st.started {
-		st.s.writeQueryError(st.w, err, st.timeout)
+		st.s.writeQueryError(st.w, st.ts, err, st.timeout)
 		return
 	}
-	status, msg, _ := st.s.classifyQueryError(err, st.timeout)
+	status, msg, _ := st.s.classifyQueryError(st.ts, err, st.timeout)
 	if errors.Is(err, errStreamWrite) || errors.Is(err, context.Canceled) {
 		// The client is gone — whether a write failed (errStreamWrite) or a
 		// per-batch ctx check saw the request context die first (Canceled).

@@ -115,6 +115,47 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantRecordsBounded: an identity flood cannot grow per-tenant state
+// past -max-tenants. The least-recently-seen tenant is evicted, and comes
+// back with a fresh record (one fresh burst, never unbounded memory).
+func TestTenantRecordsBounded(t *testing.T) {
+	ts := newTestServer(t, polystore.ServeConfig{MaxTenants: 2})
+	body := `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 1"}`
+	requests := func() map[string]int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats struct {
+			Tenants map[string]struct {
+				Requests int64 `json:"requests"`
+			} `json:"tenants"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for id, row := range stats.Tenants {
+			out[id] = row.Requests
+		}
+		return out
+	}
+	for _, ten := range []string{"a", "b", "a", "c"} { // "b" is the least recently seen when "c" arrives
+		if resp, raw := postAs(t, ts.URL+"/query", body, ten, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("tenant %s: status %d: %s", ten, resp.StatusCode, raw)
+		}
+	}
+	if got := requests(); len(got) != 2 || got["a"] != 2 || got["c"] != 1 {
+		t.Fatalf("tenant records = %v, want a:2 c:1 (b evicted)", got)
+	}
+	postAs(t, ts.URL+"/query", body, "b", "")
+	if got := requests(); len(got) != 2 || got["b"] != 1 {
+		t.Fatalf("tenant records = %v, want b back with a fresh count of 1", got)
+	}
+}
+
 // TestTenantBreakerOpensAndIsolates: a tenant whose workload keeps failing
 // at execution time trips its own circuit breaker — subsequent requests get
 // an immediate 503 instead of burning a worker — while another tenant's

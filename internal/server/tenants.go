@@ -1,9 +1,14 @@
 // Per-tenant serving state: every request resolves (via X-Tenant) to one
 // tenantState holding its token bucket, circuit breaker, and counters. The
-// registry is bounded (identity floods evict the least-recently-seen tenant
+// set is a bounded LRU (identity floods evict the least-recently-seen tenant
 // instead of growing without bound), and per-tenant observability is
-// emitted from registry snapshots rather than per-tenant metric names, so
+// emitted from snapshots of it rather than per-tenant metric names, so
 // hostile ids cannot leak entries into the metrics registry.
+//
+// A query's way in is one protocol: enter (rate, then breaker) hands back a
+// ticket or a refusal; admission.acquire (shed, queue) a worker slot or a
+// refusal; and the ticket's done, deferred by the handler, gives the breaker
+// its outcome — or just its probe back — on every way out.
 package server
 
 import (
@@ -11,15 +16,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/lru"
+	"polystorepp/internal/metrics"
 	"polystorepp/internal/relational"
-	"polystorepp/internal/resilience"
 	"polystorepp/internal/tenant"
 )
 
@@ -27,117 +35,187 @@ import (
 type tenantState struct {
 	id      string
 	quota   tenant.Quota
-	bucket  *tenant.Bucket      // nil-safe: unlimited when rate <= 0
-	breaker *resilience.Breaker // nil when breakers are disabled
+	bucket  *tenant.Bucket  // nil-safe: unlimited when rate <= 0
+	breaker *tenant.Breaker // nil when breakers are disabled
 
 	requests       atomic.Int64
 	ratelimited    atomic.Int64
 	shed           atomic.Int64
 	breakerRejects atomic.Int64
 	failures       atomic.Int64 // exec errors + deadline expiries
-	served         atomic.Int64 // completed (non-rejected) requests
+	served         atomic.Int64 // completed (non-refused) requests
 	latencyUS      atomic.Int64 // summed wall time of served requests
 }
 
-// tenantControl owns the per-tenant registry plus the shared load shedder.
+// tenantControl owns the bounded set of per-tenant records.
 type tenantControl struct {
-	registry *tenant.Registry[*tenantState]
-	shedder  *resilience.Shedder
+	cfg    Config
+	mu     sync.Mutex
+	states *lru.Cache[*tenantState]
 }
 
-// newTenantControl wires quotas and breaker config into a bounded registry.
 func newTenantControl(cfg Config) *tenantControl {
-	bcfg := resilience.BreakerConfig{
-		Window:       cfg.BreakerWindow,
-		MinSamples:   cfg.BreakerMinSamples,
-		FailureRatio: cfg.BreakerFailureRatio,
-		Cooldown:     cfg.BreakerCooldown,
-	}
-	build := func(id string) *tenantState {
-		q, ok := cfg.TenantQuotas[id]
-		if !ok {
-			q = tenant.Quota{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}
-		}
-		ts := &tenantState{id: id, quota: q, bucket: tenant.NewBucket(q.Rate, q.Burst)}
-		if !cfg.DisableBreaker {
-			ts.breaker = resilience.NewBreaker(bcfg)
-		}
-		return ts
-	}
-	return &tenantControl{
-		registry: tenant.NewRegistry(cfg.MaxTenants, build),
-		shedder:  resilience.NewShedder(cfg.ShedHighWater),
-	}
+	return &tenantControl{cfg: cfg, states: lru.New[*tenantState](cfg.MaxTenants)}
 }
 
 // state returns (building if first seen) the tenant's record.
-func (tc *tenantControl) state(id string) *tenantState { return tc.registry.Get(id) }
-
-// admit runs the pre-execution gates for one query: the tenant's rate gate,
-// then its circuit breaker. A nil error admits; otherwise the returned error
-// is a *RejectError carrying the wire status and Retry-After.
-func (tc *tenantControl) admit(ts *tenantState, now time.Time) error {
-	if err := tc.admitRate(ts, now); err != nil {
-		return err
+func (tc *tenantControl) state(id string) *tenantState {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if ts, ok := tc.states.Get(id); ok {
+		return ts
 	}
-	if ok, retry := ts.breaker.Allow(now); !ok {
-		ts.breakerRejects.Add(1)
-		return &RejectError{
-			Status:     503,
-			RetryAfter: retry,
-			msg:        fmt.Sprintf("tenant %q circuit breaker open", ts.id),
-		}
+	q, ok := tc.cfg.TenantQuotas[id]
+	if !ok {
+		q = tenant.Quota{Rate: tc.cfg.TenantRate, Burst: tc.cfg.TenantBurst}
 	}
-	return nil
+	ts := &tenantState{id: id, quota: q, bucket: tenant.NewBucket(q.Rate, q.Burst)}
+	if !tc.cfg.DisableBreaker {
+		ts.breaker = tenant.NewBreaker(tenant.BreakerConfig{
+			Window:       tc.cfg.BreakerWindow,
+			MinSamples:   tc.cfg.BreakerMinSamples,
+			FailureRatio: tc.cfg.BreakerFailureRatio,
+			Cooldown:     tc.cfg.BreakerCooldown,
+		})
+	}
+	return tc.states.Put(id, ts)
 }
 
-// admitRate counts the request and charges the tenant's token bucket — the
+// len returns the number of live tenant records.
+func (tc *tenantControl) len() int {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.states.Len()
+}
+
+// snapshot returns the live tenant records.
+func (tc *tenantControl) snapshot() []*tenantState {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	out := make([]*tenantState, 0, tc.states.Len())
+	tc.states.Each(func(_ string, ts *tenantState) { out = append(out, ts) })
+	return out
+}
+
+// enterRate counts the request and charges the tenant's token bucket — the
 // one entitlement queries and writes share. /ingest stops here: ingest
 // failures are validation errors, not worker-budget burn, so writes skip
 // the breaker.
-func (tc *tenantControl) admitRate(ts *tenantState, now time.Time) error {
+func (ts *tenantState) enterRate(now time.Time) *refusal {
 	ts.requests.Add(1)
 	if ok, retry := ts.bucket.Allow(now); !ok {
-		ts.ratelimited.Add(1)
-		return &RejectError{
-			Status:     429,
-			RetryAfter: retry,
+		return &refusal{
+			status:     http.StatusTooManyRequests,
+			cause:      causeRate,
 			msg:        fmt.Sprintf("tenant %q over its request rate", ts.id),
+			retryAfter: retry,
 		}
 	}
 	return nil
 }
 
-// finish folds one completed request into the tenant's breaker and latency
-// accounting. Rejections (rate limit, queue overflow, shedding, open
-// breaker, repeatedly-canceled leaders) are the server's condition, not the
-// tenant's workload health, so they feed neither; client-side cancellations
-// and malformed queries don't trip breakers either. What counts as failure
-// is what burns worker budget for nothing: execution errors and deadline
-// expiries.
-func (tc *tenantControl) finish(ts *tenantState, err error, wall time.Duration, now time.Time) {
-	if isRejection(err) {
-		return
+// enter runs a query's pre-execution gates: the tenant's rate gate, then its
+// circuit breaker. An admitted query holds a ticket, and owes it one done.
+func (ts *tenantState) enter(now time.Time) (ticket, *refusal) {
+	if ref := ts.enterRate(now); ref != nil {
+		return ticket{}, ref
 	}
-	ts.served.Add(1)
-	ts.latencyUS.Add(wall.Microseconds())
-	failure := isTenantFailure(err)
-	if failure {
-		ts.failures.Add(1)
+	if ok, retry := ts.breaker.Allow(now); !ok {
+		return ticket{}, &refusal{
+			status:     http.StatusServiceUnavailable,
+			cause:      causeBreaker,
+			msg:        fmt.Sprintf("tenant %q circuit breaker open", ts.id),
+			retryAfter: retry,
+		}
 	}
-	ts.breaker.Record(now, !failure)
+	return ticket{ts: ts, t0: now}, nil
 }
 
-// isRejection reports whether err is the serving layer refusing work before
-// executing it.
-func isRejection(err error) bool {
-	if err == nil {
-		return false
+// ticket is an admitted query's standing with its tenant's breaker: it may
+// be holding one of the half-open probe slots, which only done returns.
+type ticket struct {
+	ts *tenantState
+	t0 time.Time
+}
+
+// outcome is what an admitted query turned out to be, to its tenant.
+type outcome uint8
+
+const (
+	// neutral: refused further in, or malformed and never run. Feeds
+	// neither the breaker's window nor the tenant's latency.
+	neutral outcome = iota
+	// served: completed — including with a client-side error (compile or
+	// statement error, cancellation, a reader that went away), which burns
+	// no worker budget worth a breaker.
+	served
+	// failed: executed and errored, or ran out its deadline — the outcomes
+	// a circuit breaker exists to stop paying for.
+	failed
+)
+
+// outcomeOf classifies a runQuery result.
+func outcomeOf(err error) outcome {
+	var ref *refusal
+	switch {
+	case err == nil,
+		errors.Is(err, compiler.ErrCompile), // malformed query: cheap, pre-execution
+		isStatementError(err),               // malformed query the engine found at execution
+		errors.Is(err, errStreamWrite),      // client stopped reading
+		errors.Is(err, context.Canceled):    // client went away
+		return served
+	case errors.As(err, &ref):
+		return neutral
 	}
-	var re *RejectError
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, errShed) ||
-		errors.Is(err, errDraining) || errors.Is(err, errLeadersGone) ||
-		errors.As(err, &re)
+	return failed // execution error or context.DeadlineExceeded
+}
+
+// done settles the ticket: a completed query's wall time and success feed
+// the tenant's latency and breaker; a neutral one only hands its probe back.
+func (tk ticket) done(o outcome) {
+	ts := tk.ts
+	if o == neutral {
+		ts.breaker.Release()
+		return
+	}
+	now := time.Now()
+	ts.served.Add(1)
+	ts.latencyUS.Add(now.Sub(tk.t0).Microseconds())
+	if o == failed {
+		ts.failures.Add(1)
+	}
+	ts.breaker.Record(now, o == served)
+}
+
+// countRefusal bumps the global and the per-tenant counter of r's cause; no
+// counter of a refusal moves anywhere else. ts is nil where no tenant was
+// resolved (draining).
+func (s *Server) countRefusal(r *refusal, ts *tenantState) {
+	if ts == nil {
+		ts = new(tenantState)
+	}
+	st := &s.st
+	row := [...]struct {
+		global   *metrics.Counter
+		rejected bool // also counted under "rejected"
+		tenant   *atomic.Int64
+	}{
+		causeRate:         {st.tenantRate, true, &ts.ratelimited},
+		causeBreaker:      {st.tenantBreaker, false, &ts.breakerRejects},
+		causeShedStream:   {st.shedStream, true, &ts.shed},
+		causeShedCold:     {st.shedCold, true, &ts.shed},
+		causeShedDeadline: {st.shedDeadline, true, &ts.shed},
+		causeQueueFull:    {st.rejected, false, nil},
+		causeLeadersGone:  {st.execErrors, false, nil},
+		causeDraining:     {st.drainRejected, false, nil},
+	}[r.cause]
+	row.global.Inc()
+	if row.rejected {
+		st.rejected.Inc()
+	}
+	if row.tenant != nil {
+		row.tenant.Add(1)
+	}
 }
 
 // statementErrors are what an engine or adapter answers for a statement
@@ -160,54 +238,6 @@ func isStatementError(err error) bool {
 	}
 	return false
 }
-
-// isTenantFailure reports whether err reflects the tenant's workload
-// failing (executed and errored, or ran out its deadline) — the outcomes a
-// circuit breaker exists to stop paying for.
-func isTenantFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	switch {
-	case errors.Is(err, compiler.ErrCompile), // malformed query: cheap, pre-execution
-		isStatementError(err),            // malformed query the engine found at execution
-		errors.Is(err, errStreamWrite),   // client stopped reading
-		errors.Is(err, context.Canceled): // client went away
-		return false
-	}
-	return true // execution error or context.DeadlineExceeded
-}
-
-// RejectError is a pre-execution refusal (rate limit or open breaker): the
-// request was never admitted, and the client owes a backoff of RetryAfter.
-type RejectError struct {
-	Status     int // 429 (rate) or 503 (breaker)
-	RetryAfter time.Duration
-	msg        string
-}
-
-func (e *RejectError) Error() string { return e.msg }
-
-// errShed is the sentinel shed failures match with errors.Is; concrete
-// values are *ShedError.
-var errShed = errors.New("server: overload shed")
-
-// ShedError reports that the load shedder dropped this request before it
-// queued: an honest 503 now instead of a likely 504 later.
-type ShedError struct {
-	Reason     string // "stream", "cold", "deadline"
-	RetryAfter time.Duration
-}
-
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("server: overloaded, %s work shed", e.Reason)
-}
-
-// Is makes errors.Is(err, errShed) true for every ShedError.
-func (e *ShedError) Is(target error) bool { return target == errShed }
-
-// errDraining rejects new work while the server drains for shutdown.
-var errDraining = errors.New("server: draining for shutdown")
 
 // tenantDefs declares one tenant's row — the fields of its /stats "tenants"
 // entry and its samples in the per-tenant /metrics families — bound to the
@@ -237,21 +267,21 @@ func tenantDefs(ts *tenantState, resultBytes, subplanBytes int64) []stat {
 // per-tenant cache charges from the two byte-bounded caches.
 func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) map[string]any {
 	out := make(map[string]any)
-	tc.registry.Each(func(id string, ts *tenantState) {
-		out[id] = statsJSON(tenantDefs(ts, resultBytes[id], subplanBytes[id]))
-	})
+	for _, ts := range tc.snapshot() {
+		out[ts.id] = statsJSON(tenantDefs(ts, resultBytes[ts.id], subplanBytes[ts.id]))
+	}
 	return out
 }
 
 // writeProm emits the per-tenant families with manual tenant labels, sorted
 // by tenant. The metrics registry is label-free and never learns tenant
-// names; emitting from the bounded tenant registry keeps cardinality bounded
+// names; emitting from the bounded tenant set keeps cardinality bounded
 // under hostile identity floods.
 func (tc *tenantControl) writeProm(w io.Writer) {
 	var rows []promRow
-	tc.registry.Each(func(id string, ts *tenantState) {
-		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", id), defs: tenantDefs(ts, 0, 0)})
-	})
+	for _, ts := range tc.snapshot() {
+		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", ts.id), defs: tenantDefs(ts, 0, 0)})
+	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
 	writeProm(w, tenantDefs(&tenantState{}, 0, 0), rows)
 }

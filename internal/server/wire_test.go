@@ -41,16 +41,7 @@ var update = flag.Bool("update", false, "rewrite testdata goldens and the genera
 // token for the lifetime of the test.
 func wireServer(t *testing.T) *Server {
 	t.Helper()
-	db := relational.NewStore("db")
-	tbl, err := db.CreateTable("t", cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 50; i++ {
-		if err := tbl.Insert(i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	db := wireStore(t)
 	kv := kvstore.New("kv")
 	b, err := backend.Open("wal", backend.Config{Dir: t.TempDir(), Sync: backend.SyncGroup, SnapshotBytes: -1})
 	if err != nil {
@@ -70,6 +61,22 @@ func wireServer(t *testing.T) *Server {
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(db)))
 	rt.Register(adapter.NewKV("kv", kv))
 	return New(rt, compiler.Options{}, Config{Backend: b, TenantRate: 0.001, TenantBurst: 1})
+}
+
+// wireStore is the relational store "db" holding t(a) = 0..49.
+func wireStore(t *testing.T) *relational.Store {
+	t.Helper()
+	db := relational.NewStore("db")
+	tbl, err := db.CreateTable("t", cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 50; i++ {
+		if err := tbl.Insert(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }
 
 func wireDo(t *testing.T, s *Server, method, path, tenant, body string) *httptest.ResponseRecorder {

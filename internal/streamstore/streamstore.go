@@ -1,6 +1,6 @@
 // Package streamstore implements the stream engine of the polystore (the
 // Saber role of §II-B and the "Stream Store" of Figure 2): an append-only
-// event log with consumer offsets plus sliding/tumbling window operators
+// event log read by offset plus sliding/tumbling window operators
 // over live streams. The window operators are the KWindowAgg kernels the
 // FPGA model accelerates.
 package streamstore
@@ -178,20 +178,4 @@ func (s *Store) WindowAggregate(stream string, from, to int64, spec WindowSpec) 
 		out = append(out, *acc[k])
 	}
 	return out, nil
-}
-
-// Subscribe returns a channel that yields events appended to the stream
-// starting at offset, polled via the returned pump function. The caller
-// drives the pump (typically from the executor's stage loop); this keeps
-// goroutine ownership with the caller per the no-fire-and-forget rule.
-func (s *Store) Subscribe(stream string, offset int) (next func(max int) ([]Event, error)) {
-	pos := offset
-	return func(max int) ([]Event, error) {
-		evs, err := s.Read(stream, pos, max)
-		if err != nil {
-			return nil, err
-		}
-		pos += len(evs)
-		return evs, nil
-	}
 }

@@ -127,30 +127,6 @@ func TestWindowAggregateErrors(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	s := New("st")
-	s.Append("x", Event{TS: 1}, Event{TS: 2})
-	next := s.Subscribe("x", 0)
-	evs, err := next(1)
-	if err != nil || len(evs) != 1 || evs[0].TS != 1 {
-		t.Fatalf("first pump: %v %v", evs, err)
-	}
-	evs, err = next(10)
-	if err != nil || len(evs) != 1 || evs[0].TS != 2 {
-		t.Fatalf("second pump: %v %v", evs, err)
-	}
-	// New events become visible to an existing subscription.
-	s.Append("x", Event{TS: 3})
-	evs, err = next(10)
-	if err != nil || len(evs) != 1 || evs[0].TS != 3 {
-		t.Fatalf("third pump: %v %v", evs, err)
-	}
-	evs, err = next(10)
-	if err != nil || len(evs) != 0 {
-		t.Fatalf("drained pump: %v %v", evs, err)
-	}
-}
-
 func TestMeanEmptyWindow(t *testing.T) {
 	var w WindowOut
 	if w.Mean() != 0 {

@@ -1,12 +1,4 @@
-// Package resilience provides the overload-protection primitives of the
-// Polystore++ serving layer: per-tenant circuit breakers and high-water-mark
-// load shedding. Together with per-tenant quotas (internal/tenant) they are
-// the middleware's answer to the principle the admission controller already
-// cites from BigDAWG: refuse work you cannot schedule — and refuse the
-// *right* work first, so graceful degradation sheds streaming and cold-cache
-// executions before cached point reads, and a tenant whose queries keep
-// failing or timing out stops burning worker deadline budget for everyone.
-package resilience
+package tenant
 
 import (
 	"sync"
@@ -38,13 +30,20 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// The window is split into breakerBuckets sub-intervals; in half-open state
+// up to halfOpenProbes trial requests run at once, and that many consecutive
+// successes close the breaker.
+const (
+	breakerBuckets = 10
+	halfOpenProbes = 3
+)
+
 // BreakerConfig tunes a Breaker. The zero value selects the documented
 // defaults.
 type BreakerConfig struct {
 	// Window is the rolling interval failure rates are computed over
-	// (default 10s), split into Buckets sub-intervals (default 10).
-	Window  time.Duration
-	Buckets int
+	// (default 10s).
+	Window time.Duration
 	// MinSamples is the minimum number of recorded outcomes inside the
 	// window before the failure ratio is trusted (default 20) — a single
 	// failed request must not open a breaker.
@@ -55,18 +54,11 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects before probing
 	// (default 5s).
 	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrent trial requests in half-open state and
-	// is the number of consecutive successes that close the breaker
-	// (default 3).
-	HalfOpenProbes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 20
@@ -77,18 +69,15 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 3
-	}
 	return c
 }
 
 // Breaker is a closed/open/half-open circuit breaker over error and timeout
 // rates in a rolling bucketed window. The serving layer keeps one per
-// tenant: a tenant whose queries persistently fail or hit their deadlines
-// trips its own breaker and is rejected cheaply (503 + Retry-After) instead
-// of occupying workers for full deadline budgets, while other tenants'
-// breakers stay closed.
+// tenant, beside its Bucket: a tenant whose queries persistently fail or
+// hit their deadlines trips its own breaker and is rejected cheaply (503 +
+// Retry-After) instead of occupying workers for full deadline budgets, while
+// other tenants' breakers stay closed.
 //
 // All methods take the current time explicitly so state transitions are
 // deterministic under test. Safe for concurrent use.
@@ -97,8 +86,8 @@ type Breaker struct {
 
 	mu          sync.Mutex
 	state       BreakerState
-	buckets     []bucket // ring, one per Window/Buckets slice
-	idx         int      // current bucket
+	buckets     [breakerBuckets]slot // ring over Window
+	idx         int                  // current bucket
 	bucketStart time.Time
 	openedAt    time.Time
 	probes      int // half-open: in-flight probes
@@ -106,19 +95,19 @@ type Breaker struct {
 	opens       int64
 }
 
-type bucket struct {
+// slot is one sub-interval of the window.
+type slot struct {
 	ok, fail int64
 }
 
 // NewBreaker builds a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, buckets: make([]bucket, cfg.Buckets)}
+	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // bucketLen is the duration one ring bucket covers.
 func (b *Breaker) bucketLen() time.Duration {
-	return b.cfg.Window / time.Duration(b.cfg.Buckets)
+	return b.cfg.Window / breakerBuckets
 }
 
 // advance rotates the ring forward to cover now, zeroing buckets that fell
@@ -137,7 +126,7 @@ func (b *Breaker) advance(now time.Time) {
 	}
 	for i := 0; i < steps; i++ {
 		b.idx = (b.idx + 1) % len(b.buckets)
-		b.buckets[b.idx] = bucket{}
+		b.buckets[b.idx] = slot{}
 	}
 	b.bucketStart = now
 }
@@ -153,9 +142,10 @@ func (b *Breaker) totals() (ok, fail int64) {
 
 // Allow reports whether a request may proceed at time now. When the breaker
 // is open it returns false plus the remaining cooldown — the honest
-// Retry-After for the 503. In half-open state up to HalfOpenProbes requests
+// Retry-After for the 503. In half-open state up to halfOpenProbes requests
 // are admitted as recovery probes; the rest are rejected with the bucket
-// interval as the retry hint.
+// interval as the retry hint. Every admitted request owes the breaker one
+// Record or one Release.
 func (b *Breaker) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	if b == nil {
 		return true, 0
@@ -174,7 +164,7 @@ func (b *Breaker) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		b.probeOKs = 0
 		fallthrough
 	default: // HalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= halfOpenProbes {
 			return false, b.bucketLen()
 		}
 		b.probes++
@@ -202,12 +192,10 @@ func (b *Breaker) Record(now time.Time, success bool) {
 			return
 		}
 		b.probeOKs++
-		if b.probeOKs >= b.cfg.HalfOpenProbes {
+		if b.probeOKs >= halfOpenProbes {
 			// Recovered: close with a clean window.
 			b.state = Closed
-			for i := range b.buckets {
-				b.buckets[i] = bucket{}
-			}
+			b.buckets = [breakerBuckets]slot{}
 			b.bucketStart = now
 		}
 	case Closed:
@@ -227,14 +215,26 @@ func (b *Breaker) Record(now time.Time, success bool) {
 	}
 }
 
+// Release hands back an admitted request that has no outcome to record: it
+// was refused further in, or was malformed and never ran. A half-open probe
+// slot is freed for the next request; the window is not fed.
+func (b *Breaker) Release() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen && b.probes > 0 {
+		b.probes--
+	}
+}
+
 // trip opens the breaker. Called with the lock held.
 func (b *Breaker) trip(now time.Time) {
 	b.state = Open
 	b.openedAt = now
 	b.opens++
-	for i := range b.buckets {
-		b.buckets[i] = bucket{}
-	}
+	b.buckets = [breakerBuckets]slot{}
 	b.bucketStart = now
 }
 

@@ -1,4 +1,4 @@
-package resilience
+package tenant
 
 import (
 	"sync"
@@ -8,12 +8,10 @@ import (
 
 func testBreaker() *Breaker {
 	return NewBreaker(BreakerConfig{
-		Window:         time.Second,
-		Buckets:        10,
-		MinSamples:     10,
-		FailureRatio:   0.5,
-		Cooldown:       time.Second,
-		HalfOpenProbes: 2,
+		Window:       time.Second,
+		MinSamples:   10,
+		FailureRatio: 0.5,
+		Cooldown:     time.Second,
 	})
 }
 
@@ -75,23 +73,29 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if b.State() != Open {
 		t.Fatal("not open")
 	}
-	// Cooldown elapses: probes admitted, bounded by HalfOpenProbes.
+	// Cooldown elapses: probes admitted, bounded by halfOpenProbes.
 	later := now.Add(1100 * time.Millisecond)
-	if ok, _ := b.Allow(later); !ok {
-		t.Fatal("probe 1 rejected after cooldown")
-	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if ok, _ := b.Allow(later); !ok {
-		t.Fatal("probe 2 rejected")
+	for i := 0; i < halfOpenProbes; i++ {
+		if ok, _ := b.Allow(later); !ok {
+			t.Fatalf("probe %d rejected after cooldown", i+1)
+		}
+		if b.State() != HalfOpen {
+			t.Fatalf("state = %v, want half-open", b.State())
+		}
 	}
 	if ok, _ := b.Allow(later); ok {
-		t.Fatal("third concurrent probe admitted beyond HalfOpenProbes=2")
+		t.Fatal("concurrent probe admitted beyond halfOpenProbes")
 	}
-	// Both probes succeed: closed again, clean window.
-	b.Record(later, true)
-	b.Record(later, true)
+	// A probe handed back without an outcome frees its slot and feeds
+	// nothing: the next request takes it.
+	b.Release()
+	if ok, _ := b.Allow(later); !ok {
+		t.Fatal("released probe slot not reusable")
+	}
+	// Every probe succeeds: closed again, clean window.
+	for i := 0; i < halfOpenProbes; i++ {
+		b.Record(later, true)
+	}
 	if b.State() != Closed {
 		t.Fatalf("state = %v after recovery, want closed", b.State())
 	}
@@ -143,6 +147,7 @@ func TestBreakerNilSafe(t *testing.T) {
 		t.Fatal("nil breaker must admit")
 	}
 	b.Record(time.Now(), false)
+	b.Release()
 	if b.State() != Closed || b.Opens() != 0 {
 		t.Fatal("nil breaker state")
 	}
@@ -164,84 +169,4 @@ func TestBreakerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestShedderOrder(t *testing.T) {
-	s := NewShedder(0.8)
-	// Below high water: everything admitted.
-	for _, k := range []WorkKind{KindCached, KindCold, KindStream} {
-		if v := s.Decide(k, 7, 10, 0, 4, 0); v.Shed {
-			t.Fatalf("%v shed at 70%% load", k)
-		}
-	}
-	// At high water: streams shed, cold and cached still admitted.
-	if v := s.Decide(KindStream, 8, 10, 0, 4, 0); !v.Shed || v.Reason != "stream" {
-		t.Fatalf("stream at 80%% = %+v", v)
-	}
-	if v := s.Decide(KindCold, 8, 10, 0, 4, 0); v.Shed {
-		t.Fatal("cold shed at 80%")
-	}
-	// At the cold threshold (0.8 + 0.1 = 0.9): cold shed too, cached never.
-	if v := s.Decide(KindCold, 9, 10, 0, 4, 0); !v.Shed || v.Reason != "cold" {
-		t.Fatalf("cold at 90%% = %+v", v)
-	}
-	if v := s.Decide(KindCached, 10, 10, 0, 4, 0); v.Shed {
-		t.Fatal("cached read shed")
-	}
-	if v := s.Decide(KindStream, 8, 10, 0, 4, 0); v.RetryAfter < time.Second {
-		t.Fatalf("RetryAfter = %v, want >= 1s floor", v.RetryAfter)
-	}
-}
-
-func TestShedderDeadlineAware(t *testing.T) {
-	s := NewShedder(0.8)
-	for i := 0; i < 20; i++ {
-		s.Observe(100 * time.Millisecond)
-	}
-	est := s.EstWait(8, 4) // 8 queued / 4 workers ~ 2 service times ~ 200ms
-	if est < 100*time.Millisecond || est > 400*time.Millisecond {
-		t.Fatalf("EstWait = %v", est)
-	}
-	// 50ms of budget left but ~200ms of queue ahead: shed regardless of kind
-	// or load fraction.
-	if v := s.Decide(KindCold, 2, 100, 8, 4, 50*time.Millisecond); !v.Shed || v.Reason != "deadline" {
-		t.Fatalf("deadline verdict = %+v", v)
-	}
-	// Plenty of budget: admitted.
-	if v := s.Decide(KindCold, 2, 100, 8, 4, 5*time.Second); v.Shed {
-		t.Fatalf("shed with ample budget: %+v", v)
-	}
-	// Unknown budget (0): deadline shedding skipped.
-	if v := s.Decide(KindCold, 2, 100, 8, 4, 0); v.Shed {
-		t.Fatal("shed with unknown budget")
-	}
-}
-
-func TestShedderDisabled(t *testing.T) {
-	s := NewShedder(-1)
-	if s.Enabled() {
-		t.Fatal("negative high water must disable")
-	}
-	if v := s.Decide(KindStream, 100, 10, 50, 1, time.Nanosecond); v.Shed {
-		t.Fatal("disabled shedder shed")
-	}
-	var nilShedder *Shedder
-	if v := nilShedder.Decide(KindStream, 100, 10, 50, 1, 0); v.Shed {
-		t.Fatal("nil shedder shed")
-	}
-	nilShedder.Observe(time.Second)
-}
-
-func TestShedderEWMAConverges(t *testing.T) {
-	s := NewShedder(0)
-	s.Observe(80 * time.Millisecond)
-	if got := s.ServiceEWMA(); got != 80*time.Millisecond {
-		t.Fatalf("first observation = %v", got)
-	}
-	for i := 0; i < 100; i++ {
-		s.Observe(10 * time.Millisecond)
-	}
-	if got := s.ServiceEWMA(); got > 15*time.Millisecond {
-		t.Fatalf("EWMA did not converge down: %v", got)
-	}
 }

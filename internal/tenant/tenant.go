@@ -7,11 +7,14 @@
 // package exists so that shared capacity is *attributed*: requests carry a
 // tenant id (the X-Tenant header, defaulting to "anon") and a priority
 // class (interactive > batch > background); admission schedules per-tenant
-// flows weighted-fair instead of FIFO; token buckets bound each tenant's
-// request rate; and the caches charge resident bytes to the tenant that
-// filled them. A deployment that never sets the header degenerates to
-// exactly the single-tenant behavior it had before this layer existed: one
-// "anon" flow, one class, FIFO order.
+// flows weighted-fair instead of FIFO; a token bucket (Bucket) bounds each
+// tenant's request rate and a circuit breaker (Breaker) stops a tenant whose
+// queries keep failing from burning worker deadline budget for everyone;
+// and the caches charge resident bytes to the tenant that filled them. The
+// server keeps one bucket and one breaker per tenant in a bounded LRU
+// (DefaultMaxTenants). A deployment that never sets the header degenerates
+// to exactly the single-tenant behavior it had before this layer existed:
+// one "anon" flow, one class, FIFO order.
 //
 // The package is a leaf: the server, the core runtime, and the caches all
 // import it, so it must import none of them.
@@ -38,6 +41,12 @@ const Header = "X-Tenant"
 // ClassHeader is the HTTP request header carrying the priority class; the
 // request-body "class" field takes precedence when both are set.
 const ClassHeader = "X-Priority"
+
+// DefaultMaxTenants bounds live per-tenant records when no cap is
+// configured: a client minting fresh ids can allocate at most this many,
+// after which the least-recently-seen tenant is evicted and its quota and
+// breaker reset on return (one fresh burst, never unbounded memory).
+const DefaultMaxTenants = 1024
 
 // MaxIDLen bounds accepted tenant ids.
 const MaxIDLen = 64

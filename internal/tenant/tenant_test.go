@@ -123,39 +123,6 @@ func TestQuotaAdmissionWeight(t *testing.T) {
 	}
 }
 
-func TestRegistryBound(t *testing.T) {
-	built := 0
-	r := NewRegistry(4, func(id string) *int { built++; n := len(id); return &n })
-	ids := []string{"a", "bb", "ccc", "dddd"}
-	for _, id := range ids {
-		r.Get(id)
-	}
-	if r.Len() != 4 || built != 4 {
-		t.Fatalf("len=%d built=%d", r.Len(), built)
-	}
-	// Re-get keeps identity.
-	p := r.Get("a")
-	if p != r.Get("a") {
-		t.Fatal("Get not stable")
-	}
-	// Fifth tenant evicts the least recently used ("bb": "a" was re-got).
-	r.Get("eeeee")
-	if r.Len() != 4 {
-		t.Fatalf("len=%d after eviction, want 4", r.Len())
-	}
-	seen := map[string]bool{}
-	r.Each(func(id string, _ *int) { seen[id] = true })
-	if seen["bb"] || !seen["a"] || !seen["eeeee"] {
-		t.Fatalf("eviction order wrong: %v", seen)
-	}
-	// Evicted tenant rebuilds fresh state.
-	before := built
-	r.Get("bb")
-	if built != before+1 {
-		t.Fatal("evicted tenant not rebuilt")
-	}
-}
-
 func TestContextTenant(t *testing.T) {
 	ctx := context.Background()
 	if From(ctx) != Anon {

@@ -10,7 +10,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -90,15 +89,6 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 // Data exposes the backing slice (aliased, not copied) for kernels.
 func (t *Tensor) Data() []float64 { return t.data }
 
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) (float64, error) {
-	off, err := t.offset(idx)
-	if err != nil {
-		return 0, err
-	}
-	return t.data[off], nil
-}
-
 // Set stores v at the given indices.
 func (t *Tensor) Set(v float64, idx ...int) error {
 	off, err := t.offset(idx)
@@ -130,15 +120,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Reshape returns a view-copy with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	out, err := FromSlice(t.data, shape...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Equal reports exact element equality of two tensors.
 func (t *Tensor) Equal(o *Tensor) bool {
 	if len(t.data) != len(o.data) || len(t.shape) != len(o.shape) {
@@ -151,19 +132,6 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	}
 	for i := range t.data {
 		if t.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AlmostEqual reports element equality within absolute tolerance eps.
-func (t *Tensor) AlmostEqual(o *Tensor, eps float64) bool {
-	if len(t.data) != len(o.data) {
-		return false
-	}
-	for i := range t.data {
-		if math.Abs(t.data[i]-o.data[i]) > eps {
 			return false
 		}
 	}
@@ -341,11 +309,6 @@ func Sub(a, b *Tensor) (*Tensor, error) {
 	return zip(a, b, func(x, y float64) float64 { return x - y })
 }
 
-// Mul computes elementwise a * b (Hadamard) into a new tensor.
-func Mul(a, b *Tensor) (*Tensor, error) {
-	return zip(a, b, func(x, y float64) float64 { return x * y })
-}
-
 func zip(a, b *Tensor, f func(x, y float64) float64) (*Tensor, error) {
 	if len(a.data) != len(b.data) {
 		return nil, fmt.Errorf("%w: %v vs %v", ErrShape, a.shape, b.shape)
@@ -412,26 +375,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// ArgMaxRow returns the index of the maximum element in row i of a 2-D
-// tensor — the usual classification readout.
-func (t *Tensor) ArgMaxRow(i int) (int, error) {
-	if t.Rank() != 2 {
-		return 0, fmt.Errorf("%w: ArgMaxRow wants rank-2", ErrShape)
-	}
-	m, n := t.shape[0], t.shape[1]
-	if i < 0 || i >= m {
-		return 0, fmt.Errorf("%w: row %d of %d", ErrBound, i, m)
-	}
-	row := t.data[i*n : (i+1)*n]
-	best, bestV := 0, row[0]
-	for j, v := range row {
-		if v > bestV {
-			best, bestV = j, v
-		}
-	}
-	return best, nil
-}
-
 // Row returns a copy of row i of a 2-D tensor as a rank-1 tensor.
 func (t *Tensor) Row(i int) (*Tensor, error) {
 	if t.Rank() != 2 {
@@ -459,16 +402,6 @@ func (t *Tensor) RowRangeInto(v *Tensor, lo, hi int) error {
 	v.shape = append(v.shape[:0], hi-lo, cols)
 	v.data = t.data[lo*cols : hi*cols : hi*cols]
 	return nil
-}
-
-// RowRange returns rows [lo, hi) of a rank-2 tensor as a new view (see
-// RowRangeInto).
-func (t *Tensor) RowRange(lo, hi int) (*Tensor, error) {
-	v := new(Tensor)
-	if err := t.RowRangeInto(v, lo, hi); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // FLOPsMatMul returns the floating-point operation count of an m×k by k×n

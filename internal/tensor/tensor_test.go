@@ -32,26 +32,24 @@ func TestFromSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.At(1, 0)
-	if err != nil || v != 3 {
-		t.Fatalf("At(1,0) = %v, %v", v, err)
+	if a.data[1*2+0] != 3 {
+		t.Fatalf("element (1,0) = %v, want 3 (row-major)", a.data[2])
 	}
 }
 
 func TestAtSetBounds(t *testing.T) {
 	a, _ := New(2, 2)
-	if _, err := a.At(2, 0); !errors.Is(err, ErrBound) {
+	if err := a.Set(1, 2, 0); !errors.Is(err, ErrBound) {
 		t.Fatalf("row oob: %v", err)
 	}
-	if _, err := a.At(0); !errors.Is(err, ErrBound) {
+	if err := a.Set(1, 0); !errors.Is(err, ErrBound) {
 		t.Fatalf("rank mismatch: %v", err)
 	}
 	if err := a.Set(5, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := a.At(1, 1)
-	if v != 5 {
-		t.Fatalf("Set/At = %v", v)
+	if a.data[3] != 5 {
+		t.Fatalf("Set(5, 1, 1) left %v", a.data)
 	}
 }
 
@@ -109,9 +107,8 @@ func TestTranspose(t *testing.T) {
 	if at.Dim(0) != 3 || at.Dim(1) != 2 {
 		t.Fatalf("transpose shape %v", at.Shape())
 	}
-	v, _ := at.At(2, 1)
-	if v != 6 {
-		t.Fatalf("At(2,1) = %v, want 6", v)
+	if v := at.data[2*2+1]; v != 6 {
+		t.Fatalf("element (2,1) = %v, want 6", v)
 	}
 	v1, _ := New(3)
 	if _, err := Transpose(v1); !errors.Is(err, ErrShape) {
@@ -129,10 +126,6 @@ func TestElementwise(t *testing.T) {
 	diff, _ := Sub(a, b)
 	if diff.data[0] != -2 {
 		t.Fatalf("Sub = %v", diff.data)
-	}
-	prod, _ := Mul(a, b)
-	if prod.data[1] != 10 {
-		t.Fatalf("Mul = %v", prod.data)
 	}
 	c, _ := New(3)
 	if _, err := Add(a, c); !errors.Is(err, ErrShape) {
@@ -171,38 +164,12 @@ func TestAddInPlace(t *testing.T) {
 
 func TestArgMaxRowAndRow(t *testing.T) {
 	a, _ := FromSlice([]float64{0.1, 0.9, 0.5, 0.2, 0.3, 0.1}, 2, 3)
-	i, err := a.ArgMaxRow(0)
-	if err != nil || i != 1 {
-		t.Fatalf("ArgMaxRow(0) = %d, %v", i, err)
-	}
-	i, _ = a.ArgMaxRow(1)
-	if i != 1 {
-		t.Fatalf("ArgMaxRow(1) = %d", i)
-	}
-	if _, err := a.ArgMaxRow(9); !errors.Is(err, ErrBound) {
-		t.Fatalf("row bound: %v", err)
-	}
 	r, err := a.Row(1)
 	if err != nil || r.Size() != 3 || r.data[0] != 0.2 {
 		t.Fatalf("Row(1) = %v, %v", r, err)
 	}
 	if _, err := a.Row(5); !errors.Is(err, ErrBound) {
 		t.Fatalf("Row bound: %v", err)
-	}
-}
-
-func TestReshape(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	r, err := a.Reshape(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := r.At(2, 1)
-	if v != 6 {
-		t.Fatalf("reshaped At(2,1) = %v", v)
-	}
-	if _, err := a.Reshape(4, 2); !errors.Is(err, ErrShape) {
-		t.Fatalf("bad reshape: %v", err)
 	}
 }
 
@@ -232,6 +199,19 @@ func TestFLOPCounts(t *testing.T) {
 }
 
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ.
+// almostEqual reports element equality within 1e-9, whatever the shapes.
+func almostEqual(a, b *Tensor) bool {
+	if len(a.data) != len(b.data) {
+		return false
+	}
+	for i := range a.data {
+		if math.Abs(a.data[i]-b.data[i]) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPropertyMatMulTranspose(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,7 +229,7 @@ func TestPropertyMatMulTranspose(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return abT.AlmostEqual(ba, 1e-9)
+		return almostEqual(abT, ba)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -263,7 +243,7 @@ func TestPropertyMatVecAgreesWithMatMul(t *testing.T) {
 		m, k := rng.Intn(8)+1, rng.Intn(8)+1
 		a, _ := Rand(rng, 2, m, k)
 		x, _ := Rand(rng, 2, k)
-		xm, _ := x.Reshape(k, 1)
+		xm, _ := FromSlice(x.data, k, 1)
 		viaMM, err := MatMul(a, xm)
 		if err != nil {
 			return false
@@ -272,8 +252,7 @@ func TestPropertyMatVecAgreesWithMatMul(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		flat, _ := viaMM.Reshape(m)
-		return flat.AlmostEqual(viaMV, 1e-9)
+		return almostEqual(viaMM, viaMV)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -296,7 +275,7 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 		ab, _ := MatMul(a, b)
 		ac, _ := MatMul(a, c)
 		right, _ := Add(ab, ac)
-		return left.AlmostEqual(right, 1e-9)
+		return almostEqual(left, right)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -433,13 +412,13 @@ func TestInPlaceBiasAndActivation(t *testing.T) {
 
 func TestRowRangeIsAView(t *testing.T) {
 	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
-	v, err := a.RowRange(1, 3)
-	if err != nil {
+	v := new(Tensor)
+	if err := a.RowRangeInto(v, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
 	if !v.Equal(want) {
-		t.Fatalf("RowRange(1,3) = %v %v", v.shape, v.data)
+		t.Fatalf("rows [1,3) = %v %v", v.shape, v.data)
 	}
 	v.data[0] = 30
 	if a.data[2] != 30 {
@@ -455,13 +434,13 @@ func TestRowRangeIsAView(t *testing.T) {
 		t.Fatalf("re-pointed view = %v %v", v.shape, v.data)
 	}
 	for _, r := range [][2]int{{-1, 2}, {2, 5}, {2, 2}, {3, 1}} {
-		if _, err := a.RowRange(r[0], r[1]); !errors.Is(err, ErrBound) {
-			t.Errorf("RowRange(%d,%d): %v", r[0], r[1], err)
+		if err := a.RowRangeInto(new(Tensor), r[0], r[1]); !errors.Is(err, ErrBound) {
+			t.Errorf("rows [%d,%d): %v", r[0], r[1], err)
 		}
 	}
 	flat, _ := New(4)
-	if _, err := flat.RowRange(0, 1); !errors.Is(err, ErrShape) {
-		t.Fatalf("rank-1 RowRange: %v", err)
+	if err := flat.RowRangeInto(new(Tensor), 0, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("rank-1 rows: %v", err)
 	}
 }
 

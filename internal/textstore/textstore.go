@@ -1,6 +1,6 @@
 // Package textstore implements the text engine of the polystore (the
 // "Text Store" of Figure 2 holding doctors' and nurses' notes): an inverted
-// index with TF-IDF ranking, boolean AND/OR retrieval, and phrase search.
+// index with TF-IDF ranking, conjunctive (AND) retrieval, and phrase search.
 package textstore
 
 import (
@@ -118,16 +118,6 @@ func (s *Store) removeLocked(id int64) {
 	delete(s.docs, id)
 }
 
-// Delete removes a document.
-func (s *Store) Delete(id int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.docs[id]; ok {
-		s.removeLocked(id)
-		s.version++
-	}
-}
-
 // Get returns the stored document.
 func (s *Store) Get(id int64) (Doc, error) {
 	s.mu.RLock()
@@ -194,43 +184,6 @@ func (s *Store) Search(query string, k int) ([]Hit, error) {
 	return hits, nil
 }
 
-// SearchAny ranks documents containing ANY query term (OR semantics).
-func (s *Store) SearchAny(query string, k int) ([]Hit, error) {
-	terms := Tokenize(query)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w: empty query", ErrQuery)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := float64(len(s.docs))
-	scores := make(map[int64]float64)
-	for _, term := range terms {
-		ps := s.index[term]
-		if len(ps) == 0 {
-			continue
-		}
-		idf := math.Log(1 + n/float64(len(ps)))
-		for _, p := range ps {
-			tf := 1 + math.Log(float64(len(p.positions)))
-			scores[p.doc] += tf * idf
-		}
-	}
-	hits := make([]Hit, 0, len(scores))
-	for doc, sc := range scores {
-		hits = append(hits, Hit{DocID: doc, Score: sc})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].DocID < hits[j].DocID
-	})
-	if k > 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits, nil
-}
-
 // Phrase returns the IDs of documents containing the exact token sequence.
 func (s *Store) Phrase(phrase string) ([]int64, error) {
 	terms := Tokenize(phrase)
@@ -282,11 +235,4 @@ func (s *Store) phraseAtLocked(p posting, terms []string) bool {
 		}
 	}
 	return false
-}
-
-// Terms returns the number of distinct indexed terms.
-func (s *Store) Terms() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
 }

@@ -36,7 +36,7 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestAddGetDelete(t *testing.T) {
+func TestAddGet(t *testing.T) {
 	s := seeded(t)
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
@@ -47,14 +47,6 @@ func TestAddGetDelete(t *testing.T) {
 	}
 	if _, err := s.Get(99); !errors.Is(err, ErrNoDoc) {
 		t.Fatalf("missing: %v", err)
-	}
-	s.Delete(2)
-	if s.Len() != 3 {
-		t.Fatalf("Len after delete = %d", s.Len())
-	}
-	hits, err := s.Search("admission", 10)
-	if err != nil || len(hits) != 0 {
-		t.Fatalf("deleted doc still indexed: %v %v", hits, err)
 	}
 	if err := s.Add(Doc{ID: -1, Text: "x"}); !errors.Is(err, ErrQuery) {
 		t.Fatalf("negative id: %v", err)
@@ -125,24 +117,6 @@ func TestSearchRankingAndK(t *testing.T) {
 	}
 }
 
-func TestSearchAnyORSemantics(t *testing.T) {
-	s := seeded(t)
-	hits, err := s.SearchAny("discharged admission", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("OR hits = %v", hits)
-	}
-	if _, err := s.SearchAny("", 1); !errors.Is(err, ErrQuery) {
-		t.Fatalf("empty: %v", err)
-	}
-	hits, err = s.SearchAny("onlymissingterms", 5)
-	if err != nil || len(hits) != 0 {
-		t.Fatalf("missing-only OR: %v %v", hits, err)
-	}
-}
-
 func TestPhrase(t *testing.T) {
 	s := seeded(t)
 	ids, err := s.Phrase("vital signs")
@@ -162,16 +136,6 @@ func TestPhrase(t *testing.T) {
 	}
 	if _, err := s.Phrase(""); !errors.Is(err, ErrQuery) {
 		t.Fatalf("empty phrase: %v", err)
-	}
-}
-
-func TestTermsCount(t *testing.T) {
-	s := New("txt")
-	if err := s.Add(Doc{ID: 1, Text: "a b a"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Terms() != 2 {
-		t.Fatalf("Terms = %d", s.Terms())
 	}
 }
 

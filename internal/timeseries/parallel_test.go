@@ -203,9 +203,10 @@ func TestWindowMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// TestDownsampleConcurrentWithAppends exercises the series-bound reads in
-// Downsample racing appends (the -race build is the assertion).
-func TestDownsampleConcurrentWithAppends(t *testing.T) {
+// TestWindowConcurrentWithAppends exercises Window's per-chunk partials
+// racing appends, as a tswindow node races /ingest (the -race build is the
+// assertion).
+func TestWindowConcurrentWithAppends(t *testing.T) {
 	s := New("ts")
 	for i := 0; i < 2*chunkSize; i++ {
 		if err := s.Append("m", int64(i)*10, float64(i)); err != nil {
@@ -222,7 +223,7 @@ func TestDownsampleConcurrentWithAppends(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := s.Downsample("m", 1000, AggMean); err != nil {
+		if _, err := s.Window("m", 0, int64(6*chunkSize)*10, 1000, AggMean); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package timeseries implements the timeseries engine of the polystore (the
 // TimescaleDB role: clickstreams in Figure 1, bedside-monitor vitals in the
 // MIMIC workload of Figure 2). Points are stored in per-series chunks with
-// delta-of-delta timestamp compression; queries are range scans, windowed
-// aggregations and downsampling.
+// delta-of-delta timestamp compression; queries are range scans and windowed
+// aggregations.
 package timeseries
 
 import (
@@ -476,70 +476,4 @@ func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts i
 		out = append(out, WindowResult{Start: w.start, Value: w.finish(agg), N: w.count})
 	}
 	return out, nil
-}
-
-// Downsample rewrites the series as one point per window (the window mean),
-// returning the downsampled points without mutating the store. It consumes
-// the same per-chunk window partials as Window.
-func (s *Store) Downsample(name string, width int64, agg AggKind) ([]Point, error) {
-	// Read the series bounds under the lock, then release before Window
-	// re-acquires it (RWMutex read locks must not nest: a waiting writer
-	// between the two acquisitions would deadlock).
-	s.mu.RLock()
-	sr, ok := s.series[name]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrNoSeries, name)
-	}
-	if sr.n == 0 {
-		s.mu.RUnlock()
-		return nil, nil
-	}
-	first := sr.chunks[0].first
-	last := sr.chunks[len(sr.chunks)-1].lastTS
-	s.mu.RUnlock()
-	wrs, err := s.Window(name, first, last, width, agg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, 0, len(wrs))
-	for _, w := range wrs {
-		out = append(out, Point{TS: w.Start, Value: w.Value})
-	}
-	return out, nil
-}
-
-// CompressionRatio reports stored timestamps bytes vs raw encoding for the
-// named series: 16 bytes/point raw vs the delta-of-delta payload estimate.
-func (s *Store) CompressionRatio(name string) (float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sr, ok := s.series[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSeries, name)
-	}
-	if sr.n == 0 {
-		return 1, nil
-	}
-	raw := int64(sr.n) * 16
-	var stored int64
-	for _, c := range sr.chunks {
-		stored += 8 + 8*int64(len(c.values)) // first TS + float values
-		for _, d := range c.deltas {
-			stored += int64(varintLen(d))
-		}
-	}
-	return float64(raw) / float64(stored), nil
-}
-
-// varintLen estimates the zig-zag varint width of a delta — the physical
-// encoding a disk format would use.
-func varintLen(v int64) int {
-	u := uint64((v << 1) ^ (v >> 63))
-	n := 1
-	for u >= 0x80 {
-		u >>= 7
-		n++
-	}
-	return n
 }

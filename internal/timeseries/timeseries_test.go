@@ -226,37 +226,6 @@ func TestWindowEmptyRange(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := New("ts")
-	fill(t, s, "v", 100, 1)
-	pts, err := s.Downsample("v", 25, AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("downsampled to %d points", len(pts))
-	}
-	if _, err := s.Downsample("none", 10, AggMean); !errors.Is(err, ErrNoSeries) {
-		t.Fatalf("missing: %v", err)
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	s := New("ts")
-	// Perfectly regular intervals compress best: second-order deltas all 0.
-	fill(t, s, "regular", 5000, 1000)
-	r, err := s.CompressionRatio("regular")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 1.5 {
-		t.Fatalf("regular series ratio = %v, want > 1.5", r)
-	}
-	if _, err := s.CompressionRatio("nope"); !errors.Is(err, ErrNoSeries) {
-		t.Fatalf("missing: %v", err)
-	}
-}
-
 func TestSeriesNames(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "b", 1, 1)

@@ -16,18 +16,27 @@ import (
 var reachAllow = map[string]string{
 	"cast.ReadBinary":        "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names": "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
+	"graphstore.Store.BFS":   "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
+	"kvstore.Store.Delete":   "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
+	"kvstore.WithClock":      "test seam: TTL expiry and the version bump it causes are only testable on a substituted clock",
+	"tensor.MatMul":          "test oracle: the allocating reference mlengine's reference trainer is written in, which the workspace trainer and the three Into GEMMs are held bit-equal to",
+	"tensor.Transpose":       "test oracle: as tensor.MatMul (the reference's explicit transposes)",
+	"tensor.Sub":             "test oracle: as tensor.MatMul (the reference's loss gradient)",
+	"tensor.Add":             "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
+	"tensor.MatVec":          "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
 }
 
 // TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
-// the LOC ratchet: every exported func or method of a middleware package must
-// be named by at least one non-test file of the repository. It matches by
+// the LOC ratchet: every exported func or method of a middleware or engine
+// package must be named by at least one non-test file of the repository. It matches by
 // name, not by type — a package-level func by pkg.Name (or Name inside its
 // own package), a method by .Name on anything or by an interface that lists
 // it — so it can miss a dead symbol that shares a live one's name, and never
 // reports a live one.
 func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 	middleware := map[string]bool{}
-	for _, p := range strings.Fields("adapter backend cast compiler core eide hw ir lru metrics migrate obs optimizer partition relational resilience server subplan tenant") {
+	for _, p := range strings.Fields("adapter backend cast compiler core eide hw ir lru metrics migrate obs optimizer partition relational server subplan tenant " +
+		"graphstore kvstore mlengine streamstore tensor textstore timeseries") {
 		middleware[p] = true
 	}
 	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> name a reference must carry
