@@ -47,6 +47,9 @@ type KernelCall struct {
 	Class    hw.KernelClass
 	Work     hw.Work
 	OutBytes int64
+	// Repeat is how many times in a row the operator made this call (the
+	// mini-batch steps of training, the k-means iterations); 0 means once.
+	Repeat int
 }
 
 // ExecInfo is the per-node execution report sent to the middleware's

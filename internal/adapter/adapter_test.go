@@ -312,12 +312,13 @@ func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x, err := featureTensor(b, []string{"ok", "t.i", "f", "at"})
+	x, err := readFeatures(b, []string{"ok", "t.i", "f", "at"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row := x.Data()[4*3 : 4*4]; x.Dim(0) != 130 || row[0] != 0 || row[1] != 3 || row[2] != 3.0/130 || row[3] != 3 {
-		t.Fatalf("row 3 of the feature tensor = %v", row)
+	row := []float64{-1, -1, -1, -1} // fill writes every value, whatever the buffer held
+	if x.fill(row, 3, 4); row[0] != 0 || row[1] != 3 || row[2] != 3.0/130 || row[3] != 3 {
+		t.Fatalf("row 3 of the features = %v", row)
 	}
 	features := []string{"f", "i", "ok", "at"}
 	model, info, err := a.Execute(ctx, node(ir.OpTrain, "ml", map[string]any{
@@ -326,12 +327,18 @@ func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 130 rows in batches of 50 = 3 steps an epoch; 2 layers × 3 GEMMs each.
-	if len(info.Kernels) != 2*3*3*2 || cap(info.Kernels) != len(info.Kernels) || info.RowsIn != 130 {
-		t.Fatalf("train charged %d kernels (cap %d) over %d rows", len(info.Kernels), cap(info.Kernels), info.RowsIn)
+	// 130 rows in batches of 50 = 3 steps an epoch, 6 in 2 epochs; 2 layers
+	// × 3 GEMMs each, every one made once a step.
+	if len(info.Kernels) != 2*3 || cap(info.Kernels) != len(info.Kernels) || info.RowsIn != 130 {
+		t.Fatalf("train charged %d kernel records (cap %d) over %d rows", len(info.Kernels), cap(info.Kernels), info.RowsIn)
 	}
-	if w := info.Kernels[0].Work; w.M != 50 || w.K != 4 || w.N != 8 || info.Kernels[35].Work.K != 8 {
-		t.Fatalf("kernel shapes: first %+v, last %+v", w, info.Kernels[35].Work)
+	for _, k := range info.Kernels {
+		if k.Repeat != 3*2 {
+			t.Fatalf("kernel %+v repeated %d times, want once a step", k.Work, k.Repeat)
+		}
+	}
+	if w := info.Kernels[0].Work; w.M != 50 || w.K != 4 || w.N != 8 || info.Kernels[5].Work.K != 8 {
+		t.Fatalf("kernel shapes: first %+v, last %+v", w, info.Kernels[5].Work)
 	}
 	pred, info, err := a.Execute(ctx, node(ir.OpPredict, "ml", map[string]any{"feature_cols": features}),
 		[]Value{model, {Batch: b}})

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"polystorepp/internal/backend"
 	"polystorepp/internal/cast"
@@ -537,6 +538,18 @@ func NewML(name string, seed int64) *ML { return &ML{name: name, seed: seed} }
 // Engine implements Adapter.
 func (a *ML) Engine() string { return a.name }
 
+// rngs recycles the generators ML nodes draw from: a math/rand source is
+// some 5 KiB, and one reseeded replays exactly what a fresh one would.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng returns a generator seeded with the adapter's seed; hand it back to
+// rngs when done.
+func (a *ML) rng() *rand.Rand {
+	r := rngs.Get().(*rand.Rand)
+	r.Seed(a.seed)
+	return r
+}
+
 // Execute implements Adapter.
 func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
@@ -552,67 +565,47 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		featureCols, _ := n.Attr("feature_cols").([]string)
-		x, err := featureTensor(in, featureCols)
+		x, err := readFeatures(in, featureCols)
 		if err != nil {
 			return Value{}, info, err
 		}
-		y, err := featureTensor(in, []string{n.StringAttr("label_col")})
+		y, err := readFeatures(in, []string{n.StringAttr("label_col")})
 		if err != nil {
 			return Value{}, info, err
 		}
-		rng := rand.New(rand.NewSource(a.seed))
+		rng := a.rng()
 		hidden := int(n.IntAttr("hidden"))
 		m, err := mlengine.NewMLP(rng, len(featureCols), hidden, 1)
+		rngs.Put(rng)
 		if err != nil {
 			return Value{}, info, err
 		}
 		epochs := int(n.IntAttr("epochs"))
 		info.Native = fmt.Sprintf("TrainMLP(%d->%d->1, %d epochs)", len(featureCols), hidden, epochs)
-		if x == nil { // nothing to learn from: the initialised model, no kernel charged
+		nRows := in.Rows()
+		if nRows == 0 { // nothing to learn from: the initialised model, no kernel charged
 			return Value{Model: m}, info, nil
 		}
 		lr, _ := n.Attr("lr").(float64)
 		if lr == 0 {
 			lr = 0.1
 		}
-		nRows := x.Dim(0)
 		batch := int(n.IntAttr("batch"))
 		if batch <= 0 || batch > nRows {
 			batch = nRows
 		}
-		// One workspace and two row-range views serve every step.
-		ws, err := m.NewWorkspace(batch)
-		if err != nil {
+		// Checked per epoch so a canceled request (deadline, disconnect)
+		// stops burning CPU instead of finishing a doomed training run.
+		if err := m.Fit(nRows, batch, epochs, lr, x.fill, y.fill, ctx.Err); err != nil {
 			return Value{}, info, err
 		}
-		var xb, yb tensor.Tensor
-		for e := 0; e < epochs; e++ {
-			// Checked per epoch so a canceled request (deadline, disconnect)
-			// stops burning CPU instead of finishing a doomed training run.
-			if err := ctx.Err(); err != nil {
-				return Value{}, info, err
-			}
-			for lo := 0; lo < nRows; lo += batch {
-				hi := min(lo+batch, nRows)
-				if err := x.RowRangeInto(&xb, lo, hi); err != nil {
-					return Value{}, info, err
-				}
-				if err := y.RowRangeInto(&yb, lo, hi); err != nil {
-					return Value{}, info, err
-				}
-				if _, err := m.TrainBatch(ws, &xb, &yb, lr); err != nil {
-					return Value{}, info, err
-				}
-			}
-		}
 		info.RowsIn = int64(nRows)
-		works := m.EpochGEMMWork(nRows, batch)
-		steps := (nRows + batch - 1) / batch * epochs
-		info.Kernels = make([]KernelCall, 0, len(works)*steps)
-		for _, w := range works {
-			w.Items = 0
-			for b := 0; b < steps; b++ {
-				info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: w})
+		if steps := (nRows + batch - 1) / batch * epochs; steps > 0 {
+			works := m.EpochGEMMWork(nRows, batch)
+			info.Kernels = make([]KernelCall, len(works))
+			for i, w := range works {
+				w.Items = 0
+				info.Kernels[i] = KernelCall{Class: hw.KGEMM, Work: w, Repeat: steps}
 			}
 		}
 		return Value{Model: m}, info, nil
@@ -627,13 +620,13 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		featureCols, _ := n.Attr("feature_cols").([]string)
-		x, err := featureTensor(in, featureCols)
+		x, err := readFeatures(in, featureCols)
 		if err != nil {
 			return Value{}, info, err
 		}
 		rows, probs := make([]int64, in.Rows()), []float64{}
-		if x != nil {
-			p, err := m.Predict(x)
+		if len(rows) > 0 {
+			p, err := m.PredictFill(len(rows), len(featureCols), x.fill)
 			if err != nil {
 				return Value{}, info, err
 			}
@@ -642,8 +635,8 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			info.Kernels = make([]KernelCall, 0, len(sizes)-1)
 			for i := 0; i+1 < len(sizes); i++ {
 				info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: hw.Work{
-					M: x.Dim(0), K: sizes[i], N: sizes[i+1],
-					Bytes: int64(x.Dim(0)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
+					M: len(rows), K: sizes[i], N: sizes[i+1],
+					Bytes: int64(len(rows)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
 				}})
 			}
 		}
@@ -666,16 +659,23 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		cols, _ := n.Attr("cols").([]string)
-		x, err := featureTensor(in, cols)
+		f, err := readFeatures(in, cols)
 		if err != nil {
 			return Value{}, info, err
 		}
-		if x == nil {
+		if in.Rows() == 0 {
 			return Value{}, info, fmt.Errorf("%w: kmeans over no rows", ErrBadInput)
 		}
+		x, err := tensor.New(in.Rows(), len(cols))
+		if err != nil {
+			return Value{}, info, err
+		}
+		f.fill(x.Data(), 0, in.Rows())
 		k := int(n.IntAttr("k"))
 		iters := int(n.IntAttr("iters"))
-		res, err := mlengine.KMeans(rand.New(rand.NewSource(a.seed)), x, k, iters)
+		rng := a.rng()
+		res, err := mlengine.KMeans(rng, x, k, iters)
+		rngs.Put(rng)
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -689,11 +689,9 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
 		info.Native = fmt.Sprintf("KMeans(k=%d, %d iters)", k, res.Iterations)
-		for i := 0; i < res.Iterations; i++ {
-			info.Kernels = append(info.Kernels, KernelCall{Class: hw.KKMeansAssign, Work: hw.Work{
-				Items: int64(x.Dim(0)), K: x.Dim(1), N: k, Bytes: int64(x.Size()) * 8,
-			}})
-		}
+		info.Kernels = []KernelCall{{Class: hw.KKMeansAssign, Work: hw.Work{
+			Items: int64(x.Dim(0)), K: x.Dim(1), N: k, Bytes: int64(x.Size()) * 8,
+		}, Repeat: res.Iterations}}
 		return Value{Batch: out}, info, nil
 
 	default:
@@ -701,51 +699,70 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 	}
 }
 
-// featureTensor extracts named numeric columns as a [rows, len(cols)]
-// tensor, straight from the typed column slices. Int64/Timestamp and Bool
-// columns are widened to float64. A batch without rows has no tensor: the
-// columns are checked and nil is returned.
-func featureTensor(b *cast.Batch, cols []string) (*tensor.Tensor, error) {
+// features are named numeric columns of a batch read in place as model
+// input: the typed column slices are resolved once, and fill writes any row
+// range of them into a row-major float64 buffer. Int64/Timestamp and Bool
+// columns widen to float64.
+type features []featureCol
+
+// featureCol is one resolved column: the slice its type keeps.
+type featureCol struct {
+	typ   cast.Type
+	ints  []int64
+	flts  []float64
+	bools []bool
+}
+
+// readFeatures resolves cols in b. Every column is checked, even when b has
+// no rows.
+func readFeatures(b *cast.Batch, cols []string) (features, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrBadNode)
 	}
-	var out *tensor.Tensor
-	var data []float64
-	if b.Rows() > 0 {
-		var err error
-		if out, err = tensor.New(b.Rows(), len(cols)); err != nil {
-			return nil, err
-		}
-		data = out.Data()
-	}
+	f := make(features, len(cols))
 	for j, name := range cols {
 		idx, err := b.Schema().Index(relational.BaseName(name))
 		if err != nil {
 			return nil, err
 		}
-		switch b.Schema().Col(idx).Type {
+		c := &f[j]
+		switch c.typ = b.Schema().Col(idx).Type; c.typ {
 		case cast.Int64, cast.Timestamp:
-			ints, _ := b.Ints(idx) // the schema just named the type
-			for i, v := range ints {
-				data[i*len(cols)+j] = float64(v)
-			}
+			c.ints, _ = b.Ints(idx) // the schema just named the type
 		case cast.Float64:
-			flts, _ := b.Floats(idx)
-			for i, v := range flts {
-				data[i*len(cols)+j] = v
-			}
+			c.flts, _ = b.Floats(idx)
 		case cast.Bool:
-			bools, _ := b.Bools(idx)
-			for i, v := range bools {
-				if v {
-					data[i*len(cols)+j] = 1
-				}
-			}
+			c.bools, _ = b.Bools(idx)
 		default:
 			return nil, fmt.Errorf("%w: column %q is not numeric", ErrBadInput, name)
 		}
 	}
-	return out, nil
+	return f, nil
+}
+
+// fill writes rows [lo, hi) into dst, hi-lo rows of len(f) values each; it
+// writes every value, so dst may hold an earlier block.
+func (f features) fill(dst []float64, lo, hi int) {
+	w := len(f)
+	for j, c := range f {
+		switch c.typ {
+		case cast.Int64, cast.Timestamp:
+			for i, v := range c.ints[lo:hi] {
+				dst[i*w+j] = float64(v)
+			}
+		case cast.Float64:
+			for i, v := range c.flts[lo:hi] {
+				dst[i*w+j] = v
+			}
+		case cast.Bool:
+			for i, v := range c.bools[lo:hi] {
+				dst[i*w+j] = 0
+				if v {
+					dst[i*w+j] = 1
+				}
+			}
+		}
+	}
 }
 
 // execTabular runs an engine-agnostic Filter or Project node over its

@@ -12,6 +12,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"polystorepp/internal/ir"
 	"polystorepp/internal/migrate"
@@ -26,9 +27,10 @@ var (
 type Options struct {
 	// Level is the cumulative optimization level (Figure 6):
 	//   0 — no cross-engine optimization: operators run where written,
-	//       full intermediate results migrate.
+	//       full intermediate results migrate, once per consuming edge.
 	//   1 — +L1: predicate/projection pushdown across engine boundaries,
-	//       dead-node elimination.
+	//       dead-node elimination, one migration per producer and
+	//       destination engine carrying only the columns read there.
 	//   2 — +L2: engine-local optimizations (adapters may use indexes and
 	//       native physical plans).
 	//   3 — +L3: implementation-level choices (binary pipe migration,
@@ -75,8 +77,10 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 		selectIndexScans(work)
 	}
 
-	// Migration insertion: every cross-engine edge gets an explicit
-	// OpMigrate node carrying the transport choice (an L3 decision).
+	// Migration insertion: cross-engine data moves through explicit
+	// OpMigrate nodes carrying the transport choice (an L3 decision); from
+	// L1 on, one per producer and destination engine, carrying only the
+	// columns read there.
 	tr := opts.Transport
 	if tr == 0 {
 		if opts.Level >= 3 {
@@ -85,7 +89,7 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 			tr = migrate.CSV
 		}
 	}
-	insertMigrations(work, tr)
+	insertMigrations(work, tr, opts.Level >= 1)
 
 	// Kernel selection: mark offloadable nodes for runtime device choice.
 	if opts.Accel {
@@ -170,10 +174,21 @@ func eliminateDeadNodes(g *ir.Graph) {
 	}
 }
 
-// insertMigrations adds an explicit OpMigrate node on every edge whose
-// producer and consumer run on different engines. Model-producing edges
-// (Train -> Predict) do not migrate: the model is middleware state.
-func insertMigrations(g *ir.Graph, tr migrate.Transport) {
+// insertMigrations adds explicit OpMigrate nodes where a producer's output
+// crosses to a consumer on a different engine. Model-producing edges (Train
+// -> Predict) do not migrate: the model is middleware state.
+//
+// Without shared (L0, the naive baseline) every such edge gets a migration
+// of its own carrying every column. With it (the L1 pass) the consumers of
+// one producer on one engine read a single migration, and when every one of
+// them declares the columns it reads (consumerCols) the migration carries a
+// "cols" attribute naming their union: only those columns cross.
+func insertMigrations(g *ir.Graph, tr migrate.Transport, shared bool) {
+	type route struct {
+		from ir.NodeID
+		to   string
+	}
+	var migs map[route]ir.NodeID // made at the first crossing: most plans have none
 	for _, n := range g.Nodes() {
 		if n.Kind == ir.OpMigrate {
 			continue
@@ -189,14 +204,64 @@ func insertMigrations(g *ir.Graph, tr migrate.Transport) {
 			if prod.Kind == ir.OpTrain {
 				continue // models move by reference through the middleware
 			}
-			mig := g.Add(ir.OpMigrate, "", map[string]any{
+			r := route{inID, n.Engine}
+			if mig, ok := migs[r]; ok && shared {
+				n.Inputs[i] = mig
+				continue
+			}
+			if migs == nil {
+				migs = make(map[route]ir.NodeID)
+			}
+			migs[r] = g.Add(ir.OpMigrate, "", map[string]any{
 				"transport": int64(tr),
 				"from":      prod.Engine,
 				"to":        n.Engine,
 			}, inID)
-			n.Inputs[i] = mig
+			n.Inputs[i] = migs[r]
 		}
 	}
+	if !shared || migs == nil {
+		return
+	}
+	consumers := g.ConsumerIndex()
+	for _, mig := range migs {
+		var cols []string
+		for _, c := range consumers[mig] {
+			read, ok := consumerCols(g.MustNode(c))
+			if !ok {
+				cols = nil
+				break
+			}
+			for _, name := range read {
+				if !slices.Contains(cols, name) {
+					cols = append(cols, name)
+				}
+			}
+		}
+		if cols != nil {
+			slices.Sort(cols) // an attribute, so it is fingerprinted: one spelling per set
+			g.MustNode(mig).Attrs["cols"] = cols
+		}
+	}
+}
+
+// consumerCols returns the input columns an ML consumer declares it reads —
+// train its features and label, predict its features, k-means its columns —
+// and false for any other consumer, whose reads are not known here.
+func consumerCols(n *ir.Node) ([]string, bool) {
+	var cols []string
+	switch n.Kind {
+	case ir.OpTrain:
+		features, _ := n.Attr("feature_cols").([]string)
+		if label := n.StringAttr("label_col"); len(features) > 0 && label != "" {
+			cols = append(slices.Clip(features), label)
+		}
+	case ir.OpPredict:
+		cols, _ = n.Attr("feature_cols").([]string)
+	case ir.OpKMeans:
+		cols, _ = n.Attr("cols").([]string)
+	}
+	return cols, len(cols) > 0
 }
 
 // markOffloadable pins Device="auto" on nodes the runtime may offload: it

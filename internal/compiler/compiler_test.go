@@ -2,8 +2,10 @@ package compiler
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"polystorepp/internal/eide"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/relational"
@@ -201,5 +203,115 @@ func TestCompileDoesNotMutateInput(t *testing.T) {
 	}
 	if g.String() != before {
 		t.Fatal("Compile mutated its input graph")
+	}
+}
+
+// figure2 builds the Figure-2 clinical pipeline: the joined features pns
+// (db) feed train and predict on ml, and the vitals summary (ts) is joined
+// in on db.
+func figure2(t *testing.T) *ir.Graph {
+	t.Helper()
+	p := eide.NewProgram()
+	if _, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{Relational: "db", Timeseries: "ts", ML: "ml"}); err != nil {
+		t.Fatal(err)
+	}
+	return p.Graph()
+}
+
+// migrations returns the plan's migrate nodes by the kind of their input.
+func migrations(p *Plan) map[ir.OpKind][]*ir.Node {
+	out := map[ir.OpKind][]*ir.Node{}
+	for _, n := range p.Graph.Nodes() {
+		if n.Kind == ir.OpMigrate {
+			in := p.Graph.MustNode(n.Inputs[0]).Kind
+			out[in] = append(out[in], n)
+		}
+	}
+	return out
+}
+
+// From L1 on, train and predict read one migration of pns, and it carries
+// the union of the columns they declare (features and label), once each.
+func TestOneMigrationPerProducerAndEngine(t *testing.T) {
+	for _, level := range []int{1, 3} {
+		plan, err := Compile(figure2(t), Options{Level: level, Accel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		migs := migrations(plan)
+		if countKind(plan.Graph, ir.OpMigrate) != 2 || len(migs[ir.OpHashJoin]) != 1 || len(migs[ir.OpTSWindow]) != 1 {
+			t.Fatalf("L%d: migrations %v, want one of pns and one of the vitals summary:\n%s", level, migs, plan.Graph)
+		}
+		toML := migs[ir.OpHashJoin][0]
+		readers := plan.Graph.Consumers(toML.ID)
+		if len(readers) != 2 || plan.Graph.MustNode(readers[0]).Kind != ir.OpTrain || plan.Graph.MustNode(readers[1]).Kind != ir.OpPredict {
+			t.Fatalf("L%d: pns migration read by %v, want train and predict", level, readers)
+		}
+		want := []string{"age", "gender_male", "hr_mean", "icu_hours", "long_stay", "n_stays", "prior_visits", "spo2_mean"}
+		if got, _ := toML.Attr("cols").([]string); !slices.Equal(got, want) {
+			t.Fatalf("L%d: pns migration carries %v, want %v", level, got, want)
+		}
+		// The vitals summary's consumer is a join, which declares nothing.
+		if cols := migs[ir.OpTSWindow][0].Attr("cols"); cols != nil {
+			t.Fatalf("L%d: vitals migration pruned to %v", level, cols)
+		}
+	}
+
+	// One producer read on two other engines moves once to each.
+	g := ir.NewGraph()
+	scan := g.Add(ir.OpScan, "db", map[string]any{"table": "t"})
+	g.Add(ir.OpKMeans, "ml", map[string]any{"cols": []string{"x"}, "k": int64(2)}, scan)
+	g.Add(ir.OpKMeans, "ml", map[string]any{"cols": []string{"t.y"}, "k": int64(2)}, scan)
+	g.Add(ir.OpKMeans, "ml2", map[string]any{"cols": []string{"z"}, "k": int64(2)}, scan)
+	plan, err := Compile(g, Options{Level: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := map[string][]string{}
+	for _, n := range migrations(plan)[ir.OpScan] {
+		to[n.StringAttr("to")], _ = n.Attr("cols").([]string)
+	}
+	if len(to) != 2 || countKind(plan.Graph, ir.OpMigrate) != 2 || !slices.Equal(to["ml"], []string{"t.y", "x"}) || !slices.Equal(to["ml2"], []string{"z"}) {
+		t.Fatalf("migrations by destination %v:\n%s", to, plan.Graph)
+	}
+}
+
+// L0, the naive baseline E08 ablates against, migrates once per consuming
+// edge and every column each time.
+func TestL0MigratesEveryEdgeInFull(t *testing.T) {
+	plan, err := Compile(figure2(t), Options{Level: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migs := migrations(plan)
+	if len(migs[ir.OpHashJoin]) != 2 || len(migs[ir.OpTSWindow]) != 1 {
+		t.Fatalf("L0 migrations %v, want pns twice and the vitals summary once", migs)
+	}
+	for _, n := range plan.Graph.Nodes() {
+		if n.Kind == ir.OpMigrate && n.Attr("cols") != nil {
+			t.Fatalf("L0 migration %d pruned to %v", n.ID, n.Attr("cols"))
+		}
+	}
+}
+
+// A consumer that does not declare what it reads — a filter hosted on the ML
+// engine — keeps every column of the migration it shares.
+func TestUndeclaredReaderKeepsEveryColumn(t *testing.T) {
+	g := ir.NewGraph()
+	scan := g.Add(ir.OpScan, "db", map[string]any{"table": "t"})
+	g.Add(ir.OpKMeans, "ml", map[string]any{"cols": []string{"x"}, "k": int64(2)}, scan)
+	g.Add(ir.OpFilter, "ml", map[string]any{
+		"pred": relational.Bin{Op: relational.OpGt, L: relational.ColRef{Name: "y"}, R: relational.Const{V: int64(5)}},
+	}, scan)
+	plan, err := Compile(g, Options{Level: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migs := migrations(plan)[ir.OpScan]
+	if len(migs) != 1 || len(plan.Graph.Consumers(migs[0].ID)) != 2 {
+		t.Fatalf("want one migration read by kmeans and the filter:\n%s", plan.Graph)
+	}
+	if cols := migs[0].Attr("cols"); cols != nil {
+		t.Fatalf("migration pruned to %v beside a filter that reads it", cols)
 	}
 }

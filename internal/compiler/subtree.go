@@ -32,6 +32,11 @@ type Subtree struct {
 // outermost first (closure size descending, root id ascending on ties);
 // because closed candidates are either nested or disjoint, probing in that
 // order lets one outer hit cover every inner candidate.
+//
+// A subtree whose only consumer is a cacheable migration is not a candidate:
+// the migration's output is its rows again, on the far engine, and the
+// subtree the migration roots is closed exactly when this one is. Caching
+// both would hold the same rows twice per key.
 func subtreesOf(g *ir.Graph) []Subtree {
 	fps, err := g.SubtreeFingerprints()
 	if err != nil {
@@ -50,6 +55,9 @@ func subtreesOf(g *ir.Graph) []Subtree {
 	for _, n := range g.Nodes() {
 		fp, ok := fps[n.ID]
 		if !ok || len(fp.Closure) < 2 || !cacheable[n.ID] {
+			continue
+		}
+		if cs := consumers[n.ID]; len(cs) == 1 && cacheable[cs[0]] && g.MustNode(cs[0]).Kind == ir.OpMigrate {
 			continue
 		}
 		inside := make(map[ir.NodeID]bool, len(fp.Closure))

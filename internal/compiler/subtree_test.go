@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
 	"polystorepp/internal/ir"
@@ -157,5 +158,51 @@ func TestSubtreesClosedOnly(t *testing.T) {
 	}
 	if !foundWhole {
 		t.Fatal("whole-plan closed subtree missing from candidates")
+	}
+}
+
+// TestSubtreesCacheMigratedRowsOnce: on the Figure-2 plan the cache may hold
+// the migration of pns to the ML engine, and so not pns itself, whose only
+// reader that migration is — the same rows twice per key. The vitals summary
+// and its migration stay one candidate. At L0 pns has a migration per reader,
+// none of them closed, and pns stays the candidate.
+func TestSubtreesCacheMigratedRowsOnce(t *testing.T) {
+	roots := func(p *Plan) map[ir.NodeID][]ir.NodeID {
+		out := map[ir.NodeID][]ir.NodeID{}
+		for _, st := range p.Subtrees {
+			out[st.Root] = st.Closure
+		}
+		return out
+	}
+	plan, err := Compile(figure2(t), Options{Level: 3, Accel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migs := migrations(plan)
+	toML, vitals := migs[ir.OpHashJoin][0], migs[ir.OpTSWindow][0]
+	pns := toML.Inputs[0]
+	cands := roots(plan)
+	if _, ok := cands[pns]; ok {
+		t.Fatalf("pns (%d) is a candidate beside its migration (%d): %v", pns, toML.ID, cands)
+	}
+	if cl, ok := cands[toML.ID]; !ok || !slices.Contains(cl, pns) {
+		t.Fatalf("pns's migration is not a candidate covering pns: %v", cands)
+	}
+	if cl := cands[vitals.ID]; !slices.Equal(cl, []ir.NodeID{vitals.Inputs[0], vitals.ID}) {
+		t.Fatalf("vitals migration candidate closure = %v, want [tswindow migrate]", cl)
+	}
+
+	l0, err := Compile(figure2(t), Options{Level: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands = roots(l0)
+	for _, n := range migrations(l0)[ir.OpHashJoin] {
+		if _, ok := cands[n.Inputs[0]]; !ok {
+			t.Fatalf("L0: pns (%d), read by two migrations, is not a candidate: %v", n.Inputs[0], cands)
+		}
+		if _, ok := cands[n.ID]; ok {
+			t.Fatalf("L0: migration %d of a shared pns is a candidate", n.ID)
+		}
 	}
 }

@@ -49,3 +49,24 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 	}
 	t.Logf("%.0f allocs/run", allocs)
 }
+
+// TestAutoPlacementRefusalAllocatesNothing: placing an "auto" kernel call
+// asks every accelerator for its cost, and one without the kernel class
+// refuses. The refusal is dropped, so it must not be built per call (it was a
+// fmt.Errorf, some 125 per cross_engine request).
+func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
+	rt := NewRuntime(hw.NewHostCPU(), WithSubplanCacheBytes(-1), WithAccelerators(hw.Coprocessor, hw.NewTPU()))
+	n := &ir.Node{Kind: ir.OpFilter, Engine: "db", Device: "auto"}
+	call := adapter.KernelCall{Class: hw.KFilter, Work: hw.Work{Items: 1000, Bytes: 8000}, OutBytes: 8000}
+	if _, err := rt.accels[0].OffloadCost(rt.mode, call.Class, call.Work, call.OutBytes); err == nil {
+		t.Fatal("the TPU model runs filters; pick a class it lacks")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if dev, _, err := rt.chargeKernel(n, call); err != nil || dev != rt.host {
+			t.Fatalf("placed on %v: %v", dev, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("auto placement past a refusing accelerator: %.0f allocs/call, want 0", allocs)
+	}
+}

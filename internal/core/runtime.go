@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -29,6 +30,7 @@ import (
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/obs"
+	"polystorepp/internal/relational"
 )
 
 // Sentinel errors.
@@ -561,13 +563,15 @@ func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *hw.Rese
 	clock := start
 	devices := map[string]bool{}
 	for _, call := range run.info.Kernels {
-		dev, cost, err := r.chargeKernel(n, call)
-		if err != nil {
-			return nr, err
+		for range max(call.Repeat, 1) {
+			dev, cost, err := r.chargeKernel(n, call)
+			if err != nil {
+				return nr, err
+			}
+			_, clock = led.Reserve(dev, clock, cost.Seconds)
+			nr.Sim = nr.Sim.AddSeq(cost)
+			devices[dev.Name] = true
 		}
-		_, clock = led.Reserve(dev, clock, cost.Seconds)
-		nr.Sim = nr.Sim.AddSeq(cost)
-		devices[dev.Name] = true
 	}
 	names := make([]string, 0, len(devices))
 	for d := range devices {
@@ -657,10 +661,30 @@ func (r *Runtime) Accelerators() []string {
 	return out
 }
 
-// executeMigrate moves the single tabular input across engines.
+// executeMigrate moves the single tabular input across engines. When the
+// compiler named the columns the far side reads ("cols", resolved as the
+// consumers resolve them), only those cross, in the input's order; the
+// projection shares the input's storage, so a selection-backed input gathers
+// only what it sends. A named column the input lacks is not sent, and the
+// consumer that asked for it reports it missing; when it lacks them all,
+// every column crosses, since a batch of no columns has no CSV form.
 func (r *Runtime) executeMigrate(ctx context.Context, n *ir.Node, inputs []adapter.Value) (*cast.Batch, migrate.Breakdown, error) {
 	if len(inputs) != 1 || inputs[0].Batch == nil {
 		return nil, migrate.Breakdown{}, fmt.Errorf("%w: migrate wants one tabular input", ErrExec)
 	}
-	return r.migrator.Migrate(ctx, inputs[0].Batch, migrate.Transport(n.IntAttr("transport")))
+	b := inputs[0].Batch
+	if cols, ok := n.Attr("cols").([]string); ok {
+		s := b.Schema()
+		keep := make([]string, 0, len(cols))
+		for i := 0; i < s.Len(); i++ {
+			name := s.Col(i).Name
+			if slices.ContainsFunc(cols, func(c string) bool { return relational.BaseName(c) == name }) {
+				keep = append(keep, name)
+			}
+		}
+		if len(keep) > 0 && len(keep) < s.Len() {
+			b, _ = b.Project(keep...) // cannot fail: the names are b's own, once each
+		}
+	}
+	return r.migrator.Migrate(ctx, b, migrate.Transport(n.IntAttr("transport")))
 }

@@ -231,7 +231,7 @@ func E08OptLevels(scale int) (*Table, error) {
 		accel bool
 	}{
 		{"L0 (none, csv)", 0, false},
-		{"L1 (pushdown+fusion)", 1, false},
+		{"L1 (pushdown+pruned migrations)", 1, false},
 		{"L2 (+engine-local)", 2, false},
 		{"L3 (+binary pipes)", 3, false},
 		{"L3+accel (polystore++)", 3, true},

@@ -258,8 +258,37 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 			return w.Bytes / 8, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: %s on %s", ErrUnsupported, class, d.Kind)
+	return 0, unsupported(class, d.Kind)
 }
+
+// unsupportedErrs holds one error per (device kind, kernel class) mismatch:
+// runtime placement probes every accelerator for every kernel call and drops
+// the refusals, so building one per probe would allocate on the hot path.
+var unsupportedErrs = func() (errs [NIC + 1][len(kernelClassNames)]error) {
+	for k := CPU; k <= NIC; k++ {
+		for c := KSort; int(c) < len(kernelClassNames); c++ {
+			errs[k][c] = fmt.Errorf("%w: %s on %s", ErrUnsupported, c, k)
+		}
+	}
+	return errs
+}()
+
+// unsupported returns the error for running class on a device of kind.
+func unsupported(class KernelClass, kind Kind) error {
+	if kind >= CPU && kind <= NIC && class >= KSort && int(class) < len(kernelClassNames) {
+		return unsupportedErrs[kind][class]
+	}
+	return fmt.Errorf("%w: %s on %s", ErrUnsupported, class, kind)
+}
+
+// hostCostErrs is HostCost's refusal per non-CPU device kind, built once for
+// the same reason.
+var hostCostErrs = func() (errs [NIC + 1]error) {
+	for k := CPU; k <= NIC; k++ {
+		errs[k] = fmt.Errorf("%w: HostCost on %s", ErrUnsupported, k)
+	}
+	return errs
+}()
 
 // OffloadCost is the end-to-end cost of offloading one kernel call to the
 // device under the given deployment mode: reconfiguration (if the kernel is
@@ -318,6 +347,9 @@ func (d *Device) reconfigurable() bool { return d.Kind == FPGA || d.Kind == CGRA
 // call sites read symmetrically with Offload.
 func (d *Device) HostCost(class KernelClass, w Work) (Cost, error) {
 	if d.Kind != CPU {
+		if d.Kind > CPU && d.Kind <= NIC {
+			return Zero, hostCostErrs[d.Kind]
+		}
 		return Zero, fmt.Errorf("%w: HostCost on %s", ErrUnsupported, d.Kind)
 	}
 	return d.KernelCost(class, w)

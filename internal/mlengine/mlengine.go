@@ -75,11 +75,14 @@ type Workspace struct {
 	rows  int   // how many rows act and delta span right now
 	// actBuf[i] and deltaBuf[i] are full-size storage for layer i's output
 	// and its loss gradient; act[i+1] and delta[i] view their first rows
-	// rows, and act[0] is the caller's input.
+	// rows, and act[0] is the input.
 	actBuf, deltaBuf []*tensor.Tensor
 	act, delta       []*tensor.Tensor
 	gradW, gradB     []*tensor.Tensor
-	in               tensor.Tensor // Predict's view of its current block
+	// x and y are full-size storage for the input a Fill writes (and, when
+	// training, its labels); xv and yv view the rows of the current step.
+	x, y   *tensor.Tensor
+	xv, yv tensor.Tensor
 }
 
 // NewWorkspace returns a training workspace for mini-batches of up to rows
@@ -96,7 +99,10 @@ func newWorkspace(sizes []int, rows int, train bool) (*Workspace, error) {
 		t, _ := tensor.New(shape...) // cannot fail: rows is positive, and so are the sizes of a built model
 		return t
 	}
-	ws := &Workspace{sizes: sizes, act: make([]*tensor.Tensor, len(sizes))}
+	ws := &Workspace{sizes: sizes, act: make([]*tensor.Tensor, len(sizes)), x: zeros(rows, sizes[0])}
+	if train {
+		ws.y = zeros(rows, 1)
+	}
 	for i := 0; i+1 < len(sizes); i++ {
 		ws.actBuf = append(ws.actBuf, zeros(rows, sizes[i+1]))
 		ws.act[i+1] = new(tensor.Tensor)
@@ -153,6 +159,22 @@ func (m *MLP) forward(ws *Workspace, x *tensor.Tensor) error {
 	return nil
 }
 
+// Fill writes rows [lo, hi) of a model input into dst, row-major, one row
+// of the input's width after another. It lets the caller's own storage feed
+// the network a block at a time: no input tensor of every row is built.
+type Fill func(dst []float64, lo, hi int)
+
+// stage points the workspace's input view (and label view, when it has one)
+// at the first n rows of their buffers and fills them with rows [lo, lo+n).
+func (ws *Workspace) stage(x, y Fill, lo, n int) {
+	_ = ws.x.RowRangeInto(&ws.xv, 0, n) // n is within the buffer: callers step by at most its rows
+	x(ws.xv.Data(), lo, lo+n)
+	if y != nil {
+		_ = ws.y.RowRangeInto(&ws.yv, 0, n)
+		y(ws.yv.Data(), lo, lo+n)
+	}
+}
+
 // predictBlock is how many rows Predict pushes through the network at a
 // time, and predictPool holds workspaces of that many rows: a prediction
 // allocates its output and nothing else.
@@ -163,10 +185,19 @@ var predictPool sync.Pool // of *Workspace
 // Predict returns P(label=1) per row of x (shape [n, inputDim]). It is safe
 // to call from several goroutines on one model.
 func (m *MLP) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() != 2 || x.Dim(1) != m.sizes[0] {
+	if x.Rank() != 2 {
 		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, x.Shape(), m.sizes[0])
 	}
-	n := x.Dim(0)
+	w, d := x.Dim(1), x.Data()
+	return m.PredictFill(x.Dim(0), w, func(dst []float64, lo, hi int) { copy(dst, d[lo*w:hi*w]) })
+}
+
+// PredictFill is Predict over n rows of width features that fill writes into
+// the workspace, a block of rows at a time.
+func (m *MLP) PredictFill(n, width int, fill Fill) (*tensor.Tensor, error) {
+	if width != m.sizes[0] {
+		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, []int{n, width}, m.sizes[0])
+	}
 	out, err := tensor.New(n, 1)
 	if err != nil {
 		return nil, err
@@ -180,15 +211,46 @@ func (m *MLP) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 	defer predictPool.Put(ws)
 	for lo := 0; lo < n; lo += predictBlock {
 		hi := min(lo+predictBlock, n)
-		if err := x.RowRangeInto(&ws.in, lo, hi); err != nil {
-			return nil, err
-		}
-		if err := m.forward(ws, &ws.in); err != nil {
+		ws.stage(fill, nil, lo, hi-lo)
+		if err := m.forward(ws, &ws.xv); err != nil {
 			return nil, err
 		}
 		copy(out.Data()[lo:hi], ws.act[len(ws.act)-1].Data())
 	}
 	return out, nil
+}
+
+// trainPool holds the workspaces Fit trains in, keyed like predictPool by the
+// model's sizes; one serves any mini-batch up to its rows.
+var trainPool sync.Pool // of *Workspace
+
+// Fit trains the model by mini-batch SGD: epochs passes over n examples in
+// row order, batch rows a step (the last step of a pass may be short), each
+// step as TrainBatch takes it. x fills a step's features and y its labels
+// into the workspace, so no tensor of all n rows is built, and the workspace
+// itself is borrowed. stop is asked before every pass; its error ends
+// training (a canceled request).
+func (m *MLP) Fit(n, batch, epochs int, lr float64, x, y Fill, stop func() error) error {
+	ws, _ := trainPool.Get().(*Workspace)
+	if ws == nil || !slices.Equal(ws.sizes, m.sizes) || ws.x.Dim(0) < batch {
+		var err error
+		if ws, err = m.NewWorkspace(batch); err != nil {
+			return err
+		}
+	}
+	defer trainPool.Put(ws)
+	for e := 0; e < epochs; e++ {
+		if err := stop(); err != nil {
+			return err
+		}
+		for lo := 0; lo < n; lo += batch {
+			ws.stage(x, y, lo, min(batch, n-lo))
+			if _, err := m.TrainBatch(ws, &ws.xv, &ws.yv, lr); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // TrainStats reports one epoch of training.
