@@ -45,7 +45,11 @@ type Options struct {
 }
 
 // Plan is the backend output: an optimized graph plus its stage schedule.
+// Every field but Binds describes the statement's shape and is shared by
+// every execution of it.
 type Plan struct {
+	// Graph is the optimized graph. Its holes stand for the constants in
+	// Binds; it carries no bind vector of its own.
 	Graph  *ir.Graph
 	Stages [][]ir.NodeID
 	Opts   Options
@@ -54,10 +58,41 @@ type Plan struct {
 	// shared across goroutines, so this — like every Plan field — is
 	// read-only after Compile returns.
 	Subtrees []Subtree
+	// Order is Graph's nodes in topological order (ir.Graph.TopoSort), the
+	// order the runtime costs them in, and Sinks the ids of the nodes no
+	// other reads, ascending.
+	Order []*ir.Node
+	Sinks []ir.NodeID
+	// Bound maps each node whose attributes hold holes to the keys of
+	// those attributes: what the runtime binds before the node runs. Slots
+	// is one more than the highest slot any hole holds — the shortest bind
+	// vector the plan executes with.
+	Bound map[ir.NodeID][]string
+	Slots int
+	// Binds is the bind vector of the statement this plan executes: the
+	// constants its holes stand for. Compile takes it from the input graph;
+	// a plan-cache hit hands out a copy of the shared plan carrying the
+	// requester's own (WithBinds).
+	Binds []any
+}
+
+// WithBinds returns a copy of p that executes with binds; everything else is
+// shared with p.
+func (p *Plan) WithBinds(binds []any) *Plan {
+	cp := *p
+	cp.Binds = binds
+	return &cp
 }
 
 // Compile runs frontend checks, core passes, and the backend lowering.
 // The input graph is not mutated.
+//
+// No pass reads a constant: pushdown, dead-node elimination, migration
+// insertion and offload marking read kinds, engines, wiring and column
+// names, and the L2 access-path pass copies a predicate without looking
+// into it — whether and how far a scan seeks is decided at execution
+// (relational.Table.SeekRange). So one plan serves every bind vector of its
+// shape, and the plan cache keys on the shape alone.
 func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	// Frontend: structural validation of the multi-subprogram graph.
 	if err := g.Validate(); err != nil {
@@ -103,12 +138,36 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCompile, err)
 	}
-	return &Plan{
+	ids, err := work.TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCompile, err)
+	}
+	work.SetBinds(nil)
+	plan := &Plan{
 		Graph:    work,
 		Stages:   stages,
 		Opts:     opts,
 		Subtrees: subtreesOf(work),
-	}, nil
+		Order:    make([]*ir.Node, len(ids)),
+		Sinks:    work.Sinks(),
+		Binds:    g.Binds(),
+	}
+	for i, id := range ids {
+		n := work.MustNode(id)
+		plan.Order[i] = n
+		for k, v := range n.Attrs {
+			slots := ir.AppendSlots(nil, v)
+			if len(slots) == 0 {
+				continue
+			}
+			if plan.Bound == nil {
+				plan.Bound = make(map[ir.NodeID][]string)
+			}
+			plan.Bound[id] = append(plan.Bound[id], k)
+			plan.Slots = max(plan.Slots, slices.Max(slots)+1)
+		}
+	}
+	return plan, nil
 }
 
 // pushdownAcrossEngines moves Filter and Project nodes that consume a

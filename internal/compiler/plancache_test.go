@@ -30,8 +30,8 @@ func TestPlanCacheHitMissLRU(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("second lookup: hit=%t err=%v", hit, err)
 	}
-	if p1 != p2 {
-		t.Fatal("cache hit returned a different plan instance")
+	if p1.Graph != p2.Graph || &p1.Order[0] != &p2.Order[0] {
+		t.Fatal("cache hit did not share the compiled plan")
 	}
 
 	// Different options miss even for the same graph.

@@ -1,15 +1,18 @@
 package compiler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"polystorepp/internal/ir"
 )
 
 // Subtree is one cacheable, closed subtree of a compiled plan — a candidate
 // unit for the runtime's content-addressed subplan cache. The cache key is
-// (Fingerprint, version vector of Touches), so a memoized intermediate is
-// served only while none of the stores the subtree reads have been written.
+// (Fingerprint, the constants at Slots, version vector of Touches), so a
+// memoized intermediate is served only to an execution binding the same
+// constants, and only while none of the stores the subtree reads have been
+// written.
 type Subtree struct {
 	// Root is the node whose output the cache memoizes.
 	Root ir.NodeID
@@ -22,6 +25,10 @@ type Subtree struct {
 	// anything outside the closure, so a cache hit can skip every node in
 	// it without starving an outside consumer.
 	Closure []ir.NodeID
+	// Slots lists the slots of the closure's holes in fingerprint order
+	// (ir.SubtreeFP.Slots): the constants an execution binds there join
+	// Fingerprint, which hashes only their types, in the cache key.
+	Slots []int
 	// Touches names the stores the closure reads — the version-vector
 	// scope whose value joins Fingerprint in the cache key.
 	Touches Touches
@@ -93,14 +100,15 @@ func subtreesOf(g *ir.Graph) []Subtree {
 			Root:        n.ID,
 			Fingerprint: fp.Fingerprint,
 			Closure:     fp.Closure,
+			Slots:       fp.Slots,
 			Touches:     touchesOfNodes(g, fp.Closure),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Closure) != len(out[j].Closure) {
-			return len(out[i].Closure) > len(out[j].Closure)
+	slices.SortFunc(out, func(a, b Subtree) int {
+		if c := cmp.Compare(len(b.Closure), len(a.Closure)); c != 0 {
+			return c
 		}
-		return out[i].Root < out[j].Root
+		return cmp.Compare(a.Root, b.Root)
 	})
 	return out
 }

@@ -13,12 +13,13 @@ import (
 	"polystorepp/internal/relational"
 )
 
-// chainExecuteAllocs is what Runtime.Execute allocated per run on the plan
-// below when the sequential executor was its own function. The inline
-// dispatch mode of the one driver is held to it: a width-1 plan allocates no
-// queue, goroutine or per-node scheduling state. (The race runtime allocates
+// chainExecuteAllocs is what Runtime.Execute allocates per run on the plan
+// below. The inline dispatch mode of the one driver is held to it: a width-1
+// plan allocates no queue, goroutine or per-node scheduling state, and the
+// topological order and the sinks come from the compiled plan, not from the
+// graph on every run (it was 73 while they did). (The race runtime allocates
 // on its own account, hence the build tag.)
-const chainExecuteAllocs = 79
+const chainExecuteAllocs = 42
 
 // TestChainExecuteAllocBudget runs scan -> filter -> sort — a chain, so the
 // inline mode — with the subplan cache off, so every run executes.

@@ -13,9 +13,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -361,8 +363,10 @@ func planWidth(plan *compiler.Plan) int {
 	return w
 }
 
-// execute is the plan driver: it walks the nodes in topological order and,
-// for each, obtains the node's real execution (a *nodeRun), charges it to the
+// execute is the plan driver: it walks the nodes in topological order
+// (Plan.Order, each node holding holes first bound to the plan's constants
+// by bindNodes) and, for each, obtains the node's real execution (a
+// *nodeRun), charges it to the
 // simulated clock and hands the outcome to the report, the trace and the
 // subplan cache. Costing in one deterministic order over one
 // reservation ledger is what makes Reports independent of how the real
@@ -377,14 +381,16 @@ func planWidth(plan *compiler.Plan) int {
 // st, when non-nil, streams the designated sink node's batches (stream.go).
 func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
 	t0 := time.Now()
-	g := plan.Graph
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrExec, err)
+	if len(plan.Binds) < plan.Slots {
+		return nil, nil, fmt.Errorf("%w: %w: the plan holds %d slots, %d are bound", ErrExec, relational.ErrUnbound, plan.Slots, len(plan.Binds))
 	}
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
+	order, err := bindNodes(plan, pr)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var sched *scheduler
 	if !r.sequential && planWidth(plan) > 1 {
@@ -400,9 +406,9 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 	values := make(map[ir.NodeID]adapter.Value, len(order))
 	finish := make(map[ir.NodeID]float64, len(order))
 	led := hw.NewReservations()
-	rep := &Report{}
-	for _, id := range order {
-		n := g.MustNode(id)
+	rep := &Report{Nodes: make([]NodeReport, 0, len(order))}
+	for _, n := range order {
+		id := n.ID
 		var run *nodeRun
 		if sched != nil {
 			if run, err = sched.await(ctx, id); err != nil {
@@ -442,8 +448,39 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 	if sched != nil {
 		r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
 	}
-	rep.finalize(t0, g, finish)
-	return &Results{Values: values, Sinks: g.Sinks()}, rep, nil
+	rep.finalize(t0, plan.Sinks, finish)
+	return &Results{Values: values, Sinks: plan.Sinks}, rep, nil
+}
+
+// bindNodes returns the nodes an execution runs, in plan.Order: the plan's
+// own, except that a node whose attributes hold holes, unless a subplan hit
+// serves it, is a copy with those attributes bound to plan.Binds
+// (relational.Bind). With nothing to bind it is plan.Order itself.
+func bindNodes(plan *compiler.Plan, pr *planProbe) ([]*ir.Node, error) {
+	var order []*ir.Node
+	for i, n := range plan.Order {
+		keys := plan.Bound[n.ID]
+		if len(keys) == 0 || pr.serves(n.ID) {
+			continue
+		}
+		if order == nil {
+			order = slices.Clone(plan.Order)
+		}
+		cp := *n
+		cp.Attrs = maps.Clone(n.Attrs)
+		for _, k := range keys {
+			v, err := relational.Bind(n.Attrs[k], plan.Binds)
+			if err != nil {
+				return nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, n.ID, n.Kind, err)
+			}
+			cp.Attrs[k] = v
+		}
+		order[i] = &cp
+	}
+	if order == nil {
+		return plan.Order, nil
+	}
+	return order, nil
 }
 
 // absorb folds one finished node into the report.
@@ -458,14 +495,14 @@ func (rep *Report) absorb(nr NodeReport, run *nodeRun) {
 
 // finalize computes plan latency from the sink finish times and orders the
 // node reports.
-func (rep *Report) finalize(t0 time.Time, g *ir.Graph, finish map[ir.NodeID]float64) {
-	for _, s := range g.Sinks() {
+func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish map[ir.NodeID]float64) {
+	for _, s := range sinks {
 		if finish[s] > rep.Latency {
 			rep.Latency = finish[s]
 		}
 	}
 	rep.Wall = time.Since(t0)
-	sort.Slice(rep.Nodes, func(i, j int) bool { return rep.Nodes[i].Node < rep.Nodes[j].Node })
+	slices.SortFunc(rep.Nodes, func(a, b NodeReport) int { return cmp.Compare(a.Node, b.Node) })
 }
 
 // nodeRun is the outcome of a node's real (host) execution, before simulated

@@ -83,14 +83,13 @@ type scheduler struct {
 }
 
 // dispatch starts the per-engine worker pools for plan and seeds them with
-// the nodes that have no producers. The caller awaits each node's run in
-// topological order and must call stop.
-func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.NodeID, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
-	g := plan.Graph
+// the nodes that have no producers. order is the nodes to run (bindNodes).
+// The caller awaits each node's run in topological order and must call stop.
+func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []*ir.Node, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
 	s := &scheduler{
 		rt:        r,
 		nodes:     make(map[ir.NodeID]*schedNode, len(order)),
-		consumers: g.ConsumerIndex(),
+		consumers: plan.Graph.ConsumerIndex(),
 		queues:    make(map[string]chan *schedNode),
 		st:        st,
 		tr:        tr,
@@ -101,15 +100,14 @@ func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []ir.
 	// blocks, with workers capped likewise — a queue holding two nodes
 	// never needs more than two goroutines.
 	queueNodes := make(map[string]int, 4)
-	for _, id := range order {
-		n := g.MustNode(id)
+	for _, n := range order {
 		sn := &schedNode{n: n, done: make(chan struct{})}
 		producers := make(map[ir.NodeID]bool, len(n.Inputs))
 		for _, in := range n.Inputs {
 			producers[in] = true
 		}
 		sn.waits.Store(int32(len(producers)))
-		s.nodes[id] = sn
+		s.nodes[n.ID] = sn
 		queueNodes[queueKey(n)]++
 	}
 	execCtx, cancel := context.WithCancel(ctx)

@@ -35,8 +35,8 @@ type ResultSink interface {
 func (r *Runtime) ExecuteStream(ctx context.Context, plan *compiler.Plan, sink ResultSink) (*Results, *Report, error) {
 	var st *nodeStream
 	if sink != nil {
-		if sinks := plan.Graph.Sinks(); len(sinks) > 0 {
-			st = &nodeStream{sink: sink, node: sinks[0]}
+		if len(plan.Sinks) > 0 {
+			st = &nodeStream{sink: sink, node: plan.Sinks[0]}
 			r.st.execStreamed.Inc()
 		}
 	}

@@ -118,9 +118,24 @@ type planProbe struct {
 	leases []string
 }
 
-// subplanKey joins a subtree fingerprint with the version vector of the
-// stores it touches — the full content address of a memoized intermediate.
-func subplanKey(fingerprint, vv string) string { return fingerprint + "|" + vv }
+// subplanKey is the full content address of a memoized intermediate: the
+// subtree's shape fingerprint, the constants this execution binds to the
+// subtree's holes, and the version vector of the stores it touches.
+func subplanKey(st compiler.Subtree, binds []any, vv string) string {
+	var buf [192]byte
+	b := append(buf[:0], st.Fingerprint...)
+	b = append(b, '|')
+	for _, s := range st.Slots {
+		b = ir.AppendBind(b, binds[s])
+	}
+	b = append(b, '|')
+	return string(append(b, vv...))
+}
+
+// serves reports whether a subplan hit serves node id.
+func (pr *planProbe) serves(id ir.NodeID) bool {
+	return pr != nil && pr.serve[id] != nil
+}
 
 // shortKey abbreviates a cache key for trace events.
 func shortKey(key string) string {
@@ -162,7 +177,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 			continue
 		}
 		vv := r.VersionVector(st.Touches)
-		key := subplanKey(st.Fingerprint, vv)
+		key := subplanKey(st, plan.Binds, vv)
 		if e := pr.lookup(key, len(st.Closure)); e != nil {
 			pr.admitHit(st, e, covered)
 			if tr != nil {

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 
+	"polystorepp/internal/cast"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
 )
@@ -37,12 +38,16 @@ func (p *Program) Graph() *ir.Graph { return p.g }
 // parsed here (inter-subprogram checks happen in the compiler frontend) and
 // expanded into fine-grained IR operators, one per step of the statement's
 // lowering (relational.SelectStmt.Steps), so the optimizer can move them
-// across engine boundaries (§IV-B2).
+// across engine boundaries (§IV-B2). Its literals are lifted into the graph's
+// bind vector (relational.ParseLifted): the nodes hold typed holes, so
+// statements that differ only in their constants build one shape, which
+// compiles once.
 func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
-	stmt, err := relational.Parse(sql)
+	stmt, binds, err := relational.ParseLifted(sql, p.g.Binds())
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrFrontend, err)
 	}
+	p.g.SetBinds(binds)
 	var cur ir.NodeID
 	var buf [8]relational.Step
 	for _, st := range stmt.Steps(buf[:0]) {
@@ -61,7 +66,8 @@ func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
 		case relational.StepSort:
 			cur = p.g.Add(ir.OpSort, engine, map[string]any{"order_by": st.OrderBy}, cur)
 		case relational.StepLimit:
-			cur = p.g.Add(ir.OpLimit, engine, map[string]any{"n": int64(st.N)}, cur)
+			n := relational.Param{Slot: st.LimitSlot, Type: cast.Int64}
+			cur = p.g.Add(ir.OpLimit, engine, map[string]any{"n": n}, cur)
 		}
 	}
 	return cur, nil

@@ -9,12 +9,14 @@ import (
 	"sort"
 )
 
-// Fingerprint returns a stable content hash of the graph: two graphs built
-// from the same program text hash identically, independent of node-map
-// iteration order. The serving layer keys its plan cache on this value (plus
-// the compiler options), so the hash must cover everything that changes the
+// Fingerprint returns a stable content hash of the graph's shape: two graphs
+// built from the same program text hash identically, independent of
+// node-map iteration order, and so do two whose statements differ only in
+// the constants their holes stand for — the bind vector is not hashed (see
+// Hole). The serving layer keys its plan cache on this value (plus the
+// compiler options), so the hash must cover everything that changes the
 // compiled plan: node ids, kinds, engines, device pins, input wiring,
-// attributes, and loop bodies.
+// attributes with each hole's type, and loop bodies.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	g.writeCanonical(h)
@@ -47,12 +49,7 @@ func writeCanonicalNode(w io.Writer, n *Node, rank map[NodeID]int) {
 		}
 		fmt.Fprintf(w, "n%d|k%d|e%s|d%s|in%v|", rank[n.ID], int(n.Kind), n.Engine, n.Device, ins)
 	}
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range n.attrKeys() {
 		fmt.Fprintf(w, "a%s=", k)
 		writeCanonicalValue(w, n.Attrs[k])
 		io.WriteString(w, ";")
@@ -65,12 +62,31 @@ func writeCanonicalNode(w io.Writer, n *Node, rank map[NodeID]int) {
 	io.WriteString(w, "\n")
 }
 
+// attrKeys returns the node's attribute keys in the canonical order.
+func (n *Node) attrKeys() []string {
+	keys := make([]string, 0, len(n.Attrs))
+	for k := range n.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// slots appends the slots of the holes in the node's attributes to dst, in
+// the order writeCanonicalNode writes them.
+func (n *Node) slots(dst []int) []int {
+	for _, k := range n.attrKeys() {
+		dst = AppendSlots(dst, n.Attrs[k])
+	}
+	return dst
+}
+
 // writeCanonicalValue renders one attribute value deterministically. The
 // only nondeterministic Go values are maps (iteration order); they are
 // emitted with sorted keys. Everything else — struct values such as
 // relational expressions, slices, and scalars — formats deterministically
 // with %#v, which also embeds the concrete type name so values of different
-// types never collide.
+// types never collide, and writes a hole, at any depth, as its type alone.
 func writeCanonicalValue(w io.Writer, v any) {
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {

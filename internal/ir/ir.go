@@ -9,9 +9,10 @@
 package ir
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -213,6 +214,9 @@ func (n *Node) IntAttr(key string) int64 {
 type Graph struct {
 	nodes  map[NodeID]*Node
 	nextID NodeID
+	// binds is the bind vector: the constants the graph's holes stand for,
+	// by slot (see Hole).
+	binds []any
 }
 
 // Sentinel errors.
@@ -260,13 +264,20 @@ func (g *Graph) MustNode(id NodeID) *Node {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
+// Binds returns the bind vector: binds[s] is the constant the holes of slot s
+// stand for. Frontends append to it as they lift literals (SetBinds).
+func (g *Graph) Binds() []any { return g.binds }
+
+// SetBinds replaces the bind vector.
+func (g *Graph) SetBinds(binds []any) { g.binds = binds }
+
 // Nodes returns all nodes sorted by id.
 func (g *Graph) Nodes() []*Node {
 	out := make([]*Node, 0, len(g.nodes))
 	for _, n := range g.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -306,7 +317,7 @@ func (g *Graph) ConsumerIndex() map[NodeID][]NodeID {
 		}
 	}
 	for _, cs := range out {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	return out
 }
@@ -356,37 +367,36 @@ func (g *Graph) Validate() error {
 }
 
 // TopoSort returns the node ids in a topological order (inputs before
-// consumers), or an error if the graph has a cycle.
+// consumers), or an error if the graph has a cycle. The order is
+// deterministic: of the nodes whose producers are all placed, the smallest id
+// goes next.
 func (g *Graph) TopoSort() ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = 0
-	}
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
-			if _, ok := g.nodes[in]; ok {
-				indeg[n.ID]++
+	consumers := g.ConsumerIndex()
+	// waits counts each node's distinct producers not yet placed.
+	waits := make(map[NodeID]int, len(g.nodes))
+	for p, cs := range consumers {
+		if _, ok := g.nodes[p]; ok {
+			for _, c := range cs {
+				waits[c]++
 			}
 		}
 	}
-	// Deterministic order: repeatedly take the smallest ready id.
 	var ready []NodeID
-	for id, d := range indeg {
-		if d == 0 {
+	for id := range g.nodes {
+		if waits[id] == 0 {
 			ready = append(ready, id)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
 	out := make([]NodeID, 0, len(g.nodes))
 	for len(ready) > 0 {
 		id := ready[0]
 		ready = ready[1:]
 		out = append(out, id)
-		for _, c := range g.Consumers(id) {
-			indeg[c]--
-			if indeg[c] == 0 {
-				ready = append(ready, c)
-				sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+		for _, c := range consumers[id] {
+			if waits[c]--; waits[c] == 0 {
+				i, _ := slices.BinarySearch(ready, c)
+				ready = slices.Insert(ready, i, c)
 			}
 		}
 	}
@@ -425,11 +435,12 @@ func (g *Graph) Stages() ([][]NodeID, error) {
 	return out, nil
 }
 
-// Clone deep-copies the graph (attribute values are shallow-copied; they are
-// treated as immutable by convention).
+// Clone deep-copies the graph and its bind vector (attribute values and bound
+// constants are shallow-copied; they are treated as immutable by convention).
 func (g *Graph) Clone() *Graph {
 	out := NewGraph()
 	out.nextID = g.nextID
+	out.binds = slices.Clone(g.binds)
 	for id, n := range g.nodes {
 		cp := &Node{
 			ID:     n.ID,

@@ -2,6 +2,8 @@ package ir
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -137,12 +139,17 @@ func TestSinksAndConsumers(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	g, ids := linearGraph(t)
+	g.SetBinds([]any{int64(3), "x"})
 	c := g.Clone()
 	g.MustNode(ids[0]).Attrs["table"] = "changed"
 	g.MustNode(ids[0]).Engine = "other"
+	g.Binds()[0] = int64(4)
 	cn := c.MustNode(ids[0])
 	if cn.StringAttr("table") != "t" || cn.Engine != "db" {
 		t.Fatal("clone shares state")
+	}
+	if !slices.Equal(c.Binds(), []any{int64(3), "x"}) {
+		t.Fatalf("clone binds = %v, want a copy of [3 x]", c.Binds())
 	}
 	// New nodes in the clone do not collide with the source ids.
 	nid := c.Add(OpLimit, "db", nil)
@@ -179,24 +186,26 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-// Property: random DAGs (edges only from lower to higher ids) always
-// validate and topo-sort to a consistent order.
+// Property: random DAGs — wired along a hidden random order, so an edge may
+// run from a higher id to a lower one — always validate and topo-sort to a
+// consistent order, and to the one topoReference computes.
 func TestPropertyRandomDAG(t *testing.T) {
 	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(20)
 		g := NewGraph()
-		n := int(seed%20) + 3
-		if n < 3 {
-			n = 3
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = g.Add(OpMap, "e", nil)
 		}
-		var ids []NodeID
-		for i := 0; i < n; i++ {
-			var inputs []NodeID
-			for j := 0; j < len(ids); j++ {
-				if (seed>>uint(j%60))&1 == 1 && len(inputs) < 3 {
-					inputs = append(inputs, ids[j])
+		hidden := rng.Perm(n)
+		for k := 1; k < n; k++ {
+			nd := g.MustNode(ids[hidden[k]])
+			for j := 0; j < k && len(nd.Inputs) < 3; j++ {
+				if rng.Intn(3) == 0 {
+					nd.Inputs = append(nd.Inputs, ids[hidden[j]])
 				}
 			}
-			ids = append(ids, g.Add(OpMap, "e", nil, inputs...))
 		}
 		if g.Validate() != nil {
 			return false
@@ -216,9 +225,30 @@ func TestPropertyRandomDAG(t *testing.T) {
 				}
 			}
 		}
-		return true
+		return slices.Equal(order, topoReference(g))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// topoReference is the order TopoSort promises, found the plain way: place,
+// again and again, the smallest unplaced node whose inputs are all placed.
+func topoReference(g *Graph) []NodeID {
+	placed := map[NodeID]bool{}
+	var out []NodeID
+	for len(out) < g.Len() {
+		for _, n := range g.Nodes() {
+			ready := !placed[n.ID]
+			for _, in := range n.Inputs {
+				ready = ready && placed[in]
+			}
+			if ready {
+				placed[n.ID] = true
+				out = append(out, n.ID)
+				break
+			}
+		}
+	}
+	return out
 }

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SubtreeFP describes the subtree rooted at one node: its transitive input
@@ -18,6 +18,13 @@ type SubtreeFP struct {
 	// transitive input — sorted ascending by id. The position of a node in
 	// this slice is its rank, the id the fingerprint encoding uses.
 	Closure []NodeID
+	// Slots lists the slot of every hole in the closure, in the order the
+	// fingerprint encoding writes the holes (a slot held twice appears
+	// twice). The fingerprint hashes only the holes' types, so the constants
+	// at these slots complete the subtree's content address: equal
+	// fingerprints and equal constants here mean equal subtrees, wherever
+	// in their statements the slots were numbered.
+	Slots []int
 }
 
 // SubtreeFingerprints computes, for every node, a content hash of the
@@ -59,10 +66,16 @@ func (g *Graph) SubtreeFingerprints() (map[NodeID]SubtreeFP, error) {
 		for cid := range set {
 			cl = append(cl, cid)
 		}
-		sort.Slice(cl, func(i, j int) bool { return cl[i] < cl[j] })
+		slices.Sort(cl)
 		closures[id] = cl
 	}
 
+	holes := make(map[NodeID][]int)
+	for _, id := range order {
+		if s := g.nodes[id].slots(nil); len(s) > 0 {
+			holes[id] = s
+		}
+	}
 	out := make(map[NodeID]SubtreeFP, len(order))
 	for _, id := range order {
 		cl := closures[id]
@@ -71,15 +84,17 @@ func (g *Graph) SubtreeFingerprints() (map[NodeID]SubtreeFP, error) {
 			rank[cid] = i
 		}
 		h := sha256.New()
+		var slots []int
 		for _, cid := range cl {
 			writeCanonicalNode(h, g.nodes[cid], rank)
+			slots = append(slots, holes[cid]...)
 		}
 		// The root's rank disambiguates closures that could otherwise
 		// encode identically with different roots (defensive: a closed
 		// closure has exactly one sink, but the hash should not rely on
 		// callers checking that).
 		fmt.Fprintf(h, "root%d", rank[id])
-		out[id] = SubtreeFP{Fingerprint: hex.EncodeToString(h.Sum(nil)), Closure: cl}
+		out[id] = SubtreeFP{Fingerprint: hex.EncodeToString(h.Sum(nil)), Closure: cl, Slots: slots}
 	}
 	return out, nil
 }

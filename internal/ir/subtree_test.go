@@ -139,16 +139,41 @@ func TestSubtreeFingerprintDAGSharing(t *testing.T) {
 	}
 }
 
+// testHole is a Hole of the tests: a slot and the name of its type.
+type testHole struct {
+	Slot int
+	Type string
+}
+
+func (h testHole) BindSlot() int    { return h.Slot }
+func (h testHole) GoString() string { return "ir.testHole{" + h.Type + "}" }
+
+// fullKey is a subtree's fingerprint completed by the constants its holes
+// are bound to — what the subplan cache keys on, less the version vector.
+func fullKey(fp SubtreeFP, binds []any) string {
+	b := []byte(fp.Fingerprint + "|")
+	for _, s := range fp.Slots {
+		b = AppendBind(b, binds[s])
+	}
+	return string(b)
+}
+
 // FuzzSubtreeFingerprint drives randomized chain/diamond graphs from raw
 // bytes and checks the fingerprint invariants: equal builds hash equal,
 // any single attr or wiring mutation changes the root hash, and the walk
-// never panics on graphs the validator accepts.
+// never panics on graphs the validator accepts. With the attributes lifted
+// into holes, graphs differing only in their bind vectors share every shape
+// key — Graph.Fingerprint and the subtree fingerprints — and differ in the
+// full key, wherever their slots are numbered, while holes of another type
+// make another shape.
 func FuzzSubtreeFingerprint(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, int64(7))
 	f.Add([]byte{0}, int64(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, int64(-3))
 	f.Fuzz(func(t *testing.T, shape []byte, attr int64) {
-		build := func(a int64, skipEdge bool) *Graph {
+		// build makes the graph whose i-th added node holds attribute
+		// attrOf(i).
+		build := func(attrOf func(i int) any, skipEdge bool) *Graph {
 			g := NewGraph()
 			ids := []NodeID{g.Add(OpScan, "db", map[string]any{"table": "t"})}
 			kinds := []OpKind{OpFilter, OpProject, OpSort, OpLimit, OpUnion}
@@ -158,7 +183,7 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 				}
 				kind := kinds[int(b)%len(kinds)]
 				in := ids[int(b>>4)%len(ids)]
-				n := g.Add(kind, "db", map[string]any{"n": a + int64(i)}, in)
+				n := g.Add(kind, "db", map[string]any{"n": attrOf(i)}, in)
 				ids = append(ids, n)
 			}
 			// Tie every dangling tail into one union sink so the graph has a
@@ -172,12 +197,13 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 			}
 			return g
 		}
-		g1 := build(attr, false)
+		literal := func(a int64) func(int) any { return func(i int) any { return a + int64(i) } }
+		g1 := build(literal(attr), false)
 		fp1, err := g1.SubtreeFingerprints()
 		if err != nil {
 			t.Skip() // cyclic or invalid shapes are the validator's concern
 		}
-		g2 := build(attr, false)
+		g2 := build(literal(attr), false)
 		fp2, err := g2.SubtreeFingerprints()
 		if err != nil {
 			t.Fatalf("identical rebuild failed: %v", err)
@@ -194,7 +220,7 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 		// Attr mutation flips every fingerprint whose closure contains a
 		// mutated node — in particular the root's (all interior attrs shift).
 		if len(shape) > 0 {
-			fp3, err := build(attr+1, false).SubtreeFingerprints()
+			fp3, err := build(literal(attr+1), false).SubtreeFingerprints()
 			if err != nil {
 				t.Fatalf("attr-mutated rebuild failed: %v", err)
 			}
@@ -202,9 +228,65 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 				t.Fatal("attr mutation kept the root fingerprint")
 			}
 		}
+
+		// The same constants lifted into holes numbered from base, of type
+		// typ at node 0: binds(a, base) is the matching bind vector, its
+		// first base slots taken by constants of other holes.
+		holes := func(base int, typ string) *Graph {
+			return build(func(i int) any {
+				if i == 0 {
+					return testHole{Slot: base, Type: typ}
+				}
+				return testHole{Slot: base + i, Type: "int64"}
+			}, false)
+		}
+		binds := func(a int64, base int) []any {
+			out := make([]any, base, base+len(shape))
+			for i := range out {
+				out[i] = "other"
+			}
+			for i := range shape {
+				out = append(out, a+int64(i))
+			}
+			return out
+		}
+		h1, h2 := holes(0, "int64"), holes(3, "int64")
+		hfp1, err := h1.SubtreeFingerprints()
+		if err != nil {
+			t.Fatalf("holed build failed: %v", err)
+		}
+		hfp2, err := h2.SubtreeFingerprints()
+		if err != nil {
+			t.Fatalf("holed build failed: %v", err)
+		}
+		if h1.Fingerprint() != h2.Fingerprint() {
+			t.Fatal("renumbering the holes changed the shape key")
+		}
+		for id, fp := range hfp1 {
+			if hfp2[id].Fingerprint != fp.Fingerprint {
+				t.Fatalf("node %d: renumbering the holes changed the subtree fingerprint", id)
+			}
+			if fullKey(fp, binds(attr, 0)) != fullKey(hfp2[id], binds(attr, 3)) {
+				t.Fatalf("node %d: equal constants under other slots changed the full key", id)
+			}
+		}
+		if len(shape) > 0 {
+			if fullKey(hfp1[root], binds(attr, 0)) == fullKey(hfp1[root], binds(attr+1, 0)) {
+				t.Fatal("other constants kept the root's full key")
+			}
+			other := holes(0, "float64")
+			ofp, err := other.SubtreeFingerprints()
+			if err != nil {
+				t.Fatalf("retyped build failed: %v", err)
+			}
+			if other.Fingerprint() == h1.Fingerprint() || ofp[root].Fingerprint == hfp1[root].Fingerprint {
+				t.Fatal("a hole of another type kept the shape key")
+			}
+		}
+
 		// Wiring mutation (dropping one union edge) changes the root hash
 		// whenever it changes the sink's input list.
-		g4 := build(attr, true)
+		g4 := build(literal(attr), true)
 		fp4, err := g4.SubtreeFingerprints()
 		if err != nil {
 			t.Skip()

@@ -10,7 +10,8 @@ import (
 // Expr is a typed scalar expression over the rows of a batch. Expressions
 // are the WHERE/SELECT language of the relational engine and are also the IR
 // payload adapters receive for filter nodes. The node set is closed (ColRef,
-// Const, Bin, Not): operators evaluate through the unexported vector methods.
+// Const, Param, Bin, Not): operators evaluate through the unexported vector
+// methods.
 type Expr interface {
 	// Eval returns the boxed value of the expression for the given row. It
 	// is the reference semantics and serves single-row callers; operators
@@ -91,18 +92,25 @@ func (c Const) Eval(*cast.Batch, int) (any, error) { return c.V, nil }
 
 // ResultType implements Expr.
 func (c Const) ResultType(cast.Schema) (cast.Type, error) {
-	switch c.V.(type) {
-	case int64:
-		return cast.Int64, nil
-	case float64:
-		return cast.Float64, nil
-	case string:
-		return cast.String, nil
-	case bool:
-		return cast.Bool, nil
-	default:
-		return 0, fmt.Errorf("%w: unsupported literal %T", ErrExpr, c.V)
+	if t := literalType(c.V); t != 0 {
+		return t, nil
 	}
+	return 0, fmt.Errorf("%w: unsupported literal %T", ErrExpr, c.V)
+}
+
+// literalType is the type of a literal value, 0 for a Go type no literal has.
+func literalType(v any) cast.Type {
+	switch v.(type) {
+	case int64:
+		return cast.Int64
+	case float64:
+		return cast.Float64
+	case string:
+		return cast.String
+	case bool:
+		return cast.Bool
+	}
+	return 0
 }
 
 // String implements Expr.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"polystorepp/internal/cast"
 )
 
 // This file implements the SQL-subset frontend:
@@ -53,6 +55,9 @@ type SelectStmt struct {
 	GroupBy []string
 	OrderBy []OrderItem
 	Limit   int // -1 when absent
+	// LimitSlot is the bind-vector slot holding Limit when the statement was
+	// parsed lifted (ParseLifted), else -1.
+	LimitSlot int
 }
 
 // --- Lexer ---
@@ -138,10 +143,13 @@ type parser struct {
 	lex  *lexer
 	cur  token
 	peek *token
+	// lift turns each literal into a Param for a new slot of binds.
+	lift  bool
+	binds []any
 }
 
-func newParser(sql string) (*parser, error) {
-	p := &parser{lex: &lexer{src: []rune(sql)}}
+func newParser(sql string, lift bool, binds []any) (*parser, error) {
+	p := &parser{lex: &lexer{src: []rune(sql)}, lift: lift, binds: binds}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -212,13 +220,47 @@ var reservedAfterSelect = map[string]bool{
 	"not": true, "asc": true, "desc": true,
 }
 
-// Parse parses one SELECT statement.
+// Parse parses one SELECT statement; its literals are Consts.
 func Parse(sql string) (*SelectStmt, error) {
-	p, err := newParser(sql)
+	stmt, _, err := parse(sql, false, nil)
+	return stmt, err
+}
+
+// ParseLifted parses one SELECT statement with its literals lifted into a
+// bind vector: each literal of the select list and the WHERE clause becomes a
+// Param, and LIMIT's count a LimitSlot, for a slot appended to binds, in the
+// order the literals appear in the text. The one literal kept is a WHERE
+// clause that is nothing else: it has no shape to share. It returns binds
+// extended by the statement's constants.
+func ParseLifted(sql string, binds []any) (*SelectStmt, []any, error) {
+	return parse(sql, true, binds)
+}
+
+func parse(sql string, lift bool, binds []any) (*SelectStmt, []any, error) {
+	p, err := newParser(sql, lift, binds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	stmt := &SelectStmt{Limit: -1}
+	stmt, err := p.selectStmt()
+	if err != nil {
+		return nil, nil, err
+	}
+	return stmt, p.binds, nil
+}
+
+// literal returns the expression for one literal of the statement: a Const,
+// or when lifting, a Param for a new slot holding it.
+func (p *parser) literal(v any, t cast.Type) Expr {
+	if !p.lift {
+		return Const{V: v}
+	}
+	p.binds = append(p.binds, v)
+	return Param{Slot: len(p.binds) - 1, Type: t}
+}
+
+func (p *parser) selectStmt() (*SelectStmt, error) {
+	var err error
+	stmt := &SelectStmt{Limit: -1, LimitSlot: -1}
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
@@ -282,6 +324,11 @@ func Parse(sql string) (*SelectStmt, error) {
 		stmt.Where, err = p.parseExpr()
 		if err != nil {
 			return nil, err
+		}
+		// A lone literal: binding would hand the filter a bare constant,
+		// which is no predicate. It was the last slot taken.
+		if prm, ok := stmt.Where.(Param); ok {
+			stmt.Where, p.binds = Const{V: p.binds[prm.Slot]}, p.binds[:prm.Slot]
 		}
 	}
 	if p.isKeyword("group") {
@@ -351,6 +398,10 @@ func Parse(sql string) (*SelectStmt, error) {
 			return nil, fmt.Errorf("%w: bad LIMIT %q", ErrSQL, p.cur.text)
 		}
 		stmt.Limit = n
+		if p.lift {
+			stmt.LimitSlot = len(p.binds)
+			p.binds = append(p.binds, int64(n))
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -430,7 +481,15 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		}
 	}
 	if as == "" {
-		as = e.String()
+		// Named after the expression as written, literals and all: a
+		// lifted statement returns the columns the literal one does.
+		named := e
+		if p.lift {
+			if named, err = bindExpr(e, p.binds); err != nil {
+				return SelectItem{}, err
+			}
+		}
+		as = named.String()
 	}
 	return SelectItem{Expr: e, As: as}, nil
 }
@@ -568,19 +627,19 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: bad number %q", ErrSQL, text)
 			}
-			return Const{V: f}, nil
+			return p.literal(f, cast.Float64), nil
 		}
 		i, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad number %q", ErrSQL, text)
 		}
-		return Const{V: i}, nil
+		return p.literal(i, cast.Int64), nil
 	case tokString:
 		s := p.cur.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return Const{V: s}, nil
+		return p.literal(s, cast.String), nil
 	case tokIdent:
 		text := p.cur.text
 		lower := strings.ToLower(text)
@@ -588,7 +647,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			return Const{V: lower == "true"}, nil
+			return p.literal(lower == "true", cast.Bool), nil
 		}
 		if reservedAfterSelect[lower] {
 			return nil, fmt.Errorf("%w: unexpected keyword %q in expression", ErrSQL, text)

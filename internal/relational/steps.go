@@ -34,6 +34,9 @@ type Step struct {
 	Items     []ProjItem  // StepProject
 	OrderBy   []OrderItem // StepSort
 	N         int         // StepLimit
+	// LimitSlot is the bind-vector slot holding N, or -1 (StepLimit; see
+	// SelectStmt.LimitSlot).
+	LimitSlot int
 }
 
 // Steps lowers the statement to its stages in execution order: scan, one
@@ -76,7 +79,7 @@ func (s *SelectStmt) Steps(dst []Step) []Step {
 		steps = append(steps, Step{Kind: StepSort, OrderBy: s.OrderBy})
 	}
 	if s.Limit >= 0 {
-		steps = append(steps, Step{Kind: StepLimit, N: s.Limit})
+		steps = append(steps, Step{Kind: StepLimit, N: s.Limit, LimitSlot: s.LimitSlot})
 	}
 	return steps
 }

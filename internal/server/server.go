@@ -16,11 +16,14 @@
 //     overflows), and settles the ticket on every way out. Whatever turns
 //     it away on that path is one refusal value carrying its status, cause
 //     and Retry-After.
-//   - A plan cache: programs are fingerprinted (ir.Graph.Fingerprint) and
-//     compiled plans are reused across requests, so hot queries skip the
-//     compiler entirely (hits/misses are exported on /metrics).
-//   - A result cache keyed on (plan fingerprint + options, version vector
-//     of the engines/tables the plan touches): repeated queries over
+//   - A plan cache: programs are fingerprinted by shape (ir.Graph.Fingerprint
+//     hashes each lifted literal's type, not its value) and compiled plans
+//     are reused across requests, so every statement of a compiled shape
+//     skips the compiler and executes with its own constants (hits/misses
+//     are exported on /metrics).
+//   - A result cache keyed on (shape fingerprint + options, the program's
+//     constants, version vector of the engines/tables the plan touches):
+//     repeated queries over
 //     unchanged data skip execution entirely, a mutation of touched data
 //     rotates the vector so stale results stop being addressable, and
 //     writes to untouched stores leave cached results valid (surgical
@@ -582,15 +585,29 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenant
 		p.opts.Accel = *p.req.Accel
 	}
 	// One fingerprint pass serves both caches: the plan cache keys on the
-	// program + compiler options; the result cache and single-flight add the
-	// version vector of exactly the engines/tables the program touches, so
-	// results never outlive the data they were computed on — and writes to
-	// untouched stores don't rotate the key (surgical invalidation).
+	// program's shape + compiler options; the result cache and single-flight
+	// add the program's constants and the version vector of exactly the
+	// engines/tables the program touches, so results never outlive the data
+	// they were computed on — and writes to untouched stores don't rotate
+	// the key (surgical invalidation).
 	p.planKey = compiler.Key(p.prog.Graph(), p.opts)
 	p.touches = s.touchesFor(p.planKey, p.prog.Graph())
 	p.vv = s.rt.VersionVector(p.touches)
-	p.resKey = p.planKey + "|" + p.vv
+	p.resKey = resultKey(p.planKey, p.prog.Graph().Binds(), p.vv)
 	return p
+}
+
+// resultKey is the result-cache and single-flight key of one execution: the
+// shape key, the bind vector and the version vector.
+func resultKey(planKey string, binds []any, vv string) string {
+	var buf [256]byte
+	b := append(buf[:0], planKey...)
+	b = append(b, '|')
+	for _, v := range binds {
+		b = ir.AppendBind(b, v)
+	}
+	b = append(b, '|')
+	return string(append(b, vv...))
 }
 
 // maxParts caps the client-requested partition fan-out: far beyond any real
@@ -701,8 +718,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 
 // startTrace creates the request's trace when the client asked for one (or
 // the deployment traces everything); nil otherwise — the zero-cost path.
-// The trace id is the plan-cache key, so /debug/queries groups repeats of
-// one query under one id.
+// The trace id is the plan-cache key — the shape key — so /debug/queries
+// groups every statement of one shape, whatever its constants, under one id.
 func (s *Server) startTrace(p *preparedQuery) *obs.Trace {
 	if !p.req.Trace && !s.cfg.TraceAll {
 		return nil
@@ -740,7 +757,8 @@ type queryOutcome struct {
 }
 
 // touchesFor returns the engines/tables g reads, memoized under the plan
-// key (TouchesOf depends only on the graph, which the key fingerprints).
+// key (TouchesOf reads only table names and engines, which the shape key
+// fingerprints; no constant).
 // Taken from the program as written, before any compiler pass: the
 // result-cache key must be derived identically on cold and warm paths, and
 // a pass that removes a scan must not split one query across two keys.

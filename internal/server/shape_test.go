@@ -1,0 +1,158 @@
+package server_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+
+	"polystorepp"
+	"polystorepp/internal/cast"
+	"polystorepp/internal/relational"
+)
+
+// eventsStore is bench/'s events table in small — id, kind in [0, 32), and a
+// value in eighths — beside patients(pid, age) for kind to join.
+func eventsStore(t *testing.T, rows int) *relational.Store {
+	t.Helper()
+	store := relational.NewStore("db")
+	events, err := store.CreateTable("events", cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "kind", Type: cast.Int64},
+		cast.Column{Name: "value", Type: cast.Float64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patients, err := store.CreateTable("patients", cast.MustSchema(
+		cast.Column{Name: "pid", Type: cast.Int64},
+		cast.Column{Name: "age", Type: cast.Int64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < rows; i++ {
+		if err := events.Insert(int64(i), int64(i%32), float64(rng.Intn(8000))/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pid := 0; pid < 40; pid++ {
+		if err := patients.Insert(int64(pid), int64(20+rng.Intn(8))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// TestShapeFamiliesEqualFresh serves statements of one shape and several
+// literal sets — bench/'s similar_family, cold_analytic and stream_scan
+// templates — through one server with every reuse layer on, at 1, 2, 7 and
+// 64 partitions. Each family compiles once, and every answer is a fresh
+// server's. A result or subplan key that dropped the constants would answer
+// one family member with another's rows.
+func TestShapeFamiliesEqualFresh(t *testing.T) {
+	store := eventsStore(t, 4096)
+	cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 5000}
+	srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+	families := map[string][]int{
+		"SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC LIMIT 10":                               {7, 3, 31},
+		"SELECT kind, count(*) AS n, sum(value) AS total FROM events WHERE id >= %d GROUP BY kind":                {700, 0, 4000},
+		"SELECT id, value FROM events WHERE id >= %d ORDER BY value DESC LIMIT 50":                                {700, 0, 4000},
+		"SELECT age, count(*) AS n FROM events JOIN patients ON kind = pid WHERE id >= %d GROUP BY age":           {700, 0, 4000},
+		"SELECT count(*) AS n, min(value) AS lo, max(value) AS hi, sum(value) AS total FROM events WHERE id < %d": {2748, 1, 4096},
+		"SELECT * FROM events WHERE id >= %d":                                                                     {3200, 4095, 3900},
+	}
+	compiles := 0
+	for _, parts := range []int{1, 2, 7, 64} {
+		for tmpl, args := range families {
+			compiles++
+			for _, a := range args {
+				stmt := fmt.Sprintf(tmpl, a)
+				body := fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
+				for round := 0; round < 2; round++ {
+					got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", body))
+					fresh := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+					want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", body))
+					if !strings.Contains(stmt, "ORDER BY") {
+						sortRows(got.Rows)
+						sortRows(want.Rows)
+					}
+					queryEqual(t, got, want, body)
+				}
+			}
+		}
+	}
+	var stats struct {
+		PlanMisses int `json:"plan_cache_miss"`
+	}
+	if err := json.Unmarshal(serve(t, srv, http.MethodGet, "/stats", ""), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.PlanMisses != compiles {
+		t.Errorf("%d plan-cache misses, want one per family and fan-out: %d", stats.PlanMisses, compiles)
+	}
+}
+
+// sortRows orders rows by their printed form, for results whose order the
+// statement leaves open.
+func sortRows(rows [][]any) {
+	slices.SortFunc(rows, func(a, b []any) int { return strings.Compare(fmt.Sprint(a...), fmt.Sprint(b...)) })
+}
+
+// serve answers one request in process.
+func serve(t *testing.T, h http.Handler, method, path, body string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// TestShapeFamilyCompilesOnce: bench/'s similar_family key space — 32 kinds
+// x 64 LIMITs of one statement — is one shape, so it costs one compile: one
+// plan-cache miss in 2 048 statements. Each statement is still its own result
+// (2 048 result-cache misses), and each answer is the one a fresh server,
+// which compiles the statement with nothing cached, gives.
+func TestShapeFamilyCompilesOnce(t *testing.T) {
+	store := eventsStore(t, 4096)
+	cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 100}
+	srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+	for k := 0; k < 32; k++ {
+		for l := 1; l <= 64; l++ {
+			body := fmt.Sprintf(`{"frontend":"sql","statement":"SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC LIMIT %d"}`, k, l)
+			got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", body))
+			fresh := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+			want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", body))
+			if got.RowCount != l {
+				t.Fatalf("%s: %d rows", body, got.RowCount)
+			}
+			queryEqual(t, got, want, body)
+		}
+	}
+	var stats struct {
+		PlanHits      int64 `json:"plan_cache_hits"`
+		PlanMisses    int64 `json:"plan_cache_miss"`
+		ResultHits    int64 `json:"result_cache_hits"`
+		ResultMisses  int64 `json:"result_cache_miss"`
+		SubplanReused int64 `json:"subplan_plans_reused"`
+	}
+	if err := json.Unmarshal(serve(t, srv, http.MethodGet, "/stats", ""), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.PlanMisses != 1 || stats.PlanHits != 2047 {
+		t.Errorf("plan cache: %d misses, %d hits; want 1 and 2047", stats.PlanMisses, stats.PlanHits)
+	}
+	if stats.ResultMisses != 2048 || stats.ResultHits != 0 {
+		t.Errorf("result cache: %d misses, %d hits; want 2048 and 0", stats.ResultMisses, stats.ResultHits)
+	}
+	if stats.SubplanReused == 0 {
+		t.Error("no statement reused the kind's shared prefix")
+	}
+}
