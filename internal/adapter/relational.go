@@ -179,7 +179,13 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		if !ok || len(order) == 0 {
 			return Value{}, info, fmt.Errorf("%w: sort without order_by", ErrBadNode)
 		}
-		if out, err = relational.Sort(ctx, in, order); err != nil {
+		// A sort under a LIMIT carries its n and keeps that many rows; one
+		// without sorts all of them.
+		limit := -1
+		if _, ok := n.Attrs["n"]; ok {
+			limit = int(n.IntAttr("n"))
+		}
+		if out, err = relational.Sort(ctx, in, order, limit); err != nil {
 			return Value{}, info, err
 		}
 		info.Native = "Sort"

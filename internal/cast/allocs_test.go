@@ -17,7 +17,7 @@ func TestSortByAllocBudget(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := b.SortBy(SortKey{Col: "k", Desc: true}, SortKey{Col: "id"}); err != nil {
+		if _, err := b.SortBy(-1, SortKey{Col: "k", Desc: true}, SortKey{Col: "id"}); err != nil {
 			t.Fatal(err)
 		}
 	})

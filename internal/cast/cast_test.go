@@ -271,7 +271,7 @@ func TestSortBy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sorted, err := b.SortBy(SortKey{Col: "k"})
+	sorted, err := b.SortBy(-1, SortKey{Col: "k"})
 	if err != nil {
 		t.Fatalf("SortBy: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestSortBy(t *testing.T) {
 	if vs[0] != "a" || vs[1] != "a2" {
 		t.Fatalf("sort not stable: %v", vs)
 	}
-	desc, err := b.SortBy(SortKey{Col: "k", Desc: true})
+	desc, err := b.SortBy(-1, SortKey{Col: "k", Desc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSortBy(t *testing.T) {
 	if dks[0] != 3 || dks[3] != 1 {
 		t.Fatalf("desc sort wrong: %v", dks)
 	}
-	if _, err := b.SortBy(SortKey{Col: "missing"}); !errors.Is(err, ErrColumnNotFound) {
+	if _, err := b.SortBy(-1, SortKey{Col: "missing"}); !errors.Is(err, ErrColumnNotFound) {
 		t.Fatalf("sort by missing column: %v", err)
 	}
 }

@@ -182,7 +182,7 @@ func TestPropertySortIsPermutationAndOrdered(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := randomBatch(rng, int(n)%100+1)
-		sorted, err := b.SortBy(SortKey{Col: "i"})
+		sorted, err := b.SortBy(-1, SortKey{Col: "i"})
 		if err != nil {
 			return false
 		}

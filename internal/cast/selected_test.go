@@ -223,7 +223,7 @@ func FuzzSelectedBatch(f *testing.F) {
 				got, want = g, w
 			case 6: // SortBy one column
 				key := SortKey{Col: got.Schema().Col(next() % got.Schema().Len()).Name, Desc: next()%2 == 0}
-				if got, err = got.SortBy(key); err != nil {
+				if got, err = got.SortBy(-1, key); err != nil {
 					t.Fatal(err)
 				}
 				want = eagerSort(t, want, key)

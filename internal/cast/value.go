@@ -2,6 +2,7 @@ package cast
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 )
@@ -92,23 +93,25 @@ type SortKey struct {
 }
 
 // SortBy returns the rows ordered by the given keys (lexicographically across
-// keys). The sort is stable. Each key column is resolved to a comparator over
-// its typed slice once, and the row-index vector is sorted with no boxing;
-// the result is Take of that permutation, so only the key columns are read.
-func (b *Batch) SortBy(keys ...SortKey) (*Batch, error) {
+// keys), ties kept in row order. Each key column is resolved to a comparator
+// over its typed slice once and row numbers are ordered with no boxing; the
+// result is Take of them, so only the key columns are read.
+//
+// A limit in [0, rows) keeps only the first limit rows of that order: one
+// pass holds the limit best row numbers in a heap, and no permutation of the
+// input is built. A negative limit, or one of at least rows, sorts all rows.
+func (b *Batch) SortBy(limit int, keys ...SortKey) (*Batch, error) {
 	cmps := make([]func(x, y int32) int, len(keys))
 	for i, k := range keys {
 		ci, err := b.schema.Index(k.Col)
 		if err != nil {
 			return nil, err
 		}
-		cmps[i] = b.Comparator(ci)
+		cmps[i] = b.keyComparator(ci)
 	}
-	order := make([]int32, b.rows)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(x, y int32) int {
+	// The row number breaks the last tie: the order is total, so any sort by
+	// it is the stable sort, and a heap by it keeps the stable sort's prefix.
+	rowCmp := func(x, y int32) int {
 		for i, cmp := range cmps {
 			if c := cmp(x, y); c != 0 {
 				if keys[i].Desc {
@@ -117,9 +120,44 @@ func (b *Batch) SortBy(keys ...SortKey) (*Batch, error) {
 				return c
 			}
 		}
-		return 0
-	})
+		return int(x) - int(y)
+	}
+	n := b.rows
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if 0 < n && n < b.rows {
+		// A max-heap of the best n rows so far; a later row displaces its
+		// root only when it sorts before it.
+		for i := n/2 - 1; i >= 0; i-- {
+			siftDown(order, i, rowCmp)
+		}
+		for r := int32(n); int(r) < b.rows; r++ {
+			if rowCmp(r, order[0]) < 0 {
+				order[0] = r
+				siftDown(order, 0, rowCmp)
+			}
+		}
+	}
+	slices.SortStableFunc(order, rowCmp)
 	return b.Take(order), nil
+}
+
+// siftDown restores the max-heap property of h below i.
+func siftDown(h []int32, i int, cmp func(x, y int32) int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && cmp(h[c], h[c+1]) < 0 {
+			c++
+		}
+		if cmp(h[i], h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // Comparator returns the three-way ordering of rows x and y on column col,
@@ -140,6 +178,29 @@ func (b *Batch) Comparator(col int) func(x, y int32) int {
 	default:
 		v := c.bools
 		return func(x, y int32) int { return cmpBool(v[x], v[y]) }
+	}
+}
+
+// keyComparator is Comparator for a sort key, which needs a total order:
+// a float NaN, equal to nothing under CompareValues, sorts after every number
+// (so first descending, PostgreSQL's rule) and level with another NaN.
+// -0 and +0 stay equal.
+func (b *Batch) keyComparator(col int) func(x, y int32) int {
+	if b.schema.Col(col).Type != Float64 {
+		return b.Comparator(col)
+	}
+	v := b.col(col).flts
+	return func(x, y int32) int {
+		switch a, b := v[x], v[y]; {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		case a == b:
+			return 0
+		default: // a NaN on at least one side
+			return cmpBool(math.IsNaN(a), math.IsNaN(b))
+		}
 	}
 }
 

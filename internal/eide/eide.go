@@ -64,7 +64,12 @@ func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
 		case relational.StepProject:
 			cur = p.g.Add(ir.OpProject, engine, map[string]any{"items": st.Items}, cur)
 		case relational.StepSort:
-			cur = p.g.Add(ir.OpSort, engine, map[string]any{"order_by": st.OrderBy}, cur)
+			attrs := map[string]any{"order_by": st.OrderBy}
+			if st.LimitSlot >= 0 {
+				// The LIMIT's own hole: the sort keeps that many rows.
+				attrs["n"] = relational.Param{Slot: st.LimitSlot, Type: cast.Int64}
+			}
+			cur = p.g.Add(ir.OpSort, engine, attrs, cur)
 		case relational.StepLimit:
 			n := relational.Param{Slot: st.LimitSlot, Type: cast.Int64}
 			cur = p.g.Add(ir.OpLimit, engine, map[string]any{"n": n}, cur)

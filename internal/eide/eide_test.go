@@ -33,6 +33,20 @@ func TestSQLExpansion(t *testing.T) {
 	if sink.Kind != ir.OpLimit {
 		t.Fatalf("sink = %s", sink.Kind)
 	}
+	// The sort beneath the limit holds the limit's own hole, so it keeps
+	// only that many rows; a sort with no LIMIT holds none.
+	sort := g.MustNode(sink.Inputs[0])
+	if sort.Kind != ir.OpSort || sort.Attr("n") == nil || sort.Attr("n") != sink.Attr("n") {
+		t.Fatalf("sort n = %#v, limit n = %#v", sort.Attr("n"), sink.Attr("n"))
+	}
+	q := NewProgram()
+	full, err := q.SQL("db", "SELECT a FROM t ORDER BY a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := q.Graph().MustNode(full); n.Kind != ir.OpSort || n.Attr("n") != nil {
+		t.Fatalf("unlimited sort: %s holding n = %#v", n.Kind, n.Attr("n"))
+	}
 }
 
 func TestSQLExpansionJoinAndGroupBy(t *testing.T) {

@@ -4,6 +4,7 @@ package relational
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -106,5 +107,46 @@ func TestGroupByAllocBudget(t *testing.T) {
 	})
 	if allocs > groups+16 {
 		t.Fatalf("group-by of 10k rows into %d groups: %.0f allocations, budget %d", groups, allocs, groups+16)
+	}
+}
+
+// TestHostileLimitAllocatesNothingFromN: a sort told LIMIT 9223372036854775807
+// sizes nothing by the limit — the bounded top-K's heap holds min(n, rows)
+// rows, and n ≥ rows takes the full sort. Over 50 000 rows the kernel
+// allocates no more than the unlimited sort, and the statement no more than
+// plain ORDER BY v plus the limit step's view and bookkeeping (under 1 KiB).
+func TestHostileLimitAllocatesNothingFromN(t *testing.T) {
+	store := NewStore("db")
+	tab, err := store.CreateTable("t", allocBatch(t, 1, 8).Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.InsertBatch(allocBatch(t, 50_000, 8)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	in := tab.Snapshot()
+	order := []OrderItem{{Col: "value"}}
+	sortBytes := func(limit int) uint64 {
+		return allocatedBytes(func() {
+			if out, err := Sort(ctx, in, order, limit); err != nil || out.Rows() != 50_000 {
+				t.Fatalf("sort at limit %d: %v", limit, err)
+			}
+		})
+	}
+	if full, hostile := sortBytes(-1), sortBytes(math.MaxInt64); hostile > full {
+		t.Fatalf("Sort at LIMIT MaxInt64: %d bytes, the unlimited sort %d", hostile, full)
+	}
+	e := NewEngine(store)
+	queryBytes := func(sql string) uint64 {
+		return allocatedBytes(func() {
+			if out, _, err := e.Query(ctx, sql); err != nil || out.Rows() != 50_000 {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		})
+	}
+	plain := queryBytes("SELECT * FROM t ORDER BY value")
+	if hostile := queryBytes("SELECT * FROM t ORDER BY value LIMIT 9223372036854775807"); hostile > plain+1<<10 {
+		t.Fatalf("ORDER BY value LIMIT 9223372036854775807 over 50k rows: %d bytes, plain ORDER BY value %d", hostile, plain)
 	}
 }

@@ -94,7 +94,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats,
 		case StepSort:
 			stat.Kind, whole = "Sort", true
 			k = func(ctx context.Context, b *cast.Batch, _ int) (*cast.Batch, error) {
-				return Sort(ctx, b, st.OrderBy)
+				return Sort(ctx, b, st.OrderBy, st.N)
 			}
 		case StepLimit:
 			stat.Kind = fmt.Sprintf("Limit(%d)", st.N)

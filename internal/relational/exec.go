@@ -236,11 +236,11 @@ func MergeJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol s
 	if err != nil {
 		return nil, "", err
 	}
-	ls, err := left.SortBy(cast.SortKey{Col: BaseName(leftCol)})
+	ls, err := left.SortBy(-1, cast.SortKey{Col: BaseName(leftCol)})
 	if err != nil {
 		return nil, "", err
 	}
-	rs, err := right.SortBy(cast.SortKey{Col: BaseName(rightCol)})
+	rs, err := right.SortBy(-1, cast.SortKey{Col: BaseName(rightCol)})
 	if err != nil {
 		return nil, "", err
 	}
@@ -298,9 +298,11 @@ func MergeJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol s
 }
 
 // Sort returns in ordered by the ORDER BY items, whose columns are in's own
-// (they carry no table qualifier). The result is a permutation over in's
-// storage (cast.Batch.SortBy).
-func Sort(ctx context.Context, in *cast.Batch, order []OrderItem) (*cast.Batch, error) {
+// (they carry no table qualifier). A limit of n >= 0 — the statement's LIMIT —
+// returns only the first n rows of that order, found without sorting the rest;
+// -1 sorts everything. The result is a selection over in's storage
+// (cast.Batch.SortBy).
+func Sort(ctx context.Context, in *cast.Batch, order []OrderItem, limit int) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -308,7 +310,7 @@ func Sort(ctx context.Context, in *cast.Batch, order []OrderItem) (*cast.Batch, 
 	for _, o := range order {
 		keys = append(keys, cast.SortKey{Col: BaseName(o.Col), Desc: o.Desc})
 	}
-	return in.SortBy(keys...)
+	return in.SortBy(limit, keys...)
 }
 
 // Limit returns the first n rows of in — all of them when it has fewer — as a

@@ -73,7 +73,7 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 		{"group-by", cancelled, func(ctx context.Context) (any, error) {
 			return GroupBy(ctx, users, []string{"name"}, aggs, grouped, 1)
 		}},
-		{"sort", cancelled, func(ctx context.Context) (any, error) { return Sort(ctx, users, []OrderItem{{Col: "age"}}) }},
+		{"sort", cancelled, func(ctx context.Context) (any, error) { return Sort(ctx, users, []OrderItem{{Col: "age"}}, -1) }},
 		{"limit", cancelled, func(ctx context.Context) (any, error) { return Limit(ctx, users, 10) }},
 		{"chunked", cancelled, func(ctx context.Context) (any, error) {
 			return Chunked(ctx, users, 7, users.Schema(), nil, -1, func(*cast.Batch) error {

@@ -158,28 +158,28 @@ func BenchmarkSortBy50k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SortBy(cast.SortKey{Col: "val", Desc: true}, cast.SortKey{Col: "id"}); err != nil {
+		if _, err := in.SortBy(-1, cast.SortKey{Col: "val", Desc: true}, cast.SortKey{Col: "id"}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSortLimit50 is ORDER BY … LIMIT 50 out to the wire: sort the same
-// 50k rows, keep the first 50, encode them. Only the 50 are ever gathered.
+// BenchmarkSortLimit50 is ORDER BY … LIMIT 50 out to the wire as a statement
+// is served: the sort told the limit keeps the first 50 of the same 50k rows
+// (a bounded top-K, no full permutation), and they are encoded. Only the 50
+// are ever gathered.
 func BenchmarkSortLimit50(b *testing.B) {
 	in, err := benchTable(b).Snapshot().ViewRange(0, 50_000)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
+	order := []OrderItem{{Col: "val", Desc: true}, {Col: "id"}}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sorted, err := in.SortBy(cast.SortKey{Col: "val", Desc: true}, cast.SortKey{Col: "id"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		top, err := sorted.ViewRange(0, 50)
+		top, err := Sort(ctx, in, order, 50)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -406,11 +406,11 @@ func TestIndexScanMatchesFilteredSeqScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortedIdx, err := viaIndex.SortBy(cast.SortKey{Col: "uid"})
+	sortedIdx, err := viaIndex.SortBy(-1, cast.SortKey{Col: "uid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortedScan, err := viaScan.SortBy(cast.SortKey{Col: "uid"})
+	sortedScan, err := viaScan.SortBy(-1, cast.SortKey{Col: "uid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,11 +490,11 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	if viaHash.Rows() != viaMerge.Rows() {
 		t.Fatalf("hash join %d rows, merge join %d", viaHash.Rows(), viaMerge.Rows())
 	}
-	hs, err := viaHash.SortBy(cast.SortKey{Col: "oid"})
+	hs, err := viaHash.SortBy(-1, cast.SortKey{Col: "oid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := viaMerge.SortBy(cast.SortKey{Col: "oid"})
+	ms, err := viaMerge.SortBy(-1, cast.SortKey{Col: "oid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestSortAndLimit(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 500)
 	users, _ := s.Table("users")
-	sorted, err := Sort(ctx, users.Snapshot(), []OrderItem{{Col: "users.age", Desc: true}})
+	sorted, err := Sort(ctx, users.Snapshot(), []OrderItem{{Col: "users.age", Desc: true}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,19 @@ type Step struct {
 	Aggs      []AggSpec   // StepGroupBy
 	Items     []ProjItem  // StepProject
 	OrderBy   []OrderItem // StepSort
-	N         int         // StepLimit
-	// LimitSlot is the bind-vector slot holding N, or -1 (StepLimit; see
-	// SelectStmt.LimitSlot).
+	// N is the LIMIT (StepLimit, and StepSort, which keeps only the first N
+	// rows of its order; -1 there when the statement has none).
+	N int
+	// LimitSlot is the bind-vector slot holding N, or -1 (StepLimit and
+	// StepSort; see SelectStmt.LimitSlot).
 	LimitSlot int
 }
 
 // Steps lowers the statement to its stages in execution order: scan, one
 // join per JOIN clause, filter, then either group-by (plus a projection when
 // the select list is not exactly the group-by output) or the select-list
-// projection, sort, limit. It is the one place clause order is decided:
+// projection, sort, limit — the sort told the limit, so it keeps only that
+// many rows. It is the one place clause order is decided:
 // Engine.Query maps steps to kernels and the IR frontend (eide) maps them to
 // nodes, one for one. The steps are appended to dst, so a caller that lowers a
 // statement per request can keep the list off the heap.
@@ -76,7 +79,7 @@ func (s *SelectStmt) Steps(dst []Step) []Step {
 		steps = append(steps, Step{Kind: StepProject, Items: items})
 	}
 	if len(s.OrderBy) > 0 {
-		steps = append(steps, Step{Kind: StepSort, OrderBy: s.OrderBy})
+		steps = append(steps, Step{Kind: StepSort, OrderBy: s.OrderBy, N: s.Limit, LimitSlot: s.LimitSlot})
 	}
 	if s.Limit >= 0 {
 		steps = append(steps, Step{Kind: StepLimit, N: s.Limit, LimitSlot: s.LimitSlot})

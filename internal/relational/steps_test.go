@@ -43,7 +43,11 @@ func render(steps []Step) string {
 					keys[i] += "-"
 				}
 			}
-			out = append(out, "sort("+strings.Join(keys, ",")+")")
+			limit := ""
+			if st.N >= 0 {
+				limit = fmt.Sprintf(";%d", st.N)
+			}
+			out = append(out, "sort("+strings.Join(keys, ",")+limit+")")
 		case StepLimit:
 			out = append(out, fmt.Sprintf("limit(%d)", st.N))
 		}
@@ -65,7 +69,7 @@ func TestSteps(t *testing.T) {
 		{"SELECT * FROM t ORDER BY a DESC, t.b", "scan(t) sort(a-,t.b)"},
 		{"SELECT * FROM t LIMIT 0", "scan(t) limit(0)"},
 		{"SELECT a + 1 AS s FROM t WHERE a < 9 ORDER BY s LIMIT 3",
-			"scan(t?(a < 9)) filter(a < 9) project((a + 1)>s) sort(s) limit(3)"},
+			"scan(t?(a < 9)) filter(a < 9) project((a + 1)>s) sort(s;3) limit(3)"},
 		// Grouped: the select list equal to the group-by output needs nothing more.
 		{"SELECT count(*) AS n FROM t", "scan(t) group(;n)"},
 		{"SELECT g, count(*) AS n, max(a) AS m FROM t GROUP BY g", "scan(t) group(g;n,m)"},
@@ -77,7 +81,7 @@ func TestSteps(t *testing.T) {
 		{"SELECT count(*) AS n FROM t GROUP BY g", "scan(t) group(g;n) project(n>n)"},
 		{"SELECT h, g, sum(a) AS s FROM t GROUP BY g, h", "scan(t) group(g,h;s) project(h>h,g>g,s>s)"},
 		{"SELECT g + 1 AS k, min(a) AS m FROM t WHERE a != 2 GROUP BY g ORDER BY k DESC LIMIT 5",
-			"scan(t?(a != 2)) filter(a != 2) group(g;m) project((g + 1)>k,m>m) sort(k-) limit(5)"},
+			"scan(t?(a != 2)) filter(a != 2) group(g;m) project((g + 1)>k,m>m) sort(k-;5) limit(5)"},
 	} {
 		stmt, err := Parse(tc.sql)
 		if err != nil {
