@@ -79,19 +79,14 @@ func run(stmts []string, patients int, accel bool, level int, seed int64) error 
 	if err != nil {
 		return err
 	}
-	opts := []polystore.Option{
-		polystore.WithRelational("db-clinical", data.Relational),
-		polystore.WithTimeseries("ts-vitals", data.Timeseries),
-		polystore.WithText("txt-notes", data.Text),
-		polystore.WithStream("st-devices", data.Stream),
-		polystore.WithML("ml"),
-	}
+	opts := []polystore.Option{polystore.WithClinical(data)}
 	if accel {
 		opts = append(opts, polystore.WithAccelerators(hw.Coprocessor,
 			hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
 	}
 	sys := polystore.New(opts...)
-	nl := sys.NLTranslator("db-clinical", "ts-vitals", "txt-notes", "ml")
+	engines := data.Binding()
+	nl := sys.NLTranslator(engines)
 
 	for _, stmt := range stmts {
 		frontend, body, ok := strings.Cut(stmt, ":")
@@ -103,7 +98,7 @@ func run(stmts []string, patients int, accel bool, level int, seed int64) error 
 		switch strings.TrimSpace(strings.ToLower(frontend)) {
 		case "sql":
 			prog = sys.NewProgram()
-			if _, err := prog.SQL("db-clinical", body); err != nil {
+			if _, err := prog.SQL(engines.Relational, body); err != nil {
 				return err
 			}
 		case "nl":
@@ -115,7 +110,7 @@ func run(stmts []string, patients int, accel bool, level int, seed int64) error 
 			prog = p
 		case "text":
 			prog = sys.NewProgram()
-			prog.TextSearch("txt-notes", body, 10)
+			prog.TextSearch(engines.Text, body, 10)
 		default:
 			return fmt.Errorf("unknown frontend %q (want sql, nl, text)", frontend)
 		}

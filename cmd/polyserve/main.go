@@ -31,9 +31,6 @@ import (
 	"polystorepp"
 	"polystorepp/internal/datagen"
 	"polystorepp/internal/hw"
-	"polystorepp/internal/kvstore"
-	"polystorepp/internal/relational"
-	"polystorepp/internal/timeseries"
 )
 
 func usage() {
@@ -196,53 +193,34 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 		if err != nil {
 			return fmt.Errorf("generate clinical data: %w", err)
 		}
-		rel, ts := data.Relational, data.Timeseries
 		if recovering {
-			rel = relational.NewStore("db-clinical")
-			ts = timeseries.New("ts-vitals")
+			empty := datagen.NewClinical()
+			data.Relational, data.Timeseries = empty.Relational, empty.Timeseries
 		}
 		if bk != nil {
-			bk.Attach("db-clinical", rel)
-			bk.Attach("ts-vitals", ts)
+			bk.Attach(data.Relational.Name(), data.Relational)
+			bk.Attach(data.Timeseries.Name(), data.Timeseries)
 		}
-		opts = append(opts,
-			polystore.WithRelational("db-clinical", rel),
-			polystore.WithTimeseries("ts-vitals", ts),
-			polystore.WithText("txt-notes", data.Text),
-			polystore.WithStream("st-devices", data.Stream),
-			polystore.WithML("ml"),
-		)
-		cfg.DefaultSQLEngine = "db-clinical"
-		cfg.DefaultTextEngine = "txt-notes"
-		cfg.NL = polystore.NLBinding{
-			Relational: "db-clinical", Timeseries: "ts-vitals",
-			Text: "txt-notes", ML: "ml",
-		}
+		opts = append(opts, polystore.WithClinical(data))
+		cfg.NL = data.Binding()
+		cfg.DefaultSQLEngine, cfg.DefaultTextEngine = cfg.NL.Relational, cfg.NL.Text
 	}
 	if wantRetail {
 		data, err := datagen.GenerateRetail(rng, customers, txPerCustomer)
 		if err != nil {
 			return fmt.Errorf("generate retail data: %w", err)
 		}
-		rel, ts, kv := data.Relational, data.Timeseries, data.KV
 		if recovering {
-			rel = relational.NewStore("db-retail")
-			ts = timeseries.New("ts-clicks")
-			kv = kvstore.New("kv-events")
+			data = datagen.NewRetail()
 		}
 		if bk != nil {
-			bk.Attach("db-retail", rel)
-			bk.Attach("ts-clicks", ts)
-			bk.Attach("kv-events", kv)
+			bk.Attach(data.Relational.Name(), data.Relational)
+			bk.Attach(data.Timeseries.Name(), data.Timeseries)
+			bk.Attach(data.KV.Name(), data.KV)
 		}
-		opts = append(opts,
-			polystore.WithRelational("db-retail", rel),
-			polystore.WithTimeseries("ts-clicks", ts),
-			polystore.WithKV("kv-events", kv),
-		)
+		opts = append(opts, polystore.WithRetail(data))
 		if !wantClinical {
-			opts = append(opts, polystore.WithML("ml"))
-			cfg.DefaultSQLEngine = "db-retail"
+			cfg.DefaultSQLEngine = data.Relational.Name()
 		}
 	}
 	if bk != nil {

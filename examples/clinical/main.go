@@ -29,21 +29,12 @@ func run() error {
 		return err
 	}
 	sys := polystore.New(
-		polystore.WithRelational("db-clinical", data.Relational),
-		polystore.WithTimeseries("ts-vitals", data.Timeseries),
-		polystore.WithText("txt-notes", data.Text),
-		polystore.WithStream("st-devices", data.Stream),
-		polystore.WithML("ml"),
+		polystore.WithClinical(data),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
 	)
 
 	p := sys.NewProgram()
-	pred, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{
-		Relational: "db-clinical",
-		Timeseries: "ts-vitals",
-		Text:       "txt-notes",
-		ML:         "ml",
-	})
+	pred, err := eide.BuildClinicalPipeline(p, data.Binding())
 	if err != nil {
 		return err
 	}
@@ -67,7 +58,7 @@ func run() error {
 		rep.Latency*1e3, rep.Energy, rep.Migrations)
 
 	// The same question through the natural-language frontend (§IV-A-e).
-	nl := sys.NLTranslator("db-clinical", "ts-vitals", "txt-notes", "ml")
+	nl := sys.NLTranslator(data.Binding())
 	p2, rule, err := nl.Translate("Will patients have a long stay at the hospital when they exit the ICU?")
 	if err != nil {
 		return err

@@ -25,14 +25,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys := polystore.New(
-		polystore.WithRelational("db-clinical", data.Relational),
-		polystore.WithTimeseries("ts-vitals", data.Timeseries),
-		polystore.WithText("txt-notes", data.Text),
-		polystore.WithStream("st-devices", data.Stream),
-		polystore.WithML("ml"),
-	)
-	nl := sys.NLTranslator("db-clinical", "ts-vitals", "txt-notes", "ml")
+	sys := polystore.New(polystore.WithClinical(data))
+	nl := sys.NLTranslator(data.Binding())
 
 	questions := []string{
 		"How many patients are there?",

@@ -29,32 +29,30 @@ func run() error {
 		return err
 	}
 	sys := polystore.New(
-		polystore.WithRelational("db-retail", data.Relational),
-		polystore.WithTimeseries("ts-clicks", data.Timeseries),
-		polystore.WithKV("kv-events", data.KV),
-		polystore.WithML("ml"),
+		polystore.WithRetail(data),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU()),
 	)
+	db := data.Relational.Name()
 
 	p := sys.NewProgram()
 	g := p.Graph()
 	// Per-customer spend from the RDBMS (aggregated at the source engine).
-	spend, err := p.SQL("db-retail",
+	spend, err := p.SQL(db,
 		"SELECT cid AS tcid, sum(amount) AS spend, count(*) AS n_tx FROM transactions GROUP BY cid")
 	if err != nil {
 		return err
 	}
 	// Per-customer click-rate summary from the timeseries store.
-	clicks := g.Add(ir.OpTSWindow, "ts-clicks", map[string]any{"series_prefix": "clicks/"})
+	clicks := g.Add(ir.OpTSWindow, data.Timeseries.Name(), map[string]any{"series_prefix": "clicks/"})
 	// Customer master data.
-	cust, err := p.SQL("db-retail", "SELECT cid, segment, tenure_days FROM customers")
+	cust, err := p.SQL(db, "SELECT cid, segment, tenure_days FROM customers")
 	if err != nil {
 		return err
 	}
-	j1 := p.Join("db-retail", cust, spend, "cid", "tcid")
-	j2 := p.Join("db-retail", j1, clicks, "cid", "vpid")
+	j1 := p.Join(db, cust, spend, "cid", "tcid")
+	j2 := p.Join(db, j1, clicks, "cid", "vpid")
 	// Cluster customers on spend and click behaviour for offer targeting.
-	clusters := p.KMeans("ml", j2, []string{"spend", "n_tx", "rate_mean"}, 4, 20)
+	clusters := p.KMeans(datagen.MLEngine, j2, []string{"spend", "n_tx", "rate_mean"}, 4, 20)
 
 	res, rep, err := sys.Run(ctx, p)
 	if err != nil {

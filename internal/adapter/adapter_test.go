@@ -143,7 +143,7 @@ func TestRelationalErrors(t *testing.T) {
 	if _, _, err := a.Execute(ctx, node(ir.OpFilter, "db", nil), []Value{{}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("no input: %v", err)
 	}
-	if _, _, err := a.Execute(ctx, node(ir.OpKVGet, "db", nil), nil); !errors.Is(err, ErrUnsupported) {
+	if _, _, err := a.Execute(ctx, node(ir.OpKVScan, "db", nil), nil); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("unsupported: %v", err)
 	}
 }

@@ -90,23 +90,6 @@ func (a *Graph) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecIn
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Edges())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
-	case ir.OpGraphSubtree:
-		root := graphstore.NodeID(n.IntAttr("root"))
-		ids, err := a.store.Subtree(root, n.StringAttr("edge_type"), int(n.IntAttr("depth")))
-		if err != nil {
-			return Value{}, info, err
-		}
-		s := cast.MustSchema(cast.Column{Name: "node", Type: cast.Int64})
-		out := cast.NewBatch(s, len(ids))
-		for _, id := range ids {
-			if err := out.AppendRow(int64(id)); err != nil {
-				return Value{}, info, err
-			}
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Subtree(%d)", root)
-		return Value{Batch: out}, info, nil
-
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on graph engine", ErrUnsupported, n.Kind)
 	}
@@ -152,22 +135,6 @@ func (a *Text) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInf
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Len())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
-	case ir.OpTextPhrase:
-		ids, err := a.store.Phrase(n.StringAttr("phrase"))
-		if err != nil {
-			return Value{}, info, err
-		}
-		s := cast.MustSchema(cast.Column{Name: "doc_id", Type: cast.Int64})
-		out := cast.NewBatch(s, len(ids))
-		for _, id := range ids {
-			if err := out.AppendRow(id); err != nil {
-				return Value{}, info, err
-			}
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Phrase(%q)", n.StringAttr("phrase"))
-		return Value{Batch: out}, info, nil
-
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on text engine", ErrUnsupported, n.Kind)
 	}
@@ -205,25 +172,6 @@ func (a *Timeseries) Ingest(_ context.Context, w Ingest) error {
 func (a *Timeseries) Execute(ctx context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	switch n.Kind {
-	case ir.OpTSRange:
-		pts, err := a.store.Range(n.StringAttr("series"), n.IntAttr("from"), n.IntAttr("to"))
-		if err != nil {
-			return Value{}, info, err
-		}
-		ts, vals := make([]int64, len(pts)), make([]float64, len(pts))
-		for i, p := range pts {
-			ts[i], vals[i] = p.TS, p.Value
-		}
-		s := cast.MustSchema(cast.Column{Name: "ts", Type: cast.Timestamp}, cast.Column{Name: "value", Type: cast.Float64})
-		out, err := cast.BatchOf(s, ts, vals)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Range(%s)", n.StringAttr("series"))
-		info.Kernels = []KernelCall{{Class: hw.KProject, Work: hw.Work{Items: int64(len(pts)), Bytes: int64(len(pts)) * 16}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
 	case ir.OpTSWindow:
 		if prefix := n.StringAttr("series_prefix"); prefix != "" {
 			return a.entitySummary(prefix, info)
@@ -499,29 +447,9 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Len())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
-	case ir.OpKVGet:
-		return a.kvGet(n)
-
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on kv engine", ErrUnsupported, n.Kind)
 	}
-}
-
-// kvGet serves one point lookup.
-func (a *KV) kvGet(n *ir.Node) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
-	v, err := a.store.Get(n.StringAttr("key"))
-	if err != nil {
-		return Value{}, info, err
-	}
-	s := cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
-	out := cast.NewBatch(s, 1)
-	if err := out.AppendRow(n.StringAttr("key"), string(v)); err != nil {
-		return Value{}, info, err
-	}
-	info.RowsOut = 1
-	info.Native = fmt.Sprintf("Get(%q)", n.StringAttr("key"))
-	return Value{Batch: out}, info, nil
 }
 
 // --- ML adapter ---

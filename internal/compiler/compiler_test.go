@@ -212,7 +212,7 @@ func TestCompileDoesNotMutateInput(t *testing.T) {
 func figure2(t *testing.T) *ir.Graph {
 	t.Helper()
 	p := eide.NewProgram()
-	if _, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{Relational: "db", Timeseries: "ts", ML: "ml"}); err != nil {
+	if _, err := eide.BuildClinicalPipeline(p, eide.Binding{Relational: "db", Timeseries: "ts", ML: "ml"}); err != nil {
 		t.Fatal(err)
 	}
 	return p.Graph()

@@ -137,12 +137,12 @@ func TestSubtreesClosedOnly(t *testing.T) {
 	f := g.Add(ir.OpFilter, "db", map[string]any{"pred": relational.Bin{
 		Op: relational.OpGt, L: relational.ColRef{Name: "v"}, R: relational.Const{V: int64(1)},
 	}}, scan)
-	// Two consumers of the filter: sort and limit, merged by a union.
+	// Two consumers of the filter: sort and limit, merged by a join.
 	s := g.Add(ir.OpSort, "db", map[string]any{
 		"order_by": []relational.OrderItem{{Col: "v"}},
 	}, f)
 	l := g.Add(ir.OpLimit, "db", map[string]any{"n": int64(3)}, f)
-	g.Add(ir.OpUnion, "db", nil, s, l)
+	g.Add(ir.OpHashJoin, "db", map[string]any{"left_col": "v", "right_col": "v"}, s, l)
 
 	sts := subtreesOf(g)
 	for _, st := range sts {

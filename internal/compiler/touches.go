@@ -43,17 +43,11 @@ func newTouchAccum() *touchAccum {
 	return &touchAccum{tables: make(map[string]map[string]bool), whole: make(map[string]bool)}
 }
 
-// observe folds one node's storage reads into the accumulator, recursing
-// into loop bodies. It is deliberately conservative: any storage-reading
-// operator whose tables cannot be named statically widens its engine to
-// whole-engine versioning, and unknown operator kinds count as storage
-// reads.
+// observe folds one node's storage reads into the accumulator. It is
+// deliberately conservative: any storage-reading operator whose tables
+// cannot be named statically widens its engine to whole-engine versioning,
+// and unknown operator kinds count as storage reads.
 func (ta *touchAccum) observe(n *ir.Node) {
-	if n.Body != nil {
-		for _, bn := range n.Body.Nodes() {
-			ta.observe(bn)
-		}
-	}
 	if n.Engine == "" {
 		return // middleware nodes (migrations)
 	}

@@ -43,7 +43,7 @@ type crossEngineProgram struct {
 // one or two values; the small-valued ones keep the rows apart.
 func crossEnginePrograms(t *testing.T) []crossEngineProgram {
 	t.Helper()
-	cfg := eide.ClinicalConfig{Relational: "db-clinical", Timeseries: "ts-vitals", ML: "ml"}
+	cfg := eide.Binding{Relational: "db-clinical", Timeseries: "ts-vitals", ML: "ml"}
 	p := eide.NewProgram()
 	pred, err := eide.BuildClinicalPipeline(p, cfg)
 	if err != nil {

@@ -35,7 +35,7 @@ func figure2Case(t *testing.T) (*Runtime, *ir.Graph) {
 	rt.Register(adapter.NewTimeseries("ts-vitals", data.Timeseries))
 	rt.Register(adapter.NewML("ml", 7))
 	p := eide.NewProgram()
-	if _, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{
+	if _, err := eide.BuildClinicalPipeline(p, eide.Binding{
 		Relational: "db-clinical", Timeseries: "ts-vitals", ML: "ml",
 	}); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"polystorepp/internal/cast"
+	"polystorepp/internal/eide"
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/streamstore"
@@ -22,13 +23,18 @@ import (
 	"polystorepp/internal/timeseries"
 )
 
-// Clinical is the generated MIMIC-like dataset handle.
+// MLEngine names the ML engine instance both demo deployments train on. It
+// holds no data; it is named here beside the stores so that a deployment is
+// spelled in one place.
+const MLEngine = "ml"
+
+// Clinical is the generated MIMIC-like dataset handle. Each store is named
+// after the engine instance that serves it.
 type Clinical struct {
 	Relational *relational.Store // patients, admissions, stays
 	Timeseries *timeseries.Store // vitals/<pid>/hr, vitals/<pid>/spo2
 	Text       *textstore.Store  // clinical notes
 	Stream     *streamstore.Store
-	Patients   int
 }
 
 // PatientsSchema is the schema of the patients table.
@@ -72,17 +78,34 @@ var noteTerms = []string{
 	"deteriorating", "ventilator", "sedation", "recovery", "observation",
 }
 
-// GenerateClinical builds the full clinical dataset for n patients.
-// Labels (long_stay) are a noisy function of age, ICU hours and SpO2 so the
-// Figure 2 model has signal to learn.
-func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
-	c := &Clinical{
+// NewClinical returns the clinical deployment's stores, empty:
+// GenerateClinical fills them, and a restart over persisted state recovers
+// into them.
+func NewClinical() *Clinical {
+	return &Clinical{
 		Relational: relational.NewStore("db-clinical"),
 		Timeseries: timeseries.New("ts-vitals"),
 		Text:       textstore.New("txt-notes"),
 		Stream:     streamstore.New("st-devices"),
-		Patients:   n,
 	}
+}
+
+// Binding names the engines the clinical programs — the Figure 2 pipeline
+// and the natural-language templates — run on.
+func (c *Clinical) Binding() eide.Binding {
+	return eide.Binding{
+		Relational: c.Relational.Name(),
+		Timeseries: c.Timeseries.Name(),
+		Text:       c.Text.Name(),
+		ML:         MLEngine,
+	}
+}
+
+// GenerateClinical builds the full clinical dataset for n patients.
+// Labels (long_stay) are a noisy function of age, ICU hours and SpO2 so the
+// Figure 2 model has signal to learn.
+func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
+	c := NewClinical()
 	patients, err := c.Relational.CreateTable("patients", PatientsSchema())
 	if err != nil {
 		return nil, err
@@ -178,12 +201,12 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 	return c, nil
 }
 
-// Retail is the generated recommendation dataset (Figure 1).
+// Retail is the generated recommendation dataset (Figure 1). Each store is
+// named after the engine instance that serves it.
 type Retail struct {
 	Relational *relational.Store // customers, transactions
 	KV         *kvstore.Store    // external events: event/<cid>
 	Timeseries *timeseries.Store // clicks/<cid>/rate
-	Customers  int
 }
 
 // CustomersSchema is the customers table schema.
@@ -205,15 +228,20 @@ func TransactionsSchema() cast.Schema {
 	)
 }
 
-// GenerateRetail builds the recommendation dataset for n customers with
-// txPerCustomer transactions each.
-func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
-	r := &Retail{
+// NewRetail returns the retail deployment's stores, empty: GenerateRetail
+// fills them, and a restart over persisted state recovers into them.
+func NewRetail() *Retail {
+	return &Retail{
 		Relational: relational.NewStore("db-retail"),
 		KV:         kvstore.New("kv-events"),
 		Timeseries: timeseries.New("ts-clicks"),
-		Customers:  n,
 	}
+}
+
+// GenerateRetail builds the recommendation dataset for n customers with
+// txPerCustomer transactions each.
+func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
+	r := NewRetail()
 	customers, err := r.Relational.CreateTable("customers", CustomersSchema())
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@
 // heterogeneous programs from sub-programs in different paradigms — SQL for
 // relational stores, a Cypher-ish pattern language for graph stores, method
 // calls for timeseries/stream/text/ML work — and get back one annotated
-// data-flow graph (the IR of Figure 5) for the compiler.
+// data-flow graph (the IR of Figure 5) for the compiler. The built-in
+// programs — the Figure 2 pipeline and the natural-language templates —
+// target the engines a Binding names.
 package eide
 
 import (
@@ -184,38 +186,36 @@ type NLRule struct {
 	Build func(p *Program, m []string) (ir.NodeID, error)
 }
 
-// NLTranslator converts restricted natural-language questions into
-// heterogeneous programs, the SQLizer/Almond role the paper sketches.
-type NLTranslator struct {
-	rules []NLRule
-	// Engines used by built programs.
+// Binding names the engine instances the built-in programs run on.
+type Binding struct {
 	Relational string
 	Timeseries string
 	Text       string
 	ML         string
 }
 
-// NewNLTranslator returns a translator bound to engine instance names.
-func NewNLTranslator(relationalEngine, timeseriesEngine, textEngine, mlEngine string) *NLTranslator {
-	t := &NLTranslator{
-		Relational: relationalEngine,
-		Timeseries: timeseriesEngine,
-		Text:       textEngine,
-		ML:         mlEngine,
-	}
-	t.rules = []NLRule{
+// NLTranslator converts restricted natural-language questions into
+// heterogeneous programs, the SQLizer/Almond role the paper sketches.
+type NLTranslator struct {
+	rules []NLRule
+}
+
+// NewNLTranslator returns a translator whose programs run on the engines b
+// names.
+func NewNLTranslator(b Binding) *NLTranslator {
+	return &NLTranslator{rules: []NLRule{
 		{
 			Name:    "count-rows",
 			Pattern: regexp.MustCompile(`(?i)^how many (\w+)(?: are there)?\??$`),
 			Build: func(p *Program, m []string) (ir.NodeID, error) {
-				return p.SQL(t.Relational, fmt.Sprintf("SELECT count(*) AS n FROM %s", m[1]))
+				return p.SQL(b.Relational, fmt.Sprintf("SELECT count(*) AS n FROM %s", m[1]))
 			},
 		},
 		{
 			Name:    "average-by",
 			Pattern: regexp.MustCompile(`(?i)^(?:what is the )?average (\w+) of (\w+) by (\w+)\??$`),
 			Build: func(p *Program, m []string) (ir.NodeID, error) {
-				return p.SQL(t.Relational, fmt.Sprintf(
+				return p.SQL(b.Relational, fmt.Sprintf(
 					"SELECT %s, avg(%s) AS avg_%s FROM %s GROUP BY %s", m[3], m[1], m[1], m[2], m[3]))
 			},
 		},
@@ -223,28 +223,21 @@ func NewNLTranslator(relationalEngine, timeseriesEngine, textEngine, mlEngine st
 			Name:    "notes-mentioning",
 			Pattern: regexp.MustCompile(`(?i)^(?:find|which) notes mention(?:ing)? (.+?)\??$`),
 			Build: func(p *Program, m []string) (ir.NodeID, error) {
-				return p.TextSearch(t.Text, m[1], 20), nil
+				return p.TextSearch(b.Text, m[1], 20), nil
 			},
 		},
 		{
 			// The headline Figure 2 query: "Will patients have a long stay at
 			// the hospital (> 5 days) or short (<= 5 days) when they exit the
 			// ICU." Any phrasing containing "long stay" triggers the clinical
-			// pipeline template; the caller supplies the actual table/series
-			// names through BuildClinicalPipeline.
+			// pipeline template.
 			Name:    "icu-long-stay",
 			Pattern: regexp.MustCompile(`(?i)long stay`),
 			Build: func(p *Program, m []string) (ir.NodeID, error) {
-				return BuildClinicalPipeline(p, ClinicalConfig{
-					Relational: t.Relational,
-					Timeseries: t.Timeseries,
-					Text:       t.Text,
-					ML:         t.ML,
-				})
+				return BuildClinicalPipeline(p, b)
 			},
 		},
-	}
-	return t
+	}}
 }
 
 // Translate builds a program for the question, reporting the matched rule.
@@ -262,14 +255,6 @@ func (t *NLTranslator) Translate(question string) (*Program, string, error) {
 	return nil, "", fmt.Errorf("%w: no rule matches %q", ErrFrontend, question)
 }
 
-// ClinicalConfig names the engines of the MIMIC-like deployment.
-type ClinicalConfig struct {
-	Relational string
-	Timeseries string
-	Text       string
-	ML         string
-}
-
 // BuildClinicalPipeline assembles the Figure 2 heterogeneous program:
 //
 //	P = patient admission details          (relational)
@@ -277,26 +262,27 @@ type ClinicalConfig struct {
 //	S = vital signs from ICU devices       (timeseries windows)
 //	join P, N, S -> feature vectors -> train MLP -> predict
 //
-// It returns the prediction node. The schemas follow internal/datagen.
-func BuildClinicalPipeline(p *Program, cfg ClinicalConfig) (ir.NodeID, error) {
-	pNode, err := p.SQL(cfg.Relational, "SELECT pid, age, gender_male, prior_visits FROM patients")
+// on the relational, timeseries and ML engines b names. It returns the
+// prediction node. The schemas follow internal/datagen.
+func BuildClinicalPipeline(p *Program, b Binding) (ir.NodeID, error) {
+	pNode, err := p.SQL(b.Relational, "SELECT pid, age, gender_male, prior_visits FROM patients")
 	if err != nil {
 		return 0, err
 	}
-	nNode, err := p.SQL(cfg.Relational,
+	nNode, err := p.SQL(b.Relational,
 		"SELECT pid AS npid, sum(icu_hours) AS icu_hours, count(*) AS n_stays, max(long_stay) AS long_stay FROM stays GROUP BY pid")
 	if err != nil {
 		return 0, err
 	}
-	sNode := p.g.Add(ir.OpTSWindow, cfg.Timeseries, map[string]any{
+	sNode := p.g.Add(ir.OpTSWindow, b.Timeseries, map[string]any{
 		// Per-patient vitals summary (the adapter aggregates all series with
 		// the given prefix into one row per patient).
 		"series_prefix": "vitals/",
 		"agg":           "mean",
 	})
-	pn := p.Join(cfg.Relational, pNode, nNode, "pid", "npid")
-	pns := p.Join(cfg.Relational, pn, sNode, "pid", "vpid")
+	pn := p.Join(b.Relational, pNode, nNode, "pid", "npid")
+	pns := p.Join(b.Relational, pn, sNode, "pid", "vpid")
 	features := []string{"age", "gender_male", "prior_visits", "icu_hours", "n_stays", "hr_mean", "spo2_mean"}
-	model := p.Train(cfg.ML, pns, features, "long_stay", 32, 12, 64, 0.3)
-	return p.Predict(cfg.ML, model, pns, features), nil
+	model := p.Train(b.ML, pns, features, "long_stay", 32, 12, 64, 0.3)
+	return p.Predict(b.ML, model, pns, features), nil
 }

@@ -136,7 +136,7 @@ func TestBuilderNodes(t *testing.T) {
 }
 
 func TestNLTranslatorRules(t *testing.T) {
-	tr := NewNLTranslator("db", "ts", "txt", "ml")
+	tr := NewNLTranslator(Binding{Relational: "db", Timeseries: "ts", Text: "txt", ML: "ml"})
 	for q, wantRule := range map[string]string{
 		"How many stays are there?":                           "count-rows",
 		"how many patients":                                   "count-rows",
@@ -163,7 +163,7 @@ func TestNLTranslatorRules(t *testing.T) {
 
 func TestBuildClinicalPipelineShape(t *testing.T) {
 	p := NewProgram()
-	pred, err := BuildClinicalPipeline(p, ClinicalConfig{
+	pred, err := BuildClinicalPipeline(p, Binding{
 		Relational: "db", Timeseries: "ts", Text: "txt", ML: "ml",
 	})
 	if err != nil {

@@ -112,11 +112,12 @@ func E01Recommendation(scale int) (*Table, error) {
 		p := eide.NewProgram()
 		g := p.Graph()
 
-		custScan := g.Add(ir.OpScan, "db-retail", map[string]any{"table": "customers"})
-		txScan := g.Add(ir.OpScan, "db-retail", map[string]any{"table": "transactions"})
+		db := data.Relational.Name()
+		custScan := g.Add(ir.OpScan, db, map[string]any{"table": "customers"})
+		txScan := g.Add(ir.OpScan, db, map[string]any{"table": "transactions"})
 		aggEngine := "warehouse"
 		if v.pushdown {
-			aggEngine = "db-retail"
+			aggEngine = db
 		}
 		txAgg := g.Add(ir.OpGroupBy, aggEngine, map[string]any{
 			"group_cols": []string{"cid"},
@@ -131,7 +132,7 @@ func E01Recommendation(scale int) (*Table, error) {
 			{E: relational.ColRef{Name: "spend"}, Name: "spend"},
 			{E: relational.ColRef{Name: "n_tx"}, Name: "n_tx"},
 		}}, txAgg)
-		clicks := g.Add(ir.OpTSWindow, "ts-clicks", map[string]any{"series_prefix": "clicks/"})
+		clicks := g.Add(ir.OpTSWindow, data.Timeseries.Name(), map[string]any{"series_prefix": "clicks/"})
 		joined := g.Add(ir.OpHashJoin, "warehouse", map[string]any{"left_col": "cid", "right_col": "tcid"}, custScan, txAgg)
 		final := g.Add(ir.OpHashJoin, "warehouse", map[string]any{"left_col": "cid", "right_col": "vpid"}, joined, clicks)
 		_ = final
@@ -184,9 +185,7 @@ func E02Clinical(scale int) (*Table, error) {
 		}
 		rt := clinicalRuntime(data, accel)
 		p := eide.NewProgram()
-		pred, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{
-			Relational: "db-clinical", Timeseries: "ts-vitals", Text: "txt-notes", ML: "ml",
-		})
+		pred, err := eide.BuildClinicalPipeline(p, data.Binding())
 		if err != nil {
 			return nil, err
 		}
@@ -359,8 +358,9 @@ func E04CrossDBJoin(scale int) (*Table, error) {
 
 		p := eide.NewProgram()
 		g := p.Graph()
-		adm := g.Add(ir.OpScan, "db-clinical", map[string]any{"table": "admissions"})
-		admProj := g.Add(ir.OpProject, "db-clinical", map[string]any{"items": []relational.ProjItem{
+		db1 := data.Relational.Name()
+		adm := g.Add(ir.OpScan, db1, map[string]any{"table": "admissions"})
+		admProj := g.Add(ir.OpProject, db1, map[string]any{"items": []relational.ProjItem{
 			{E: relational.ColRef{Name: "pid"}, Name: "pid"},
 			{E: relational.ColRef{Name: "date"}, Name: "date"},
 		}}, adm)
@@ -368,8 +368,8 @@ func E04CrossDBJoin(scale int) (*Table, error) {
 		patProj := g.Add(ir.OpProject, "db2", map[string]any{"items": []relational.ProjItem{
 			{E: relational.ColRef{Name: "pid"}, Name: "ppid"},
 		}}, pats)
-		join := g.Add(ir.OpMergeJoin, "db-clinical", map[string]any{"left_col": "pid", "right_col": "ppid"}, admProj, patProj)
-		g.Add(ir.OpSort, "db-clinical", map[string]any{"order_by": []relational.OrderItem{{Col: "date"}}}, join)
+		join := g.Add(ir.OpMergeJoin, db1, map[string]any{"left_col": "pid", "right_col": "ppid"}, admProj, patProj)
+		g.Add(ir.OpSort, db1, map[string]any{"order_by": []relational.OrderItem{{Col: "date"}}}, join)
 
 		res, rep, err := runProgram(ctx, rt, g, compiler.Options{Level: 3, Accel: v.accel, Transport: v.transport})
 		if err != nil {

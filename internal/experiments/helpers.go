@@ -15,11 +15,12 @@ import (
 
 // registerClinical wires the clinical dataset's engines into a runtime.
 func registerClinical(rt *core.Runtime, data *datagen.Clinical) {
-	rt.Register(adapter.NewRelational("db-clinical", relational.NewEngine(data.Relational)))
-	rt.Register(adapter.NewTimeseries("ts-vitals", data.Timeseries))
-	rt.Register(adapter.NewText("txt-notes", data.Text))
-	rt.Register(adapter.NewStream("st-devices", data.Stream))
-	rt.Register(adapter.NewML("ml", 7))
+	b := data.Binding()
+	rt.Register(adapter.NewRelational(b.Relational, relational.NewEngine(data.Relational)))
+	rt.Register(adapter.NewTimeseries(b.Timeseries, data.Timeseries))
+	rt.Register(adapter.NewText(b.Text, data.Text))
+	rt.Register(adapter.NewStream(data.Stream.Name(), data.Stream))
+	rt.Register(adapter.NewML(b.ML, 7))
 }
 
 // clinicalRuntime builds a runtime over the clinical dataset, optionally
@@ -36,11 +37,11 @@ func clinicalRuntime(data *datagen.Clinical, accel bool) *core.Runtime {
 
 // registerRetail wires the retail dataset plus a warehouse store.
 func registerRetail(rt *core.Runtime, data *datagen.Retail, warehouse *relational.Store) {
-	rt.Register(adapter.NewRelational("db-retail", relational.NewEngine(data.Relational)))
+	rt.Register(adapter.NewRelational(data.Relational.Name(), relational.NewEngine(data.Relational)))
 	rt.Register(adapter.NewRelational("warehouse", relational.NewEngine(warehouse)))
-	rt.Register(adapter.NewTimeseries("ts-clicks", data.Timeseries))
-	rt.Register(adapter.NewKV("kv-events", data.KV))
-	rt.Register(adapter.NewML("ml", 3))
+	rt.Register(adapter.NewTimeseries(data.Timeseries.Name(), data.Timeseries))
+	rt.Register(adapter.NewKV(data.KV.Name(), data.KV))
+	rt.Register(adapter.NewML(datagen.MLEngine, 3))
 }
 
 // registerExtraRelational registers one more relational engine.

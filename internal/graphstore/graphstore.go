@@ -1,9 +1,8 @@
 // Package graphstore implements the graph engine of the polystore (the
 // Neo4j role: path-finding, pattern matching). It stores a labeled property
 // graph in adjacency lists and executes the graph operators the paper's IR
-// taxonomy names (§III-A1): match, weighted shortest path and subtree
-// expansion; the Cypher-ish pattern frontend is provided by the EIDE
-// package.
+// taxonomy names (§III-A1): match and weighted shortest path; the
+// Cypher-ish pattern frontend is provided by the EIDE package.
 package graphstore
 
 import (
@@ -261,37 +260,4 @@ func (s *Store) ShortestPath(src, dst NodeID) ([]NodeID, float64, error) {
 		at = prev[at]
 	}
 	return path, dist[dst], nil
-}
-
-// Subtree returns all nodes reachable from root within maxDepth hops
-// (including root) — the IR's subtree operator.
-func (s *Store) Subtree(root NodeID, edgeType string, maxDepth int) ([]NodeID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.nodes[root]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoNode, root)
-	}
-	visited := map[NodeID]bool{root: true}
-	frontier := []NodeID{root}
-	for d := 0; d < maxDepth && len(frontier) > 0; d++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, e := range s.out[u] {
-				if edgeType != "" && e.Type != edgeType {
-					continue
-				}
-				if !visited[e.To] {
-					visited[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	out := make([]NodeID, 0, len(visited))
-	for id := range visited {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }

@@ -121,25 +121,6 @@ func TestShortestPath(t *testing.T) {
 	}
 }
 
-func TestSubtree(t *testing.T) {
-	s := diamond(t)
-	got, err := s.Subtree(1, "", 1)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("depth 1 = %v, %v", got, err)
-	}
-	got, err = s.Subtree(1, "", 2)
-	if err != nil || len(got) != 4 {
-		t.Fatalf("depth 2 = %v, %v", got, err)
-	}
-	got, err = s.Subtree(1, "admitted", 5)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("typed subtree = %v, %v", got, err)
-	}
-	if _, err := s.Subtree(99, "", 1); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("missing root: %v", err)
-	}
-}
-
 // Property: BFS hop count on a random DAG never exceeds Dijkstra path length
 // when all weights are 1 (they must be equal).
 func TestPropertyBFSMatchesUnitDijkstra(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // Hole). The serving layer keys its plan cache on this value (plus the
 // compiler options), so the hash must cover everything that changes the
 // compiled plan: node ids, kinds, engines, device pins, input wiring,
-// attributes with each hole's type, and loop bodies.
+// and attributes with each hole's type.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	g.writeCanonical(h)
@@ -53,11 +53,6 @@ func writeCanonicalNode(w io.Writer, n *Node, rank map[NodeID]int) {
 		fmt.Fprintf(w, "a%s=", k)
 		writeCanonicalValue(w, n.Attrs[k])
 		io.WriteString(w, ";")
-	}
-	if n.Body != nil {
-		io.WriteString(w, "body{")
-		n.Body.writeCanonical(w)
-		io.WriteString(w, "}")
 	}
 	io.WriteString(w, "\n")
 }

@@ -1,11 +1,11 @@
-// Package ir defines the hierarchical intermediate representation of
-// Polystore++ (§IV-B1 of the paper): a control-level DAG whose nodes are
-// operators annotated with the engine (and optionally the hardware device)
-// that executes them. Cross-engine edges imply data migration, exactly as in
-// the annotated data-flow graph of Figure 5. Control nodes (loops) carry a
-// nested body graph, giving the "hierarchical IR consisting of control nodes
-// [where] each control node may have a data-flow graph" design the paper
-// proposes.
+// Package ir defines the intermediate representation of Polystore++
+// (§IV-B1 of the paper): a flat annotated DAG whose nodes are operators
+// tagged with the engine (and optionally the hardware device) that executes
+// them. Cross-engine edges imply data migration, exactly as in the annotated
+// data-flow graph of Figure 5. Every declared operator kind is one some
+// frontend or compiler pass builds and some engine executes. The paper's
+// hierarchical IR — control nodes, each holding a nested data-flow graph — is
+// not implemented: nothing here loops or nests.
 package ir
 
 import (
@@ -31,40 +31,28 @@ const (
 	OpSort
 	OpGroupBy
 	OpLimit
-	_ // was the opaque-SQL kind; the slot stays so later kinds keep their numbers and fingerprints
 
 	// Graph.
 	OpGraphMatch
 	OpGraphPath
-	OpGraphSubtree
-	OpGraphNeighbors
-	OpPageRank
 
 	// Text.
 	OpTextSearch
-	OpTextPhrase
 
 	// Timeseries / stream.
-	OpTSRange
 	OpTSWindow
 	OpStreamWindow
 
 	// Key/value.
-	OpKVGet
 	OpKVScan
 
 	// ML/DL.
 	OpTrain
 	OpPredict
 	OpKMeans
-	OpGEMM
 
-	// Movement and control.
+	// Movement.
 	OpMigrate
-	OpLoop
-	OpUnion
-	OpMap
-	OpReduce
 )
 
 // opProps are the yes/no questions the middleware asks about an operator
@@ -81,7 +69,7 @@ const (
 	pure
 	// cacheable: output is a deterministic function of the dataflow inputs
 	// and the stores read at a fixed version vector — safe to memoize and
-	// replay. ML training (seeded RNG state), loops, graph/text/stream reads
+	// replay. ML training (seeded RNG state), graph/text/stream reads
 	// (not table-version-scoped today) and anything with side effects are
 	// not.
 	cacheable
@@ -107,32 +95,21 @@ var ops = [...]struct {
 	OpGroupBy:   {"group-by", relational | pure | cacheable | offloadable | partitioned},
 	OpLimit:     {"limit", relational | pure | cacheable},
 
-	OpGraphMatch:     {"graph-match", 0},
-	OpGraphPath:      {"graph-path", 0},
-	OpGraphSubtree:   {"graph-subtree", 0},
-	OpGraphNeighbors: {"graph-neighbors", 0},
-	OpPageRank:       {"page-rank", 0},
+	OpGraphMatch: {"graph-match", 0},
+	OpGraphPath:  {"graph-path", 0},
 
 	OpTextSearch: {"text-search", 0},
-	OpTextPhrase: {"text-phrase", 0},
 
-	OpTSRange:      {"ts-range", cacheable},
 	OpTSWindow:     {"ts-window", cacheable | offloadable | partitioned},
 	OpStreamWindow: {"stream-window", offloadable},
 
-	OpKVGet:  {"kv-get", cacheable},
 	OpKVScan: {"kv-scan", cacheable},
 
 	OpTrain:   {"train", pure | offloadable},
 	OpPredict: {"predict", pure | offloadable},
 	OpKMeans:  {"kmeans", pure | offloadable},
-	OpGEMM:    {"gemm", pure | offloadable},
 
 	OpMigrate: {"migrate", cacheable | offloadable},
-	OpLoop:    {"loop", 0},
-	OpUnion:   {"union", pure | cacheable},
-	OpMap:     {"map", pure},
-	OpReduce:  {"reduce", pure},
 }
 
 // String implements fmt.Stringer.
@@ -180,8 +157,6 @@ type Node struct {
 	Attrs map[string]any
 	// Inputs are the producing nodes, in argument order.
 	Inputs []NodeID
-	// Body is the nested data-flow graph of a control node (OpLoop).
-	Body *Graph
 }
 
 // Attr returns the named attribute (nil when absent).
@@ -339,8 +314,8 @@ func (g *Graph) Sinks() []NodeID {
 	return out
 }
 
-// Validate checks structural invariants: known kinds, existing inputs,
-// acyclicity, and recursively validates loop bodies.
+// Validate checks structural invariants: known kinds, existing inputs and
+// acyclicity.
 func (g *Graph) Validate() error {
 	for _, n := range g.nodes {
 		if !n.Kind.Valid() {
@@ -349,14 +324,6 @@ func (g *Graph) Validate() error {
 		for _, in := range n.Inputs {
 			if _, ok := g.nodes[in]; !ok {
 				return fmt.Errorf("%w: node %d reads missing node %d", ErrValidate, n.ID, in)
-			}
-		}
-		if n.Kind == OpLoop {
-			if n.Body == nil {
-				return fmt.Errorf("%w: loop node %d has no body", ErrValidate, n.ID)
-			}
-			if err := n.Body.Validate(); err != nil {
-				return fmt.Errorf("loop node %d body: %w", n.ID, err)
 			}
 		}
 	}
@@ -452,9 +419,6 @@ func (g *Graph) Clone() *Graph {
 		}
 		for k, v := range n.Attrs {
 			cp.Attrs[k] = v
-		}
-		if n.Body != nil {
-			cp.Body = n.Body.Clone()
 		}
 		out.nodes[id] = cp
 	}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -64,21 +65,6 @@ func TestValidate(t *testing.T) {
 	bad2.Add(OpKind(999), "db", nil)
 	if err := bad2.Validate(); !errors.Is(err, ErrValidate) {
 		t.Fatalf("invalid kind: %v", err)
-	}
-	// Loop without body.
-	bad3 := NewGraph()
-	bad3.Add(OpLoop, "", nil)
-	if err := bad3.Validate(); !errors.Is(err, ErrValidate) {
-		t.Fatalf("loop without body: %v", err)
-	}
-	// Loop with valid body validates recursively.
-	ok := NewGraph()
-	body := NewGraph()
-	body.Add(OpScan, "db", nil)
-	loop := ok.Add(OpLoop, "", nil)
-	ok.MustNode(loop).Body = body
-	if err := ok.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -176,10 +162,15 @@ func TestOpKindStrings(t *testing.T) {
 	if OpKind(999).Valid() || OpKind(0).Valid() || !OpTrain.Valid() {
 		t.Fatal("Valid wrong")
 	}
-	// The slot of the deleted opaque-SQL kind is reserved, not a kind; an
-	// undeclared kind has no name and no property.
-	if reserved := OpLimit + 1; reserved.Valid() || reserved.String() != "OpKind(10)" || reserved.Pure() {
-		t.Fatalf("reserved slot: valid=%t name=%q", reserved.Valid(), reserved)
+	// Every declared kind has a name; the first undeclared one has no name
+	// and no property.
+	for k := OpScan; k < OpKind(len(ops)); k++ {
+		if !k.Valid() {
+			t.Fatalf("declared kind %d has no name", int(k))
+		}
+	}
+	if past := OpKind(len(ops)); past.Valid() || past.String() != fmt.Sprintf("OpKind(%d)", len(ops)) || past.Pure() {
+		t.Fatalf("undeclared kind: valid=%t name=%q", past.Valid(), past)
 	}
 	if !OpFilter.Partitioned() || OpSort.Partitioned() || OpKind(999).Cacheable() {
 		t.Fatal("properties wrong")
@@ -196,7 +187,7 @@ func TestPropertyRandomDAG(t *testing.T) {
 		g := NewGraph()
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.Add(OpMap, "e", nil)
+			ids[i] = g.Add(OpFilter, "e", nil)
 		}
 		hidden := rng.Perm(n)
 		for k := 1; k < n; k++ {

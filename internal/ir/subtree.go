@@ -41,9 +41,6 @@ type SubtreeFP struct {
 // DAG sharing is captured exactly: a producer consumed twice inside the
 // closure appears once, with both consumers wiring to its rank, so a
 // diamond never hashes equal to a tree that duplicates the shared node.
-// Loop bodies hash through the absolute-id canonical form (bodies are
-// self-contained graphs with their own id space, so they are already
-// position independent at the node that carries them).
 //
 // The result depends only on the graph, so callers may memoize it per
 // graph; the compiler computes it once per Compile and stores the cacheable

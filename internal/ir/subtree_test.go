@@ -114,14 +114,14 @@ func TestSubtreeFingerprintDAGSharing(t *testing.T) {
 	s := shared.Add(OpScan, "db", map[string]any{"table": "t"})
 	f1 := shared.Add(OpFilter, "db", map[string]any{"n": int64(1)}, s)
 	f2 := shared.Add(OpFilter, "db", map[string]any{"n": int64(2)}, s)
-	sr := shared.Add(OpUnion, "db", nil, f1, f2)
+	sr := shared.Add(OpHashJoin, "db", nil, f1, f2)
 
 	split := NewGraph()
 	sa := split.Add(OpScan, "db", map[string]any{"table": "t"})
 	sb := split.Add(OpScan, "db", map[string]any{"table": "t"})
 	g1 := split.Add(OpFilter, "db", map[string]any{"n": int64(1)}, sa)
 	g2 := split.Add(OpFilter, "db", map[string]any{"n": int64(2)}, sb)
-	pr := split.Add(OpUnion, "db", nil, g1, g2)
+	pr := split.Add(OpHashJoin, "db", nil, g1, g2)
 
 	sfp, err := shared.SubtreeFingerprints()
 	if err != nil {
@@ -176,7 +176,7 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 		build := func(attrOf func(i int) any, skipEdge bool) *Graph {
 			g := NewGraph()
 			ids := []NodeID{g.Add(OpScan, "db", map[string]any{"table": "t"})}
-			kinds := []OpKind{OpFilter, OpProject, OpSort, OpLimit, OpUnion}
+			kinds := []OpKind{OpFilter, OpProject, OpSort, OpLimit, OpHashJoin}
 			for i, b := range shape {
 				if len(ids) > 24 {
 					break
@@ -186,14 +186,14 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 				n := g.Add(kind, "db", map[string]any{"n": attrOf(i)}, in)
 				ids = append(ids, n)
 			}
-			// Tie every dangling tail into one union sink so the graph has a
-			// single root whose closure is the whole graph.
+			// Tie every dangling tail into one multi-input join sink so the
+			// graph has a single root whose closure is the whole graph.
 			sinks := g.Sinks()
 			if len(sinks) > 1 {
 				if skipEdge {
 					sinks = sinks[:len(sinks)-1]
 				}
-				ids = append(ids, g.Add(OpUnion, "db", nil, sinks...))
+				ids = append(ids, g.Add(OpHashJoin, "db", nil, sinks...))
 			}
 			return g
 		}
@@ -284,7 +284,7 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 			}
 		}
 
-		// Wiring mutation (dropping one union edge) changes the root hash
+		// Wiring mutation (dropping one sink edge) changes the root hash
 		// whenever it changes the sink's input list.
 		g4 := build(literal(attr), true)
 		fp4, err := g4.SubtreeFingerprints()

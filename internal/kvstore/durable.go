@@ -104,15 +104,16 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 	if op == opDelete {
 		delete(sh.data, key)
 	} else {
-		sh.data[key] = append(sh.data[key], e)
-		sh.noteExpiry(e, s.now())
+		sh.put(key, e, s.now())
 	}
 	sh.version = shardVersion
 	return true, nil
 }
 
 // Snapshot writes the store's section: the shard count, then per shard its
-// mutation counter and every key's version list. Each shard is encoded
+// mutation counter and every key with its entry. The entry is written as a
+// list of one: stores that kept every superseded value wrote the whole list
+// there, and Restore still reads their sections. Each shard is encoded
 // under its read lock — so every (keys, counter) pair is a consistent cut,
 // the property Apply needs to skip records the snapshot covers — and
 // written after the lock is released, so a slow disk never stalls writers.
@@ -124,12 +125,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 		sh.mu.RLock()
 		enc.U64(sh.version)
 		enc.U32(uint32(len(sh.data)))
-		for k, vs := range sh.data {
+		for k, e := range sh.data {
 			enc.Str(k)
-			enc.U32(uint32(len(vs)))
-			for _, e := range vs {
-				encodeEntry(&enc, e)
-			}
+			enc.U32(1)
+			encodeEntry(&enc, e)
 		}
 		sh.mu.RUnlock()
 		if _, err := w.Write(enc.Bytes()); err != nil {
@@ -142,7 +141,9 @@ func (s *Store) Snapshot(w io.Writer) error {
 
 // Restore loads a Snapshot section into an empty store: entries verbatim,
 // shard counters to the persisted watermarks, expiry watermarks recomputed
-// from entries still in the future. Call before SetJournal.
+// from entries still in the future. Of a key's longer list, written by a
+// store that kept superseded values, the last entry is the key's value.
+// Call before SetJournal.
 func (s *Store) Restore(r io.Reader) error {
 	d := cast.NewDecoder(r)
 	if n := d.U32(); d.Err() == nil && n != numShards {
@@ -153,19 +154,20 @@ func (s *Store) Restore(r io.Reader) error {
 		version := d.U64()
 		for k := d.U32(); k > 0 && d.Err() == nil; k-- {
 			key := d.Str()
-			var vs []Entry
-			for n := d.U32(); n > 0 && d.Err() == nil; n-- {
-				vs = append(vs, decodeEntry(d))
+			n := d.U32()
+			var e Entry
+			for j := n; j > 0 && d.Err() == nil; j-- {
+				e = decodeEntry(d)
 			}
 			if d.Err() != nil {
 				break
 			}
+			if n == 0 {
+				continue
+			}
 			sh := s.shardFor(key)
 			sh.mu.Lock()
-			sh.data[key] = vs
-			for _, e := range vs {
-				sh.noteExpiry(e, now)
-			}
+			sh.put(key, e, now)
 			sh.mu.Unlock()
 		}
 		sh := &s.shards[i]

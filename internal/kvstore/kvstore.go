@@ -1,7 +1,8 @@
 // Package kvstore implements the key/value engine of the polystore (the
 // Accumulo/Redis role in Figure 1: external events and session state).
-// It provides versioned values, TTL expiry on a caller-supplied clock, and
-// prefix scans. All operations are safe for concurrent use.
+// It keeps one entry per key — the latest put, numbered by how many puts the
+// key has seen — with TTL expiry on a caller-supplied clock, and prefix
+// scans. All operations are safe for concurrent use.
 //
 // Storage is hash-sharded: keys map onto fixed buckets, each with its own
 // lock, mutation counter, and expiry watermark, so point reads and writes on
@@ -28,7 +29,8 @@ var (
 	ErrExpired  = errors.New("kvstore: key expired")
 )
 
-// Entry is one stored version of a value.
+// Entry is a key's stored value: the latest put to the key, and Version,
+// the number of puts the key has seen. Superseded values are not kept.
 type Entry struct {
 	Value     []byte
 	Version   int64
@@ -44,9 +46,9 @@ const numShards = 16
 // shard is one hash bucket: an independently locked slice of the keyspace.
 type shard struct {
 	mu   sync.RWMutex
-	data map[string][]Entry // versions, ascending
-	// version counts this shard's mutations (puts, deletes, compactions);
-	// distinct from per-key entry versions. See Store.Version.
+	data map[string]Entry
+	// version counts this shard's mutations (puts, deletes); distinct from
+	// per-key entry versions. See Store.Version.
 	version uint64
 	// nextExpiry is the earliest ExpiresAt among this shard's TTL entries
 	// (zero when none expire). TTL expiry changes read results without a
@@ -54,8 +56,8 @@ type shard struct {
 	nextExpiry time.Time
 }
 
-// Store is an in-memory versioned KV store. The zero value is not usable;
-// construct with New.
+// Store is an in-memory KV store. The zero value is not usable; construct
+// with New.
 type Store struct {
 	name   string
 	now    func() time.Time
@@ -78,7 +80,7 @@ func WithClock(now func() time.Time) Option {
 func New(name string, opts ...Option) *Store {
 	s := &Store{name: name, now: time.Now}
 	for i := range s.shards {
-		s.shards[i].data = make(map[string][]Entry)
+		s.shards[i].data = make(map[string]Entry)
 	}
 	for _, o := range opts {
 		o(s)
@@ -109,30 +111,21 @@ func (s *Store) PutTTL(key string, value []byte, ttl time.Duration) int64 {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	versions := sh.data[key]
-	ver := int64(1)
-	if len(versions) > 0 {
-		ver = versions[len(versions)-1].Version + 1
-	}
 	own := make([]byte, len(value))
 	copy(own, value)
-	e := Entry{Value: own, Version: ver, WrittenAt: s.now()}
+	e := Entry{Value: own, Version: sh.data[key].Version + 1, WrittenAt: s.now()}
 	if ttl != 0 {
 		// A negative ttl stores an already-expired entry (dead on arrival,
 		// reads get ErrExpired) rather than falling through to "never
-		// expires". Only future expiries feed the shard watermark: a
-		// born-dead entry never changes visibility later, so the put's own
-		// version bump below covers it and the watermark stays an earliest
-		// *future* expiry.
+		// expires".
 		e.ExpiresAt = e.WrittenAt.Add(ttl)
-		sh.noteExpiry(e, e.WrittenAt)
 	}
-	sh.data[key] = append(versions, e)
+	sh.put(key, e, e.WrittenAt)
 	sh.version++
 	if j := s.journal.Load(); j != nil {
 		(*j)(record(opPut, key, sh.version, e))
 	}
-	return ver
+	return e.Version
 }
 
 // Version returns the store-wide monotonic mutation count: the sum of the
@@ -167,13 +160,28 @@ func (sh *shard) versionNow(now func() time.Time) uint64 {
 	// this watermark already.
 	if !sh.nextExpiry.IsZero() && !now().Before(sh.nextExpiry) {
 		sh.version++
-		sh.advanceExpiryLocked(now)
+		sh.advanceExpiryLocked(now())
 	}
 	return sh.version
 }
 
+// put makes e key's entry. When the entry it replaces held the shard's
+// expiry watermark, the watermark is recomputed: a superseded value's expiry
+// changes nothing a read sees, so it must not bump the version. Caller holds
+// the shard lock.
+func (sh *shard) put(key string, e Entry, now time.Time) {
+	old, had := sh.data[key]
+	sh.data[key] = e
+	if had && !old.ExpiresAt.IsZero() && old.ExpiresAt.Equal(sh.nextExpiry) {
+		sh.advanceExpiryLocked(now)
+	}
+	sh.noteExpiry(e, now)
+}
+
 // noteExpiry lowers the shard's expiry watermark to e's expiry when that is
-// still in the future. Caller holds the shard lock.
+// still in the future. Only future expiries feed the watermark: an entry
+// already expired never changes visibility later, so the version bump of the
+// mutation that stored it covers it. Caller holds the shard lock.
 func (sh *shard) noteExpiry(e Entry, now time.Time) {
 	if !e.ExpiresAt.IsZero() && now.Before(e.ExpiresAt) &&
 		(sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry)) {
@@ -184,22 +192,14 @@ func (sh *shard) noteExpiry(e Entry, now time.Time) {
 // advanceExpiryLocked recomputes the shard's earliest future ExpiresAt. All
 // entries already expired are covered by the version bump that triggered
 // this scan.
-func (sh *shard) advanceExpiryLocked(nowFn func() time.Time) {
-	now := nowFn()
+func (sh *shard) advanceExpiryLocked(now time.Time) {
 	sh.nextExpiry = time.Time{}
-	for _, versions := range sh.data {
-		for _, e := range versions {
-			if e.ExpiresAt.IsZero() || !now.Before(e.ExpiresAt) {
-				continue
-			}
-			if sh.nextExpiry.IsZero() || e.ExpiresAt.Before(sh.nextExpiry) {
-				sh.nextExpiry = e.ExpiresAt
-			}
-		}
+	for _, e := range sh.data {
+		sh.noteExpiry(e, now)
 	}
 }
 
-// Get returns the latest live value for key.
+// Get returns key's live value.
 func (s *Store) Get(key string) ([]byte, error) {
 	e, err := s.GetEntry(key)
 	if err != nil {
@@ -210,23 +210,22 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return out, nil
 }
 
-// GetEntry returns the latest live entry for key.
+// GetEntry returns key's live entry.
 func (s *Store) GetEntry(key string) (Entry, error) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	versions, ok := sh.data[key]
-	if !ok || len(versions) == 0 {
+	e, ok := sh.data[key]
+	if !ok {
 		return Entry{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	e := versions[len(versions)-1]
 	if !e.ExpiresAt.IsZero() && !s.now().Before(e.ExpiresAt) {
 		return Entry{}, fmt.Errorf("%w: %q", ErrExpired, key)
 	}
 	return e, nil
 }
 
-// Delete removes all versions of key. Deleting a missing key is a no-op.
+// Delete removes key. Deleting a missing key is a no-op.
 func (s *Store) Delete(key string) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -247,8 +246,7 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, versions := range sh.data {
-			e := versions[len(versions)-1]
+		for _, e := range sh.data {
 			if e.ExpiresAt.IsZero() || now.Before(e.ExpiresAt) {
 				n++
 			}
@@ -277,11 +275,10 @@ func (s *Store) ScanPrefix(prefix string) []string {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		for k, versions := range sh.data {
+		for k, e := range sh.data {
 			if !strings.HasPrefix(k, prefix) {
 				continue
 			}
-			e := versions[len(versions)-1]
 			if !e.ExpiresAt.IsZero() && !now.Before(e.ExpiresAt) {
 				continue
 			}
@@ -306,36 +303,4 @@ func (s *Store) ScanPrefix(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Compact drops expired versions and returns how many entries were removed.
-func (s *Store) Compact() int {
-	now := s.now()
-	removed := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		shardRemoved := 0
-		for k, versions := range sh.data {
-			kept := versions[:0]
-			for _, e := range versions {
-				if e.ExpiresAt.IsZero() || now.Before(e.ExpiresAt) {
-					kept = append(kept, e)
-				} else {
-					shardRemoved++
-				}
-			}
-			if len(kept) == 0 {
-				delete(sh.data, k)
-			} else {
-				sh.data[k] = kept
-			}
-		}
-		if shardRemoved > 0 {
-			sh.version++
-		}
-		removed += shardRemoved
-		sh.mu.Unlock()
-	}
-	return removed
 }

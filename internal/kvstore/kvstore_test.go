@@ -107,6 +107,24 @@ func TestVersionAdvancesOnTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestSupersededTTLDoesNotMoveVersion: once a put replaces a TTL entry, that
+// entry's expiry changes nothing a read sees, so crossing it must not bump
+// the version (and invalidate every cached result over the store).
+func TestSupersededTTLDoesNotMoveVersion(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := New("kv", WithClock(func() time.Time { return now }))
+	s.PutTTL("k", []byte("old"), 10*time.Second)
+	s.Put("k", []byte("new"))
+	v0 := s.Version()
+	now = now.Add(time.Minute)
+	if got := s.Version(); got != v0 {
+		t.Fatalf("superseded entry's expiry moved the version %d -> %d", v0, got)
+	}
+	if got, err := s.Get("k"); err != nil || string(got) != "new" {
+		t.Fatalf("Get = %q, %v", got, err)
+	}
+}
+
 func TestDelete(t *testing.T) {
 	s := New("kv")
 	s.Put("k", []byte("v"))
@@ -128,24 +146,6 @@ func TestScanPrefix(t *testing.T) {
 	got := s.ScanPrefix("user:")
 	if len(got) != 2 || got[0] != "user:1" || got[1] != "user:2" {
 		t.Fatalf("ScanPrefix = %v", got)
-	}
-}
-
-func TestCompact(t *testing.T) {
-	now := time.Unix(0, 0)
-	s := New("kv", WithClock(func() time.Time { return now }))
-	s.PutTTL("a", []byte("1"), time.Second)
-	s.Put("b", []byte("2"))
-	now = now.Add(5 * time.Second)
-	removed := s.Compact()
-	if removed != 1 {
-		t.Fatalf("removed = %d", removed)
-	}
-	if _, err := s.Get("b"); err != nil {
-		t.Fatalf("live key removed: %v", err)
-	}
-	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("expired key should be gone: %v", err)
 	}
 }
 

@@ -171,16 +171,7 @@ type Config struct {
 }
 
 // NLBinding names the engines the NL translator builds programs against.
-type NLBinding struct {
-	Relational string
-	Timeseries string
-	Text       string
-	ML         string
-}
-
-func (b NLBinding) enabled() bool {
-	return b != NLBinding{}
-}
+type NLBinding = eide.Binding
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -286,8 +277,8 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	if !cfg.DisableSingleFlight {
 		s.flight = newFlightGroup()
 	}
-	if cfg.NL.enabled() {
-		s.nl = eide.NewNLTranslator(cfg.NL.Relational, cfg.NL.Timeseries, cfg.NL.Text, cfg.NL.ML)
+	if cfg.NL != (NLBinding{}) {
+		s.nl = eide.NewNLTranslator(cfg.NL)
 	}
 	s.st, s.stats = newStatTable(s)
 	s.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, false) })

@@ -32,11 +32,7 @@ func newTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Server {
 		t.Fatal(err)
 	}
 	sys := polystore.New(
-		polystore.WithRelational("db-clinical", data.Relational),
-		polystore.WithTimeseries("ts-vitals", data.Timeseries),
-		polystore.WithText("txt-notes", data.Text),
-		polystore.WithStream("st-devices", data.Stream),
-		polystore.WithML("ml"),
+		polystore.WithClinical(data),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
 	)
 	if cfg.DefaultSQLEngine == "" {

@@ -1,6 +1,6 @@
 // Package textstore implements the text engine of the polystore (the
 // "Text Store" of Figure 2 holding doctors' and nurses' notes): an inverted
-// index with TF-IDF ranking, conjunctive (AND) retrieval, and phrase search.
+// index with TF-IDF ranking and conjunctive (AND) retrieval.
 package textstore
 
 import (
@@ -26,10 +26,10 @@ type Doc struct {
 	Text   string
 }
 
-// posting records one document containing a term.
+// posting records one document containing a term, and how often.
 type posting struct {
-	doc       int64
-	positions []int32
+	doc int64
+	tf  int32
 }
 
 // Store is an inverted-index text store. Safe for concurrent use.
@@ -81,17 +81,17 @@ func (s *Store) Add(doc Doc) error {
 		d.Fields = map[string]string{}
 	}
 	s.docs[doc.ID] = &d
-	for pos, term := range Tokenize(doc.Text) {
+	for _, term := range Tokenize(doc.Text) {
 		ps := s.index[term]
 		if len(ps) > 0 && ps[len(ps)-1].doc == doc.ID {
-			ps[len(ps)-1].positions = append(ps[len(ps)-1].positions, int32(pos))
+			ps[len(ps)-1].tf++
 		} else {
 			// Postings stay sorted because removal rebuilds and IDs of new
 			// docs may arrive in any order: insert in place.
 			i := sort.Search(len(ps), func(j int) bool { return ps[j].doc >= doc.ID })
 			ps = append(ps, posting{})
 			copy(ps[i+1:], ps[i:])
-			ps[i] = posting{doc: doc.ID, positions: []int32{int32(pos)}}
+			ps[i] = posting{doc: doc.ID, tf: 1}
 		}
 		s.index[term] = ps
 	}
@@ -161,7 +161,7 @@ func (s *Store) Search(query string, k int) ([]Hit, error) {
 		}
 		idf := math.Log(1 + n/float64(len(ps)))
 		for _, p := range ps {
-			tf := 1 + math.Log(float64(len(p.positions)))
+			tf := 1 + math.Log(float64(p.tf))
 			scores[p.doc] += tf * idf
 			candidate[p.doc]++
 		}
@@ -182,57 +182,4 @@ func (s *Store) Search(query string, k int) ([]Hit, error) {
 		hits = hits[:k]
 	}
 	return hits, nil
-}
-
-// Phrase returns the IDs of documents containing the exact token sequence.
-func (s *Store) Phrase(phrase string) ([]int64, error) {
-	terms := Tokenize(phrase)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w: empty phrase", ErrQuery)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	first, ok := s.index[terms[0]]
-	if !ok {
-		return nil, nil
-	}
-	var out []int64
-	for _, p := range first {
-		if s.phraseAtLocked(p, terms) {
-			out = append(out, p.doc)
-		}
-	}
-	return out, nil
-}
-
-func (s *Store) phraseAtLocked(p posting, terms []string) bool {
-	for _, startPos := range p.positions {
-		match := true
-		for i := 1; i < len(terms); i++ {
-			ps, ok := s.index[terms[i]]
-			if !ok {
-				return false
-			}
-			j := sort.Search(len(ps), func(k int) bool { return ps[k].doc >= p.doc })
-			if j >= len(ps) || ps[j].doc != p.doc {
-				return false
-			}
-			want := startPos + int32(i)
-			found := false
-			for _, pos := range ps[j].positions {
-				if pos == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }

@@ -117,28 +117,6 @@ func TestSearchRankingAndK(t *testing.T) {
 	}
 }
 
-func TestPhrase(t *testing.T) {
-	s := seeded(t)
-	ids, err := s.Phrase("vital signs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 {
-		t.Fatalf("phrase hits = %v", ids)
-	}
-	ids, err = s.Phrase("signs vital") // reversed order: no match
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("reversed phrase = %v, %v", ids, err)
-	}
-	ids, err = s.Phrase("notpresent phrase")
-	if err != nil || ids != nil {
-		t.Fatalf("missing phrase = %v, %v", ids, err)
-	}
-	if _, err := s.Phrase(""); !errors.Is(err, ErrQuery) {
-		t.Fatalf("empty phrase: %v", err)
-	}
-}
-
 func TestManyDocsSearchStable(t *testing.T) {
 	s := New("txt")
 	for i := int64(0); i < 500; i++ {

@@ -19,6 +19,9 @@
 //	q, _ := p.SQL("db1", "SELECT pid, age FROM patients WHERE age > 60")
 //	_ = q
 //	res, report, _ := sys.Run(context.Background(), p)
+//
+// The demo deployments of Figures 1 and 2 are one option each, WithRetail
+// and WithClinical, over the stores internal/datagen generates and names.
 package polystore
 
 import (
@@ -30,6 +33,7 @@ import (
 	"polystorepp/internal/backend"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
+	"polystorepp/internal/datagen"
 	"polystorepp/internal/eide"
 	"polystorepp/internal/graphstore"
 	"polystorepp/internal/hw"
@@ -180,6 +184,33 @@ func WithKV(name string, s *kvstore.Store) Option {
 func WithML(name string) Option {
 	return func(sys *System) {
 		sys.pendingAdapters = append(sys.pendingAdapters, adapter.NewML(name, sys.seed))
+	}
+}
+
+// WithClinical registers the clinical demo deployment of Figure 2 (see
+// datagen.NewClinical): its relational, timeseries, text and stream stores,
+// each under the engine name it carries, and the ML engine. c.Binding names
+// the engines for the NL translator and the Figure 2 pipeline.
+func WithClinical(c *datagen.Clinical) Option {
+	return func(sys *System) {
+		b := c.Binding()
+		WithRelational(b.Relational, c.Relational)(sys)
+		WithTimeseries(b.Timeseries, c.Timeseries)(sys)
+		WithText(b.Text, c.Text)(sys)
+		WithStream(c.Stream.Name(), c.Stream)(sys)
+		WithML(b.ML)(sys)
+	}
+}
+
+// WithRetail registers the retail demo deployment of Figure 1 (see
+// datagen.NewRetail): its relational, timeseries and key/value stores, each
+// under the engine name it carries, and the ML engine.
+func WithRetail(r *datagen.Retail) Option {
+	return func(sys *System) {
+		WithRelational(r.Relational.Name(), r.Relational)(sys)
+		WithTimeseries(r.Timeseries.Name(), r.Timeseries)(sys)
+		WithKV(r.KV.Name(), r.KV)(sys)
+		WithML(datagen.MLEngine)(sys)
 	}
 }
 
@@ -349,8 +380,9 @@ func (sys *System) Serve(ctx context.Context, addr string, cfg ServeConfig) erro
 	return server.ListenAndServe(ctx, addr, server.New(sys.runtime, sys.opts, cfg))
 }
 
-// NLTranslator builds a natural-language query translator bound to the
-// given engine names (§IV-A-e).
-func (sys *System) NLTranslator(relationalEngine, timeseriesEngine, textEngine, mlEngine string) *eide.NLTranslator {
-	return eide.NewNLTranslator(relationalEngine, timeseriesEngine, textEngine, mlEngine)
+// NLTranslator builds a natural-language query translator (§IV-A-e) whose
+// programs run on the engines b names — for the clinical demo deployment,
+// datagen.Clinical.Binding.
+func (sys *System) NLTranslator(b NLBinding) *eide.NLTranslator {
+	return eide.NewNLTranslator(b)
 }

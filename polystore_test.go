@@ -20,14 +20,7 @@ func clinicalSystem(t testing.TB, n int, accel bool) (*System, *datagen.Clinical
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{
-		WithRelational("db-clinical", data.Relational),
-		WithTimeseries("ts-vitals", data.Timeseries),
-		WithText("txt-notes", data.Text),
-		WithStream("st-devices", data.Stream),
-		WithML("ml"),
-		WithSeed(7),
-	}
+	opts := []Option{WithClinical(data), WithSeed(7)}
 	if accel {
 		opts = append(opts, WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
 	}
@@ -77,12 +70,7 @@ func TestRunSimpleSQLProgram(t *testing.T) {
 func TestRunClinicalPipelineEndToEnd(t *testing.T) {
 	sys, data := clinicalSystem(t, 150, true)
 	p := sys.NewProgram()
-	pred, err := eide.BuildClinicalPipeline(p, eide.ClinicalConfig{
-		Relational: "db-clinical",
-		Timeseries: "ts-vitals",
-		Text:       "txt-notes",
-		ML:         "ml",
-	})
+	pred, err := eide.BuildClinicalPipeline(p, data.Binding())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +226,8 @@ func TestResultsAgreeAcrossOptLevels(t *testing.T) {
 }
 
 func TestNLTranslator(t *testing.T) {
-	sys, _ := clinicalSystem(t, 60, false)
-	tr := sys.NLTranslator("db-clinical", "ts-vitals", "txt-notes", "ml")
+	sys, data := clinicalSystem(t, 60, false)
+	tr := sys.NLTranslator(data.Binding())
 
 	p, rule, err := tr.Translate("How many patients are there?")
 	if err != nil || rule != "count-rows" {

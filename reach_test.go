@@ -41,19 +41,7 @@ func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 	}
 	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> name a reference must carry
 	used := map[string]bool{}       // "pkg.Name" for qualified and same-package idents, ".Name" for selections
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return fs.SkipDir // .git and the like hold no source
-		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := f.Name.Name
+	walkSource(t, func(path, pkg string, f *ast.File) {
 		skip := map[*ast.Ident]bool{} // declaring occurrences and selected names are not same-package references
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -91,11 +79,7 @@ func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dead []string
 	for sym, ref := range declared {
 		if _, allowed := reachAllow[sym]; !used[ref] && !allowed {
@@ -110,6 +94,102 @@ func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 		if ref, ok := declared[sym]; !ok || used[ref] {
 			t.Errorf("reachAllow names %s, which is not declared or is referenced now: drop the entry", sym)
 		}
+	}
+}
+
+// TestEveryOpKindIsBuilt holds the IR to the operators that run: every
+// ir.OpKind constant must be put into a graph by some non-test file, as the
+// kind argument of an Add call (a frontend building a node) or assigned to a
+// node's Kind (a compiler pass rewriting one). A kind no frontend or pass
+// builds is dead vocabulary every switch over kinds still has to answer.
+func TestEveryOpKindIsBuilt(t *testing.T) {
+	kinds := map[string]bool{} // declared OpKind constant -> built by a non-test file
+	built := map[string]bool{}
+	walkSource(t, func(path, pkg string, f *ast.File) {
+		// opKind names the OpKind constant e denotes: ir.OpX anywhere, OpX
+		// inside package ir.
+		opKind := func(e ast.Expr) string {
+			switch e := e.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && x.Name == "ir" {
+					return e.Sel.Name
+				}
+			case *ast.Ident:
+				if pkg == "ir" {
+					return e.Name
+				}
+			}
+			return ""
+		}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST && pkg == "ir" {
+				typed := false // within a const block, a spec without type or value repeats the last
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if vs.Type != nil || vs.Values != nil {
+						id, ok := vs.Type.(*ast.Ident)
+						typed = ok && id.Name == "OpKind"
+					}
+					for _, name := range vs.Names {
+						if typed && name.Name != "_" {
+							kinds[name.Name] = true
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" && len(n.Args) > 0 {
+					built[opKind(n.Args[0])] = true
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Kind" && i < len(n.Rhs) {
+						built[opKind(n.Rhs[i])] = true
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(kinds) == 0 {
+		t.Fatal("found no ir.OpKind constants: the declaration moved out of this test's sight")
+	}
+	var unbuilt []string
+	for k := range kinds {
+		if !built[k] {
+			unbuilt = append(unbuilt, k)
+		}
+	}
+	sort.Strings(unbuilt)
+	for _, k := range unbuilt {
+		t.Errorf("ir.%s is declared but no non-test file builds it (Add(ir.%s, …) or .Kind = ir.%s): delete it, or give it a frontend", k, k, k)
+	}
+}
+
+// walkSource parses every non-test Go file of the repository and hands it to
+// visit with its path and package name.
+func walkSource(t *testing.T, visit func(path, pkg string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git and the like hold no source
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(path, f.Name.Name, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
