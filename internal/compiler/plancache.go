@@ -55,11 +55,19 @@ func Key(g *ir.Graph, opts Options) string {
 // already fingerprints the graph for its result cache and must not hash it
 // twice per request.
 func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*Plan, bool, error) {
+	return c.GetOrCompileBound(key, g, g.Binds(), opts)
+}
+
+// GetOrCompileBound is GetOrCompileKeyed with the bind vector apart from the
+// graph: the plan returned executes with binds, whatever g carries. A caller
+// that keeps one template graph per shape compiles it on a miss and never
+// rebuilds it for a statement's constants.
+func (c *PlanCache) GetOrCompileBound(key string, g *ir.Graph, binds []any, opts Options) (*Plan, bool, error) {
 	c.mu.Lock()
 	if plan, ok := c.plans.Get(key); ok {
 		c.hits++
 		c.mu.Unlock()
-		return plan.WithBinds(g.Binds()), true, nil
+		return plan.WithBinds(binds), true, nil
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -75,7 +83,7 @@ func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*P
 	c.mu.Lock()
 	c.plans.Put(key, plan)
 	c.mu.Unlock()
-	return plan, false, nil
+	return plan.WithBinds(binds), false, nil
 }
 
 // Stats returns (hits, misses, current length).

@@ -89,3 +89,33 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("different graphs share a fingerprint")
 	}
 }
+
+// TestPlanCacheSharedTemplateConcurrent: one template graph, compiled again
+// and again by goroutines whose two keys evict each other from a one-entry
+// cache, while others are handed copies bound to their own constants.
+func TestPlanCacheSharedTemplateConcurrent(t *testing.T) {
+	c := NewPlanCache(1)
+	template := cacheTestGraph("t")
+	opts := Options{Level: 3, Accel: true}
+	keys := []string{Key(template, opts), "other"}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				binds := []any{int64(i), int64(j)}
+				plan, _, err := c.GetOrCompileBound(keys[j%2], template, binds, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if plan.Binds[0] != binds[0] || plan.Binds[1] != binds[1] {
+					t.Errorf("plan bound to %v, want %v", plan.Binds, binds)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}

@@ -23,7 +23,7 @@ import (
 	"polystorepp/internal/relational"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/predict.golden from this build")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/predict.golden and testdata/lowering_statements.txt from this build")
 
 const predictGolden = "testdata/predict.golden"
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -260,6 +261,31 @@ func TestNativeEqualsServed(t *testing.T) {
 					len(gotRows), len(wantRows), firstDiff(gotRows, wantRows))
 			}
 		}
+	}
+}
+
+// loweringStatementsFile holds the statements TestNativeEqualsServed runs —
+// the corpus, then the 300 generated from seed 31 — one a line, for suites of
+// other packages to serve (internal/server's TestPreparedEqualsParsed).
+const loweringStatementsFile = "testdata/lowering_statements.txt"
+
+// TestLoweringStatementsFile holds loweringStatementsFile to the statements
+// TestNativeEqualsServed runs; -update rewrites it.
+func TestLoweringStatementsFile(t *testing.T) {
+	stmts := append([]string(nil), loweringCorpus...)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 300; i++ {
+		stmts = append(stmts, generateStatement(rng))
+	}
+	text := strings.Join(stmts, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(loweringStatementsFile, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got, err := os.ReadFile(loweringStatementsFile); err != nil || string(got) != text {
+		t.Fatalf("%s is not the statements TestNativeEqualsServed runs (%v); rerun with -update", loweringStatementsFile, err)
 	}
 }
 

@@ -28,6 +28,9 @@ var (
 // not usable; construct with NewProgram.
 type Program struct {
 	g *ir.Graph
+	// valueShaped: some statement's literal shaped it by its value
+	// (relational.SelectStmt.ValueShaped).
+	valueShaped bool
 }
 
 // NewProgram returns an empty program.
@@ -35,6 +38,12 @@ func NewProgram() *Program { return &Program{g: ir.NewGraph()} }
 
 // Graph returns the program's IR graph.
 func (p *Program) Graph() *ir.Graph { return p.g }
+
+// ValueShaped reports whether a literal of one of the program's statements
+// shaped its graph by its value, not only its type
+// (relational.SelectStmt.ValueShaped): another statement differing from it
+// only in that constant builds another graph.
+func (p *Program) ValueShaped() bool { return p.valueShaped }
 
 // SQL adds a relational sub-program on the named engine. The statement is
 // parsed here (inter-subprogram checks happen in the compiler frontend) and
@@ -50,6 +59,7 @@ func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
 		return 0, fmt.Errorf("%w: %v", ErrFrontend, err)
 	}
 	p.g.SetBinds(binds)
+	p.valueShaped = p.valueShaped || stmt.ValueShaped
 	var cur ir.NodeID
 	var buf [8]relational.Step
 	for _, st := range stmt.Steps(buf[:0]) {

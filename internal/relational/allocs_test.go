@@ -150,3 +150,23 @@ func TestHostileLimitAllocatesNothingFromN(t *testing.T) {
 		t.Fatalf("ORDER BY value LIMIT 9223372036854775807 over 50k rows: %d bytes, plain ORDER BY value %d", hostile, plain)
 	}
 }
+
+// TestShapeAllocatesNothingPerToken: lexing a statement into its shape key
+// and bind vector, into buffers it fits, allocates nothing — token texts are
+// substrings of the statement, and integers in [0, 256) box for free.
+func TestShapeAllocatesNothingPerToken(t *testing.T) {
+	const sql = "SELECT id, value FROM events WHERE kind = 7 AND id-1 > 2 ORDER BY value DESC LIMIT 12"
+	key := make([]byte, 0, 256)
+	binds := make([]any, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if _, binds, err = Shape(key, sql, binds[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Shape: %.0f allocations, want 0", allocs)
+	}
+	if len(binds) != 4 {
+		t.Fatalf("binds = %v", binds)
+	}
+}

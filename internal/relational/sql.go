@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"polystorepp/internal/cast"
 )
@@ -58,6 +59,11 @@ type SelectStmt struct {
 	// LimitSlot is the bind-vector slot holding Limit when the statement was
 	// parsed lifted (ParseLifted), else -1.
 	LimitSlot int
+	// ValueShaped reports that a literal's value, not only its type, is part
+	// of the statement: a WHERE clause that is one literal, kept as a Const,
+	// or an unnamed select item, named after its literals as written. A
+	// statement differing from it only in such a constant parses differently.
+	ValueShaped bool
 }
 
 // --- Lexer ---
@@ -77,12 +83,26 @@ type token struct {
 	text string
 }
 
+// lexer cuts a statement into tokens whose text is a substring of it, so
+// lexing allocates nothing but a string literal holding invalid UTF-8.
 type lexer struct {
-	src []rune
+	src string
 	pos int
+	// operand reports whether the last token ends an operand — a column, a
+	// literal or a closing parenthesis. A '-' after one is the minus
+	// operator (id-1); anywhere else, before a digit, it is the sign of a
+	// number (id > -1, LIMIT -5).
+	operand bool
 }
 
 func (l *lexer) next() (token, error) {
+	t, err := l.scan()
+	l.operand = t.kind == tokNumber || t.kind == tokString || (t.kind == tokSymbol && t.text == ")") ||
+		(t.kind == tokIdent && !keyword(t.text) && !strings.EqualFold(t.text, "select"))
+	return t, err
+}
+
+func (l *lexer) scan() (token, error) {
 	for l.pos < len(l.src) && (l.src[l.pos] == ' ' || l.src[l.pos] == '\t' || l.src[l.pos] == '\n' || l.src[l.pos] == '\r') {
 		l.pos++
 	}
@@ -96,46 +116,165 @@ func (l *lexer) next() (token, error) {
 		for l.pos < len(l.src) && (isIdentStart(l.src[l.pos]) || isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: string(l.src[start:l.pos])}, nil
-	case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
+		return token{kind: tokIdent, text: l.src[start:l.pos]}, nil
+	case isDigit(c) || (c == '-' && !l.operand && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 		start := l.pos
 		l.pos++
 		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' || l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
 			l.pos++
 		}
-		return token{kind: tokNumber, text: string(l.src[start:l.pos])}, nil
+		return token{kind: tokNumber, text: l.src[start:l.pos]}, nil
 	case c == '\'':
-		l.pos++
-		start := l.pos
-		for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-			l.pos++
-		}
-		if l.pos >= len(l.src) {
+		start := l.pos + 1
+		end := strings.IndexByte(l.src[start:], '\'')
+		if end < 0 {
 			return token{}, fmt.Errorf("%w: unterminated string", ErrSQL)
 		}
-		s := string(l.src[start:l.pos])
-		l.pos++
+		s := l.src[start : start+end]
+		l.pos = start + end + 1
+		if !utf8.ValidString(s) {
+			s = string([]rune(s)) // each invalid byte reads as U+FFFD
+		}
 		return token{kind: tokString, text: s}, nil
 	default:
 		// Multi-char operators first.
-		two := ""
 		if l.pos+1 < len(l.src) {
-			two = string(l.src[l.pos : l.pos+2])
+			switch two := l.src[l.pos : l.pos+2]; two {
+			case "<=", ">=", "!=", "<>":
+				l.pos += 2
+				return token{kind: tokSymbol, text: two}, nil
+			}
 		}
-		switch two {
-		case "<=", ">=", "!=", "<>":
-			l.pos += 2
-			return token{kind: tokSymbol, text: two}, nil
+		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+		text := l.src[l.pos : l.pos+w]
+		if r == utf8.RuneError && w == 1 {
+			text = "\uFFFD"
 		}
-		l.pos++
-		return token{kind: tokSymbol, text: string(c)}, nil
+		l.pos += w
+		return token{kind: tokSymbol, text: text}, nil
 	}
 }
 
-func isIdentStart(c rune) bool {
+func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
-func isDigit(c rune) bool { return c >= '0' && c <= '9' }
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// keyword reports whether an identifier is a word reserved after SELECT, in
+// any case.
+func keyword(text string) bool {
+	var buf [6]byte
+	if len(text) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return reservedAfterSelect[string(buf[:len(text)])]
+}
+
+// Shape lexes a statement once, with the parser's own lexer, into its shape
+// key and its constants. It appends to dst the token stream with each literal
+// replaced by its type class, and to binds each literal converted as the
+// parser converts it (the LIMIT count as LIMIT does), in text order. A
+// literal the parser would refuse — a malformed number, a negative LIMIT — is
+// an error here too.
+//
+// Two statements with one key parse alike but for the constants their
+// literals stand for, provided one of them parses with every literal lifted
+// (ParseLifted's binds equal these) and no literal's value shaping it
+// (SelectStmt.ValueShaped): the parser reads no literal's value but to convert
+// it, name a column after it, or keep a WHERE that is only a literal. Shape
+// allocates nothing per token beyond growing dst and binds.
+func Shape(dst []byte, sql string, binds []any) ([]byte, []any, error) {
+	l := lexer{src: sql}
+	limit := false // the last token was the LIMIT keyword
+	for {
+		t, err := l.next()
+		if err != nil {
+			return dst, binds, err
+		}
+		var v any
+		switch t.kind {
+		case tokEOF:
+			return dst, binds, nil
+		case tokIdent:
+			if b, ok := boolLiteral(t.text); ok {
+				dst, v = append(dst, 'B'), b
+			} else {
+				dst = append(append(append(dst, 'I'), t.text...), ' ')
+			}
+		case tokSymbol:
+			dst = append(append(dst, 'S'), t.text...)
+		case tokString:
+			dst, v = append(dst, 'Q'), t.text
+		case tokNumber:
+			if limit {
+				n, err := limitCount(t.text)
+				if err != nil {
+					return dst, binds, err
+				}
+				v = int64(n)
+			} else if v, _, err = numberLiteral(t.text); err != nil {
+				return dst, binds, err
+			}
+			if _, ok := v.(float64); ok {
+				dst = append(dst, 'F')
+			} else {
+				dst = append(dst, 'N')
+			}
+		}
+		if v != nil {
+			binds = append(binds, v)
+		}
+		limit = t.kind == tokIdent && strings.EqualFold(t.text, "limit")
+	}
+}
+
+// boolLiteral reports whether an identifier is the literal true or false,
+// and which.
+func boolLiteral(text string) (value, ok bool) {
+	switch {
+	case strings.EqualFold(text, "true"):
+		return true, true
+	case strings.EqualFold(text, "false"):
+		return false, true
+	}
+	return false, false
+}
+
+// numberLiteral converts a number token: a float when it has a point or an
+// exponent, else an int64.
+func numberLiteral(text string) (any, cast.Type, error) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: bad number %q", ErrSQL, text)
+		}
+		return f, cast.Float64, nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: bad number %q", ErrSQL, text)
+	}
+	return i, cast.Int64, nil
+}
+
+// limitCount converts LIMIT's number token.
+func limitCount(text string) (int, error) {
+	n, err := strconv.Atoi(text)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad LIMIT %q", ErrSQL, text)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("%w: LIMIT wants a non-negative number, got %d", ErrSQL, n)
+	}
+	return n, nil
+}
 
 // --- Parser ---
 
@@ -149,7 +288,7 @@ type parser struct {
 }
 
 func newParser(sql string, lift bool, binds []any) (*parser, error) {
-	p := &parser{lex: &lexer{src: []rune(sql)}, lift: lift, binds: binds}
+	p := &parser{lex: &lexer{src: sql}, lift: lift, binds: binds}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -231,7 +370,8 @@ func Parse(sql string) (*SelectStmt, error) {
 // Param, and LIMIT's count a LimitSlot, for a slot appended to binds, in the
 // order the literals appear in the text. The one literal kept is a WHERE
 // clause that is nothing else: it has no shape to share. It returns binds
-// extended by the statement's constants.
+// extended by the statement's constants, and reports in the statement's
+// ValueShaped whether a literal's value shaped it all the same.
 func ParseLifted(sql string, binds []any) (*SelectStmt, []any, error) {
 	return parse(sql, true, binds)
 }
@@ -271,7 +411,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		}
 	} else {
 		for {
-			item, err := p.parseSelectItem()
+			item, err := p.parseSelectItem(stmt)
 			if err != nil {
 				return nil, err
 			}
@@ -329,6 +469,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		// which is no predicate. It was the last slot taken.
 		if prm, ok := stmt.Where.(Param); ok {
 			stmt.Where, p.binds = Const{V: p.binds[prm.Slot]}, p.binds[:prm.Slot]
+			stmt.ValueShaped = true
 		}
 	}
 	if p.isKeyword("group") {
@@ -393,9 +534,9 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		if p.cur.kind != tokNumber {
 			return nil, fmt.Errorf("%w: LIMIT wants a number", ErrSQL)
 		}
-		n, err := strconv.Atoi(p.cur.text)
+		n, err := limitCount(p.cur.text)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad LIMIT %q", ErrSQL, p.cur.text)
+			return nil, err
 		}
 		stmt.Limit = n
 		if p.lift {
@@ -412,7 +553,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	return stmt, nil
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
+func (p *parser) parseSelectItem(stmt *SelectStmt) (SelectItem, error) {
 	// Aggregate?
 	if p.cur.kind == tokIdent {
 		if fn, ok := aggNames[strings.ToLower(p.cur.text)]; ok {
@@ -463,6 +604,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			}
 		}
 	}
+	slots := len(p.binds)
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
@@ -488,6 +630,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			if named, err = bindExpr(e, p.binds); err != nil {
 				return SelectItem{}, err
 			}
+			stmt.ValueShaped = stmt.ValueShaped || len(p.binds) > slots
 		}
 		as = named.String()
 	}
@@ -622,18 +765,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if strings.ContainsAny(text, ".eE") {
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad number %q", ErrSQL, text)
-			}
-			return p.literal(f, cast.Float64), nil
-		}
-		i, err := strconv.ParseInt(text, 10, 64)
+		v, typ, err := numberLiteral(text)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad number %q", ErrSQL, text)
+			return nil, err
 		}
-		return p.literal(i, cast.Int64), nil
+		return p.literal(v, typ), nil
 	case tokString:
 		s := p.cur.text
 		if err := p.advance(); err != nil {
@@ -642,14 +778,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return p.literal(s, cast.String), nil
 	case tokIdent:
 		text := p.cur.text
-		lower := strings.ToLower(text)
-		if lower == "true" || lower == "false" {
+		if b, ok := boolLiteral(text); ok {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			return p.literal(lower == "true", cast.Bool), nil
+			return p.literal(b, cast.Bool), nil
 		}
-		if reservedAfterSelect[lower] {
+		if keyword(text) {
 			return nil, fmt.Errorf("%w: unexpected keyword %q in expression", ErrSQL, text)
 		}
 		if err := p.advance(); err != nil {

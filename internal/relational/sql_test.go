@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -314,4 +316,153 @@ func (s *Store) MustTable(t *testing.T, name string) *Table {
 		t.Fatal(err)
 	}
 	return tb
+}
+
+// TestParseMinusAfterOperand: a '-' after an operand — a column, a literal or
+// a closing parenthesis — is the minus operator, so id-1 reads as id - 1;
+// anywhere else, before a digit, it is the sign of a number.
+func TestParseMinusAfterOperand(t *testing.T) {
+	id := ColRef{Name: "id"}
+	lit := func(v int64) Expr { return Const{V: v} }
+	sub := func(l, r Expr) Expr { return Bin{Op: OpSub, L: l, R: r} }
+	for sql, want := range map[string]Expr{
+		"SELECT id-1 AS x FROM t":    sub(id, lit(1)),
+		"SELECT (id)-1 AS x FROM t":  sub(id, lit(1)),
+		"SELECT 2-1 AS x FROM t":     sub(lit(2), lit(1)),
+		"SELECT 'a'-1 AS x FROM t":   sub(Const{V: "a"}, lit(1)),
+		"SELECT id - -1 AS x FROM t": sub(id, lit(-1)),
+		"SELECT id--1 AS x FROM t":   sub(id, lit(-1)),
+		"SELECT -1 AS x FROM t":      lit(-1),
+		"select -1 as x from t":      lit(-1),
+		"SELECT id, -1 AS x FROM t":  lit(-1),
+	} {
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Errorf("%s: %v", sql, err)
+			continue
+		}
+		if got := stmt.Items[len(stmt.Items)-1].Expr; got != want {
+			t.Errorf("%s: item %v, want %v", sql, got, want)
+		}
+	}
+	for sql, want := range map[string]Expr{
+		"SELECT id FROM t WHERE id-1 > 0":            Bin{Op: OpGt, L: sub(id, lit(1)), R: lit(0)},
+		"SELECT id FROM t WHERE id>-1":               Bin{Op: OpGt, L: id, R: lit(-1)},
+		"SELECT id FROM t WHERE -1 < id":             Bin{Op: OpLt, L: lit(-1), R: id},
+		"SELECT id FROM t WHERE NOT -1 < id":         Not{E: Bin{Op: OpLt, L: lit(-1), R: id}},
+		"SELECT id FROM t WHERE id = 1 OR -1 = id-2": Bin{Op: OpOr, L: Bin{Op: OpEq, L: id, R: lit(1)}, R: Bin{Op: OpEq, L: lit(-1), R: sub(id, lit(2))}},
+	} {
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Errorf("%s: %v", sql, err)
+			continue
+		}
+		if stmt.Where != want {
+			t.Errorf("%s: where %v, want %v", sql, stmt.Where, want)
+		}
+	}
+}
+
+// TestParseNegativeLimit: LIMIT takes a count, never a sign; a negative one
+// is refused, not read as "no limit".
+func TestParseNegativeLimit(t *testing.T) {
+	for _, sql := range []string{"SELECT * FROM t LIMIT -5", "SELECT * FROM t ORDER BY a LIMIT -1"} {
+		for _, parse := range []func(string) error{
+			func(sql string) error { _, err := Parse(sql); return err },
+			func(sql string) error { _, _, err := ParseLifted(sql, nil); return err },
+		} {
+			if err := parse(sql); !errors.Is(err, ErrSQL) || !strings.Contains(err.Error(), "LIMIT wants a non-negative number") {
+				t.Errorf("%s: %v", sql, err)
+			}
+		}
+	}
+	if stmt, err := Parse("SELECT * FROM t LIMIT 0"); err != nil || stmt.Limit != 0 {
+		t.Fatalf("LIMIT 0: %+v, %v", stmt, err)
+	}
+}
+
+// TestShapeKeysTheParse: statements differing only in their constants share
+// a shape key and lex to the binds ParseLifted lifts; another type, another
+// token or a refused literal does not.
+func TestShapeKeysTheParse(t *testing.T) {
+	shape := func(sql string) (string, []any, error) {
+		key, binds, err := Shape(nil, sql, nil)
+		return string(key), binds, err
+	}
+	base, _, err := shape("SELECT id, value FROM events WHERE kind = 3 ORDER BY value DESC LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT id, value FROM events WHERE kind = 17 ORDER BY value DESC LIMIT 64",
+		"SELECT id, value FROM events WHERE kind = -4 ORDER BY value DESC LIMIT 0",
+		"SELECT id, value\nFROM events  WHERE kind=3 ORDER BY value DESC LIMIT 5",
+	} {
+		key, lexed, err := shape(sql)
+		if err != nil || key != base {
+			t.Errorf("%s: key %q (%v), want the shape of kind = 3", sql, key, err)
+		}
+		_, lifted, err := ParseLifted(sql, nil)
+		if err != nil || !reflect.DeepEqual(lexed, lifted) {
+			t.Errorf("%s: lexed %#v, ParseLifted %#v (%v)", sql, lexed, lifted, err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT id, value FROM events WHERE kind = 'a' ORDER BY value DESC LIMIT 5",
+		"SELECT id, value FROM events WHERE kind = 3.5 ORDER BY value DESC LIMIT 5",
+		"SELECT id, value FROM events WHERE kind = true ORDER BY value DESC LIMIT 5",
+		"SELECT id, value FROM events WHERE kind = 3 ORDER BY value DESC",
+		"SELECT id, value FROM events WHERE kind = 3 ORDER BY value ASC LIMIT 5",
+		"SELECT id, value FROM events WHERE kind <= 3 ORDER BY value DESC LIMIT 5",
+	} {
+		if key, _, err := shape(sql); err != nil || key == base {
+			t.Errorf("%s: shares the shape of kind = 3 (%v)", sql, err)
+		}
+	}
+	minus, _, _ := shape("SELECT id-1 AS x FROM t")
+	if spaced, _, _ := shape("SELECT id - 1 AS x FROM t"); minus != spaced {
+		t.Error("id-1 and id - 1 lex differently")
+	}
+	_, binds, err := shape("SELECT a, 'x' AS s FROM t WHERE b = TRUE AND c > 1e3 LIMIT 7")
+	if want := []any{"x", true, 1e3, int64(7)}; err != nil || !reflect.DeepEqual(binds, want) {
+		t.Errorf("binds %#v (%v), want %#v", binds, err, want)
+	}
+	for _, sql := range []string{
+		"SELECT * FROM t LIMIT -5",
+		"SELECT * FROM t LIMIT 1.5",
+		"SELECT * FROM t WHERE a = 1.2.3",
+		"SELECT * FROM t WHERE a = 99999999999999999999",
+		"SELECT * FROM t WHERE s = 'unterminated",
+	} {
+		if _, _, err := shape(sql); !errors.Is(err, ErrSQL) {
+			t.Errorf("%s: Shape accepted a literal the parser refuses (%v)", sql, err)
+		}
+		if _, err := Parse(sql); !errors.Is(err, ErrSQL) {
+			t.Errorf("%s: Parse accepted it (%v)", sql, err)
+		}
+	}
+}
+
+// TestValueShaped: ParseLifted reports the statements a literal's value
+// shapes — a lone-literal WHERE, an unnamed select item named after its
+// literal — and no other.
+func TestValueShaped(t *testing.T) {
+	for sql, want := range map[string]bool{
+		"SELECT value * 2 FROM events":                  true,
+		"SELECT id, 7 FROM events":                      true,
+		"SELECT id FROM events WHERE 1":                 true,
+		"SELECT id FROM events WHERE true":              true,
+		"SELECT value * 2 AS v FROM events":             false,
+		"SELECT value + id FROM events":                 false,
+		"SELECT id FROM events WHERE kind = 1 LIMIT 3":  false,
+		"SELECT count(*) FROM events WHERE value > 2.5": false,
+	} {
+		stmt, _, err := ParseLifted(sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if stmt.ValueShaped != want {
+			t.Errorf("%s: ValueShaped = %t, want %t", sql, stmt.ValueShaped, want)
+		}
+	}
 }

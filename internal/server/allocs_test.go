@@ -3,14 +3,17 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
+	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/relational"
 )
 
 // discardResponse is a ResponseWriter that keeps nothing, so what the test
@@ -47,5 +50,42 @@ func TestEmitBatchAllocBudget(t *testing.T) {
 	}
 	if got := s.st.streamRows.Value(); got < 1024 {
 		t.Fatalf("stream_rows = %d", got)
+	}
+}
+
+// TestPrepareShapeHitAllocBudget: a SQL statement whose shape was prepared
+// before is lexed once and keyed — no parse, no IR build, no fingerprint, no
+// touch analysis — so preparing it, everything after the body is decoded,
+// stays within 16 allocations (122 when every statement was parsed, built
+// and fingerprinted).
+func TestPrepareShapeHitAllocBudget(t *testing.T) {
+	store := relational.NewStore("db")
+	if _, err := store.CreateTable("events", cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "kind", Type: cast.Int64}, cast.Column{Name: "value", Type: cast.Float64})); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(hw.NewHostCPU())
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
+	s := New(rt, compiler.Options{Level: 3, Accel: true}, Config{DefaultSQLEngine: "db"})
+	ts := s.tenants.state("")
+	var reqs []QueryRequest
+	for kind := 0; kind < 32; kind++ {
+		reqs = append(reqs, QueryRequest{Frontend: "sql", Statement: fmt.Sprintf(
+			"SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC LIMIT %d", kind, 1+kind%64)})
+	}
+	i := 0
+	prepare := func() {
+		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
+		i++
+		if err := s.prepare(p, "", ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepare() // the shape's first statement is parsed and memoized
+	if allocs := testing.AllocsPerRun(200, prepare); allocs > 16 {
+		t.Fatalf("preparing a statement of a prepared shape: %.0f allocations, budget 16", allocs)
+	}
+	if hits := s.st.statementHits.Value(); hits < 200 {
+		t.Fatalf("statement_cache_hits = %d, want every statement after the first", hits)
 	}
 }

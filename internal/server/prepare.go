@@ -1,0 +1,334 @@
+package server
+
+import (
+	"fmt"
+	"net/http"
+	"slices"
+	"strconv"
+	"time"
+
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/eide"
+	"polystorepp/internal/ir"
+	"polystorepp/internal/relational"
+	"polystorepp/internal/tenant"
+)
+
+// The prepare path turns a request body into what the reuse layers key on:
+// the program's shape (a graph whose holes stand for its constants), its bind
+// vector, the options it compiles under, and the engines and tables it reads.
+// The parse, the IR build and the fingerprint depend on the statement's shape
+// alone, so a SQL statement of a shape prepared before skips all three: one
+// lexer pass (relational.Shape) turns it into a shape key and a bind vector,
+// and the statement cache maps the key to what the parse produced.
+
+// preparedQuery is the decoded-and-keyed preamble shared by /query and
+// /query/stream: the program, the per-request deadline, the effective
+// compiler options, and the cache keys.
+type preparedQuery struct {
+	req    QueryRequest
+	nlRule string
+	// graph is the program's shape — on a statement-cache hit the template
+	// every statement of the shape shares, which nothing writes — and binds
+	// the constants its holes stand for.
+	graph   *ir.Graph
+	binds   []any
+	timeout time.Duration
+	opts    compiler.Options
+	planKey string
+	touches compiler.Touches
+	vv      string
+	resKey  string
+
+	// Multi-tenancy: who the request runs for, at what priority, and the
+	// weighted-fair flow weight (tenant weight x class weight).
+	tenant string
+	class  tenant.Class
+	weight float64
+}
+
+// statement is one entry of the statement cache, the prepare path's memo:
+// what preparing a program yields beyond its constants. The cache is bounded
+// like the plan cache. A SQL request keys it on engine, compiler options,
+// partition fan-out and statement shape, and a hit skips the parse, the IR
+// build, the engine check, the fingerprint and the touch analysis. Every
+// other frontend builds its program and keys it on the plan key, which skips
+// the touch analysis (TouchesOf reads table names and engines, which the plan
+// key fingerprints). Touches are taken from the program as written, before
+// any compiler pass: the result-cache key must be derived identically on
+// cold and warm paths, and a pass that removes a scan must not split one
+// query across two keys.
+type statement struct {
+	planKey string
+	touches compiler.Touches
+	// graph is a SQL shape's template, its bind vector cleared; nil under a
+	// plan key, whose requests build their own program.
+	graph *ir.Graph
+}
+
+// prepareQuery decodes the request body and prepares it. On failure it
+// writes the error response and returns nil (nothing has been executed yet,
+// so plain HTTP status codes still apply on both the buffered and streaming
+// paths).
+func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenantState) *preparedQuery {
+	p := &preparedQuery{tenant: ts.id}
+	if !s.decodeBody(w, r, &p.req) {
+		return nil
+	}
+	if err := s.prepare(p, r.Header.Get(tenant.ClassHeader), ts); err != nil {
+		s.st.badRequest.Inc()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	return p
+}
+
+// prepare derives everything but the body from p.req: the priority class
+// (the body's, else classHeader's, else interactive), the deadline, the
+// compiler options, the program and the cache keys. Its errors are the
+// client's (400).
+func (s *Server) prepare(p *preparedQuery, classHeader string, ts *tenantState) error {
+	className := p.req.Class
+	if className == "" {
+		className = classHeader
+	}
+	class, ok := tenant.ParseClass(className)
+	if !ok {
+		return fmt.Errorf("unknown class %q (want interactive, batch or background)", className)
+	}
+	p.class = class
+	p.weight = ts.quota.AdmissionWeight(class)
+
+	// Per-request deadline: admission waiting and execution both run under
+	// it, so a request stuck in the queue cannot outlive its budget.
+	p.timeout = s.cfg.requestTimeout(p.req.TimeoutMS)
+
+	p.opts = s.opts
+	if p.req.Level != nil {
+		p.opts.Level = *p.req.Level
+	}
+	if p.req.Accel != nil {
+		p.opts.Accel = *p.req.Accel
+	}
+	if err := s.prepareProgram(p); err != nil {
+		return err
+	}
+	// The plan cache keys on the program's shape + compiler options; the
+	// result cache and single-flight add the program's constants and the
+	// version vector of exactly the engines/tables the program touches, so
+	// results never outlive the data they were computed on — and writes to
+	// untouched stores don't rotate the key (surgical invalidation).
+	p.vv = s.rt.VersionVector(p.touches)
+	p.resKey = resultKey(p.planKey, p.binds, p.vv)
+	return nil
+}
+
+// prepareProgram fills p's program, bind vector, plan key and touches,
+// through the statement cache.
+func (s *Server) prepareProgram(p *preparedQuery) error {
+	var key string // a SQL statement's cache key; "" when it has none
+	var lexed []any
+	if engine := s.sqlEngine(&p.req); p.req.Frontend == "sql" && engine != "" && p.req.Statement != "" {
+		var buf [256]byte
+		prefix := statementPrefix(buf[:0], engine, p.opts, clampParts(p.req.Parts))
+		// A statement Shape refuses, the parser refuses too: it takes the
+		// build path below, which answers the parser's error.
+		if k, binds, err := relational.Shape(prefix, p.req.Statement, make([]any, 0, 8)); err == nil {
+			key, lexed = string(k), binds
+			if st, ok := s.statement(key); ok {
+				p.graph, p.binds, p.planKey, p.touches = st.graph, binds, st.planKey, st.touches
+				return nil
+			}
+		}
+	}
+
+	prog, nlRule, err := s.buildProgram(&p.req)
+	if err != nil {
+		return err
+	}
+	g := prog.Graph()
+	if err := s.checkEngines(g); err != nil {
+		return err
+	}
+	// The partition override mutates the graph before fingerprinting, so
+	// plans compiled at different fan-outs never share a cache entry.
+	stampParts(g, p.req.Parts)
+	p.graph, p.binds, p.nlRule = g, g.Binds(), nlRule
+	p.planKey = compiler.Key(g, p.opts)
+
+	if key != "" {
+		p.touches = compiler.TouchesOf(g)
+		// The statement is its shape's template only when its parse lifted
+		// exactly the literals the lexer found, and no literal's value shaped
+		// it: then every statement of its key parses to this graph with its
+		// own constants bound.
+		if !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
+			g.SetBinds(nil)
+			s.remember(key, statement{planKey: p.planKey, touches: p.touches, graph: g})
+		}
+		return nil
+	}
+	st, ok := s.statement(p.planKey)
+	if !ok {
+		st = s.remember(p.planKey, statement{planKey: p.planKey, touches: compiler.TouchesOf(g)})
+	}
+	p.touches = st.touches
+	return nil
+}
+
+// statementPrefix appends what a SQL statement's cache key holds besides its
+// shape: the engine (length-prefixed, so no name can run into the options),
+// the compiler options and the clamped partition fan-out.
+func statementPrefix(dst []byte, engine string, opts compiler.Options, parts int) []byte {
+	dst = strconv.AppendInt(append(dst, "sql|"...), int64(len(engine)), 10)
+	dst = append(append(append(dst, ':'), engine...), "|L"...)
+	dst = strconv.AppendInt(dst, int64(opts.Level), 10)
+	dst = strconv.AppendBool(append(dst, "|A"...), opts.Accel)
+	dst = strconv.AppendInt(append(dst, "|T"...), int64(opts.Transport), 10)
+	dst = strconv.AppendInt(append(dst, "|P"...), int64(parts), 10)
+	return append(dst, '|')
+}
+
+// statement probes the statement cache, counting the outcome.
+func (s *Server) statement(key string) (statement, bool) {
+	s.statementsMu.Lock()
+	e, ok := s.statements.Get(key)
+	s.statementsMu.Unlock()
+	if ok {
+		s.st.statementHits.Inc()
+	} else {
+		s.st.statementMisses.Inc()
+	}
+	return e, ok
+}
+
+// remember stores a statement-cache entry and returns the one the cache
+// holds under key (an incumbent a racing request stored first).
+func (s *Server) remember(key string, e statement) statement {
+	s.statementsMu.Lock()
+	defer s.statementsMu.Unlock()
+	return s.statements.Put(key, e)
+}
+
+// resultKey is the result-cache and single-flight key of one execution: the
+// shape key, the bind vector and the version vector.
+func resultKey(planKey string, binds []any, vv string) string {
+	var buf [256]byte
+	b := append(buf[:0], planKey...)
+	b = append(b, '|')
+	for _, v := range binds {
+		b = ir.AppendBind(b, v)
+	}
+	b = append(b, '|')
+	return string(append(b, vv...))
+}
+
+// maxParts caps the client-requested partition fan-out: far beyond any real
+// core count, small enough that per-partition bookkeeping (range slices,
+// partial accumulators) cannot be driven into absurd allocations by a
+// hostile request body.
+const maxParts = 4096
+
+// clampParts is the fan-out a request's "parts" pins: 0 (automatic sizing)
+// for parts <= 0, else parts capped at maxParts.
+func clampParts(parts int) int {
+	return min(max(parts, 0), maxParts)
+}
+
+// stampParts pins the partition fan-out of every partitionable operator in
+// the program. parts <= 0 leaves automatic sizing untouched.
+func stampParts(g *ir.Graph, parts int) {
+	parts = clampParts(parts)
+	if parts == 0 {
+		return
+	}
+	for _, n := range g.Nodes() {
+		if !n.Kind.Partitioned() {
+			continue
+		}
+		if n.Attrs == nil {
+			n.Attrs = make(map[string]any, 1)
+		}
+		n.Attrs["parts"] = int64(parts)
+	}
+}
+
+// sqlEngine is the engine a sql request runs on: its own, else the
+// deployment's default SQL engine.
+func (s *Server) sqlEngine(req *QueryRequest) string {
+	if req.Engine != "" {
+		return req.Engine
+	}
+	return s.cfg.DefaultSQLEngine
+}
+
+// buildProgram constructs the EIDE program selected by the request frontend.
+func (s *Server) buildProgram(req *QueryRequest) (*eide.Program, string, error) {
+	switch req.Frontend {
+	case "sql":
+		engine := s.sqlEngine(req)
+		if engine == "" {
+			return nil, "", fmt.Errorf("sql frontend needs an engine")
+		}
+		if req.Statement == "" {
+			return nil, "", fmt.Errorf("sql frontend needs a statement")
+		}
+		p := eide.NewProgram()
+		if _, err := p.SQL(engine, req.Statement); err != nil {
+			return nil, "", err
+		}
+		return p, "", nil
+	case "nl":
+		if s.nl == nil {
+			return nil, "", fmt.Errorf("nl frontend not configured on this deployment")
+		}
+		if req.Statement == "" {
+			return nil, "", fmt.Errorf("nl frontend needs a statement")
+		}
+		p, rule, err := s.nl.Translate(req.Statement)
+		if err != nil {
+			return nil, "", err
+		}
+		return p, rule, nil
+	case "text":
+		engine := req.Engine
+		if engine == "" {
+			engine = s.cfg.DefaultTextEngine
+		}
+		if engine == "" {
+			return nil, "", fmt.Errorf("text frontend needs an engine")
+		}
+		if req.Statement == "" {
+			return nil, "", fmt.Errorf("text frontend needs a statement")
+		}
+		k := req.K
+		if k <= 0 {
+			k = 10
+		}
+		p := eide.NewProgram()
+		p.TextSearch(engine, req.Statement, k)
+		return p, "", nil
+	case "program":
+		p, err := buildProgram(req.Program)
+		if err != nil {
+			return nil, "", err
+		}
+		return p, "", nil
+	default:
+		return nil, "", fmt.Errorf("unknown frontend %q (want sql, nl, text or program)", req.Frontend)
+	}
+}
+
+// checkEngines rejects programs naming engines this deployment does not run
+// before any work is admitted.
+func (s *Server) checkEngines(g *ir.Graph) error {
+	for _, n := range g.Nodes() {
+		if n.Engine == "" {
+			continue // middleware nodes (migrations)
+		}
+		if !s.rt.HasEngine(n.Engine) {
+			return fmt.Errorf("unknown engine %q (registered: %v)", n.Engine, s.rt.Engines())
+		}
+	}
+	return nil
+}

@@ -20,7 +20,9 @@
 //     hashes each lifted literal's type, not its value) and compiled plans
 //     are reused across requests, so every statement of a compiled shape
 //     skips the compiler and executes with its own constants (hits/misses
-//     are exported on /metrics).
+//     are exported on /metrics). In front of it, a statement cache lets a
+//     SQL statement of a prepared shape skip the parser, the IR build and
+//     the fingerprint as well (prepare.go).
 //   - A result cache keyed on (shape fingerprint + options, the program's
 //     constants, version vector of the engines/tables the plan touches):
 //     repeated queries over
@@ -87,7 +89,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines (default 60s).
 	MaxTimeout time.Duration
-	// PlanCacheSize bounds the compiled-plan LRU (default 128 entries).
+	// PlanCacheSize bounds the compiled-plan LRU and the statement cache in
+	// front of it (default 128 entries each).
 	PlanCacheSize int
 	// ResultCacheSize bounds the executed-result LRU keyed on
 	// (plan fingerprint + options, touched-engine version vector). Zero
@@ -231,6 +234,9 @@ type Server struct {
 	mux     *http.ServeMux
 	traces  *obs.TraceLog
 	backend backend.Backend // cfg.Backend, or the in-memory one when nil
+	// statements memoizes the prepare path (prepare.go: statement).
+	statementsMu sync.Mutex
+	statements   *lru.Cache[statement]
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -243,11 +249,6 @@ type Server struct {
 	// ServeHTTP, which Drain waits on.
 	draining     atomic.Bool
 	httpInflight atomic.Int64
-
-	// touches memoizes compiler.TouchesOf per plan-cache key so the hot path
-	// builds version vectors without re-walking (or re-parsing) the program.
-	touchesMu sync.Mutex
-	touches   *lru.Cache[compiler.Touches]
 }
 
 // New builds a server over the runtime. opts are the default compiler
@@ -255,14 +256,15 @@ type Server struct {
 func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		rt:      rt,
-		opts:    opts,
-		cfg:     cfg,
-		cache:   compiler.NewPlanCache(cfg.PlanCacheSize),
-		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
-		mux:     http.NewServeMux(),
-		traces:  obs.NewTraceLog(traceLogRecent, traceLogSlowest),
-		touches: lru.New[compiler.Touches](cfg.PlanCacheSize),
+		rt:     rt,
+		opts:   opts,
+		cfg:    cfg,
+		cache:  compiler.NewPlanCache(cfg.PlanCacheSize),
+		adm:    newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
+		mux:    http.NewServeMux(),
+		traces: obs.NewTraceLog(traceLogRecent, traceLogSlowest),
+
+		statements: lru.New[statement](cfg.PlanCacheSize),
 	}
 	s.tenants = newTenantControl(cfg)
 	if s.backend = cfg.Backend; s.backend == nil {
@@ -501,132 +503,6 @@ func (c Config) requestTimeout(ms int64) time.Duration {
 	return min(c.DefaultTimeout, c.MaxTimeout)
 }
 
-// preparedQuery is the decoded-and-keyed preamble shared by /query and
-// /query/stream: the built program, the per-request deadline, the effective
-// compiler options, and the cache keys.
-type preparedQuery struct {
-	req     QueryRequest
-	prog    *eide.Program
-	nlRule  string
-	timeout time.Duration
-	opts    compiler.Options
-	planKey string
-	touches compiler.Touches
-	vv      string
-	resKey  string
-
-	// Multi-tenancy: who the request runs for, at what priority, and the
-	// weighted-fair flow weight (tenant weight x class weight).
-	tenant string
-	class  tenant.Class
-	weight float64
-}
-
-// prepareQuery decodes the request body, builds and checks the program, and
-// derives the deadline, options, cache keys and tenant flow. On failure it
-// writes the error response and returns nil (nothing has been executed yet,
-// so plain HTTP status codes still apply on both the buffered and streaming
-// paths).
-func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenantState) *preparedQuery {
-	p := &preparedQuery{tenant: ts.id}
-	if !s.decodeBody(w, r, &p.req) {
-		return nil
-	}
-
-	// Priority class: request body first, X-Priority header as fallback,
-	// interactive when neither is set.
-	className := p.req.Class
-	if className == "" {
-		className = r.Header.Get(tenant.ClassHeader)
-	}
-	class, ok := tenant.ParseClass(className)
-	if !ok {
-		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "unknown class %q (want interactive, batch or background)", className)
-		return nil
-	}
-	p.class = class
-	p.weight = ts.quota.AdmissionWeight(class)
-
-	var err error
-	p.prog, p.nlRule, err = s.buildProgram(&p.req)
-	if err != nil {
-		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	if err := s.checkEngines(p.prog.Graph()); err != nil {
-		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	// The partition override mutates the graph before fingerprinting, so
-	// plans compiled at different fan-outs never share a cache entry.
-	stampParts(p.prog.Graph(), p.req.Parts)
-
-	// Per-request deadline: admission waiting and execution both run under
-	// it, so a request stuck in the queue cannot outlive its budget.
-	p.timeout = s.cfg.requestTimeout(p.req.TimeoutMS)
-
-	p.opts = s.opts
-	if p.req.Level != nil {
-		p.opts.Level = *p.req.Level
-	}
-	if p.req.Accel != nil {
-		p.opts.Accel = *p.req.Accel
-	}
-	// One fingerprint pass serves both caches: the plan cache keys on the
-	// program's shape + compiler options; the result cache and single-flight
-	// add the program's constants and the version vector of exactly the
-	// engines/tables the program touches, so results never outlive the data
-	// they were computed on — and writes to untouched stores don't rotate
-	// the key (surgical invalidation).
-	p.planKey = compiler.Key(p.prog.Graph(), p.opts)
-	p.touches = s.touchesFor(p.planKey, p.prog.Graph())
-	p.vv = s.rt.VersionVector(p.touches)
-	p.resKey = resultKey(p.planKey, p.prog.Graph().Binds(), p.vv)
-	return p
-}
-
-// resultKey is the result-cache and single-flight key of one execution: the
-// shape key, the bind vector and the version vector.
-func resultKey(planKey string, binds []any, vv string) string {
-	var buf [256]byte
-	b := append(buf[:0], planKey...)
-	b = append(b, '|')
-	for _, v := range binds {
-		b = ir.AppendBind(b, v)
-	}
-	b = append(b, '|')
-	return string(append(b, vv...))
-}
-
-// maxParts caps the client-requested partition fan-out: far beyond any real
-// core count, small enough that per-partition bookkeeping (range slices,
-// partial accumulators) cannot be driven into absurd allocations by a
-// hostile request body.
-const maxParts = 4096
-
-// stampParts pins the partition fan-out of every partitionable operator in
-// the program. parts <= 0 leaves automatic sizing untouched.
-func stampParts(g *ir.Graph, parts int) {
-	if parts <= 0 {
-		return
-	}
-	if parts > maxParts {
-		parts = maxParts
-	}
-	for _, n := range g.Nodes() {
-		if !n.Kind.Partitioned() {
-			continue
-		}
-		if n.Attrs == nil {
-			n.Attrs = make(map[string]any, 1)
-		}
-		n.Attrs["parts"] = int64(parts)
-	}
-}
-
 // serveQuery is the spine /query and /query/stream share: method check,
 // tenant gates (whose ticket is settled on every way out), prepare,
 // deadline, trace, run through the acceleration layers, respond. The
@@ -747,26 +623,6 @@ type queryOutcome struct {
 	shared    bool
 }
 
-// touchesFor returns the engines/tables g reads, memoized under the plan
-// key (TouchesOf reads only table names and engines, which the shape key
-// fingerprints; no constant).
-// Taken from the program as written, before any compiler pass: the
-// result-cache key must be derived identically on cold and warm paths, and
-// a pass that removes a scan must not split one query across two keys.
-func (s *Server) touchesFor(planKey string, g *ir.Graph) compiler.Touches {
-	s.touchesMu.Lock()
-	if t, ok := s.touches.Get(planKey); ok {
-		s.touchesMu.Unlock()
-		return t
-	}
-	s.touchesMu.Unlock()
-	t := compiler.TouchesOf(g)
-	s.touchesMu.Lock()
-	t = s.touches.Put(planKey, t)
-	s.touchesMu.Unlock()
-	return t
-}
-
 // runQuery serves one compiled-and-executed query through the acceleration
 // layers, cheapest first: result cache (no admission — a map lookup does not
 // need a worker), then single-flight (followers wait without a slot), then
@@ -868,7 +724,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 		tr.Phase("admission.queue", "", admT0)
 	}
 
-	plan, hit, err := s.cache.GetOrCompileKeyed(p.planKey, p.prog.Graph(), p.opts)
+	plan, hit, err := s.cache.GetOrCompileBound(p.planKey, p.graph, p.binds, p.opts)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -983,80 +839,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, ts *tenantState, err err
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(ceilSecond(retryAfter)/time.Second), 10))
 	}
 	writeError(w, status, "%s", msg)
-}
-
-// buildProgram constructs the EIDE program selected by the request frontend.
-func (s *Server) buildProgram(req *QueryRequest) (*eide.Program, string, error) {
-	switch req.Frontend {
-	case "sql":
-		engine := req.Engine
-		if engine == "" {
-			engine = s.cfg.DefaultSQLEngine
-		}
-		if engine == "" {
-			return nil, "", fmt.Errorf("sql frontend needs an engine")
-		}
-		if req.Statement == "" {
-			return nil, "", fmt.Errorf("sql frontend needs a statement")
-		}
-		p := eide.NewProgram()
-		if _, err := p.SQL(engine, req.Statement); err != nil {
-			return nil, "", err
-		}
-		return p, "", nil
-	case "nl":
-		if s.nl == nil {
-			return nil, "", fmt.Errorf("nl frontend not configured on this deployment")
-		}
-		if req.Statement == "" {
-			return nil, "", fmt.Errorf("nl frontend needs a statement")
-		}
-		p, rule, err := s.nl.Translate(req.Statement)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, rule, nil
-	case "text":
-		engine := req.Engine
-		if engine == "" {
-			engine = s.cfg.DefaultTextEngine
-		}
-		if engine == "" {
-			return nil, "", fmt.Errorf("text frontend needs an engine")
-		}
-		if req.Statement == "" {
-			return nil, "", fmt.Errorf("text frontend needs a statement")
-		}
-		k := req.K
-		if k <= 0 {
-			k = 10
-		}
-		p := eide.NewProgram()
-		p.TextSearch(engine, req.Statement, k)
-		return p, "", nil
-	case "program":
-		p, err := buildProgram(req.Program)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, "", nil
-	default:
-		return nil, "", fmt.Errorf("unknown frontend %q (want sql, nl, text or program)", req.Frontend)
-	}
-}
-
-// checkEngines rejects programs naming engines this deployment does not run
-// before any work is admitted.
-func (s *Server) checkEngines(g *ir.Graph) error {
-	for _, n := range g.Nodes() {
-		if n.Engine == "" {
-			continue // middleware nodes (migrations)
-		}
-		if !s.rt.HasEngine(n.Engine) {
-			return fmt.Errorf("unknown engine %q (registered: %v)", n.Engine, s.rt.Engines())
-		}
-	}
-	return nil
 }
 
 // effectiveMaxRows resolves the per-request row cap (clients may lower the

@@ -98,6 +98,7 @@ func quantilesUS(h *metrics.Histogram) map[string]float64 {
 // declarations in newStatTable.
 type serverStats struct {
 	requests, rejected, badRequest, execErrors, deadline, ingests *metrics.Counter
+	statementHits, statementMisses                                *metrics.Counter
 	resultHits, resultMisses, flightShared                        *metrics.Counter
 	streamRequests, streamRows, streamBatches                     *metrics.Counter
 	streamErrorsInband, streamAborted                             *metrics.Counter
@@ -157,7 +158,9 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("default_accel", "", kindInfo, "Whether plans may target accelerators by default.", val(s.opts.Accel))
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
-	// Plan cache, result cache, single-flight.
+	// Statement cache, plan cache, result cache, single-flight.
+	st.statementHits = counter("statement_cache_hits", "server.statementcache.hits", "Queries prepared from the statement cache: a SQL statement of a shape prepared before skips the parser, the IR build and the fingerprint; any other program skips the touch analysis.")
+	st.statementMisses = counter("statement_cache_miss", "server.statementcache.misses", "Statement-cache probes that missed.")
 	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
 	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")

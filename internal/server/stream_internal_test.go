@@ -169,9 +169,9 @@ func TestStreamLeaderClientGoneFollowerReelects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &preparedQuery{prog: prog, opts: s.opts}
-	p.planKey = compiler.Key(prog.Graph(), p.opts)
-	p.touches = s.touchesFor(p.planKey, prog.Graph())
+	p := &preparedQuery{graph: prog.Graph(), opts: s.opts}
+	p.planKey = compiler.Key(p.graph, p.opts)
+	p.touches = compiler.TouchesOf(p.graph)
 	p.vv = s.rt.VersionVector(p.touches)
 	p.resKey = p.planKey + "|" + p.vv
 

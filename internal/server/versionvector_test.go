@@ -63,9 +63,9 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		prog := eide.NewProgram()
 		prog.KVScan("kv-a", "user/")
 		g := prog.Graph()
-		p := &preparedQuery{prog: prog, opts: s.opts}
+		p := &preparedQuery{graph: g, opts: s.opts}
 		p.planKey = compiler.Key(g, p.opts)
-		p.touches = s.touchesFor(p.planKey, g)
+		p.touches = compiler.TouchesOf(g)
 		p.vv = s.rt.VersionVector(p.touches)
 		p.resKey = p.planKey + "|" + p.vv
 
