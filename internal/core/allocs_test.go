@@ -51,6 +51,41 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs/run", allocs)
 }
 
+// wideExecuteAllocs is what Runtime.Execute allocates per run on a width-2
+// fanoutProgram: the concurrent mode's goroutine per node, one done channel
+// each and one slot channel per engine (it was 140 with worker queues, a
+// consumer index and per-node producer sets).
+const wideExecuteAllocs = 125
+
+// TestWideExecuteAllocBudget runs a width-2 fanoutProgram — scan, a filter on
+// each of two engines, a migration and a sort, so the concurrent mode — with
+// the subplan cache off, so every run executes.
+func TestWideExecuteAllocBudget(t *testing.T) {
+	rt := NewRuntime(hw.NewHostCPU(), WithSubplanCacheBytes(-1))
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(testStore(t, 200))))
+	rt.Register(adapter.NewML("ml", 1))
+	plan, err := compiler.Compile(fanoutProgram(2), compiler.Options{Level: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planWidth(plan) != 2 {
+		t.Fatalf("plan width %d, want 2", planWidth(plan))
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rt.Metrics().Counter("core.exec.concurrent").Value() == 0 {
+		t.Fatal("the plan did not run in the concurrent mode")
+	}
+	if allocs > wideExecuteAllocs {
+		t.Fatalf("Execute on a width-2 fan-out: %.0f allocs/run, ceiling %d", allocs, wideExecuteAllocs)
+	}
+	t.Logf("%.0f allocs/run", allocs)
+}
+
 // TestAutoPlacementRefusalAllocatesNothing: placing an "auto" kernel call
 // asks every accelerator for its cost, and one without the kernel class
 // refuses. The refusal is dropped, so it must not be built per call (it was a

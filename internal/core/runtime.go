@@ -46,12 +46,6 @@ var (
 	ErrDurability = errors.New("core: durability barrier")
 )
 
-// defaultEngineWorkers is the per-engine-queue concurrency bound of the DAG
-// scheduler. Engines are independent systems in a polystore, so each gets
-// its own queue; within one engine a handful of workers captures branch
-// parallelism without oversubscribing the host.
-const defaultEngineWorkers = 4
-
 // Runtime executes compiled plans. Construct with NewRuntime; register one
 // adapter per engine instance.
 type Runtime struct {
@@ -64,10 +58,8 @@ type Runtime struct {
 	st       coreStats
 	ops      *obs.OpStats
 
-	// engineWorkers bounds concurrent node executions per engine queue in
-	// the DAG scheduler; sequential forces the driver's inline mode.
-	engineWorkers int
-	sequential    bool
+	// sequential forces the driver's inline mode.
+	sequential bool
 
 	// subplan is the content-addressed subplan cache state (subplan.go);
 	// nil disables it. subplanBytes carries the construction-time size
@@ -100,21 +92,6 @@ func WithAccelerators(mode hw.Mode, devices ...*hw.Device) Option {
 	}
 }
 
-// WithMigrator overrides the default migrator.
-func WithMigrator(m *migrate.Migrator) Option {
-	return func(r *Runtime) { r.migrator = m }
-}
-
-// WithEngineWorkers bounds concurrent node executions per engine queue in
-// the DAG scheduler (default 4). Values < 1 restore the default.
-func WithEngineWorkers(n int) Option {
-	return func(r *Runtime) {
-		if n >= 1 {
-			r.engineWorkers = n
-		}
-	}
-}
-
 // WithSequentialExecutor forces the driver's inline mode (one node at a
 // time on the calling goroutine) for every plan — the baseline the
 // concurrent scheduler is verified against, and an ablation knob for
@@ -134,18 +111,15 @@ func WithDurabilityBarrier(b DurabilityBarrier) Option {
 // NewRuntime returns a runtime with the given host CPU model.
 func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 	r := &Runtime{
-		adapters:      make(map[string]adapter.Adapter),
-		host:          host,
-		mode:          hw.Coprocessor,
-		reg:           metrics.NewRegistry(),
-		ops:           obs.NewOpStats(),
-		engineWorkers: defaultEngineWorkers,
+		adapters: make(map[string]adapter.Adapter),
+		host:     host,
+		mode:     hw.Coprocessor,
+		migrator: migrate.New(host, hw.NewRDMANIC()),
+		reg:      metrics.NewRegistry(),
+		ops:      obs.NewOpStats(),
 	}
 	for _, o := range opts {
 		o(r)
-	}
-	if r.migrator == nil {
-		r.migrator = migrate.New(host, hw.NewRDMANIC())
 	}
 	r.st = newCoreStats(r.reg, r.accels)
 	r.ConfigureSubplanCacheShared(r.subplanBytes, 0)
@@ -376,8 +350,9 @@ func planWidth(plan *compiler.Plan) int {
 // stage wider than one node), and every plan under WithSequentialExecutor,
 // run inline: runNode is called on this goroutine, one node at a time, and
 // nothing is allocated for coordination — the reference the concurrent mode
-// is verified against. Plans with a stage wider than one node are dispatched
-// to per-engine worker queues (scheduler.go) and the driver awaits each run.
+// is verified against. Plans with a stage wider than one node run as a
+// dataflow of one goroutine per node, at most engineWorkers per engine
+// (scheduler.go), and the driver awaits each run.
 // st, when non-nil, streams the designated sink node's batches (stream.go).
 func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
 	t0 := time.Now()
@@ -395,8 +370,8 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 	var sched *scheduler
 	if !r.sequential && planWidth(plan) > 1 {
 		r.st.execConcurrent.Inc()
-		sched = r.dispatch(ctx, plan, order, st, tr, pr)
-		// Tears the worker pools down on every exit path, before the subplan
+		sched = r.dispatch(ctx, order, st, tr, pr)
+		// Stops the node goroutines on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
 	} else {
@@ -517,8 +492,8 @@ type nodeRun struct {
 	wall      time.Duration
 	err       error
 	// hostStart is when the real execution began on the host clock; queue is
-	// the dispatch-to-run wait stamped by the concurrent scheduler (zero on
-	// the inline mode, and only measured for traced executions).
+	// the wait from inputs ready to engine slot taken in the concurrent mode
+	// (zero on the inline mode, and only measured for traced executions).
 	hostStart time.Time
 	queue     time.Duration
 	// bytesIn/bytesOut approximate the tabular data volume through the node,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"polystorepp/internal/adapter"
-	"polystorepp/internal/compiler"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
 )
@@ -17,64 +16,44 @@ import (
 // The paper's middleware executes plan DAGs with device-level parallelism,
 // and BigDAWG-style polystores dispatch independent sub-plans to their
 // engines concurrently. For plans with a stage wider than one node the
-// driver (Runtime.execute) hands real execution to this scheduler, which
-// brings wall-clock time in line with the parallelism the simulated clock
-// already models:
+// driver (Runtime.execute) hands real execution to a dataflow, which brings
+// wall-clock time in line with the parallelism the simulated clock already
+// models:
 //
-//   - Dispatch: a node becomes ready when all its producers have run; ready
-//     nodes go to a bounded worker queue per engine (migrations get the
-//     middleware queue), so one slow engine cannot starve the others and no
-//     engine is oversubscribed. The compiler's stage schedule seeds the
-//     queues and the initial ready set.
+//   - Dispatch: each node has a goroutine that waits for its producers to
+//     finish, then takes one of its engine's engineWorkers slots (migrations
+//     share the middleware's: opEngine keys the slots), so one slow engine
+//     cannot starve the others and no engine is oversubscribed.
 //   - Real execution (runNode): adapter translation and native operators run
-//     concurrently across queues — this is where host wall time is won.
+//     concurrently across engines — this is where host wall time is won.
 //   - Simulated costing stays with the driver, which awaits the runs in the
 //     topological order the inline mode executes them in, so Reports are
 //     identical to the inline mode's (modulo host wall times) no matter how
 //     real executions interleave.
 //
 // Errors surface at the earliest failing node in topological order — the
-// same node the inline mode stops at. Consumers of a failed node are never
-// dispatched; the driver reaches the failure first (producers precede
-// consumers in topological order) and tears the pools down.
+// same node the inline mode stops at. Consumers of a failed node never run:
+// they take on its error, and the driver, which reaches the failed node
+// first (producers precede consumers in topological order), stops there.
 
-// middlewareQueue is the dispatch queue for engine-less nodes (migrations).
-const middlewareQueue = ""
+// engineWorkers bounds concurrent node executions per engine. Engines are
+// independent systems in a polystore, so each gets its own slots; within one
+// engine a handful captures branch parallelism without oversubscribing the
+// host.
+const engineWorkers = 4
 
-// schedNode is the per-node scheduling state.
+// schedNode is one node's outcome in a concurrently executed plan.
 type schedNode struct {
-	n *ir.Node
-	// waits counts distinct producers that have not finished yet.
-	waits atomic.Int32
-	// run is the real-execution outcome; written by the worker that ran the
-	// node before closing done.
-	run *nodeRun
-	// done closes when the real execution finished (run is set).
+	// run is written by the node's goroutine before it closes done.
+	run  *nodeRun
 	done chan struct{}
-	// enqueued is when the node entered its dispatch queue — stamped only for
-	// traced executions (the happens-before of the queue send orders the
-	// write before the worker's read), so untraced runs skip the clock reads.
-	enqueued time.Time
 }
 
 // scheduler is the dispatch state of one concurrently executed plan.
 type scheduler struct {
-	rt        *Runtime
-	nodes     map[ir.NodeID]*schedNode
-	consumers map[ir.NodeID][]ir.NodeID
-	queues    map[string]chan *schedNode
-	// st streams the designated sink node's output; nil for buffered runs.
-	// Only the single worker executing that node touches the sink.
-	st *nodeStream
-	// tr is the request's trace (nil when untraced); workers use it to decide
-	// whether queue-wait stamping is worth the clock reads.
-	tr *obs.Trace
-	// pr is the execution's subplan-cache probe (nil when inactive); its
-	// decision maps are read-only during execution, so workers consult it
-	// without coordination.
-	pr *planProbe
+	nodes map[ir.NodeID]*schedNode
 
-	// cancel stops every in-flight worker; wg waits for them to exit.
+	// cancel stops every node goroutine still waiting; wg waits for all.
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
@@ -82,71 +61,81 @@ type scheduler struct {
 	maxInflight atomic.Int32
 }
 
-// dispatch starts the per-engine worker pools for plan and seeds them with
-// the nodes that have no producers. order is the nodes to run (bindNodes).
-// The caller awaits each node's run in topological order and must call stop.
-func (r *Runtime) dispatch(ctx context.Context, plan *compiler.Plan, order []*ir.Node, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
-	s := &scheduler{
-		rt:        r,
-		nodes:     make(map[ir.NodeID]*schedNode, len(order)),
-		consumers: plan.Graph.ConsumerIndex(),
-		queues:    make(map[string]chan *schedNode),
-		st:        st,
-		tr:        tr,
-		pr:        pr,
-	}
-	// Create every queue before any dispatch (workers never mutate the map),
-	// each sized to the nodes it will ever receive so dispatching never
-	// blocks, with workers capped likewise — a queue holding two nodes
-	// never needs more than two goroutines.
-	queueNodes := make(map[string]int, 4)
-	for _, n := range order {
-		sn := &schedNode{n: n, done: make(chan struct{})}
-		producers := make(map[ir.NodeID]bool, len(n.Inputs))
-		for _, in := range n.Inputs {
-			producers[in] = true
-		}
-		sn.waits.Store(int32(len(producers)))
-		s.nodes[n.ID] = sn
-		queueNodes[queueKey(n)]++
-	}
+// dispatch starts one goroutine per node of order (bindNodes). The caller
+// awaits each node's run in topological order and must call stop. st, when
+// non-nil, streams one node's output, and only that node's goroutine touches
+// it; pr's decision maps are read-only during execution.
+func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
 	execCtx, cancel := context.WithCancel(ctx)
-	s.cancel = cancel
-	for key, count := range queueNodes {
-		q := make(chan *schedNode, count)
-		s.queues[key] = q
-		workers := r.engineWorkers
-		if count < workers {
-			workers = count
-		}
-		for w := 0; w < workers; w++ {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				for {
-					select {
-					case <-execCtx.Done():
-						return
-					case sn := <-q:
-						s.runScheduled(execCtx, sn)
-					}
-				}
-			}()
+	s := &scheduler{nodes: make(map[ir.NodeID]*schedNode, len(order)), cancel: cancel}
+	nodes := make([]schedNode, len(order))
+	slots := make(map[string]chan struct{}, 4)
+	for i, n := range order {
+		nodes[i].done = make(chan struct{})
+		s.nodes[n.ID] = &nodes[i]
+		if k := opEngine(n); slots[k] == nil {
+			slots[k] = make(chan struct{}, engineWorkers)
 		}
 	}
-	// Seed the ready set in stage order — the compiler's schedule makes the
-	// initial dispatch deterministic. Seed on the immutable "has no
-	// producers" condition, NOT the live waits counter: workers are already
-	// decrementing waits for downstream nodes, and reading 0 here would
-	// dispatch such a node a second time.
-	for _, stage := range plan.Stages {
-		for _, id := range stage {
-			if sn := s.nodes[id]; len(sn.n.Inputs) == 0 {
-				s.enqueue(sn)
-			}
-		}
+	s.wg.Add(len(order))
+	for i, n := range order {
+		sn, slot := &nodes[i], slots[opEngine(n)]
+		go func() {
+			defer s.wg.Done()
+			defer close(sn.done)
+			sn.run = s.runWhenReady(execCtx, r, n, slot, st, tr, pr)
+		}()
 	}
 	return s
+}
+
+// runWhenReady waits for n's producers, takes one of slot's places and runs
+// n. A failed producer's error becomes n's without n running.
+func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, slot chan struct{}, st *nodeStream, tr *obs.Trace, pr *planProbe) *nodeRun {
+	inputs := make([]adapter.Value, len(n.Inputs))
+	for i, in := range n.Inputs {
+		p := s.nodes[in]
+		select {
+		case <-p.done:
+		case <-ctx.Done():
+			return &nodeRun{err: ctx.Err()}
+		}
+		if p.run.err != nil {
+			return &nodeRun{err: p.run.err}
+		}
+		inputs[i] = p.run.out
+	}
+	// The ready-to-slot wait is stamped for traced executions only, so
+	// untraced runs skip the clock reads.
+	var ready time.Time
+	if tr != nil {
+		ready = time.Now()
+	}
+	select {
+	case slot <- struct{}{}:
+		defer func() { <-slot }()
+	case <-ctx.Done():
+	}
+	// A select with both cases ready picks either: a stopped execution must
+	// not start the node even when a slot was free.
+	if err := ctx.Err(); err != nil {
+		return &nodeRun{err: err}
+	}
+	var queued time.Duration
+	if tr != nil {
+		queued = time.Since(ready)
+	}
+	cur := s.inflight.Add(1)
+	for {
+		m := s.maxInflight.Load()
+		if cur <= m || s.maxInflight.CompareAndSwap(m, cur) {
+			break
+		}
+	}
+	defer s.inflight.Add(-1)
+	run := r.runNode(ctx, n, inputs, st, pr)
+	run.queue = queued
+	return run
 }
 
 // await blocks until node id has run and returns its outcome, or the
@@ -161,67 +150,9 @@ func (s *scheduler) await(ctx context.Context, id ir.NodeID) (*nodeRun, error) {
 	}
 }
 
-// stop cancels the workers and waits for them to exit, so no node execution
-// — and no stream emission — outlives the driver's call.
+// stop cancels the node goroutines and waits for them to exit, so no node
+// execution — and no stream emission — outlives the driver's call.
 func (s *scheduler) stop() {
 	s.cancel()
 	s.wg.Wait()
-}
-
-// enqueue hands a ready node to its queue. Queues are buffered to every node
-// they will ever receive, so this never blocks.
-func (s *scheduler) enqueue(sn *schedNode) {
-	if s.tr != nil {
-		sn.enqueued = time.Now()
-	}
-	s.queues[queueKey(sn.n)] <- sn
-}
-
-// queueKey maps a node to its dispatch queue: its engine, or the middleware
-// queue for migrations.
-func queueKey(n *ir.Node) string {
-	if n.Kind == ir.OpMigrate {
-		return middlewareQueue
-	}
-	return n.Engine
-}
-
-// runScheduled executes one dispatched node and releases its consumers.
-func (s *scheduler) runScheduled(ctx context.Context, sn *schedNode) {
-	cur := s.inflight.Add(1)
-	for {
-		m := s.maxInflight.Load()
-		if cur <= m || s.maxInflight.CompareAndSwap(m, cur) {
-			break
-		}
-	}
-	defer s.inflight.Add(-1)
-
-	if err := ctx.Err(); err != nil {
-		sn.run = &nodeRun{err: err}
-		close(sn.done)
-		return
-	}
-	var queued time.Duration
-	if s.tr != nil && !sn.enqueued.IsZero() {
-		queued = time.Since(sn.enqueued)
-	}
-	inputs := make([]adapter.Value, len(sn.n.Inputs))
-	for i, in := range sn.n.Inputs {
-		// Producers finished before this node was dispatched; the queue
-		// send/receive and the waits counter order these reads after their
-		// writes.
-		inputs[i] = s.nodes[in].run.out
-	}
-	sn.run = s.rt.runNode(ctx, sn.n, inputs, s.st, s.pr)
-	sn.run.queue = queued
-	close(sn.done)
-	if sn.run.err != nil {
-		return // consumers stay undispatched; the driver stops first
-	}
-	for _, c := range s.consumers[sn.n.ID] {
-		if cn := s.nodes[c]; cn.waits.Add(-1) == 0 {
-			s.enqueue(cn)
-		}
-	}
 }

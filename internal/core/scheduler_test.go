@@ -5,13 +5,18 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"polystorepp/internal/adapter"
+	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
+	"polystorepp/internal/migrate"
 	"polystorepp/internal/relational"
 )
 
@@ -160,11 +165,11 @@ func TestConcurrentSharedRuntimeRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentWideFirstStage regression-tests the seed loop against
-// double dispatch: with a wide producer-less first stage, workers finish
-// early stage-0 nodes and enqueue their consumers while the seed loop is
-// still iterating. Seeding on the live waits counter used to dispatch such
-// a consumer twice (panic: close of closed channel).
+// TestConcurrentWideFirstStage runs 1 536 nodes with a producer-less first
+// stage of 768, so consumers become ready while most of their engine's
+// producers still wait for a slot. Every node must run exactly once: the
+// ready-queue scheduler this mode replaced once dispatched such a consumer
+// twice (panic: close of closed channel).
 func TestConcurrentWideFirstStage(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -221,6 +226,186 @@ func TestConcurrentErrorMatchesSequential(t *testing.T) {
 	}
 	if !errors.Is(conErr, ErrExec) || conErr.Error() != seqErr.Error() {
 		t.Fatalf("error mismatch:\n concurrent: %v\n sequential: %v", conErr, seqErr)
+	}
+}
+
+// span is one host-time interval [start, end).
+type span struct{ start, end time.Time }
+
+// maxOverlap returns the most spans that share an instant.
+func maxOverlap(spans []span) int {
+	peak := 0
+	for _, s := range spans {
+		n := 0
+		for _, o := range spans {
+			if !o.start.After(s.start) && s.start.Before(o.end) {
+				n++
+			}
+		}
+		peak = max(peak, n)
+	}
+	return peak
+}
+
+// countingAdapter is an engine whose every call sleeps briefly and records
+// its host interval, so a test reads the concurrency the scheduler allows per
+// engine. A scan of table "missing" fails at once.
+type countingAdapter struct {
+	engine   string
+	inflight atomic.Int32
+
+	mu    sync.Mutex
+	calls map[ir.NodeID]span
+}
+
+func newCountingAdapter(engine string) *countingAdapter {
+	return &countingAdapter{engine: engine, calls: map[ir.NodeID]span{}}
+}
+
+func (a *countingAdapter) Engine() string { return a.engine }
+
+func (a *countingAdapter) Execute(ctx context.Context, n *ir.Node, inputs []adapter.Value) (adapter.Value, adapter.ExecInfo, error) {
+	start := time.Now()
+	a.inflight.Add(1)
+	defer func() {
+		a.mu.Lock()
+		a.calls[n.ID] = span{start, time.Now()}
+		a.mu.Unlock()
+		a.inflight.Add(-1)
+	}()
+	if n.StringAttr("table") == "missing" {
+		return adapter.Value{}, adapter.ExecInfo{}, errors.New("no such table")
+	}
+	select {
+	case <-time.After(5 * time.Millisecond):
+	case <-ctx.Done():
+		return adapter.Value{}, adapter.ExecInfo{}, ctx.Err()
+	}
+	if len(inputs) > 0 {
+		return inputs[0], adapter.ExecInfo{}, nil
+	}
+	schema := cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64}, cast.Column{Name: "v", Type: cast.Int64})
+	b := cast.NewBatch(schema, 256)
+	for i := 0; i < 256; i++ {
+		if err := b.AppendRow(int64(i), int64(i%7)); err != nil {
+			return adapter.Value{}, adapter.ExecInfo{}, err
+		}
+	}
+	return adapter.Value{Batch: b}, adapter.ExecInfo{}, nil
+}
+
+// spans returns the intervals of the calls made so far.
+func (a *countingAdapter) spans() []span {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make([]span, 0, len(a.calls))
+	for _, s := range a.calls {
+		out = append(out, s)
+	}
+	return out
+}
+
+func (a *countingAdapter) called(id ir.NodeID) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, ok := a.calls[id]
+	return ok
+}
+
+// TestSchedulerBoundsEachEngine runs 12 independent scans on each of two
+// engines and 12 sorts on the second engine over one of the first engine's
+// scans: at L0 that is 12 pipe migrations, all ready the moment that scan
+// finishes. The failing variant adds a scan that fails at once, with a
+// consumer on each engine. Each engine runs more than one call at a time and
+// never more than engineWorkers; migrations run at most engineWorkers at a
+// time, in slots of their own; a failed node's consumers never reach an
+// adapter; and no adapter call is in flight once Execute returns.
+func TestSchedulerBoundsEachEngine(t *testing.T) {
+	program := func(fail bool) *compiler.Plan {
+		g := ir.NewGraph()
+		if fail { // first in topological order, so the driver returns early
+			bad := g.Add(ir.OpScan, "a", map[string]any{"table": "missing"})
+			g.Add(ir.OpSort, "a", nil, bad)
+			g.Add(ir.OpSort, "b", nil, bad)
+		}
+		src := g.Add(ir.OpScan, "a", map[string]any{"table": "t"})
+		for i := 0; i < 12; i++ {
+			if i > 0 {
+				g.Add(ir.OpScan, "a", map[string]any{"table": "t"})
+			}
+			g.Add(ir.OpScan, "b", map[string]any{"table": "t"})
+			g.Add(ir.OpSort, "b", nil, src)
+		}
+		plan, err := compiler.Compile(g, compiler.Options{Level: 0, Transport: migrate.Pipe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	runtimeOf := func() (*Runtime, *countingAdapter, *countingAdapter) {
+		a, b := newCountingAdapter("a"), newCountingAdapter("b")
+		rt := NewRuntime(hw.NewHostCPU(), WithSubplanCacheBytes(-1))
+		rt.Register(a)
+		rt.Register(b)
+		return rt, a, b
+	}
+	for _, fail := range []bool{false, true} {
+		rt, a, b := runtimeOf()
+		_, rep, err := rt.Execute(context.Background(), program(fail))
+		if in := a.inflight.Load() + b.inflight.Load(); in != 0 {
+			t.Fatalf("fail=%v: %d adapter calls in flight after Execute returned", fail, in)
+		}
+		for _, ad := range []*countingAdapter{a, b} {
+			// The failing run may return before a second call starts.
+			if p := maxOverlap(ad.spans()); p > engineWorkers || (!fail && p < 2) {
+				t.Fatalf("fail=%v: engine %s peaked at %d calls in flight, want 2..%d", fail, ad.engine, p, engineWorkers)
+			}
+		}
+		if fail && (err == nil || !strings.Contains(err.Error(), "no such table")) {
+			t.Fatalf("failing plan: err = %v", err)
+		}
+		if !fail && (err != nil || rep.Migrations != 12) {
+			t.Fatalf("err = %v; want 12 migrations", err)
+		}
+	}
+
+	// Without the driver stopping at the failure, await every node of the
+	// failing plan. Migrations never reach an adapter, so their host
+	// intervals come from the runs themselves.
+	rt, a, b := runtimeOf()
+	plan := program(true)
+	ctx := context.Background()
+	s := rt.dispatch(ctx, plan.Order, nil, nil, nil)
+	var migs []span
+	for _, n := range plan.Order {
+		run, err := s.await(ctx, n.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.isMigrate && run.err == nil {
+			migs = append(migs, span{run.hostStart, run.hostStart.Add(run.wall)})
+		}
+	}
+	s.stop()
+	for _, n := range plan.Order {
+		if n.StringAttr("table") != "missing" {
+			continue
+		}
+		for _, c := range plan.Graph.Consumers(n.ID) {
+			for _, id := range append([]ir.NodeID{c}, plan.Graph.Consumers(c)...) {
+				if a.called(id) || b.called(id) {
+					t.Fatalf("node %d, downstream of the failed scan %d, reached its adapter", id, n.ID)
+				}
+			}
+		}
+	}
+	if p := maxOverlap(migs); len(migs) != 12 || p > engineWorkers {
+		t.Fatalf("%d migrations, at most %d at once; want 12, at most %d", len(migs), p, engineWorkers)
+	}
+	// Engine b is full for as long as its scans run; migrations to it must
+	// not wait for its slots.
+	if p := maxOverlap(append(migs, b.spans()...)); p <= engineWorkers {
+		t.Fatalf("migrations and engine b peaked at %d together: migrations waited for the engine's slots", p)
 	}
 }
 
@@ -335,41 +520,6 @@ func TestPlanWidthFastPath(t *testing.T) {
 	}
 	if rt.Metrics().Counter("core.exec.sequential").Value() != 1 {
 		t.Fatal("chain plan not counted as sequential")
-	}
-}
-
-// TestConsumerIndex sanity-checks the ir adjacency helper the scheduler
-// relies on.
-func TestConsumerIndex(t *testing.T) {
-	g := fanoutProgram(3)
-	idx := g.ConsumerIndex()
-	for id, consumers := range idx {
-		for _, c := range consumers {
-			n := g.MustNode(c)
-			found := false
-			for _, in := range n.Inputs {
-				if in == id {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("index lists %d as consumer of %d but it has inputs %v", c, id, n.Inputs)
-			}
-		}
-	}
-	// Every edge must be covered.
-	for _, n := range g.Nodes() {
-		for _, in := range n.Inputs {
-			covered := false
-			for _, c := range idx[in] {
-				if c == n.ID {
-					covered = true
-				}
-			}
-			if !covered {
-				t.Fatalf("edge %d->%d missing from index", in, n.ID)
-			}
-		}
 	}
 }
 

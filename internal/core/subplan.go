@@ -47,12 +47,16 @@ func WithSubplanCacheBytes(n int64) Option {
 }
 
 // ConfigureSubplanCacheShared installs a fresh subplan cache bounded to n
-// bytes (0 means DefaultSubplanCacheBytes), or disables subplan caching when
-// n is negative. share is the per-tenant byte share (0 means the default; see
-// subplan.NewCacheShared). Safe to call while plans execute: in-flight
-// executions keep the state they started with, and the old cache drains by
-// garbage collection.
+// bytes, or disables subplan caching when n is negative. 0 means the
+// runtime's own size (WithSubplanCacheBytes, DefaultSubplanCacheBytes when
+// unset), which may itself be negative. share is the per-tenant byte share
+// (0 means the default; see subplan.NewCacheShared). Safe to call while plans
+// execute: in-flight executions keep the state they started with, and the
+// old cache drains by garbage collection.
 func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
+	if n == 0 {
+		n = r.subplanBytes
+	}
 	if n < 0 {
 		r.subplan.Store(nil)
 		return

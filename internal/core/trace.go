@@ -12,7 +12,8 @@ import (
 // serving benchmark pins.
 
 // opEngine labels a node for the per-operator stats registry and trace
-// spans: its engine, or "middleware" for engine-less migration nodes.
+// spans, and names the slots it takes in the concurrent mode: its engine, or
+// "middleware" for engine-less migration nodes.
 func opEngine(n *ir.Node) string {
 	if n.Kind == ir.OpMigrate {
 		return "middleware"

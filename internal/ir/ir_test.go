@@ -123,6 +123,43 @@ func TestSinksAndConsumers(t *testing.T) {
 	}
 }
 
+// TestConsumerIndex checks the producer -> consumers adjacency against every
+// edge of a fan-out across two engines: one scan feeding three filters, two
+// of them sorted.
+func TestConsumerIndex(t *testing.T) {
+	g := NewGraph()
+	scan := g.Add(OpScan, "db", map[string]any{"table": "t"})
+	for i := 0; i < 3; i++ {
+		engine := "db"
+		if i%2 == 1 {
+			engine = "ml"
+		}
+		f := g.Add(OpFilter, engine, nil, scan)
+		if engine == "db" {
+			g.Add(OpSort, "db", nil, f)
+		}
+	}
+	idx := g.ConsumerIndex()
+	for id, consumers := range idx {
+		for _, c := range consumers {
+			if !slices.Contains(g.MustNode(c).Inputs, id) {
+				t.Fatalf("index lists %d as consumer of %d but it has inputs %v", c, id, g.MustNode(c).Inputs)
+			}
+		}
+	}
+	// Every edge must be covered.
+	for _, n := range g.Nodes() {
+		for _, in := range n.Inputs {
+			if !slices.Contains(idx[in], n.ID) {
+				t.Fatalf("edge %d->%d missing from index", in, n.ID)
+			}
+		}
+	}
+	if len(idx[scan]) != 3 {
+		t.Fatalf("scan consumers = %v, want the three filters", idx[scan])
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	g, ids := linearGraph(t)
 	g.SetBinds([]any{int64(3), "x"})

@@ -49,7 +49,7 @@ type Span struct {
 	Device   string  `json:"device,omitempty"`
 	Native   string  `json:"native,omitempty"`
 	StartUS  int64   `json:"start_us"` // host time offset from trace start
-	QueueUS  int64   `json:"queue_us"` // dispatch-to-run wait in the scheduler
+	QueueUS  int64   `json:"queue_us"` // inputs-ready to engine-slot wait (concurrent mode)
 	RunUS    int64   `json:"run_us"`   // host wall time of the real execution
 	RowsIn   int64   `json:"rows_in"`
 	RowsOut  int64   `json:"rows_out"`

@@ -106,8 +106,9 @@ type Config struct {
 	DisableSingleFlight bool
 	// SubplanCacheBytes bounds the runtime's content-addressed subplan cache
 	// of materialized intermediates (keyed on subtree fingerprint + touched
-	// version vector). Zero keeps the runtime default (64 MiB); negative
-	// disables subplan caching.
+	// version vector). Zero keeps the runtime's own size
+	// (core.WithSubplanCacheBytes, 64 MiB by default); negative disables
+	// subplan caching.
 	SubplanCacheBytes int64
 	// MaxRows caps rows returned per response; clients may lower it per
 	// request but not exceed it (default 1000).
@@ -273,9 +274,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	if cfg.ResultCacheSize > 0 {
 		s.results = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
 	}
-	if cfg.SubplanCacheBytes != 0 {
-		rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
-	}
+	rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
 	if !cfg.DisableSingleFlight {
 		s.flight = newFlightGroup()
 	}

@@ -17,6 +17,13 @@ import (
 	"testing"
 
 	"polystorepp"
+	"polystorepp/internal/adapter"
+	"polystorepp/internal/cast"
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/core"
+	"polystorepp/internal/hw"
+	"polystorepp/internal/relational"
+	"polystorepp/internal/server"
 )
 
 // subplanOffCfg disables every other reuse layer so each request truly
@@ -267,5 +274,66 @@ func TestSubplanTraceEvents(t *testing.T) {
 	}
 	if cached == 0 {
 		t.Fatal("warm traced request has no cached spans")
+	}
+}
+
+// TestSubplanTenantShareAtRuntimeSize: a server that keeps the runtime's own
+// subplan cache size (SubplanCacheBytes 0, what polystore.System.Handler
+// passes) still holds each tenant to TenantCacheShare of that budget while
+// another tenant holds entries.
+func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
+	const budget, share = 64 << 10, 0.25
+	store := relational.NewStore("db")
+	events, err := store.CreateTable("events", cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "v", Type: cast.Int64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := events.Insert(int64(i), int64(i*7%200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := core.NewRuntime(hw.NewHostCPU(), core.WithSubplanCacheBytes(budget))
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
+	ts := httptest.NewServer(server.New(rt, compiler.Options{Level: 3}, server.Config{
+		DefaultSQLEngine: "db", ResultCacheSize: -1, DisableSingleFlight: true, TenantCacheShare: share,
+	}))
+	defer ts.Close()
+	query := func(tenant string, k int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"frontend":"sql","statement":"SELECT id, v FROM events WHERE id >= %d ORDER BY v LIMIT 10"}`, k)
+		if resp, raw := postAs(t, ts.URL+"/query", body, tenant, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s k=%d: status %d: %s", tenant, k, resp.StatusCode, raw)
+		}
+	}
+	query("second", 0)
+	for k := 1; k <= 40; k++ {
+		query("first", k)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		MaxBytes int64 `json:"subplan_cache_max_bytes"`
+		Tenants  map[string]struct {
+			SubplanBytes int64 `json:"subplan_cache_bytes"`
+		} `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.MaxBytes != budget {
+		t.Fatalf("subplan cache holds %d bytes, want the runtime's %d", stats.MaxBytes, budget)
+	}
+	if got := stats.Tenants["first"].SubplanBytes; got == 0 || got > int64(share*budget) {
+		t.Fatalf("first tenant holds %d subplan bytes, want 1..%d (%.2f of %d)", got, int64(share*budget), share, budget)
+	}
+	if stats.Tenants["second"].SubplanBytes == 0 {
+		t.Fatal("the second tenant's entries are gone: the share no longer binds")
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"polystorepp/internal/hw"
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/metrics"
-	"polystorepp/internal/migrate"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
 	"polystorepp/internal/streamstore"
@@ -129,7 +128,6 @@ type System struct {
 	host            *hw.Device
 	accels          []*hw.Device
 	mode            hw.Mode
-	migrator        *migrate.Migrator
 	rtOpts          []core.Option
 }
 
@@ -233,24 +231,6 @@ func WithSeed(seed int64) Option {
 	return func(sys *System) { sys.seed = seed }
 }
 
-// WithExecutorWorkers bounds concurrent node executions per engine queue in
-// the middleware's DAG scheduler (default 4).
-func WithExecutorWorkers(n int) Option {
-	return func(sys *System) { sys.rtOpts = append(sys.rtOpts, core.WithEngineWorkers(n)) }
-}
-
-// WithSequentialExecutor forces one-node-at-a-time plan execution — the
-// baseline for scheduler ablations.
-func WithSequentialExecutor() Option {
-	return func(sys *System) { sys.rtOpts = append(sys.rtOpts, core.WithSequentialExecutor()) }
-}
-
-// WithMigrator overrides the data migrator (e.g. to add serialization
-// offload).
-func WithMigrator(m *migrate.Migrator) Option {
-	return func(sys *System) { sys.migrator = m }
-}
-
 // WithBackend attaches a storage backend's durability barrier to the
 // runtime: Ingest acknowledges a write only after the backend reports it
 // durable. The caller owns the backend lifecycle (Attach/Recover/Start
@@ -282,9 +262,6 @@ func New(opts ...Option) *System {
 	rtOpts := sys.rtOpts
 	if len(sys.accels) > 0 {
 		rtOpts = append(rtOpts, core.WithAccelerators(sys.mode, sys.accels...))
-	}
-	if sys.migrator != nil {
-		rtOpts = append(rtOpts, core.WithMigrator(sys.migrator))
 	}
 	sys.runtime = core.NewRuntime(sys.host, rtOpts...)
 	for _, a := range sys.pendingAdapters {
