@@ -74,6 +74,14 @@ type Plan struct {
 	// a plan-cache hit hands out a copy of the shared plan carrying the
 	// requester's own (WithBinds).
 	Binds []any
+	// Touches is the data the input graph reads (TouchesOf), taken before
+	// any pass: a result key must be derived alike whether or not the plan
+	// was cached, and a pass that removes a scan must not split one query
+	// across two keys.
+	Touches Touches
+	// Key is the plan-cache key the plan was compiled under
+	// (PlanCache.Compile); "" for a plan compiled outside a cache.
+	Key string
 }
 
 // WithBinds returns a copy of p that executes with binds; everything else is
@@ -151,6 +159,7 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 		Order:    make([]*ir.Node, len(ids)),
 		Sinks:    work.Sinks(),
 		Binds:    g.Binds(),
+		Touches:  TouchesOf(g),
 	}
 	for i, id := range ids {
 		n := work.MustNode(id)

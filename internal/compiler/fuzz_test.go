@@ -12,6 +12,7 @@
 package compiler_test
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -91,11 +92,12 @@ func FuzzParseSQL(f *testing.F) {
 }
 
 // FuzzStatementShape: a statement whose parse lifts exactly the literals
-// Shape lexed, none of them shaping it by value, is the template the server's
-// statement cache serves every statement of its shape key from. So any
-// statement with that key — here the statement with its literals redrawn —
-// must parse too, lift the constants Shape lexed from it, and compile under
-// the same plan key.
+// Shape lexed, none of them shaping it by value, is a template: the server's
+// plan cache maps its shape key to its plan, and serves every statement of
+// that key from it, with the plan's key and touches. So any statement with
+// that key — here the statement with its literals redrawn — must parse too,
+// lift the constants Shape lexed from it, compile under the same plan key,
+// and touch the same data.
 func FuzzStatementShape(f *testing.F) {
 	for i, seed := range sqlSeeds {
 		f.Add(seed, uint8(i))
@@ -124,6 +126,9 @@ func FuzzStatementShape(f *testing.F) {
 		}
 		if compiler.Key(p.Graph(), opts) != compiler.Key(q.Graph(), opts) {
 			t.Fatalf("%q and %q share a shape key but not a plan key", sql, other)
+		}
+		if got, want := compiler.TouchesOf(q.Graph()), compiler.TouchesOf(p.Graph()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q touches %v, but %q, which shares its shape key, touches %v", other, got.ByEngine, sql, want.ByEngine)
 		}
 	})
 }

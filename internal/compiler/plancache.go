@@ -22,18 +22,17 @@ import (
 // pass, an adapter writing node attributes) breaks this contract and must
 // clone first.
 
-// PlanCache is a bounded LRU of compiled plans keyed by the program graph's
-// shape — its canonical fingerprint, which hashes each hole's type and not
-// the constant bound to it — plus the compiler options. Every statement of a
-// compiled shape skips the compiler, whatever its constants; hit/miss
-// counters feed the /metrics endpoint. All methods are safe for concurrent
-// use.
+// PlanCache is a bounded LRU of compiled plans. Every plan is cached under
+// its plan key (Key): the program graph's shape — its canonical fingerprint,
+// which hashes each hole's type and not the constant bound to it — plus the
+// compiler options. So every statement of a compiled shape skips the
+// compiler, whatever its constants. A caller may cache a plan under keys of
+// its own besides (Put), such as the server's SQL shape keys, which skip the
+// parse that yields the plan key; one capacity bounds entries of both kinds.
+// All methods are safe for concurrent use.
 type PlanCache struct {
 	mu    sync.Mutex
 	plans *lru.Cache[*Plan]
-
-	hits   int64
-	misses int64
 }
 
 // NewPlanCache returns a cache bounded to capacity entries. capacity < 1 is
@@ -48,47 +47,56 @@ func Key(g *ir.Graph, opts Options) string {
 	return fmt.Sprintf("%s|L%d|A%t|T%d", g.Fingerprint(), opts.Level, opts.Accel, int(opts.Transport))
 }
 
-// GetOrCompileKeyed returns the plan for (g, opts) carrying g's bind vector,
-// compiling and caching the shape on a miss. On a hit it is a copy of the
-// cached plan (Plan.WithBinds). The second result reports whether the plan
-// came from the cache. key is Key(g, opts), precomputed: the serving layer
-// already fingerprints the graph for its result cache and must not hash it
-// twice per request.
-func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*Plan, bool, error) {
-	return c.GetOrCompileBound(key, g, g.Binds(), opts)
-}
-
-// GetOrCompileBound is GetOrCompileKeyed with the bind vector apart from the
-// graph: the plan returned executes with binds, whatever g carries. A caller
-// that keeps one template graph per shape compiles it on a miss and never
-// rebuilds it for a statement's constants.
-func (c *PlanCache) GetOrCompileBound(key string, g *ir.Graph, binds []any, opts Options) (*Plan, bool, error) {
-	c.mu.Lock()
-	if plan, ok := c.plans.Get(key); ok {
-		c.hits++
-		c.mu.Unlock()
-		return plan.WithBinds(binds), true, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	// Compile outside the lock: compilation is the expensive part, and two
-	// racing misses for the same key just produce equivalent immutable plans
-	// (Put keeps the incumbent, so repeated hits share one plan).
-	plan, err := Compile(g, opts)
-	if err != nil {
-		return nil, false, err
-	}
-
-	c.mu.Lock()
-	c.plans.Put(key, plan)
-	c.mu.Unlock()
-	return plan.WithBinds(binds), false, nil
-}
-
-// Stats returns (hits, misses, current length).
-func (c *PlanCache) Stats() (hits, misses int64, size int) {
+// Get returns the plan cached under key, marking it most recently used. The
+// plan is shared: execute a copy bound to the statement's constants
+// (Plan.WithBinds).
+func (c *PlanCache) Get(key string) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.plans.Len()
+	return c.plans.Get(key)
+}
+
+// Put caches plan under key and returns the plan the cache holds there: the
+// incumbent when key is already present — racing compiles produce
+// equivalent immutable plans, and keeping one lets every hit share it —
+// otherwise plan.
+func (c *PlanCache) Put(key string, plan *Plan) *Plan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.Put(key, plan)
+}
+
+// Compile compiles g under opts, outside the lock, and caches the plan under
+// key, which is Key(g, opts) and becomes the plan's Key. It returns the plan
+// the cache holds under key (Put).
+func (c *PlanCache) Compile(key string, g *ir.Graph, opts Options) (*Plan, error) {
+	plan, err := Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	plan.Key = key
+	return c.Put(key, plan), nil
+}
+
+// GetOrCompileKeyed returns the plan for (g, opts) carrying g's bind vector,
+// compiling and caching the shape on a miss: a copy of the cached plan
+// (Plan.WithBinds). The second result reports whether the plan came from the
+// cache. key is Key(g, opts), precomputed: a caller that fingerprints the
+// graph for its own keys must not hash it twice.
+func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*Plan, bool, error) {
+	plan, hit := c.Get(key)
+	if !hit {
+		var err error
+		if plan, err = c.Compile(key, g, opts); err != nil {
+			return nil, false, err
+		}
+	}
+	return plan.WithBinds(g.Binds()), hit, nil
+}
+
+// Len returns the number of cached entries, of every key kind.
+func (c *PlanCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.Len()
 }

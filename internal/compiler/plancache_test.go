@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"polystorepp/internal/ir"
@@ -44,38 +46,41 @@ func TestPlanCacheHitMissLRU(t *testing.T) {
 	if _, hit, _ := getOrCompile(c, cacheTestGraph("b"), opts); hit {
 		t.Fatal("new graph should miss")
 	}
-	hits, misses, size := c.Stats()
-	if size != 2 {
+	if size := c.Len(); size != 2 {
 		t.Fatalf("size = %d, want 2", size)
 	}
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d, want 1/3", hits, misses)
+	if _, hit, _ := getOrCompile(c, cacheTestGraph("a"), opts); hit {
+		t.Fatal(`"a"/L3 should have been evicted`)
 	}
 }
 
 func TestPlanCacheConcurrent(t *testing.T) {
 	c := NewPlanCache(8)
 	opts := Options{Level: 3, Accel: true}
+	var hits atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if _, _, err := getOrCompile(c, cacheTestGraph("t"), opts); err != nil {
+				_, hit, err := getOrCompile(c, cacheTestGraph("t"), opts)
+				if err != nil {
 					t.Error(err)
 					return
+				}
+				if hit {
+					hits.Add(1)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	hits, misses, _ := c.Stats()
-	if hits+misses != 16*50 {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, 16*50)
-	}
-	if hits == 0 {
+	if hits.Load() == 0 {
 		t.Fatal("expected cache hits under repeated identical queries")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("%d entries for one shape", c.Len())
 	}
 }
 
@@ -91,31 +96,46 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 // TestPlanCacheSharedTemplateConcurrent: one template graph, compiled again
-// and again by goroutines whose two keys evict each other from a one-entry
-// cache, while others are handed copies bound to their own constants.
+// and again by goroutines whose plan key and second key (a shape key, say)
+// evict each other from a one-entry cache, while each execution binds a copy
+// to its own constants. The shared plan keeps its key, its touches and no
+// constants of anyone's.
 func TestPlanCacheSharedTemplateConcurrent(t *testing.T) {
 	c := NewPlanCache(1)
 	template := cacheTestGraph("t")
 	opts := Options{Level: 3, Accel: true}
-	keys := []string{Key(template, opts), "other"}
+	key := Key(template, opts)
+	keys := []string{key, "sql|t"}
+	touches := TouchesOf(template)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				binds := []any{int64(i), int64(j)}
-				plan, _, err := c.GetOrCompileBound(keys[j%2], template, binds, opts)
-				if err != nil {
-					t.Error(err)
+				plan, ok := c.Get(keys[j%2])
+				if !ok {
+					var err error
+					if plan, err = c.Compile(key, template, opts); err != nil {
+						t.Error(err)
+						return
+					}
+					c.Put(keys[1], plan)
+				}
+				if plan.Key != key || plan.Binds != nil || !reflect.DeepEqual(plan.Touches, touches) {
+					t.Errorf("shared plan: key %q, binds %v, touches %v", plan.Key, plan.Binds, plan.Touches)
 					return
 				}
-				if plan.Binds[0] != binds[0] || plan.Binds[1] != binds[1] {
-					t.Errorf("plan bound to %v, want %v", plan.Binds, binds)
+				binds := []any{int64(i), int64(j)}
+				if bound := plan.WithBinds(binds); bound.Binds[0] != binds[0] || bound.Binds[1] != binds[1] {
+					t.Errorf("plan bound to %v, want %v", bound.Binds, binds)
 					return
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
+	if c.Len() != 1 {
+		t.Fatalf("%d entries in a one-entry cache", c.Len())
+	}
 }

@@ -89,7 +89,8 @@ func (ta *touchAccum) touches() Touches {
 }
 
 // TouchesOf computes the data a program graph reads. The result depends
-// only on the graph, so callers may cache it under the graph's fingerprint.
+// only on the graph's shape, so Compile records it as Plan.Touches and every
+// statement the plan serves shares it.
 func TouchesOf(g *ir.Graph) Touches {
 	ta := newTouchAccum()
 	for _, n := range g.Nodes() {

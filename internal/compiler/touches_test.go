@@ -68,4 +68,22 @@ func TestCompileRecordsTouches(t *testing.T) {
 	if tables := plan.Subtrees[0].Touches.ByEngine["db"]; !reflect.DeepEqual(tables, []string{"patients"}) {
 		t.Fatalf("plan touches db tables = %v, want [patients]", tables)
 	}
+	if !reflect.DeepEqual(plan.Touches, TouchesOf(p.Graph())) {
+		t.Fatalf("Plan.Touches = %v, want TouchesOf the input %v", plan.Touches, TouchesOf(p.Graph()))
+	}
+
+	// Pushdown moves the ml filter onto db; Plan.Touches is still the
+	// program's as written.
+	g := ir.NewGraph()
+	scan := g.Add(ir.OpScan, "db", map[string]any{"table": "patients"})
+	g.Add(ir.OpFilter, "ml", map[string]any{}, scan)
+	if plan, err = Compile(g, Options{Level: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := TouchesOf(plan.Graph).ByEngine["ml"]; ok {
+		t.Fatal("the filter was not pushed down")
+	}
+	if !reflect.DeepEqual(plan.Touches, TouchesOf(g)) {
+		t.Fatalf("Plan.Touches = %v, want TouchesOf the input %v", plan.Touches, TouchesOf(g))
+	}
 }

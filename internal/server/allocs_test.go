@@ -3,6 +3,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
@@ -53,11 +54,12 @@ func TestEmitBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPrepareShapeHitAllocBudget: a SQL statement whose shape was prepared
-// before is lexed once and keyed — no parse, no IR build, no fingerprint, no
-// touch analysis — so preparing it, everything after the body is decoded,
-// stays within 16 allocations (122 when every statement was parsed, built
-// and fingerprinted).
+// TestPrepareShapeHitAllocBudget: a SQL statement whose shape was compiled
+// before is lexed once and keyed, and its shape key hands it the plan, plan
+// key and touches — no parse, no IR build, no fingerprint, no touch analysis,
+// no plan copy — so preparing it, everything after the body is decoded, stays
+// within 7 allocations (122 when every statement was parsed, built and
+// fingerprinted).
 func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	store := relational.NewStore("db")
 	if _, err := store.CreateTable("events", cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64},
@@ -81,11 +83,18 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prepare() // the shape's first statement is parsed and memoized
-	if allocs := testing.AllocsPerRun(200, prepare); allocs > 16 {
-		t.Fatalf("preparing a statement of a prepared shape: %.0f allocations, budget 16", allocs)
+	// The shape's first statement is parsed, compiled and run.
+	p := &preparedQuery{req: reqs[0], tenant: ts.id}
+	if err := s.prepare(p, "", ts); err != nil {
+		t.Fatal(err)
 	}
-	if hits := s.st.statementHits.Value(); hits < 200 {
-		t.Fatalf("statement_cache_hits = %d, want every statement after the first", hits)
+	if _, err := s.runQuery(context.Background(), p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, prepare); allocs > 7 {
+		t.Fatalf("preparing a statement of a compiled shape: %.0f allocations, budget 7", allocs)
+	}
+	if hits := s.st.planHits.Value(); hits < 200 {
+		t.Fatalf("plan_cache_hits = %d, want every statement after the first", hits)
 	}
 }

@@ -15,55 +15,42 @@ import (
 )
 
 // The prepare path turns a request body into what the reuse layers key on:
-// the program's shape (a graph whose holes stand for its constants), its bind
-// vector, the options it compiles under, and the engines and tables it reads.
-// The parse, the IR build and the fingerprint depend on the statement's shape
-// alone, so a SQL statement of a shape prepared before skips all three: one
-// lexer pass (relational.Shape) turns it into a shape key and a bind vector,
-// and the statement cache maps the key to what the parse produced.
+// the program's plan (or, before its shape is compiled, the program), its
+// bind vector, the options it compiles under, and the engines and tables it
+// reads. The plan cache is the one memo on the way. The parse, the IR build
+// and the fingerprint depend on the statement's shape alone, so a SQL
+// statement of a shape compiled before skips all three: one lexer pass
+// (relational.Shape) turns it into a shape key and a bind vector, and the
+// plan cache maps the key to the shape's plan, which carries its plan key and
+// touches. Any other program is built and probed under its plan key.
 
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
-// /query/stream: the program, the per-request deadline, the effective
-// compiler options, and the cache keys.
+// /query/stream: the plan or program, the per-request deadline, the
+// effective compiler options, and the cache keys.
 type preparedQuery struct {
 	req    QueryRequest
 	nlRule string
-	// graph is the program's shape — on a statement-cache hit the template
-	// every statement of the shape shares, which nothing writes — and binds
-	// the constants its holes stand for.
-	graph   *ir.Graph
-	binds   []any
-	timeout time.Duration
-	opts    compiler.Options
-	planKey string
-	touches compiler.Touches
-	vv      string
-	resKey  string
+	// plan is the shared plan the plan cache holds for the program's shape;
+	// on a miss it is nil, graph is the program to compile, and shapeKey the
+	// SQL shape key the plan is cached under besides its plan key ("" when
+	// the statement is not its shape's template). binds are the constants
+	// the holes stand for.
+	plan     *compiler.Plan
+	graph    *ir.Graph
+	shapeKey string
+	binds    []any
+	timeout  time.Duration
+	opts     compiler.Options
+	planKey  string
+	touches  compiler.Touches
+	vv       string
+	resKey   string
 
 	// Multi-tenancy: who the request runs for, at what priority, and the
 	// weighted-fair flow weight (tenant weight x class weight).
 	tenant string
 	class  tenant.Class
 	weight float64
-}
-
-// statement is one entry of the statement cache, the prepare path's memo:
-// what preparing a program yields beyond its constants. The cache is bounded
-// like the plan cache. A SQL request keys it on engine, compiler options,
-// partition fan-out and statement shape, and a hit skips the parse, the IR
-// build, the engine check, the fingerprint and the touch analysis. Every
-// other frontend builds its program and keys it on the plan key, which skips
-// the touch analysis (TouchesOf reads table names and engines, which the plan
-// key fingerprints). Touches are taken from the program as written, before
-// any compiler pass: the result-cache key must be derived identically on
-// cold and warm paths, and a pass that removes a scan must not split one
-// query across two keys.
-type statement struct {
-	planKey string
-	touches compiler.Touches
-	// graph is a SQL shape's template, its bind vector cleared; nil under a
-	// plan key, whose requests build their own program.
-	graph *ir.Graph
 }
 
 // prepareQuery decodes the request body and prepares it. On failure it
@@ -123,10 +110,11 @@ func (s *Server) prepare(p *preparedQuery, classHeader string, ts *tenantState) 
 	return nil
 }
 
-// prepareProgram fills p's program, bind vector, plan key and touches,
-// through the statement cache.
+// prepareProgram fills p's plan or program, bind vector, plan key and
+// touches through the plan cache, counting one plan-cache outcome: a hit
+// under the SQL shape key or the plan key, or a miss.
 func (s *Server) prepareProgram(p *preparedQuery) error {
-	var key string // a SQL statement's cache key; "" when it has none
+	var key string // a SQL statement's shape key; "" when it has none
 	var lexed []any
 	if engine := s.sqlEngine(&p.req); p.req.Frontend == "sql" && engine != "" && p.req.Statement != "" {
 		var buf [256]byte
@@ -135,8 +123,9 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 		// build path below, which answers the parser's error.
 		if k, binds, err := relational.Shape(prefix, p.req.Statement, make([]any, 0, 8)); err == nil {
 			key, lexed = string(k), binds
-			if st, ok := s.statement(key); ok {
-				p.graph, p.binds, p.planKey, p.touches = st.graph, binds, st.planKey, st.touches
+			if plan, ok := s.cache.Get(key); ok {
+				s.st.planHits.Inc()
+				p.plan, p.binds, p.planKey, p.touches = plan, binds, plan.Key, plan.Touches
 				return nil
 			}
 		}
@@ -153,32 +142,33 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	// The partition override mutates the graph before fingerprinting, so
 	// plans compiled at different fan-outs never share a cache entry.
 	stampParts(g, p.req.Parts)
-	p.graph, p.binds, p.nlRule = g, g.Binds(), nlRule
+	p.binds, p.nlRule = g.Binds(), nlRule
 	p.planKey = compiler.Key(g, p.opts)
-
-	if key != "" {
-		p.touches = compiler.TouchesOf(g)
-		// The statement is its shape's template only when its parse lifted
-		// exactly the literals the lexer found, and no literal's value shaped
-		// it: then every statement of its key parses to this graph with its
-		// own constants bound.
-		if !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
-			g.SetBinds(nil)
-			s.remember(key, statement{planKey: p.planKey, touches: p.touches, graph: g})
+	// The statement is its shape's template only when its parse lifted
+	// exactly the literals the lexer found, and no literal's value shaped it:
+	// then every statement of its shape key parses to this plan key with its
+	// own constants bound.
+	if key != "" && !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
+		p.shapeKey = key
+	}
+	if plan, ok := s.cache.Get(p.planKey); ok {
+		s.st.planHits.Inc()
+		p.plan, p.touches = plan, plan.Touches
+		if p.shapeKey != "" {
+			s.cache.Put(p.shapeKey, plan) // its shape key was evicted, or never stored
 		}
 		return nil
 	}
-	st, ok := s.statement(p.planKey)
-	if !ok {
-		st = s.remember(p.planKey, statement{planKey: p.planKey, touches: compiler.TouchesOf(g)})
-	}
-	p.touches = st.touches
+	s.st.planMisses.Inc()
+	p.graph, p.touches = g, compiler.TouchesOf(g)
 	return nil
 }
 
-// statementPrefix appends what a SQL statement's cache key holds besides its
+// statementPrefix appends what a SQL statement's shape key holds besides its
 // shape: the engine (length-prefixed, so no name can run into the options),
-// the compiler options and the clamped partition fan-out.
+// the compiler options and the clamped partition fan-out. The "sql|" it
+// starts with keeps shape keys apart from plan keys, which start with a
+// fingerprint.
 func statementPrefix(dst []byte, engine string, opts compiler.Options, parts int) []byte {
 	dst = strconv.AppendInt(append(dst, "sql|"...), int64(len(engine)), 10)
 	dst = append(append(append(dst, ':'), engine...), "|L"...)
@@ -187,27 +177,6 @@ func statementPrefix(dst []byte, engine string, opts compiler.Options, parts int
 	dst = strconv.AppendInt(append(dst, "|T"...), int64(opts.Transport), 10)
 	dst = strconv.AppendInt(append(dst, "|P"...), int64(parts), 10)
 	return append(dst, '|')
-}
-
-// statement probes the statement cache, counting the outcome.
-func (s *Server) statement(key string) (statement, bool) {
-	s.statementsMu.Lock()
-	e, ok := s.statements.Get(key)
-	s.statementsMu.Unlock()
-	if ok {
-		s.st.statementHits.Inc()
-	} else {
-		s.st.statementMisses.Inc()
-	}
-	return e, ok
-}
-
-// remember stores a statement-cache entry and returns the one the cache
-// holds under key (an incumbent a racing request stored first).
-func (s *Server) remember(key string, e statement) statement {
-	s.statementsMu.Lock()
-	defer s.statementsMu.Unlock()
-	return s.statements.Put(key, e)
 }
 
 // resultKey is the result-cache and single-flight key of one execution: the

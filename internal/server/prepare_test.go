@@ -96,9 +96,10 @@ func answer(t *testing.T, h http.Handler, stmt, body string) (int, *deterministi
 
 // TestPreparedEqualsParsed: TestNativeEqualsServed's statements — its corpus
 // and its generated ones — and each again with its literals redrawn, served
-// twice by one server, which prepares a statement of a known shape from its
-// statement cache, and once by a fresh server, which parses it. Both prepare
-// the same plan key, bind vector and touches, and answer alike.
+// twice by one server, which prepares a statement of a compiled shape from
+// the plan it maps the shape key to, and once by a fresh server, which
+// parses it. Both prepare the same plan key, bind vector and touches, and
+// answer alike.
 func TestPreparedEqualsParsed(t *testing.T) {
 	text, err := os.ReadFile("../core/testdata/lowering_statements.txt")
 	if err != nil {
@@ -133,19 +134,20 @@ func TestPreparedEqualsParsed(t *testing.T) {
 			}
 		}
 	}
-	if hits := statementStats(t, memo).Hits; hits < int64(2*len(stmts)) {
-		t.Errorf("%d statement-cache hits over %d statements served twice each way", hits, len(stmts))
+	if hits := planStats(t, memo).Hits; hits < int64(2*len(stmts)) {
+		t.Errorf("%d plan-cache hits over %d statements served twice each way", hits, len(stmts))
 	}
 }
 
-type statementCounts struct {
-	Hits   int64 `json:"statement_cache_hits"`
-	Misses int64 `json:"statement_cache_miss"`
+type planCounts struct {
+	Hits   int64 `json:"plan_cache_hits"`
+	Misses int64 `json:"plan_cache_miss"`
+	Size   int   `json:"plan_cache_size"`
 }
 
-func statementStats(t *testing.T, h http.Handler) statementCounts {
+func planStats(t *testing.T, h http.Handler) planCounts {
 	t.Helper()
-	var c statementCounts
+	var c planCounts
 	if err := json.Unmarshal(serve(t, h, http.MethodGet, "/stats", ""), &c); err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +159,12 @@ func statementStats(t *testing.T, h http.Handler) statementCounts {
 // after the 2, so SELECT value * 3 must answer a column named after the 3; a
 // WHERE that is only a literal keeps it in the graph. Nor is one whose parse
 // lifts other literals than the lexer found: a column named true lexes as a
-// literal but is a name to the parser.
+// literal but is a name to the parser. Each is parsed every time, and its
+// plan cached under its plan key alone: no shape key reaches the cache.
 func TestValueShapedStatementsParseEveryTime(t *testing.T) {
 	store := preparedStore(t)
 	srv := newPreparedServer(store)
+	planKeys := map[string]bool{}
 	for _, stmt := range []string{
 		"SELECT id, value * 2 FROM events WHERE id < 3",
 		"SELECT id, value * 3 FROM events WHERE id < 3",
@@ -172,7 +176,13 @@ func TestValueShapedStatementsParseEveryTime(t *testing.T) {
 		"SELECT id AS false FROM events WHERE id < 4",
 	} {
 		body := fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt)
-		wantCode, want, wantErr := answer(t, newPreparedServer(store), stmt, body)
+		fresh := newPreparedServer(store)
+		p, err := fresh.Prepare(server.QueryRequest{Frontend: "sql", Statement: stmt})
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		planKeys[p.PlanKey] = true
+		wantCode, want, wantErr := answer(t, fresh, stmt, body)
 		for round := 0; round < 2; round++ {
 			code, got, errBody := answer(t, srv, stmt, body)
 			if code != wantCode || errBody != wantErr || !reflect.DeepEqual(got, want) {
@@ -188,14 +198,16 @@ func TestValueShapedStatementsParseEveryTime(t *testing.T) {
 	if want := []string{"false"}; !reflect.DeepEqual(got.Columns, want) {
 		t.Errorf("columns %q, want %q", got.Columns, want)
 	}
-	if c := statementStats(t, srv); c.Hits != 0 || c.Misses != 18 {
-		t.Errorf("statement cache: %d hits, %d misses; want 0 and 18", c.Hits, c.Misses)
+	// One compile and one entry per plan key; every other request found its
+	// plan under that key.
+	if c := planStats(t, srv); c.Misses != int64(len(planKeys)) || c.Hits != 18-c.Misses || c.Size != len(planKeys) {
+		t.Errorf("plan cache: %d hits, %d misses, %d entries; want %d misses and entries over 18 requests", c.Hits, c.Misses, c.Size, len(planKeys))
 	}
 }
 
-// TestStatementCacheSeparatesParts: "parts" pins the fan-out the graph is
-// compiled at, so each fan-out is its own statement-cache entry and plan.
-func TestStatementCacheSeparatesParts(t *testing.T) {
+// TestPlanCacheSeparatesParts: "parts" pins the fan-out the graph is
+// compiled at, so each fan-out has its own shape key and plan.
+func TestPlanCacheSeparatesParts(t *testing.T) {
 	srv := newPreparedServer(preparedStore(t))
 	const stmt = "SELECT kind, count(*) AS n FROM events WHERE id >= 700 GROUP BY kind"
 	keys := map[string]bool{}
@@ -206,13 +218,19 @@ func TestStatementCacheSeparatesParts(t *testing.T) {
 				t.Fatal(err)
 			}
 			keys[p.PlanKey] = true
+			body := fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
+			if code, _, msg := answer(t, srv, stmt, body); code != http.StatusOK {
+				t.Fatalf("parts %d: %d %s", parts, code, msg)
+			}
 		}
 	}
 	if len(keys) != 4 {
 		t.Errorf("%d plan keys over 4 fan-outs", len(keys))
 	}
-	if c := statementStats(t, srv); c.Hits != 4 || c.Misses != 4 {
-		t.Errorf("statement cache: %d hits, %d misses; want 4 and 4", c.Hits, c.Misses)
+	// Round 0 prepares each fan-out twice before its plan is cached, round 1
+	// finds it twice; each plan is cached under its plan key and shape key.
+	if c := planStats(t, srv); c.Hits != 8 || c.Misses != 8 || c.Size != 8 {
+		t.Errorf("plan cache: %d hits, %d misses, %d entries; want 8, 8 and 8", c.Hits, c.Misses, c.Size)
 	}
 }
 
@@ -236,7 +254,7 @@ func TestNegativeLimitIs400(t *testing.T) {
 }
 
 // TestStatementCacheConcurrent: goroutines serving one shape with their own
-// constants share its template; each answer is its own statement's.
+// constants share its plan; each answer is its own statement's.
 func TestStatementCacheConcurrent(t *testing.T) {
 	srv := newPreparedServer(preparedStore(t))
 	var wg sync.WaitGroup
@@ -258,7 +276,85 @@ func TestStatementCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c := statementStats(t, srv); c.Hits+c.Misses != 320 || c.Hits < 300 {
-		t.Errorf("statement cache: %d hits, %d misses over 320 statements of one shape", c.Hits, c.Misses)
+	if c := planStats(t, srv); c.Hits+c.Misses != 320 || c.Hits < 300 {
+		t.Errorf("plan cache: %d hits, %d misses over 320 statements of one shape", c.Hits, c.Misses)
+	}
+}
+
+// TestOneCacheUnderEviction: SQL shape keys and plan keys share the plan
+// cache's capacity. At 1, 2 and 3 entries a server cycles through two
+// template shapes, the program form of the second, a value-shaped statement,
+// the second again, and one shape at parts 1 and 7, sending each twice with
+// its constants redrawn. So a shape key outlives its plan key (a compile
+// stores the plan key first), and a plan key outlives its shape key (the
+// program request finds the plan under its plan key alone). Every answer is
+// a fresh server's, and the cache never holds more entries than its capacity.
+func TestOneCacheUnderEviction(t *testing.T) {
+	store := preparedStore(t)
+	rng := rand.New(rand.NewSource(61))
+	const (
+		first  = "SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC, id LIMIT %d"
+		second = "SELECT kind, count(*) AS n FROM events WHERE id >= %d GROUP BY kind"
+		valued = "SELECT id, value * %d FROM events WHERE id < %d"
+		parted = "SELECT kind, sum(value) AS total FROM events WHERE id < %d GROUP BY kind"
+	)
+	sql := func(stmt string, parts int) string {
+		return fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
+	}
+	for _, capacity := range []int{1, 2, 3} {
+		cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 5000, PlanCacheSize: capacity}
+		srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+		for round := 0; round < 4; round++ {
+			for step := 0; step < 7; step++ {
+				for i := range 2 {
+					var stmt, body string
+					switch step {
+					case 0:
+						stmt = fmt.Sprintf(first, rng.Intn(32), 1+rng.Intn(20))
+						body = sql(stmt, 0)
+					case 1, 4:
+						stmt = fmt.Sprintf(second, rng.Intn(2000))
+						body = sql(stmt, 0)
+					case 2:
+						stmt = fmt.Sprintf(second, rng.Intn(2000))
+						body = fmt.Sprintf(`{"frontend":"program","program":[{"id":"q","op":"sql","engine":"db","sql":%q}]}`, stmt)
+					case 3: // on odd rounds, value * 3 follows value * 2
+						stmt = fmt.Sprintf(valued, 2+i*(round%2), rng.Intn(40))
+						body = sql(stmt, 0)
+					case 5, 6:
+						stmt = fmt.Sprintf(parted, rng.Intn(2000))
+						body = sql(stmt, []int{1, 7}[step-5])
+					}
+					wantCode, want, wantErr := answer(t, newPreparedServer(store), stmt, body)
+					code, got, errBody := answer(t, srv, stmt, body)
+					if code != http.StatusOK || code != wantCode || errBody != wantErr || !reflect.DeepEqual(got, want) {
+						t.Fatalf("capacity %d: %s: %d %+v %s\nfresh: %d %+v %s", capacity, body, code, got, errBody, wantCode, want, wantErr)
+					}
+					if c := planStats(t, srv); c.Size > capacity {
+						t.Fatalf("capacity %d: %d entries", capacity, c.Size)
+					}
+				}
+			}
+		}
+		if c := planStats(t, srv); c.Hits == 0 {
+			t.Errorf("capacity %d: no request found its plan", capacity)
+		}
+	}
+}
+
+// TestShapeKeyRejoinsItsPlan: a SQL statement whose plan is cached under its
+// plan key alone — compiled for the program frontend here, or left behind by
+// an evicted shape key — finds it there and maps its shape key to it, so the
+// next statement of its shape skips the parse.
+func TestShapeKeyRejoinsItsPlan(t *testing.T) {
+	srv := newPreparedServer(preparedStore(t))
+	const stmt = "SELECT kind, count(*) AS n FROM events WHERE id >= %d GROUP BY kind"
+	serve(t, srv, http.MethodPost, "/query", fmt.Sprintf(`{"frontend":"program","program":[{"id":"q","op":"sql","engine":"db","sql":%q}]}`, fmt.Sprintf(stmt, 5)))
+	if c := planStats(t, srv); c.Misses != 1 || c.Size != 1 {
+		t.Fatalf("program: %d misses, %d entries; want 1 and 1", c.Misses, c.Size)
+	}
+	serve(t, srv, http.MethodPost, "/query", fmt.Sprintf(`{"frontend":"sql","statement":%q}`, fmt.Sprintf(stmt, 6)))
+	if c := planStats(t, srv); c.Hits != 1 || c.Size != 2 {
+		t.Fatalf("statement: %d hits, %d entries; want 1 and 2", c.Hits, c.Size)
 	}
 }

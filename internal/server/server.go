@@ -20,9 +20,9 @@
 //     hashes each lifted literal's type, not its value) and compiled plans
 //     are reused across requests, so every statement of a compiled shape
 //     skips the compiler and executes with its own constants (hits/misses
-//     are exported on /metrics). In front of it, a statement cache lets a
-//     SQL statement of a prepared shape skip the parser, the IR build and
-//     the fingerprint as well (prepare.go).
+//     are exported on /metrics). The same cache maps a SQL statement's
+//     lexed shape key to its plan, so a statement of a compiled shape skips
+//     the parser, the IR build and the fingerprint as well (prepare.go).
 //   - A result cache keyed on (shape fingerprint + options, the program's
 //     constants, version vector of the engines/tables the plan touches):
 //     repeated queries over
@@ -69,7 +69,6 @@ import (
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
 	"polystorepp/internal/ir"
-	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/tenant"
 )
@@ -89,8 +88,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines (default 60s).
 	MaxTimeout time.Duration
-	// PlanCacheSize bounds the compiled-plan LRU and the statement cache in
-	// front of it (default 128 entries each).
+	// PlanCacheSize bounds the plan cache's entries (default 256). A
+	// compiled plan takes one under its plan key, and a SQL shape one more
+	// under its shape key.
 	PlanCacheSize int
 	// ResultCacheSize bounds the executed-result LRU keyed on
 	// (plan fingerprint + options, touched-engine version vector). Zero
@@ -194,7 +194,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 60 * time.Second
 	}
 	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 128
+		c.PlanCacheSize = 256
 	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 256
@@ -235,9 +235,6 @@ type Server struct {
 	mux     *http.ServeMux
 	traces  *obs.TraceLog
 	backend backend.Backend // cfg.Backend, or the in-memory one when nil
-	// statements memoizes the prepare path (prepare.go: statement).
-	statementsMu sync.Mutex
-	statements   *lru.Cache[statement]
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -264,8 +261,6 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		adm:    newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
 		mux:    http.NewServeMux(),
 		traces: obs.NewTraceLog(traceLogRecent, traceLogSlowest),
-
-		statements: lru.New[statement](cfg.PlanCacheSize),
 	}
 	s.tenants = newTenantControl(cfg)
 	if s.backend = cfg.Backend; s.backend == nil {
@@ -696,8 +691,8 @@ func leadersGone(last error) *refusal {
 	}
 }
 
-// executeOnce acquires a worker (or is shed), compiles (through the plan
-// cache) and executes — streaming sink-node batches through sink when one
+// executeOnce acquires a worker (or is shed), compiles when prepare found no
+// plan, and executes — streaming sink-node batches through sink when one
 // is attached — then publishes the outcome to the result cache. Result-cache
 // hits and single-flight followers never reach this function, which is what
 // makes admission's "cached reads survive overload" policy structural: only
@@ -723,13 +718,21 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 		tr.Phase("admission.queue", "", admT0)
 	}
 
-	plan, hit, err := s.cache.GetOrCompileBound(p.planKey, p.graph, p.binds, p.opts)
-	if err != nil {
-		return nil, nil, false, err
+	// Compiling under admission lets a cold compile be shed; the incumbent
+	// of a racing compile wins.
+	plan, hit := p.plan, p.plan != nil
+	if !hit {
+		var err error
+		if plan, err = s.cache.Compile(p.planKey, p.graph, p.opts); err != nil {
+			return nil, nil, false, err
+		}
+		if p.shapeKey != "" {
+			s.cache.Put(p.shapeKey, plan)
+		}
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
-	res, rep, err := s.rt.ExecuteStream(ctx, plan, sink)
+	res, rep, err := s.rt.ExecuteStream(ctx, plan.WithBinds(p.binds), sink)
 	if err != nil {
 		return nil, nil, hit, err
 	}

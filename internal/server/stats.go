@@ -98,7 +98,7 @@ func quantilesUS(h *metrics.Histogram) map[string]float64 {
 // declarations in newStatTable.
 type serverStats struct {
 	requests, rejected, badRequest, execErrors, deadline, ingests *metrics.Counter
-	statementHits, statementMisses                                *metrics.Counter
+	planHits, planMisses                                          *metrics.Counter
 	resultHits, resultMisses, flightShared                        *metrics.Counter
 	streamRequests, streamRows, streamBatches                     *metrics.Counter
 	streamErrorsInband, streamAborted                             *metrics.Counter
@@ -158,9 +158,9 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("default_accel", "", kindInfo, "Whether plans may target accelerators by default.", val(s.opts.Accel))
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
-	// Statement cache, plan cache, result cache, single-flight.
-	st.statementHits = counter("statement_cache_hits", "server.statementcache.hits", "Queries prepared from the statement cache: a SQL statement of a shape prepared before skips the parser, the IR build and the fingerprint; any other program skips the touch analysis.")
-	st.statementMisses = counter("statement_cache_miss", "server.statementcache.misses", "Statement-cache probes that missed.")
+	// Plan cache, result cache, single-flight.
+	st.planHits = counter("plan_cache_hits", "server.plancache.hits", "Queries prepared with a cached plan: a SQL statement of a shape compiled before skips the parser, the IR build, the fingerprint and the compiler; any other program skips the compiler.")
+	st.planMisses = counter("plan_cache_miss", "server.plancache.misses", "Queries prepared without a cached plan; their execution compiles one.")
 	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
 	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
@@ -211,14 +211,11 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 // cache, partition pool — reading each snapshot once per scrape rather than
 // once per row.
 func (s *Server) snapshotStats() []stat {
-	planHits, planMisses, planSize := s.cache.Stats()
 	resultBytes, resultBypassed := s.results.bytes()
 	sp, spOn := s.rt.SubplanCacheStats()
 	spawned, inlined := partition.Shared().Stats()
 	return []stat{
-		{key: "plan_cache_hits", name: "server.plancache.hits", kind: kindCounter, help: "Compiled plans served from the plan cache.", get: val(planHits)},
-		{key: "plan_cache_miss", name: "server.plancache.misses", kind: kindCounter, help: "Plans compiled because the plan cache missed.", get: val(planMisses)},
-		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Compiled plans cached.", get: val(planSize)},
+		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL shape mapped to its plan.", get: val(s.cache.Len())},
 		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(resultBytes)},
 		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(resultBypassed)},
 		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},

@@ -165,15 +165,11 @@ func TestStreamLeaderClientGoneFollowerReelects(t *testing.T) {
 		},
 	})
 	s := New(rt, compiler.Options{}, Config{})
-	prog, err := buildProgram([]ProgramStep{{ID: "k", Op: "kvscan", Engine: "kv-slow", Prefix: "user/"}})
-	if err != nil {
+	p := &preparedQuery{req: QueryRequest{Frontend: "program",
+		Program: []ProgramStep{{ID: "k", Op: "kvscan", Engine: "kv-slow", Prefix: "user/"}}}}
+	if err := s.prepare(p, "", s.tenants.state("")); err != nil {
 		t.Fatal(err)
 	}
-	p := &preparedQuery{graph: prog.Graph(), opts: s.opts}
-	p.planKey = compiler.Key(p.graph, p.opts)
-	p.touches = compiler.TouchesOf(p.graph)
-	p.vv = s.rt.VersionVector(p.touches)
-	p.resKey = p.planKey + "|" + p.vv
 
 	leaderErr := make(chan error, 1)
 	go func() {
