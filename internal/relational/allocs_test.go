@@ -14,21 +14,6 @@ import (
 // Allocation budgets live apart from the race runs: the race runtime
 // allocates on its own account and would blur the counts.
 
-func allocBatch(t testing.TB, n, groups int) *cast.Batch {
-	t.Helper()
-	b := cast.NewBatch(cast.MustSchema(
-		cast.Column{Name: "id", Type: cast.Int64},
-		cast.Column{Name: "kind", Type: cast.Int64},
-		cast.Column{Name: "value", Type: cast.Float64},
-	), n)
-	for i := 0; i < n; i++ {
-		if err := b.AppendRow(int64(i), int64((i*31)%groups), float64(i%97)*0.25); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b
-}
-
 // allocatedBytes returns the heap bytes one call of fn allocates: the least
 // of several calls, so that a runtime goroutine allocating beside one of them
 // does not count.
@@ -94,19 +79,25 @@ func TestRangeFilterAllocatesNoVector(t *testing.T) {
 	}
 }
 
-// TestGroupByAllocBudget: an int64-keyed group-by allocates per group (map
-// and state growth), never per row.
+// TestGroupByAllocBudget: an int64-keyed group-by over 10k rows allocates a
+// number of times that does not grow with its groups — each per-group column
+// is sized once, from the slot table — and bytes in proportion to its groups
+// (state, sort keys and output columns), never to its rows.
 func TestGroupByAllocBudget(t *testing.T) {
-	const groups = 64
-	b := allocBatch(t, 10_000, groups)
 	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "value", As: "total"}, {Fn: AggMax, Col: "value", As: "hi"}}
-	allocs := testing.AllocsPerRun(10, func() {
-		if out, err := groupBy(context.Background(), b, []string{"kind"}, aggs, 1); err != nil || out.Rows() != groups {
-			t.Fatalf("group-by: %v", err)
+	for _, groups := range []int{64, 1024} {
+		b := allocBatch(t, 10_000, groups)
+		run := func() {
+			if out, err := groupBy(context.Background(), b, []string{"kind"}, aggs, 1); err != nil || out.Rows() != groups {
+				t.Fatalf("group-by: %v", err)
+			}
 		}
-	})
-	if allocs > groups+16 {
-		t.Fatalf("group-by of 10k rows into %d groups: %.0f allocations, budget %d", groups, allocs, groups+16)
+		if allocs := testing.AllocsPerRun(10, run); allocs > 48 {
+			t.Errorf("group-by of 10k rows into %d groups: %.0f allocations, budget 48", groups, allocs)
+		}
+		if got, budget := allocatedBytes(run), uint64(2048+112*groups); got > budget {
+			t.Errorf("group-by of 10k rows into %d groups: %d bytes allocated, budget %d", groups, got, budget)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"polystorepp/internal/cast"
@@ -396,133 +398,406 @@ func GroupBySchema(in cast.Schema, groupCols []string, aggs []AggSpec) (cast.Sch
 	return cast.NewSchema(cols...)
 }
 
-// aggState is one aggregate of one group. The extreme of a MIN or MAX is
-// kept as the input row holding it, so no value is ever boxed.
-type aggState struct {
-	count int64
-	sum   float64
-	ext   int32 // row of the running minimum or maximum; -1 when none
+// aggKind is what an aggregate keeps per group beside the group's count.
+type aggKind uint8
+
+const (
+	keepCount aggKind = iota // COUNT: nothing
+	keepWide                 // SUM of Int64/Timestamp: an exact 128-bit sum
+	keepSum                  // other SUMs, AVG: a float64 fold in row order
+	keepExt                  // MIN/MAX: the row holding the extreme
+)
+
+// aggInput is one aggregate bound to its input column: the typed slice the
+// sums and numeric extremes loop over (a string or bool extreme reads its
+// column from the batch).
+type aggInput struct {
+	kind aggKind
+	max  bool  // MAX, not MIN
+	col  int32 // input column; -1 for COUNT(*)
+	ints []int64
+	flts []float64
 }
 
-// aggInput is the typed view of one aggregate's input column.
-type aggInput struct {
-	ints []int64   // set for Int64/Timestamp inputs: summed
-	flts []float64 // set for Float64 inputs: summed
-	// beats is set for MIN and MAX: whether row x strictly beats row y as
-	// the extreme, so ties keep the earlier row.
-	beats func(x, y int32) bool
+// aggCols is one aggregate's state, a column indexed by group: only the one
+// its kind reads is set.
+type aggCols struct {
+	wide []int128
+	sums []float64
+	ext  []int32
 }
+
+// int128 is an exact integer sum in two's complement. Adding is associative,
+// so partial sums combine to the same total in any grouping.
+type int128 struct {
+	hi int64
+	lo uint64
+}
+
+func (s *int128) add(v int64) { s.addWide(int128{hi: v >> 63, lo: uint64(v)}) }
+
+func (s *int128) addWide(t int128) {
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, t.lo, 0)
+	s.hi += t.hi + int64(c)
+}
+
+// int64 returns the sum and whether it fits an int64.
+func (s int128) int64() (int64, bool) {
+	return int64(s.lo), s.hi == int64(s.lo)>>63
+}
+
+// vectorRows is how many rows the grouped loops take at a time: their group
+// ids live in a stack array of this size, never in one sized from the input.
+const vectorRows = 256
+
+// slotSpan caps the slot table of a single int64 key: a partition of n rows
+// takes one when its keys span at most min(2n, slotSpan) values.
+const slotSpan = 1 << 16
 
 // groupAccum is the aggregation state of one contiguous row range of the
-// input: its groups in first-appearance order (each remembered by its first
-// row, which also carries the group's key values) with one aggState per
-// aggregate per group. Groups are found through the typed key: an int64 or
-// string map for a single key column of that type, else the key columns'
-// cast.AppendKey rendering built in a reused buffer.
+// input: its groups, each remembered by its first row (which also carries
+// the group's key values), the count of each, and one aggCols per aggregate.
+// A single Int64/Timestamp key whose values span little finds its groups
+// through the slot table slots (key k is group slots[k-base], -1 when none),
+// which opens every group of the range in key order before any row is
+// folded, so the columns are sized exactly. Other keys go through a map: an
+// int64 or string map for a single key column of that type, else the key
+// columns' cast.AppendKey rendering built in a reused buffer. A key outside
+// the slot table — a later partition's, met in combine — goes to the int64
+// map.
 type groupAccum struct {
 	in      *cast.Batch
 	keyCols []int
 	keyInts []int64  // single Int64/Timestamp key column
 	keyStrs []string // single String key column
+	base    int64
+	slots   []int32
 	byInt   map[int64]int32
 	byStr   map[string]int32
 	buf     []byte
 
 	aggs   []aggInput
 	first  []int32
-	states []aggState // len(first) * len(aggs)
+	counts []int64
+	states []aggCols // one per aggregate
 }
 
-func newGroupAccum(in *cast.Batch, keyCols []int, aggs []aggInput) *groupAccum {
-	acc := &groupAccum{in: in, keyCols: keyCols, aggs: aggs}
+func newGroupAccum(in *cast.Batch, keyCols []int, aggs []aggInput, lo, hi int) *groupAccum {
+	acc := &groupAccum{in: in, keyCols: keyCols, aggs: aggs, states: make([]aggCols, len(aggs))}
 	if len(keyCols) == 1 {
 		switch in.Schema().Col(keyCols[0]).Type {
 		case cast.Int64, cast.Timestamp:
 			acc.keyInts, _ = in.Ints(keyCols[0])
-			acc.byInt = make(map[int64]int32)
-			return acc
+			acc.slotTable(lo, hi)
 		case cast.String:
 			acc.keyStrs, _ = in.Strings(keyCols[0])
 		}
 	}
-	acc.byStr = make(map[string]int32)
+	if len(keyCols) > 0 && acc.keyInts == nil {
+		acc.byStr = make(map[string]int32)
+	}
 	return acc
 }
 
-// group returns the group of input row r, opening it (first row r, zero
-// states) when the key is new.
+// slotTable sets up the slot table for rows [lo, hi) when their keys span
+// few enough values, and opens their groups in key order.
+func (acc *groupAccum) slotTable(lo, hi int) {
+	keys := acc.keyInts[lo:hi]
+	if len(keys) == 0 {
+		return
+	}
+	kmin, kmax := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		kmin, kmax = min(kmin, k), max(kmax, k)
+	}
+	// kmax-kmin wraps for keys far apart; as a uint64 it is exact.
+	if uint64(kmax-kmin) >= uint64(min(2*len(keys), slotSpan)) {
+		return
+	}
+	slots := make([]int32, kmax-kmin+1)
+	for i := range slots {
+		slots[i] = -1
+	}
+	for i := len(keys) - 1; i >= 0; i-- { // the earliest row's write lands last
+		slots[keys[i]-kmin] = int32(lo + i)
+	}
+	groups := 0
+	for _, first := range slots {
+		if first >= 0 {
+			groups++
+		}
+	}
+	acc.size(groups)
+	for i, first := range slots {
+		if first >= 0 {
+			slots[i] = acc.open(first)
+		}
+	}
+	acc.base, acc.slots = kmin, slots
+}
+
+// size gives every per-group column room for n groups.
+func (acc *groupAccum) size(n int) {
+	acc.first, acc.counts = make([]int32, 0, n), make([]int64, 0, n)
+	for i := range acc.states {
+		switch st := &acc.states[i]; acc.aggs[i].kind {
+		case keepWide:
+			st.wide = make([]int128, 0, n)
+		case keepSum:
+			st.sums = make([]float64, 0, n)
+		case keepExt:
+			st.ext = make([]int32, 0, n)
+		}
+	}
+}
+
+// open opens a group whose first row is r: count and sums zero, and r the
+// extreme so far.
+func (acc *groupAccum) open(r int32) int32 {
+	g := int32(len(acc.first))
+	acc.first, acc.counts = append(acc.first, r), append(acc.counts, 0)
+	for i := range acc.states {
+		switch st := &acc.states[i]; acc.aggs[i].kind {
+		case keepWide:
+			st.wide = append(st.wide, int128{})
+		case keepSum:
+			st.sums = append(st.sums, 0)
+		case keepExt:
+			st.ext = append(st.ext, r)
+		}
+	}
+	return g
+}
+
+// group returns the group of input row r, opening it when the key is new.
 func (acc *groupAccum) group(r int32) int32 {
-	g, next := int32(0), int32(len(acc.first))
-	var ok bool
 	switch {
 	case len(acc.keyCols) == 0:
-		ok = next > 0
-	case acc.byInt != nil:
-		if g, ok = acc.byInt[acc.keyInts[r]]; !ok {
-			acc.byInt[acc.keyInts[r]] = next
+		if len(acc.first) > 0 {
+			return 0
 		}
+	case acc.keyInts != nil:
+		k := acc.keyInts[r]
+		if i := uint64(k - acc.base); i < uint64(len(acc.slots)) {
+			if acc.slots[i] < 0 {
+				acc.slots[i] = acc.open(r)
+			}
+			return acc.slots[i]
+		}
+		if acc.byInt == nil {
+			acc.byInt = make(map[int64]int32)
+		}
+		if g, ok := acc.byInt[k]; ok {
+			return g
+		}
+		acc.byInt[k] = int32(len(acc.first))
 	case acc.keyStrs != nil:
-		if g, ok = acc.byStr[acc.keyStrs[r]]; !ok {
-			acc.byStr[acc.keyStrs[r]] = next
+		if g, ok := acc.byStr[acc.keyStrs[r]]; ok {
+			return g
 		}
+		acc.byStr[acc.keyStrs[r]] = int32(len(acc.first))
 	default:
 		acc.buf = acc.in.AppendKey(acc.buf[:0], int(r), acc.keyCols)
-		if g, ok = acc.byStr[string(acc.buf)]; !ok {
-			acc.byStr[string(acc.buf)] = next
+		if g, ok := acc.byStr[string(acc.buf)]; ok {
+			return g
 		}
+		acc.byStr[string(acc.buf)] = int32(len(acc.first))
 	}
-	if ok {
-		return g
-	}
-	acc.first = append(acc.first, r)
-	for range acc.aggs {
-		acc.states = append(acc.states, aggState{ext: -1})
-	}
-	return next
+	return acc.open(r)
 }
 
-// of returns the aggregate states of group g.
-func (acc *groupAccum) of(g int32) []aggState {
-	n := len(acc.aggs)
-	return acc.states[int(g)*n : (int(g)+1)*n]
+// groupIDs fills ids with the groups of rows [lo, lo+len(ids)) and counts
+// the rows into them.
+func (acc *groupAccum) groupIDs(ids []int32, lo int) {
+	if acc.slots == nil {
+		for i := range ids {
+			g := acc.group(int32(lo + i))
+			ids[i] = g
+			acc.counts[g]++
+		}
+		return
+	}
+	for i, k := range acc.keyInts[lo : lo+len(ids)] {
+		g := acc.slots[k-acc.base]
+		ids[i] = g
+		acc.counts[g]++
+	}
 }
 
-// accumulate folds input rows [lo, hi) into a fresh accumulator, in row
-// order.
+// accumulate folds input rows [lo, hi) into a fresh accumulator. Grouped, it
+// takes a vector of rows at a time: first their group ids and counts, then
+// each aggregate as its own typed loop over its column. Ungrouped, there
+// are no ids: one loop per aggregate over the whole range. Either way each
+// group's rows fold in row order.
 func accumulate(m *cast.Batch, groupIdx []int, aggs []aggInput, lo, hi int) *groupAccum {
-	acc := newGroupAccum(m, groupIdx, aggs)
-	for r := int32(lo); r < int32(hi); r++ {
-		sts := acc.of(acc.group(r))
-		for i := range sts {
-			st, a := &sts[i], &aggs[i]
-			st.count++
-			switch {
-			case a.ints != nil:
-				st.sum += float64(a.ints[r])
-			case a.flts != nil:
-				st.sum += a.flts[r]
+	acc := newGroupAccum(m, groupIdx, aggs, lo, hi)
+	if len(groupIdx) == 0 {
+		if lo < hi {
+			acc.open(int32(lo))
+			acc.counts[0] = int64(hi - lo)
+			for i := range aggs {
+				acc.fold(i, nil, lo, hi)
 			}
-			if a.beats != nil && (st.ext < 0 || a.beats(r, st.ext)) {
-				st.ext = r
-			}
+		}
+		return acc
+	}
+	var ids [vectorRows]int32
+	for v := lo; v < hi; v += vectorRows {
+		vec := ids[:min(vectorRows, hi-v)]
+		acc.groupIDs(vec, v)
+		for i := range aggs {
+			acc.fold(i, vec, v, v+len(vec))
 		}
 	}
 	return acc
+}
+
+// fold folds rows [lo, hi) of aggregate i's column into the groups ids
+// names, or — ids nil — into group 0, the running value kept in a register.
+func (acc *groupAccum) fold(i int, ids []int32, lo, hi int) {
+	a, st := &acc.aggs[i], &acc.states[i]
+	switch {
+	case a.kind == keepWide && ids == nil:
+		s := st.wide[0]
+		for _, x := range a.ints[lo:hi] {
+			s.add(x)
+		}
+		st.wide[0] = s
+	case a.kind == keepWide:
+		for j, x := range a.ints[lo:hi] {
+			st.wide[ids[j]].add(x)
+		}
+	case a.kind == keepSum && a.ints != nil:
+		sumFold(st.sums, a.ints[lo:hi], ids)
+	case a.kind == keepSum && a.flts != nil:
+		sumFold(st.sums, a.flts[lo:hi], ids)
+	case a.kind != keepExt:
+	case a.ints != nil:
+		extFold(st.ext, a.ints, ids, lo, hi, a.max)
+	case a.flts != nil:
+		extFold(st.ext, a.flts, ids, lo, hi, a.max)
+	default:
+		if strs, err := acc.in.Strings(int(a.col)); err == nil {
+			extFold(st.ext, strs, ids, lo, hi, a.max)
+			return
+		}
+		bools, _ := acc.in.Bools(int(a.col))
+		for r := lo; r < hi; r++ {
+			g := int32(0)
+			if ids != nil {
+				g = ids[r-lo]
+			}
+			if boolBeats(bools, int32(r), st.ext[g], a.max) {
+				st.ext[g] = int32(r)
+			}
+		}
+	}
+}
+
+func sumFold[T int64 | float64](sums []float64, v []T, ids []int32) {
+	if ids == nil {
+		s := sums[0]
+		for _, x := range v {
+			s += float64(x)
+		}
+		sums[0] = s
+		return
+	}
+	for j, x := range v {
+		sums[ids[j]] += float64(x)
+	}
+}
+
+func extFold[T int64 | float64 | string](ext []int32, v []T, ids []int32, lo, hi int, max bool) {
+	if ids != nil {
+		for j, g := range ids {
+			if r := lo + j; beats(v[r], v[ext[g]], max) {
+				ext[g] = int32(r)
+			}
+		}
+		return
+	}
+	e, r := ext[0], lo
+	for ; r < hi && v[e] != v[e]; r++ { // a NaN extreme gives way to any row
+		e = int32(r)
+	}
+	// From a number on, the extreme is never a NaN: plain compares will do.
+	best := v[e]
+	if max {
+		for i, x := range v[r:hi] {
+			if x > best {
+				e, best = int32(r+i), x
+			}
+		}
+	} else {
+		for i, x := range v[r:hi] {
+			if x < best {
+				e, best = int32(r+i), x
+			}
+		}
+	}
+	ext[0] = e
+}
+
+// beats reports whether value x replaces the running extreme e: strictly
+// below it for MIN, above it for MAX, so ties keep the earlier row — or e is
+// a NaN (floats only; e != e is false for the other types), which any row
+// replaces. The extreme a group reports is its first row when that is a NaN
+// (renderGroups): a row-order fold keeps a NaN it starts from, since nothing
+// compares below or above one, and from a number on never takes a NaN.
+// Folding past NaNs this way makes the fold associative, so partitions
+// combine to the row-order answer.
+func beats[T int64 | float64 | string](x, e T, max bool) bool {
+	if max {
+		return x > e || e != e
+	}
+	return x < e || e != e
+}
+
+// boolBeats is beats for bools, false before true.
+func boolBeats(v []bool, x, e int32, max bool) bool {
+	if max {
+		return v[x] && !v[e]
+	}
+	return !v[x] && v[e]
+}
+
+// beats is beats between rows x and e of aggregate i's column.
+func (acc *groupAccum) beats(i int, x, e int32) bool {
+	a := &acc.aggs[i]
+	switch {
+	case a.ints != nil:
+		return beats(a.ints[x], a.ints[e], a.max)
+	case a.flts != nil:
+		return beats(a.flts[x], a.flts[e], a.max)
+	}
+	if strs, err := acc.in.Strings(int(a.col)); err == nil {
+		return beats(strs[x], strs[e], a.max)
+	}
+	bools, _ := acc.in.Bools(int(a.col))
+	return boolBeats(bools, x, e, a.max)
 }
 
 // combine folds a later partition's accumulator into acc, preserving
 // row-order semantics: a group's first row comes from the earliest partition
-// containing it, mins/maxes keep the earlier row on ties (as row-order
+// containing it, extremes keep the earlier row on ties (as row-order
 // iteration does), and sums add in ascending partition order.
 func (acc *groupAccum) combine(next *groupAccum) {
 	for ng, row := range next.first {
-		sts, nsts := acc.of(acc.group(row)), next.of(int32(ng))
-		for i := range sts {
-			st, nx := &sts[i], &nsts[i]
-			st.count += nx.count
-			st.sum += nx.sum
-			if nx.ext >= 0 && (st.ext < 0 || acc.aggs[i].beats(nx.ext, st.ext)) {
-				st.ext = nx.ext
+		g := acc.group(row)
+		acc.counts[g] += next.counts[ng]
+		for i := range acc.states {
+			st, nx := &acc.states[i], &next.states[i]
+			switch acc.aggs[i].kind {
+			case keepWide:
+				st.wide[g].addWide(nx.wide[ng])
+			case keepSum:
+				st.sums[g] += nx.sums[ng]
+			case keepExt:
+				if acc.beats(i, nx.ext[ng], st.ext[g]) {
+					st.ext[g] = nx.ext[ng]
+				}
 			}
 		}
 	}
@@ -530,10 +805,14 @@ func (acc *groupAccum) combine(next *groupAccum) {
 
 // GroupBy hash-aggregates m into a batch under schema, which is
 // GroupBySchema of m's; with no group columns it produces a single
-// global-aggregate row. The accumulation fans out over fixed row-range
-// partitions on the shared scan pool and the partial aggregates combine in
-// ascending partition order (parallel.go's equivalence argument), so results
-// match single-partition execution.
+// global-aggregate row. COUNT counts rows; SUM of an Int64/Timestamp column
+// is exact, and fails with ErrOverflow when the total does not fit an int64;
+// SUM of a Float64 column and AVG of any column fold float64s in row order;
+// MIN/MAX keep CompareValues' order and, on ties, the earliest row — a group
+// that starts with a NaN reports it. The accumulation fans out over fixed
+// row-range partitions on the shared scan pool and the partial aggregates
+// combine in ascending partition order (parallel.go's equivalence argument),
+// so results match single-partition execution.
 func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggSpec, schema cast.Schema, parts int) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -549,24 +828,29 @@ func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggS
 	}
 	inputs := make([]aggInput, len(aggs))
 	for i, a := range aggs {
+		in := &inputs[i]
+		in.max, in.col = a.Fn == AggMax, -1
 		if a.Fn == AggCount && a.Col == "" {
 			continue
 		}
-		ai, err := cs.Index(BaseName(a.Col))
+		ci, err := cs.Index(BaseName(a.Col))
 		if err != nil {
 			return nil, err
 		}
-		switch cs.Col(ai).Type {
+		in.col = int32(ci)
+		switch cs.Col(ci).Type {
 		case cast.Int64, cast.Timestamp:
-			inputs[i].ints, _ = m.Ints(ai)
+			in.ints, _ = m.Ints(ci)
 		case cast.Float64:
-			inputs[i].flts, _ = m.Floats(ai)
+			in.flts, _ = m.Floats(ci)
 		}
-		switch cmp := m.Comparator(ai); a.Fn {
-		case AggMin:
-			inputs[i].beats = func(x, y int32) bool { return cmp(x, y) < 0 }
-		case AggMax:
-			inputs[i].beats = func(x, y int32) bool { return cmp(x, y) > 0 }
+		switch {
+		case a.Fn == AggMin || a.Fn == AggMax:
+			in.kind = keepExt
+		case a.Fn == AggSum && in.ints != nil:
+			in.kind = keepWide
+		case a.Fn == AggAvg || a.Fn == AggSum:
+			in.kind = keepSum
 		}
 	}
 	ranges := splitRows(m.Rows(), parts)
@@ -594,55 +878,62 @@ func renderGroups(m *cast.Batch, acc *groupAccum, groupIdx []int, aggs []AggSpec
 		// aggregate at its zero.
 		return cast.NewBatchRows(schema, 1-min(len(groupIdx), 1)), nil
 	}
-	var keys []byte
-	ends, order := make([]int, n+1), make([]int32, n)
-	for i, row := range acc.first {
-		keys = m.AppendKey(keys, int(row), groupIdx)
-		ends[i+1], order[i] = len(keys), int32(i)
+	order := make([]int32, n)
+	if n > 1 {
+		var keys []byte
+		ends := make([]int32, n+1)
+		for i, row := range acc.first {
+			keys = m.AppendKey(keys, int(row), groupIdx)
+			ends[i+1], order[i] = int32(len(keys)), int32(i)
+		}
+		slices.SortFunc(order, func(x, y int32) int {
+			return bytes.Compare(keys[ends[x]:ends[x+1]], keys[ends[y]:ends[y+1]])
+		})
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		return bytes.Compare(keys[ends[x]:ends[x+1]], keys[ends[y]:ends[y+1]])
-	})
-
 	rows := make([]int32, n)
-	for i, gi := range order {
-		rows[i] = acc.first[gi]
+	for i, g := range order {
+		rows[i] = acc.first[g]
 	}
 	cols := make([]any, 0, schema.Len())
 	for _, ci := range groupIdx {
 		cols = append(cols, columnAt(m, ci, rows))
 	}
 	for i, a := range aggs {
-		counts, sums := make([]int64, n), make([]float64, n)
-		for j, gi := range order {
-			st := acc.of(gi)[i]
-			counts[j], sums[j], rows[j] = st.count, st.sum, st.ext
-		}
-		switch a.Fn {
-		case AggCount:
-			cols = append(cols, counts)
-		case AggSum:
-			if schema.Col(len(groupIdx)+i).Type != cast.Int64 {
-				cols = append(cols, sums)
-				continue
+		in, st := &acc.aggs[i], &acc.states[i]
+		switch {
+		case a.Fn == AggCount:
+			out := make([]int64, n)
+			for j, g := range order {
+				out[j] = acc.counts[g]
 			}
-			for j, s := range sums {
-				counts[j] = int64(s)
-			}
-			cols = append(cols, counts)
-		case AggAvg:
-			for j, c := range counts {
-				if c != 0 {
-					sums[j] /= float64(c)
+			cols = append(cols, out)
+		case in.kind == keepExt:
+			for j, g := range order {
+				rows[j] = st.ext[g]
+				if first := acc.first[g]; in.flts != nil && math.IsNaN(in.flts[first]) {
+					rows[j] = first
 				}
 			}
-			cols = append(cols, sums)
-		case AggMin, AggMax:
-			ci, err := m.Schema().Index(BaseName(a.Col))
-			if err != nil {
-				return nil, err
+			cols = append(cols, columnAt(m, int(in.col), rows))
+		case in.kind == keepWide:
+			out := make([]int64, n)
+			for j, g := range order {
+				s, ok := st.wide[g].int64()
+				if !ok {
+					return nil, fmt.Errorf("%w: %s(%s) AS %s is beyond int64", ErrOverflow, a.Fn, a.Col, a.As)
+				}
+				out[j] = s
 			}
-			cols = append(cols, columnAt(m, ci, rows))
+			cols = append(cols, out)
+		default: // SUM of floats, or of a column with no number to add; AVG
+			out := make([]float64, n)
+			for j, g := range order {
+				out[j] = st.sums[g]
+				if a.Fn == AggAvg {
+					out[j] /= float64(acc.counts[g])
+				}
+			}
+			cols = append(cols, out)
 		}
 	}
 	return cast.BatchOf(schema, cols...)

@@ -43,6 +43,8 @@ var (
 	ErrExpr = errors.New("relational: expression")
 	// ErrDivideByZero is a well-formed expression failing on a value it met.
 	ErrDivideByZero = errors.New("relational: integer division by zero")
+	// ErrOverflow is an integer SUM whose exact total does not fit an int64.
+	ErrOverflow = errors.New("relational: integer overflow")
 )
 
 // ColRef references a column by name. Qualified names ("t.col") match the

@@ -17,9 +17,14 @@ import (
 // fan-out produces identical results: filters and projections are
 // row-order-preserving by construction, and group-by partial aggregates
 // combine in ascending partition order, so the combine is deterministic
-// regardless of goroutine schedule and exact (hence partition-invariant)
-// whenever the underlying additions are exact — always for counts and
-// integer sums, and for float sums whose accumulations round nowhere.
+// regardless of goroutine schedule. Within a partition group-by folds a
+// vector of rows at a time — group ids first, then one typed loop per
+// aggregate (exec.go) — and each group's rows still in row order, so a
+// partial is what a row loop over the range would hold. The combine is exact
+// (hence partition-invariant) wherever its additions are: counts, integer
+// SUMs (128-bit, exact by construction) and MIN/MAX always; float SUMs and
+// AVGs — float64 folds, of integer columns too — when their accumulations
+// round nowhere.
 
 // splitRows resolves a partition knob against n input rows: parts <= 0 sizes
 // the fan-out from n and the pool width, 1 keeps one range.

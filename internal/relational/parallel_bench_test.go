@@ -215,6 +215,80 @@ func BenchmarkFilterReadOneColumn(b *testing.B) {
 	}
 }
 
+// allocBatch is n rows of id (0..n-1), kind (id*31 mod groups: all groups
+// occur once n ≥ groups, 31 being prime) and value (a multiple of 0.25, so
+// every float sum over it is exact).
+func allocBatch(t testing.TB, n, groups int) *cast.Batch {
+	t.Helper()
+	b := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "kind", Type: cast.Int64},
+		cast.Column{Name: "value", Type: cast.Float64},
+	), n)
+	for i := 0; i < n; i++ {
+		if err := b.AppendRow(int64(i), int64((i*31)%groups), float64(i%97)*0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+var sumSink float64
+
+// BenchmarkSumLoop40k is the bare loop the aggregate benches are read
+// against: one float sum over the 40 000 values they aggregate, in the same
+// process, so a kernel's ns/op over this one's is a ratio a noisy host moves
+// far less than either number.
+func BenchmarkSumLoop40k(b *testing.B) {
+	vals, err := allocBatch(b, 40_000, 97).Floats(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		sumSink = s
+	}
+}
+
+func benchAggregate(b *testing.B, groupCols []string, aggs []AggSpec) {
+	in := allocBatch(b, 40_000, 97)
+	schema, err := GroupBySchema(in.Schema(), groupCols, aggs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GroupBy(context.Background(), in, groupCols, aggs, schema, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAggregate40k is the ungrouped count, min, max and sum of the
+// cold_analytic aggregate template over 40 000 rows at one partition.
+func BenchmarkAggregate40k(b *testing.B) {
+	benchAggregate(b, nil, []AggSpec{
+		{Fn: AggCount, As: "n"},
+		{Fn: AggMin, Col: "value", As: "lo"},
+		{Fn: AggMax, Col: "value", As: "hi"},
+		{Fn: AggSum, Col: "value", As: "total"},
+	})
+}
+
+// BenchmarkGroupBy40k is count and sum over 97 int64 groups of the same rows.
+func BenchmarkGroupBy40k(b *testing.B) {
+	benchAggregate(b, []string{"kind"}, []AggSpec{
+		{Fn: AggCount, As: "n"},
+		{Fn: AggSum, Col: "value", As: "total"},
+	})
+}
+
 // BenchmarkChunkedSingleBatch is the hand-off every streamed adapter node
 // ends with when its input fits one chunk: the batch through a kernel that
 // keeps every row, then through Chunked to the sink. It must cost no copy —

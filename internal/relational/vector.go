@@ -17,9 +17,13 @@ import (
 // (evalVec) over typed column slices, with no boxing. Row-at-a-time Eval
 // remains the reference the property tests compare against and the source of
 // every error value: a kernel reports only *where* evaluation fails, and the
-// error is whatever Eval returns for that row. A hardware kernel for filter
-// or project would replace the typed loops (cmpSel — stream compaction —
-// and arithVec) behind hw.Device; nothing above them would change.
+// error is whatever Eval returns for that row. A comparison of a dense column
+// with a constant — every lifted literal binds to one — runs one loop per
+// (type, operator) over the raw slice, a vector of positions at a time
+// (constSel); other operand shapes read each side per position. A hardware
+// kernel for filter or project would replace the typed loops (cmpSel —
+// stream compaction — and arithVec) behind hw.Device; nothing above them
+// would change.
 
 // selection names rows of a batch in ascending order: the run [lo, hi) while
 // rows is nil, the listed rows otherwise. The kernels hand on a list only
@@ -529,12 +533,22 @@ func holdsFor[T int64 | float64 | string](holds [3]bool, a, b T) bool {
 	return holds[1]
 }
 
+// mirrored[op] holds for (b, a) wherever op holds for (a, b).
+var mirrored = [...]BinOp{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
+
 // cmpSel compares m positions and returns the rows of in where the
 // comparison holds. The first pass counts the survivors and finds the first
 // and the last; when they are consecutive positions the answer is a span of
 // in and nothing is allocated, otherwise a second pass over that stretch
-// fills a list of exactly the count.
+// fills a list of exactly the count. A dense column against a constant, on
+// either side, takes constSel's loops over the raw slice.
 func cmpSel[T int64 | float64 | string](op BinOp, l, r operand[T], in selection, m int) selection {
+	switch {
+	case r.konst && !l.konst && l.sel == nil:
+		return constSel(op, l.v[:m], r.v[0], in)
+	case l.konst && !r.konst && r.sel == nil:
+		return constSel(mirrored[op], r.v[:m], l.v[0], in)
+	}
 	holds, count, first, last := cmpHolds[op], 0, 0, -1
 	for i := 0; i < m; i++ {
 		if holdsFor(holds, l.at(i), r.at(i)) {
@@ -554,6 +568,90 @@ func cmpSel[T int64 | float64 | string](op BinOp, l, r operand[T], in selection,
 		}
 	}
 	return selection{rows: rows}
+}
+
+// constSel is cmpSel for v[i] op c over every position of v, two passes
+// as cmpSel's, each a vector of positions at a time through matchConst.
+func constSel[T int64 | float64 | string](op BinOp, v []T, c T, in selection) selection {
+	var pos [vectorRows]int32
+	count, first, last := 0, 0, -1
+	for lo := 0; lo < len(v); lo += vectorRows {
+		if k := matchConst(op, v[lo:min(lo+vectorRows, len(v))], c, &pos); k > 0 {
+			if count == 0 {
+				first = lo + int(pos[0])
+			}
+			count, last = count+k, lo+int(pos[k-1])
+		}
+	}
+	if count == last-first+1 {
+		return in.span(first, last+1)
+	}
+	rows := make([]int32, 0, count)
+	for lo := first; lo <= last; lo += vectorRows {
+		k := matchConst(op, v[lo:min(lo+vectorRows, last+1)], c, &pos)
+		if in.rows != nil {
+			for _, p := range pos[:k] {
+				rows = append(rows, in.rows[lo+int(p)])
+			}
+			continue
+		}
+		for _, p := range pos[:k] {
+			rows = append(rows, int32(in.lo+lo)+p)
+		}
+	}
+	return selection{rows: rows}
+}
+
+// matchConst writes to pos the positions of v, at most vectorRows of them,
+// where v[i] op c holds, and returns how many. Each operator is its own loop,
+// written so that a NaN on either side compares equal (holdsFor's rule).
+func matchConst[T int64 | float64 | string](op BinOp, v []T, c T, pos *[vectorRows]int32) int {
+	k := 0
+	switch op {
+	case OpEq:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if !(a < c || a > c) {
+				k++
+			}
+		}
+	case OpNe:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if a < c || a > c {
+				k++
+			}
+		}
+	case OpLt:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if a < c {
+				k++
+			}
+		}
+	case OpLe:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if !(a > c) {
+				k++
+			}
+		}
+	case OpGt:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if a > c {
+				k++
+			}
+		}
+	case OpGe:
+		for i, a := range v {
+			pos[k] = int32(i)
+			if !(a < c) {
+				k++
+			}
+		}
+	}
+	return k
 }
 
 // arith is one + - * / ; the caller has excluded a zero integer divisor.

@@ -63,27 +63,11 @@ func genExpr(rng *rand.Rand, depth int, k byte) Expr {
 			k = "nsb"[rng.Intn(3)]
 		}
 	}
-	pick := func(names ...string) Expr { return ColRef{Name: names[rng.Intn(len(names))]} }
 	if depth == 0 || rng.Intn(4) == 0 {
-		switch k {
-		case 'n':
-			switch rng.Intn(4) {
-			case 0:
-				return Const{V: int64(rng.Intn(5) - 2)}
-			case 1:
-				return Const{V: [...]float64{-1, 0, 0.5, math.NaN()}[rng.Intn(4)]}
-			}
-			return pick("i", "j", "ts", "f", "g", "t.i")
-		case 's':
-			if rng.Intn(3) == 0 {
-				return Const{V: fmt.Sprint("s", rng.Intn(3))}
-			}
-			return pick("s", "u")
+		if rng.Intn(2) == 0 {
+			return genConst(rng, k)
 		}
-		if rng.Intn(3) == 0 {
-			return Const{V: rng.Intn(2) == 0}
-		}
-		return pick("p", "q")
+		return genCol(rng, k)
 	}
 	switch k {
 	case 'n':
@@ -97,8 +81,35 @@ func genExpr(rng *rand.Rand, depth int, k byte) Expr {
 	case 1:
 		return Bin{Op: OpAnd + BinOp(rng.Intn(2)), L: genExpr(rng, depth-1, 'b'), R: genExpr(rng, depth-1, 'b')}
 	}
-	sub := "nsb"[rng.Intn(3)]
-	return Bin{Op: OpEq + BinOp(rng.Intn(6)), L: genExpr(rng, depth-1, sub), R: genExpr(rng, depth-1, sub)}
+	sub, op := "nsb"[rng.Intn(3)], OpEq+BinOp(rng.Intn(6))
+	if rng.Intn(3) == 0 { // a column against a constant, on either side
+		l, r := genCol(rng, sub), genConst(rng, sub)
+		if rng.Intn(2) == 0 {
+			l, r = r, l
+		}
+		return Bin{Op: op, L: l, R: r}
+	}
+	return Bin{Op: op, L: genExpr(rng, depth-1, sub), R: genExpr(rng, depth-1, sub)}
+}
+
+// genCol picks a column of kind k.
+func genCol(rng *rand.Rand, k byte) Expr {
+	names := map[byte][]string{'n': {"i", "j", "ts", "f", "g", "t.i"}, 's': {"s", "u"}, 'b': {"p", "q"}}[k]
+	return ColRef{Name: names[rng.Intn(len(names))]}
+}
+
+// genConst draws a constant of kind k: numbers include NaN and -0.
+func genConst(rng *rand.Rand, k byte) Expr {
+	switch k {
+	case 'n':
+		if rng.Intn(2) == 0 {
+			return Const{V: int64(rng.Intn(5) - 2)}
+		}
+		return Const{V: [...]float64{-1, 0, math.Copysign(0, -1), 0.5, math.NaN()}[rng.Intn(5)]}
+	case 's':
+		return Const{V: fmt.Sprint("s", rng.Intn(3))}
+	}
+	return Const{V: rng.Intn(2) == 0}
 }
 
 // sameBatch is Batch.Equal with floats compared by bit pattern: NaN results
