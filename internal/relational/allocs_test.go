@@ -79,6 +79,62 @@ func TestRangeFilterAllocatesNoVector(t *testing.T) {
 	}
 }
 
+// TestZoneScanAllocBudget: over 50 000 clustered rows (49 chunks), a scan the
+// zone map prunes cuts one view of the heap, whatever the chunks it spans, and
+// costs what a scan of the whole heap does; so does a predicate that prunes
+// nothing. A filter keeping all of its input hands on the input itself, not a
+// second view of it. Streamed chunk by chunk, a pruned scan and its filter
+// allocate per chunk kept, not per chunk of the heap (402 allocations when
+// every chunk was read and each kept one cut twice).
+func TestZoneScanAllocBudget(t *testing.T) {
+	store := NewStore("db")
+	tab, err := store.CreateTable("t", allocBatch(t, 1, 8).Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.InsertBatch(allocBatch(t, 50_000, 8)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	scan := func(pred Expr, kind string) func() {
+		return func() {
+			if _, got, err := Scan(ctx, tab, pred); err != nil || got != kind {
+				t.Fatalf("%v: %s, %v; want %s", pred, got, err, kind)
+			}
+		}
+	}
+	whole := scan(nil, "SeqScan(t)")
+	allocs, bytes := testing.AllocsPerRun(10, whole), allocatedBytes(whole)
+	pruned := Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(40_000)}} // chunks 39..48
+	for _, tc := range []struct {
+		pred Expr
+		kind string
+	}{
+		{Bin{Op: OpEq, L: ColRef{Name: "kind"}, R: Const{V: int64(3)}}, "SeqScan(t)"},
+		{Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}}, "SeqScan(t)"},
+		{pruned, "ZoneScan(t.id)"},
+		{Bin{Op: OpAnd, L: pruned, R: Bin{Op: OpLt, L: ColRef{Name: "id"}, R: Const{V: int64(1)}}}, "ZoneScan(t.id)"},
+	} {
+		run := scan(tc.pred, tc.kind)
+		if a, b := testing.AllocsPerRun(10, run), allocatedBytes(run); a != allocs || b != bytes {
+			t.Errorf("%s: %.0f allocations, %d bytes; the whole heap's scan %.0f, %d", tc.pred, a, b, allocs, bytes)
+		}
+	}
+	in := tab.Snapshot()
+	if kept, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}}, 1); err != nil || kept != in {
+		t.Fatalf("a filter keeping every row handed on a copy or a view: %v", err)
+	}
+	streamed := testing.AllocsPerRun(10, func() {
+		in, _, _ := Scan(ctx, tab, pruned)
+		if out, err := Chunked(ctx, in, ChunkRows, in.Schema(), []Kernel{filterK(pruned)}, -1, nil); err != nil || out.Rows() != 10_000 {
+			t.Fatalf("streamed pruned scan: %v", err)
+		}
+	})
+	if budget := 8.0 * 11; streamed > budget {
+		t.Fatalf("streamed scan -> filter over the 10 chunks id >= 40000 keeps: %.0f allocations, budget %.0f", streamed, budget)
+	}
+}
+
 // TestGroupByAllocBudget: an int64-keyed group-by over 10k rows allocates a
 // number of times that does not grow with its groups — each per-group column
 // is sized once, from the slot table — and bytes in proportion to its groups

@@ -95,25 +95,18 @@ func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema,
 	return cast.Concat(schema, outs)
 }
 
-// Scan reads table t. When an index of t serves part of pred
-// (Table.SeekRange) the result is the rows in that key range, in key order,
-// as one selection over the heap snapshot — no column is gathered until
-// somebody reads it; otherwise it is the heap snapshot itself. pred is a
-// hint: whoever passes it still applies it in full. The second result names
-// the access path taken (§III-A2), for reports.
+// Scan reads table t by the access path Table.SeekRange chooses for pred: the
+// rows of an index's key range, in key order, as one selection over the heap
+// snapshot — no column is gathered until somebody reads it; the heap chunks
+// whose zone map admits pred, as one view of the snapshot; or the snapshot
+// itself. pred is a hint: whoever passes it still applies it in full. The
+// second result names the access path taken (§III-A2), for reports.
 func Scan(ctx context.Context, t *Table, pred Expr) (*cast.Batch, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
-	col, lo, hi, ok := t.SeekRange(pred)
-	if !ok {
-		return t.Snapshot(), "SeqScan(" + t.Name() + ")", nil
-	}
-	snap, rows, err := t.SnapshotRange(col, lo, hi)
-	if err != nil {
-		return nil, "", err
-	}
-	return snap.Take(rows), fmt.Sprintf("IndexScan(%s.%s)", t.Name(), col), nil
+	out, path := t.SeekRange(pred)
+	return out, path, nil
 }
 
 // Filter keeps the rows of in that satisfy pred, in order, and fails with the

@@ -63,8 +63,9 @@ func parFilter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast
 // takeSels returns the rows of src the per-partition selections name, in
 // partition order. Runs that meet end to end — a range predicate over
 // clustered rows, a join whose every row matches once — are one zero-copy
-// view; anything else is one selection vector handed to cast.Batch.Take,
-// which gathers nothing until a column is read.
+// view, or src itself when they cover all of it; anything else is one
+// selection vector handed to cast.Batch.Take, which gathers nothing until a
+// column is read.
 func takeSels(src *cast.Batch, sels []selection) (*cast.Batch, error) {
 	var all selection // the one piece, while there is only one
 	pieces, total := 0, 0
@@ -87,6 +88,9 @@ func takeSels(src *cast.Batch, sels []selection) (*cast.Batch, error) {
 		}
 	}
 	if all.rows == nil {
+		if all.hi-all.lo == src.Rows() {
+			return src, nil
+		}
 		return src.ViewRange(all.lo, all.hi)
 	}
 	return src.Take(all.rows), nil

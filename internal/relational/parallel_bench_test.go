@@ -305,3 +305,23 @@ func BenchmarkChunkedSingleBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkZoneScanFilter is scan -> filter for id >= 190000 over the same
+// 200k clustered rows: the zone map leaves the scan the last 11 of the heap's
+// 196 chunks, as one view, and the filter keeps a run of it.
+func BenchmarkZoneScanFilter(b *testing.B) {
+	tab := benchTable(b)
+	ctx := context.Background()
+	pred := Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(190_000)}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in, kind, err := Scan(ctx, tab, pred)
+		if err != nil || kind != "ZoneScan(rows.id)" {
+			b.Fatal(kind, err)
+		}
+		if out, err := Filter(ctx, in, pred, 1); err != nil || out.Rows() != 10_000 {
+			b.Fatal(err)
+		}
+	}
+}

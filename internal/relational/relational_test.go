@@ -242,9 +242,9 @@ func TestIndexesMaintainedOnInsert(t *testing.T) {
 	if err := users.Insert(int64(100), int64(30), "late", 5.0); err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := users.SnapshotRange("uid", 100, 100)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("btree after insert: %v %v", rows, err)
+	rows, kind, err := Scan(context.Background(), users, Bin{Op: OpEq, L: ColRef{Name: "uid"}, R: Const{V: int64(100)}})
+	if err != nil || kind != "IndexScan(users.uid)" || rows.Rows() != 1 {
+		t.Fatalf("btree after insert: %s found %d rows, %v", kind, rows.Rows(), err)
 	}
 	if !users.HasBTree("uid") || users.HasBTree("name") {
 		t.Fatal("HasBTree wrong")
@@ -265,15 +265,19 @@ func TestBTreeIndexTypeRestriction(t *testing.T) {
 func TestLookupRange(t *testing.T) {
 	s := newTestStore(t, 50)
 	users, _ := s.Table("users")
-	if _, _, err := users.SnapshotRange("uid", 0, 10); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("range without index: %v", err)
+	pred := Bin{OpAnd,
+		Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(10)}},
+		Bin{Op: OpLe, L: ColRef{Name: "uid"}, R: Const{V: int64(19)}}}
+	// Without an index, the one chunk of 50 rows is the whole heap.
+	if rows, kind := users.SeekRange(pred); kind != "SeqScan(users)" || rows.Rows() != 50 {
+		t.Fatalf("range without index: %s of %d rows", kind, rows.Rows())
 	}
 	if err := users.CreateBTreeIndex("uid"); err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := users.SnapshotRange("uid", 10, 19)
-	if err != nil || len(rows) != 10 {
-		t.Fatalf("SnapshotRange = %d rows, %v", len(rows), err)
+	// The first conjunct seeks: uid 10 to 49.
+	if rows, kind := users.SeekRange(pred); kind != "IndexScan(users.uid)" || rows.Rows() != 40 {
+		t.Fatalf("range with index: %s of %d rows", kind, rows.Rows())
 	}
 }
 
@@ -350,7 +354,7 @@ func TestExprEvalErrors(t *testing.T) {
 
 func TestSeqScanAndFilter(t *testing.T) {
 	ctx := context.Background()
-	s := newTestStore(t, 2500) // multiple chunks
+	s := newTestStore(t, 2500) // three chunks: uid is clustered, age random
 	users, _ := s.Table("users")
 	out, kind, err := Scan(ctx, users, nil)
 	if err != nil {
@@ -366,17 +370,35 @@ func TestSeqScanAndFilter(t *testing.T) {
 	if out.Rows() != 100 {
 		t.Fatalf("filter rows = %d", out.Rows())
 	}
-	// The same two steps as a statement, and what it reports of them.
-	_, stats, err := NewEngine(s).Query(ctx, "SELECT * FROM users WHERE uid < 100")
+	older := Bin{OpGt, ColRef{Name: "age"}, Const{V: int64(60)}}
+	over60, err := Filter(ctx, users.Snapshot(), older, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []OpStats{
-		{Kind: "SeqScan(users)", RowsIn: 2500, RowsOut: 2500},
-		{Kind: "Filter" + pred.String(), RowsIn: 2500, RowsOut: 100},
-	}
-	if !slices.Equal(stats, want) {
-		t.Fatalf("stats = %+v, want %+v", stats, want)
+	// The same steps as statements, and what they report of them. Every
+	// chunk holds an age over 60, so that predicate prunes nothing and the
+	// scan reads the heap. uid is clustered: only the first chunk's zone
+	// admits uid < 100, so the scan reads those 1024 rows, not 2500.
+	for _, tc := range []struct {
+		sql  string
+		want []OpStats
+	}{
+		{"SELECT * FROM users WHERE age > 60", []OpStats{
+			{Kind: "SeqScan(users)", RowsIn: 2500, RowsOut: 2500},
+			{Kind: "Filter" + older.String(), RowsIn: 2500, RowsOut: int64(over60.Rows())},
+		}},
+		{"SELECT * FROM users WHERE uid < 100", []OpStats{
+			{Kind: "ZoneScan(users.uid)", RowsIn: ChunkRows, RowsOut: ChunkRows},
+			{Kind: "Filter" + pred.String(), RowsIn: ChunkRows, RowsOut: 100},
+		}},
+	} {
+		_, stats, err := NewEngine(s).Query(ctx, tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(stats, tc.want) {
+			t.Fatalf("%s: stats = %+v, want %+v", tc.sql, stats, tc.want)
+		}
 	}
 }
 

@@ -93,9 +93,10 @@ func TestSteps(t *testing.T) {
 	}
 }
 
-// TestSeekRange pins the access-path rule where the catalog is: which
-// conjunct seeks, in either literal orientation, and only on an indexed
-// integer comparison.
+// TestSeekRange pins the access-path rule where the catalog is: how one
+// conjunct reads as a key range (keyRange), in either literal orientation and
+// only for an integer comparison, and which conjunct seeks — the first on an
+// indexed column, wherever it stands.
 func TestSeekRange(t *testing.T) {
 	users, err := newTestStore(t, 10).Table("users")
 	if err != nil {
@@ -103,6 +104,14 @@ func TestSeekRange(t *testing.T) {
 	}
 	if err := users.CreateBTreeIndex("uid"); err != nil {
 		t.Fatal(err)
+	}
+	where := func(sql string) Expr {
+		t.Helper()
+		stmt, err := Parse("SELECT * FROM users WHERE " + sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return stmt.Where
 	}
 	const minI, maxI = math.MinInt64, math.MaxInt64
 	for _, tc := range []struct {
@@ -124,13 +133,8 @@ func TestSeekRange(t *testing.T) {
 		{"uid > 9223372036854775807", maxI, maxI, true},
 		{"uid >= 9223372036854775807", maxI, maxI, true},
 		{"9223372036854775807 < uid", maxI, maxI, true},
-		// The first seekable conjunct wins, wherever it stands.
-		{"age > 60 AND uid < 5", minI, 4, true},
-		{"uid < 5 AND age > 60", minI, 4, true},
-		{"name = 'x' AND (7 < uid AND uid < 9)", 8, maxI, true},
-		// Nothing seekable: no index on age, not a conjunct, not an integer
-		// comparison, not a column against a literal.
-		{"age > 60", 0, 0, false},
+		// No range: not a comparison, not an ordering one, not an integer
+		// literal, not a column against a literal.
 		{"uid < 5 OR uid > 7", 0, 0, false},
 		{"NOT uid < 5", 0, 0, false},
 		{"uid != 5", 0, 0, false},
@@ -138,16 +142,29 @@ func TestSeekRange(t *testing.T) {
 		{"uid = age", 0, 0, false},
 		{"uid + 1 < 5", 0, 0, false},
 	} {
-		stmt, err := Parse("SELECT * FROM users WHERE " + tc.where)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.where, err)
-		}
-		col, lo, hi, ok := users.SeekRange(stmt.Where)
+		col, lo, hi, ok := keyRange(where(tc.where))
 		if ok != tc.ok || (ok && (col != "uid" || lo != tc.lo || hi != tc.hi)) {
 			t.Errorf("%s: got (%q, %d, %d, %v), want (uid, %d, %d, %v)", tc.where, col, lo, hi, ok, tc.lo, tc.hi, tc.ok)
 		}
 	}
-	if _, _, _, ok := users.SeekRange(nil); ok {
-		t.Error("a scan without a predicate seeks")
+	// The first conjunct on an indexed column seeks, wherever it stands; the
+	// row count tells its range. The 10 rows are one chunk, so without a
+	// seek the scan reads the heap.
+	for _, tc := range []struct {
+		where, kind string
+		rows        int
+	}{
+		{"age > 60 AND uid < 5", "IndexScan(users.uid)", 5},
+		{"uid < 5 AND age > 60", "IndexScan(users.uid)", 5},
+		{"name = 'x' AND (7 < uid AND uid < 3)", "IndexScan(users.uid)", 2},
+		{"age > 60", "SeqScan(users)", 10},
+		{"uid < 5 OR uid > 7", "SeqScan(users)", 10},
+	} {
+		if rows, kind := users.SeekRange(where(tc.where)); kind != tc.kind || rows.Rows() != tc.rows {
+			t.Errorf("%s: %s of %d rows, want %s of %d", tc.where, kind, rows.Rows(), tc.kind, tc.rows)
+		}
+	}
+	if rows, kind := users.SeekRange(nil); kind != "SeqScan(users)" || rows.Rows() != 10 {
+		t.Errorf("a scan without a predicate: %s of %d rows", kind, rows.Rows())
 	}
 }

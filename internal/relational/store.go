@@ -23,7 +23,6 @@ import (
 var (
 	ErrNoTable    = errors.New("relational: table not found")
 	ErrTableExist = errors.New("relational: table already exists")
-	ErrNoIndex    = errors.New("relational: no usable index")
 	ErrIndexType  = errors.New("relational: column type not indexable this way")
 )
 
@@ -71,7 +70,7 @@ func (s *Store) CreateTable(name string, schema cast.Schema) (*Table, error) {
 // missing table reads as 0). Caller holds the store write lock.
 func (s *Store) newTableLocked(name string, schema cast.Schema) *Table {
 	t := &Table{name: name, schema: schema, heap: cast.NewBatch(schema, 0),
-		btrees: make(map[string]*btree), version: 1, journal: &s.journal}
+		btrees: make(map[string]*btree), zones: make([][]zone, schema.Len()), version: 1, journal: &s.journal}
 	s.tables[name] = t
 	return t
 }
@@ -134,6 +133,10 @@ type Table struct {
 	heap   *cast.Batch
 	// btrees maps column name -> ordered index (Int64/Timestamp columns).
 	btrees map[string]*btree
+	// zones is the zone map: per column, one zone per ChunkRows heap rows
+	// (Int64/Timestamp columns; nil for the others). Derived from the heap
+	// and never persisted, it is kept by the same hook as the B-trees.
+	zones [][]zone
 	// version counts mutations (inserts and index builds); see Version.
 	version uint64
 	// journal points at the owning store's mutation tap (see durable.go).
@@ -169,7 +172,7 @@ func (t *Table) Insert(vals ...any) error {
 		return err
 	}
 	t.version++
-	if err := t.indexRow(row); err != nil {
+	if err := t.indexFrom(row); err != nil {
 		return err
 	}
 	t.journalInsert(row)
@@ -209,20 +212,11 @@ func (t *Table) appendLocked(b *cast.Batch) error {
 	return t.indexFrom(start)
 }
 
-// indexFrom maintains all indexes for the heap rows from start on. Caller
-// holds the write lock.
+// indexFrom maintains the B-trees and the zone map for the heap rows from
+// start on. Every append to the heap ends here — Insert, InsertBatch, WAL
+// replay and Restore — and the heap is append-only, so a zone only ever
+// widens. Caller holds the write lock.
 func (t *Table) indexFrom(start int) error {
-	for r := start; r < t.heap.Rows(); r++ {
-		if err := t.indexRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// indexRow maintains all indexes for newly appended row r. Caller holds the
-// write lock.
-func (t *Table) indexRow(r int) error {
 	for col, bt := range t.btrees {
 		i, err := t.schema.Index(col)
 		if err != nil {
@@ -232,9 +226,41 @@ func (t *Table) indexRow(r int) error {
 		if err != nil {
 			return err
 		}
-		bt.Insert(ints[r], int32(r))
+		for r := start; r < len(ints); r++ {
+			bt.Insert(ints[r], int32(r))
+		}
+	}
+	for i := range t.zones {
+		if ct := t.schema.Col(i).Type; ct == cast.Int64 || ct == cast.Timestamp {
+			ints, _ := t.heap.Ints(i) // an integer column by the check above
+			t.zones[i] = extendZones(t.zones[i], ints, start)
+		}
 	}
 	return nil
+}
+
+// zone is the least and the greatest value of one integer column over one
+// ChunkRows-row chunk of the heap.
+type zone struct{ min, max int64 }
+
+// admits reports whether some value of the zone can lie in [lo, hi].
+func (z zone) admits(lo, hi int64) bool { return z.min <= hi && lo <= z.max }
+
+// extendZones extends zones, one per ChunkRows values of col, over col's
+// values from start on.
+func extendZones(zones []zone, col []int64, start int) []zone {
+	for lo := start; lo < len(col); {
+		c := lo / ChunkRows
+		if c == len(zones) {
+			zones = append(zones, zone{col[lo], col[lo]})
+		}
+		hi, z := min((c+1)*ChunkRows, len(col)), zones[c]
+		for _, v := range col[lo:hi] {
+			z.min, z.max = min(z.min, v), max(z.max, v)
+		}
+		zones[c], lo = z, hi
+	}
+	return zones
 }
 
 // CreateBTreeIndex builds an ordered index on an Int64/Timestamp column,
@@ -281,22 +307,97 @@ func (t *Table) HasBTree(col string) bool {
 	return ok
 }
 
-// SeekRange chooses the access path of a scan whose consumer filters by pred:
-// the first top-level conjunct comparing a B-tree-indexed column of t with an
-// integer literal, written in either order, becomes the inclusive key range
-// [lo, hi] on that column. ok is false when nothing is seekable and the scan
-// reads the heap. The range may over-approximate pred — the consumer applies
-// pred in full.
-func (t *Table) SeekRange(pred Expr) (col string, lo, hi int64, ok bool) {
-	bin, isBin := pred.(Bin)
+// SeekRange chooses the access path of a scan whose consumer filters by pred
+// and reads it: it returns the rows the path yields and the path's name, for
+// reports (§III-A2). The path is chosen and read under one read lock, so the
+// rows are those of one heap snapshot whatever is inserted afterwards. Each
+// top-level conjunct of pred is read once (keyRange), as the range of an
+// integer column it admits:
+//   - the first conjunct on a B-tree-indexed column seeks it: the rows in its
+//     key range, in key order, as one selection over the snapshot —
+//     IndexScan(<table>.<col>);
+//   - otherwise each conjunct narrows the heap to the chunks from the first
+//     to the last whose zone admits its range. Chunks left narrower than the
+//     heap are read as one view of the snapshot — ZoneScan(<table>.<col>),
+//     col the first column that narrowed them;
+//   - otherwise the snapshot itself — SeqScan(<table>).
+//
+// The rows over-approximate pred: the consumer applies it in full.
+func (t *Table) SeekRange(pred Expr) (*cast.Batch, string) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := t.heap.Rows()
+	chunks := (n + ChunkRows - 1) / ChunkRows
+	p := scanPath{t: t, c1: chunks}
+	p.read(pred)
+	switch {
+	case p.seek != nil:
+		var rows []int32
+		p.seek.Range(p.lo, p.hi, func(_ int64, ids []int32) bool {
+			rows = append(rows, ids...)
+			return true
+		})
+		return t.heap.View().Take(rows), "IndexScan(" + t.name + "." + p.col + ")"
+	case p.c1-p.c0 < chunks:
+		// A range of the heap is its own root: a snapshot, as View is.
+		view, _ := t.heap.ViewRange(min(p.c0*ChunkRows, n), min(p.c1*ChunkRows, n)) // in range by construction
+		return view, "ZoneScan(" + t.name + "." + p.col + ")"
+	}
+	return t.heap.View(), "SeqScan(" + t.name + ")"
+}
+
+// scanPath is SeekRange's reading of a predicate: the B-tree seek it found,
+// or the heap chunks [c0, c1) every conjunct read so far admits.
+type scanPath struct {
+	t      *Table
+	seek   *btree
+	col    string // the seek's column, or the first that narrowed the chunks
+	lo, hi int64  // the seek's key range
+	c0, c1 int
+}
+
+// read reads the top-level conjuncts of e left to right, up to the first
+// that seeks.
+func (p *scanPath) read(e Expr) {
+	if b, ok := e.(Bin); ok && b.Op == OpAnd {
+		if p.read(b.L); p.seek == nil {
+			p.read(b.R)
+		}
+		return
+	}
+	col, lo, hi, ok := keyRange(e)
+	if !ok {
+		return
+	}
+	if bt := p.t.btrees[col]; bt != nil {
+		p.seek, p.col, p.lo, p.hi = bt, col, lo, hi
+		return
+	}
+	i, err := p.t.schema.Index(col)
+	if err != nil || p.t.zones[i] == nil {
+		return // not a column of the table, or not an integer one
+	}
+	zones, c0, c1 := p.t.zones[i], p.c0, p.c1
+	for c0 < c1 && !zones[c0].admits(lo, hi) {
+		c0++
+	}
+	for c1 > c0 && !zones[c1-1].admits(lo, hi) {
+		c1--
+	}
+	if p.col == "" && c1-c0 < p.c1-p.c0 {
+		p.col = col
+	}
+	p.c0, p.c1 = c0, c1
+}
+
+// keyRange reads one conjunct comparing a column with an integer literal,
+// written in either order, as the inclusive range [lo, hi] of the column's
+// values it admits. ok is false for anything else. The range may
+// over-approximate the conjunct: at the int64 limits it saturates.
+func keyRange(e Expr) (col string, lo, hi int64, ok bool) {
+	bin, isBin := e.(Bin)
 	if !isBin {
 		return "", 0, 0, false
-	}
-	if bin.Op == OpAnd {
-		if col, lo, hi, ok = t.SeekRange(bin.L); ok {
-			return col, lo, hi, true
-		}
-		return t.SeekRange(bin.R)
 	}
 	ref, isCol := bin.L.(ColRef)
 	lit, isLit := bin.R.(Const)
@@ -308,10 +409,10 @@ func (t *Table) SeekRange(pred Expr) (col string, lo, hi int64, ok bool) {
 		op = flipCmp(op)
 	}
 	v, isInt := lit.V.(int64)
-	col = BaseName(ref.Name)
-	if !isCol || !isLit || !isInt || !t.HasBTree(col) {
+	if !isCol || !isLit || !isInt {
 		return "", 0, 0, false
 	}
+	col = BaseName(ref.Name)
 	switch op {
 	case OpEq:
 		return col, v, v, true
@@ -354,23 +455,4 @@ func (t *Table) Snapshot() *cast.Batch {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.heap.View()
-}
-
-// SnapshotRange returns the row ids with lo <= col <= hi from the B-tree
-// index, in ascending key order, together with the heap snapshot the ids
-// index, both taken under one read of the table, so every id is a row of the
-// snapshot whatever is inserted afterwards.
-func (t *Table) SnapshotRange(col string, lo, hi int64) (*cast.Batch, []int32, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	bt, ok := t.btrees[col]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: column %q", ErrNoIndex, col)
-	}
-	var out []int32
-	bt.Range(lo, hi, func(_ int64, rows []int32) bool {
-		out = append(out, rows...)
-		return true
-	})
-	return t.heap.View(), out, nil
 }

@@ -14,16 +14,17 @@ import (
 // reachAllow names the exported middleware symbols that may have no caller
 // outside tests, each with the reason it is kept.
 var reachAllow = map[string]string{
-	"cast.ReadBinary":        "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
-	"metrics.Registry.Names": "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
-	"graphstore.Store.BFS":   "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
-	"kvstore.Store.Delete":   "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
-	"kvstore.WithClock":      "test seam: TTL expiry and the version bump it causes are only testable on a substituted clock",
-	"tensor.MatMul":          "test oracle: the allocating reference mlengine's reference trainer is written in, which the workspace trainer and the three Into GEMMs are held bit-equal to",
-	"tensor.Transpose":       "test oracle: as tensor.MatMul (the reference's explicit transposes)",
-	"tensor.Sub":             "test oracle: as tensor.MatMul (the reference's loss gradient)",
-	"tensor.Add":             "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
-	"tensor.MatVec":          "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
+	"cast.ReadBinary":           "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
+	"metrics.Registry.Names":    "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
+	"graphstore.Store.BFS":      "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
+	"relational.Table.HasBTree": "test oracle: the datagen and backend suites check through it that a deployment and a restored store carry their B-trees",
+	"kvstore.Store.Delete":      "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
+	"kvstore.WithClock":         "test seam: TTL expiry and the version bump it causes are only testable on a substituted clock",
+	"tensor.MatMul":             "test oracle: the allocating reference mlengine's reference trainer is written in, which the workspace trainer and the three Into GEMMs are held bit-equal to",
+	"tensor.Transpose":          "test oracle: as tensor.MatMul (the reference's explicit transposes)",
+	"tensor.Sub":                "test oracle: as tensor.MatMul (the reference's loss gradient)",
+	"tensor.Add":                "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
+	"tensor.MatVec":             "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
 }
 
 // TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
