@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"sync"
 
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
@@ -29,9 +28,8 @@ import (
 // compiler, whatever its constants. A caller may cache a plan under keys of
 // its own besides (Put), such as the server's SQL shape keys, which skip the
 // parse that yields the plan key; one capacity bounds entries of both kinds.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use (lru.Cache is).
 type PlanCache struct {
-	mu    sync.Mutex
 	plans *lru.Cache[*Plan]
 }
 
@@ -50,25 +48,17 @@ func Key(g *ir.Graph, opts Options) string {
 // Get returns the plan cached under key, marking it most recently used. The
 // plan is shared: execute a copy bound to the statement's constants
 // (Plan.WithBinds).
-func (c *PlanCache) Get(key string) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.Get(key)
-}
+func (c *PlanCache) Get(key string) (*Plan, bool) { return c.plans.Get(key) }
 
 // Put caches plan under key and returns the plan the cache holds there: the
 // incumbent when key is already present — racing compiles produce
 // equivalent immutable plans, and keeping one lets every hit share it —
 // otherwise plan.
-func (c *PlanCache) Put(key string, plan *Plan) *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.Put(key, plan)
-}
+func (c *PlanCache) Put(key string, plan *Plan) *Plan { return c.plans.Put(key, plan) }
 
-// Compile compiles g under opts, outside the lock, and caches the plan under
-// key, which is Key(g, opts) and becomes the plan's Key. It returns the plan
-// the cache holds under key (Put).
+// Compile compiles g under opts, outside the cache's lock, and caches the
+// plan under key, which is Key(g, opts) and becomes the plan's Key. It
+// returns the plan the cache holds under key (Put).
 func (c *PlanCache) Compile(key string, g *ir.Graph, opts Options) (*Plan, error) {
 	plan, err := Compile(g, opts)
 	if err != nil {
@@ -95,8 +85,4 @@ func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*P
 }
 
 // Len returns the number of cached entries, of every key kind.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.Len()
-}
+func (c *PlanCache) Len() int { return c.plans.Len() }

@@ -45,7 +45,7 @@ func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
 		subplanHits:        c("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache."),
 		subplanMisses:      c("subplan_cache_miss", "core.subplan.misses", "Subtree probes that missed."),
 		subplanPublished:   c("subplan_cache_published", "core.subplan.published", "Executed subtrees memoized."),
-		subplanBypassed:    c("subplan_cache_bypassed", "core.subplan.bypassed", "Executed subtrees refused by the cache (oversized or over the tenant share)."),
+		subplanBypassed:    c("subplan_cache_bypassed", "core.subplan.bypassed", "Executed subtrees refused by the cache because they cost more than its whole byte budget."),
 		subplanStaleSkips:  c("subplan_cache_stale_skips", "core.subplan.stale_skips", "Publications dropped because a touched store moved during execution."),
 		subplanNodesServed: c("subplan_nodes_served", "core.subplan.nodes_served", "Plan nodes replayed from cached subtrees instead of executing."),
 		subplanBytesServed: c("subplan_bytes_served", "core.subplan.bytes_served", "Bytes of cached intermediates handed to plans."),

@@ -8,6 +8,7 @@ import (
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/ir"
+	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/subplan"
 	"polystorepp/internal/tenant"
@@ -67,23 +68,14 @@ func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	r.subplan.Store(&subplanState{cache: subplan.NewCacheShared(n, share), flight: subplan.NewFlight()})
 }
 
-// SubplanCacheStats snapshots the subplan cache; enabled is false (and the
-// snapshot zero) when subplan caching is disabled.
-func (r *Runtime) SubplanCacheStats() (st subplan.Stats, enabled bool) {
+// SubplanCacheStats snapshots the subplan cache, per-tenant charges
+// included; enabled is false (and the snapshot zero) when subplan caching
+// is disabled.
+func (r *Runtime) SubplanCacheStats() (st lru.Stats, enabled bool) {
 	if sp := r.subplan.Load(); sp != nil {
 		return sp.cache.Stats(), true
 	}
 	return st, false
-}
-
-// SubplanOwnerBytes snapshots per-tenant subplan cache charges (nil when
-// the cache is disabled).
-func (r *Runtime) SubplanOwnerBytes() map[string]int64 {
-	sp := r.subplan.Load()
-	if sp == nil {
-		return nil
-	}
-	return sp.cache.OwnerBytes()
 }
 
 // pendingPub is one subtree this execution will publish when its root's
@@ -402,10 +394,14 @@ func (pr *planProbe) publish(pub pendingPub) {
 		Costs:  costs,
 		Bytes:  root.out.Batch.ByteSize(),
 	}
-	if pr.sp.cache.Put(pub.key, e, pr.tenant) {
-		pr.rt.st.subplanPublished.Inc()
-	} else {
+	// Inner candidates are not single-flighted, so a concurrent execution
+	// may have stored this key first: its entry stays, and this one counts
+	// as neither published nor bypassed.
+	switch got, ok := pr.sp.cache.Put(pub.key, e, pr.tenant); {
+	case !ok:
 		pr.rt.st.subplanBypassed.Inc()
+	case got == e:
+		pr.rt.st.subplanPublished.Inc()
 	}
 }
 

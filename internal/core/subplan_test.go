@@ -493,3 +493,56 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		t.Fatal("no replay was served from the cache")
 	}
 }
+
+// gatedAdapter holds every scan until the executions the test waits for
+// have all reached one, so each has probed the subplan cache before any
+// publishes.
+type gatedAdapter struct {
+	*adapter.Relational
+	arrived sync.WaitGroup
+}
+
+func (a *gatedAdapter) Execute(ctx context.Context, n *ir.Node, inputs []adapter.Value) (adapter.Value, adapter.ExecInfo, error) {
+	if len(n.Inputs) == 0 {
+		a.arrived.Done()
+		a.arrived.Wait()
+	}
+	return a.Relational.Execute(ctx, n, inputs)
+}
+
+// TestSubplanPublishedCountsStoredEntries: a LIMIT 10 and a LIMIT 25 over
+// one scan → filter → sort share only the inner subtrees. Single-flight
+// leases only maximal misses, the two whole chains, which differ; so when
+// both executions miss before either publishes, both publish the shared
+// scan → filter and scan → filter → sort. The second Put keeps the
+// incumbent, and only the entries the cache stored count as published.
+func TestSubplanPublishedCountsStoredEntries(t *testing.T) {
+	rt := NewRuntime(hw.NewHostCPU())
+	gate := &gatedAdapter{Relational: adapter.NewRelational("db", relational.NewEngine(testStore(t, 2000)))}
+	rt.Register(gate)
+	plans := []*compiler.Plan{mustCompile(t, limitProgram(10), 3), mustCompile(t, limitProgram(25), 3)}
+	gate.arrived.Add(len(plans))
+	var wg sync.WaitGroup
+	errs := make([]error, len(plans))
+	for i, plan := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = rt.Execute(context.Background(), plan)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := rt.Metrics()
+	if misses := reg.Counter("core.subplan.misses").Value(); misses != 6 {
+		t.Fatalf("misses = %d, want 6: each execution misses its three candidates", misses)
+	}
+	st, _ := rt.SubplanCacheStats()
+	if published := reg.Counter("core.subplan.published").Value(); st.Entries != 4 || published != 4 {
+		t.Fatalf("published %d, %d entries cached; want 4 and 4 (two chains, two shared subtrees)", published, st.Entries)
+	}
+}

@@ -1,6 +1,9 @@
 package lru
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // CostCache is a least-recently-used map bounded by entry count and by a
 // per-entry cost dimension, so one cache bound can mean "at most 64 MiB of
@@ -16,14 +19,16 @@ import "container/list"
 // cross-tenant attack. With a single owner (the common single-tenant
 // deployment) no share is enforced and the full budget applies.
 //
-// It is NOT safe for concurrent use: callers guard it with their own lock
-// alongside their hit/miss accounting.
+// It is safe for concurrent use: every method takes the cache's lock, and
+// none calls out while holding it.
 type CostCache[V any] struct {
+	mu         sync.Mutex
 	maxEntries int
 	maxCost    int64   // <= 0 means no cost bound
 	share      float64 // per-owner fraction of maxCost, enforced when owners > 1
 	cost       int64
 	evictions  int64
+	bypassed   int64
 	entries    map[string]*costEntry[V]
 	// root is the sentinel of the intrusive recency ring: root.next is the
 	// most recently used entry, root.prev the least.
@@ -49,6 +54,10 @@ type ownerCharge struct {
 	cost  int64
 	order list.List // values are *costEntry[V]
 }
+
+// EntryOverheadBytes is what a byte-bounded cache charges per entry on top
+// of its payload: the entry, map and list cells, and the key.
+const EntryOverheadBytes = 512
 
 // DefaultTenantShare is the per-owner cost fraction when none is
 // configured: half the budget, so two contending tenants split it evenly
@@ -94,13 +103,14 @@ func (c *CostCache[V]) touch(e *costEntry[V]) {
 }
 
 // Get returns the value under key, marking it most recently used.
-func (c *CostCache[V]) Get(key string) (V, bool) {
-	if e, ok := c.entries[key]; ok {
+func (c *CostCache[V]) Get(key string) (v V, ok bool) {
+	c.mu.Lock()
+	if e, hit := c.entries[key]; hit {
 		c.touch(e)
-		return e.val, true
+		v, ok = e.val, true
 	}
-	var zero V
-	return zero, false
+	c.mu.Unlock()
+	return v, ok
 }
 
 // Put stores v under key with the given cost, charged to no owner. See
@@ -114,9 +124,10 @@ func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
 // incumbent when the key is already present (racing fills produce
 // equivalent values; the incumbent's cost and owner are kept), and
 // (v, false) when the entry is oversized — its cost alone exceeds the cost
-// bound — and was bypassed. After an insert, if more than one owner holds
-// entries and owner's total charge exceeds its share of the budget, owner's
-// oldest entries are evicted (never the entry just inserted) until it fits.
+// bound — and was bypassed (counted in Stats). After an insert, if more
+// than one owner holds entries and owner's total charge exceeds its share of
+// the budget, owner's oldest entries are evicted (never the entry just
+// inserted) until it fits.
 //
 // Costs below 1 are clamped to 1: every entry occupies real memory beyond
 // its payload, and admitting "free" entries would let a flood of zero-cost
@@ -128,6 +139,8 @@ func (c *CostCache[V]) PutOwned(key string, v V, cost int64, owner string) (V, b
 }
 
 func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.touch(e)
 		return e.val, true
@@ -136,6 +149,7 @@ func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool
 		cost = 1
 	}
 	if c.maxCost > 0 && cost > c.maxCost {
+		c.bypassed++
 		return v, false
 	}
 	e := &costEntry[V]{key: key, val: v, cost: cost}
@@ -200,40 +214,51 @@ func (c *CostCache[V]) evict(e *costEntry[V]) {
 	}
 }
 
-// Remove evicts the entry under key, reporting whether it was present.
-// Removals count toward Evictions.
-func (c *CostCache[V]) Remove(key string) bool {
-	e, ok := c.entries[key]
-	if ok {
-		c.evict(e)
-	}
-	return ok
-}
-
 // Len returns the number of cached entries.
-func (c *CostCache[V]) Len() int { return len(c.entries) }
-
-// Each visits every cached entry, most recently used first, without
-// changing recency. fn must not call back into the cache.
-func (c *CostCache[V]) Each(fn func(key string, v V)) {
-	for e := c.root.next; e != &c.root; e = e.next {
-		fn(e.key, e.val)
-	}
+func (c *CostCache[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
-// Cost returns the summed cost of the cached entries.
-func (c *CostCache[V]) Cost() int64 { return c.cost }
-
-// Evictions returns how many entries the cache has evicted over its
-// lifetime (bypassed oversized entries are not evictions).
-func (c *CostCache[V]) Evictions() int64 { return c.evictions }
-
-// Owners returns how many distinct owners currently hold entries.
-func (c *CostCache[V]) Owners() int { return len(c.owners) }
-
-// EachOwner visits every owner's current charge.
-func (c *CostCache[V]) EachOwner(fn func(owner string, cost int64)) {
-	for owner, oc := range c.owners {
-		fn(owner, oc.cost)
+// Values returns the cached values, most recently used first, without
+// changing recency.
+func (c *CostCache[V]) Values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]V, 0, len(c.entries))
+	for e := c.root.next; e != &c.root; e = e.next {
+		out = append(out, e.val)
 	}
+	return out
+}
+
+// Stats is a point-in-time snapshot of a CostCache.
+type Stats struct {
+	Entries   int
+	Cost      int64 // summed cost of the cached entries
+	MaxCost   int64 // the cost bound; <= 0 when there is none
+	Evictions int64 // entries evicted over the cache's lifetime
+	Bypassed  int64 // oversized entries refused over the cache's lifetime
+	// Owners is the cost charged to each owner holding entries (nil when
+	// none does).
+	Owners map[string]int64
+}
+
+// Stats snapshots the cache. A nil cache reports zeros, so a disabled cache
+// can be a nil pointer.
+func (c *CostCache[V]) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := Stats{Entries: len(c.entries), Cost: c.cost, MaxCost: c.maxCost, Evictions: c.evictions, Bypassed: c.bypassed}
+	if len(c.owners) > 0 {
+		st.Owners = make(map[string]int64, len(c.owners))
+		for owner, oc := range c.owners {
+			st.Owners[owner] = oc.cost
+		}
+	}
+	return st
 }

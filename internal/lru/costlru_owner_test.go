@@ -2,16 +2,6 @@ package lru
 
 import "testing"
 
-// ownerCost reads one owner's charge the way the caches' stats do.
-func ownerCost[V any](c *CostCache[V], owner string) (cost int64) {
-	c.EachOwner(func(o string, n int64) {
-		if o == owner {
-			cost = n
-		}
-	})
-	return cost
-}
-
 func TestTenantCostSingleOwnerUncapped(t *testing.T) {
 	c := NewCostShared[int](100, 1000, 0.5)
 	// One owner may use the whole budget: the share only binds under
@@ -21,11 +11,12 @@ func TestTenantCostSingleOwnerUncapped(t *testing.T) {
 			t.Fatalf("put %q rejected", k)
 		}
 	}
-	if c.Cost() != 1000 || ownerCost(c, "alice") != 1000 || c.Owners() != 1 {
-		t.Fatalf("cost=%d alice=%d owners=%d", c.Cost(), ownerCost(c, "alice"), c.Owners())
+	st := c.Stats()
+	if st.Cost != 1000 || st.Owners["alice"] != 1000 || len(st.Owners) != 1 {
+		t.Fatalf("cost=%d alice=%d owners=%d", st.Cost, st.Owners["alice"], len(st.Owners))
 	}
-	if c.Evictions() != 0 {
-		t.Fatalf("evictions = %d, want 0", c.Evictions())
+	if st.Evictions != 0 {
+		t.Fatalf("evictions = %d, want 0", st.Evictions)
 	}
 }
 
@@ -37,10 +28,10 @@ func TestTenantCostShareEnforcedUnderContention(t *testing.T) {
 	for _, k := range []string{"a1", "a2", "a3", "a4", "a5", "a6", "a7"} {
 		c.PutOwned(k, "y", 100, "alice")
 	}
-	if got := ownerCost(c, "alice"); got != 500 {
+	if got := c.Stats().Owners["alice"]; got != 500 {
 		t.Fatalf("alice charge = %d, want 500", got)
 	}
-	if got := ownerCost(c, "bob"); got != 100 {
+	if got := c.Stats().Owners["bob"]; got != 100 {
 		t.Fatalf("bob charge = %d, want 100 (victim of alice's flood)", got)
 	}
 	if _, ok := c.Get("bob-1"); !ok {
@@ -64,13 +55,13 @@ func TestTenantCostGlobalEvictionRefundsOwner(t *testing.T) {
 	c.PutOwned("a", 1, 150, "alice")
 	c.PutOwned("b", 2, 150, "bob")
 	c.PutOwned("c", 3, 150, "bob") // over budget: evicts LRU ("a"), refunds alice
-	if got := ownerCost(c, "alice"); got != 0 {
+	if got := c.Stats().Owners["alice"]; got != 0 {
 		t.Fatalf("alice charge = %d after global eviction, want 0", got)
 	}
-	if c.Owners() != 1 {
-		t.Fatalf("owners = %d, want 1 (alice fully refunded)", c.Owners())
+	if n := len(c.Stats().Owners); n != 1 {
+		t.Fatalf("owners = %d, want 1 (alice fully refunded)", n)
 	}
-	if got := ownerCost(c, "bob"); got != 300 {
+	if got := c.Stats().Owners["bob"]; got != 300 {
 		t.Fatalf("bob charge = %d, want 300", got)
 	}
 }
@@ -82,8 +73,9 @@ func TestTenantCostIncumbentKeepsOriginalOwner(t *testing.T) {
 	if !ok || got != 1 {
 		t.Fatalf("incumbent put = (%d, %v), want (1, true)", got, ok)
 	}
-	if ownerCost(c, "bob") != 0 || ownerCost(c, "alice") != 100 {
-		t.Fatalf("charges: alice=%d bob=%d", ownerCost(c, "alice"), ownerCost(c, "bob"))
+	st := c.Stats()
+	if st.Owners["bob"] != 0 || st.Owners["alice"] != 100 {
+		t.Fatalf("charges: alice=%d bob=%d", st.Owners["alice"], st.Owners["bob"])
 	}
 }
 
@@ -92,7 +84,7 @@ func TestTenantCostOversizedBypassed(t *testing.T) {
 	if _, ok := c.PutOwned("big", 1, 200, "alice"); ok {
 		t.Fatal("oversized entry admitted")
 	}
-	if c.Owners() != 0 || c.Len() != 0 {
+	if len(c.Stats().Owners) != 0 || c.Len() != 0 {
 		t.Fatal("bypassed entry left a charge behind")
 	}
 }
@@ -113,25 +105,8 @@ func TestTenantCostSingleHugeEntryToleratedUnderContention(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("oldest over-share entry survived the trim")
 	}
-	if got := ownerCost(c, "alice"); got != 100 {
+	if got := c.Stats().Owners["alice"]; got != 100 {
 		t.Fatalf("alice charge = %d after trim, want 100", got)
-	}
-}
-
-func TestCostCacheRemove(t *testing.T) {
-	c := NewCost[int](10, 100)
-	c.PutOwned("a", 1, 10, "alice")
-	if !c.Remove("a") {
-		t.Fatal("Remove missed present key")
-	}
-	if c.Remove("a") {
-		t.Fatal("Remove found absent key")
-	}
-	if c.Cost() != 0 || c.Len() != 0 || c.Evictions() != 1 {
-		t.Fatalf("cost=%d len=%d evictions=%d", c.Cost(), c.Len(), c.Evictions())
-	}
-	if ownerCost(c, "alice") != 0 || c.Owners() != 0 {
-		t.Fatalf("removal left alice charged %d (%d owners)", ownerCost(c, "alice"), c.Owners())
 	}
 }
 
@@ -150,7 +125,7 @@ func TestTenantCostTinyBudgetShareClampsToOne(t *testing.T) {
 	if _, ok := c.Get("a2"); !ok {
 		t.Fatal("newest entry evicted under tiny-budget share")
 	}
-	if got := ownerCost(c, "alice"); got < 1 {
+	if got := c.Stats().Owners["alice"]; got < 1 {
 		t.Fatalf("alice charge = %d, want >= 1 (clamped share)", got)
 	}
 	if _, ok := c.Get("bob-1"); !ok {

@@ -19,8 +19,9 @@ func TestCostEviction(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted despite being MRU")
 	}
-	if c.Cost() != 8 || c.Len() != 2 {
-		t.Fatalf("cost=%d len=%d, want 8, 2", c.Cost(), c.Len())
+	st := c.Stats()
+	if st.Cost != 8 || c.Len() != 2 {
+		t.Fatalf("cost=%d len=%d, want 8, 2", st.Cost, c.Len())
 	}
 }
 
@@ -36,8 +37,9 @@ func TestCostOversizedBypass(t *testing.T) {
 	if _, ok := c.Get("small"); !ok {
 		t.Fatal("bypass evicted an unrelated entry")
 	}
-	if c.Cost() != 2 || c.Len() != 1 {
-		t.Fatalf("cost=%d len=%d after bypass, want 2, 1", c.Cost(), c.Len())
+	st := c.Stats()
+	if st.Cost != 2 || c.Len() != 1 || st.Bypassed != 1 {
+		t.Fatalf("cost=%d len=%d bypassed=%d after bypass, want 2, 1, 1", st.Cost, c.Len(), st.Bypassed)
 	}
 }
 
@@ -68,11 +70,12 @@ func TestCostZeroCostCannotEvadeBound(t *testing.T) {
 	if c.Len() != 8 {
 		t.Fatalf("len = %d after %d zero-cost puts, want cost bound 8", c.Len(), n)
 	}
-	if c.Cost() != 8 {
-		t.Fatalf("cost = %d, want 8 (1 per clamped entry)", c.Cost())
+	st := c.Stats()
+	if st.Cost != 8 {
+		t.Fatalf("cost = %d, want 8 (1 per clamped entry)", st.Cost)
 	}
-	if c.Evictions() != n-8 {
-		t.Fatalf("evictions = %d, want %d", c.Evictions(), n-8)
+	if st.Evictions != n-8 {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, n-8)
 	}
 }
 
@@ -82,15 +85,16 @@ func TestCostZeroCostCannotEvadeBound(t *testing.T) {
 func TestCostNegativeCostCannotWedgeEviction(t *testing.T) {
 	c := NewCost[int](100, 10)
 	c.Put("neg", 1, -50)
-	if c.Cost() != 1 {
-		t.Fatalf("cost = %d after negative-cost put, want clamp to 1", c.Cost())
+	if cost := c.Stats().Cost; cost != 1 {
+		t.Fatalf("cost = %d after negative-cost put, want clamp to 1", cost)
 	}
 	c.Put("a", 2, 10) // 1 + 10 > 10: must evict "neg", not absorb it as headroom
 	if _, ok := c.Get("neg"); ok {
 		t.Fatal("negative-cost entry survived past the cost bound")
 	}
-	if c.Cost() != 10 || c.Len() != 1 {
-		t.Fatalf("cost=%d len=%d, want 10, 1", c.Cost(), c.Len())
+	st := c.Stats()
+	if st.Cost != 10 || c.Len() != 1 {
+		t.Fatalf("cost=%d len=%d, want 10, 1", st.Cost, c.Len())
 	}
 }
 
@@ -102,7 +106,14 @@ func TestCostPutKeepsIncumbent(t *testing.T) {
 	if got, ok := c.Put("k", 2, 50); !ok || got != 1 {
 		t.Fatalf("second put = (%d, %v), want incumbent (1, true)", got, ok)
 	}
-	if c.Cost() != 10 {
-		t.Fatalf("cost = %d, want incumbent's 10", c.Cost())
+	if cost := c.Stats().Cost; cost != 10 {
+		t.Fatalf("cost = %d, want incumbent's 10", cost)
+	}
+}
+
+func TestNilCostCacheStatsZero(t *testing.T) {
+	var c *CostCache[int]
+	if st := c.Stats(); st.Entries != 0 || st.Cost != 0 || st.MaxCost != 0 || st.Owners != nil {
+		t.Fatalf("nil cache stats = %+v, want zeros", st)
 	}
 }

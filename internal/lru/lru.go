@@ -1,12 +1,16 @@
-// Package lru provides the bounded least-recently-used map backing the
-// serving layer's plan, result and subplan caches, so eviction, recency and
-// owner-charging logic lives in one place (CostCache).
+// Package lru provides the one bounded least-recently-used map in the
+// serving layer: CostCache, bounded by entry count and by summed cost, with
+// optional per-owner charging. It backs the result and subplan caches
+// directly and, through Cache (every entry costing 1), the plan cache and
+// the tenant table. Every method is safe for concurrent use: the cache holds
+// its own lock, and the callers' hit, miss and publish accounting lives in
+// atomic counters outside it. Eviction, recency, bypass and owner-charging
+// policy therefore live here and nowhere else.
 package lru
 
 // Cache maps string keys to values, evicting the least recently used entry
 // past capacity: a CostCache in which every entry costs 1 and nothing else
-// is bounded. It is NOT safe for concurrent use: callers guard it with
-// their own lock alongside their hit/miss accounting.
+// is bounded.
 type Cache[V any] struct{ c *CostCache[V] }
 
 // New returns a cache bounded to capacity entries. capacity < 1 is treated
@@ -27,6 +31,6 @@ func (c *Cache[V]) Put(key string, v V) V {
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int { return c.c.Len() }
 
-// Each visits every cached entry, most recently used first, without
-// changing recency. fn must not call back into the cache.
-func (c *Cache[V]) Each(fn func(key string, v V)) { c.c.Each(fn) }
+// Values returns the cached values, most recently used first, without
+// changing recency.
+func (c *Cache[V]) Values() []V { return c.c.Values() }

@@ -19,10 +19,8 @@ func TestEvictionOrder(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	var order string
-	c.Each(func(key string, _ int) { order += key })
-	if order != "ac" {
-		t.Fatalf("Each visited %q, want most recent first: \"ac\"", order)
+	if got := c.Values(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("Values = %v, want most recent first: [1 3]", got)
 	}
 }
 

@@ -25,16 +25,12 @@ func newBTreeNode(leaf bool) *btreeNode {
 	return n
 }
 
-// btree is the tree root plus bookkeeping.
+// btree is the tree root.
 type btree struct {
 	root *btreeNode
-	n    int // number of (key,rowid) pairs
 }
 
 func newBTree() *btree { return &btree{root: newBTreeNode(true)} }
-
-// Len returns the number of stored (key, rowid) pairs.
-func (t *btree) Len() int { return t.n }
 
 // Insert adds rowID under key.
 func (t *btree) Insert(key int64, rowID int32) {
@@ -45,7 +41,6 @@ func (t *btree) Insert(key int64, rowID int32) {
 		t.splitChild(t.root, 0)
 	}
 	t.insertNonFull(t.root, key, rowID)
-	t.n++
 }
 
 func (t *btree) isFull(n *btreeNode) bool { return len(n.keys) == btreeOrder-1 }
@@ -106,22 +101,6 @@ func (t *btree) insertNonFull(n *btreeNode, key int64, rowID int32) {
 	}
 }
 
-// Get returns the row ids stored under key (nil when absent).
-func (t *btree) Get(key int64) []int32 {
-	n := t.root
-	for {
-		if n.leaf {
-			i := sort.Search(len(n.keys), func(j int) bool { return n.keys[j] >= key })
-			if i < len(n.keys) && n.keys[i] == key {
-				return n.vals[i]
-			}
-			return nil
-		}
-		i := sort.Search(len(n.keys), func(j int) bool { return n.keys[j] > key })
-		n = n.children[i]
-	}
-}
-
 // Range calls fn for every (key, rowids) with lo <= key <= hi, in ascending
 // key order, stopping early if fn returns false.
 func (t *btree) Range(lo, hi int64, fn func(key int64, rows []int32) bool) {
@@ -148,28 +127,4 @@ func (t *btree) rangeNode(n *btreeNode, lo, hi int64, fn func(int64, []int32) bo
 		}
 	}
 	return true
-}
-
-// Min returns the smallest key (ok=false when empty).
-func (t *btree) Min() (int64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[0], true
-}
-
-// Max returns the largest key (ok=false when empty).
-func (t *btree) Max() (int64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[len(n.keys)-1], true
 }

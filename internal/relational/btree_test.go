@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,24 +10,32 @@ import (
 
 func TestBTreeInsertGet(t *testing.T) {
 	bt := newBTree()
-	if _, ok := bt.Min(); ok {
-		t.Fatal("empty tree has Min")
-	}
+	bt.Range(math.MinInt64, math.MaxInt64, func(k int64, _ []int32) bool {
+		t.Fatalf("empty tree holds key %d", k)
+		return false
+	})
 	for i := int64(0); i < 1000; i++ {
 		bt.Insert(i*3, int32(i))
 	}
-	if bt.Len() != 1000 {
-		t.Fatalf("Len = %d", bt.Len())
+	pairs := 0
+	bt.Range(math.MinInt64, math.MaxInt64, func(_ int64, rows []int32) bool {
+		pairs += len(rows)
+		return true
+	})
+	if pairs != 1000 {
+		t.Fatalf("%d pairs stored, want 1000", pairs)
 	}
 	for i := int64(0); i < 1000; i++ {
-		rows := bt.Get(i * 3)
+		var rows []int32
+		bt.Range(i*3, i*3, func(_ int64, r []int32) bool { rows = r; return true })
 		if len(rows) != 1 || rows[0] != int32(i) {
-			t.Fatalf("Get(%d) = %v", i*3, rows)
+			t.Fatalf("Range(%d, %d) = %v", i*3, i*3, rows)
 		}
 	}
-	if rows := bt.Get(1); rows != nil {
-		t.Fatalf("Get(missing) = %v", rows)
-	}
+	bt.Range(1, 1, func(k int64, rows []int32) bool {
+		t.Fatalf("Range(1, 1) found key %d: %v", k, rows)
+		return false
+	})
 }
 
 func TestBTreeDuplicates(t *testing.T) {
@@ -34,7 +43,8 @@ func TestBTreeDuplicates(t *testing.T) {
 	for i := int32(0); i < 100; i++ {
 		bt.Insert(7, i)
 	}
-	rows := bt.Get(7)
+	var rows []int32
+	bt.Range(7, 7, func(_ int64, r []int32) bool { rows = r; return true })
 	if len(rows) != 100 {
 		t.Fatalf("duplicate key rows = %d", len(rows))
 	}
@@ -48,18 +58,23 @@ func TestBTreeRandomOrderInsert(t *testing.T) {
 		bt.Insert(int64(k), int32(k))
 	}
 	for _, k := range keys {
-		rows := bt.Get(int64(k))
+		var rows []int32
+		bt.Range(int64(k), int64(k), func(_ int64, r []int32) bool { rows = r; return true })
 		if len(rows) != 1 || rows[0] != int32(k) {
-			t.Fatalf("Get(%d) = %v", k, rows)
+			t.Fatalf("Range(%d, %d) = %v", k, k, rows)
 		}
 	}
-	mn, ok := bt.Min()
-	if !ok || mn != 0 {
-		t.Fatalf("Min = %d, %v", mn, ok)
-	}
-	mx, ok := bt.Max()
-	if !ok || mx != 4999 {
-		t.Fatalf("Max = %d, %v", mx, ok)
+	// A full range visits every key once, ascending: 0 first, 4999 last.
+	next := int64(0)
+	bt.Range(math.MinInt64, math.MaxInt64, func(k int64, _ []int32) bool {
+		if k != next {
+			t.Fatalf("full range visited %d, want %d", k, next)
+		}
+		next++
+		return true
+	})
+	if next != 5000 {
+		t.Fatalf("full range visited %d keys, want 5000", next)
 	}
 }
 
@@ -148,13 +163,19 @@ func TestPropertyBTreeGetAll(t *testing.T) {
 			bt.Insert(k, int32(i))
 			inserted[k] = append(inserted[k], int32(i))
 		}
+		pairs := 0
+		bt.Range(math.MinInt64, math.MaxInt64, func(_ int64, rows []int32) bool {
+			pairs += len(rows)
+			return true
+		})
 		for k, want := range inserted {
-			got := bt.Get(k)
+			var got []int32
+			bt.Range(k, k, func(_ int64, r []int32) bool { got = r; return true })
 			if len(got) != len(want) {
 				return false
 			}
 		}
-		return bt.Len() == count
+		return pairs == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

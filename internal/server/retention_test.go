@@ -77,9 +77,10 @@ func TestCachedLimitResultsRetainWhatTheyCharge(t *testing.T) {
 		query(i * (rows / 2) / entries)
 	}
 	retained := heapInuse() - before
-	charged, _ := s.results.bytes()
-	if n := s.results.size(); n != entries {
-		t.Fatalf("the cache holds %d results, want %d", n, entries)
+	rc := s.results.Stats()
+	charged := rc.Cost
+	if rc.Entries != entries {
+		t.Fatalf("the cache holds %d results, want %d", rc.Entries, entries)
 	}
 	// Beside the payload an entry keeps its Report (one record per plan node),
 	// its key and its map and list cells: 16 KiB each is generous, and two

@@ -29,8 +29,8 @@
 //     unchanged data skip execution entirely, a mutation of touched data
 //     rotates the vector so stale results stop being addressable, and
 //     writes to untouched stores leave cached results valid (surgical
-//     invalidation; resultcache.go). Admission is byte-bounded with an
-//     oversized-entry bypass.
+//     invalidation; runQuery and executeOnce). Admission is byte-bounded
+//     with an oversized-entry bypass.
 //   - Single-flight: identical queries in flight at the same time share one
 //     execution; only the leader holds a worker slot (singleflight.go).
 //   - Observability: every reported number is declared once in the stat
@@ -69,6 +69,7 @@ import (
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
 	"polystorepp/internal/ir"
+	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/tenant"
 )
@@ -227,8 +228,8 @@ type Server struct {
 	opts    compiler.Options
 	cfg     Config
 	cache   *compiler.PlanCache
-	results *resultCache // nil when disabled
-	flight  *flightGroup // nil when disabled
+	results *lru.CostCache[resultEntry] // nil when disabled
+	flight  *flightGroup                // nil when disabled
 	adm     *admission
 	tenants *tenantControl
 	nl      *eide.NLTranslator
@@ -267,7 +268,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		s.backend = backend.NewMemory()
 	}
 	if cfg.ResultCacheSize > 0 {
-		s.results = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
+		s.results = lru.NewCostShared[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
 	}
 	rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
 	if !cfg.DisableSingleFlight {
@@ -628,10 +629,10 @@ type queryOutcome struct {
 func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.ResultSink) (queryOutcome, error) {
 	tr := obs.From(ctx)
 	if s.results != nil {
-		if res, rep, ok := s.results.get(p.resKey); ok {
+		if e, ok := s.results.Get(p.resKey); ok {
 			s.st.resultHits.Inc()
 			tr.Event("cache.result", "hit")
-			return queryOutcome{res: res, rep: rep, planHit: true, resultHit: true}, nil
+			return queryOutcome{res: e.res, rep: e.rep, planHit: true, resultHit: true}, nil
 		}
 		s.st.resultMisses.Inc()
 		tr.Event("cache.result", "miss")
@@ -746,9 +747,36 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	// gets it — one response computed over moving data is the same contract
 	// a non-caching server gives.
 	if s.results != nil && s.rt.VersionVector(p.touches) == p.vv {
-		s.results.put(p.resKey, pruneToSinks(res), rep, p.tenant)
+		cached := pruneToSinks(res)
+		s.results.PutOwned(p.resKey, resultEntry{res: cached, rep: rep}, resultBytes(cached)+lru.EntryOverheadBytes, p.tenant)
 	}
 	return res, rep, hit, nil
+}
+
+// resultEntry is one executed outcome in the result cache, keyed on
+// (plan-cache key, the program's constants, version vector of the stores the
+// plan touches). Entries are sound to share across requests because Results
+// and Reports are never mutated after Execute returns (response encoding
+// only reads them). Invalidation is by key rotation: a mutation of a
+// touched store rotates the vector, so stale entries stop being addressable
+// and age out of the LRU, while writes to untouched stores leave keys (and
+// so cached results) intact. Each entry is charged its sink payload bytes to
+// the tenant whose execution filled it; racing executions of one key
+// produce equivalent results and the incumbent is kept.
+type resultEntry struct {
+	res *core.Results
+	rep *core.Report
+}
+
+// resultBytes sizes a result's sink payloads.
+func resultBytes(res *core.Results) int64 {
+	var n int64
+	for _, s := range res.Sinks {
+		if b := res.Values[s].Batch; b != nil {
+			n += b.ByteSize()
+		}
+	}
+	return n
 }
 
 // pruneToSinks trims a result to what a cached entry should hold for its LRU

@@ -164,7 +164,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
 	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
-	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.size() })
+	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.Stats().Entries })
 	maxBytes := int64(0)
 	if s.results != nil {
 		maxBytes = s.cfg.ResultCacheBytes
@@ -200,7 +200,10 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	st.shedDeadline = counter("tenant_shed_deadline", "server.shed.deadline", "Executions shed because the queue wait would outlive their deadline.")
 	add("", "server.shed.service_ewma_seconds", kindGauge, "The shedder's service-time estimate (0 before the first execution).", func() any { return s.adm.serviceEWMA().Seconds() })
 	st.drainRejected = counter("drain_rejected", "server.drain.rejected", "Requests refused with 503 while draining.")
-	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any { return s.tenants.statsJSON(s.results.ownerBytes(), s.rt.SubplanOwnerBytes()) })
+	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any {
+		sp, _ := s.rt.SubplanCacheStats()
+		return s.tenants.statsJSON(s.results.Stats().Owners, sp.Owners)
+	})
 
 	add("backend", "", kindInfo, "Storage backend block (fields below).", func() any { return statsJSON(s.backendStats()) })
 	return st, defs
@@ -211,17 +214,17 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 // cache, partition pool — reading each snapshot once per scrape rather than
 // once per row.
 func (s *Server) snapshotStats() []stat {
-	resultBytes, resultBypassed := s.results.bytes()
+	rc := s.results.Stats()
 	sp, spOn := s.rt.SubplanCacheStats()
 	spawned, inlined := partition.Shared().Stats()
 	return []stat{
 		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL shape mapped to its plan.", get: val(s.cache.Len())},
-		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(resultBytes)},
-		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(resultBypassed)},
+		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(rc.Cost)},
+		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(rc.Bypassed)},
 		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},
 		{key: "subplan_cache_entries", name: "core.subplan.entries", kind: kindGauge, help: "Intermediates cached.", get: val(sp.Entries)},
-		{key: "subplan_cache_bytes", name: "core.subplan.bytes", kind: kindGauge, help: "Bytes of the cached intermediates.", get: val(sp.Bytes)},
-		{key: "subplan_cache_max_bytes", kind: kindInfo, help: "Subplan-cache byte budget.", get: val(sp.MaxBytes)},
+		{key: "subplan_cache_bytes", name: "core.subplan.bytes", kind: kindGauge, help: "Bytes of the cached intermediates.", get: val(sp.Cost)},
+		{key: "subplan_cache_max_bytes", kind: kindInfo, help: "Subplan-cache byte budget.", get: val(sp.MaxCost)},
 		{key: "subplan_cache_evictions", name: "core.subplan.evictions", kind: kindGauge, help: "Intermediates evicted for space.", get: val(sp.Evictions)},
 		{key: "partition_spawned", kind: kindCounter, help: "Partition tasks run on a pool goroutine.", get: val(spawned)},
 		{key: "partition_inlined", kind: kindCounter, help: "Partition tasks run inline on the caller.", get: val(inlined)},

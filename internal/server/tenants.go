@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,7 +49,6 @@ type tenantState struct {
 // tenantControl owns the bounded set of per-tenant records.
 type tenantControl struct {
 	cfg    Config
-	mu     sync.Mutex
 	states *lru.Cache[*tenantState]
 }
 
@@ -58,10 +56,10 @@ func newTenantControl(cfg Config) *tenantControl {
 	return &tenantControl{cfg: cfg, states: lru.New[*tenantState](cfg.MaxTenants)}
 }
 
-// state returns (building if first seen) the tenant's record.
+// state returns (building if first seen) the tenant's record. Two first
+// requests of one tenant may both build a record; Put keeps the one stored
+// first, and both use it.
 func (tc *tenantControl) state(id string) *tenantState {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
 	if ts, ok := tc.states.Get(id); ok {
 		return ts
 	}
@@ -82,20 +80,7 @@ func (tc *tenantControl) state(id string) *tenantState {
 }
 
 // len returns the number of live tenant records.
-func (tc *tenantControl) len() int {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.states.Len()
-}
-
-// snapshot returns the live tenant records.
-func (tc *tenantControl) snapshot() []*tenantState {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make([]*tenantState, 0, tc.states.Len())
-	tc.states.Each(func(_ string, ts *tenantState) { out = append(out, ts) })
-	return out
-}
+func (tc *tenantControl) len() int { return tc.states.Len() }
 
 // enterRate counts the request and charges the tenant's token bucket — the
 // one entitlement queries and writes share. /ingest stops here: ingest
@@ -267,7 +252,7 @@ func tenantDefs(ts *tenantState, resultBytes, subplanBytes int64) []stat {
 // per-tenant cache charges from the two byte-bounded caches.
 func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) map[string]any {
 	out := make(map[string]any)
-	for _, ts := range tc.snapshot() {
+	for _, ts := range tc.states.Values() {
 		out[ts.id] = statsJSON(tenantDefs(ts, resultBytes[ts.id], subplanBytes[ts.id]))
 	}
 	return out
@@ -279,7 +264,7 @@ func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) m
 // under hostile identity floods.
 func (tc *tenantControl) writeProm(w io.Writer) {
 	var rows []promRow
-	for _, ts := range tc.snapshot() {
+	for _, ts := range tc.states.Values() {
 		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", ts.id), defs: tenantDefs(ts, 0, 0)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })

@@ -72,7 +72,7 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		if _, _, _, err := s.executeOnce(context.Background(), p, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, _, published := s.results.get(p.resKey)
+		_, published := s.results.Get(p.resKey)
 		return published
 	}
 

@@ -18,7 +18,6 @@
 package subplan
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"polystorepp/internal/adapter"
@@ -71,10 +70,6 @@ func (e *Entry) Reused() *cast.Batch {
 	return e.dense.Load()
 }
 
-// entryOverheadBytes approximates the per-entry bookkeeping cost (map and
-// list cells, cost slice) charged on top of the payload.
-const entryOverheadBytes = 512
-
 // maxEntriesFor scales the entry bound with the byte budget so tiny test
 // budgets still admit a few entries while production budgets aren't capped
 // by entry count before bytes.
@@ -89,15 +84,14 @@ func maxEntriesFor(maxBytes int64) int {
 	return n
 }
 
-// Cache is a byte-bounded, mutex-guarded LRU of subplan entries. Entries
+// Cache is a byte-bounded LRU of subplan entries: an lru.CostCache whose
+// Put charges each entry its payload plus lru.EntryOverheadBytes. Entries
 // are charged to the tenant whose execution published them: while more than
-// one tenant holds entries, each tenant's bytes are capped at a share of
-// the budget, so one tenant's working set cannot evict everyone else's
-// memoized intermediates (see lru.CostCache).
+// one tenant holds entries, each tenant's bytes are capped at a share of the
+// budget, so one tenant's working set cannot evict everyone else's memoized
+// intermediates.
 type Cache struct {
-	mu       sync.Mutex
-	entries  *lru.CostCache[*Entry]
-	maxBytes int64
+	*lru.CostCache[*Entry]
 }
 
 // NewCache returns a cache bounded to maxBytes of memoized intermediates
@@ -108,63 +102,20 @@ func NewCache(maxBytes int64) *Cache { return NewCacheShared(maxBytes, 0) }
 // (fraction of maxBytes one tenant may hold while others hold entries);
 // share <= 0 selects the default, >= 1 disables per-tenant capping.
 func NewCacheShared(maxBytes int64, share float64) *Cache {
-	return &Cache{
-		entries:  lru.NewCostShared[*Entry](maxEntriesFor(maxBytes), maxBytes, share),
-		maxBytes: maxBytes,
-	}
-}
-
-// Get returns the entry under key, marking it most recently used.
-func (c *Cache) Get(key string) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Get(key)
+	return &Cache{lru.NewCostShared[*Entry](maxEntriesFor(maxBytes), maxBytes, share)}
 }
 
 // Put admits e under key, charging its payload plus overhead to owner (the
-// publishing tenant). It reports whether the key is now cached: false means
-// the entry was oversized and bypassed. A racing fill keeps the incumbent
-// (equivalent value).
+// publishing tenant). It returns the entry now cached under key and whether
+// the key is cached at all: a racing fill keeps the incumbent (an equivalent
+// value), so e was stored only when the entry returned is e, and (e, false)
+// means e was oversized and bypassed.
 //
 // The payload is the output's logical size, the size it has once gathered. A
 // selection-backed output owns less than that until someone gathers it (a
 // 4-byte row number per row, over storage other holders keep alive) and that
 // plus the row numbers afterwards; those are not charged, so what fits the
 // budget does not depend on which entries happen to be selection-backed.
-func (c *Cache) Put(key string, e *Entry, owner string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries.PutOwned(key, e, e.Bytes+entryOverheadBytes, owner)
-	return ok
-}
-
-// Stats is a point-in-time structural snapshot of the cache.
-type Stats struct {
-	Entries   int
-	Bytes     int64
-	MaxBytes  int64
-	Evictions int64
-	Owners    int
-}
-
-// Stats snapshots entry count, charged bytes, and lifetime evictions.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Entries:   c.entries.Len(),
-		Bytes:     c.entries.Cost(),
-		MaxBytes:  c.maxBytes,
-		Evictions: c.entries.Evictions(),
-		Owners:    c.entries.Owners(),
-	}
-}
-
-// OwnerBytes snapshots the bytes currently charged to each tenant.
-func (c *Cache) OwnerBytes() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := make(map[string]int64, c.entries.Owners())
-	c.entries.EachOwner(func(owner string, cost int64) { m[owner] = cost })
-	return m
+func (c *Cache) Put(key string, e *Entry, owner string) (*Entry, bool) {
+	return c.PutOwned(key, e, e.Bytes+lru.EntryOverheadBytes, owner)
 }

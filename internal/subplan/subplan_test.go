@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polystorepp/internal/cast"
+	"polystorepp/internal/lru"
 )
 
 func testEntry(t *testing.T, rows int) *Entry {
@@ -22,15 +23,15 @@ func testEntry(t *testing.T, rows int) *Entry {
 func TestCachePutGet(t *testing.T) {
 	c := NewCache(1 << 20)
 	e := testEntry(t, 10)
-	if !c.Put("k", e, "anon") {
-		t.Fatal("put bypassed a small entry")
+	if got, ok := c.Put("k", e, "anon"); !ok || got != e {
+		t.Fatal("put did not store a small entry")
 	}
 	got, ok := c.Get("k")
 	if !ok || got != e {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
 	s := c.Stats()
-	if s.Entries != 1 || s.Bytes != e.Bytes+entryOverheadBytes || s.MaxBytes != 1<<20 {
+	if s.Entries != 1 || s.Cost != e.Bytes+lru.EntryOverheadBytes || s.MaxCost != 1<<20 || s.Owners["anon"] != s.Cost {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -38,8 +39,11 @@ func TestCachePutGet(t *testing.T) {
 func TestCacheOversizedBypass(t *testing.T) {
 	c := NewCache(256) // smaller than any real batch + overhead
 	e := testEntry(t, 100)
-	if c.Put("k", e, "anon") {
+	if _, ok := c.Put("k", e, "anon"); ok {
 		t.Fatal("oversized entry admitted")
+	}
+	if s := c.Stats(); s.Bypassed != 1 {
+		t.Fatalf("bypassed = %d, want 1", s.Bypassed)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("bypassed entry is retrievable")
@@ -48,17 +52,17 @@ func TestCacheOversizedBypass(t *testing.T) {
 
 func TestCacheByteBoundEvicts(t *testing.T) {
 	e := testEntry(t, 100)
-	per := e.Bytes + entryOverheadBytes
+	per := e.Bytes + lru.EntryOverheadBytes
 	c := NewCache(3 * per)
 	keys := []string{"a", "b", "c", "d", "e"}
 	for _, k := range keys {
-		if !c.Put(k, testEntry(t, 100), "anon") {
+		if _, ok := c.Put(k, testEntry(t, 100), "anon"); !ok {
 			t.Fatalf("put %s bypassed", k)
 		}
 	}
 	s := c.Stats()
-	if s.Bytes > 3*per {
-		t.Fatalf("bytes %d exceed bound %d", s.Bytes, 3*per)
+	if s.Cost > 3*per {
+		t.Fatalf("bytes %d exceed bound %d", s.Cost, 3*per)
 	}
 	if s.Evictions == 0 {
 		t.Fatal("no evictions recorded")
@@ -76,7 +80,9 @@ func TestCacheIncumbentWins(t *testing.T) {
 	first := testEntry(t, 5)
 	second := testEntry(t, 5)
 	c.Put("k", first, "anon")
-	c.Put("k", second, "anon")
+	if got, ok := c.Put("k", second, "anon"); !ok || got != first {
+		t.Fatal("racing fill's Put did not report the incumbent")
+	}
 	got, _ := c.Get("k")
 	if got != first {
 		t.Fatal("racing fill displaced the incumbent entry")
