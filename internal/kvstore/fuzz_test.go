@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -36,5 +37,26 @@ func FuzzApply(f *testing.F) {
 		if err == nil && !applied && s.Version() != before {
 			t.Fatalf("skipped record moved the version %d -> %d", before, s.Version())
 		}
+	})
+}
+
+// FuzzRestore feeds arbitrary bytes to the snapshot loader, seeded with a
+// live store's Snapshot section and truncations of it. Restore into an
+// empty store must return an error or nil, never panic.
+func FuzzRestore(f *testing.F) {
+	src := New("kv")
+	src.Put("k1", []byte("value"))
+	src.PutTTL("k2", []byte("ttl"), time.Hour)
+	src.Put("k3", nil)
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	for cut := snap.Len(); cut >= 0; cut -= 1 + snap.Len()/16 {
+		f.Add(snap.Bytes()[:cut])
+	}
+
+	f.Fuzz(func(t *testing.T, section []byte) {
+		_ = New("kv").Restore(bytes.NewReader(section))
 	})
 }

@@ -43,9 +43,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adjusts the gauge by d.
 func (g *Gauge) Add(d float64) {
 	for {

@@ -35,7 +35,8 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(3.5)
+	g.SetMax(3.5)
+	g.SetMax(1) // below the watermark: no change
 	g.Add(-1.5)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge = %g, want 2", got)
@@ -88,7 +89,7 @@ func TestRegistry(t *testing.T) {
 	if r.Counter("ops").Value() != 3 {
 		t.Fatal("counter not shared by name")
 	}
-	r.Gauge("load").Set(0.5)
+	r.Gauge("load").SetMax(0.5)
 	if r.Gauge("load").Value() != 0.5 {
 		t.Fatal("gauge not shared by name")
 	}

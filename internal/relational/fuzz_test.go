@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -65,5 +66,31 @@ func FuzzApply(f *testing.F) {
 		if err == nil && !applied && s.Version() != before {
 			t.Fatalf("skipped record moved the version %d -> %d", before, s.Version())
 		}
+	})
+}
+
+// FuzzRestore feeds arbitrary bytes to the snapshot loader, seeded with a
+// live store's Snapshot section and truncations of it. Restore into an
+// empty store must return an error or nil, never panic.
+func FuzzRestore(f *testing.F) {
+	src, tbl := fuzzStore(f)
+	for i, kind := range []string{"a", "b", "a"} {
+		if err := tbl.Insert(int64(i), kind, i%2 == 0); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := tbl.CreateBTreeIndex("id"); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	for cut := snap.Len(); cut >= 0; cut -= 1 + snap.Len()/16 {
+		f.Add(snap.Bytes()[:cut])
+	}
+
+	f.Fuzz(func(t *testing.T, section []byte) {
+		_ = NewStore("db").Restore(bytes.NewReader(section))
 	})
 }

@@ -83,7 +83,7 @@ var latencyBounds = []float64{
 }
 
 // quantilesUS is a latency histogram's /stats rendering: count and
-// p50/p95/p99 in microseconds (polybench -loadgen and bench/ read it).
+// p50/p95/p99 in microseconds (bench/ reads it).
 func quantilesUS(h *metrics.Histogram) map[string]float64 {
 	n, _ := h.Snapshot()
 	return map[string]float64{

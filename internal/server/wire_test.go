@@ -24,8 +24,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata goldens and the generated block of docs/operations.md")
 
-// The wire goldens pin what scrapers and /stats consumers (bench/, polybench
-// -loadgen, benchdiff -attr, the CI smokes) parse:
+// The wire goldens pin what scrapers and /stats consumers (bench/,
+// benchdiff -attr, the CI smokes) parse:
 //
 //   - testdata/stats_keys.golden: every /stats path with its JSON type —
 //     top-level keys, the backend block, the union of the tenants rows'

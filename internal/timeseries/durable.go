@@ -125,6 +125,9 @@ func (s *Store) Restore(r io.Reader) error {
 					return fmt.Errorf("timeseries: restore %q series %q: %w", s.name, name, err)
 				}
 			}
+			if err := pts.Finish(); err != nil { // a blob is whole 16-byte points
+				return fmt.Errorf("timeseries: restore %q series %q: %w", s.name, name, err)
+			}
 		}
 	}
 	if err := d.Finish(); err != nil {

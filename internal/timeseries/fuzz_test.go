@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 )
@@ -38,5 +39,28 @@ func FuzzApply(f *testing.F) {
 		if err == nil && !applied && s.Version() != before {
 			t.Fatalf("skipped record moved the version %d -> %d", before, s.Version())
 		}
+	})
+}
+
+// FuzzRestore feeds arbitrary bytes to the snapshot loader, seeded with a
+// live store's Snapshot section and truncations of it. Restore into an
+// empty store must return an error or nil, never panic.
+func FuzzRestore(f *testing.F) {
+	src := New("ts")
+	for i, name := range []string{"cpu", "cpu", "mem", "cpu"} {
+		if err := src.Append(name, int64(i+1)*1000, float64(i)*0.5); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	for cut := snap.Len(); cut >= 0; cut -= 1 + snap.Len()/16 {
+		f.Add(snap.Bytes()[:cut])
+	}
+
+	f.Fuzz(func(t *testing.T, section []byte) {
+		_ = New("ts").Restore(bytes.NewReader(section))
 	})
 }
