@@ -135,9 +135,9 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		}
 		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
 		if n.Kind == ir.OpHashJoin {
-			// The build side is indexed whole (and fans out under the parts
-			// knob) either way; only probe delivery streams per chunk.
-			hb, err := relational.BuildHash(ctx, left.Schema(), right, lc, rc, parts)
+			// The build side is indexed whole, in one sequential pass, either
+			// way; only probe delivery streams per chunk.
+			hb, err := relational.BuildHash(ctx, left.Schema(), right, lc, rc)
 			if err != nil {
 				return Value{}, info, err
 			}
@@ -145,13 +145,11 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 				return Value{}, info, err
 			}
 			delivered = true
-			// The probe side drives the buffered fan-out; a streamed probe goes
-			// chunk by chunk, so the fan-out reported is the build side's.
-			fanned := left
-			if emit != nil {
-				fanned = right
+			// The probe is the only part that fans out, and a streamed probe
+			// goes chunk by chunk, so it never does.
+			if emit == nil {
+				info.Parts = partition.Effective(left.Rows(), parts)
 			}
-			info.Parts = partition.Effective(fanned.Rows(), parts)
 			info.Kernels = []KernelCall{
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},

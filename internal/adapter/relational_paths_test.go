@@ -16,9 +16,9 @@ import (
 // Execute and ExecuteStream and holds the two to one contract: equal Value,
 // equal ExecInfo (Native, RowsIn/Out, RuleNodes, Kernels), and the
 // emitted batches concatenate to the value. Parts is the one field the two
-// deliveries report differently — a streamed filter/project never fans out,
-// a streamed hash join reports its build side — so it is pinned per delivery
-// to the values both paths have always returned.
+// deliveries report differently — a streamed filter, project or hash join
+// never fans out (the join's build is sequential either way) — so it is
+// pinned per delivery to the fan-out each path ran.
 //
 // The input is 2500 rows: more than two StreamChunkRows chunks, and under
 // partition.Auto's fan-out threshold so "parts": 0 resolves to 1 on any host.
@@ -75,8 +75,8 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 		{name: "filter/parts=3", kind: ir.OpFilter, attrs: map[string]any{"pred": pred, "parts": int64(3)}, inputs: []Value{patients}, partsBuffered: 3},
 		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}, partsBuffered: 1},
 		{name: "project/parts=3", kind: ir.OpProject, attrs: map[string]any{"items": items, "parts": int64(3)}, inputs: []Value{patients}, partsBuffered: 3},
-		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}, partsBuffered: 1, partsStreams: 1},
-		{name: "hash-join/parts=3", kind: ir.OpHashJoin, attrs: with(join, "parts", int64(3)), inputs: []Value{patients, stays}, partsBuffered: 3, partsStreams: 3},
+		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}, partsBuffered: 1},
+		{name: "hash-join/parts=3", kind: ir.OpHashJoin, attrs: with(join, "parts", int64(3)), inputs: []Value{patients, stays}, partsBuffered: 3},
 		{name: "merge-join", kind: ir.OpMergeJoin, attrs: join, inputs: []Value{patients, stays}},
 		{name: "sort", kind: ir.OpSort, attrs: map[string]any{"order_by": []relational.OrderItem{{Col: "age", Desc: true}, {Col: "pid"}}}, inputs: []Value{patients}},
 		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}, partsBuffered: 1, partsStreams: 1},

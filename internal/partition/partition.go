@@ -54,18 +54,6 @@ func Split(n, parts int) []Range {
 	return out
 }
 
-// Shards returns the radix fan-out for hash-sharded merges: the smallest
-// power of two >= n (minimum 1), so shard selection compiles to a mask
-// instead of a modulo. Partition-parallel hash-join builds size their
-// per-key-hash shard count with it.
-func Shards(n int) int {
-	s := 1
-	for s < n {
-		s <<= 1
-	}
-	return s
-}
-
 // minPartitionRows is the smallest per-partition slab worth a goroutine
 // handoff; below 2x this, fan-out overhead exceeds the scan work and Auto
 // keeps execution sequential.

@@ -153,11 +153,3 @@ func TestDoCanceledContext(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestShards(t *testing.T) {
-	for n, want := range map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 7: 8, 8: 8, 9: 16, 64: 64} {
-		if got := Shards(n); got != want {
-			t.Fatalf("Shards(%d) = %d, want %d", n, got, want)
-		}
-	}
-}

@@ -217,3 +217,43 @@ func TestShapeAllocatesNothingPerToken(t *testing.T) {
 		t.Fatalf("binds = %v", binds)
 	}
 }
+
+// TestHashJoinAllocBudget: the join table is two arrays however many distinct
+// keys the build holds. The same 20 000-row build joins a 20 000-row probe
+// once with 20 000 distinct keys and once with 64 (63 unique, one shared by
+// every other row); each probe row meets exactly one build row, out of
+// order, in both, so the output is the same size. Both joins must allocate
+// equally often, at most 64 times. The map-of-lists table took one
+// allocation per distinct key.
+func TestHashJoinAllocBudget(t *testing.T) {
+	const rows = 20_000
+	join := func(buildKey, probeKey func(i int) int64) func() {
+		probe, build := make([]int64, rows), make([]int64, rows)
+		for i := range build {
+			probe[i], build[i] = probeKey(i), buildKey(i)
+		}
+		left, err := cast.BatchOf(cast.MustSchema(cast.Column{Name: "k", Type: cast.Int64}), probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		right, err := cast.BatchOf(cast.MustSchema(cast.Column{Name: "k2", Type: cast.Int64}), build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			out, err := hashJoin(context.Background(), left, right, "k", "k2", 1)
+			if err != nil || out.Rows() != rows {
+				t.Fatalf("join: %d rows, %v", out.Rows(), err)
+			}
+		}
+	}
+	distinct := testing.AllocsPerRun(10, join(
+		func(i int) int64 { return int64(rows - 1 - i) },
+		func(i int) int64 { return int64(i) }))
+	few := testing.AllocsPerRun(10, join(
+		func(i int) int64 { return int64(min(i, 63)) },
+		func(i int) int64 { return int64(62 - i%63) }))
+	if distinct != few || distinct > 64 {
+		t.Fatalf("join allocations: %.0f over 20 000 distinct build keys, %.0f over 64; want equal and at most 64", distinct, few)
+	}
+}

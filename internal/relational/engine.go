@@ -63,7 +63,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats,
 				return nil, nil, err
 			}
 			right := t.Snapshot()
-			hb, err := BuildHash(ctx, schema, right, st.LeftCol, st.RightCol, 0)
+			hb, err := BuildHash(ctx, schema, right, st.LeftCol, st.RightCol)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -176,9 +176,9 @@ type HashBuild struct {
 
 // BuildHash indexes right for a join on left.leftCol = right.rightCol against
 // probe batches of schema left; the two columns may be given in either order.
-// The build fans out over contiguous row ranges into key-hash-sharded tables
-// merged in partition order (join_parallel.go).
-func BuildHash(ctx context.Context, left cast.Schema, right *cast.Batch, leftCol, rightCol string, parts int) (*HashBuild, error) {
+// The build is one sequential pass that chains every right row into a hash
+// table of two arrays (join_parallel.go).
+func BuildHash(ctx context.Context, left cast.Schema, right *cast.Batch, leftCol, rightCol string) (*HashBuild, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -195,10 +195,7 @@ func BuildHash(ctx context.Context, left cast.Schema, right *cast.Batch, leftCol
 	if err != nil {
 		return nil, err
 	}
-	table, err := buildJoinTable(ctx, right, ci, left.Col(li).Type, parts)
-	if err != nil {
-		return nil, err
-	}
+	table := buildJoinTable(right, ci, left.Col(li).Type)
 	return &HashBuild{Kind: fmt.Sprintf("HashJoin(%s=%s)", leftCol, rightCol), schema: schema, li: li, table: table, right: right}, nil
 }
 
@@ -208,11 +205,10 @@ func (h *HashBuild) Schema() cast.Schema { return h.schema }
 // Probe is the join's Kernel: the rows of in matched against the build side,
 // in in's row order with each row's matches in build-row order. It fans out
 // one task per probe partition with an order-preserving merge
-// (join_parallel.go), and gathers neither side.
+// (join_parallel.go), and gathers neither side. ctx is read before each
+// partition and once per ChunkRows matched pairs, so a cancelled join stops
+// within one batch of output however many rows its keys multiply into.
 func (h *HashBuild) Probe(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return parProbe(ctx, in, h.li, h.table, h.right, h.schema, parts)
 }
 

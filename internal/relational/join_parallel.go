@@ -2,121 +2,112 @@ package relational
 
 import (
 	"context"
+	"math/bits"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/partition"
 )
 
-// This file implements the partition-parallel hash-join build and probe.
+// This file implements the hash join's table: a sequential chained build
+// and a partition-parallel probe.
 //
-// Build: the materialized build side is split into fixed contiguous row
-// ranges; one task per range hashes its rows into per-(partition, shard)
-// buckets, where the shard is chosen by the key hash (radix-style). A second
-// fan-out — one task per shard — merges the per-partition buckets of that
-// shard in ascending partition order. No two tasks ever write the same map,
-// so there is no locking, and because partitions are contiguous ascending
-// row ranges merged in order, every key's row list comes out in ascending
-// row order — exactly what the sequential single-map build produces.
+// Build: one pass over the build side's key column, read in place, links
+// every build row into a chained hash table — a power-of-two head array
+// indexed by the top bits of a Fibonacci hash of the key, and one next entry
+// per build row. Rows are linked in descending order, so every bucket's chain
+// lists its rows in ascending row order. The table is those two arrays
+// however many distinct keys the build holds.
 //
-// Probe: the probe side (when its child can surrender a bulk batch) is split
-// into contiguous row ranges; one task per range computes its matched (left
-// row, build row) pairs as two selections, and both sides are then taken
-// once, in partition order (takeSels) — the same order-preserving
-// discipline parallel.go uses — so the output equals the sequential
-// streaming probe's concatenated batches row for row.
+// Probe: the probe side is split into contiguous row ranges; one task per
+// range walks each probe row's chain, comparing keys (a bucket may hold
+// several), and lists the matched (left row, build row) pairs as two
+// selections. Both sides are then taken once, in partition order
+// (takeSels) — the same order-preserving discipline parallel.go uses — so
+// the output equals the sequential streaming probe's concatenated batches
+// row for row. A task polls ctx once per ChunkRows pairs it lists, so a join
+// whose output explodes stops within one batch of its cancellation.
 
-// joinTable is a hash table from join key to build-side row indices, sharded
-// by key hash so parallel builds never contend (one shard is a plain map).
+// joinTable is a chained hash table from join key to build-side row indices.
 // Keys are typed: the int64 values when both sides' key columns are
 // Int64/Timestamp, the strings when both are String, and otherwise each
 // side's cast.AppendKey rendering — the join's original key — so an int64 5
 // still meets a float64 5.
 type joinTable struct {
-	ints     []map[int64][]int32
-	strs     []map[string][]int32
-	rendered bool // strs is keyed by AppendKey renderings
+	// head[bucket] and next[row] hold a build row + 1; 0 ends a chain.
+	head, next []int32
+	shift      uint     // 64 - log2(len(head)): the hash bits a bucket takes
+	intKeyed   bool     // the keys are ints, else strs
+	ints       []int64  // build keys of an integer join
+	strs       []string // build keys of any other
+	rendered   bool     // strs holds AppendKey renderings
 }
 
-// hashKey hashes a string key with FNV-1a for shard selection, inlined so
-// the per-row build/probe hot loops pay no hash-state or []byte conversion
-// allocations.
-func hashKey(key string) uint64 {
+// fib is 2^64 divided by the golden ratio: multiplying by it spreads keys
+// over the top bits of the product (Fibonacci hashing).
+const fib = 0x9E3779B97F4A7C15
+
+func hashInt(key int64) uint64 { return uint64(key) * fib }
+
+// hashStr hashes a string key with FNV-1a, written out so the per-row loops
+// pay no hash-state or []byte conversion allocations, then spreads it as
+// hashInt does.
+func hashStr(key string) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= prime
 	}
-	return h
+	return h * fib
 }
 
-// hashInt spreads an int64 key over the shards (Fibonacci hashing).
-func hashInt(key int64) uint64 { return (uint64(key) * 0x9E3779B97F4A7C15) >> 32 }
-
-// strKey reads the table's string key of column ci of b.
-func (t *joinTable) strKey(b *cast.Batch, ci int) func(r int) string {
-	if t.rendered {
-		cols := []int{ci}
-		return func(r int) string { return string(b.AppendKey(nil, r, cols)) }
+// strKeys returns the table's string keys of rows [lo, hi) of column ci of
+// b: the column itself when the table keys on strings as stored, else the
+// rows' AppendKey renderings, which share one allocation.
+func (t *joinTable) strKeys(b *cast.Batch, ci, lo, hi int) []string {
+	if !t.rendered {
+		keys, _ := b.Strings(ci)
+		return keys[lo:hi]
 	}
-	keys, _ := b.Strings(ci)
-	return func(r int) string { return keys[r] }
+	cols, ends := []int{ci}, make([]int, hi-lo)
+	var buf []byte
+	for r := lo; r < hi; r++ {
+		buf = b.AppendKey(buf, r, cols)
+		ends[r-lo] = len(buf)
+	}
+	all, keys, start := string(buf), make([]string, hi-lo), 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
+	}
+	return keys
 }
 
 // buildJoinTable indexes build rows by the key column ci, keyed to meet a
-// probe column of type probe. parts <= 0 picks the fan-out automatically
-// from the input size; 1 forces the sequential single-shard build.
-func buildJoinTable(ctx context.Context, build *cast.Batch, ci int, probe cast.Type, parts int) (*joinTable, error) {
-	t := &joinTable{}
-	var err error
+// probe column of type probe.
+func buildJoinTable(build *cast.Batch, ci int, probe cast.Type) *joinTable {
+	n := build.Rows()
+	logSize := bits.Len(uint(max(n, 1) - 1))
+	t := &joinTable{head: make([]int32, 1<<logSize), next: make([]int32, n), shift: uint(64 - logSize)}
 	intKey := func(t cast.Type) bool { return t == cast.Int64 || t == cast.Timestamp }
 	if bt := build.Schema().Col(ci).Type; intKey(bt) && intKey(probe) {
-		keys, _ := build.Ints(ci)
-		t.ints, err = buildShards(ctx, build.Rows(), parts, func(r int) int64 { return keys[r] }, hashInt)
+		t.intKeyed = true
+		t.ints, _ = build.Ints(ci)
+		link(t, t.ints, hashInt)
 	} else {
 		t.rendered = bt != cast.String || probe != cast.String
-		t.strs, err = buildShards(ctx, build.Rows(), parts, t.strKey(build, ci), hashKey)
+		t.strs = t.strKeys(build, ci, 0, n)
+		link(t, t.strs, hashStr)
 	}
-	return t, err
+	return t
 }
 
-// buildShards hashes rows [0, n) into key-hash shards, every key's row list
-// in ascending row order.
-func buildShards[K comparable](ctx context.Context, n, parts int, key func(r int) K, hash func(K) uint64) ([]map[K][]int32, error) {
-	pool, ranges := partition.Shared(), splitRows(n, parts)
-	shardN := partition.Shards(len(ranges))
-	mask := uint64(shardN - 1)
-	// locals[p][s] holds partition p's rows that hash into shard s.
-	locals := make([][]map[K][]int32, len(ranges))
-	if err := pool.Do(ctx, len(ranges), func(p int) error {
-		buckets := make([]map[K][]int32, shardN)
-		for s := range buckets {
-			buckets[s] = make(map[K][]int32, ranges[p].Len()/shardN)
-		}
-		for r := ranges[p].Lo; r < ranges[p].Hi; r++ {
-			k := key(r)
-			s := hash(k) & mask
-			buckets[s][k] = append(buckets[s][k], int32(r))
-		}
-		locals[p] = buckets
-		return nil
-	}); err != nil || len(locals) == 1 {
-		return locals[0], err
+// link chains every build row into its key's bucket, last row first, so
+// each chain runs in ascending row order.
+func link[K comparable](t *joinTable, keys []K, hash func(K) uint64) {
+	for r := len(keys) - 1; r >= 0; r-- {
+		b := hash(keys[r]) >> t.shift
+		t.next[r], t.head[b] = t.head[b], int32(r+1)
 	}
-
-	shards := make([]map[K][]int32, shardN)
-	err := pool.Do(ctx, shardN, func(s int) error {
-		merged := make(map[K][]int32)
-		// Ascending partition order keeps each key's row list ascending.
-		for p := range locals {
-			for k, rows := range locals[p][s] {
-				merged[k] = append(merged[k], rows...)
-			}
-		}
-		shards[s] = merged
-		return nil
-	})
-	return shards, err
 }
 
 // probeRange matches rows [lo, hi) of lb's key column li against the table.
@@ -125,45 +116,50 @@ func buildShards[K comparable](ctx context.Context, n, parts int, key func(r int
 // build-row order: the sequential emission order. Unlike a filter's, these
 // lists may repeat a row and the build rows come in any order; a side is a
 // run when the loop saw it be one.
-func (t *joinTable) probeRange(lb *cast.Batch, li, lo, hi int) (left, right selection) {
-	if t.ints != nil {
+func (t *joinTable) probeRange(ctx context.Context, lb *cast.Batch, li, lo, hi int) (left, right selection, err error) {
+	if t.intKeyed {
 		keys, _ := lb.Ints(li)
-		return probeShards(t.ints, lo, hi, func(r int) int64 { return keys[r] }, hashInt)
+		return probeChains(ctx, t, t.ints, keys[lo:hi], lo, hashInt)
 	}
-	return probeShards(t.strs, lo, hi, t.strKey(lb, li), hashKey)
+	return probeChains(ctx, t, t.strs, t.strKeys(lb, li, lo, hi), lo, hashStr)
 }
 
-func probeShards[K comparable](shards []map[K][]int32, lo, hi int, key func(r int) K, hash func(K) uint64) (left, right selection) {
-	mask := uint64(len(shards) - 1)
+// probeChains walks each probe key's chain; probe[i] is the key of row lo+i.
+func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe []K, lo int, hash func(K) uint64) (left, right selection, err error) {
 	// ls stays unlisted while every probe row has matched exactly once: the
-	// left side is then the run [lo, r).
+	// left side is then the run [lo, lo+i).
 	var ls []int32
-	rs, consecutive := make([]int32, 0, hi-lo), true
-	for r := lo; r < hi; r++ {
-		k, shard := key(r), shards[0]
-		if mask != 0 {
-			shard = shards[hash(k)&mask]
-		}
-		matches := shard[k]
-		if ls == nil && len(matches) != 1 {
-			ls = runOf(lo, r).list(make([]int32, 0, hi-lo))
-		}
-		for _, rr := range matches {
-			if ls != nil {
-				ls = append(ls, int32(r))
+	rs, consecutive, poll := make([]int32, 0, len(probe)), true, ChunkRows
+	for i, k := range probe {
+		matches := 0
+		for e := t.head[hash(k)>>t.shift]; e != 0; e = t.next[e-1] {
+			if rr := e - 1; build[rr] == k {
+				consecutive = consecutive && (len(rs) == 0 || rr == rs[len(rs)-1]+1)
+				rs = append(rs, rr)
+				matches++
+				if len(rs) == poll {
+					if err := ctx.Err(); err != nil {
+						return selection{}, selection{}, err
+					}
+					poll += ChunkRows
+				}
 			}
-			consecutive = consecutive && (len(rs) == 0 || rr == rs[len(rs)-1]+1)
-			rs = append(rs, rr)
+		}
+		if ls == nil && matches != 1 {
+			ls = runOf(lo, lo+i).list(make([]int32, 0, len(probe)))
+		}
+		for ; ls != nil && matches > 0; matches-- {
+			ls = append(ls, int32(lo+i))
 		}
 	}
-	left, right = runOf(lo, hi), selection{rows: rs}
+	left, right = runOf(lo, lo+len(probe)), selection{rows: rs}
 	if ls != nil {
 		left = selection{rows: ls}
 	}
 	if consecutive && len(rs) > 0 {
 		right = runOf(int(rs[0]), int(rs[0])+len(rs))
 	}
-	return left, right
+	return left, right, nil
 }
 
 // parProbe probes in against table across partitions: each computes the
@@ -174,9 +170,9 @@ func probeShards[K comparable](shards []map[K][]int32, lo, hi int, key func(r in
 func parProbe(ctx context.Context, in *cast.Batch, li int, table *joinTable, rightMat *cast.Batch, schema cast.Schema, parts int) (*cast.Batch, error) {
 	ranges := splitRows(in.Rows(), parts)
 	lefts, rights := make([]selection, len(ranges)), make([]selection, len(ranges))
-	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
-		lefts[i], rights[i] = table.probeRange(in, li, ranges[i].Lo, ranges[i].Hi)
-		return nil
+	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
+		lefts[i], rights[i], err = table.probeRange(ctx, in, li, ranges[i].Lo, ranges[i].Hi)
+		return err
 	}); err != nil {
 		return nil, err
 	}

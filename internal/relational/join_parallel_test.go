@@ -2,7 +2,12 @@ package relational
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -83,7 +88,7 @@ func newJoinTables(t testing.TB, c joinCase) (*Table, *Table) {
 // rows at a time at one partition.
 func seqJoin(t *testing.T, left, right *cast.Batch, buildParts int) *cast.Batch {
 	t.Helper()
-	hb, err := BuildHash(context.Background(), left.Schema(), right, "k", "k2", buildParts)
+	hb, err := BuildHash(context.Background(), left.Schema(), right, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +208,194 @@ func TestJoinLimitKeepsStreamingProbe(t *testing.T) {
 	// The join read the probe rows the scan fed it and all 50 build rows.
 	if st := stats[1]; st.Kind != "HashJoin(uid_fk=uid)" || st.RowsIn != stats[0].RowsOut+50 {
 		t.Fatalf("join %+v after scan %+v", st, stats[0])
+	}
+}
+
+// joinSide is one input of a differential join case: row i carries id i and
+// key keys[i], a []int64 (Int64 or Timestamp), []float64 or []string.
+type joinSide struct {
+	typ  cast.Type
+	keys any
+}
+
+func (s joinSide) batch(t *testing.T, id, key string) *cast.Batch {
+	t.Helper()
+	n := reflect.ValueOf(s.keys).Len()
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	b, err := cast.BatchOf(cast.MustSchema(
+		cast.Column{Name: id, Type: cast.Int64},
+		cast.Column{Name: key, Type: s.typ},
+	), ids, s.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// nestedLoopJoin is the join by definition: every (left, right) row pair
+// whose keys meet, left rows in order and each one's matches in right-row
+// order. Integer keys (Int64, Timestamp) meet by value, two String keys by
+// value, and any other pair by their cast.AppendKey renderings.
+func nestedLoopJoin(left, right *cast.Batch) [][]any {
+	intKey := func(t cast.Type) bool { return t == cast.Int64 || t == cast.Timestamp }
+	lt, rt := left.Schema().Col(1).Type, right.Schema().Col(1).Type
+	key := func(b *cast.Batch, r int) any {
+		v, _ := b.Value(r, 1)
+		if (intKey(lt) && intKey(rt)) || (lt == cast.String && rt == cast.String) {
+			return v
+		}
+		return string(b.AppendKey(nil, r, []int{1}))
+	}
+	var out [][]any
+	for l := 0; l < left.Rows(); l++ {
+		for r := 0; r < right.Rows(); r++ {
+			if key(left, l) == key(right, r) {
+				lrow, _ := left.Row(l)
+				rrow, _ := right.Row(r)
+				out = append(out, append(lrow, rrow...))
+			}
+		}
+	}
+	return out
+}
+
+// sameBucket returns n int64 keys, 0 first, that a join table over rows
+// build rows puts in one bucket.
+func sameBucket(t *testing.T, rows, n int) []int64 {
+	build := joinSide{cast.Int64, make([]int64, rows)}.batch(t, "rid", "rk")
+	shift := buildJoinTable(build, 1, cast.Int64).shift
+	var keys []int64
+	for k := int64(0); len(keys) < n; k++ {
+		if hashInt(k)>>shift == hashInt(0)>>shift {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestHashJoinEqualsNestedLoop holds the hash join to the nested loop, rows
+// and their order, over seeded tables: heavy key duplication on both sides,
+// the int64 extremes, keys that share a bucket, an empty and a one-row build,
+// and the key pairs that meet across types (Int64 with Timestamp by value,
+// Int64 with Float64 by rendering). Each runs buffered at 1/2/7/64
+// partitions and streamed chunk by chunk at two chunk widths.
+func TestHashJoinEqualsNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	ints := func(n int, pick func() int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = pick()
+		}
+		return out
+	}
+	among := func(vals ...int64) func() int64 { return func() int64 { return vals[rng.Intn(len(vals))] } }
+	upTo := func(n int) func() int64 { return func() int64 { return int64(rng.Intn(n)) } }
+	floats := func(n int, vals ...float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = vals[rng.Intn(len(vals))]
+		}
+		return out
+	}
+	strs := func(n int, vals ...string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = vals[rng.Intn(len(vals))]
+		}
+		return out
+	}
+	// Eight keys of one bucket of the 64-row build's table; the probe also
+	// asks for bucket-mates the build does not hold.
+	mates := sameBucket(t, 64, 12)
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	cases := []struct {
+		name        string
+		left, right joinSide
+	}{
+		{"duplicated", joinSide{cast.Int64, ints(2500, upTo(9))}, joinSide{cast.Int64, ints(300, upTo(11))}},
+		{"extremes", joinSide{cast.Int64, ints(1500, among(extremes...))}, joinSide{cast.Int64, ints(40, among(extremes[1:]...))}},
+		{"same-bucket", joinSide{cast.Int64, ints(2100, among(mates...))}, joinSide{cast.Int64, ints(64, among(mates[:8]...))}},
+		{"empty-build", joinSide{cast.Int64, ints(1200, upTo(4))}, joinSide{cast.Int64, []int64{}}},
+		{"one-row-build", joinSide{cast.Int64, ints(1200, upTo(4))}, joinSide{cast.Int64, []int64{2}}},
+		{"int-timestamp", joinSide{cast.Int64, ints(1500, upTo(30))}, joinSide{cast.Timestamp, ints(200, upTo(40))}},
+		{"timestamp-int", joinSide{cast.Timestamp, ints(1500, upTo(30))}, joinSide{cast.Int64, ints(200, upTo(40))}},
+		{"int-float", joinSide{cast.Int64, ints(1500, among(-3, 0, 2, 5, 7, 1e8))}, joinSide{cast.Float64, floats(120, -3, 0, 0.5, 2, 5, 1e8, math.Inf(1))}},
+		{"float-int", joinSide{cast.Float64, floats(1500, -3, 0, 0.5, 2, 5)}, joinSide{cast.Int64, ints(120, among(-3, 0, 2, 4, 5))}},
+		{"strings", joinSide{cast.String, strs(1500, "", "a", "b|c", "\"q\"", "zz")}, joinSide{cast.String, strs(90, "", "a", "b|c", "\"q\"", "y")}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			left, right := c.left.batch(t, "lid", "lk"), c.right.batch(t, "rid", "rk")
+			want := nestedLoopJoin(left, right)
+			if len(want) == 0 && right.Rows() > 0 {
+				t.Fatal("the case joins no rows")
+			}
+			if c.name == "same-bucket" {
+				// The build must really chain several keys into one bucket.
+				hb, err := BuildHash(ctx, left.Schema(), right, "lk", "rk")
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := map[int64]bool{}
+				for e := hb.table.head[hashInt(0)>>hb.table.shift]; e != 0; e = hb.table.next[e-1] {
+					keys[hb.table.ints[e-1]] = true
+				}
+				if len(keys) < 2 {
+					t.Fatalf("bucket of key 0 holds %d keys, want several", len(keys))
+				}
+			}
+			for _, parts := range partCounts {
+				got, err := hashJoin(ctx, left, right, "lk", "rk", parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffRows(got, want); diff != "" {
+					t.Fatalf("buffered at parts %d: %s", parts, diff)
+				}
+			}
+			hb, err := BuildHash(ctx, left.Schema(), right, "lk", "rk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{37, ChunkRows} {
+				got, err := Chunked(ctx, left, width, hb.Schema(), []Kernel{hb.Probe}, -1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffRows(got, want); diff != "" {
+					t.Fatalf("streamed at width %d: %s", width, diff)
+				}
+			}
+		})
+	}
+}
+
+// TestHashJoinProbeStopsWhenCancelled: two 6 000-row tables on a two-valued
+// key join into 18 M pairs. A context cancelled right after the probe's
+// first poll must stop it within one batch of pairs: Probe answers
+// context.Canceled having allocated a few KiB, not the pair lists.
+func TestHashJoinProbeStopsWhenCancelled(t *testing.T) {
+	keys := make([]int64, 6000)
+	for i := range keys {
+		keys[i] = int64(i % 2)
+	}
+	left, right := joinSide{cast.Int64, keys}.batch(t, "lid", "lk"), joinSide{cast.Int64, keys}.batch(t, "rid", "rk")
+	hb, err := BuildHash(context.Background(), left.Schema(), right, "lk", "rk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := hb.Probe(&afterChecks{Context: context.Background(), n: 1}, left, 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("probe returned %v rows and error %v, want context.Canceled and nothing", out, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("cancelled probe allocated %d bytes, want at most 4 MiB", got)
 	}
 }

@@ -43,7 +43,7 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := BuildHash(context.Background(), orders.Schema(), users, "user_id", "uid", 1)
+	hb, err := BuildHash(context.Background(), orders.Schema(), users, "user_id", "uid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 		{"filter/parts=7", cancelled, func(ctx context.Context) (any, error) { return Filter(ctx, users, pred, 7) }},
 		{"project", cancelled, func(ctx context.Context) (any, error) { return Project(ctx, users, items, projected, 1) }},
 		{"hash-build", cancelled, func(ctx context.Context) (any, error) {
-			return BuildHash(ctx, orders.Schema(), users, "user_id", "uid", 1)
+			return BuildHash(ctx, orders.Schema(), users, "user_id", "uid")
 		}},
 		{"hash-probe", cancelled, func(ctx context.Context) (any, error) { return hb.Probe(ctx, orders, 1) }},
 		{"merge-join", cancelled, func(ctx context.Context) (any, error) {
@@ -125,7 +125,7 @@ func TestChunkWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hb, err := BuildHash(context.Background(), in.Schema(), build, "k", "k2", 0)
+	hb, err := BuildHash(context.Background(), in.Schema(), build, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,8 @@ func BenchmarkGroupBySequential(b *testing.B) { benchGroupBy(b, 1) }
 func BenchmarkGroupByParallel(b *testing.B) { benchGroupBy(b, 0) }
 
 // benchJoinTables builds a 200k-row probe table and a 20k-row build table
-// with ~50% probe hit rate, so build, probe, and output materialization all
-// have real per-partition work.
+// of distinct keys with ~50% probe hit rate, so the build, the probe and the
+// output all have real work.
 func benchJoinTables(b *testing.B) (*Table, *Table) {
 	b.Helper()
 	store := NewStore("join-bench")
@@ -138,14 +138,14 @@ func benchHashJoin(b *testing.B, parts int) {
 	}
 }
 
-// BenchmarkHashJoinSequential pins one partition — the pre-partitioning
-// build-and-probe path.
+// BenchmarkHashJoinSequential builds the 20 000-row table and probes the
+// 200 000 rows at one partition.
 func BenchmarkHashJoinSequential(b *testing.B) { benchHashJoin(b, 1) }
 
-// BenchmarkHashJoinParallel lets build and probe fan out over the scan pool.
-// On a single-core host the pool has one slot, Auto picks one partition, and
-// this benchmark tracks BenchmarkHashJoinSequential (inline-fallback
-// parity); the speedup engages at >= 4 partitions on multi-core hosts.
+// BenchmarkHashJoinParallel lets the probe fan out over the scan pool (the
+// build is one sequential pass either way). Auto gives the 200 000 probe rows
+// one partition per pool slot, so on a single-core host this tracks
+// BenchmarkHashJoinSequential, and with two slots the probe runs in halves.
 func BenchmarkHashJoinParallel(b *testing.B) { benchHashJoin(b, 0) }
 
 // BenchmarkSortBy50k sorts a 50k-row table on a float key, descending, with

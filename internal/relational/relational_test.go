@@ -79,7 +79,7 @@ func projectK(t testing.TB, in cast.Schema, items []ProjItem) (Kernel, cast.Sche
 // hashJoin is the whole join: build over right, probe with left, both at
 // parts.
 func hashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, error) {
-	hb, err := BuildHash(ctx, left.Schema(), right, leftCol, rightCol, parts)
+	hb, err := BuildHash(ctx, left.Schema(), right, leftCol, rightCol)
 	if err != nil {
 		return nil, err
 	}
