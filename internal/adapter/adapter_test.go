@@ -150,7 +150,7 @@ func TestRelationalErrors(t *testing.T) {
 
 func TestGraphAdapter(t *testing.T) {
 	ctx := context.Background()
-	gs := graphstore.New("g")
+	gs := graphstore.New()
 	gs.AddNode(graphstore.Node{ID: 1, Label: "a"})
 	gs.AddNode(graphstore.Node{ID: 2, Label: "b"})
 	if err := gs.AddEdge(graphstore.Edge{From: 1, To: 2, Type: "x", Weight: 2}); err != nil {

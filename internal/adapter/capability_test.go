@@ -29,7 +29,7 @@ func TestKVPrefixScanCapabilityFallback(t *testing.T) {
 	offered := backend.Full()
 	offered.PrefixScan = false
 	fallback := NewKVWithCapabilities("kv", seed(), offered)
-	if fallback.Capabilities().PrefixScan {
+	if fallback.caps.PrefixScan {
 		t.Fatal("negotiation granted PrefixScan the backend never offered")
 	}
 

@@ -104,7 +104,8 @@ func referencePredictions(t *testing.T, seed int64, b *cast.Batch, features []st
 			}
 		}
 	}
-	p, err := m.Predict(x)
+	w, d := x.Dim(1), x.Data()
+	p, err := m.PredictFill(x.Dim(0), w, func(dst []float64, lo, hi int) { copy(dst, d[lo*w:hi*w]) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,9 +390,6 @@ func NewKVWithCapabilities(name string, store *kvstore.Store, offered backend.Ca
 	return &KV{name: name, store: store, caps: granted}
 }
 
-// Capabilities reports the granted capability set (observability and tests).
-func (a *KV) Capabilities() backend.Capabilities { return a.caps }
-
 // Engine implements Adapter.
 func (a *KV) Engine() string { return a.name }
 

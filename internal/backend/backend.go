@@ -77,18 +77,11 @@ type Durable interface {
 // Recover found nothing → Start (begin journaling new mutations) → serve,
 // calling Barrier after each acknowledged write batch → Close.
 type Backend interface {
-	// Kind returns the registry name ("memory", "wal").
-	Kind() string
-	// Capabilities reports what the backend executes natively.
-	Capabilities() Capabilities
-
 	// Attach binds a store to the backend under its engine name. Attach
 	// before Recover/Start.
 	Attach(name string, s Durable)
 	// Deprecated: use Attach. Kept for bench/, which is frozen outside
 	// benchmark PRs; the next benchmark PR deletes these.
-	AttachKV(name string, s Durable)
-	// Deprecated: use Attach.
 	AttachTimeseries(name string, s Durable)
 	// Deprecated: use Attach.
 	AttachRelational(name string, s Durable)

@@ -116,7 +116,7 @@ func assertEquiv(t *testing.T, want, got stores) {
 		t.Fatalf("recovered table: %v", err)
 	}
 	if !wt.Snapshot().Equal(gt.Snapshot()) {
-		t.Fatalf("relational heaps differ: want %d rows got %d", wt.Rows(), gt.Rows())
+		t.Fatalf("relational heaps differ: want %d rows got %d", wt.Snapshot().Rows(), gt.Snapshot().Rows())
 	}
 	if wt.HasBTree("id") != gt.HasBTree("id") {
 		t.Fatalf("btree index lost across recovery")
@@ -464,8 +464,8 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind() != "memory" || m.Capabilities().Durable {
-		t.Fatalf("memory backend: %s %+v", m.Kind(), m.Capabilities())
+	if st := m.Stats(); st.Kind != "memory" || st.Durable || st.Capabilities != Full().String() {
+		t.Fatalf("memory backend: %+v", st)
 	}
 	if _, err := Open("wal", Config{}); err == nil {
 		t.Fatal("wal backend without Dir must fail")

@@ -11,17 +11,8 @@ type Memory struct{}
 // NewMemory returns the reference in-memory backend.
 func NewMemory() *Memory { return &Memory{} }
 
-// Kind implements Backend.
-func (m *Memory) Kind() string { return "memory" }
-
-// Capabilities implements Backend: full pushdown, not durable.
-func (m *Memory) Capabilities() Capabilities { return Full() }
-
 // Attach implements Backend (stores need no binding; they are the storage).
 func (m *Memory) Attach(name string, s Durable) {}
-
-// Deprecated: use Attach.
-func (m *Memory) AttachKV(name string, s Durable) {}
 
 // Deprecated: use Attach.
 func (m *Memory) AttachTimeseries(name string, s Durable) {}
@@ -42,7 +33,7 @@ func (m *Memory) Barrier(ctx context.Context) error { return ctx.Err() }
 // Checkpoint implements Backend: nothing to compact.
 func (m *Memory) Checkpoint() error { return nil }
 
-// Stats implements Backend.
+// Stats implements Backend: full pushdown, not durable.
 func (m *Memory) Stats() Stats {
 	return Stats{Kind: "memory", Capabilities: Full().String()}
 }

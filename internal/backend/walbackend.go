@@ -88,26 +88,12 @@ func HasState(dir string) bool {
 	return false
 }
 
-// Kind implements Backend.
-func (d *walBackend) Kind() string { return "wal" }
-
-// Capabilities implements Backend: the native engines' full pushdown, plus
-// durability.
-func (d *walBackend) Capabilities() Capabilities {
-	c := Full()
-	c.Durable = true
-	return c
-}
-
 // Attach implements Backend.
 func (d *walBackend) Attach(name string, s Durable) {
 	d.mu.Lock()
 	d.stores[name] = s
 	d.mu.Unlock()
 }
-
-// Deprecated: use Attach.
-func (d *walBackend) AttachKV(name string, s Durable) { d.Attach(name, s) }
 
 // Deprecated: use Attach.
 func (d *walBackend) AttachTimeseries(name string, s Durable) { d.Attach(name, s) }
@@ -329,8 +315,11 @@ func (d *walBackend) checkpoint() error {
 	return nil
 }
 
-// Stats implements Backend.
+// Stats implements Backend: the native engines' full pushdown, plus
+// durability.
 func (d *walBackend) Stats() Stats {
+	caps := Full()
+	caps.Durable = true
 	d.mu.Lock()
 	w, rec, stores := d.w, d.rec, sortedKeys(d.stores)
 	d.mu.Unlock()
@@ -338,7 +327,7 @@ func (d *walBackend) Stats() Stats {
 		Kind:            "wal",
 		Durable:         true,
 		SyncPolicy:      string(d.cfg.Sync),
-		Capabilities:    d.Capabilities().String(),
+		Capabilities:    caps.String(),
 		Stores:          stores,
 		ReplayRecords:   rec.Records,
 		ReplaySkipped:   rec.Skipped,

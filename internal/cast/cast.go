@@ -142,13 +142,6 @@ func (s Schema) Len() int { return len(s.cols) }
 // Col returns the i-th column.
 func (s Schema) Col(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of the column list.
-func (s Schema) Columns() []Column {
-	out := make([]Column, len(s.cols))
-	copy(out, s.cols)
-	return out
-}
-
 // Index returns the position of the named column.
 func (s Schema) Index(name string) (int, error) {
 	if i, ok := s.byName[name]; ok {
@@ -190,19 +183,8 @@ func (s Schema) Project(names ...string) (Schema, error) {
 	return NewSchema(cols...)
 }
 
-// Rename returns a schema with column old renamed to new.
-func (s Schema) Rename(old, new string) (Schema, error) {
-	i, err := s.Index(old)
-	if err != nil {
-		return Schema{}, err
-	}
-	cols := s.Columns()
-	cols[i].Name = new
-	return NewSchema(cols...)
-}
-
 // Concat returns the concatenation of two schemas. Duplicate names are
-// rejected; callers joining self-similar schemas should Rename first.
+// rejected with ErrDuplicateName.
 func (s Schema) Concat(o Schema) (Schema, error) {
 	cols := make([]Column, 0, len(s.cols)+len(o.cols))
 	cols = append(cols, s.cols...)

@@ -165,7 +165,7 @@ func FuzzSelectedBatch(f *testing.F) {
 				}
 				want, _ = want.ViewRange(lo, hi)
 			case 2: // Project: a rotation of the columns, the first dropped if it can be
-				cols := got.Schema().Columns()
+				cols := got.Schema().cols
 				k := next() % len(cols)
 				names := make([]string, 0, len(cols))
 				for i := range cols {

@@ -48,7 +48,7 @@ func figure2Case(t *testing.T) (*Runtime, *ir.Graph) {
 func figure5Case(t *testing.T) (*Runtime, *ir.Graph) {
 	const users, products = 400, 60
 	rng := rand.New(rand.NewSource(17))
-	gs := graphstore.New("graph")
+	gs := graphstore.New()
 	for u := 0; u < users; u++ {
 		gs.AddNode(graphstore.Node{ID: graphstore.NodeID(u), Label: "user"})
 	}

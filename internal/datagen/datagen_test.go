@@ -2,10 +2,12 @@ package datagen
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"polystorepp/internal/relational"
+	"polystorepp/internal/timeseries"
 )
 
 func TestGenerateClinicalShape(t *testing.T) {
@@ -17,29 +19,29 @@ func TestGenerateClinicalShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patients.Rows() != 40 {
-		t.Fatalf("patients = %d", patients.Rows())
+	if patients.Snapshot().Rows() != 40 {
+		t.Fatalf("patients = %d", patients.Snapshot().Rows())
 	}
 	adm, _ := data.Relational.Table("admissions")
-	if adm.Rows() < 40 || adm.Rows() > 120 {
-		t.Fatalf("admissions = %d", adm.Rows())
+	if adm.Snapshot().Rows() < 40 || adm.Snapshot().Rows() > 120 {
+		t.Fatalf("admissions = %d", adm.Snapshot().Rows())
 	}
 	stays, _ := data.Relational.Table("stays")
-	if stays.Rows() < 40 || stays.Rows() > 80 {
-		t.Fatalf("stays = %d", stays.Rows())
+	if stays.Snapshot().Rows() < 40 || stays.Snapshot().Rows() > 80 {
+		t.Fatalf("stays = %d", stays.Snapshot().Rows())
 	}
 	// Vitals: two series per patient, 48 points each.
-	if got := data.Timeseries.Len("vitals/0/hr"); got != 48 {
+	if got := points(t, data.Timeseries, "vitals/0/hr"); got != 48 {
 		t.Fatalf("hr points = %d", got)
 	}
-	if got := data.Timeseries.Len("vitals/39/spo2"); got != 48 {
+	if got := points(t, data.Timeseries, "vitals/39/spo2"); got != 48 {
 		t.Fatalf("spo2 points = %d", got)
 	}
 	if data.Text.Len() != 40 {
 		t.Fatalf("notes = %d", data.Text.Len())
 	}
-	if data.Stream.Len("icu-events") != 40*48 {
-		t.Fatalf("events = %d", data.Stream.Len("icu-events"))
+	if n := data.Stream.Append("icu-events"); n != 40*48 { // appending no events returns the log length
+		t.Fatalf("events = %d", n)
 	}
 	// Indexes exist for the §III worked example.
 	if !patients.HasBTree("pid") || !adm.HasBTree("pid") {
@@ -96,14 +98,14 @@ func TestGenerateRetailShape(t *testing.T) {
 	}
 	cust, _ := data.Relational.Table("customers")
 	tx, _ := data.Relational.Table("transactions")
-	if cust.Rows() != 50 || tx.Rows() != 200 {
-		t.Fatalf("rows = %d/%d", cust.Rows(), tx.Rows())
+	if cust.Snapshot().Rows() != 50 || tx.Snapshot().Rows() != 200 {
+		t.Fatalf("rows = %d/%d", cust.Snapshot().Rows(), tx.Snapshot().Rows())
 	}
 	if data.KV.Len() != 50 {
 		t.Fatalf("kv events = %d", data.KV.Len())
 	}
-	if data.Timeseries.Len("clicks/0/rate") != 96 {
-		t.Fatalf("clicks = %d", data.Timeseries.Len("clicks/0/rate"))
+	if points(t, data.Timeseries, "clicks/0/rate") != 96 {
+		t.Fatalf("clicks = %d", points(t, data.Timeseries, "clicks/0/rate"))
 	}
 	if !tx.HasBTree("cid") {
 		t.Fatal("transactions cid index missing")
@@ -116,7 +118,7 @@ func TestGenerateSnorkelShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, err := s.Table("unlabeled")
-	if err != nil || tb.Rows() != 500 {
+	if err != nil || tb.Snapshot().Rows() != 500 {
 		t.Fatalf("unlabeled = %v, %v", tb, err)
 	}
 	labels, _ := tb.Snapshot().Ints(5)
@@ -130,4 +132,14 @@ func TestGenerateSnorkelShape(t *testing.T) {
 	if ones < 100 || ones > 400 {
 		t.Fatalf("label balance = %d/500", ones)
 	}
+}
+
+// points counts the points of a series.
+func points(t *testing.T, s *timeseries.Store, name string) int {
+	t.Helper()
+	pts, err := s.Range(name, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(pts)
 }

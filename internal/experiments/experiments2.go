@@ -141,7 +141,7 @@ func buildFigure5(g *ir.Graph) {
 // figure5Runtime builds the graph + relational + ML engines for E7/E8.
 func figure5Runtime(scale int, accel bool) (*core.Runtime, error) {
 	rng := rand.New(rand.NewSource(17))
-	gs := graphstore.New("graph")
+	gs := graphstore.New()
 	nUsers, nProducts := 200*scale, 50*scale
 	for u := 0; u < nUsers; u++ {
 		gs.AddNode(graphstore.Node{ID: graphstore.NodeID(u), Label: "user"})

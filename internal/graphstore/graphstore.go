@@ -40,7 +40,6 @@ type Edge struct {
 // Store is an in-memory property graph. Safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
-	name    string
 	nodes   map[NodeID]*Node
 	out     map[NodeID][]Edge
 	in      map[NodeID][]Edge
@@ -59,18 +58,14 @@ func (s *Store) Version() uint64 {
 }
 
 // New returns an empty graph store.
-func New(name string) *Store {
+func New() *Store {
 	return &Store{
-		name:    name,
 		nodes:   make(map[NodeID]*Node),
 		out:     make(map[NodeID][]Edge),
 		in:      make(map[NodeID][]Edge),
 		byLabel: make(map[string][]NodeID),
 	}
 }
-
-// Name returns the store instance name.
-func (s *Store) Name() string { return s.name }
 
 // AddNode inserts (or replaces) a node.
 func (s *Store) AddNode(n Node) {
@@ -110,24 +105,6 @@ func (s *Store) AddEdge(e Edge) error {
 	s.edges++
 	s.version++
 	return nil
-}
-
-// Node returns the node by id.
-func (s *Store) Node(id NodeID) (Node, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Node{}, fmt.Errorf("%w: %d", ErrNoNode, id)
-	}
-	return *n, nil
-}
-
-// Nodes returns the number of nodes; Edges the number of edges.
-func (s *Store) Nodes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.nodes)
 }
 
 // Edges returns the number of edges.

@@ -10,7 +10,7 @@ import (
 // diamond builds: 1 -> 2 -> 4, 1 -> 3 -> 4 with weights, plus labels.
 func diamond(t *testing.T) *Store {
 	t.Helper()
-	s := New("g")
+	s := New()
 	s.AddNode(Node{ID: 1, Label: "patient"})
 	s.AddNode(Node{ID: 2, Label: "ward"})
 	s.AddNode(Node{ID: 3, Label: "ward"})
@@ -31,15 +31,11 @@ func diamond(t *testing.T) *Store {
 
 func TestAddAndCounts(t *testing.T) {
 	s := diamond(t)
-	if s.Nodes() != 4 || s.Edges() != 4 {
-		t.Fatalf("counts = %d nodes, %d edges", s.Nodes(), s.Edges())
+	if len(s.nodes) != 4 || s.Edges() != 4 {
+		t.Fatalf("counts = %d nodes, %d edges", len(s.nodes), s.Edges())
 	}
-	n, err := s.Node(1)
-	if err != nil || n.Label != "patient" {
-		t.Fatalf("Node(1) = %+v, %v", n, err)
-	}
-	if _, err := s.Node(99); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("missing node: %v", err)
+	if n := s.nodes[1]; n == nil || n.Label != "patient" {
+		t.Fatalf("node 1 = %+v", n)
 	}
 	if err := s.AddEdge(Edge{From: 1, To: 99}); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("edge to missing: %v", err)
@@ -126,7 +122,7 @@ func TestShortestPath(t *testing.T) {
 func TestPropertyBFSMatchesUnitDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := New("p")
+		s := New()
 		n := rng.Intn(20) + 5
 		for i := 0; i < n; i++ {
 			s.AddNode(Node{ID: NodeID(i), Label: "n"})

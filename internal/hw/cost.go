@@ -43,24 +43,6 @@ func (c Cost) AddSeq(o Cost) Cost {
 	}
 }
 
-// Pipe composes two pipelined stages processing the same stream: steady-state
-// time is the max of the stages plus the smaller stage's fill time. It is the
-// cost model behind §III's "pipelining it to reduce latency".
-func (c Cost) Pipe(o Cost) Cost {
-	slow, fast := c.Seconds, o.Seconds
-	if fast > slow {
-		slow, fast = fast, slow
-	}
-	// The faster stage overlaps entirely with the slower one except for the
-	// initial fill, approximated as 5% of the faster stage.
-	return Cost{
-		Cycles:  c.Cycles + o.Cycles,
-		Joules:  c.Joules + o.Joules,
-		Bytes:   c.Bytes + o.Bytes,
-		Seconds: slow + 0.05*fast,
-	}
-}
-
 // Duration converts simulated seconds to a time.Duration for reporting.
 func (c Cost) Duration() time.Duration {
 	return time.Duration(c.Seconds * float64(time.Second))

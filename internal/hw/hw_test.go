@@ -16,10 +16,6 @@ func TestCostCombinators(t *testing.T) {
 	if seq.Seconds != 4 || seq.Cycles != 30 || seq.Joules != 12 || seq.Bytes != 150 {
 		t.Fatalf("AddSeq = %+v", seq)
 	}
-	pipe := a.Pipe(b)
-	if pipe.Seconds <= 3 || pipe.Seconds >= 4 {
-		t.Fatalf("Pipe seconds = %v, want slower stage + small fill", pipe.Seconds)
-	}
 	if a.Duration() != time.Second {
 		t.Fatalf("Duration = %v", a.Duration())
 	}

@@ -36,11 +36,11 @@ func TestStepAndPredictAllocBudgets(t *testing.T) {
 	}
 	big, _ := synthBinary(rand.New(rand.NewSource(3)), 2*predictBlock+37, 7)
 	predict := func() {
-		if _, err := m.Predict(big); err != nil {
+		if _, err := predict(m, big); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, predict); allocs > 3 {
-		t.Errorf("Predict allocated %v times, want <= 3 (its output)", allocs)
+		t.Errorf("PredictFill allocated %v times, want <= 3 (its output)", allocs)
 	}
 }

@@ -175,25 +175,16 @@ func (ws *Workspace) stage(x, y Fill, lo, n int) {
 	}
 }
 
-// predictBlock is how many rows Predict pushes through the network at a
+// predictBlock is how many rows PredictFill pushes through the network at a
 // time, and predictPool holds workspaces of that many rows: a prediction
 // allocates its output and nothing else.
 const predictBlock = 256
 
 var predictPool sync.Pool // of *Workspace
 
-// Predict returns P(label=1) per row of x (shape [n, inputDim]). It is safe
-// to call from several goroutines on one model.
-func (m *MLP) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() != 2 {
-		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, x.Shape(), m.sizes[0])
-	}
-	w, d := x.Dim(1), x.Data()
-	return m.PredictFill(x.Dim(0), w, func(dst []float64, lo, hi int) { copy(dst, d[lo*w:hi*w]) })
-}
-
-// PredictFill is Predict over n rows of width features that fill writes into
-// the workspace, a block of rows at a time.
+// PredictFill returns P(label=1) per row of n rows of width features, which
+// fill writes into the workspace a block of rows at a time. It is safe to
+// call from several goroutines on one model.
 func (m *MLP) PredictFill(n, width int, fill Fill) (*tensor.Tensor, error) {
 	if width != m.sizes[0] {
 		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, []int{n, width}, m.sizes[0])
@@ -251,15 +242,6 @@ func (m *MLP) Fit(n, batch, epochs int, lr float64, x, y Fill, stop func() error
 		}
 	}
 	return nil
-}
-
-// TrainStats reports one epoch of training.
-type TrainStats struct {
-	Epoch int
-	Loss  float64
-	// GEMMCost is the simulated hardware cost of the epoch's dense math when
-	// a device is attached (see TrainOn).
-	GEMMCost hw.Cost
 }
 
 // TrainBatch performs one SGD step on (x, y) with learning rate lr, out of a

@@ -66,7 +66,7 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	if last >= first {
 		t.Fatalf("loss did not decrease: first %v, last %v", first, last)
 	}
-	pred, err := m.Predict(x)
+	pred, err := predict(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +81,21 @@ func TestMLPTrainingReducesLoss(t *testing.T) {
 	}
 }
 
+// predict runs PredictFill over the rows of the rank-2 x.
+func predict(m *MLP, x *tensor.Tensor) (*tensor.Tensor, error) {
+	w, d := x.Dim(1), x.Data()
+	return m.PredictFill(x.Dim(0), w, func(dst []float64, lo, hi int) { copy(dst, d[lo*w:hi*w]) })
+}
+
 func TestMLPPredictValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := NewMLP(rng, 4, 1)
 	bad, _ := tensor.New(3, 5)
-	if _, err := m.Predict(bad); !errors.Is(err, ErrData) {
+	if _, err := predict(m, bad); !errors.Is(err, ErrData) {
 		t.Fatalf("wrong dim: %v", err)
 	}
 	x, _ := tensor.New(3, 4)
-	p, err := m.Predict(x)
+	p, err := predict(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}

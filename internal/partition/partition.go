@@ -26,9 +26,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Len returns the number of rows in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
 // Split divides [0, n) into exactly parts contiguous ranges whose sizes
 // differ by at most one row. parts < 1 is treated as 1; when parts > n some
 // trailing ranges are empty (partitioned operators must tolerate empty and

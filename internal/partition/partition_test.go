@@ -30,7 +30,7 @@ func TestSplitCoversAllRows(t *testing.T) {
 				t.Fatalf("Split(%d,%d): inverted range %+v", tc.n, tc.parts, r)
 			}
 			lo = r.Hi
-			total += r.Len()
+			total += r.Hi - r.Lo
 		}
 		if total != tc.n {
 			t.Fatalf("Split(%d,%d) covers %d rows", tc.n, tc.parts, total)
@@ -40,13 +40,13 @@ func TestSplitCoversAllRows(t *testing.T) {
 
 func TestSplitBalance(t *testing.T) {
 	rs := Split(10, 3)
-	min, max := rs[0].Len(), rs[0].Len()
+	min, max := rs[0].Hi-rs[0].Lo, rs[0].Hi-rs[0].Lo
 	for _, r := range rs {
-		if r.Len() < min {
-			min = r.Len()
+		if r.Hi-r.Lo < min {
+			min = r.Hi - r.Lo
 		}
-		if r.Len() > max {
-			max = r.Len()
+		if r.Hi-r.Lo > max {
+			max = r.Hi - r.Lo
 		}
 	}
 	if max-min > 1 {

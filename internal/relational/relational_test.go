@@ -154,8 +154,8 @@ func TestSnapshotIsolatedFromInserts(t *testing.T) {
 		}
 	}
 	<-done
-	if snap.Rows() != 100 || tb.Rows() != 1100 {
-		t.Fatalf("snapshot=%d table=%d, want 100/1100", snap.Rows(), tb.Rows())
+	if snap.Rows() != 100 || tb.Snapshot().Rows() != 1100 {
+		t.Fatalf("snapshot=%d table=%d, want 100/1100", snap.Rows(), tb.Snapshot().Rows())
 	}
 }
 
@@ -227,8 +227,8 @@ func TestTableInsertTypeCheck(t *testing.T) {
 	if err := users.Insert("not-an-int", int64(1), "x", 1.0); err == nil {
 		t.Fatal("bad insert accepted")
 	}
-	if users.Rows() != 5 {
-		t.Fatalf("rows = %d after failed insert", users.Rows())
+	if users.Snapshot().Rows() != 5 {
+		t.Fatalf("rows = %d after failed insert", users.Snapshot().Rows())
 	}
 }
 

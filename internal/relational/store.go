@@ -150,18 +150,8 @@ func (t *Table) Version() uint64 {
 	return t.version
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // Schema returns the table schema.
 func (t *Table) Schema() cast.Schema { return t.schema }
-
-// Rows returns the current row count.
-func (t *Table) Rows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.heap.Rows()
-}
 
 // Insert appends one row.
 func (t *Table) Insert(vals ...any) error {

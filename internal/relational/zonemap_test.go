@@ -301,7 +301,7 @@ func TestZoneScanUnderConcurrentInserts(t *testing.T) {
 		}
 		last = len(got)
 	}
-	if last != tab.Rows()-from {
-		t.Fatalf("the scan after the writers kept %d rows, want %d", last, tab.Rows()-from)
+	if rows := tab.Snapshot().Rows(); last != rows-from {
+		t.Fatalf("the scan after the writers kept %d rows, want %d", last, rows-from)
 	}
 }

@@ -1,8 +1,7 @@
 // Package streamstore implements the stream engine of the polystore (the
-// Saber role of §II-B and the "Stream Store" of Figure 2): an append-only
-// event log read by offset plus sliding/tumbling window operators
-// over live streams. The window operators are the KWindowAgg kernels the
-// FPGA model accelerates.
+// Saber role of §II-B and the "Stream Store" of Figure 2): append-only
+// event logs with sliding/tumbling window operators over them. The window
+// operators are the KWindowAgg kernels the FPGA model accelerates.
 package streamstore
 
 import (
@@ -14,7 +13,6 @@ import (
 // Sentinel errors.
 var (
 	ErrNoStream  = errors.New("streamstore: stream not found")
-	ErrBadOffset = errors.New("streamstore: offset out of range")
 	ErrBadWindow = errors.New("streamstore: invalid window spec")
 )
 
@@ -60,33 +58,6 @@ func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.version
-}
-
-// Len returns the length of the named stream (0 when absent).
-func (s *Store) Len(stream string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.streams[stream])
-}
-
-// Read returns up to max events starting at offset.
-func (s *Store) Read(stream string, offset, max int) ([]Event, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	log, ok := s.streams[stream]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoStream, stream)
-	}
-	if offset < 0 || offset > len(log) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadOffset, offset, len(log))
-	}
-	end := offset + max
-	if end > len(log) {
-		end = len(log)
-	}
-	out := make([]Event, end-offset)
-	copy(out, log[offset:end])
-	return out, nil
 }
 
 // WindowSpec configures a window computation. Width is the window size in
@@ -151,25 +122,29 @@ func (s *Store) WindowAggregate(stream string, from, to int64, spec WindowSpec) 
 			continue
 		}
 		// An event belongs to every window whose [start, start+Width)
-		// contains it; starts are multiples of Slide.
-		firstStart := from + ((e.TS-from)/spec.Slide)*spec.Slide
-		for start := firstStart; start > e.TS-spec.Width && start >= from; start -= spec.Slide {
-			if e.TS >= start && e.TS < start+spec.Width {
-				k := wk{start: start, key: e.Key}
-				w, ok := acc[k]
-				if !ok {
-					w = &WindowOut{Start: start, Key: e.Key, Min: e.Value, Max: e.Value}
-					acc[k] = w
-					order = append(order, k)
-				}
-				w.Sum += e.Value
-				w.Count++
-				if e.Value < w.Min {
-					w.Min = e.Value
-				}
-				if e.Value > w.Max {
-					w.Max = e.Value
-				}
+		// contains it; starts lie Slide apart on from's grid, from on. Offsets
+		// from from are uint64: e.TS >= from, so off is exact where int64
+		// arithmetic on times near the ends of the range would wrap.
+		off, slide, width := uint64(e.TS-from), uint64(spec.Slide), uint64(spec.Width)
+		for s := off / slide * slide; off-s < width; s -= slide {
+			start := from + int64(s)
+			k := wk{start: start, key: e.Key}
+			w, ok := acc[k]
+			if !ok {
+				w = &WindowOut{Start: start, Key: e.Key, Min: e.Value, Max: e.Value}
+				acc[k] = w
+				order = append(order, k)
+			}
+			w.Sum += e.Value
+			w.Count++
+			if e.Value < w.Min {
+				w.Min = e.Value
+			}
+			if e.Value > w.Max {
+				w.Max = e.Value
+			}
+			if s < slide { // the next start would precede from
+				break
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package streamstore
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -10,23 +11,15 @@ func TestAppendReadLen(t *testing.T) {
 	if s.Name() != "st" {
 		t.Fatal("name")
 	}
-	n := s.Append("vitals", Event{TS: 1, Key: "p1", Value: 80}, Event{TS: 2, Key: "p1", Value: 82})
-	if n != 2 || s.Len("vitals") != 2 {
-		t.Fatalf("len = %d/%d", n, s.Len("vitals"))
+	if n := s.Append("vitals", Event{TS: 1, Key: "p1", Value: 80}, Event{TS: 2, Key: "p1", Value: 82}); n != 2 {
+		t.Fatalf("len = %d", n)
 	}
-	evs, err := s.Read("vitals", 0, 10)
-	if err != nil || len(evs) != 2 {
-		t.Fatalf("Read = %v, %v", evs, err)
+	if n, v := s.Append("vitals"), s.Version(); n != 2 || v != 1 {
+		t.Fatalf("appending nothing: len %d, version %d", n, v)
 	}
-	evs, err = s.Read("vitals", 1, 10)
-	if err != nil || len(evs) != 1 || evs[0].Value != 82 {
-		t.Fatalf("Read offset = %v, %v", evs, err)
-	}
-	if _, err := s.Read("nope", 0, 1); !errors.Is(err, ErrNoStream) {
-		t.Fatalf("missing: %v", err)
-	}
-	if _, err := s.Read("vitals", 5, 1); !errors.Is(err, ErrBadOffset) {
-		t.Fatalf("offset: %v", err)
+	out, err := s.WindowAggregate("vitals", 2, 3, WindowSpec{Width: 1, Slide: 1})
+	if err != nil || len(out) != 1 || out[0].Sum != 82 {
+		t.Fatalf("window over the second event = %+v, %v", out, err)
 	}
 }
 
@@ -86,6 +79,24 @@ func TestSlidingWindows(t *testing.T) {
 	for _, want := range []int64{0, 10, 20} {
 		if !starts[want] {
 			t.Fatalf("missing window start %d: %v", want, starts)
+		}
+	}
+	// Near the ends of the int64 range an event's offset from from, or a
+	// window's end, exceeds MaxInt64 and must not wrap.
+	for _, tc := range []struct {
+		ts, from, to int64
+		spec         WindowSpec
+		start        int64
+	}{
+		{5, math.MinInt64, 100, WindowSpec{Width: 10, Slide: 10}, 2},
+		{math.MinInt64 + 3, math.MinInt64, 100, WindowSpec{Width: 10, Slide: 5}, math.MinInt64},
+		{math.MaxInt64 - 1, 0, math.MaxInt64, WindowSpec{Width: 10, Slide: 10}, math.MaxInt64 - 7},
+	} {
+		s := New("st")
+		s.Append("x", Event{TS: tc.ts, Key: "k", Value: 1})
+		out, err := s.WindowAggregate("x", tc.from, tc.to, tc.spec)
+		if err != nil || len(out) != 1 || out[0].Start != tc.start {
+			t.Fatalf("event at %d over [%d, %d) %+v: windows %+v, %v, want one starting at %d", tc.ts, tc.from, tc.to, tc.spec, out, err, tc.start)
 		}
 	}
 }

@@ -20,7 +20,7 @@ var (
 )
 
 // Tensor is a dense row-major float64 tensor. The zero value is an empty
-// scalar-less tensor; construct with New or FromSlice.
+// scalar-less tensor; construct with New.
 type Tensor struct {
 	shape []int
 	data  []float64
@@ -42,19 +42,6 @@ func New(shape ...int) (*Tensor, error) {
 	own := make([]int, len(shape))
 	copy(own, shape)
 	return &Tensor{shape: own, data: make([]float64, n)}, nil
-}
-
-// FromSlice wraps data (copied) in a tensor of the given shape.
-func FromSlice(data []float64, shape ...int) (*Tensor, error) {
-	t, err := New(shape...)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != len(t.data) {
-		return nil, fmt.Errorf("%w: %d values for shape %v", ErrShape, len(data), shape)
-	}
-	copy(t.data, data)
-	return t, nil
 }
 
 // Rand returns a tensor with uniform values in [-scale, scale), generated
@@ -118,24 +105,6 @@ func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{shape: t.Shape(), data: make([]float64, len(t.data))}
 	copy(out.data, t.data)
 	return out
-}
-
-// Equal reports exact element equality of two tensors.
-func (t *Tensor) Equal(o *Tensor) bool {
-	if len(t.data) != len(o.data) || len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	for i := range t.data {
-		if t.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // The GEMM kernels are destination-passing: the caller owns dst, which must
@@ -361,30 +330,6 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
 		t.data[i] = f(v)
 	}
 	return t
-}
-
-// Apply maps f over every element into a new tensor.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor { return t.Clone().ApplyInPlace(f) }
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Row returns a copy of row i of a 2-D tensor as a rank-1 tensor.
-func (t *Tensor) Row(i int) (*Tensor, error) {
-	if t.Rank() != 2 {
-		return nil, fmt.Errorf("%w: Row wants rank-2", ErrShape)
-	}
-	m, n := t.shape[0], t.shape[1]
-	if i < 0 || i >= m {
-		return nil, fmt.Errorf("%w: row %d of %d", ErrBound, i, m)
-	}
-	return FromSlice(t.data[i*n:(i+1)*n], n)
 }
 
 // RowRangeInto makes v a view of rows [lo, hi) of a rank-2 tensor: v shares

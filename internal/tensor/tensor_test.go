@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -24,19 +25,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestFromSlice(t *testing.T) {
-	if _, err := FromSlice([]float64{1, 2, 3}, 2, 2); !errors.Is(err, ErrShape) {
-		t.Fatalf("size mismatch: %v", err)
-	}
-	a, err := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.data[1*2+0] != 3 {
-		t.Fatalf("element (1,0) = %v, want 3 (row-major)", a.data[2])
-	}
-}
-
 func TestAtSetBounds(t *testing.T) {
 	a, _ := New(2, 2)
 	if err := a.Set(1, 2, 0); !errors.Is(err, ErrBound) {
@@ -54,14 +42,14 @@ func TestAtSetBounds(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b, _ := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := filled(t, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := filled(t, []float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	c, err := MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
-	if !c.Equal(want) {
+	want := filled(t, []float64{58, 64, 139, 154}, 2, 2)
+	if !equal(c, want) {
 		t.Fatalf("MatMul = %v, want %v", c.data, want.data)
 	}
 }
@@ -79,14 +67,14 @@ func TestMatMulShapeErrors(t *testing.T) {
 }
 
 func TestMatVecKnown(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x, _ := FromSlice([]float64{1, 0, -1}, 3)
+	a := filled(t, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	x := filled(t, []float64{1, 0, -1}, 3)
 	y, err := MatVec(a, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromSlice([]float64{-2, -2}, 2)
-	if !y.Equal(want) {
+	want := filled(t, []float64{-2, -2}, 2)
+	if !equal(y, want) {
 		t.Fatalf("MatVec = %v", y.data)
 	}
 	if _, err := MatVec(a, a); !errors.Is(err, ErrShape) {
@@ -99,7 +87,7 @@ func TestMatVecKnown(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	a := filled(t, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	at, err := Transpose(a)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +105,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestElementwise(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2}, 2)
-	b, _ := FromSlice([]float64{3, 5}, 2)
+	a := filled(t, []float64{1, 2}, 2)
+	b := filled(t, []float64{3, 5}, 2)
 	sum, err := Add(a, b)
 	if err != nil || sum.data[0] != 4 || sum.data[1] != 7 {
 		t.Fatalf("Add = %v, %v", sum, err)
@@ -133,23 +121,19 @@ func TestElementwise(t *testing.T) {
 	}
 }
 
-func TestScaleApplySum(t *testing.T) {
-	a, _ := FromSlice([]float64{1, -2, 3}, 3)
-	if s := a.Clone().Scale(2).Sum(); s != 4 {
-		t.Fatalf("Scale/Sum = %v", s)
-	}
-	abs := a.Apply(math.Abs)
-	if abs.Sum() != 6 {
-		t.Fatalf("Apply = %v", abs.data)
+func TestScale(t *testing.T) {
+	a := filled(t, []float64{1, -2, 3}, 3)
+	if s := a.Clone().Scale(2); !slices.Equal(s.data, []float64{2, -4, 6}) {
+		t.Fatalf("Scale = %v", s.data)
 	}
 	if a.data[1] != -2 {
-		t.Fatal("Apply mutated source")
+		t.Fatal("Scale of a clone mutated its source")
 	}
 }
 
 func TestAddInPlace(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2}, 2)
-	b, _ := FromSlice([]float64{10, 20}, 2)
+	a := filled(t, []float64{1, 2}, 2)
+	b := filled(t, []float64{10, 20}, 2)
 	if err := a.AddInPlace(b); err != nil {
 		t.Fatal(err)
 	}
@@ -162,24 +146,13 @@ func TestAddInPlace(t *testing.T) {
 	}
 }
 
-func TestArgMaxRowAndRow(t *testing.T) {
-	a, _ := FromSlice([]float64{0.1, 0.9, 0.5, 0.2, 0.3, 0.1}, 2, 3)
-	r, err := a.Row(1)
-	if err != nil || r.Size() != 3 || r.data[0] != 0.2 {
-		t.Fatalf("Row(1) = %v, %v", r, err)
-	}
-	if _, err := a.Row(5); !errors.Is(err, ErrBound) {
-		t.Fatalf("Row bound: %v", err)
-	}
-}
-
 func TestRandReproducible(t *testing.T) {
 	a, err := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
-	if !a.Equal(b) {
+	if !equal(a, b) {
 		t.Fatal("Rand not reproducible with same seed")
 	}
 	for _, v := range a.data {
@@ -243,7 +216,7 @@ func TestPropertyMatVecAgreesWithMatMul(t *testing.T) {
 		m, k := rng.Intn(8)+1, rng.Intn(8)+1
 		a, _ := Rand(rng, 2, m, k)
 		x, _ := Rand(rng, 2, k)
-		xm, _ := FromSlice(x.data, k, 1)
+		xm := filled(t, x.data, k, 1)
 		viaMM, err := MatMul(a, xm)
 		if err != nil {
 			return false
@@ -327,14 +300,30 @@ func dirty(m, n int) *Tensor {
 	return t
 }
 
-// sameBits is Equal that also tells -0 from +0.
+// filled returns a tensor of the given shape holding data in row-major order.
+func filled(t testing.TB, data []float64, shape ...int) *Tensor {
+	t.Helper()
+	x, err := New(shape...)
+	if err != nil || x.Size() != len(data) {
+		t.Fatalf("filled: %d values for shape %v: %v", len(data), shape, err)
+	}
+	copy(x.data, data)
+	return x
+}
+
+// equal reports exact equality of shape and elements.
+func equal(a, b *Tensor) bool {
+	return slices.Equal(a.shape, b.shape) && slices.Equal(a.data, b.data)
+}
+
+// sameBits is equal that also tells -0 from +0.
 func sameBits(a, b *Tensor) bool {
 	for i := range a.data {
 		if math.Float64bits(a.data[i]) != math.Float64bits(b.data[i]) {
 			return false
 		}
 	}
-	return a.Equal(b)
+	return equal(a, b)
 }
 
 // Property: the destination-passing kernels are bit-identical to the
@@ -393,31 +382,28 @@ func TestIntoKernelShapeErrors(t *testing.T) {
 }
 
 func TestInPlaceBiasAndActivation(t *testing.T) {
-	a, _ := FromSlice([]float64{1, -2, 3, -4, 5, -6}, 3, 2)
-	bias, _ := FromSlice([]float64{10, 20}, 2)
+	a := filled(t, []float64{1, -2, 3, -4, 5, -6}, 3, 2)
+	bias := filled(t, []float64{10, 20}, 2)
 	if err := a.AddRowInPlace(bias); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromSlice([]float64{11, 18, 13, 16, 15, 14}, 3, 2)
-	if !a.Equal(want) {
+	want := filled(t, []float64{11, 18, 13, 16, 15, 14}, 3, 2)
+	if !equal(a, want) {
 		t.Fatalf("AddRowInPlace = %v", a.data)
 	}
 	if got := a.ApplyInPlace(math.Sqrt); got != a || a.data[3] != 4 {
 		t.Fatalf("ApplyInPlace = %v", a.data)
 	}
-	if applied := want.Apply(math.Sqrt); !applied.Equal(a) || want.data[3] != 16 {
-		t.Fatal("Apply must leave its receiver alone and agree with ApplyInPlace")
-	}
 }
 
 func TestRowRangeIsAView(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
+	a := filled(t, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
 	v := new(Tensor)
 	if err := a.RowRangeInto(v, 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
-	if !v.Equal(want) {
+	want := filled(t, []float64{3, 4, 5, 6}, 2, 2)
+	if !equal(v, want) {
 		t.Fatalf("rows [1,3) = %v %v", v.shape, v.data)
 	}
 	v.data[0] = 30

@@ -13,11 +13,8 @@ import (
 	"unicode"
 )
 
-// Sentinel errors.
-var (
-	ErrNoDoc = errors.New("textstore: document not found")
-	ErrQuery = errors.New("textstore: bad query")
-)
+// ErrQuery reports a document or query the store cannot take.
+var ErrQuery = errors.New("textstore: bad query")
 
 // Doc is one stored document.
 type Doc struct {
@@ -116,17 +113,6 @@ func (s *Store) removeLocked(id int64) {
 		}
 	}
 	delete(s.docs, id)
-}
-
-// Get returns the stored document.
-func (s *Store) Get(id int64) (Doc, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return Doc{}, fmt.Errorf("%w: %d", ErrNoDoc, id)
-	}
-	return *d, nil
 }
 
 // Len returns the number of documents.

@@ -41,12 +41,8 @@ func TestAddGet(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	d, err := s.Get(2)
-	if err != nil || d.ID != 2 {
-		t.Fatalf("Get = %+v, %v", d, err)
-	}
-	if _, err := s.Get(99); !errors.Is(err, ErrNoDoc) {
-		t.Fatalf("missing: %v", err)
+	if hits, err := s.Search("immediately", 10); err != nil || len(hits) != 1 || hits[0].DocID != 2 {
+		t.Fatalf("Search(immediately) = %+v, %v", hits, err)
 	}
 	if err := s.Add(Doc{ID: -1, Text: "x"}); !errors.Is(err, ErrQuery) {
 		t.Fatalf("negative id: %v", err)

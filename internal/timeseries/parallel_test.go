@@ -45,7 +45,7 @@ func TestRangeChunkPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesWindowAfterParallelDecode guards the Window path, which
+// TestRangeMatchesWindowAfterParallelDecode guards the WindowN path, which
 // consumes Range output, against any reordering from the parallel decode.
 func TestRangeMatchesWindowAfterParallelDecode(t *testing.T) {
 	s := New("ts")
@@ -58,7 +58,7 @@ func TestRangeMatchesWindowAfterParallelDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wrs, err := s.Window("m", 0, n, int64(n), AggSum)
+	wrs, err := s.WindowN("m", 0, n, int64(n), AggSum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestWindowChunkPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowMatchesFlatReference compares Store.Window for every AggKind
+// TestWindowMatchesFlatReference compares Store.WindowN for every AggKind
 // against the pre-partials map-and-sort implementation over the same points.
 // Values move in 0.25 steps so all sums are exact and the comparison can be
 // bitwise even for SUM/MEAN.
@@ -187,7 +187,7 @@ func TestWindowMatchesFlatReference(t *testing.T) {
 		}
 		for _, agg := range windowAggKinds {
 			want := flatWindow(pts, span.from, span.width, agg)
-			got, err := s.Window("m", span.from, span.to, span.width, agg)
+			got, err := s.WindowN("m", span.from, span.to, span.width, agg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestWindowConcurrentWithAppends(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := s.Window("m", 0, int64(6*chunkSize)*10, 1000, AggMean); err != nil {
+		if _, err := s.WindowN("m", 0, int64(6*chunkSize)*10, 1000, AggMean, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -166,16 +166,6 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// AppendBatch adds many points to the named series.
-func (s *Store) AppendBatch(name string, pts []Point) error {
-	for _, p := range pts {
-		if err := s.Append(name, p.TS, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SeriesNames returns the sorted series names.
 func (s *Store) SeriesNames() []string {
 	s.mu.RLock()
@@ -186,16 +176,6 @@ func (s *Store) SeriesNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of points in the named series (0 if absent).
-func (s *Store) Len(name string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sr, ok := s.series[name]; ok {
-		return sr.n
-	}
-	return 0
 }
 
 // Range returns the points of the series with from <= TS <= to. Candidate
@@ -369,7 +349,9 @@ func chunkWindowPartials(c *chunk, from, to, width int64) []windowPartial {
 		if p.TS < from || p.TS > to {
 			continue
 		}
-		start := from + (p.TS-from)/width*width
+		// p.TS >= from, so the offset from from is exact as a uint64, where
+		// TS-from in int64 arithmetic would wrap past MaxInt64.
+		start := from + int64(uint64(p.TS-from)/uint64(width)*uint64(width))
 		if n := len(out); n == 0 || out[n-1].start != start {
 			out = append(out, windowPartial{start: start, min: math.Inf(1), max: math.Inf(-1)})
 		}
@@ -438,21 +420,17 @@ func windowChunks(cands []*chunk, from, to, width int64, parts int) []windowPart
 	return out
 }
 
-// Window aggregates the series into tumbling windows of the given width
-// (nanoseconds) across [from, to]. The aggregation runs over per-chunk
-// partial aggregates computed during the parallel chunk decode and combined
-// in chunk order (windowChunks), so results are deterministic — identical at
-// any partition count — and windows come out already sorted by start.
-func (s *Store) Window(name string, from, to, width int64, agg AggKind) ([]WindowResult, error) {
-	return s.WindowN(name, from, to, width, agg, 0)
-}
-
-// WindowN is Window with an explicit partition fan-out for the per-chunk
-// partial computation: 0 selects automatically from the decoded volume, 1
-// forces a sequential fold, larger values pin the task count (clamped to the
-// candidate chunk count). Results are byte-identical at any value — the
-// equivalence the parallel window fold guarantees — so the knob exists for
-// tuning and for the equivalence tests that pin that guarantee.
+// WindowN aggregates the series into tumbling windows of the given width
+// (nanoseconds) across [from, to], starting on from's grid. The aggregation
+// runs over per-chunk partial aggregates computed during the parallel chunk
+// decode and combined in chunk order (windowChunks), so results are
+// deterministic and windows come out already sorted by start. parts is the
+// partition fan-out of the per-chunk partial computation: 0 selects
+// automatically from the decoded volume, 1 forces a sequential fold, larger
+// values pin the task count (clamped to the candidate chunk count). Results
+// are byte-identical at any value — the equivalence the parallel window fold
+// guarantees — so the knob exists for tuning and for the equivalence tests
+// that pin that guarantee.
 func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts int) ([]WindowResult, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("%w: width %d", ErrBadWindow, width)

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,8 +20,8 @@ func fill(t *testing.T, s *Store, name string, n int, step int64) {
 func TestAppendAndRange(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "hr", 2000, 10) // spans multiple chunks
-	if s.Len("hr") != 2000 {
-		t.Fatalf("Len = %d", s.Len("hr"))
+	if all, err := s.Range("hr", 0, 20000); err != nil || len(all) != 2000 {
+		t.Fatalf("points = %d, %v", len(all), err)
 	}
 	pts, err := s.Range("hr", 100, 200)
 	if err != nil {
@@ -64,7 +65,7 @@ func TestOutOfOrderRejectedAtChunkBoundary(t *testing.T) {
 	if err := s.Append("a", int64(chunkSize)*10, 1); err != nil {
 		t.Fatalf("in-order ts at chunk boundary: %v", err)
 	}
-	wrs, err := s.Window("a", 0, int64(chunkSize)*10, 1000, AggCount)
+	wrs, err := s.WindowN("a", 0, int64(chunkSize)*10, 1000, AggCount, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDeltaOfDeltaRoundTrip(t *testing.T) {
 func TestWindowAggregations(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 100, 1) // ts 0..99, value = ts
-	wrs, err := s.Window("v", 0, 99, 10, AggMean)
+	wrs, err := s.WindowN("v", 0, 99, 10, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestWindowAggregations(t *testing.T) {
 		AggCount: 10,
 		AggLast:  9,
 	} {
-		wrs, err := s.Window("v", 0, 99, 10, agg)
+		wrs, err := s.WindowN("v", 0, 99, 10, agg, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", agg, err)
 		}
@@ -130,7 +131,7 @@ func TestWindowAggregations(t *testing.T) {
 			t.Fatalf("%s window 0 = %v, want %v", agg, wrs[0].Value, want)
 		}
 	}
-	if _, err := s.Window("v", 0, 99, 0, AggMean); !errors.Is(err, ErrBadWindow) {
+	if _, err := s.WindowN("v", 0, 99, 0, AggMean, 0); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("zero width: %v", err)
 	}
 }
@@ -140,7 +141,7 @@ func TestWindowAggregations(t *testing.T) {
 func TestWindowWiderThanRange(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 100, 1) // ts 0..99, value = ts
-	wrs, err := s.Window("v", 0, 99, 1_000_000, AggSum)
+	wrs, err := s.WindowN("v", 0, 99, 1_000_000, AggSum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestWindowBoundaryPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wrs, err := s.Window("v", 0, 90, 10, AggCount)
+	wrs, err := s.WindowN("v", 0, 90, 10, AggCount, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,12 @@ func TestWindowBoundaryPoints(t *testing.T) {
 }
 
 // TestWindowNegativeFrom: window starts are anchored at from even when it is
-// negative, and points before from stay excluded.
+// negative, down to MinInt64, where a point's offset from from exceeds
+// MaxInt64, and points before from stay excluded.
 func TestWindowNegativeFrom(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 20, 1) // ts 0..19
-	wrs, err := s.Window("v", -7, 19, 10, AggCount)
+	wrs, err := s.WindowN("v", -7, 19, 10, AggCount, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,19 @@ func TestWindowNegativeFrom(t *testing.T) {
 			t.Fatalf("window %d = %+v, want %+v", i, wrs[i], want[i])
 		}
 	}
+	for _, tc := range []struct{ ts, start int64 }{
+		{5, 2},
+		{math.MaxInt64, math.MaxInt64 - 5},
+	} {
+		s := New("ts")
+		if err := s.Append("x", tc.ts, 1); err != nil {
+			t.Fatal(err)
+		}
+		wrs, err := s.WindowN("x", math.MinInt64, math.MaxInt64, 10, AggSum, 1)
+		if err != nil || len(wrs) != 1 || wrs[0].Start != tc.start {
+			t.Fatalf("point at %d, from MinInt64: windows %+v, %v, want one starting at %d", tc.ts, wrs, err, tc.start)
+		}
+	}
 }
 
 // TestWindowEmptyRange: every AggKind over a span containing no points
@@ -208,7 +223,7 @@ func TestWindowEmptyRange(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 100, 10) // ts 0..990
 	for _, agg := range windowAggKinds {
-		wrs, err := s.Window("v", 1001, 2000, 50, agg)
+		wrs, err := s.WindowN("v", 1001, 2000, 50, agg, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", agg, err)
 		}
@@ -217,7 +232,7 @@ func TestWindowEmptyRange(t *testing.T) {
 		}
 	}
 	// Between two points: ts 10 and 20 exist, 11..19 holds none.
-	wrs, err := s.Window("v", 11, 19, 3, AggMean)
+	wrs, err := s.WindowN("v", 11, 19, 3, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +312,7 @@ func TestPropertyWindowSumPartition(t *testing.T) {
 				return false
 			}
 		}
-		wrs, err := s.Window("x", 0, ts, 37, AggSum)
+		wrs, err := s.WindowN("x", 0, ts, 37, AggSum, 0)
 		if err != nil {
 			return false
 		}

@@ -1,101 +1,298 @@
 package polystore
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // reachAllow names the exported middleware symbols that may have no caller
-// outside tests, each with the reason it is kept.
+// outside tests, each with the test that needs it.
 var reachAllow = map[string]string{
 	"cast.ReadBinary":           "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names":    "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"graphstore.Store.BFS":      "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
-	"relational.Table.HasBTree": "test oracle: the datagen and backend suites check through it that a deployment and a restored store carry their B-trees",
+	"relational.Table.HasBTree": "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
 	"kvstore.Store.Delete":      "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
-	"kvstore.WithClock":         "test seam: TTL expiry and the version bump it causes are only testable on a substituted clock",
-	"tensor.MatMul":             "test oracle: the allocating reference mlengine's reference trainer is written in, which the workspace trainer and the three Into GEMMs are held bit-equal to",
-	"tensor.Transpose":          "test oracle: as tensor.MatMul (the reference's explicit transposes)",
-	"tensor.Sub":                "test oracle: as tensor.MatMul (the reference's loss gradient)",
+	"kvstore.WithClock":         "test seam: TestTTLExpiry and TestVersionAdvancesOnTTLExpiry can only expire a TTL on a substituted clock",
+	"tensor.MatMul":             "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
+	"tensor.Transpose":          "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
+	"tensor.Sub":                "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
 	"tensor.Add":                "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
 	"tensor.MatVec":             "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
 }
 
 // TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
-// the LOC ratchet: every exported func or method of a middleware or engine
-// package must be named by at least one non-test file of the repository. It matches by
-// name, not by type — a package-level func by pkg.Name (or Name inside its
-// own package), a method by .Name on anything or by an interface that lists
-// it — so it can miss a dead symbol that shares a live one's name, and never
-// reports a live one.
+// the LOC ratchet: every exported package-level func, type, var and const of
+// a middleware or engine package, and every exported method declared in one
+// (on an unexported type or an interface too), must be reached from a non-test
+// file of the module. The module is type-checked, and a use is matched to the
+// declaration by its types.Object, not by its name, so a dead method stays
+// visible when a live one elsewhere shares its name.
+//
+// Some methods are called where no identifier names them. Four rules keep
+// them from being reported:
+//
+//   - The standard library calls a few interfaces' methods in code the scan
+//     only has export data for: Error, String and GoString through fmt, and
+//     heap.Interface's through container/heap (graphstore's queue). Those
+//     interfaces' methods count as used.
+//   - A call through an interface reaches every method that implements it. A
+//     method counts as used when an interface method of its name is used and
+//     its type, or a pointer to it, implements that interface. Interfaces are
+//     types too: backend.Backend.Barrier is reached only through the narrower
+//     core.DurabilityBarrier a Backend is assigned to.
+//   - A method promoted through an embedded field is declared once, on the
+//     type that declares it, and a call through the embedding type selects
+//     that object: subplan.Cache's calls reach *lru.CostCache's methods, and
+//     the promoted copies are never asked about.
+//   - Only exported names are in scope: main, init and the Set of a flag.Value
+//     are called by the runtime or the flag package, and all are unexported
+//     or outside the middleware.
 func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 	middleware := map[string]bool{}
 	for _, p := range strings.Fields("adapter backend cast compiler core eide hw ir lru metrics migrate obs optimizer partition relational server subplan tenant " +
 		"graphstore kvstore mlengine streamstore tensor textstore timeseries") {
-		middleware[p] = true
+		middleware["polystorepp/internal/"+p] = true
 	}
-	declared := map[string]string{} // "pkg.Func" or "pkg.Type.Method" -> name a reference must carry
-	used := map[string]bool{}       // "pkg.Name" for qualified and same-package idents, ".Name" for selections
-	walkSource(t, func(path, pkg string, f *ast.File) {
-		skip := map[*ast.Ident]bool{} // declaring occurrences and selected names are not same-package references
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
+	dead := unreached(typeCheck(t, "./..."), func(p *types.Package) bool { return middleware[p.Path()] })
+	for _, sym := range dead {
+		if _, allowed := reachAllow[sym]; !allowed {
+			t.Errorf("%s is exported but no non-test file reaches it: delete it, or add it to reachAllow with the test that needs it", sym)
+		}
+	}
+	for sym := range reachAllow {
+		if !slices.Contains(dead, sym) {
+			t.Errorf("reachAllow names %s, which is not declared or is reached now: drop the entry", sym)
+		}
+	}
+}
+
+// TestReachScanMatchesObjects runs the scan over testdata/reach, whose
+// declarations each hold one case the scan must get right: a dead method
+// named like a live one, a method reached only through an interface, a
+// String method fmt calls, an interface method reached only through a
+// narrower interface, and a func only a _test.go file calls.
+func TestReachScanMatchesObjects(t *testing.T) {
+	dead := unreached(typeCheck(t, "./testdata/reach"), func(p *types.Package) bool { return p.Path() == "polystorepp/testdata/reach" })
+	if want := []string{"main.Dead.Window", "main.OnlyTested"}; !slices.Equal(dead, want) {
+		t.Errorf("unreached = %q, want %q", dead, want)
+	}
+}
+
+// checkedPackage is one module package type-checked from its non-test files.
+type checkedPackage struct {
+	pkg  *types.Package
+	info *types.Info
+}
+
+// typeCheck type-checks the module packages the patterns match, with the
+// module packages they import, from their non-test files. go list supplies
+// the packages in dependency order and the standard library's export data
+// from the build cache; module packages are checked from source, each import
+// of one resolving to the *types.Package already checked, so that an object
+// is the same value in every package that uses it.
+func typeCheck(t *testing.T, patterns ...string) []checkedPackage {
+	t.Helper()
+	var stderr strings.Builder
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard"}, patterns...)...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.String())
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	var module []listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatalf("go list output: %v", err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		} else {
+			module = append(module, p)
+		}
+	}
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []checkedPackage
+	for _, p := range module {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		pkgs = append(pkgs, checkedPackage{pkg, info})
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unreached returns, sorted, the exported symbols of the packages inScope
+// selects that nothing in pkgs uses: "pkg.Name" for a package-level func,
+// type, var or const, "pkg.Type.Method" for a method. A use is an identifier
+// the type checker resolved to the object (types.Info.Uses, which also
+// records the field or method every selector selects), taken through Origin
+// so a use of a generic method's instance reaches its declaration, plus the
+// interface uses TestExportedMiddlewareSymbolsAreReached describes.
+func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []string {
+	declared := map[types.Object]string{}
+	for _, c := range pkgs {
+		if !inScope(c.pkg) {
+			continue
+		}
+		scope := c.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				declared[obj] = c.pkg.Name() + "." + name
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			skip[fn.Name] = true
-			if !middleware[pkg] || filepath.Base(filepath.Dir(path)) != pkg || !fn.Name.IsExported() {
-				continue
+			named := tn.Type().(*types.Named)
+			methods := []*types.Func{}
+			for i := 0; i < named.NumMethods(); i++ {
+				methods = append(methods, named.Method(i))
 			}
-			if fn.Recv == nil {
-				declared[pkg+"."+fn.Name.Name] = pkg + "." + fn.Name.Name
-			} else if recv := receiverName(fn.Recv.List[0].Type); ast.IsExported(recv) {
-				declared[pkg+"."+recv+"."+fn.Name.Name] = "." + fn.Name.Name
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					methods = append(methods, iface.ExplicitMethod(i))
+				}
+			}
+			for _, m := range methods {
+				if m.Exported() {
+					declared[m] = c.pkg.Name() + "." + name + "." + m.Name()
+				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				used["."+n.Sel.Name] = true
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					used[x.Name+"."+n.Sel.Name] = true
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						used["."+name.Name] = true
+	}
+
+	used := map[types.Object]bool{}
+	ifaceUses := map[*types.Interface][]*types.Func{} // used interface methods, by their interface
+	useIface := func(iface *types.Interface, m *types.Func) {
+		if !slices.Contains(ifaceUses[iface], m) {
+			ifaceUses[iface] = append(ifaceUses[iface], m)
+		}
+	}
+	var candidates []types.Type // every non-generic named type of the module
+	for _, c := range pkgs {
+		for _, obj := range c.info.Uses {
+			obj = origin(obj)
+			used[obj] = true
+			if m, ok := obj.(*types.Func); ok {
+				if recv := m.Type().(*types.Signature).Recv(); recv != nil {
+					if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+						useIface(iface, m)
 					}
 				}
-			case *ast.Ident:
-				if !skip[n] {
-					used[pkg+"."+n.Name] = true
+			}
+		}
+		for _, obj := range c.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() == 0 {
+					candidates = append(candidates, named)
 				}
 			}
-			return true
-		})
-	})
+		}
+	}
+	ifaces := []types.Type{types.Universe.Lookup("error").Type()}
+	for _, name := range []string{"fmt.Stringer", "fmt.GoStringer", "container/heap.Interface"} {
+		path, typ, _ := strings.Cut(name, ".")
+		for _, c := range pkgs {
+			if imp := importOf(c.pkg, path); imp != nil {
+				ifaces = append(ifaces, imp.Scope().Lookup(typ).Type())
+				break
+			}
+		}
+	}
+	for _, typ := range ifaces {
+		iface := typ.Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			useIface(iface, iface.Method(i))
+		}
+	}
+	for iface, methods := range ifaceUses {
+		for _, typ := range candidates {
+			if !types.Implements(typ, iface) && !types.Implements(types.NewPointer(typ), iface) {
+				continue
+			}
+			for _, m := range methods {
+				if obj, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name()); obj != nil {
+					used[origin(obj)] = true
+				}
+			}
+		}
+	}
+
 	var dead []string
-	for sym, ref := range declared {
-		if _, allowed := reachAllow[sym]; !used[ref] && !allowed {
+	for obj, sym := range declared {
+		if !used[obj] {
 			dead = append(dead, sym)
 		}
 	}
 	sort.Strings(dead)
-	for _, sym := range dead {
-		t.Errorf("%s is exported but no non-test file references it: delete it, or add it to reachAllow with the reason it stays", sym)
+	return dead
+}
+
+// origin maps an instantiated generic func or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
-	for sym := range reachAllow {
-		if ref, ok := declared[sym]; !ok || used[ref] {
-			t.Errorf("reachAllow names %s, which is not declared or is referenced now: drop the entry", sym)
+	return obj
+}
+
+// importOf returns the package pkg imports under path, or nil.
+func importOf(pkg *types.Package, path string) *types.Package {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path {
+			return imp
 		}
 	}
+	return nil
 }
 
 // TestEveryOpKindIsBuilt holds the IR to the operators that run: every
@@ -191,23 +388,5 @@ func walkSource(t *testing.T, visit func(path, pkg string, f *ast.File)) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// receiverName returns the type name of a method receiver: T, *T, T[K].
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
 	}
 }
