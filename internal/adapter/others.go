@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"polystorepp/internal/backend"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/graphstore"
 	"polystorepp/internal/hw"
@@ -366,28 +365,15 @@ func (a *Stream) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecI
 
 // --- KV adapter ---
 
-// KV adapts a key/value engine instance. caps are the capabilities granted
-// by negotiation with the hosting storage backend: when the backend cannot
-// execute prefix scans natively, the adapter compensates with a full key
-// scan filtered adapter-side (correct on any backend, costed accordingly).
+// KV adapts a key/value engine instance.
 type KV struct {
 	name  string
 	store *kvstore.Store
-	caps  backend.Capabilities
 }
 
-// NewKV returns a KV adapter over a backend with full native capabilities
-// (the in-memory and WAL backends both qualify).
+// NewKV returns a KV adapter over store.
 func NewKV(name string, store *kvstore.Store) *KV {
-	return NewKVWithCapabilities(name, store, backend.Full())
-}
-
-// NewKVWithCapabilities returns a KV adapter negotiated against the hosting
-// backend's offered capabilities: the adapter requests full pushdown, uses
-// what is granted natively, and compensates for the residual itself.
-func NewKVWithCapabilities(name string, store *kvstore.Store, offered backend.Capabilities) *KV {
-	granted, _ := backend.Negotiate(backend.Full(), offered)
-	return &KV{name: name, store: store, caps: granted}
+	return &KV{name: name, store: store}
 }
 
 // Engine implements Adapter.
@@ -411,21 +397,7 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 	switch n.Kind {
 	case ir.OpKVScan:
 		prefix := n.StringAttr("prefix")
-		var found []string
-		native := fmt.Sprintf("ScanPrefix(%q)", prefix)
-		if a.caps.PrefixScan {
-			found = a.store.ScanPrefix(prefix)
-		} else {
-			// Residual compensation: the backend only offers full scans, so
-			// enumerate every key and filter here. Same rows, more work —
-			// visible in Native and charged via the kernel's item count.
-			for _, k := range a.store.ScanPrefix("") {
-				if strings.HasPrefix(k, prefix) {
-					found = append(found, k)
-				}
-			}
-			native = fmt.Sprintf("Scan()+filter(%q)", prefix)
-		}
+		found := a.store.ScanPrefix(prefix)
 		keys, vals := make([]string, 0, len(found)), make([]string, 0, len(found))
 		for _, k := range found {
 			v, err := a.store.Get(k)
@@ -440,7 +412,7 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = native
+		info.Native = fmt.Sprintf("ScanPrefix(%q)", prefix)
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Len())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 

@@ -1,9 +1,9 @@
 // Package backend is the storage-backend abstraction under the polystore's
-// native engines: who owns the bytes, what survives a crash, and what the
-// engine can execute natively (capability negotiation for pushdown).
+// native engines: who owns the bytes and what survives a crash. Both
+// backends host the native engines, which run every pushdown themselves.
 //
 // Two backends ship today. "memory" wraps the existing in-memory stores as
-// the reference implementation — full pushdown, nothing survives a restart;
+// the reference implementation — nothing survives a restart;
 // it is the semantics every durable backend must match and the baseline the
 // equivalence tests pin against. "wal" gives the same engines a durable
 // path: every applied mutation (kvstore put/delete, timeseries append,
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Errors. ErrFormat marks on-disk state written in a layout this build does
@@ -72,10 +71,10 @@ type Durable interface {
 }
 
 // Backend is one storage substrate hosting the native engines' stores.
-// Lifecycle: Open (via the Registry) → Attach each store → Recover (load
-// any persisted state into the attached, still-empty stores) → seed if
-// Recover found nothing → Start (begin journaling new mutations) → serve,
-// calling Barrier after each acknowledged write batch → Close.
+// Lifecycle: Open → Attach each store → Recover (load any persisted state
+// into the attached, still-empty stores) → seed if Recover found nothing →
+// Start (begin journaling new mutations) → serve, calling Barrier after each
+// acknowledged write batch → Close.
 type Backend interface {
 	// Attach binds a store to the backend under its engine name. Attach
 	// before Recover/Start.
@@ -125,12 +124,18 @@ type RecoverStats struct {
 	Truncated bool
 }
 
+// pushdown is what both backends' engines execute natively, as /stats
+// reports it.
+const pushdown = "predicate,limit,prefix-scan"
+
 // Stats is the durability counter set a backend exposes. Zero-valued (with
 // Durable false) for backends with nothing to report.
 type Stats struct {
-	Kind         string
-	Durable      bool
-	SyncPolicy   string
+	Kind       string
+	Durable    bool
+	SyncPolicy string
+	// Capabilities lists what the backend executes natively
+	// ("predicate,limit,prefix-scan"), then "durable" when it persists.
 	Capabilities string
 	// Stores names the attached stores, sorted: what survives a restart.
 	// Every other registered engine is volatile (see Volatile).
@@ -186,46 +191,13 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// Factory constructs a backend of one registered kind.
-type Factory func(Config) (Backend, error)
-
-var registry = struct {
-	mu sync.RWMutex
-	m  map[string]Factory
-}{m: make(map[string]Factory)}
-
-// Register installs a named backend constructor. Later registrations of the
-// same kind win, so tests can shadow built-ins.
-func Register(kind string, f Factory) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	registry.m[kind] = f
-}
-
-// Open constructs a backend of the named kind.
+// Open constructs a backend of the named kind: "memory" or "wal".
 func Open(kind string, cfg Config) (Backend, error) {
-	registry.mu.RLock()
-	f, ok := registry.m[kind]
-	registry.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown kind %q (have %v)", kind, Kinds())
+	switch kind {
+	case "memory":
+		return NewMemory(), nil
+	case "wal":
+		return openWALBackend(cfg)
 	}
-	return f(cfg)
-}
-
-// Kinds returns the registered backend kinds, sorted.
-func Kinds() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]string, 0, len(registry.m))
-	for k := range registry.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("memory", func(cfg Config) (Backend, error) { return NewMemory(), nil })
-	Register("wal", func(cfg Config) (Backend, error) { return openWALBackend(cfg) })
+	return nil, fmt.Errorf("backend: unknown kind %q (have [memory wal])", kind)
 }

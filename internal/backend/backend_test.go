@@ -444,50 +444,29 @@ func TestKVTTLSurvivesRecovery(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	kinds := Kinds()
-	want := map[string]bool{"memory": false, "wal": false}
-	for _, k := range kinds {
-		if _, ok := want[k]; ok {
-			want[k] = true
-		}
-	}
-	for k, seen := range want {
-		if !seen {
-			t.Fatalf("kind %q not registered (have %v)", k, kinds)
-		}
-	}
-	if _, err := Open("bogus", Config{}); err == nil {
-		t.Fatal("unknown kind must fail")
+// TestOpen pins the two kinds Open knows, the unknown-kind error, and the
+// capabilities each reports on /stats.
+func TestOpen(t *testing.T) {
+	if _, err := Open("bogus", Config{}); err == nil || err.Error() != `backend: unknown kind "bogus" (have [memory wal])` {
+		t.Fatalf("unknown kind: %v", err)
 	}
 	m, err := Open("memory", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Kind != "memory" || st.Durable || st.Capabilities != Full().String() {
+	if st := m.Stats(); st.Kind != "memory" || st.Durable || st.Capabilities != "predicate,limit,prefix-scan" {
 		t.Fatalf("memory backend: %+v", st)
 	}
 	if _, err := Open("wal", Config{}); err == nil {
 		t.Fatal("wal backend without Dir must fail")
 	}
-}
-
-func TestNegotiate(t *testing.T) {
-	req := Full()
-	granted, residual := Negotiate(req, Full())
-	if granted != Full() || residual != (Capabilities{}) {
-		t.Fatalf("full vs full: granted %+v residual %+v", granted, residual)
+	w, err := Open("wal", Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	limited := Capabilities{PredicatePushdown: true}
-	granted, residual = Negotiate(req, limited)
-	if !granted.PredicatePushdown || granted.LimitPushdown || granted.PrefixScan {
-		t.Fatalf("granted %+v", granted)
-	}
-	if residual.PredicatePushdown || !residual.LimitPushdown || !residual.PrefixScan {
-		t.Fatalf("residual %+v", residual)
-	}
-	if got := (Capabilities{}).String(); got != "none" {
-		t.Fatalf("empty caps string %q", got)
+	defer w.Close()
+	if st := w.Stats(); st.Kind != "wal" || !st.Durable || st.Capabilities != "predicate,limit,prefix-scan,durable" {
+		t.Fatalf("wal backend: %+v", st)
 	}
 }
 

@@ -33,9 +33,9 @@ func (m *Memory) Barrier(ctx context.Context) error { return ctx.Err() }
 // Checkpoint implements Backend: nothing to compact.
 func (m *Memory) Checkpoint() error { return nil }
 
-// Stats implements Backend: full pushdown, not durable.
+// Stats implements Backend: not durable.
 func (m *Memory) Stats() Stats {
-	return Stats{Kind: "memory", Capabilities: Full().String()}
+	return Stats{Kind: "memory", Capabilities: pushdown}
 }
 
 // Close implements Backend.

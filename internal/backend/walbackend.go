@@ -315,11 +315,8 @@ func (d *walBackend) checkpoint() error {
 	return nil
 }
 
-// Stats implements Backend: the native engines' full pushdown, plus
-// durability.
+// Stats implements Backend: durable.
 func (d *walBackend) Stats() Stats {
-	caps := Full()
-	caps.Durable = true
 	d.mu.Lock()
 	w, rec, stores := d.w, d.rec, sortedKeys(d.stores)
 	d.mu.Unlock()
@@ -327,7 +324,7 @@ func (d *walBackend) Stats() Stats {
 		Kind:            "wal",
 		Durable:         true,
 		SyncPolicy:      string(d.cfg.Sync),
-		Capabilities:    caps.String(),
+		Capabilities:    pushdown + ",durable",
 		Stores:          stores,
 		ReplayRecords:   rec.Records,
 		ReplaySkipped:   rec.Skipped,

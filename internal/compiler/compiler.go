@@ -52,7 +52,6 @@ type Plan struct {
 	// Binds; it carries no bind vector of its own.
 	Graph  *ir.Graph
 	Stages [][]ir.NodeID
-	Opts   Options
 	// Subtrees are the plan's subplan-cache candidates, outermost first
 	// (see subtreesOf). Computed once per compile; Plans are cached and
 	// shared across goroutines, so this — like every Plan field — is
@@ -154,7 +153,6 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	plan := &Plan{
 		Graph:    work,
 		Stages:   stages,
-		Opts:     opts,
 		Subtrees: subtreesOf(work),
 		Order:    make([]*ir.Node, len(ids)),
 		Sinks:    work.Sinks(),

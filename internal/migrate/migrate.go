@@ -58,8 +58,6 @@ var ErrTransport = errors.New("migrate: transport")
 
 // Breakdown is the migration cost report.
 type Breakdown struct {
-	Transport   Transport
-	Rows        int
 	WireBytes   int64
 	Serialize   time.Duration // wall time spent encoding at the source
 	Transfer    time.Duration // wall time on the wire
@@ -142,7 +140,7 @@ func (m *Migrator) migrateCSV(ctx context.Context, b *cast.Batch) (*cast.Batch, 
 	if err := ctx.Err(); err != nil {
 		return nil, Breakdown{}, err
 	}
-	bd := Breakdown{Transport: CSV, Rows: b.Rows()}
+	var bd Breakdown
 
 	t0 := time.Now()
 	var buf bytes.Buffer
@@ -248,7 +246,7 @@ func (m *Migrator) migratePipe(ctx context.Context, b *cast.Batch) (*cast.Batch,
 	if err := ctx.Err(); err != nil {
 		return nil, Breakdown{}, err
 	}
-	bd := Breakdown{Transport: Pipe, Rows: b.Rows()}
+	var bd Breakdown
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, bd, fmt.Errorf("%w: listen: %v", ErrTransport, err)
@@ -298,7 +296,7 @@ func (m *Migrator) migrateRDMA(ctx context.Context, b *cast.Batch) (*cast.Batch,
 	if err := ctx.Err(); err != nil {
 		return nil, Breakdown{}, err
 	}
-	bd := Breakdown{Transport: RDMA, Rows: b.Rows(), WireBytes: b.ByteSize()}
+	bd := Breakdown{WireBytes: b.ByteSize()}
 	// Zero-copy: the receiver maps the sender's memory; only the wall time
 	// of the (pointer) handoff is real, plus the modelled NIC wire time.
 	t0 := time.Now()

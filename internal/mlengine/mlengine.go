@@ -337,8 +337,7 @@ func (m *MLP) EpochGEMMWork(n, b int) []hw.Work {
 
 // KMeansResult is the outcome of Lloyd's algorithm.
 type KMeansResult struct {
-	Centroids  *tensor.Tensor // [k, dim]
-	Assign     []int          // len n
+	Assign     []int // len n
 	Iterations int
 	Inertia    float64 // sum of squared distances to assigned centroid
 	// AssignCost is the simulated cost of the assignment phases when run on
@@ -448,5 +447,5 @@ func kmeansOn(rng *rand.Rand, points *tensor.Tensor, k, maxIter int, dev *hw.Dev
 			inertia += diff * diff
 		}
 	}
-	return &KMeansResult{Centroids: cents, Assign: assign, Iterations: iters + 1, Inertia: inertia, AssignCost: total}, nil
+	return &KMeansResult{Assign: assign, Iterations: iters + 1, Inertia: inertia, AssignCost: total}, nil
 }

@@ -842,7 +842,7 @@ func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggS
 			in.kind = keepSum
 		}
 	}
-	ranges := splitRows(m.Rows(), parts)
+	ranges := partition.Split(m.Rows(), partition.Effective(m.Rows(), parts))
 	accums := make([]*groupAccum, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
 		accums[i] = accumulate(m, groupIdx, inputs, ranges[i].Lo, ranges[i].Hi)

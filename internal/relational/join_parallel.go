@@ -168,7 +168,7 @@ func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe [
 // is gathered here: a consumer that reads three of the joined columns
 // gathers three.
 func parProbe(ctx context.Context, in *cast.Batch, li int, table *joinTable, rightMat *cast.Batch, schema cast.Schema, parts int) (*cast.Batch, error) {
-	ranges := splitRows(in.Rows(), parts)
+	ranges := partition.Split(in.Rows(), partition.Effective(in.Rows(), parts))
 	lefts, rights := make([]selection, len(ranges)), make([]selection, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
 		lefts[i], rights[i], err = table.probeRange(ctx, in, li, ranges[i].Lo, ranges[i].Hi)

@@ -26,15 +26,6 @@ import (
 // AVGs — float64 folds, of integer columns too — when their accumulations
 // round nowhere.
 
-// splitRows resolves a partition knob against n input rows: parts <= 0 sizes
-// the fan-out from n and the pool width, 1 keeps one range.
-func splitRows(n, parts int) []partition.Range {
-	if parts <= 0 {
-		parts = partition.Auto(n, partition.Shared())
-	}
-	return partition.Split(n, parts)
-}
-
 // filterRange evaluates pred over rows of b and returns the kept ones. It
 // stops at the first failing row, with that row's error.
 func filterRange(b *cast.Batch, pred Expr, rows selection) (selection, error) {
@@ -49,7 +40,7 @@ func filterRange(b *cast.Batch, pred Expr, rows selection) (selection, error) {
 // row range — in's own row numbers, so no partition needs a view — and the
 // selections are handed on, in partition order, as one.
 func parFilter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast.Batch, error) {
-	ranges := splitRows(in.Rows(), parts)
+	ranges := partition.Split(in.Rows(), partition.Effective(in.Rows(), parts))
 	sels := make([]selection, len(ranges))
 	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
 		sels[i], err = filterRange(in, pred, runOf(ranges[i].Lo, ranges[i].Hi))
@@ -144,7 +135,7 @@ func parProject(ctx context.Context, in *cast.Batch, items []ProjItem, schema ca
 			computes = true
 		}
 	}
-	ranges := splitRows(in.Rows(), parts)
+	ranges := partition.Split(in.Rows(), partition.Effective(in.Rows(), parts))
 	if len(ranges) == 1 || !computes {
 		return projectRange(in, items, schema)
 	}

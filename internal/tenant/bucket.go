@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +86,8 @@ func (b *Bucket) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 //	tenantA=rate:burst,tenantB=rate:burst:weight
 //
 // Rate is requests/second (0 = unlimited), burst the bucket capacity,
-// weight the optional admission weight (default 1).
+// weight the optional admission weight (default 1). Each must be a finite
+// number: NaN or an infinity is refused, naming the field.
 func ParseQuotas(spec string) (map[string]Quota, error) {
 	out := make(map[string]Quota)
 	if strings.TrimSpace(spec) == "" {
@@ -103,20 +106,19 @@ func ParseQuotas(spec string) (map[string]Quota, error) {
 		if len(fields) < 2 || len(fields) > 3 {
 			return nil, fmt.Errorf("tenant: bad quota value %q for %s (want rate:burst[:weight])", rest, id)
 		}
-		var q Quota
-		var err error
-		if q.Rate, err = strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, fmt.Errorf("tenant: bad rate in %q: %v", part, err)
-		}
-		if q.Burst, err = strconv.ParseFloat(fields[1], 64); err != nil {
-			return nil, fmt.Errorf("tenant: bad burst in %q: %v", part, err)
-		}
-		if len(fields) == 3 {
-			if q.Weight, err = strconv.ParseFloat(fields[2], 64); err != nil {
-				return nil, fmt.Errorf("tenant: bad weight in %q: %v", part, err)
+		var v [3]float64 // rate, burst, weight
+		for i, f := range fields {
+			name := [...]string{"rate", "burst", "weight"}[i]
+			x, err := strconv.ParseFloat(f, 64)
+			if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+				err = errors.New("not a finite number")
 			}
+			if err != nil {
+				return nil, fmt.Errorf("tenant: bad %s in %q: %v", name, part, err)
+			}
+			v[i] = x
 		}
-		out[id] = q
+		out[id] = Quota{Rate: v[0], Burst: v[1], Weight: v[2]}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -110,6 +111,29 @@ func TestParseQuotas(t *testing.T) {
 	}
 	if m, err := ParseQuotas("  "); err != nil || len(m) != 0 {
 		t.Fatalf("empty spec: %v %v", m, err)
+	}
+}
+
+// TestParseQuotasRejectsNonFinite: NaN or an infinity in any field is refused
+// and the error names the field. A NaN rate made the bucket refuse every
+// request with a negative Retry-After; an infinite or NaN weight broke the
+// weighted-fair order.
+func TestParseQuotasRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ spec, field string }{
+		{"a=NaN:5", "rate"},
+		{"a=+Inf:5", "rate"},
+		{"a=-Inf:5", "rate"},
+		{"a=5:NaN", "burst"},
+		{"a=5:Inf", "burst"},
+		{"a=5:5:+Inf", "weight"},
+		{"a=5:5:NaN", "weight"},
+		{"a=5:5:-infinity", "weight"},
+		{"ok=1:1,a=5:5:nan", "weight"},
+	} {
+		_, err := ParseQuotas(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), "bad "+tc.field) {
+			t.Errorf("ParseQuotas(%q) = %v, want an error naming the %s", tc.spec, err, tc.field)
+		}
 	}
 }
 

@@ -90,7 +90,6 @@ func (c *chunk) full() bool { return len(c.values) >= chunkSize }
 // series is one named stream of points.
 type series struct {
 	chunks []*chunk
-	n      int
 }
 
 func (s *series) append(ts int64, v float64) error {
@@ -105,11 +104,7 @@ func (s *series) append(ts int64, v float64) error {
 		}
 		s.chunks = append(s.chunks, &chunk{})
 	}
-	if err := s.chunks[len(s.chunks)-1].append(ts, v); err != nil {
-		return err
-	}
-	s.n++
-	return nil
+	return s.chunks[len(s.chunks)-1].append(ts, v)
 }
 
 // Store is a collection of named series. Safe for concurrent use.
@@ -205,9 +200,7 @@ func (s *Store) Range(name string, from, to int64) ([]Point, error) {
 // parts <= 0 selects the fan-out automatically from the decoded volume.
 func rangeChunks(cands []*chunk, from, to int64, parts int) []Point {
 	pool := partition.Shared()
-	if parts <= 0 {
-		parts = partition.Auto(len(cands)*chunkSize, pool)
-	}
+	parts = partition.Effective(len(cands)*chunkSize, parts)
 	if parts > len(cands) {
 		parts = len(cands)
 	}
@@ -382,9 +375,7 @@ func chunkWindowPartials(c *chunk, from, to, width int64) []windowPartial {
 func windowChunks(cands []*chunk, from, to, width int64, parts int) []windowPartial {
 	perChunk := make([][]windowPartial, len(cands))
 	pool := partition.Shared()
-	if parts <= 0 {
-		parts = partition.Auto(len(cands)*chunkSize, pool)
-	}
+	parts = partition.Effective(len(cands)*chunkSize, parts)
 	if parts > len(cands) {
 		parts = len(cands)
 	}

@@ -26,7 +26,6 @@ package polystore
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"polystorepp/internal/adapter"
@@ -35,10 +34,8 @@ import (
 	"polystorepp/internal/core"
 	"polystorepp/internal/datagen"
 	"polystorepp/internal/eide"
-	"polystorepp/internal/graphstore"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/kvstore"
-	"polystorepp/internal/metrics"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
 	"polystorepp/internal/streamstore"
@@ -58,14 +55,6 @@ type (
 	Results = core.Results
 	// Options are compiler options (optimization level, acceleration).
 	Options = compiler.Options
-	// Value is a dataflow payload (batch or model).
-	Value = adapter.Value
-	// Ingest is one write routed to an engine (row append, timeseries
-	// point, or KV put).
-	Ingest = adapter.Ingest
-	// ResultSink receives a plan's primary sink output incrementally while
-	// the plan executes (see RunStream).
-	ResultSink = core.ResultSink
 	// ServeConfig tunes the HTTP serving subsystem (workers, queue depth,
 	// deadlines, plan cache size, frontend defaults).
 	ServeConfig = server.Config
@@ -74,7 +63,7 @@ type (
 	// TenantQuota is one tenant's rate limit, burst allowance and
 	// weighted-fair admission weight (ServeConfig.TenantQuotas).
 	TenantQuota = tenant.Quota
-	// Backend is a pluggable storage backend hosting the engines' stores
+	// Backend is the storage backend hosting the engines' stores
 	// ("memory" or "wal"); open one with OpenBackend, Attach stores, Recover,
 	// then pass it to WithBackend so acknowledged writes wait on its
 	// durability barrier.
@@ -82,9 +71,6 @@ type (
 	// BackendConfig parameterizes OpenBackend (data dir, WAL sync policy,
 	// snapshot trigger).
 	BackendConfig = backend.Config
-	// BackendCapabilities describes what a backend executes natively
-	// (pushdown negotiation) and whether it persists.
-	BackendCapabilities = backend.Capabilities
 	// WALSyncPolicy selects when the durable backend fsyncs relative to
 	// write acknowledgement ("group", "interval", "off").
 	WALSyncPolicy = backend.SyncPolicy
@@ -95,9 +81,6 @@ type (
 func OpenBackend(kind string, cfg BackendConfig) (Backend, error) {
 	return backend.Open(kind, cfg)
 }
-
-// BackendKinds lists the registered storage backend kinds.
-func BackendKinds() []string { return backend.Kinds() }
 
 // ParseWALSyncPolicy validates a WAL sync policy flag value; empty selects
 // the group-commit default.
@@ -119,13 +102,11 @@ func ParseTenantQuotas(spec string) (map[string]TenantQuota, error) {
 // System is one Polystore++ deployment: engines + adapters + devices +
 // middleware. Construct with New.
 type System struct {
-	runtime   *core.Runtime
-	relations map[string]*relational.Engine
-	opts      Options
-	seed      int64
+	runtime *core.Runtime
+	opts    Options
+	seed    int64
 
 	pendingAdapters []adapter.Adapter
-	host            *hw.Device
 	accels          []*hw.Device
 	mode            hw.Mode
 	rtOpts          []core.Option
@@ -137,16 +118,7 @@ type Option func(*System)
 // WithRelational registers a relational store under an engine name.
 func WithRelational(name string, s *relational.Store) Option {
 	return func(sys *System) {
-		e := relational.NewEngine(s)
-		sys.relations[name] = e
-		sys.pendingAdapters = append(sys.pendingAdapters, adapter.NewRelational(name, e))
-	}
-}
-
-// WithGraph registers a graph store.
-func WithGraph(name string, s *graphstore.Store) Option {
-	return func(sys *System) {
-		sys.pendingAdapters = append(sys.pendingAdapters, adapter.NewGraph(name, s))
+		sys.pendingAdapters = append(sys.pendingAdapters, adapter.NewRelational(name, relational.NewEngine(s)))
 	}
 }
 
@@ -247,11 +219,9 @@ func WithBackend(b Backend) Option {
 // optimization levels and acceleration when accelerators are attached.
 func New(opts ...Option) *System {
 	sys := &System{
-		relations: make(map[string]*relational.Engine),
-		host:      hw.NewHostCPU(),
-		mode:      hw.Coprocessor,
-		seed:      1,
-		opts:      Options{Level: 3},
+		mode: hw.Coprocessor,
+		seed: 1,
+		opts: Options{Level: 3},
 	}
 	for _, o := range opts {
 		o(sys)
@@ -263,7 +233,7 @@ func New(opts ...Option) *System {
 	if len(sys.accels) > 0 {
 		rtOpts = append(rtOpts, core.WithAccelerators(sys.mode, sys.accels...))
 	}
-	sys.runtime = core.NewRuntime(sys.host, rtOpts...)
+	sys.runtime = core.NewRuntime(hw.NewHostCPU(), rtOpts...)
 	for _, a := range sys.pendingAdapters {
 		sys.runtime.Register(a)
 	}
@@ -287,44 +257,6 @@ func (sys *System) RunWith(ctx context.Context, p *Program, opts Options) (*Resu
 	return sys.runtime.Execute(ctx, plan)
 }
 
-// RunStream compiles and executes the program while streaming the first
-// sink's result batches to sink as the terminal operator produces them —
-// the partial-result path POST /query/stream serves over HTTP. The returned
-// Results and Report are identical to Run's, and the concatenation of the
-// streamed batches equals the sink value in Results.
-func (sys *System) RunStream(ctx context.Context, p *Program, sink ResultSink) (*Results, *Report, error) {
-	plan, err := compiler.Compile(p.Graph(), sys.opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys.runtime.ExecuteStream(ctx, plan, sink)
-}
-
-// Query is a convenience: run one SQL statement on a registered relational
-// engine directly (no middleware involvement).
-func (sys *System) Query(ctx context.Context, engine, sql string) (Value, error) {
-	e, ok := sys.relations[engine]
-	if !ok {
-		return Value{}, fmt.Errorf("polystore: unknown relational engine %q", engine)
-	}
-	b, _, err := e.Query(ctx, sql)
-	if err != nil {
-		return Value{}, err
-	}
-	return Value{Batch: b}, nil
-}
-
-// Ingest routes one write to a registered engine — the same path the
-// serving layer's POST /ingest uses. The write bumps the target store's
-// data version, so cached results over the written data stop being served
-// while results over other stores stay cached.
-func (sys *System) Ingest(ctx context.Context, engine string, w Ingest) error {
-	return sys.runtime.Ingest(ctx, engine, w)
-}
-
-// Metrics exposes the middleware's runtime-statistics registry.
-func (sys *System) Metrics() *metrics.Registry { return sys.runtime.Metrics() }
-
 // Engines returns the registered engine instance names, sorted.
 func (sys *System) Engines() []string { return sys.runtime.Engines() }
 
@@ -333,12 +265,6 @@ func (sys *System) Engines() []string { return sys.runtime.Engines() }
 // finer-grained per-engine version vectors — see core.Runtime.VersionVector
 // — so this global sum is observability, not the invalidation key.)
 func (sys *System) DataVersion() uint64 { return sys.runtime.DataVersion() }
-
-// Host returns the host CPU device model.
-func (sys *System) Host() *hw.Device { return sys.host }
-
-// Accelerators returns the attached accelerator devices.
-func (sys *System) Accelerators() []*hw.Device { return sys.accels }
 
 // Handler returns the HTTP serving subsystem over this system: POST /query
 // (sql, nl, text and multi-engine program frontends through the plan cache

@@ -27,21 +27,6 @@ func clinicalSystem(t testing.TB, n int, accel bool) (*System, *datagen.Clinical
 	return New(opts...), data
 }
 
-func TestQueryConvenience(t *testing.T) {
-	sys, _ := clinicalSystem(t, 50, false)
-	v, err := sys.Query(context.Background(), "db-clinical", "SELECT count(*) AS n FROM patients")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := v.Batch.Ints(0)
-	if err != nil || n[0] != 50 {
-		t.Fatalf("count = %v, %v", n, err)
-	}
-	if _, err := sys.Query(context.Background(), "nope", "SELECT 1 FROM x"); err == nil {
-		t.Fatal("unknown engine should fail")
-	}
-}
-
 func TestRunSimpleSQLProgram(t *testing.T) {
 	sys, _ := clinicalSystem(t, 100, false)
 	p := sys.NewProgram()

@@ -13,35 +13,44 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// reachAllow names the exported middleware symbols that may have no caller
-// outside tests, each with the test that needs it.
+// reachAllow names the symbols and fields that may have no reader outside
+// tests, each with the test that needs it.
 var reachAllow = map[string]string{
-	"cast.ReadBinary":           "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
-	"metrics.Registry.Names":    "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
-	"graphstore.Store.BFS":      "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
-	"relational.Table.HasBTree": "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
-	"kvstore.Store.Delete":      "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
-	"kvstore.WithClock":         "test seam: TestTTLExpiry and TestVersionAdvancesOnTTLExpiry can only expire a TTL on a substituted clock",
-	"tensor.MatMul":             "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
-	"tensor.Transpose":          "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
-	"tensor.Sub":                "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
-	"tensor.Add":                "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
-	"tensor.MatVec":             "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
+	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, resultcache_test, tenant_e2e_test, fuzz_test and server_bench_test)",
+	"compiler.Plan.Graph":        "test oracle: the compiler and core suites read the optimized graph's consumers and nodes by id through it (TestCompileInsertsMigrations, TestOneMigrationPerProducerAndEngine, TestSubtreesChainCandidates, TestSimulatedSchedulingRespectsDependencies, TestExecuteStreamEqualsExecute, TestChargeKernelPinnedDevice)",
+	"core.NodeReport.Start":      "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
+	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter, TestQueryUsesIndexScan, TestLimitKeepsStreaming and TestJoinLimitKeepsStreamingProbe read the access path Engine.Query chose through it",
+	"relational.OpStats.RowsIn":  "test oracle: TestLimitKeepsStreaming and TestJoinLimitKeepsStreamingProbe prove through it that a LIMIT stops the scan early",
+	"relational.OpStats.RowsOut": "test oracle: TestJoinLimitKeepsStreamingProbe checks the probe read every scanned row through it, and TestSeqScanAndFilter the rows each step kept",
+	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
+	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
+	"graphstore.Store.BFS":       "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
+	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
+	"kvstore.Store.Delete":       "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
+	"kvstore.WithClock":          "test seam: TestTTLExpiry and TestVersionAdvancesOnTTLExpiry can only expire a TTL on a substituted clock",
+	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
+	"tensor.Transpose":           "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
+	"tensor.Sub":                 "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
+	"tensor.Add":                 "test oracle: TestPropertyMatMulDistributive holds the GEMM kernel to A(B+C) = AB+AC through it",
+	"tensor.MatVec":              "test oracle: TestPropertyMatVecAgreesWithMatMul holds the GEMM kernel to an independent GEMV",
 }
 
 // TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
-// the LOC ratchet: every exported package-level func, type, var and const of
-// a middleware or engine package, and every exported method declared in one
-// (on an unexported type or an interface too), must be reached from a non-test
-// file of the module. The module is type-checked, and a use is matched to the
-// declaration by its types.Object, not by its name, so a dead method stays
-// visible when a live one elsewhere shares its name.
+// the LOC ratchet. In every package under internal/ and in the root facade,
+// every exported package-level func, type, var and const, and every exported
+// method declared there (on an unexported type or an interface too), must be
+// reached from a non-test file of the module; and every field of a named
+// struct type declared there, exported or not, must be read by one. The
+// module is type-checked, and a use is matched to the declaration by its
+// types.Object, not by its name, so a dead method stays visible when a live
+// one elsewhere shares its name.
 //
 // Some methods are called where no identifier names them. Four rules keep
 // them from being reported:
@@ -59,19 +68,31 @@ var reachAllow = map[string]string{
 //     type that declares it, and a call through the embedding type selects
 //     that object: subplan.Cache's calls reach *lru.CostCache's methods, and
 //     the promoted copies are never asked about.
-//   - Only exported names are in scope: main, init and the Set of a flag.Value
-//     are called by the runtime or the flag package, and all are unexported
-//     or outside the middleware.
+//   - Only exported funcs and methods are in scope: main, init and the Set of
+//     a flag.Value are called by the runtime or the flag package, and all are
+//     unexported or outside the scanned packages.
+//
+// A field is read where a selector or a literal key names it, except where it
+// is only stored to. Four rules decide that:
+//
+//   - A store is not a read: the outermost selector on the left of = or of an
+//     op-assign (x.f = v, x.f += v), the operand of ++ and --, and the key of
+//     a keyed composite literal (T{f: v}). x.f[k] = v and x.f.g = v read f.
+//   - encoding/json reads fields by reflection: every field of a struct with
+//     a json tag counts as read, and so does every field of the struct types
+//     its fields reach through pointers, slices, arrays and maps.
+//   - Comparing a struct reads all its fields: those of a map's key type, and
+//     of a struct compared with == or != (server.flowKey.tenant), with the
+//     struct and array fields they hold by value.
+//   - Embedded fields are not scanned, as promoted methods are not: a
+//     selector through them names the promoted field or method, not them.
 func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
-	middleware := map[string]bool{}
-	for _, p := range strings.Fields("adapter backend cast compiler core eide hw ir lru metrics migrate obs optimizer partition relational server subplan tenant " +
-		"graphstore kvstore mlengine streamstore tensor textstore timeseries") {
-		middleware["polystorepp/internal/"+p] = true
-	}
-	dead := unreached(typeCheck(t, "./..."), func(p *types.Package) bool { return middleware[p.Path()] })
+	dead := unreached(typeCheck(t, "./..."), func(p *types.Package) bool {
+		return p.Path() == "polystorepp" || strings.HasPrefix(p.Path(), "polystorepp/internal/")
+	})
 	for _, sym := range dead {
 		if _, allowed := reachAllow[sym]; !allowed {
-			t.Errorf("%s is exported but no non-test file reaches it: delete it, or add it to reachAllow with the test that needs it", sym)
+			t.Errorf("%s is reached (a field: read) by no non-test file: delete it, or add it to reachAllow with the test that needs it", sym)
 		}
 	}
 	for sym := range reachAllow {
@@ -85,18 +106,23 @@ func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
 // declarations each hold one case the scan must get right: a dead method
 // named like a live one, a method reached only through an interface, a
 // String method fmt calls, an interface method reached only through a
-// narrower interface, and a func only a _test.go file calls.
+// narrower interface, a func only a _test.go file calls, fields only written
+// (by =, ++ and a keyed literal) or only read by a _test.go file, fields
+// encoding/json reads, fields of a map key and of a struct compared with ==,
+// and an embedded field.
 func TestReachScanMatchesObjects(t *testing.T) {
 	dead := unreached(typeCheck(t, "./testdata/reach"), func(p *types.Package) bool { return p.Path() == "polystorepp/testdata/reach" })
-	if want := []string{"main.Dead.Window", "main.OnlyTested"}; !slices.Equal(dead, want) {
+	want := []string{"main.Dead.Window", "main.OnlyTested", "main.Tally.Bumped", "main.Tally.Set", "main.Tally.Tested"}
+	if !slices.Equal(dead, want) {
 		t.Errorf("unreached = %q, want %q", dead, want)
 	}
 }
 
 // checkedPackage is one module package type-checked from its non-test files.
 type checkedPackage struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // typeCheck type-checks the module packages the patterns match, with the
@@ -151,13 +177,13 @@ func typeCheck(t *testing.T, patterns ...string) []checkedPackage {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		pkgs = append(pkgs, checkedPackage{pkg, info})
+		pkgs = append(pkgs, checkedPackage{pkg, info, files})
 	}
 	return pkgs
 }
@@ -166,13 +192,15 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// unreached returns, sorted, the exported symbols of the packages inScope
-// selects that nothing in pkgs uses: "pkg.Name" for a package-level func,
-// type, var or const, "pkg.Type.Method" for a method. A use is an identifier
-// the type checker resolved to the object (types.Info.Uses, which also
-// records the field or method every selector selects), taken through Origin
-// so a use of a generic method's instance reaches its declaration, plus the
-// interface uses TestExportedMiddlewareSymbolsAreReached describes.
+// unreached returns, sorted, the exported symbols and the fields of the
+// packages inScope selects that nothing in pkgs uses: "pkg.Name" for a
+// package-level func, type, var or const, "pkg.Type.Method" for a method and
+// "pkg.Type.field" for a field. A use is an identifier the type checker
+// resolved to the object (types.Info.Uses, which also records the field or
+// method every selector selects) and that writes does not list, taken through
+// Origin so a use of a generic method's instance reaches its declaration,
+// plus the interface uses and field reads
+// TestExportedMiddlewareSymbolsAreReached describes.
 func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []string {
 	declared := map[types.Object]string{}
 	for _, c := range pkgs {
@@ -204,6 +232,13 @@ func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []strin
 					declared[m] = c.pkg.Name() + "." + name + "." + m.Name()
 				}
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
+						declared[f] = c.pkg.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
 		}
 	}
 
@@ -216,8 +251,12 @@ func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []strin
 	}
 	var candidates []types.Type // every non-generic named type of the module
 	for _, c := range pkgs {
-		for _, obj := range c.info.Uses {
+		written := writes(c)
+		for id, obj := range c.info.Uses {
 			obj = origin(obj)
+			if written[id] {
+				continue
+			}
 			used[obj] = true
 			if m, ok := obj.(*types.Func); ok {
 				if recv := m.Type().(*types.Signature).Recv(); recv != nil {
@@ -264,6 +303,8 @@ func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []strin
 		}
 	}
 
+	readFields(pkgs, used)
+
 	var dead []string
 	for obj, sym := range declared {
 		if !used[obj] {
@@ -272,6 +313,106 @@ func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []strin
 	}
 	sort.Strings(dead)
 	return dead
+}
+
+// writes returns the identifiers in c that select a field only to store to
+// it: the outermost selector on the left of = or an op-assign, the operand
+// of ++ and --, and the key of a keyed composite literal.
+func writes(c checkedPackage) map[*ast.Ident]bool {
+	written := map[*ast.Ident]bool{}
+	field := func(id *ast.Ident) {
+		if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() {
+			written[id] = true
+		}
+	}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			field(sel.Sel)
+		}
+	}
+	for _, f := range c.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					store(lhs)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					field(id)
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// readFields marks as used the fields that are read where no selector names
+// them: every field of a struct type encoding/json reflects over (one with a
+// json tag, and the struct types its fields reach through pointers, slices,
+// arrays and maps), and every field of a struct compared whole, as a map key
+// or by == and !=, with the struct and array fields it holds by value.
+func readFields(pkgs []checkedPackage, used map[types.Object]bool) {
+	type visit struct {
+		t         types.Type
+		reflected bool
+	}
+	seen := map[visit]bool{}
+	var readAll func(t types.Type, reflected bool)
+	readAll = func(t types.Type, reflected bool) {
+		if t == nil || seen[visit{t, reflected}] {
+			return
+		}
+		seen[visit{t, reflected}] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				used[origin(u.Field(i))] = true
+				readAll(u.Field(i).Type(), reflected)
+			}
+		case *types.Array:
+			readAll(u.Elem(), reflected)
+		case *types.Pointer:
+			if reflected {
+				readAll(u.Elem(), reflected)
+			}
+		case *types.Slice:
+			if reflected {
+				readAll(u.Elem(), reflected)
+			}
+		case *types.Map:
+			if reflected {
+				readAll(u.Key(), reflected)
+				readAll(u.Elem(), reflected)
+			}
+		}
+	}
+	for _, c := range pkgs {
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.StructType:
+					st, _ := c.info.TypeOf(n).(*types.Struct)
+					for i := 0; st != nil && i < st.NumFields(); i++ {
+						if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+							readAll(st, true)
+							break
+						}
+					}
+				case *ast.MapType:
+					readAll(c.info.TypeOf(n.Key), false)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(c.info.TypeOf(n.X), false)
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // origin maps an instantiated generic func or field to its declaration.

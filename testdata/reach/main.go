@@ -1,9 +1,13 @@
 // Command reach is the fixture TestReachScanMatchesObjects runs the
 // reachability scan over: each declaration holds one case the scan must get
-// right. The scan must report exactly Dead.Window and OnlyTested.
+// right. The scan must report exactly Dead.Window, OnlyTested, Tally.Bumped,
+// Tally.Set and Tally.Tested.
 package main
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Live.Window is called from main.
 type Live struct{}
@@ -34,7 +38,8 @@ type Wide interface {
 	Name() string
 }
 
-// Crate is the Wide main assigns.
+// Crate is the Wide main assigns. Its embedded Box is a field no selector
+// names; embedded fields are not scanned.
 type Crate struct{ Box }
 
 func (Crate) Name() string { return "crate" }
@@ -42,9 +47,38 @@ func (Crate) Name() string { return "crate" }
 // OnlyTested is called from main_test.go alone.
 func OnlyTested() int { return 4 }
 
+// Tally's fields are written in main and never read there: Set through = and
+// a keyed literal, Bumped through ++. main_test.go alone reads Tested.
+type Tally struct {
+	Set    int
+	Bumped int
+	Tested int
+}
+
+// Wire is encoded by encoding/json, which reads Code and, through Body,
+// Detail.Text; no selector does.
+type Wire struct {
+	Code int `json:"code"`
+	Body Detail
+}
+
+// Detail has no json tag of its own; Wire's reaches it.
+type Detail struct{ Text string }
+
+// pair is a map key: the map compares a and b though no selector reads them.
+type pair struct{ a, b string }
+
+// span is compared with ==, which reads lo and hi.
+type span struct{ lo, hi int }
+
 func main() {
 	var w Wide = Crate{}
 	var s Sizer = w
 	_ = Dead{}
-	fmt.Println(Live{}.Window(), s.Size(), w.Name(), Label{})
+	t := &Tally{Set: 1, Tested: 2}
+	t.Set = 2
+	t.Bumped++
+	wire, _ := json.Marshal(Wire{Code: 5, Body: Detail{Text: "ok"}})
+	seen := map[pair]int{{a: "x", b: "y"}: 1}
+	fmt.Println(Live{}.Window(), s.Size(), w.Name(), Label{}, string(wire), seen, span{1, 2} == span{lo: 1, hi: 2})
 }
