@@ -16,7 +16,6 @@ import (
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/mlengine"
-	"polystorepp/internal/relational"
 )
 
 // Sentinel errors.
@@ -63,8 +62,8 @@ type ExecInfo struct {
 	// proposes offloading to an accelerator.
 	RuleNodes int64
 	// Parts is the partition fan-out the operator actually used (0 when the
-	// operator does not partition or ran a streaming path that never fans
-	// out) — surfaced in trace spans and the per-operator stats registry.
+	// operator does not partition) — surfaced in trace spans and the
+	// per-operator stats registry.
 	Parts int
 }
 
@@ -75,48 +74,6 @@ type Adapter interface {
 	// Execute runs one node whose Engine matches. Inputs are in node input
 	// order.
 	Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error)
-}
-
-// BatchSink receives one output batch of a streaming node execution. Batches
-// arrive in result order; the sink must not retain or mutate them (they may
-// be zero-copy views of engine storage).
-type BatchSink func(*cast.Batch) error
-
-// StreamChunkRows is the row granularity streaming executions chunk
-// materialized results at: the relational engine's own chunk width, so a
-// streamed scan and a kernel run chunk by chunk produce equally sized wire
-// batches.
-const StreamChunkRows = relational.ChunkRows
-
-// StreamExecutor is implemented by adapters whose terminal operators can
-// emit result batches incrementally instead of only returning one
-// materialized table. The contract mirrors Execute exactly — same Value,
-// same ExecInfo, same errors — with one addition: the concatenation of the
-// batches passed to emit equals the returned Value's batch (the
-// streamed-equals-buffered invariant the serving layer's equivalence suite
-// pins). A sink error aborts the execution and surfaces as the node error.
-// Kinds an adapter cannot stream natively fall back to Execute followed by
-// chunked emission of the result (EmitChunked), which satisfies the same
-// contract trivially.
-type StreamExecutor interface {
-	ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error)
-}
-
-// EmitChunked streams a materialized batch through emit in StreamChunkRows
-// row views — the fallback path for operators that only produce full
-// results. ctx is checked between chunks so a canceled stream stops pushing
-// promptly. A nil emit (buffered execution sharing a streaming code path)
-// is a no-op.
-func EmitChunked(ctx context.Context, emit BatchSink, b *cast.Batch) error {
-	if emit == nil || b == nil {
-		return nil
-	}
-	return b.ForEachChunk(StreamChunkRows, func(chunk *cast.Batch) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return emit(chunk)
-	})
 }
 
 // DataVersioner is implemented by adapters whose backing store exposes a

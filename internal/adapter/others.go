@@ -454,7 +454,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 	case ir.OpFilter, ir.OpProject:
 		// The ML engine hosts a general-purpose runtime (the Python/Spark
 		// role of Figure 5), so plain dataflow operators run here too.
-		out, err := execTabular(ctx, n, inputs, 0, nil, &info)
+		out, err := execTabular(ctx, n, inputs, 0, &info)
 		return Value{Batch: out}, info, err
 	case ir.OpTrain:
 		in, err := tabular(inputs, 0)
@@ -665,16 +665,15 @@ func (f features) fill(dst []float64, lo, hi int) {
 // execTabular runs an engine-agnostic Filter or Project node over its
 // tabular input with the relational kernel: the relational adapter's rule for
 // both kinds, and what adapters whose engines host general-purpose runtimes
-// run too. parts pins the partition fan-out (0 sizes it from the input); a
-// non-nil emit receives the output chunk by chunk as it is produced, which
-// never fans out. It fills every info field but Parts.
-func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, emit BatchSink, info *ExecInfo) (*cast.Batch, error) {
+// run too. parts pins the partition fan-out (0 sizes it from the input). It
+// fills every info field but Parts.
+func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, info *ExecInfo) (*cast.Batch, error) {
 	in, err := tabular(inputs, 0)
 	if err != nil {
 		return nil, err
 	}
-	var k relational.Kernel
-	schema, class := in.Schema(), hw.KFilter
+	var out *cast.Batch
+	class := hw.KFilter
 	switch n.Kind {
 	case ir.OpFilter:
 		pred, ok := n.Attr("pred").(relational.Expr)
@@ -682,25 +681,21 @@ func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, emi
 			return nil, fmt.Errorf("%w: filter without pred", ErrBadNode)
 		}
 		info.Native = "Filter" + pred.String()
-		k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-			return relational.Filter(ctx, b, pred, parts)
-		}
+		out, err = relational.Filter(ctx, in, pred, parts)
 	case ir.OpProject:
 		items, ok := n.Attr("items").([]relational.ProjItem)
 		if !ok {
 			return nil, fmt.Errorf("%w: project without items", ErrBadNode)
 		}
-		if schema, err = relational.ProjectSchema(schema, items); err != nil {
+		var schema cast.Schema
+		if schema, err = relational.ProjectSchema(in.Schema(), items); err != nil {
 			return nil, err
 		}
 		class, info.Native = hw.KProject, "Project"
-		k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-			return relational.Project(ctx, b, items, schema, parts)
-		}
+		out, err = relational.Project(ctx, in, items, schema, parts)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)
 	}
-	out, err := deliver(ctx, in, schema, k, parts, emit)
 	if err != nil {
 		return nil, err
 	}

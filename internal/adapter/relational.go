@@ -66,31 +66,11 @@ func (a *Relational) Ingest(_ context.Context, w Ingest) error {
 	return t.Insert(vals...)
 }
 
-// Execute implements Adapter: exec with no sink.
+// Execute implements Adapter: the rule table from IR op kinds to relational
+// kernels.
 func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, nil)
-}
-
-// ExecuteStream implements StreamExecutor: terminal relational kernels emit
-// result batches as they are produced. Filter, project and the probe side of
-// a hash join run chunk by chunk (relational.Chunked), so every per-chunk
-// output batch goes out the moment it exists. Kinds that materialize
-// regardless (scans, sort, group-by, merge join, limit) emit their result in
-// StreamChunkRows views.
-func (a *Relational) ExecuteStream(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
-	return a.exec(ctx, n, inputs, emit)
-}
-
-// exec is the one implementation behind Execute and ExecuteStream: the rule
-// table from IR op kinds to relational kernels. emit only changes delivery —
-// the Value and the ExecInfo are those of the buffered execution, except
-// Parts, which reports the fan-out the chosen delivery really used.
-func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit BatchSink) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	var out *cast.Batch
-	// delivered is set by the kinds whose kernel pushed its own chunks
-	// through emit; every other kind has its result chunked out below.
-	delivered := false
 	parts := int(n.IntAttr("parts"))
 	switch n.Kind {
 	case ir.OpScan, ir.OpIndexScan:
@@ -114,15 +94,10 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 
 	case ir.OpFilter, ir.OpProject:
 		var err error
-		if out, err = execTabular(ctx, n, inputs, parts, emit, &info); err != nil {
+		if out, err = execTabular(ctx, n, inputs, parts, &info); err != nil {
 			return Value{}, info, err
 		}
-		delivered = true
-		// Chunk-by-chunk delivery never fans out; over the whole input the
-		// kernel partitions.
-		if emit == nil {
-			info.Parts = partition.Effective(int(info.RowsIn), parts)
-		}
+		info.Parts = partition.Effective(int(info.RowsIn), parts)
 
 	case ir.OpHashJoin, ir.OpMergeJoin:
 		left, err := tabular(inputs, 0)
@@ -135,21 +110,16 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 		}
 		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
 		if n.Kind == ir.OpHashJoin {
-			// The build side is indexed whole, in one sequential pass, either
-			// way; only probe delivery streams per chunk.
+			// The build side is indexed whole, in one sequential pass; the
+			// probe is the only part that fans out.
 			hb, err := relational.BuildHash(ctx, left.Schema(), right, lc, rc)
 			if err != nil {
 				return Value{}, info, err
 			}
-			if out, err = deliver(ctx, left, hb.Schema(), hb.Probe, parts, emit); err != nil {
+			if out, err = hb.Probe(ctx, left, parts); err != nil {
 				return Value{}, info, err
 			}
-			delivered = true
-			// The probe is the only part that fans out, and a streamed probe
-			// goes chunk by chunk, so it never does.
-			if emit == nil {
-				info.Parts = partition.Effective(left.Rows(), parts)
-			}
+			info.Parts = partition.Effective(left.Rows(), parts)
 			info.Kernels = []KernelCall{
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
@@ -225,22 +195,7 @@ func (a *Relational) exec(ctx context.Context, n *ir.Node, inputs []Value, emit 
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)
 	}
-	if !delivered {
-		if err := EmitChunked(ctx, emit, out); err != nil {
-			return Value{}, info, err
-		}
-	}
 	return Value{Batch: out}, info, nil
-}
-
-// deliver applies kernel k to in. With no sink it runs once over the whole
-// input at parts; with one it runs chunk by chunk, each output — of schema —
-// going to emit as it exists. The result is the same batch either way.
-func deliver(ctx context.Context, in *cast.Batch, schema cast.Schema, k relational.Kernel, parts int, emit BatchSink) (*cast.Batch, error) {
-	if emit == nil {
-		return k(ctx, in, parts)
-	}
-	return relational.Chunked(ctx, in, StreamChunkRows, schema, []relational.Kernel{k}, -1, emit)
 }
 
 // unary fills the report fields every one-input kind derives the same way:

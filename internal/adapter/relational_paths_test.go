@@ -3,25 +3,22 @@ package adapter
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"polystorepp/internal/cast"
 	"polystorepp/internal/datagen"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
 )
 
 // TestRelationalBufferedEqualsStreamed runs every relational op kind through
-// Execute and ExecuteStream and holds the two to one contract: equal Value,
-// equal ExecInfo (Native, RowsIn/Out, RuleNodes, Kernels), and the
-// emitted batches concatenate to the value. Parts is the one field the two
-// deliveries report differently — a streamed filter, project or hash join
-// never fans out (the join's build is sequential either way) — so it is
-// pinned per delivery to the fan-out each path ran.
+// Execute and pins its report: Native, RuleNodes and the partition fan-out
+// each kind ran at. There is one delivery path: a streamed response is cut
+// into records from the value Execute returns, above the adapter, so a
+// streamed filter, project or hash join fans out and reports it exactly like
+// a buffered one.
 //
-// The input is 2500 rows: more than two StreamChunkRows chunks, and under
-// partition.Auto's fan-out threshold so "parts": 0 resolves to 1 on any host.
+// The input is 2500 rows, under partition.Auto's fan-out threshold, so
+// "parts": 0 resolves to 1 on any host.
 func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 	ctx := context.Background()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(8)), 2500)
@@ -42,9 +39,6 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 		{E: relational.ColRef{Name: "pid"}, Name: "spid"},
 		{E: relational.ColRef{Name: "icu_hours"}, Name: "icu_hours"},
 	}}, run(ir.OpScan, map[string]any{"table": "stays"}))
-	if patients.Rows() <= 2*StreamChunkRows {
-		t.Fatalf("input of %d rows does not span three chunks", patients.Rows())
-	}
 
 	pred := relational.Bin{Op: relational.OpGt, L: relational.ColRef{Name: "age"}, R: relational.Const{V: int64(40)}}
 	// pid carries the clinical dataset's only B-tree on patients; age has none.
@@ -61,72 +55,45 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 	}
 
 	cases := []struct {
-		name                        string
-		kind                        ir.OpKind
-		attrs                       map[string]any
-		inputs                      []Value
-		native                      string // pinned when set
-		partsBuffered, partsStreams int
+		name   string
+		kind   ir.OpKind
+		attrs  map[string]any
+		inputs []Value
+		native string // pinned when set
+		parts  int
 	}{
 		{name: "scan", kind: ir.OpScan, attrs: map[string]any{"table": "patients"}},
 		{name: "index-scan", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": onPid}, native: "IndexScan(patients.pid)"},
 		{name: "index-scan/no-index", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": pred}, native: "SeqScan(patients)"},
-		{name: "filter", kind: ir.OpFilter, attrs: map[string]any{"pred": pred}, inputs: []Value{patients}, partsBuffered: 1},
-		{name: "filter/parts=3", kind: ir.OpFilter, attrs: map[string]any{"pred": pred, "parts": int64(3)}, inputs: []Value{patients}, partsBuffered: 3},
-		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}, partsBuffered: 1},
-		{name: "project/parts=3", kind: ir.OpProject, attrs: map[string]any{"items": items, "parts": int64(3)}, inputs: []Value{patients}, partsBuffered: 3},
-		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}, partsBuffered: 1},
-		{name: "hash-join/parts=3", kind: ir.OpHashJoin, attrs: with(join, "parts", int64(3)), inputs: []Value{patients, stays}, partsBuffered: 3},
+		{name: "filter", kind: ir.OpFilter, attrs: map[string]any{"pred": pred}, inputs: []Value{patients}, parts: 1},
+		{name: "filter/parts=3", kind: ir.OpFilter, attrs: map[string]any{"pred": pred, "parts": int64(3)}, inputs: []Value{patients}, parts: 3},
+		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}, parts: 1},
+		{name: "project/parts=3", kind: ir.OpProject, attrs: map[string]any{"items": items, "parts": int64(3)}, inputs: []Value{patients}, parts: 3},
+		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}, parts: 1},
+		{name: "hash-join/parts=3", kind: ir.OpHashJoin, attrs: with(join, "parts", int64(3)), inputs: []Value{patients, stays}, parts: 3},
 		{name: "merge-join", kind: ir.OpMergeJoin, attrs: join, inputs: []Value{patients, stays}},
 		{name: "sort", kind: ir.OpSort, attrs: map[string]any{"order_by": []relational.OrderItem{{Col: "age", Desc: true}, {Col: "pid"}}}, inputs: []Value{patients}},
-		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}, partsBuffered: 1, partsStreams: 1},
-		{name: "group-by/parts=3", kind: ir.OpGroupBy, attrs: with(group, "parts", int64(3)), inputs: []Value{patients}, partsBuffered: 3, partsStreams: 3},
+		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}, parts: 1},
+		{name: "group-by/parts=3", kind: ir.OpGroupBy, attrs: with(group, "parts", int64(3)), inputs: []Value{patients}, parts: 3},
 		{name: "limit", kind: ir.OpLimit, attrs: map[string]any{"n": int64(2100)}, inputs: []Value{patients}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := node(tc.kind, "db", tc.attrs)
-			want, wantInfo, err := a.Execute(ctx, n, tc.inputs)
+			got, info, err := a.Execute(ctx, n, tc.inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var emitted []*cast.Batch
-			got, gotInfo, err := a.ExecuteStream(ctx, n, tc.inputs, func(b *cast.Batch) error {
-				emitted = append(emitted, b)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			if info.Parts != tc.parts {
+				t.Fatalf("Parts = %d, want %d", info.Parts, tc.parts)
 			}
-			if want.Rows() <= StreamChunkRows {
-				t.Fatalf("result of %d rows fits one chunk; the case does not exercise chunked delivery", want.Rows())
-			}
-			if !got.Batch.Equal(want.Batch) {
-				t.Fatal("streamed value differs from buffered value")
-			}
-			concat := cast.NewBatch(want.Batch.Schema(), want.Rows())
-			for _, b := range emitted {
-				if err := concat.AppendBatch(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(emitted) < 2 || !concat.Equal(want.Batch) {
-				t.Fatalf("%d emitted batches do not concatenate to the value", len(emitted))
-			}
-			if wantInfo.Parts != tc.partsBuffered || gotInfo.Parts != tc.partsStreams {
-				t.Fatalf("Parts buffered=%d streamed=%d, want %d and %d", wantInfo.Parts, gotInfo.Parts, tc.partsBuffered, tc.partsStreams)
-			}
-			wantInfo.Parts, gotInfo.Parts = 0, 0
-			if !reflect.DeepEqual(gotInfo, wantInfo) {
-				t.Fatalf("ExecInfo differs:\nstreamed %+v\nbuffered %+v", gotInfo, wantInfo)
-			}
-			if wantInfo.Native == "" || (tc.native != "" && wantInfo.Native != tc.native) || wantInfo.RuleNodes < 1 {
-				t.Fatalf("ExecInfo = %+v", wantInfo)
+			if info.Native == "" || (tc.native != "" && info.Native != tc.native) || info.RuleNodes < 1 {
+				t.Fatalf("ExecInfo = %+v", info)
 			}
 			// A scan that does not seek hands on the heap snapshot itself: the
 			// table's columns, shared, whether or not a predicate was pushed.
-			if wantInfo.Native == "SeqScan(patients)" {
-				x, _ := want.Batch.Ints(0)
+			if info.Native == "SeqScan(patients)" {
+				x, _ := got.Batch.Ints(0)
 				y, _ := patients.Batch.Ints(0)
 				if &x[0] != &y[0] {
 					t.Fatal("an unseekable scan copied the table instead of sharing the heap snapshot")

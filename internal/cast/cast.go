@@ -691,8 +691,8 @@ func (b *Batch) Compact() *Batch {
 
 // Concat returns the rows of parts, in order, as one batch of schema s. One
 // part is handed back itself. Parts that tile one view root — consecutive
-// row ranges of it, as the chunks of a streamed scan or of a range filter
-// over one are — come back as a single view of the root, nothing copied;
+// row ranges of it, as the chunks relational.Chunked filters out of a scan
+// are — come back as a single view of the root, nothing copied;
 // anything else is copied once into a batch allocated at the final size.
 func Concat(s Schema, parts []*Batch) (*Batch, error) {
 	if len(parts) == 1 {

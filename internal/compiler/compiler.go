@@ -2,8 +2,10 @@
 // that checks the heterogeneous program graph assembled by the EIDE, a core
 // that runs the L1 cross-engine optimizations of Figure 6 (migration
 // insertion, predicate/projection pushdown across engine boundaries,
-// dead-node elimination, accelerator kernel selection), and a backend that lowers the optimized IR to a staged
-// execution plan for the middleware. L2 (engine-local planning, e.g. index
+// accelerator kernel selection), and a backend that lowers the optimized IR
+// to a staged execution plan for the middleware. L1 has no dead-node
+// elimination: in a graph Validate accepts a node nothing consumes is itself
+// a sink, so every node feeds a sink and none is dead. L2 (engine-local planning, e.g. index
 // selection inside the relational engine) and L3 (implementation-level
 // choices, e.g. binary pipes vs CSV for migration) are controlled here as
 // options so experiments can ablate the levels.
@@ -29,8 +31,9 @@ type Options struct {
 	//   0 — no cross-engine optimization: operators run where written,
 	//       full intermediate results migrate, once per consuming edge.
 	//   1 — +L1: predicate/projection pushdown across engine boundaries,
-	//       dead-node elimination, one migration per producer and
-	//       destination engine carrying only the columns read there.
+	//       one migration per producer and destination engine carrying
+	//       only the columns read there. (Nothing is removed: every node
+	//       of a valid graph feeds a sink.)
 	//   2 — +L2: engine-local optimizations (adapters may use indexes and
 	//       native physical plans).
 	//   3 — +L3: implementation-level choices (binary pipe migration,
@@ -94,11 +97,10 @@ func (p *Plan) WithBinds(binds []any) *Plan {
 // Compile runs frontend checks, core passes, and the backend lowering.
 // The input graph is not mutated.
 //
-// No pass reads a constant: pushdown, dead-node elimination, migration
-// insertion and offload marking read kinds, engines, wiring and column
-// names, and the L2 access-path pass copies a predicate without looking
-// into it — whether and how far a scan seeks is decided at execution
-// (relational.Table.SeekRange). So one plan serves every bind vector of its
+// No pass reads a constant: pushdown, migration insertion and offload
+// marking read kinds, engines, wiring and column names, and the L2
+// access-path pass copies a predicate without looking into it — whether and
+// how far a scan seeks is decided at execution (relational.Table.SeekRange). So one plan serves every bind vector of its
 // shape, and the plan cache keys on the shape alone.
 func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	// Frontend: structural validation of the multi-subprogram graph.
@@ -110,7 +112,6 @@ func Compile(g *ir.Graph, opts Options) (*Plan, error) {
 	// Core (L1) passes.
 	if opts.Level >= 1 {
 		pushdownAcrossEngines(work)
-		eliminateDeadNodes(work)
 	}
 
 	// L2: engine-local physical planning — scans learn the predicate their
@@ -208,34 +209,6 @@ func pushdownAcrossEngines(g *ir.Graph) {
 			}
 			n.Engine = prod.Engine
 			changed = true
-		}
-	}
-}
-
-// eliminateDeadNodes removes nodes that reach no sink consumer transitively
-// needed by a sink. (All sinks are live by definition.)
-func eliminateDeadNodes(g *ir.Graph) {
-	live := make(map[ir.NodeID]bool)
-	var mark func(id ir.NodeID)
-	mark = func(id ir.NodeID) {
-		if live[id] {
-			return
-		}
-		live[id] = true
-		n, err := g.Node(id)
-		if err != nil {
-			return
-		}
-		for _, in := range n.Inputs {
-			mark(in)
-		}
-	}
-	for _, s := range g.Sinks() {
-		mark(s)
-	}
-	for _, n := range g.Nodes() {
-		if !live[n.ID] {
-			g.Remove(n.ID)
 		}
 	}
 }

@@ -353,7 +353,7 @@ func planWidth(plan *compiler.Plan) int {
 // is verified against. Plans with a stage wider than one node run as a
 // dataflow of one goroutine per node, at most engineWorkers per engine
 // (scheduler.go), and the driver awaits each run.
-// st, when non-nil, streams the designated sink node's batches (stream.go).
+// st, when non-nil, streams the designated sink node's output (stream.go).
 func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
 	t0 := time.Now()
 	if len(plan.Binds) < plan.Slots {
@@ -508,12 +508,12 @@ type nodeRun struct {
 
 // runNode performs a node's real work — adapter translation and native
 // execution, or data migration — without touching the simulated clock. When
-// st designates this node for streaming, output batches flow through the
-// sink as the adapter produces them (stream.go). Nodes covered by a
-// subplan-cache hit (pr) skip real work entirely and return a synthesized
-// run carrying the memoized batch and replay costing.
+// st designates this node for streaming, its output goes to the sink once it
+// has run (stream.go). Nodes covered by a subplan-cache hit (pr) skip real
+// work entirely and return a synthesized run carrying the memoized batch and
+// replay costing.
 func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, st *nodeStream, pr *planProbe) *nodeRun {
-	if run := pr.serveNode(ctx, n, st); run != nil {
+	if run := pr.serveNode(n, st); run != nil {
 		return run
 	}
 	run := &nodeRun{}
@@ -528,10 +528,11 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 		run.out.Batch, run.bd, run.err = r.executeMigrate(ctx, n, inputs)
 	case !ok:
 		run.err = fmt.Errorf("%w: %q", ErrNoAdapter, n.Engine)
-	case st != nil && st.node == n.ID:
-		run.out, run.info, run.err = r.runStreamedNode(ctx, a, n, inputs, st)
 	default:
 		run.out, run.info, run.err = a.Execute(ctx, n, inputs)
+	}
+	if run.err == nil {
+		run.err = st.deliver(n.ID, run.out)
 	}
 	if run.err != nil {
 		return run

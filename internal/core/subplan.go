@@ -306,10 +306,9 @@ func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry, covered map
 // serveNode returns a synthesized run for a node covered by a cache hit
 // (nil otherwise). The run carries the entry's replay data, so costing and
 // operator stats see exactly what the cold execution recorded; hit roots
-// carry the memoized batch, and when the root is the streamed sink the
-// batch replays through the ResultSink in the same chunk cadence live
-// execution uses.
-func (pr *planProbe) serveNode(ctx context.Context, n *ir.Node, st *nodeStream) *nodeRun {
+// carry the memoized batch, which goes to the ResultSink exactly as a live
+// execution's output would when the root is the streamed sink.
+func (pr *planProbe) serveNode(n *ir.Node, st *nodeStream) *nodeRun {
 	if pr == nil {
 		return nil
 	}
@@ -328,15 +327,7 @@ func (pr *planProbe) serveNode(ctx context.Context, n *ir.Node, st *nodeStream) 
 	}
 	if out, ok := pr.out[n.ID]; ok {
 		run.out = out
-		if st != nil && st.node == n.ID {
-			if err := adapter.EmitChunked(ctx, st.emit, out.Batch); err != nil {
-				run.err = err
-				return run
-			}
-			if err := st.finish(out); err != nil {
-				run.err = err
-			}
-		}
+		run.err = st.deliver(n.ID, out)
 	}
 	return run
 }

@@ -256,12 +256,6 @@ func (g *Graph) Nodes() []*Node {
 	return out
 }
 
-// Remove deletes a node. The caller must rewire consumers first; Validate
-// catches dangling references.
-func (g *Graph) Remove(id NodeID) {
-	delete(g.nodes, id)
-}
-
 // Consumers returns the ids of nodes reading from id, sorted.
 func (g *Graph) Consumers(id NodeID) []NodeID {
 	var out []NodeID

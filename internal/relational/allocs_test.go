@@ -126,7 +126,7 @@ func TestZoneScanAllocBudget(t *testing.T) {
 	}
 	streamed := testing.AllocsPerRun(10, func() {
 		in, _, _ := Scan(ctx, tab, pruned)
-		if out, err := Chunked(ctx, in, ChunkRows, in.Schema(), []Kernel{filterK(pruned)}, -1, nil); err != nil || out.Rows() != 10_000 {
+		if out, err := Chunked(ctx, in, ChunkRows, in.Schema(), []Kernel{filterK(pruned)}, -1); err != nil || out.Rows() != 10_000 {
 			t.Fatalf("streamed pruned scan: %v", err)
 		}
 	})

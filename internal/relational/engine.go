@@ -117,7 +117,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats,
 	}
 	out := in
 	if limit >= 0 {
-		if out, err = Chunked(ctx, in, ChunkRows, schema, chain, limit, nil); err != nil {
+		if out, err = Chunked(ctx, in, ChunkRows, schema, chain, limit); err != nil {
 			return nil, nil, err
 		}
 		last := &stats[len(stats)-1]

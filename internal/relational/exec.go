@@ -21,8 +21,8 @@ import (
 // again per task (partition.Pool.Do). What leaves a kernel is immutable and
 // shares its inputs' column storage wherever it can (see package cast).
 
-// ChunkRows is the row width of chunked delivery: what Chunked cuts an input
-// into, and what a materialized result is streamed out in.
+// ChunkRows is the row width of chunked work: what Chunked cuts an input
+// into, and the rows per record a streamed result is cut into.
 const ChunkRows = 1024
 
 // OpStats is the execution record of one step of a statement, as
@@ -42,15 +42,13 @@ type Kernel func(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, e
 var errEnough = errors.New("relational: enough rows")
 
 // Chunked runs chain over in one width-row chunk at a time, each chunk at one
-// partition, in row order. Every non-empty output is handed to emit (when
-// set) before the next chunk is read, and the result is the concatenation of
-// exactly those outputs — by cast.Concat's rules, so a single output is
-// handed back itself and outputs that tile one snapshot become a view of it.
-// With limit >= 0 the walk stops as soon as limit rows are out, the last
-// output cut to fit, and reads nothing of in beyond the chunk that got there.
-// schema is the chain's output schema. ctx is read per chunk; an error from
-// emit aborts the walk and is returned as it is.
-func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema, chain []Kernel, limit int, emit func(*cast.Batch) error) (*cast.Batch, error) {
+// partition, in row order, and returns the concatenation of the non-empty
+// outputs — by cast.Concat's rules, so a single output is handed back itself
+// and outputs that tile one snapshot become a view of it. With limit >= 0 the
+// walk stops as soon as limit rows are out, the last output cut to fit, and
+// reads nothing of in beyond the chunk that got there. schema is the chain's
+// output schema. ctx is read per chunk.
+func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema, chain []Kernel, limit int) (*cast.Batch, error) {
 	var outs []*cast.Batch
 	total := 0
 	step := func(chunk *cast.Batch) error {
@@ -75,11 +73,6 @@ func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema,
 			return nil
 		}
 		total += chunk.Rows()
-		if emit != nil {
-			if err := emit(chunk); err != nil {
-				return err
-			}
-		}
 		outs = append(outs, chunk)
 		return nil
 	}

@@ -362,7 +362,7 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, width := range []int{37, ChunkRows} {
-				got, err := Chunked(ctx, left, width, hb.Schema(), []Kernel{hb.Probe}, -1, nil)
+				got, err := Chunked(ctx, left, width, hb.Schema(), []Kernel{hb.Probe}, -1)
 				if err != nil {
 					t.Fatal(err)
 				}

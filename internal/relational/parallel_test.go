@@ -54,7 +54,7 @@ func whole(t *testing.T, in *cast.Batch, k Kernel, parts int) *cast.Batch {
 // time, each at one partition — the baseline every partitioned run is held to.
 func sequential(t *testing.T, in *cast.Batch, schema cast.Schema, chain ...Kernel) *cast.Batch {
 	t.Helper()
-	out, err := Chunked(context.Background(), in, ChunkRows, schema, chain, -1, nil)
+	out, err := Chunked(context.Background(), in, ChunkRows, schema, chain, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,9 +183,10 @@ func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}})}
 		chunks := 0
-		out, err := Chunked(ctx, in, ChunkRows, in.Schema(), chain, -1, func(*cast.Batch) error { chunks++; return nil })
+		count := func(_ context.Context, b *cast.Batch, _ int) (*cast.Batch, error) { chunks++; return b, nil }
+		chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}}), count}
+		out, err := Chunked(ctx, in, ChunkRows, in.Schema(), chain, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

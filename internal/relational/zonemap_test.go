@@ -167,7 +167,7 @@ func TestZoneScanEqualsSeqScan(t *testing.T) {
 					t.Fatalf("%s: %s at %d partitions over %s: %d rows, want %d (%v)", tc.name, pred, parts, kind, got.Rows(), want.Rows(), err)
 				}
 			}
-			got, err := Chunked(ctx, scanned, ChunkRows, scanned.Schema(), []Kernel{filterK(pred)}, -1, nil)
+			got, err := Chunked(ctx, scanned, ChunkRows, scanned.Schema(), []Kernel{filterK(pred)}, -1)
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("%s: %s chunked over %s: %d rows, want %d (%v)", tc.name, pred, kind, got.Rows(), want.Rows(), err)
 			}

@@ -305,11 +305,12 @@ func (a *admission) queuedLocked() int {
 	return n
 }
 
-// inflight returns the current number of executing plus queued requests.
+// inflight returns the current number of executions holding a worker slot;
+// queueDepth counts the requests waiting for one.
 func (a *admission) inflight() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return int64(a.running + a.queuedLocked())
+	return int64(a.running)
 }
 
 // queueDepth returns the current number of queued (not yet executing)

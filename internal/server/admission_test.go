@@ -2,14 +2,23 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"polystorepp/internal/adapter"
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/core"
+	"polystorepp/internal/hw"
+	"polystorepp/internal/kvstore"
 	"polystorepp/internal/tenant"
 )
 
@@ -39,7 +48,7 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 		queued <- err
 	}()
 	// Wait until the queued request is counted.
-	for i := 0; a.inflight() < 2 && i < 1000; i++ {
+	for i := 0; a.queueDepth() < 1 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	// Third request exceeds workers+queue and is refused immediately, with
@@ -58,6 +67,68 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	}
 	if got := a.inflight(); got != 0 {
 		t.Fatalf("inflight = %d after drain, want 0", got)
+	}
+}
+
+// TestInflightCountsOnlyRunning: /stats and /healthz report inflight as the
+// executions holding a worker slot, beside a separate queued gauge. With one
+// request running on the only worker and one waiting, both read inflight 1
+// and queued 1 — not inflight 2.
+func TestInflightCountsOnlyRunning(t *testing.T) {
+	store := kvstore.New("kv-slow")
+	store.Put("user/1", []byte("v"))
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	rt := core.NewRuntime(hw.NewHostCPU())
+	rt.Register(&mutatingAdapter{Adapter: adapter.NewKV("kv-slow", store), hook: func() {
+		entered <- struct{}{}
+		<-release
+	}})
+	s := New(rt, compiler.Options{}, Config{Workers: 1, QueueDepth: 1, DisableSingleFlight: true, ResultCacheSize: -1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	free := sync.OnceFunc(func() { close(release) })
+	defer free() // before ts.Close, which waits for the handlers
+
+	body := `{"frontend":"program","program":[{"id":"k","op":"kvscan","engine":"kv-slow","prefix":"user/"}]}`
+	done := make(chan error, 2)
+	for range 2 {
+		go func() {
+			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			done <- err
+		}()
+	}
+	<-entered // one request holds the worker
+	for deadline := time.Now().Add(5 * time.Second); s.adm.queueDepth() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued")
+		}
+	}
+	for _, path := range []string{"/stats", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct{ Inflight, Queued int64 }
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Inflight != 1 || got.Queued != 1 {
+			t.Errorf("%s: inflight %d, queued %d; want 1 and 1", path, got.Inflight, got.Queued)
+		}
+	}
+	free()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

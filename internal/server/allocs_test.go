@@ -27,30 +27,39 @@ func (d discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardResponse) WriteHeader(int)             {}
 func (d discardResponse) Flush()                      {}
 
-// TestEmitBatchAllocBudget: one 1024-row chunk leaves as one pooled buffer,
-// one Write and one Flush — nothing per row, nothing per cell.
+// TestEmitBatchAllocBudget: a batch leaves as one pooled buffer, one Write
+// and one Flush per record — nothing per row, nothing per cell. A 1024-row
+// batch is one record, a 3000-row batch three, and the budget grows with
+// the records, not the rows.
 func TestEmitBatchAllocBudget(t *testing.T) {
 	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
-	b := cast.NewBatch(cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64},
-		cast.Column{Name: "value", Type: cast.Float64}, cast.Column{Name: "tag", Type: cast.String}), 1024)
-	for i := 0; i < 1024; i++ {
-		if err := b.AppendRow(int64(i), float64(i)/8, "t"); err != nil {
+	for _, tc := range []struct{ rows, records int }{{1024, 1}, {3000, 3}} {
+		b := cast.NewBatch(cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64},
+			cast.Column{Name: "value", Type: cast.Float64}, cast.Column{Name: "tag", Type: cast.String}), tc.rows)
+		for i := 0; i < tc.rows; i++ {
+			if err := b.AppendRow(int64(i), float64(i)/8, "t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := newNDJSONStream(context.Background(), s, discardResponse{h: http.Header{}}, nil, 1<<30, time.Now(), time.Minute)
+		if err := st.StartStream(0, b.Schema()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := newNDJSONStream(s, discardResponse{h: http.Header{}}, nil, 1<<30, time.Now(), time.Minute)
-	if err := st.StartStream(0, b.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := st.EmitBatch(0, b); err != nil {
-			t.Fatal(err)
+		batches, rows := s.st.streamBatches.Value(), s.st.streamRows.Value()
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := st.EmitBatch(0, b); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > float64(4*tc.records) {
+			t.Fatalf("EmitBatch of %d rows: %.0f allocations, budget %d", tc.rows, allocs, 4*tc.records)
 		}
-	}); allocs > 4 {
-		t.Fatalf("EmitBatch of 1024 rows: %.0f allocations, budget 4", allocs)
-	}
-	if got := s.st.streamRows.Value(); got < 1024 {
-		t.Fatalf("stream_rows = %d", got)
+		// AllocsPerRun makes one warm-up call beyond the 20 it measures.
+		if got := s.st.streamBatches.Value() - batches; got != int64(21*tc.records) {
+			t.Fatalf("%d rows went out in %d records over 21 calls, want %d each", tc.rows, got, tc.records)
+		}
+		if got := s.st.streamRows.Value() - rows; got != int64(21*tc.rows) {
+			t.Fatalf("stream_rows grew by %d over 21 calls of %d rows", got, tc.rows)
+		}
 	}
 }
 

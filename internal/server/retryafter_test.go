@@ -157,7 +157,7 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 			})
 			refuse("in-band", func(ts *tenantState) {
 				rec := httptest.NewRecorder()
-				st := newNDJSONStream(s, rec, ts, 10, time.Now(), time.Second)
+				st := newNDJSONStream(context.Background(), s, rec, ts, 10, time.Now(), time.Second)
 				if err := st.StartStream(0, cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64})); err != nil {
 					t.Fatal(err)
 				}

@@ -539,7 +539,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	var stream *ndjsonStream // nil on /query
 	var sink core.ResultSink
 	if streaming {
-		stream = newNDJSONStream(s, w, ts, s.effectiveMaxRows(&p.req), t0, p.timeout)
+		stream = newNDJSONStream(ctx, s, w, ts, s.effectiveMaxRows(&p.req), t0, p.timeout)
 		sink = stream
 	}
 	out, err := s.runQuery(ctx, p, sink)

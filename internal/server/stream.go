@@ -1,8 +1,8 @@
 // POST /query/stream: the partial-result serving path. The polystore starts
-// delivering rows while heterogeneous engines are still working instead of
-// materializing the full result before the first byte — the incremental
-// result delivery MISO-style federated execution and BigDAWG's island shims
-// lean on to hide cross-engine latency.
+// delivering rows as soon as the plan's sink node has run — while the rest of
+// the plan may still be executing — instead of after the whole execution:
+// the incremental result delivery MISO-style federated execution and
+// BigDAWG's island shims lean on to hide cross-engine latency.
 //
 // The response is NDJSON (one JSON record per line), flushed per record:
 //
@@ -14,9 +14,14 @@
 //	    of summary, when the query fails after the stream started)
 //
 // Errors before the first flushed byte still use plain HTTP status codes —
-// exactly the ones /query would return. After the first byte the status
-// line is gone, so failures travel in-band as the trailing error record;
-// clients must treat a stream without a summary record as failed.
+// exactly the ones /query would return; a failure of the sink node itself is
+// one of them. After the first byte the status line is gone, so failures
+// travel in-band as the trailing error record; clients must treat a stream
+// without a summary record as failed.
+//
+// Records are cut in one place, ndjsonStream.EmitBatch: a live execution, a
+// subplan-cache hit and a buffered outcome replayed here all hand it the same
+// finished batch, so a replayed stream is byte-identical to the live one.
 //
 // The streaming path shares every serving acceleration with /query:
 // admission control (the stream holds a worker slot only while executing),
@@ -34,11 +39,11 @@ import (
 	"net/http"
 	"time"
 
-	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/core"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
+	"polystorepp/internal/relational"
 )
 
 // streamSchemaRecord is the first NDJSON line of a tabular stream.
@@ -79,6 +84,7 @@ type streamErrorRecord struct {
 // matching the buffered response) and records first-byte latency plus
 // streamed-row counters.
 type ndjsonStream struct {
+	ctx     context.Context // the request's, read between batch records
 	s       *Server
 	w       http.ResponseWriter
 	ts      *tenantState // the requesting tenant, for counting a refusal
@@ -88,11 +94,10 @@ type ndjsonStream struct {
 	maxRows int
 
 	started bool // first byte flushed; HTTP status is committed
-	sent    int  // rows emitted so far
 }
 
-// newNDJSONStream answers /query/stream on w under the request's execution
-// budget.
+// newNDJSONStream answers /query/stream on w under the request's context
+// and execution budget.
 //
 // Streaming writes happen while the request holds its worker slot, and a ctx
 // deadline cannot interrupt a socket write blocked on a client that stopped
@@ -100,10 +105,10 @@ type ndjsonStream struct {
 // (execution budget + a transfer grace period) so stalled readers fail the
 // write — freeing the slot — instead of pinning a worker forever. Transports
 // without deadline support (test recorders) just skip it.
-func newNDJSONStream(s *Server, w http.ResponseWriter, ts *tenantState, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
+func newNDJSONStream(ctx context.Context, s *Server, w http.ResponseWriter, ts *tenantState, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + streamWriteGrace))
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{s: s, w: w, ts: ts, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
+	return &ndjsonStream{ctx: ctx, s: s, w: w, ts: ts, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
 }
 
 // streamWriteGrace is how long past the execution deadline a streaming
@@ -156,21 +161,28 @@ func (st *ndjsonStream) StartStream(_ ir.NodeID, schema cast.Schema) error {
 	return st.writeRecord(rec)
 }
 
-// EmitBatch implements core.ResultSink: deliver one batch, clamped to the
-// row cap. Once the cap is reached further batches are swallowed (the
-// execution still runs to completion so the result cache gets the full
-// result and the summary the true row count, exactly like /query).
+// EmitBatch implements core.ResultSink, and is the one place a result is cut
+// into wire records: rows up to the row cap, relational.ChunkRows to a batch
+// record, the request context read before each. Rows past the cap are not
+// sent (the execution has run to completion, so the result cache holds the
+// full result and the summary the true row count, exactly like /query).
 func (st *ndjsonStream) EmitBatch(_ ir.NodeID, b *cast.Batch) error {
-	return st.emitRows(b, 0, min(b.Rows(), st.maxRows-st.sent))
+	n := min(b.Rows(), st.maxRows)
+	for lo := 0; lo < n; lo += relational.ChunkRows {
+		if err := st.ctx.Err(); err != nil {
+			return err
+		}
+		if err := st.emitRows(b, lo, min(lo+relational.ChunkRows, n)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // emitRows sends rows [lo, hi) of b as one {"type":"batch","rows":[[..],..]}
 // line, encoded from the typed columns into a pooled buffer: one Write and
 // one Flush per record, nothing allocated per row.
 func (st *ndjsonStream) emitRows(b *cast.Batch, lo, hi int) error {
-	if hi <= lo {
-		return nil
-	}
 	buf := getWireBuf()
 	defer putWireBuf(buf)
 	line, err := b.AppendJSONRows(append(buf.b, `{"type":"batch","rows":`...), lo, hi)
@@ -181,16 +193,14 @@ func (st *ndjsonStream) emitRows(b *cast.Batch, lo, hi int) error {
 	if err := st.write(buf.b); err != nil {
 		return err
 	}
-	st.sent += hi - lo
 	st.s.st.streamRows.Add(int64(hi - lo))
 	st.s.st.streamBatches.Inc()
 	return nil
 }
 
 // replay streams a buffered outcome — a result-cache hit or a single-flight
-// follower's shared result — as if it had executed live: schema record,
-// then the cached sink batch, up to the row cap, in StreamChunkRows records.
-// Live streams chunk and encode the same way, so the two are byte-identical
+// follower's shared result — as if it had executed live: the same
+// StartStream and EmitBatch calls core makes, so the two are byte-identical
 // on the wire.
 func (st *ndjsonStream) replay(res *core.Results) error {
 	b := res.First().Batch
@@ -200,13 +210,7 @@ func (st *ndjsonStream) replay(res *core.Results) error {
 	if err := st.StartStream(0, b.Schema()); err != nil {
 		return err
 	}
-	n := min(b.Rows(), st.maxRows)
-	for lo := 0; lo < n; lo += adapter.StreamChunkRows {
-		if err := st.emitRows(b, lo, min(lo+adapter.StreamChunkRows, n)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.EmitBatch(0, b)
 }
 
 // deliver completes a served stream: whatever the execution did not stream
@@ -215,8 +219,8 @@ func (st *ndjsonStream) replay(res *core.Results) error {
 func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *obs.Tree) {
 	var err error
 	if !st.started {
-		// Cache hit, single-flight follower, or a buffered execution path:
-		// the outcome arrived materialized; replay it through the stream.
+		// Cache hit, single-flight follower, or a model-valued sink: the
+		// outcome arrived without streaming; replay it through the stream.
 		err = st.replay(res)
 	}
 	if err == nil && tree != nil {

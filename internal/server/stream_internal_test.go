@@ -193,3 +193,95 @@ func TestStreamLeaderClientGoneFollowerReelects(t *testing.T) {
 		t.Fatalf("leader error = %v, want errStreamWrite", err)
 	}
 }
+
+// cutterBatch is a rows-row batch of one int64 column k = row index.
+func cutterBatch(t *testing.T, rows int) *cast.Batch {
+	t.Helper()
+	b := cast.NewBatch(cast.MustSchema(cast.Column{Name: "k", Type: cast.Int64}), rows)
+	for i := 0; i < rows; i++ {
+		if err := b.AppendRow(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// batchRecords decodes the batch records of an NDJSON body into their row
+// counts.
+func batchRecords(t *testing.T, body string) []int {
+	t.Helper()
+	var sizes []int
+	dec := json.NewDecoder(strings.NewReader(body))
+	for dec.More() {
+		var rec struct {
+			Type string  `json:"type"`
+			Rows [][]any `json:"rows"`
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("bad NDJSON: %v\n%s", err, body)
+		}
+		if rec.Type == "batch" {
+			sizes = append(sizes, len(rec.Rows))
+		}
+	}
+	return sizes
+}
+
+// TestEmitBatchCutsUnderRowCap: one EmitBatch of 2500 rows under a 1500-row
+// cap writes a full record and the cap's remainder, and stream_rows counts
+// exactly the rows that left.
+func TestEmitBatchCutsUnderRowCap(t *testing.T) {
+	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
+	rec := httptest.NewRecorder()
+	st := newNDJSONStream(context.Background(), s, rec, nil, 1500, time.Now(), time.Minute)
+	b := cutterBatch(t, 2500)
+	if err := st.StartStream(0, b.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := s.st.streamRows.Value()
+	if err := st.EmitBatch(0, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := batchRecords(t, rec.Body.String()); len(got) != 2 || got[0] != 1024 || got[1] != 476 {
+		t.Fatalf("records of %v rows, want [1024 476]", got)
+	}
+	if got := s.st.streamRows.Value() - rows; got != 1500 {
+		t.Fatalf("stream_rows grew by %d, want 1500", got)
+	}
+}
+
+// cancelOnWrite is a response that cancels the request context once it has
+// taken n writes.
+type cancelOnWrite struct {
+	*httptest.ResponseRecorder
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnWrite) Write(p []byte) (int, error) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.ResponseRecorder.Write(p)
+}
+
+// TestEmitBatchStopsWhenCanceled: the cutter reads the request context
+// between records, so a client gone after the first batch record gets no
+// second one and the emission ends with the context's error.
+func TestEmitBatchStopsWhenCanceled(t *testing.T) {
+	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), n: 2, cancel: cancel} // schema, then one batch
+	st := newNDJSONStream(ctx, s, w, nil, 1<<20, time.Now(), time.Minute)
+	b := cutterBatch(t, 3000)
+	if err := st.StartStream(0, b.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.EmitBatch(0, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EmitBatch = %v, want context.Canceled", err)
+	}
+	if got := batchRecords(t, w.Body.String()); len(got) != 1 || got[0] != 1024 {
+		t.Fatalf("records of %v rows went out, want only the first [1024]", got)
+	}
+}

@@ -362,20 +362,21 @@ func TestStreamModelResult(t *testing.T) {
 	}
 }
 
-// TestStreamMidStreamErrorInBand pins the ISSUE's writeQueryError fix: once
-// partial results have been flushed, a mid-stream execution failure arrives
-// as the trailing in-band error record on the 200 stream — not as an HTTP
-// 500. Row 5000 of points has x = 0, so the terminal projection emits
-// several batches and then hits an integer division by zero.
+// TestStreamMidStreamErrorInBand: once partial results have been flushed, a
+// later execution failure arrives as the trailing in-band error record on
+// the 200 stream — not as an HTTP 500. The program's first sink streams
+// points in full; the second divides by x, which is 0 on row 5000.
 func TestStreamMidStreamErrorInBand(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
-	code, lines, raw := postStream(t, ts, `{"frontend":"sql","statement":"SELECT k, 10 / x AS y FROM points"}`)
+	body := programBody(`{"id":"first","op":"sql","engine":"db-clinical","sql":"SELECT k FROM points"},
+		{"id":"second","op":"sql","engine":"db-clinical","sql":"SELECT k, 10 / x AS y FROM points"}`)
+	code, lines, raw := postStream(t, ts, body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d (in-band errors must ride the committed 200): %s", code, raw)
 	}
 	schema, batches, terminal := splitStream(t, lines)
-	if schema == nil || len(batches) == 0 {
-		t.Fatalf("error arrived before any partial results: schema=%v batches=%d\n%s", schema, len(batches), raw)
+	if schema == nil || len(concatRows(batches)) != 10000 {
+		t.Fatalf("first sink not streamed in full before the failure: schema=%v batches=%d\n%s", schema, len(batches), raw)
 	}
 	if terminal.Type != "error" {
 		t.Fatalf("terminal = %+v, want in-band error", terminal)
@@ -383,11 +384,39 @@ func TestStreamMidStreamErrorInBand(t *testing.T) {
 	if terminal.Status != http.StatusInternalServerError || !strings.Contains(terminal.Error, "division by zero") {
 		t.Fatalf("error record = %+v", terminal)
 	}
-	// The buffered path, by contrast, still maps the same failure to a real
-	// HTTP 500 — nothing was flushed there.
-	bcode, _, braw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT k, 10 / x AS y FROM points"}`)
-	if bcode != http.StatusInternalServerError {
+	// A failure of the streamed node itself comes before the first byte, so
+	// both endpoints answer it with a real HTTP 500.
+	const single = `{"frontend":"sql","statement":"SELECT k, 10 / x AS y FROM points"}`
+	if scode, _, sraw := postStream(t, ts, single); scode != http.StatusInternalServerError || !strings.Contains(sraw, "division by zero") {
+		t.Fatalf("/query/stream status = %d: %s", scode, sraw)
+	}
+	if bcode, _, braw := postQuery(t, ts, single); bcode != http.StatusInternalServerError {
 		t.Fatalf("/query status = %d: %s", bcode, braw)
+	}
+}
+
+// TestStreamLiveEqualsReplay: a stream replayed from the result cache is
+// byte-identical to the live one up to the summary record, which alone says
+// whether the cache was hit. The filter keeps a tenth of the rows of every
+// 1024-row input chunk, so a stream cut per input chunk would differ from
+// one cut from the finished result.
+func TestStreamLiveEqualsReplay(t *testing.T) {
+	ts := newStreamTestServer(t, polystore.ServeConfig{})
+	body := `{"frontend":"sql","statement":"SELECT * FROM points WHERE val < 10"}`
+	records := func(want string) string {
+		t.Helper()
+		code, lines, raw := postStream(t, ts, body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, raw)
+		}
+		if _, _, terminal := splitStream(t, lines); terminal.Type != "summary" || terminal.ResultCache != want {
+			t.Fatalf("terminal = %+v, want a summary with result_cache %q", terminal, want)
+		}
+		return raw[:strings.LastIndex(strings.TrimSuffix(raw, "\n"), "\n")+1]
+	}
+	live := records("miss")
+	if replayed := records("hit"); replayed != live {
+		t.Fatalf("replay differs from the live stream: %d bytes live, %d replayed", len(live), len(replayed))
 	}
 }
 
