@@ -13,9 +13,9 @@ import (
 
 // Relational adapts a relational engine instance. Its rule table maps the
 // relational subset of the IR taxonomy onto the engine's kernels
-// (relational.Scan, Filter, Project, BuildHash/Probe, MergeJoin, GroupBy,
-// Sort, Limit) — the same functions relational.Engine.Query runs a statement
-// with.
+// (relational.Scan, Filter, Project, HashJoin, MergeJoin, GroupBy, Sort,
+// Limit) — the same functions relational.Engine.Query runs a statement with,
+// each over whole input batches.
 type Relational struct {
 	name   string
 	engine *relational.Engine
@@ -39,8 +39,8 @@ func (a *Relational) ScopedVersion(tables []string) uint64 {
 }
 
 // Ingest implements Ingestor: append one row to a table. Row values arrive
-// from JSON, so numbers are coerced to the column types (float64 -> int64
-// for integer and timestamp columns when the value is integral).
+// from JSON, an integer as int64 and any other number as float64; a float64
+// is coerced to int64 for integer and timestamp columns when it is integral.
 func (a *Relational) Ingest(_ context.Context, w Ingest) error {
 	if w.Table == "" {
 		return fmt.Errorf("%w: relational ingest needs a table", ErrBadInput)
@@ -112,11 +112,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if n.Kind == ir.OpHashJoin {
 			// The build side is indexed whole, in one sequential pass; the
 			// probe is the only part that fans out.
-			hb, err := relational.BuildHash(ctx, left.Schema(), right, lc, rc)
-			if err != nil {
-				return Value{}, info, err
-			}
-			if out, err = hb.Probe(ctx, left, parts); err != nil {
+			if out, info.Native, err = relational.HashJoin(ctx, left, right, lc, rc, parts); err != nil {
 				return Value{}, info, err
 			}
 			info.Parts = partition.Effective(left.Rows(), parts)
@@ -124,7 +120,6 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
 			}
-			info.Native = hb.Kind
 		} else {
 			if out, info.Native, err = relational.MergeJoin(ctx, left, right, lc, rc); err != nil {
 				return Value{}, info, err

@@ -323,10 +323,6 @@ type Batch struct {
 	schema Schema
 	cols   []column
 	rows   int
-	// A view is rows [off, off+rows) of root, itself an immutable view; root
-	// is nil for a batch that is not a view. Concat reads it.
-	root *Batch
-	off  int
 }
 
 // NewBatch returns an empty batch with the given schema and capacity hint.
@@ -542,14 +538,11 @@ func appendRows[T any](dst, src []T, rows []int32) []T {
 // backing array (the view keeps the old one); existing elements are never
 // written in place. The view must not be mutated, and callers appending to
 // b concurrently must synchronize the View call itself against appends (the
-// relational table takes its lock). The view is a provenance root: ranges
-// cut from it remember their offset in it.
+// relational table takes its lock).
 func (b *Batch) View() *Batch {
 	cols := make([]column, len(b.cols))
 	copy(cols, b.cols)
-	out := &Batch{schema: b.schema, cols: cols, rows: b.rows}
-	out.root = out
-	return out
+	return &Batch{schema: b.schema, cols: cols, rows: b.rows}
 }
 
 // ViewRange returns a read-only view of rows [lo, hi) sharing b's column
@@ -557,21 +550,15 @@ func (b *Batch) View() *Batch {
 // View (safe against append-only growth of b, must not be mutated); the
 // backing slices are capacity-clamped so even an erroneous append to the
 // view cannot clobber b's rows. Partition-parallel scans use it to hand each
-// worker a zero-copy row range. A range of a view records the view's root
-// and its own offset there; a range of anything else is its own root, so a
-// batch that may still grow is never reached through a view of it. A
-// selection-backed column is not gathered: the view takes a copy of its part
-// of the selection (a short view must not keep a long selection alive), or,
-// once some reader has gathered the column, a plain range of the result.
+// worker a zero-copy row range. A selection-backed column is not gathered:
+// the view takes a copy of its part of the selection (a short view must not
+// keep a long selection alive), or, once some reader has gathered the
+// column, a plain range of the result.
 func (b *Batch) ViewRange(lo, hi int) (*Batch, error) {
 	if lo < 0 || hi > b.rows || lo > hi {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRowOutOfRange, lo, hi, b.rows)
 	}
 	out := &Batch{schema: b.schema, cols: make([]column, len(b.cols)), rows: hi - lo}
-	out.root, out.off = b.root, b.off+lo
-	if b.root == nil {
-		out.root, out.off = out, 0
-	}
 	var narrowed mapped
 	for i := range b.cols {
 		c, rows := b.cols[i].read()
@@ -602,9 +589,8 @@ func (b *Batch) ViewRange(lo, hi int) (*Batch, error) {
 // ForEachChunk calls fn with consecutive zero-copy row-range views of at
 // most size rows each, in row order, stopping at the first error. The views
 // carry ViewRange's aliasing contract (read-only, safe against append-only
-// growth). Streaming result paths use it to turn a materialized batch into
-// an ordered sequence of wire-sized chunks whose concatenation is exactly
-// the batch. An empty batch yields no calls; size < 1 yields one view of the
+// growth). The migration pipe uses it to cut a batch into an ordered
+// sequence of chunks whose concatenation is exactly the batch. An empty batch yields no calls; size < 1 yields one view of the
 // whole batch.
 func (b *Batch) ForEachChunk(size int, fn func(chunk *Batch) error) error {
 	if b.rows == 0 {
@@ -687,32 +673,6 @@ func (b *Batch) Compact() *Batch {
 		out.cols[i] = *b.col(i)
 	}
 	return out
-}
-
-// Concat returns the rows of parts, in order, as one batch of schema s. One
-// part is handed back itself. Parts that tile one view root — consecutive
-// row ranges of it, as the chunks relational.Chunked filters out of a scan
-// are — come back as a single view of the root, nothing copied;
-// anything else is copied once into a batch allocated at the final size.
-func Concat(s Schema, parts []*Batch) (*Batch, error) {
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	total, tiled := 0, len(parts) > 0
-	for _, p := range parts {
-		tiled = tiled && p.root != nil && p.root == parts[0].root && p.off == parts[0].off+total
-		total += p.rows
-	}
-	if tiled && parts[0].root.schema.Equal(s) {
-		return parts[0].root.ViewRange(parts[0].off, parts[0].off+total)
-	}
-	out := NewBatch(s, total)
-	for _, p := range parts {
-		if err := out.AppendBatch(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Project returns a batch of only the named columns, sharing their storage.

@@ -508,96 +508,6 @@ func TestForEachChunk(t *testing.T) {
 	}
 }
 
-// sharesStorage reports whether a's first column starts at row off of b's.
-func sharesStorage(a, b *Batch, off int) bool {
-	ai, _ := a.Ints(0)
-	bi, _ := b.Ints(0)
-	return len(ai) > 0 && off+len(ai) <= len(bi) && &ai[0] == &bi[off]
-}
-
-// TestConcatTilesAreViews: chunks that are consecutive rows of one view come
-// back as a view of it — whether cut from the view directly or from a chunk
-// of it — and everything else (a gap, a reorder, another root, a part that
-// is no view) is copied, with the same contents either way.
-func TestConcatTilesAreViews(t *testing.T) {
-	heap := testBatch(t, 40)
-	snap := heap.View()
-	cut := func(b *Batch, lo, hi int) *Batch {
-		t.Helper()
-		v, err := b.ViewRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	var chunks []*Batch
-	if err := snap.ForEachChunk(8, func(c *Batch) error { chunks = append(chunks, c); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	nested := cut(chunks[2], 3, 8) // rows 19..24 of snap, cut from a chunk of it
-	other := heap.View()
-	plain, err := heap.Slice(24, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name     string
-		parts    []*Batch
-		lo, hi   int  // the rows of heap the result must equal, when contiguous
-		wantView bool // the result shares snap's storage at lo
-	}{
-		{"all chunks", chunks, 0, 40, true},
-		{"inner chunks", chunks[1:4], 8, 32, true},
-		{"chunk of a chunk, then its successor", []*Batch{nested, chunks[3]}, 19, 32, true},
-		{"empty chunk between", []*Batch{chunks[0], cut(snap, 8, 8), chunks[1]}, 0, 16, true},
-		{"one part is itself", chunks[4:], 32, 40, true},
-		{"gap", []*Batch{chunks[0], chunks[2]}, -1, 0, false},
-		{"reorder", []*Batch{chunks[1], chunks[0]}, -1, 0, false},
-		{"another root", []*Batch{chunks[0], cut(other, 8, 16)}, 0, 16, false},
-		{"a part that is no view", []*Batch{chunks[2], plain}, 16, 32, false},
-		{"ranges of a non-view are their own roots", []*Batch{cut(heap, 0, 8), cut(heap, 8, 16)}, 0, 16, false},
-	}
-	for _, tc := range cases {
-		got, err := Concat(heap.Schema(), tc.parts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want := NewBatch(heap.Schema(), 0)
-		for _, p := range tc.parts {
-			if err := want.AppendBatch(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !got.Equal(want) {
-			t.Errorf("%s: contents differ from the parts appended", tc.name)
-		}
-		if tc.lo >= 0 && !got.Equal(cut(heap, tc.lo, tc.hi)) {
-			t.Errorf("%s: not rows [%d,%d) of the source", tc.name, tc.lo, tc.hi)
-		}
-		if view := tc.lo >= 0 && sharesStorage(got, snap, tc.lo); view != tc.wantView {
-			t.Errorf("%s: shares the snapshot's storage = %v, want %v", tc.name, view, tc.wantView)
-		}
-	}
-	if got, err := Concat(heap.Schema(), nil); err != nil || got.Rows() != 0 || !got.Schema().Equal(heap.Schema()) {
-		t.Fatalf("no parts: %v, %v", got, err)
-	}
-	// Tiles of a root under another schema are not that schema's batch.
-	cols := slices.Clone(heap.Schema().cols)
-	cols[0].Name = "key"
-	renamed := MustSchema(cols...)
-	if _, err := Concat(renamed, chunks[:2]); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("tiles under a different schema: %v", err)
-	}
-	// A view of the concatenation tiles on: provenance survives Concat.
-	head, err := Concat(heap.Schema(), chunks[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all, err := Concat(heap.Schema(), []*Batch{head, chunks[2]}); err != nil || !sharesStorage(all, snap, 0) || all.Rows() != 24 {
-		t.Fatalf("concatenation of a concatenation: %v rows, err %v", all.Rows(), err)
-	}
-}
-
 // TestAppendJSONRowsBounds: the range is checked like every other row range
 // and a refused one leaves dst alone; no rows are the empty array.
 func TestAppendJSONRowsBounds(t *testing.T) {

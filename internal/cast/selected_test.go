@@ -119,7 +119,7 @@ func fuzzBases(t testing.TB) (*Batch, *Batch) {
 }
 
 // FuzzSelectedBatch runs a byte-coded program of Take / ViewRange / Project /
-// HConcat / Concat / AppendBatch / SortBy / Compact over a selection-backed
+// HConcat / AppendBatch / SortBy / Compact over a selection-backed
 // batch and over its eager twin, and requires the two to agree through every
 // reader whenever the program asks (op 8) and at its end. Programs that never
 // ask exercise long chains of ungathered selections; programs that ask early
@@ -194,21 +194,25 @@ func FuzzSelectedBatch(f *testing.F) {
 					t.Fatal(err)
 				}
 				want, _ = HConcat(s, want, eagerTake(t, z, sel))
-			case 4: // Concat of two ranges (adjacent ones tile, others copy)
+			case 4: // two ranges (adjacent or overlapping) appended into a fresh batch
 				lo := next() % (n + 1)
 				mid := lo + next()%(n-lo+1)
 				from := mid
 				if next()%2 == 0 {
 					from = lo
 				}
-				g1, _ := got.ViewRange(lo, mid)
-				g2, _ := got.ViewRange(from, n)
-				w1, _ := want.ViewRange(lo, mid)
-				w2, _ := want.ViewRange(from, n)
-				if got, err = Concat(got.Schema(), []*Batch{g1, g2}); err != nil {
-					t.Fatal(err)
+				g, w := NewBatch(got.Schema(), 0), NewBatch(want.Schema(), 0)
+				for _, r := range [][2]int{{lo, mid}, {from, n}} {
+					gr, _ := got.ViewRange(r[0], r[1])
+					wr, _ := want.ViewRange(r[0], r[1])
+					if err = g.AppendBatch(gr); err != nil {
+						t.Fatal(err)
+					}
+					if err = w.AppendBatch(wr); err != nil {
+						t.Fatal(err)
+					}
 				}
-				want, _ = Concat(want.Schema(), []*Batch{w1, w2})
+				got, want = g, w
 			case 5: // AppendBatch into a fresh batch, twice
 				if n > 200 {
 					continue // a program of nothing but doublings stays small

@@ -151,6 +151,8 @@ var loweringCorpus = []string{
 	"SELECT pid, age, cost FROM patients JOIN visits ON pid = vpid WHERE pid < 20",
 	"SELECT pid, age, cost FROM patients JOIN visits ON vpid = pid WHERE pid < 20",
 	"SELECT vid, age FROM visits JOIN patients ON vpid = pid WHERE vid >= 850 ORDER BY vid DESC LIMIT 7",
+	// A LIMIT over a join with no ORDER BY: the first rows the join emits.
+	"SELECT pid, age, cost FROM patients JOIN visits ON pid = vpid LIMIT 15",
 	// Empty results keep their schema.
 	"SELECT pid, age FROM patients WHERE pid < 0",
 	"SELECT gender_male AS g, count(*) AS n FROM patients WHERE age > 1000 GROUP BY gender_male",

@@ -20,16 +20,12 @@ func NewEngine(store *Store) *Engine { return &Engine{store: store} }
 func (e *Engine) Store() *Store { return e.store }
 
 // Query parses sql, lowers it (SelectStmt.Steps) and runs it, one kernel per
-// step: joins are left-deep hash joins in clause order, and the scan seeks
-// when the table has an index the WHERE clause can use. It returns the result
-// and one OpStats per step, in step order.
-//
-// Everything a step needs besides the rows of the step before it — tables,
-// schemas, the build side of each join — is resolved first, so a statement
-// that cannot run fails before any row is read. The steps after the scan then
-// run as a chain: over the whole scan at automatic fan-out, or, for a LIMIT
-// with no sort or group-by beneath it, chunk by chunk until enough rows are
-// out (Chunked), so LIMIT n reads O(n) rows of the table, not all of it.
+// step over the whole output of the step before, at automatic fan-out — the
+// way the relational adapter runs each IR node. Joins are left-deep hash joins
+// in clause order, and the scan seeks when the table has an index the WHERE
+// clause can use. It returns the result and one OpStats per step, in step
+// order: a scan's RowsIn is the rows it read, a join's its build rows plus
+// its probe rows.
 func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -38,96 +34,50 @@ func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats,
 	var buf [8]Step
 	steps := stmt.Steps(buf[:0])
 	stats := make([]OpStats, len(steps))
-	chain := make([]Kernel, 0, len(steps))
-	var in *cast.Batch     // the scan's output
-	var schema cast.Schema // of the chain's output so far
-	whole := false         // some step needs all of its input before it answers
-	limit := -1            // the LIMIT, when the chain can stop early at it
+	var out *cast.Batch // the output of the steps run so far
 	for i, st := range steps {
-		stat, k := &stats[i], Kernel(nil)
+		stat, in := &stats[i], out
+		var t *Table
+		var schema cast.Schema
 		switch st.Kind {
 		case StepScan:
-			t, err := e.store.Table(st.Table)
-			if err != nil {
-				return nil, nil, err
+			if t, err = e.store.Table(st.Table); err == nil {
+				out, stat.Kind, err = Scan(ctx, t, st.Pred)
 			}
-			if in, stat.Kind, err = Scan(ctx, t, st.Pred); err != nil {
-				return nil, nil, err
-			}
-			schema = in.Schema()
-			// The scan's place in the chain counts the rows read of it.
-			k = func(_ context.Context, b *cast.Batch, _ int) (*cast.Batch, error) { return b, nil }
 		case StepJoin:
-			t, err := e.store.Table(st.Table)
-			if err != nil {
-				return nil, nil, err
+			if t, err = e.store.Table(st.Table); err == nil {
+				right := t.Snapshot()
+				stat.RowsIn = int64(right.Rows())
+				out, stat.Kind, err = HashJoin(ctx, in, right, st.LeftCol, st.RightCol, 0)
 			}
-			right := t.Snapshot()
-			hb, err := BuildHash(ctx, schema, right, st.LeftCol, st.RightCol)
-			if err != nil {
-				return nil, nil, err
-			}
-			k, schema, stat.Kind, stat.RowsIn = hb.Probe, hb.Schema(), hb.Kind, int64(right.Rows())
 		case StepFilter:
 			stat.Kind = "Filter" + st.Pred.String()
-			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-				return Filter(ctx, b, st.Pred, parts)
-			}
+			out, err = Filter(ctx, in, st.Pred, 0)
 		case StepGroupBy:
-			grouped, err := GroupBySchema(schema, st.GroupCols, st.Aggs)
-			if err != nil {
-				return nil, nil, err
-			}
-			schema, stat.Kind, whole = grouped, "GroupBy", true
-			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-				return GroupBy(ctx, b, st.GroupCols, st.Aggs, grouped, parts)
+			stat.Kind = "GroupBy"
+			if schema, err = GroupBySchema(in.Schema(), st.GroupCols, st.Aggs); err == nil {
+				out, err = GroupBy(ctx, in, st.GroupCols, st.Aggs, schema, 0)
 			}
 		case StepProject:
-			projected, err := ProjectSchema(schema, st.Items)
-			if err != nil {
-				return nil, nil, err
-			}
-			schema, stat.Kind = projected, "Project"
-			k = func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-				return Project(ctx, b, st.Items, projected, parts)
+			stat.Kind = "Project"
+			if schema, err = ProjectSchema(in.Schema(), st.Items); err == nil {
+				out, err = Project(ctx, in, st.Items, schema, 0)
 			}
 		case StepSort:
-			stat.Kind, whole = "Sort", true
-			k = func(ctx context.Context, b *cast.Batch, _ int) (*cast.Batch, error) {
-				return Sort(ctx, b, st.OrderBy, st.N)
-			}
+			stat.Kind = "Sort"
+			out, err = Sort(ctx, in, st.OrderBy, st.N)
 		case StepLimit:
 			stat.Kind = fmt.Sprintf("Limit(%d)", st.N)
-			if !whole {
-				limit = st.N
-				continue
-			}
-			k = func(ctx context.Context, b *cast.Batch, _ int) (*cast.Batch, error) {
-				return Limit(ctx, b, st.N)
-			}
+			out, err = Limit(ctx, in, st.N)
 		}
-		chain = append(chain, func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-			out, err := k(ctx, b, parts)
-			if err == nil {
-				stat.RowsIn += int64(b.Rows())
-				stat.RowsOut += int64(out.Rows())
-			}
-			return out, err
-		})
-	}
-	out := in
-	if limit >= 0 {
-		if out, err = Chunked(ctx, in, ChunkRows, schema, chain, limit); err != nil {
+		if err != nil {
 			return nil, nil, err
 		}
-		last := &stats[len(stats)-1]
-		last.RowsIn, last.RowsOut = int64(out.Rows()), int64(out.Rows())
-		return out, stats, nil
-	}
-	for _, k := range chain {
-		if out, err = k(ctx, out, 0); err != nil {
-			return nil, nil, err
+		if in == nil {
+			in = out // the scan read what it returns
 		}
+		stat.RowsIn += int64(in.Rows())
+		stat.RowsOut = int64(out.Rows())
 	}
 	return out, stats, nil
 }

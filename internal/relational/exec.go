@@ -3,7 +3,6 @@ package relational
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -21,8 +20,9 @@ import (
 // again per task (partition.Pool.Do). What leaves a kernel is immutable and
 // shares its inputs' column storage wherever it can (see package cast).
 
-// ChunkRows is the row width of chunked work: what Chunked cuts an input
-// into, and the rows per record a streamed result is cut into.
+// ChunkRows is the rows per record a streamed result is cut into, the rows
+// of one zone-map chunk of a table heap, and how many matched pairs a join's
+// probe lists between polls of its context.
 const ChunkRows = 1024
 
 // OpStats is the execution record of one step of a statement, as
@@ -31,61 +31,6 @@ type OpStats struct {
 	Kind    string
 	RowsIn  int64
 	RowsOut int64
-}
-
-// Kernel is a one-input kernel bound to its arguments. parts is the partition
-// fan-out to run at: 0 sizes it from the input and the pool width, 1 keeps
-// one partition; the result is the same at any value.
-type Kernel func(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error)
-
-// errEnough stops Chunked's walk once the limit is met.
-var errEnough = errors.New("relational: enough rows")
-
-// Chunked runs chain over in one width-row chunk at a time, each chunk at one
-// partition, in row order, and returns the concatenation of the non-empty
-// outputs — by cast.Concat's rules, so a single output is handed back itself
-// and outputs that tile one snapshot become a view of it. With limit >= 0 the
-// walk stops as soon as limit rows are out, the last output cut to fit, and
-// reads nothing of in beyond the chunk that got there. schema is the chain's
-// output schema. ctx is read per chunk.
-func Chunked(ctx context.Context, in *cast.Batch, width int, schema cast.Schema, chain []Kernel, limit int) (*cast.Batch, error) {
-	var outs []*cast.Batch
-	total := 0
-	step := func(chunk *cast.Batch) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if limit >= 0 && total >= limit {
-			return errEnough
-		}
-		var err error
-		for _, k := range chain {
-			if chunk, err = k(ctx, chunk, 1); err != nil {
-				return err
-			}
-		}
-		if limit >= 0 && total+chunk.Rows() > limit {
-			if chunk, err = chunk.ViewRange(0, limit-total); err != nil {
-				return err
-			}
-		}
-		if chunk.Rows() == 0 {
-			return nil
-		}
-		total += chunk.Rows()
-		outs = append(outs, chunk)
-		return nil
-	}
-	var err error
-	if in.Rows() > 0 && in.Rows() <= width {
-		err = step(in) // the one chunk is the batch itself: no view of it is cut
-	} else {
-		err = in.ForEachChunk(width, step)
-	}
-	if err != nil && err != errEnough {
-		return nil, err
-	}
-	return cast.Concat(schema, outs)
 }
 
 // Scan reads table t by the access path Table.SeekRange chooses for pred: the
@@ -133,10 +78,10 @@ func ProjectSchema(in cast.Schema, items []ProjItem) (cast.Schema, error) {
 }
 
 // Project evaluates items per row of in into a batch under schema, which is
-// ProjectSchema of in's — resolved by the caller, once, however many chunks
-// it projects. It fails with the error of the lowest failing row, and there
-// of the leftmost failing item. Computed items fan out over row-range
-// partitions (parallel.go); bare columns share in's storage.
+// ProjectSchema of in's, resolved by the caller. It fails with the error of
+// the lowest failing row, and there of the leftmost failing item. Computed
+// items fan out over row-range partitions (parallel.go); bare columns share
+// in's storage.
 func Project(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema, parts int) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -154,55 +99,39 @@ func orientJoin(right cast.Schema, leftCol, rightCol string) (string, string) {
 	return leftCol, rightCol
 }
 
-// HashBuild is the build half of a hash equi-join: the right input indexed by
-// its key column, ready for any number of probes. The output schema is
-// left ++ right.
-type HashBuild struct {
-	// Kind names the join for reports, ON columns probe side first.
-	Kind string
-
-	schema cast.Schema
-	li     int // probe key column
-	table  *joinTable
-	right  *cast.Batch
-}
-
-// BuildHash indexes right for a join on left.leftCol = right.rightCol against
-// probe batches of schema left; the two columns may be given in either order.
-// The build is one sequential pass that chains every right row into a hash
-// table of two arrays (join_parallel.go).
-func BuildHash(ctx context.Context, left cast.Schema, right *cast.Batch, leftCol, rightCol string) (*HashBuild, error) {
+// HashJoin hash equi-joins left and right on left.leftCol = right.rightCol,
+// the two columns given in either order; the output schema is left ++ right,
+// in left's row order with each row's matches in right-row order. right is
+// the build side, indexed in one sequential pass into a chained table of two
+// arrays; the probe of left fans out one task per partition with an
+// order-preserving merge (join_parallel.go), and gathers neither side. ctx is
+// read before each partition and once per ChunkRows matched pairs, so a
+// cancelled join stops within one batch of output however many rows its keys
+// multiply into. The second result names the join for reports, ON columns
+// probe side first.
+func HashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, string, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	leftCol, rightCol = orientJoin(right.Schema(), leftCol, rightCol)
-	schema, err := left.Concat(right.Schema())
+	schema, err := left.Schema().Concat(right.Schema())
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	ci, err := right.Schema().Index(BaseName(rightCol))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	li, err := left.Index(BaseName(leftCol))
+	li, err := left.Schema().Index(BaseName(leftCol))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	table := buildJoinTable(right, ci, left.Col(li).Type)
-	return &HashBuild{Kind: fmt.Sprintf("HashJoin(%s=%s)", leftCol, rightCol), schema: schema, li: li, table: table, right: right}, nil
-}
-
-// Schema returns the join's output schema.
-func (h *HashBuild) Schema() cast.Schema { return h.schema }
-
-// Probe is the join's Kernel: the rows of in matched against the build side,
-// in in's row order with each row's matches in build-row order. It fans out
-// one task per probe partition with an order-preserving merge
-// (join_parallel.go), and gathers neither side. ctx is read before each
-// partition and once per ChunkRows matched pairs, so a cancelled join stops
-// within one batch of output however many rows its keys multiply into.
-func (h *HashBuild) Probe(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error) {
-	return parProbe(ctx, in, h.li, h.table, h.right, h.schema, parts)
+	table := buildJoinTable(right, ci, left.Schema().Col(li).Type)
+	out, err := parProbe(ctx, left, li, table, right, schema, parts)
+	if err != nil {
+		return nil, "", err
+	}
+	return out, fmt.Sprintf("HashJoin(%s=%s)", leftCol, rightCol), nil
 }
 
 // MergeJoin sort-merge equi-joins two inputs on int64 key columns, given in

@@ -23,9 +23,9 @@ import (
 // several), and lists the matched (left row, build row) pairs as two
 // selections. Both sides are then taken once, in partition order
 // (takeSels) — the same order-preserving discipline parallel.go uses — so
-// the output equals the sequential streaming probe's concatenated batches
-// row for row. A task polls ctx once per ChunkRows pairs it lists, so a join
-// whose output explodes stops within one batch of its cancellation.
+// the output equals a one-partition probe's row for row. A task polls ctx
+// once per ChunkRows pairs it lists, so a join whose output explodes stops
+// within one batch of its cancellation.
 
 // joinTable is a chained hash table from join key to build-side row indices.
 // Keys are typed: the int64 values when both sides' key columns are

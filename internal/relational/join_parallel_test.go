@@ -84,26 +84,25 @@ func newJoinTables(t testing.TB, c joinCase) (*Table, *Table) {
 	return left, right
 }
 
-// seqJoin is the sequential join: build at one partition, probe ChunkRows
-// rows at a time at one partition.
-func seqJoin(t *testing.T, left, right *cast.Batch, buildParts int) *cast.Batch {
+// seqJoin is the one-partition join, the baseline every fan-out is held to.
+func seqJoin(t *testing.T, left, right *cast.Batch) *cast.Batch {
 	t.Helper()
-	hb, err := BuildHash(context.Background(), left.Schema(), right, "k", "k2")
+	out, err := hashJoin(context.Background(), left, right, "k", "k2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sequential(t, left, hb.Schema(), hb.Probe)
+	return out
 }
 
-// TestParallelHashJoinEquivalence pins build/probe fan-out at 1/2/7/64 and
-// checks every partitioning produces exactly the sequential join's output,
+// TestParallelHashJoinEquivalence pins the probe's fan-out at 1/2/7/64 and
+// checks every partitioning produces exactly the one-partition join's output,
 // across empty, single-row, all-collide, and skewed keys.
 func TestParallelHashJoinEquivalence(t *testing.T) {
 	for _, c := range joinCases() {
 		t.Run(c.name, func(t *testing.T) {
 			lt, rt := newJoinTables(t, c)
 			left, right := lt.Snapshot(), rt.Snapshot()
-			want := seqJoin(t, left, right, 1)
+			want := seqJoin(t, left, right)
 			for _, parts := range partCounts {
 				got, err := hashJoin(context.Background(), left, right, "k", "k2", parts)
 				if err != nil {
@@ -115,19 +114,6 @@ func TestParallelHashJoinEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelHashJoinStreamingProbe checks a partitioned build under a
-// chunk-by-chunk probe — the streamed join — still matches the baseline.
-func TestParallelHashJoinStreamingProbe(t *testing.T) {
-	lt, rt := newJoinTables(t, joinCases()[4]) // uniform
-	left, right := lt.Snapshot(), rt.Snapshot()
-	want := seqJoin(t, left, right, 1)
-	for _, parts := range partCounts {
-		if got := seqJoin(t, left, right, parts); !got.Equal(want) {
-			t.Fatalf("parts=%d: streaming-probe output differs from sequential", parts)
-		}
 	}
 }
 
@@ -187,27 +173,6 @@ func TestParallelJoinSQLEquivalence(t *testing.T) {
 	}
 	if got.Rows() != r {
 		t.Fatalf("sql %q: %d rows, want %d", sql, got.Rows(), r)
-	}
-}
-
-// TestJoinLimitKeepsStreamingProbe guards LIMIT early-exit through a join:
-// the probe-side scan must stop after a few chunks instead of being probed
-// whole (the build side necessarily reads everything).
-func TestJoinLimitKeepsStreamingProbe(t *testing.T) {
-	store := joinOracleTables(t, "join-limit", 20000, 50)
-	out, stats, err := NewEngine(store).Query(context.Background(), "SELECT oid, name FROM orders JOIN users ON uid_fk = uid LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 10 {
-		t.Fatalf("rows = %d, want 10", out.Rows())
-	}
-	if st := stats[0]; st.Kind != "SeqScan(orders)" || st.RowsIn == 0 || st.RowsIn >= 20000 {
-		t.Fatalf("probe scan %+v under LIMIT 10 — the probe did not stop early", st)
-	}
-	// The join read the probe rows the scan fed it and all 50 build rows.
-	if st := stats[1]; st.Kind != "HashJoin(uid_fk=uid)" || st.RowsIn != stats[0].RowsOut+50 {
-		t.Fatalf("join %+v after scan %+v", st, stats[0])
 	}
 }
 
@@ -280,8 +245,7 @@ func sameBucket(t *testing.T, rows, n int) []int64 {
 // and their order, over seeded tables: heavy key duplication on both sides,
 // the int64 extremes, keys that share a bucket, an empty and a one-row build,
 // and the key pairs that meet across types (Int64 with Timestamp by value,
-// Int64 with Float64 by rendering). Each runs buffered at 1/2/7/64
-// partitions and streamed chunk by chunk at two chunk widths.
+// Int64 with Float64 by rendering). Each runs at 1/2/7/64 partitions.
 func TestHashJoinEqualsNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	ints := func(n int, pick func() int64) []int64 {
@@ -336,13 +300,10 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 			}
 			if c.name == "same-bucket" {
 				// The build must really chain several keys into one bucket.
-				hb, err := BuildHash(ctx, left.Schema(), right, "lk", "rk")
-				if err != nil {
-					t.Fatal(err)
-				}
+				table := buildJoinTable(right, 1, cast.Int64)
 				keys := map[int64]bool{}
-				for e := hb.table.head[hashInt(0)>>hb.table.shift]; e != 0; e = hb.table.next[e-1] {
-					keys[hb.table.ints[e-1]] = true
+				for e := table.head[hashInt(0)>>table.shift]; e != 0; e = table.next[e-1] {
+					keys[table.ints[e-1]] = true
 				}
 				if len(keys) < 2 {
 					t.Fatalf("bucket of key 0 holds %d keys, want several", len(keys))
@@ -354,20 +315,7 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				if diff := diffRows(got, want); diff != "" {
-					t.Fatalf("buffered at parts %d: %s", parts, diff)
-				}
-			}
-			hb, err := BuildHash(ctx, left.Schema(), right, "lk", "rk")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, width := range []int{37, ChunkRows} {
-				got, err := Chunked(ctx, left, width, hb.Schema(), []Kernel{hb.Probe}, -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if diff := diffRows(got, want); diff != "" {
-					t.Fatalf("streamed at width %d: %s", width, diff)
+					t.Fatalf("parts %d: %s", parts, diff)
 				}
 			}
 		})
@@ -376,7 +324,7 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 
 // TestHashJoinProbeStopsWhenCancelled: two 6 000-row tables on a two-valued
 // key join into 18 M pairs. A context cancelled right after the probe's
-// first poll must stop it within one batch of pairs: Probe answers
+// first poll must stop it within one batch of pairs: HashJoin answers
 // context.Canceled having allocated a few KiB, not the pair lists.
 func TestHashJoinProbeStopsWhenCancelled(t *testing.T) {
 	keys := make([]int64, 6000)
@@ -384,13 +332,10 @@ func TestHashJoinProbeStopsWhenCancelled(t *testing.T) {
 		keys[i] = int64(i % 2)
 	}
 	left, right := joinSide{cast.Int64, keys}.batch(t, "lid", "lk"), joinSide{cast.Int64, keys}.batch(t, "rid", "rk")
-	hb, err := BuildHash(context.Background(), left.Schema(), right, "lk", "rk")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	out, err := hb.Probe(&afterChecks{Context: context.Background(), n: 1}, left, 1)
+	// Two checks pass: HashJoin's on entry and the one partition's start.
+	out, _, err := HashJoin(&afterChecks{Context: context.Background(), n: 2}, left, right, "lk", "rk", 1)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, context.Canceled) || out != nil {
 		t.Fatalf("probe returned %v rows and error %v, want context.Canceled and nothing", out, err)

@@ -43,10 +43,6 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := BuildHash(context.Background(), orders.Schema(), users, "user_id", "uid")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
@@ -58,10 +54,7 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 		{"filter", cancelled, func(ctx context.Context) (any, error) { return Filter(ctx, users, pred, 1) }},
 		{"filter/parts=7", cancelled, func(ctx context.Context) (any, error) { return Filter(ctx, users, pred, 7) }},
 		{"project", cancelled, func(ctx context.Context) (any, error) { return Project(ctx, users, items, projected, 1) }},
-		{"hash-build", cancelled, func(ctx context.Context) (any, error) {
-			return BuildHash(ctx, orders.Schema(), users, "user_id", "uid")
-		}},
-		{"hash-probe", cancelled, func(ctx context.Context) (any, error) { return hb.Probe(ctx, orders, 1) }},
+		{"hash-join", cancelled, func(ctx context.Context) (any, error) { return hashJoin(ctx, orders, users, "user_id", "uid", 1) }},
 		{"merge-join", cancelled, func(ctx context.Context) (any, error) {
 			b, _, err := MergeJoin(ctx, orders, users, "user_id", "uid")
 			return b, err
@@ -75,33 +68,22 @@ func TestKernelsHonorCancelledContext(t *testing.T) {
 		}},
 		{"sort", cancelled, func(ctx context.Context) (any, error) { return Sort(ctx, users, []OrderItem{{Col: "age"}}, -1) }},
 		{"limit", cancelled, func(ctx context.Context) (any, error) { return Limit(ctx, users, 10) }},
-		{"chunked", cancelled, func(ctx context.Context) (any, error) {
-			return Chunked(ctx, users, 7, users.Schema(), nil, -1)
-		}},
 	} {
 		out, err := tc.run(tc.ctx)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: error %v, want context.Canceled", tc.name, err)
 		}
-		switch v := out.(type) {
-		case *cast.Batch:
-			if v != nil {
-				t.Errorf("%s: returned %d rows beside its error", tc.name, v.Rows())
-			}
-		case *HashBuild:
-			if v != nil {
-				t.Errorf("%s: returned a build beside its error", tc.name)
-			}
+		if v, _ := out.(*cast.Batch); v != nil {
+			t.Errorf("%s: returned %d rows beside its error", tc.name, v.Rows())
 		}
 	}
 }
 
-// TestChunkWidths: a filter, a projection and a hash-join probe run chunk by
-// chunk at widths 1, 7, ChunkRows and rows+1 — a chunk per row, chunks that
-// do not divide the input, the width served, one chunk — return exactly the
-// result of the same kernel over the whole input; when a row fails, they
-// fail with the whole-input run's error — the first failing row's — and
-// return nothing.
+// TestChunkWidths: a filter, a projection and a hash join run at 1, 2, 7
+// and 64 partitions — row ranges of every width down to one that does not
+// divide the input — return exactly the result of the same kernels over the
+// whole input at automatic fan-out; when a row fails, they fail with the
+// whole-input run's error — the first failing row's — and return nothing.
 func TestChunkWidths(t *testing.T) {
 	const rows, bad = 2500, 1500
 	in := cast.NewBatch(cast.MustSchema(
@@ -122,48 +104,50 @@ func TestChunkWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hb, err := BuildHash(context.Background(), in.Schema(), build, "k", "k2")
-	if err != nil {
-		t.Fatal(err)
+	probe := func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
+		return hashJoin(ctx, b, build, "k", "k2", parts)
 	}
 	id, lit := ColRef{Name: "id"}, func(v int64) Expr { return Const{V: v} }
 	// 10 / (id - bad) divides by zero on row bad, and on no other.
 	failing := Bin{Op: OpDiv, L: lit(10), R: Bin{Op: OpSub, L: id, R: lit(bad)}}
-	project := func(items ...ProjItem) (Kernel, cast.Schema) { return projectK(t, in.Schema(), items) }
-	okProject, okSchema := project(ProjItem{E: id, Name: "id"}, ProjItem{E: Bin{Op: OpMul, L: id, R: lit(3)}, Name: "triple"})
-	badProject, badSchema := project(ProjItem{E: id, Name: "id"}, ProjItem{E: failing, Name: "q"})
-	for _, tc := range []struct {
-		name   string
-		schema cast.Schema
-		chain  []Kernel
-	}{
-		{"filter", in.Schema(), []Kernel{filterK(Bin{Op: OpLt, L: ColRef{Name: "k"}, R: lit(11)})}},
-		{"filter/failing-row", in.Schema(), []Kernel{filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
-		{"project", okSchema, []Kernel{okProject}},
-		{"project/failing-row", badSchema, []Kernel{badProject}},
-		{"probe", hb.Schema(), []Kernel{hb.Probe}},
-		// A probe has no row it can fail on; the filter over it does.
-		{"probe/failing-row", hb.Schema(), []Kernel{hb.Probe, filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
-	} {
-		want, wantErr := in, error(nil)
-		for _, k := range tc.chain {
-			if wantErr == nil {
-				want, wantErr = k(context.Background(), want, 0)
+	project := func(items ...ProjItem) kernel { return projectK(t, in.Schema(), items) }
+	okProject := project(ProjItem{E: id, Name: "id"}, ProjItem{E: Bin{Op: OpMul, L: id, R: lit(3)}, Name: "triple"})
+	badProject := project(ProjItem{E: id, Name: "id"}, ProjItem{E: failing, Name: "q"})
+	run := func(chain []kernel, parts int) (out *cast.Batch, err error) {
+		out = in
+		for _, k := range chain {
+			if out, err = k(context.Background(), out, parts); err != nil {
+				return out, err
 			}
 		}
-		for _, width := range []int{1, 7, ChunkRows, rows + 1} {
-			got, err := Chunked(context.Background(), in, width, tc.schema, tc.chain, -1)
+		return out, nil
+	}
+	for _, tc := range []struct {
+		name  string
+		chain []kernel
+	}{
+		{"filter", []kernel{filterK(Bin{Op: OpLt, L: ColRef{Name: "k"}, R: lit(11)})}},
+		{"filter/failing-row", []kernel{filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
+		{"project", []kernel{okProject}},
+		{"project/failing-row", []kernel{badProject}},
+		{"probe", []kernel{probe}},
+		// A probe has no row it can fail on; the filter over it does.
+		{"probe/failing-row", []kernel{probe, filterK(Bin{Op: OpLt, L: failing, R: lit(3)})}},
+	} {
+		want, wantErr := run(tc.chain, 0)
+		for _, parts := range partCounts {
+			got, err := run(tc.chain, parts)
 			if !sameError(err, wantErr) {
-				t.Fatalf("%s at width %d: error %v, the whole input's is %v", tc.name, width, err, wantErr)
+				t.Fatalf("%s at parts %d: error %v, the whole input's is %v", tc.name, parts, err, wantErr)
 			}
 			if err != nil {
 				if got != nil {
-					t.Fatalf("%s at width %d: returned %d rows beside its error", tc.name, width, got.Rows())
+					t.Fatalf("%s at parts %d: returned %d rows beside its error", tc.name, parts, got.Rows())
 				}
 				continue
 			}
 			if !got.Equal(want) {
-				t.Fatalf("%s at width %d: returned %d rows, the whole input gives %d", tc.name, width, got.Rows(), want.Rows())
+				t.Fatalf("%s at parts %d: returned %d rows, the whole input gives %d", tc.name, parts, got.Rows(), want.Rows())
 			}
 		}
 	}

@@ -289,22 +289,6 @@ func BenchmarkGroupBy40k(b *testing.B) {
 	})
 }
 
-// BenchmarkChunkedSingleBatch is the hand-off Engine.Query ends with when its
-// input fits one chunk: the batch through a kernel that keeps every row, then
-// out of Chunked. It must cost no copy — the view the filter hands on, and
-// nothing per row of the 200k.
-func BenchmarkChunkedSingleBatch(b *testing.B) {
-	in := benchTable(b).Snapshot()
-	chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}})}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out, err := Chunked(context.Background(), in, in.Rows(), in.Schema(), chain, -1); err != nil || out.Rows() != in.Rows() {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkZoneScanFilter is scan -> filter for id >= 190000 over the same
 // 200k clustered rows: the zone map leaves the scan the last 11 of the heap's
 // 196 chunks, as one view, and the filter keeps a run of it.

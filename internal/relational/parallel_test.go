@@ -3,7 +3,6 @@ package relational
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -40,21 +39,11 @@ func newParTable(t *testing.T, n int) *Table {
 	return tab
 }
 
-// whole runs k once over all of in at parts.
-func whole(t *testing.T, in *cast.Batch, k Kernel, parts int) *cast.Batch {
+// whole runs k once over all of in at parts; at parts 1 it is the
+// one-partition baseline every partitioned run is held to.
+func whole(t *testing.T, in *cast.Batch, k kernel, parts int) *cast.Batch {
 	t.Helper()
 	out, err := k(context.Background(), in, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// sequential runs chain the way a streamed request does — ChunkRows rows at a
-// time, each at one partition — the baseline every partitioned run is held to.
-func sequential(t *testing.T, in *cast.Batch, schema cast.Schema, chain ...Kernel) *cast.Batch {
-	t.Helper()
-	out, err := Chunked(context.Background(), in, ChunkRows, schema, chain, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +61,7 @@ func pred() Expr {
 func TestParallelFilterEquivalence(t *testing.T) {
 	for _, rows := range []int{0, 1, 5000} {
 		in := newParTable(t, rows).Snapshot()
-		want := sequential(t, in, in.Schema(), filterK(pred()))
+		want := whole(t, in, filterK(pred()), 1)
 		for _, parts := range partCounts {
 			if got := whole(t, in, filterK(pred()), parts); !got.Equal(want) {
 				t.Fatalf("rows=%d parts=%d: filter output differs from sequential", rows, parts)
@@ -89,8 +78,8 @@ func TestParallelProjectEquivalence(t *testing.T) {
 	}
 	for _, rows := range []int{0, 1, 5000} {
 		in := newParTable(t, rows).Snapshot()
-		project, schema := projectK(t, in.Schema(), items)
-		want := sequential(t, in, schema, project)
+		project := projectK(t, in.Schema(), items)
+		want := whole(t, in, project, 1)
 		for _, parts := range partCounts {
 			if got := whole(t, in, project, parts); !got.Equal(want) {
 				t.Fatalf("rows=%d parts=%d: project output differs from sequential", rows, parts)
@@ -100,7 +89,7 @@ func TestParallelProjectEquivalence(t *testing.T) {
 }
 
 // groupK binds a group-by to its arguments.
-func groupK(groupCols []string, aggs []AggSpec) Kernel {
+func groupK(groupCols []string, aggs []AggSpec) kernel {
 	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
 		return groupBy(ctx, b, groupCols, aggs, parts)
 	}
@@ -137,7 +126,7 @@ func TestParallelPipelineEquivalence(t *testing.T) {
 		{Fn: AggCount, Col: "", As: "n"},
 		{Fn: AggSum, Col: "val", As: "total"},
 	})
-	want := whole(t, sequential(t, in, in.Schema(), filterK(pred())), group, 1)
+	want := whole(t, whole(t, in, filterK(pred()), 1), group, 1)
 	for _, fp := range partCounts {
 		for _, gp := range partCounts {
 			if got := whole(t, whole(t, in, filterK(pred()), fp), group, gp); !got.Equal(want) {
@@ -208,42 +197,3 @@ func TestParallelSQLEquivalence(t *testing.T) {
 }
 
 func contextBG() context.Context { return context.Background() }
-
-// TestLimitKeepsStreaming guards LIMIT early-exit: with no sort or group-by
-// beneath it, the filter/project chain runs chunk by chunk and the scan stops
-// after a few chunks instead of being read whole.
-func TestLimitKeepsStreaming(t *testing.T) {
-	store := NewStore("limit")
-	s := cast.MustSchema(
-		cast.Column{Name: "id", Type: cast.Int64},
-		cast.Column{Name: "val", Type: cast.Float64},
-	)
-	tab, err := store.CreateTable("rows", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		if err := tab.Insert(int64(i), float64(i)*0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, stats, err := NewEngine(store).Query(contextBG(), "SELECT id, val FROM rows WHERE id >= 0 LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 10 {
-		t.Fatalf("rows = %d, want 10", out.Rows())
-	}
-	scanned := false
-	for _, st := range stats {
-		if strings.HasPrefix(st.Kind, "SeqScan") {
-			scanned = true
-			if st.RowsIn == 0 || st.RowsIn >= 20000 {
-				t.Fatalf("SeqScan read %d rows under LIMIT 10 — the chain did not stop early", st.RowsIn)
-			}
-		}
-	}
-	if !scanned {
-		t.Fatalf("no scan among %+v", stats)
-	}
-}

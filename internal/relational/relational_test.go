@@ -57,15 +57,17 @@ func newTestStore(t testing.TB, n int) *Store {
 	return s
 }
 
-// filterK and projectK bind a kernel to its arguments, as Engine.Query and the
-// adapter do.
-func filterK(pred Expr) Kernel {
+// kernel is a one-input kernel bound to its arguments, run at parts.
+type kernel func(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error)
+
+// filterK and projectK bind a kernel to its arguments.
+func filterK(pred Expr) kernel {
 	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
 		return Filter(ctx, b, pred, parts)
 	}
 }
 
-func projectK(t testing.TB, in cast.Schema, items []ProjItem) (Kernel, cast.Schema) {
+func projectK(t testing.TB, in cast.Schema, items []ProjItem) kernel {
 	t.Helper()
 	schema, err := ProjectSchema(in, items)
 	if err != nil {
@@ -73,17 +75,13 @@ func projectK(t testing.TB, in cast.Schema, items []ProjItem) (Kernel, cast.Sche
 	}
 	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
 		return Project(ctx, b, items, schema, parts)
-	}, schema
+	}
 }
 
-// hashJoin is the whole join: build over right, probe with left, both at
-// parts.
+// hashJoin is HashJoin without the join's report name.
 func hashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, error) {
-	hb, err := BuildHash(ctx, left.Schema(), right, leftCol, rightCol)
-	if err != nil {
-		return nil, err
-	}
-	return hb.Probe(ctx, left, parts)
+	out, _, err := HashJoin(ctx, left, right, leftCol, rightCol, parts)
+	return out, err
 }
 
 // groupBy resolves the output schema and aggregates in at parts.
@@ -159,11 +157,10 @@ func TestSnapshotIsolatedFromInserts(t *testing.T) {
 	}
 }
 
-// TestStreamedScanDrainsToSnapshotView: a range filter run chunk by chunk
-// over a scan yields consecutive ranges of one table snapshot, and Chunked
-// answers with a view of that snapshot instead of a copy — while a writer
+// TestStreamedScanDrainsToSnapshotView: a range filter over a scan reads
+// one snapshot of the table and answers exactly its rows — while a writer
 // keeps appending to the table (-race validates that nothing behind the
-// view's frozen length, and nothing of the live heap, is read).
+// snapshot's frozen length, and nothing of the live heap, is read).
 func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 	const rows, from = 5000, 700
 	s := NewStore("db")
@@ -183,23 +180,16 @@ func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks := 0
-		count := func(_ context.Context, b *cast.Batch, _ int) (*cast.Batch, error) { chunks++; return b, nil }
-		chain := []Kernel{filterK(Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}}), count}
-		out, err := Chunked(ctx, in, ChunkRows, in.Schema(), chain, -1)
+		out, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ids, _ := out.Ints(0); chunks < 2 || len(ids) < rows-from || ids[0] != from || ids[rows-from-1] != rows-1 {
-			t.Fatalf("streamed %d chunks, %d rows starting at %d", chunks, len(ids), ids[0])
+		if ids, _ := out.Ints(0); len(ids) < rows-from || ids[0] != from || ids[rows-from-1] != rows-1 {
+			t.Fatalf("filtered %d rows starting at %d", len(ids), ids[0])
 		}
 		return out
 	}
-	got, _ := scan().Ints(0)
-	heap, _ := tb.Snapshot().Ints(0)
-	if &got[0] != &heap[from] {
-		t.Fatal("Chunked copied chunks that tile one snapshot")
-	}
+	scan()
 
 	done := make(chan struct{})
 	go func() {
@@ -379,7 +369,8 @@ func TestSeqScanAndFilter(t *testing.T) {
 	// The same steps as statements, and what they report of them. Every
 	// chunk holds an age over 60, so that predicate prunes nothing and the
 	// scan reads the heap. uid is clustered: only the first chunk's zone
-	// admits uid < 100, so the scan reads those 1024 rows, not 2500.
+	// admits uid < 100, so the scan reads those 1024 rows, not 2500. A
+	// join reads its build side (7500 orders) and every probe row.
 	for _, tc := range []struct {
 		sql  string
 		want []OpStats
@@ -391,6 +382,11 @@ func TestSeqScanAndFilter(t *testing.T) {
 		{"SELECT * FROM users WHERE uid < 100", []OpStats{
 			{Kind: "ZoneScan(users.uid)", RowsIn: ChunkRows, RowsOut: ChunkRows},
 			{Kind: "Filter" + pred.String(), RowsIn: ChunkRows, RowsOut: 100},
+		}},
+		{"SELECT * FROM users JOIN orders ON uid = user_id WHERE uid < 100", []OpStats{
+			{Kind: "SeqScan(users)", RowsIn: 2500, RowsOut: 2500},
+			{Kind: "HashJoin(uid=user_id)", RowsIn: 7500 + 2500, RowsOut: 7500},
+			{Kind: "Filter" + pred.String(), RowsIn: 7500, RowsOut: 300},
 		}},
 	} {
 		_, stats, err := NewEngine(s).Query(ctx, tc.sql)
@@ -446,7 +442,7 @@ func TestProject(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 10)
 	users, _ := s.Table("users")
-	p, _ := projectK(t, users.Schema(), []ProjItem{
+	p := projectK(t, users.Schema(), []ProjItem{
 		{E: ColRef{Name: "name"}, Name: "n"},
 		{E: Bin{OpAdd, ColRef{Name: "age"}, Const{V: int64(1)}}, Name: "age_next"},
 	})

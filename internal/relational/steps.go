@@ -45,9 +45,9 @@ type Step struct {
 // join per JOIN clause, filter, then either group-by (plus a projection when
 // the select list is not exactly the group-by output) or the select-list
 // projection, sort, limit — the sort told the limit, so it keeps only that
-// many rows. It is the one place clause order is decided:
-// Engine.Query maps steps to kernels and the IR frontend (eide) maps them to
-// nodes, one for one. The steps are appended to dst, so a caller that lowers a
+// many rows. It is the one place clause order is decided: Engine.Query runs
+// one kernel per step, and the IR frontend (eide) maps steps to nodes, one
+// for one, that the relational adapter runs with the same kernels. The steps are appended to dst, so a caller that lowers a
 // statement per request can keep the list off the heap.
 func (s *SelectStmt) Steps(dst []Step) []Step {
 	scan := Step{Kind: StepScan, Table: s.From}

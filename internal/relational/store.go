@@ -4,9 +4,10 @@
 // group-by, sort, limit) as plain functions from whole input batches to one
 // output batch — the unit the Polystore++ middleware dispatches, costs and
 // offloads (§III-A1) — and a SQL-subset frontend. Engine.Query runs a
-// statement as one loop over its lowered steps (SelectStmt.Steps), one kernel
-// per step, and reports one OpStats per step; the relational adapter runs IR
-// nodes with the same kernels.
+// statement as one loop over its lowered steps (SelectStmt.Steps), each
+// step's kernel over the whole output of the step before, and reports one
+// OpStats per step; the relational adapter runs IR nodes with the same
+// kernels the same way.
 package relational
 
 import (

@@ -293,28 +293,6 @@ func TestFilterStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestChunkedSingleBatchShares: an input that fits one chunk goes through a
-// kernel and Chunked by reference — the kernel is handed the batch itself,
-// its one output is the result, and a filter that keeps every row hands on
-// the same column storage, nothing copied.
-func TestChunkedSingleBatchShares(t *testing.T) {
-	in := vecBatch(t, rand.New(rand.NewSource(1)), 100)
-	var handed []*cast.Batch
-	keepAll := func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-		handed = append(handed, b)
-		return Filter(ctx, b, Bin{Op: OpGe, L: ColRef{Name: "j"}, R: Const{V: int64(0)}}, parts)
-	}
-	out, err := Chunked(context.Background(), in, ChunkRows, in.Schema(), []Kernel{keepAll}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := out.Ints(0)
-	want, _ := in.Ints(0)
-	if len(handed) != 1 || handed[0] != in || len(got) != 100 || &got[0] != &want[0] {
-		t.Fatalf("Chunked copied a single-batch result (handed %d)", len(handed))
-	}
-}
-
 // TestIndexScanReadsItsOpenSnapshot: the row ids an index scan resolved index
 // the snapshot taken with them, and no row is gathered before it is read — so
 // rows inserted between the scan and its first reader neither appear nor shift

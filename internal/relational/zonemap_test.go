@@ -135,8 +135,8 @@ func zoneValues(n int, id func(i int) int64) []int64 {
 }
 
 // TestZoneScanEqualsSeqScan: whatever path the scan takes over whatever
-// layout, its rows filtered by the predicate — buffered at 1, 2, 7 and 64
-// partitions, and chunk by chunk — are row for row those of the heap snapshot
+// layout, its rows filtered by the predicate at 1, 2, 7 and 64 partitions
+// are row for row those of the heap snapshot
 // filtered by it. A scan that prunes reads fewer rows than the heap; one that
 // does not is the snapshot, and a predicate with no integer conjunct never
 // prunes.
@@ -166,10 +166,6 @@ func TestZoneScanEqualsSeqScan(t *testing.T) {
 				if err != nil || !got.Equal(want) {
 					t.Fatalf("%s: %s at %d partitions over %s: %d rows, want %d (%v)", tc.name, pred, parts, kind, got.Rows(), want.Rows(), err)
 				}
-			}
-			got, err := Chunked(ctx, scanned, ChunkRows, scanned.Schema(), []Kernel{filterK(pred)}, -1)
-			if err != nil || !got.Equal(want) {
-				t.Fatalf("%s: %s chunked over %s: %d rows, want %d (%v)", tc.name, pred, kind, got.Rows(), want.Rows(), err)
 			}
 		}
 		if tc.n > ChunkRows && pruned == 0 {

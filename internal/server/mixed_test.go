@@ -105,7 +105,8 @@ func TestIngestValidation(t *testing.T) {
 		{`{"series":"x","ts":1,"value":2}`, http.StatusBadRequest},
 		{`{"engine":"db-clinical","table":"patients","row":[1]}`, http.StatusBadRequest}, // arity mismatch
 		{`{"engine":"db-clinical","table":"missing","row":[1]}`, http.StatusBadRequest},
-		{`{"engine":"ml","series":"x","ts":1,"value":2}`, http.StatusBadRequest}, // no Ingestor
+		{`{"engine":"db-clinical","table":"patients","row":[1e19,95,1,0]}`, http.StatusBadRequest}, // beyond int64
+		{`{"engine":"ml","series":"x","ts":1,"value":2}`, http.StatusBadRequest},                   // no Ingestor
 		{`{"engine":"ts-vitals","series":"ingest/t","ts":5,"value":1.5}`, http.StatusOK},
 	} {
 		if code, raw := postIngest(t, ts, tc.body); code != tc.want {
@@ -142,6 +143,20 @@ func TestResultCacheByteBound(t *testing.T) {
 	}
 	if stats.Bytes != 0 {
 		t.Fatalf("result_cache_bytes = %d, want 0 (nothing admitted)", stats.Bytes)
+	}
+}
+
+// TestIngestIntegersExact: an integer literal reaches an Int64 column
+// exactly, past the 2^53 a float64 holds.
+func TestIngestIntegersExact(t *testing.T) {
+	_, ts := newTestDeployment(t, polystore.ServeConfig{})
+	row := `{"engine":"db-clinical","table":"patients","row":[9007199254740993,95,1,0]}`
+	if code, raw := postIngest(t, ts, row); code != http.StatusOK {
+		t.Fatalf("ingest: code=%d: %s", code, raw)
+	}
+	read := `{"frontend":"sql","statement":"SELECT pid FROM patients WHERE pid > 9007199254740000"}`
+	if code, _, raw := postQuery(t, ts, read); code != http.StatusOK || !strings.Contains(raw, `"rows":[[9007199254740993]]`) {
+		t.Fatalf("read back: code=%d: %s", code, raw)
 	}
 }
 

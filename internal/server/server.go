@@ -473,10 +473,13 @@ func postOnly(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
-// unknown fields; on failure it writes the 400 and returns false.
+// unknown fields; on failure it writes the 400 and returns false. A number
+// bound to an untyped field (IngestRequest.Row) stays a json.Number, so an
+// integer beyond 2^53 is not rounded through float64.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
+	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -922,7 +925,7 @@ func (s *Server) summarize(req *QueryRequest, res *core.Results, rep *core.Repor
 type IngestRequest struct {
 	Engine string `json:"engine"`
 	// Relational: append one row (JSON values; numbers are coerced to the
-	// column types).
+	// column types, and an integer literal is kept exact).
 	Table string `json:"table,omitempty"`
 	Row   []any  `json:"row,omitempty"`
 	// Timeseries: append one point.
@@ -963,6 +966,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !s.decodeBody(w, r, &req) {
 		return
+	}
+	// A row number is an int64 when it is one exactly, else a float64; the
+	// adapter coerces either to its column's type.
+	for i, v := range req.Row {
+		n, ok := v.(json.Number)
+		if !ok {
+			continue
+		}
+		if iv, err := n.Int64(); err == nil {
+			req.Row[i] = iv
+			continue
+		}
+		f, err := n.Float64()
+		if err != nil {
+			s.st.badRequest.Inc()
+			writeError(w, http.StatusBadRequest, "bad request body: row value %d: %v", i, err)
+			return
+		}
+		req.Row[i] = f
 	}
 	if req.Engine == "" {
 		s.st.badRequest.Inc()

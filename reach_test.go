@@ -26,9 +26,9 @@ var reachAllow = map[string]string{
 	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, resultcache_test, tenant_e2e_test, fuzz_test and server_bench_test)",
 	"compiler.Plan.Graph":        "test oracle: the compiler and core suites read the optimized graph's consumers and nodes by id through it (TestCompileInsertsMigrations, TestOneMigrationPerProducerAndEngine, TestSubtreesChainCandidates, TestSimulatedSchedulingRespectsDependencies, TestExecuteStreamEqualsExecute, TestChargeKernelPinnedDevice)",
 	"core.NodeReport.Start":      "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
-	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter, TestQueryUsesIndexScan, TestLimitKeepsStreaming and TestJoinLimitKeepsStreamingProbe read the access path Engine.Query chose through it",
-	"relational.OpStats.RowsIn":  "test oracle: TestLimitKeepsStreaming and TestJoinLimitKeepsStreamingProbe prove through it that a LIMIT stops the scan early",
-	"relational.OpStats.RowsOut": "test oracle: TestJoinLimitKeepsStreamingProbe checks the probe read every scanned row through it, and TestSeqScanAndFilter the rows each step kept",
+	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan read the access path Engine.Query chose through it",
+	"relational.OpStats.RowsIn":  "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
+	"relational.OpStats.RowsOut": "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows each step kept",
 	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"graphstore.Store.BFS":       "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
