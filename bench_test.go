@@ -1,10 +1,10 @@
 package polystore
 
 // The benchmark harness: one testing.B benchmark per experiment of
-// DESIGN.md §3 (every figure scenario and quantitative claim of the paper).
-// Each benchmark regenerates its experiment table; `go test -bench=.`
-// therefore reproduces the full evaluation. cmd/polybench prints the same
-// tables for human reading; EXPERIMENTS.md records paper-vs-measured.
+// internal/experiments (every figure scenario and quantitative claim of the
+// paper, PAPER.md). Each benchmark regenerates its experiment table;
+// `go test -bench=.` therefore reproduces the full evaluation.
+// cmd/polybench prints the same tables for human reading.
 
 import (
 	"testing"

@@ -1,8 +1,8 @@
-// Command polybench regenerates the reproduction experiments E1–E15 of
-// DESIGN.md and prints their tables. With -loadgen it instead drives a
-// running polyserve instance with N concurrent clients and reports served
-// throughput, latency percentiles and, across tenants, whether a
-// well-behaved tenant's tail stays bounded beside an abuser — the
+// Command polybench regenerates the reproduction experiments E1–E15 (the
+// paper's figures and claims) and prints their tables. With -loadgen it
+// instead drives a running polyserve instance with N concurrent clients and
+// reports served throughput, latency percentiles and, across tenants,
+// whether a well-behaved tenant's tail stays bounded beside an abuser — the
 // multi-tenant fairness smoke CI runs. Streamed, mixed-write and
 // similar-family traffic is `go run ./bench -workload <name>`.
 //
@@ -50,9 +50,9 @@ func (b *bodyList) Set(v string) error {
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), `polybench — Polystore++ reproduction experiments and tenant-fairness load generator
 
-Default mode runs the DESIGN.md experiment suite (E1..E15). With -loadgen it
-drives a running polyserve over HTTP with concurrent clients and reports
-throughput, latency percentiles and per-tenant fairness.
+Default mode runs the experiment suite (E1..E15, the paper's figures and
+claims). With -loadgen it drives a running polyserve over HTTP with concurrent
+clients and reports throughput, latency percentiles and per-tenant fairness.
 
 Usage:
   polybench [flags]

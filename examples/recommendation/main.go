@@ -1,7 +1,8 @@
 // Recommendation: the Figure 1 enterprise-analytics scenario — customers
 // and transactions live in the RDBMS, clickstreams in the timeseries store,
-// external events in the KV store. The program federates all three and
-// clusters customers for next-best-offer targeting.
+// external events in the KV store. The program federates all three: it
+// clusters customers for next-best-offer targeting and reads the promo mix
+// of their external events.
 package main
 
 import (
@@ -53,6 +54,8 @@ func run() error {
 	j2 := p.Join(db, j1, clicks, "cid", "vpid")
 	// Cluster customers on spend and click behaviour for offer targeting.
 	clusters := p.KMeans(datagen.MLEngine, j2, []string{"spend", "n_tx", "rate_mean"}, 4, 20)
+	// The external events each customer carries, from the KV store.
+	events := p.KVScan(data.KV.Name(), "event/")
 
 	res, rep, err := sys.Run(ctx, p)
 	if err != nil {
@@ -68,6 +71,15 @@ func run() error {
 		counts[c]++
 	}
 	fmt.Printf("clustered %d customers into %d offer segments: %v\n", out.Rows(), len(counts), counts)
+	promos, err := res.Values[events].Batch.Strings(1)
+	if err != nil {
+		return err
+	}
+	mix := map[string]int{}
+	for _, promo := range promos {
+		mix[promo]++
+	}
+	fmt.Printf("%d customers carry an external event across %d promos: %v\n", len(promos), len(mix), mix)
 	fmt.Printf("simulated latency %.3f ms, %d cross-engine migrations (%d bytes)\n",
 		rep.Latency*1e3, rep.Migrations, rep.MigratedBytes)
 

@@ -397,15 +397,7 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 	switch n.Kind {
 	case ir.OpKVScan:
 		prefix := n.StringAttr("prefix")
-		found := a.store.ScanPrefix(prefix)
-		keys, vals := make([]string, 0, len(found)), make([]string, 0, len(found))
-		for _, k := range found {
-			v, err := a.store.Get(k)
-			if err != nil {
-				continue // raced with expiry
-			}
-			keys, vals = append(keys, k), append(vals, string(v))
-		}
+		keys, vals := a.store.ScanPrefix(prefix)
 		s := cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
 		out, err := cast.BatchOf(s, keys, vals)
 		if err != nil {

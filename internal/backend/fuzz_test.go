@@ -3,9 +3,11 @@ package backend
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -80,6 +82,57 @@ func FuzzWALFrame(f *testing.F) {
 		if err != nil || truncated || n != wantBytes || !slices.EqualFunc(got, want, bytes.Equal) {
 			t.Fatalf("second replay = (%d bytes, truncated %t, %v, %d payloads), want (%d, false, nil, %d)",
 				n, truncated, err, len(got), wantBytes, len(want))
+		}
+	})
+}
+
+// FuzzSnapshotDecode writes arbitrary bytes as the snapshot file and
+// restores it into the three stores, seeded with a real snapshot, its
+// truncations and a flipped section CRC. restoreSnapshot must never panic
+// and never allocate beyond a fixed amount plus a multiple of the file's own
+// size, whatever lengths its header and sections claim; a file that fails
+// verification restores nothing, and the real snapshot restores whole.
+func FuzzSnapshotDecode(f *testing.F) {
+	src := newStores(f)
+	writeMix(f, src, 0, 40)
+	dir := f.TempDir() // executions within one process run one at a time
+	if _, err := writeSnapshot(dir, map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, snapFile)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := len(snap); cut >= 0; cut -= 1 + len(snap)/16 {
+		f.Add(snap[:cut])
+	}
+	badCRC := slices.Clone(snap)
+	badCRC[len(snapMagic)+4+4+len("db")+8] ^= 1 // the first section's CRC
+	f.Add(badCRC)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newStores(t)
+		attached := map[string]Durable{"kv": s.kv, "ts": s.ts, "db": s.rel}
+		before := versions(s)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, ok, err := restoreSnapshot(Config{Dir: dir}, attached)
+		runtime.ReadMemStats(&m1)
+		if got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(512<<10+64*len(data)); got > budget {
+			t.Fatalf("restoring a %d-byte snapshot allocated %d", len(data), got)
+		}
+		if (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat)) && versions(s) != before {
+			t.Fatalf("an unverified snapshot moved store versions %v -> %v (%v)", before, versions(s), err)
+		}
+		if bytes.Equal(data, snap) {
+			if !ok || err != nil {
+				t.Fatalf("the real snapshot: ok=%t, %v", ok, err)
+			}
+			assertEquiv(t, src, s)
 		}
 	})
 }

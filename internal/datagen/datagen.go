@@ -6,7 +6,7 @@
 // in the timeseries store), and a Snorkel-style unlabeled corpus
 // (Figure 3). The real MIMIC data is access-restricted; the generator
 // reproduces the join keys, cardinality ratios and feature/label
-// correlations the experiments exercise (see DESIGN.md §1).
+// correlations the experiments exercise.
 package datagen
 
 import (

@@ -1,7 +1,7 @@
-// Package experiments implements the reproduction experiments E1–E15 of
-// DESIGN.md: one per figure scenario and per quantitative claim of the
-// paper. Each experiment returns a Table that cmd/polybench prints and
-// bench_test.go measures; EXPERIMENTS.md records paper-vs-measured.
+// Package experiments implements the reproduction experiments E1–E15: one
+// per figure scenario and per quantitative claim of the paper (PAPER.md).
+// Each experiment returns a Table that cmd/polybench prints and the root
+// bench_test.go measures.
 package experiments
 
 import (
@@ -76,7 +76,9 @@ func runProgram(ctx context.Context, rt *core.Runtime, g *ir.Graph, opts compile
 	return rt.Execute(ctx, plan)
 }
 
-// --- E1: Figure 1 — recommendation across RDBMS + KV + timeseries ---
+// --- E1: Figure 1 — recommendation across RDBMS + timeseries ---
+// (The Figure 1 KV read, the external events, runs in
+// examples/recommendation.)
 
 // E01Recommendation compares one-size-fits-all, federated polystore, and
 // Polystore++ execution of the Figure 1 recommendation workload.

@@ -4,21 +4,22 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // FuzzApply feeds arbitrary bytes to the recovery path, seeded from records
-// a live store journaled. Apply must never panic, never allocate beyond a
-// multiple of the record's own size whatever lengths it claims, and leave
-// the store's version unchanged when it reports an error.
+// a live store journaled and from the refused delete and expiring-put
+// records. Apply must never panic, never allocate beyond a multiple of the
+// record's own size whatever lengths it claims, and leave the store's
+// version unchanged when it reports an error.
 func FuzzApply(f *testing.F) {
 	src := New("kv")
 	src.SetJournal(func(record []byte) { f.Add(append([]byte(nil), record...)) })
 	src.Put("k1", []byte("value"))
-	src.PutTTL("k2", []byte("ttl"), time.Hour)
+	src.Put("k2", []byte("other"))
 	src.Put("k1", nil)
-	src.Delete("k2")
 	src.SetJournal(nil)
+	f.Add(deleteRecord("k2", 3))
+	f.Add(putRecord("k2", 3, 1_700_000_000_000_000_000, 1_700_000_060_000_000_000, "ttl"))
 
 	f.Fuzz(func(t *testing.T, record []byte) {
 		s := New("kv")
@@ -41,12 +42,13 @@ func FuzzApply(f *testing.F) {
 }
 
 // FuzzRestore feeds arbitrary bytes to the snapshot loader, seeded with a
-// live store's Snapshot section and truncations of it. Restore into an
-// empty store must return an error or nil, never panic.
+// live store's Snapshot section, truncations of it, and the refused
+// expiring entry and three-entry key list. Restore into an empty store must
+// return an error or nil, never panic.
 func FuzzRestore(f *testing.F) {
 	src := New("kv")
 	src.Put("k1", []byte("value"))
-	src.PutTTL("k2", []byte("ttl"), time.Hour)
+	src.Put("k2", []byte("other"))
 	src.Put("k3", nil)
 	var snap bytes.Buffer
 	if err := src.Snapshot(&snap); err != nil {
@@ -55,6 +57,8 @@ func FuzzRestore(f *testing.F) {
 	for cut := snap.Len(); cut >= 0; cut -= 1 + snap.Len()/16 {
 		f.Add(snap.Bytes()[:cut])
 	}
+	f.Add(sectionWith("k", 1_700_000_060_000_000_000))
+	f.Add(sectionWith("k", 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, section []byte) {
 		_ = New("kv").Restore(bytes.NewReader(section))

@@ -33,8 +33,6 @@ var reachAllow = map[string]string{
 	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"graphstore.Store.BFS":       "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
 	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
-	"kvstore.Store.Delete":       "writes the WAL's delete op, which Apply replays on recovery: FuzzApply seeds it and TestShardedVersionMonotonic races it against puts",
-	"kvstore.WithClock":          "test seam: TestTTLExpiry and TestVersionAdvancesOnTTLExpiry can only expire a TTL on a substituted clock",
 	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
 	"tensor.Transpose":           "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
 	"tensor.Sub":                 "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
