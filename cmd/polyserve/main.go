@@ -58,7 +58,7 @@ through a write-ahead log with snapshot compaction: acknowledged ingests
 survive a crash, and a restart over the same directory recovers them instead
 of reseeding. -wal-sync trades durability for write latency (group,
 interval, off); -snapshot-bytes sets the log size that triggers compaction.
-Text and stream engines are demo-seeded only and always reseed.
+The text engine is demo-seeded only and always reseeds.
 
 Usage:
   polyserve [flags]

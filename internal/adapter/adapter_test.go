@@ -153,7 +153,7 @@ func TestGraphAdapter(t *testing.T) {
 	gs := graphstore.New()
 	gs.AddNode(graphstore.Node{ID: 1, Label: "a"})
 	gs.AddNode(graphstore.Node{ID: 2, Label: "b"})
-	if err := gs.AddEdge(graphstore.Edge{From: 1, To: 2, Type: "x", Weight: 2}); err != nil {
+	if err := gs.AddEdge(graphstore.Edge{From: 1, To: 2, Type: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	a := NewGraph("g", gs)
@@ -163,12 +163,8 @@ func TestGraphAdapter(t *testing.T) {
 	if err != nil || out.Rows() != 1 {
 		t.Fatalf("match = %d rows, %v", out.Rows(), err)
 	}
-	path, _, err := a.Execute(ctx, node(ir.OpGraphPath, "g", map[string]any{"src": "1", "dst": "2"}), nil)
-	if err != nil || path.Rows() != 2 {
-		t.Fatalf("path = %d rows, %v", path.Rows(), err)
-	}
-	if _, _, err := a.Execute(ctx, node(ir.OpGraphPath, "g", map[string]any{"src": "x", "dst": "2"}), nil); !errors.Is(err, ErrBadNode) {
-		t.Fatalf("bad src: %v", err)
+	if _, _, err := a.Execute(ctx, node(ir.OpTextSearch, "g", map[string]any{"query": "x"}), nil); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("unsupported: %v", err)
 	}
 }
 
@@ -190,6 +186,20 @@ func TestTimeseriesAdapterEntitySummary(t *testing.T) {
 	}
 	if info.RowsIn == 0 {
 		t.Fatal("no input rows recorded")
+	}
+	// The summary is a mean, and a step without a prefix has nothing to
+	// summarize: both are the request's mistake.
+	for _, attrs := range []map[string]any{
+		{"series_prefix": "vitals/", "agg": "max"},
+		{"series_prefix": "vitals/", "agg": "median"},
+		{"agg": "mean"},
+	} {
+		if _, _, err := a.Execute(ctx, node(ir.OpTSWindow, "ts", attrs), nil); !errors.Is(err, ErrBadNode) {
+			t.Fatalf("%v: err = %v, want ErrBadNode", attrs, err)
+		}
+	}
+	if out, _, err := a.Execute(ctx, node(ir.OpTSWindow, "ts", map[string]any{"series_prefix": "vitals/", "agg": "mean"}), nil); err != nil || out.Rows() != 60 {
+		t.Fatalf("agg mean: %v", err)
 	}
 }
 

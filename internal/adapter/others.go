@@ -17,7 +17,6 @@ import (
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/mlengine"
 	"polystorepp/internal/relational"
-	"polystorepp/internal/streamstore"
 	"polystorepp/internal/tensor"
 	"polystorepp/internal/textstore"
 	"polystorepp/internal/timeseries"
@@ -57,35 +56,6 @@ func (a *Graph) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecIn
 		}
 		info.RowsOut = int64(out.Rows())
 		info.Native = fmt.Sprintf("MATCH (:%s)-[:%s]->(:%s)", n.StringAttr("label_a"), n.StringAttr("edge_type"), n.StringAttr("label_b"))
-		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Edges())}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
-
-	case ir.OpGraphPath:
-		src, err := strconv.ParseInt(n.StringAttr("src"), 10, 64)
-		if err != nil {
-			return Value{}, info, fmt.Errorf("%w: bad src: %v", ErrBadNode, err)
-		}
-		dst, err := strconv.ParseInt(n.StringAttr("dst"), 10, 64)
-		if err != nil {
-			return Value{}, info, fmt.Errorf("%w: bad dst: %v", ErrBadNode, err)
-		}
-		path, w, err := a.store.ShortestPath(graphstore.NodeID(src), graphstore.NodeID(dst))
-		if err != nil {
-			return Value{}, info, err
-		}
-		s := cast.MustSchema(
-			cast.Column{Name: "hop", Type: cast.Int64},
-			cast.Column{Name: "node", Type: cast.Int64},
-			cast.Column{Name: "total_weight", Type: cast.Float64},
-		)
-		out := cast.NewBatch(s, len(path))
-		for i, id := range path {
-			if err := out.AppendRow(int64(i), int64(id), w); err != nil {
-				return Value{}, info, err
-			}
-		}
-		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("ShortestPath(%d->%d)", src, dst)
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Edges())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
@@ -168,45 +138,19 @@ func (a *Timeseries) Ingest(_ context.Context, w Ingest) error {
 }
 
 // Execute implements Adapter.
-func (a *Timeseries) Execute(ctx context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
+func (a *Timeseries) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
 	info := ExecInfo{RuleNodes: 1}
 	switch n.Kind {
 	case ir.OpTSWindow:
-		if prefix := n.StringAttr("series_prefix"); prefix != "" {
-			return a.entitySummary(prefix, info)
+		prefix := n.StringAttr("series_prefix")
+		if prefix == "" {
+			return Value{}, info, fmt.Errorf("%w: ts-window without series_prefix", ErrBadNode)
 		}
-		agg, err := parseAgg(n.StringAttr("agg"))
-		if err != nil {
-			return Value{}, info, err
+		// The summary is a per-series mean; no other aggregate is offered.
+		if agg := n.StringAttr("agg"); agg != "" && agg != "mean" {
+			return Value{}, info, fmt.Errorf("%w: unknown agg %q", ErrBadNode, agg)
 		}
-		parts := int(n.IntAttr("parts"))
-		wrs, err := a.store.WindowN(n.StringAttr("series"), n.IntAttr("from"), n.IntAttr("to"), n.IntAttr("width"), agg, parts)
-		if err != nil {
-			return Value{}, info, err
-		}
-		starts, vals, counts := make([]int64, len(wrs)), make([]float64, len(wrs)), make([]int64, len(wrs))
-		var items int64
-		for i, w := range wrs {
-			starts[i], vals[i], counts[i] = w.Start, w.Value, int64(w.N)
-			items += int64(w.N)
-		}
-		s := cast.MustSchema(
-			cast.Column{Name: "start", Type: cast.Timestamp},
-			cast.Column{Name: "value", Type: cast.Float64},
-			cast.Column{Name: "n", Type: cast.Int64},
-		)
-		out, err := cast.BatchOf(s, starts, vals, counts)
-		if err != nil {
-			return Value{}, info, err
-		}
-		info.RowsIn = items
-		info.RowsOut = int64(out.Rows())
-		// The window fold's automatic fan-out is chunk-count-driven inside the
-		// store; only an explicit pin is observable here (0 = automatic).
-		info.Parts = parts
-		info.Native = fmt.Sprintf("Window(%s, %d)", n.StringAttr("series"), n.IntAttr("width"))
-		info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: items, Bytes: items * 16}, OutBytes: out.ByteSize()}}
-		return Value{Batch: out}, info, nil
+		return a.entitySummary(prefix, info)
 
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on timeseries engine", ErrUnsupported, n.Kind)
@@ -287,79 +231,6 @@ func (a *Timeseries) entitySummary(prefix string, info ExecInfo) (Value, ExecInf
 	info.RowsOut = int64(out.Rows())
 	info.Native = fmt.Sprintf("EntitySummary(%s*)", prefix)
 	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: items, Bytes: items * 16}, OutBytes: out.ByteSize()}}
-	return Value{Batch: out}, info, nil
-}
-
-func parseAgg(s string) (timeseries.AggKind, error) {
-	switch s {
-	case "mean", "":
-		return timeseries.AggMean, nil
-	case "sum":
-		return timeseries.AggSum, nil
-	case "min":
-		return timeseries.AggMin, nil
-	case "max":
-		return timeseries.AggMax, nil
-	case "count":
-		return timeseries.AggCount, nil
-	case "last":
-		return timeseries.AggLast, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown agg %q", ErrBadNode, s)
-	}
-}
-
-// --- Stream adapter ---
-
-// Stream adapts a stream engine instance.
-type Stream struct {
-	name  string
-	store *streamstore.Store
-}
-
-// NewStream returns a stream adapter.
-func NewStream(name string, store *streamstore.Store) *Stream {
-	return &Stream{name: name, store: store}
-}
-
-// Engine implements Adapter.
-func (a *Stream) Engine() string { return a.name }
-
-// DataVersion implements DataVersioner.
-func (a *Stream) DataVersion() uint64 { return a.store.Version() }
-
-// Execute implements Adapter.
-func (a *Stream) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
-	if n.Kind != ir.OpStreamWindow {
-		return Value{}, info, fmt.Errorf("%w: %s on stream engine", ErrUnsupported, n.Kind)
-	}
-	spec := streamstore.WindowSpec{Width: n.IntAttr("width"), Slide: n.IntAttr("slide")}
-	if spec.Slide == 0 {
-		spec.Slide = spec.Width
-	}
-	outs, err := a.store.WindowAggregate(n.StringAttr("stream"), n.IntAttr("from"), n.IntAttr("to"), spec)
-	if err != nil {
-		return Value{}, info, err
-	}
-	s := cast.MustSchema(
-		cast.Column{Name: "start", Type: cast.Timestamp},
-		cast.Column{Name: "key", Type: cast.String},
-		cast.Column{Name: "mean", Type: cast.Float64},
-		cast.Column{Name: "n", Type: cast.Int64},
-	)
-	out := cast.NewBatch(s, len(outs))
-	var items int64
-	for _, w := range outs {
-		items += int64(w.Count)
-		if err := out.AppendRow(w.Start, w.Key, w.Mean(), int64(w.Count)); err != nil {
-			return Value{}, info, err
-		}
-	}
-	info.RowsIn = items
-	info.RowsOut = int64(out.Rows())
-	info.Native = fmt.Sprintf("StreamWindow(%s)", n.StringAttr("stream"))
-	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: items, Bytes: items * 24}, OutBytes: out.ByteSize()}}
 	return Value{Batch: out}, info, nil
 }
 

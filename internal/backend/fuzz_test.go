@@ -110,6 +110,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	badCRC := slices.Clone(snap)
 	badCRC[len(snapMagic)+4+4+len("db")+8] ^= 1 // the first section's CRC
 	f.Add(badCRC)
+	f.Add(repeatedSection(f, snap, "kv"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -135,4 +136,49 @@ func FuzzSnapshotDecode(f *testing.F) {
 			assertEquiv(t, src, s)
 		}
 	})
+}
+
+// repeatedSection returns snap with its sections replaced by two copies of
+// the one named name: every CRC matches, only the name order is wrong.
+func repeatedSection(t testing.TB, snap []byte, name string) []byte {
+	t.Helper()
+	off := len(snapMagic) + 4
+	for n := binary.LittleEndian.Uint32(snap[len(snapMagic):]); n > 0; n-- {
+		nameLen := int(binary.LittleEndian.Uint32(snap[off:]))
+		end := off + 4 + nameLen + 12 + int(binary.LittleEndian.Uint64(snap[off+4+nameLen:]))
+		if string(snap[off+4:off+4+nameLen]) == name {
+			out := append([]byte(snapMagic), 2, 0, 0, 0)
+			return append(append(out, snap[off:end]...), snap[off:end]...)
+		}
+		off = end
+	}
+	t.Fatalf("snapshot has no section %q", name)
+	return nil
+}
+
+// TestSnapshotRepeatedSectionRejected: a CRC-valid snapshot that carries one
+// store's section twice fails verification and restores nothing.
+func TestSnapshotRepeatedSectionRejected(t *testing.T) {
+	src := newStores(t)
+	writeMix(t, src, 0, 40)
+	dir := t.TempDir()
+	if _, err := writeSnapshot(dir, map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapFile)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, repeatedSection(t, snap, "kv"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newStores(t)
+	before := versions(s)
+	if _, ok, err := restoreSnapshot(Config{Dir: dir}, map[string]Durable{"kv": s.kv, "ts": s.ts, "db": s.rel}); ok || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("restore = ok %t, %v; want ErrCorrupt", ok, err)
+	}
+	if after := versions(s); after != before || s.kv.Len() != 0 {
+		t.Fatalf("a rejected snapshot moved store versions %v -> %v (%d kv keys)", before, after, s.kv.Len())
+	}
 }

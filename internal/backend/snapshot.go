@@ -185,6 +185,11 @@ func verifySnapshot(f *os.File) (sections []section, size int64, err error) {
 		if n, _ := io.CopyN(crc, br, sec.n); n != sec.n || crc.Sum32() != binary.LittleEndian.Uint32(tail[8:]) {
 			return nil, 0, fmt.Errorf("%w: snapshot section %q", ErrCorrupt, sec.name)
 		}
+		// The writer emits one section per store in name order; a repeated
+		// or unordered name would restore a store twice.
+		if k := len(sections); k > 0 && sec.name <= sections[k-1].name {
+			return nil, 0, fmt.Errorf("%w: snapshot section %q after %q", ErrCorrupt, sec.name, sections[k-1].name)
+		}
 		sections = append(sections, sec)
 		size = sec.off + sec.n
 	}

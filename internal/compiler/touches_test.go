@@ -25,7 +25,7 @@ func TestTouchesOfMultiEngine(t *testing.T) {
 	if _, err := p.SQL("db", "SELECT pid FROM patients"); err != nil {
 		t.Fatal(err)
 	}
-	p.TSWindow("ts", "vitals/1/hr", 0, 100, 10, "mean")
+	p.Graph().Add(ir.OpTSWindow, "ts", map[string]any{"series_prefix": "vitals/"})
 	p.KVScan("kv", "session/")
 	got := TouchesOf(p.Graph())
 	if tables := got.ByEngine["db"]; !reflect.DeepEqual(tables, []string{"patients"}) {

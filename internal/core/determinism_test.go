@@ -70,7 +70,7 @@ func figure5Case(t *testing.T) (*Runtime, *ir.Graph) {
 		for e := 0; e < 5; e++ {
 			if err := gs.AddEdge(graphstore.Edge{
 				From: graphstore.NodeID(u), To: graphstore.NodeID(100000 + rng.Intn(products)),
-				Type: "bought", Weight: 1,
+				Type: "bought",
 			}); err != nil {
 				t.Fatal(err)
 			}

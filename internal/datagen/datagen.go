@@ -1,10 +1,9 @@
 // Package datagen generates the synthetic workloads of the experiments:
 // a MIMIC-III-like clinical dataset (Figure 2: relational admissions, ICU
-// stay records, bedside vitals timeseries, clinical notes, device-event
-// streams), a retail recommendation dataset (Figure 1: customers and
-// transactions in the RDBMS, external events in the KV store, clickstreams
-// in the timeseries store), and a Snorkel-style unlabeled corpus
-// (Figure 3). The real MIMIC data is access-restricted; the generator
+// stay records, bedside vitals timeseries, clinical notes), a retail
+// recommendation dataset (Figure 1: customers and transactions in the
+// RDBMS, external events in the KV store, clickstreams in the timeseries
+// store), and a Snorkel-style unlabeled corpus (Figure 3). The real MIMIC data is access-restricted; the generator
 // reproduces the join keys, cardinality ratios and feature/label
 // correlations the experiments exercise.
 package datagen
@@ -18,7 +17,6 @@ import (
 	"polystorepp/internal/eide"
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/relational"
-	"polystorepp/internal/streamstore"
 	"polystorepp/internal/textstore"
 	"polystorepp/internal/timeseries"
 )
@@ -34,7 +32,6 @@ type Clinical struct {
 	Relational *relational.Store // patients, admissions, stays
 	Timeseries *timeseries.Store // vitals/<pid>/hr, vitals/<pid>/spo2
 	Text       *textstore.Store  // clinical notes
-	Stream     *streamstore.Store
 }
 
 // PatientsSchema is the schema of the patients table.
@@ -86,7 +83,6 @@ func NewClinical() *Clinical {
 		Relational: relational.NewStore("db-clinical"),
 		Timeseries: timeseries.New("ts-vitals"),
 		Text:       textstore.New("txt-notes"),
-		Stream:     streamstore.New("st-devices"),
 	}
 }
 
@@ -145,8 +141,6 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 			if err := c.Timeseries.Append(fmt.Sprintf("vitals/%d/spo2", pid), ts, spo2); err != nil {
 				return nil, err
 			}
-			// Matching device events in the stream store.
-			c.Stream.Append("icu-events", streamstore.Event{TS: ts, Key: fmt.Sprintf("p%d", pid), Value: hr})
 		}
 		spo2Mean := spo2Sum / 48
 

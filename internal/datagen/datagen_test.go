@@ -40,9 +40,6 @@ func TestGenerateClinicalShape(t *testing.T) {
 	if data.Text.Len() != 40 {
 		t.Fatalf("notes = %d", data.Text.Len())
 	}
-	if n := data.Stream.Append("icu-events"); n != 40*48 { // appending no events returns the log length
-		t.Fatalf("events = %d", n)
-	}
 	// Indexes exist for the §III worked example.
 	if !patients.HasBTree("pid") || !adm.HasBTree("pid") {
 		t.Fatal("pid indexes missing")

@@ -2,7 +2,7 @@
 // Polystore++ (§III, §IV-A): the programming surface where users assemble
 // heterogeneous programs from sub-programs in different paradigms — SQL for
 // relational stores, a Cypher-ish pattern language for graph stores, method
-// calls for timeseries/stream/text/ML work — and get back one annotated
+// calls for text, key/value and ML work — and get back one annotated
 // data-flow graph (the IR of Figure 5) for the compiler. The built-in
 // programs — the Figure 2 pipeline and the natural-language templates —
 // target the engines a Binding names.
@@ -94,23 +94,14 @@ func (p *Program) SQL(engine, sql string) (ir.NodeID, error) {
 var cypherMatch = regexp.MustCompile(
 	`(?i)^\s*MATCH\s*\(\s*\w*\s*:\s*(\w+)\s*\)\s*-\s*\[\s*:\s*(\w+)\s*\]\s*->\s*\(\s*\w*\s*:\s*(\w+)\s*\)\s*$`)
 
-// cypherPath recognizes: PATH <src> TO <dst>
-var cypherPath = regexp.MustCompile(`(?i)^\s*PATH\s+(\d+)\s+TO\s+(\d+)\s*$`)
-
 // Cypher adds a graph sub-program on the named engine from a Cypher-ish
-// string. Supported forms:
+// string. The one supported form is a pattern match:
 //
-//	MATCH (a:LabelA)-[:TYPE]->(b:LabelB)   — pattern match
-//	PATH <srcID> TO <dstID>                — weighted shortest path
+//	MATCH (a:LabelA)-[:TYPE]->(b:LabelB)
 func (p *Program) Cypher(engine, query string) (ir.NodeID, error) {
 	if m := cypherMatch.FindStringSubmatch(query); m != nil {
 		return p.g.Add(ir.OpGraphMatch, engine, map[string]any{
 			"label_a": m[1], "edge_type": m[2], "label_b": m[3],
-		}), nil
-	}
-	if m := cypherPath.FindStringSubmatch(query); m != nil {
-		return p.g.Add(ir.OpGraphPath, engine, map[string]any{
-			"src": m[1], "dst": m[2],
 		}), nil
 	}
 	return 0, fmt.Errorf("%w: unsupported cypher %q", ErrFrontend, query)
@@ -119,20 +110,6 @@ func (p *Program) Cypher(engine, query string) (ir.NodeID, error) {
 // TextSearch adds a ranked text retrieval node (AND semantics, top-k).
 func (p *Program) TextSearch(engine, query string, k int) ir.NodeID {
 	return p.g.Add(ir.OpTextSearch, engine, map[string]any{"query": query, "k": int64(k)})
-}
-
-// TSWindow adds a timeseries tumbling-window aggregation node.
-func (p *Program) TSWindow(engine, series string, from, to, width int64, agg string) ir.NodeID {
-	return p.g.Add(ir.OpTSWindow, engine, map[string]any{
-		"series": series, "from": from, "to": to, "width": width, "agg": agg,
-	})
-}
-
-// StreamWindow adds a stream window aggregation node.
-func (p *Program) StreamWindow(engine, stream string, from, to, width, slide int64) ir.NodeID {
-	return p.g.Add(ir.OpStreamWindow, engine, map[string]any{
-		"stream": stream, "from": from, "to": to, "width": width, "slide": slide,
-	})
 }
 
 // KVScan adds a key/value prefix-scan node.
@@ -269,7 +246,7 @@ func (t *NLTranslator) Translate(question string) (*Program, string, error) {
 //
 //	P = patient admission details          (relational)
 //	N = time in wards/ICU                  (relational aggregate)
-//	S = vital signs from ICU devices       (timeseries windows)
+//	S = vital signs from ICU devices       (timeseries per-patient means)
 //	join P, N, S -> feature vectors -> train MLP -> predict
 //
 // on the relational, timeseries and ML engines b names. It returns the

@@ -87,18 +87,6 @@ func TestCypherMatch(t *testing.T) {
 	}
 }
 
-func TestCypherPath(t *testing.T) {
-	p := NewProgram()
-	id, err := p.Cypher("g", "PATH 3 TO 17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := p.Graph().MustNode(id)
-	if n.Kind != ir.OpGraphPath || n.StringAttr("src") != "3" || n.StringAttr("dst") != "17" {
-		t.Fatalf("path node = %+v", n)
-	}
-}
-
 func TestCypherUnsupported(t *testing.T) {
 	p := NewProgram()
 	if _, err := p.Cypher("g", "CREATE (n:Thing)"); !errors.Is(err, ErrFrontend) {
@@ -108,11 +96,9 @@ func TestCypherUnsupported(t *testing.T) {
 
 func TestBuilderNodes(t *testing.T) {
 	p := NewProgram()
-	ts := p.TSWindow("ts", "hr", 0, 100, 10, "mean")
-	st := p.StreamWindow("st", "events", 0, 100, 10, 5)
 	kv := p.KVScan("kv", "user:")
 	txt := p.TextSearch("txt", "sepsis", 5)
-	j := p.Join("db", ts, st, "start", "start")
+	j := p.Join("db", kv, txt, "key", "doc_id")
 	tr := p.Train("ml", j, []string{"value"}, "label", 8, 2, 16, 0.1)
 	pr := p.Predict("ml", tr, j, []string{"value"})
 	km := p.KMeans("ml", kv, []string{"x"}, 2, 5)
@@ -122,8 +108,7 @@ func TestBuilderNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range map[ir.NodeID]ir.OpKind{
-		ts: ir.OpTSWindow, st: ir.OpStreamWindow, kv: ir.OpKVScan,
-		txt: ir.OpTextSearch, j: ir.OpHashJoin, tr: ir.OpTrain,
+		kv: ir.OpKVScan, txt: ir.OpTextSearch, j: ir.OpHashJoin, tr: ir.OpTrain,
 		pr: ir.OpPredict, km: ir.OpKMeans, so: ir.OpSort,
 	} {
 		if g.MustNode(id).Kind != want {

@@ -153,7 +153,7 @@ func figure5Runtime(scale int, accel bool) (*core.Runtime, error) {
 		for e := 0; e < 5; e++ {
 			if err := gs.AddEdge(graphstore.Edge{
 				From: graphstore.NodeID(u), To: graphstore.NodeID(100000 + rng.Intn(nProducts)),
-				Type: "bought", Weight: 1,
+				Type: "bought",
 			}); err != nil {
 				return nil, err
 			}

@@ -19,7 +19,6 @@ func registerClinical(rt *core.Runtime, data *datagen.Clinical) {
 	rt.Register(adapter.NewRelational(b.Relational, relational.NewEngine(data.Relational)))
 	rt.Register(adapter.NewTimeseries(b.Timeseries, data.Timeseries))
 	rt.Register(adapter.NewText(b.Text, data.Text))
-	rt.Register(adapter.NewStream(data.Stream.Name(), data.Stream))
 	rt.Register(adapter.NewML(b.ML, 7))
 }
 

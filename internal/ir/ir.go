@@ -34,14 +34,12 @@ const (
 
 	// Graph.
 	OpGraphMatch
-	OpGraphPath
 
 	// Text.
 	OpTextSearch
 
-	// Timeseries / stream.
+	// Timeseries.
 	OpTSWindow
-	OpStreamWindow
 
 	// Key/value.
 	OpKVScan
@@ -69,9 +67,8 @@ const (
 	pure
 	// cacheable: output is a deterministic function of the dataflow inputs
 	// and the stores read at a fixed version vector — safe to memoize and
-	// replay. ML training (seeded RNG state), graph/text/stream reads
-	// (not table-version-scoped today) and anything with side effects are
-	// not.
+	// replay. ML training (seeded RNG state), graph and text reads (not
+	// table-version-scoped today) and anything with side effects are not.
 	cacheable
 	// offloadable: the dominant kernels have accelerator implementations;
 	// the runtime picks the device by cost when the node is Device="auto".
@@ -96,12 +93,10 @@ var ops = [...]struct {
 	OpLimit:     {"limit", relational | pure | cacheable},
 
 	OpGraphMatch: {"graph-match", 0},
-	OpGraphPath:  {"graph-path", 0},
 
 	OpTextSearch: {"text-search", 0},
 
-	OpTSWindow:     {"ts-window", cacheable | offloadable | partitioned},
-	OpStreamWindow: {"stream-window", offloadable},
+	OpTSWindow: {"ts-window", cacheable | offloadable},
 
 	OpKVScan: {"kv-scan", cacheable},
 
@@ -152,7 +147,7 @@ type Node struct {
 	// compiler's kernel-selection pass fills this (§IV-A-d).
 	Device string
 	// Attrs carries operator parameters (SQL text, predicate, table name,
-	// window widths...). Keys are operator-specific and documented at the
+	// join columns...). Keys are operator-specific and documented at the
 	// adapter that consumes them.
 	Attrs map[string]any
 	// Inputs are the producing nodes, in argument order.

@@ -30,7 +30,6 @@ func FuzzQueryRequest(f *testing.F) {
 		polystore.WithRelational("db-clinical", data.Relational),
 		polystore.WithTimeseries("ts-vitals", data.Timeseries),
 		polystore.WithText("txt-notes", data.Text),
-		polystore.WithStream("st-devices", data.Stream),
 		polystore.WithML("ml"),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA()),
 	)
@@ -46,7 +45,7 @@ func FuzzQueryRequest(f *testing.F) {
 		`{"frontend":"sql","statement":"SELECT * FROM patients","parts":7,"max_rows":3}`,
 		`{"frontend":"nl","statement":"how many patients are there?"}`,
 		`{"frontend":"text","statement":"sedation","k":5}`,
-		`{"frontend":"program","program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series":"vitals/1/hr","from":0,"to":9000000000000000000,"width":3600000000000,"agg":"mean"}]}`,
+		`{"frontend":"program","program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"mean"}]}`,
 		`{"frontend":"program","program":[{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM patients"},{"id":"s","op":"sort","engine":"db-clinical","input":"a","col":"pid","desc":true}]}`,
 		`{"frontend":"program","program":[{"id":"src","op":"sql","engine":"db-clinical","sql":"SELECT age, prior_visits, gender_male FROM patients"},{"id":"t","op":"train","engine":"ml","input":"src","feature_cols":["age"],"label_col":"gender_male","epochs":1}]}`,
 		`{"frontend":"sql","statement":"SELECT 1 / 0 AS boom FROM patients"}`,

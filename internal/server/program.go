@@ -15,7 +15,7 @@ import (
 // feature summary and fed into ML training (Figure 2).
 type ProgramStep struct {
 	ID     string `json:"id"`
-	Op     string `json:"op"` // sql, cypher, text, tswindow, streamwindow, kvscan, join, sort, train, predict
+	Op     string `json:"op"` // sql, cypher, text, tswindow, kvscan, join, sort, train, predict
 	Engine string `json:"engine"`
 
 	// sql
@@ -23,14 +23,9 @@ type ProgramStep struct {
 	// cypher / text
 	Query string `json:"query,omitempty"`
 	K     int    `json:"k,omitempty"` // text top-k (default 10)
-	// tswindow / streamwindow
-	Series       string `json:"series,omitempty"`
+	// tswindow: one row per entity, the mean of each "<prefix><id>/<metric>"
+	// series; agg may only be "mean"
 	SeriesPrefix string `json:"series_prefix,omitempty"`
-	Stream       string `json:"stream,omitempty"`
-	From         int64  `json:"from,omitempty"`
-	To           int64  `json:"to,omitempty"`
-	Width        int64  `json:"width,omitempty"`
-	Slide        int64  `json:"slide,omitempty"`
 	Agg          string `json:"agg,omitempty"`
 	// kvscan
 	Prefix string `json:"prefix,omitempty"`
@@ -106,22 +101,13 @@ func buildProgram(steps []ProgramStep) (*eide.Program, error) {
 			}
 			node = p.TextSearch(st.Engine, st.Query, k)
 		case "tswindow":
-			if st.SeriesPrefix != "" {
-				node = p.Graph().Add(ir.OpTSWindow, st.Engine, map[string]any{
-					"series_prefix": st.SeriesPrefix,
-					"agg":           st.Agg,
-				})
-				break
+			if st.SeriesPrefix == "" {
+				return nil, fmt.Errorf("step %q: tswindow needs a series_prefix field", st.ID)
 			}
-			if st.Series == "" {
-				return nil, fmt.Errorf("step %q: tswindow needs series or series_prefix", st.ID)
-			}
-			node = p.TSWindow(st.Engine, st.Series, st.From, st.To, st.Width, st.Agg)
-		case "streamwindow":
-			if st.Stream == "" {
-				return nil, fmt.Errorf("step %q: streamwindow needs a stream field", st.ID)
-			}
-			node = p.StreamWindow(st.Engine, st.Stream, st.From, st.To, st.Width, st.Slide)
+			node = p.Graph().Add(ir.OpTSWindow, st.Engine, map[string]any{
+				"series_prefix": st.SeriesPrefix,
+				"agg":           st.Agg,
+			})
 		case "kvscan":
 			node = p.KVScan(st.Engine, st.Prefix)
 		case "join":

@@ -115,7 +115,8 @@ var statementErrors = []struct{ name, steps string }{
 	{"unknown table", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM ghosts"}`},
 	{"type mismatch", `{"id":"q","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM patients WHERE age > 'x'"}`},
 	{"operator the engine lacks", `{"id":"q","op":"sql","engine":"ml","sql":"SELECT pid FROM patients"}`},
-	{"unknown aggregate", `{"id":"q","op":"tswindow","engine":"ts-vitals","series":"vitals/0/hr","to":100,"width":10,"agg":"median"}`},
+	{"unknown aggregate", `{"id":"q","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"median"}`},
+	{"aggregate other than mean", `{"id":"q","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"max"}`},
 	{"non-numeric ml feature", `{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT aid, ward FROM admissions"},
 		{"id":"m","op":"train","engine":"ml","input":"a","feature_cols":["ward"],"label_col":"aid"}`},
 }
@@ -149,6 +150,10 @@ func TestClientErrors(t *testing.T) {
 		{"program empty", `{"frontend":"program","program":[]}`, http.StatusBadRequest},
 		{"program bad op", `{"frontend":"program","program":[{"id":"a","op":"teleport","engine":"db-clinical"}]}`, http.StatusBadRequest},
 		{"program bad ref", `{"frontend":"program","program":[{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT pid FROM patients"},{"id":"j","op":"join","engine":"db-clinical","left":"a","right":"ghost","left_col":"pid","right_col":"pid"}]}`, http.StatusBadRequest},
+		// Operators the program frontend no longer offers.
+		{"program stream window", `{"frontend":"program","program":[{"id":"w","op":"streamwindow","engine":"ts-vitals","stream":"icu-events","width":10}]}`, http.StatusBadRequest},
+		{"program graph path", `{"frontend":"program","program":[{"id":"p","op":"cypher","engine":"txt-notes","query":"PATH 1 TO 2"}]}`, http.StatusBadRequest},
+		{"program single-series window", `{"frontend":"program","program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series":"vitals/0/hr","to":100,"width":10}]}`, http.StatusBadRequest},
 	}
 	for _, se := range statementErrors {
 		cases = append(cases, clientError{se.name, programBody(se.steps), http.StatusBadRequest})

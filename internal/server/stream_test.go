@@ -308,10 +308,10 @@ func randomQueryBodies(rng *rand.Rand, n int) []string {
 			tb := tables[rng.Intn(len(tables))]
 			col := intCols[tb][rng.Intn(len(intCols[tb]))]
 			out = append(out, sqlBody(fmt.Sprintf("SELECT * FROM %s ORDER BY %s DESC LIMIT %d", tb, col, 1+rng.Intn(200))))
-		case 5: // timeseries window through the program frontend
+		case 5: // vitals summary joined with a patient filter through the program frontend
 			out = append(out, fmt.Sprintf(
-				`{"frontend":"program","max_rows":100000,"parts":%%d,"program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series":"vitals/%d/hr","from":0,"to":9000000000000000000,"width":%d,"agg":"%s"}]}`,
-				rng.Intn(120), int64(time.Hour)*time.Duration(1+rng.Intn(5)).Nanoseconds()/int64(time.Nanosecond), []string{"mean", "sum", "max", "count"}[rng.Intn(4)]))
+				`{"frontend":"program","max_rows":100000,"parts":%%d,"program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"mean"},{"id":"p","op":"sql","engine":"db-clinical","sql":"SELECT pid, age FROM patients WHERE age > %d"},{"id":"j","op":"join","engine":"db-clinical","left":"p","right":"w","left_col":"pid","right_col":"vpid"}]}`,
+				20+rng.Intn(60)))
 		}
 	}
 	return out

@@ -2,7 +2,7 @@ package timeseries
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -58,19 +58,19 @@ func TestRangeMatchesWindowAfterParallelDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wrs, err := s.WindowN("m", 0, n, int64(n), AggSum, 0)
+	wrs, err := s.WindowN("m", 0, n, int64(n), AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wrs) != 1 || wrs[0].Value != sum || wrs[0].N != n {
-		t.Fatalf("window = %+v, want one window sum=%v n=%d", wrs, sum, n)
+	if len(wrs) != 1 || wrs[0].Value != sum/n || wrs[0].N != n {
+		t.Fatalf("window = %+v, want one window mean=%v n=%d", wrs, sum/n, n)
 	}
 }
 
 // flatWindow is the pre-partials reference implementation: bucket every
-// in-range point into a map, then aggregate each bucket's value list in
-// point order — the sequential baseline the partial-based path must match.
-func flatWindow(pts []Point, from, width int64, agg AggKind) []WindowResult {
+// in-range point into a map, then average each bucket's value list in point
+// order — the sequential baseline the partial-based path must match.
+func flatWindow(pts []Point, from, width int64) []WindowResult {
 	byWindow := make(map[int64][]float64)
 	for _, p := range pts {
 		start := from + (p.TS-from)/width*width
@@ -85,44 +85,19 @@ func flatWindow(pts []Point, from, width int64, agg AggKind) []WindowResult {
 	for _, st := range starts {
 		vals := byWindow[st]
 		var v float64
-		switch agg {
-		case AggMean, AggSum:
-			for _, x := range vals {
-				v += x
-			}
-			if agg == AggMean {
-				v /= float64(len(vals))
-			}
-		case AggMin:
-			v = math.Inf(1)
-			for _, x := range vals {
-				if x < v {
-					v = x
-				}
-			}
-		case AggMax:
-			v = math.Inf(-1)
-			for _, x := range vals {
-				if x > v {
-					v = x
-				}
-			}
-		case AggCount:
-			v = float64(len(vals))
-		case AggLast:
-			v = vals[len(vals)-1]
+		for _, x := range vals {
+			v += x
 		}
-		out = append(out, WindowResult{Start: st, Value: v, N: len(vals)})
+		out = append(out, WindowResult{Start: st, Value: v / float64(len(vals)), N: len(vals)})
 	}
 	return out
 }
 
-var windowAggKinds = []AggKind{AggMean, AggSum, AggMin, AggMax, AggCount, AggLast}
-
 // TestWindowChunkPartitionEquivalence pins the window fan-out at 1/2/7/64
 // and checks every partitioning produces byte-identical partials to the
-// sequential (parts=1) chunk fold — including float SUM/AVG, since partials
-// are per chunk and the fold is always in chunk order.
+// sequential (parts=1) chunk fold, and WindowN the same means — float sums
+// included, since partials are per chunk and the fold is always in chunk
+// order.
 func TestWindowChunkPartitionEquivalence(t *testing.T) {
 	s := New("ts")
 	const n = 20 * chunkSize
@@ -148,6 +123,10 @@ func TestWindowChunkPartitionEquivalence(t *testing.T) {
 		{int64(n) * 100, 1 << 60, 10}, // after all data: no windows
 	} {
 		want := windowChunks(chunks, span.from, span.to, span.width, 1)
+		wantMeans, err := s.WindowN("m", span.from, span.to, span.width, AggMean, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, parts := range []int{2, 7, 64} {
 			got := windowChunks(chunks, span.from, span.to, span.width, parts)
 			if len(got) != len(want) {
@@ -158,14 +137,20 @@ func TestWindowChunkPartitionEquivalence(t *testing.T) {
 					t.Fatalf("span %+v parts=%d: window %d = %+v, want %+v", span, parts, i, got[i], want[i])
 				}
 			}
+			means, err := s.WindowN("m", span.from, span.to, span.width, AggMean, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(means, wantMeans) {
+				t.Fatalf("span %+v parts=%d: WindowN = %+v, want %+v", span, parts, means, wantMeans)
+			}
 		}
 	}
 }
 
-// TestWindowMatchesFlatReference compares Store.WindowN for every AggKind
-// against the pre-partials map-and-sort implementation over the same points.
-// Values move in 0.25 steps so all sums are exact and the comparison can be
-// bitwise even for SUM/MEAN.
+// TestWindowMatchesFlatReference compares Store.WindowN against the
+// pre-partials map-and-sort implementation over the same points. Values move
+// in 0.25 steps so all sums are exact and the comparison can be bitwise.
 func TestWindowMatchesFlatReference(t *testing.T) {
 	s := New("ts")
 	const n = 9*chunkSize + 17 // partial tail chunk
@@ -185,19 +170,17 @@ func TestWindowMatchesFlatReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, agg := range windowAggKinds {
-			want := flatWindow(pts, span.from, span.width, agg)
-			got, err := s.WindowN("m", span.from, span.to, span.width, agg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("span %+v agg=%s: %d windows, want %d", span, agg, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("span %+v agg=%s: window %d = %+v, want %+v", span, agg, i, got[i], want[i])
-				}
+		want := flatWindow(pts, span.from, span.width)
+		got, err := s.WindowN("m", span.from, span.to, span.width, AggMean, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("span %+v: %d windows, want %d", span, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("span %+v: window %d = %+v, want %+v", span, i, got[i], want[i])
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -244,100 +243,26 @@ func appendRange(dst []Point, c *chunk, from, to int64) []Point {
 	return dst
 }
 
-// AggKind selects the aggregation for windows and downsampling.
+// AggKind selects the aggregation of a window.
 type AggKind int
 
-// Aggregations.
-const (
-	AggMean AggKind = iota + 1
-	AggSum
-	AggMin
-	AggMax
-	AggCount
-	AggLast
-)
+// AggMean averages a window's points.
+const AggMean AggKind = 1
 
-// String implements fmt.Stringer.
-func (a AggKind) String() string {
-	switch a {
-	case AggMean:
-		return "mean"
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggCount:
-		return "count"
-	case AggLast:
-		return "last"
-	default:
-		return fmt.Sprintf("AggKind(%d)", int(a))
-	}
-}
-
-// WindowResult is one aggregated window [Start, Start+Width).
+// WindowResult is one aggregated window [Start, Start+Width) of N points.
+// While windowChunks folds, Value is the window's running sum; WindowN
+// turns it into the mean.
 type WindowResult struct {
 	Start int64
 	Value float64
 	N     int
 }
 
-// windowPartial is the combinable aggregation state of one window bucket as
-// seen by one chunk: enough to finish any AggKind after chunk-order folding.
-type windowPartial struct {
-	start    int64
-	sum      float64
-	count    int
-	min, max float64
-	last     float64
-}
-
-// fold merges a later chunk's partial for the same bucket into w. Sums add
-// in chunk order (deterministic for a fixed chunking regardless of task
-// fan-out), min/max keep the earlier value on ties, last takes the later
-// chunk's value — exactly what a sequential point-order fold does.
-func (w *windowPartial) fold(nx windowPartial) {
-	w.sum += nx.sum
-	w.count += nx.count
-	if nx.min < w.min {
-		w.min = nx.min
-	}
-	if nx.max > w.max {
-		w.max = nx.max
-	}
-	w.last = nx.last
-}
-
-// finish resolves the partial to the aggregate's value.
-func (w windowPartial) finish(agg AggKind) float64 {
-	switch agg {
-	case AggMean:
-		if w.count == 0 {
-			return 0
-		}
-		return w.sum / float64(w.count)
-	case AggSum:
-		return w.sum
-	case AggMin:
-		return w.min
-	case AggMax:
-		return w.max
-	case AggCount:
-		return float64(w.count)
-	case AggLast:
-		return w.last
-	default:
-		return 0
-	}
-}
-
-// chunkWindowPartials decodes one chunk and accumulates its in-range points
-// into per-window partials. Points in a chunk are strictly time-ordered, so
-// the buckets come out in ascending start order.
-func chunkWindowPartials(c *chunk, from, to, width int64) []windowPartial {
-	var out []windowPartial
+// chunkWindowPartials decodes one chunk and sums its in-range points into
+// per-window partials. Points in a chunk are strictly time-ordered, so the
+// buckets come out in ascending start order.
+func chunkWindowPartials(c *chunk, from, to, width int64) []WindowResult {
+	var out []WindowResult
 	for _, p := range c.decode() {
 		if p.TS < from || p.TS > to {
 			continue
@@ -345,19 +270,12 @@ func chunkWindowPartials(c *chunk, from, to, width int64) []windowPartial {
 		// p.TS >= from, so the offset from from is exact as a uint64, where
 		// TS-from in int64 arithmetic would wrap past MaxInt64.
 		start := from + int64(uint64(p.TS-from)/uint64(width)*uint64(width))
-		if n := len(out); n == 0 || out[n-1].start != start {
-			out = append(out, windowPartial{start: start, min: math.Inf(1), max: math.Inf(-1)})
+		if n := len(out); n == 0 || out[n-1].Start != start {
+			out = append(out, WindowResult{Start: start})
 		}
 		w := &out[len(out)-1]
-		w.sum += p.Value
-		w.count++
-		if p.Value < w.min {
-			w.min = p.Value
-		}
-		if p.Value > w.max {
-			w.max = p.Value
-		}
-		w.last = p.Value
+		w.Value += p.Value
+		w.N++
 	}
 	return out
 }
@@ -371,9 +289,9 @@ func chunkWindowPartials(c *chunk, from, to, width int64) []windowPartial {
 // Because partials are per *chunk* and the fold always walks chunks
 // left-to-right, the task fan-out only changes which worker decodes which
 // chunk — never the shape of any floating-point reduction — so results are
-// byte-identical at any partition count, including for SUM/AVG.
-func windowChunks(cands []*chunk, from, to, width int64, parts int) []windowPartial {
-	perChunk := make([][]windowPartial, len(cands))
+// byte-identical at any partition count.
+func windowChunks(cands []*chunk, from, to, width int64, parts int) []WindowResult {
+	perChunk := make([][]WindowResult, len(cands))
 	pool := partition.Shared()
 	parts = partition.Effective(len(cands)*chunkSize, parts)
 	if parts > len(cands) {
@@ -397,12 +315,13 @@ func windowChunks(cands []*chunk, from, to, width int64, parts int) []windowPart
 	// Chunks of a series are time-ordered and disjoint, so each chunk's
 	// bucket list ascends and only the boundary bucket can repeat across
 	// adjacent chunks: the merged list stays sorted with a single pass and
-	// no sort.
-	var out []windowPartial
+	// no sort. Sums add in chunk order.
+	var out []WindowResult
 	for _, ps := range perChunk {
 		for _, p := range ps {
-			if n := len(out); n > 0 && out[n-1].start == p.start {
-				out[n-1].fold(p)
+			if n := len(out); n > 0 && out[n-1].Start == p.Start {
+				out[n-1].Value += p.Value
+				out[n-1].N += p.N
 			} else {
 				out = append(out, p)
 			}
@@ -426,6 +345,9 @@ func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts i
 	if width <= 0 {
 		return nil, fmt.Errorf("%w: width %d", ErrBadWindow, width)
 	}
+	if agg != AggMean {
+		return nil, fmt.Errorf("%w: aggregation %d", ErrBadWindow, agg)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sr, ok := s.series[name]
@@ -439,10 +361,9 @@ func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts i
 		}
 		cands = append(cands, c)
 	}
-	partials := windowChunks(cands, from, to, width, parts)
-	out := make([]WindowResult, 0, len(partials))
-	for _, w := range partials {
-		out = append(out, WindowResult{Start: w.start, Value: w.finish(agg), N: w.count})
+	out := windowChunks(cands, from, to, width, parts)
+	for i := range out {
+		out[i].Value /= float64(out[i].N) // no window is emitted empty
 	}
 	return out, nil
 }

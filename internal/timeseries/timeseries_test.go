@@ -65,7 +65,7 @@ func TestOutOfOrderRejectedAtChunkBoundary(t *testing.T) {
 	if err := s.Append("a", int64(chunkSize)*10, 1); err != nil {
 		t.Fatalf("in-order ts at chunk boundary: %v", err)
 	}
-	wrs, err := s.WindowN("a", 0, int64(chunkSize)*10, 1000, AggCount, 0)
+	wrs, err := s.WindowN("a", 0, int64(chunkSize)*10, 1000, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +113,16 @@ func TestWindowAggregations(t *testing.T) {
 	if len(wrs) != 10 {
 		t.Fatalf("windows = %d", len(wrs))
 	}
-	if wrs[0].Value != 4.5 || wrs[0].N != 10 {
-		t.Fatalf("window 0 = %+v", wrs[0])
-	}
-	for agg, want := range map[AggKind]float64{
-		AggSum:   45,
-		AggMin:   0,
-		AggMax:   9,
-		AggCount: 10,
-		AggLast:  9,
-	} {
-		wrs, err := s.WindowN("v", 0, 99, 10, agg, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", agg, err)
-		}
-		if wrs[0].Value != want {
-			t.Fatalf("%s window 0 = %v, want %v", agg, wrs[0].Value, want)
+	for i, w := range wrs {
+		if w.Start != int64(i)*10 || w.Value != float64(i)*10+4.5 || w.N != 10 {
+			t.Fatalf("window %d = %+v", i, w)
 		}
 	}
 	if _, err := s.WindowN("v", 0, 99, 0, AggMean, 0); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("zero width: %v", err)
+	}
+	if _, err := s.WindowN("v", 0, 99, 10, AggMean+1, 0); !errors.Is(err, ErrBadWindow) {
+		t.Fatalf("aggregation other than the mean: %v", err)
 	}
 }
 
@@ -141,15 +131,15 @@ func TestWindowAggregations(t *testing.T) {
 func TestWindowWiderThanRange(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 100, 1) // ts 0..99, value = ts
-	wrs, err := s.WindowN("v", 0, 99, 1_000_000, AggSum, 0)
+	wrs, err := s.WindowN("v", 0, 99, 1_000_000, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wrs) != 1 {
 		t.Fatalf("windows = %d, want 1", len(wrs))
 	}
-	if wrs[0].Start != 0 || wrs[0].Value != 4950 || wrs[0].N != 100 {
-		t.Fatalf("window = %+v, want start=0 sum=4950 n=100", wrs[0])
+	if wrs[0].Start != 0 || wrs[0].Value != 49.5 || wrs[0].N != 100 {
+		t.Fatalf("window = %+v, want start=0 mean=49.5 n=100", wrs[0])
 	}
 }
 
@@ -163,7 +153,7 @@ func TestWindowBoundaryPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wrs, err := s.WindowN("v", 0, 90, 10, AggCount, 0)
+	wrs, err := s.WindowN("v", 0, 90, 10, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +161,8 @@ func TestWindowBoundaryPoints(t *testing.T) {
 		t.Fatalf("windows = %d, want 10 (one per boundary point)", len(wrs))
 	}
 	for i, w := range wrs {
-		if w.Start != int64(i)*10 || w.N != 1 {
-			t.Fatalf("window %d = %+v, want start=%d n=1", i, w, i*10)
+		if w.Start != int64(i)*10 || w.Value != 1 || w.N != 1 {
+			t.Fatalf("window %d = %+v, want start=%d mean=1 n=1", i, w, i*10)
 		}
 	}
 }
@@ -183,16 +173,16 @@ func TestWindowBoundaryPoints(t *testing.T) {
 func TestWindowNegativeFrom(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 20, 1) // ts 0..19
-	wrs, err := s.WindowN("v", -7, 19, 10, AggCount, 0)
+	wrs, err := s.WindowN("v", -7, 19, 10, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Windows anchored at -7: [-7,3) holds ts 0..2, [3,13) holds 3..12,
 	// [13,23) holds 13..19.
 	want := []WindowResult{
-		{Start: -7, Value: 3, N: 3},
-		{Start: 3, Value: 10, N: 10},
-		{Start: 13, Value: 7, N: 7},
+		{Start: -7, Value: 1, N: 3},
+		{Start: 3, Value: 7.5, N: 10},
+		{Start: 13, Value: 16, N: 7},
 	}
 	if len(wrs) != len(want) {
 		t.Fatalf("windows = %+v, want %+v", wrs, want)
@@ -210,29 +200,27 @@ func TestWindowNegativeFrom(t *testing.T) {
 		if err := s.Append("x", tc.ts, 1); err != nil {
 			t.Fatal(err)
 		}
-		wrs, err := s.WindowN("x", math.MinInt64, math.MaxInt64, 10, AggSum, 1)
+		wrs, err := s.WindowN("x", math.MinInt64, math.MaxInt64, 10, AggMean, 1)
 		if err != nil || len(wrs) != 1 || wrs[0].Start != tc.start {
 			t.Fatalf("point at %d, from MinInt64: windows %+v, %v, want one starting at %d", tc.ts, wrs, err, tc.start)
 		}
 	}
 }
 
-// TestWindowEmptyRange: every AggKind over a span containing no points
-// yields no windows (empty windows are never emitted).
+// TestWindowEmptyRange: a span containing no points yields no windows
+// (empty windows are never emitted).
 func TestWindowEmptyRange(t *testing.T) {
 	s := New("ts")
 	fill(t, s, "v", 100, 10) // ts 0..990
-	for _, agg := range windowAggKinds {
-		wrs, err := s.WindowN("v", 1001, 2000, 50, agg, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", agg, err)
-		}
-		if len(wrs) != 0 {
-			t.Fatalf("%s: windows over empty span = %+v, want none", agg, wrs)
-		}
+	wrs, err := s.WindowN("v", 1001, 2000, 50, AggMean, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wrs) != 0 {
+		t.Fatalf("windows over empty span = %+v, want none", wrs)
 	}
 	// Between two points: ts 10 and 20 exist, 11..19 holds none.
-	wrs, err := s.WindowN("v", 11, 19, 3, AggMean, 0)
+	wrs, err = s.WindowN("v", 11, 19, 3, AggMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +283,8 @@ func TestPropertyRangeMatchesLinear(t *testing.T) {
 	}
 }
 
-// Property: window sums over disjoint (tumbling) windows partition the range
-// sum.
+// Property: the sums behind the means of disjoint (tumbling) windows
+// partition the range sum.
 func TestPropertyWindowSumPartition(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -312,13 +300,13 @@ func TestPropertyWindowSumPartition(t *testing.T) {
 				return false
 			}
 		}
-		wrs, err := s.WindowN("x", 0, ts, 37, AggSum, 0)
+		wrs, err := s.WindowN("x", 0, ts, 37, AggMean, 0)
 		if err != nil {
 			return false
 		}
 		var winTotal float64
 		for _, w := range wrs {
-			winTotal += w.Value
+			winTotal += w.Value * float64(w.N)
 		}
 		return winTotal > total-1e-9 && winTotal < total+1e-9
 	}

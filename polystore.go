@@ -1,7 +1,7 @@
 // Package polystore is the public API of Polystore++: an accelerated
 // polystore system for heterogeneous workloads (Singhal et al., ICDCS
 // 2019). A System federates heterogeneous data-processing engines —
-// relational, graph, text, timeseries, stream, key/value, and ML —
+// relational, graph, text, timeseries, key/value, and ML —
 // behind one programming environment (the EIDE), compiles heterogeneous
 // programs into a hierarchical IR, optimizes them across engine and
 // hardware boundaries, and executes them on a middleware that offloads
@@ -38,7 +38,6 @@ import (
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
-	"polystorepp/internal/streamstore"
 	"polystorepp/internal/tenant"
 	"polystorepp/internal/textstore"
 	"polystorepp/internal/timeseries"
@@ -136,13 +135,6 @@ func WithTimeseries(name string, s *timeseries.Store) Option {
 	}
 }
 
-// WithStream registers a stream store.
-func WithStream(name string, s *streamstore.Store) Option {
-	return func(sys *System) {
-		sys.pendingAdapters = append(sys.pendingAdapters, adapter.NewStream(name, s))
-	}
-}
-
 // WithKV registers a key/value store.
 func WithKV(name string, s *kvstore.Store) Option {
 	return func(sys *System) {
@@ -158,7 +150,7 @@ func WithML(name string) Option {
 }
 
 // WithClinical registers the clinical demo deployment of Figure 2 (see
-// datagen.NewClinical): its relational, timeseries, text and stream stores,
+// datagen.NewClinical): its relational, timeseries and text stores,
 // each under the engine name it carries, and the ML engine. c.Binding names
 // the engines for the NL translator and the Figure 2 pipeline.
 func WithClinical(c *datagen.Clinical) Option {
@@ -167,7 +159,6 @@ func WithClinical(c *datagen.Clinical) Option {
 		WithRelational(b.Relational, c.Relational)(sys)
 		WithTimeseries(b.Timeseries, c.Timeseries)(sys)
 		WithText(b.Text, c.Text)(sys)
-		WithStream(c.Stream.Name(), c.Stream)(sys)
 		WithML(b.ML)(sys)
 	}
 }

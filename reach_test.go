@@ -31,7 +31,6 @@ var reachAllow = map[string]string{
 	"relational.OpStats.RowsOut": "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows each step kept",
 	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
-	"graphstore.Store.BFS":       "test oracle: TestPropertyBFSMatchesUnitDijkstra holds ShortestPath (the graph adapter's shortest-path operator) to its hop counts on random unit-weight DAGs",
 	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
 	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
 	"tensor.Transpose":           "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
