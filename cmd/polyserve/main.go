@@ -89,7 +89,7 @@ func main() {
 	tenantBurst := flag.Float64("tenant-burst", 0, "default per-tenant token-bucket burst (effective only with -tenant-rate > 0; clamped to >= 1)")
 	tenantQuota := flag.String("tenant-quota", "", `per-tenant quota overrides: "tenant=rate:burst[:weight],..." (weight biases weighted-fair admission)`)
 	maxTenants := flag.Int("max-tenants", 0, "bound on tracked tenant identities; least-recently-seen evicted beyond it (0 = default 1024)")
-	shedHighWater := flag.Float64("shed-highwater", 0, "load-shed high-water utilization fraction of workers+queue (0 = default 0.85; negative disables shedding)")
+	shedHighWater := flag.Float64("shed-highwater", 0, "utilization fraction of workers+queue at which executions are shed (0 = default 0.85; negative disables shedding)")
 	cacheShare := flag.Float64("cache-share", 0, "per-tenant fraction of result/subplan cache bytes enforced under multi-tenant contention (0 = default 0.5; >= 1 disables)")
 	breakerWindow := flag.Duration("breaker-window", 0, "circuit-breaker rolling error window (0 = default 10s)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-open probing (0 = default 5s)")

@@ -319,12 +319,6 @@ func (res *Results) First() adapter.Value {
 	return res.Values[res.Sinks[0]]
 }
 
-// Execute runs the plan and returns its sink values and the report: the
-// buffered delivery, ExecuteStream with no sink.
-func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
-	return r.ExecuteStream(ctx, plan, nil)
-}
-
 // planWidth returns the widest stage of the plan's schedule — the maximum
 // number of nodes that can run simultaneously.
 func planWidth(plan *compiler.Plan) int {
@@ -337,7 +331,8 @@ func planWidth(plan *compiler.Plan) int {
 	return w
 }
 
-// execute is the plan driver: it walks the nodes in topological order
+// Execute runs the plan and returns its sink values and the report. It is
+// the plan driver: it walks the nodes in topological order
 // (Plan.Order, each node holding holes first bound to the plan's constants
 // by bindNodes) and, for each, obtains the node's real execution (a
 // *nodeRun), charges it to the
@@ -353,8 +348,7 @@ func planWidth(plan *compiler.Plan) int {
 // is verified against. Plans with a stage wider than one node run as a
 // dataflow of one goroutine per node, at most engineWorkers per engine
 // (scheduler.go), and the driver awaits each run.
-// st, when non-nil, streams the designated sink node's output (stream.go).
-func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStream) (*Results, *Report, error) {
+func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
 	t0 := time.Now()
 	if len(plan.Binds) < plan.Slots {
 		return nil, nil, fmt.Errorf("%w: %w: the plan holds %d slots, %d are bound", ErrExec, relational.ErrUnbound, plan.Slots, len(plan.Binds))
@@ -370,7 +364,7 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 	var sched *scheduler
 	if !r.sequential && planWidth(plan) > 1 {
 		r.st.execConcurrent.Inc()
-		sched = r.dispatch(ctx, order, st, tr, pr)
+		sched = r.dispatch(ctx, order, tr, pr)
 		// Stops the node goroutines on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
@@ -397,7 +391,7 @@ func (r *Runtime) execute(ctx context.Context, plan *compiler.Plan, st *nodeStre
 			for i, in := range n.Inputs {
 				inputs[i] = values[in]
 			}
-			run = r.runNode(ctx, n, inputs, st, pr)
+			run = r.runNode(ctx, n, inputs, pr)
 		}
 		if run.err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
@@ -507,13 +501,11 @@ type nodeRun struct {
 }
 
 // runNode performs a node's real work — adapter translation and native
-// execution, or data migration — without touching the simulated clock. When
-// st designates this node for streaming, its output goes to the sink once it
-// has run (stream.go). Nodes covered by a subplan-cache hit (pr) skip real
-// work entirely and return a synthesized run carrying the memoized batch and
-// replay costing.
-func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, st *nodeStream, pr *planProbe) *nodeRun {
-	if run := pr.serveNode(n, st); run != nil {
+// execution, or data migration — without touching the simulated clock.
+// Nodes covered by a subplan-cache hit (pr) skip real work entirely and
+// return a synthesized run carrying the memoized batch and replay costing.
+func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, pr *planProbe) *nodeRun {
+	if run := pr.serveNode(n); run != nil {
 		return run
 	}
 	run := &nodeRun{}
@@ -530,9 +522,6 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 		run.err = fmt.Errorf("%w: %q", ErrNoAdapter, n.Engine)
 	default:
 		run.out, run.info, run.err = a.Execute(ctx, n, inputs)
-	}
-	if run.err == nil {
-		run.err = st.deliver(n.ID, run.out)
 	}
 	if run.err != nil {
 		return run

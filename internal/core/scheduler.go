@@ -16,7 +16,7 @@ import (
 // The paper's middleware executes plan DAGs with device-level parallelism,
 // and BigDAWG-style polystores dispatch independent sub-plans to their
 // engines concurrently. For plans with a stage wider than one node the
-// driver (Runtime.execute) hands real execution to a dataflow, which brings
+// driver (Runtime.Execute) hands real execution to a dataflow, which brings
 // wall-clock time in line with the parallelism the simulated clock already
 // models:
 //
@@ -62,10 +62,9 @@ type scheduler struct {
 }
 
 // dispatch starts one goroutine per node of order (bindNodes). The caller
-// awaits each node's run in topological order and must call stop. st, when
-// non-nil, streams one node's output, and only that node's goroutine touches
-// it; pr's decision maps are read-only during execution.
-func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, st *nodeStream, tr *obs.Trace, pr *planProbe) *scheduler {
+// awaits each node's run in topological order and must call stop. pr's
+// decision maps are read-only during execution.
+func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, tr *obs.Trace, pr *planProbe) *scheduler {
 	execCtx, cancel := context.WithCancel(ctx)
 	s := &scheduler{nodes: make(map[ir.NodeID]*schedNode, len(order)), cancel: cancel}
 	nodes := make([]schedNode, len(order))
@@ -83,7 +82,7 @@ func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, st *nodeStream
 		go func() {
 			defer s.wg.Done()
 			defer close(sn.done)
-			sn.run = s.runWhenReady(execCtx, r, n, slot, st, tr, pr)
+			sn.run = s.runWhenReady(execCtx, r, n, slot, tr, pr)
 		}()
 	}
 	return s
@@ -91,7 +90,7 @@ func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, st *nodeStream
 
 // runWhenReady waits for n's producers, takes one of slot's places and runs
 // n. A failed producer's error becomes n's without n running.
-func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, slot chan struct{}, st *nodeStream, tr *obs.Trace, pr *planProbe) *nodeRun {
+func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, slot chan struct{}, tr *obs.Trace, pr *planProbe) *nodeRun {
 	inputs := make([]adapter.Value, len(n.Inputs))
 	for i, in := range n.Inputs {
 		p := s.nodes[in]
@@ -133,7 +132,7 @@ func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, sl
 		}
 	}
 	defer s.inflight.Add(-1)
-	run := r.runNode(ctx, n, inputs, st, pr)
+	run := r.runNode(ctx, n, inputs, pr)
 	run.queue = queued
 	return run
 }

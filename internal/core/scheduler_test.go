@@ -375,7 +375,7 @@ func TestSchedulerBoundsEachEngine(t *testing.T) {
 	rt, a, b := runtimeOf()
 	plan := program(true)
 	ctx := context.Background()
-	s := rt.dispatch(ctx, plan.Order, nil, nil, nil)
+	s := rt.dispatch(ctx, plan.Order, nil, nil)
 	var migs []span
 	for _, n := range plan.Order {
 		run, err := s.await(ctx, n.ID)

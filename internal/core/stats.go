@@ -22,9 +22,9 @@ type coreStats struct {
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
 	subplanPlansProbed, subplanPlansReused, subplanFlightWaits    *metrics.Counter
 
-	execConcurrent, execSequential, execStreamed *metrics.Counter
-	maxParallel                                  *metrics.Gauge
-	nodes, migrations, ruleNodes                 *metrics.Counter
+	execConcurrent, execSequential *metrics.Counter
+	maxParallel                    *metrics.Gauge
+	nodes, migrations, ruleNodes   *metrics.Counter
 
 	offloads map[*hw.Device]*metrics.Counter // one per attached accelerator
 
@@ -55,7 +55,6 @@ func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
 
 		execConcurrent: c("executor_concurrent_plans", "core.exec.concurrent", "Plans run by the concurrent DAG scheduler."),
 		execSequential: c("executor_sequential_plans", "core.exec.sequential", "Plans run one node at a time."),
-		execStreamed:   c("", "core.exec.streamed", "Plans executed with a streaming sink."),
 		maxParallel:    g("executor_max_parallel", "core.exec.max_parallel", "Widest node parallelism observed inside one plan."),
 		nodes:          c("", "core.nodes", "Plan nodes executed."),
 		migrations:     c("", "core.migrations", "Cross-engine migrations executed."),

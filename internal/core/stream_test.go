@@ -164,8 +164,8 @@ func TestExecuteStreamEmptyResultAnnouncesSchema(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamSinkErrorAborts: a failing sink (client gone) kills the
-// execution with its error instead of silently completing.
+// TestExecuteStreamSinkErrorAborts: a failing sink fails the call with its
+// error instead of silently completing.
 func TestExecuteStreamSinkErrorAborts(t *testing.T) {
 	rt := testRuntime(t, 5000, false)
 	plan, err := compiler.Compile(sortProgram(), compiler.Options{Level: 1})

@@ -306,9 +306,8 @@ func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry, covered map
 // serveNode returns a synthesized run for a node covered by a cache hit
 // (nil otherwise). The run carries the entry's replay data, so costing and
 // operator stats see exactly what the cold execution recorded; hit roots
-// carry the memoized batch, which goes to the ResultSink exactly as a live
-// execution's output would when the root is the streamed sink.
-func (pr *planProbe) serveNode(n *ir.Node, st *nodeStream) *nodeRun {
+// carry the memoized batch.
+func (pr *planProbe) serveNode(n *ir.Node) *nodeRun {
 	if pr == nil {
 		return nil
 	}
@@ -325,10 +324,7 @@ func (pr *planProbe) serveNode(n *ir.Node, st *nodeStream) *nodeRun {
 		bytesOut:  cost.BytesOut,
 		cached:    true,
 	}
-	if out, ok := pr.out[n.ID]; ok {
-		run.out = out
-		run.err = st.deliver(n.ID, out)
-	}
+	run.out = pr.out[n.ID]
 	return run
 }
 

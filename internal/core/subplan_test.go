@@ -299,7 +299,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		run := rt.runNode(ctx, n, inputs, nil, pr)
+		run := rt.runNode(ctx, n, inputs, pr)
 		if run.err != nil {
 			t.Fatal(run.err)
 		}
@@ -444,7 +444,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		r := rt.runNode(ctx, n, inputs, nil, pr)
+		r := rt.runNode(ctx, n, inputs, pr)
 		if r.err != nil {
 			t.Fatal(r.err)
 		}

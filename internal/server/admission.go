@@ -33,8 +33,7 @@ type cause uint8
 const (
 	causeRate         cause = iota // tenant's token bucket is empty
 	causeBreaker                   // tenant's breaker is open, or its probes are out
-	causeShedStream                // load past the high-water mark
-	causeShedCold                  // load halfway from there to capacity
+	causeShedCold                  // load at or past the high-water mark
 	causeShedDeadline              // the queue ahead outlasts the request's deadline
 	causeQueueFull                 // workers and queue both full
 	causeLeadersGone               // every single-flight leader followed was canceled
@@ -43,36 +42,33 @@ const (
 
 // String is the cause's label in shed messages and trace events.
 func (c cause) String() string {
-	return [...]string{"rate", "breaker", "stream", "cold", "deadline", "queue", "leaders", "draining"}[c]
+	return [...]string{"rate", "breaker", "cold", "deadline", "queue", "leaders", "draining"}[c]
 }
 
 // admission is the gate in front of the bounded worker pool: per-tenant
 // token buckets and breakers gate request *rate* and *health* upstream
 // (tenants.go); this controller decides whether the request may wait at all
 // and schedules request *order*. At most `workers` requests execute
-// concurrently; at most `queueCap` more wait; past the high-water mark it
-// sheds before the queue is full — streaming executions first (they pin a
-// worker across the client's read cadence), cold executions halfway from
-// there to capacity, and anything whose estimated queue wait already
-// exceeds its deadline: an honest 503 now instead of a certain 504 after
-// occupying queue space. Result-cache hits and single-flight followers
-// never come here, which is what keeps cached reads serving through an
-// overload. Waiters are grouped
-// into flows keyed (tenant, class) and granted worker slots weighted-fair
-// by virtual time: each grant advances its flow's clock by 1/weight, and
-// the flow with the smallest clock wins the next free worker. One abusive
-// tenant with a thousand queued requests therefore gets the same grant rate
-// as a well-behaved tenant with two — its surplus just waits (or overflows
-// into queue-full refusals), while priority classes weight
-// interactive grants over batch over background. A single-tenant
-// deployment has exactly one flow, which degenerates to the FIFO semaphore
-// this scheduler replaced.
+// concurrently; at most `queueCap` more wait; from the high-water mark on
+// it sheds executions before the queue is full, and anything whose
+// estimated queue wait already exceeds its deadline: an honest 503 now
+// instead of a certain 504 after occupying queue space. Result-cache hits
+// and single-flight followers never come here, which is what keeps cached
+// reads serving through an overload. Waiters are grouped into flows keyed
+// (tenant, class) and granted worker slots weighted-fair by virtual time:
+// each grant advances its flow's clock by 1/weight, and the flow with the
+// smallest clock wins the next free worker. One abusive tenant with a
+// thousand queued requests therefore gets the same grant rate as a
+// well-behaved tenant with two — its surplus just waits (or overflows into
+// queue-full refusals), while priority classes weight interactive grants
+// over batch over background. A single-tenant deployment has exactly one
+// flow, which degenerates to the FIFO semaphore this scheduler replaced.
 type admission struct {
 	mu       sync.Mutex
 	workers  int
 	queueCap int
-	// highWater is the load fraction of workers+queueCap at which streams
-	// are shed; <= 0 never sheds.
+	// highWater is the load fraction of workers+queueCap at which
+	// executions are shed; <= 0 never sheds.
 	highWater float64
 	running   int
 	flows     map[flowKey]*admFlow
@@ -122,16 +118,15 @@ func newAdmission(workers, queue int, highWater float64) *admission {
 // acquire claims a worker slot for the given flow, waiting weighted-fair in
 // the queue if needed. It fails with a *refusal when the request is shed or
 // the queue is full, or the context error if the caller's deadline expires
-// while still queued. stream marks an execution that writes to its client
-// while it holds the slot. weight <= 0 derives the flow weight from the
-// class alone.
-func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64, stream bool) error {
+// while still queued. weight <= 0 derives the flow weight from the class
+// alone.
+func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) error {
 	if weight <= 0 {
 		weight = fk.class.Weight()
 	}
 	a.mu.Lock()
 	queued := a.queuedLocked()
-	if ref := a.shedLocked(ctx, queued, stream); ref != nil {
+	if ref := a.shedLocked(ctx, queued); ref != nil {
 		a.mu.Unlock()
 		return ref
 	}
@@ -141,12 +136,13 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64, str
 		return nil
 	}
 	if queued >= a.queueCap {
+		wait := a.estWaitLocked(queued)
 		a.mu.Unlock()
 		return &refusal{
 			status:     http.StatusTooManyRequests,
 			cause:      causeQueueFull,
 			msg:        fmt.Sprintf("server: overloaded, queue full (%d queued)", queued),
-			retryAfter: a.estWaitLocked(queued),
+			retryAfter: wait,
 		}
 	}
 	w := &admWaiter{grant: make(chan struct{}), flow: fk}
@@ -183,7 +179,7 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64, str
 
 // shedLocked applies the degradation policy to one arrival with queued
 // waiters ahead of it. Called with the lock held.
-func (a *admission) shedLocked(ctx context.Context, queued int, stream bool) *refusal {
+func (a *admission) shedLocked(ctx context.Context, queued int) *refusal {
 	if a.highWater <= 0 {
 		return nil
 	}
@@ -198,16 +194,12 @@ func (a *admission) shedLocked(ctx context.Context, queued int, stream bool) *re
 	wait := a.estWaitLocked(queued)
 	if dl, ok := ctx.Deadline(); ok {
 		// If the queue ahead already eats the whole budget, the request
-		// cannot finish in time whatever its kind.
+		// cannot finish in time.
 		if remaining := time.Until(dl); remaining > 0 && wait > remaining {
 			return shed(causeShedDeadline, wait-remaining)
 		}
 	}
-	frac := float64(a.running+queued) / float64(a.workers+a.queueCap)
-	switch {
-	case stream && frac >= a.highWater:
-		return shed(causeShedStream, wait)
-	case !stream && frac >= a.highWater+(1-a.highWater)/2:
+	if frac := float64(a.running+queued) / float64(a.workers+a.queueCap); frac >= a.highWater {
 		return shed(causeShedCold, wait)
 	}
 	return nil

@@ -35,13 +35,13 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	a := newAdmission(1, 1, noShed)
 	ctx := context.Background()
 
-	if err := a.acquire(ctx, anonFlow, 0, false); err != nil {
+	if err := a.acquire(ctx, anonFlow, 0); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 	// Second request queues; run it in a goroutine so we can fill the queue.
 	queued := make(chan error, 1)
 	go func() {
-		err := a.acquire(ctx, anonFlow, 0, false)
+		err := a.acquire(ctx, anonFlow, 0)
 		if err == nil {
 			a.release(0) // before the send: the test reads inflight right after receiving
 		}
@@ -53,7 +53,7 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	}
 	// Third request exceeds workers+queue and is refused immediately, with
 	// the queue depth recorded in the message.
-	err := a.acquire(ctx, anonFlow, 0, false)
+	err := a.acquire(ctx, anonFlow, 0)
 	var ref *refusal
 	if !errors.As(err, &ref) || ref.cause != causeQueueFull || ref.status != 429 {
 		t.Fatalf("third acquire = %v, want a queue-full refusal", err)
@@ -134,14 +134,14 @@ func TestInflightCountsOnlyRunning(t *testing.T) {
 
 func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 	a := newAdmission(1, 4, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
 		t.Fatal(err)
 	}
 	defer a.release(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := a.acquire(ctx, anonFlow, 0, false); !errors.Is(err, context.DeadlineExceeded) {
+	if err := a.acquire(ctx, anonFlow, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire = %v, want DeadlineExceeded", err)
 	}
 	if got := a.inflight(); got != 1 {
@@ -161,7 +161,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := a.acquire(context.Background(), anonFlow, 0, false)
+			err := a.acquire(context.Background(), anonFlow, 0)
 			mu.Lock()
 			if err != nil {
 				rejected++
@@ -191,7 +191,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 // queue did.
 func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 	a := newAdmission(1, 32, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +208,7 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 1, false); err != nil {
+				if err := a.acquire(context.Background(), fk, 1); err != nil {
 					t.Errorf("%s acquire: %v", ten, err)
 					return
 				}
@@ -257,7 +257,7 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 // drains far earlier, proportional to the 16:1 class weights.
 func TestAdmissionClassPriority(t *testing.T) {
 	a := newAdmission(1, 64, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,7 +270,7 @@ func TestAdmissionClassPriority(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 0, false); err != nil {
+				if err := a.acquire(context.Background(), fk, 0); err != nil {
 					t.Errorf("acquire: %v", err)
 					return
 				}
@@ -334,7 +334,7 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), delays[i])
 				defer cancel()
 				fk := flowKey{tenant: tenant.Anon, class: tenant.Class(i % 3)}
-				err := a.acquire(ctx, fk, 0, false)
+				err := a.acquire(ctx, fk, 0)
 				if err == nil {
 					admitted.Add(1)
 					time.Sleep(50 * time.Microsecond)
@@ -356,7 +356,7 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < workers; i++ {
-		if err := a.acquire(ctx, anonFlow, 0, false); err != nil {
+		if err := a.acquire(ctx, anonFlow, 0); err != nil {
 			t.Fatalf("post-storm acquire %d: %v (leaked slot)", i, err)
 		}
 	}
@@ -370,31 +370,22 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 
 // shedAt asks a 4-worker, 6-slot controller (capacity 10) for its shed
 // decision on one arrival at the given load; nil admits.
-func shedAt(ctx context.Context, a *admission, running, queued int, stream bool) *refusal {
+func shedAt(ctx context.Context, a *admission, running, queued int) *refusal {
 	a.running = running
-	return a.shedLocked(ctx, queued, stream)
+	return a.shedLocked(ctx, queued)
 }
 
 func TestShedderOrder(t *testing.T) {
 	a := newAdmission(4, 6, 0.8)
 	ctx := context.Background()
-	// Below high water: everything admitted.
-	for _, stream := range []bool{false, true} {
-		if ref := shedAt(ctx, a, 4, 3, stream); ref != nil {
-			t.Fatalf("stream=%v shed at 70%% load: %v", stream, ref)
-		}
+	// Below high water: admitted.
+	if ref := shedAt(ctx, a, 4, 3); ref != nil {
+		t.Fatalf("shed at 70%% load: %v", ref)
 	}
-	// At high water: streams shed, cold still admitted.
-	if ref := shedAt(ctx, a, 4, 4, true); ref == nil || ref.cause != causeShedStream {
-		t.Fatalf("stream at 80%% = %+v", ref)
-	}
-	if ref := shedAt(ctx, a, 4, 4, false); ref != nil {
-		t.Fatal("cold shed at 80%")
-	}
-	// At the cold threshold (0.8 + 0.1 = 0.9): cold shed too.
-	ref := shedAt(ctx, a, 4, 5, false)
+	// At high water: shed.
+	ref := shedAt(ctx, a, 4, 4)
 	if ref == nil || ref.cause != causeShedCold || ref.status != 503 || ref.msg != "server: overloaded, cold work shed" {
-		t.Fatalf("cold at 90%% = %+v", ref)
+		t.Fatalf("at 80%% = %+v", ref)
 	}
 	if got := ceilSecond(ref.retryAfter); got < time.Second {
 		t.Fatalf("Retry-After = %v, want >= 1s floor", got)
@@ -413,20 +404,17 @@ func TestShedderDeadlineAware(t *testing.T) {
 		t.Cleanup(cancel)
 		return ctx
 	}
-	// 50ms of budget left but ~200ms of queue ahead: shed regardless of kind
-	// or load fraction.
-	for _, stream := range []bool{false, true} {
-		ref := shedAt(within(50*time.Millisecond), a, 0, 8, stream)
-		if ref == nil || ref.cause != causeShedDeadline {
-			t.Fatalf("deadline verdict (stream=%v) = %+v", stream, ref)
-		}
+	// 50ms of budget left but ~200ms of queue ahead: shed regardless of the
+	// load fraction.
+	if ref := shedAt(within(50*time.Millisecond), a, 0, 8); ref == nil || ref.cause != causeShedDeadline {
+		t.Fatalf("deadline verdict = %+v", ref)
 	}
 	// Plenty of budget: admitted.
-	if ref := shedAt(within(5*time.Second), a, 0, 8, false); ref != nil {
+	if ref := shedAt(within(5*time.Second), a, 0, 8); ref != nil {
 		t.Fatalf("shed with ample budget: %+v", ref)
 	}
 	// No deadline: deadline shedding skipped.
-	if ref := shedAt(context.Background(), a, 0, 8, false); ref != nil {
+	if ref := shedAt(context.Background(), a, 0, 8); ref != nil {
 		t.Fatal("shed with unknown budget")
 	}
 }
@@ -436,7 +424,7 @@ func TestShedderDisabled(t *testing.T) {
 	a.svc = time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if ref := shedAt(ctx, a, 1, 50, true); ref != nil {
+	if ref := shedAt(ctx, a, 1, 50); ref != nil {
 		t.Fatalf("negative high water must disable shedding: %+v", ref)
 	}
 }
@@ -445,7 +433,7 @@ func TestShedderEWMAConverges(t *testing.T) {
 	a := newAdmission(1, 0, noShed)
 	finish := func(svc time.Duration) {
 		t.Helper()
-		if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+		if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
 			t.Fatal(err)
 		}
 		a.release(svc)

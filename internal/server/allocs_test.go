@@ -41,13 +41,13 @@ func TestEmitBatchAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := newNDJSONStream(context.Background(), s, discardResponse{h: http.Header{}}, nil, 1<<30, time.Now(), time.Minute)
-		if err := st.StartStream(0, b.Schema()); err != nil {
+		st := newNDJSONStream(context.Background(), s, discardResponse{h: http.Header{}}, 1<<30, time.Now(), time.Minute)
+		if err := st.StartStream(b.Schema()); err != nil {
 			t.Fatal(err)
 		}
 		batches, rows := s.st.streamBatches.Value(), s.st.streamRows.Value()
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := st.EmitBatch(0, b); err != nil {
+			if err := st.EmitBatch(b); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > float64(4*tc.records) {
@@ -97,7 +97,7 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	if err := s.prepare(p, "", ts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runQuery(context.Background(), p, nil); err != nil {
+	if _, err := s.runQuery(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, prepare); allocs > 7 {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"polystorepp/internal/adapter"
-	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
@@ -51,11 +49,11 @@ func TestRetryAfterHintFloorsAtOne(t *testing.T) {
 	for _, svc := range []time.Duration{0, time.Microsecond} {
 		a := newAdmission(1, 0, noShed)
 		a.svc = svc
-		if err := a.acquire(context.Background(), anonFlow, 0, false); err != nil {
+		if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
 			t.Fatal(err)
 		}
 		var ref *refusal
-		if err := a.acquire(context.Background(), anonFlow, 0, false); !errors.As(err, &ref) {
+		if err := a.acquire(context.Background(), anonFlow, 0); !errors.As(err, &ref) {
 			t.Fatalf("acquire on a full controller = %v, want a refusal", err)
 		}
 		if got := ceilSecond(ref.retryAfter); got < time.Second {
@@ -66,14 +64,13 @@ func TestRetryAfterHintFloorsAtOne(t *testing.T) {
 
 // refusalFamilies are the /metrics families a refusal can move.
 var refusalFamilies = []string{
-	"server_tenant_rate", "server_tenant_breaker", "server_shed_stream", "server_shed_cold",
+	"server_tenant_rate", "server_tenant_breaker", "server_shed_cold",
 	"server_shed_deadline", "server_rejected", "server_exec_errors", "server_drain_rejected",
 }
 
 // TestWriteQueryErrorRetryAfterNeverZero runs every refusal cause, with a
-// zero or sub-second backoff hint, out of both doors: writeQueryError (what
-// /query, /ingest and a not-yet-started /query/stream answer with) and the
-// in-band error record of a stream past its first flush. 429 and 503
+// zero or sub-second backoff hint, out of writeQueryError (what /query,
+// /ingest and /query/stream answer a refusal with). 429 and 503
 // responses always carry Retry-After >= 1 — the guard used to skip the
 // header entirely for a zero hint; each cause moves exactly its global
 // counters and its tenant's, by one per refused request; and a refusal is
@@ -97,8 +94,6 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 			[]string{"server_rejected"}, nil, http.StatusTooManyRequests},
 		{"shed zero hint", &refusal{status: 503, cause: causeShedCold, msg: "cold work shed"},
 			[]string{"server_shed_cold", "server_rejected"}, func(ts *tenantState) *atomic.Int64 { return &ts.shed }, http.StatusServiceUnavailable},
-		{"shed stream", &refusal{status: 503, cause: causeShedStream, msg: "stream work shed"},
-			[]string{"server_shed_stream", "server_rejected"}, func(ts *tenantState) *atomic.Int64 { return &ts.shed }, http.StatusServiceUnavailable},
 		{"shed deadline subsecond hint", &refusal{status: 503, cause: causeShedDeadline, msg: "deadline work shed", retryAfter: time.Millisecond},
 			[]string{"server_shed_deadline", "server_rejected"}, func(ts *tenantState) *atomic.Int64 { return &ts.shed }, http.StatusServiceUnavailable},
 		{"leaders gone", leadersGone(context.Canceled),
@@ -155,19 +150,6 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 					t.Fatalf("Retry-After = %q, want whole seconds >= 1", ra)
 				}
 			})
-			refuse("in-band", func(ts *tenantState) {
-				rec := httptest.NewRecorder()
-				st := newNDJSONStream(context.Background(), s, rec, ts, 10, time.Now(), time.Second)
-				if err := st.StartStream(0, cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64})); err != nil {
-					t.Fatal(err)
-				}
-				st.fail(c.err)
-				lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-				want := fmt.Sprintf(`{"type":"error","error":%q,"status":%d}`, c.err.msg, c.wantStatus)
-				if rec.Code != http.StatusOK || len(lines) != 2 || lines[1] != want {
-					t.Fatalf("stream after its first flush: status %d, records %q, want a trailing %s", rec.Code, lines, want)
-				}
-			})
 		})
 	}
 
@@ -214,7 +196,7 @@ func halfOpenServer(t *testing.T, highWater float64) (*Server, *tenantState) {
 func TestHalfOpenProbeAlwaysReturned(t *testing.T) {
 	const healthy = `{"frontend":"sql","statement":"SELECT a FROM t WHERE a > 3"}`
 	pinWorker := func(t *testing.T, s *Server) (undo func()) {
-		if err := s.adm.acquire(context.Background(), anonFlow, 1, false); err != nil {
+		if err := s.adm.acquire(context.Background(), anonFlow, 1); err != nil {
 			t.Fatal(err)
 		}
 		return func() { s.adm.release(0) }

@@ -43,7 +43,7 @@
 //	                    {"frontend":"nl","statement":"how many patients are there?"}
 //	                    {"frontend":"text","engine":"txt","statement":"sedation","k":5}
 //	                    {"frontend":"program","program":[{...step...},...]}
-//	POST /query/stream  same body; NDJSON partial-result response (stream.go)
+//	POST /query/stream  same body; the same answer as NDJSON records (stream.go)
 //	POST /ingest        {"engine":"db","table":"patients","row":[1,2,3]}
 //	                    {"engine":"ts","series":"vitals/1/hr","ts":123,"value":70}
 //	                    {"engine":"kv","key":"session/9","data":"..."}
@@ -147,10 +147,9 @@ type Config struct {
 	// subplans) one tenant may occupy while other tenants hold entries
 	// (default 0.5; >= 1 disables per-tenant capping).
 	TenantCacheShare float64
-	// ShedHighWater is the inflight fraction of admission capacity above
-	// which streaming work is shed; cold executions shed halfway between it
-	// and full capacity, cached reads never (default 0.85; negative disables
-	// shedding).
+	// ShedHighWater is the inflight fraction of admission capacity at which
+	// executions are shed; cached reads never are (default 0.85; negative
+	// disables shedding).
 	ShedHighWater float64
 	// DisableBreaker turns off per-tenant circuit breakers (on by default).
 	DisableBreaker bool
@@ -504,10 +503,10 @@ func (c Config) requestTimeout(ms int64) time.Duration {
 // serveQuery is the spine /query and /query/stream share: method check,
 // tenant gates (whose ticket is settled on every way out), prepare,
 // deadline, trace, run through the acceleration layers, respond. The
-// endpoints differ only in how the outcome leaves: /query buffers it into
-// one JSON body, so every failure still has its HTTP status; /query/stream
-// hands runQuery an NDJSON sink (ndjsonStream, stream.go) that also replays
-// buffered outcomes and reports late failures in-band.
+// endpoints differ only in how the finished outcome leaves, after runQuery
+// has released its worker: /query encodes it into one JSON body,
+// /query/stream into NDJSON records (ndjsonStream, stream.go). A failure of
+// runQuery answers the same HTTP status on both.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bool) {
 	if !postOnly(w, r) {
 		return
@@ -539,13 +538,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	tr.Annotate("class", p.class.String())
 	ctx = obs.With(ctx, tr)
 
-	var stream *ndjsonStream // nil on /query
-	var sink core.ResultSink
-	if streaming {
-		stream = newNDJSONStream(ctx, s, w, ts, s.effectiveMaxRows(&p.req), t0, p.timeout)
-		sink = stream
-	}
-	out, err := s.runQuery(ctx, p, sink)
+	out, err := s.runQuery(ctx, p)
 	result = outcomeOf(err)
 	tree := tr.Finish()
 	s.traces.Record(tree)
@@ -553,17 +546,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 		tree = nil
 	}
 	if err != nil {
-		if streaming {
-			stream.fail(err)
-		} else {
-			s.writeQueryError(w, ts, err, p.timeout)
-		}
+		s.writeQueryError(w, ts, err, p.timeout)
 		return
 	}
 	resp, n := s.summarize(&p.req, out.res, out.rep)
 	s.decorateResponse(resp, p, out)
 	if streaming {
-		stream.deliver(out.res, resp, tree)
+		newNDJSONStream(ctx, s, w, s.effectiveMaxRows(&p.req), t0, p.timeout).deliver(out.res, resp, tree)
 		return
 	}
 	if n > 0 { // no rows, no "rows" field
@@ -624,12 +613,9 @@ type queryOutcome struct {
 // runQuery serves one compiled-and-executed query through the acceleration
 // layers, cheapest first: result cache (no admission — a map lookup does not
 // need a worker), then single-flight (followers wait without a slot), then
-// admission-controlled compile + execute. A non-nil sink streams the sink
-// node's batches during execution — but only when this request actually
-// executes (single-flight leader or lone runner): cache hits and follower
-// piggybacks return the buffered outcome, and the caller replays it through
-// the sink so streaming clients always receive a complete result.
-func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.ResultSink) (queryOutcome, error) {
+// admission-controlled compile + execute. Every way returns the finished
+// outcome; how it is written to the client is the caller's business.
+func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, error) {
 	tr := obs.From(ctx)
 	if s.results != nil {
 		if e, ok := s.results.Get(p.resKey); ok {
@@ -641,7 +627,7 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 		tr.Event("cache.result", "miss")
 	}
 	if s.flight == nil {
-		res, rep, planHit, err := s.executeOnce(ctx, p, sink)
+		res, rep, planHit, err := s.executeOnce(ctx, p)
 		return queryOutcome{res: res, rep: rep, planHit: planHit}, err
 	}
 	var (
@@ -652,18 +638,16 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 		err     error
 	)
 	// A leader that dies of its own context (canceled client, tighter
-	// deadline) — or a streaming leader whose client stopped reading
-	// (errStreamWrite) — fans its error out to every follower. Followers
+	// deadline) fans its error out to every follower. Followers
 	// whose own context is still alive re-enter the flight group, so the
 	// retry wave elects exactly one new leader instead of stampeding
 	// admission (or inheriting a 500 for a query that would succeed).
 	for attempt := 0; ; attempt++ {
 		res, rep, planHit, shared, err = s.flight.do(ctx, p.resKey, func() (*core.Results, *core.Report, bool, error) {
-			return s.executeOnce(ctx, p, sink)
+			return s.executeOnce(ctx, p)
 		})
 		if shared && err != nil && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, errStreamWrite)) {
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			if attempt < 4 {
 				continue
 			}
@@ -696,18 +680,17 @@ func leadersGone(last error) *refusal {
 }
 
 // executeOnce acquires a worker (or is shed), compiles when prepare found no
-// plan, and executes — streaming sink-node batches through sink when one
-// is attached — then publishes the outcome to the result cache. Result-cache
+// plan, executes, then publishes the outcome to the result cache. Result-cache
 // hits and single-flight followers never reach this function, which is what
 // makes admission's "cached reads survive overload" policy structural: only
 // work that must actually occupy a worker can be shed.
-func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.ResultSink) (*core.Results, *core.Report, bool, error) {
+func (s *Server) executeOnce(ctx context.Context, p *preparedQuery) (*core.Results, *core.Report, bool, error) {
 	tr := obs.From(ctx)
 	var admT0 time.Time
 	if tr != nil {
 		admT0 = time.Now()
 	}
-	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight, sink != nil); err != nil {
+	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight); err != nil {
 		var ref *refusal
 		if errors.As(err, &ref) && ref.cause != causeQueueFull {
 			tr.Event("admission.shed", ref.cause.String())
@@ -736,7 +719,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
-	res, rep, err := s.rt.ExecuteStream(ctx, plan.WithBinds(p.binds), sink)
+	res, rep, err := s.rt.Execute(ctx, plan.WithBinds(p.binds))
 	if err != nil {
 		return nil, nil, hit, err
 	}
@@ -804,9 +787,8 @@ func pruneToSinks(res *core.Results) *core.Results {
 // classifyQueryError maps a runQuery failure to its wire status, message
 // and Retry-After hint (0 = none), bumping the matching counter (a
 // refusal's also against ts, the requesting tenant). Shared by
-// the buffered path (real HTTP status) and the streaming path (in-band
-// NDJSON error record — the status line is long gone once partial results
-// have been flushed).
+// writeQueryError (real HTTP status) and a stream that fails after its
+// first record (in-band NDJSON error record: the status line is gone).
 func (s *Server) classifyQueryError(ts *tenantState, err error, timeout time.Duration) (status int, msg string, retryAfter time.Duration) {
 	var ref *refusal
 	switch {
@@ -825,10 +807,6 @@ func (s *Server) classifyQueryError(ts *tenantState, err error, timeout time.Dur
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status code is never seen.
 		return 499, "canceled", 0
-	case errors.Is(err, errStreamWrite):
-		// The streaming client stopped reading; nobody sees this either
-		// (ndjsonStream.fail counts the abort).
-		return 499, err.Error(), 0
 	case errors.Is(err, core.ErrDurability):
 		// The write applied but the backend could not make it durable: the
 		// server's condition (a failing disk fails every write), so neither a
@@ -857,8 +835,8 @@ func ceilSecond(d time.Duration) time.Duration {
 // writeQueryError maps a runQuery failure onto the wire: rate limit or
 // admission overload (429), compile rejection (400), breaker or shed (503),
 // deadline (504), client cancellation (499), execution failure (500). Only
-// valid before the first response byte — the streaming handler switches to
-// in-band error records once flushed.
+// valid before the first response byte — a stream switches to in-band error
+// records once its first record is out.
 //
 // Every 429 and 503 carries a Retry-After of at least 1 — even when the
 // classifier's backoff hint is zero or sub-second. RFC 9110 allows 0, but a

@@ -58,10 +58,10 @@ func TestShedColdServesCached(t *testing.T) {
 		t.Fatalf("prewarm status %d: %s", resp.StatusCode, raw)
 	}
 
-	// Pin the only worker: utilization is now 1.0, past both the stream and
-	// cold shed marks for any high water below 1.
+	// Pin the only worker: utilization is now 1.0, past the shed mark for
+	// any high water below 1.
 	if err := s.adm.acquire(context.Background(),
-		flowKey{tenant: tenant.Anon, class: tenant.Interactive}, 1, false); err != nil {
+		flowKey{tenant: tenant.Anon, class: tenant.Interactive}, 1); err != nil {
 		t.Fatal(err)
 	}
 	defer s.adm.release(0)

@@ -103,7 +103,7 @@ type serverStats struct {
 	streamRequests, streamRows, streamBatches                     *metrics.Counter
 	streamErrorsInband, streamAborted                             *metrics.Counter
 	tenantRate, tenantBreaker, drainRejected                      *metrics.Counter
-	shedStream, shedCold, shedDeadline                            *metrics.Counter
+	shedCold, shedDeadline                                        *metrics.Counter
 	latency, ttfr                                                 *metrics.Histogram
 }
 
@@ -195,7 +195,6 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("tenant_count", "server.tenants", kindGauge, "Live tenant records.", func() any { return s.tenants.len() })
 	st.tenantRate = counter("tenant_ratelimited", "server.tenant.rate", "Requests refused by a tenant's token bucket (429).")
 	st.tenantBreaker = counter("breaker_rejects", "server.tenant.breaker", "Requests refused by an open tenant circuit breaker (503).")
-	st.shedStream = counter("tenant_shed_stream", "server.shed.stream", "Streaming executions shed under overload.")
 	st.shedCold = counter("tenant_shed_cold", "server.shed.cold", "Cold executions shed under overload.")
 	st.shedDeadline = counter("tenant_shed_deadline", "server.shed.deadline", "Executions shed because the queue wait would outlive their deadline.")
 	add("", "server.shed.service_ewma_seconds", kindGauge, "The shedder's service-time estimate (0 before the first execution).", func() any { return s.adm.serviceEWMA().Seconds() })

@@ -1,34 +1,26 @@
-// POST /query/stream: the partial-result serving path. The polystore starts
-// delivering rows as soon as the plan's sink node has run — while the rest of
-// the plan may still be executing — instead of after the whole execution:
-// the incremental result delivery MISO-style federated execution and
-// BigDAWG's island shims lean on to hide cross-engine latency.
-//
-// The response is NDJSON (one JSON record per line), flushed per record:
+// POST /query/stream: the buffered /query answer in NDJSON. The request
+// runs exactly as on /query — result cache, single-flight, admission,
+// execution — and once the outcome is finished and the worker slot released,
+// the outcome is written one JSON record per line, each flushed:
 //
 //	{"type":"schema","columns":["pid","age"],"types":["int64","int64"]}
 //	{"type":"batch","rows":[[1,64],[2,71],...]}           (repeated)
 //	{"type":"summary","row_count":812,...}                (terminal; same
 //	    fields as the buffered QueryResponse minus "rows")
 //	{"type":"error","error":"...","status":504}           (terminal, instead
-//	    of summary, when the query fails after the stream started)
+//	    of summary, when the stream fails after its first record)
 //
-// Errors before the first flushed byte still use plain HTTP status codes —
-// exactly the ones /query would return; a failure of the sink node itself is
-// one of them. After the first byte the status line is gone, so failures
-// travel in-band as the trailing error record; clients must treat a stream
-// without a summary record as failed.
+// A request that fails before it has an outcome answers the same HTTP
+// status /query would. After the first record the status line is gone, so
+// what can still fail — a value JSON cannot carry, the request deadline, a
+// context canceled between records — travels in-band as the trailing error
+// record; clients must treat a stream without a summary record as failed.
 //
-// Records are cut in one place, ndjsonStream.EmitBatch: a live execution, a
-// subplan-cache hit and a buffered outcome replayed here all hand it the same
-// finished batch, so a replayed stream is byte-identical to the live one.
-//
-// The streaming path shares every serving acceleration with /query:
-// admission control (the stream holds a worker slot only while executing),
-// the result cache (hits replay cached batches; misses tee into the cache
-// through the same byte-bounded admission), and single-flight (a streaming
-// leader streams live; followers — streaming or buffered — get the complete
-// buffered outcome, which a streaming follower then replays).
+// Records are cut in one place, ndjsonStream.EmitBatch, from the finished
+// batch, so a result-cache hit or a single-flight follower's stream is
+// byte-identical to that of the execution that produced it. No worker slot
+// waits on a client's read cadence: a stalled reader holds only its own
+// goroutine and the result it is being sent.
 package server
 
 import (
@@ -41,7 +33,6 @@ import (
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/core"
-	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/relational"
 )
@@ -77,17 +68,15 @@ type streamErrorRecord struct {
 	Status int    `json:"status"`
 }
 
-// ndjsonStream adapts an HTTP response to core.ResultSink: schema, batch
-// and terminal records go out as NDJSON lines, each followed by a flush so
-// partial results reach the client while execution continues. It enforces
-// the per-request row cap (summary row_count still reports the full count,
-// matching the buffered response) and records first-byte latency plus
+// ndjsonStream writes a finished outcome to an HTTP response: schema, batch
+// and terminal records go out as NDJSON lines, each followed by a flush. It
+// enforces the per-request row cap (summary row_count still reports the full
+// count, matching the buffered response) and records first-byte latency plus
 // streamed-row counters.
 type ndjsonStream struct {
 	ctx     context.Context // the request's, read between batch records
 	s       *Server
 	w       http.ResponseWriter
-	ts      *tenantState // the requesting tenant, for counting a refusal
 	fl      http.Flusher // nil when the transport cannot flush
 	t0      time.Time
 	timeout time.Duration // the request's budget, for wording a 504
@@ -97,30 +86,27 @@ type ndjsonStream struct {
 }
 
 // newNDJSONStream answers /query/stream on w under the request's context
-// and execution budget.
+// and budget.
 //
-// Streaming writes happen while the request holds its worker slot, and a ctx
-// deadline cannot interrupt a socket write blocked on a client that stopped
-// reading. The whole response is therefore bounded by a write deadline
-// (execution budget + a transfer grace period) so stalled readers fail the
-// write — freeing the slot — instead of pinning a worker forever. Transports
-// without deadline support (test recorders) just skip it.
-func newNDJSONStream(ctx context.Context, s *Server, w http.ResponseWriter, ts *tenantState, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
+// A ctx deadline cannot interrupt a socket write blocked on a client that
+// stopped reading, so the whole response is bounded by a write deadline
+// (the request budget + a transfer grace period): a stalled reader fails the
+// write instead of keeping its goroutine, and the result it pins, forever.
+// Transports without deadline support (test recorders) just skip it.
+func newNDJSONStream(ctx context.Context, s *Server, w http.ResponseWriter, maxRows int, t0 time.Time, timeout time.Duration) *ndjsonStream {
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + streamWriteGrace))
 	fl, _ := w.(http.Flusher)
-	return &ndjsonStream{ctx: ctx, s: s, w: w, ts: ts, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
+	return &ndjsonStream{ctx: ctx, s: s, w: w, fl: fl, t0: t0, timeout: timeout, maxRows: maxRows}
 }
 
-// streamWriteGrace is how long past the execution deadline a streaming
-// response may spend on the wire before a blocked write gives up. Generous
-// for slow-but-alive readers; finite so a stalled reader cannot hold a
-// worker slot indefinitely.
+// streamWriteGrace is how long past the request deadline a stream may spend
+// on the wire before a blocked write gives up. Generous for slow-but-alive
+// readers; finite so a stalled reader cannot hold its goroutine and result
+// memory indefinitely.
 const streamWriteGrace = 30 * time.Second
 
 // errStreamWrite marks a failure to write to the streaming client — the
-// client went away, not the query. Single-flight treats a leader dying of
-// it like a canceled leader (followers re-elect instead of inheriting a
-// 500), and the leader's own response maps to the never-seen 499. A record
+// client went away, not the query — which fail counts as an abort. A record
 // that cannot be encoded is the query's failure and is not wrapped in it.
 var errStreamWrite = errors.New("server: stream client write failed")
 
@@ -151,8 +137,8 @@ func (st *ndjsonStream) writeRecord(v any) error {
 	return st.write(buf.b)
 }
 
-// StartStream implements core.ResultSink: announce the schema.
-func (st *ndjsonStream) StartStream(_ ir.NodeID, schema cast.Schema) error {
+// StartStream announces the schema.
+func (st *ndjsonStream) StartStream(schema cast.Schema) error {
 	rec := streamSchemaRecord{Type: "schema", Columns: make([]string, schema.Len()), Types: make([]string, schema.Len())}
 	for i := 0; i < schema.Len(); i++ {
 		rec.Columns[i] = schema.Col(i).Name
@@ -161,12 +147,12 @@ func (st *ndjsonStream) StartStream(_ ir.NodeID, schema cast.Schema) error {
 	return st.writeRecord(rec)
 }
 
-// EmitBatch implements core.ResultSink, and is the one place a result is cut
-// into wire records: rows up to the row cap, relational.ChunkRows to a batch
-// record, the request context read before each. Rows past the cap are not
-// sent (the execution has run to completion, so the result cache holds the
-// full result and the summary the true row count, exactly like /query).
-func (st *ndjsonStream) EmitBatch(_ ir.NodeID, b *cast.Batch) error {
+// EmitBatch is the one place a result is cut into wire records: rows up to
+// the row cap, relational.ChunkRows to a batch record, the request context
+// read before each. Rows past the cap are not sent (the execution has run to
+// completion, so the result cache holds the full result and the summary the
+// true row count, exactly like /query).
+func (st *ndjsonStream) EmitBatch(b *cast.Batch) error {
 	n := min(b.Rows(), st.maxRows)
 	for lo := 0; lo < n; lo += relational.ChunkRows {
 		if err := st.ctx.Err(); err != nil {
@@ -198,30 +184,16 @@ func (st *ndjsonStream) emitRows(b *cast.Batch, lo, hi int) error {
 	return nil
 }
 
-// replay streams a buffered outcome — a result-cache hit or a single-flight
-// follower's shared result — as if it had executed live: the same
-// StartStream and EmitBatch calls core makes, so the two are byte-identical
-// on the wire.
-func (st *ndjsonStream) replay(res *core.Results) error {
-	b := res.First().Batch
-	if b == nil {
-		return nil // model or empty result: summary-only stream
-	}
-	if err := st.StartStream(0, b.Schema()); err != nil {
-		return err
-	}
-	return st.EmitBatch(0, b)
-}
-
-// deliver completes a served stream: whatever the execution did not stream
-// live is replayed, then the trace record (when asked for) and the summary
-// close it. Whatever goes wrong on the way is reported as fail reports it.
+// deliver writes a finished outcome, whichever layer produced it: the
+// schema and batch records of the first sink (none for a model or an empty
+// program), the trace record when asked for, and the summary. Whatever goes
+// wrong on the way is reported as fail reports it.
 func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *obs.Tree) {
 	var err error
-	if !st.started {
-		// Cache hit, single-flight follower, or a model-valued sink: the
-		// outcome arrived without streaming; replay it through the stream.
-		err = st.replay(res)
+	if b := res.First().Batch; b != nil {
+		if err = st.StartStream(b.Schema()); err == nil {
+			err = st.EmitBatch(b)
+		}
 	}
 	if err == nil && tree != nil {
 		err = st.writeRecord(streamTraceRecord{Type: "trace", Trace: tree})
@@ -236,17 +208,16 @@ func (st *ndjsonStream) deliver(res *core.Results, resp *QueryResponse, tree *ob
 	st.s.st.latency.Observe(time.Since(st.t0).Seconds())
 }
 
-// fail reports a failure of runQuery or of delivering its outcome: with
-// nothing flushed yet the plain HTTP error path still applies (same statuses
-// as /query); after the first byte the failure travels as the terminal
-// in-band error record — writeQueryError is structurally unreachable there,
-// since the 200 status line left with the first flush.
+// fail reports a failure of delivering an outcome: a first record that
+// cannot be encoded leaves as a plain HTTP error; after the first byte the
+// failure travels as the terminal in-band error record — writeQueryError is
+// structurally unreachable there, since the 200 status line left with the
+// first flush. No delivery failure is a refusal, so no tenant is charged.
 func (st *ndjsonStream) fail(err error) {
 	if !st.started {
-		st.s.writeQueryError(st.w, st.ts, err, st.timeout)
+		st.s.writeQueryError(st.w, nil, err, st.timeout)
 		return
 	}
-	status, msg, _ := st.s.classifyQueryError(st.ts, err, st.timeout)
 	if errors.Is(err, errStreamWrite) || errors.Is(err, context.Canceled) {
 		// The client is gone — whether a write failed (errStreamWrite) or a
 		// per-batch ctx check saw the request context die first (Canceled).
@@ -257,6 +228,7 @@ func (st *ndjsonStream) fail(err error) {
 		st.s.st.streamAborted.Inc()
 		return
 	}
+	status, msg, _ := st.s.classifyQueryError(nil, err, st.timeout)
 	if werr := st.writeRecord(streamErrorRecord{Type: "error", Error: msg, Status: status}); werr != nil {
 		st.s.st.streamAborted.Inc()
 		return

@@ -18,7 +18,6 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
-	"polystorepp/internal/ir"
 	"polystorepp/internal/kvstore"
 )
 
@@ -131,69 +130,6 @@ func TestStreamSingleFlightFollowerReplay(t *testing.T) {
 	}
 }
 
-// brokenSink simulates a streaming client whose connection died: every
-// write fails the way ndjsonStream.writeRecord fails (wrapped as
-// errStreamWrite).
-type brokenSink struct{}
-
-func (brokenSink) StartStream(ir.NodeID, cast.Schema) error {
-	return fmt.Errorf("%w: write tcp: broken pipe", errStreamWrite)
-}
-func (brokenSink) EmitBatch(ir.NodeID, *cast.Batch) error {
-	return fmt.Errorf("%w: write tcp: broken pipe", errStreamWrite)
-}
-
-// TestStreamLeaderClientGoneFollowerReelects: when a streaming single-
-// flight leader dies because ITS client stopped reading (a sink write
-// failure, not a query failure), a healthy follower must re-enter the
-// flight group and elect a new leader instead of inheriting a 500 for a
-// query that would succeed.
-func TestStreamLeaderClientGoneFollowerReelects(t *testing.T) {
-	store := kvstore.New("kv-slow")
-	const rows = 100
-	for i := 0; i < rows; i++ {
-		store.Put(fmt.Sprintf("user/%04d", i), []byte("v"))
-	}
-	entered := make(chan struct{})
-	var once sync.Once
-	rt := core.NewRuntime(hw.NewHostCPU())
-	rt.Register(&mutatingAdapter{
-		Adapter: adapter.NewKV("kv-slow", store),
-		hook: func() {
-			once.Do(func() { close(entered) })
-			time.Sleep(300 * time.Millisecond)
-		},
-	})
-	s := New(rt, compiler.Options{}, Config{})
-	p := &preparedQuery{req: QueryRequest{Frontend: "program",
-		Program: []ProgramStep{{ID: "k", Op: "kvscan", Engine: "kv-slow", Prefix: "user/"}}}}
-	if err := s.prepare(p, "", s.tenants.state("")); err != nil {
-		t.Fatal(err)
-	}
-
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := s.runQuery(context.Background(), p, brokenSink{})
-		leaderErr <- err
-	}()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never reached the adapter")
-	}
-
-	out, err := s.runQuery(context.Background(), p, nil)
-	if err != nil {
-		t.Fatalf("follower inherited the streaming leader's client failure: %v", err)
-	}
-	if got := out.res.First().Batch.Rows(); got != rows {
-		t.Fatalf("follower rows = %d, want %d", got, rows)
-	}
-	if err := <-leaderErr; !errors.Is(err, errStreamWrite) {
-		t.Fatalf("leader error = %v, want errStreamWrite", err)
-	}
-}
-
 // cutterBatch is a rows-row batch of one int64 column k = row index.
 func cutterBatch(t *testing.T, rows int) *cast.Batch {
 	t.Helper()
@@ -233,13 +169,13 @@ func batchRecords(t *testing.T, body string) []int {
 func TestEmitBatchCutsUnderRowCap(t *testing.T) {
 	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
 	rec := httptest.NewRecorder()
-	st := newNDJSONStream(context.Background(), s, rec, nil, 1500, time.Now(), time.Minute)
+	st := newNDJSONStream(context.Background(), s, rec, 1500, time.Now(), time.Minute)
 	b := cutterBatch(t, 2500)
-	if err := st.StartStream(0, b.Schema()); err != nil {
+	if err := st.StartStream(b.Schema()); err != nil {
 		t.Fatal(err)
 	}
 	rows := s.st.streamRows.Value()
-	if err := st.EmitBatch(0, b); err != nil {
+	if err := st.EmitBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := batchRecords(t, rec.Body.String()); len(got) != 2 || got[0] != 1024 || got[1] != 476 {
@@ -273,15 +209,47 @@ func TestEmitBatchStopsWhenCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), n: 2, cancel: cancel} // schema, then one batch
-	st := newNDJSONStream(ctx, s, w, nil, 1<<20, time.Now(), time.Minute)
+	st := newNDJSONStream(ctx, s, w, 1<<20, time.Now(), time.Minute)
 	b := cutterBatch(t, 3000)
-	if err := st.StartStream(0, b.Schema()); err != nil {
+	if err := st.StartStream(b.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EmitBatch(0, b); !errors.Is(err, context.Canceled) {
+	if err := st.EmitBatch(b); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EmitBatch = %v, want context.Canceled", err)
 	}
 	if got := batchRecords(t, w.Body.String()); len(got) != 1 || got[0] != 1024 {
 		t.Fatalf("records of %v rows went out, want only the first [1024]", got)
+	}
+}
+
+// TestEmitBatchDeadlineInBand: a request deadline that passes after the
+// schema record makes EmitBatch return DeadlineExceeded, and fail ends the
+// committed 200 with an in-band 504 record counted under
+// stream_errors_inband.
+func TestEmitBatchDeadlineInBand(t *testing.T) {
+	s := New(core.NewRuntime(hw.NewHostCPU()), compiler.Options{}, Config{})
+	const budget = 20 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	st := newNDJSONStream(ctx, s, rec, 1<<20, time.Now(), budget)
+	b := cutterBatch(t, 3000)
+	if err := st.StartStream(b.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	<-ctx.Done()
+	inband := s.st.streamErrorsInband.Value()
+	err := st.EmitBatch(b)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EmitBatch = %v, want context.DeadlineExceeded", err)
+	}
+	st.fail(err)
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	const want = `{"type":"error","error":"deadline exceeded after 20ms","status":504}`
+	if rec.Code != http.StatusOK || len(lines) != 2 || lines[1] != want {
+		t.Fatalf("status %d, records %q, want the schema then %s", rec.Code, lines, want)
+	}
+	if got := s.st.streamErrorsInband.Value() - inband; got != 1 {
+		t.Fatalf("stream_errors_inband grew by %d, want 1", got)
 	}
 }

@@ -1,7 +1,8 @@
-// Tests of the POST /query/stream partial-result path: NDJSON wire shape,
-// streamed-vs-buffered equivalence (property-style, across partition
-// fan-outs), in-band error records after the first flushed byte, deadline
-// expiry mid-stream, and prompt worker-slot release on client disconnect.
+// Tests of POST /query/stream: NDJSON wire shape, streamed-vs-buffered
+// equivalence (property-style, across partition fan-outs), the same HTTP
+// status as /query for every execution failure, in-band error records for
+// what fails after the first record, and a worker slot that no client's
+// read cadence can hold.
 package server_test
 
 import (
@@ -362,36 +363,23 @@ func TestStreamModelResult(t *testing.T) {
 	}
 }
 
-// TestStreamMidStreamErrorInBand: once partial results have been flushed, a
-// later execution failure arrives as the trailing in-band error record on
-// the 200 stream — not as an HTTP 500. The program's first sink streams
-// points in full; the second divides by x, which is 0 on row 5000.
+// TestStreamMidStreamErrorInBand: a program whose first sink succeeds and
+// whose second divides by x, which is 0 on row 5000, answers a plain 500 on
+// both endpoints: the stream writes nothing before the execution has
+// finished, so no row of the first sink precedes the failure. A failure of
+// the single sink itself answers the same.
 func TestStreamMidStreamErrorInBand(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
-	body := programBody(`{"id":"first","op":"sql","engine":"db-clinical","sql":"SELECT k FROM points"},
+	twoSink := programBody(`{"id":"first","op":"sql","engine":"db-clinical","sql":"SELECT k FROM points"},
 		{"id":"second","op":"sql","engine":"db-clinical","sql":"SELECT k, 10 / x AS y FROM points"}`)
-	code, lines, raw := postStream(t, ts, body)
-	if code != http.StatusOK {
-		t.Fatalf("status = %d (in-band errors must ride the committed 200): %s", code, raw)
-	}
-	schema, batches, terminal := splitStream(t, lines)
-	if schema == nil || len(concatRows(batches)) != 10000 {
-		t.Fatalf("first sink not streamed in full before the failure: schema=%v batches=%d\n%s", schema, len(batches), raw)
-	}
-	if terminal.Type != "error" {
-		t.Fatalf("terminal = %+v, want in-band error", terminal)
-	}
-	if terminal.Status != http.StatusInternalServerError || !strings.Contains(terminal.Error, "division by zero") {
-		t.Fatalf("error record = %+v", terminal)
-	}
-	// A failure of the streamed node itself comes before the first byte, so
-	// both endpoints answer it with a real HTTP 500.
 	const single = `{"frontend":"sql","statement":"SELECT k, 10 / x AS y FROM points"}`
-	if scode, _, sraw := postStream(t, ts, single); scode != http.StatusInternalServerError || !strings.Contains(sraw, "division by zero") {
-		t.Fatalf("/query/stream status = %d: %s", scode, sraw)
-	}
-	if bcode, _, braw := postQuery(t, ts, single); bcode != http.StatusInternalServerError {
-		t.Fatalf("/query status = %d: %s", bcode, braw)
+	for _, body := range []string{twoSink, single} {
+		if scode, _, sraw := postStream(t, ts, body); scode != http.StatusInternalServerError || !strings.Contains(sraw, "division by zero") {
+			t.Fatalf("/query/stream status = %d: %s", scode, sraw)
+		}
+		if bcode, _, braw := postQuery(t, ts, body); bcode != http.StatusInternalServerError {
+			t.Fatalf("/query status = %d: %s", bcode, braw)
+		}
 	}
 }
 
@@ -504,9 +492,9 @@ func TestNonFiniteFloatFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestStreamDeadlineMidStream: a deadline that expires after the stream
-// started (the fast sink already flushed; a slow ML sink is still training)
-// emits the trailing 504-classified error record.
+// TestStreamDeadlineMidStream: a program whose fast sink is ready long
+// before its slow ML sink finishes training answers the deadline with a
+// plain 504 on both endpoints — the stream waits for the whole outcome.
 func TestStreamDeadlineMidStream(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	body := `{"frontend":"program","timeout_ms":600,"program":[
@@ -514,16 +502,11 @@ func TestStreamDeadlineMidStream(t *testing.T) {
 		{"id":"src","op":"sql","engine":"db-clinical","sql":"SELECT k, x, val FROM points"},
 		{"id":"t","op":"train","engine":"ml","input":"src","feature_cols":["k","x"],"label_col":"val","epochs":100000,"hidden":32}
 	]}`
-	code, lines, raw := postStream(t, ts, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d (stream should start before the deadline): %s", code, raw)
+	if code, _, raw := postStream(t, ts, body); code != http.StatusGatewayTimeout {
+		t.Fatalf("/query/stream status %d, want 504: %s", code, raw)
 	}
-	_, batches, terminal := splitStream(t, lines)
-	if len(batches) == 0 {
-		t.Fatalf("no partial results before deadline\n%s", raw)
-	}
-	if terminal.Type != "error" || terminal.Status != http.StatusGatewayTimeout {
-		t.Fatalf("terminal = %+v, want in-band 504", terminal)
+	if code, _, raw := postQuery(t, ts, body); code != http.StatusGatewayTimeout {
+		t.Fatalf("/query status %d, want 504: %s", code, raw)
 	}
 }
 
@@ -596,8 +579,39 @@ func TestStreamClientDisconnectFreesWorker(t *testing.T) {
 	}
 }
 
-// TestStreamRequestErrorsKeepStatusCodes: before the first byte, the stream
-// endpoint speaks plain HTTP exactly like /query.
+// TestStreamStalledReaderHoldsNoWorker: a stream is written after its
+// execution has released the worker slot, so a client that reads one line
+// of a large result and then stops reading holds no worker: with the only
+// one free, a cold /query behind it is admitted rather than shed.
+func TestStreamStalledReaderHoldsNoWorker(t *testing.T) {
+	ts := newStreamTestServer(t, polystore.ServeConfig{
+		Workers: 1, QueueDepth: -1, ResultCacheSize: -1, DisableSingleFlight: true,
+	})
+	// About 1M joined rows: far more than any socket buffer holds, so the
+	// server's writes block on the stalled reader.
+	body := `{"frontend":"sql","statement":"SELECT k, dkey FROM points JOIN dup ON x = dkey","max_rows":2000000}`
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query/stream", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+		t.Fatalf("first line: %v", err)
+	}
+	code, _, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT count(*) AS n FROM points WHERE k > 3"}`)
+	if code != http.StatusOK {
+		t.Fatalf("cold /query behind a stalled stream: status %d, want 200: %s", code, raw)
+	}
+}
+
+// TestStreamRequestErrorsKeepStatusCodes: a request that fails before it has
+// an outcome gets the plain HTTP status /query gives it.
 func TestStreamRequestErrorsKeepStatusCodes(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	for name, tc := range map[string]struct {
@@ -621,21 +635,17 @@ func TestStreamRequestErrorsKeepStatusCodes(t *testing.T) {
 				t.Fatalf("status = %d, want 400: %s", code, raw)
 			}
 		})
-		// The same mistake found after the first byte: the program's first
-		// sink streams points in full, then the second sink fails. The 200
-		// is committed, so the 400 rides the in-band error record.
+		// The same mistake in a program's second step, behind a first sink
+		// that succeeds: the stream answers the same plain status as /query.
+		// (The subtest is named for the in-band error record this failure
+		// rode while a stream wrote its first sink during execution.)
 		t.Run(se.name+" in band", func(t *testing.T) {
 			const first = `{"id":"first","op":"sql","engine":"db-clinical","sql":"SELECT k FROM points"},`
-			code, lines, raw := postStream(t, ts, programBody(first+se.steps))
-			if code != http.StatusOK {
-				t.Fatalf("status = %d, want the committed 200: %s", code, raw)
-			}
-			schema, batches, terminal := splitStream(t, lines)
-			if schema == nil || len(concatRows(batches)) != 10000 {
-				t.Fatalf("first sink not streamed in full before the failure: %d batches", len(batches))
-			}
-			if terminal.Type != "error" || terminal.Status != http.StatusBadRequest {
-				t.Fatalf("terminal = %+v, want an in-band 400", terminal)
+			body := programBody(first + se.steps)
+			code, _, raw := postStream(t, ts, body)
+			bcode, _, braw := postQuery(t, ts, body)
+			if code != http.StatusBadRequest || bcode != http.StatusBadRequest {
+				t.Fatalf("/query/stream status %d, /query %d, want 400 on both: %s | %s", code, bcode, raw, braw)
 			}
 		})
 	}

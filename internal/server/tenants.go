@@ -131,8 +131,8 @@ const (
 	// neither the breaker's window nor the tenant's latency.
 	neutral outcome = iota
 	// served: completed — including with a client-side error (compile or
-	// statement error, cancellation, a reader that went away), which burns
-	// no worker budget worth a breaker.
+	// statement error, cancellation), which burns no worker budget worth a
+	// breaker.
 	served
 	// failed: executed and errored, or ran out its deadline — the outcomes
 	// a circuit breaker exists to stop paying for.
@@ -146,7 +146,6 @@ func outcomeOf(err error) outcome {
 	case err == nil,
 		errors.Is(err, compiler.ErrCompile), // malformed query: cheap, pre-execution
 		isStatementError(err),               // malformed query the engine found at execution
-		errors.Is(err, errStreamWrite),      // client stopped reading
 		errors.Is(err, context.Canceled):    // client went away
 		return served
 	case errors.As(err, &ref):
@@ -187,7 +186,6 @@ func (s *Server) countRefusal(r *refusal, ts *tenantState) {
 	}{
 		causeRate:         {st.tenantRate, true, &ts.ratelimited},
 		causeBreaker:      {st.tenantBreaker, false, &ts.breakerRejects},
-		causeShedStream:   {st.shedStream, true, &ts.shed},
 		causeShedCold:     {st.shedCold, true, &ts.shed},
 		causeShedDeadline: {st.shedDeadline, true, &ts.shed},
 		causeQueueFull:    {st.rejected, false, nil},

@@ -69,7 +69,7 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		p.vv = s.rt.VersionVector(p.touches)
 		p.resKey = p.planKey + "|" + p.vv
 
-		if _, _, _, err := s.executeOnce(context.Background(), p, nil); err != nil {
+		if _, _, _, err := s.executeOnce(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 		_, published := s.results.Get(p.resKey)

@@ -260,7 +260,7 @@ func (sys *System) DataVersion() uint64 { return sys.runtime.DataVersion() }
 // Handler returns the HTTP serving subsystem over this system: POST /query
 // (sql, nl, text and multi-engine program frontends through the plan cache
 // and admission-controlled worker pool), POST /query/stream (the same
-// frontends with NDJSON partial-result delivery), POST /ingest, GET
+// answer as NDJSON records), POST /ingest, GET
 // /healthz, /metrics and /stats. The handler shares the system's runtime,
 // so concurrent requests execute against the same engines and accelerator
 // models.
