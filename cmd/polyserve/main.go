@@ -80,7 +80,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent query executions")
 	queue := flag.Int("queue", 32, "admission queue depth beyond workers (overflow -> 429; 0 disables queuing)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
-	planCache := flag.Int("plancache", 256, "plan-cache LRU entries: one per compiled plan under its plan key, and one more per SQL shape under its shape key")
+	planCache := flag.Int("plancache", 256, "plan-cache LRU entries: one per compiled plan under its plan key, and one more per SQL or program shape under its shape key")
 	resultCache := flag.Int("resultcache", 256, "result-cache LRU entries keyed on (plan fingerprint, data version); 0 disables")
 	subplanCache := flag.Int64("subplancache", 64<<20, "subplan-cache byte budget for memoized intermediates shared across near-identical queries; 0 disables")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profile handlers under /debug/pprof/")

@@ -107,3 +107,28 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 		t.Fatalf("plan_cache_hits = %d, want every statement after the first", hits)
 	}
 }
+
+// TestPrepareProgramShapeHitAllocBudget: a cross_engine program whose shape
+// was compiled before is keyed in one pass over its steps — each SQL step
+// lexed once — and its program shape key hands it the plan, plan key and
+// touches: no parse, no IR build, no engine check, no fingerprint, no touch
+// analysis. Preparing it, everything after the body is decoded, stays within
+// 12 allocations (282 when every program was built and fingerprinted).
+func TestPrepareProgramShapeHitAllocBudget(t *testing.T) {
+	s, reqs := programServer(t)
+	ts := s.tenants.state("")
+	i := 0
+	prepare := func() {
+		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
+		i++
+		if err := s.prepare(p, "", ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, prepare); allocs > 12 {
+		t.Fatalf("preparing a program of a compiled shape: %.0f allocations, budget 12", allocs)
+	}
+	if hits := s.st.planHits.Value(); hits < 200 {
+		t.Fatalf("plan_cache_hits = %d, want every program after the first", hits)
+	}
+}

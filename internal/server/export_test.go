@@ -17,3 +17,6 @@ func (s *Server) Prepare(req QueryRequest) (Prepared, error) {
 	}
 	return Prepared{PlanKey: p.planKey, Binds: p.binds, Touches: p.touches}, nil
 }
+
+// CrossEngineProgram is bench/'s cross_engine request for (a, v).
+var CrossEngineProgram = crossEngineProgram

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"slices"
@@ -18,11 +19,12 @@ import (
 // the program's plan (or, before its shape is compiled, the program), its
 // bind vector, the options it compiles under, and the engines and tables it
 // reads. The plan cache is the one memo on the way. The parse, the IR build
-// and the fingerprint depend on the statement's shape alone, so a SQL
-// statement of a shape compiled before skips all three: one lexer pass
-// (relational.Shape) turns it into a shape key and a bind vector, and the
-// plan cache maps the key to the shape's plan, which carries its plan key and
-// touches. Any other program is built and probed under its plan key.
+// and the fingerprint depend on the request's shape alone, so a SQL
+// statement or a program of a shape compiled before skips all three: one
+// pass (appendShapeKey; relational.Shape lexes each statement) turns it into
+// a shape key and a bind vector, and the plan cache maps the key to the
+// shape's plan, which carries its plan key and touches. An nl or text
+// request is built and probed under its plan key.
 
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
 // /query/stream: the plan or program, the per-request deadline, the
@@ -32,8 +34,8 @@ type preparedQuery struct {
 	nlRule string
 	// plan is the shared plan the plan cache holds for the program's shape;
 	// on a miss it is nil, graph is the program to compile, and shapeKey the
-	// SQL shape key the plan is cached under besides its plan key ("" when
-	// the statement is not its shape's template). binds are the constants
+	// shape key the plan is cached under besides its plan key ("" when the
+	// request is not its shape's template). binds are the constants
 	// the holes stand for.
 	plan     *compiler.Plan
 	graph    *ir.Graph
@@ -112,22 +114,17 @@ func (s *Server) prepare(p *preparedQuery, classHeader string, ts *tenantState) 
 
 // prepareProgram fills p's plan or program, bind vector, plan key and
 // touches through the plan cache, counting one plan-cache outcome: a hit
-// under the SQL shape key or the plan key, or a miss.
+// under the shape key or the plan key, or a miss.
 func (s *Server) prepareProgram(p *preparedQuery) error {
-	var key string // a SQL statement's shape key; "" when it has none
-	var lexed []any
-	if engine := s.sqlEngine(&p.req); p.req.Frontend == "sql" && engine != "" && p.req.Statement != "" {
-		var buf [256]byte
-		prefix := statementPrefix(buf[:0], engine, p.opts, clampParts(p.req.Parts))
-		// A statement Shape refuses, the parser refuses too: it takes the
-		// build path below, which answers the parser's error.
-		if k, binds, err := relational.Shape(prefix, p.req.Statement, make([]any, 0, 8)); err == nil {
-			key, lexed = string(k), binds
-			if plan, ok := s.cache.Get(key); ok {
-				s.st.planHits.Inc()
-				p.plan, p.binds, p.planKey, p.touches = plan, binds, plan.Key, plan.Touches
-				return nil
-			}
+	var key string // the request's shape key; "" when it has none
+	var buf [1024]byte
+	k, lexed, ok := appendShapeKey(buf[:0], &p.req, s.sqlEngine(&p.req), p.opts, make([]any, 0, 8))
+	if ok {
+		key = string(k)
+		if plan, ok := s.cache.Get(key); ok {
+			s.st.planHits.Inc()
+			p.plan, p.binds, p.planKey, p.touches = plan, lexed, plan.Key, plan.Touches
+			return nil
 		}
 	}
 
@@ -144,10 +141,10 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	stampParts(g, p.req.Parts)
 	p.binds, p.nlRule = g.Binds(), nlRule
 	p.planKey = compiler.Key(g, p.opts)
-	// The statement is its shape's template only when its parse lifted
-	// exactly the literals the lexer found, and no literal's value shaped it:
-	// then every statement of its shape key parses to this plan key with its
-	// own constants bound.
+	// The request is its shape's template only when its parses lifted
+	// exactly the literals the lexer found, and no literal's value shaped
+	// them: then every request of its shape key builds this plan key with
+	// its own constants bound.
 	if key != "" && !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
 		p.shapeKey = key
 	}
@@ -164,19 +161,73 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	return nil
 }
 
-// statementPrefix appends what a SQL statement's shape key holds besides its
-// shape: the engine (length-prefixed, so no name can run into the options),
-// the compiler options and the clamped partition fan-out. The "sql|" it
-// starts with keeps shape keys apart from plan keys, which start with a
-// fingerprint.
-func statementPrefix(dst []byte, engine string, opts compiler.Options, parts int) []byte {
-	dst = strconv.AppendInt(append(dst, "sql|"...), int64(len(engine)), 10)
-	dst = append(append(append(dst, ':'), engine...), "|L"...)
-	dst = strconv.AppendInt(dst, int64(opts.Level), 10)
+// appendShapeKey appends req's shape key to dst and the constants of its
+// SQL literals to binds, in step and text order; ok is false when it has
+// none. A sql request's key is "sql|", its engine, the compiler options, the
+// clamped fan-out and its statement's token stream (relational.Shape); a
+// program's is "prog|", the options, the fan-out and every field of every
+// step, length-prefixed, a sql step's text replaced by its token stream.
+// Plan keys start with a fingerprint. nl and text requests have no shape
+// key, nor has a statement Shape refuses: the build path answers why.
+func appendShapeKey(dst []byte, req *QueryRequest, engine string, opts compiler.Options, binds []any) ([]byte, []any, bool) {
+	var err error
+	switch req.Frontend {
+	case "sql":
+		if engine == "" || req.Statement == "" {
+			return dst, binds, false
+		}
+		dst = shapePrefix(dst, "sql|", engine, opts, clampParts(req.Parts))
+		dst, binds, err = relational.Shape(dst, req.Statement, binds)
+		return dst, binds, err == nil
+	case "program":
+		dst = shapePrefix(dst, "prog|", "", opts, clampParts(req.Parts))
+		for i := range req.Program {
+			st := &req.Program[i]
+			for _, f := range [...]string{st.ID, st.Op, st.Engine, st.Query, st.SeriesPrefix, st.Agg, st.Prefix,
+				st.Left, st.Right, st.LeftCol, st.RightCol, st.Input, st.Col, st.LabelCol, st.Model} {
+				dst = appendField(dst, f)
+			}
+			dst = appendNum(appendNum(appendNum(appendNum(dst, st.K), st.Hidden), st.Epochs), st.Batch)
+			dst = append(strconv.AppendFloat(append(strconv.AppendBool(dst, st.Desc), '|'), st.LR, 'g', -1, 64), '|')
+			dst = appendNum(dst, len(st.FeatureCols))
+			for _, c := range st.FeatureCols {
+				dst = appendField(dst, c)
+			}
+			if st.Op != "sql" {
+				dst = appendField(dst, st.SQL)
+				continue
+			}
+			// The token stream, behind a fixed-width length set once Shape has run.
+			at := len(dst)
+			if dst, binds, err = relational.Shape(append(dst, 0, 0, 0, 0), st.SQL, binds); err != nil {
+				return dst, binds, false
+			}
+			binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		}
+		return dst, binds, true
+	}
+	return dst, binds, false
+}
+
+// shapePrefix appends what a shape key holds besides its shape: the tag, the
+// engine, the compiler options and the clamped partition fan-out.
+func shapePrefix(dst []byte, tag, engine string, opts compiler.Options, parts int) []byte {
+	dst = appendField(append(dst, tag...), engine)
+	dst = strconv.AppendInt(append(dst, "|L"...), int64(opts.Level), 10)
 	dst = strconv.AppendBool(append(dst, "|A"...), opts.Accel)
 	dst = strconv.AppendInt(append(dst, "|T"...), int64(opts.Transport), 10)
 	dst = strconv.AppendInt(append(dst, "|P"...), int64(parts), 10)
 	return append(dst, '|')
+}
+
+// appendField appends s length-prefixed, so no field can run into the next.
+func appendField(dst []byte, s string) []byte {
+	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
+}
+
+// appendNum appends n and a separator.
+func appendNum(dst []byte, n int) []byte {
+	return append(strconv.AppendInt(dst, int64(n), 10), '|')
 }
 
 // resultKey is the result-cache and single-flight key of one execution: the

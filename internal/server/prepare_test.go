@@ -281,14 +281,16 @@ func TestStatementCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestOneCacheUnderEviction: SQL shape keys and plan keys share the plan
-// cache's capacity. At 1, 2 and 3 entries a server cycles through two
-// template shapes, the program form of the second, a value-shaped statement,
-// the second again, and one shape at parts 1 and 7, sending each twice with
-// its constants redrawn. So a shape key outlives its plan key (a compile
-// stores the plan key first), and a plan key outlives its shape key (the
-// program request finds the plan under its plan key alone). Every answer is
-// a fresh server's, and the cache never holds more entries than its capacity.
+// TestOneCacheUnderEviction: SQL and program shape keys and plan keys share
+// the plan cache's capacity. At 1, 2 and 3 entries a server cycles through
+// two template shapes, the program form of the second, a value-shaped
+// statement, the second again, and one shape at parts 1 and 7, sending each
+// twice with its constants redrawn. So a shape key outlives its plan key (a
+// compile stores the plan key first), and a plan key outlives its shape key
+// (the program request, whose program shape key is not the statement's,
+// finds the plan under its plan key and maps its own shape key to it, which
+// can evict the statement's). Every answer is a fresh server's, and the
+// cache never holds more entries than its capacity.
 func TestOneCacheUnderEviction(t *testing.T) {
 	store := preparedStore(t)
 	rng := rand.New(rand.NewSource(61))
@@ -343,18 +345,39 @@ func TestOneCacheUnderEviction(t *testing.T) {
 }
 
 // TestShapeKeyRejoinsItsPlan: a SQL statement whose plan is cached under its
-// plan key alone — compiled for the program frontend here, or left behind by
-// an evicted shape key — finds it there and maps its shape key to it, so the
-// next statement of its shape skips the parse.
+// plan key alone — compiled for the program frontend here, which maps its
+// own program shape key to it, or left behind by an evicted shape key —
+// finds it there and maps its shape key to it, so the next statement of its
+// shape skips the parse.
 func TestShapeKeyRejoinsItsPlan(t *testing.T) {
-	srv := newPreparedServer(preparedStore(t))
+	store := preparedStore(t)
 	const stmt = "SELECT kind, count(*) AS n FROM events WHERE id >= %d GROUP BY kind"
-	serve(t, srv, http.MethodPost, "/query", fmt.Sprintf(`{"frontend":"program","program":[{"id":"q","op":"sql","engine":"db","sql":%q}]}`, fmt.Sprintf(stmt, 5)))
-	if c := planStats(t, srv); c.Misses != 1 || c.Size != 1 {
-		t.Fatalf("program: %d misses, %d entries; want 1 and 1", c.Misses, c.Size)
+	statement := func(n int) string { return fmt.Sprintf(`{"frontend":"sql","statement":%q}`, fmt.Sprintf(stmt, n)) }
+	program := func(n int) string {
+		return fmt.Sprintf(`{"frontend":"program","program":[{"id":"q","op":"sql","engine":"db","sql":%q}]}`, fmt.Sprintf(stmt, n))
 	}
-	serve(t, srv, http.MethodPost, "/query", fmt.Sprintf(`{"frontend":"sql","statement":%q}`, fmt.Sprintf(stmt, 6)))
-	if c := planStats(t, srv); c.Hits != 1 || c.Size != 2 {
-		t.Fatalf("statement: %d hits, %d entries; want 1 and 2", c.Hits, c.Size)
+	check := func(srv http.Handler, body string, hits, misses int64, size int) {
+		t.Helper()
+		serve(t, srv, http.MethodPost, "/query", body)
+		if c := planStats(t, srv); c.Hits != hits || c.Misses != misses || c.Size != size {
+			t.Fatalf("%s: %d hits, %d misses, %d entries; want %d, %d and %d", body, c.Hits, c.Misses, c.Size, hits, misses, size)
+		}
+	}
+	srv := newPreparedServer(store)
+	check(srv, program(5), 0, 1, 2)   // its plan key and program shape key
+	check(srv, statement(6), 1, 1, 3) // found under the plan key; its shape key joins
+	check(srv, statement(7), 2, 1, 3) // found under its shape key
+
+	// At two entries a statement's compile stores its plan key, then its
+	// shape key. The program finds the plan under its plan key, which becomes
+	// the most recently used, and its program shape key evicts the
+	// statement's; the next statement finds the plan under its plan key
+	// alone, and its shape key evicts the program's.
+	cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 5000, PlanCacheSize: 2}
+	srv = polystore.New(polystore.WithRelational("db", store)).Handler(cfg).(*server.Server)
+	check(srv, statement(5), 0, 1, 2)
+	for i := range 4 {
+		check(srv, program(6+i), int64(1+2*i), 1, 2)
+		check(srv, statement(6+i), int64(2+2*i), 1, 2)
 	}
 }

@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -90,8 +91,8 @@ type Config struct {
 	// MaxTimeout caps client-requested deadlines (default 60s).
 	MaxTimeout time.Duration
 	// PlanCacheSize bounds the plan cache's entries (default 256). A
-	// compiled plan takes one under its plan key, and a SQL shape one more
-	// under its shape key.
+	// compiled plan takes one under its plan key, and a SQL or program shape
+	// one more under its shape key.
 	PlanCacheSize int
 	// ResultCacheSize bounds the executed-result LRU keyed on
 	// (plan fingerprint + options, touched-engine version vector). Zero
@@ -472,14 +473,19 @@ func postOnly(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
-// unknown fields; on failure it writes the 400 and returns false. A number
-// bound to an untyped field (IngestRequest.Row) stays a json.Number, so an
-// integer beyond 2^53 is not rounded through float64.
+// unknown fields and anything but whitespace after the value; on failure it
+// writes the 400 and returns false. A number bound to an untyped field
+// (IngestRequest.Row) stays a json.Number, so an integer beyond 2^53 is not
+// rounded through float64.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("data after the JSON value")
+	}
+	if err != nil {
 		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false

@@ -400,3 +400,37 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBodyIs400: a body is one JSON value and whitespace. Data after
+// it — junk, or a second object — is a 400 on /query, /query/stream and
+// /ingest, and the ingest writes nothing; the well-formed bodies beside them
+// answer 200, trailing whitespace included.
+func TestTrailingBodyIs400(t *testing.T) {
+	srv := newPreparedServer(preparedStore(t))
+	const (
+		query  = `{"frontend":"sql","statement":"SELECT count(*) AS n FROM events WHERE id = 5000"}`
+		ingest = `{"engine":"db","table":"events","row":[5000,1,2.5]}`
+	)
+	for _, tc := range []struct{ path, body string }{
+		{"/query", query}, {"/query/stream", query}, {"/ingest", ingest},
+	} {
+		for _, tail := range []string{" trailing", `{"frontend":"bogus"}`, "}", "\n[]"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body+tail)))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad request body: ") {
+				t.Errorf("%s %q: %d %s, want 400 bad request body", tc.path, tc.body+tail, rec.Code, rec.Body)
+			}
+		}
+		if tc.path != "/ingest" {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body+" \n\t")))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "[0]") {
+				t.Errorf("%s with trailing whitespace: %d %s, want 200 and no row 5000", tc.path, rec.Code, rec.Body)
+			}
+		}
+	}
+	serve(t, srv, http.MethodPost, "/ingest", ingest+"\n")
+	if got := serve(t, srv, http.MethodPost, "/query", query); !strings.Contains(string(got), `"rows":[[1]]`) {
+		t.Errorf("after one well-formed ingest: %s", got)
+	}
+}

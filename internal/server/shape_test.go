@@ -12,7 +12,9 @@ import (
 
 	"polystorepp"
 	"polystorepp/internal/cast"
+	"polystorepp/internal/datagen"
 	"polystorepp/internal/relational"
+	"polystorepp/internal/server"
 )
 
 // eventsStore is bench/'s events table in small — id, kind in [0, 32), and a
@@ -155,5 +157,44 @@ func TestShapeFamilyCompilesOnce(t *testing.T) {
 	}
 	if stats.SubplanReused == 0 {
 		t.Error("no statement reused the kind's shared prefix")
+	}
+}
+
+// TestProgramShapeFamilyEqualFresh serves bench/'s cross_engine program with
+// its (a, v) redrawn through one server with every reuse layer on, at 1, 2,
+// 7 and 64 partitions, each program twice. Each fan-out compiles once — one
+// plan-cache miss, every other program prepared from the plan its program
+// shape key maps to — and every answer is a fresh server's, which builds and
+// compiles the program with nothing cached.
+func TestProgramShapeFamilyEqualFresh(t *testing.T) {
+	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg polystore.ServeConfig
+	srv := polystore.New(polystore.WithClinical(data)).Handler(cfg)
+	rng := rand.New(rand.NewSource(44))
+	misses := int64(0)
+	for _, parts := range []int{1, 2, 7, 64} {
+		for range 4 {
+			req := server.QueryRequest{Frontend: "program", Program: server.CrossEngineProgram(20+rng.Intn(50), rng.Intn(8)), Parts: parts}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := polystore.New(polystore.WithClinical(data)).Handler(cfg)
+			want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", string(body)))
+			sortRows(want.Rows)
+			for round := 0; round < 2; round++ {
+				got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", string(body)))
+				sortRows(got.Rows)
+				queryEqual(t, got, want, string(body))
+			}
+		}
+		c := planStats(t, srv)
+		if c.Misses-misses != 1 {
+			t.Errorf("parts %d: %d plan-cache misses over 8 programs of one shape, want 1", parts, c.Misses-misses)
+		}
+		misses = c.Misses
 	}
 }

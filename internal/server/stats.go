@@ -159,7 +159,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
 	// Plan cache, result cache, single-flight.
-	st.planHits = counter("plan_cache_hits", "server.plancache.hits", "Queries prepared with a cached plan: a SQL statement of a shape compiled before skips the parser, the IR build, the fingerprint and the compiler; any other program skips the compiler.")
+	st.planHits = counter("plan_cache_hits", "server.plancache.hits", "Queries prepared with a cached plan: a SQL statement or program of a shape compiled before skips the parser, the IR build, the fingerprint and the compiler; any other request skips the compiler.")
 	st.planMisses = counter("plan_cache_miss", "server.plancache.misses", "Queries prepared without a cached plan; their execution compiles one.")
 	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
@@ -217,7 +217,7 @@ func (s *Server) snapshotStats() []stat {
 	sp, spOn := s.rt.SubplanCacheStats()
 	spawned, inlined := partition.Shared().Stats()
 	return []stat{
-		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL shape mapped to its plan.", get: val(s.cache.Len())},
+		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL or program shape mapped to its plan.", get: val(s.cache.Len())},
 		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(rc.Cost)},
 		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(rc.Bypassed)},
 		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},
