@@ -40,12 +40,13 @@ Serves SQL, natural-language, text and multi-engine program queries over a
 seeded demo deployment (see -scenario). Admission control bounds concurrent
 executions; a plan cache skips recompilation of hot queries.
 
-Requests carry a tenant identity in the X-Tenant header (default "anon") and
-a priority class in X-Priority (interactive, batch, background). Per-tenant
-token buckets, weighted-fair admission, circuit breakers and load shedding
-isolate tenants under overload (-tenant-rate, -tenant-quota,
--shed-highwater, -breaker-*). SIGTERM drains in-flight work bounded by
--drain-timeout before exiting.
+Requests carry a tenant identity in the X-Tenant header (default "anon").
+Per-tenant token buckets (-tenant-rate, -tenant-burst, -tenant-quota),
+round-robin admission over tenants, per-tenant circuit breakers and load
+shedding (-shed-highwater) isolate tenants under overload. A tenant's
+breaker opens when half of at least 20 requests in 10s failed, and probes
+again after 5s. SIGTERM drains in-flight work bounded by -drain-timeout
+before exiting.
 
 Placement and partition fan-out are static: the device of an offloadable
 kernel is the cheapest under the hw cost model, and a node fans out at its
@@ -87,15 +88,8 @@ func main() {
 	traceAll := flag.Bool("traceall", false, "trace every request server-side so /debug/queries captures recent and slowest executions")
 	tenantRate := flag.Float64("tenant-rate", 0, "default per-tenant request rate limit in req/s (0 = unlimited)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "default per-tenant token-bucket burst (effective only with -tenant-rate > 0; clamped to >= 1)")
-	tenantQuota := flag.String("tenant-quota", "", `per-tenant quota overrides: "tenant=rate:burst[:weight],..." (weight biases weighted-fair admission)`)
-	maxTenants := flag.Int("max-tenants", 0, "bound on tracked tenant identities; least-recently-seen evicted beyond it (0 = default 1024)")
+	tenantQuota := flag.String("tenant-quota", "", `per-tenant rate-limit overrides: "tenant=rate:burst,..."`)
 	shedHighWater := flag.Float64("shed-highwater", 0, "utilization fraction of workers+queue at which executions are shed (0 = default 0.85; negative disables shedding)")
-	cacheShare := flag.Float64("cache-share", 0, "per-tenant fraction of result/subplan cache bytes enforced under multi-tenant contention (0 = default 0.5; >= 1 disables)")
-	breakerWindow := flag.Duration("breaker-window", 0, "circuit-breaker rolling error window (0 = default 10s)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-open probing (0 = default 5s)")
-	breakerMinSamples := flag.Int("breaker-min-samples", 0, "minimum requests in the window before a breaker may trip (0 = default 20)")
-	breakerRatio := flag.Float64("breaker-ratio", 0, "failure ratio that trips a tenant's breaker (0 = default 0.5)")
-	noBreaker := flag.Bool("no-breaker", false, "disable per-tenant circuit breakers")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "bound on draining in-flight requests at shutdown; new work gets 503 while draining")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL + snapshot persistence for relational, timeseries and kv engines (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (fsync before ack), interval (ack first, fsync every 100ms), off (never fsync)")
@@ -124,26 +118,19 @@ func main() {
 		*subplanCache = -1 // flag 0 means "off"; Config zero means "default"
 	}
 	cfg := polystore.ServeConfig{
-		Workers:             *workers,
-		QueueDepth:          *queue,
-		DefaultTimeout:      *timeout,
-		PlanCacheSize:       *planCache,
-		ResultCacheSize:     *resultCache,
-		SubplanCacheBytes:   *subplanCache,
-		EnablePprof:         *pprofOn,
-		TraceAll:            *traceAll,
-		TenantRate:          *tenantRate,
-		TenantBurst:         *tenantBurst,
-		TenantQuotas:        quotas,
-		MaxTenants:          *maxTenants,
-		TenantCacheShare:    *cacheShare,
-		ShedHighWater:       *shedHighWater,
-		DisableBreaker:      *noBreaker,
-		BreakerWindow:       *breakerWindow,
-		BreakerCooldown:     *breakerCooldown,
-		BreakerMinSamples:   *breakerMinSamples,
-		BreakerFailureRatio: *breakerRatio,
-		DrainTimeout:        *drainTimeout,
+		Workers:           *workers,
+		QueueDepth:        *queue,
+		DefaultTimeout:    *timeout,
+		PlanCacheSize:     *planCache,
+		ResultCacheSize:   *resultCache,
+		SubplanCacheBytes: *subplanCache,
+		EnablePprof:       *pprofOn,
+		TraceAll:          *traceAll,
+		TenantRate:        *tenantRate,
+		TenantBurst:       *tenantBurst,
+		TenantQuotas:      quotas,
+		ShedHighWater:     *shedHighWater,
+		DrainTimeout:      *drainTimeout,
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,
@@ -257,9 +244,8 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d resultcache=%d subplancache=%d accel=%t pprof=%t traceall=%t)\n",
 		scenario, addr, cfg.Workers, cfg.QueueDepth, cfg.DefaultTimeout, cfg.PlanCacheSize,
 		cfg.ResultCacheSize, cfg.SubplanCacheBytes, accel, cfg.EnablePprof, cfg.TraceAll)
-	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d maxtenants=%d shed=%g cacheshare=%g breaker=%t drain=%s\n",
-		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.MaxTenants,
-		cfg.ShedHighWater, cfg.TenantCacheShare, !cfg.DisableBreaker, cfg.DrainTimeout)
+	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d shed=%g drain=%s\n",
+		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.ShedHighWater, cfg.DrainTimeout)
 	if bk != nil {
 		bs := bk.Stats()
 		fmt.Printf("polyserve: durability dir=%s sync=%s snapshot-trigger=%d recovered=%t replay-records=%d\n",

@@ -122,7 +122,7 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 		o(r)
 	}
 	r.st = newCoreStats(r.reg, r.accels)
-	r.ConfigureSubplanCacheShared(r.subplanBytes, 0)
+	r.ConfigureSubplanCacheShared(r.subplanBytes)
 	r.preloadKernels()
 	return r
 }

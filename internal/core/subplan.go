@@ -50,11 +50,10 @@ func WithSubplanCacheBytes(n int64) Option {
 // ConfigureSubplanCacheShared installs a fresh subplan cache bounded to n
 // bytes, or disables subplan caching when n is negative. 0 means the
 // runtime's own size (WithSubplanCacheBytes, DefaultSubplanCacheBytes when
-// unset), which may itself be negative. share is the per-tenant byte share
-// (0 means the default; see subplan.NewCacheShared). Safe to call while plans
-// execute: in-flight executions keep the state they started with, and the
-// old cache drains by garbage collection.
-func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
+// unset), which may itself be negative. Safe to call while plans execute:
+// in-flight executions keep the state they started with, and the old cache
+// drains by garbage collection.
+func (r *Runtime) ConfigureSubplanCacheShared(n int64) {
 	if n == 0 {
 		n = r.subplanBytes
 	}
@@ -65,7 +64,7 @@ func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	if n == 0 {
 		n = DefaultSubplanCacheBytes
 	}
-	r.subplan.Store(&subplanState{cache: subplan.NewCacheShared(n, share), flight: subplan.NewFlight()})
+	r.subplan.Store(&subplanState{cache: subplan.NewCache(n), flight: subplan.NewFlight()})
 }
 
 // SubplanCacheStats snapshots the subplan cache, per-tenant charges

@@ -91,7 +91,7 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 			}
 
 			off := testRuntime(t, 2000, true)
-			off.ConfigureSubplanCacheShared(-1, 0)
+			off.ConfigureSubplanCacheShared(-1)
 			wantRes, wantRep, err := off.Execute(context.Background(), plan)
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +148,7 @@ func TestSubplanSharedPrefixAcrossPlans(t *testing.T) {
 
 	// Equivalence of the served variant against a cache-disabled runtime.
 	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1, 0)
+	off.ConfigureSubplanCacheShared(-1)
 	wantRes, wantRep, err := off.Execute(context.Background(), mustCompile(t, limitProgram(25), 3))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSubplanStreamWarmReplay(t *testing.T) {
 	plan := mustCompile(t, limitProgram(500), 3)
 
 	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1, 0)
+	off.ConfigureSubplanCacheShared(-1)
 	wantSink := &collectSink{}
 	wantRes, wantRep, err := off.ExecuteStream(context.Background(), plan, wantSink)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
 	base := testRuntime(t, 2000, false)
-	base.ConfigureSubplanCacheShared(-1, 0)
+	base.ConfigureSubplanCacheShared(-1)
 	wantRes, wantRep, err := base.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +382,7 @@ func TestSubplanPropertyRandomPlans(t *testing.T) {
 				}
 				plan := mustCompile(t, g(), 3)
 				off := testRuntime(t, 1200, false)
-				off.ConfigureSubplanCacheShared(-1, 0)
+				off.ConfigureSubplanCacheShared(-1)
 				wantRes, wantRep, err := off.Execute(context.Background(), plan)
 				if err != nil {
 					t.Fatal(err)
@@ -422,7 +422,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	ctx := context.Background()
 	plan := mustCompile(t, limitProgram(75), 3)
 	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1, 0)
+	off.ConfigureSubplanCacheShared(-1)
 	want, _, err := off.Execute(ctx, plan)
 	if err != nil {
 		t.Fatal(err)

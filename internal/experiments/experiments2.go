@@ -472,8 +472,3 @@ func kernelOrHost(d *hw.Device, class hw.KernelClass, w hw.Work, outBytes int64)
 	}
 	return kc.AddSeq(d.TransferCost(w.Bytes)).AddSeq(d.TransferCost(outBytes)), nil
 }
-
-// DSESpace exposes the E10 design space and evaluator for cmd/dsexplore.
-func DSESpace(scale int) (optimizer.Space, optimizer.Evaluator, error) {
-	return dseSpace(scale)
-}

@@ -40,22 +40,6 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// Describe renders a config as name=value pairs.
-func (s Space) Describe(config []int) string {
-	out := ""
-	for i, p := range s.Params {
-		if i > 0 {
-			out += " "
-		}
-		v := "?"
-		if i < len(config) && config[i] >= 0 && config[i] < len(p.Values) {
-			v = p.Values[config[i]]
-		}
-		out += p.Name + "=" + v
-	}
-	return out
-}
-
 // Evaluator runs one configuration and returns its (minimized) objectives.
 // This is the black-box f of equation (1): in Polystore++ it executes the
 // workload under the configuration and reports latency and energy.

@@ -181,9 +181,6 @@ func TestSpaceBasics(t *testing.T) {
 	if err := (Space{Params: []Param{{Name: "p"}}}).Validate(); !errors.Is(err, ErrSpace) {
 		t.Fatalf("empty values: %v", err)
 	}
-	if got := s.Describe([]int{1, 2}); got != "x=b y=c" {
-		t.Fatalf("Describe = %q", got)
-	}
 }
 
 func TestRandomSearchNoRepeats(t *testing.T) {

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"polystorepp/internal/tenant"
 )
 
 // refusal is the serving layer declining a request it has not run. Every
@@ -54,15 +52,15 @@ func (c cause) String() string {
 // estimated queue wait already exceeds its deadline: an honest 503 now
 // instead of a certain 504 after occupying queue space. Result-cache hits
 // and single-flight followers never come here, which is what keeps cached
-// reads serving through an overload. Waiters are grouped into flows keyed
-// (tenant, class) and granted worker slots weighted-fair by virtual time:
-// each grant advances its flow's clock by 1/weight, and the flow with the
-// smallest clock wins the next free worker. One abusive tenant with a
-// thousand queued requests therefore gets the same grant rate as a
-// well-behaved tenant with two — its surplus just waits (or overflows into
-// queue-full refusals), while priority classes weight interactive grants
-// over batch over background. A single-tenant deployment has exactly one
-// flow, which degenerates to the FIFO semaphore this scheduler replaced.
+// reads serving through an overload. Waiters are grouped into one flow per
+// tenant, and the flows that have waiters form a ring: a free worker goes to
+// the oldest waiter of the flow at the front, and that flow moves to the
+// back if it still has waiters (round robin, the unit-weight case of fair
+// queuing). One abusive tenant with a thousand queued requests therefore
+// gets the same grant rate as a well-behaved tenant with two — its surplus
+// just waits (or overflows into queue-full refusals). A single-tenant
+// deployment has exactly one flow, which degenerates to the FIFO semaphore
+// this scheduler replaced.
 type admission struct {
 	mu       sync.Mutex
 	workers  int
@@ -71,31 +69,27 @@ type admission struct {
 	// executions are shed; <= 0 never sheds.
 	highWater float64
 	running   int
-	flows     map[flowKey]*admFlow
-	vclock    float64 // virtual time of the last grant
+	queued    int
+	flows     map[string]*admFlow // by tenant, only while it has waiters
+	ring      list.List           // of *admFlow; the front is granted next
 	// svc is the EWMA (alpha 1/8) of successful executions' wall time: what
 	// one queued request ahead costs a newcomer.
 	svc time.Duration
 }
 
-// flowKey identifies one weighted-fair flow.
-type flowKey struct {
-	tenant string
-	class  tenant.Class
-}
-
-// admFlow is one flow's FIFO of waiters plus its virtual clock.
+// admFlow is one tenant's FIFO of waiters and its place in the ring.
 type admFlow struct {
-	weight  float64
-	vtime   float64
-	waiters *list.List // of *admWaiter
+	tenant  string
+	waiters list.List // of *admWaiter
+	turn    *list.Element
 }
 
 // admWaiter is one queued request.
 type admWaiter struct {
 	grant   chan struct{}
-	flow    flowKey
-	granted bool // set under admission.mu before grant closes
+	flow    *admFlow
+	el      *list.Element // in flow.waiters
+	granted bool          // set under admission.mu before grant closes
 }
 
 // newAdmission builds a controller with the given worker and queue bounds
@@ -111,21 +105,17 @@ func newAdmission(workers, queue int, highWater float64) *admission {
 		workers:   workers,
 		queueCap:  queue,
 		highWater: highWater,
-		flows:     make(map[flowKey]*admFlow),
+		flows:     make(map[string]*admFlow),
 	}
 }
 
-// acquire claims a worker slot for the given flow, waiting weighted-fair in
+// acquire claims a worker slot for the tenant's request, waiting its turn in
 // the queue if needed. It fails with a *refusal when the request is shed or
 // the queue is full, or the context error if the caller's deadline expires
-// while still queued. weight <= 0 derives the flow weight from the class
-// alone.
-func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) error {
-	if weight <= 0 {
-		weight = fk.class.Weight()
-	}
+// while still queued.
+func (a *admission) acquire(ctx context.Context, tenantID string) error {
 	a.mu.Lock()
-	queued := a.queuedLocked()
+	queued := a.queued
 	if ref := a.shedLocked(ctx, queued); ref != nil {
 		a.mu.Unlock()
 		return ref
@@ -145,16 +135,16 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) err
 			retryAfter: wait,
 		}
 	}
-	w := &admWaiter{grant: make(chan struct{}), flow: fk}
-	f := a.flows[fk]
+	f := a.flows[tenantID]
 	if f == nil {
-		// New (or re-activated) flows start at the global virtual clock:
-		// they compete fairly from now on but earn no credit for idle time.
-		f = &admFlow{weight: weight, vtime: a.vclock, waiters: list.New()}
-		a.flows[fk] = f
+		// A tenant that starts waiting joins the ring at the back.
+		f = &admFlow{tenant: tenantID}
+		f.turn = a.ring.PushBack(f)
+		a.flows[tenantID] = f
 	}
-	f.weight = weight // later arrivals may carry an updated quota weight
-	f.waiters.PushBack(w)
+	w := &admWaiter{grant: make(chan struct{}), flow: f}
+	w.el = f.waiters.PushBack(w)
+	a.queued++
 	// A worker may have freed between the fast-path check and the enqueue.
 	a.dispatchLocked()
 	a.mu.Unlock()
@@ -171,7 +161,7 @@ func (a *admission) acquire(ctx context.Context, fk flowKey, weight float64) err
 			a.release(0)
 			return ctx.Err()
 		}
-		a.removeWaiterLocked(w)
+		a.dequeueLocked(w)
 		a.mu.Unlock()
 		return ctx.Err()
 	}
@@ -220,9 +210,9 @@ func (a *admission) serviceEWMA() time.Duration {
 }
 
 // release returns the worker slot claimed by a successful acquire and
-// dispatches the next weighted-fair waiter, if any. svc is the wall time of
-// the execution the slot was held for when it succeeded (0 otherwise), and
-// is folded into the service-time estimate.
+// grants it to the next waiter in turn, if any. svc is the wall time of the
+// execution the slot was held for when it succeeded (0 otherwise), and is
+// folded into the service-time estimate.
 func (a *admission) release(svc time.Duration) {
 	a.mu.Lock()
 	switch {
@@ -237,32 +227,16 @@ func (a *admission) release(svc time.Duration) {
 	a.mu.Unlock()
 }
 
-// dispatchLocked grants free workers to queued flows in virtual-time order.
-// Called with the lock held.
+// dispatchLocked grants free workers round robin: each grant goes to the
+// oldest waiter of the flow at the front of the ring. Called with the lock
+// held.
 func (a *admission) dispatchLocked() {
-	for a.running < a.workers {
-		var best *admFlow
-		var bestKey flowKey
-		for k, f := range a.flows {
-			if f.waiters.Len() == 0 {
-				continue
-			}
-			if best == nil || f.vtime < best.vtime {
-				best, bestKey = f, k
-			}
-		}
-		if best == nil {
-			return
-		}
-		el := best.waiters.Front()
-		best.waiters.Remove(el)
-		w := el.Value.(*admWaiter)
-		best.vtime += 1 / best.weight
-		if best.vtime > a.vclock {
-			a.vclock = best.vtime
-		}
-		if best.waiters.Len() == 0 {
-			delete(a.flows, bestKey)
+	for a.running < a.workers && a.ring.Len() > 0 {
+		f := a.ring.Front().Value.(*admFlow)
+		w := f.waiters.Front().Value.(*admWaiter)
+		a.dequeueLocked(w)
+		if f.waiters.Len() > 0 {
+			a.ring.MoveToBack(f.turn)
 		}
 		a.running++
 		w.granted = true
@@ -270,31 +244,17 @@ func (a *admission) dispatchLocked() {
 	}
 }
 
-// removeWaiterLocked drops a canceled waiter from its flow's queue. Called
-// with the lock held, only when the waiter was not granted.
-func (a *admission) removeWaiterLocked(w *admWaiter) {
-	f := a.flows[w.flow]
-	if f == nil {
-		return
-	}
-	for el := f.waiters.Front(); el != nil; el = el.Next() {
-		if el.Value.(*admWaiter) == w {
-			f.waiters.Remove(el)
-			break
-		}
-	}
+// dequeueLocked takes a waiter out of its flow's queue, and the flow out of
+// the ring once it has no waiters left. Called with the lock held, only
+// while the waiter is queued.
+func (a *admission) dequeueLocked(w *admWaiter) {
+	f := w.flow
+	f.waiters.Remove(w.el)
+	a.queued--
 	if f.waiters.Len() == 0 {
-		delete(a.flows, w.flow)
+		a.ring.Remove(f.turn)
+		delete(a.flows, f.tenant)
 	}
-}
-
-// queuedLocked counts waiters across flows. Called with the lock held.
-func (a *admission) queuedLocked() int {
-	n := 0
-	for _, f := range a.flows {
-		n += f.waiters.Len()
-	}
-	return n
 }
 
 // inflight returns the current number of executions holding a worker slot;
@@ -310,5 +270,5 @@ func (a *admission) inflight() int64 {
 func (a *admission) queueDepth() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return int64(a.queuedLocked())
+	return int64(a.queued)
 }

@@ -23,9 +23,9 @@ import (
 )
 
 // anonFlow is the degenerate single-tenant flow all pre-multitenancy tests
-// use: one flow makes the weighted-fair scheduler behave exactly like the
+// use: one flow makes the round-robin scheduler behave exactly like the
 // FIFO semaphore it replaced.
-var anonFlow = flowKey{tenant: tenant.Anon, class: tenant.Interactive}
+const anonFlow = tenant.Anon
 
 // noShed is the high-water mark of a controller that only queues and
 // overflows: the scheduling tests below fill queues the shedder would cut.
@@ -35,13 +35,13 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	a := newAdmission(1, 1, noShed)
 	ctx := context.Background()
 
-	if err := a.acquire(ctx, anonFlow, 0); err != nil {
+	if err := a.acquire(ctx, anonFlow); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 	// Second request queues; run it in a goroutine so we can fill the queue.
 	queued := make(chan error, 1)
 	go func() {
-		err := a.acquire(ctx, anonFlow, 0)
+		err := a.acquire(ctx, anonFlow)
 		if err == nil {
 			a.release(0) // before the send: the test reads inflight right after receiving
 		}
@@ -53,7 +53,7 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	}
 	// Third request exceeds workers+queue and is refused immediately, with
 	// the queue depth recorded in the message.
-	err := a.acquire(ctx, anonFlow, 0)
+	err := a.acquire(ctx, anonFlow)
 	var ref *refusal
 	if !errors.As(err, &ref) || ref.cause != causeQueueFull || ref.status != 429 {
 		t.Fatalf("third acquire = %v, want a queue-full refusal", err)
@@ -134,14 +134,14 @@ func TestInflightCountsOnlyRunning(t *testing.T) {
 
 func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 	a := newAdmission(1, 4, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+	if err := a.acquire(context.Background(), anonFlow); err != nil {
 		t.Fatal(err)
 	}
 	defer a.release(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := a.acquire(ctx, anonFlow, 0); !errors.Is(err, context.DeadlineExceeded) {
+	if err := a.acquire(ctx, anonFlow); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire = %v, want DeadlineExceeded", err)
 	}
 	if got := a.inflight(); got != 1 {
@@ -161,7 +161,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := a.acquire(context.Background(), anonFlow, 0)
+			err := a.acquire(context.Background(), anonFlow)
 			mu.Lock()
 			if err != nil {
 				rejected++
@@ -184,14 +184,13 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestAdmissionWeightedFairInterleaving queues many waiters for a heavy
-// tenant and a few for a light one behind a single busy worker, then drains
-// grants one at a time. Equal weights must interleave grants 1:1 — the heavy
-// tenant's backlog cannot starve the light tenant the way the old FIFO
-// queue did.
-func TestAdmissionWeightedFairInterleaving(t *testing.T) {
+// TestAdmissionFairInterleaving queues many waiters for a heavy tenant and a
+// few for a light one behind a single busy worker, then drains grants one at
+// a time. The ring must interleave grants 1:1 — the heavy tenant's backlog
+// cannot starve the light tenant the way the old FIFO queue did.
+func TestAdmissionFairInterleaving(t *testing.T) {
 	a := newAdmission(1, 32, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+	if err := a.acquire(context.Background(), anonFlow); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,12 +202,11 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 	var grants []grant
 	var wg sync.WaitGroup
 	enqueue := func(ten string, n int) {
-		fk := flowKey{tenant: ten, class: tenant.Interactive}
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 1); err != nil {
+				if err := a.acquire(context.Background(), ten); err != nil {
 					t.Errorf("%s acquire: %v", ten, err)
 					return
 				}
@@ -236,7 +234,7 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 		t.Fatalf("got %d grants, want 16", len(grants))
 	}
 	// All four light grants must land in the first half of the schedule:
-	// with equal weights the scheduler alternates flows, so light finishes
+	// the ring alternates flows, so light finishes
 	// by grant 8 even though 12 heavy waiters were queued ahead of it.
 	lightLast := -1
 	for _, g := range grants {
@@ -252,57 +250,74 @@ func TestAdmissionWeightedFairInterleaving(t *testing.T) {
 	}
 }
 
-// TestAdmissionClassPriority queues equal backlogs at interactive and
-// background priority for the same tenant and checks the interactive flow
-// drains far earlier, proportional to the 16:1 class weights.
-func TestAdmissionClassPriority(t *testing.T) {
-	a := newAdmission(1, 64, noShed)
-	if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+// TestAdmissionRoundRobinOrder pins the ring: behind one busy worker, three
+// waiters of tenant a, three of b and one of c queue in that order, then one
+// of d that is cancelled while queued. Each tenant takes one grant per
+// round, oldest waiter first, so the grants come in exactly the order
+// a, b, c, a, b, a, b; the cancelled waiter takes no turn, and its tenant
+// leaves the ring.
+func TestAdmissionRoundRobinOrder(t *testing.T) {
+	a := newAdmission(1, 32, noShed)
+	if err := a.acquire(context.Background(), anonFlow); err != nil {
 		t.Fatal(err)
 	}
-
-	var mu sync.Mutex
-	var order []tenant.Class
-	var wg sync.WaitGroup
-	enqueue := func(c tenant.Class, n int) {
-		fk := flowKey{tenant: "t", class: c}
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := a.acquire(context.Background(), fk, 0); err != nil {
-					t.Errorf("acquire: %v", err)
-					return
-				}
-				mu.Lock()
-				order = append(order, c)
-				mu.Unlock()
-				a.release(0)
-			}()
+	type waiter struct {
+		tenant string
+		err    chan error
+		cancel context.CancelFunc
+	}
+	var waiters []waiter
+	enqueue := func(ten string) waiter {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := waiter{tenant: ten, err: make(chan error, 1), cancel: cancel}
+		depth := a.queueDepth()
+		go func() { w.err <- a.acquire(ctx, ten) }()
+		// Queue one at a time, so arrival order is the order of this loop.
+		for a.queueDepth() == depth {
+			time.Sleep(100 * time.Microsecond)
 		}
+		waiters = append(waiters, w)
+		return w
 	}
-	enqueue(tenant.Background, 16)
-	for a.queueDepth() < 16 {
-		time.Sleep(time.Millisecond)
+	for _, ten := range []string{"a", "a", "a", "b", "b", "b", "c"} {
+		enqueue(ten)
 	}
-	enqueue(tenant.Interactive, 16)
-	for a.queueDepth() < 32 {
-		time.Sleep(time.Millisecond)
+	gone := enqueue("d")
+	waiters = waiters[:len(waiters)-1]
+	gone.cancel()
+	if err := <-gone.err; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter = %v, want context.Canceled", err)
+	}
+
+	// Release the worker one grant at a time and see who holds it next.
+	var got []string
+	for range waiters {
+		a.release(0)
+		granted := ""
+		for granted == "" {
+			for i, w := range waiters {
+				select {
+				case err := <-w.err:
+					if err != nil {
+						t.Fatalf("%s acquire: %v", w.tenant, err)
+					}
+					granted = w.tenant
+					waiters[i].err = nil // a nil channel never receives again
+				default:
+				}
+			}
+		}
+		got = append(got, granted)
+	}
+	if want := "a b c a b a b"; strings.Join(got, " ") != want {
+		t.Fatalf("grant order = %v, want %s", got, want)
 	}
 	a.release(0)
-	wg.Wait()
-
-	interactiveInFirstHalf := 0
-	for _, c := range order[:16] {
-		if c == tenant.Interactive {
-			interactiveInFirstHalf++
-		}
+	if n := a.inflight(); n != 0 {
+		t.Fatalf("inflight = %d, want 0", n)
 	}
-	// With 16:1 weights the interactive flow should take nearly all of the
-	// first half of the grant schedule (it gets 16 grants per background
-	// grant). Allow slack for scheduling noise.
-	if interactiveInFirstHalf < 12 {
-		t.Fatalf("only %d/16 of the first grants were interactive; class weights not honored", interactiveInFirstHalf)
+	if n := a.queueDepth(); n != 0 {
+		t.Fatalf("queueDepth = %d, want 0", n)
 	}
 }
 
@@ -333,8 +348,7 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), delays[i])
 				defer cancel()
-				fk := flowKey{tenant: tenant.Anon, class: tenant.Class(i % 3)}
-				err := a.acquire(ctx, fk, 0)
+				err := a.acquire(ctx, fmt.Sprintf("t%d", i%3))
 				if err == nil {
 					admitted.Add(1)
 					time.Sleep(50 * time.Microsecond)
@@ -356,7 +370,7 @@ func TestAdmissionCancellationStorm(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < workers; i++ {
-		if err := a.acquire(ctx, anonFlow, 0); err != nil {
+		if err := a.acquire(ctx, anonFlow); err != nil {
 			t.Fatalf("post-storm acquire %d: %v (leaked slot)", i, err)
 		}
 	}
@@ -433,7 +447,7 @@ func TestShedderEWMAConverges(t *testing.T) {
 	a := newAdmission(1, 0, noShed)
 	finish := func(svc time.Duration) {
 		t.Helper()
-		if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+		if err := a.acquire(context.Background(), anonFlow); err != nil {
 			t.Fatal(err)
 		}
 		a.release(svc)

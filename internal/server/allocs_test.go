@@ -88,13 +88,13 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	prepare := func() {
 		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
 		i++
-		if err := s.prepare(p, "", ts); err != nil {
+		if err := s.prepare(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The shape's first statement is parsed, compiled and run.
 	p := &preparedQuery{req: reqs[0], tenant: ts.id}
-	if err := s.prepare(p, "", ts); err != nil {
+	if err := s.prepare(p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.runQuery(context.Background(), p); err != nil {
@@ -121,7 +121,7 @@ func TestPrepareProgramShapeHitAllocBudget(t *testing.T) {
 	prepare := func() {
 		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
 		i++
-		if err := s.prepare(p, "", ts); err != nil {
+		if err := s.prepare(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ type Prepared struct {
 // Prepare prepares req as /query does, without executing it.
 func (s *Server) Prepare(req QueryRequest) (Prepared, error) {
 	p := &preparedQuery{req: req}
-	if err := s.prepare(p, "", s.tenants.state("")); err != nil {
+	if err := s.prepare(p); err != nil {
 		return Prepared{}, err
 	}
 	return Prepared{PlanKey: p.planKey, Binds: p.binds, Touches: p.touches}, nil

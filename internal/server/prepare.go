@@ -12,7 +12,6 @@ import (
 	"polystorepp/internal/eide"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
-	"polystorepp/internal/tenant"
 )
 
 // The prepare path turns a request body into what the reuse layers key on:
@@ -48,11 +47,8 @@ type preparedQuery struct {
 	vv       string
 	resKey   string
 
-	// Multi-tenancy: who the request runs for, at what priority, and the
-	// weighted-fair flow weight (tenant weight x class weight).
+	// tenant is who the request runs for: its admission flow.
 	tenant string
-	class  tenant.Class
-	weight float64
 }
 
 // prepareQuery decodes the request body and prepares it. On failure it
@@ -64,7 +60,7 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenant
 	if !s.decodeBody(w, r, &p.req) {
 		return nil
 	}
-	if err := s.prepare(p, r.Header.Get(tenant.ClassHeader), ts); err != nil {
+	if err := s.prepare(p); err != nil {
 		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil
@@ -72,22 +68,10 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenant
 	return p
 }
 
-// prepare derives everything but the body from p.req: the priority class
-// (the body's, else classHeader's, else interactive), the deadline, the
+// prepare derives everything but the body from p.req: the deadline, the
 // compiler options, the program and the cache keys. Its errors are the
 // client's (400).
-func (s *Server) prepare(p *preparedQuery, classHeader string, ts *tenantState) error {
-	className := p.req.Class
-	if className == "" {
-		className = classHeader
-	}
-	class, ok := tenant.ParseClass(className)
-	if !ok {
-		return fmt.Errorf("unknown class %q (want interactive, batch or background)", className)
-	}
-	p.class = class
-	p.weight = ts.quota.AdmissionWeight(class)
-
+func (s *Server) prepare(p *preparedQuery) error {
 	// Per-request deadline: admission waiting and execution both run under
 	// it, so a request stuck in the queue cannot outlive its budget.
 	p.timeout = s.cfg.requestTimeout(p.req.TimeoutMS)

@@ -58,7 +58,7 @@ func programServer(tb testing.TB) (*Server, []QueryRequest) {
 	}
 	ts := s.tenants.state("")
 	p := &preparedQuery{req: reqs[0], tenant: ts.id}
-	if err := s.prepare(p, "", ts); err != nil {
+	if err := s.prepare(p); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := s.runQuery(context.Background(), p); err != nil {
@@ -78,7 +78,7 @@ func BenchmarkPrepareProgramShapeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
-		if err := s.prepare(p, "", ts); err != nil || p.plan == nil {
+		if err := s.prepare(p); err != nil || p.plan == nil {
 			b.Fatalf("plan %v, err %v", p.plan, err)
 		}
 	}

@@ -49,11 +49,11 @@ func TestRetryAfterHintFloorsAtOne(t *testing.T) {
 	for _, svc := range []time.Duration{0, time.Microsecond} {
 		a := newAdmission(1, 0, noShed)
 		a.svc = svc
-		if err := a.acquire(context.Background(), anonFlow, 0); err != nil {
+		if err := a.acquire(context.Background(), anonFlow); err != nil {
 			t.Fatal(err)
 		}
 		var ref *refusal
-		if err := a.acquire(context.Background(), anonFlow, 0); !errors.As(err, &ref) {
+		if err := a.acquire(context.Background(), anonFlow); !errors.As(err, &ref) {
 			t.Fatalf("acquire on a full controller = %v, want a refusal", err)
 		}
 		if got := ceilSecond(ref.retryAfter); got < time.Second {
@@ -166,26 +166,30 @@ func TestWriteQueryErrorRetryAfterNeverZero(t *testing.T) {
 }
 
 // halfOpenServer boots a one-worker, no-queue server over a small table and
-// leaves tenant "t" with a breaker that has tripped and cooled down: the
-// next three queries it admits are its half-open probes.
+// leaves tenant "t" with a breaker that tripped more than its 5 s cooldown
+// ago: the next three queries it admits are its half-open probes.
 func halfOpenServer(t *testing.T, highWater float64) (*Server, *tenantState) {
 	t.Helper()
 	rt := core.NewRuntime(hw.NewHostCPU())
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(wireStore(t))))
-	const cooldown = 50 * time.Millisecond
 	s := New(rt, compiler.Options{}, Config{
 		Workers: 1, QueueDepth: -1, ShedHighWater: highWater, DefaultSQLEngine: "db",
-		BreakerMinSamples: 4, BreakerCooldown: cooldown,
 	})
 	ts := s.tenants.state("t")
-	for i := 0; i < 4; i++ {
-		ts.breaker.Record(time.Now(), false)
+	tripBreaker(t, ts, time.Now().Add(-6*time.Second))
+	return s, ts
+}
+
+// tripBreaker opens ts's breaker at time at, with the 20 failures it takes
+// to trip.
+func tripBreaker(t *testing.T, ts *tenantState, at time.Time) {
+	t.Helper()
+	for i := 0; i < 20; i++ {
+		ts.breaker.Record(at, false)
 	}
 	if ts.breaker.State() != tenant.Open {
-		t.Fatalf("breaker = %v after 4 failures, want open", ts.breaker.State())
+		t.Fatalf("breaker = %v after 20 failures, want open", ts.breaker.State())
 	}
-	time.Sleep(cooldown + 10*time.Millisecond)
-	return s, ts
 }
 
 // TestHalfOpenProbeAlwaysReturned: whatever way a half-open probe leaves —
@@ -196,7 +200,7 @@ func halfOpenServer(t *testing.T, highWater float64) (*Server, *tenantState) {
 func TestHalfOpenProbeAlwaysReturned(t *testing.T) {
 	const healthy = `{"frontend":"sql","statement":"SELECT a FROM t WHERE a > 3"}`
 	pinWorker := func(t *testing.T, s *Server) (undo func()) {
-		if err := s.adm.acquire(context.Background(), anonFlow, 1); err != nil {
+		if err := s.adm.acquire(context.Background(), anonFlow); err != nil {
 			t.Fatal(err)
 		}
 		return func() { s.adm.release(0) }
@@ -212,7 +216,6 @@ func TestHalfOpenProbeAlwaysReturned(t *testing.T) {
 		wantBody   string
 	}{
 		{name: "bad body", body: `{`, wantStatus: 400, wantBody: "bad request body"},
-		{name: "unknown class", body: `{"frontend":"sql","statement":"SELECT a FROM t","class":"urgent"}`, wantStatus: 400, wantBody: "unknown class"},
 		{name: "unknown engine", body: `{"frontend":"sql","engine":"nope","statement":"SELECT a FROM t"}`, wantStatus: 400, wantBody: "unknown engine"},
 		{name: "shed", body: healthy, highWater: 0.5, wantStatus: 503, wantBody: "work shed",
 			arrange: func(t *testing.T, s *Server, _ *tenantState) func() { return pinWorker(t, s) }},

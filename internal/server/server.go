@@ -138,30 +138,13 @@ type Config struct {
 	// single-tenant default.
 	TenantRate  float64
 	TenantBurst float64
-	// TenantQuotas overrides rate/burst/weight per tenant id (see
+	// TenantQuotas overrides rate/burst per tenant id (see
 	// tenant.ParseQuotas for the flag syntax).
 	TenantQuotas map[string]tenant.Quota
-	// MaxTenants bounds live per-tenant state records; beyond it the least
-	// recently seen tenant is evicted (default 1024).
-	MaxTenants int
-	// TenantCacheShare is the fraction of each byte-bounded cache (results,
-	// subplans) one tenant may occupy while other tenants hold entries
-	// (default 0.5; >= 1 disables per-tenant capping).
-	TenantCacheShare float64
 	// ShedHighWater is the inflight fraction of admission capacity at which
 	// executions are shed; cached reads never are (default 0.85; negative
 	// disables shedding).
 	ShedHighWater float64
-	// DisableBreaker turns off per-tenant circuit breakers (on by default).
-	DisableBreaker bool
-	// BreakerWindow / BreakerMinSamples / BreakerFailureRatio /
-	// BreakerCooldown tune the per-tenant breakers (zero values select
-	// tenant.BreakerConfig defaults: 10s window, 20 samples, 0.5 ratio,
-	// 5s cooldown).
-	BreakerWindow       time.Duration
-	BreakerMinSamples   int
-	BreakerFailureRatio float64
-	BreakerCooldown     time.Duration
 	// DrainTimeout bounds graceful shutdown: after SIGTERM the server
 	// rejects new work with 503 and gives in-flight requests (streams
 	// included) this long to finish (default 15s).
@@ -205,9 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRows <= 0 {
 		c.MaxRows = 1000
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = tenant.DefaultMaxTenants
 	}
 	if c.ShedHighWater == 0 {
 		c.ShedHighWater = defaultShedHighWater
@@ -268,9 +248,9 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		s.backend = backend.NewMemory()
 	}
 	if cfg.ResultCacheSize > 0 {
-		s.results = lru.NewCostShared[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
+		s.results = lru.NewCost[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes)
 	}
-	rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
+	rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes)
 	if !cfg.DisableSingleFlight {
 		s.flight = newFlightGroup()
 	}
@@ -372,11 +352,6 @@ type QueryRequest struct {
 	// or a trailing NDJSON trace record on /query/stream). Tracing never
 	// changes results and does not participate in cache keys.
 	Trace bool `json:"trace,omitempty"`
-	// Class is the request's priority class: "interactive" (default),
-	// "batch" or "background". Takes precedence over the X-Priority header.
-	// Classes map to weighted-fair admission weights, and never to cache
-	// keys — a cached result is the same result at any priority.
-	Class string `json:"class,omitempty"`
 }
 
 // QueryResponse is the POST /query success body.
@@ -541,7 +516,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	ctx = tenant.With(ctx, ts.id)
 	tr := s.startTrace(p)
 	tr.Annotate("tenant", ts.id)
-	tr.Annotate("class", p.class.String())
 	ctx = obs.With(ctx, tr)
 
 	out, err := s.runQuery(ctx, p)
@@ -696,7 +670,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery) (*core.Resul
 	if tr != nil {
 		admT0 = time.Now()
 	}
-	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight); err != nil {
+	if err := s.adm.acquire(ctx, p.tenant); err != nil {
 		var ref *refusal
 		if errors.As(err, &ref) && ref.cause != causeQueueFull {
 			tr.Event("admission.shed", ref.cause.String())

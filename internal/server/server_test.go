@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"polystorepp"
 	"polystorepp/internal/datagen"
@@ -131,9 +130,7 @@ func programBody(steps string) string {
 // executing; none counts as an execution error or against the tenant's
 // circuit breaker.
 func TestClientErrors(t *testing.T) {
-	ts := newTestServer(t, polystore.ServeConfig{
-		BreakerMinSamples: 4, BreakerFailureRatio: 0.5, BreakerCooldown: time.Hour,
-	})
+	ts := newTestServer(t, polystore.ServeConfig{})
 	type clientError struct {
 		name string
 		body string
@@ -146,6 +143,7 @@ func TestClientErrors(t *testing.T) {
 		{"missing statement", `{"frontend":"sql"}`, http.StatusBadRequest},
 		{"bad json", `{"frontend": `, http.StatusBadRequest},
 		{"unknown field", `{"frontend":"sql","statement":"SELECT pid FROM patients","bogus":1}`, http.StatusBadRequest},
+		{"priority class", `{"frontend":"sql","statement":"SELECT pid FROM patients","class":"batch"}`, http.StatusBadRequest},
 		{"nl no rule", `{"frontend":"nl","statement":"please do something impossible"}`, http.StatusBadRequest},
 		{"program empty", `{"frontend":"program","program":[]}`, http.StatusBadRequest},
 		{"program bad op", `{"frontend":"program","program":[{"id":"a","op":"teleport","engine":"db-clinical"}]}`, http.StatusBadRequest},
@@ -176,6 +174,9 @@ func TestClientErrors(t *testing.T) {
 	var stats struct {
 		BadRequests int64 `json:"bad_requests"`
 		ExecErrors  int64 `json:"exec_errors"`
+		Tenants     map[string]struct {
+			Failures int64 `json:"failures"`
+		} `json:"tenants"`
 	}
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -187,6 +188,10 @@ func TestClientErrors(t *testing.T) {
 	}
 	if stats.BadRequests != int64(len(cases)) || stats.ExecErrors != 0 {
 		t.Fatalf("bad_requests = %d, exec_errors = %d; want %d and 0", stats.BadRequests, stats.ExecErrors, len(cases))
+	}
+	// Failures are what the breaker's window counts against the tenant.
+	if got := stats.Tenants["anon"].Failures; got != 0 {
+		t.Fatalf("anon failures = %d, want 0: a client error fed the breaker", got)
 	}
 
 	// GET on /query is a method error.

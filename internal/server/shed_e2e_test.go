@@ -60,8 +60,7 @@ func TestShedColdServesCached(t *testing.T) {
 
 	// Pin the only worker: utilization is now 1.0, past the shed mark for
 	// any high water below 1.
-	if err := s.adm.acquire(context.Background(),
-		flowKey{tenant: tenant.Anon, class: tenant.Interactive}, 1); err != nil {
+	if err := s.adm.acquire(context.Background(), tenant.Anon); err != nil {
 		t.Fatal(err)
 	}
 	defer s.adm.release(0)

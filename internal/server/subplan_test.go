@@ -22,6 +22,7 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/lru"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
 )
@@ -279,10 +280,10 @@ func TestSubplanTraceEvents(t *testing.T) {
 
 // TestSubplanTenantShareAtRuntimeSize: a server that keeps the runtime's own
 // subplan cache size (SubplanCacheBytes 0, what polystore.System.Handler
-// passes) still holds each tenant to TenantCacheShare of that budget while
-// another tenant holds entries.
+// passes) still holds each tenant to lru.DefaultTenantShare of that budget
+// while another tenant holds entries.
 func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
-	const budget, share = 64 << 10, 0.25
+	const budget, share = 64 << 10, lru.DefaultTenantShare
 	store := relational.NewStore("db")
 	events, err := store.CreateTable("events", cast.MustSchema(
 		cast.Column{Name: "id", Type: cast.Int64},
@@ -291,21 +292,23 @@ func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		if err := events.Insert(int64(i), int64(i*7%200)); err != nil {
+	// 400 rows make the first tenant's filter outputs a few KiB each, so its
+	// share binds before the cache's 16-entry bound does.
+	for i := 0; i < 400; i++ {
+		if err := events.Insert(int64(i), int64(i*7%400)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rt := core.NewRuntime(hw.NewHostCPU(), core.WithSubplanCacheBytes(budget))
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
 	ts := httptest.NewServer(server.New(rt, compiler.Options{Level: 3}, server.Config{
-		DefaultSQLEngine: "db", ResultCacheSize: -1, DisableSingleFlight: true, TenantCacheShare: share,
+		DefaultSQLEngine: "db", ResultCacheSize: -1, DisableSingleFlight: true,
 	}))
 	defer ts.Close()
 	query := func(tenant string, k int) {
 		t.Helper()
 		body := fmt.Sprintf(`{"frontend":"sql","statement":"SELECT id, v FROM events WHERE id >= %d ORDER BY v LIMIT 10"}`, k)
-		if resp, raw := postAs(t, ts.URL+"/query", body, tenant, ""); resp.StatusCode != http.StatusOK {
+		if resp, raw := postAs(t, ts.URL+"/query", body, tenant); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s k=%d: status %d: %s", tenant, k, resp.StatusCode, raw)
 		}
 	}

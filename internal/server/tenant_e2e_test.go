@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,11 +20,12 @@ import (
 	"polystorepp/internal/cast"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
+	"polystorepp/internal/tenant"
 )
 
-// postAs fires one POST with tenant (and optionally class) headers and
-// returns the response with its body read out.
-func postAs(t *testing.T, url, body, ten, class string) (*http.Response, string) {
+// postAs fires one POST with a tenant header and returns the response with
+// its body read out.
+func postAs(t *testing.T, url, body, ten string) (*http.Response, string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
@@ -32,9 +34,6 @@ func postAs(t *testing.T, url, body, ten, class string) (*http.Response, string)
 	req.Header.Set("Content-Type", "application/json")
 	if ten != "" {
 		req.Header.Set("X-Tenant", ten)
-	}
-	if class != "" {
-		req.Header.Set("X-Priority", class)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -63,7 +62,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 
 	var ok200, limited int
 	for i := 0; i < 8; i++ {
-		resp, raw := postAs(t, ts.URL+"/query", body, "abuser", "")
+		resp, raw := postAs(t, ts.URL+"/query", body, "abuser")
 		switch resp.StatusCode {
 		case http.StatusOK:
 			ok200++
@@ -84,7 +83,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	}
 
 	for i := 0; i < 8; i++ {
-		resp, raw := postAs(t, ts.URL+"/query", body, "good", "")
+		resp, raw := postAs(t, ts.URL+"/query", body, "good")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("well-behaved tenant request %d: status %d: %s", i, resp.StatusCode, raw)
 		}
@@ -116,10 +115,11 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 }
 
 // TestTenantRecordsBounded: an identity flood cannot grow per-tenant state
-// past -max-tenants. The least-recently-seen tenant is evicted, and comes
-// back with a fresh record (one fresh burst, never unbounded memory).
+// past tenant.DefaultMaxTenants. The least-recently-seen tenant is evicted,
+// and comes back with a fresh record (one fresh burst, never unbounded
+// memory).
 func TestTenantRecordsBounded(t *testing.T) {
-	ts := newTestServer(t, polystore.ServeConfig{MaxTenants: 2})
+	ts := newTestServer(t, polystore.ServeConfig{})
 	body := `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 1"}`
 	requests := func() map[string]int64 {
 		t.Helper()
@@ -142,17 +142,25 @@ func TestTenantRecordsBounded(t *testing.T) {
 		}
 		return out
 	}
-	for _, ten := range []string{"a", "b", "a", "c"} { // "b" is the least recently seen when "c" arrives
-		if resp, raw := postAs(t, ts.URL+"/query", body, ten, ""); resp.StatusCode != http.StatusOK {
+	// "a", "b" and 1022 fillers take every record; "a" is seen again, so
+	// "b" is the least recently seen when "c", the 1025th id, arrives.
+	ids := []string{"a", "b"}
+	for i := 2; i < tenant.DefaultMaxTenants; i++ {
+		ids = append(ids, fmt.Sprintf("f%d", i))
+	}
+	for _, ten := range append(ids, "a", "c") {
+		if resp, raw := postAs(t, ts.URL+"/query", body, ten); resp.StatusCode != http.StatusOK {
 			t.Fatalf("tenant %s: status %d: %s", ten, resp.StatusCode, raw)
 		}
 	}
-	if got := requests(); len(got) != 2 || got["a"] != 2 || got["c"] != 1 {
-		t.Fatalf("tenant records = %v, want a:2 c:1 (b evicted)", got)
+	got := requests()
+	if _, ok := got["b"]; len(got) != tenant.DefaultMaxTenants || ok || got["a"] != 2 || got["c"] != 1 {
+		t.Fatalf("%d tenant records, a:%d b:%d c:%d; want %d, a:2 c:1 and b evicted",
+			len(got), got["a"], got["b"], got["c"], tenant.DefaultMaxTenants)
 	}
-	postAs(t, ts.URL+"/query", body, "b", "")
-	if got := requests(); len(got) != 2 || got["b"] != 1 {
-		t.Fatalf("tenant records = %v, want b back with a fresh count of 1", got)
+	postAs(t, ts.URL+"/query", body, "b")
+	if got := requests(); len(got) != tenant.DefaultMaxTenants || got["b"] != 1 {
+		t.Fatalf("%d tenant records, b:%d; want b back with a fresh count of 1", len(got), got["b"])
 	}
 }
 
@@ -163,24 +171,21 @@ func TestTenantRecordsBounded(t *testing.T) {
 func TestTenantBreakerOpensAndIsolates(t *testing.T) {
 	// newStreamTestServer seeds the "points" table whose row 5000 has x = 0:
 	// the projection below is a deterministic execution-time failure.
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		BreakerMinSamples:   4,
-		BreakerFailureRatio: 0.5,
-		BreakerCooldown:     time.Hour, // stays open for the whole test
-	})
+	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	failing := `{"frontend":"sql","statement":"SELECT k, 10 / x AS y FROM points"}`
 	healthy := `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 3"}`
 
-	// The breaker trips the moment the window holds MinSamples failures, so
-	// exactly 4 requests execute (500); everything after that is refused.
-	for i := 0; i < 4; i++ {
-		resp, raw := postAs(t, ts.URL+"/query", failing, "flaky", "")
+	// The breaker trips the moment its window holds 20 outcomes, half of
+	// them failures, so exactly 20 failing requests execute (500); for the
+	// next 5 s everything is refused.
+	for i := 0; i < 20; i++ {
+		resp, raw := postAs(t, ts.URL+"/query", failing, "flaky")
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("failing request %d: status %d, want 500: %s", i, resp.StatusCode, raw)
 		}
 	}
 
-	resp, raw := postAs(t, ts.URL+"/query", healthy, "flaky", "")
+	resp, raw := postAs(t, ts.URL+"/query", healthy, "flaky")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-trip request: status %d, want 503: %s", resp.StatusCode, raw)
 	}
@@ -193,11 +198,11 @@ func TestTenantBreakerOpensAndIsolates(t *testing.T) {
 
 	// The neighbor is a different breaker: its first failing request still
 	// executes (500, not 503), and its healthy traffic serves normally.
-	resp, raw = postAs(t, ts.URL+"/query", failing, "steady", "")
+	resp, raw = postAs(t, ts.URL+"/query", failing, "steady")
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("steady failing request: status %d, want 500: %s", resp.StatusCode, raw)
 	}
-	resp, raw = postAs(t, ts.URL+"/query", healthy, "steady", "")
+	resp, raw = postAs(t, ts.URL+"/query", healthy, "steady")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("steady healthy request: status %d: %s", resp.StatusCode, raw)
 	}
@@ -270,7 +275,7 @@ func TestDrainAllowsInflightStreams(t *testing.T) {
 	srv.StartDrain()
 
 	qresp, qraw := postAs(t, ts.URL+"/query",
-		`{"frontend":"sql","statement":"SELECT id FROM events LIMIT 1"}`, "", "")
+		`{"frontend":"sql","statement":"SELECT id FROM events LIMIT 1"}`, "")
 	if qresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query during drain: status %d, want 503: %s", qresp.StatusCode, qraw)
 	}
@@ -302,29 +307,5 @@ func TestDrainAllowsInflightStreams(t *testing.T) {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
-	}
-}
-
-// TestPriorityClassValidation: an unknown X-Priority (or body class) is a
-// client error, and the known classes are all accepted.
-func TestPriorityClassValidation(t *testing.T) {
-	ts := newTestServer(t, polystore.ServeConfig{})
-	body := `{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 1"}`
-
-	for _, class := range []string{"", "interactive", "batch", "background"} {
-		resp, raw := postAs(t, ts.URL+"/query", body, "t1", class)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("class %q: status %d: %s", class, resp.StatusCode, raw)
-		}
-	}
-	resp, raw := postAs(t, ts.URL+"/query", body, "t1", "urgent")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown class: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-	// The body field overrides the header and is validated the same way.
-	resp, raw = postAs(t, ts.URL+"/query",
-		`{"frontend":"sql","statement":"SELECT pid FROM patients LIMIT 1","class":"nope"}`, "t1", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown body class: status %d, want 400: %s", resp.StatusCode, raw)
 	}
 }

@@ -33,9 +33,8 @@ import (
 // tenantState is one tenant's live serving state.
 type tenantState struct {
 	id      string
-	quota   tenant.Quota
 	bucket  *tenant.Bucket  // nil-safe: unlimited when rate <= 0
-	breaker *tenant.Breaker // nil when breakers are disabled
+	breaker *tenant.Breaker // nil only in the zero rows of countRefusal and writeProm
 
 	requests       atomic.Int64
 	ratelimited    atomic.Int64
@@ -53,7 +52,7 @@ type tenantControl struct {
 }
 
 func newTenantControl(cfg Config) *tenantControl {
-	return &tenantControl{cfg: cfg, states: lru.New[*tenantState](cfg.MaxTenants)}
+	return &tenantControl{cfg: cfg, states: lru.New[*tenantState](tenant.DefaultMaxTenants)}
 }
 
 // state returns (building if first seen) the tenant's record. Two first
@@ -67,15 +66,7 @@ func (tc *tenantControl) state(id string) *tenantState {
 	if !ok {
 		q = tenant.Quota{Rate: tc.cfg.TenantRate, Burst: tc.cfg.TenantBurst}
 	}
-	ts := &tenantState{id: id, quota: q, bucket: tenant.NewBucket(q.Rate, q.Burst)}
-	if !tc.cfg.DisableBreaker {
-		ts.breaker = tenant.NewBreaker(tenant.BreakerConfig{
-			Window:       tc.cfg.BreakerWindow,
-			MinSamples:   tc.cfg.BreakerMinSamples,
-			FailureRatio: tc.cfg.BreakerFailureRatio,
-			Cooldown:     tc.cfg.BreakerCooldown,
-		})
-	}
+	ts := &tenantState{id: id, bucket: tenant.NewBucket(q.Rate, q.Burst), breaker: new(tenant.Breaker)}
 	return tc.states.Put(id, ts)
 }
 

@@ -96,13 +96,8 @@ type Cache struct {
 
 // NewCache returns a cache bounded to maxBytes of memoized intermediates
 // (plus per-entry overhead), with the default per-tenant share.
-func NewCache(maxBytes int64) *Cache { return NewCacheShared(maxBytes, 0) }
-
-// NewCacheShared is NewCache with an explicit per-tenant cost share
-// (fraction of maxBytes one tenant may hold while others hold entries);
-// share <= 0 selects the default, >= 1 disables per-tenant capping.
-func NewCacheShared(maxBytes int64, share float64) *Cache {
-	return &Cache{lru.NewCostShared[*Entry](maxEntriesFor(maxBytes), maxBytes, share)}
+func NewCache(maxBytes int64) *Cache {
+	return &Cache{lru.NewCost[*Entry](maxEntriesFor(maxBytes), maxBytes)}
 }
 
 // Put admits e under key, charging its payload plus overhead to owner (the

@@ -30,47 +30,22 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// The window is split into breakerBuckets sub-intervals; in half-open state
-// up to halfOpenProbes trial requests run at once, and that many consecutive
+// A breaker computes failure rates over breakerWindow, split into
+// breakerBuckets sub-intervals, and trusts the ratio only once the window
+// holds breakerMinSamples outcomes — a single failed request must not open
+// it. It opens when failures reach breakerFailureRatio of them, and rejects
+// for breakerCooldown before probing. In half-open state up to
+// halfOpenProbes trial requests run at once, and that many consecutive
 // successes close the breaker.
 const (
-	breakerBuckets = 10
-	halfOpenProbes = 3
+	breakerWindow       = 10 * time.Second
+	breakerBuckets      = 10
+	bucketLen           = breakerWindow / breakerBuckets
+	breakerMinSamples   = 20
+	breakerFailureRatio = 0.5
+	breakerCooldown     = 5 * time.Second
+	halfOpenProbes      = 3
 )
-
-// BreakerConfig tunes a Breaker. The zero value selects the documented
-// defaults.
-type BreakerConfig struct {
-	// Window is the rolling interval failure rates are computed over
-	// (default 10s).
-	Window time.Duration
-	// MinSamples is the minimum number of recorded outcomes inside the
-	// window before the failure ratio is trusted (default 20) — a single
-	// failed request must not open a breaker.
-	MinSamples int
-	// FailureRatio opens the breaker when failures/samples reaches it
-	// (default 0.5).
-	FailureRatio float64
-	// Cooldown is how long an open breaker rejects before probing
-	// (default 5s).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	if c.FailureRatio <= 0 {
-		c.FailureRatio = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	return c
-}
 
 // Breaker is a closed/open/half-open circuit breaker over error and timeout
 // rates in a rolling bucketed window. The serving layer keeps one per
@@ -79,14 +54,13 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Retry-After) instead of occupying workers for full deadline budgets, while
 // other tenants' breakers stay closed.
 //
-// All methods take the current time explicitly so state transitions are
-// deterministic under test. Safe for concurrent use.
+// The zero value is a closed breaker. All methods take the current time
+// explicitly so state transitions are deterministic under test. Safe for
+// concurrent use.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu          sync.Mutex
 	state       BreakerState
-	buckets     [breakerBuckets]slot // ring over Window
+	buckets     [breakerBuckets]slot // ring over breakerWindow
 	idx         int                  // current bucket
 	bucketStart time.Time
 	openedAt    time.Time
@@ -100,16 +74,6 @@ type slot struct {
 	ok, fail int64
 }
 
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
-
-// bucketLen is the duration one ring bucket covers.
-func (b *Breaker) bucketLen() time.Duration {
-	return b.cfg.Window / breakerBuckets
-}
-
 // advance rotates the ring forward to cover now, zeroing buckets that fell
 // out of the window. Called with the lock held.
 func (b *Breaker) advance(now time.Time) {
@@ -117,10 +81,14 @@ func (b *Breaker) advance(now time.Time) {
 		b.bucketStart = now
 		return
 	}
-	steps := int(now.Sub(b.bucketStart) / b.bucketLen())
+	steps := int(now.Sub(b.bucketStart) / bucketLen)
 	if steps <= 0 {
 		return
 	}
+	// Buckets stay aligned to bucketLen boundaries: a bucket started at now
+	// would span from its first record, and under a steady trickle the ring
+	// would cover up to twice the window.
+	b.bucketStart = b.bucketStart.Add(time.Duration(steps) * bucketLen)
 	if steps > len(b.buckets) {
 		steps = len(b.buckets)
 	}
@@ -128,7 +96,6 @@ func (b *Breaker) advance(now time.Time) {
 		b.idx = (b.idx + 1) % len(b.buckets)
 		b.buckets[b.idx] = slot{}
 	}
-	b.bucketStart = now
 }
 
 // totals sums the window. Called with the lock held.
@@ -156,7 +123,7 @@ func (b *Breaker) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	case Closed:
 		return true, 0
 	case Open:
-		if rem := b.cfg.Cooldown - now.Sub(b.openedAt); rem > 0 {
+		if rem := breakerCooldown - now.Sub(b.openedAt); rem > 0 {
 			return false, rem
 		}
 		b.state = HalfOpen
@@ -165,7 +132,7 @@ func (b *Breaker) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		fallthrough
 	default: // HalfOpen
 		if b.probes >= halfOpenProbes {
-			return false, b.bucketLen()
+			return false, bucketLen
 		}
 		b.probes++
 		return true, 0
@@ -206,8 +173,8 @@ func (b *Breaker) Record(now time.Time, success bool) {
 		}
 		b.buckets[b.idx].fail++
 		okN, failN := b.totals()
-		if n := okN + failN; n >= int64(b.cfg.MinSamples) &&
-			float64(failN)/float64(n) >= b.cfg.FailureRatio {
+		if n := okN + failN; n >= breakerMinSamples &&
+			float64(failN)/float64(n) >= breakerFailureRatio {
 			b.trip(now)
 		}
 	case Open:

@@ -6,29 +6,21 @@ import (
 	"time"
 )
 
-func testBreaker() *Breaker {
-	return NewBreaker(BreakerConfig{
-		Window:       time.Second,
-		MinSamples:   10,
-		FailureRatio: 0.5,
-		Cooldown:     time.Second,
-	})
-}
-
 func TestBreakerOpensOnFailureRate(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	now := time.Now()
-	// 5 successes + 4 failures: 9 samples, under MinSamples — stays closed.
-	for i := 0; i < 5; i++ {
+	// 10 successes + 9 failures: 19 samples, under breakerMinSamples —
+	// stays closed.
+	for i := 0; i < 10; i++ {
 		b.Record(now, true)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 9; i++ {
 		b.Record(now, false)
 	}
 	if b.State() != Closed {
-		t.Fatalf("state = %v before MinSamples, want closed", b.State())
+		t.Fatalf("state = %v before breakerMinSamples, want closed", b.State())
 	}
-	// Tenth sample is a failure: 5/10 >= 0.5 — trips.
+	// Twentieth sample is a failure: 10/20 >= 0.5 — trips.
 	b.Record(now, false)
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open", b.State())
@@ -37,7 +29,7 @@ func TestBreakerOpensOnFailureRate(t *testing.T) {
 	if ok {
 		t.Fatal("open breaker admitted")
 	}
-	if retry <= 0 || retry > time.Second {
+	if retry <= 0 || retry > breakerCooldown {
 		t.Fatalf("retryAfter = %v", retry)
 	}
 	if b.Opens() != 1 {
@@ -46,7 +38,7 @@ func TestBreakerOpensOnFailureRate(t *testing.T) {
 }
 
 func TestBreakerSuccessesKeepItClosed(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	now := time.Now()
 	for i := 0; i < 100; i++ {
 		b.Record(now.Add(time.Duration(i)*10*time.Millisecond), i%10 == 0) // 90% failures but...
@@ -55,7 +47,7 @@ func TestBreakerSuccessesKeepItClosed(t *testing.T) {
 	if b.State() != Open {
 		t.Fatal("heavy failures did not open breaker")
 	}
-	b2 := testBreaker()
+	b2 := new(Breaker)
 	for i := 0; i < 100; i++ {
 		b2.Record(now.Add(time.Duration(i)*10*time.Millisecond), i%10 != 0) // 10% failures
 	}
@@ -65,16 +57,16 @@ func TestBreakerSuccessesKeepItClosed(t *testing.T) {
 }
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	now := time.Now()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		b.Record(now, false)
 	}
 	if b.State() != Open {
 		t.Fatal("not open")
 	}
 	// Cooldown elapses: probes admitted, bounded by halfOpenProbes.
-	later := now.Add(1100 * time.Millisecond)
+	later := now.Add(breakerCooldown + 100*time.Millisecond)
 	for i := 0; i < halfOpenProbes; i++ {
 		if ok, _ := b.Allow(later); !ok {
 			t.Fatalf("probe %d rejected after cooldown", i+1)
@@ -105,12 +97,12 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	now := time.Now()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		b.Record(now, false)
 	}
-	later := now.Add(1100 * time.Millisecond)
+	later := now.Add(breakerCooldown + 100*time.Millisecond)
 	if ok, _ := b.Allow(later); !ok {
 		t.Fatal("probe rejected")
 	}
@@ -128,16 +120,39 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 }
 
 func TestBreakerWindowExpiry(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	now := time.Now()
-	for i := 0; i < 9; i++ {
+	for i := 0; i < breakerMinSamples-1; i++ {
 		b.Record(now, false)
 	}
-	// The window (1s) rolls past: old failures age out, so one more failure
+	// The window rolls past: old failures age out, so one more failure
 	// does not trip.
-	b.Record(now.Add(2*time.Second), false)
+	b.Record(now.Add(2*breakerWindow), false)
 	if b.State() != Closed {
 		t.Fatal("aged-out failures still tripped breaker")
+	}
+}
+
+// TestBreakerForgetsFailuresOlderThanWindow: a steady trickle of requests
+// must not stretch the window. Ten failures, then a success every 1.9 s,
+// then ten more failures 17.1 s after the first: the first ten are past the
+// 10 s window and must not count, so the breaker stays closed. A ring whose
+// buckets each start at their first record holds them for 19 s, and trips.
+func TestBreakerForgetsFailuresOlderThanWindow(t *testing.T) {
+	b := new(Breaker)
+	t0 := time.Now()
+	for i := 0; i < 10; i++ {
+		b.Record(t0, false)
+	}
+	const step = 1900 * time.Millisecond
+	for k := 1; k <= 8; k++ {
+		b.Record(t0.Add(time.Duration(k)*step), true)
+	}
+	for i := 0; i < 10; i++ {
+		b.Record(t0.Add(9*step), false)
+	}
+	if b.State() != Closed {
+		t.Fatalf("state = %v, want closed: failures older than the window still counted", b.State())
 	}
 }
 
@@ -154,7 +169,7 @@ func TestBreakerNilSafe(t *testing.T) {
 }
 
 func TestBreakerConcurrent(t *testing.T) {
-	b := testBreaker()
+	b := new(Breaker)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -10,9 +10,8 @@ import (
 	"time"
 )
 
-// Quota is one tenant's entitlement: a request-rate token bucket plus a
-// weighted-fair admission weight. The zero value means "unlimited rate,
-// weight 1" — the degenerate single-tenant configuration.
+// Quota is one tenant's entitlement: a request-rate token bucket. The zero
+// value means "unlimited rate" — the degenerate single-tenant configuration.
 type Quota struct {
 	// Rate is the sustained request rate in tokens per second; <= 0 means
 	// unlimited (the bucket always admits).
@@ -20,22 +19,7 @@ type Quota struct {
 	// Burst is the bucket capacity — how many requests may arrive at once
 	// after an idle period. Clamped to at least 1 when Rate > 0.
 	Burst float64
-	// Weight scales the tenant's share of admission grants relative to other
-	// tenants in the same class; < 1 is treated as 1.
-	Weight float64
 }
-
-// weight returns the effective admission weight.
-func (q Quota) weight() float64 {
-	if q.Weight < 1 {
-		return 1
-	}
-	return q.Weight
-}
-
-// AdmissionWeight combines the tenant weight with a class weight into the
-// flow weight the weighted-fair queue schedules on.
-func (q Quota) AdmissionWeight(c Class) float64 { return q.weight() * c.Weight() }
 
 // Bucket is a token bucket refilled on the monotonic clock (time.Time
 // arithmetic in Go uses the monotonic reading, so wall-clock jumps cannot
@@ -83,11 +67,10 @@ func (b *Bucket) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 
 // ParseQuotas parses a per-tenant quota override spec of the form
 //
-//	tenantA=rate:burst,tenantB=rate:burst:weight
+//	tenantA=rate:burst,tenantB=rate:burst
 //
-// Rate is requests/second (0 = unlimited), burst the bucket capacity,
-// weight the optional admission weight (default 1). Each must be a finite
-// number: NaN or an infinity is refused, naming the field.
+// Rate is requests/second (0 = unlimited), burst the bucket capacity. Each
+// must be a finite number: NaN or an infinity is refused, naming the field.
 func ParseQuotas(spec string) (map[string]Quota, error) {
 	out := make(map[string]Quota)
 	if strings.TrimSpace(spec) == "" {
@@ -99,16 +82,13 @@ func ParseQuotas(spec string) (map[string]Quota, error) {
 			continue
 		}
 		id, rest, ok := strings.Cut(part, "=")
-		if !ok || !ValidID(id) {
-			return nil, fmt.Errorf("tenant: bad quota entry %q (want tenant=rate:burst[:weight])", part)
-		}
 		fields := strings.Split(rest, ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("tenant: bad quota value %q for %s (want rate:burst[:weight])", rest, id)
+		if !ok || !ValidID(id) || len(fields) != 2 {
+			return nil, fmt.Errorf("tenant: bad quota entry %q (want tenant=rate:burst)", part)
 		}
-		var v [3]float64 // rate, burst, weight
+		var v [2]float64 // rate, burst
 		for i, f := range fields {
-			name := [...]string{"rate", "burst", "weight"}[i]
+			name := [...]string{"rate", "burst"}[i]
 			x, err := strconv.ParseFloat(f, 64)
 			if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
 				err = errors.New("not a finite number")
@@ -118,7 +98,7 @@ func ParseQuotas(spec string) (map[string]Quota, error) {
 			}
 			v[i] = x
 		}
-		out[id] = Quota{Rate: v[0], Burst: v[1], Weight: v[2]}
+		out[id] = Quota{Rate: v[0], Burst: v[1]}
 	}
 	return out, nil
 }

@@ -1,20 +1,20 @@
 // Package tenant provides the multi-tenant identity layer of the Polystore++
-// serving subsystem: who a request belongs to, how urgent it claims to be,
-// and how much of the shared middleware it is entitled to.
+// serving subsystem: who a request belongs to and how much of the shared
+// middleware it is entitled to.
 //
 // The north star is heavy traffic from many independent callers over one
 // runtime, one worker pool, and one set of caches. Everything in this
 // package exists so that shared capacity is *attributed*: requests carry a
-// tenant id (the X-Tenant header, defaulting to "anon") and a priority
-// class (interactive > batch > background); admission schedules per-tenant
-// flows weighted-fair instead of FIFO; a token bucket (Bucket) bounds each
-// tenant's request rate and a circuit breaker (Breaker) stops a tenant whose
-// queries keep failing from burning worker deadline budget for everyone;
-// and the caches charge resident bytes to the tenant that filled them. The
-// server keeps one bucket and one breaker per tenant in a bounded LRU
-// (DefaultMaxTenants). A deployment that never sets the header degenerates
-// to exactly the single-tenant behavior it had before this layer existed:
-// one "anon" flow, one class, FIFO order.
+// tenant id (the X-Tenant header, defaulting to "anon"); admission grants
+// worker slots round robin over the tenants that have waiters instead of
+// FIFO; a token bucket (Bucket) bounds each tenant's request rate and a
+// circuit breaker (Breaker) stops a tenant whose queries keep failing from
+// burning worker deadline budget for everyone; and the caches charge
+// resident bytes to the tenant that filled them. The server keeps one bucket
+// and one breaker per tenant in a bounded LRU (DefaultMaxTenants). A
+// deployment that never sets the header degenerates to exactly the
+// single-tenant behavior it had before this layer existed: one "anon" flow,
+// FIFO order.
 //
 // The package is a leaf: the server, the core runtime, and the caches all
 // import it, so it must import none of them.
@@ -38,12 +38,7 @@ const Invalid = "invalid"
 // Header is the HTTP request header carrying the tenant id.
 const Header = "X-Tenant"
 
-// ClassHeader is the HTTP request header carrying the priority class; the
-// request-body "class" field takes precedence when both are set.
-const ClassHeader = "X-Priority"
-
-// DefaultMaxTenants bounds live per-tenant records when no cap is
-// configured: a client minting fresh ids can allocate at most this many,
+// DefaultMaxTenants bounds live per-tenant records: a client minting fresh ids can allocate at most this many,
 // after which the least-recently-seen tenant is evicted and its quota and
 // breaker reset on return (one fresh burst, never unbounded memory).
 const DefaultMaxTenants = 1024
@@ -82,60 +77,6 @@ func FromHTTP(r *http.Request) string {
 		return Invalid
 	}
 	return id
-}
-
-// Class is a request priority class. Classes map to weighted-fair admission
-// weights, not to strict preemption: a flood of interactive work cannot
-// starve background flows entirely, it only outweighs them.
-type Class uint8
-
-const (
-	// Interactive is latency-sensitive point-read traffic — the default.
-	Interactive Class = iota
-	// Batch is throughput-oriented traffic that tolerates queueing.
-	Batch
-	// Background is best-effort traffic (backfills, crawlers).
-	Background
-)
-
-// classWeights are the admission weights per class. Interactive work gets
-// 16x a background flow's share of worker grants when both queues are
-// non-empty.
-var classWeights = [...]float64{Interactive: 16, Batch: 4, Background: 1}
-
-// Weight returns the class's weighted-fair admission weight.
-func (c Class) Weight() float64 {
-	if int(c) < len(classWeights) {
-		return classWeights[c]
-	}
-	return 1
-}
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case Interactive:
-		return "interactive"
-	case Batch:
-		return "batch"
-	case Background:
-		return "background"
-	}
-	return "unknown"
-}
-
-// ParseClass maps a wire name to its class. Empty selects Interactive (the
-// pre-tenancy default); unknown names report ok=false.
-func ParseClass(s string) (Class, bool) {
-	switch s {
-	case "", "interactive":
-		return Interactive, true
-	case "batch":
-		return Batch, true
-	case "background":
-		return Background, true
-	}
-	return Interactive, false
 }
 
 // ctxKey carries the tenant id through context.Context into layers below

@@ -31,24 +31,6 @@ func TestFromHTTP(t *testing.T) {
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for s, want := range map[string]Class{
-		"": Interactive, "interactive": Interactive, "batch": Batch, "background": Background,
-	} {
-		got, ok := ParseClass(s)
-		if !ok || got != want {
-			t.Errorf("ParseClass(%q) = %v, %v", s, got, ok)
-		}
-	}
-	if _, ok := ParseClass("urgent"); ok {
-		t.Error("ParseClass accepted unknown class")
-	}
-	if Interactive.Weight() <= Batch.Weight() || Batch.Weight() <= Background.Weight() {
-		t.Errorf("class weights not ordered: %g %g %g",
-			Interactive.Weight(), Batch.Weight(), Background.Weight())
-	}
-}
-
 func TestBucketRefill(t *testing.T) {
 	b := NewBucket(10, 2) // 10/s, burst 2
 	now := time.Now()
@@ -94,19 +76,20 @@ func TestBucketUnlimited(t *testing.T) {
 }
 
 func TestParseQuotas(t *testing.T) {
-	m, err := ParseQuotas("alice=100:200,bob=5:5:4")
+	m, err := ParseQuotas("alice=100:200,bob=5:5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := m["alice"]; q.Rate != 100 || q.Burst != 200 || q.weight() != 1 {
+	if q := m["alice"]; q.Rate != 100 || q.Burst != 200 {
 		t.Fatalf("alice = %+v", q)
 	}
-	if q := m["bob"]; q.Rate != 5 || q.Burst != 5 || q.Weight != 4 {
+	if q := m["bob"]; q.Rate != 5 || q.Burst != 5 {
 		t.Fatalf("bob = %+v", q)
 	}
-	for _, bad := range []string{"=1:2", "a b=1:2", "x=1", "x=1:2:3:4", "x=y:2"} {
-		if _, err := ParseQuotas(bad); err == nil {
-			t.Errorf("ParseQuotas(%q) accepted", bad)
+	// Any field count but two is refused, naming the entry.
+	for _, bad := range []string{"=1:2", "a b=1:2", "x=1", "x=1:2:3", "x=1:2:3:4", "x=y:2"} {
+		if _, err := ParseQuotas(bad); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("ParseQuotas(%q) = %v, want an error naming the entry", bad, err)
 		}
 	}
 	if m, err := ParseQuotas("  "); err != nil || len(m) != 0 {
@@ -116,8 +99,7 @@ func TestParseQuotas(t *testing.T) {
 
 // TestParseQuotasRejectsNonFinite: NaN or an infinity in any field is refused
 // and the error names the field. A NaN rate made the bucket refuse every
-// request with a negative Retry-After; an infinite or NaN weight broke the
-// weighted-fair order.
+// request with a negative Retry-After.
 func TestParseQuotasRejectsNonFinite(t *testing.T) {
 	for _, tc := range []struct{ spec, field string }{
 		{"a=NaN:5", "rate"},
@@ -125,25 +107,13 @@ func TestParseQuotasRejectsNonFinite(t *testing.T) {
 		{"a=-Inf:5", "rate"},
 		{"a=5:NaN", "burst"},
 		{"a=5:Inf", "burst"},
-		{"a=5:5:+Inf", "weight"},
-		{"a=5:5:NaN", "weight"},
-		{"a=5:5:-infinity", "weight"},
-		{"ok=1:1,a=5:5:nan", "weight"},
+		{"a=5:-infinity", "burst"},
+		{"ok=1:1,a=nan:5", "rate"},
 	} {
 		_, err := ParseQuotas(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), "bad "+tc.field) {
 			t.Errorf("ParseQuotas(%q) = %v, want an error naming the %s", tc.spec, err, tc.field)
 		}
-	}
-}
-
-func TestQuotaAdmissionWeight(t *testing.T) {
-	q := Quota{Weight: 2}
-	if w := q.AdmissionWeight(Interactive); w != 32 {
-		t.Fatalf("weight = %g, want 32", w)
-	}
-	if w := (Quota{}).AdmissionWeight(Background); w != 1 {
-		t.Fatalf("zero quota background weight = %g, want 1", w)
 	}
 }
 

@@ -59,8 +59,8 @@ type (
 	ServeConfig = server.Config
 	// NLBinding names the engines the served NL translator targets.
 	NLBinding = server.NLBinding
-	// TenantQuota is one tenant's rate limit, burst allowance and
-	// weighted-fair admission weight (ServeConfig.TenantQuotas).
+	// TenantQuota is one tenant's rate limit and burst allowance
+	// (ServeConfig.TenantQuotas).
 	TenantQuota = tenant.Quota
 	// Backend is the storage backend hosting the engines' stores
 	// ("memory" or "wal"); open one with OpenBackend, Attach stores, Recover,
@@ -91,9 +91,9 @@ func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) {
 // run — the boot-time fork between recovering and seeding fresh demo data.
 func BackendHasState(dir string) bool { return backend.HasState(dir) }
 
-// ParseTenantQuotas parses a "tenant=rate:burst[:weight],..." spec into a
+// ParseTenantQuotas parses a "tenant=rate:burst,..." spec into a
 // ServeConfig.TenantQuotas map — the format polyserve's -tenant-quota flag
-// accepts.
+// accepts. An entry with any other number of fields is an error naming it.
 func ParseTenantQuotas(spec string) (map[string]TenantQuota, error) {
 	return tenant.ParseQuotas(spec)
 }

@@ -79,8 +79,9 @@ var reachAllow = map[string]string{
 //     a json tag counts as read, and so does every field of the struct types
 //     its fields reach through pointers, slices, arrays and maps.
 //   - Comparing a struct reads all its fields: those of a map's key type, and
-//     of a struct compared with == or != (server.flowKey.tenant), with the
-//     struct and array fields they hold by value.
+//     of a struct compared with == or != (eide.Binding, against its zero
+//     value in server.New), with the struct and array fields they hold by
+//     value.
 //   - Embedded fields are not scanned, as promoted methods are not: a
 //     selector through them names the promoted field or method, not them.
 func TestExportedMiddlewareSymbolsAreReached(t *testing.T) {
