@@ -310,6 +310,40 @@ func TestTakeSelection(t *testing.T) {
 	}
 }
 
+// compareValues orders two boxed values of the same dynamic type: -1, 0 or
+// +1, in Comparator's order. Values of two types, or of a type no column
+// has, are ErrTypeMismatch. The sort and selection tests check the typed
+// kernels against it.
+func compareValues(a, b any) (int, error) {
+	switch x := a.(type) {
+	case int64:
+		y, ok := b.(int64)
+		if !ok {
+			return 0, fmt.Errorf("%w: int64 vs %T", ErrTypeMismatch, b)
+		}
+		return cmpOrdered(x, y), nil
+	case float64:
+		y, ok := b.(float64)
+		if !ok {
+			return 0, fmt.Errorf("%w: float64 vs %T", ErrTypeMismatch, b)
+		}
+		return cmpOrdered(x, y), nil
+	case string:
+		y, ok := b.(string)
+		if !ok {
+			return 0, fmt.Errorf("%w: string vs %T", ErrTypeMismatch, b)
+		}
+		return cmpOrdered(x, y), nil
+	case bool:
+		y, ok := b.(bool)
+		if !ok {
+			return 0, fmt.Errorf("%w: bool vs %T", ErrTypeMismatch, b)
+		}
+		return cmpBool(x, y), nil
+	}
+	return 0, fmt.Errorf("%w: unsupported value type %T", ErrTypeMismatch, a)
+}
+
 func TestCompareValues(t *testing.T) {
 	tests := []struct {
 		a, b any
@@ -326,18 +360,18 @@ func TestCompareValues(t *testing.T) {
 		{true, false, 1},
 	}
 	for _, tc := range tests {
-		got, err := CompareValues(tc.a, tc.b)
+		got, err := compareValues(tc.a, tc.b)
 		if err != nil {
-			t.Fatalf("CompareValues(%v,%v): %v", tc.a, tc.b, err)
+			t.Fatalf("compareValues(%v,%v): %v", tc.a, tc.b, err)
 		}
 		if got != tc.want {
-			t.Fatalf("CompareValues(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
+			t.Fatalf("compareValues(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
-	if _, err := CompareValues(int64(1), "x"); !errors.Is(err, ErrTypeMismatch) {
+	if _, err := compareValues(int64(1), "x"); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("mixed compare: %v", err)
 	}
-	if _, err := CompareValues(struct{}{}, struct{}{}); !errors.Is(err, ErrTypeMismatch) {
+	if _, err := compareValues(struct{}{}, struct{}{}); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("unsupported compare: %v", err)
 	}
 }

@@ -46,7 +46,7 @@ func eagerSort(t testing.TB, b *Batch, key SortKey) *Batch {
 	sort.SliceStable(order, func(x, y int) bool {
 		vx, _ := b.Value(int(order[x]), ci)
 		vy, _ := b.Value(int(order[y]), ci)
-		c, err := CompareValues(vx, vy)
+		c, err := compareValues(vx, vy)
 		if err != nil {
 			t.Fatal(err)
 		}

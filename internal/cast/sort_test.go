@@ -60,10 +60,10 @@ func TestSortKeyNaNOrder(t *testing.T) {
 			}
 		}
 	}
-	// MIN/MAX and WHERE keep CompareValues' ordering, under which NaN is
+	// MIN/MAX and WHERE keep compareValues' ordering, under which NaN is
 	// level with everything.
-	if c, _ := CompareValues(nan, 1.0); c != 0 {
-		t.Fatalf("CompareValues(NaN, 1) = %d, want 0", c)
+	if c, _ := compareValues(nan, 1.0); c != 0 {
+		t.Fatalf("compareValues(NaN, 1) = %d, want 0", c)
 	}
 	if c := b.Comparator(0)(1, 2); c != 0 {
 		t.Fatalf("Comparator(NaN row, 1 row) = %d, want 0", c)
@@ -135,7 +135,7 @@ func bookOrder(t testing.TB, b *Batch, keys []SortKey) []int64 {
 				c = -1
 			default:
 				var err error
-				if c, err = CompareValues(vx, vy); err != nil {
+				if c, err = compareValues(vx, vy); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -7,40 +7,6 @@ import (
 	"strconv"
 )
 
-// CompareValues orders two boxed values of the same dynamic type. It returns
-// -1, 0, or +1. Comparing values of different dynamic types is a programming
-// error and reports via the returned error.
-func CompareValues(a, b any) (int, error) {
-	switch x := a.(type) {
-	case int64:
-		y, ok := b.(int64)
-		if !ok {
-			return 0, fmt.Errorf("%w: int64 vs %T", ErrTypeMismatch, b)
-		}
-		return cmpOrdered(x, y), nil
-	case float64:
-		y, ok := b.(float64)
-		if !ok {
-			return 0, fmt.Errorf("%w: float64 vs %T", ErrTypeMismatch, b)
-		}
-		return cmpOrdered(x, y), nil
-	case string:
-		y, ok := b.(string)
-		if !ok {
-			return 0, fmt.Errorf("%w: string vs %T", ErrTypeMismatch, b)
-		}
-		return cmpOrdered(x, y), nil
-	case bool:
-		y, ok := b.(bool)
-		if !ok {
-			return 0, fmt.Errorf("%w: bool vs %T", ErrTypeMismatch, b)
-		}
-		return cmpBool(x, y), nil
-	default:
-		return 0, fmt.Errorf("%w: unsupported value type %T", ErrTypeMismatch, a)
-	}
-}
-
 // cmpBool orders false before true.
 func cmpBool(a, b bool) int {
 	switch {
@@ -161,8 +127,8 @@ func siftDown(h []int32, i int, cmp func(x, y int32) int) {
 }
 
 // Comparator returns the three-way ordering of rows x and y on column col,
-// read from the typed slice with no boxing: CompareValues' ordering of the
-// two values.
+// read from the typed slice with no boxing: false before true, and a float
+// NaN neither below nor above anything.
 func (b *Batch) Comparator(col int) func(x, y int32) int {
 	c := b.col(col)
 	switch b.schema.Col(col).Type {
@@ -182,7 +148,7 @@ func (b *Batch) Comparator(col int) func(x, y int32) int {
 }
 
 // keyComparator is Comparator for a sort key, which needs a total order:
-// a float NaN, equal to nothing under CompareValues, sorts after every number
+// a float NaN, level with everything under Comparator, sorts after every number
 // (so first descending, PostgreSQL's rule) and level with another NaN.
 // -0 and +0 stay equal.
 func (b *Batch) keyComparator(col int) func(x, y int32) int {

@@ -13,10 +13,10 @@ import (
 // before aging out).
 //
 // An entry may be charged to an owner (PutOwned): while more than one owner
-// holds entries, each owner's total charge is capped at a share of the cost
-// budget. A tenant flooding the cache with its own results then evicts its
-// *own* oldest entries, not everyone else's — cache pollution stops being a
-// cross-tenant attack. With a single owner (the common single-tenant
+// holds entries, each owner's total charge is capped at DefaultTenantShare
+// of the cost budget. A tenant flooding the cache with its own results then
+// evicts its *own* oldest entries, not everyone else's — cache pollution
+// stops being a cross-tenant attack. With a single owner (the common single-tenant
 // deployment) no share is enforced and the full budget applies.
 //
 // It is safe for concurrent use: every method takes the cache's lock, and
@@ -24,8 +24,7 @@ import (
 type CostCache[V any] struct {
 	mu         sync.Mutex
 	maxEntries int
-	maxCost    int64   // <= 0 means no cost bound
-	share      float64 // per-owner fraction of maxCost, enforced when owners > 1
+	maxCost    int64 // <= 0 means no cost bound
 	cost       int64
 	evictions  int64
 	bypassed   int64
@@ -59,33 +58,20 @@ type ownerCharge struct {
 // of its payload: the entry, map and list cells, and the key.
 const EntryOverheadBytes = 512
 
-// DefaultTenantShare is the per-owner cost fraction when none is
-// configured: half the budget, so two contending tenants split it evenly
-// and no one tenant can hold more than half while contended.
+// DefaultTenantShare is the fraction of the cost budget one owner may hold
+// while more than one owner holds entries: half, so two contending tenants
+// split it evenly and no one tenant can hold more than half while contended.
 const DefaultTenantShare = 0.5
 
 // NewCost returns a cache bounded to maxEntries entries (< 1 treated as 1)
-// and maxCost total cost (<= 0 disables the cost bound), with the default
-// per-owner share.
+// and maxCost total cost (<= 0 disables the cost bound).
 func NewCost[V any](maxEntries int, maxCost int64) *CostCache[V] {
-	return NewCostShared[V](maxEntries, maxCost, 0)
-}
-
-// NewCostShared is NewCost with an explicit per-owner share: the fraction of
-// maxCost one owner may hold while more than one owner holds entries.
-// share <= 0 selects DefaultTenantShare, share >= 1 disables per-owner
-// capping.
-func NewCostShared[V any](maxEntries int, maxCost int64, share float64) *CostCache[V] {
 	if maxEntries < 1 {
 		maxEntries = 1
-	}
-	if share <= 0 {
-		share = DefaultTenantShare
 	}
 	c := &CostCache[V]{
 		maxEntries: maxEntries,
 		maxCost:    maxCost,
-		share:      share,
 		entries:    make(map[string]*costEntry[V]),
 		owners:     make(map[string]*ownerCharge),
 	}
@@ -178,18 +164,14 @@ func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool
 // (the entry that triggered the trim): a single entry larger than the share
 // is admitted — the global cost bound still applies — because evicting the
 // newcomer itself would make oversized inserts silently uncacheable for
-// contended tenants only.
+// contended tenants only. The share of a budget of 1 truncates to 0 but
+// never binds: costs are at least 1, so such a cache holds one entry and
+// one owner.
 func (c *CostCache[V]) enforceShare(keep *costEntry[V]) {
-	if c.maxCost <= 0 || c.share >= 1 || len(c.owners) < 2 {
+	if c.maxCost <= 0 || len(c.owners) < 2 {
 		return
 	}
-	limit := int64(c.share * float64(c.maxCost))
-	if limit < 1 {
-		// Fractional shares of tiny budgets truncate to 0, which would trim
-		// every contended tenant down to a single entry regardless of cost.
-		// The share is "a fraction of the budget", never "nothing".
-		limit = 1
-	}
+	limit := int64(DefaultTenantShare * float64(c.maxCost))
 	for oc := keep.owner; oc.cost > limit; {
 		oldest := oc.order.Front().Value.(*costEntry[V])
 		if oldest == keep {

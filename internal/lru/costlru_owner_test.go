@@ -3,7 +3,7 @@ package lru
 import "testing"
 
 func TestTenantCostSingleOwnerUncapped(t *testing.T) {
-	c := NewCostShared[int](100, 1000, 0.5)
+	c := NewCost[int](100, 1000)
 	// One owner may use the whole budget: the share only binds under
 	// contention.
 	for i, k := range []string{"a", "b", "c", "d"} {
@@ -21,7 +21,7 @@ func TestTenantCostSingleOwnerUncapped(t *testing.T) {
 }
 
 func TestTenantCostShareEnforcedUnderContention(t *testing.T) {
-	c := NewCostShared[string](100, 1000, 0.5)
+	c := NewCost[string](100, 1000)
 	c.PutOwned("bob-1", "x", 100, "bob")
 	// Alice floods: with bob present her charge is capped at 500, evicting
 	// her own oldest entries — never bob's.
@@ -51,10 +51,12 @@ func TestTenantCostShareEnforcedUnderContention(t *testing.T) {
 }
 
 func TestTenantCostGlobalEvictionRefundsOwner(t *testing.T) {
-	c := NewCostShared[int](100, 300, 1) // share 1: only the global bound binds
+	c := NewCost[int](100, 300)
 	c.PutOwned("a", 1, 150, "alice")
 	c.PutOwned("b", 2, 150, "bob")
-	c.PutOwned("c", 3, 150, "bob") // over budget: evicts LRU ("a"), refunds alice
+	// Over budget: evicts LRU ("a"), refunds alice, and leaves bob the one
+	// owner, whom the share no longer binds.
+	c.PutOwned("c", 3, 150, "bob")
 	if got := c.Stats().Owners["alice"]; got != 0 {
 		t.Fatalf("alice charge = %d after global eviction, want 0", got)
 	}
@@ -67,7 +69,7 @@ func TestTenantCostGlobalEvictionRefundsOwner(t *testing.T) {
 }
 
 func TestTenantCostIncumbentKeepsOriginalOwner(t *testing.T) {
-	c := NewCostShared[int](100, 1000, 0.5)
+	c := NewCost[int](100, 1000)
 	c.PutOwned("k", 1, 100, "alice")
 	got, ok := c.PutOwned("k", 2, 999, "bob")
 	if !ok || got != 1 {
@@ -80,7 +82,7 @@ func TestTenantCostIncumbentKeepsOriginalOwner(t *testing.T) {
 }
 
 func TestTenantCostOversizedBypassed(t *testing.T) {
-	c := NewCostShared[int](100, 100, 0.5)
+	c := NewCost[int](100, 100)
 	if _, ok := c.PutOwned("big", 1, 200, "alice"); ok {
 		t.Fatal("oversized entry admitted")
 	}
@@ -90,7 +92,7 @@ func TestTenantCostOversizedBypassed(t *testing.T) {
 }
 
 func TestTenantCostSingleHugeEntryToleratedUnderContention(t *testing.T) {
-	c := NewCostShared[int](100, 1000, 0.5)
+	c := NewCost[int](100, 1000)
 	c.PutOwned("b", 1, 100, "bob")
 	// Alice's single 700-cost entry exceeds her 500 share but is her only
 	// entry: admitted (the global bound still protects the cache).
@@ -111,22 +113,35 @@ func TestTenantCostSingleHugeEntryToleratedUnderContention(t *testing.T) {
 }
 
 func TestTenantCostTinyBudgetShareClampsToOne(t *testing.T) {
-	// share * maxCost < 1 truncates to a zero limit, which used to trim every
-	// contended tenant down to a single entry no matter how cheap its
-	// entries were. The limit clamps to >= 1, so unit-cost entries behave
-	// like any other cost that exceeds the share: the newcomer is spared and
-	// older entries trim one at a time, not wholesale.
-	c := NewCostShared[int](100, 4, 0.1) // share limit would truncate to 0
+	// Half of a budget of 1 truncates to a zero limit, which would trim every
+	// contended tenant to nothing. It never binds: costs are at least 1, so
+	// the cache holds one entry of one owner, and that is the newest.
+	c := NewCost[int](100, 1)
 	c.PutOwned("bob-1", 1, 1, "bob")
 	c.PutOwned("a1", 1, 1, "alice")
 	c.PutOwned("a2", 2, 1, "alice")
-	// Alice is over the clamped limit (1), so her older entry trims — but
-	// she keeps the newest rather than being flushed to nothing.
+	if _, ok := c.Get("a2"); !ok {
+		t.Fatal("newest entry evicted under a budget of 1")
+	}
+	if got := c.Stats().Owners["alice"]; got != 1 {
+		t.Fatalf("alice charge = %d, want 1", got)
+	}
+	// A budget of 3 has the smallest share that binds, 1: unit-cost entries
+	// trim like any other cost that exceeds the share — the newcomer is
+	// spared and older entries go one at a time, not wholesale, and never
+	// another owner's.
+	c = NewCost[int](100, 3)
+	c.PutOwned("bob-1", 1, 1, "bob")
+	c.PutOwned("a1", 1, 1, "alice")
+	c.PutOwned("a2", 2, 1, "alice")
 	if _, ok := c.Get("a2"); !ok {
 		t.Fatal("newest entry evicted under tiny-budget share")
 	}
-	if got := c.Stats().Owners["alice"]; got < 1 {
-		t.Fatalf("alice charge = %d, want >= 1 (clamped share)", got)
+	if _, ok := c.Get("a1"); ok {
+		t.Fatal("alice's older entry survived the trim")
+	}
+	if got := c.Stats().Owners["alice"]; got != 1 {
+		t.Fatalf("alice charge = %d, want 1 (the share)", got)
 	}
 	if _, ok := c.Get("bob-1"); !ok {
 		t.Fatal("bob's entry evicted by alice's inserts")

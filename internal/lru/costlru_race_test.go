@@ -26,7 +26,7 @@ func TestCostCacheConcurrent(t *testing.T) {
 		cost  int64
 		owner string
 	}
-	c := NewCostShared[val](maxEntries, maxCost, 0.5)
+	c := NewCost[val](maxEntries, maxCost)
 	owners := []string{"alice", "bob"}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

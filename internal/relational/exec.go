@@ -719,8 +719,9 @@ func (acc *groupAccum) combine(next *groupAccum) {
 // global-aggregate row. COUNT counts rows; SUM of an Int64/Timestamp column
 // is exact, and fails with ErrOverflow when the total does not fit an int64;
 // SUM of a Float64 column and AVG of any column fold float64s in row order;
-// MIN/MAX keep CompareValues' order and, on ties, the earliest row — a group
-// that starts with a NaN reports it. The accumulation fans out over fixed
+// MIN/MAX keep the order a comparison filters by (a NaN is level with
+// everything) and, on ties, the earliest row — a group that starts with a NaN
+// reports it. The accumulation fans out over fixed
 // row-range partitions on the shared scan pool and the partial aggregates
 // combine in ascending partition order (parallel.go's equivalence argument),
 // so results match single-partition execution.

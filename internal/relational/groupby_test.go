@@ -20,7 +20,7 @@ import (
 // together and -0 apart from +0). COUNT counts rows; SUM of int64s is exact
 // (math/big) and fails with ErrOverflow past int64; SUM of floats and AVG
 // fold float64s in row order; MIN/MAX start from the group's first value and
-// take a later one only when CompareValues puts it strictly below (above).
+// take a later one only when refCompare puts it strictly below (above).
 // Groups come out ordered by their rendering; with no group columns and no
 // rows, one row of zero values.
 func refGroupBy(t *testing.T, in *cast.Batch, groupCols []string, aggs []AggSpec) ([][]any, error) {
@@ -83,7 +83,7 @@ func refGroupBy(t *testing.T, in *cast.Batch, groupCols []string, aggs []AggSpec
 					g.ext[i] = v
 					continue
 				}
-				c, err := cast.CompareValues(v, g.ext[i])
+				c, err := refCompare(v, g.ext[i])
 				if err != nil {
 					t.Fatal(err)
 				}

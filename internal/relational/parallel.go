@@ -2,6 +2,7 @@ package relational
 
 import (
 	"context"
+	"fmt"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/partition"
@@ -29,9 +30,9 @@ import (
 // filterRange evaluates pred over rows of b and returns the kept ones. It
 // stops at the first failing row, with that row's error.
 func filterRange(b *cast.Batch, pred Expr, rows selection) (selection, error) {
-	kept, fail, err := pred.evalSel(b, rows)
-	if err == errNotBool {
-		_, err = EvalBool(pred, b, fail) // the row evaluates, but not to a bool
+	kept, _, err := pred.evalSel(b, rows)
+	if t, ok := err.(notBool); ok {
+		err = fmt.Errorf("%w: predicate returned %s", ErrExpr, string(t))
 	}
 	return kept, err
 }

@@ -29,9 +29,6 @@ func (p Param) BindSlot() int { return p.Slot }
 // encoding of the expression holding p hashes a shape.
 func (p Param) GoString() string { return "relational.Param{" + p.Type.String() + "}" }
 
-// Eval implements Expr.
-func (p Param) Eval(*cast.Batch, int) (any, error) { return nil, p.unbound() }
-
 // ResultType implements Expr.
 func (p Param) ResultType(cast.Schema) (cast.Type, error) { return 0, p.unbound() }
 

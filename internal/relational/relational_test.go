@@ -3,6 +3,7 @@ package relational
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -272,6 +273,8 @@ func TestLookupRange(t *testing.T) {
 	}
 }
 
+// TestExprEval: each node evaluates to its value through a projection, and
+// AND/OR leave a right side the left one decides unevaluated.
 func TestExprEval(t *testing.T) {
 	b := cast.NewBatch(usersSchema(), 1)
 	if err := b.AppendRow(int64(7), int64(30), "bob", 62.5); err != nil {
@@ -300,46 +303,94 @@ func TestExprEval(t *testing.T) {
 		{Bin{OpOr, Const{V: false}, Const{V: true}}, true},
 		{Not{Bin{OpEq, ColRef{Name: "uid"}, Const{V: int64(7)}}}, false},
 		{Bin{OpAdd, Const{V: "a"}, Const{V: "b"}}, "ab"},
+		// Short circuits: the missing column is never read.
+		{Bin{OpAnd, Const{V: false}, ColRef{Name: "ghost"}}, false},
+		{Bin{OpOr, Const{V: true}, ColRef{Name: "ghost"}}, true},
 	}
 	for _, tc := range tests {
-		got, err := tc.e.Eval(b, 0)
+		items := []ProjItem{{E: tc.e, Name: "v"}}
+		schema, err := ProjectSchema(b.Schema(), items)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.e, err)
 		}
-		if got != tc.want {
+		out, err := Project(context.Background(), b, items, schema, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.e, err)
+		}
+		if got, _ := out.Value(0, 0); got != tc.want {
 			t.Fatalf("%s = %v, want %v", tc.e, got, tc.want)
 		}
 	}
 }
 
-func TestExprEvalErrors(t *testing.T) {
-	b := cast.NewBatch(usersSchema(), 1)
-	if err := b.AppendRow(int64(7), int64(30), "bob", 62.5); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Expr{
-		ColRef{Name: "ghost"},
-		Bin{OpDiv, Const{V: int64(1)}, Const{V: int64(0)}},
-		Bin{OpAnd, Const{V: int64(1)}, Const{V: true}},
-		Bin{OpAdd, Const{V: true}, Const{V: true}},
-		Not{Const{V: int64(3)}},
-		Bin{OpEq, ColRef{Name: "age"}, Const{V: "x"}},
-	}
-	for _, e := range bad {
-		if _, err := e.Eval(b, 0); err == nil {
-			t.Fatalf("%s should fail", e)
+// TestExprErrorWording pins every error text evaluation can produce as a
+// literal, through Filter and Project at every fan-out, so the wording cannot
+// drift even where the kernels and the reference drift together. Rows marked
+// filterOnly are values, not predicates: only a filter rejects them.
+func TestExprErrorWording(t *testing.T) {
+	b := cast.NewBatch(cast.MustSchema(
+		cast.Column{Name: "i", Type: cast.Int64},
+		cast.Column{Name: "ts", Type: cast.Timestamp},
+		cast.Column{Name: "f", Type: cast.Float64},
+		cast.Column{Name: "s", Type: cast.String},
+		cast.Column{Name: "p", Type: cast.Bool},
+	), 3)
+	for r, i := range []int64{2, 0, -1} {
+		if err := b.AppendRow(i, int64(r), 1.5, "a", r == 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Short-circuit avoids RHS errors.
-	sc := Bin{OpAnd, Const{V: false}, ColRef{Name: "ghost"}}
-	v, err := sc.Eval(b, 0)
-	if err != nil || v != false {
-		t.Fatalf("short-circuit AND = %v, %v", v, err)
+	col := func(n string) Expr { return ColRef{Name: n} }
+	n := func(v int64) Expr { return Const{V: v} }
+	bin := func(op BinOp, l, r Expr) Expr { return Bin{Op: op, L: l, R: r} }
+	gt0 := func(e Expr) Expr { return bin(OpGt, e, n(0)) }
+	cases := []struct {
+		e          Expr
+		want       string
+		filterOnly bool
+	}{
+		{gt0(col("ghost")), `cast: column not found: "ghost"`, false},
+		{gt0(Param{Slot: 3, Type: cast.Int64}), "relational: unbound parameter: slot 3 (int64)", false},
+		{gt0(bin(OpDiv, n(10), col("i"))), "relational: integer division by zero", false},
+		{gt0(bin(OpMul, col("i"), n(math.MaxInt64))), "relational: integer overflow: 2 * 9223372036854775807", false},
+		{gt0(bin(OpAdd, n(math.MaxInt64), col("i"))), "relational: integer overflow: 9223372036854775807 + 2", false},
+		{gt0(bin(OpSub, n(math.MinInt64), col("i"))), "relational: integer overflow: -9223372036854775808 - 2", false},
+		{gt0(bin(OpDiv, n(math.MinInt64), n(-1))), "relational: integer overflow: -9223372036854775808 / -1", false},
+		{gt0(bin(OpAdd, col("i"), col("s"))), "relational: expression: + int64 vs string", false},
+		{gt0(bin(OpMul, col("ts"), col("p"))), "relational: expression: * int64 vs bool", false},
+		{gt0(bin(OpSub, col("f"), col("s"))), "relational: expression: - float64 vs string", false},
+		{gt0(bin(OpAdd, col("s"), col("i"))), "relational: expression: + string vs int64", false},
+		{gt0(bin(OpMul, col("s"), col("s"))), "relational: expression: * unsupported on string", false},
+		{gt0(bin(OpAdd, col("p"), col("p"))), "relational: expression: + unsupported on bool", false},
+		{gt0(bin(OpAdd, Const{V: 7}, col("i"))), "relational: expression: + unsupported on int", false},
+		{gt0(bin(OpAdd, col("i"), Const{V: 7})), "relational: expression: + int64 vs int", false},
+		{bin(OpEq, col("i"), col("s")), "relational: expression: cast: type mismatch: int64 vs string", false},
+		{bin(OpLt, col("ts"), Const{V: "x"}), "relational: expression: cast: type mismatch: int64 vs string", false},
+		{bin(OpEq, col("p"), col("f")), "relational: expression: cast: type mismatch: bool vs float64", false},
+		{bin(OpEq, col("i"), Const{V: 7}), "relational: expression: cast: type mismatch: int64 vs int", false},
+		{bin(OpEq, Const{V: 7}, col("i")), "relational: expression: cast: type mismatch: unsupported value type int", false},
+		{bin(OpAnd, col("i"), col("p")), "relational: expression: AND wants bool lhs, got int64", false},
+		{bin(OpOr, Not{E: col("p")}, col("s")), "relational: expression: OR wants bool rhs, got string", false},
+		{Not{E: col("f")}, "relational: expression: NOT wants bool, got float64", false},
+		{Not{E: Const{V: 7}}, "relational: expression: NOT wants bool, got int", false},
+		{bin(OpAdd, col("ts"), col("i")), "relational: expression: predicate returned int64", true},
+		{Const{V: 7}, "relational: expression: predicate returned int", true},
 	}
-	sc2 := Bin{OpOr, Const{V: true}, ColRef{Name: "ghost"}}
-	v, err = sc2.Eval(b, 0)
-	if err != nil || v != true {
-		t.Fatalf("short-circuit OR = %v, %v", v, err)
+	ctx := context.Background()
+	placeholder := cast.MustSchema(cast.Column{Name: "x", Type: cast.Bool})
+	for _, tc := range cases {
+		for _, parts := range partCounts {
+			if _, err := Filter(ctx, b, tc.e, parts); err == nil || err.Error() != tc.want {
+				t.Errorf("parts %d: filter %s: %v, want %q", parts, tc.e, err, tc.want)
+			}
+			if tc.filterOnly {
+				continue
+			}
+			items := []ProjItem{{E: tc.e, Name: "x"}}
+			if _, err := Project(ctx, b, items, placeholder, parts); err == nil || err.Error() != tc.want {
+				t.Errorf("parts %d: project %s: %v, want %q", parts, tc.e, err, tc.want)
+			}
+		}
 	}
 }
 

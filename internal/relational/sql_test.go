@@ -308,6 +308,23 @@ func TestQueryComputedColumns(t *testing.T) {
 	}
 }
 
+// TestQueryIntArithOverflowFails: int64 arithmetic whose exact result the
+// int64 range does not hold fails with ErrOverflow, as an integer SUM does,
+// instead of wrapping (2 * MaxInt64 used to answer -2).
+func TestQueryIntArithOverflowFails(t *testing.T) {
+	e := NewEngine(newTestStore(t, 10))
+	for _, q := range []string{
+		"SELECT uid * 9223372036854775807 AS x FROM users WHERE uid = 2",
+		"SELECT uid FROM users WHERE uid + 9223372036854775807 > 0",
+		"SELECT uid, (0 - 9223372036854775807 - uid) AS x FROM users WHERE uid = 2",
+		"SELECT uid, (0 - 9223372036854775807 - 1) / (uid - 3) AS x FROM users WHERE uid = 2",
+	} {
+		if _, _, err := e.Query(context.Background(), q); !errors.Is(err, ErrOverflow) {
+			t.Errorf("%s: error %v, want ErrOverflow", q, err)
+		}
+	}
+}
+
 // MustTable is a test helper on Store.
 func (s *Store) MustTable(t *testing.T, name string) *Table {
 	t.Helper()

@@ -1,28 +1,28 @@
 package relational
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"polystorepp/internal/cast"
 )
 
-// This file is the vector evaluator, the only one the operators call. It has
+// This file is the expression evaluator, the one the operators call. It has
 // two halves. A predicate evaluates to a selection (evalSel): the rows of its
 // input selection where it holds, as a run [lo, hi) or a list of row numbers
 // — no bool vector is built for a comparison, AND, OR or NOT, so a range
 // predicate over clustered rows allocates nothing and any other comparison
 // allocates one list of its survivor count. A value evaluates to a vector
-// (evalVec) over typed column slices, with no boxing. Row-at-a-time Eval
-// remains the reference the property tests compare against and the source of
-// every error value: a kernel reports only *where* evaluation fails, and the
-// error is whatever Eval returns for that row. A comparison of a dense column
-// with a constant — every lifted literal binds to one — runs one loop per
-// (type, operator) over the raw slice, a vector of positions at a time
-// (constSel); other operand shapes read each side per position. A hardware
-// kernel for filter or project would replace the typed loops (cmpSel —
-// stream compaction — and arithVec) behind hw.Device; nothing above them
+// (evalVec) over typed column slices, with no boxing. A kernel reports where
+// evaluation fails and words the error itself, from the operand types it met
+// (vec.typeName): a type the operator does not take fails at the first
+// position, a zero divisor or an int64 overflow at its own. A comparison of a
+// dense column with a constant — every lifted literal binds to one — runs one
+// loop per (type, operator) over the raw slice, a vector of positions at a
+// time (constSel); other operand shapes read each side per position. A
+// hardware kernel for filter or project would replace the typed loops (cmpSel
+// — stream compaction — and Bin.arith's) behind hw.Device; nothing above them
 // would change.
 
 // selection names rows of a batch in ascending order: the run [lo, hi) while
@@ -152,12 +152,13 @@ func (s selection) list(dst []int32) []int32 {
 type vec struct {
 	// t is Int64 (Timestamp columns read as Int64), Float64, String or Bool,
 	// naming the slice in use; 0 marks a constant of some other Go type,
-	// which no operator accepts.
-	t     cast.Type
-	ints  []int64
-	flts  []float64
-	strs  []string
-	bools []bool
+	// which no operator accepts, and goType then names that type.
+	t      cast.Type
+	goType string
+	ints   []int64
+	flts   []float64
+	strs   []string
+	bools  []bool
 	// sel is set on column storage read through a list: position i reads
 	// element sel[i]. Column storage under a run starts at the run's first
 	// row, and computed vectors are dense (position i reads element i);
@@ -188,19 +189,20 @@ func fltsOf(v vec) operand[float64] { return operand[float64]{v.flts, v.sel, v.k
 func strsOf(v vec) operand[string]  { return operand[string]{v.strs, v.sel, v.konst} }
 func boolsOf(v vec) operand[bool]   { return operand[bool]{v.bools, v.sel, v.konst} }
 
-// rowErr is the error Eval reports for row — the error of a row a kernel
-// found failing.
-func rowErr(e Expr, b *cast.Batch, row int) error {
-	if _, err := e.Eval(b, row); err != nil {
-		return err
+// typeName names v's type in an error, as Go names the type of its values.
+func (v vec) typeName() string {
+	if v.t == 0 {
+		return v.goType
 	}
-	return fmt.Errorf("%w: vector and row evaluation of %s disagree at row %d", ErrExpr, e, row)
+	return v.t.String()
 }
 
-// errNotBool is what evalSel answers for an expression that evaluates, but
-// not to a boolean: the node above (or the filter) words the error, as Eval
-// words it there.
-var errNotBool = errors.New("not a boolean")
+// notBool is what evalSel answers for an expression that evaluates, but not
+// to a boolean, naming the type it evaluates to: the node above (or the
+// filter) words the error.
+type notBool string
+
+func (n notBool) Error() string { return "not a boolean: " + string(n) }
 
 // under returns a column's storage as positions of in address it.
 func under[T any](col []T, in selection) []T {
@@ -248,6 +250,8 @@ func (c Const) evalVec(_ *cast.Batch, in selection) (vec, int, error) {
 		v.t, v.strs = cast.String, []string{x}
 	case bool:
 		v.t, v.bools = cast.Bool, []bool{x}
+	default:
+		v.goType = fmt.Sprintf("%T", x)
 	}
 	return v, in.len(), nil
 }
@@ -260,12 +264,12 @@ func (c Const) evalSel(b *cast.Batch, in selection) (selection, int, error) {
 }
 
 // valueSel is evalSel for a node that produces values: a bool column or
-// constant selects the rows where it is true, anything else is errNotBool
-// at the first row.
+// constant selects the rows where it is true, anything else is notBool at
+// the first row.
 func valueSel(e Expr, b *cast.Batch, in selection) (selection, int, error) {
 	v, ok, err := e.evalVec(b, in)
 	if ok > 0 && v.t != cast.Bool {
-		return selection{}, in.at(0), errNotBool
+		return selection{}, in.at(0), notBool(v.typeName())
 	}
 	count, first, last, keep := 0, 0, -1, boolsOf(v)
 	for i := 0; i < ok; i++ {
@@ -313,10 +317,10 @@ func (x Not) evalVec(b *cast.Batch, in selection) (vec, int, error) { return boo
 
 func (x Not) evalSel(b *cast.Batch, in selection) (selection, int, error) {
 	holds, fail, err := x.E.evalSel(b, in)
-	switch {
-	case err == errNotBool:
-		return selection{}, fail, rowErr(x, b, fail)
-	case err != nil:
+	if t, ok := err.(notBool); ok {
+		return selection{}, fail, fmt.Errorf("%w: NOT wants bool, got %s", ErrExpr, string(t))
+	}
+	if err != nil {
 		in = in.below(fail)
 	}
 	return in.minus(holds), fail, err
@@ -342,9 +346,9 @@ func (x Bin) evalVec(b *cast.Batch, in selection) (vec, int, error) {
 		return boolVec(x, b, in)
 	}
 	l, r, m, _, err := x.operands(b, in)
-	out, ok := x.arith(l, r, m)
+	out, ok, aerr := x.arith(l, r, m)
 	if ok < m {
-		return out, ok, rowErr(x, b, in.at(ok))
+		return out, ok, aerr
 	}
 	return out, m, err
 }
@@ -357,9 +361,9 @@ func (x Bin) evalSel(b *cast.Batch, in selection) (selection, int, error) {
 		return valueSel(x, b, in)
 	}
 	l, r, m, fail, err := x.operands(b, in)
-	holds, ok := x.compare(l, r, in, m)
-	if ok < m {
-		return holds, in.at(ok), rowErr(x, b, in.at(ok))
+	holds, cerr := x.compare(l, r, in, m)
+	if cerr != nil {
+		return selection{}, in.at(0), cerr
 	}
 	return holds, fail, err
 }
@@ -371,10 +375,10 @@ func (x Bin) evalSel(b *cast.Batch, in selection) (selection, int, error) {
 // so the lowest failing row and its error are a row-order loop's.
 func (x Bin) logicalSel(b *cast.Batch, in selection) (selection, int, error) {
 	l, fail, err := x.L.evalSel(b, in)
-	switch {
-	case err == errNotBool:
-		return selection{}, fail, rowErr(x, b, fail)
-	case err != nil:
+	if t, ok := err.(notBool); ok {
+		return selection{}, fail, fmt.Errorf("%w: %s wants bool lhs, got %s", ErrExpr, x.Op, string(t))
+	}
+	if err != nil {
 		in = in.below(fail)
 	}
 	open := l
@@ -382,8 +386,8 @@ func (x Bin) logicalSel(b *cast.Batch, in selection) (selection, int, error) {
 		open = in.minus(l)
 	}
 	r, rfail, rerr := x.R.evalSel(b, open)
-	if rerr == errNotBool {
-		r, rerr = selection{}, rowErr(x, b, rfail)
+	if t, ok := rerr.(notBool); ok {
+		r, rerr = selection{}, fmt.Errorf("%w: %s wants bool rhs, got %s", ErrExpr, x.Op, string(t))
 	}
 	if rerr != nil {
 		fail, err, l = rfail, rerr, l.below(rfail)
@@ -406,63 +410,64 @@ func widen(l, r vec, m int) (vec, vec) {
 }
 
 // compare runs a comparison over the first m positions of its operands and
-// returns the rows of in where it holds and how many positions it accepted:
-// fewer than m (position 0) means operand types it does not compare.
-func (x Bin) compare(l, r vec, in selection, m int) (selection, int) {
+// returns the rows of in where it holds, or the error of position 0 for
+// operand types it does not compare.
+func (x Bin) compare(l, r vec, in selection, m int) (selection, error) {
 	if m == 0 {
-		return selection{}, 0
+		return selection{}, nil
 	}
-	if l, r = widen(l, r, m); l.t != r.t {
-		return selection{}, 0
+	switch l, r = widen(l, r, m); {
+	case l.t == 0:
+		return selection{}, fmt.Errorf("%w: %v: unsupported value type %s", ErrExpr, cast.ErrTypeMismatch, l.typeName())
+	case l.t != r.t:
+		return selection{}, fmt.Errorf("%w: %v: %s vs %s", ErrExpr, cast.ErrTypeMismatch, l.typeName(), r.typeName())
+	case l.t == cast.Int64:
+		return cmpSel(x.Op, intsOf(l), intsOf(r), in, m), nil
+	case l.t == cast.Float64:
+		return cmpSel(x.Op, fltsOf(l), fltsOf(r), in, m), nil
+	case l.t == cast.String:
+		return cmpSel(x.Op, strsOf(l), strsOf(r), in, m), nil
 	}
-	switch l.t {
-	case cast.Int64:
-		return cmpSel(x.Op, intsOf(l), intsOf(r), in, m), m
-	case cast.Float64:
-		return cmpSel(x.Op, fltsOf(l), fltsOf(r), in, m), m
-	case cast.String:
-		return cmpSel(x.Op, strsOf(l), strsOf(r), in, m), m
-	case cast.Bool:
-		return cmpSel(x.Op, intsOf(convert(l, m)), intsOf(convert(r, m)), in, m), m
-	}
-	return selection{}, 0
+	return cmpSel(x.Op, intsOf(convert(l, m)), intsOf(convert(r, m)), in, m), nil
 }
 
 // arith runs + - * / over the first m positions of its operands and returns
-// how many succeeded: fewer than m means that position fails (the first zero
-// divisor, or position 0 for operand types the operator does not accept).
-func (x Bin) arith(l, r vec, m int) (vec, int) {
-	if m == 0 || !x.Op.isArith() {
-		return vec{}, 0
+// how many succeeded: fewer than m means that position fails with the error
+// returned (the first zero divisor or int64 overflow, or position 0 for
+// operand types the operator does not accept).
+func (x Bin) arith(l, r vec, m int) (vec, int, error) {
+	if m == 0 {
+		return vec{}, 0, nil
 	}
-	if l, r = widen(l, r, m); l.t != r.t {
-		return vec{}, 0
-	}
-	switch l.t {
-	case cast.Int64:
-		li, ri, ok := intsOf(l), intsOf(r), m
-		if x.Op == OpDiv {
-			for ok = 0; ok < m && ri.at(ok) != 0; ok++ {
+	l, r = widen(l, r, m)
+	switch concat := l.t == cast.String && x.Op == OpAdd; {
+	case l.t != r.t && (l.t == cast.Int64 || l.t == cast.Float64 || concat):
+		return vec{}, 0, fmt.Errorf("%w: %s %s vs %s", ErrExpr, x.Op, l.typeName(), r.typeName())
+	case l.t == cast.Int64 && x.Op.isArith():
+		li, ri, out := intsOf(l), intsOf(r), make([]int64, m)
+		for i := range out {
+			v, err := intArith(x.Op, li.at(i), ri.at(i))
+			if err != nil {
+				return vec{t: cast.Int64, ints: out[:i]}, i, err
 			}
+			out[i] = v
 		}
-		return vec{t: cast.Int64, ints: arithVec(x.Op, li, ri, ok)}, ok
-	case cast.Float64:
-		return vec{t: cast.Float64, flts: arithVec(x.Op, fltsOf(l), fltsOf(r), m)}, m
-	case cast.String:
-		if x.Op == OpAdd {
-			ls, rs, out := strsOf(l), strsOf(r), make([]string, m)
-			for i := range out {
-				out[i] = ls.at(i) + rs.at(i)
-			}
-			return vec{t: cast.String, strs: out}, m
+		return vec{t: cast.Int64, ints: out}, m, nil
+	case l.t == cast.Float64 && x.Op.isArith():
+		return vec{t: cast.Float64, flts: arithVec(x.Op, fltsOf(l), fltsOf(r), m)}, m, nil
+	case concat:
+		ls, rs, out := strsOf(l), strsOf(r), make([]string, m)
+		for i := range out {
+			out[i] = ls.at(i) + rs.at(i)
 		}
+		return vec{t: cast.String, strs: out}, m, nil
 	}
-	return vec{}, 0
+	return vec{}, 0, fmt.Errorf("%w: %s unsupported on %s", ErrExpr, x.Op, l.typeName())
 }
 
 // convert renders the first m positions of an int64 vector as float64 (int
-// meets float: numericWiden per row) or of a bool vector as 0/1 (booleans
-// order false before true, through the int64 kernel).
+// meets float, as in SQL) or of a bool vector as 0/1 (booleans order false
+// before true, through the int64 kernel).
 func convert(v vec, m int) vec {
 	if v.konst {
 		m = 1
@@ -514,15 +519,15 @@ func dense[T any](o operand[T], n int) []T {
 }
 
 // cmpHolds[op] says whether a comparison holds for a left operand below,
-// equal to, or above the right one, indexed by CompareValues' result + 1.
+// equal to, or above the right one.
 var cmpHolds = [...][3]bool{
 	OpEq: {false, true, false}, OpNe: {true, false, true},
 	OpLt: {true, false, false}, OpLe: {true, true, false},
 	OpGt: {false, false, true}, OpGe: {false, true, true},
 }
 
-// holdsFor compares in cast.CompareValues' ordering: a NaN is neither below
-// nor above anything, so it compares equal to everything.
+// holdsFor compares a and b: a NaN is neither below nor above anything, so
+// it compares equal to everything.
 func holdsFor[T int64 | float64 | string](holds [3]bool, a, b T) bool {
 	switch {
 	case a < b:
@@ -654,23 +659,46 @@ func matchConst[T int64 | float64 | string](op BinOp, v []T, c T, pos *[vectorRo
 	return k
 }
 
-// arith is one + - * / ; the caller has excluded a zero integer divisor.
-func arith[T int64 | float64](op BinOp, a, b T) T {
+// intArith is one int64 + - * /, failing on a zero divisor and on a result
+// the int64 range does not hold.
+func intArith(op BinOp, a, b int64) (int64, error) {
+	var v int64
+	var over bool
 	switch op {
 	case OpAdd:
-		return a + b
+		v = a + b
+		over = (a^v)&(b^v) < 0 // the sum's sign is neither operand's
 	case OpSub:
-		return a - b
+		v = a - b
+		over = (a^b)&(a^v) < 0 // the signs differ, and the difference lost a's
 	case OpMul:
-		return a * b
+		v = a * b
+		over = a != 0 && (v/a != b || a == -1 && b == math.MinInt64)
+	default:
+		if b == 0 {
+			return 0, ErrDivideByZero
+		}
+		v, over = a/b, a == math.MinInt64 && b == -1
 	}
-	return a / b
+	if over {
+		return 0, fmt.Errorf("%w: %d %s %d", ErrOverflow, a, op, b)
+	}
+	return v, nil
 }
 
-func arithVec[T int64 | float64](op BinOp, l, r operand[T], m int) []T {
-	out := make([]T, m)
+func arithVec(op BinOp, l, r operand[float64], m int) []float64 {
+	out := make([]float64, m)
 	for i := range out {
-		out[i] = arith(op, l.at(i), r.at(i))
+		switch a, b := l.at(i), r.at(i); op {
+		case OpAdd:
+			out[i] = a + b
+		case OpSub:
+			out[i] = a - b
+		case OpMul:
+			out[i] = a * b
+		default:
+			out[i] = a / b
+		}
 	}
 	return out
 }

@@ -143,7 +143,7 @@ func sameError(got, want error) bool {
 }
 
 // TestVectorEqualsRowFilter: at every fan-out, the filter keeps exactly the
-// rows a row-order EvalBool loop keeps, or fails with that loop's first
+// rows a row-order refBool loop keeps, or fails with that loop's first
 // error.
 func TestVectorEqualsRowFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -153,7 +153,7 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 		var kept []int32
 		var wantErr error
 		for r := 0; r < b.Rows() && wantErr == nil; r++ {
-			ok, err := EvalBool(pred, b, r)
+			ok, err := refBool(pred, b, r)
 			if wantErr = err; ok {
 				kept = append(kept, int32(r))
 			}
@@ -171,7 +171,7 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 }
 
 // TestVectorEqualsRowProject: at every fan-out, a projection yields the
-// values of a row-major Eval loop, or that loop's first error (lowest row,
+// values of a row-major refEval loop, or that loop's first error (lowest row,
 // then leftmost item).
 func TestVectorEqualsRowProject(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -190,7 +190,7 @@ func TestVectorEqualsRowProject(t *testing.T) {
 		for r := 0; r < b.Rows() && wantErr == nil; r++ {
 			vals := make([]any, len(items))
 			for i, it := range items {
-				if vals[i], wantErr = it.E.Eval(b, r); wantErr != nil {
+				if vals[i], wantErr = refEval(it.E, b, r); wantErr != nil {
 					break
 				}
 			}
@@ -211,7 +211,7 @@ func TestVectorEqualsRowProject(t *testing.T) {
 }
 
 // TestVectorPinnedSemantics names the cases the random trees reach only by
-// luck: NaN compares equal to everything (CompareValues' ordering, kept as
+// luck: NaN compares equal to everything (refCompare's ordering, kept as
 // is), timestamps meet int64s, ints widen to floats, and a guard on the left
 // of AND/OR keeps a zero divisor on the right from ever being evaluated.
 func TestVectorPinnedSemantics(t *testing.T) {
@@ -247,20 +247,59 @@ func TestVectorPinnedSemantics(t *testing.T) {
 	// The same division, unguarded, fails on the first zero divisor.
 	_, err := Filter(context.Background(), b,
 		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}}, 0)
-	if _, want := EvalBool(Bin{Op: OpDiv, L: col("i"), R: col("j")}, b, 0); !sameError(err, want) {
+	if _, want := refBool(Bin{Op: OpDiv, L: col("i"), R: col("j")}, b, 0); !sameError(err, want) {
 		t.Errorf("unguarded division: %v, want %v", err, want)
 	}
 }
 
-// counted counts how often its expression is evaluated, by either method.
+// TestIntArithExact: int64 + - * / over the values at and next to the
+// edges of the int64 range, from columns and from constants, answer the exact
+// result or fail as the reference does — ErrDivideByZero, or ErrOverflow where
+// the exact result is no int64.
+func TestIntArithExact(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -3037000500, -2, -1, 0, 1, 2, 3037000500, math.MaxInt64 - 1, math.MaxInt64}
+	schema := cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}, cast.Column{Name: "b", Type: cast.Int64})
+	out := cast.MustSchema(cast.Column{Name: "x", Type: cast.Int64})
+	overflows := 0
+	for _, a := range edges {
+		for _, c := range edges {
+			b := cast.NewBatch(schema, 1)
+			if err := b.AppendRow(a, c); err != nil {
+				t.Fatal(err)
+			}
+			for op := OpAdd; op <= OpDiv; op++ {
+				for _, e := range []Expr{
+					Bin{Op: op, L: ColRef{Name: "a"}, R: ColRef{Name: "b"}},
+					Bin{Op: op, L: Const{V: a}, R: ColRef{Name: "b"}},
+					Bin{Op: op, L: ColRef{Name: "a"}, R: Const{V: c}},
+				} {
+					want, wantErr := refEval(e, b, 0)
+					got, err := Project(context.Background(), b, []ProjItem{{E: e, Name: "x"}}, out, 1)
+					if !sameError(err, wantErr) || errors.Is(err, ErrOverflow) != errors.Is(wantErr, ErrOverflow) {
+						t.Fatalf("%s over (%d, %d): error %v, reference says %v", e, a, c, err, wantErr)
+					}
+					if errors.Is(err, ErrOverflow) {
+						overflows++
+					}
+					if err != nil {
+						continue
+					}
+					if v, _ := got.Value(0, 0); v != want {
+						t.Fatalf("%s over (%d, %d) = %v, want %v", e, a, c, v, want)
+					}
+				}
+			}
+		}
+	}
+	if overflows == 0 {
+		t.Fatal("no pair overflowed: the edges no longer reach the checks")
+	}
+}
+
+// counted counts how often its expression's vector is evaluated.
 type counted struct {
 	Expr
 	calls *int
-}
-
-func (c counted) Eval(b *cast.Batch, row int) (any, error) {
-	*c.calls++
-	return c.Expr.Eval(b, row)
 }
 
 func (c counted) evalVec(b *cast.Batch, in selection) (vec, int, error) {
@@ -269,8 +308,8 @@ func (c counted) evalVec(b *cast.Batch, in selection) (vec, int, error) {
 }
 
 // TestFilterStopsAtFirstError: a predicate whose comparison mismatches types
-// fails on row 0. The filter must return that row's error after one vector
-// pass (plus the one row Eval that words the error), not evaluate the other
+// fails on row 0. The filter must return that row's error, worded by the
+// kernel, after one vector pass over the operand, not evaluate the other
 // 49 999 rows and throw the work away.
 func TestFilterStopsAtFirstError(t *testing.T) {
 	const n = 50_000
@@ -282,13 +321,12 @@ func TestFilterStopsAtFirstError(t *testing.T) {
 	}
 	calls := 0
 	pred := Bin{Op: OpEq, L: counted{ColRef{Name: "id"}, &calls}, R: Const{V: "zero"}}
-	_, want := EvalBool(pred, b, 0)
-	calls = 0
+	_, want := refBool(Bin{Op: OpEq, L: ColRef{Name: "id"}, R: Const{V: "zero"}}, b, 0)
 	_, err := Filter(context.Background(), b, pred, 1)
 	if err == nil || !sameError(err, want) || !errors.Is(err, ErrExpr) {
 		t.Fatalf("error %v, want row 0's %v", err, want)
 	}
-	if calls > 2 {
+	if calls > 1 {
 		t.Fatalf("operand evaluated %d times for a predicate that fails on row 0", calls)
 	}
 }
@@ -371,11 +409,11 @@ func shapeLeaves() []Expr {
 	}
 }
 
-// rowLoop is the reference: EvalBool over rows, in order, to the first error.
+// rowLoop is the reference: refBool over rows, in order, to the first error.
 // It returns the rows kept and how many were evaluated before the error.
 func rowLoop(pred Expr, b *cast.Batch, rows []int32) (kept []int32, evaluated int, err error) {
 	for i, r := range rows {
-		ok, rerr := EvalBool(pred, b, int(r))
+		ok, rerr := refBool(pred, b, int(r))
 		if rerr != nil {
 			return kept, i, rerr
 		}
@@ -388,7 +426,7 @@ func rowLoop(pred Expr, b *cast.Batch, rows []int32) (kept []int32, evaluated in
 
 // TestSelectionKernelShapes: every survivor shape the kernels special-case,
 // nested three deep under AND, OR and NOT, keeps the rows of a row-order
-// EvalBool loop at 1, 2, 7 and 64 partitions, or fails with that loop's first
+// refBool loop at 1, 2, 7 and 64 partitions, or fails with that loop's first
 // error — the lowest failing row's, and there the leftmost item's — whether
 // the failing item sits behind a guard that admits it or one that does not.
 func TestSelectionKernelShapes(t *testing.T) {
