@@ -57,8 +57,8 @@ of request history.
 With -data-dir the relational, timeseries and key/value engines persist
 through a write-ahead log with snapshot compaction: acknowledged ingests
 survive a crash, and a restart over the same directory recovers them instead
-of reseeding. -wal-sync trades durability for write latency (group,
-interval, off); -snapshot-bytes sets the log size that triggers compaction.
+of reseeding. A write is acknowledged only after an fsync covers it (group
+commit); -snapshot-bytes sets the log size that triggers compaction.
 The text engine is demo-seeded only and always reseeds.
 
 Usage:
@@ -92,7 +92,6 @@ func main() {
 	shedHighWater := flag.Float64("shed-highwater", 0, "utilization fraction of workers+queue at which executions are shed (0 = default 0.85; negative disables shedding)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "bound on draining in-flight requests at shutdown; new work gets 503 while draining")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL + snapshot persistence for relational, timeseries and kv engines (empty = in-memory only)")
-	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (fsync before ack), interval (ack first, fsync every 100ms), off (never fsync)")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0, "WAL size that triggers snapshot compaction (0 = default 8 MiB; negative disables automatic snapshots)")
 	flag.Usage = usage
 	flag.Parse()
@@ -134,14 +133,14 @@ func main() {
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,
-		*accel, *level, *seed, *dataDir, *walSync, *snapshotBytes, cfg); err != nil {
+		*accel, *level, *seed, *dataDir, *snapshotBytes, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "polyserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, scenario string, patients, customers, txPerCustomer int,
-	accel bool, level int, seed int64, dataDir, walSync string, snapshotBytes int64,
+	accel bool, level int, seed int64, dataDir string, snapshotBytes int64,
 	cfg polystore.ServeConfig) error {
 	rng := rand.New(rand.NewSource(seed))
 	var opts []polystore.Option
@@ -159,12 +158,9 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 	var bk polystore.Backend
 	recovering := false
 	if dataDir != "" {
-		pol, err := polystore.ParseWALSyncPolicy(walSync)
-		if err != nil {
-			return err
-		}
+		var err error
 		bk, err = polystore.OpenBackend("wal", polystore.BackendConfig{
-			Dir: dataDir, Sync: pol, SnapshotBytes: snapshotBytes,
+			Dir: dataDir, SnapshotBytes: snapshotBytes,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("polyserve: "+format+"\n", args...)
 			},
@@ -248,8 +244,8 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.ShedHighWater, cfg.DrainTimeout)
 	if bk != nil {
 		bs := bk.Stats()
-		fmt.Printf("polyserve: durability dir=%s sync=%s snapshot-trigger=%d recovered=%t replay-records=%d\n",
-			dataDir, bs.SyncPolicy, bs.SnapshotTrigger, recovering, bs.ReplayRecords)
+		fmt.Printf("polyserve: durability dir=%s snapshot-trigger=%d recovered=%t replay-records=%d\n",
+			dataDir, bs.SnapshotTrigger, recovering, bs.ReplayRecords)
 		fmt.Printf("polyserve: durable stores=%v; volatile engines (state lost on restart)=%v\n",
 			bs.Stores, bs.Volatile(sys.Engines()))
 	}

@@ -1,15 +1,12 @@
-// Package backend is the storage-backend abstraction under the polystore's
-// native engines: who owns the bytes and what survives a crash. Both
-// backends host the native engines, which run every pushdown themselves.
-//
-// Two backends ship today. "memory" wraps the existing in-memory stores as
-// the reference implementation — nothing survives a restart;
-// it is the semantics every durable backend must match and the baseline the
-// equivalence tests pin against. "wal" gives the same engines a durable
-// path: every applied mutation (kvstore put/delete, timeseries append,
-// relational insert and schema change) is journaled as a typed record into a
-// write-ahead log with fsync-batched group commit, replayed on boot, and
-// compacted into a snapshot once the log passes a size threshold.
+// Package backend is the durability layer under the polystore's native
+// in-memory engines: what survives a crash. One backend ships, "wal": every
+// applied mutation (kvstore put, timeseries append, relational insert and
+// schema change) is journaled as a typed record into a write-ahead log,
+// replayed on boot, and compacted into a snapshot once the log passes a size
+// threshold. A write is acknowledged only after an fsync covers it (group
+// commit). A deployment without a backend keeps the engines as they are:
+// nothing survives a restart, and that is the reference the equivalence
+// tests hold recovered stores to.
 //
 // The package knows store names and opaque bytes only: a store takes part by
 // implementing Durable, encoding its own records and snapshot section, and
@@ -70,7 +67,7 @@ type Durable interface {
 	BumpVersion()
 }
 
-// Backend is one storage substrate hosting the native engines' stores.
+// Backend is the durable substrate hosting the native engines' stores.
 // Lifecycle: Open → Attach each store → Recover (load any persisted state
 // into the attached, still-empty stores) → seed if Recover found nothing →
 // Start (begin journaling new mutations) → serve, calling Barrier after each
@@ -93,8 +90,8 @@ type Backend interface {
 	// Start installs the journal taps on the attached stores and opens the
 	// active log segment; mutations from here on are captured.
 	Start() error
-	// Barrier blocks until every mutation journaled so far is durable under
-	// the configured sync policy. The write path calls it before
+	// Barrier blocks until an fsync covers every mutation journaled so far,
+	// and fails while the log is not open. The write path calls it before
 	// acknowledging a client write.
 	Barrier(ctx context.Context) error
 	// Checkpoint forces a snapshot of the attached stores and truncates the
@@ -124,19 +121,11 @@ type RecoverStats struct {
 	Truncated bool
 }
 
-// pushdown is what both backends' engines execute natively, as /stats
-// reports it.
-const pushdown = "predicate,limit,prefix-scan"
-
-// Stats is the durability counter set a backend exposes. Zero-valued (with
-// Durable false) for backends with nothing to report.
+// Stats is the durability counter set a backend exposes. A deployment
+// without a backend reports the zero value with Kind "memory".
 type Stats struct {
-	Kind       string
-	Durable    bool
-	SyncPolicy string
-	// Capabilities lists what the backend executes natively
-	// ("predicate,limit,prefix-scan"), then "durable" when it persists.
-	Capabilities string
+	Kind    string
+	Durable bool
 	// Stores names the attached stores, sorted: what survives a restart.
 	// Every other registered engine is volatile (see Volatile).
 	Stores []string
@@ -170,13 +159,13 @@ func (s Stats) Volatile(engines []string) []string {
 	return out
 }
 
-// Config parameterizes backend construction. Memory ignores everything but
-// Logf; wal requires Dir.
+// Config parameterizes backend construction.
 type Config struct {
-	// Dir is the durable backend's data directory (created if absent).
+	// Dir is the data directory (created if absent); required.
 	Dir string
-	// Sync selects the WAL fsync policy; empty means SyncGroup.
-	Sync SyncPolicy
+	// Sync names the WAL fsync policy: empty or SyncGroup, the one policy;
+	// Open refuses any other name. Only bench/ still sets it.
+	Sync string
 	// SnapshotBytes is the active-segment size that triggers snapshot
 	// compaction. 0 means the 8 MiB default; negative disables automatic
 	// snapshots (Checkpoint still works).
@@ -191,13 +180,10 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// Open constructs a backend of the named kind: "memory" or "wal".
+// Open constructs a backend of the named kind; "wal" is the one kind.
 func Open(kind string, cfg Config) (Backend, error) {
-	switch kind {
-	case "memory":
-		return NewMemory(), nil
-	case "wal":
-		return openWALBackend(cfg)
+	if kind != "wal" {
+		return nil, fmt.Errorf("backend: unknown kind %q (have [wal])", kind)
 	}
-	return nil, fmt.Errorf("backend: unknown kind %q (have [memory wal])", kind)
+	return openWALBackend(cfg)
 }

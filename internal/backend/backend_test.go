@@ -384,7 +384,7 @@ func TestDurableSkippedRecordsStillRecovered(t *testing.T) {
 // rather than be silently dropped and acknowledged.
 func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, SyncGroup, 1)
+	w, err := openWAL(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,18 +404,12 @@ func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 	}
 }
 
-// TestOpen pins the two kinds Open knows, the unknown-kind error, and the
-// capabilities each reports on /stats.
+// TestOpen pins the one kind Open knows and the unknown-kind error.
 func TestOpen(t *testing.T) {
-	if _, err := Open("bogus", Config{}); err == nil || err.Error() != `backend: unknown kind "bogus" (have [memory wal])` {
-		t.Fatalf("unknown kind: %v", err)
-	}
-	m, err := Open("memory", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Kind != "memory" || st.Durable || st.Capabilities != "predicate,limit,prefix-scan" {
-		t.Fatalf("memory backend: %+v", st)
+	for _, kind := range []string{"bogus", "memory"} {
+		if _, err := Open(kind, Config{Dir: t.TempDir()}); err == nil || err.Error() != fmt.Sprintf("backend: unknown kind %q (have [wal])", kind) {
+			t.Fatalf("kind %q: %v", kind, err)
+		}
 	}
 	if _, err := Open("wal", Config{}); err == nil {
 		t.Fatal("wal backend without Dir must fail")
@@ -425,45 +419,77 @@ func TestOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if st := w.Stats(); st.Kind != "wal" || !st.Durable || st.Capabilities != "predicate,limit,prefix-scan,durable" {
+	if st := w.Stats(); st.Kind != "wal" || !st.Durable {
 		t.Fatalf("wal backend: %+v", st)
 	}
 }
 
+// TestSyncPolicies: group commit is the one policy. Under it an
+// acknowledged write recovers; Open refuses any other policy name.
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncGroup, SyncInterval, SyncOff} {
-		pol := pol
-		t.Run(string(pol), func(t *testing.T) {
-			dir := t.TempDir()
-			live := newStores(t)
-			b, err := Open("wal", Config{Dir: dir, Sync: pol, SnapshotBytes: -1})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("group", func(t *testing.T) {
+		dir := t.TempDir()
+		live := newStores(t)
+		b, _ := openStarted(t, dir, live)
+		writeMix(t, live, 0, 10)
+		if err := b.Barrier(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ref := newStores(t)
+		writeMix(t, ref, 0, 10)
+		recovered := newStores(t)
+		b2, _ := openStarted(t, dir, recovered)
+		defer b2.Close()
+		assertEquiv(t, ref, recovered)
+	})
+	for _, pol := range []string{"interval", "off"} {
+		t.Run(pol, func(t *testing.T) {
+			if _, err := Open("wal", Config{Dir: t.TempDir(), Sync: pol}); err == nil {
+				t.Fatalf("Open with sync policy %q must fail", pol)
 			}
-			attach(b, live)
-			if _, err := b.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Start(); err != nil {
-				t.Fatal(err)
-			}
-			writeMix(t, live, 0, 10)
-			if err := b.Barrier(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ref := newStores(t)
-			writeMix(t, ref, 0, 10)
-			recovered := newStores(t)
-			b2, _ := openStarted(t, dir, recovered)
-			defer b2.Close()
-			assertEquiv(t, ref, recovered)
 		})
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad sync policy must fail")
+}
+
+// TestLifecycleOutOfOrder pins each lifecycle call made out of order: Start
+// twice starts once, Recover after Start fails, a done context fails
+// Barrier, Close twice closes once, and after Close neither Start nor
+// Checkpoint runs. A backend closed before Start closes cleanly.
+func TestLifecycleOutOfOrder(t *testing.T) {
+	unstarted, err := Open("wal", Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unstarted.Close(); err != nil {
+		t.Fatalf("Close before Start: %v", err)
+	}
+
+	b, _ := openStarted(t, t.TempDir(), newStores(t))
+	if err := b.Start(); err != nil {
+		t.Fatalf("second Start: %v", err)
+	}
+	if _, err := b.Recover(); err == nil {
+		t.Fatal("Recover after Start must fail")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := b.Barrier(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Barrier with a cancelled context: %v", err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := b.Start(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Start after Close: want ErrClosed, got %v", err)
+	}
+	if err := b.Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Checkpoint after Close: want ErrClosed, got %v", err)
 	}
 }
 
@@ -530,31 +556,54 @@ func TestOversizedRecordRefusedNotAcked(t *testing.T) {
 	assertEquiv(t, ref, recovered)
 }
 
-// Files of a data directory written by the parent commit's layout (typed
-// per-engine WAL records, one whole-deployment PPSNAP1 snapshot): a kv put,
-// a checkpoint, then a timeseries append, a table creation, a row insert and
-// a kv delete.
+// Files of data directories in earlier layouts, each a wal-00000002.log
+// segment and a snapshot.db.
+//
+// The unversioned layout (typed per-engine WAL records, one whole-deployment
+// PPSNAP1 snapshot): a kv put, a checkpoint, then a timeseries append, a
+// table creation, a row insert and a kv delete.
+//
+// Record format 0x10 and PPSNAP2, whose kvstore and relational layouts kept
+// reserved slots: a kv put, a table "t" with a B-tree on id and one row, a
+// timeseries append, a checkpoint, then one more write of each.
 const (
-	parentWAL = "260000000b4b2b460302000000747303000000637075e803000000000000000000000000e03f010000000000" +
+	unversionedWAL = "260000000b4b2b460302000000747303000000637075e803000000000000000000000000e03f010000000000" +
 		"00001f000000e46f648905020000006462010000007401000000020000006964010100000000000000250000" +
 		"0010df55b0040200000064620100000074020000000000000001000000010000000107000000000000001400" +
 		"00009f314d7e02020000006b76010000006b0200000000000000"
-	parentSnapshot = "5050534e4150310ae3000000000000003ed382d80300000001020000006b7610000000000000000000000000" +
+	ppsnap1Snapshot = "5050534e4150310ae3000000000000003ed382d80300000001020000006b7610000000000000000000000000" +
 		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
 		"0000000000000000000000000000000000000000000000000000000100000000000000000000000000000000" +
 		"0000000000000000000000000000000000000000000000000000000000000002020000007473000000000000" +
 		"00000302000000646200000000000000000000000001000000010000006b010000000100000000000000c42e" +
 		"72cd8555d918000000000000000001000000760000000000000000"
+	format10WAL = "330000006c36c86f10020000006b7601010000006b0200000000000000020000000000000000000000000000" +
+		"000000000000000000020000007632320000007cd4b470100200000064620201000000740400000000000000" +
+		"42534c50010001000100000000000000020069640102000000000000002600000094626b5710020000007473" +
+		"03000000637075d007000000000000000000000000f83f0200000000000000"
+	ppsnap2Snapshot = "5050534e4150320a030000000200000064624400000000000000dab4cb460100000000000000010000000100" +
+		"0000740300000000000000010000000200000069640000000042534c50010001000100000000000000020069" +
+		"64010100000000000000020000006b76eb0000000000000011a129f810000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000010000000000000001000000010000006b01000000010000" +
+		"0000000000000000000000000000000000000000000200000076310000000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000002" +
+		"00000074732b000000000000008f9999a2010000000000000001000000030000006370750100000010000000" +
+		"e803000000000000000000000000e03f"
 )
 
 // TestParentFormatRejected pins the no-compatibility-reader rule: a data
-// directory in the parent layout fails Recover loudly with ErrFormat —
+// directory in an earlier layout fails Recover loudly with ErrFormat —
 // whichever file is met first — and no store is touched.
 func TestParentFormatRejected(t *testing.T) {
 	for name, files := range map[string]map[string]string{
-		"wal":      {segName(2): parentWAL},
-		"snapshot": {snapFile: parentSnapshot},
-		"both":     {segName(2): parentWAL, snapFile: parentSnapshot},
+		"wal":              {segName(2): unversionedWAL},
+		"snapshot":         {snapFile: ppsnap1Snapshot},
+		"both":             {segName(2): unversionedWAL, snapFile: ppsnap1Snapshot},
+		"wal 0x10":         {segName(2): format10WAL},
+		"snapshot PPSNAP2": {snapFile: ppsnap2Snapshot},
+		"both PPSNAP2":     {segName(2): format10WAL, snapFile: ppsnap2Snapshot},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -612,7 +661,7 @@ func TestStatsNamesStores(t *testing.T) {
 	if got := fmt.Sprint(st.Volatile([]string{"db", "graph", "kv", "txt"})); got != "[graph txt]" {
 		t.Fatalf("volatile = %s", got)
 	}
-	if got := fmt.Sprint(NewMemory().Stats().Volatile([]string{"db", "kv"})); got != "[db kv]" {
-		t.Fatalf("memory backend volatile = %s", got)
+	if got := fmt.Sprint(Stats{Kind: "memory"}.Volatile([]string{"db", "kv"})); got != "[db kv]" {
+		t.Fatalf("no backend: volatile = %s", got)
 	}
 }

@@ -14,16 +14,17 @@ import (
 
 // Snapshot layout. One file, written atomically (temp + fsync + rename):
 //
-//	magic "PPSNAP2\n" | section count u32
+//	magic "PPSNAP3\n" | section count u32
 //	per section: name (u32 length + bytes) | length u64 | crc u32 | bytes
 //
 // One section per attached store, in name order. The bytes are whatever the
 // store's Snapshot wrote — its state and version watermarks as one
 // consistent cut — streamed straight to the file; length and CRC-32/IEEE
 // (over name and bytes) are patched into the section header afterwards.
-// Recovery verifies every section before it restores any.
+// Recovery verifies every section before it restores any. The magic moves
+// with the store sections' layouts: PPSNAP2 sections kept reserved slots.
 const (
-	snapMagic = "PPSNAP2\n"
+	snapMagic = "PPSNAP3\n"
 	snapFile  = "snapshot.db"
 	snapTemp  = "snapshot.tmp"
 )

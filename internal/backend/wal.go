@@ -11,44 +11,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// SyncPolicy selects when the WAL fsyncs relative to write acknowledgement.
-type SyncPolicy string
-
-// Sync policies.
-const (
-	// SyncGroup (default): a write is acknowledged only after an fsync
-	// covering it. Concurrent writers share one fsync — the classic group
-	// commit — so the cost amortizes with concurrency instead of paying one
-	// fsync per write.
-	SyncGroup SyncPolicy = "group"
-	// SyncInterval: writes are acknowledged after the buffered file write;
-	// an fsync is issued at most every asyncSyncEvery, piggybacked on the
-	// write path. A crash can lose up to that window of acknowledged writes.
-	SyncInterval SyncPolicy = "interval"
-	// SyncOff: never fsync (the OS page cache decides). Fastest; an OS crash
-	// can lose everything since the last page flush. Process crashes still
-	// lose nothing — the page cache survives the process.
-	SyncOff SyncPolicy = "off"
-)
-
-// ParseSyncPolicy validates a -wal-sync flag value.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch SyncPolicy(s) {
-	case "", SyncGroup:
-		return SyncGroup, nil
-	case SyncInterval:
-		return SyncInterval, nil
-	case SyncOff:
-		return SyncOff, nil
-	}
-	return "", fmt.Errorf("backend: unknown sync policy %q (want group, interval, off)", s)
-}
-
-// asyncSyncEvery is the SyncInterval fsync cadence.
-const asyncSyncEvery = 100 * time.Millisecond
+// SyncGroup names group commit, the one WAL fsync policy: a write is
+// acknowledged only after an fsync covering it, and concurrent writers share
+// one fsync, so the cost amortizes with concurrency instead of paying one
+// fsync per write.
+const SyncGroup = "group"
 
 const (
 	segPrefix = "wal-"
@@ -69,8 +38,7 @@ func segName(index uint64) string {
 // sync(), a leader-elected batched fsync. Rotation (rotate) seals the active
 // segment for snapshot compaction.
 type wal struct {
-	dir    string
-	policy SyncPolicy
+	dir string
 
 	// mu guards the active segment handle, sizes and sequence numbers.
 	mu       sync.Mutex
@@ -82,9 +50,8 @@ type wal struct {
 
 	// flushMu serializes fsync batches (the group-commit leader lock) and
 	// rotation, so a segment handle is never closed under an in-flight Sync.
-	flushMu  sync.Mutex
-	synced   atomic.Uint64 // last sequence covered by an fsync
-	lastSync time.Time     // SyncInterval cadence bookkeeping (flushMu)
+	flushMu sync.Mutex
+	synced  atomic.Uint64 // last sequence covered by an fsync
 
 	appends atomic.Uint64
 	bytes   atomic.Uint64
@@ -119,8 +86,8 @@ func listSegments(dir string) ([]uint64, error) {
 
 // openWAL creates the active segment after the highest existing index.
 // Recovery must have consumed the existing segments first.
-func openWAL(dir string, policy SyncPolicy, nextIndex uint64) (*wal, error) {
-	w := &wal{dir: dir, policy: policy, segIndex: nextIndex}
+func openWAL(dir string, nextIndex uint64) (*wal, error) {
+	w := &wal{dir: dir, segIndex: nextIndex}
 	f, err := os.OpenFile(filepath.Join(dir, segName(nextIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -176,23 +143,10 @@ func (w *wal) append(payload []byte) uint64 {
 	return seq
 }
 
-// sync makes every record with sequence <= seq durable under the policy.
-// Under SyncGroup the caller blocks until an fsync covers it, with
-// concurrent callers sharing one fsync (whoever takes flushMu first syncs
-// through the current tail and the rest find themselves already covered).
+// sync blocks until an fsync covers every record with sequence <= seq.
+// Concurrent callers share one fsync: whoever takes flushMu first syncs
+// through the current tail and the rest find themselves already covered.
 func (w *wal) sync(seq uint64) error {
-	if w.policy != SyncGroup {
-		// Acknowledge after the buffered write; issue a cadence fsync under
-		// SyncInterval so the loss window stays bounded.
-		if w.policy == SyncInterval {
-			w.flushMu.Lock()
-			if time.Since(w.lastSync) >= asyncSyncEvery {
-				w.fsyncLocked()
-			}
-			w.flushMu.Unlock()
-		}
-		return w.writeErr()
-	}
 	if w.synced.Load() >= seq {
 		return w.writeErr()
 	}
@@ -225,7 +179,6 @@ func (w *wal) fsyncLocked() {
 		return
 	}
 	w.fsyncs.Add(1)
-	w.lastSync = time.Now()
 	// Monotonic max: another leader cannot be racing (flushMu held).
 	if w.synced.Load() < top {
 		w.synced.Store(top)
@@ -295,7 +248,7 @@ func (w *wal) segmentBytes() int64 {
 	return w.size
 }
 
-// close fsyncs (unless SyncOff) and closes the active segment.
+// close fsyncs and closes the active segment.
 func (w *wal) close() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
@@ -306,10 +259,7 @@ func (w *wal) close() error {
 	if f == nil {
 		return nil
 	}
-	var err error
-	if w.policy != SyncOff {
-		err = f.Sync()
-	}
+	err := f.Sync()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,8 +14,9 @@ import (
 // recordFormat opens every WAL payload: format u8 | store name (u32 length
 // + bytes) | the store's opaque record. Values 1..6 stay unused: the first,
 // unversioned layout opened its payloads with a record-type tag in that
-// range, and its logs must fail the check on their first record.
-const recordFormat byte = 0x10
+// range, and its logs must fail the check on their first record. 0x10 was
+// the layout whose kvstore and relational records kept reserved slots.
+const recordFormat byte = 0x11
 
 // defaultSnapshotBytes is the active-segment size that triggers snapshot
 // compaction when Config.SnapshotBytes is 0.
@@ -23,9 +25,8 @@ const defaultSnapshotBytes = 8 << 20
 // walBackend is the WAL + snapshot backend: the native in-memory engines
 // with every applied mutation journaled into a segmented write-ahead log
 // (fsync-batched group commit), replayed on boot, and compacted into a
-// snapshot once the active segment passes the size threshold. Read
-// semantics are exactly the memory backend's — durability changes what
-// survives, never what a query returns.
+// snapshot once the active segment passes the size threshold. Durability
+// changes what survives, never what a query returns.
 type walBackend struct {
 	cfg       Config
 	snapBytes int64
@@ -54,11 +55,8 @@ func openWALBackend(cfg Config) (*walBackend, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("backend: wal backend requires a data directory")
 	}
-	if _, err := ParseSyncPolicy(string(cfg.Sync)); err != nil {
-		return nil, err
-	}
-	if cfg.Sync == "" {
-		cfg.Sync = SyncGroup
+	if cfg.Sync != "" && cfg.Sync != SyncGroup {
+		return nil, fmt.Errorf("backend: unknown sync policy %q (group commit is the one policy)", cfg.Sync)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -189,7 +187,7 @@ func (d *walBackend) Start() error {
 	if d.started {
 		return nil
 	}
-	w, err := openWAL(d.cfg.Dir, d.cfg.Sync, d.nextSeg)
+	w, err := openWAL(d.cfg.Dir, d.nextSeg)
 	if err != nil {
 		return err
 	}
@@ -219,10 +217,12 @@ func splitRecord(payload []byte) (name, record []byte, err error) {
 	return payload[5:n], payload[n:], nil
 }
 
-// Barrier implements Backend: block until everything journaled so far is
-// durable under the sync policy, then consider triggering a background
-// snapshot. The write path calls this before acknowledging a client write,
-// so under SyncGroup "acknowledged" means "fsynced".
+// Barrier implements Backend: block until an fsync covers everything
+// journaled so far, then consider triggering a background snapshot. The
+// write path calls this before acknowledging a client write, so
+// "acknowledged" means "fsynced". Before Start no journal tap is installed
+// and nothing a write applied reaches the log, so Barrier fails instead of
+// acknowledging it.
 func (d *walBackend) Barrier(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -231,7 +231,7 @@ func (d *walBackend) Barrier(ctx context.Context) error {
 	w := d.w
 	d.mu.Unlock()
 	if w == nil {
-		return nil
+		return errors.New("backend: barrier before Start: the log is not open")
 	}
 	if err := w.sync(w.tail()); err != nil {
 		return err
@@ -323,8 +323,6 @@ func (d *walBackend) Stats() Stats {
 	st := Stats{
 		Kind:            "wal",
 		Durable:         true,
-		SyncPolicy:      string(d.cfg.Sync),
-		Capabilities:    pushdown + ",durable",
 		Stores:          stores,
 		ReplayRecords:   rec.Records,
 		ReplaySkipped:   rec.Skipped,

@@ -74,8 +74,8 @@ type Runtime struct {
 }
 
 // DurabilityBarrier is the slice of the storage backend contract the runtime
-// needs: block until every journaled mutation so far is durable under the
-// backend's sync policy. Satisfied by backend.Backend.
+// needs: block until an fsync covers every journaled mutation so far, or
+// fail. Satisfied by backend.Backend.
 type DurabilityBarrier interface {
 	Barrier(ctx context.Context) error
 }
@@ -102,8 +102,8 @@ func WithSequentialExecutor() Option {
 
 // WithDurabilityBarrier attaches the storage backend's durability barrier:
 // Ingest blocks on it after the engine applies a write, so acknowledgement
-// implies the mutation is journaled per the backend's sync policy. Nil (the
-// default) acknowledges on apply, the in-memory contract.
+// implies the mutation is journaled and fsynced. Nil (the default)
+// acknowledges on apply, the in-memory contract.
 func WithDurabilityBarrier(b DurabilityBarrier) Option {
 	return func(r *Runtime) { r.barrier = b }
 }

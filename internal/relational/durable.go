@@ -24,7 +24,6 @@ const (
 	opCreateTable byte = iota + 1 // body: zero-row batch carrying the schema
 	opInsert                      // body: the appended rows as one batch
 	opBTreeIndex                  // body: column str
-	opHashIndex                   // reserved: written by builds that kept hash indexes; Apply refuses it
 )
 
 // SetJournal installs (or, with nil, removes) the mutation journal for the
@@ -111,7 +110,7 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 		if err = d.Finish(); err == nil {
 			err = t.buildBTreeLocked(col)
 		}
-	default: // opHashIndex included: replay names what it cannot rebuild instead of passing over it
+	default:
 		err = fmt.Errorf("%w: op %d", cast.ErrCodec, op)
 	}
 	if err != nil {
@@ -122,12 +121,11 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 }
 
 // Snapshot writes the store's section: schema version u64 | table count u32
-// | per table name str, version u64, btree columns, a reserved empty list
-// (the hash columns of builds that kept hash indexes), heap as one
-// pipe-format batch. Each table's heap view, version and index list are
-// captured together under its read lock, so the triple is a consistent cut;
-// the heap is append-only, so the view streams out after the lock is
-// released. Indexes are rebuilt on Restore, not stored.
+// | per table name str, version u64, btree columns, heap as one pipe-format
+// batch. Each table's heap view, version and index list are captured
+// together under its read lock, so the triple is a consistent cut; the heap
+// is append-only, so the view streams out after the lock is released.
+// Indexes are rebuilt on Restore, not stored.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	names := sortedKeys(s.tables)
@@ -151,7 +149,6 @@ func (s *Store) Snapshot(w io.Writer) error {
 		for _, c := range btrees {
 			enc.Str(c)
 		}
-		enc.U32(0) // reserved hash-index list
 		if _, err := w.Write(enc.Bytes()); err != nil {
 			return err
 		}
@@ -178,9 +175,6 @@ func (s *Store) Restore(r io.Reader) error {
 		var btrees []string
 		for k := d.U32(); k > 0 && d.Err() == nil; k-- {
 			btrees = append(btrees, d.Str())
-		}
-		if hashes := d.U32(); hashes != 0 && d.Err() == nil {
-			return fmt.Errorf("relational: restore %q table %q: %w: %d hash indexes, which this build cannot rebuild", s.name, name, cast.ErrCodec, hashes)
 		}
 		heap := d.Batch()
 		if d.Err() != nil {

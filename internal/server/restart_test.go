@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,5 +133,44 @@ func TestServerRestartColdCacheKeys(t *testing.T) {
 	}
 	if preVV == postVV {
 		t.Fatalf("version vector identical across restart (%q): stale cache entries could alias", preVV)
+	}
+}
+
+// TestIngestBeforeStartNotAcknowledged: a runtime that barriers on a backend
+// which has recovered but not started journals nothing, so a write there must
+// fail as core.ErrDurability (503 on /ingest) instead of being acknowledged
+// and then missing from the next recovery.
+func TestIngestBeforeStartNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	store := kvstore.New("kv-events")
+	b, err := backend.Open("wal", backend.Config{Dir: dir, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Attach("kv-events", store)
+	if _, err := b.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(hw.NewHostCPU(), core.WithDurabilityBarrier(b))
+	rt.Register(adapter.NewKV("kv-events", store))
+	if err := rt.Ingest(context.Background(), "kv-events", adapter.Ingest{Key: "k", Data: []byte("v")}); !errors.Is(err, core.ErrDurability) {
+		t.Fatalf("Ingest before Start: want core.ErrDurability, got %v", err)
+	}
+	s := New(rt, compiler.Options{}, Config{Backend: b})
+	if rec, body := postJSON(t, s, "/ingest", `{"engine":"kv-events","key":"k2","data":"v2"}`); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/ingest before Start: %d %v, want 503", rec.Code, body)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b2, err := backend.Open("wal", backend.Config{Dir: dir, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	b2.Attach("kv-events", kvstore.New("kv-events"))
+	if rec, err := b2.Recover(); err != nil || rec.Recovered {
+		t.Fatalf("reopened directory: %+v, %v; want nothing recovered, since nothing was acknowledged", rec, err)
 	}
 }

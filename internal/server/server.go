@@ -151,7 +151,7 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// Backend is the storage backend the deployment's stores are attached to
-	// (nil means the in-memory reference backend). The server does not drive
+	// (nil: none, nothing survives a restart). The server does not drive
 	// it — recovery and the runtime's ingest barrier are wired at boot — but
 	// exposes its durability statistics on /stats and /metrics so operators
 	// can watch WAL volume, replay outcomes and snapshot compaction.
@@ -215,7 +215,6 @@ type Server struct {
 	nl      *eide.NLTranslator
 	mux     *http.ServeMux
 	traces  *obs.TraceLog
-	backend backend.Backend // cfg.Backend, or the in-memory one when nil
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -244,9 +243,6 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		traces: obs.NewTraceLog(traceLogRecent, traceLogSlowest),
 	}
 	s.tenants = newTenantControl(cfg)
-	if s.backend = cfg.Backend; s.backend == nil {
-		s.backend = backend.NewMemory()
-	}
 	if cfg.ResultCacheSize > 0 {
 		s.results = lru.NewCost[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes)
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 
+	"polystorepp/internal/backend"
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/partition"
 )
@@ -238,16 +239,17 @@ func (s *Server) topLevel() []stat {
 
 // backendStats declares the storage backend block over one Stats snapshot:
 // the "backend" object on /stats and the backend_* families on /metrics.
-// Deployments without a backend report the in-memory one, so dashboards key
-// off one shape either way.
+// Deployments without a backend report a zero block of kind "memory", so
+// dashboards key off one shape either way.
 func (s *Server) backendStats() []stat {
-	bs := s.backend.Stats()
+	bs := backend.Stats{Kind: "memory"}
+	if s.cfg.Backend != nil {
+		bs = s.cfg.Backend.Stats()
+	}
 	volatile := bs.Volatile(s.rt.Engines())
 	return []stat{
-		{key: "kind", kind: kindInfo, help: "Backend kind: memory or wal.", get: val(bs.Kind)},
+		{key: "kind", kind: kindInfo, help: "Backend kind: wal, or memory when the deployment has none.", get: val(bs.Kind)},
 		{key: "durable", kind: kindInfo, help: "Whether acknowledged writes survive a restart.", get: val(bs.Durable)},
-		{key: "sync_policy", kind: kindInfo, help: "WAL fsync policy: group, interval or off.", get: val(bs.SyncPolicy)},
-		{key: "capabilities", kind: kindInfo, help: "Capabilities the backend offers.", get: val(bs.Capabilities)},
 		{key: "stores", kind: kindInfo, help: "Attached stores: what a restart keeps.", get: val(append([]string{}, bs.Stores...))},
 		{key: "volatile_engines", kind: kindInfo, help: "Registered engines that are not attached stores: what a restart loses.", get: val(volatile)},
 		{name: "backend.volatile_engines", kind: kindGauge, help: "Number of registered engines whose state a restart loses.", get: val(len(volatile))},

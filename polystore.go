@@ -62,29 +62,19 @@ type (
 	// TenantQuota is one tenant's rate limit and burst allowance
 	// (ServeConfig.TenantQuotas).
 	TenantQuota = tenant.Quota
-	// Backend is the storage backend hosting the engines' stores
-	// ("memory" or "wal"); open one with OpenBackend, Attach stores, Recover,
-	// then pass it to WithBackend so acknowledged writes wait on its
-	// durability barrier.
+	// Backend is the durable storage backend hosting the engines' stores
+	// (the one kind is "wal"); open one with OpenBackend, Attach stores,
+	// Recover, Start, then pass it to WithBackend so acknowledged writes
+	// wait on its group-commit fsync.
 	Backend = backend.Backend
-	// BackendConfig parameterizes OpenBackend (data dir, WAL sync policy,
-	// snapshot trigger).
+	// BackendConfig parameterizes OpenBackend (data dir, snapshot trigger).
 	BackendConfig = backend.Config
-	// WALSyncPolicy selects when the durable backend fsyncs relative to
-	// write acknowledgement ("group", "interval", "off").
-	WALSyncPolicy = backend.SyncPolicy
 )
 
-// OpenBackend constructs a storage backend of the named kind ("memory",
-// "wal"). See backend.Open.
+// OpenBackend constructs a storage backend of the named kind ("wal"). See
+// backend.Open.
 func OpenBackend(kind string, cfg BackendConfig) (Backend, error) {
 	return backend.Open(kind, cfg)
-}
-
-// ParseWALSyncPolicy validates a WAL sync policy flag value; empty selects
-// the group-commit default.
-func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) {
-	return backend.ParseSyncPolicy(s)
 }
 
 // BackendHasState reports whether dir holds persisted state from a previous
