@@ -38,7 +38,8 @@ func usage() {
 
 Serves SQL, natural-language, text and multi-engine program queries over a
 seeded demo deployment (see -scenario). Admission control bounds concurrent
-executions; a plan cache skips recompilation of hot queries.
+executions; a plan cache skips recompilation of hot queries. Every request
+compiles under -level and -accel.
 
 Requests carry a tenant identity in the X-Tenant header (default "anon").
 Per-tenant token buckets (-tenant-rate, -tenant-burst, -tenant-quota),
@@ -76,7 +77,7 @@ func main() {
 	customers := flag.Int("customers", 200, "synthetic customers (retail scenario)")
 	txPerCustomer := flag.Int("tx", 20, "transactions per customer (retail scenario)")
 	accel := flag.Bool("accel", true, "attach hardware accelerator models (FPGA, GPU, TPU)")
-	level := flag.Int("level", 3, "default optimization level 0..3")
+	level := flag.Int("level", 3, "optimization level 0..3 every request compiles under")
 	seed := flag.Int64("seed", 42, "data generator seed")
 	workers := flag.Int("workers", 8, "concurrent query executions")
 	queue := flag.Int("queue", 32, "admission queue depth beyond workers (overflow -> 429; 0 disables queuing)")
@@ -114,33 +115,32 @@ func main() {
 		*resultCache = -1 // flag 0 means "off"; Config zero means "default"
 	}
 	if *subplanCache == 0 {
-		*subplanCache = -1 // flag 0 means "off"; Config zero means "default"
+		*subplanCache = -1 // flag 0 means "off"; WithSubplanCacheBytes zero means "default"
 	}
 	cfg := polystore.ServeConfig{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		DefaultTimeout:    *timeout,
-		PlanCacheSize:     *planCache,
-		ResultCacheSize:   *resultCache,
-		SubplanCacheBytes: *subplanCache,
-		EnablePprof:       *pprofOn,
-		TraceAll:          *traceAll,
-		TenantRate:        *tenantRate,
-		TenantBurst:       *tenantBurst,
-		TenantQuotas:      quotas,
-		ShedHighWater:     *shedHighWater,
-		DrainTimeout:      *drainTimeout,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		DefaultTimeout:  *timeout,
+		PlanCacheSize:   *planCache,
+		ResultCacheSize: *resultCache,
+		EnablePprof:     *pprofOn,
+		TraceAll:        *traceAll,
+		TenantRate:      *tenantRate,
+		TenantBurst:     *tenantBurst,
+		TenantQuotas:    quotas,
+		ShedHighWater:   *shedHighWater,
+		DrainTimeout:    *drainTimeout,
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,
-		*accel, *level, *seed, *dataDir, *snapshotBytes, cfg); err != nil {
+		*accel, *level, *seed, *dataDir, *snapshotBytes, *subplanCache, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "polyserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, scenario string, patients, customers, txPerCustomer int,
-	accel bool, level int, seed int64, dataDir string, snapshotBytes int64,
+	accel bool, level int, seed int64, dataDir string, snapshotBytes, subplanBytes int64,
 	cfg polystore.ServeConfig) error {
 	rng := rand.New(rand.NewSource(seed))
 	var opts []polystore.Option
@@ -229,7 +229,7 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 		opts = append(opts, polystore.WithAccelerators(hw.Coprocessor,
 			hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
 	}
-	opts = append(opts, polystore.WithSeed(seed),
+	opts = append(opts, polystore.WithSeed(seed), polystore.WithSubplanCacheBytes(subplanBytes),
 		polystore.WithCompilerOptions(polystore.Options{Level: level, Accel: accel}))
 
 	sys := polystore.New(opts...)
@@ -237,9 +237,9 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d resultcache=%d subplancache=%d accel=%t pprof=%t traceall=%t)\n",
+	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d resultcache=%d subplancache=%d level=%d accel=%t pprof=%t traceall=%t)\n",
 		scenario, addr, cfg.Workers, cfg.QueueDepth, cfg.DefaultTimeout, cfg.PlanCacheSize,
-		cfg.ResultCacheSize, cfg.SubplanCacheBytes, accel, cfg.EnablePprof, cfg.TraceAll)
+		cfg.ResultCacheSize, subplanBytes, level, accel, cfg.EnablePprof, cfg.TraceAll)
 	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d shed=%g drain=%s\n",
 		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.ShedHighWater, cfg.DrainTimeout)
 	if bk != nil {

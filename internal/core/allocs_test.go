@@ -36,8 +36,8 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Graph.Len() != 3 || planWidth(plan) != 1 {
-		t.Fatalf("plan has %d nodes, width %d; want a 3-node chain", plan.Graph.Len(), planWidth(plan))
+	if plan.Graph.Len() != 3 || stageWidth(plan) != 1 {
+		t.Fatalf("plan has %d nodes, width %d; want a 3-node chain", plan.Graph.Len(), stageWidth(plan))
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(20, func() {
@@ -68,8 +68,8 @@ func TestWideExecuteAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planWidth(plan) != 2 {
-		t.Fatalf("plan width %d, want 2", planWidth(plan))
+	if stageWidth(plan) != 2 {
+		t.Fatalf("plan width %d, want 2", stageWidth(plan))
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(20, func() {

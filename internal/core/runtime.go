@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"polystorepp/internal/adapter"
@@ -61,10 +60,10 @@ type Runtime struct {
 	// sequential forces the driver's inline mode.
 	sequential bool
 
-	// subplan is the content-addressed subplan cache state (subplan.go);
-	// nil disables it. subplanBytes carries the construction-time size
-	// option (0 default, negative disabled).
-	subplan      atomic.Pointer[subplanState]
+	// subplan is the content-addressed subplan cache (subplan.go), sized
+	// once from subplanBytes (WithSubplanCacheBytes) and shared by every
+	// server over the runtime; nil disables it.
+	subplan      *subplanState
 	subplanBytes int64
 
 	// barrier, when non-nil, is awaited after every applied ingest so a
@@ -122,7 +121,7 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 		o(r)
 	}
 	r.st = newCoreStats(r.reg, r.accels)
-	r.ConfigureSubplanCacheShared(r.subplanBytes)
+	r.subplan = newSubplanState(r.subplanBytes)
 	r.preloadKernels()
 	return r
 }
@@ -319,16 +318,15 @@ func (res *Results) First() adapter.Value {
 	return res.Values[res.Sinks[0]]
 }
 
-// planWidth returns the widest stage of the plan's schedule — the maximum
-// number of nodes that can run simultaneously.
-func planWidth(plan *compiler.Plan) int {
-	w := 0
-	for _, stage := range plan.Stages {
-		if len(stage) > w {
-			w = len(stage)
+// isChain reports whether the plan is a chain: each node in Plan.Order reads
+// the node before it, so no two of its nodes can ever run at once.
+func isChain(plan *compiler.Plan) bool {
+	for i := 1; i < len(plan.Order); i++ {
+		if !slices.Contains(plan.Order[i].Inputs, plan.Order[i-1].ID) {
+			return false
 		}
 	}
-	return w
+	return true
 }
 
 // Execute runs the plan and returns its sink values and the report. It is
@@ -341,12 +339,11 @@ func planWidth(plan *compiler.Plan) int {
 // reservation ledger is what makes Reports independent of how the real
 // executions were dispatched.
 //
-// There are two dispatch modes. Plans whose stage schedule is a chain (no
-// stage wider than one node), and every plan under WithSequentialExecutor,
-// run inline: runNode is called on this goroutine, one node at a time, and
-// nothing is allocated for coordination — the reference the concurrent mode
-// is verified against. Plans with a stage wider than one node run as a
-// dataflow of one goroutine per node, at most engineWorkers per engine
+// There are two dispatch modes. Chains (isChain), and every plan under
+// WithSequentialExecutor, run inline: runNode is called on this goroutine,
+// one node at a time, and nothing is allocated for coordination — the
+// reference the concurrent mode is verified against. Every other plan runs
+// as a dataflow of one goroutine per node, at most engineWorkers per engine
 // (scheduler.go), and the driver awaits each run.
 func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
 	t0 := time.Now()
@@ -362,7 +359,7 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 	}
 
 	var sched *scheduler
-	if !r.sequential && planWidth(plan) > 1 {
+	if !r.sequential && !isChain(plan) {
 		r.st.execConcurrent.Inc()
 		sched = r.dispatch(ctx, order, tr, pr)
 		// Stops the node goroutines on every exit path, before the subplan

@@ -39,9 +39,8 @@ func testStore(t testing.TB, rows int) *relational.Store {
 	return s
 }
 
-func testRuntime(t testing.TB, rows int, accel bool) *Runtime {
+func testRuntime(t testing.TB, rows int, accel bool, opts ...Option) *Runtime {
 	t.Helper()
-	var opts []Option
 	if accel {
 		opts = append(opts, WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU()))
 	}

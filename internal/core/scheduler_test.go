@@ -105,7 +105,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := planWidth(plan); w < 8 {
+	if w := stageWidth(plan); w < 8 {
 		t.Fatalf("plan width = %d, want >= 8 (fan-out not wide enough to engage the scheduler)", w)
 	}
 

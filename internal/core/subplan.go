@@ -31,11 +31,7 @@ import (
 // is configured.
 const DefaultSubplanCacheBytes int64 = 64 << 20
 
-// subplanState bundles the cache with its single-flight coordinator. It
-// hangs off the Runtime behind an atomic pointer so the serving layer can
-// install, resize, or disable it while requests are in flight; an
-// execution captures the state once at prepare time and uses that capture
-// throughout, so a swap mid-flight never strands a lease.
+// subplanState bundles the cache with its single-flight coordinator.
 type subplanState struct {
 	cache  *subplan.Cache
 	flight *subplan.Flight
@@ -47,32 +43,24 @@ func WithSubplanCacheBytes(n int64) Option {
 	return func(r *Runtime) { r.subplanBytes = n }
 }
 
-// ConfigureSubplanCacheShared installs a fresh subplan cache bounded to n
-// bytes, or disables subplan caching when n is negative. 0 means the
-// runtime's own size (WithSubplanCacheBytes, DefaultSubplanCacheBytes when
-// unset), which may itself be negative. Safe to call while plans execute:
-// in-flight executions keep the state they started with, and the old cache
-// drains by garbage collection.
-func (r *Runtime) ConfigureSubplanCacheShared(n int64) {
-	if n == 0 {
-		n = r.subplanBytes
-	}
+// newSubplanState builds the subplan cache NewRuntime sizes once: n bytes,
+// DefaultSubplanCacheBytes when n is 0, and none (nil) when n is negative.
+func newSubplanState(n int64) *subplanState {
 	if n < 0 {
-		r.subplan.Store(nil)
-		return
+		return nil
 	}
 	if n == 0 {
 		n = DefaultSubplanCacheBytes
 	}
-	r.subplan.Store(&subplanState{cache: subplan.NewCache(n), flight: subplan.NewFlight()})
+	return &subplanState{cache: subplan.NewCache(n), flight: subplan.NewFlight()}
 }
 
 // SubplanCacheStats snapshots the subplan cache, per-tenant charges
 // included; enabled is false (and the snapshot zero) when subplan caching
 // is disabled.
 func (r *Runtime) SubplanCacheStats() (st lru.Stats, enabled bool) {
-	if sp := r.subplan.Load(); sp != nil {
-		return sp.cache.Stats(), true
+	if r.subplan != nil {
+		return r.subplan.cache.Stats(), true
 	}
 	return st, false
 }
@@ -92,7 +80,6 @@ type pendingPub struct {
 // All methods tolerate a nil receiver so the disabled path stays free.
 type planProbe struct {
 	rt *Runtime
-	sp *subplanState
 	// tenant is who this execution runs for, captured at prepare time; the
 	// cache charges published entries to it.
 	tenant string
@@ -146,14 +133,12 @@ func shortKey(key string) string {
 // publish. Returns nil when the cache is disabled or the plan has no
 // candidates — the driver then skips all per-node bookkeeping.
 func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *planProbe {
-	sp := r.subplan.Load()
-	if sp == nil || len(plan.Subtrees) == 0 {
+	if r.subplan == nil || len(plan.Subtrees) == 0 {
 		return nil
 	}
 	tr := obs.From(ctx)
 	pr := &planProbe{
 		rt:      r,
-		sp:      sp,
 		tenant:  tenant.From(ctx),
 		serve:   make(map[ir.NodeID]*subplan.NodeCost),
 		out:     make(map[ir.NodeID]adapter.Value),
@@ -202,7 +187,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		}
 		const attempts = 3
 		for i := 0; i < attempts; i++ {
-			leader, done := sp.flight.Acquire(m.key)
+			leader, done := r.subplan.flight.Acquire(m.key)
 			if leader {
 				pr.leases = append(pr.leases, m.key)
 				leased[m.key] = true
@@ -281,7 +266,7 @@ func maximalMisses(misses []pendingPub) []pendingPub {
 // lookup probes the cache, counting a hit only for well-formed entries
 // whose replay data matches the candidate's closure size.
 func (pr *planProbe) lookup(key string, closureLen int) *subplan.Entry {
-	e, ok := pr.sp.cache.Get(key)
+	e, ok := pr.rt.subplan.cache.Get(key)
 	if !ok || e.Output == nil || len(e.Costs) != closureLen {
 		return nil
 	}
@@ -383,7 +368,7 @@ func (pr *planProbe) publish(pub pendingPub) {
 	// Inner candidates are not single-flighted, so a concurrent execution
 	// may have stored this key first: its entry stays, and this one counts
 	// as neither published nor bypassed.
-	switch got, ok := pr.sp.cache.Put(pub.key, e, pr.tenant); {
+	switch got, ok := pr.rt.subplan.cache.Put(pub.key, e, pr.tenant); {
 	case !ok:
 		pr.rt.st.subplanBypassed.Inc()
 	case got == e:
@@ -399,7 +384,7 @@ func (pr *planProbe) close() {
 		return
 	}
 	for _, k := range pr.leases {
-		pr.sp.flight.Release(k)
+		pr.rt.subplan.flight.Release(k)
 	}
 	pr.leases = nil
 }

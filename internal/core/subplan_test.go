@@ -90,8 +90,7 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 				t.Fatal("plan has no subplan candidates")
 			}
 
-			off := testRuntime(t, 2000, true)
-			off.ConfigureSubplanCacheShared(-1)
+			off := testRuntime(t, 2000, true, WithSubplanCacheBytes(-1))
 			wantRes, wantRep, err := off.Execute(context.Background(), plan)
 			if err != nil {
 				t.Fatal(err)
@@ -147,8 +146,7 @@ func TestSubplanSharedPrefixAcrossPlans(t *testing.T) {
 	}
 
 	// Equivalence of the served variant against a cache-disabled runtime.
-	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1)
+	off := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
 	wantRes, wantRep, err := off.Execute(context.Background(), mustCompile(t, limitProgram(25), 3))
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +165,7 @@ func TestSubplanSharedPrefixAcrossPlans(t *testing.T) {
 func TestSubplanStreamWarmReplay(t *testing.T) {
 	plan := mustCompile(t, limitProgram(500), 3)
 
-	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1)
+	off := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
 	wantSink := &collectSink{}
 	wantRes, wantRep, err := off.ExecuteStream(context.Background(), plan, wantSink)
 	if err != nil {
@@ -323,8 +320,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 // deadlock or double-publish per key generation.
 func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
-	base := testRuntime(t, 2000, false)
-	base.ConfigureSubplanCacheShared(-1)
+	base := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
 	wantRes, wantRep, err := base.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -381,8 +377,7 @@ func TestSubplanPropertyRandomPlans(t *testing.T) {
 					return g
 				}
 				plan := mustCompile(t, g(), 3)
-				off := testRuntime(t, 1200, false)
-				off.ConfigureSubplanCacheShared(-1)
+				off := testRuntime(t, 1200, false, WithSubplanCacheBytes(-1))
 				wantRes, wantRep, err := off.Execute(context.Background(), plan)
 				if err != nil {
 					t.Fatal(err)
@@ -421,8 +416,7 @@ func TestSubplanPropertyRandomPlans(t *testing.T) {
 func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	ctx := context.Background()
 	plan := mustCompile(t, limitProgram(75), 3)
-	off := testRuntime(t, 2000, false)
-	off.ConfigureSubplanCacheShared(-1)
+	off := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
 	want, _, err := off.Execute(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +454,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	if rt.Metrics().Counter("core.subplan.published").Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
-	e, ok := rt.subplan.Load().cache.Get(pr.pubs[order[len(order)-2]].key)
+	e, ok := rt.subplan.cache.Get(pr.pubs[order[len(order)-2]].key)
 	if !ok || e.Output != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}

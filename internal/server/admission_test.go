@@ -83,8 +83,8 @@ func TestInflightCountsOnlyRunning(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 	}})
-	s := New(rt, compiler.Options{}, Config{Workers: 1, QueueDepth: 1, DisableSingleFlight: true, ResultCacheSize: -1})
-	ts := httptest.NewServer(s)
+	s := New(rt, compiler.Options{}, Config{Workers: 1, QueueDepth: 1, ResultCacheSize: -1})
+	ts := httptest.NewServer(WithoutSingleFlight(s))
 	defer ts.Close()
 	free := sync.OnceFunc(func() { close(release) })
 	defer free() // before ts.Close, which waits for the handlers

@@ -1,6 +1,12 @@
 package server
 
-import "polystorepp/internal/compiler"
+import (
+	"net/http"
+	"time"
+
+	"polystorepp/internal/compiler"
+	"polystorepp/internal/lru"
+)
 
 // Prepared is what preparing a request yields for the reuse layers to key on.
 type Prepared struct {
@@ -20,3 +26,28 @@ func (s *Server) Prepare(req QueryRequest) (Prepared, error) {
 
 // CrossEngineProgram is bench/'s cross_engine request for (a, v).
 var CrossEngineProgram = crossEngineProgram
+
+// The seams below adjust h, a server New (or polystore's System.Handler)
+// built, before it serves; no deployment can set them.
+
+// WithoutSingleFlight turns single-flight off, so every request executes
+// its own plan: for tests that count executions.
+func WithoutSingleFlight(h http.Handler) http.Handler {
+	h.(*Server).flight = nil
+	return h
+}
+
+// CapTimeout caps client-requested deadlines at d instead of maxTimeout, so
+// a hostile timeout_ms cannot hold a fuzz worker for a minute.
+func CapTimeout(h http.Handler, d time.Duration) http.Handler {
+	h.(*Server).maxTimeout = d
+	return h
+}
+
+// BoundResultBytes rebuilds the result cache with a byte budget of n instead
+// of resultCacheBytes.
+func BoundResultBytes(h http.Handler, n int64) http.Handler {
+	s := h.(*Server)
+	s.results = lru.NewCost[resultEntry](s.cfg.ResultCacheSize, n)
+	return h
+}

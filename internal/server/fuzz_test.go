@@ -19,6 +19,7 @@ import (
 	"polystorepp"
 	"polystorepp/internal/datagen"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/server"
 )
 
 func FuzzQueryRequest(f *testing.F) {
@@ -33,12 +34,11 @@ func FuzzQueryRequest(f *testing.F) {
 		polystore.WithML("ml"),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA()),
 	)
-	h := sys.Handler(polystore.ServeConfig{
-		Workers: 2, QueueDepth: 8,
-		DefaultTimeout: 250 * time.Millisecond, MaxTimeout: 250 * time.Millisecond,
+	h := server.CapTimeout(sys.Handler(polystore.ServeConfig{
+		Workers: 2, QueueDepth: 8, DefaultTimeout: 250 * time.Millisecond,
 		DefaultSQLEngine: "db-clinical", DefaultTextEngine: "txt-notes",
 		NL: clinicalNL,
-	})
+	}), 250*time.Millisecond)
 
 	for _, seed := range []string{
 		`{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 60"}`,

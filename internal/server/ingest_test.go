@@ -107,7 +107,7 @@ func TestIngestErrorClassification(t *testing.T) {
 // values whose Duration conversion wraps negative used to skip the cap and
 // yield an instant 504.
 func TestRequestTimeoutClamp(t *testing.T) {
-	cfg := Config{DefaultTimeout: 10 * time.Second, MaxTimeout: 60 * time.Second}
+	s := &Server{cfg: Config{DefaultTimeout: 10 * time.Second}, maxTimeout: maxTimeout}
 	for _, tc := range []struct {
 		ms   int64
 		want time.Duration
@@ -123,18 +123,18 @@ func TestRequestTimeoutClamp(t *testing.T) {
 		{math.MaxInt64/int64(time.Millisecond) + 1, 60 * time.Second}, // first value that wraps
 		{math.MaxInt64, 60 * time.Second},
 	} {
-		if got := cfg.requestTimeout(tc.ms); got != tc.want {
+		if got := s.requestTimeout(tc.ms); got != tc.want {
 			t.Errorf("timeout_ms %d: %s, want %s", tc.ms, got, tc.want)
 		}
 	}
-	if got := (Config{DefaultTimeout: time.Minute, MaxTimeout: time.Second}).requestTimeout(0); got != time.Second {
+	if got := (&Server{cfg: Config{DefaultTimeout: time.Minute}, maxTimeout: time.Second}).requestTimeout(0); got != time.Second {
 		t.Errorf("default above the cap: %s, want the cap", got)
 	}
 
-	// End to end: the largest timeout_ms is served under MaxTimeout.
+	// End to end: the largest timeout_ms is served under the cap.
 	rt := core.NewRuntime(hw.NewHostCPU())
 	rt.Register(adapter.NewKV("kv", kvstore.New("kv")))
-	s := New(rt, compiler.Options{}, Config{})
+	s = New(rt, compiler.Options{}, Config{})
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(
 		`{"frontend":"program","timeout_ms":9223372036854775807,"program":[{"id":"a","op":"kvscan","engine":"kv","prefix":"k"}]}`)))

@@ -119,7 +119,9 @@ func TestIngestValidation(t *testing.T) {
 // smaller than any result, every entry bypasses the cache and repeats keep
 // missing (instead of one giant entry flushing the cache).
 func TestResultCacheByteBound(t *testing.T) {
-	_, ts := newTestDeployment(t, polystore.ServeConfig{ResultCacheBytes: 64})
+	_, ts := newTestDeployment(t, polystore.ServeConfig{}, testOpt{seam: func(h http.Handler) http.Handler {
+		return server.BoundResultBytes(h, 64)
+	}})
 	read := `{"frontend":"sql","statement":"SELECT pid, age FROM patients ORDER BY pid"}`
 	for i := 0; i < 2; i++ {
 		if _, qr, _ := postQuery(t, ts, read); qr.ResultCache != "miss" {

@@ -16,18 +16,18 @@ import (
 
 // The prepare path turns a request body into what the reuse layers key on:
 // the program's plan (or, before its shape is compiled, the program), its
-// bind vector, the options it compiles under, and the engines and tables it
-// reads. The plan cache is the one memo on the way. The parse, the IR build
-// and the fingerprint depend on the request's shape alone, so a SQL
-// statement or a program of a shape compiled before skips all three: one
-// pass (appendShapeKey; relational.Shape lexes each statement) turns it into
-// a shape key and a bind vector, and the plan cache maps the key to the
-// shape's plan, which carries its plan key and touches. An nl or text
-// request is built and probed under its plan key.
+// bind vector, and the engines and tables it reads; every request compiles
+// under the server's options. The plan cache is the one memo on the way. The
+// parse, the IR build and the fingerprint depend on the request's shape
+// alone, so a SQL statement or a program of a shape compiled before skips
+// all three: one pass (appendShapeKey; relational.Shape lexes each
+// statement) turns it into a shape key and a bind vector, and the plan cache
+// maps the key to the shape's plan, which carries its plan key and touches.
+// An nl or text request is built and probed under its plan key.
 
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
-// /query/stream: the plan or program, the per-request deadline, the
-// effective compiler options, and the cache keys.
+// /query/stream: the plan or program, the per-request deadline and the cache
+// keys.
 type preparedQuery struct {
 	req    QueryRequest
 	nlRule string
@@ -41,7 +41,6 @@ type preparedQuery struct {
 	shapeKey string
 	binds    []any
 	timeout  time.Duration
-	opts     compiler.Options
 	planKey  string
 	touches  compiler.Touches
 	vv       string
@@ -69,28 +68,19 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenant
 }
 
 // prepare derives everything but the body from p.req: the deadline, the
-// compiler options, the program and the cache keys. Its errors are the
-// client's (400).
+// program and the cache keys. Its errors are the client's (400).
 func (s *Server) prepare(p *preparedQuery) error {
 	// Per-request deadline: admission waiting and execution both run under
 	// it, so a request stuck in the queue cannot outlive its budget.
-	p.timeout = s.cfg.requestTimeout(p.req.TimeoutMS)
-
-	p.opts = s.opts
-	if p.req.Level != nil {
-		p.opts.Level = *p.req.Level
-	}
-	if p.req.Accel != nil {
-		p.opts.Accel = *p.req.Accel
-	}
+	p.timeout = s.requestTimeout(p.req.TimeoutMS)
 	if err := s.prepareProgram(p); err != nil {
 		return err
 	}
-	// The plan cache keys on the program's shape + compiler options; the
-	// result cache and single-flight add the program's constants and the
-	// version vector of exactly the engines/tables the program touches, so
-	// results never outlive the data they were computed on — and writes to
-	// untouched stores don't rotate the key (surgical invalidation).
+	// The plan cache keys on the program's shape; the result cache and
+	// single-flight add the program's constants and the version vector of
+	// exactly the engines/tables the program touches, so results never
+	// outlive the data they were computed on — and writes to untouched
+	// stores don't rotate the key (surgical invalidation).
 	p.vv = s.rt.VersionVector(p.touches)
 	p.resKey = resultKey(p.planKey, p.binds, p.vv)
 	return nil
@@ -102,7 +92,7 @@ func (s *Server) prepare(p *preparedQuery) error {
 func (s *Server) prepareProgram(p *preparedQuery) error {
 	var key string // the request's shape key; "" when it has none
 	var buf [1024]byte
-	k, lexed, ok := appendShapeKey(buf[:0], &p.req, s.sqlEngine(&p.req), p.opts, make([]any, 0, 8))
+	k, lexed, ok := appendShapeKey(buf[:0], &p.req, s.sqlEngine(&p.req), make([]any, 0, 8))
 	if ok {
 		key = string(k)
 		if plan, ok := s.cache.Get(key); ok {
@@ -124,7 +114,7 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	// plans compiled at different fan-outs never share a cache entry.
 	stampParts(g, p.req.Parts)
 	p.binds, p.nlRule = g.Binds(), nlRule
-	p.planKey = compiler.Key(g, p.opts)
+	p.planKey = compiler.Key(g, s.opts)
 	// The request is its shape's template only when its parses lifted
 	// exactly the literals the lexer found, and no literal's value shaped
 	// them: then every request of its shape key builds this plan key with
@@ -147,24 +137,25 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 
 // appendShapeKey appends req's shape key to dst and the constants of its
 // SQL literals to binds, in step and text order; ok is false when it has
-// none. A sql request's key is "sql|", its engine, the compiler options, the
-// clamped fan-out and its statement's token stream (relational.Shape); a
-// program's is "prog|", the options, the fan-out and every field of every
-// step, length-prefixed, a sql step's text replaced by its token stream.
-// Plan keys start with a fingerprint. nl and text requests have no shape
-// key, nor has a statement Shape refuses: the build path answers why.
-func appendShapeKey(dst []byte, req *QueryRequest, engine string, opts compiler.Options, binds []any) ([]byte, []any, bool) {
+// none. A sql request's key is "sql|", its engine, the clamped fan-out and
+// its statement's token stream (relational.Shape); a program's is "prog|",
+// the fan-out and every field of every step, length-prefixed, a sql step's
+// text replaced by its token stream. The compiler options are the server's,
+// so no key holds them. Plan keys start with a fingerprint. nl and text
+// requests have no shape key, nor has a statement Shape refuses: the build
+// path answers why.
+func appendShapeKey(dst []byte, req *QueryRequest, engine string, binds []any) ([]byte, []any, bool) {
 	var err error
 	switch req.Frontend {
 	case "sql":
 		if engine == "" || req.Statement == "" {
 			return dst, binds, false
 		}
-		dst = shapePrefix(dst, "sql|", engine, opts, clampParts(req.Parts))
+		dst = shapePrefix(dst, "sql|", engine, clampParts(req.Parts))
 		dst, binds, err = relational.Shape(dst, req.Statement, binds)
 		return dst, binds, err == nil
 	case "program":
-		dst = shapePrefix(dst, "prog|", "", opts, clampParts(req.Parts))
+		dst = shapePrefix(dst, "prog|", "", clampParts(req.Parts))
 		for i := range req.Program {
 			st := &req.Program[i]
 			for _, f := range [...]string{st.ID, st.Op, st.Engine, st.Query, st.SeriesPrefix, st.Agg, st.Prefix,
@@ -194,12 +185,9 @@ func appendShapeKey(dst []byte, req *QueryRequest, engine string, opts compiler.
 }
 
 // shapePrefix appends what a shape key holds besides its shape: the tag, the
-// engine, the compiler options and the clamped partition fan-out.
-func shapePrefix(dst []byte, tag, engine string, opts compiler.Options, parts int) []byte {
+// engine and the clamped partition fan-out.
+func shapePrefix(dst []byte, tag, engine string, parts int) []byte {
 	dst = appendField(append(dst, tag...), engine)
-	dst = strconv.AppendInt(append(dst, "|L"...), int64(opts.Level), 10)
-	dst = strconv.AppendBool(append(dst, "|A"...), opts.Accel)
-	dst = strconv.AppendInt(append(dst, "|T"...), int64(opts.Transport), 10)
 	dst = strconv.AppendInt(append(dst, "|P"...), int64(parts), 10)
 	return append(dst, '|')
 }

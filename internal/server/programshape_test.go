@@ -84,9 +84,9 @@ func BenchmarkPrepareProgramShapeHit(b *testing.B) {
 	}
 }
 
-// programKey is req's program shape key under opts, or "" when it has none.
-func programKey(steps []ProgramStep, parts int, opts compiler.Options) (string, []any) {
-	k, binds, ok := appendShapeKey(nil, &QueryRequest{Frontend: "program", Program: steps, Parts: parts}, "", opts, nil)
+// programKey is req's program shape key, or "" when it has none.
+func programKey(steps []ProgramStep, parts int) (string, []any) {
+	k, binds, ok := appendShapeKey(nil, &QueryRequest{Frontend: "program", Program: steps, Parts: parts}, "", nil)
 	if !ok {
 		return "", nil
 	}
@@ -101,7 +101,7 @@ func programKey(steps []ProgramStep, parts int, opts compiler.Options) (string, 
 // constants are the key's binds.
 func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 	keys := map[string]string{}
-	zero, _ := programKey([]ProgramStep{{}}, 0, compiler.Options{})
+	zero, _ := programKey([]ProgramStep{{}}, 0)
 	keys[zero] = "no field"
 	typ := reflect.TypeFor[ProgramStep]()
 	for i := range typ.NumField() {
@@ -121,7 +121,7 @@ func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("ProgramStep.%s is a %s, which this test cannot set", typ.Field(i).Name, f.Kind())
 		}
-		key, _ := programKey([]ProgramStep{st}, 0, compiler.Options{})
+		key, _ := programKey([]ProgramStep{st}, 0)
 		if other, dup := keys[key]; dup {
 			t.Errorf("setting ProgramStep.%s leaves the key of %s", typ.Field(i).Name, other)
 		}
@@ -129,17 +129,14 @@ func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 	}
 
 	sql := func(stmt string) []ProgramStep { return []ProgramStep{{ID: "q", Op: "sql", Engine: "db", SQL: stmt}} }
-	k1, b1 := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 0, compiler.Options{})
-	k2, b2 := programKey(sql("SELECT id FROM t WHERE kind = 2 LIMIT 4"), 0, compiler.Options{})
-	k3, _ := programKey(sql("SELECT id FROM t WHERE kind = 'a' LIMIT 4"), 0, compiler.Options{})
+	k1, b1 := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 0)
+	k2, b2 := programKey(sql("SELECT id FROM t WHERE kind = 2 LIMIT 4"), 0)
+	k3, _ := programKey(sql("SELECT id FROM t WHERE kind = 'a' LIMIT 4"), 0)
 	if k1 != k2 || k1 == k3 || !slices.Equal(b1, []any{int64(1), int64(3)}) || !slices.Equal(b2, []any{int64(2), int64(4)}) {
 		t.Errorf("sql steps keyed by text, not shape: %q %v, %q %v, %q", k1, b1, k2, b2, k3)
 	}
-	if k4, _ := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 7, compiler.Options{}); k4 == k1 {
+	if k4, _ := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 7); k4 == k1 {
 		t.Error("parts does not reach the key")
-	}
-	if k5, _ := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 0, compiler.Options{Level: 2}); k5 == k1 {
-		t.Error("the compiler options do not reach the key")
 	}
 }
 
@@ -238,7 +235,7 @@ func FuzzProgramShape(f *testing.F) {
 	opts := compiler.Options{Level: 3, Accel: true}
 	f.Fuzz(func(t *testing.T, sqlA, sqlB string, ops []byte, k, parts uint8) {
 		steps := fuzzSteps(sqlA, sqlB, ops)
-		key, lexed := programKey(steps, int(parts), opts)
+		key, lexed := programKey(steps, int(parts))
 		if key == "" {
 			return
 		}
@@ -253,7 +250,7 @@ func FuzzProgramShape(f *testing.F) {
 				others[i].SQL = redraw(others[i].SQL, k)
 			}
 		}
-		otherKey, otherLexed := programKey(others, int(parts), opts)
+		otherKey, otherLexed := programKey(others, int(parts))
 		if otherKey != key {
 			return // the cache would not serve it from this template
 		}

@@ -13,24 +13,21 @@ import (
 
 // newTestDeployment is newTestServer but keeps the dataset handle so tests
 // can mutate stores underneath the running server.
-func newTestDeployment(t *testing.T, cfg polystore.ServeConfig) (*datagen.Clinical, *httptest.Server) {
+func newTestDeployment(t *testing.T, cfg polystore.ServeConfig, opts ...testOpt) (*datagen.Clinical, *httptest.Server) {
 	t.Helper()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := polystore.New(
+	cfg.DefaultSQLEngine = "db-clinical"
+	cfg.DefaultTextEngine = "txt-notes"
+	return data, serveTest(t, cfg, opts,
 		polystore.WithRelational("db-clinical", data.Relational),
 		polystore.WithTimeseries("ts-vitals", data.Timeseries),
 		polystore.WithText("txt-notes", data.Text),
 		polystore.WithML("ml"),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU()),
 	)
-	cfg.DefaultSQLEngine = "db-clinical"
-	cfg.DefaultTextEngine = "txt-notes"
-	ts := httptest.NewServer(sys.Handler(cfg))
-	t.Cleanup(ts.Close)
-	return data, ts
 }
 
 // TestResultCacheHitAndInvalidation covers the acceptance path: repeated

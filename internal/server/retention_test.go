@@ -59,9 +59,9 @@ func TestCachedLimitResultsRetainWhatTheyCharge(t *testing.T) {
 	if err := events.InsertBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	rt := core.NewRuntime(hw.NewHostCPU())
+	rt := core.NewRuntime(hw.NewHostCPU(), core.WithSubplanCacheBytes(-1))
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
-	s := New(rt, compiler.Options{Level: 3}, Config{DefaultSQLEngine: "db", SubplanCacheBytes: -1})
+	s := New(rt, compiler.Options{Level: 3}, Config{DefaultSQLEngine: "db"})
 
 	query := func(k int) {
 		body := fmt.Sprintf(`{"frontend":"sql","statement":"SELECT id, value FROM events WHERE id >= %d ORDER BY value DESC LIMIT 50"}`, k)

@@ -75,8 +75,9 @@ import (
 	"polystorepp/internal/tenant"
 )
 
-// Config tunes the serving subsystem. Zero values select the documented
-// defaults.
+// Config is what a deployment sets for its serving subsystem; zero values
+// select the documented defaults. The compiler options come with New, and
+// the subplan cache is the runtime's (core.WithSubplanCacheBytes).
 type Config struct {
 	// Workers bounds concurrent plan executions (default 8).
 	Workers int
@@ -88,30 +89,15 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the request does not
 	// set timeout_ms (default 10s).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 60s).
-	MaxTimeout time.Duration
 	// PlanCacheSize bounds the plan cache's entries (default 256). A
 	// compiled plan takes one under its plan key, and a SQL or program shape
 	// one more under its shape key.
 	PlanCacheSize int
 	// ResultCacheSize bounds the executed-result LRU keyed on
-	// (plan fingerprint + options, touched-engine version vector). Zero
-	// selects the default (256 entries); negative disables result caching.
+	// (plan fingerprint + options, touched-engine version vector), besides
+	// its resultCacheBytes budget. Zero selects the default (256 entries);
+	// negative disables result caching.
 	ResultCacheSize int
-	// ResultCacheBytes bounds the result cache by total cached result bytes
-	// (cost-aware admission; results larger than the whole budget bypass the
-	// cache). Zero selects the default (64 MiB); negative removes the byte
-	// bound, leaving only the entry-count bound.
-	ResultCacheBytes int64
-	// DisableSingleFlight turns off deduplication of identical in-flight
-	// queries (on by default).
-	DisableSingleFlight bool
-	// SubplanCacheBytes bounds the runtime's content-addressed subplan cache
-	// of materialized intermediates (keyed on subtree fingerprint + touched
-	// version vector). Zero keeps the runtime's own size
-	// (core.WithSubplanCacheBytes, 64 MiB by default); negative disables
-	// subplan caching.
-	SubplanCacheBytes int64
 	// MaxRows caps rows returned per response; clients may lower it per
 	// request but not exceed it (default 1000).
 	MaxRows int
@@ -174,17 +160,11 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 256
 	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 256
-	}
-	if c.ResultCacheBytes == 0 {
-		c.ResultCacheBytes = 64 << 20
 	}
 	if c.MaxRows <= 0 {
 		c.MaxRows = 1000
@@ -201,6 +181,15 @@ func (c Config) withDefaults() Config {
 // defaultShedHighWater is the shedding threshold when none is configured.
 const defaultShedHighWater = 0.85
 
+const (
+	// maxTimeout caps client-requested deadlines.
+	maxTimeout = 60 * time.Second
+	// resultCacheBytes bounds the result cache by total cached result bytes
+	// (cost-aware admission: a result larger than the whole budget bypasses
+	// the cache).
+	resultCacheBytes = 64 << 20
+)
+
 // Server serves heterogeneous queries over one core.Runtime. Construct with
 // New; Server implements http.Handler.
 type Server struct {
@@ -209,12 +198,15 @@ type Server struct {
 	cfg     Config
 	cache   *compiler.PlanCache
 	results *lru.CostCache[resultEntry] // nil when disabled
-	flight  *flightGroup                // nil when disabled
+	flight  *flightGroup
 	adm     *admission
 	tenants *tenantControl
 	nl      *eide.NLTranslator
 	mux     *http.ServeMux
 	traces  *obs.TraceLog
+	// maxTimeout caps client-requested deadlines: the maxTimeout constant,
+	// lower only in tests.
+	maxTimeout time.Duration
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -229,26 +221,25 @@ type Server struct {
 	httpInflight atomic.Int64
 }
 
-// New builds a server over the runtime. opts are the default compiler
-// options; requests may override Level and Accel per call.
+// New builds a server over the runtime. Every request compiles under opts.
+// The server leaves the runtime as it was built: servers over one runtime
+// share its subplan cache.
 func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		rt:     rt,
-		opts:   opts,
-		cfg:    cfg,
-		cache:  compiler.NewPlanCache(cfg.PlanCacheSize),
-		adm:    newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
-		mux:    http.NewServeMux(),
-		traces: obs.NewTraceLog(traceLogRecent, traceLogSlowest),
+		rt:         rt,
+		opts:       opts,
+		cfg:        cfg,
+		cache:      compiler.NewPlanCache(cfg.PlanCacheSize),
+		flight:     newFlightGroup(),
+		adm:        newAdmission(cfg.Workers, cfg.QueueDepth, cfg.ShedHighWater),
+		mux:        http.NewServeMux(),
+		traces:     obs.NewTraceLog(traceLogRecent, traceLogSlowest),
+		maxTimeout: maxTimeout,
 	}
 	s.tenants = newTenantControl(cfg)
 	if cfg.ResultCacheSize > 0 {
-		s.results = lru.NewCost[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes)
-	}
-	rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes)
-	if !cfg.DisableSingleFlight {
-		s.flight = newFlightGroup()
+		s.results = lru.NewCost[resultEntry](cfg.ResultCacheSize, resultCacheBytes)
 	}
 	if cfg.NL != (NLBinding{}) {
 		s.nl = eide.NewNLTranslator(cfg.NL)
@@ -333,9 +324,6 @@ type QueryRequest struct {
 	Program []ProgramStep `json:"program,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Level / Accel override the default compiler options when non-nil.
-	Level *int  `json:"level,omitempty"`
-	Accel *bool `json:"accel,omitempty"`
 	// MaxRows caps result rows (clamped to the server's MaxRows).
 	MaxRows int `json:"max_rows,omitempty"`
 	// Parts pins the partition fan-out of every partitionable operator in
@@ -465,16 +453,16 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // requestTimeout resolves a request's timeout_ms against the configured
-// default and cap. The cap is applied in the millisecond domain, before
+// default and the cap. The cap is applied in the millisecond domain, before
 // converting: a huge timeout_ms times time.Millisecond wraps negative.
-func (c Config) requestTimeout(ms int64) time.Duration {
-	if ms > int64(c.MaxTimeout/time.Millisecond) {
-		return c.MaxTimeout
+func (s *Server) requestTimeout(ms int64) time.Duration {
+	if ms > int64(s.maxTimeout/time.Millisecond) {
+		return s.maxTimeout
 	}
 	if ms > 0 {
 		return time.Duration(ms) * time.Millisecond
 	}
-	return min(c.DefaultTimeout, c.MaxTimeout)
+	return min(s.cfg.DefaultTimeout, s.maxTimeout)
 }
 
 // serveQuery is the spine /query and /query/stream share: method check,
@@ -602,7 +590,7 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, 
 		s.st.resultMisses.Inc()
 		tr.Event("cache.result", "miss")
 	}
-	if s.flight == nil {
+	if s.flight == nil { // tests that count executions turn single-flight off
 		res, rep, planHit, err := s.executeOnce(ctx, p)
 		return queryOutcome{res: res, rep: rep, planHit: planHit}, err
 	}
@@ -686,7 +674,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery) (*core.Resul
 	plan, hit := p.plan, p.plan != nil
 	if !hit {
 		var err error
-		if plan, err = s.cache.Compile(p.planKey, p.graph, p.opts); err != nil {
+		if plan, err = s.cache.Compile(p.planKey, p.graph, s.opts); err != nil {
 			return nil, nil, false, err
 		}
 		if p.shapeKey != "" {

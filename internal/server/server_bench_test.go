@@ -43,13 +43,11 @@ func BenchmarkServeConcurrent(b *testing.B) {
 // and executes — the pre-dedup serving trajectory, kept for comparison.
 func BenchmarkServeConcurrentNoDedup(b *testing.B) {
 	benchServe(b, polystore.ServeConfig{
-		Workers:             16,
-		QueueDepth:          256,
-		DefaultSQLEngine:    "db-clinical",
-		ResultCacheSize:     -1,
-		DisableSingleFlight: true,
-		SubplanCacheBytes:   -1,
-	})
+		Workers:          16,
+		QueueDepth:       256,
+		DefaultSQLEngine: "db-clinical",
+		ResultCacheSize:  -1,
+	}, executeAll, subplanBytes(-1))
 }
 
 // BenchmarkServeConcurrentTraced runs the no-dedup workload with TraceAll
@@ -58,14 +56,12 @@ func BenchmarkServeConcurrentNoDedup(b *testing.B) {
 // BenchmarkServeConcurrentNoDedup for the overhead.
 func BenchmarkServeConcurrentTraced(b *testing.B) {
 	benchServe(b, polystore.ServeConfig{
-		Workers:             16,
-		QueueDepth:          256,
-		DefaultSQLEngine:    "db-clinical",
-		ResultCacheSize:     -1,
-		DisableSingleFlight: true,
-		SubplanCacheBytes:   -1,
-		TraceAll:            true,
-	})
+		Workers:          16,
+		QueueDepth:       256,
+		DefaultSQLEngine: "db-clinical",
+		ResultCacheSize:  -1,
+		TraceAll:         true,
+	}, executeAll, subplanBytes(-1))
 }
 
 // BenchmarkMixedReadWrite is the mixed-workload benchmark: 95% hot reads of
@@ -167,13 +163,12 @@ func BenchmarkServeSimilar(b *testing.B) {
 		polystore.WithML("ml"),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
 	)
-	ts := httptest.NewServer(sys.Handler(polystore.ServeConfig{
-		Workers:             16,
-		QueueDepth:          256,
-		DefaultSQLEngine:    "db-clinical",
-		ResultCacheSize:     -1,
-		DisableSingleFlight: true,
-	}))
+	ts := httptest.NewServer(server.WithoutSingleFlight(sys.Handler(polystore.ServeConfig{
+		Workers:          16,
+		QueueDepth:       256,
+		DefaultSQLEngine: "db-clinical",
+		ResultCacheSize:  -1,
+	})))
 	defer ts.Close()
 
 	bodies := make([]string, 64)
@@ -247,16 +242,12 @@ func BenchmarkServeStream(b *testing.B) {
 	if err := events.InsertBatch(batch); err != nil {
 		b.Fatal(err)
 	}
-	sys := polystore.New(polystore.WithRelational("db-bench", store))
-	ts := httptest.NewServer(sys.Handler(polystore.ServeConfig{
+	ts := serveTest(b, polystore.ServeConfig{
 		Workers: 16, QueueDepth: 256,
-		DefaultSQLEngine:    "db-bench",
-		MaxRows:             20000,
-		ResultCacheSize:     -1,
-		DisableSingleFlight: true,
-		SubplanCacheBytes:   -1,
-	}))
-	defer ts.Close()
+		DefaultSQLEngine: "db-bench",
+		MaxRows:          20000,
+		ResultCacheSize:  -1,
+	}, []testOpt{executeAll, subplanBytes(-1)}, polystore.WithRelational("db-bench", store))
 
 	body := `{"frontend":"sql","statement":"SELECT * FROM events"}`
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
@@ -319,20 +310,18 @@ func BenchmarkServeStream(b *testing.B) {
 	b.ReportMetric(float64(mid(totals).Microseconds()), "full-p50-us")
 }
 
-func benchServe(b *testing.B, cfg polystore.ServeConfig) {
+func benchServe(b *testing.B, cfg polystore.ServeConfig, opts ...testOpt) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 200)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := polystore.New(
+	ts := serveTest(b, cfg, opts,
 		polystore.WithRelational("db-clinical", data.Relational),
 		polystore.WithTimeseries("ts-vitals", data.Timeseries),
 		polystore.WithText("txt-notes", data.Text),
 		polystore.WithML("ml"),
 		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
 	)
-	ts := httptest.NewServer(sys.Handler(cfg))
-	defer ts.Close()
 
 	body := `{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 60 ORDER BY age DESC LIMIT 10"}`
 	var (

@@ -24,16 +24,12 @@ var clinicalNL = polystore.NLBinding{
 	Relational: "db-clinical", Timeseries: "ts-vitals", Text: "txt-notes", ML: "ml",
 }
 
-func newTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Server {
+func newTestServer(t *testing.T, cfg polystore.ServeConfig, opts ...testOpt) *httptest.Server {
 	t.Helper()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := polystore.New(
-		polystore.WithClinical(data),
-		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
-	)
 	if cfg.DefaultSQLEngine == "" {
 		cfg.DefaultSQLEngine = "db-clinical"
 	}
@@ -43,7 +39,38 @@ func newTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Server {
 	if (cfg.NL == polystore.NLBinding{}) {
 		cfg.NL = clinicalNL
 	}
-	ts := httptest.NewServer(sys.Handler(cfg))
+	return serveTest(t, cfg, opts, polystore.WithClinical(data),
+		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
+}
+
+// testOpt adjusts a test deployment past its ServeConfig: a System option,
+// or one of export_test.go's seams on the handler the System builds.
+type testOpt struct {
+	sys  polystore.Option
+	seam func(http.Handler) http.Handler
+}
+
+// executeAll turns single-flight off, so every request executes its own plan.
+var executeAll = testOpt{seam: server.WithoutSingleFlight}
+
+// subplanBytes sizes the System's subplan cache; negative disables it.
+func subplanBytes(n int64) testOpt { return testOpt{sys: polystore.WithSubplanCacheBytes(n)} }
+
+// serveTest builds a System from sysOpts and opts, serves its handler for cfg
+// with opts' seams applied, and closes it when the test ends.
+func serveTest(t testing.TB, cfg polystore.ServeConfig, opts []testOpt, sysOpts ...polystore.Option) *httptest.Server {
+	for _, o := range opts {
+		if o.sys != nil {
+			sysOpts = append(sysOpts, o.sys)
+		}
+	}
+	h := polystore.New(sysOpts...).Handler(cfg)
+	for _, o := range opts {
+		if o.seam != nil {
+			h = o.seam(h)
+		}
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -222,10 +249,8 @@ func TestQueueOverflow429(t *testing.T) {
 	// ShedHighWater -1 disables load shedding so overflow exercises the queue
 	// bound's 429 path rather than admission's earlier shed 503.
 	ts := newTestServer(t, polystore.ServeConfig{
-		Workers: 1, QueueDepth: 1,
-		ResultCacheSize: -1, DisableSingleFlight: true,
-		ShedHighWater: -1,
-	})
+		Workers: 1, QueueDepth: 1, ResultCacheSize: -1, ShedHighWater: -1,
+	}, executeAll)
 	heavy := `{"frontend":"nl","statement":"predict long stay"}`
 
 	const n = 10

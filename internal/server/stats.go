@@ -155,8 +155,8 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("queue_depth", "", kindInfo, "Configured admission queue bound.", val(max(0, s.cfg.QueueDepth)))
 	add("data_version", "server.data_version", kindGauge, "Sum of every store's mutation counter.", func() any { return s.rt.DataVersion() })
 	add("engines", "", kindInfo, "Registered engine instances.", func() any { return s.rt.Engines() })
-	add("default_level", "", kindInfo, "Default compiler optimization level.", val(s.opts.Level))
-	add("default_accel", "", kindInfo, "Whether plans may target accelerators by default.", val(s.opts.Accel))
+	add("default_level", "", kindInfo, "Compiler optimization level every request compiles under.", val(s.opts.Level))
+	add("default_accel", "", kindInfo, "Whether plans may target accelerators.", val(s.opts.Accel))
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
 	// Plan cache, result cache, single-flight.
@@ -166,12 +166,8 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
 	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
 	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.Stats().Entries })
-	maxBytes := int64(0)
-	if s.results != nil {
-		maxBytes = s.cfg.ResultCacheBytes
-	}
-	add("result_cache_max_bytes", "", kindInfo, "Result-cache byte budget (0 when disabled).", val(maxBytes))
-	add("single_flight", "", kindInfo, "Whether identical in-flight queries share one execution.", val(s.flight != nil))
+	add("result_cache_max_bytes", "", kindInfo, "Result-cache byte budget (0 when disabled).", func() any { return s.results.Stats().MaxCost })
+	add("single_flight", "", kindInfo, "Whether identical in-flight queries share one execution.", func() any { return s.flight != nil })
 	st.flightShared = counter("single_flight_shared", "server.singleflight.shared", "Requests that shared another request's in-flight execution.")
 
 	// Subplan cache (counters the runtime bumps; its gauges are in

@@ -48,20 +48,13 @@ type ndLine struct {
 // "points" (10k rows; x = 1 everywhere except row 5000 where x = 0 — the
 // deterministic mid-stream division-by-zero trigger) and "dup" (100 rows,
 // dkey = 1, a join amplifier).
-func newStreamTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Server {
+func newStreamTestServer(t *testing.T, cfg polystore.ServeConfig, opts ...testOpt) *httptest.Server {
 	t.Helper()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addStreamTables(t, data.Relational)
-	sys := polystore.New(
-		polystore.WithRelational("db-clinical", data.Relational),
-		polystore.WithTimeseries("ts-vitals", data.Timeseries),
-		polystore.WithText("txt-notes", data.Text),
-		polystore.WithML("ml"),
-		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
-	)
 	if cfg.DefaultSQLEngine == "" {
 		cfg.DefaultSQLEngine = "db-clinical"
 	}
@@ -71,9 +64,13 @@ func newStreamTestServer(t *testing.T, cfg polystore.ServeConfig) *httptest.Serv
 	if cfg.MaxRows == 0 {
 		cfg.MaxRows = 1 << 21
 	}
-	ts := httptest.NewServer(sys.Handler(cfg))
-	t.Cleanup(ts.Close)
-	return ts
+	return serveTest(t, cfg, opts,
+		polystore.WithRelational("db-clinical", data.Relational),
+		polystore.WithTimeseries("ts-vitals", data.Timeseries),
+		polystore.WithText("txt-notes", data.Text),
+		polystore.WithML("ml"),
+		polystore.WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()),
+	)
 }
 
 func addStreamTables(t *testing.T, store *relational.Store) {
@@ -260,8 +257,8 @@ func TestStreamLargeScanManyBatches(t *testing.T) {
 // requests execute independently.
 func TestStreamEquivalenceProperty(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, DisableSingleFlight: true, Workers: 8, QueueDepth: 256,
-	})
+		ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
+	}, executeAll)
 	rng := rand.New(rand.NewSource(11))
 	bodies := randomQueryBodies(rng, 12)
 	for i, tmpl := range bodies {
@@ -515,8 +512,8 @@ func TestStreamDeadlineMidStream(t *testing.T) {
 // goleak-style count check).
 func TestStreamClientDisconnectFreesWorker(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, DisableSingleFlight: true, Workers: 4, QueueDepth: 16,
-	})
+		ResultCacheSize: -1, Workers: 4, QueueDepth: 16,
+	}, executeAll)
 	// Warm up (connection pools, lazily started runtime goroutines).
 	if code, _, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT count(*) AS n FROM points"}`); code != http.StatusOK {
 		t.Fatalf("warmup: %d %s", code, raw)
@@ -585,8 +582,8 @@ func TestStreamClientDisconnectFreesWorker(t *testing.T) {
 // one free, a cold /query behind it is admitted rather than shed.
 func TestStreamStalledReaderHoldsNoWorker(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{
-		Workers: 1, QueueDepth: -1, ResultCacheSize: -1, DisableSingleFlight: true,
-	})
+		Workers: 1, QueueDepth: -1, ResultCacheSize: -1,
+	}, executeAll)
 	// About 1M joined rows: far more than any socket buffer holds, so the
 	// server's writes block on the stalled reader.
 	body := `{"frontend":"sql","statement":"SELECT k, dkey FROM points JOIN dup ON x = dkey","max_rows":2000000}`

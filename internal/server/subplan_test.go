@@ -21,25 +21,20 @@ import (
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
+	"polystorepp/internal/datagen"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/lru"
 	"polystorepp/internal/relational"
 	"polystorepp/internal/server"
 )
 
-// subplanOffCfg disables every other reuse layer so each request truly
-// executes (or truly replays the subplan cache), never the result cache.
-func subplanOffCfg() polystore.ServeConfig {
-	return polystore.ServeConfig{
-		ResultCacheSize: -1, DisableSingleFlight: true,
-		Workers: 8, QueueDepth: 256, SubplanCacheBytes: -1,
-	}
-}
-
-func subplanOnCfg() polystore.ServeConfig {
-	cfg := subplanOffCfg()
-	cfg.SubplanCacheBytes = 0 // runtime default (64 MiB)
-	return cfg
+// subplanTestServer is newStreamTestServer with every other reuse layer off,
+// so each request truly executes (or truly replays the subplan cache), never
+// the result cache. subplan sizes the subplan cache: 0 is the default
+// (64 MiB), negative disables it.
+func subplanTestServer(t *testing.T, subplan int64) *httptest.Server {
+	return newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1, Workers: 8, QueueDepth: 256},
+		executeAll, subplanBytes(subplan))
 }
 
 // deterministicFields is the wall-independent slice of a QueryResponse:
@@ -93,8 +88,8 @@ func deterministicResponse(t *testing.T, raw []byte) *deterministicFields {
 // Every response must match the golden byte-for-byte on the deterministic
 // fields, buffered and streamed.
 func TestSubplanEquivalenceProperty(t *testing.T) {
-	off := newStreamTestServer(t, subplanOffCfg())
-	on := newStreamTestServer(t, subplanOnCfg())
+	off := subplanTestServer(t, -1)
+	on := subplanTestServer(t, 0)
 	rng := rand.New(rand.NewSource(41))
 	bodies := randomQueryBodies(rng, 6)
 	for i, tmpl := range bodies {
@@ -135,8 +130,8 @@ func TestSubplanEquivalenceProperty(t *testing.T) {
 // server's response to the same sequence (no stale intermediate is ever
 // served), and writes to an untouched engine must not evict entries.
 func TestSubplanInterleavedWrites(t *testing.T) {
-	off := newStreamTestServer(t, subplanOffCfg())
-	on := newStreamTestServer(t, subplanOnCfg())
+	off := subplanTestServer(t, -1)
+	on := subplanTestServer(t, 0)
 	query := `{"frontend":"sql","statement":"SELECT k, val FROM points WHERE k > 9000 ORDER BY k","max_rows":100000}`
 	ingest := func(k int) string {
 		return fmt.Sprintf(`{"engine":"db-clinical","table":"points","row":[%d, 1, 0.5]}`, 20000+k)
@@ -177,7 +172,7 @@ func TestSubplanInterleavedWrites(t *testing.T) {
 // TestSubplanStatsSurface: /stats exposes the subplan cache's structural
 // and behavioral counters, and a warm near-identical family moves them.
 func TestSubplanStatsSurface(t *testing.T) {
-	on := newStreamTestServer(t, subplanOnCfg())
+	on := subplanTestServer(t, 0)
 	// A LIMIT family over one shared prefix: distinct plan keys, shared
 	// subplan prefix.
 	for i := 1; i <= 5; i++ {
@@ -216,7 +211,7 @@ func TestSubplanStatsSurface(t *testing.T) {
 	}
 
 	// Disabled server reports the cache off and never probes.
-	offSrv := newStreamTestServer(t, subplanOffCfg())
+	offSrv := subplanTestServer(t, -1)
 	if code, raw := postRaw(t, offSrv, `{"frontend":"sql","statement":"SELECT k FROM points LIMIT 5"}`); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
@@ -240,7 +235,7 @@ func TestSubplanStatsSurface(t *testing.T) {
 // TestSubplanTraceEvents: a traced warm request carries cache.subplan hit
 // events with key and bytes, and its served spans are flagged cached.
 func TestSubplanTraceEvents(t *testing.T) {
-	on := newStreamTestServer(t, subplanOnCfg())
+	on := subplanTestServer(t, 0)
 	body := `{"frontend":"sql","statement":"SELECT k, val FROM points WHERE k > 500 ORDER BY k LIMIT 20","max_rows":100000}`
 	if code, raw := postRaw(t, on, body); code != http.StatusOK {
 		t.Fatalf("prime status %d: %s", code, raw)
@@ -278,10 +273,10 @@ func TestSubplanTraceEvents(t *testing.T) {
 	}
 }
 
-// TestSubplanTenantShareAtRuntimeSize: a server that keeps the runtime's own
-// subplan cache size (SubplanCacheBytes 0, what polystore.System.Handler
-// passes) still holds each tenant to lru.DefaultTenantShare of that budget
-// while another tenant holds entries.
+// TestSubplanTenantShareAtRuntimeSize: a server over a runtime whose subplan
+// cache was sized when it was built (core.WithSubplanCacheBytes) holds each
+// tenant to lru.DefaultTenantShare of that budget while another tenant holds
+// entries.
 func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 	const budget, share = 64 << 10, lru.DefaultTenantShare
 	store := relational.NewStore("db")
@@ -301,9 +296,9 @@ func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 	}
 	rt := core.NewRuntime(hw.NewHostCPU(), core.WithSubplanCacheBytes(budget))
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
-	ts := httptest.NewServer(server.New(rt, compiler.Options{Level: 3}, server.Config{
-		DefaultSQLEngine: "db", ResultCacheSize: -1, DisableSingleFlight: true,
-	}))
+	ts := httptest.NewServer(server.WithoutSingleFlight(server.New(rt, compiler.Options{Level: 3}, server.Config{
+		DefaultSQLEngine: "db", ResultCacheSize: -1,
+	})))
 	defer ts.Close()
 	query := func(tenant string, k int) {
 		t.Helper()
@@ -338,5 +333,43 @@ func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 	}
 	if stats.Tenants["second"].SubplanBytes == 0 {
 		t.Fatal("the second tenant's entries are gone: the share no longer binds")
+	}
+}
+
+// TestOneSystemOneSubplanCache: a System's servers share its one subplan
+// cache, sized when the System was built. Building a second handler leaves
+// the first server's warm intermediates in place, so the first server's
+// repeat of a query hits the cache. The result cache is off, so only the
+// subplan cache can answer the repeat.
+func TestOneSystemOneSubplanCache(t *testing.T) {
+	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := polystore.New(polystore.WithClinical(data))
+	cfg := polystore.ServeConfig{DefaultSQLEngine: "db-clinical", ResultCacheSize: -1}
+	a := httptest.NewServer(sys.Handler(cfg))
+	defer a.Close()
+	body := `{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 60 ORDER BY age DESC LIMIT 10"}`
+	if code, raw := postRaw(t, a, body); code != http.StatusOK {
+		t.Fatalf("first run: status %d: %s", code, raw)
+	}
+	sys.Handler(cfg) // a second server over the same System
+	if code, raw := postRaw(t, a, body); code != http.StatusOK {
+		t.Fatalf("second run: status %d: %s", code, raw)
+	}
+	resp, err := http.Get(a.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Hits int64 `json:"subplan_cache_hits"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Hits < 1 {
+		t.Fatalf("subplan_cache_hits = %d after the repeat, want >= 1: building a handler emptied the cache", stats.Hits)
 	}
 }

@@ -72,11 +72,8 @@ func TestSortLimitServedIsFullSortPrefix(t *testing.T) {
 	limits := []int{0, 1, 2, 7, 50, 128, 1 << 40}
 	servers := map[string]*httptest.Server{}
 	for name, subplan := range map[string]int64{"subplan-on": 0, "subplan-off": -1} {
-		cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000, ResultCacheSize: -1,
-			DisableSingleFlight: true, SubplanCacheBytes: subplan}
-		ts := httptest.NewServer(polystore.New(polystore.WithRelational("db", store)).Handler(cfg))
-		t.Cleanup(ts.Close)
-		servers[name] = ts
+		cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000, ResultCacheSize: -1}
+		servers[name] = serveTest(t, cfg, []testOpt{executeAll, subplanBytes(subplan)}, polystore.WithRelational("db", store))
 	}
 	for _, tmpl := range templates {
 		full := engineRows(t, engine, fmt.Sprintf(tmpl, ""))

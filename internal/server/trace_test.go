@@ -57,8 +57,8 @@ func assertSpanTree(t *testing.T, tree *obs.Tree, nodes int, body string) {
 // Caching layers are disabled so both requests execute independently.
 func TestTraceEquivalenceProperty(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, DisableSingleFlight: true, Workers: 8, QueueDepth: 256,
-	})
+		ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
+	}, executeAll)
 	rng := rand.New(rand.NewSource(23))
 	bodies := randomQueryBodies(rng, 8)
 	for i, tmpl := range bodies {
@@ -130,9 +130,7 @@ func TestTraceCrossEnginePlan(t *testing.T) {
 // "parts" runs every partitioned operator at that fan-out however often the
 // server has seen the statement, and its trace spans say so.
 func TestPinnedPartsReportedOnSpan(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, DisableSingleFlight: true, SubplanCacheBytes: -1,
-	})
+	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll, subplanBytes(-1))
 	// patients holds 120 rows: automatic sizing would not fan out at all.
 	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age + 1 AS adj FROM patients","parts":7}`)
 	for round := 0; round < 8; round++ {
@@ -226,7 +224,7 @@ func getDebugQueries(t *testing.T, ts *httptest.Server) debugQueriesDoc {
 // at 32, sorted slowest-first; and a genuinely slow query survives the ring
 // rolling over — the slowest-N retention acceptance check.
 func TestDebugQueriesFlightRecorder(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1, DisableSingleFlight: true})
+	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll)
 
 	if doc := getDebugQueries(t, ts); doc.TracedTotal != 0 || len(doc.Recent) != 0 {
 		t.Fatalf("fresh server already has traces: %+v", doc)

@@ -63,8 +63,8 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		prog := eide.NewProgram()
 		prog.KVScan("kv-a", "user/")
 		g := prog.Graph()
-		p := &preparedQuery{graph: g, opts: s.opts}
-		p.planKey = compiler.Key(g, p.opts)
+		p := &preparedQuery{graph: g}
+		p.planKey = compiler.Key(g, s.opts)
 		p.touches = compiler.TouchesOf(g)
 		p.vv = s.rt.VersionVector(p.touches)
 		p.resKey = p.planKey + "|" + p.vv

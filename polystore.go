@@ -55,7 +55,7 @@ type (
 	// Options are compiler options (optimization level, acceleration).
 	Options = compiler.Options
 	// ServeConfig tunes the HTTP serving subsystem (workers, queue depth,
-	// deadlines, plan cache size, frontend defaults).
+	// deadlines, plan and result cache sizes, frontend defaults).
 	ServeConfig = server.Config
 	// NLBinding names the engines the served NL translator targets.
 	NLBinding = server.NLBinding
@@ -196,6 +196,12 @@ func WithBackend(b Backend) Option {
 	}
 }
 
+// WithSubplanCacheBytes sizes the subplan cache every Handler over the System
+// shares: 0 keeps the default (64 MiB), negative disables it.
+func WithSubplanCacheBytes(n int64) Option {
+	return func(sys *System) { sys.rtOpts = append(sys.rtOpts, core.WithSubplanCacheBytes(n)) }
+}
+
 // New builds a System. The default compiler options enable all
 // optimization levels and acceleration when accelerators are attached.
 func New(opts ...Option) *System {
@@ -241,19 +247,13 @@ func (sys *System) RunWith(ctx context.Context, p *Program, opts Options) (*Resu
 // Engines returns the registered engine instance names, sorted.
 func (sys *System) Engines() []string { return sys.runtime.Engines() }
 
-// DataVersion returns the sum of the registered stores' mutation counters.
-// Any store write changes it. (The serving layer's result cache keys on
-// finer-grained per-engine version vectors — see core.Runtime.VersionVector
-// — so this global sum is observability, not the invalidation key.)
-func (sys *System) DataVersion() uint64 { return sys.runtime.DataVersion() }
-
 // Handler returns the HTTP serving subsystem over this system: POST /query
 // (sql, nl, text and multi-engine program frontends through the plan cache
 // and admission-controlled worker pool), POST /query/stream (the same
 // answer as NDJSON records), POST /ingest, GET
-// /healthz, /metrics and /stats. The handler shares the system's runtime,
-// so concurrent requests execute against the same engines and accelerator
-// models.
+// /healthz, /metrics and /stats. The handler shares the system's runtime —
+// its engines, accelerator models and subplan cache — and compiles every
+// request under the system's compiler options.
 func (sys *System) Handler(cfg ServeConfig) http.Handler {
 	return server.New(sys.runtime, sys.opts, cfg)
 }
