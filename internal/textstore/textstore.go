@@ -6,6 +6,7 @@ package textstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -113,6 +114,17 @@ func (s *Store) removeLocked(id int64) {
 		}
 	}
 	delete(s.docs, id)
+}
+
+// Doc returns a copy of the stored document with the given ID.
+func (s *Store) Doc(id int64) (Doc, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	d, ok := s.docs[id]
+	if !ok {
+		return Doc{}, false
+	}
+	return Doc{ID: d.ID, Fields: maps.Clone(d.Fields), Text: d.Text}, true
 }
 
 // Len returns the number of documents.

@@ -32,6 +32,7 @@ var reachAllow = map[string]string{
 	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
+	"textstore.Store.Doc":        "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text and fields through it",
 	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
 	"tensor.Transpose":           "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
 	"tensor.Sub":                 "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
