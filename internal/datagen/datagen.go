@@ -6,11 +6,19 @@
 // store), and a Snorkel-style unlabeled corpus (Figure 3). The real MIMIC data is access-restricted; the generator
 // reproduces the join keys, cardinality ratios and feature/label
 // correlations the experiments exercise.
+//
+// The same seed gives the same data, and the same mutation counts in every
+// store: the serving layer's cache keys, the oracle twin deployments and
+// the experiments' numbers rest on it. The order in which a generator draws
+// from its rng is part of that contract — buffering a series' points before
+// appending them is free, drawing a value earlier or later is not.
+// TestGeneratedDataPinned holds each generator to a digest of its output.
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"polystorepp/internal/cast"
@@ -117,6 +125,8 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 
 	baseTS := time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	aid, sid := int64(0), int64(0)
+	hrPts, spo2Pts := make([]timeseries.Point, 48), make([]timeseries.Point, 48)
+	words := make([]string, 24)
 	for pid := 0; pid < n; pid++ {
 		age := int64(20 + rng.Intn(70))
 		male := int64(rng.Intn(2))
@@ -124,23 +134,25 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 		if err := patients.Insert(int64(pid), age, male, prior); err != nil {
 			return nil, err
 		}
+		id := strconv.Itoa(pid)
 
-		// Vitals: heart rate and SpO2 series, 48 samples each (once/30min).
+		// Vitals: heart rate and SpO2 series, 48 samples each (once/30min),
+		// each series appended as one batch.
 		hrBase := 60 + rng.Float64()*40
 		spo2Base := 90 + rng.Float64()*9
 		var spo2Sum float64
 		start := baseTS + int64(pid)*int64(time.Hour)
-		for s := 0; s < 48; s++ {
+		for s := range hrPts {
 			ts := start + int64(s)*int64(30*time.Minute)
-			hr := hrBase + rng.NormFloat64()*5
-			spo2 := spo2Base + rng.NormFloat64()*1.5
-			spo2Sum += spo2
-			if err := c.Timeseries.Append(fmt.Sprintf("vitals/%d/hr", pid), ts, hr); err != nil {
-				return nil, err
-			}
-			if err := c.Timeseries.Append(fmt.Sprintf("vitals/%d/spo2", pid), ts, spo2); err != nil {
-				return nil, err
-			}
+			hrPts[s] = timeseries.Point{TS: ts, Value: hrBase + rng.NormFloat64()*5}
+			spo2Pts[s] = timeseries.Point{TS: ts, Value: spo2Base + rng.NormFloat64()*1.5}
+			spo2Sum += spo2Pts[s].Value
+		}
+		if err := c.Timeseries.AppendPoints("vitals/"+id+"/hr", hrPts); err != nil {
+			return nil, err
+		}
+		if err := c.Timeseries.AppendPoints("vitals/"+id+"/spo2", spo2Pts); err != nil {
+			return nil, err
 		}
 		spo2Mean := spo2Sum / 48
 
@@ -171,18 +183,10 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 		}
 
 		// One clinical note per patient.
-		words := make([]string, 0, 24)
-		for w := 0; w < 24; w++ {
-			words = append(words, noteTerms[rng.Intn(len(noteTerms))])
+		for w := range words {
+			words[w] = noteTerms[rng.Intn(len(noteTerms))]
 		}
-		text := ""
-		for i, w := range words {
-			if i > 0 {
-				text += " "
-			}
-			text += w
-		}
-		if err := c.Text.Add(textstore.Doc{ID: int64(pid), Text: text, Fields: map[string]string{"pid": fmt.Sprint(pid)}}); err != nil {
+		if err := c.Text.Add(textstore.Doc{ID: int64(pid), Text: strings.Join(words, " "), Fields: map[string]string{"pid": id}}); err != nil {
 			return nil, err
 		}
 	}
@@ -246,6 +250,7 @@ func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
 	}
 	base := time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	tid := int64(0)
+	clicks := make([]timeseries.Point, 96)
 	for cid := 0; cid < n; cid++ {
 		if err := customers.Insert(int64(cid), int64(rng.Intn(5)), int64(rng.Intn(2000))); err != nil {
 			return nil, err
@@ -257,16 +262,17 @@ func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
 			}
 			tid++
 		}
-		// Clickstream: 96 samples of click rate.
+		// Clickstream: 96 samples of click rate, appended as one batch.
+		id := strconv.Itoa(cid)
 		start := base + int64(cid)*int64(time.Minute)
-		for s := 0; s < 96; s++ {
-			ts := start + int64(s)*int64(15*time.Minute)
-			if err := r.Timeseries.Append(fmt.Sprintf("clicks/%d/rate", cid), ts, rng.Float64()*20); err != nil {
-				return nil, err
-			}
+		for s := range clicks {
+			clicks[s] = timeseries.Point{TS: start + int64(s)*int64(15*time.Minute), Value: rng.Float64() * 20}
+		}
+		if err := r.Timeseries.AppendPoints("clicks/"+id+"/rate", clicks); err != nil {
+			return nil, err
 		}
 		// External events in the KV store.
-		r.KV.Put(fmt.Sprintf("event/%d", cid), []byte(fmt.Sprintf("promo-%d", rng.Intn(10))))
+		r.KV.Put("event/"+id, []byte("promo-"+strconv.Itoa(rng.Intn(10))))
 	}
 	if err := customers.CreateBTreeIndex("cid"); err != nil {
 		return nil, err

@@ -47,6 +47,17 @@ func TestAddGet(t *testing.T) {
 	if err := s.Add(Doc{ID: -1, Text: "x"}); !errors.Is(err, ErrQuery) {
 		t.Fatalf("negative id: %v", err)
 	}
+	d, ok := s.Doc(1)
+	if !ok || d.Text != "patient stable vital signs normal" || d.Fields["pid"] != "1" {
+		t.Fatalf("Doc(1) = %+v, %t", d, ok)
+	}
+	d.Fields["pid"] = "changed" // a copy: the stored fields stay
+	if d, _ := s.Doc(1); d.Fields["pid"] != "1" {
+		t.Fatalf("Doc(1) fields shared with the store: %+v", d)
+	}
+	if d, ok := s.Doc(99); ok {
+		t.Fatalf("Doc(99) = %+v, want none", d)
+	}
 }
 
 func TestReplaceDoc(t *testing.T) {

@@ -53,7 +53,7 @@ func (s *Store) Apply(rec []byte) (bool, error) {
 	if version <= s.version {
 		return false, nil
 	}
-	if err := s.seriesLocked(series).append(ts, v); err != nil {
+	if _, err := s.seriesLocked(series).append([]Point{{TS: ts, Value: v}}); err != nil {
 		return false, err
 	}
 	s.version = version
@@ -90,12 +90,12 @@ func (s *Store) Snapshot(w io.Writer) error {
 		enc.Str(v.name)
 		enc.U32(uint32(len(v.chunks)))
 		for i := range v.chunks {
-			pts := v.chunks[i].decode()
-			enc.U32(uint32(16 * len(pts))) // blob length
-			for _, p := range pts {
-				enc.I64(p.TS)
-				enc.F64(p.Value)
-			}
+			c := &v.chunks[i]
+			enc.U32(uint32(16 * len(c.values))) // blob length
+			c.walk(func(ts int64, val float64) {
+				enc.I64(ts)
+				enc.F64(val)
+			})
 			if _, err := w.Write(enc.Bytes()); err != nil {
 				return err
 			}
@@ -107,25 +107,29 @@ func (s *Store) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a Snapshot section into an empty store, re-encoding each
-// series and pinning the mutation count to the persisted watermark. Call
-// before SetJournal.
+// series and pinning the mutation count to the persisted watermark. Each
+// chunk's points are appended as one batch, so the chunk they land in is
+// sized once, from the blob's length. Call before SetJournal.
 func (s *Store) Restore(r io.Reader) error {
 	d := cast.NewDecoder(r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	version := d.U64()
+	var pts []Point
 	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
 		name := d.Str()
 		sr := s.seriesLocked(name)
 		for chunks := d.U32(); chunks > 0 && d.Err() == nil; chunks-- {
 			blob := d.Blob() // one bulk read; its points are then sliced out in place
-			pts := cast.DecodeBytes(blob)
+			dec := cast.DecodeBytes(blob)
+			pts = pts[:0]
 			for i := 0; i < len(blob)/16; i++ {
-				if err := sr.append(pts.I64(), pts.F64()); err != nil {
-					return fmt.Errorf("timeseries: restore %q series %q: %w", s.name, name, err)
-				}
+				pts = append(pts, Point{TS: dec.I64(), Value: dec.F64()})
 			}
-			if err := pts.Finish(); err != nil { // a blob is whole 16-byte points
+			if _, err := sr.append(pts); err != nil {
+				return fmt.Errorf("timeseries: restore %q series %q: %w", s.name, name, err)
+			}
+			if err := dec.Finish(); err != nil { // a blob is whole 16-byte points
 				return fmt.Errorf("timeseries: restore %q series %q: %w", s.name, name, err)
 			}
 		}

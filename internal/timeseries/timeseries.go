@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,25 +64,18 @@ func (c *chunk) append(ts int64, v float64) error {
 	return nil
 }
 
-// decode reconstructs the points of the chunk.
-func (c *chunk) decode() []Point {
-	out := make([]Point, 0, len(c.values))
-	if len(c.values) == 0 {
-		return out
-	}
-	ts := c.first
-	out = append(out, Point{TS: ts, Value: c.values[0]})
-	var delta int64
-	for i := 1; i < len(c.values); i++ {
-		if i == 1 {
-			delta = c.deltas[0]
-		} else {
+// walk calls fn on each point of the chunk in time order, rebuilding the
+// timestamps from the delta-of-delta encoding as it goes; nothing is
+// materialized. It is the one decoder of the encoding.
+func (c *chunk) walk(fn func(ts int64, v float64)) {
+	ts, delta := c.first, int64(0)
+	for i, v := range c.values {
+		if i > 0 {
 			delta += c.deltas[i-1]
+			ts += delta
 		}
-		ts += delta
-		out = append(out, Point{TS: ts, Value: c.values[i]})
+		fn(ts, v)
 	}
-	return out
 }
 
 func (c *chunk) full() bool { return len(c.values) >= chunkSize }
@@ -91,19 +85,35 @@ type series struct {
 	chunks []*chunk
 }
 
-func (s *series) append(ts int64, v float64) error {
-	if len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].full() {
-		// A fresh chunk has no lastTS of its own, so the strictly-increasing
-		// check must compare against the previous chunk here — otherwise a
-		// stale timestamp arriving exactly at a chunk boundary would slip in
-		// and break the chunks-are-time-ordered invariant the window fold
-		// and range stitch rely on.
-		if n := len(s.chunks); n > 0 && ts <= s.chunks[n-1].lastTS {
-			return fmt.Errorf("%w: %d after %d", ErrOutOfOrder, ts, s.chunks[n-1].lastTS)
+// append adds pts in order and returns how many it applied. It stops at the
+// first point not after its predecessor, leaving the prefix applied. Each
+// chunk the batch reaches grows once, by the points that land in it.
+func (s *series) append(pts []Point) (int, error) {
+	applied := 0
+	for applied < len(pts) {
+		if len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].full() {
+			// A fresh chunk has no lastTS of its own, so the strictly-increasing
+			// check must compare against the previous chunk here — otherwise a
+			// stale timestamp arriving exactly at a chunk boundary would slip in
+			// and break the chunks-are-time-ordered invariant the window fold
+			// and range stitch rely on.
+			if n := len(s.chunks); n > 0 && pts[applied].TS <= s.chunks[n-1].lastTS {
+				return applied, fmt.Errorf("%w: %d after %d", ErrOutOfOrder, pts[applied].TS, s.chunks[n-1].lastTS)
+			}
+			s.chunks = append(s.chunks, &chunk{})
 		}
-		s.chunks = append(s.chunks, &chunk{})
+		c := s.chunks[len(s.chunks)-1]
+		batch := pts[applied:min(len(pts), applied+chunkSize-len(c.values))]
+		c.values = slices.Grow(c.values, len(batch))
+		c.deltas = slices.Grow(c.deltas, len(batch))
+		for _, p := range batch {
+			if err := c.append(p.TS, p.Value); err != nil {
+				return applied, err
+			}
+			applied++
+		}
 	}
-	return s.chunks[len(s.chunks)-1].append(ts, v)
+	return applied, nil
 }
 
 // Store is a collection of named series. Safe for concurrent use.
@@ -129,16 +139,27 @@ func (s *Store) Name() string { return s.name }
 // Append adds one point to the named series (created on first use).
 // Timestamps within a series must be strictly increasing.
 func (s *Store) Append(name string, ts int64, v float64) error {
+	return s.AppendPoints(name, []Point{{TS: ts, Value: v}})
+}
+
+// AppendPoints adds pts to the named series in order, under one lock: the
+// same points, versions and journal records as a loop of Append. It stops at
+// the first point not after its predecessor and returns Append's error,
+// leaving the points before it applied. An empty pts changes nothing.
+func (s *Store) AppendPoints(name string, pts []Point) error {
+	if len(pts) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.seriesLocked(name).append(ts, v); err != nil {
-		return err
+	n, err := s.seriesLocked(name).append(pts)
+	for _, p := range pts[:n] {
+		s.version++
+		if s.journal != nil {
+			s.journal(record(name, p.TS, p.Value, s.version))
+		}
 	}
-	s.version++
-	if s.journal != nil {
-		s.journal(record(name, ts, v, s.version))
-	}
-	return nil
+	return err
 }
 
 // seriesLocked returns the named series, creating it on first use. Caller
@@ -233,13 +254,13 @@ func rangeChunks(cands []*chunk, from, to int64, parts int) []Point {
 	return out
 }
 
-// appendRange decodes one chunk and appends its in-range points to dst.
+// appendRange appends the chunk's in-range points to dst.
 func appendRange(dst []Point, c *chunk, from, to int64) []Point {
-	for _, p := range c.decode() {
-		if p.TS >= from && p.TS <= to {
-			dst = append(dst, p)
+	c.walk(func(ts int64, v float64) {
+		if ts >= from && ts <= to {
+			dst = append(dst, Point{TS: ts, Value: v})
 		}
-	}
+	})
 	return dst
 }
 
@@ -258,25 +279,25 @@ type WindowResult struct {
 	N     int
 }
 
-// chunkWindowPartials decodes one chunk and sums its in-range points into
-// per-window partials. Points in a chunk are strictly time-ordered, so the
-// buckets come out in ascending start order.
+// chunkWindowPartials sums one chunk's in-range points into per-window
+// partials. Points in a chunk are strictly time-ordered, so the buckets come
+// out in ascending start order.
 func chunkWindowPartials(c *chunk, from, to, width int64) []WindowResult {
 	var out []WindowResult
-	for _, p := range c.decode() {
-		if p.TS < from || p.TS > to {
-			continue
+	c.walk(func(ts int64, v float64) {
+		if ts < from || ts > to {
+			return
 		}
-		// p.TS >= from, so the offset from from is exact as a uint64, where
-		// TS-from in int64 arithmetic would wrap past MaxInt64.
-		start := from + int64(uint64(p.TS-from)/uint64(width)*uint64(width))
+		// ts >= from, so the offset from from is exact as a uint64, where
+		// ts-from in int64 arithmetic would wrap past MaxInt64.
+		start := from + int64(uint64(ts-from)/uint64(width)*uint64(width))
 		if n := len(out); n == 0 || out[n-1].Start != start {
 			out = append(out, WindowResult{Start: start})
 		}
 		w := &out[len(out)-1]
-		w.Value += p.Value
+		w.Value += v
 		w.N++
-	}
+	})
 	return out
 }
 
