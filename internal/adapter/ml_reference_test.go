@@ -266,3 +266,60 @@ func BenchmarkMLTrainPredict880(b *testing.B) {
 		}
 	}
 }
+
+// TestPredictRowColumnAroundCap: predict numbers its rows 0..n-1. Up to
+// maxSharedRows the column is a view of the one shared column, capped at n
+// so that an append cannot reach the shared storage; past the cap a
+// prediction numbers its rows in a column of its own. The sizes step down
+// and back up across the cap, so the shared column is read after it grew.
+func TestPredictRowColumnAroundCap(t *testing.T) {
+	ctx := context.Background()
+	a := NewML("ml", 3)
+	features := []string{"x"}
+	batch := func(n int) *cast.Batch {
+		xs, ys := make([]float64, n), make([]int64, n)
+		for i := range xs {
+			xs[i], ys[i] = float64(i%7), int64(i%2)
+		}
+		b, err := cast.BatchOf(cast.MustSchema(cast.Column{Name: "x", Type: cast.Float64}, cast.Column{Name: "y", Type: cast.Int64}), xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	model, _, err := a.Execute(ctx, node(ir.OpTrain, "ml", map[string]any{
+		"feature_cols": features, "label_col": "y", "hidden": int64(2), "epochs": int64(1),
+	}), []Value{{Batch: batch(64)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := node(ir.OpPredict, "ml", map[string]any{"feature_cols": features})
+	for _, n := range []int{0, 5, maxSharedRows - 1, maxSharedRows, maxSharedRows + 1, 5, maxSharedRows - 1} {
+		out, _, err := a.Execute(ctx, predict, []Value{model, {Batch: batch(n)}})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		rows, err := out.Batch.Ints(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != n || cap(rows) != n {
+			t.Fatalf("n=%d: row column of length %d, capacity %d", n, len(rows), cap(rows))
+		}
+		for i, r := range rows {
+			if r != int64(i) {
+				t.Fatalf("n=%d: row %d numbered %d", n, i, r)
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		shared := *a.rows.Load()
+		if got := &rows[0] == &shared[0]; got != (n <= maxSharedRows) {
+			t.Fatalf("n=%d: row column in the shared one %t, want %t", n, got, n <= maxSharedRows)
+		}
+	}
+	if got := len(*a.rows.Load()); got != maxSharedRows {
+		t.Fatalf("shared column holds %d rows, want the cap %d", got, maxSharedRows)
+	}
+}

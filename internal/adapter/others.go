@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/graphstore"
@@ -290,6 +291,11 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 type ML struct {
 	name string
 	seed int64
+	// rows is 0..len-1, the column predict's row numbers are views of.
+	// Under rowsMu a longer column replaces it; the old one stays valid for
+	// whoever holds it, and no one writes to either.
+	rows   atomic.Pointer[[]int64]
+	rowsMu sync.Mutex
 }
 
 // NewML returns an ML adapter with a fixed RNG seed for reproducibility.
@@ -384,7 +390,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
-		rows, probs := make([]int64, in.Rows()), []float64{}
+		rows, probs := a.rowNumbers(in.Rows()), []float64{}
 		if len(rows) > 0 {
 			p, err := m.PredictFill(len(rows), len(featureCols), x.fill)
 			if err != nil {
@@ -399,9 +405,6 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 					Bytes: int64(len(rows)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
 				}})
 			}
-		}
-		for i := range rows {
-			rows[i] = int64(i)
 		}
 		s := cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "prob", Type: cast.Float64})
 		out, err := cast.BatchOf(s, rows, probs)
@@ -471,6 +474,42 @@ type featureCol struct {
 	ints  []int64
 	flts  []float64
 	bools []bool
+}
+
+// maxSharedRows caps the shared row-number column: a prediction over more
+// rows numbers them in a column of its own, so one huge input cannot pin
+// the memory for good.
+const maxSharedRows = 64 << 10
+
+// rowNumbers returns 0..n-1, predict's "row" column: up to maxSharedRows a
+// view of the shared column, its capacity clamped to n so that an append
+// cannot reach the shared rows (handed-on batches are never mutated anyway).
+// A column too short is replaced by one twice the length asked for.
+func (a *ML) rowNumbers(n int) []int64 {
+	if p := a.rows.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	if n > maxSharedRows {
+		return numbered(n)
+	}
+	a.rowsMu.Lock()
+	defer a.rowsMu.Unlock()
+	p := a.rows.Load()
+	if p == nil || len(*p) < n {
+		col := numbered(min(2*n, maxSharedRows))
+		p = &col
+		a.rows.Store(p)
+	}
+	return (*p)[:n:n]
+}
+
+// numbered returns 0..n-1 in a column of its own.
+func numbered(n int) []int64 {
+	rows := make([]int64, n)
+	for i := range rows {
+		rows[i] = int64(i)
+	}
+	return rows
 }
 
 // readFeatures resolves cols in b. Every column is checked, even when b has

@@ -54,8 +54,9 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 // wideExecuteAllocs is what Runtime.Execute allocates per run on a width-2
 // fanoutProgram: the concurrent mode's goroutine per node, one done channel
 // each and one slot channel per engine (it was 140 with worker queues, a
-// consumer index and per-node producer sets).
-const wideExecuteAllocs = 125
+// consumer index and per-node producer sets, and 125 while the driver kept
+// its values and finish times in maps).
+const wideExecuteAllocs = 123
 
 // TestWideExecuteAllocBudget runs a width-2 fanoutProgram — scan, a filter on
 // each of two engines, a migration and a sort, so the concurrent mode — with
@@ -105,4 +106,49 @@ func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("auto placement past a refusing accelerator: %.0f allocs/call, want 0", allocs)
 	}
+}
+
+// servedWideExecuteAllocs is what Runtime.Execute allocates per run on
+// hashJoinCase's plan (over a runtime with the subplan cache on) — two scans joined, then sorted and projected, so its
+// first stage is two nodes wide — when a subplan hit serves its root
+// subtree, the whole plan. No node runs, so the driver dispatches nothing:
+// no goroutine, channel or run for any node. It was 53 while the plan's
+// width chose the dataflow and every served node got all three.
+const servedWideExecuteAllocs = 21
+
+// TestServedWideExecuteAllocBudget warms the subplan cache with the plan,
+// then measures executions that are served whole.
+func TestServedWideExecuteAllocBudget(t *testing.T) {
+	_, g := hashJoinCase(t)
+	rt := NewRuntime(hw.NewHostCPU(), WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(loweringStore(t))))
+	plan, err := compiler.Compile(g, compiler.Options{Level: 3, Accel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stageWidth(plan) < 2 {
+		t.Fatalf("plan width %d, want a wide plan", stageWidth(plan))
+	}
+	ctx := context.Background()
+	for range 2 { // publish, then the first hit gathers the entry
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conc, served := rt.st.execConcurrent.Value(), rt.st.subplanNodesServed.Value()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, want := rt.st.subplanNodesServed.Value()-served, int64(21*plan.Graph.Len()); got != want {
+		t.Fatalf("%d nodes served over 21 executions of %d nodes: the root subtree was not a hit", got, plan.Graph.Len())
+	}
+	if rt.st.execConcurrent.Value() != conc {
+		t.Fatal("a plan served whole was dispatched to the dataflow")
+	}
+	if allocs > servedWideExecuteAllocs {
+		t.Fatalf("Execute served whole: %.0f allocs/run, ceiling %d", allocs, servedWideExecuteAllocs)
+	}
+	t.Logf("%.0f allocs/run", allocs)
 }

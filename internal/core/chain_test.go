@@ -115,7 +115,7 @@ func TestIsChainAgreesWithStages(t *testing.T) {
 					t.Fatalf("%s L%d: %v", name, level, err)
 				}
 				w := stageWidth(plan)
-				if got := isChain(plan); got != (w <= 1) {
+				if got := isChain(plan.Order, nil); got != (w <= 1) {
 					t.Fatalf("%s L%d accel=%t: isChain %t, widest stage %d", name, level, accel, got, w)
 				}
 				if w <= 1 {
@@ -134,7 +134,7 @@ func TestIsChainAgreesWithStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := isChain(plan); got != want {
+		if got := isChain(plan.Order, nil); got != want {
 			t.Errorf("%s: isChain %t, want %t", name, got, want)
 		}
 	}

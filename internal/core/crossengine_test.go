@@ -41,7 +41,7 @@ type crossEngineProgram struct {
 // engine and the joined features to the ML engine, where train and predict
 // both read them. On the unscaled features the networks saturate and predict
 // one or two values; the small-valued ones keep the rows apart.
-func crossEnginePrograms(t *testing.T) []crossEngineProgram {
+func crossEnginePrograms(t testing.TB) []crossEngineProgram {
 	t.Helper()
 	cfg := eide.Binding{Relational: "db-clinical", Timeseries: "ts-vitals", ML: "ml"}
 	p := eide.NewProgram()
@@ -77,7 +77,7 @@ func crossEnginePrograms(t *testing.T) []crossEngineProgram {
 
 // clinicalTestRuntime serves the clinical relational, timeseries and ML
 // engines with the standard accelerator pool, as bench/ deploys them.
-func clinicalTestRuntime(t *testing.T, opts ...Option) *Runtime {
+func clinicalTestRuntime(t testing.TB, opts ...Option) *Runtime {
 	t.Helper()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(19)), 300)
 	if err != nil {

@@ -32,6 +32,7 @@ import (
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/relational"
+	"polystorepp/internal/subplan"
 )
 
 // Sentinel errors.
@@ -304,9 +305,9 @@ func (rep *Report) String() string {
 	return sb.String()
 }
 
-// Results holds the sink outputs of a plan keyed by node id.
+// Results holds every node's output, indexed by node id, and the sink ids.
 type Results struct {
-	Values map[ir.NodeID]adapter.Value
+	Values []adapter.Value
 	Sinks  []ir.NodeID
 }
 
@@ -318,13 +319,19 @@ func (res *Results) First() adapter.Value {
 	return res.Values[res.Sinks[0]]
 }
 
-// isChain reports whether the plan is a chain: each node in Plan.Order reads
-// the node before it, so no two of its nodes can ever run at once.
-func isChain(plan *compiler.Plan) bool {
-	for i := 1; i < len(plan.Order); i++ {
-		if !slices.Contains(plan.Order[i].Inputs, plan.Order[i-1].ID) {
+// isChain reports whether the nodes of order that run — those pr does not
+// serve — form a chain: each reads the running node before it, so no two of
+// them can ever run at once.
+func isChain(order []*ir.Node, pr *planProbe) bool {
+	var prev *ir.Node
+	for _, n := range order {
+		if pr.serves(n.ID) {
+			continue
+		}
+		if prev != nil && !slices.Contains(n.Inputs, prev.ID) {
 			return false
 		}
+		prev = n
 	}
 	return true
 }
@@ -339,12 +346,13 @@ func isChain(plan *compiler.Plan) bool {
 // reservation ledger is what makes Reports independent of how the real
 // executions were dispatched.
 //
-// There are two dispatch modes. Chains (isChain), and every plan under
-// WithSequentialExecutor, run inline: runNode is called on this goroutine,
-// one node at a time, and nothing is allocated for coordination — the
-// reference the concurrent mode is verified against. Every other plan runs
-// as a dataflow of one goroutine per node, at most engineWorkers per engine
-// (scheduler.go), and the driver awaits each run.
+// A node a subplan hit serves never runs: the driver costs it from the
+// entry's record. The dispatch mode is chosen on the nodes that run. When
+// they form a chain (isChain), and under WithSequentialExecutor, they run
+// inline: runNode is called on this goroutine, one node at a time, and
+// nothing is allocated for coordination — the reference the concurrent mode
+// is verified against. Otherwise they run as a dataflow of one goroutine
+// per node, at most engineWorkers per engine (scheduler.go).
 func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
 	t0 := time.Now()
 	if len(plan.Binds) < plan.Slots {
@@ -358,10 +366,11 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 		return nil, nil, err
 	}
 
+	span := plan.Graph.IDBound()
 	var sched *scheduler
-	if !r.sequential && !isChain(plan) {
+	if !r.sequential && !isChain(order, pr) {
 		r.st.execConcurrent.Inc()
-		sched = r.dispatch(ctx, order, tr, pr)
+		sched = r.dispatch(ctx, order, span, tr, pr)
 		// Stops the node goroutines on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
@@ -369,18 +378,23 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 		r.st.execSequential.Inc()
 	}
 
-	values := make(map[ir.NodeID]adapter.Value, len(order))
-	finish := make(map[ir.NodeID]float64, len(order))
+	values := make([]adapter.Value, span)
+	finish := make([]float64, span)
 	led := hw.NewReservations()
 	rep := &Report{Nodes: make([]NodeReport, 0, len(order))}
+	var served nodeRun // nothing keeps a run past its node's turn
 	for _, n := range order {
 		id := n.ID
 		var run *nodeRun
-		if sched != nil {
+		switch {
+		case pr.serves(id):
+			served = nodeRun{NodeCost: pr.nodes[id].serve, out: pr.nodes[id].out, cached: true}
+			run = &served
+		case sched != nil:
 			if run, err = sched.await(ctx, id); err != nil {
 				return nil, nil, err
 			}
-		} else {
+		default:
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
@@ -388,7 +402,7 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 			for i, in := range n.Inputs {
 				inputs[i] = values[in]
 			}
-			run = r.runNode(ctx, n, inputs, pr)
+			run = r.runNode(ctx, n, inputs)
 		}
 		if run.err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
@@ -453,15 +467,15 @@ func bindNodes(plan *compiler.Plan, pr *planProbe) ([]*ir.Node, error) {
 func (rep *Report) absorb(nr NodeReport, run *nodeRun) {
 	rep.Nodes = append(rep.Nodes, nr)
 	rep.Energy += nr.Sim.Joules
-	if run.isMigrate {
+	if run.IsMigrate {
 		rep.Migrations++
-		rep.MigratedBytes += run.bd.WireBytes
+		rep.MigratedBytes += run.BD.WireBytes
 	}
 }
 
 // finalize computes plan latency from the sink finish times and orders the
 // node reports.
-func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish map[ir.NodeID]float64) {
+func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish []float64) {
 	for _, s := range sinks {
 		if finish[s] > rep.Latency {
 			rep.Latency = finish[s]
@@ -475,61 +489,62 @@ func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish map[ir.NodeI
 // costing. The split lets the concurrent scheduler run the expensive host
 // work in parallel while costing stays in deterministic topological order.
 type nodeRun struct {
+	// NodeCost is what costing, stats and the subplan cache read (Rows, not
+	// out.Rows(): a served interior node has no output). An executed run
+	// owns it (newRun); a served one (cached) points at the hit entry's,
+	// which nothing writes. Nil on a failed run.
+	*subplan.NodeCost
 	out  adapter.Value
-	info adapter.ExecInfo
-	// bd is set for OpMigrate nodes (isMigrate true).
-	bd        migrate.Breakdown
-	isMigrate bool
-	wall      time.Duration
-	err       error
+	wall time.Duration
+	err  error
 	// hostStart is when the real execution began on the host clock; queue is
 	// the wait from inputs ready to engine slot taken in the concurrent mode
 	// (zero on the inline mode, and only measured for traced executions).
 	hostStart time.Time
 	queue     time.Duration
-	// bytesIn/bytesOut approximate the tabular data volume through the node,
-	// for the per-operator stats registry and trace spans.
-	bytesIn, bytesOut int64
-	// rows is the output cardinality. Costing and stats read it instead of
-	// out.Rows() because a subplan-cache replay (cached true) synthesizes
-	// interior runs without materialized outputs.
-	rows   int
-	cached bool
+	cached    bool
+}
+
+// newRun returns a run that owns its record, both in one allocation.
+func newRun() *nodeRun {
+	o := &struct {
+		run nodeRun
+		rec subplan.NodeCost
+	}{}
+	o.run.NodeCost = &o.rec
+	return &o.run
 }
 
 // runNode performs a node's real work — adapter translation and native
 // execution, or data migration — without touching the simulated clock.
-// Nodes covered by a subplan-cache hit (pr) skip real work entirely and
-// return a synthesized run carrying the memoized batch and replay costing.
-func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, pr *planProbe) *nodeRun {
-	if run := pr.serveNode(n); run != nil {
-		return run
-	}
-	run := &nodeRun{}
+func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value) *nodeRun {
+	run := newRun()
 	t0 := time.Now()
 	run.hostStart = t0
 	for _, in := range inputs {
-		run.bytesIn += valueBytes(in)
+		run.BytesIn += valueBytes(in)
 	}
 	switch a, ok := r.adapters[n.Engine]; {
 	case n.Kind == ir.OpMigrate:
-		run.isMigrate = true
-		run.out.Batch, run.bd, run.err = r.executeMigrate(ctx, n, inputs)
+		run.IsMigrate = true
+		run.out.Batch, run.BD, run.err = r.executeMigrate(ctx, n, inputs)
 	case !ok:
 		run.err = fmt.Errorf("%w: %q", ErrNoAdapter, n.Engine)
 	default:
-		run.out, run.info, run.err = a.Execute(ctx, n, inputs)
+		run.out, run.Info, run.err = a.Execute(ctx, n, inputs)
 	}
 	if run.err != nil {
 		return run
 	}
 	run.wall = time.Since(t0)
-	run.bytesOut = valueBytes(run.out)
-	run.rows = run.out.Rows()
-	if run.isMigrate {
+	run.BytesOut = valueBytes(run.out)
+	run.Rows = run.out.Rows()
+	if run.IsMigrate {
+		// A migration passes its rows through.
+		run.Info.RowsIn, run.Info.RowsOut = int64(run.Rows), int64(run.Rows)
 		r.st.migrations.Inc()
 	}
-	r.st.ruleNodes.Add(run.info.RuleNodes)
+	r.st.ruleNodes.Add(run.Info.RuleNodes)
 	r.st.nodes.Inc()
 	r.observeOp(n, run)
 	return run
@@ -543,25 +558,25 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 // modes.
 func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *hw.Reservations) (NodeReport, error) {
 	nr := NodeReport{Node: n.ID, Kind: n.Kind, Engine: n.Engine, Start: start, Wall: run.wall}
-	if run.isMigrate {
-		nr.Sim = run.bd.Sim
+	if run.IsMigrate {
+		nr.Sim = run.BD.Sim
 		nr.Device = "dm/" + migrate.Transport(n.IntAttr("transport")).String()
 		nr.Native = fmt.Sprintf("Migrate(%s->%s, %s)", n.StringAttr("from"), n.StringAttr("to"), migrate.Transport(n.IntAttr("transport")))
-		nr.RowsIn = int64(run.rows)
-		nr.RowsOut = int64(run.rows)
-		nr.Finish = start + run.bd.Sim.Seconds
+		nr.RowsIn = int64(run.Rows)
+		nr.RowsOut = int64(run.Rows)
+		nr.Finish = start + run.BD.Sim.Seconds
 		return nr, nil
 	}
-	nr.Native = run.info.Native
-	nr.RowsIn = run.info.RowsIn
-	nr.RowsOut = run.info.RowsOut
+	nr.Native = run.Info.Native
+	nr.RowsIn = run.Info.RowsIn
+	nr.RowsOut = run.Info.RowsOut
 
 	// Cost the kernel calls, choosing devices at runtime (§IV-D-a: "IR
 	// mapping to local accelerators ... will ultimately depend on runtime
 	// environment and data-dependent analyses").
 	clock := start
 	devices := map[string]bool{}
-	for _, call := range run.info.Kernels {
+	for _, call := range run.Info.Kernels {
 		for range max(call.Repeat, 1) {
 			dev, cost, err := r.chargeKernel(n, call)
 			if err != nil {

@@ -20,10 +20,12 @@ import (
 // wall-clock time in line with the parallelism the simulated clock already
 // models:
 //
-//   - Dispatch: each node has a goroutine that waits for its producers to
-//     finish, then takes one of its engine's engineWorkers slots (migrations
-//     share the middleware's: opEngine keys the slots), so one slow engine
-//     cannot starve the others and no engine is oversubscribed.
+//   - Dispatch: each node that runs has a goroutine that waits for its
+//     producers to finish, then takes one of its engine's engineWorkers
+//     slots (migrations share the middleware's: opEngine keys the slots), so
+//     one slow engine cannot starve the others and no engine is
+//     oversubscribed. A node a subplan hit serves gets no goroutine: its
+//     consumers read the hit's value from the probe at once.
 //   - Real execution (runNode): adapter translation and native operators run
 //     concurrently across engines — this is where host wall time is won.
 //   - Simulated costing stays with the driver, which awaits the runs in the
@@ -51,7 +53,7 @@ type schedNode struct {
 
 // scheduler is the dispatch state of one concurrently executed plan.
 type scheduler struct {
-	nodes map[ir.NodeID]*schedNode
+	nodes []schedNode // by node id; only the nodes that run are filled in
 
 	// cancel stops every node goroutine still waiting; wg waits for all.
 	cancel context.CancelFunc
@@ -61,24 +63,25 @@ type scheduler struct {
 	maxInflight atomic.Int32
 }
 
-// dispatch starts one goroutine per node of order (bindNodes). The caller
-// awaits each node's run in topological order and must call stop. pr's
-// decision maps are read-only during execution.
-func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, tr *obs.Trace, pr *planProbe) *scheduler {
+// dispatch starts one goroutine per node of order (bindNodes) that pr does
+// not serve, below span; order is topological, so a node's producers have
+// their done channels first. The caller awaits each running node's run in
+// that order and must call stop.
+func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, span int, tr *obs.Trace, pr *planProbe) *scheduler {
 	execCtx, cancel := context.WithCancel(ctx)
-	s := &scheduler{nodes: make(map[ir.NodeID]*schedNode, len(order)), cancel: cancel}
-	nodes := make([]schedNode, len(order))
+	s := &scheduler{nodes: make([]schedNode, span), cancel: cancel}
 	slots := make(map[string]chan struct{}, 4)
-	for i, n := range order {
-		nodes[i].done = make(chan struct{})
-		s.nodes[n.ID] = &nodes[i]
-		if k := opEngine(n); slots[k] == nil {
+	for _, n := range order {
+		if pr.serves(n.ID) {
+			continue
+		}
+		k := opEngine(n)
+		if slots[k] == nil {
 			slots[k] = make(chan struct{}, engineWorkers)
 		}
-	}
-	s.wg.Add(len(order))
-	for i, n := range order {
-		sn, slot := &nodes[i], slots[opEngine(n)]
+		sn, slot := &s.nodes[n.ID], slots[k]
+		sn.done = make(chan struct{})
+		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer close(sn.done)
@@ -89,11 +92,16 @@ func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, tr *obs.Trace,
 }
 
 // runWhenReady waits for n's producers, takes one of slot's places and runs
-// n. A failed producer's error becomes n's without n running.
+// n. A failed producer's error becomes n's without n running; a producer pr
+// serves is ready from the start.
 func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, slot chan struct{}, tr *obs.Trace, pr *planProbe) *nodeRun {
 	inputs := make([]adapter.Value, len(n.Inputs))
 	for i, in := range n.Inputs {
-		p := s.nodes[in]
+		if pr.serves(in) {
+			inputs[i] = pr.nodes[in].out
+			continue
+		}
+		p := &s.nodes[in]
 		select {
 		case <-p.done:
 		case <-ctx.Done():
@@ -132,15 +140,15 @@ func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, sl
 		}
 	}
 	defer s.inflight.Add(-1)
-	run := r.runNode(ctx, n, inputs, pr)
+	run := r.runNode(ctx, n, inputs)
 	run.queue = queued
 	return run
 }
 
-// await blocks until node id has run and returns its outcome, or the
-// caller's context error if that comes first.
+// await blocks until node id, one that runs, has run and returns its
+// outcome, or the caller's context error if that comes first.
 func (s *scheduler) await(ctx context.Context, id ir.NodeID) (*nodeRun, error) {
-	sn := s.nodes[id]
+	sn := &s.nodes[id]
 	select {
 	case <-sn.done:
 		return sn.run, nil

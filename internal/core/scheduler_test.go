@@ -375,14 +375,14 @@ func TestSchedulerBoundsEachEngine(t *testing.T) {
 	rt, a, b := runtimeOf()
 	plan := program(true)
 	ctx := context.Background()
-	s := rt.dispatch(ctx, plan.Order, nil, nil)
+	s := rt.dispatch(ctx, plan.Order, plan.Graph.IDBound(), nil, nil)
 	var migs []span
 	for _, n := range plan.Order {
 		run, err := s.await(ctx, n.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.isMigrate && run.err == nil {
+		if run.err == nil && run.IsMigrate {
 			migs = append(migs, span{run.hostStart, run.hostStart.Add(run.wall)})
 		}
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"polystorepp/internal/adapter"
+	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
@@ -16,12 +18,12 @@ import (
 
 // Subplan cache integration: before a plan executes, the runtime probes the
 // content-addressed subplan cache for each of the plan's cacheable subtrees
-// (compiler.Plan.Subtrees). A hit marks the whole subtree served: every
-// node in its closure skips real execution inside runNode, the root yields
-// the memoized batch, and the driver still costs each node from the
-// entry's replay data in topological order over the shared reservation
-// ledger — so warm Reports are byte-identical to cold ones (modulo host
-// wall times, like everything else Reports exclude from equivalence). Misses elect a
+// (compiler.Plan.Subtrees). A hit marks the whole subtree served: no node in
+// its closure runs or is dispatched, the root yields the memoized batch, and
+// the driver still costs each node from the entry's record in topological
+// order over the shared reservation ledger — so warm Reports are
+// byte-identical to cold ones (modulo host wall times, like everything else
+// Reports exclude from equivalence). Misses elect a
 // per-key single-flight leader so concurrent plans sharing a hot subtree
 // execute it once; everyone who executes a candidate publishes it when the
 // root's run is costed, guarded by a version-vector re-check so a write to
@@ -74,30 +76,33 @@ type pendingPub struct {
 }
 
 // planProbe is one execution's subplan-cache decision state. It is built
-// before any node runs (prepareSubplan), consulted from runNode in both
-// dispatch modes (read-only maps, safe under worker concurrency), and fed
-// finished runs by the driver (single goroutine) for publication.
-// All methods tolerate a nil receiver so the disabled path stays free.
+// before any node runs (prepareSubplan), its serve decisions read-only from
+// then on, and fed finished runs by the driver for publication. All methods
+// tolerate a nil receiver so the disabled path stays free.
 type planProbe struct {
 	rt *Runtime
 	// tenant is who this execution runs for, captured at prepare time; the
 	// cache charges published entries to it.
 	tenant string
-	// serve maps every node covered by a cache hit to its replay cost;
-	// hit roots additionally appear in out with the memoized batch.
-	// Interior served nodes yield an empty value — closedness guarantees
-	// nothing outside the closure reads them.
-	serve map[ir.NodeID]*subplan.NodeCost
-	out   map[ir.NodeID]adapter.Value
-	// capture marks nodes whose finished runs must be retained for a
-	// pending publication; runs collects them as the driver costs
-	// nodes in topological order.
-	capture map[ir.NodeID]bool
-	runs    map[ir.NodeID]*nodeRun
-	pubs    map[ir.NodeID]pendingPub
+	// nodes is indexed by node id.
+	nodes []probeNode
 	// leases are the single-flight keys this execution leads; released on
 	// every exit path (close), after any publications.
 	leases []string
+}
+
+// probeNode is what one execution's probe knows of one node.
+type probeNode struct {
+	// serve is the entry's record of a node a cache hit covers (nil when it
+	// runs); out is a hit root's memoized batch. Interior served nodes yield
+	// an empty value — closedness guarantees nothing outside the closure
+	// reads them.
+	serve *subplan.NodeCost
+	out   adapter.Value
+	// rec is the node's record once the driver has costed it; pub is the
+	// publication rooted at the node, if any.
+	rec *subplan.NodeCost
+	pub *pendingPub
 }
 
 // subplanKey is the full content address of a memoized intermediate: the
@@ -116,7 +121,7 @@ func subplanKey(st compiler.Subtree, binds []any, vv string) string {
 
 // serves reports whether a subplan hit serves node id.
 func (pr *planProbe) serves(id ir.NodeID) bool {
-	return pr != nil && pr.serve[id] != nil
+	return pr != nil && pr.nodes[id].serve != nil
 }
 
 // shortKey abbreviates a cache key for trace events.
@@ -137,29 +142,22 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		return nil
 	}
 	tr := obs.From(ctx)
-	pr := &planProbe{
-		rt:      r,
-		tenant:  tenant.From(ctx),
-		serve:   make(map[ir.NodeID]*subplan.NodeCost),
-		out:     make(map[ir.NodeID]adapter.Value),
-		capture: make(map[ir.NodeID]bool),
-		runs:    make(map[ir.NodeID]*nodeRun),
-		pubs:    make(map[ir.NodeID]pendingPub),
-	}
-	covered := make(map[ir.NodeID]bool)
+	pr := &planProbe{rt: r, tenant: tenant.From(ctx), nodes: make([]probeNode, plan.Graph.IDBound())}
+	hits := 0
 
 	// Phase 1: probe outermost-first (Plan.Subtrees orders candidates by
 	// closure size). Closed candidates are nested or disjoint, so a hit
 	// covers every candidate inside it.
 	var misses []pendingPub
 	for _, st := range plan.Subtrees {
-		if covered[st.Root] {
+		if pr.serves(st.Root) {
 			continue
 		}
 		vv := r.VersionVector(st.Touches)
 		key := subplanKey(st, plan.Binds, vv)
 		if e := pr.lookup(key, len(st.Closure)); e != nil {
-			pr.admitHit(st, e, covered)
+			pr.admitHit(st, e)
+			hits++
 			if tr != nil {
 				tr.Event("cache.subplan", fmt.Sprintf("hit root=%d nodes=%d bytes=%d key=%s",
 					st.Root, len(st.Closure), e.Bytes, shortKey(key)))
@@ -180,9 +178,8 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	// cycles between plans leading each other's subtrees cannot form.
 	maximal := maximalMisses(misses)
 	sort.Slice(maximal, func(i, j int) bool { return maximal[i].key < maximal[j].key })
-	leased := make(map[string]bool)
 	for _, m := range maximal {
-		if covered[m.sub.Root] || leased[m.key] {
+		if pr.serves(m.sub.Root) || slices.Contains(pr.leases, m.key) {
 			continue
 		}
 		const attempts = 3
@@ -190,7 +187,6 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 			leader, done := r.subplan.flight.Acquire(m.key)
 			if leader {
 				pr.leases = append(pr.leases, m.key)
-				leased[m.key] = true
 				break
 			}
 			r.st.subplanFlightWaits.Inc()
@@ -201,7 +197,8 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 				continue
 			}
 			if e := pr.lookup(m.key, len(m.sub.Closure)); e != nil {
-				pr.admitHit(m.sub, e, covered)
+				pr.admitHit(m.sub, e)
+				hits++
 				if tr != nil {
 					tr.Event("cache.subplan", fmt.Sprintf("flight-hit root=%d nodes=%d bytes=%d key=%s",
 						m.sub.Root, len(m.sub.Closure), e.Bytes, shortKey(m.key)))
@@ -217,23 +214,23 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	// — inner candidates too, for extra hit surface. Duplicate keys inside
 	// one plan (identical sibling subtrees) publish once; the second copy
 	// just executes.
-	pubKeys := make(map[string]bool, len(misses))
-	for _, m := range misses {
-		if covered[m.sub.Root] || pubKeys[m.key] {
+	pubs := 0
+	for i := range misses {
+		m := &misses[i]
+		if pr.serves(m.sub.Root) || slices.ContainsFunc(misses[:i], func(o pendingPub) bool {
+			return o.key == m.key && pr.nodes[o.sub.Root].pub != nil
+		}) {
 			continue
 		}
-		pubKeys[m.key] = true
-		pr.pubs[m.sub.Root] = m
-		for _, id := range m.sub.Closure {
-			pr.capture[id] = true
-		}
+		pubs++
+		pr.nodes[m.sub.Root].pub = m
 	}
 
 	r.st.subplanPlansProbed.Inc()
-	if len(pr.out) > 0 {
+	if hits > 0 {
 		r.st.subplanPlansReused.Inc()
 	}
-	if len(pr.serve) == 0 && len(pr.pubs) == 0 && len(pr.leases) == 0 {
+	if hits == 0 && pubs == 0 && len(pr.leases) == 0 {
 		return nil
 	}
 	return pr
@@ -246,21 +243,11 @@ func maximalMisses(misses []pendingPub) []pendingPub {
 	if len(misses) <= 1 {
 		return misses
 	}
-	inner := make(map[ir.NodeID]bool)
-	for _, m := range misses {
-		for _, id := range m.sub.Closure {
-			if id != m.sub.Root {
-				inner[id] = true
-			}
-		}
-	}
-	out := make([]pendingPub, 0, len(misses))
-	for _, m := range misses {
-		if !inner[m.sub.Root] {
-			out = append(out, m)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(misses), func(m pendingPub) bool {
+		return slices.ContainsFunc(misses, func(o pendingPub) bool {
+			return o.sub.Root != m.sub.Root && slices.Contains(o.sub.Closure, m.sub.Root)
+		})
+	})
 }
 
 // lookup probes the cache, counting a hit only for well-formed entries
@@ -274,54 +261,30 @@ func (pr *planProbe) lookup(key string, closureLen int) *subplan.Entry {
 	return e
 }
 
-// admitHit marks a subtree served: every closure node replays from the
-// entry, the root yields the memoized batch, and the covered set grows so
-// inner candidates are skipped.
-func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry, covered map[ir.NodeID]bool) {
+// admitHit marks a subtree served: every closure node is costed from the
+// entry's record, the root yields the memoized batch, and inner candidates
+// are skipped since their roots are served.
+func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry) {
 	for i, id := range st.Closure {
-		covered[id] = true
-		pr.serve[id] = &e.Costs[i]
+		pr.nodes[id].serve = &e.Costs[i]
 	}
-	pr.out[st.Root] = adapter.Value{Batch: e.Reused()}
+	pr.nodes[st.Root].out = adapter.Value{Batch: e.Reused()}
 	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
 	pr.rt.st.subplanBytesServed.Add(e.Bytes)
 }
 
-// serveNode returns a synthesized run for a node covered by a cache hit
-// (nil otherwise). The run carries the entry's replay data, so costing and
-// operator stats see exactly what the cold execution recorded; hit roots
-// carry the memoized batch.
-func (pr *planProbe) serveNode(n *ir.Node) *nodeRun {
-	if pr == nil {
-		return nil
-	}
-	cost, ok := pr.serve[n.ID]
-	if !ok {
-		return nil
-	}
-	run := &nodeRun{
-		info:      cost.Info,
-		bd:        cost.BD,
-		isMigrate: cost.IsMigrate,
-		rows:      cost.Rows,
-		bytesIn:   cost.BytesIn,
-		bytesOut:  cost.BytesOut,
-		cached:    true,
-	}
-	run.out = pr.out[n.ID]
-	return run
-}
-
 // onNodeCosted feeds the driver's finished runs to the pending
 // publications. Called in topological order from a single goroutine, so
-// when a pub's root arrives every closure run has been captured.
+// when a pub's root arrives every closure record has been kept. It keeps
+// the run's record, never the run.
 func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
-	if pr == nil || !pr.capture[id] {
+	if pr == nil {
 		return
 	}
-	pr.runs[id] = run
-	if pub, ok := pr.pubs[id]; ok {
-		pr.publish(pub)
+	pn := &pr.nodes[id]
+	pn.rec = run.NodeCost
+	if pn.pub != nil {
+		pr.publish(pn.pub, run.out.Batch)
 	}
 }
 
@@ -333,37 +296,22 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 // is re-checked against its prepare-time value so a write to a touched
 // store while the subtree executed suppresses the publication — the batch
 // belongs to neither the old version nor reliably the new one.
-func (pr *planProbe) publish(pub pendingPub) {
+func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
 	if pr.rt.VersionVector(pub.sub.Touches) != pub.vv {
 		pr.rt.st.subplanStaleSkips.Inc()
 		return
 	}
 	costs := make([]subplan.NodeCost, len(pub.sub.Closure))
-	var root *nodeRun
 	for i, id := range pub.sub.Closure {
-		run := pr.runs[id]
-		if run == nil || run.err != nil {
-			return
-		}
-		costs[i] = subplan.NodeCost{
-			Info:      run.info,
-			IsMigrate: run.isMigrate,
-			BD:        run.bd,
-			Rows:      run.rows,
-			BytesIn:   run.bytesIn,
-			BytesOut:  run.bytesOut,
-		}
-		if id == pub.sub.Root {
-			root = run
-		}
+		costs[i] = *pr.nodes[id].rec
 	}
-	if root == nil || root.out.Batch == nil {
+	if out == nil {
 		return // non-tabular root: nothing to memoize
 	}
 	e := &subplan.Entry{
-		Output: root.out.Batch,
+		Output: out,
 		Costs:  costs,
-		Bytes:  root.out.Batch.ByteSize(),
+		Bytes:  out.ByteSize(),
 	}
 	// Inner candidates are not single-flighted, so a concurrent execution
 	// may have stored this key first: its entry stays, and this one counts

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -260,6 +261,11 @@ func TestSubplanUntouchedWriteKeepsHits(t *testing.T) {
 	}
 }
 
+// publishes reports whether the probe holds a pending publication.
+func publishes(pr *planProbe) bool {
+	return pr != nil && slices.ContainsFunc(pr.nodes, func(pn probeNode) bool { return pn.pub != nil })
+}
+
 // TestSubplanMidFlightWriteSkipsPublish drives the probe/publish protocol
 // by hand: a write landing between prepare and publication must suppress
 // the publication (the batch belongs to neither version).
@@ -271,7 +277,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
 	ctx := context.Background()
 	pr := rt.prepareSubplan(ctx, plan)
-	if pr == nil || len(pr.pubs) == 0 {
+	if !publishes(pr) {
 		t.Fatalf("probe = %+v, want pending publications", pr)
 	}
 	defer pr.close()
@@ -296,7 +302,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		run := rt.runNode(ctx, n, inputs, pr)
+		run := rt.runNode(ctx, n, inputs)
 		if run.err != nil {
 			t.Fatal(run.err)
 		}
@@ -424,7 +430,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 
 	rt := testRuntime(t, 2000, false)
 	pr := rt.prepareSubplan(ctx, plan)
-	if pr == nil || len(pr.pubs) == 0 {
+	if !publishes(pr) {
 		t.Fatalf("probe = %+v, want pending publications", pr)
 	}
 	order, err := plan.Graph.TopoSort()
@@ -438,7 +444,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		r := rt.runNode(ctx, n, inputs, pr)
+		r := rt.runNode(ctx, n, inputs)
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
@@ -454,7 +460,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	if rt.Metrics().Counter("core.subplan.published").Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
-	e, ok := rt.subplan.cache.Get(pr.pubs[order[len(order)-2]].key)
+	e, ok := rt.subplan.cache.Get(pr.nodes[order[len(order)-2]].pub.key)
 	if !ok || e.Output != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}

@@ -36,29 +36,12 @@ func valueBytes(v adapter.Value) int64 {
 func (r *Runtime) observeOp(n *ir.Node, run *nodeRun) {
 	r.ops.Observe(opEngine(n), n.Kind.String(), obs.Obs{
 		Wall:     run.wall,
-		RowsIn:   run.rowsIn(),
-		RowsOut:  run.rowsOut(),
-		BytesIn:  run.bytesIn,
-		BytesOut: run.bytesOut,
-		Parts:    run.info.Parts,
+		RowsIn:   run.Info.RowsIn,
+		RowsOut:  run.Info.RowsOut,
+		BytesIn:  run.BytesIn,
+		BytesOut: run.BytesOut,
+		Parts:    run.Info.Parts,
 	})
-}
-
-// rowsIn returns the node's input cardinality (migrations pass rows
-// through unchanged).
-func (run *nodeRun) rowsIn() int64 {
-	if run.isMigrate {
-		return int64(run.rows)
-	}
-	return run.info.RowsIn
-}
-
-// rowsOut returns the node's output cardinality.
-func (run *nodeRun) rowsOut() int64 {
-	if run.isMigrate {
-		return int64(run.rows)
-	}
-	return run.info.RowsOut
 }
 
 // nodeSpan renders one costed node execution as a trace span. Callers hold
@@ -75,9 +58,9 @@ func nodeSpan(tr *obs.Trace, n *ir.Node, run *nodeRun, nr NodeReport) obs.Span {
 		RunUS:    run.wall.Microseconds(),
 		RowsIn:   nr.RowsIn,
 		RowsOut:  nr.RowsOut,
-		BytesIn:  run.bytesIn,
-		BytesOut: run.bytesOut,
-		Parts:    run.info.Parts,
+		BytesIn:  run.BytesIn,
+		BytesOut: run.BytesOut,
+		Parts:    run.Info.Parts,
 		Cached:   run.cached,
 	}
 	if !run.hostStart.IsZero() {

@@ -186,7 +186,7 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 		for w := range words {
 			words[w] = noteTerms[rng.Intn(len(noteTerms))]
 		}
-		if err := c.Text.Add(textstore.Doc{ID: int64(pid), Text: strings.Join(words, " "), Fields: map[string]string{"pid": id}}); err != nil {
+		if err := c.Text.Add(textstore.Doc{ID: int64(pid), Text: strings.Join(words, " ")}); err != nil {
 			return nil, err
 		}
 	}

@@ -234,6 +234,10 @@ func (g *Graph) MustNode(id NodeID) *Node {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
+// IDBound returns one more than the highest id Add has handed out: every
+// node id lies below it, so per-node state can be a slice indexed by id.
+func (g *Graph) IDBound() int { return int(g.nextID) }
+
 // Binds returns the bind vector: binds[s] is the constant the holes of slot s
 // stand for. Frontends append to it as they lift literals (SetBinds).
 func (g *Graph) Binds() []any { return g.binds }

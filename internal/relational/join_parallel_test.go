@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"polystorepp/internal/cast"
@@ -317,6 +319,55 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 				if diff := diffRows(got, want); diff != "" {
 					t.Fatalf("parts %d: %s", parts, diff)
 				}
+			}
+		})
+	}
+}
+
+// TestMergeJoinEqualsNestedLoop runs the merge over interleaved, partly
+// matching int64 keys, so the merge advances the left side past keys the
+// right lacks (the < arm), the right side past keys the left lacks (the >
+// arm), and emits runs of equal keys, with either side running out first.
+// The merge emits in key order, each key's left rows in input order with
+// their matches in right-row order: the nested-loop join stably sorted by
+// key.
+func TestMergeJoinEqualsNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	step := func(n, mod int, by int64, off int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(rng.Intn(mod))*by + off
+		}
+		return out
+	}
+	cases := []struct {
+		name        string
+		left, right []int64
+	}{
+		// Evens against multiples of three: every sixth key meets.
+		{"evens-threes", step(400, 60, 2, 0), step(250, 40, 3, 0)},
+		// The left side's keys run past the right's, and the reverse.
+		{"left-longer", step(300, 80, 1, 0), step(120, 20, 1, 10)},
+		{"right-longer", step(120, 20, 1, 10), step(300, 80, 1, 0)},
+		{"negative", step(200, 30, 5, -70), step(200, 30, 7, -90)},
+		{"disjoint", step(50, 10, 2, 0), step(50, 10, 2, 1)},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			left := joinSide{cast.Int64, c.left}.batch(t, "lid", "lk")
+			right := joinSide{cast.Int64, c.right}.batch(t, "rid", "rk")
+			want := nestedLoopJoin(left, right)
+			slices.SortStableFunc(want, func(a, b []any) int { return cmp.Compare(a[1].(int64), b[1].(int64)) })
+			got, _, err := MergeJoin(ctx, left, right, "lk", "rk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := diffRows(got, want); diff != "" {
+				t.Fatal(diff)
+			}
+			if c.name != "disjoint" && len(want) == 0 {
+				t.Fatal("the case joins no rows")
 			}
 		})
 	}

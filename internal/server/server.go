@@ -69,7 +69,6 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
-	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/tenant"
@@ -737,7 +736,7 @@ func resultBytes(res *core.Results) int64 {
 // LIMIT 50 would otherwise keep the whole sorted input alive behind a charge
 // of 50 rows.
 func pruneToSinks(res *core.Results) *core.Results {
-	vals := make(map[ir.NodeID]adapter.Value, len(res.Sinks))
+	vals := make([]adapter.Value, len(res.Values))
 	for _, s := range res.Sinks {
 		v := res.Values[s]
 		if v.Batch != nil {

@@ -6,7 +6,6 @@ package textstore
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -19,9 +18,8 @@ var ErrQuery = errors.New("textstore: bad query")
 
 // Doc is one stored document.
 type Doc struct {
-	ID     int64
-	Fields map[string]string // metadata, e.g. patient id
-	Text   string
+	ID   int64
+	Text string
 }
 
 // posting records one document containing a term, and how often.
@@ -74,23 +72,20 @@ func (s *Store) Add(doc Doc) error {
 	if _, exists := s.docs[doc.ID]; exists {
 		s.removeLocked(doc.ID)
 	}
-	d := doc
-	if d.Fields == nil {
-		d.Fields = map[string]string{}
-	}
-	s.docs[doc.ID] = &d
+	s.docs[doc.ID] = &doc
 	for _, term := range Tokenize(doc.Text) {
+		// Postings stay sorted by doc id, and IDs may arrive in any order: a
+		// repeat of the term bumps the document's posting wherever it is,
+		// and a new one is inserted in place.
 		ps := s.index[term]
-		if len(ps) > 0 && ps[len(ps)-1].doc == doc.ID {
-			ps[len(ps)-1].tf++
-		} else {
-			// Postings stay sorted because removal rebuilds and IDs of new
-			// docs may arrive in any order: insert in place.
-			i := sort.Search(len(ps), func(j int) bool { return ps[j].doc >= doc.ID })
-			ps = append(ps, posting{})
-			copy(ps[i+1:], ps[i:])
-			ps[i] = posting{doc: doc.ID, tf: 1}
+		i := sort.Search(len(ps), func(j int) bool { return ps[j].doc >= doc.ID })
+		if i < len(ps) && ps[i].doc == doc.ID {
+			ps[i].tf++
+			continue
 		}
+		ps = append(ps, posting{})
+		copy(ps[i+1:], ps[i:])
+		ps[i] = posting{doc: doc.ID, tf: 1}
 		s.index[term] = ps
 	}
 	s.version++
@@ -124,7 +119,7 @@ func (s *Store) Doc(id int64) (Doc, bool) {
 	if !ok {
 		return Doc{}, false
 	}
-	return Doc{ID: d.ID, Fields: maps.Clone(d.Fields), Text: d.Text}, true
+	return *d, true
 }
 
 // Len returns the number of documents.

@@ -3,6 +3,8 @@ package textstore
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +12,7 @@ func seeded(t *testing.T) *Store {
 	t.Helper()
 	s := New("txt")
 	docs := []Doc{
-		{ID: 1, Text: "patient stable vital signs normal", Fields: map[string]string{"pid": "1"}},
+		{ID: 1, Text: "patient stable vital signs normal"},
 		{ID: 2, Text: "patient critical icu admission required immediately"},
 		{ID: 3, Text: "discharged patient normal recovery"},
 		{ID: 4, Text: "icu patient vital signs critical monitor closely"},
@@ -48,12 +50,8 @@ func TestAddGet(t *testing.T) {
 		t.Fatalf("negative id: %v", err)
 	}
 	d, ok := s.Doc(1)
-	if !ok || d.Text != "patient stable vital signs normal" || d.Fields["pid"] != "1" {
+	if !ok || d.ID != 1 || d.Text != "patient stable vital signs normal" {
 		t.Fatalf("Doc(1) = %+v, %t", d, ok)
-	}
-	d.Fields["pid"] = "changed" // a copy: the stored fields stay
-	if d, _ := s.Doc(1); d.Fields["pid"] != "1" {
-		t.Fatalf("Doc(1) fields shared with the store: %+v", d)
 	}
 	if d, ok := s.Doc(99); ok {
 		t.Fatalf("Doc(99) = %+v, want none", d)
@@ -75,6 +73,44 @@ func TestReplaceDoc(t *testing.T) {
 	hits, _ = s.Search("different", 10)
 	if len(hits) != 1 || hits[0].DocID != 1 {
 		t.Fatalf("new terms not indexed: %v", hits)
+	}
+}
+
+// TestAddKeepsOnePostingPerDoc: a document added below the highest ID
+// already indexed, or re-added to replace one, holds one posting per term
+// with the term's count, whatever the order of its repeats. A duplicate
+// posting made Search drop the document (it counted the term twice) and
+// counted it twice in the term's document frequency.
+func TestAddKeepsOnePostingPerDoc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		docs []Doc
+	}{
+		{"out of order", []Doc{{ID: 5, Text: "icu"}, {ID: 3, Text: "icu icu"}}},
+		{"replace", []Doc{{ID: 3, Text: "ward"}, {ID: 5, Text: "icu"}, {ID: 3, Text: "icu icu"}}},
+		{"replace in order", []Doc{{ID: 3, Text: "icu"}, {ID: 5, Text: "icu"}, {ID: 3, Text: "icu ward icu"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New("txt")
+			for _, d := range tc.docs {
+				if err := s.Add(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := s.index["icu"], []posting{{3, 2}, {5, 1}}; !slices.Equal(got, want) {
+				t.Fatalf("postings of icu = %v, want %v", got, want)
+			}
+			hits, err := s.Search("icu", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two documents, both holding the term: idf = ln(1 + 2/2).
+			idf := math.Log(2)
+			want := []Hit{{3, (1 + math.Log(2)) * idf}, {5, idf}}
+			if !slices.Equal(hits, want) {
+				t.Fatalf("Search(icu) = %v, want %v", hits, want)
+			}
+		})
 	}
 }
 

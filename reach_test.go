@@ -24,7 +24,6 @@ import (
 // tests, each with the test that needs it.
 var reachAllow = map[string]string{
 	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, resultcache_test, tenant_e2e_test, fuzz_test and server_bench_test)",
-	"compiler.Plan.Graph":        "test oracle: the compiler and core suites read the optimized graph's consumers and nodes by id through it (TestCompileInsertsMigrations, TestOneMigrationPerProducerAndEngine, TestSubtreesChainCandidates, TestSimulatedSchedulingRespectsDependencies, TestExecuteStreamEqualsExecute, TestChargeKernelPinnedDevice)",
 	"core.NodeReport.Start":      "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
 	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan read the access path Engine.Query chose through it",
 	"relational.OpStats.RowsIn":  "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
@@ -32,7 +31,7 @@ var reachAllow = map[string]string{
 	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
 	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
-	"textstore.Store.Doc":        "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text and fields through it",
+	"textstore.Store.Doc":        "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text through it",
 	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
 	"tensor.Transpose":           "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its explicit transposes through it",
 	"tensor.Sub":                 "test oracle: TestTrainTrajectoryBitEqualToReference's reference trainer takes its loss gradient through it",
