@@ -145,7 +145,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		// A sort under a LIMIT carries its n and keeps that many rows; one
 		// without sorts all of them.
 		limit := -1
-		if _, ok := n.Attrs["n"]; ok {
+		if n.Attr("n") != nil {
 			limit = int(n.IntAttr("n"))
 		}
 		if out, err = relational.Sort(ctx, in, order, limit); err != nil {

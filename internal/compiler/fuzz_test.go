@@ -62,7 +62,7 @@ func FuzzParseSQL(f *testing.F) {
 		// A statement the frontend accepts becomes a program whose touch set
 		// must cover its engine and base table.
 		tt := compiler.TouchesOf(p.Graph())
-		if len(tt.Engines()) == 0 {
+		if len(tt.ByEngine) == 0 {
 			t.Fatalf("TouchesOf(%q) reported no engines for a storage-reading program", sql)
 		}
 		tables, ok := tt.ByEngine["db"]

@@ -22,16 +22,6 @@ type Touches struct {
 	ByEngine map[string][]string
 }
 
-// Engines returns the touched engine names, sorted.
-func (t Touches) Engines() []string {
-	out := make([]string, 0, len(t.ByEngine))
-	for e := range t.ByEngine {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // touchAccum accumulates per-node storage reads into the per-engine
 // table/whole-engine sets Touches is rendered from.
 type touchAccum struct {

@@ -36,8 +36,8 @@ func TestTouchesOfMultiEngine(t *testing.T) {
 			t.Fatalf("engine %s: = %v (present %v), want whole-engine nil", e, v, ok)
 		}
 	}
-	if engines := got.Engines(); !reflect.DeepEqual(engines, []string{"db", "kv", "ts"}) {
-		t.Fatalf("Engines() = %v", engines)
+	if len(got.ByEngine) != 3 {
+		t.Fatalf("touched engines = %v, want db, kv and ts", got.ByEngine)
 	}
 }
 

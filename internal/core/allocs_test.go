@@ -17,9 +17,12 @@ import (
 // below. The inline dispatch mode of the one driver is held to it: a width-1
 // plan allocates no queue, goroutine or per-node scheduling state, and the
 // topological order and the sinks come from the compiled plan, not from the
-// graph on every run (it was 73 while they did). (The race runtime allocates
-// on its own account, hence the build tag.)
-const chainExecuteAllocs = 42
+// graph on every run (it was 73 while they did). Its nodes run into one
+// reused run over one inputs buffer, and their records share one slab (it
+// was 42 with a run and its record allocated per node, and a device map per
+// costed node). (The race runtime allocates on its own account, hence the
+// build tag.)
+const chainExecuteAllocs = 34
 
 // TestChainExecuteAllocBudget runs scan -> filter -> sort — a chain, so the
 // inline mode — with the subplan cache off, so every run executes.
@@ -54,9 +57,10 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 // wideExecuteAllocs is what Runtime.Execute allocates per run on a width-2
 // fanoutProgram: the concurrent mode's goroutine per node, one done channel
 // each and one slot channel per engine (it was 140 with worker queues, a
-// consumer index and per-node producer sets, and 125 while the driver kept
-// its values and finish times in maps).
-const wideExecuteAllocs = 123
+// consumer index and per-node producer sets, 125 while the driver kept its
+// values and finish times in maps, and 123 while each node's run and record
+// were allocated by its goroutine; they are held in slabs now).
+const wideExecuteAllocs = 118
 
 // TestWideExecuteAllocBudget runs a width-2 fanoutProgram — scan, a filter on
 // each of two engines, a migration and a sort, so the concurrent mode — with
@@ -113,8 +117,9 @@ func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
 // first stage is two nodes wide — when a subplan hit serves its root
 // subtree, the whole plan. No node runs, so the driver dispatches nothing:
 // no goroutine, channel or run for any node. It was 53 while the plan's
-// width chose the dataflow and every served node got all three.
-const servedWideExecuteAllocs = 21
+// width chose the dataflow and every served node got all three, and 21
+// while the probe built a key string and a version vector per candidate.
+const servedWideExecuteAllocs = 9
 
 // TestServedWideExecuteAllocBudget warms the subplan cache with the plan,
 // then measures executions that are served whole.

@@ -17,9 +17,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -137,7 +137,7 @@ func (r *Runtime) preloadKernels() {
 		hw.KSort, hw.KFilter, hw.KProject, hw.KSerialize, hw.KDeserialize, hw.KWindowAgg,
 	}
 	cgraSet := []hw.KernelClass{
-		hw.KSort, hw.KFilter, hw.KProject, hw.KGEMM, hw.KGEMV, hw.KWindowAgg, hw.KKMeansAssign,
+		hw.KSort, hw.KFilter, hw.KProject, hw.KGEMM, hw.KWindowAgg, hw.KKMeansAssign,
 	}
 	for _, d := range r.accels {
 		var set []hw.KernelClass
@@ -234,8 +234,17 @@ func (r *Runtime) Ingest(ctx context.Context, engine string, w adapter.Ingest) e
 // touched data changed — writes to untouched engines change nothing here,
 // which is what keeps their cached results addressable.
 func (r *Runtime) VersionVector(t compiler.Touches) string {
-	var sb strings.Builder
-	for _, e := range t.Engines() {
+	return string(r.appendVersionVector(make([]byte, 0, 128), t))
+}
+
+// appendVersionVector appends t's version vector (VersionVector) to dst.
+func (r *Runtime) appendVersionVector(dst []byte, t compiler.Touches) []byte {
+	engines := make([]string, 0, 8)
+	for e := range t.ByEngine {
+		engines = append(engines, e)
+	}
+	slices.Sort(engines)
+	for _, e := range engines {
 		a, ok := r.adapters[e]
 		if !ok {
 			continue
@@ -259,9 +268,10 @@ func (r *Runtime) VersionVector(t compiler.Touches) string {
 			}
 			v = dv.DataVersion()
 		}
-		fmt.Fprintf(&sb, "%s=%d,", e, v)
+		dst = strconv.AppendUint(append(append(dst, e...), '='), v, 10)
+		dst = append(dst, ',')
 	}
-	return sb.String()
+	return dst
 }
 
 // NodeReport records one node's execution.
@@ -340,19 +350,19 @@ func isChain(order []*ir.Node, pr *planProbe) bool {
 // the plan driver: it walks the nodes in topological order
 // (Plan.Order, each node holding holes first bound to the plan's constants
 // by bindNodes) and, for each, obtains the node's real execution (a
-// *nodeRun), charges it to the
-// simulated clock and hands the outcome to the report, the trace and the
-// subplan cache. Costing in one deterministic order over one
-// reservation ledger is what makes Reports independent of how the real
-// executions were dispatched.
+// nodeRun), charges it to the simulated clock and hands the outcome to the
+// report, the trace and the subplan cache. Costing in one deterministic
+// order over one reservation ledger is what makes Reports independent of how
+// the real executions were dispatched.
 //
 // A node a subplan hit serves never runs: the driver costs it from the
 // entry's record. The dispatch mode is chosen on the nodes that run. When
 // they form a chain (isChain), and under WithSequentialExecutor, they run
-// inline: runNode is called on this goroutine, one node at a time, and
-// nothing is allocated for coordination — the reference the concurrent mode
-// is verified against. Otherwise they run as a dataflow of one goroutine
-// per node, at most engineWorkers per engine (scheduler.go).
+// inline: runNode is called on this goroutine, one node at a time, into one
+// reused run, and nothing is allocated for coordination — the reference the
+// concurrent mode is verified against. Otherwise they run as a dataflow of
+// one goroutine per node, at most engineWorkers per engine (scheduler.go).
+// Either way each running node's record lives in one slab (recs).
 func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
 	t0 := time.Now()
 	if len(plan.Binds) < plan.Slots {
@@ -361,16 +371,16 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 	tr := obs.From(ctx)
 	pr := r.prepareSubplan(ctx, plan)
 	defer pr.close()
-	order, err := bindNodes(plan, pr)
+	order, runs, err := bindNodes(plan, pr)
 	if err != nil {
 		return nil, nil, err
 	}
+	recs := make([]subplan.NodeCost, runs)
 
-	span := plan.Graph.IDBound()
 	var sched *scheduler
 	if !r.sequential && !isChain(order, pr) {
 		r.st.execConcurrent.Inc()
-		sched = r.dispatch(ctx, order, span, tr, pr)
+		sched = r.dispatch(ctx, order, recs, tr, pr)
 		// Stops the node goroutines on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
@@ -378,31 +388,36 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 		r.st.execSequential.Inc()
 	}
 
+	span := plan.Graph.IDBound()
 	values := make([]adapter.Value, span)
 	finish := make([]float64, span)
-	led := hw.NewReservations()
 	rep := &Report{Nodes: make([]NodeReport, 0, len(order))}
-	var served nodeRun // nothing keeps a run past its node's turn
+	var led ledger
+	var cur nodeRun            // the inline or served run in turn: nothing keeps a run past its node's turn
+	var inputs []adapter.Value // the inline run's inputs, reused likewise
+	k := 0                     // the next running node's rank: its record, and its run in the dataflow
 	for _, n := range order {
 		id := n.ID
-		var run *nodeRun
+		run := &cur
 		switch {
 		case pr.serves(id):
-			served = nodeRun{NodeCost: pr.nodes[id].serve, out: pr.nodes[id].out, cached: true}
-			run = &served
+			cur = nodeRun{NodeCost: pr.nodes[id].serve, out: pr.nodes[id].out, cached: true}
 		case sched != nil:
-			if run, err = sched.await(ctx, id); err != nil {
+			if run, err = sched.await(ctx, k); err != nil {
 				return nil, nil, err
 			}
+			k++
 		default:
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			inputs := make([]adapter.Value, len(n.Inputs))
-			for i, in := range n.Inputs {
-				inputs[i] = values[in]
+			inputs = inputs[:0]
+			for _, in := range n.Inputs {
+				inputs = append(inputs, values[in])
 			}
-			run = r.runNode(ctx, n, inputs)
+			cur = nodeRun{NodeCost: &recs[k]}
+			k++
+			r.runNode(ctx, n, inputs, &cur)
 		}
 		if run.err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, run.err)
@@ -413,7 +428,7 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 				start = finish[in]
 			}
 		}
-		nr, err := r.costNode(n, run, start, led)
+		nr, err := r.costNode(n, run, start, &led)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, err)
 		}
@@ -432,44 +447,53 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 	return &Results{Values: values, Sinks: plan.Sinks}, rep, nil
 }
 
-// bindNodes returns the nodes an execution runs, in plan.Order: the plan's
-// own, except that a node whose attributes hold holes, unless a subplan hit
-// serves it, is a copy with those attributes bound to plan.Binds
-// (relational.Bind). With nothing to bind it is plan.Order itself.
-func bindNodes(plan *compiler.Plan, pr *planProbe) ([]*ir.Node, error) {
-	var order []*ir.Node
+// bindNodes returns an execution's nodes in plan.Order, and how many of
+// them run (pr does not serve). They are the plan's own, except that a
+// running node whose attributes hold holes is a copy, in one slab, that
+// shares the plan node's Attrs and carries in Bound the values
+// relational.Bind gives them for plan.Binds.
+func bindNodes(plan *compiler.Plan, pr *planProbe) (order []*ir.Node, runs int, err error) {
+	copies := 0
+	for _, n := range plan.Order {
+		if !pr.serves(n.ID) {
+			runs++
+			copies += min(len(plan.Bound[n.ID]), 1)
+		}
+	}
+	if copies == 0 {
+		return plan.Order, runs, nil
+	}
+	// A node mostly binds one attribute; bound grows past that, and the
+	// copies before keep the values they took.
+	order = slices.Clone(plan.Order)
+	nodes, bound := make([]ir.Node, 0, copies), make([]ir.BoundAttr, 0, copies)
 	for i, n := range plan.Order {
 		keys := plan.Bound[n.ID]
 		if len(keys) == 0 || pr.serves(n.ID) {
 			continue
 		}
-		if order == nil {
-			order = slices.Clone(plan.Order)
-		}
-		cp := *n
-		cp.Attrs = maps.Clone(n.Attrs)
+		lo := len(bound)
 		for _, k := range keys {
 			v, err := relational.Bind(n.Attrs[k], plan.Binds)
 			if err != nil {
-				return nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, n.ID, n.Kind, err)
+				return nil, 0, fmt.Errorf("%w: node %d (%s): %w", ErrExec, n.ID, n.Kind, err)
 			}
-			cp.Attrs[k] = v
+			bound = append(bound, ir.BoundAttr{Key: k, Value: v})
 		}
-		order[i] = &cp
+		nodes = append(nodes, *n)
+		nodes[len(nodes)-1].Bound = bound[lo:len(bound):len(bound)]
+		order[i] = &nodes[len(nodes)-1]
 	}
-	if order == nil {
-		return plan.Order, nil
-	}
-	return order, nil
+	return order, runs, nil
 }
 
 // absorb folds one finished node into the report.
 func (rep *Report) absorb(nr NodeReport, run *nodeRun) {
 	rep.Nodes = append(rep.Nodes, nr)
 	rep.Energy += nr.Sim.Joules
-	if run.IsMigrate {
+	if run.Migration != nil {
 		rep.Migrations++
-		rep.MigratedBytes += run.BD.WireBytes
+		rep.MigratedBytes += run.Migration.WireBytes
 	}
 }
 
@@ -491,8 +515,9 @@ func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish []float64) {
 type nodeRun struct {
 	// NodeCost is what costing, stats and the subplan cache read (Rows, not
 	// out.Rows(): a served interior node has no output). An executed run
-	// owns it (newRun); a served one (cached) points at the hit entry's,
-	// which nothing writes. Nil on a failed run.
+	// points at its node's record in the execution's record slab, which
+	// runNode writes; a served one (cached) at the hit entry's, which
+	// nothing writes.
 	*subplan.NodeCost
 	out  adapter.Value
 	wall time.Duration
@@ -505,20 +530,10 @@ type nodeRun struct {
 	cached    bool
 }
 
-// newRun returns a run that owns its record, both in one allocation.
-func newRun() *nodeRun {
-	o := &struct {
-		run nodeRun
-		rec subplan.NodeCost
-	}{}
-	o.run.NodeCost = &o.rec
-	return &o.run
-}
-
 // runNode performs a node's real work — adapter translation and native
-// execution, or data migration — without touching the simulated clock.
-func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value) *nodeRun {
-	run := newRun()
+// execution, or data migration — into run, whose NodeCost the caller has
+// pointed at the node's record, without touching the simulated clock.
+func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Value, run *nodeRun) {
 	t0 := time.Now()
 	run.hostStart = t0
 	for _, in := range inputs {
@@ -526,20 +541,20 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	}
 	switch a, ok := r.adapters[n.Engine]; {
 	case n.Kind == ir.OpMigrate:
-		run.IsMigrate = true
-		run.out.Batch, run.BD, run.err = r.executeMigrate(ctx, n, inputs)
+		run.Migration = new(migrate.Breakdown)
+		run.out.Batch, *run.Migration, run.err = r.executeMigrate(ctx, n, inputs)
 	case !ok:
 		run.err = fmt.Errorf("%w: %q", ErrNoAdapter, n.Engine)
 	default:
 		run.out, run.Info, run.err = a.Execute(ctx, n, inputs)
 	}
 	if run.err != nil {
-		return run
+		return
 	}
 	run.wall = time.Since(t0)
 	run.BytesOut = valueBytes(run.out)
 	run.Rows = run.out.Rows()
-	if run.IsMigrate {
+	if run.Migration != nil {
 		// A migration passes its rows through.
 		run.Info.RowsIn, run.Info.RowsOut = int64(run.Rows), int64(run.Rows)
 		r.st.migrations.Inc()
@@ -547,7 +562,6 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	r.st.ruleNodes.Add(run.Info.RuleNodes)
 	r.st.nodes.Inc()
 	r.observeOp(n, run)
-	return run
 }
 
 // costNode charges a finished node's kernel calls to devices and schedules
@@ -556,15 +570,16 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 // Callers must cost nodes in a deterministic topological order — reservation
 // order decides contention, and the reports are compared across dispatch
 // modes.
-func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *hw.Reservations) (NodeReport, error) {
+func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *ledger) (NodeReport, error) {
 	nr := NodeReport{Node: n.ID, Kind: n.Kind, Engine: n.Engine, Start: start, Wall: run.wall}
-	if run.IsMigrate {
-		nr.Sim = run.BD.Sim
-		nr.Device = "dm/" + migrate.Transport(n.IntAttr("transport")).String()
-		nr.Native = fmt.Sprintf("Migrate(%s->%s, %s)", n.StringAttr("from"), n.StringAttr("to"), migrate.Transport(n.IntAttr("transport")))
+	if run.Migration != nil {
+		t := migrate.Transport(n.IntAttr("transport"))
+		nr.Sim = run.Migration.Sim
+		nr.Device = migratorDevices[t] // Migrate refuses any other transport
+		nr.Native = fmt.Sprintf("Migrate(%s->%s, %s)", n.StringAttr("from"), n.StringAttr("to"), t)
 		nr.RowsIn = int64(run.Rows)
 		nr.RowsOut = int64(run.Rows)
-		nr.Finish = start + run.BD.Sim.Seconds
+		nr.Finish = start + run.Migration.Sim.Seconds
 		return nr, nil
 	}
 	nr.Native = run.Info.Native
@@ -575,30 +590,57 @@ func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *hw.Rese
 	// mapping to local accelerators ... will ultimately depend on runtime
 	// environment and data-dependent analyses").
 	clock := start
-	devices := map[string]bool{}
+	devices := make([]string, 0, 4) // the names of the devices the calls ran on, once each
 	for _, call := range run.Info.Kernels {
 		for range max(call.Repeat, 1) {
 			dev, cost, err := r.chargeKernel(n, call)
 			if err != nil {
 				return nr, err
 			}
-			_, clock = led.Reserve(dev, clock, cost.Seconds)
+			clock = led.reserve(dev, clock, cost.Seconds)
 			nr.Sim = nr.Sim.AddSeq(cost)
-			devices[dev.Name] = true
+			if !slices.Contains(devices, dev.Name) {
+				devices = append(devices, dev.Name)
+			}
 		}
 	}
-	names := make([]string, 0, len(devices))
-	for d := range devices {
-		names = append(names, d)
-	}
-	sort.Strings(names)
-	nr.Device = strings.Join(names, "+")
-	if nr.Device == "" {
-		nr.Device = r.host.Name
+	if nr.Device = r.host.Name; len(devices) > 0 {
+		slices.Sort(devices)
+		nr.Device = strings.Join(devices, "+") // one name is returned as is
 	}
 	nr.Finish = clock
 	return nr, nil
 }
+
+// ledger is one execution's device reservations on the simulated clock:
+// when each booked device is free again (bookings keep the driver's order).
+type ledger []booking
+
+type booking struct {
+	dev  *hw.Device
+	free float64
+}
+
+// reserve books seconds on d from earliest or, if later, d's free time.
+func (l *ledger) reserve(d *hw.Device, earliest, seconds float64) float64 {
+	i := slices.IndexFunc(*l, func(b booking) bool { return b.dev == d })
+	if i < 0 {
+		i, *l = len(*l), append(*l, booking{dev: d})
+	}
+	if f := (*l)[i].free; f > earliest {
+		earliest = f
+	}
+	(*l)[i].free = earliest + seconds
+	return earliest + seconds
+}
+
+// migratorDevices names the data migrator's device per transport, once.
+var migratorDevices = func() (d [migrate.RDMA + 1]string) {
+	for t := range d {
+		d[t] = "dm/" + migrate.Transport(t).String()
+	}
+	return d
+}()
 
 // chargeKernel selects the device for one kernel call (honoring the node's
 // Device annotation) and charges the cost to it. An empty annotation runs on

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/eide"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
@@ -197,5 +200,70 @@ func TestResultsFirstEmpty(t *testing.T) {
 	var res Results
 	if res.First().Batch != nil {
 		t.Fatal("empty Results.First should be zero")
+	}
+}
+
+// TestBoundNodeReadsBoundValues: an execution's copy of a node whose
+// attributes hold holes shares the plan node's Attrs and reads the values
+// bound for it through Attr, and binding leaves the plan's own nodes as
+// they were — the plan is shared by every execution of its shape.
+func TestBoundNodeReadsBoundValues(t *testing.T) {
+	p := eide.NewProgram()
+	if _, err := p.SQL("db", "SELECT id, value FROM events WHERE id >= 7 ORDER BY value DESC LIMIT 3"); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compiler.Compile(p.Graph(), compiler.Options{Level: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]string, len(plan.Order))
+	for i, n := range plan.Order {
+		before[i] = fmt.Sprintf("%#v", *n)
+	}
+	exec := plan.WithBinds([]any{int64(9), int64(4)})
+	order, _, err := bindNodes(exec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 0
+	for i, n := range plan.Order {
+		cp := order[i]
+		keys := plan.Bound[n.ID]
+		if len(keys) == 0 {
+			if cp != n {
+				t.Fatalf("node %d holds no hole, yet was copied", n.ID)
+			}
+			continue
+		}
+		bound++
+		if cp == n || reflect.ValueOf(cp.Attrs).Pointer() != reflect.ValueOf(n.Attrs).Pointer() {
+			t.Fatalf("node %d: the bound node is the plan's own, or does not share its Attrs", n.ID)
+		}
+		for _, k := range keys {
+			want, err := relational.Bind(n.Attrs[k], exec.Binds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cp.Attr(k); !reflect.DeepEqual(got, want) || len(ir.AppendSlots(nil, got)) != 0 {
+				t.Fatalf("node %d: Attr(%q) = %#v, want %#v", n.ID, k, got, want)
+			}
+			if len(ir.AppendSlots(nil, n.Attr(k))) == 0 {
+				t.Fatalf("node %d: the plan's own Attr(%q) = %#v lost its holes", n.ID, k, n.Attr(k))
+			}
+		}
+		if cp.Attr("no such attribute") != nil {
+			t.Fatalf("node %d: an absent attribute reads non-nil", n.ID)
+		}
+	}
+	if bound == 0 {
+		t.Fatal("no node of the plan holds a hole")
+	}
+	for i, n := range plan.Order {
+		if after := fmt.Sprintf("%#v", *n); after != before[i] {
+			t.Fatalf("binding changed the plan's node %d:\n%s\nwas\n%s", n.ID, after, before[i])
+		}
+	}
+	if got := order[len(order)-1].Attr("n"); got != int64(4) {
+		t.Fatalf("the limit reads n = %#v, want 4", got)
 	}
 }

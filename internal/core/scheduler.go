@@ -9,6 +9,7 @@ import (
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
+	"polystorepp/internal/subplan"
 )
 
 // Concurrent dispatch mode of the plan driver (§IV-D).
@@ -44,16 +45,17 @@ import (
 // host.
 const engineWorkers = 4
 
-// schedNode is one node's outcome in a concurrently executed plan.
+// schedNode is one running node's state in a concurrently executed plan.
 type schedNode struct {
+	id ir.NodeID
 	// run is written by the node's goroutine before it closes done.
-	run  *nodeRun
+	run  nodeRun
 	done chan struct{}
 }
 
 // scheduler is the dispatch state of one concurrently executed plan.
 type scheduler struct {
-	nodes []schedNode // by node id; only the nodes that run are filled in
+	nodes []schedNode // the nodes that run, in order: the k-th writes the k-th record
 
 	// cancel stops every node goroutine still waiting; wg waits for all.
 	cancel context.CancelFunc
@@ -64,53 +66,57 @@ type scheduler struct {
 }
 
 // dispatch starts one goroutine per node of order (bindNodes) that pr does
-// not serve, below span; order is topological, so a node's producers have
-// their done channels first. The caller awaits each running node's run in
-// that order and must call stop.
-func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, span int, tr *obs.Trace, pr *planProbe) *scheduler {
+// not serve, the k-th of them writing recs[k]; order is topological, so a
+// node's producers are dispatched first. The caller awaits each running
+// node's run in that order and must call stop.
+func (r *Runtime) dispatch(ctx context.Context, order []*ir.Node, recs []subplan.NodeCost, tr *obs.Trace, pr *planProbe) *scheduler {
 	execCtx, cancel := context.WithCancel(ctx)
-	s := &scheduler{nodes: make([]schedNode, span), cancel: cancel}
+	s := &scheduler{nodes: make([]schedNode, len(recs)), cancel: cancel}
 	slots := make(map[string]chan struct{}, 4)
+	k := 0
 	for _, n := range order {
 		if pr.serves(n.ID) {
 			continue
 		}
-		k := opEngine(n)
-		if slots[k] == nil {
-			slots[k] = make(chan struct{}, engineWorkers)
+		e := opEngine(n)
+		if slots[e] == nil {
+			slots[e] = make(chan struct{}, engineWorkers)
 		}
-		sn, slot := &s.nodes[n.ID], slots[k]
-		sn.done = make(chan struct{})
+		s.nodes[k] = schedNode{id: n.ID, run: nodeRun{NodeCost: &recs[k]}, done: make(chan struct{})}
 		s.wg.Add(1)
-		go func() {
+		go func(k int, slot chan struct{}) {
 			defer s.wg.Done()
-			defer close(sn.done)
-			sn.run = s.runWhenReady(execCtx, r, n, slot, tr, pr)
-		}()
+			defer close(s.nodes[k].done)
+			s.runWhenReady(execCtx, r, n, k, slot, tr, pr)
+		}(k, slots[e])
+		k++
 	}
 	return s
 }
 
-// runWhenReady waits for n's producers, takes one of slot's places and runs
-// n. A failed producer's error becomes n's without n running; a producer pr
-// serves is ready from the start.
-func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, slot chan struct{}, tr *obs.Trace, pr *planProbe) *nodeRun {
-	inputs := make([]adapter.Value, len(n.Inputs))
-	for i, in := range n.Inputs {
-		if pr.serves(in) {
-			inputs[i] = pr.nodes[in].out
+// runWhenReady waits for the producers of n, the k-th running node, takes
+// one of slot's places and runs n. A failed producer's error becomes n's
+// without n running; a producer pr serves is ready from the start.
+func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, k int, slot chan struct{}, tr *obs.Trace, pr *planProbe) {
+	run := &s.nodes[k].run
+	in := make([]adapter.Value, len(n.Inputs))
+	for i, id := range n.Inputs {
+		if pr.serves(id) {
+			in[i] = pr.nodes[id].out
 			continue
 		}
-		p := &s.nodes[in]
+		p := s.producer(k, id)
 		select {
 		case <-p.done:
 		case <-ctx.Done():
-			return &nodeRun{err: ctx.Err()}
+			run.err = ctx.Err()
+			return
 		}
 		if p.run.err != nil {
-			return &nodeRun{err: p.run.err}
+			run.err = p.run.err
+			return
 		}
-		inputs[i] = p.run.out
+		in[i] = p.run.out
 	}
 	// The ready-to-slot wait is stamped for traced executions only, so
 	// untraced runs skip the clock reads.
@@ -126,11 +132,11 @@ func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, sl
 	// A select with both cases ready picks either: a stopped execution must
 	// not start the node even when a slot was free.
 	if err := ctx.Err(); err != nil {
-		return &nodeRun{err: err}
+		run.err = err
+		return
 	}
-	var queued time.Duration
 	if tr != nil {
-		queued = time.Since(ready)
+		run.queue = time.Since(ready)
 	}
 	cur := s.inflight.Add(1)
 	for {
@@ -140,18 +146,26 @@ func (s *scheduler) runWhenReady(ctx context.Context, r *Runtime, n *ir.Node, sl
 		}
 	}
 	defer s.inflight.Add(-1)
-	run := r.runNode(ctx, n, inputs)
-	run.queue = queued
-	return run
+	r.runNode(ctx, n, in, run)
 }
 
-// await blocks until node id, one that runs, has run and returns its
+// producer returns the running node id, which precedes the k-th (and was
+// filled in before the k-th's goroutine started): plans are small.
+func (s *scheduler) producer(k int, id ir.NodeID) *schedNode {
+	for i := k - 1; ; i-- {
+		if s.nodes[i].id == id {
+			return &s.nodes[i]
+		}
+	}
+}
+
+// await blocks until the k-th running node has run and returns its
 // outcome, or the caller's context error if that comes first.
-func (s *scheduler) await(ctx context.Context, id ir.NodeID) (*nodeRun, error) {
-	sn := &s.nodes[id]
+func (s *scheduler) await(ctx context.Context, k int) (*nodeRun, error) {
+	sn := &s.nodes[k]
 	select {
 	case <-sn.done:
-		return sn.run, nil
+		return &sn.run, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

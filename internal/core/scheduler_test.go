@@ -18,6 +18,7 @@ import (
 	"polystorepp/internal/ir"
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/relational"
+	"polystorepp/internal/subplan"
 )
 
 // fanoutProgram builds a wide DAG: one scan feeding `width` independent
@@ -375,14 +376,14 @@ func TestSchedulerBoundsEachEngine(t *testing.T) {
 	rt, a, b := runtimeOf()
 	plan := program(true)
 	ctx := context.Background()
-	s := rt.dispatch(ctx, plan.Order, plan.Graph.IDBound(), nil, nil)
+	s := rt.dispatch(ctx, plan.Order, make([]subplan.NodeCost, len(plan.Order)), nil, nil)
 	var migs []span
-	for _, n := range plan.Order {
-		run, err := s.await(ctx, n.ID)
+	for k := range plan.Order {
+		run, err := s.await(ctx, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.err == nil && run.IsMigrate {
+		if run.err == nil && run.Migration != nil {
 			migs = append(migs, span{run.hostStart, run.hostStart.Add(run.wall)})
 		}
 	}

@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
+	"strings"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
@@ -68,11 +69,11 @@ func (r *Runtime) SubplanCacheStats() (st lru.Stats, enabled bool) {
 }
 
 // pendingPub is one subtree this execution will publish when its root's
-// run has been costed.
+// run has been costed. Its key is the probe's keys[lo:hi], ending in the
+// version vector keys[vv:hi] that publish re-checks.
 type pendingPub struct {
-	sub compiler.Subtree
-	key string
-	vv  string
+	sub        *compiler.Subtree
+	lo, vv, hi int
 }
 
 // planProbe is one execution's subplan-cache decision state. It is built
@@ -86,6 +87,11 @@ type planProbe struct {
 	tenant string
 	// nodes is indexed by node id.
 	nodes []probeNode
+	hits  int // candidates a cache hit serves
+	// keys holds the missed candidates' keys back to back; costs is the
+	// slab publications take their Entry.Costs from, in publication order.
+	keys  string
+	costs []*subplan.NodeCost
 	// leases are the single-flight keys this execution leads; released on
 	// every exit path (close), after any publications.
 	leases []string
@@ -105,31 +111,26 @@ type probeNode struct {
 	pub *pendingPub
 }
 
-// subplanKey is the full content address of a memoized intermediate: the
-// subtree's shape fingerprint, the constants this execution binds to the
-// subtree's holes, and the version vector of the stores it touches.
-func subplanKey(st compiler.Subtree, binds []any, vv string) string {
-	var buf [192]byte
-	b := append(buf[:0], st.Fingerprint...)
-	b = append(b, '|')
+// key returns pub's cache key.
+func (pr *planProbe) key(pub *pendingPub) string { return pr.keys[pub.lo:pub.hi] }
+
+// appendKey appends a memoized intermediate's content address: shape
+// fingerprint, the constants bound to its holes, and vv, whose start it returns.
+func appendKey(dst []byte, st *compiler.Subtree, binds []any, vv []byte) ([]byte, int) {
+	dst = append(append(dst, st.Fingerprint...), '|')
 	for _, s := range st.Slots {
-		b = ir.AppendBind(b, binds[s])
+		dst = ir.AppendBind(dst, binds[s])
 	}
-	b = append(b, '|')
-	return string(append(b, vv...))
+	dst = append(dst, '|')
+	return append(dst, vv...), len(dst)
 }
+
+// sameTables compares Touches.ByEngine values: nil (whole engine) ≠ empty.
+func sameTables(a, b []string) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
 
 // serves reports whether a subplan hit serves node id.
 func (pr *planProbe) serves(id ir.NodeID) bool {
 	return pr != nil && pr.nodes[id].serve != nil
-}
-
-// shortKey abbreviates a cache key for trace events.
-func shortKey(key string) string {
-	if len(key) > 16 {
-		return key[:16]
-	}
-	return key
 }
 
 // prepareSubplan probes the subplan cache for the plan's candidate
@@ -143,50 +144,62 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	}
 	tr := obs.From(ctx)
 	pr := &planProbe{rt: r, tenant: tenant.From(ctx), nodes: make([]probeNode, plan.Graph.IDBound())}
-	hits := 0
 
 	// Phase 1: probe outermost-first (Plan.Subtrees orders candidates by
 	// closure size). Closed candidates are nested or disjoint, so a hit
-	// covers every candidate inside it.
-	var misses []pendingPub
-	for _, st := range plan.Subtrees {
+	// covers every candidate inside it. Keys are built back to back on the
+	// stack, a hit's dropped again, and a version vector is rendered only
+	// when the touch set differs from the last one's (nested candidates
+	// mostly share one): a probe allocates nothing.
+	keys, vv, vvOf := make([]byte, 0, 512), make([]byte, 0, 128), map[string][]string(nil)
+	misses := make([]pendingPub, 0, len(plan.Subtrees))
+	for i := range plan.Subtrees {
+		st := &plan.Subtrees[i]
 		if pr.serves(st.Root) {
 			continue
 		}
-		vv := r.VersionVector(st.Touches)
-		key := subplanKey(st, plan.Binds, vv)
-		if e := pr.lookup(key, len(st.Closure)); e != nil {
-			pr.admitHit(st, e)
-			hits++
-			if tr != nil {
-				tr.Event("cache.subplan", fmt.Sprintf("hit root=%d nodes=%d bytes=%d key=%s",
-					st.Root, len(st.Closure), e.Bytes, shortKey(key)))
-			}
+		if vvOf == nil || !maps.EqualFunc(vvOf, st.Touches.ByEngine, sameTables) {
+			vv, vvOf = r.appendVersionVector(vv[:0], st.Touches), st.Touches.ByEngine
+		}
+		lo, at := len(keys), 0
+		if keys, at = appendKey(keys, st, plan.Binds, vv); pr.serveHit(tr, "hit", st, keys[lo:]) {
+			keys = keys[:lo]
 			continue
 		}
 		r.st.subplanMisses.Inc()
 		if tr != nil {
-			tr.Event("cache.subplan", fmt.Sprintf("miss root=%d nodes=%d key=%s",
-				st.Root, len(st.Closure), shortKey(key)))
+			tr.Event("cache.subplan", fmt.Sprintf("miss root=%d nodes=%d key=%x", st.Root, len(st.Closure), string(keys[lo:lo+8])))
 		}
-		misses = append(misses, pendingPub{sub: st, key: key, vv: vv})
+		misses = append(misses, pendingPub{sub: st, lo: lo, vv: at, hi: len(keys)})
 	}
+	pr.keys = string(keys)
 
 	// Phase 2: single-flight the maximal misses (the pairwise-disjoint
-	// outermost ones), in sorted-key order. Every concurrent execution
-	// acquires and waits in the same global key order, so hold-and-wait
-	// cycles between plans leading each other's subtrees cannot form.
-	maximal := maximalMisses(misses)
-	sort.Slice(maximal, func(i, j int) bool { return maximal[i].key < maximal[j].key })
+	// outermost ones: containment is root membership, as closed subtrees
+	// are nested or disjoint), in sorted-key order. Every concurrent
+	// execution acquires and waits in the same global key order, so
+	// hold-and-wait cycles between plans leading each other's subtrees
+	// cannot form.
+	maximal := make([]*pendingPub, 0, 8)
+	for i := range misses {
+		m := &misses[i]
+		if !slices.ContainsFunc(misses, func(o pendingPub) bool {
+			return o.sub.Root != m.sub.Root && slices.Contains(o.sub.Closure, m.sub.Root)
+		}) {
+			maximal = append(maximal, m)
+		}
+	}
+	slices.SortFunc(maximal, func(a, b *pendingPub) int { return strings.Compare(pr.key(a), pr.key(b)) })
 	for _, m := range maximal {
-		if pr.serves(m.sub.Root) || slices.Contains(pr.leases, m.key) {
+		key := pr.key(m)
+		if pr.serves(m.sub.Root) || slices.Contains(pr.leases, key) {
 			continue
 		}
 		const attempts = 3
 		for i := 0; i < attempts; i++ {
-			leader, done := r.subplan.flight.Acquire(m.key)
+			leader, done := r.subplan.flight.Acquire(key)
 			if leader {
-				pr.leases = append(pr.leases, m.key)
+				pr.leases = append(pr.leases, key)
 				break
 			}
 			r.st.subplanFlightWaits.Inc()
@@ -196,13 +209,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 				i = attempts // deadline: run the subtree ourselves
 				continue
 			}
-			if e := pr.lookup(m.key, len(m.sub.Closure)); e != nil {
-				pr.admitHit(m.sub, e)
-				hits++
-				if tr != nil {
-					tr.Event("cache.subplan", fmt.Sprintf("flight-hit root=%d nodes=%d bytes=%d key=%s",
-						m.sub.Root, len(m.sub.Closure), e.Bytes, shortKey(m.key)))
-				}
+			if pr.serveHit(tr, "flight-hit", m.sub, keys[m.lo:m.hi]) {
 				break
 			}
 			// Leader released without publishing (error, oversized entry,
@@ -214,63 +221,51 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	// — inner candidates too, for extra hit surface. Duplicate keys inside
 	// one plan (identical sibling subtrees) publish once; the second copy
 	// just executes.
-	pubs := 0
+	pubs, recs := 0, 0
 	for i := range misses {
 		m := &misses[i]
 		if pr.serves(m.sub.Root) || slices.ContainsFunc(misses[:i], func(o pendingPub) bool {
-			return o.key == m.key && pr.nodes[o.sub.Root].pub != nil
+			return pr.key(&o) == pr.key(m) && pr.nodes[o.sub.Root].pub != nil
 		}) {
 			continue
 		}
 		pubs++
+		recs += len(m.sub.Closure)
 		pr.nodes[m.sub.Root].pub = m
 	}
+	pr.costs = make([]*subplan.NodeCost, recs)
 
 	r.st.subplanPlansProbed.Inc()
-	if hits > 0 {
+	if pr.hits > 0 {
 		r.st.subplanPlansReused.Inc()
 	}
-	if hits == 0 && pubs == 0 && len(pr.leases) == 0 {
+	if pr.hits == 0 && pubs == 0 && len(pr.leases) == 0 {
 		return nil
 	}
 	return pr
 }
 
-// maximalMisses filters the missed candidates down to those not contained
-// in another miss — the units single-flight coordinates on. Containment is
-// root membership: closed subtrees are nested or disjoint.
-func maximalMisses(misses []pendingPub) []pendingPub {
-	if len(misses) <= 1 {
-		return misses
+// serveHit probes the cache for st under key and, on a hit — a well-formed
+// entry whose records match st's closure — marks st served: every closure
+// node is costed from the entry's record, the root yields the memoized
+// batch, and inner candidates are skipped since their roots are served.
+func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, key []byte) bool {
+	e, ok := pr.rt.subplan.cache.GetBytes(key)
+	if !ok || e.Output == nil || len(e.Costs) != len(st.Closure) {
+		return false
 	}
-	return slices.DeleteFunc(slices.Clone(misses), func(m pendingPub) bool {
-		return slices.ContainsFunc(misses, func(o pendingPub) bool {
-			return o.sub.Root != m.sub.Root && slices.Contains(o.sub.Closure, m.sub.Root)
-		})
-	})
-}
-
-// lookup probes the cache, counting a hit only for well-formed entries
-// whose replay data matches the candidate's closure size.
-func (pr *planProbe) lookup(key string, closureLen int) *subplan.Entry {
-	e, ok := pr.rt.subplan.cache.Get(key)
-	if !ok || e.Output == nil || len(e.Costs) != closureLen {
-		return nil
-	}
-	pr.rt.st.subplanHits.Inc()
-	return e
-}
-
-// admitHit marks a subtree served: every closure node is costed from the
-// entry's record, the root yields the memoized batch, and inner candidates
-// are skipped since their roots are served.
-func (pr *planProbe) admitHit(st compiler.Subtree, e *subplan.Entry) {
 	for i, id := range st.Closure {
-		pr.nodes[id].serve = &e.Costs[i]
+		pr.nodes[id].serve = e.Costs[i]
 	}
 	pr.nodes[st.Root].out = adapter.Value{Batch: e.Reused()}
+	pr.hits++
+	pr.rt.st.subplanHits.Inc()
 	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
 	pr.rt.st.subplanBytesServed.Add(e.Bytes)
+	if tr != nil {
+		tr.Event("cache.subplan", fmt.Sprintf("%s root=%d nodes=%d bytes=%d key=%x", what, st.Root, len(st.Closure), e.Bytes, string(key[:8])))
+	}
+	return true
 }
 
 // onNodeCosted feeds the driver's finished runs to the pending
@@ -288,25 +283,28 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 	}
 }
 
-// publish memoizes one executed subtree: per-node replay data plus the root's
+// publish memoizes one executed subtree: per-node records plus the root's
 // output batch itself. A batch that has left its producer is immutable
 // (package cast), so the entry, this request's downstream nodes and every
 // later replay share it; nothing is cloned, and a selection-backed output is
-// not gathered until a hit asks for it (subplan.Entry.Reused). The version vector
-// is re-checked against its prepare-time value so a write to a touched
-// store while the subtree executed suppresses the publication — the batch
-// belongs to neither the old version nor reliably the new one.
+// not gathered until a hit asks for it (subplan.Entry.Reused). Nor are the
+// records: the entry points at this execution's (or an inner hit's). The
+// version vector is re-checked against its prepare-time value so a write to
+// a touched store while the subtree executed suppresses the publication —
+// the batch belongs to neither the old version nor reliably the new one.
 func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
-	if pr.rt.VersionVector(pub.sub.Touches) != pub.vv {
+	n := len(pub.sub.Closure)
+	costs := pr.costs[:n:n]
+	pr.costs = pr.costs[n:]
+	if string(pr.rt.appendVersionVector(make([]byte, 0, 128), pub.sub.Touches)) != pr.keys[pub.vv:pub.hi] {
 		pr.rt.st.subplanStaleSkips.Inc()
 		return
 	}
-	costs := make([]subplan.NodeCost, len(pub.sub.Closure))
-	for i, id := range pub.sub.Closure {
-		costs[i] = *pr.nodes[id].rec
-	}
 	if out == nil {
 		return // non-tabular root: nothing to memoize
+	}
+	for i, id := range pub.sub.Closure {
+		costs[i] = pr.nodes[id].rec
 	}
 	e := &subplan.Entry{
 		Output: out,
@@ -316,7 +314,7 @@ func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
 	// Inner candidates are not single-flighted, so a concurrent execution
 	// may have stored this key first: its entry stays, and this one counts
 	// as neither published nor bypassed.
-	switch got, ok := pr.rt.subplan.cache.Put(pub.key, e, pr.tenant); {
+	switch got, ok := pr.rt.subplan.cache.Put(pr.key(pub), e, pr.tenant); {
 	case !ok:
 		pr.rt.st.subplanBypassed.Inc()
 	case got == e:

@@ -13,6 +13,7 @@ import (
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
+	"polystorepp/internal/subplan"
 )
 
 // branchProgram builds `width` independent scan -> filter -> sort chains
@@ -302,7 +303,8 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		run := rt.runNode(ctx, n, inputs)
+		run := &nodeRun{NodeCost: new(subplan.NodeCost)}
+		rt.runNode(ctx, n, inputs, run)
 		if run.err != nil {
 			t.Fatal(run.err)
 		}
@@ -444,7 +446,8 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		for i, in := range n.Inputs {
 			inputs[i] = values[in]
 		}
-		r := rt.runNode(ctx, n, inputs)
+		r := &nodeRun{NodeCost: new(subplan.NodeCost)}
+		rt.runNode(ctx, n, inputs, r)
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
@@ -460,7 +463,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	if rt.Metrics().Counter("core.subplan.published").Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
-	e, ok := rt.subplan.cache.Get(pr.nodes[order[len(order)-2]].pub.key)
+	e, ok := rt.subplan.cache.Get(pr.key(pr.nodes[order[len(order)-2]].pub))
 	if !ok || e.Output != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}

@@ -78,7 +78,7 @@ func NewCGRA() *Device {
 	})
 }
 
-// NewTPU returns a TPUv1-class systolic-array model for GEMM/GEMV.
+// NewTPU returns a TPUv1-class systolic-array model for GEMM.
 func NewTPU() *Device {
 	return NewDevice(Spec{
 		Name:          "tpu-systolic",

@@ -8,7 +8,7 @@ import (
 )
 
 // KernelClass enumerates the operator kernels a Polystore++ deployment can
-// offload (§III-A1: sort, filter/project, join phases, GEMM/GEMV; §III-A3:
+// offload (§III-A1: sort, filter/project, join phases, GEMM; §III-A3:
 // serialization; §III-A4: adapter rule matching).
 type KernelClass int
 
@@ -20,7 +20,6 @@ const (
 	KHashBuild
 	KHashProbe
 	KGEMM
-	KGEMV
 	KSerialize
 	KDeserialize
 	KWindowAgg
@@ -30,8 +29,7 @@ const (
 
 var kernelClassNames = [...]string{
 	KSort: "sort", KFilter: "filter", KProject: "project",
-	KHashBuild: "hash-build", KHashProbe: "hash-probe",
-	KGEMM: "gemm", KGEMV: "gemv",
+	KHashBuild: "hash-build", KHashProbe: "hash-probe", KGEMM: "gemm",
 	KSerialize: "serialize", KDeserialize: "deserialize",
 	KWindowAgg: "window-agg", KRuleMatch: "rule-match",
 	KKMeansAssign: "kmeans-assign",
@@ -46,8 +44,7 @@ func (k KernelClass) String() string {
 }
 
 // Work describes the size of one kernel invocation. Fill the fields the
-// kernel class consumes: Items/Bytes for streaming kernels, M/K/N for GEMM,
-// M/K for GEMV.
+// kernel class consumes: Items/Bytes for streaming kernels, M/K/N for GEMM.
 type Work struct {
 	Items int64
 	Bytes int64
@@ -61,8 +58,6 @@ func (w Work) FLOPs() int64 {
 	switch {
 	case w.M > 0 && w.K > 0 && w.N > 0:
 		return tensor.FLOPsMatMul(w.M, w.K, w.N)
-	case w.M > 0 && w.K > 0:
-		return tensor.FLOPsMatVec(w.M, w.K)
 	default:
 		return 0
 	}
@@ -82,7 +77,6 @@ var lutCosts = map[KernelClass]int64{
 	KRuleMatch:    70_000,
 	KKMeansAssign: 200_000,
 	KGEMM:         550_000,
-	KGEMV:         300_000,
 }
 
 // LUTCost returns the FPGA area demand of a kernel class.
@@ -144,7 +138,7 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 			return 12 * w.Items, nil
 		case KHashProbe:
 			return 10 * w.Items, nil
-		case KGEMM, KGEMV:
+		case KGEMM:
 			// 8 FLOPs/cycle (fused SIMD) on one core.
 			return w.FLOPs() / 8, nil
 		case KSerialize:
@@ -177,9 +171,6 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 		case KGEMM:
 			// 2 FLOPs per lane per cycle at 25% sustained efficiency.
 			return int64(float64(w.FLOPs()) / (2 * lanes * 0.25)), nil
-		case KGEMV:
-			// Bandwidth-bound: ~12% efficiency.
-			return int64(float64(w.FLOPs()) / (2 * lanes * 0.12)), nil
 		case KKMeansAssign:
 			model := int64(float64(w.Items)*float64(w.K)*float64(w.N)/lanes) + 2000
 			return maxCycles(model, d.bwFloorCycles(w.Bytes)), nil
@@ -189,10 +180,7 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 		case KSort:
 			// Streaming merge-sort tree: Lanes elements/cycle per pass, a
 			// 16-way tree resolves 4 bits of order per pass.
-			passes := math.Ceil(log2(w.Items) / 4)
-			if passes < 1 {
-				passes = 1
-			}
+			passes := max(math.Ceil(log2(w.Items)/4), 1)
 			return int64(passes*float64(w.Items)/lanes) + 64, nil
 		case KFilter, KProject:
 			// Fully pipelined II=1 stream: Lanes elements per cycle.
@@ -220,18 +208,13 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 	case CGRA:
 		switch class {
 		case KSort:
-			passes := math.Ceil(log2(w.Items) / 3)
-			if passes < 1 {
-				passes = 1
-			}
+			passes := max(math.Ceil(log2(w.Items)/3), 1)
 			return int64(passes*float64(w.Items)/lanes) + 32, nil
 		case KFilter, KProject:
 			model := int64(float64(w.Items)/lanes) + 16
 			return maxCycles(model, d.bwFloorCycles(w.Bytes)), nil
 		case KGEMM:
 			return int64(float64(w.FLOPs()) / (2 * lanes * float64(d.Cores) * 0.5)), nil
-		case KGEMV:
-			return int64(float64(w.FLOPs()) / (2 * lanes * float64(d.Cores) * 0.25)), nil
 		case KWindowAgg:
 			model := int64(float64(w.Items)/lanes) + 16
 			return maxCycles(model, d.bwFloorCycles(w.Bytes)), nil
@@ -247,9 +230,6 @@ func (d *Device) kernelCycles(class KernelClass, w Work) (int64, error) {
 			tilesN := (w.N + 127) / 128
 			perTile := int64(w.K) + 256
 			return int64(tilesM) * int64(tilesN) * perTile, nil
-		case KGEMV:
-			tilesM := (w.M + 127) / 128
-			return int64(tilesM) * (int64(w.K) + 256), nil
 		}
 	case NIC:
 		switch class {

@@ -150,14 +150,26 @@ type Node struct {
 	// join columns...). Keys are operator-specific and documented at the
 	// adapter that consumes them.
 	Attrs map[string]any
+	// Bound holds the values of Attrs' holes bound for one execution, on
+	// an execution's copy of the node (sharing Attrs); Attr reads it first.
+	Bound []BoundAttr
 	// Inputs are the producing nodes, in argument order.
 	Inputs []NodeID
 }
 
-// Attr returns the named attribute (nil when absent).
+// BoundAttr is one attribute value bound for an execution (Node.Bound).
+type BoundAttr struct {
+	Key   string
+	Value any
+}
+
+// Attr returns the named attribute, a bound value before Attrs' own (nil
+// when absent).
 func (n *Node) Attr(key string) any {
-	if n.Attrs == nil {
-		return nil
+	for i := range n.Bound {
+		if n.Bound[i].Key == key {
+			return n.Bound[i].Value
+		}
 	}
 	return n.Attrs[key]
 }
@@ -379,14 +391,10 @@ func (g *Graph) Stages() ([][]NodeID, error) {
 		n := g.nodes[id]
 		l := 0
 		for _, in := range n.Inputs {
-			if level[in]+1 > l {
-				l = level[in] + 1
-			}
+			l = max(l, level[in]+1)
 		}
 		level[id] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, l)
 	}
 	out := make([][]NodeID, maxLevel+1)
 	for _, id := range order {

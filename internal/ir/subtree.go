@@ -2,7 +2,6 @@ package ir
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"slices"
 )
@@ -10,9 +9,10 @@ import (
 // SubtreeFP describes the subtree rooted at one node: its transitive input
 // closure and a content hash of that closure's shape.
 type SubtreeFP struct {
-	// Fingerprint is a sha256 hex digest of the closure's canonical
-	// encoding with node ids remapped to closure ranks (see
-	// SubtreeFingerprints for the invariants this buys).
+	// Fingerprint is the sha256 digest (32 raw bytes, the shortest key part
+	// the subplan cache can build on) of the closure's canonical encoding
+	// with node ids remapped to closure ranks (see SubtreeFingerprints for
+	// the invariants this buys).
 	Fingerprint string
 	// Closure lists the nodes of the subtree — the root plus every
 	// transitive input — sorted ascending by id. The position of a node in
@@ -91,7 +91,7 @@ func (g *Graph) SubtreeFingerprints() (map[NodeID]SubtreeFP, error) {
 		// closure has exactly one sink, but the hash should not rely on
 		// callers checking that).
 		fmt.Fprintf(h, "root%d", rank[id])
-		out[id] = SubtreeFP{Fingerprint: hex.EncodeToString(h.Sum(nil)), Closure: cl, Slots: slots}
+		out[id] = SubtreeFP{Fingerprint: string(h.Sum(nil)), Closure: cl, Slots: slots}
 	}
 	return out, nil
 }

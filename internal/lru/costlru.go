@@ -89,13 +89,27 @@ func (c *CostCache[V]) touch(e *costEntry[V]) {
 }
 
 // Get returns the value under key, marking it most recently used.
-func (c *CostCache[V]) Get(key string) (v V, ok bool) {
+func (c *CostCache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
-	if e, hit := c.entries[key]; hit {
+	v, ok := c.found(c.entries[key])
+	c.mu.Unlock()
+	return v, ok
+}
+
+// GetBytes is Get for a key held as bytes: it allocates no string.
+func (c *CostCache[V]) GetBytes(key []byte) (V, bool) {
+	c.mu.Lock()
+	v, ok := c.found(c.entries[string(key)])
+	c.mu.Unlock()
+	return v, ok
+}
+
+// found returns e's value, marking it most recently used (nil e: a miss).
+func (c *CostCache[V]) found(e *costEntry[V]) (v V, ok bool) {
+	if e != nil {
 		c.touch(e)
 		v, ok = e.val, true
 	}
-	c.mu.Unlock()
 	return v, ok
 }
 
@@ -131,9 +145,7 @@ func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool
 		c.touch(e)
 		return e.val, true
 	}
-	if cost < 1 {
-		cost = 1
-	}
+	cost = max(cost, 1)
 	if c.maxCost > 0 && cost > c.maxCost {
 		c.bypassed++
 		return v, false

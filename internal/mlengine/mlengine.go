@@ -3,7 +3,7 @@
 // Figure 3): a feed-forward MLP trained by mini-batch SGD, and k-means
 // clustering. All dense math runs on the tensor
 // substrate; device-aware entry points charge simulated hardware cost so
-// the middleware can offload GEMM/GEMV to TPU/GPU models (§III-A1).
+// the middleware can offload GEMM to TPU/GPU models (§III-A1).
 package mlengine
 
 import (

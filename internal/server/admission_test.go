@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/ir"
 	"polystorepp/internal/kvstore"
 	"polystorepp/internal/tenant"
 )
@@ -129,6 +131,36 @@ func TestInflightCountsOnlyRunning(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// blockingAdapter executes nothing: Execute returns once its context ends,
+// with the context's error.
+type blockingAdapter struct{ adapter.Adapter }
+
+func (blockingAdapter) Execute(ctx context.Context, _ *ir.Node, _ []adapter.Value) (adapter.Value, adapter.ExecInfo, error) {
+	<-ctx.Done()
+	return adapter.Value{}, adapter.ExecInfo{}, ctx.Err()
+}
+
+// TestDeadlineExceeded: an execution that outlives the request's timeout_ms
+// answers 504. The plan's one node blocks until the request's context ends,
+// so the answer does not depend on machine load: a deadline timer that fires
+// late still ends the execution with the deadline's error, never a 200.
+func TestDeadlineExceeded(t *testing.T) {
+	rt := core.NewRuntime(hw.NewHostCPU())
+	rt.Register(blockingAdapter{adapter.NewKV("kv-slow", kvstore.New("kv-slow"))})
+	ts := httptest.NewServer(New(rt, compiler.Options{}, Config{}))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(
+		`{"frontend":"program","timeout_ms":1,"program":[{"id":"k","op":"kvscan","engine":"kv-slow","prefix":"user/"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, raw)
 	}
 }
 

@@ -33,9 +33,9 @@ import (
 // byte-identical to cold ones (modulo host wall times, which Reports
 // already exclude from equivalence).
 type NodeCost struct {
-	Info      adapter.ExecInfo
-	IsMigrate bool
-	BD        migrate.Breakdown
+	Info adapter.ExecInfo
+	// Migration is a migration's breakdown (nil for every other node).
+	Migration *migrate.Breakdown
 	// Rows is the node's output cardinality (migrations report it from the
 	// materialized batch, which a replayed interior node no longer has).
 	Rows     int
@@ -52,10 +52,12 @@ type NodeCost struct {
 // executed candidate publishes and most are never asked for again: publishing
 // copies nothing. The first hit proves the entry reused and gathers it, once;
 // hits serve Reused.
+// Costs points at the publishing execution's records (or an inner hit's):
+// publishing copies none, and records hold no batch.
 type Entry struct {
 	Output *cast.Batch
-	Costs  []NodeCost // closure rank -> replay data
-	Bytes  int64      // Output payload size (lru cost accounting)
+	Costs  []*NodeCost // closure rank -> replay data
+	Bytes  int64       // Output payload size (lru cost accounting)
 
 	dense atomic.Pointer[cast.Batch]
 }
@@ -74,14 +76,7 @@ func (e *Entry) Reused() *cast.Batch {
 // budgets still admit a few entries while production budgets aren't capped
 // by entry count before bytes.
 func maxEntriesFor(maxBytes int64) int {
-	n := int(maxBytes / (4 << 10))
-	if n < 16 {
-		n = 16
-	}
-	if n > 65536 {
-		n = 65536
-	}
-	return n
+	return min(max(int(maxBytes/(4<<10)), 16), 65536)
 }
 
 // Cache is a byte-bounded LRU of subplan entries: an lru.CostCache whose

@@ -17,7 +17,7 @@ func testEntry(t *testing.T, rows int) *Entry {
 			t.Fatal(err)
 		}
 	}
-	return &Entry{Output: b, Costs: make([]NodeCost, 2), Bytes: b.ByteSize()}
+	return &Entry{Output: b, Costs: []*NodeCost{{}, {}}, Bytes: b.ByteSize()}
 }
 
 func TestCachePutGet(t *testing.T) {

@@ -352,6 +352,3 @@ func (t *Tensor) RowRangeInto(v *Tensor, lo, hi int) error {
 // FLOPsMatMul returns the floating-point operation count of an m×k by k×n
 // GEMM (2·m·k·n), used by the Roofline and LogCA models.
 func FLOPsMatMul(m, k, n int) int64 { return 2 * int64(m) * int64(k) * int64(n) }
-
-// FLOPsMatVec returns the op count of an m×k GEMV (2·m·k).
-func FLOPsMatVec(m, k int) int64 { return 2 * int64(m) * int64(k) }

@@ -166,9 +166,6 @@ func TestFLOPCounts(t *testing.T) {
 	if got := FLOPsMatMul(2, 3, 4); got != 48 {
 		t.Fatalf("FLOPsMatMul = %d", got)
 	}
-	if got := FLOPsMatVec(5, 6); got != 60 {
-		t.Fatalf("FLOPsMatVec = %d", got)
-	}
 }
 
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ.
