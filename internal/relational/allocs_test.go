@@ -257,3 +257,29 @@ func TestHashJoinAllocBudget(t *testing.T) {
 		t.Fatalf("join allocations: %.0f over 20 000 distinct build keys, %.0f over 64; want equal and at most 64", distinct, few)
 	}
 }
+
+// TestParseLiftedAllocBudget holds ParseLifted, over bench/'s four
+// cold_analytic templates, to the allocations it took while every parser
+// step could still return a lexer error: the lexer stays lazy and cuts no
+// token slice, so a parse allocates the statement it builds and no more.
+func TestParseLiftedAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		sql    string
+		budget float64
+	}{
+		{"SELECT kind, count(*) AS n, sum(value) AS total FROM events WHERE id >= 700 GROUP BY kind", 19},
+		{"SELECT id, value FROM events WHERE id >= 700 ORDER BY value DESC LIMIT 50", 12},
+		{"SELECT age, count(*) AS n FROM events JOIN patients ON kind = pid WHERE id >= 700 GROUP BY age", 15},
+		{"SELECT count(*) AS n, min(value) AS lo, max(value) AS hi, sum(value) AS total FROM events WHERE id < 1400", 25},
+	} {
+		binds := make([]any, 0, 4)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := ParseLifted(tc.sql, binds[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("ParseLifted(%q): %.0f allocations, budget %.0f", tc.sql, allocs, tc.budget)
+		}
+	}
+}

@@ -483,3 +483,80 @@ func TestValueShaped(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLErrorWording pins every error text the SQL frontend can produce as a
+// literal, for Parse and ParseLifted alike, beside what Shape reports for the
+// same statement ("" when Shape, which only lexes, accepts it).
+func TestSQLErrorWording(t *testing.T) {
+	for _, tc := range []struct{ sql, parse, shape string }{
+		{"", `expected select, got ""`, ""},
+		{"UPDATE users SET x = 1", `expected select, got "UPDATE"`, ""},
+		{"SELECT FROM users", `unexpected keyword "FROM" in expression`, ""},
+		{"SELECT a + FROM t", `unexpected keyword "FROM" in expression`, ""},
+		{"SELECT a * FROM t", `unexpected keyword "FROM" in expression`, ""},
+		{"SELECT * users", `expected from, got "users"`, ""},
+		{"SELECT * FROM", `expected identifier, got ""`, ""},
+		{"SELECT * FROM users trailing", `trailing input at "trailing"`, ""},
+		{"SELECT * FROM users WHERE", `unexpected token ""`, ""},
+		{"SELECT a FROM t WHERE NOT", `unexpected token ""`, ""},
+		{"SELECT a FROM t WHERE a = 1 OR", `unexpected token ""`, ""},
+		{"SELECT a FROM t WHERE a = 1 AND", `unexpected token ""`, ""},
+		{"SELECT a FROM t WHERE a = )", `unexpected token ")"`, ""},
+		{"SELECT a FROM t WHERE (a >) = 1", `unexpected token ")"`, ""},
+		{"SELECT (a FROM t", `expected ")", got "FROM"`, ""},
+		{"SELECT a FROM t WHERE (a > 1", `expected ")", got ""`, ""},
+		{"SELECT sum(*) FROM t", `sum(*) not allowed`, ""},
+		{"SELECT count(* FROM t", `expected ")", got "FROM"`, ""},
+		{"SELECT count(1) FROM t", `expected identifier, got "1"`, ""},
+		{"SELECT count(*) AS 1 FROM t", `expected identifier, got "1"`, ""},
+		{"SELECT a AS 1 FROM t", `expected identifier, got "1"`, ""},
+		{"SELECT * FROM a JOIN b", `expected on, got ""`, ""},
+		{"SELECT * FROM a JOIN 1 ON x = y", `expected identifier, got "1"`, ""},
+		{"SELECT * FROM a JOIN b ON 1 = y", `expected identifier, got "1"`, ""},
+		{"SELECT * FROM a JOIN b ON x y", `expected "=", got "y"`, ""},
+		{"SELECT * FROM a JOIN b ON x = 1", `expected identifier, got "1"`, ""},
+		{"SELECT a FROM t GROUP a", `expected by, got "a"`, ""},
+		{"SELECT a FROM t GROUP BY 1", `expected identifier, got "1"`, ""},
+		{"SELECT a FROM t GROUP BY a,", `expected identifier, got ""`, ""},
+		{"SELECT a FROM t ORDER a", `expected by, got "a"`, ""},
+		{"SELECT a FROM t ORDER BY 1", `expected identifier, got "1"`, ""},
+		{"SELECT a FROM t ORDER BY a,", `expected identifier, got ""`, ""},
+		{"SELECT * FROM t LIMIT", `LIMIT wants a number`, ""},
+		{"SELECT * FROM users LIMIT abc", `LIMIT wants a number`, ""},
+		{"SELECT * FROM users LIMIT 1.5", `bad LIMIT "1.5"`, `bad LIMIT "1.5"`},
+		{"SELECT * FROM users LIMIT 99999999999999999999", `bad LIMIT "99999999999999999999"`, `bad LIMIT "99999999999999999999"`},
+		{"SELECT * FROM users LIMIT -5", `LIMIT wants a non-negative number, got -5`, `LIMIT wants a non-negative number, got -5`},
+		{"SELECT a FROM t WHERE a = 1.2.3", `bad number "1.2.3"`, `bad number "1.2.3"`},
+		{"SELECT a FROM t WHERE a = 1e999", `bad number "1e999"`, `bad number "1e999"`},
+		{"SELECT a FROM t WHERE a = 99999999999999999999", `bad number "99999999999999999999"`, `bad number "99999999999999999999"`},
+		{"SELECT * FROM users WHERE name = 'unterminated", `unterminated string`, `unterminated string`},
+		{"SELECT count'x FROM t", `unterminated string`, `unterminated string`},
+		// An error before an unterminated string.
+		{"SELECT a FROM t WHERE a = 1.2.3 AND s = 'x", `bad number "1.2.3"`, `bad number "1.2.3"`},
+		{"SELECT FROM t WHERE s = 'x", `unexpected keyword "FROM" in expression`, `unterminated string`},
+		{"SELECT * FROM t LIMIT 1.5 '", `bad LIMIT "1.5"`, `bad LIMIT "1.5"`},
+	} {
+		_, err := Parse(tc.sql)
+		if got := sqlErrorText(err); got != tc.parse {
+			t.Errorf("Parse(%q): %q, want %q", tc.sql, got, tc.parse)
+		}
+		if _, _, err := ParseLifted(tc.sql, nil); sqlErrorText(err) != tc.parse {
+			t.Errorf("ParseLifted(%q): %v", tc.sql, err)
+		}
+		if _, _, err := Shape(nil, tc.sql, nil); sqlErrorText(err) != tc.shape {
+			t.Errorf("Shape(%q): %q, want %q", tc.sql, sqlErrorText(err), tc.shape)
+		}
+	}
+}
+
+// sqlErrorText is an ErrSQL's text after "relational: sql: ", and "" for
+// nil.
+func sqlErrorText(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case !errors.Is(err, ErrSQL):
+		return "not an ErrSQL: " + err.Error()
+	}
+	return strings.TrimPrefix(err.Error(), ErrSQL.Error()+": ")
+}
