@@ -84,7 +84,9 @@ type token struct {
 }
 
 // lexer cuts a statement into tokens whose text is a substring of it, so
-// lexing allocates nothing but a string literal holding invalid UTF-8.
+// lexing allocates nothing but a string literal holding invalid UTF-8. It
+// cannot fail: Shape and parse refuse an unterminated string (checkQuotes)
+// before the first token, and every other byte is some token.
 type lexer struct {
 	src string
 	pos int
@@ -95,19 +97,19 @@ type lexer struct {
 	operand bool
 }
 
-func (l *lexer) next() (token, error) {
-	t, err := l.scan()
+func (l *lexer) next() token {
+	t := l.scan()
 	l.operand = t.kind == tokNumber || t.kind == tokString || (t.kind == tokSymbol && t.text == ")") ||
 		(t.kind == tokIdent && !keyword(t.text) && !strings.EqualFold(t.text, "select"))
-	return t, err
+	return t
 }
 
-func (l *lexer) scan() (token, error) {
+func (l *lexer) scan() token {
 	for l.pos < len(l.src) && (l.src[l.pos] == ' ' || l.src[l.pos] == '\t' || l.src[l.pos] == '\n' || l.src[l.pos] == '\r') {
 		l.pos++
 	}
 	if l.pos >= len(l.src) {
-		return token{kind: tokEOF}, nil
+		return token{kind: tokEOF}
 	}
 	c := l.src[l.pos]
 	switch {
@@ -116,33 +118,30 @@ func (l *lexer) scan() (token, error) {
 		for l.pos < len(l.src) && (isIdentStart(l.src[l.pos]) || isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos]}, nil
+		return token{kind: tokIdent, text: l.src[start:l.pos]}
 	case isDigit(c) || (c == '-' && !l.operand && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 		start := l.pos
 		l.pos++
 		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' || l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
 			l.pos++
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos]}, nil
+		return token{kind: tokNumber, text: l.src[start:l.pos]}
 	case c == '\'':
 		start := l.pos + 1
-		end := strings.IndexByte(l.src[start:], '\'')
-		if end < 0 {
-			return token{}, fmt.Errorf("%w: unterminated string", ErrSQL)
-		}
+		end := strings.IndexByte(l.src[start:], '\'') // there is one: checkQuotes
 		s := l.src[start : start+end]
 		l.pos = start + end + 1
 		if !utf8.ValidString(s) {
 			s = string([]rune(s)) // each invalid byte reads as U+FFFD
 		}
-		return token{kind: tokString, text: s}, nil
+		return token{kind: tokString, text: s}
 	default:
 		// Multi-char operators first.
 		if l.pos+1 < len(l.src) {
 			switch two := l.src[l.pos : l.pos+2]; two {
 			case "<=", ">=", "!=", "<>":
 				l.pos += 2
-				return token{kind: tokSymbol, text: two}, nil
+				return token{kind: tokSymbol, text: two}
 			}
 		}
 		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
@@ -151,8 +150,19 @@ func (l *lexer) scan() (token, error) {
 			text = "\uFFFD"
 		}
 		l.pos += w
-		return token{kind: tokSymbol, text: text}, nil
+		return token{kind: tokSymbol, text: text}
 	}
+}
+
+// checkQuotes refuses a statement holding an unterminated string literal.
+// The grammar has no escapes, and no token but a string holds a quote, so
+// every ' outside a string opens one and the next ' closes it: a string is
+// left open exactly when the statement holds an odd number of them.
+func checkQuotes(sql string) error {
+	if strings.Count(sql, "'")%2 != 0 {
+		return fmt.Errorf("%w: unterminated string", ErrSQL)
+	}
+	return nil
 }
 
 func isIdentStart(c byte) bool {
@@ -191,14 +201,15 @@ func keyword(text string) bool {
 // it, name a column after it, or keep a WHERE that is only a literal. Shape
 // allocates nothing per token beyond growing dst and binds.
 func Shape(dst []byte, sql string, binds []any) ([]byte, []any, error) {
+	if err := checkQuotes(sql); err != nil {
+		return dst, binds, err
+	}
 	l := lexer{src: sql}
 	limit := false // the last token was the LIMIT keyword
 	for {
-		t, err := l.next()
-		if err != nil {
-			return dst, binds, err
-		}
+		t := l.next()
 		var v any
+		var err error
 		switch t.kind {
 		case tokEOF:
 			return dst, binds, nil
@@ -279,63 +290,52 @@ func limitCount(text string) (int, error) {
 // --- Parser ---
 
 type parser struct {
-	lex  *lexer
+	lex  lexer
 	cur  token
-	peek *token
+	peek token // the token after cur once peekTok read it, else kind 0
 	// lift turns each literal into a Param for a new slot of binds.
 	lift  bool
 	binds []any
 }
 
-func newParser(sql string, lift bool, binds []any) (*parser, error) {
-	p := &parser{lex: &lexer{src: sql}, lift: lift, binds: binds}
-	if err := p.advance(); err != nil {
-		return nil, err
+func (p *parser) advance() {
+	if p.peek.kind != 0 {
+		p.cur, p.peek = p.peek, token{}
+		return
 	}
-	return p, nil
+	p.cur = p.lex.next()
 }
 
-func (p *parser) advance() error {
-	if p.peek != nil {
-		p.cur = *p.peek
-		p.peek = nil
-		return nil
+func (p *parser) peekTok() token {
+	if p.peek.kind == 0 {
+		p.peek = p.lex.next()
 	}
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.cur = t
-	return nil
-}
-
-func (p *parser) peekTok() (token, error) {
-	if p.peek == nil {
-		t, err := p.lex.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
+	return p.peek
 }
 
 func (p *parser) isKeyword(kw string) bool {
 	return p.cur.kind == tokIdent && strings.EqualFold(p.cur.text, kw)
 }
 
+// isSymbol reports whether the current token is the symbol sym.
+func (p *parser) isSymbol(sym string) bool {
+	return p.cur.kind == tokSymbol && p.cur.text == sym
+}
+
 func (p *parser) expectKeyword(kw string) error {
 	if !p.isKeyword(kw) {
 		return fmt.Errorf("%w: expected %s, got %q", ErrSQL, kw, p.cur.text)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 func (p *parser) expectSymbol(sym string) error {
-	if p.cur.kind != tokSymbol || p.cur.text != sym {
+	if !p.isSymbol(sym) {
 		return fmt.Errorf("%w: expected %q, got %q", ErrSQL, sym, p.cur.text)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 func (p *parser) ident() (string, error) {
@@ -343,9 +343,7 @@ func (p *parser) ident() (string, error) {
 		return "", fmt.Errorf("%w: expected identifier, got %q", ErrSQL, p.cur.text)
 	}
 	s := p.cur.text
-	if err := p.advance(); err != nil {
-		return "", err
-	}
+	p.advance()
 	return s, nil
 }
 
@@ -377,10 +375,11 @@ func ParseLifted(sql string, binds []any) (*SelectStmt, []any, error) {
 }
 
 func parse(sql string, lift bool, binds []any) (*SelectStmt, []any, error) {
-	p, err := newParser(sql, lift, binds)
-	if err != nil {
+	if err := checkQuotes(sql); err != nil {
 		return nil, nil, err
 	}
+	p := &parser{lex: lexer{src: sql}, lift: lift, binds: binds}
+	p.advance()
 	stmt, err := p.selectStmt()
 	if err != nil {
 		return nil, nil, err
@@ -404,11 +403,9 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
-	if p.cur.kind == tokSymbol && p.cur.text == "*" {
+	if p.isSymbol("*") {
 		stmt.Star = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	} else {
 		for {
 			item, err := p.parseSelectItem(stmt)
@@ -416,53 +413,41 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 				return nil, err
 			}
 			stmt.Items = append(stmt.Items, item)
-			if p.cur.kind == tokSymbol && p.cur.text == "," {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.isSymbol(",") {
+				break
 			}
-			break
+			p.advance()
 		}
 	}
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
-	stmt.From, err = p.ident()
-	if err != nil {
+	if stmt.From, err = p.ident(); err != nil {
 		return nil, err
 	}
 	for p.isKeyword("join") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		var jc JoinClause
-		jc.Table, err = p.ident()
-		if err != nil {
+		if jc.Table, err = p.ident(); err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("on"); err != nil {
 			return nil, err
 		}
-		jc.LeftCol, err = p.ident()
-		if err != nil {
+		if jc.LeftCol, err = p.ident(); err != nil {
 			return nil, err
 		}
 		if err := p.expectSymbol("="); err != nil {
 			return nil, err
 		}
-		jc.RightCol, err = p.ident()
-		if err != nil {
+		if jc.RightCol, err = p.ident(); err != nil {
 			return nil, err
 		}
 		stmt.Joins = append(stmt.Joins, jc)
 	}
 	if p.isKeyword("where") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		stmt.Where, err = p.parseExpr()
-		if err != nil {
+		p.advance()
+		if stmt.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		// A lone literal: binding would hand the filter a bare constant,
@@ -473,9 +458,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		}
 	}
 	if p.isKeyword("group") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
@@ -485,67 +468,45 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 				return nil, err
 			}
 			stmt.GroupBy = append(stmt.GroupBy, c)
-			if p.cur.kind == tokSymbol && p.cur.text == "," {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.isSymbol(",") {
+				break
 			}
-			break
+			p.advance()
 		}
 	}
 	if p.isKeyword("order") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
 		for {
 			var oi OrderItem
-			oi.Col, err = p.ident()
-			if err != nil {
+			if oi.Col, err = p.ident(); err != nil {
 				return nil, err
 			}
-			if p.isKeyword("desc") {
-				oi.Desc = true
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			} else if p.isKeyword("asc") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+			if oi.Desc = p.isKeyword("desc"); oi.Desc || p.isKeyword("asc") {
+				p.advance()
 			}
 			stmt.OrderBy = append(stmt.OrderBy, oi)
-			if p.cur.kind == tokSymbol && p.cur.text == "," {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.isSymbol(",") {
+				break
 			}
-			break
+			p.advance()
 		}
 	}
 	if p.isKeyword("limit") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if p.cur.kind != tokNumber {
 			return nil, fmt.Errorf("%w: LIMIT wants a number", ErrSQL)
 		}
-		n, err := limitCount(p.cur.text)
-		if err != nil {
+		if stmt.Limit, err = limitCount(p.cur.text); err != nil {
 			return nil, err
 		}
-		stmt.Limit = n
 		if p.lift {
 			stmt.LimitSlot = len(p.binds)
-			p.binds = append(p.binds, int64(n))
+			p.binds = append(p.binds, int64(stmt.Limit))
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	if p.cur.kind != tokEOF {
 		return nil, fmt.Errorf("%w: trailing input at %q", ErrSQL, p.cur.text)
@@ -555,53 +516,39 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 
 func (p *parser) parseSelectItem(stmt *SelectStmt) (SelectItem, error) {
 	// Aggregate?
-	if p.cur.kind == tokIdent {
-		if fn, ok := aggNames[strings.ToLower(p.cur.text)]; ok {
-			nxt, err := p.peekTok()
-			if err != nil {
+	if fn, ok := aggNames[strings.ToLower(p.cur.text)]; ok && p.cur.kind == tokIdent {
+		if nxt := p.peekTok(); nxt.kind == tokSymbol && nxt.text == "(" {
+			p.advance() // the name
+			p.advance() // "("
+			spec := AggSpec{Fn: fn}
+			if p.isSymbol("*") {
+				if fn != AggCount {
+					return SelectItem{}, fmt.Errorf("%w: %s(*) not allowed", ErrSQL, fn)
+				}
+				p.advance()
+			} else {
+				col, err := p.ident()
+				if err != nil {
+					return SelectItem{}, err
+				}
+				spec.Col = col
+			}
+			if err := p.expectSymbol(")"); err != nil {
 				return SelectItem{}, err
 			}
-			if nxt.kind == tokSymbol && nxt.text == "(" {
-				if err := p.advance(); err != nil { // consume name
-					return SelectItem{}, err
-				}
-				if err := p.advance(); err != nil { // consume "("
-					return SelectItem{}, err
-				}
-				spec := AggSpec{Fn: fn}
-				if p.cur.kind == tokSymbol && p.cur.text == "*" {
-					if fn != AggCount {
-						return SelectItem{}, fmt.Errorf("%w: %s(*) not allowed", ErrSQL, fn)
-					}
-					if err := p.advance(); err != nil {
-						return SelectItem{}, err
-					}
-				} else {
-					col, err := p.ident()
-					if err != nil {
-						return SelectItem{}, err
-					}
-					spec.Col = col
-				}
-				if err := p.expectSymbol(")"); err != nil {
-					return SelectItem{}, err
-				}
-				as := fmt.Sprintf("%s_%s", spec.Fn, BaseName(spec.Col))
-				if spec.Col == "" {
-					as = "count"
-				}
-				if p.isKeyword("as") {
-					if err := p.advance(); err != nil {
-						return SelectItem{}, err
-					}
-					as, err = p.ident()
-					if err != nil {
-						return SelectItem{}, err
-					}
-				}
-				spec.As = as
-				return SelectItem{Agg: &spec, As: as}, nil
+			as := fmt.Sprintf("%s_%s", spec.Fn, BaseName(spec.Col))
+			if spec.Col == "" {
+				as = "count"
 			}
+			if p.isKeyword("as") {
+				p.advance()
+				var err error
+				if as, err = p.ident(); err != nil {
+					return SelectItem{}, err
+				}
+			}
+			spec.As = as
+			return SelectItem{Agg: &spec, As: as}, nil
 		}
 	}
 	slots := len(p.binds)
@@ -614,11 +561,8 @@ func (p *parser) parseSelectItem(stmt *SelectStmt) (SelectItem, error) {
 		as = BaseName(cr.Name)
 	}
 	if p.isKeyword("as") {
-		if err := p.advance(); err != nil {
-			return SelectItem{}, err
-		}
-		as, err = p.ident()
-		if err != nil {
+		p.advance()
+		if as, err = p.ident(); err != nil {
 			return SelectItem{}, err
 		}
 	}
@@ -642,50 +586,31 @@ func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("or") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
+	for err == nil && p.isKeyword("or") {
+		p.advance()
+		var r Expr
+		r, err = p.parseAnd()
 		l = Bin{Op: OpOr, L: l, R: r}
 	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseAnd() (Expr, error) {
 	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("and") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
+	for err == nil && p.isKeyword("and") {
+		p.advance()
+		var r Expr
+		r, err = p.parseNot()
 		l = Bin{Op: OpAnd, L: l, R: r}
 	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.isKeyword("not") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: e}, nil
+		return Not{E: e}, err
 	}
 	return p.parseCmp()
 }
@@ -696,115 +621,78 @@ var cmpOps = map[string]BinOp{
 
 func (p *parser) parseCmp() (Expr, error) {
 	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
+	if err != nil || p.cur.kind != tokSymbol {
+		return l, err
 	}
-	if p.cur.kind == tokSymbol {
-		if op, ok := cmpOps[p.cur.text]; ok {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return Bin{Op: op, L: l, R: r}, nil
-		}
+	op, ok := cmpOps[p.cur.text]
+	if !ok {
+		return l, nil
 	}
-	return l, nil
+	p.advance()
+	r, err := p.parseAdd()
+	return Bin{Op: op, L: l, R: r}, err
 }
 
 func (p *parser) parseAdd() (Expr, error) {
 	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokSymbol && (p.cur.text == "+" || p.cur.text == "-") {
+	for err == nil && (p.isSymbol("+") || p.isSymbol("-")) {
 		op := OpAdd
 		if p.cur.text == "-" {
 			op = OpSub
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
+		p.advance()
+		var r Expr
+		r, err = p.parseMul()
 		l = Bin{Op: op, L: l, R: r}
 	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseMul() (Expr, error) {
 	l, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokSymbol && (p.cur.text == "*" || p.cur.text == "/") {
+	for err == nil && (p.isSymbol("*") || p.isSymbol("/")) {
 		op := OpMul
 		if p.cur.text == "/" {
 			op = OpDiv
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
+		p.advance()
+		var r Expr
+		r, err = p.parsePrimary()
 		l = Bin{Op: op, L: l, R: r}
 	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	switch p.cur.kind {
-	case tokNumber:
-		text := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		v, typ, err := numberLiteral(text)
+	t := p.cur
+	switch {
+	case t.kind == tokNumber:
+		p.advance()
+		v, typ, err := numberLiteral(t.text)
 		if err != nil {
 			return nil, err
 		}
 		return p.literal(v, typ), nil
-	case tokString:
-		s := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.literal(s, cast.String), nil
-	case tokIdent:
-		text := p.cur.text
-		if b, ok := boolLiteral(text); ok {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+	case t.kind == tokString:
+		p.advance()
+		return p.literal(t.text, cast.String), nil
+	case t.kind == tokIdent:
+		if b, ok := boolLiteral(t.text); ok {
+			p.advance()
 			return p.literal(b, cast.Bool), nil
 		}
-		if keyword(text) {
-			return nil, fmt.Errorf("%w: unexpected keyword %q in expression", ErrSQL, text)
+		if keyword(t.text) {
+			return nil, fmt.Errorf("%w: unexpected keyword %q in expression", ErrSQL, t.text)
 		}
-		if err := p.advance(); err != nil {
+		p.advance()
+		return ColRef{Name: t.text}, nil
+	case p.isSymbol("("):
+		p.advance()
+		e, err := p.parseExpr()
+		if err != nil {
 			return nil, err
 		}
-		return ColRef{Name: text}, nil
-	case tokSymbol:
-		if p.cur.text == "(" {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
+		return e, p.expectSymbol(")")
 	}
-	return nil, fmt.Errorf("%w: unexpected token %q", ErrSQL, p.cur.text)
+	return nil, fmt.Errorf("%w: unexpected token %q", ErrSQL, t.text)
 }

@@ -531,10 +531,12 @@ func TestSQLErrorWording(t *testing.T) {
 		{"SELECT a FROM t WHERE a = 99999999999999999999", `bad number "99999999999999999999"`, `bad number "99999999999999999999"`},
 		{"SELECT * FROM users WHERE name = 'unterminated", `unterminated string`, `unterminated string`},
 		{"SELECT count'x FROM t", `unterminated string`, `unterminated string`},
-		// An error before an unterminated string.
-		{"SELECT a FROM t WHERE a = 1.2.3 AND s = 'x", `bad number "1.2.3"`, `bad number "1.2.3"`},
-		{"SELECT FROM t WHERE s = 'x", `unexpected keyword "FROM" in expression`, `unterminated string`},
-		{"SELECT * FROM t LIMIT 1.5 '", `bad LIMIT "1.5"`, `bad LIMIT "1.5"`},
+		// An unterminated string is found before any token, so it is what
+		// a statement with an earlier error reports.
+		{"SELECT a FROM t WHERE a = 1.2.3 AND s = 'x", `unterminated string`, `unterminated string`},
+		{"SELECT FROM t WHERE s = 'x", `unterminated string`, `unterminated string`},
+		{"SELECT * FROM t LIMIT 1.5 '", `unterminated string`, `unterminated string`},
+		{"SELECT 'it''s' FROM t WHERE s = 'x", `unterminated string`, `unterminated string`},
 	} {
 		_, err := Parse(tc.sql)
 		if got := sqlErrorText(err); got != tc.parse {
