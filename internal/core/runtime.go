@@ -474,9 +474,11 @@ func bindNodes(plan *compiler.Plan, pr *planProbe) (order []*ir.Node, runs int, 
 		}
 		lo := len(bound)
 		for _, k := range keys {
-			v, err := relational.Bind(n.Attrs[k], plan.Binds)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: node %d (%s): %w", ErrExec, n.ID, n.Kind, err)
+			v, shared := scanBound(nodes, n, k)
+			if !shared {
+				if v, err = relational.Bind(n.Attrs[k], plan.Binds); err != nil {
+					return nil, 0, fmt.Errorf("%w: node %d (%s): %w", ErrExec, n.ID, n.Kind, err)
+				}
 			}
 			bound = append(bound, ir.BoundAttr{Key: k, Value: v})
 		}
@@ -485,6 +487,23 @@ func bindNodes(plan *compiler.Plan, pr *planProbe) (order []*ir.Node, runs int, 
 		order[i] = &nodes[len(nodes)-1]
 	}
 	return order, runs, nil
+}
+
+// scanBound returns what a filter's predicate is bound to when the index
+// scan it reads is among the bound nodes: the L2 access-path pass gives an
+// IndexScan its one consumer filter's very "pred" (compiler.selectIndexScans),
+// so the filter takes the scan's bound value instead of binding the same
+// expression again.
+func scanBound(nodes []ir.Node, n *ir.Node, key string) (any, bool) {
+	if n.Kind != ir.OpFilter || key != "pred" || len(n.Inputs) != 1 {
+		return nil, false
+	}
+	for i := range nodes {
+		if s := &nodes[i]; s.ID == n.Inputs[0] && s.Kind == ir.OpIndexScan {
+			return s.Attr(key), true
+		}
+	}
+	return nil, false
 }
 
 // absorb folds one finished node into the report.
