@@ -73,14 +73,7 @@ func run() error {
 
 			// Assemble tensors and take the gradient step.
 			t1 := time.Now()
-			x, err := tensor.New(batch.Rows(), 4)
-			if err != nil {
-				return err
-			}
-			y, err := tensor.New(batch.Rows(), 1)
-			if err != nil {
-				return err
-			}
+			x, y := tensor.New(batch.Rows(), 4), tensor.New(batch.Rows(), 1)
 			for i := 0; i < batch.Rows(); i++ {
 				for j := 0; j < 4; j++ {
 					v, err := batch.Value(i, j)

@@ -25,10 +25,7 @@ func featureTensor(b *cast.Batch, cols []string) (*tensor.Tensor, error) {
 	var out *tensor.Tensor
 	var data []float64
 	if b.Rows() > 0 {
-		var err error
-		if out, err = tensor.New(b.Rows(), len(cols)); err != nil {
-			return nil, err
-		}
+		out = tensor.New(b.Rows(), len(cols))
 		data = out.Data()
 	}
 	for j, name := range cols {
@@ -93,12 +90,8 @@ func referencePredictions(t *testing.T, seed int64, b *cast.Batch, features []st
 	for e := 0; e < epochs; e++ {
 		for lo := 0; lo < n; lo += batch {
 			hi := min(lo+batch, n)
-			if err := x.RowRangeInto(&xb, lo, hi); err != nil {
-				t.Fatal(err)
-			}
-			if err := y.RowRangeInto(&yb, lo, hi); err != nil {
-				t.Fatal(err)
-			}
+			x.RowRangeInto(&xb, lo, hi)
+			y.RowRangeInto(&yb, lo, hi)
 			if _, err := m.TrainBatch(ws, &xb, &yb, lr); err != nil {
 				t.Fatal(err)
 			}

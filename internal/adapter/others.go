@@ -429,10 +429,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if in.Rows() == 0 {
 			return Value{}, info, fmt.Errorf("%w: kmeans over no rows", ErrBadInput)
 		}
-		x, err := tensor.New(in.Rows(), len(cols))
-		if err != nil {
-			return Value{}, info, err
-		}
+		x := tensor.New(in.Rows(), len(cols)) // rows checked above, columns by readFeatures
 		f.fill(x.Data(), 0, in.Rows())
 		k := int(n.IntAttr("k"))
 		iters := int(n.IntAttr("iters"))

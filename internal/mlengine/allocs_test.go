@@ -21,8 +21,8 @@ func TestStepAndPredictAllocBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tailX, tailY := new(tensor.Tensor), new(tensor.Tensor)
-	_ = x.RowRangeInto(tailX, 0, 9) // in range by construction
-	_ = y.RowRangeInto(tailY, 0, 9)
+	x.RowRangeInto(tailX, 0, 9)
+	y.RowRangeInto(tailY, 0, 9)
 	step := func() {
 		if _, err := m.TrainBatch(ws, x, y, 0.1); err != nil {
 			t.Fatal(err)

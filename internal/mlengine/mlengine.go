@@ -36,7 +36,9 @@ type MLP struct {
 }
 
 // NewMLP builds an MLP with the given layer sizes (input, hidden..., 1).
-// Weights are Xavier-initialized from rng.
+// Weights are Xavier-initialized from rng. The sizes are checked here, once:
+// every tensor of the model and of its workspaces is shaped from them, so no
+// pass over a model can meet a mismatched shape.
 func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("%w: need at least input and output sizes", ErrConfig)
@@ -44,19 +46,14 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 	if sizes[len(sizes)-1] != 1 {
 		return nil, fmt.Errorf("%w: binary MLP needs output size 1, got %d", ErrConfig, sizes[len(sizes)-1])
 	}
-	m := &MLP{sizes: append([]int(nil), sizes...)}
+	if slices.Min(sizes) <= 0 {
+		return nil, fmt.Errorf("%w: layer sizes %v", ErrConfig, sizes)
+	}
+	m := &MLP{sizes: slices.Clone(sizes)}
 	for i := 0; i+1 < len(sizes); i++ {
 		scale := math.Sqrt(6.0 / float64(sizes[i]+sizes[i+1]))
-		w, err := tensor.Rand(rng, scale, sizes[i], sizes[i+1])
-		if err != nil {
-			return nil, err
-		}
-		b, err := tensor.New(sizes[i+1])
-		if err != nil {
-			return nil, err
-		}
-		m.weights = append(m.weights, w)
-		m.biases = append(m.biases, b)
+		m.weights = append(m.weights, tensor.Rand(rng, scale, sizes[i], sizes[i+1]))
+		m.biases = append(m.biases, tensor.New(sizes[i+1]))
 	}
 	return m, nil
 }
@@ -88,75 +85,65 @@ type Workspace struct {
 // NewWorkspace returns a training workspace for mini-batches of up to rows
 // examples. Its single owner hands it to every TrainBatch call.
 func (m *MLP) NewWorkspace(rows int) (*Workspace, error) {
-	return newWorkspace(m.sizes, rows, true)
-}
-
-func newWorkspace(sizes []int, rows int, train bool) (*Workspace, error) {
 	if rows <= 0 {
 		return nil, fmt.Errorf("%w: workspace of %d rows", ErrConfig, rows)
 	}
-	zeros := func(shape ...int) *tensor.Tensor {
-		t, _ := tensor.New(shape...) // cannot fail: rows is positive, and so are the sizes of a built model
-		return t
-	}
-	ws := &Workspace{sizes: sizes, act: make([]*tensor.Tensor, len(sizes)), x: zeros(rows, sizes[0])}
-	if train {
-		ws.y = zeros(rows, 1)
-	}
-	for i := 0; i+1 < len(sizes); i++ {
-		ws.actBuf = append(ws.actBuf, zeros(rows, sizes[i+1]))
-		ws.act[i+1] = new(tensor.Tensor)
-		if train {
-			ws.deltaBuf = append(ws.deltaBuf, zeros(rows, sizes[i+1]))
-			ws.delta = append(ws.delta, new(tensor.Tensor))
-			ws.gradW = append(ws.gradW, zeros(sizes[i], sizes[i+1]))
-			ws.gradB = append(ws.gradB, zeros(sizes[i+1]))
-		}
-	}
-	return ws, ws.setRows(rows)
+	return newWorkspace(m.sizes, rows, true), nil
 }
 
-// setRows points the row-shaped views at the first n rows of their buffers:
-// the last mini-batch of an epoch, or block of a prediction, may be short.
-func (ws *Workspace) setRows(n int) error {
+// newWorkspace shapes every buffer from a built model's sizes and a positive
+// row count.
+func newWorkspace(sizes []int, rows int, train bool) *Workspace {
+	ws := &Workspace{sizes: sizes, act: make([]*tensor.Tensor, len(sizes)), x: tensor.New(rows, sizes[0])}
+	if train {
+		ws.y = tensor.New(rows, 1)
+	}
+	for i := 0; i+1 < len(sizes); i++ {
+		ws.actBuf = append(ws.actBuf, tensor.New(rows, sizes[i+1]))
+		ws.act[i+1] = new(tensor.Tensor)
+		if train {
+			ws.deltaBuf = append(ws.deltaBuf, tensor.New(rows, sizes[i+1]))
+			ws.delta = append(ws.delta, new(tensor.Tensor))
+			ws.gradW = append(ws.gradW, tensor.New(sizes[i], sizes[i+1]))
+			ws.gradB = append(ws.gradB, tensor.New(sizes[i+1]))
+		}
+	}
+	ws.setRows(rows)
+	return ws
+}
+
+// setRows points the row-shaped views at the first n rows of their buffers,
+// n at most the workspace's rows: the last mini-batch of an epoch, or block
+// of a prediction, may be short.
+func (ws *Workspace) setRows(n int) {
 	if n == ws.rows {
-		return nil
+		return
 	}
 	for i, buf := range ws.actBuf {
-		if err := buf.RowRangeInto(ws.act[i+1], 0, n); err != nil {
-			return fmt.Errorf("%w: %d rows in a workspace of %d", ErrData, n, buf.Dim(0))
-		}
+		buf.RowRangeInto(ws.act[i+1], 0, n)
 		if ws.delta != nil {
-			_ = ws.deltaBuf[i].RowRangeInto(ws.delta[i], 0, n) // shaped like actBuf[i]
+			ws.deltaBuf[i].RowRangeInto(ws.delta[i], 0, n)
 		}
 	}
 	ws.rows = n
-	return nil
 }
 
 // forward leaves layer i's activation over x in ws.act[i+1]. Only the
 // activations are kept: ReLU's derivative gate reads them, since a == 0
 // exactly where the pre-activation was <= 0.
-func (m *MLP) forward(ws *Workspace, x *tensor.Tensor) error {
-	if err := ws.setRows(x.Dim(0)); err != nil {
-		return err
-	}
+func (m *MLP) forward(ws *Workspace, x *tensor.Tensor) {
+	ws.setRows(x.Dim(0))
 	ws.act[0] = x
 	for i, w := range m.weights {
 		a := ws.act[i+1]
-		if err := tensor.MatMulInto(a, ws.act[i], w); err != nil {
-			return err
-		}
-		if err := a.AddRowInPlace(m.biases[i]); err != nil {
-			return err
-		}
+		tensor.MatMulInto(a, ws.act[i], w)
+		a.AddRowInPlace(m.biases[i])
 		if i == len(m.weights)-1 {
 			a.ApplyInPlace(sigmoid)
 		} else {
 			a.ApplyInPlace(relu)
 		}
 	}
-	return nil
 }
 
 // Fill writes rows [lo, hi) of a model input into dst, row-major, one row
@@ -167,10 +154,10 @@ type Fill func(dst []float64, lo, hi int)
 // stage points the workspace's input view (and label view, when it has one)
 // at the first n rows of their buffers and fills them with rows [lo, lo+n).
 func (ws *Workspace) stage(x, y Fill, lo, n int) {
-	_ = ws.x.RowRangeInto(&ws.xv, 0, n) // n is within the buffer: callers step by at most its rows
+	ws.x.RowRangeInto(&ws.xv, 0, n)
 	x(ws.xv.Data(), lo, lo+n)
 	if y != nil {
-		_ = ws.y.RowRangeInto(&ws.yv, 0, n)
+		ws.y.RowRangeInto(&ws.yv, 0, n)
 		y(ws.yv.Data(), lo, lo+n)
 	}
 }
@@ -186,26 +173,19 @@ var predictPool sync.Pool // of *Workspace
 // fill writes into the workspace a block of rows at a time. It is safe to
 // call from several goroutines on one model.
 func (m *MLP) PredictFill(n, width int, fill Fill) (*tensor.Tensor, error) {
-	if width != m.sizes[0] {
+	if n <= 0 || width != m.sizes[0] {
 		return nil, fmt.Errorf("%w: input shape %v, want [_, %d]", ErrData, []int{n, width}, m.sizes[0])
 	}
-	out, err := tensor.New(n, 1)
-	if err != nil {
-		return nil, err
-	}
+	out := tensor.New(n, 1)
 	ws, _ := predictPool.Get().(*Workspace)
 	if ws == nil || !slices.Equal(ws.sizes, m.sizes) {
-		if ws, err = newWorkspace(m.sizes, predictBlock, false); err != nil {
-			return nil, err
-		}
+		ws = newWorkspace(m.sizes, predictBlock, false)
 	}
 	defer predictPool.Put(ws)
 	for lo := 0; lo < n; lo += predictBlock {
 		hi := min(lo+predictBlock, n)
 		ws.stage(fill, nil, lo, hi-lo)
-		if err := m.forward(ws, &ws.xv); err != nil {
-			return nil, err
-		}
+		m.forward(ws, &ws.xv)
 		copy(out.Data()[lo:hi], ws.act[len(ws.act)-1].Data())
 	}
 	return out, nil
@@ -220,14 +200,11 @@ var trainPool sync.Pool // of *Workspace
 // step as TrainBatch takes it. x fills a step's features and y its labels
 // into the workspace, so no tensor of all n rows is built, and the workspace
 // itself is borrowed. stop is asked before every pass; its error ends
-// training (a canceled request).
+// training (a canceled request). batch must be positive.
 func (m *MLP) Fit(n, batch, epochs int, lr float64, x, y Fill, stop func() error) error {
 	ws, _ := trainPool.Get().(*Workspace)
 	if ws == nil || !slices.Equal(ws.sizes, m.sizes) || ws.x.Dim(0) < batch {
-		var err error
-		if ws, err = m.NewWorkspace(batch); err != nil {
-			return err
-		}
+		ws = newWorkspace(m.sizes, batch, true)
 	}
 	defer trainPool.Put(ws)
 	for e := 0; e < epochs; e++ {
@@ -236,9 +213,7 @@ func (m *MLP) Fit(n, batch, epochs int, lr float64, x, y Fill, stop func() error
 		}
 		for lo := 0; lo < n; lo += batch {
 			ws.stage(x, y, lo, min(batch, n-lo))
-			if _, err := m.TrainBatch(ws, &ws.xv, &ws.yv, lr); err != nil {
-				return err
-			}
+			m.step(ws, &ws.xv, &ws.yv, lr)
 		}
 	}
 	return nil
@@ -246,15 +221,23 @@ func (m *MLP) Fit(n, batch, epochs int, lr float64, x, y Fill, stop func() error
 
 // TrainBatch performs one SGD step on (x, y) with learning rate lr, out of a
 // workspace from NewWorkspace, and returns the mean binary cross-entropy loss
-// before the step.
+// before the step. x must be the model's input width and at most the
+// workspace's rows, y one label per row of x.
 func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float64, error) {
 	n := x.Dim(0)
+	if x.Rank() != 2 || x.Dim(1) != m.sizes[0] || n > ws.x.Dim(0) {
+		return 0, fmt.Errorf("%w: input shape %v, want at most [%d,%d]", ErrData, x.Shape(), ws.x.Dim(0), m.sizes[0])
+	}
 	if y.Rank() != 2 || y.Dim(0) != n || y.Dim(1) != 1 {
 		return 0, fmt.Errorf("%w: labels shape %v, want [%d,1]", ErrData, y.Shape(), n)
 	}
-	if err := m.forward(ws, x); err != nil {
-		return 0, err
-	}
+	return m.step(ws, x, y, lr), nil
+}
+
+// step is TrainBatch on operands shaped for the model and its workspace.
+func (m *MLP) step(ws *Workspace, x, y *tensor.Tensor, lr float64) float64 {
+	n := x.Dim(0)
+	m.forward(ws, x)
 	last := len(m.weights) - 1
 	// BCE loss and output delta (sigmoid + BCE gives delta = pred - y).
 	var loss float64
@@ -269,9 +252,7 @@ func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float6
 	// Backprop.
 	for layer := last; layer >= 0; layer-- {
 		delta, gradW, gradB := ws.delta[layer], ws.gradW[layer], ws.gradB[layer]
-		if err := tensor.MatMulTransAInto(gradW, ws.act[layer], delta); err != nil {
-			return 0, err
-		}
+		tensor.MatMulTransAInto(gradW, ws.act[layer], delta)
 		gradW.Scale(1 / float64(n))
 		// Bias gradient: column means of delta.
 		cols := delta.Dim(1)
@@ -287,9 +268,7 @@ func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float6
 		}
 		if layer > 0 {
 			next := ws.delta[layer-1]
-			if err := tensor.MatMulTransBInto(next, delta, m.weights[layer]); err != nil {
-				return 0, err
-			}
+			tensor.MatMulTransBInto(next, delta, m.weights[layer])
 			// ReLU derivative gate.
 			ad, nd := ws.act[layer].Data(), next.Data()
 			for i := range nd {
@@ -298,14 +277,10 @@ func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float6
 				}
 			}
 		}
-		if err := m.weights[layer].AddInPlace(gradW.Scale(-lr)); err != nil {
-			return 0, err
-		}
-		if err := m.biases[layer].AddInPlace(gradB.Scale(-lr)); err != nil {
-			return 0, err
-		}
+		m.weights[layer].AddInPlace(gradW.Scale(-lr))
+		m.biases[layer].AddInPlace(gradB.Scale(-lr))
 	}
-	return loss, nil
+	return loss
 }
 
 // EpochGEMMWork returns the hw.Work items of one epoch of training on n
@@ -367,10 +342,7 @@ func kmeansOn(rng *rand.Rand, points *tensor.Tensor, k, maxIter int, dev *hw.Dev
 	}
 	// Initialize centroids by sampling distinct points.
 	perm := rng.Perm(n)[:k]
-	cents, err := tensor.New(k, dim)
-	if err != nil {
-		return nil, err
-	}
+	cents := tensor.New(k, dim)
 	pd, cd := points.Data(), cents.Data()
 	for i, p := range perm {
 		copy(cd[i*dim:(i+1)*dim], pd[p*dim:(p+1)*dim])

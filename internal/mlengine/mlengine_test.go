@@ -13,8 +13,8 @@ import (
 // synthBinary builds a linearly-separable-ish binary dataset: label = 1 when
 // the sum of the first two features exceeds 0.
 func synthBinary(rng *rand.Rand, n, dim int) (x, y *tensor.Tensor) {
-	x, _ = tensor.Rand(rng, 1, n, dim)
-	y, _ = tensor.New(n, 1)
+	x = tensor.Rand(rng, 1, n, dim)
+	y = tensor.New(n, 1)
 	xd, yd := x.Data(), y.Data()
 	for i := 0; i < n; i++ {
 		if xd[i*dim]+xd[i*dim+1] > 0 {
@@ -31,6 +31,9 @@ func TestNewMLPValidation(t *testing.T) {
 	}
 	if _, err := NewMLP(rng, 4, 3); !errors.Is(err, ErrConfig) {
 		t.Fatalf("non-unit output: %v", err)
+	}
+	if _, err := NewMLP(rng, 4, 0, 1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("empty hidden layer: %v", err)
 	}
 	m, err := NewMLP(rng, 4, 8, 1)
 	if err != nil {
@@ -90,11 +93,14 @@ func predict(m *MLP, x *tensor.Tensor) (*tensor.Tensor, error) {
 func TestMLPPredictValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := NewMLP(rng, 4, 1)
-	bad, _ := tensor.New(3, 5)
+	bad := tensor.New(3, 5)
 	if _, err := predict(m, bad); !errors.Is(err, ErrData) {
 		t.Fatalf("wrong dim: %v", err)
 	}
-	x, _ := tensor.New(3, 4)
+	if _, err := m.PredictFill(0, 4, nil); !errors.Is(err, ErrData) {
+		t.Fatalf("no rows: %v", err)
+	}
+	x := tensor.New(3, 4)
 	p, err := predict(m, x)
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +115,13 @@ func TestMLPPredictValidation(t *testing.T) {
 func TestMLPTrainBatchLabelShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, _ := NewMLP(rng, 4, 1)
-	x, _ := tensor.New(8, 4)
-	badY, _ := tensor.New(8, 2)
+	x := tensor.New(8, 4)
+	badY := tensor.New(8, 2)
 	ws, _ := m.NewWorkspace(4)
 	if _, err := m.TrainBatch(ws, x, badY, 0.1); !errors.Is(err, ErrData) {
 		t.Fatalf("bad labels: %v", err)
 	}
-	y, _ := tensor.New(8, 1)
+	y := tensor.New(8, 1)
 	if _, err := m.TrainBatch(ws, x, y, 0.1); !errors.Is(err, ErrData) {
 		t.Fatalf("8 rows through a 4-row workspace: %v", err)
 	}
@@ -146,12 +152,12 @@ func TestEpochGEMMWork(t *testing.T) {
 
 // clusteredPoints samples n points around k well-separated centers.
 func clusteredPoints(rng *rand.Rand, n, k, dim int) *tensor.Tensor {
-	centers, _ := tensor.New(k, dim)
+	centers := tensor.New(k, dim)
 	cd := centers.Data()
 	for i := range cd {
 		cd[i] = float64(rng.Intn(20)) * 10
 	}
-	pts, _ := tensor.New(n, dim)
+	pts := tensor.New(n, dim)
 	pd := pts.Data()
 	for i := 0; i < n; i++ {
 		c := i % k
@@ -184,14 +190,14 @@ func TestKMeansConverges(t *testing.T) {
 
 func TestKMeansValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	pts, _ := tensor.New(10, 2)
+	pts := tensor.New(10, 2)
 	if _, err := KMeans(rng, pts, 0, 5); !errors.Is(err, ErrConfig) {
 		t.Fatalf("k=0: %v", err)
 	}
 	if _, err := KMeans(rng, pts, 11, 5); !errors.Is(err, ErrConfig) {
 		t.Fatalf("k>n: %v", err)
 	}
-	vec, _ := tensor.New(10)
+	vec := tensor.New(10)
 	if _, err := KMeans(rng, vec, 2, 5); !errors.Is(err, ErrData) {
 		t.Fatalf("rank-1: %v", err)
 	}

@@ -51,7 +51,7 @@ func refTrainBatch(m *MLP, x, y *tensor.Tensor, lr float64) float64 {
 		gradW, _ := tensor.MatMul(aT, delta)
 		gradW.Scale(1 / float64(n))
 		cols := delta.Dim(1)
-		gradB, _ := tensor.New(cols)
+		gradB := tensor.New(cols)
 		dd, gb := delta.Data(), gradB.Data()
 		for r := 0; r < delta.Dim(0); r++ {
 			for c := 0; c < cols; c++ {
@@ -72,8 +72,8 @@ func refTrainBatch(m *MLP, x, y *tensor.Tensor, lr float64) float64 {
 			}
 			delta = next
 		}
-		_ = m.weights[layer].AddInPlace(gradW.Scale(-lr))
-		_ = m.biases[layer].AddInPlace(gradB.Scale(-lr))
+		m.weights[layer].AddInPlace(gradW.Scale(-lr))
+		m.biases[layer].AddInPlace(gradB.Scale(-lr))
 	}
 	return loss
 }
@@ -105,8 +105,8 @@ func TestTrainTrajectoryBitEqualToReference(t *testing.T) {
 		for lo := 0; lo < n; lo += batch {
 			hi := min(lo+batch, n)
 			xb, yb := new(tensor.Tensor), new(tensor.Tensor)
-			_ = x.RowRangeInto(xb, lo, hi) // in range by construction
-			_ = y.RowRangeInto(yb, lo, hi)
+			x.RowRangeInto(xb, lo, hi)
+			y.RowRangeInto(yb, lo, hi)
 			loss, err := got.TrainBatch(ws, xb, yb, 0.3)
 			if err != nil {
 				t.Fatal(err)

@@ -11,9 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
-// Sentinel errors.
+// Sentinel errors. Only the allocating whole-tensor operations (MatMul,
+// MatVec, Transpose, Add, Sub) and Set return them; a constructor, a
+// destination-passing kernel and an in-place update panic with one instead,
+// naming the shapes, as gonum's mat package does: their callers size every
+// operand from shapes they have already checked.
 var (
 	ErrShape = errors.New("tensor: shape mismatch")
 	ErrBound = errors.New("tensor: index out of bounds")
@@ -26,35 +31,28 @@ type Tensor struct {
 	data  []float64
 }
 
-// New returns a zero-filled tensor of the given shape. A nil/empty shape is
-// rejected, as are non-positive dimensions.
-func New(shape ...int) (*Tensor, error) {
-	if len(shape) == 0 {
-		return nil, fmt.Errorf("%w: empty shape", ErrShape)
+// New returns a zero-filled tensor of the given shape. It panics with
+// ErrShape on an empty shape or a non-positive dimension.
+func New(shape ...int) *Tensor {
+	own := slices.Clone(shape) // the panic reads the copy: shape stays on its caller's stack
+	n := min(len(own), 1)
+	for _, d := range own {
+		n *= max(d, 0)
 	}
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			return nil, fmt.Errorf("%w: dimension %d", ErrShape, d)
-		}
-		n *= d
+	if n <= 0 {
+		panic(fmt.Errorf("%w: New(%v)", ErrShape, own))
 	}
-	own := make([]int, len(shape))
-	copy(own, shape)
-	return &Tensor{shape: own, data: make([]float64, n)}, nil
+	return &Tensor{shape: own, data: make([]float64, n)}
 }
 
 // Rand returns a tensor with uniform values in [-scale, scale), generated
-// from rng for reproducibility.
-func Rand(rng *rand.Rand, scale float64, shape ...int) (*Tensor, error) {
-	t, err := New(shape...)
-	if err != nil {
-		return nil, err
-	}
+// from rng for reproducibility. It panics like New.
+func Rand(rng *rand.Rand, scale float64, shape ...int) *Tensor {
+	t := New(shape...)
 	for i := range t.data {
 		t.data[i] = (rng.Float64()*2 - 1) * scale
 	}
-	return t, nil
+	return t
 }
 
 // Shape returns a copy of the tensor shape.
@@ -109,40 +107,33 @@ func (t *Tensor) Clone() *Tensor {
 
 // The GEMM kernels are destination-passing: the caller owns dst, which must
 // already have the product's shape and share no storage with a or b, and the
-// kernel overwrites it without allocating. Every output element is summed
-// over the inner dimension in ascending order from zero, skipping terms whose
-// left factor is exactly zero, so the three kernels agree bit for bit with
-// one another composed with Transpose.
+// kernel overwrites it without allocating; a mismatched shape panics. Every
+// output element is summed over the inner dimension in ascending order from
+// zero, skipping terms whose left factor is exactly zero, so the three
+// kernels agree bit for bit with one another composed with Transpose.
 
 // gemmShape checks dst = op(a) × op(b) and returns the product's m, k, n.
-func gemmShape(dst, a, b *Tensor, transA, transB bool) (m, k, n int, err error) {
-	if dst.Rank() != 2 || a.Rank() != 2 || b.Rank() != 2 {
-		return 0, 0, 0, fmt.Errorf("%w: GEMM wants rank-2, got %v = %v × %v", ErrShape, dst.shape, a.shape, b.shape)
+func gemmShape(name string, dst, a, b *Tensor, transA, transB bool) (m, k, n int) {
+	if dst.Rank() == 2 && a.Rank() == 2 && b.Rank() == 2 {
+		m, k = a.shape[0], a.shape[1]
+		if transA {
+			m, k = k, m
+		}
+		k2, n := b.shape[0], b.shape[1]
+		if transB {
+			k2, n = n, k2
+		}
+		if k == k2 && dst.shape[0] == m && dst.shape[1] == n {
+			return m, k, n
+		}
 	}
-	m, k = a.shape[0], a.shape[1]
-	if transA {
-		m, k = k, m
-	}
-	k2, n := b.shape[0], b.shape[1]
-	if transB {
-		k2, n = n, k2
-	}
-	if k != k2 {
-		return 0, 0, 0, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, k2)
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		return 0, 0, 0, fmt.Errorf("%w: destination %v for a %d×%d product", ErrShape, dst.shape, m, n)
-	}
-	return m, k, n, nil
+	panic(fmt.Errorf("%w: %s: destination %v, operands %v and %v", ErrShape, name, dst.shape, a.shape, b.shape))
 }
 
 // MatMulInto computes dst = A × B (GEMM). A is m×k, B is k×n, dst m×n. The
 // inner loops are ordered i-k-j for cache-friendly row-major access.
-func MatMulInto(dst, a, b *Tensor) error {
-	m, k, n, err := gemmShape(dst, a, b, false, false)
-	if err != nil {
-		return err
-	}
+func MatMulInto(dst, a, b *Tensor) {
+	m, k, n := gemmShape("MatMulInto", dst, a, b, false, false)
 	ad, bd, cd := a.data, b.data, dst.data
 	clear(cd)
 	for i := 0; i < m; i++ {
@@ -158,17 +149,13 @@ func MatMulInto(dst, a, b *Tensor) error {
 			}
 		}
 	}
-	return nil
 }
 
 // MatMulTransAInto computes dst = Aᵀ × B without materialising the
 // transpose. A is k×m, B is k×n, dst m×n — the weight gradient of a dense
 // layer (activationsᵀ × delta).
-func MatMulTransAInto(dst, a, b *Tensor) error {
-	m, k, n, err := gemmShape(dst, a, b, true, false)
-	if err != nil {
-		return err
-	}
+func MatMulTransAInto(dst, a, b *Tensor) {
+	m, k, n := gemmShape("MatMulTransAInto", dst, a, b, true, false)
 	ad, bd, cd := a.data, b.data, dst.data
 	clear(cd)
 	for kk := 0; kk < k; kk++ {
@@ -183,17 +170,13 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 			}
 		}
 	}
-	return nil
 }
 
 // MatMulTransBInto computes dst = A × Bᵀ without materialising the
 // transpose. A is m×k, B is n×k, dst m×n — the delta a dense layer hands to
 // the one below it (delta × weightsᵀ).
-func MatMulTransBInto(dst, a, b *Tensor) error {
-	m, k, n, err := gemmShape(dst, a, b, false, true)
-	if err != nil {
-		return err
-	}
+func MatMulTransBInto(dst, a, b *Tensor) {
+	m, k, n := gemmShape("MatMulTransBInto", dst, a, b, false, true)
 	ad, bd, cd := a.data, b.data, dst.data
 	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
@@ -208,21 +191,15 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 			cd[i*n+j] = acc
 		}
 	}
-	return nil
 }
 
 // MatMul computes C = A × B for 2-D tensors into a new tensor.
 func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: MatMul wants rank-2, got %v × %v", ErrShape, a.shape, b.shape)
+	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
+		return nil, fmt.Errorf("%w: MatMul %v × %v", ErrShape, a.shape, b.shape)
 	}
-	c, err := New(a.shape[0], b.shape[1])
-	if err != nil {
-		return nil, err
-	}
-	if err := MatMulInto(c, a, b); err != nil {
-		return nil, err
-	}
+	c := New(a.shape[0], b.shape[1])
+	MatMulInto(c, a, b)
 	return c, nil
 }
 
@@ -235,10 +212,7 @@ func MatVec(a, x *Tensor) (*Tensor, error) {
 	if k != x.shape[0] {
 		return nil, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, x.shape[0])
 	}
-	y, err := New(m)
-	if err != nil {
-		return nil, err
-	}
+	y := New(m)
 	for i := 0; i < m; i++ {
 		row := a.data[i*k : (i+1)*k]
 		var acc float64
@@ -256,10 +230,7 @@ func Transpose(a *Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("%w: Transpose wants rank-2, got %v", ErrShape, a.shape)
 	}
 	m, n := a.shape[0], a.shape[1]
-	out, err := New(n, m)
-	if err != nil {
-		return nil, err
-	}
+	out := New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.data[j*m+i] = a.data[i*n+j]
@@ -297,22 +268,21 @@ func (t *Tensor) Scale(s float64) *Tensor {
 	return t
 }
 
-// AddInPlace accumulates o into the receiver.
-func (t *Tensor) AddInPlace(o *Tensor) error {
+// AddInPlace accumulates o, of the receiver's size, into the receiver.
+func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.data) != len(o.data) {
-		return fmt.Errorf("%w: %v vs %v", ErrShape, t.shape, o.shape)
+		panic(fmt.Errorf("%w: AddInPlace: %v onto %v", ErrShape, o.shape, t.shape))
 	}
 	for i := range t.data {
 		t.data[i] += o.data[i]
 	}
-	return nil
 }
 
 // AddRowInPlace adds the rank-1 tensor row to every row of a rank-2 receiver —
 // the bias add of a dense layer.
-func (t *Tensor) AddRowInPlace(row *Tensor) error {
+func (t *Tensor) AddRowInPlace(row *Tensor) {
 	if t.Rank() != 2 || row.Rank() != 1 || row.shape[0] != t.shape[1] {
-		return fmt.Errorf("%w: row %v onto %v", ErrShape, row.shape, t.shape)
+		panic(fmt.Errorf("%w: AddRowInPlace: row %v onto %v", ErrShape, row.shape, t.shape))
 	}
 	cols := t.shape[1]
 	for r := 0; r < len(t.data); r += cols {
@@ -321,7 +291,6 @@ func (t *Tensor) AddRowInPlace(row *Tensor) error {
 			trow[c] += v
 		}
 	}
-	return nil
 }
 
 // ApplyInPlace maps f over every element in place and returns the receiver.
@@ -335,18 +304,18 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
 // RowRangeInto makes v a view of rows [lo, hi) of a rank-2 tensor: v shares
 // t's storage, so writes through either are seen by both. v's own header is
 // reused, so re-pointing a view allocates nothing; the view's capacity is
-// clamped to its rows.
-func (t *Tensor) RowRangeInto(v *Tensor, lo, hi int) error {
+// clamped to its rows. It panics with ErrShape on a tensor of another rank
+// and with ErrBound on an empty or out-of-range row range.
+func (t *Tensor) RowRangeInto(v *Tensor, lo, hi int) {
 	if t.Rank() != 2 {
-		return fmt.Errorf("%w: RowRange wants rank-2", ErrShape)
+		panic(fmt.Errorf("%w: RowRangeInto: rank-2 wanted, got %v", ErrShape, t.shape))
 	}
 	if lo < 0 || hi > t.shape[0] || lo >= hi {
-		return fmt.Errorf("%w: rows [%d,%d) of %d", ErrBound, lo, hi, t.shape[0])
+		panic(fmt.Errorf("%w: RowRangeInto: rows [%d,%d) of %v", ErrBound, lo, hi, t.shape))
 	}
 	cols := t.shape[1]
 	v.shape = append(v.shape[:0], hi-lo, cols)
 	v.data = t.data[lo*cols : hi*cols : hi*cols]
-	return nil
 }
 
 // FLOPsMatMul returns the floating-point operation count of an m×k by k×n

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,23 +11,29 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(); !errors.Is(err, ErrShape) {
-		t.Fatalf("empty shape: %v", err)
+	for _, shape := range [][]int{nil, {2, 0}, {-1}, {3, -2}} {
+		want := fmt.Sprintf("tensor: shape mismatch: New(%v)", shape)
+		if err := panicOf(func() { New(shape...) }); !errors.Is(err, ErrShape) || err.Error() != want {
+			t.Errorf("New(%v) panicked with %v, want %q", shape, err, want)
+		}
 	}
-	if _, err := New(2, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("zero dim: %v", err)
+	if err := panicOf(func() { Rand(rand.New(rand.NewSource(1)), 1, 0) }); !errors.Is(err, ErrShape) {
+		t.Errorf("Rand of shape [0] panicked with %v", err)
 	}
-	if _, err := New(-1); !errors.Is(err, ErrShape) {
-		t.Fatalf("negative dim: %v", err)
-	}
-	tt, err := New(2, 3)
-	if err != nil || tt.Size() != 6 || tt.Rank() != 2 {
-		t.Fatalf("New(2,3): %v size=%d rank=%d", err, tt.Size(), tt.Rank())
+	if tt := New(2, 3); tt.Size() != 6 || tt.Rank() != 2 {
+		t.Fatalf("New(2,3): size=%d rank=%d", tt.Size(), tt.Rank())
 	}
 }
 
+// panicOf runs f and returns the error it panicked with, nil if it returned.
+func panicOf(f func()) (err error) {
+	defer func() { err, _ = recover().(error) }()
+	f()
+	return nil
+}
+
 func TestAtSetBounds(t *testing.T) {
-	a, _ := New(2, 2)
+	a := New(2, 2)
 	if err := a.Set(1, 2, 0); !errors.Is(err, ErrBound) {
 		t.Fatalf("row oob: %v", err)
 	}
@@ -55,12 +62,12 @@ func TestMatMulKnown(t *testing.T) {
 }
 
 func TestMatMulShapeErrors(t *testing.T) {
-	a, _ := New(2, 3)
-	b, _ := New(4, 2)
+	a := New(2, 3)
+	b := New(4, 2)
 	if _, err := MatMul(a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("inner dim mismatch: %v", err)
 	}
-	v, _ := New(3)
+	v := New(3)
 	if _, err := MatMul(a, v); !errors.Is(err, ErrShape) {
 		t.Fatalf("rank mismatch: %v", err)
 	}
@@ -80,7 +87,7 @@ func TestMatVecKnown(t *testing.T) {
 	if _, err := MatVec(a, a); !errors.Is(err, ErrShape) {
 		t.Fatalf("rank check: %v", err)
 	}
-	bad, _ := New(2)
+	bad := New(2)
 	if _, err := MatVec(a, bad); !errors.Is(err, ErrShape) {
 		t.Fatalf("dim check: %v", err)
 	}
@@ -98,7 +105,7 @@ func TestTranspose(t *testing.T) {
 	if v := at.data[2*2+1]; v != 6 {
 		t.Fatalf("element (2,1) = %v, want 6", v)
 	}
-	v1, _ := New(3)
+	v1 := New(3)
 	if _, err := Transpose(v1); !errors.Is(err, ErrShape) {
 		t.Fatalf("transpose rank-1: %v", err)
 	}
@@ -115,7 +122,7 @@ func TestElementwise(t *testing.T) {
 	if diff.data[0] != -2 {
 		t.Fatalf("Sub = %v", diff.data)
 	}
-	c, _ := New(3)
+	c := New(3)
 	if _, err := Add(a, c); !errors.Is(err, ErrShape) {
 		t.Fatalf("shape check: %v", err)
 	}
@@ -134,24 +141,15 @@ func TestScale(t *testing.T) {
 func TestAddInPlace(t *testing.T) {
 	a := filled(t, []float64{1, 2}, 2)
 	b := filled(t, []float64{10, 20}, 2)
-	if err := a.AddInPlace(b); err != nil {
-		t.Fatal(err)
-	}
+	a.AddInPlace(b)
 	if a.data[1] != 22 {
 		t.Fatalf("AddInPlace = %v", a.data)
-	}
-	c, _ := New(3)
-	if err := a.AddInPlace(c); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape check: %v", err)
 	}
 }
 
 func TestRandReproducible(t *testing.T) {
-	a, err := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
+	a := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
+	b := Rand(rand.New(rand.NewSource(7)), 1, 4, 4)
 	if !equal(a, b) {
 		t.Fatal("Rand not reproducible with same seed")
 	}
@@ -186,8 +184,8 @@ func TestPropertyMatMulTranspose(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k, n := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1
-		a, _ := Rand(rng, 2, m, k)
-		b, _ := Rand(rng, 2, k, n)
+		a := Rand(rng, 2, m, k)
+		b := Rand(rng, 2, k, n)
 		ab, err := MatMul(a, b)
 		if err != nil {
 			return false
@@ -211,8 +209,8 @@ func TestPropertyMatVecAgreesWithMatMul(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k := rng.Intn(8)+1, rng.Intn(8)+1
-		a, _ := Rand(rng, 2, m, k)
-		x, _ := Rand(rng, 2, k)
+		a := Rand(rng, 2, m, k)
+		x := Rand(rng, 2, k)
 		xm := filled(t, x.data, k, 1)
 		viaMM, err := MatMul(a, xm)
 		if err != nil {
@@ -234,9 +232,9 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k, n := rng.Intn(5)+1, rng.Intn(5)+1, rng.Intn(5)+1
-		a, _ := Rand(rng, 1, m, k)
-		b, _ := Rand(rng, 1, k, n)
-		c, _ := Rand(rng, 1, k, n)
+		a := Rand(rng, 1, m, k)
+		b := Rand(rng, 1, k, n)
+		c := Rand(rng, 1, k, n)
 		bc, _ := Add(b, c)
 		left, err := MatMul(a, bc)
 		if err != nil {
@@ -257,7 +255,7 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 // skipping those whose left factor is zero.
 func refMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	c, _ := New(m, n)
+	c := New(m, n)
 	for i := 0; i < m; i++ {
 		for kk := 0; kk < k; kk++ {
 			av := a.data[i*k+kk]
@@ -275,7 +273,7 @@ func refMatMul(a, b *Tensor) *Tensor {
 // sparseRand is Rand with about a third of the entries exactly zero, some of
 // them negative zero, so the kernels' zero skip is exercised.
 func sparseRand(rng *rand.Rand, shape ...int) *Tensor {
-	t, _ := Rand(rng, 3, shape...)
+	t := Rand(rng, 3, shape...)
 	for i := range t.data {
 		switch rng.Intn(6) {
 		case 0:
@@ -290,7 +288,7 @@ func sparseRand(rng *rand.Rand, shape ...int) *Tensor {
 // dirty is a destination full of garbage: a kernel must overwrite, not
 // accumulate into, what it is handed.
 func dirty(m, n int) *Tensor {
-	t, _ := New(m, n)
+	t := New(m, n)
 	for i := range t.data {
 		t.data[i] = math.NaN()
 	}
@@ -300,9 +298,9 @@ func dirty(m, n int) *Tensor {
 // filled returns a tensor of the given shape holding data in row-major order.
 func filled(t testing.TB, data []float64, shape ...int) *Tensor {
 	t.Helper()
-	x, err := New(shape...)
-	if err != nil || x.Size() != len(data) {
-		t.Fatalf("filled: %d values for shape %v: %v", len(data), shape, err)
+	x := New(shape...)
+	if x.Size() != len(data) {
+		t.Fatalf("filled: %d values for shape %v", len(data), shape)
 	}
 	copy(x.data, data)
 	return x
@@ -342,9 +340,9 @@ func TestPropertyFusedKernelsEqualReference(t *testing.T) {
 		want := refMatMul(a, b)
 
 		plain, viaA, viaB := dirty(m, n), dirty(m, n), dirty(m, n)
-		if MatMulInto(plain, a, b) != nil || MatMulTransAInto(viaA, aT, b) != nil || MatMulTransBInto(viaB, a, bT) != nil {
-			return false
-		}
+		MatMulInto(plain, a, b)
+		MatMulTransAInto(viaA, aT, b)
+		MatMulTransBInto(viaB, a, bT)
 		alloc, err := MatMul(a, b)
 		return err == nil && sameBits(plain, want) && sameBits(viaA, want) && sameBits(viaB, want) && sameBits(alloc, want)
 	}
@@ -353,37 +351,46 @@ func TestPropertyFusedKernelsEqualReference(t *testing.T) {
 	}
 }
 
+// TestIntoKernelShapeErrors: every kernel that returns no error — the
+// destination-passing GEMMs, the in-place adds and the row view — panics on
+// a mismatched shape with an ErrShape (ErrBound for a row range) naming
+// every shape involved.
 func TestIntoKernelShapeErrors(t *testing.T) {
-	a, _ := New(2, 3)
-	b, _ := New(3, 4)
-	v, _ := New(3)
-	for name, err := range map[string]error{
-		"dst shape":   MatMulInto(dirty(2, 3), a, b),
-		"inner dims":  MatMulInto(dirty(2, 2), a, a),
-		"rank":        MatMulInto(dirty(2, 4), a, v),
-		"transA dst":  MatMulTransAInto(dirty(2, 4), a, b),
-		"transB dims": MatMulTransBInto(dirty(2, 3), a, b),
-		"bias width":  a.AddRowInPlace(b),
-		"bias rank":   a.AddRowInPlace(a),
+	a, b, v := New(2, 3), New(3, 4), New(3)
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"dst shape", func() { MatMulInto(dirty(2, 3), a, b) }, "MatMulInto: destination [2 3], operands [2 3] and [3 4]"},
+		{"inner dims", func() { MatMulInto(dirty(2, 2), a, a) }, "MatMulInto: destination [2 2], operands [2 3] and [2 3]"},
+		{"rank", func() { MatMulInto(dirty(2, 4), a, v) }, "MatMulInto: destination [2 4], operands [2 3] and [3]"},
+		{"transA dst", func() { MatMulTransAInto(dirty(2, 4), a, b) }, "MatMulTransAInto: destination [2 4], operands [2 3] and [3 4]"},
+		{"transB dims", func() { MatMulTransBInto(dirty(2, 3), a, b) }, "MatMulTransBInto: destination [2 3], operands [2 3] and [3 4]"},
+		{"bias width", func() { a.AddRowInPlace(b) }, "AddRowInPlace: row [3 4] onto [2 3]"},
+		{"bias rank", func() { a.AddRowInPlace(a) }, "AddRowInPlace: row [2 3] onto [2 3]"},
+		{"add size", func() { a.AddInPlace(v) }, "AddInPlace: [3] onto [2 3]"},
+		{"view rank", func() { v.RowRangeInto(new(Tensor), 0, 1) }, "RowRangeInto: rank-2 wanted, got [3]"},
 	} {
-		if !errors.Is(err, ErrShape) {
-			t.Errorf("%s: %v", name, err)
+		err := panicOf(tc.f)
+		if want := ErrShape.Error() + ": " + tc.want; !errors.Is(err, ErrShape) || err.Error() != want {
+			t.Errorf("%s: panicked with %v, want %q", tc.name, err, want)
 		}
 	}
-	if err := MatMulTransAInto(dirty(3, 3), a, a); err != nil { // (3×2)·(2×3)
-		t.Fatal(err)
+	for _, r := range [][2]int{{-1, 2}, {2, 3}, {1, 1}, {2, 1}} {
+		err := panicOf(func() { a.RowRangeInto(new(Tensor), r[0], r[1]) })
+		if want := fmt.Sprintf("%v: RowRangeInto: rows [%d,%d) of [2 3]", ErrBound, r[0], r[1]); !errors.Is(err, ErrBound) || err.Error() != want {
+			t.Errorf("rows [%d,%d): panicked with %v, want %q", r[0], r[1], err, want)
+		}
 	}
-	if err := MatMulTransBInto(dirty(2, 2), a, a); err != nil { // (2×3)·(3×2)
-		t.Fatal(err)
-	}
+	MatMulTransAInto(dirty(3, 3), a, a) // (3×2)·(2×3)
+	MatMulTransBInto(dirty(2, 2), a, a) // (2×3)·(3×2)
 }
 
 func TestInPlaceBiasAndActivation(t *testing.T) {
 	a := filled(t, []float64{1, -2, 3, -4, 5, -6}, 3, 2)
 	bias := filled(t, []float64{10, 20}, 2)
-	if err := a.AddRowInPlace(bias); err != nil {
-		t.Fatal(err)
-	}
+	a.AddRowInPlace(bias)
 	want := filled(t, []float64{11, 18, 13, 16, 15, 14}, 3, 2)
 	if !equal(a, want) {
 		t.Fatalf("AddRowInPlace = %v", a.data)
@@ -396,9 +403,7 @@ func TestInPlaceBiasAndActivation(t *testing.T) {
 func TestRowRangeIsAView(t *testing.T) {
 	a := filled(t, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
 	v := new(Tensor)
-	if err := a.RowRangeInto(v, 1, 3); err != nil {
-		t.Fatal(err)
-	}
+	a.RowRangeInto(v, 1, 3)
 	want := filled(t, []float64{3, 4, 5, 6}, 2, 2)
 	if !equal(v, want) {
 		t.Fatalf("rows [1,3) = %v %v", v.shape, v.data)
@@ -410,27 +415,18 @@ func TestRowRangeIsAView(t *testing.T) {
 	if cap(v.data) != 4 {
 		t.Fatalf("view capacity %d reaches past its rows", cap(v.data))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = a.RowRangeInto(v, 2, 4) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { a.RowRangeInto(v, 2, 4) }); allocs != 0 {
 		t.Fatalf("re-pointing a view allocated %v times", allocs)
 	}
 	if v.data[0] != 5 || v.shape[0] != 2 {
 		t.Fatalf("re-pointed view = %v %v", v.shape, v.data)
 	}
-	for _, r := range [][2]int{{-1, 2}, {2, 5}, {2, 2}, {3, 1}} {
-		if err := a.RowRangeInto(new(Tensor), r[0], r[1]); !errors.Is(err, ErrBound) {
-			t.Errorf("rows [%d,%d): %v", r[0], r[1], err)
-		}
-	}
-	flat, _ := New(4)
-	if err := flat.RowRangeInto(new(Tensor), 0, 1); !errors.Is(err, ErrShape) {
-		t.Fatalf("rank-1 rows: %v", err)
-	}
 }
 
 func BenchmarkMatMul128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	x, _ := Rand(rng, 1, 128, 128)
-	y, _ := Rand(rng, 1, 128, 128)
+	x := Rand(rng, 1, 128, 128)
+	y := Rand(rng, 1, 128, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
