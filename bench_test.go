@@ -16,15 +16,11 @@ import (
 // larger runs.
 const benchScale = 1
 
-func benchExperiment(b *testing.B, fn func(int) (*experiments.Table, error)) {
+func benchExperiment(b *testing.B, fn func(int) *experiments.Table) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tab, err := fn(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
+		if tab := fn(benchScale); len(tab.Rows) == 0 {
 			b.Fatal("empty experiment table")
 		}
 	}

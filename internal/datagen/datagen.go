@@ -105,23 +105,29 @@ func (c *Clinical) Binding() eide.Binding {
 	}
 }
 
+// must returns v, panicking on err; check panics on err. A generator writes
+// its own fixed schemas, and rows of their column types, into stores it has
+// just made, with no journal behind them: none of those writes can fail.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // GenerateClinical builds the full clinical dataset for n patients.
 // Labels (long_stay) are a noisy function of age, ICU hours and SpO2 so the
-// Figure 2 model has signal to learn.
+// Figure 2 model has signal to learn. Like every generator's, its error is
+// always nil (see must); the signature stays for its callers.
 func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 	c := NewClinical()
-	patients, err := c.Relational.CreateTable("patients", PatientsSchema())
-	if err != nil {
-		return nil, err
-	}
-	admissions, err := c.Relational.CreateTable("admissions", AdmissionsSchema())
-	if err != nil {
-		return nil, err
-	}
-	stays, err := c.Relational.CreateTable("stays", StaysSchema())
-	if err != nil {
-		return nil, err
-	}
+	patients := must(c.Relational.CreateTable("patients", PatientsSchema()))
+	admissions := must(c.Relational.CreateTable("admissions", AdmissionsSchema()))
+	stays := must(c.Relational.CreateTable("stays", StaysSchema()))
 
 	baseTS := time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	aid, sid := int64(0), int64(0)
@@ -131,9 +137,7 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 		age := int64(20 + rng.Intn(70))
 		male := int64(rng.Intn(2))
 		prior := int64(rng.Intn(8))
-		if err := patients.Insert(int64(pid), age, male, prior); err != nil {
-			return nil, err
-		}
+		check(patients.Insert(int64(pid), age, male, prior))
 		id := strconv.Itoa(pid)
 
 		// Vitals: heart rate and SpO2 series, 48 samples each (once/30min),
@@ -148,21 +152,15 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 			spo2Pts[s] = timeseries.Point{TS: ts, Value: spo2Base + rng.NormFloat64()*1.5}
 			spo2Sum += spo2Pts[s].Value
 		}
-		if err := c.Timeseries.AppendPoints("vitals/"+id+"/hr", hrPts); err != nil {
-			return nil, err
-		}
-		if err := c.Timeseries.AppendPoints("vitals/"+id+"/spo2", spo2Pts); err != nil {
-			return nil, err
-		}
+		check(c.Timeseries.AppendPoints("vitals/"+id+"/hr", hrPts))
+		check(c.Timeseries.AppendPoints("vitals/"+id+"/spo2", spo2Pts))
 		spo2Mean := spo2Sum / 48
 
 		// Admissions: 1-3 per patient.
 		nAdm := 1 + rng.Intn(3)
 		for a := 0; a < nAdm; a++ {
 			date := baseTS + int64(rng.Intn(4*365*24))*int64(time.Hour)
-			if err := admissions.Insert(aid, int64(pid), date, wards[rng.Intn(len(wards))]); err != nil {
-				return nil, err
-			}
+			check(admissions.Insert(aid, int64(pid), date, wards[rng.Intn(len(wards))]))
 			aid++
 		}
 
@@ -176,9 +174,7 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 			if risk > 1.6 {
 				long = 1
 			}
-			if err := stays.Insert(sid, int64(pid), icuHours, procedures, long); err != nil {
-				return nil, err
-			}
+			check(stays.Insert(sid, int64(pid), icuHours, procedures, long))
 			sid++
 		}
 
@@ -186,16 +182,10 @@ func GenerateClinical(rng *rand.Rand, n int) (*Clinical, error) {
 		for w := range words {
 			words[w] = noteTerms[rng.Intn(len(noteTerms))]
 		}
-		if err := c.Text.Add(textstore.Doc{ID: int64(pid), Text: strings.Join(words, " ")}); err != nil {
-			return nil, err
-		}
+		check(c.Text.Add(textstore.Doc{ID: int64(pid), Text: strings.Join(words, " ")}))
 	}
-	if err := patients.CreateBTreeIndex("pid"); err != nil {
-		return nil, err
-	}
-	if err := admissions.CreateBTreeIndex("pid"); err != nil {
-		return nil, err
-	}
+	check(patients.CreateBTreeIndex("pid"))
+	check(admissions.CreateBTreeIndex("pid"))
 	return c, nil
 }
 
@@ -237,29 +227,19 @@ func NewRetail() *Retail {
 }
 
 // GenerateRetail builds the recommendation dataset for n customers with
-// txPerCustomer transactions each.
+// txPerCustomer transactions each. Its error is always nil.
 func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
 	r := NewRetail()
-	customers, err := r.Relational.CreateTable("customers", CustomersSchema())
-	if err != nil {
-		return nil, err
-	}
-	transactions, err := r.Relational.CreateTable("transactions", TransactionsSchema())
-	if err != nil {
-		return nil, err
-	}
+	customers := must(r.Relational.CreateTable("customers", CustomersSchema()))
+	transactions := must(r.Relational.CreateTable("transactions", TransactionsSchema()))
 	base := time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	tid := int64(0)
 	clicks := make([]timeseries.Point, 96)
 	for cid := 0; cid < n; cid++ {
-		if err := customers.Insert(int64(cid), int64(rng.Intn(5)), int64(rng.Intn(2000))); err != nil {
-			return nil, err
-		}
+		check(customers.Insert(int64(cid), int64(rng.Intn(5)), int64(rng.Intn(2000))))
 		for t := 0; t < txPerCustomer; t++ {
 			ts := base + int64(rng.Intn(365*24))*int64(time.Hour)
-			if err := transactions.Insert(tid, int64(cid), 5+rng.Float64()*495, ts); err != nil {
-				return nil, err
-			}
+			check(transactions.Insert(tid, int64(cid), 5+rng.Float64()*495, ts))
 			tid++
 		}
 		// Clickstream: 96 samples of click rate, appended as one batch.
@@ -268,18 +248,12 @@ func GenerateRetail(rng *rand.Rand, n, txPerCustomer int) (*Retail, error) {
 		for s := range clicks {
 			clicks[s] = timeseries.Point{TS: start + int64(s)*int64(15*time.Minute), Value: rng.Float64() * 20}
 		}
-		if err := r.Timeseries.AppendPoints("clicks/"+id+"/rate", clicks); err != nil {
-			return nil, err
-		}
+		check(r.Timeseries.AppendPoints("clicks/"+id+"/rate", clicks))
 		// External events in the KV store.
 		r.KV.Put("event/"+id, []byte("promo-"+strconv.Itoa(rng.Intn(10))))
 	}
-	if err := customers.CreateBTreeIndex("cid"); err != nil {
-		return nil, err
-	}
-	if err := transactions.CreateBTreeIndex("cid"); err != nil {
-		return nil, err
-	}
+	check(customers.CreateBTreeIndex("cid"))
+	check(transactions.CreateBTreeIndex("cid"))
 	return r, nil
 }
 
@@ -297,13 +271,11 @@ func SnorkelSchema() cast.Schema {
 }
 
 // GenerateSnorkel builds a relational store with one unlabeled table of n
-// rows whose weak labels correlate with the features.
+// rows whose weak labels correlate with the features. Its error is always
+// nil.
 func GenerateSnorkel(rng *rand.Rand, n int) (*relational.Store, error) {
 	s := relational.NewStore("db-snorkel")
-	t, err := s.CreateTable("unlabeled", SnorkelSchema())
-	if err != nil {
-		return nil, err
-	}
+	t := must(s.CreateTable("unlabeled", SnorkelSchema()))
 	for i := 0; i < n; i++ {
 		f0, f1 := rng.NormFloat64(), rng.NormFloat64()
 		f2, f3 := rng.NormFloat64(), rng.NormFloat64()
@@ -311,12 +283,8 @@ func GenerateSnorkel(rng *rand.Rand, n int) (*relational.Store, error) {
 		if f0+f1*0.5-f2*0.25+rng.NormFloat64()*0.3 > 0 {
 			label = 1
 		}
-		if err := t.Insert(int64(i), f0, f1, f2, f3, label); err != nil {
-			return nil, err
-		}
+		check(t.Insert(int64(i), f0, f1, f2, f3, label))
 	}
-	if err := t.CreateBTreeIndex("id"); err != nil {
-		return nil, err
-	}
+	check(t.CreateBTreeIndex("id"))
 	return s, nil
 }

@@ -68,12 +68,10 @@ func f(format string, args ...any) string { return fmt.Sprintf(format, args...) 
 func secs(s float64) string { return f("%.6fs", s) }
 
 // runProgram compiles and executes a program, returning the report.
-func runProgram(ctx context.Context, rt *core.Runtime, g *ir.Graph, opts compiler.Options) (*core.Results, *core.Report, error) {
-	plan, err := compiler.Compile(g, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rt.Execute(ctx, plan)
+func runProgram(ctx context.Context, rt *core.Runtime, g *ir.Graph, opts compiler.Options) (*core.Results, *core.Report) {
+	res, rep, err := rt.Execute(ctx, must(compiler.Compile(g, opts)))
+	check(err)
+	return res, rep
 }
 
 // --- E1: Figure 1 — recommendation across RDBMS + timeseries ---
@@ -82,14 +80,11 @@ func runProgram(ctx context.Context, rt *core.Runtime, g *ir.Graph, opts compile
 
 // E01Recommendation compares one-size-fits-all, federated polystore, and
 // Polystore++ execution of the Figure 1 recommendation workload.
-func E01Recommendation(scale int) (*Table, error) {
+func E01Recommendation(scale int) *Table {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	n := 400 * scale
-	data, err := datagen.GenerateRetail(rng, n, 5)
-	if err != nil {
-		return nil, err
-	}
+	data := must(datagen.GenerateRetail(rng, n, 5))
 	warehouse := relational.NewStore("warehouse")
 
 	type variant struct {
@@ -139,12 +134,9 @@ func E01Recommendation(scale int) (*Table, error) {
 		final := g.Add(ir.OpHashJoin, "warehouse", map[string]any{"left_col": "cid", "right_col": "vpid"}, joined, clicks)
 		_ = final
 
-		_, rep, err := runProgram(ctx, sys, g, compiler.Options{
+		_, rep := runProgram(ctx, sys, g, compiler.Options{
 			Level: 3, Accel: v.accel, Transport: v.transport,
 		})
-		if err != nil {
-			return nil, err
-		}
 		// "one-size-fits-all" disables the pushdown by construction (the
 		// group-by was placed centrally), so Level stays 3 for fairness of
 		// the other passes.
@@ -154,7 +146,7 @@ func E01Recommendation(scale int) (*Table, error) {
 	}
 	tab.Notes = append(tab.Notes,
 		f("%d customers, %d transactions; expected ordering: one-size-fits-all > polystore > polystore++", n, n*5))
-	return tab, nil
+	return tab
 }
 
 func buildRetailSystem(data *datagen.Retail, warehouse *relational.Store, accel bool) *core.Runtime {
@@ -172,7 +164,7 @@ func buildRetailSystem(data *datagen.Retail, warehouse *relational.Store, accel 
 
 // E02Clinical runs the MIMIC-like ICU length-of-stay pipeline CPU-only vs
 // accelerated and reports end-to-end simulated latency.
-func E02Clinical(scale int) (*Table, error) {
+func E02Clinical(scale int) *Table {
 	ctx := context.Background()
 	n := 800 * scale
 	tab := &Table{
@@ -181,16 +173,10 @@ func E02Clinical(scale int) (*Table, error) {
 		Header: []string{"variant", "sim latency", "energy (J)", "migrations", "pred rows", "wall"},
 	}
 	for _, accel := range []bool{false, true} {
-		data, err := datagen.GenerateClinical(rand.New(rand.NewSource(42)), n)
-		if err != nil {
-			return nil, err
-		}
+		data := must(datagen.GenerateClinical(rand.New(rand.NewSource(42)), n))
 		rt := clinicalRuntime(data, accel)
 		p := eide.NewProgram()
-		pred, err := eide.BuildClinicalPipeline(p, data.Binding())
-		if err != nil {
-			return nil, err
-		}
+		pred := must(eide.BuildClinicalPipeline(p, data.Binding()))
 		// The CPU polystore moves data via the portable CSV CAST path; the
 		// Polystore++ variant uses RDMA pipes and accelerator offload — the
 		// §III-A acceleration levers.
@@ -198,10 +184,7 @@ func E02Clinical(scale int) (*Table, error) {
 		if accel {
 			transport = migrate.RDMA
 		}
-		res, rep, err := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3, Accel: accel, Transport: transport})
-		if err != nil {
-			return nil, err
-		}
+		res, rep := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3, Accel: accel, Transport: transport})
 		name := "polystore (cpu, csv cast)"
 		if accel {
 			name = "polystore++ (rdma + fpga/gpu/tpu)"
@@ -215,7 +198,7 @@ func E02Clinical(scale int) (*Table, error) {
 		})
 	}
 	tab.Notes = append(tab.Notes, f("%d patients; paper targets few-ms latency for the accelerated path", n))
-	return tab, nil
+	return tab
 }
 
 // --- E3: Figure 3 — Snorkel training loop with SQL load_data ---
@@ -224,13 +207,10 @@ func E02Clinical(scale int) (*Table, error) {
 // effect of offloading the load path (FPGA stream filter/project on the
 // storage path) and the gradient GEMMs (TPU). Both variants pay the same
 // storage->device byte movement, so only compute is compared.
-func E03Snorkel(scale int) (*Table, error) {
+func E03Snorkel(scale int) *Table {
 	ctx := context.Background()
 	n := 100_000 * scale
-	store, err := datagen.GenerateSnorkel(rand.New(rand.NewSource(5)), n/5)
-	if err != nil {
-		return nil, err
-	}
+	store := must(datagen.GenerateSnorkel(rand.New(rand.NewSource(5)), n/5))
 	engine := relational.NewEngine(store)
 	const batchSize = 1024
 	epochBatches := (n + batchSize - 1) / batchSize
@@ -240,44 +220,26 @@ func E03Snorkel(scale int) (*Table, error) {
 	tLoad := time.Now()
 	for lo := 0; lo < n/5; lo += batchSize {
 		sql := f("SELECT f0, f1, f2, f3, weak_label FROM unlabeled WHERE id >= %d AND id < %d", lo, lo+batchSize)
-		if _, _, err := engine.Query(ctx, sql); err != nil {
-			return nil, err
-		}
+		_, _, err := engine.Query(ctx, sql)
+		check(err)
 	}
 	loadWall := time.Since(tLoad)
 
 	cpu, fpga, tpu := hw.NewHostCPU(), hw.NewFPGA(), hw.NewTPU()
-	if _, err := fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)); err != nil {
-		return nil, err
-	}
+	must(fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)))
 	rowBytes := int64(5 * 8)
 	loadWork := hw.Work{Items: int64(n), Bytes: int64(n) * rowBytes}
-	cpuFilter, err := cpu.KernelCost(hw.KFilter, loadWork)
-	if err != nil {
-		return nil, err
-	}
-	cpuProject, err := cpu.KernelCost(hw.KProject, loadWork)
-	if err != nil {
-		return nil, err
-	}
+	cpuFilter := must(cpu.KernelCost(hw.KFilter, loadWork))
+	cpuProject := must(cpu.KernelCost(hw.KProject, loadWork))
 	cpuLoad := cpuFilter.AddSeq(cpuProject)
 	// Bump-in-the-wire: the FPGA filters+projects on the storage path it
 	// already sits on, so only its (line-rate-floored) kernel time counts.
-	fpgaLoad, err := fpga.KernelCost(hw.KFilter, loadWork)
-	if err != nil {
-		return nil, err
-	}
+	fpgaLoad := must(fpga.KernelCost(hw.KFilter, loadWork))
 	// Train cost: a 4-128-1 MLP padded to systolic-friendly shapes; 3 GEMMs
 	// per layer per batch, 2 layers.
 	gemm := hw.Work{M: batchSize, K: 128, N: 128, Bytes: int64(batchSize*128+128*128) * 8}
-	cpuGemm, err := cpu.KernelCost(hw.KGEMM, gemm)
-	if err != nil {
-		return nil, err
-	}
-	tpuGemm, err := tpu.Offload(hw.Coprocessor, hw.KGEMM, gemm, gemm.Bytes)
-	if err != nil {
-		return nil, err
-	}
+	cpuGemm := must(cpu.KernelCost(hw.KGEMM, gemm))
+	tpuGemm := must(tpu.Offload(hw.Coprocessor, hw.KGEMM, gemm, gemm.Bytes))
 	nGemms := float64(epochBatches * 6)
 	cpuTrain := cpuGemm.Seconds * nGemms
 	tpuTrain := tpuGemm.Seconds * nGemms
@@ -305,7 +267,7 @@ func E03Snorkel(scale int) (*Table, error) {
 	}
 	tab.Notes = append(tab.Notes,
 		f("%d rows/epoch, batch %d; measured load_data wall time (real SQL, %d rows): %s", n, batchSize, n/5, loadWall))
-	return tab, nil
+	return tab
 }
 
 // --- E4: §III worked example — Admission ⋈ Patients across DB1/DB2 ---
@@ -314,26 +276,15 @@ func E03Snorkel(scale int) (*Table, error) {
 // admissions, DB2 holds patients; DB2's projection migrates to DB1, which
 // joins and sorts by date. Variants: baseline vs accelerated sort +
 // pipelined (RDMA) migration.
-func E04CrossDBJoin(scale int) (*Table, error) {
+func E04CrossDBJoin(scale int) *Table {
 	ctx := context.Background()
 	n := 2000 * scale
-	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(9)), n)
-	if err != nil {
-		return nil, err
-	}
+	data := must(datagen.GenerateClinical(rand.New(rand.NewSource(9)), n))
 	// DB2: separate store holding only patients.
 	db2 := relational.NewStore("db2")
-	pt, err := db2.CreateTable("patients", datagen.PatientsSchema())
-	if err != nil {
-		return nil, err
-	}
-	src, err := data.Relational.Table("patients")
-	if err != nil {
-		return nil, err
-	}
-	if err := pt.InsertBatch(src.Snapshot()); err != nil {
-		return nil, err
-	}
+	pt := must(db2.CreateTable("patients", datagen.PatientsSchema()))
+	src := must(data.Relational.Table("patients"))
+	check(pt.InsertBatch(src.Snapshot()))
 
 	type variant struct {
 		name      string
@@ -373,10 +324,7 @@ func E04CrossDBJoin(scale int) (*Table, error) {
 		join := g.Add(ir.OpMergeJoin, db1, map[string]any{"left_col": "pid", "right_col": "ppid"}, admProj, patProj)
 		g.Add(ir.OpSort, db1, map[string]any{"order_by": []relational.OrderItem{{Col: "date"}}}, join)
 
-		res, rep, err := runProgram(ctx, rt, g, compiler.Options{Level: 3, Accel: v.accel, Transport: v.transport})
-		if err != nil {
-			return nil, err
-		}
+		res, rep := runProgram(ctx, rt, g, compiler.Options{Level: 3, Accel: v.accel, Transport: v.transport})
 		var migS, sortS float64
 		for _, nr := range rep.Nodes {
 			switch nr.Kind {
@@ -392,19 +340,17 @@ func E04CrossDBJoin(scale int) (*Table, error) {
 		})
 	}
 	tab.Notes = append(tab.Notes, f("%d patients, ~%d admissions", n, 2*n))
-	return tab, nil
+	return tab
 }
 
 // --- E5: §III-A2 — sequential scan through a bump-in-the-wire FPGA ---
 
 // E05ScanOffload sweeps filter selectivity and compares host filtering with
 // FPGA bump-in-the-wire filtering, reporting bytes reaching host memory.
-func E05ScanOffload(scale int) (*Table, error) {
+func E05ScanOffload(scale int) *Table {
 	n := int64(1<<21) * int64(scale)
 	cpu, fpga := hw.NewHostCPU(), hw.NewFPGA()
-	if _, err := fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)); err != nil {
-		return nil, err
-	}
+	must(fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)))
 	tab := &Table{
 		ID:     "E5",
 		Title:  "§III-A2 scan offload: FPGA bump-in-the-wire filter vs host filter",
@@ -412,15 +358,9 @@ func E05ScanOffload(scale int) (*Table, error) {
 	}
 	for _, sel := range []float64{0.001, 0.01, 0.1, 0.5, 1.0} {
 		w := hw.Work{Items: n, Bytes: n * 8}
-		cpuC, err := cpu.KernelCost(hw.KFilter, w)
-		if err != nil {
-			return nil, err
-		}
+		cpuC := must(cpu.KernelCost(hw.KFilter, w))
 		outBytes := int64(float64(n*8) * sel)
-		fpgaC, err := fpga.Offload(hw.BumpInTheWire, hw.KFilter, w, outBytes)
-		if err != nil {
-			return nil, err
-		}
+		fpgaC := must(fpga.Offload(hw.BumpInTheWire, hw.KFilter, w, outBytes))
 		tab.Rows = append(tab.Rows, []string{
 			f("%.3f", sel), secs(cpuC.Seconds), secs(fpgaC.Seconds),
 			f("%.2fx", cpuC.Seconds/fpgaC.Seconds),
@@ -429,5 +369,5 @@ func E05ScanOffload(scale int) (*Table, error) {
 	}
 	tab.Notes = append(tab.Notes,
 		f("%d items; in bump-in-the-wire mode the FPGA filters at line rate, so host traffic shrinks by the selectivity", n))
-	return tab, nil
+	return tab
 }

@@ -36,7 +36,7 @@ func pipegenSchema() cast.Schema {
 // FPGA-accelerated serialization and reports time breakdowns — reproducing
 // PipeGen's observation that transformation dominates, and extrapolating to
 // the paper's 10⁹-element claim.
-func E06Migration(scale int) (*Table, error) {
+func E06Migration(scale int) *Table {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(21))
 	tab := &Table{
@@ -49,19 +49,15 @@ func E06Migration(scale int) (*Table, error) {
 	for _, n := range sizes {
 		b := cast.NewBatch(pipegenSchema(), n)
 		for i := 0; i < n; i++ {
-			if err := b.AppendRow(rng.Int63(), rng.Int63(), rng.Int63(), rng.Int63(),
-				rng.Float64(), rng.Float64(), rng.Float64()); err != nil {
-				return nil, err
-			}
+			check(b.AppendRow(rng.Int63(), rng.Int63(), rng.Int63(), rng.Int63(),
+				rng.Float64(), rng.Float64(), rng.Float64()))
 		}
 		for _, tr := range []migrate.Transport{migrate.CSV, migrate.Pipe, migrate.RDMA} {
 			m := migrate.New(hw.NewHostCPU(), hw.NewRDMANIC())
 			out, bd, err := m.Migrate(ctx, b, tr)
-			if err != nil {
-				return nil, err
-			}
+			check(err)
 			if !out.Equal(b) {
-				return nil, f2err("E6: %s migration corrupted data", tr)
+				panic(f("E6: %s migration corrupted data", tr))
 			}
 			if tr == migrate.Pipe {
 				pipeSimPerByte = bd.Sim.Seconds / float64(bd.WireBytes)
@@ -75,16 +71,12 @@ func E06Migration(scale int) (*Table, error) {
 		// kernels are part of the deployment's standing library (preloaded).
 		fpga := hw.NewFPGA()
 		for _, k := range []hw.KernelClass{hw.KSerialize, hw.KDeserialize} {
-			if _, err := fpga.ConfigureKernel(k.String(), hw.LUTCost(k)); err != nil {
-				return nil, err
-			}
+			must(fpga.ConfigureKernel(k.String(), hw.LUTCost(k)))
 		}
 		m := migrate.New(hw.NewHostCPU(), hw.NewRDMANIC(),
 			migrate.WithAccelerator(fpga, hw.BumpInTheWire))
 		_, bd, err := m.Migrate(ctx, b, migrate.Pipe)
-		if err != nil {
-			return nil, err
-		}
+		check(err)
 		tab.Rows = append(tab.Rows, []string{
 			f("%d", n), "pipe+fpga-serdes", bd.Total().String(), bd.Serialize.String(),
 			bd.Deserialize.String(), secs(bd.Sim.Seconds), f("%d", bd.WireBytes),
@@ -97,14 +89,8 @@ func E06Migration(scale int) (*Table, error) {
 		f("paper: PipeGen moves 1e9 elements (~40 GB) in 35 min (~2100 s), dominated by transformation"),
 		f("our pipe model extrapolates to %.0f s for 40 GB (simulated: CPU serdes + 100G NIC)", extrap),
 		"expected shape: CSV >> pipe > pipe+fpga-serdes > rdma")
-	return tab, nil
+	return tab
 }
-
-func f2err(format string, args ...any) error { return &tableError{msg: f(format, args...)} }
-
-type tableError struct{ msg string }
-
-func (e *tableError) Error() string { return e.msg }
 
 // --- E7: Figure 5 — heterogeneous DFG across graph/relational/ML ---
 
@@ -139,7 +125,7 @@ func buildFigure5(g *ir.Graph) {
 }
 
 // figure5Runtime builds the graph + relational + ML engines for E7/E8.
-func figure5Runtime(scale int, accel bool) (*core.Runtime, error) {
+func figure5Runtime(scale int, accel bool) *core.Runtime {
 	rng := rand.New(rand.NewSource(17))
 	gs := graphstore.New()
 	nUsers, nProducts := 200*scale, 50*scale
@@ -151,26 +137,19 @@ func figure5Runtime(scale int, accel bool) (*core.Runtime, error) {
 	}
 	for u := 0; u < nUsers; u++ {
 		for e := 0; e < 5; e++ {
-			if err := gs.AddEdge(graphstore.Edge{
+			check(gs.AddEdge(graphstore.Edge{
 				From: graphstore.NodeID(u), To: graphstore.NodeID(100000 + rng.Intn(nProducts)),
 				Type: "bought",
-			}); err != nil {
-				return nil, err
-			}
+			}))
 		}
 	}
 	db := relational.NewStore("db")
-	products, err := db.CreateTable("products", cast.MustSchema(
+	products := must(db.CreateTable("products", cast.MustSchema(
 		cast.Column{Name: "prod_id", Type: cast.Int64},
 		cast.Column{Name: "price", Type: cast.Float64},
-	))
-	if err != nil {
-		return nil, err
-	}
+	)))
 	for p := 0; p < nProducts; p++ {
-		if err := products.Insert(int64(100000+p), 1+rng.Float64()*99); err != nil {
-			return nil, err
-		}
+		check(products.Insert(int64(100000+p), 1+rng.Float64()*99))
 	}
 	var opts []core.Option
 	if accel {
@@ -180,23 +159,17 @@ func figure5Runtime(scale int, accel bool) (*core.Runtime, error) {
 	registerExtraRelational(rt, "db", db)
 	rt.Register(newGraphAdapter(gs))
 	rt.Register(newMLAdapter())
-	return rt, nil
+	return rt
 }
 
 // E07HeteroDFG executes the Figure 5 annotated DFG and reports the per-node
 // schedule.
-func E07HeteroDFG(scale int) (*Table, error) {
+func E07HeteroDFG(scale int) *Table {
 	ctx := context.Background()
-	rt, err := figure5Runtime(scale, true)
-	if err != nil {
-		return nil, err
-	}
+	rt := figure5Runtime(scale, true)
 	p := eide.NewProgram()
 	buildFigure5(p.Graph())
-	res, rep, err := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3, Accel: true, Transport: migrate.Pipe})
-	if err != nil {
-		return nil, err
-	}
+	res, rep := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3, Accel: true, Transport: migrate.Pipe})
 	tab := &Table{
 		ID:     "E7",
 		Title:  "Figure 5 heterogeneous DFG (graph → relational → ML) with migrations",
@@ -210,14 +183,14 @@ func E07HeteroDFG(scale int) (*Table, error) {
 	tab.Notes = append(tab.Notes,
 		f("end-to-end sim latency %.6fs, energy %.3fJ, %d migrations, clusters=%d rows",
 			rep.Latency, rep.Energy, rep.Migrations, res.First().Rows()))
-	return tab, nil
+	return tab
 }
 
 // --- E8: Figure 6 — optimization level ablation ---
 
 // E08OptLevels runs the Figure 5 program at optimization levels 0-3 and
 // with acceleration, reporting the latency ladder.
-func E08OptLevels(scale int) (*Table, error) {
+func E08OptLevels(scale int) *Table {
 	ctx := context.Background()
 	tab := &Table{
 		ID:     "E8",
@@ -236,16 +209,10 @@ func E08OptLevels(scale int) (*Table, error) {
 		{"L3 (+binary pipes)", 3, false},
 		{"L3+accel (polystore++)", 3, true},
 	} {
-		rt, err := figure5Runtime(scale, row.accel)
-		if err != nil {
-			return nil, err
-		}
+		rt := figure5Runtime(scale, row.accel)
 		p := eide.NewProgram()
 		buildFigure5(p.Graph())
-		_, rep, err := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: row.level, Accel: row.accel})
-		if err != nil {
-			return nil, err
-		}
+		_, rep := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: row.level, Accel: row.accel})
 		if base == 0 {
 			base = rep.Latency
 		}
@@ -255,20 +222,17 @@ func E08OptLevels(scale int) (*Table, error) {
 		})
 	}
 	tab.Notes = append(tab.Notes, "expected: monotone latency improvement down the ladder")
-	return tab, nil
+	return tab
 }
 
 // --- E9: Figure 7 — k-means on CPU/GPU/FPGA/CGRA ---
 
 // E09KMeans lowers the OptiML-style k-means of Figure 7 onto each device
 // model and reports time/energy; results are identical across devices.
-func E09KMeans(scale int) (*Table, error) {
+func E09KMeans(scale int) *Table {
 	rng := rand.New(rand.NewSource(33))
 	nPoints, dims, k := 20000*scale, 8, 16
-	pts, err := clusterPoints(rng, nPoints, dims, k)
-	if err != nil {
-		return nil, err
-	}
+	pts := clusterPoints(rng, nPoints, dims, k)
 	tab := &Table{
 		ID:     "E9",
 		Title:  "Figure 7 k-means via parallel patterns on heterogeneous devices",
@@ -287,14 +251,9 @@ func E09KMeans(scale int) (*Table, error) {
 	var base float64
 	for _, d := range devices {
 		if d.dev.Kind == hw.FPGA || d.dev.Kind == hw.CGRA {
-			if _, err := d.dev.ConfigureKernel(hw.KKMeansAssign.String(), hw.LUTCost(hw.KKMeansAssign)); err != nil {
-				return nil, err
-			}
+			must(d.dev.ConfigureKernel(hw.KKMeansAssign.String(), hw.LUTCost(hw.KKMeansAssign)))
 		}
-		res, err := kmeansOnDevice(pts, k, d.dev, d.mode)
-		if err != nil {
-			return nil, err
-		}
+		res := kmeansOnDevice(pts, k, d.dev, d.mode)
 		if base == 0 {
 			base = res.AssignCost.Seconds
 		}
@@ -305,7 +264,7 @@ func E09KMeans(scale int) (*Table, error) {
 	}
 	tab.Notes = append(tab.Notes,
 		f("%d points, %d dims, k=%d; same seed on every device (identical clustering)", nPoints, dims, k))
-	return tab, nil
+	return tab
 }
 
 // --- E10: Figure 8 — active-learning DSE vs random sampling ---
@@ -313,66 +272,40 @@ func E09KMeans(scale int) (*Table, error) {
 // E10ActiveLearningDSE explores a Polystore++ configuration space with
 // random sampling and with the active-learning loop, comparing Pareto
 // hypervolume at equal evaluation budgets against the exhaustive optimum.
-func E10ActiveLearningDSE(scale int) (*Table, error) {
-	space, eval, err := dseSpace(scale)
-	if err != nil {
-		return nil, err
-	}
+func E10ActiveLearningDSE(scale int) *Table {
+	space, eval := dseSpace(scale)
 	// Ground truth by exhaustive enumeration (the space is kept enumerable
 	// on purpose).
 	var all []optimizer.Point
 	total := int(space.Size())
 	cfg := make([]int, len(space.Params))
-	var enumerate func(dim int) error
-	enumerate = func(dim int) error {
+	var enumerate func(dim int)
+	enumerate = func(dim int) {
 		if dim == len(space.Params) {
-			objs, err := eval(append([]int(nil), cfg...))
-			if err != nil {
-				return err
-			}
+			objs := must(eval(append([]int(nil), cfg...)))
 			all = append(all, optimizer.Point{Config: append([]int(nil), cfg...), Objs: objs})
-			return nil
+			return
 		}
 		for v := range space.Params[dim].Values {
 			cfg[dim] = v
-			if err := enumerate(dim + 1); err != nil {
-				return err
-			}
+			enumerate(dim + 1)
 		}
-		return nil
 	}
-	if err := enumerate(0); err != nil {
-		return nil, err
-	}
+	enumerate(0)
 	refX, refY := 0.0, 0.0
 	for _, p := range all {
 		refX = math.Max(refX, p.Objs[0]*1.01)
 		refY = math.Max(refY, p.Objs[1]*1.01)
 	}
-	trueHV, err := optimizer.Hypervolume2D(optimizer.ParetoFront(all), refX, refY)
-	if err != nil {
-		return nil, err
-	}
+	trueHV := must(optimizer.Hypervolume2D(optimizer.ParetoFront(all), refX, refY))
 
 	budget := 35
-	rs, err := optimizer.RandomSearch(rand.New(rand.NewSource(1)), space, eval, budget)
-	if err != nil {
-		return nil, err
-	}
-	rsHV, err := optimizer.Hypervolume2D(optimizer.ParetoFront(rs), refX, refY)
-	if err != nil {
-		return nil, err
-	}
-	al, err := optimizer.ActiveLearn(rand.New(rand.NewSource(1)), space, eval, optimizer.ALConfig{
+	rs := must(optimizer.RandomSearch(rand.New(rand.NewSource(1)), space, eval, budget))
+	rsHV := must(optimizer.Hypervolume2D(optimizer.ParetoFront(rs), refX, refY))
+	al := must(optimizer.ActiveLearn(rand.New(rand.NewSource(1)), space, eval, optimizer.ALConfig{
 		InitSamples: 10, Iterations: 5, BatchSize: 5, PoolSize: 150,
-	})
-	if err != nil {
-		return nil, err
-	}
-	alHV, err := optimizer.Hypervolume2D(al.Front, refX, refY)
-	if err != nil {
-		return nil, err
-	}
+	}))
+	alHV := must(optimizer.Hypervolume2D(al.Front, refX, refY))
 
 	tab := &Table{
 		ID:     "E10",
@@ -388,13 +321,13 @@ func E10ActiveLearningDSE(scale int) (*Table, error) {
 		tab.Notes = append(tab.Notes, f("surrogate fit R²: latency %.3f, energy %.3f", al.SurrogateR2[0], al.SurrogateR2[1]))
 	}
 	tab.Notes = append(tab.Notes, "paper claim: guided sampling beats random at equal budget (Bodin/Nardi et al.)")
-	return tab, nil
+	return tab
 }
 
 // dseSpace builds the Polystore++ configuration space of E10: device
 // placement for sort and GEMM kernels, migration transport, batch rows and
 // parallelism. The evaluator is the analytic cost of a fixed workload.
-func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator, error) {
+func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator) {
 	space := optimizer.Space{Params: []optimizer.Param{
 		{Name: "sort_dev", Values: []string{"cpu", "gpu", "fpga", "cgra"}},
 		{Name: "gemm_dev", Values: []string{"cpu", "gpu", "tpu", "cgra"}},
@@ -423,15 +356,9 @@ func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator, error) {
 
 		var total hw.Cost
 		sortWork := hw.Work{Items: rows, Bytes: rows * 8}
-		sc, err := kernelOrHost(sortDev, hw.KSort, sortWork, rows*8)
-		if err != nil {
-			return nil, err
-		}
+		sc := kernelOrHost(sortDev, hw.KSort, sortWork, rows*8)
 		gemmWork := hw.Work{M: 512, K: 512, N: 512, Bytes: 512 * 512 * 16}
-		gc, err := kernelOrHost(gemmDev, hw.KGEMM, gemmWork, 512*512*8)
-		if err != nil {
-			return nil, err
-		}
+		gc := kernelOrHost(gemmDev, hw.KGEMM, gemmWork, 512*512*8)
 		bytes := rows * 8
 		var mig hw.Cost
 		switch transport {
@@ -457,18 +384,15 @@ func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator, error) {
 		}
 		return []float64{total.Seconds, total.Joules}, nil
 	}
-	return space, eval, nil
+	return space, eval
 }
 
 // kernelOrHost estimates a kernel on the device including coprocessor
 // transfers for non-CPU devices.
-func kernelOrHost(d *hw.Device, class hw.KernelClass, w hw.Work, outBytes int64) (hw.Cost, error) {
-	kc, err := d.KernelCost(class, w)
-	if err != nil {
-		return hw.Zero, err
-	}
+func kernelOrHost(d *hw.Device, class hw.KernelClass, w hw.Work, outBytes int64) hw.Cost {
+	kc := must(d.KernelCost(class, w))
 	if d.Kind == hw.CPU {
-		return kc, nil
+		return kc
 	}
-	return kc.AddSeq(d.TransferCost(w.Bytes)).AddSeq(d.TransferCost(outBytes)), nil
+	return kc.AddSeq(d.TransferCost(w.Bytes)).AddSeq(d.TransferCost(outBytes))
 }

@@ -16,7 +16,7 @@ import (
 
 // E11Operators reports per-kernel speedup and energy ratio against the host
 // CPU for each accelerator that implements the kernel.
-func E11Operators(scale int) (*Table, error) {
+func E11Operators(scale int) *Table {
 	cpu := hw.NewHostCPU()
 	accels := []*hw.Device{hw.NewGPU(), hw.NewFPGA(), hw.NewCGRA(), hw.NewTPU()}
 	for _, d := range accels {
@@ -44,10 +44,7 @@ func E11Operators(scale int) (*Table, error) {
 		Header: []string{"kernel", "device", "cpu (s)", "device e2e (s)", "speedup", "energy ratio"},
 	}
 	for _, c := range cases {
-		cpuCost, err := cpu.KernelCost(c.class, c.work)
-		if err != nil {
-			return nil, err
-		}
+		cpuCost := must(cpu.KernelCost(c.class, c.work))
 		for _, d := range accels {
 			devCost, err := d.Offload(hw.Coprocessor, c.class, c.work, c.out)
 			if err != nil {
@@ -63,7 +60,7 @@ func E11Operators(scale int) (*Table, error) {
 	tab.Notes = append(tab.Notes,
 		"end-to-end device time includes PCIe transfers (coprocessor mode)",
 		"expected: FPGA/CGRA win streaming kernels at low energy; TPU dominates GEMM; GPU wins when compute-dense")
-	return tab, nil
+	return tab
 }
 
 // --- E12: §III-A4 — adapter rule-engine offload ---
@@ -71,17 +68,12 @@ func E11Operators(scale int) (*Table, error) {
 // E12AdapterOffload measures IR→native translation rule matching on the
 // host vs encoded as an FPGA dataflow match network, and the host cycles
 // freed for local processing.
-func E12AdapterOffload(scale int) (*Table, error) {
+func E12AdapterOffload(scale int) *Table {
 	ctx := context.Background()
-	rt, err := figure5Runtime(scale, false)
-	if err != nil {
-		return nil, err
-	}
+	rt := figure5Runtime(scale, false)
 	p := eide.NewProgram()
 	buildFigure5(p.Graph())
-	if _, _, err := runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3}); err != nil {
-		return nil, err
-	}
+	runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3})
 	ruleNodes := rt.Metrics().Counter("core.rule_nodes").Value()
 	// Scale the translation workload to a busy adapter: the measured plan's
 	// rule applications per query times a queries/sec target.
@@ -89,18 +81,10 @@ func E12AdapterOffload(scale int) (*Table, error) {
 	items := ruleNodes * queries
 
 	cpu, fpga := hw.NewHostCPU(), hw.NewFPGA()
-	if _, err := fpga.ConfigureKernel(hw.KRuleMatch.String(), hw.LUTCost(hw.KRuleMatch)); err != nil {
-		return nil, err
-	}
+	must(fpga.ConfigureKernel(hw.KRuleMatch.String(), hw.LUTCost(hw.KRuleMatch)))
 	w := hw.Work{Items: items, Bytes: items * 64}
-	cpuCost, err := cpu.KernelCost(hw.KRuleMatch, w)
-	if err != nil {
-		return nil, err
-	}
-	fpgaCost, err := fpga.Offload(hw.Coprocessor, hw.KRuleMatch, w, items*16)
-	if err != nil {
-		return nil, err
-	}
+	cpuCost := must(cpu.KernelCost(hw.KRuleMatch, w))
+	fpgaCost := must(fpga.Offload(hw.Coprocessor, hw.KRuleMatch, w, items*16))
 	tab := &Table{
 		ID:     "E12",
 		Title:  "§III-A4 adapter IR-translation rule matching: host vs FPGA dataflow",
@@ -112,7 +96,7 @@ func E12AdapterOffload(scale int) (*Table, error) {
 	)
 	tab.Notes = append(tab.Notes,
 		f("measured %d rule applications per plan execution; modeled at %d plans", ruleNodes, queries))
-	return tab, nil
+	return tab
 }
 
 // --- E13: §IV-D — pipelined stage execution ---
@@ -120,34 +104,20 @@ func E12AdapterOffload(scale int) (*Table, error) {
 // E13Pipelining compares sequential and pipelined execution of a
 // scan→filter→serialize→transfer stage chain over batches, in both the
 // simulated cost model and a real goroutine pipeline.
-func E13Pipelining(scale int) (*Table, error) {
+func E13Pipelining(scale int) *Table {
 	fpga := hw.NewFPGA()
-	if _, err := fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)); err != nil {
-		return nil, err
-	}
+	must(fpga.ConfigureKernel(hw.KFilter.String(), hw.LUTCost(hw.KFilter)))
 	cpu := hw.NewHostCPU()
 	nic := hw.NewRDMANIC()
 	batchRows := int64(1 << 17)
 	stages := func() ([]hw.Cost, error) {
-		scan, err := cpu.KernelCost(hw.KProject, hw.Work{Items: batchRows, Bytes: batchRows * 8})
-		if err != nil {
-			return nil, err
-		}
-		filt, err := fpga.KernelCost(hw.KFilter, hw.Work{Items: batchRows, Bytes: batchRows * 8})
-		if err != nil {
-			return nil, err
-		}
-		ser, err := cpu.KernelCost(hw.KSerialize, hw.Work{Bytes: batchRows * 8})
-		if err != nil {
-			return nil, err
-		}
+		scan := must(cpu.KernelCost(hw.KProject, hw.Work{Items: batchRows, Bytes: batchRows * 8}))
+		filt := must(fpga.KernelCost(hw.KFilter, hw.Work{Items: batchRows, Bytes: batchRows * 8}))
+		ser := must(cpu.KernelCost(hw.KSerialize, hw.Work{Bytes: batchRows * 8}))
 		xfer := nic.TransferCost(batchRows * 8)
 		return []hw.Cost{scan, filt, ser, xfer}, nil
 	}
-	costs, err := stages()
-	if err != nil {
-		return nil, err
-	}
+	costs := must(stages())
 	tab := &Table{
 		ID:     "E13",
 		Title:  "§IV-D pipelined stage execution: sequential vs pipelined (simulated)",
@@ -174,14 +144,14 @@ func E13Pipelining(scale int) (*Table, error) {
 	tab.Notes = append(tab.Notes,
 		f("stage chain: scan(cpu) → filter(fpga) → serialize(cpu) → transfer(nic), %d rows/batch", batchRows),
 		"speedup approaches #stages as batch count grows")
-	return tab, nil
+	return tab
 }
 
 // --- E14: §IV-B4 — Roofline and LogCA model reports ---
 
 // E14Models reports roofline points for kernels on every device and LogCA
 // break-even granularities for representative offloads.
-func E14Models(scale int) (*Table, error) {
+func E14Models(scale int) *Table {
 	_ = scale
 	tab := &Table{
 		ID:     "E14",
@@ -202,10 +172,7 @@ func E14Models(scale int) (*Table, error) {
 		{hw.NewGPU(), hw.KGEMM, hw.Work{M: 1024, K: 1024, N: 1024, Bytes: 3 * 1024 * 1024 * 8}},
 	}
 	for _, pt := range points {
-		rp, err := hw.MeasureRoofline(pt.dev, pt.class, pt.work)
-		if err != nil {
-			return nil, err
-		}
+		rp := must(hw.MeasureRoofline(pt.dev, pt.class, pt.work))
 		bound := "memory"
 		if hw.DeviceRoofline(pt.dev).ComputeBound(rp.Intensity) {
 			bound = "compute"
@@ -225,10 +192,7 @@ func E14Models(scale int) (*Table, error) {
 		{hw.NewFPGA(), hw.KSort},
 		{hw.NewTPU(), hw.KGEMM},
 	} {
-		m, err := hw.DeriveLogCA(cpu, lc.accel, lc.class)
-		if err != nil {
-			return nil, err
-		}
+		m := must(hw.DeriveLogCA(cpu, lc.accel, lc.class))
 		g1, err := m.BreakEven()
 		if err != nil {
 			tab.Notes = append(tab.Notes, f("logca %s on %s: never profitable (limit %.2f)", lc.class, lc.accel.Name, m.SpeedupLimit()))
@@ -242,7 +206,7 @@ func E14Models(scale int) (*Table, error) {
 			"logca %s on %s: A=%.1f, g1=%.0f B, g_{A/2}=%.0f B, limit=%.2fx",
 			lc.class, lc.accel.Name, m.A, g1, gh, m.SpeedupLimit()))
 	}
-	return tab, nil
+	return tab
 }
 
 // --- E15: §IV-A-b — GNMT weight storage: binary vs textual ---
@@ -250,7 +214,7 @@ func E14Models(scale int) (*Table, error) {
 // E15WeightFormats measures the size blow-up of textual weight storage and
 // the resulting migration time over a 100G NIC for MLP models of growing
 // size.
-func E15WeightFormats(scale int) (*Table, error) {
+func E15WeightFormats(scale int) *Table {
 	rng := rand.New(rand.NewSource(77))
 	nic := hw.NewRDMANIC()
 	tab := &Table{
@@ -259,10 +223,7 @@ func E15WeightFormats(scale int) (*Table, error) {
 		Header: []string{"params", "binary bytes", "textual bytes", "ratio", "binary xfer", "textual xfer"},
 	}
 	for _, layer := range []int{128 * scale, 256 * scale, 512 * scale} {
-		w, err := tensor.Rand(rng, 1, layer, layer)
-		if err != nil {
-			return nil, err
-		}
+		w := tensor.Rand(rng, 1, layer, layer)
 		binBytes := int64(w.Size()) * 8
 		var txt bytes.Buffer
 		for _, v := range w.Data() {
@@ -281,32 +242,28 @@ func E15WeightFormats(scale int) (*Table, error) {
 	tab.Notes = append(tab.Notes,
 		"paper: GNMT weights grow from GBs (binary) toward TBs (textual); we measure the actual %g blow-up",
 		"textual path also pays serialize/parse CPU time (see E6 CSV rows)")
-	return tab, nil
+	return tab
 }
 
 // All runs every experiment at the given scale and returns the tables in
 // order. Used by cmd/polybench.
-func All(scale int) ([]*Table, error) {
-	runs := []func(int) (*Table, error){
+func All(scale int) []*Table {
+	runs := []func(int) *Table{
 		E01Recommendation, E02Clinical, E03Snorkel, E04CrossDBJoin,
 		E05ScanOffload, E06Migration, E07HeteroDFG, E08OptLevels,
 		E09KMeans, E10ActiveLearningDSE, E11Operators, E12AdapterOffload,
 		E13Pipelining, E14Models, E15WeightFormats,
 	}
-	out := make([]*Table, 0, len(runs))
-	for _, run := range runs {
-		t, err := run(scale)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
+	out := make([]*Table, len(runs))
+	for i, run := range runs {
+		out[i] = run(scale)
 	}
-	return out, nil
+	return out
 }
 
 // ByID returns the experiment runner for an id like "E3"/"e3".
-func ByID(id string) (func(int) (*Table, error), bool) {
-	m := map[string]func(int) (*Table, error){
+func ByID(id string) (func(int) *Table, bool) {
+	m := map[string]func(int) *Table{
 		"e1": E01Recommendation, "e2": E02Clinical, "e3": E03Snorkel,
 		"e4": E04CrossDBJoin, "e5": E05ScanOffload, "e6": E06Migration,
 		"e7": E07HeteroDFG, "e8": E08OptLevels, "e9": E09KMeans,

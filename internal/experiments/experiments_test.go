@@ -17,10 +17,7 @@ func parseSecs(t *testing.T, cell string) float64 {
 }
 
 func TestE01OrderingHolds(t *testing.T) {
-	tab, err := E01Recommendation(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E01Recommendation(1)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -33,10 +30,7 @@ func TestE01OrderingHolds(t *testing.T) {
 }
 
 func TestE02AccelWins(t *testing.T) {
-	tab, err := E02Clinical(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E02Clinical(1)
 	cpu := parseSecs(t, tab.Rows[0][1])
 	acc := parseSecs(t, tab.Rows[1][1])
 	if acc >= cpu {
@@ -48,10 +42,7 @@ func TestE02AccelWins(t *testing.T) {
 }
 
 func TestE03LoadShareShrinks(t *testing.T) {
-	tab, err := E03Snorkel(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E03Snorkel(1)
 	base := parseSecs(t, tab.Rows[0][3])
 	best := parseSecs(t, tab.Rows[2][3])
 	if best >= base {
@@ -60,10 +51,7 @@ func TestE03LoadShareShrinks(t *testing.T) {
 }
 
 func TestE04AcceleratedPathWins(t *testing.T) {
-	tab, err := E04CrossDBJoin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E04CrossDBJoin(1)
 	baseline := parseSecs(t, tab.Rows[0][1])
 	accel := parseSecs(t, tab.Rows[1][1])
 	if accel >= baseline {
@@ -75,10 +63,7 @@ func TestE04AcceleratedPathWins(t *testing.T) {
 }
 
 func TestE05Crossover(t *testing.T) {
-	tab, err := E05ScanOffload(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E05ScanOffload(1)
 	// FPGA bump-in-the-wire filtering beats the host at every selectivity
 	// for this item count (it processes at line rate).
 	for _, row := range tab.Rows {
@@ -91,10 +76,7 @@ func TestE05Crossover(t *testing.T) {
 }
 
 func TestE06TransportOrdering(t *testing.T) {
-	tab, err := E06Migration(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E06Migration(1)
 	// For each size: sim(csv) > sim(pipe) > sim(rdma).
 	bySize := map[string]map[string]float64{}
 	for _, row := range tab.Rows {
@@ -115,10 +97,7 @@ func TestE06TransportOrdering(t *testing.T) {
 }
 
 func TestE07AllNodesExecuted(t *testing.T) {
-	tab, err := E07HeteroDFG(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E07HeteroDFG(1)
 	kinds := map[string]bool{}
 	for _, row := range tab.Rows {
 		kinds[row[1]] = true
@@ -131,10 +110,7 @@ func TestE07AllNodesExecuted(t *testing.T) {
 }
 
 func TestE08LadderMonotone(t *testing.T) {
-	tab, err := E08OptLevels(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E08OptLevels(1)
 	prev := parseSecs(t, tab.Rows[0][1])
 	for _, row := range tab.Rows[1:] {
 		cur := parseSecs(t, row[1])
@@ -151,10 +127,7 @@ func TestE08LadderMonotone(t *testing.T) {
 }
 
 func TestE09DevicesAgreeAndAccelerate(t *testing.T) {
-	tab, err := E09KMeans(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E09KMeans(1)
 	inertia := tab.Rows[0][5]
 	cpu := parseSecs(t, tab.Rows[0][1])
 	for _, row := range tab.Rows[1:] {
@@ -168,10 +141,7 @@ func TestE09DevicesAgreeAndAccelerate(t *testing.T) {
 }
 
 func TestE10ActiveLearningBeatsRandom(t *testing.T) {
-	tab, err := E10ActiveLearningDSE(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E10ActiveLearningDSE(1)
 	parsePct := func(cell string) float64 {
 		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
 		if err != nil {
@@ -190,10 +160,7 @@ func TestE10ActiveLearningBeatsRandom(t *testing.T) {
 }
 
 func TestE11AcceleratorsWin(t *testing.T) {
-	tab, err := E11Operators(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E11Operators(1)
 	wins := 0
 	for _, row := range tab.Rows {
 		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[4], "x"), 64)
@@ -210,10 +177,7 @@ func TestE11AcceleratorsWin(t *testing.T) {
 }
 
 func TestE12RuleOffload(t *testing.T) {
-	tab, err := E12AdapterOffload(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E12AdapterOffload(1)
 	cpu := parseSecs(t, tab.Rows[0][2])
 	fpga := parseSecs(t, tab.Rows[1][2])
 	if fpga >= cpu {
@@ -222,10 +186,7 @@ func TestE12RuleOffload(t *testing.T) {
 }
 
 func TestE13PipelineSpeedupGrows(t *testing.T) {
-	tab, err := E13Pipelining(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E13Pipelining(1)
 	var prev float64
 	for _, row := range tab.Rows {
 		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
@@ -243,10 +204,7 @@ func TestE13PipelineSpeedupGrows(t *testing.T) {
 }
 
 func TestE14ModelsSane(t *testing.T) {
-	tab, err := E14Models(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E14Models(1)
 	if len(tab.Rows) < 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -269,10 +227,7 @@ func TestE14ModelsSane(t *testing.T) {
 }
 
 func TestE15TextualBlowup(t *testing.T) {
-	tab, err := E15WeightFormats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := E15WeightFormats(1)
 	for _, row := range tab.Rows {
 		ratio, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
 		if err != nil {
@@ -289,10 +244,7 @@ func TestByIDAndTableString(t *testing.T) {
 	if !ok {
 		t.Fatal("ByID(E5) missing")
 	}
-	tab, err := fn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := fn(1)
 	s := tab.String()
 	if !strings.Contains(s, "E5") || !strings.Contains(s, "selectivity") {
 		t.Fatalf("table render:\n%s", s)

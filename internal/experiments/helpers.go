@@ -13,6 +13,21 @@ import (
 	"polystorepp/internal/tensor"
 )
 
+// must returns v, panicking on err; check panics on err. The experiments
+// are driver code over fixed tables, kernels and programs, so an error in one
+// is a bug in this repository, not an input to recover from: it stops the
+// run with a stack instead of a line on stderr.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // registerClinical wires the clinical dataset's engines into a runtime.
 func registerClinical(rt *core.Runtime, data *datagen.Clinical) {
 	b := data.Binding()
@@ -58,19 +73,13 @@ func newMLAdapter() adapter.Adapter { return adapter.NewML("ml", 13) }
 
 // clusterPoints samples n points around k separated centers (the E9
 // workload).
-func clusterPoints(rng *rand.Rand, n, dims, k int) (*tensor.Tensor, error) {
-	centers, err := tensor.New(k, dims)
-	if err != nil {
-		return nil, err
-	}
+func clusterPoints(rng *rand.Rand, n, dims, k int) *tensor.Tensor {
+	centers := tensor.New(k, dims)
 	cd := centers.Data()
 	for i := range cd {
 		cd[i] = float64(rng.Intn(40)) * 5
 	}
-	pts, err := tensor.New(n, dims)
-	if err != nil {
-		return nil, err
-	}
+	pts := tensor.New(n, dims)
 	pd := pts.Data()
 	for i := 0; i < n; i++ {
 		c := i % k
@@ -78,10 +87,10 @@ func clusterPoints(rng *rand.Rand, n, dims, k int) (*tensor.Tensor, error) {
 			pd[i*dims+j] = cd[c*dims+j] + rng.NormFloat64()
 		}
 	}
-	return pts, nil
+	return pts
 }
 
 // kmeansOnDevice runs k-means with the assignment phase charged to dev.
-func kmeansOnDevice(pts *tensor.Tensor, k int, dev *hw.Device, mode hw.Mode) (*mlengine.KMeansResult, error) {
-	return mlengine.KMeansOn(rand.New(rand.NewSource(99)), pts, k, 25, dev, mode)
+func kmeansOnDevice(pts *tensor.Tensor, k int, dev *hw.Device, mode hw.Mode) *mlengine.KMeansResult {
+	return must(mlengine.KMeansOn(rand.New(rand.NewSource(99)), pts, k, 25, dev, mode))
 }
