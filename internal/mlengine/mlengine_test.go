@@ -116,13 +116,24 @@ func TestMLPTrainBatchLabelShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, _ := NewMLP(rng, 4, 1)
 	x := tensor.New(8, 4)
-	badY := tensor.New(8, 2)
-	ws, _ := m.NewWorkspace(4)
-	if _, err := m.TrainBatch(ws, x, badY, 0.1); !errors.Is(err, ErrData) {
-		t.Fatalf("bad labels: %v", err)
+	ws, err := m.NewWorkspace(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, y := range []*tensor.Tensor{tensor.New(8, 2), tensor.New(7, 1), tensor.New(8)} {
+		if _, err := m.TrainBatch(ws, x, y, 0.1); !errors.Is(err, ErrData) {
+			t.Fatalf("labels %v for 8 rows: %v", y.Shape(), err)
+		}
 	}
 	y := tensor.New(8, 1)
-	if _, err := m.TrainBatch(ws, x, y, 0.1); !errors.Is(err, ErrData) {
+	if _, err := m.TrainBatch(ws, tensor.New(8, 3), y, 0.1); !errors.Is(err, ErrData) {
+		t.Fatalf("3 features into a 4-feature model: %v", err)
+	}
+	small, err := m.NewWorkspace(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TrainBatch(small, x, y, 0.1); !errors.Is(err, ErrData) {
 		t.Fatalf("8 rows through a 4-row workspace: %v", err)
 	}
 	if _, err := m.NewWorkspace(0); !errors.Is(err, ErrConfig) {

@@ -484,7 +484,8 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 			if oi.Col, err = p.ident(); err != nil {
 				return nil, err
 			}
-			if oi.Desc = p.isKeyword("desc"); oi.Desc || p.isKeyword("asc") {
+			oi.Desc = p.isKeyword("desc")
+			if oi.Desc || p.isKeyword("asc") {
 				p.advance()
 			}
 			stmt.OrderBy = append(stmt.OrderBy, oi)
@@ -515,40 +516,11 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 }
 
 func (p *parser) parseSelectItem(stmt *SelectStmt) (SelectItem, error) {
-	// Aggregate?
-	if fn, ok := aggNames[strings.ToLower(p.cur.text)]; ok && p.cur.kind == tokIdent {
-		if nxt := p.peekTok(); nxt.kind == tokSymbol && nxt.text == "(" {
-			p.advance() // the name
-			p.advance() // "("
-			spec := AggSpec{Fn: fn}
-			if p.isSymbol("*") {
-				if fn != AggCount {
-					return SelectItem{}, fmt.Errorf("%w: %s(*) not allowed", ErrSQL, fn)
-				}
-				p.advance()
-			} else {
-				col, err := p.ident()
-				if err != nil {
-					return SelectItem{}, err
-				}
-				spec.Col = col
+	if p.cur.kind == tokIdent {
+		if fn, ok := aggNames[strings.ToLower(p.cur.text)]; ok {
+			if nxt := p.peekTok(); nxt.kind == tokSymbol && nxt.text == "(" {
+				return p.parseAgg(fn)
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return SelectItem{}, err
-			}
-			as := fmt.Sprintf("%s_%s", spec.Fn, BaseName(spec.Col))
-			if spec.Col == "" {
-				as = "count"
-			}
-			if p.isKeyword("as") {
-				p.advance()
-				var err error
-				if as, err = p.ident(); err != nil {
-					return SelectItem{}, err
-				}
-			}
-			spec.As = as
-			return SelectItem{Agg: &spec, As: as}, nil
 		}
 	}
 	slots := len(p.binds)
@@ -579,6 +551,40 @@ func (p *parser) parseSelectItem(stmt *SelectStmt) (SelectItem, error) {
 		as = named.String()
 	}
 	return SelectItem{Expr: e, As: as}, nil
+}
+
+// parseAgg parses an aggregate call whose name is the current token.
+func (p *parser) parseAgg(fn AggFn) (SelectItem, error) {
+	p.advance() // the name
+	p.advance() // "("
+	spec := AggSpec{Fn: fn}
+	if p.isSymbol("*") {
+		if fn != AggCount {
+			return SelectItem{}, fmt.Errorf("%w: %s(*) not allowed", ErrSQL, fn)
+		}
+		p.advance()
+	} else {
+		col, err := p.ident()
+		if err != nil {
+			return SelectItem{}, err
+		}
+		spec.Col = col
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return SelectItem{}, err
+	}
+	spec.As = fmt.Sprintf("%s_%s", spec.Fn, BaseName(spec.Col))
+	if spec.Col == "" {
+		spec.As = "count"
+	}
+	if p.isKeyword("as") {
+		p.advance()
+		var err error
+		if spec.As, err = p.ident(); err != nil {
+			return SelectItem{}, err
+		}
+	}
+	return SelectItem{Agg: &spec, As: spec.As}, nil
 }
 
 // Expression precedence: OR < AND < NOT < comparison < additive < mult.

@@ -562,3 +562,19 @@ func sqlErrorText(err error) string {
 	}
 	return strings.TrimPrefix(err.Error(), ErrSQL.Error()+": ")
 }
+
+// TestParseInvalidUTF8String: a string literal holding invalid UTF-8 reads
+// each bad byte as U+FFFD, in Shape's binds as in the parsed constant.
+func TestParseInvalidUTF8String(t *testing.T) {
+	const sql = "SELECT a FROM t WHERE s = 'x\xffy'"
+	stmt, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Bin{Op: OpEq, L: ColRef{Name: "s"}, R: Const{V: "x�y"}}); stmt.Where != want {
+		t.Fatalf("WHERE %v, want %v", stmt.Where, want)
+	}
+	if _, binds, err := Shape(nil, sql, nil); err != nil || !reflect.DeepEqual(binds, []any{"x�y"}) {
+		t.Fatalf("Shape binds %q (%v)", binds, err)
+	}
+}
