@@ -46,8 +46,8 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 	if sizes[len(sizes)-1] != 1 {
 		return nil, fmt.Errorf("%w: binary MLP needs output size 1, got %d", ErrConfig, sizes[len(sizes)-1])
 	}
-	if slices.Min(sizes) <= 0 {
-		return nil, fmt.Errorf("%w: layer sizes %v", ErrConfig, sizes)
+	if n := slices.Min(sizes); n <= 0 {
+		return nil, fmt.Errorf("%w: layer of %d units", ErrConfig, n)
 	}
 	m := &MLP{sizes: slices.Clone(sizes)}
 	for i := 0; i+1 < len(sizes); i++ {
