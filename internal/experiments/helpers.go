@@ -14,9 +14,9 @@ import (
 )
 
 // must returns v, panicking on err; check panics on err. The experiments
-// are driver code over fixed tables, kernels and programs, so an error in one
-// is a bug in this repository, not an input to recover from: it stops the
-// run with a stack instead of a line on stderr.
+// run fixed tables, kernels and programs, so an error in one is a bug in
+// this repository, not an input to recover from: it stops the run with a
+// stack instead of a line on stderr.
 func must[T any](v T, err error) T {
 	check(err)
 	return v
