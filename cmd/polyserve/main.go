@@ -50,8 +50,8 @@ again after 5s. SIGTERM drains in-flight work bounded by -drain-timeout
 before exiting.
 
 Placement and partition fan-out are static: the device of an offloadable
-kernel is the cheapest under the hw cost model, and a node fans out at its
-request-pinned "parts" or at the size its input justifies. Simulated
+kernel is the cheapest under the hw cost model, and a node fans out at the
+size its input justifies (a request can pin neither). Simulated
 latency and energy are a function of plan, data and attached devices, never
 of request history.
 

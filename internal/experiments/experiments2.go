@@ -342,8 +342,8 @@ func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator) {
 	// Preload kernels so the space is about steady-state placement.
 	for _, d := range devs {
 		if d.Kind == hw.FPGA || d.Kind == hw.CGRA {
-			_, _ = d.ConfigureKernel(hw.KSort.String(), hw.LUTCost(hw.KSort))
-			_, _ = d.ConfigureKernel(hw.KGEMM.String(), hw.LUTCost(hw.KGEMM))
+			must(d.ConfigureKernel(hw.KSort.String(), hw.LUTCost(hw.KSort)))
+			must(d.ConfigureKernel(hw.KGEMM.String(), hw.LUTCost(hw.KGEMM)))
 		}
 	}
 	nic := hw.NewRDMANIC()

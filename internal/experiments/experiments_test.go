@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"polystorepp/internal/hw"
 )
 
 // parseSecs extracts the float from a "%fs" cell.
@@ -173,6 +176,26 @@ func TestE11AcceleratorsWin(t *testing.T) {
 	}
 	if wins < len(tab.Rows)/2 {
 		t.Fatalf("only %d/%d offloads profitable at 1M+ items", wins, len(tab.Rows))
+	}
+	// A row for every pair the device implements: one kernel's area may not
+	// crowd another out of the table.
+	rows := map[[2]string]bool{}
+	for _, row := range tab.Rows {
+		rows[[2]string{row[0], row[1]}] = true
+	}
+	for _, k := range []hw.KernelClass{hw.KSort, hw.KFilter, hw.KHashBuild, hw.KGEMM, hw.KWindowAgg} {
+		for _, d := range []*hw.Device{hw.NewGPU(), hw.NewFPGA(), hw.NewCGRA(), hw.NewTPU()} {
+			_, err := d.KernelCost(k, hw.Work{Items: 1 << 20, Bytes: 8 << 20, M: 64, K: 64, N: 64})
+			if errors.Is(err, hw.ErrUnsupported) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rows[[2]string{k.String(), d.Name}] {
+				t.Errorf("E11 has no row for %s on %s, which implements it", k, d.Name)
+			}
+		}
 	}
 }
 

@@ -44,6 +44,14 @@ func CapTimeout(h http.Handler, d time.Duration) http.Handler {
 	return h
 }
 
+// PinParts pins the partition fan-out of every partitionable operator the
+// server compiles at n instead of sizing it from each operator's input: for
+// the suites that check an answer is the same at any fan-out.
+func PinParts(h http.Handler, n int) http.Handler {
+	h.(*Server).parts = n
+	return h
+}
+
 // BoundResultBytes rebuilds the result cache with a byte budget of n instead
 // of resultCacheBytes.
 func BoundResultBytes(h http.Handler, n int64) http.Handler {

@@ -110,9 +110,9 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	if err := s.checkEngines(g); err != nil {
 		return err
 	}
-	// The partition override mutates the graph before fingerprinting, so
-	// plans compiled at different fan-outs never share a cache entry.
-	stampParts(g, p.req.Parts)
+	// A pinned fan-out mutates the graph before fingerprinting, so plans
+	// compiled at different fan-outs never share a plan or subplan entry.
+	stampParts(g, s.parts)
 	p.binds, p.nlRule = g.Binds(), nlRule
 	p.planKey = compiler.Key(g, s.opts)
 	// The request is its shape's template only when its parses lifted
@@ -137,13 +137,12 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 
 // appendShapeKey appends req's shape key to dst and the constants of its
 // SQL literals to binds, in step and text order; ok is false when it has
-// none. A sql request's key is "sql|", its engine, the clamped fan-out and
-// its statement's token stream (relational.Shape); a program's is "prog|",
-// the fan-out and every field of every step, length-prefixed, a sql step's
-// text replaced by its token stream. The compiler options are the server's,
-// so no key holds them. Plan keys start with a fingerprint. nl and text
-// requests have no shape key, nor has a statement Shape refuses: the build
-// path answers why.
+// none. A sql request's key is "sql|", its engine and its statement's token
+// stream (relational.Shape); a program's is "prog|" and every field of every
+// step, length-prefixed, a sql step's text replaced by its token stream. The
+// compiler options and the fan-out are the server's, so no key holds them.
+// Plan keys start with a fingerprint. nl and text requests have no shape
+// key, nor has a statement Shape refuses: the build path answers why.
 func appendShapeKey(dst []byte, req *QueryRequest, engine string, binds []any) ([]byte, []any, bool) {
 	var err error
 	switch req.Frontend {
@@ -151,11 +150,11 @@ func appendShapeKey(dst []byte, req *QueryRequest, engine string, binds []any) (
 		if engine == "" || req.Statement == "" {
 			return dst, binds, false
 		}
-		dst = shapePrefix(dst, "sql|", engine, clampParts(req.Parts))
+		dst = appendField(append(dst, "sql|"...), engine)
 		dst, binds, err = relational.Shape(dst, req.Statement, binds)
 		return dst, binds, err == nil
 	case "program":
-		dst = shapePrefix(dst, "prog|", "", clampParts(req.Parts))
+		dst = append(dst, "prog|"...)
 		for i := range req.Program {
 			st := &req.Program[i]
 			for _, f := range [...]string{st.ID, st.Op, st.Engine, st.Query, st.SeriesPrefix, st.Agg, st.Prefix,
@@ -184,14 +183,6 @@ func appendShapeKey(dst []byte, req *QueryRequest, engine string, binds []any) (
 	return dst, binds, false
 }
 
-// shapePrefix appends what a shape key holds besides its shape: the tag, the
-// engine and the clamped partition fan-out.
-func shapePrefix(dst []byte, tag, engine string, parts int) []byte {
-	dst = appendField(append(dst, tag...), engine)
-	dst = strconv.AppendInt(append(dst, "|P"...), int64(parts), 10)
-	return append(dst, '|')
-}
-
 // appendField appends s length-prefixed, so no field can run into the next.
 func appendField(dst []byte, s string) []byte {
 	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
@@ -215,22 +206,9 @@ func resultKey(planKey string, binds []any, vv string) string {
 	return string(append(b, vv...))
 }
 
-// maxParts caps the client-requested partition fan-out: far beyond any real
-// core count, small enough that per-partition bookkeeping (range slices,
-// partial accumulators) cannot be driven into absurd allocations by a
-// hostile request body.
-const maxParts = 4096
-
-// clampParts is the fan-out a request's "parts" pins: 0 (automatic sizing)
-// for parts <= 0, else parts capped at maxParts.
-func clampParts(parts int) int {
-	return min(max(parts, 0), maxParts)
-}
-
 // stampParts pins the partition fan-out of every partitionable operator in
-// the program. parts <= 0 leaves automatic sizing untouched.
+// the program. parts 0 leaves automatic sizing untouched.
 func stampParts(g *ir.Graph, parts int) {
-	parts = clampParts(parts)
 	if parts == 0 {
 		return
 	}

@@ -205,35 +205,6 @@ func TestValueShapedStatementsParseEveryTime(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSeparatesParts: "parts" pins the fan-out the graph is
-// compiled at, so each fan-out has its own shape key and plan.
-func TestPlanCacheSeparatesParts(t *testing.T) {
-	srv := newPreparedServer(preparedStore(t))
-	const stmt = "SELECT kind, count(*) AS n FROM events WHERE id >= 700 GROUP BY kind"
-	keys := map[string]bool{}
-	for round := 0; round < 2; round++ {
-		for _, parts := range []int{1, 2, 7, 64} {
-			p, err := srv.Prepare(server.QueryRequest{Frontend: "sql", Statement: stmt, Parts: parts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys[p.PlanKey] = true
-			body := fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
-			if code, _, msg := answer(t, srv, stmt, body); code != http.StatusOK {
-				t.Fatalf("parts %d: %d %s", parts, code, msg)
-			}
-		}
-	}
-	if len(keys) != 4 {
-		t.Errorf("%d plan keys over 4 fan-outs", len(keys))
-	}
-	// Round 0 prepares each fan-out twice before its plan is cached, round 1
-	// finds it twice; each plan is cached under its plan key and shape key.
-	if c := planStats(t, srv); c.Hits != 8 || c.Misses != 8 || c.Size != 8 {
-		t.Errorf("plan cache: %d hits, %d misses, %d entries; want 8, 8 and 8", c.Hits, c.Misses, c.Size)
-	}
-}
-
 // TestNegativeLimitIs400: LIMIT -5 is refused, even right after LIMIT 5
 // prepared its shape.
 func TestNegativeLimitIs400(t *testing.T) {
@@ -284,8 +255,8 @@ func TestStatementCacheConcurrent(t *testing.T) {
 // TestOneCacheUnderEviction: SQL and program shape keys and plan keys share
 // the plan cache's capacity. At 1, 2 and 3 entries a server cycles through
 // two template shapes, the program form of the second, a value-shaped
-// statement, the second again, and one shape at parts 1 and 7, sending each
-// twice with its constants redrawn. So a shape key outlives its plan key (a
+// statement, the second again, and two more shapes, sending each twice with
+// its constants redrawn. So a shape key outlives its plan key (a
 // compile stores the plan key first), and a plan key outlives its shape key
 // (the program request, whose program shape key is not the statement's,
 // finds the plan under its plan key and maps its own shape key to it, which
@@ -298,11 +269,10 @@ func TestOneCacheUnderEviction(t *testing.T) {
 		first  = "SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC, id LIMIT %d"
 		second = "SELECT kind, count(*) AS n FROM events WHERE id >= %d GROUP BY kind"
 		valued = "SELECT id, value * %d FROM events WHERE id < %d"
-		parted = "SELECT kind, sum(value) AS total FROM events WHERE id < %d GROUP BY kind"
+		summed = "SELECT kind, sum(value) AS total FROM events WHERE id < %d GROUP BY kind"
+		maxed  = "SELECT kind, max(value) AS hi FROM events WHERE id > %d GROUP BY kind"
 	)
-	sql := func(stmt string, parts int) string {
-		return fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
-	}
+	sql := func(stmt string) string { return fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt) }
 	for _, capacity := range []int{1, 2, 3} {
 		cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 5000, PlanCacheSize: capacity}
 		srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
@@ -313,19 +283,19 @@ func TestOneCacheUnderEviction(t *testing.T) {
 					switch step {
 					case 0:
 						stmt = fmt.Sprintf(first, rng.Intn(32), 1+rng.Intn(20))
-						body = sql(stmt, 0)
+						body = sql(stmt)
 					case 1, 4:
 						stmt = fmt.Sprintf(second, rng.Intn(2000))
-						body = sql(stmt, 0)
+						body = sql(stmt)
 					case 2:
 						stmt = fmt.Sprintf(second, rng.Intn(2000))
 						body = fmt.Sprintf(`{"frontend":"program","program":[{"id":"q","op":"sql","engine":"db","sql":%q}]}`, stmt)
 					case 3: // on odd rounds, value * 3 follows value * 2
 						stmt = fmt.Sprintf(valued, 2+i*(round%2), rng.Intn(40))
-						body = sql(stmt, 0)
+						body = sql(stmt)
 					case 5, 6:
-						stmt = fmt.Sprintf(parted, rng.Intn(2000))
-						body = sql(stmt, []int{1, 7}[step-5])
+						stmt = fmt.Sprintf([]string{summed, maxed}[step-5], rng.Intn(2000))
+						body = sql(stmt)
 					}
 					wantCode, want, wantErr := answer(t, newPreparedServer(store), stmt, body)
 					code, got, errBody := answer(t, srv, stmt, body)

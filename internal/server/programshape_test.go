@@ -85,8 +85,8 @@ func BenchmarkPrepareProgramShapeHit(b *testing.B) {
 }
 
 // programKey is req's program shape key, or "" when it has none.
-func programKey(steps []ProgramStep, parts int) (string, []any) {
-	k, binds, ok := appendShapeKey(nil, &QueryRequest{Frontend: "program", Program: steps, Parts: parts}, "", nil)
+func programKey(steps []ProgramStep) (string, []any) {
+	k, binds, ok := appendShapeKey(nil, &QueryRequest{Frontend: "program", Program: steps}, "", nil)
 	if !ok {
 		return "", nil
 	}
@@ -101,7 +101,7 @@ func programKey(steps []ProgramStep, parts int) (string, []any) {
 // constants are the key's binds.
 func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 	keys := map[string]string{}
-	zero, _ := programKey([]ProgramStep{{}}, 0)
+	zero, _ := programKey([]ProgramStep{{}})
 	keys[zero] = "no field"
 	typ := reflect.TypeFor[ProgramStep]()
 	for i := range typ.NumField() {
@@ -121,7 +121,7 @@ func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("ProgramStep.%s is a %s, which this test cannot set", typ.Field(i).Name, f.Kind())
 		}
-		key, _ := programKey([]ProgramStep{st}, 0)
+		key, _ := programKey([]ProgramStep{st})
 		if other, dup := keys[key]; dup {
 			t.Errorf("setting ProgramStep.%s leaves the key of %s", typ.Field(i).Name, other)
 		}
@@ -129,14 +129,11 @@ func TestProgramShapeKeyCoversEveryField(t *testing.T) {
 	}
 
 	sql := func(stmt string) []ProgramStep { return []ProgramStep{{ID: "q", Op: "sql", Engine: "db", SQL: stmt}} }
-	k1, b1 := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 0)
-	k2, b2 := programKey(sql("SELECT id FROM t WHERE kind = 2 LIMIT 4"), 0)
-	k3, _ := programKey(sql("SELECT id FROM t WHERE kind = 'a' LIMIT 4"), 0)
+	k1, b1 := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"))
+	k2, b2 := programKey(sql("SELECT id FROM t WHERE kind = 2 LIMIT 4"))
+	k3, _ := programKey(sql("SELECT id FROM t WHERE kind = 'a' LIMIT 4"))
 	if k1 != k2 || k1 == k3 || !slices.Equal(b1, []any{int64(1), int64(3)}) || !slices.Equal(b2, []any{int64(2), int64(4)}) {
 		t.Errorf("sql steps keyed by text, not shape: %q %v, %q %v, %q", k1, b1, k2, b2, k3)
-	}
-	if k4, _ := programKey(sql("SELECT id FROM t WHERE kind = 1 LIMIT 3"), 7); k4 == k1 {
-		t.Error("parts does not reach the key")
 	}
 }
 
@@ -228,14 +225,14 @@ func fuzzSteps(sqlA, sqlB string, ops []byte) []ProgramStep {
 // same plan key, and touch the same data.
 func FuzzProgramShape(f *testing.F) {
 	f.Add("SELECT pid, age, gender_male FROM patients WHERE age > 60 AND prior_visits >= 2",
-		"SELECT pid AS npid, count(*) AS n FROM stays GROUP BY pid", []byte{0, 1, 4, 0x16, 0x48, 0x59}, uint8(3), uint8(0))
+		"SELECT pid AS npid, count(*) AS n FROM stays GROUP BY pid", []byte{0, 1, 4, 0x16, 0x48, 0x59}, uint8(3))
 	f.Add("SELECT id, value FROM events WHERE kind = 7 ORDER BY value DESC LIMIT 12",
-		"SELECT sum(v) AS s FROM t WHERE name = 'x''y' AND flag = true", []byte{1, 0, 0x17, 0x86, 2, 3, 5}, uint8(1), uint8(7))
-	f.Add("SELECT value * 2 FROM events WHERE true", "SELECT * FROM t LIMIT 5", []byte{0, 1, 0x46}, uint8(4), uint8(64))
+		"SELECT sum(v) AS s FROM t WHERE name = 'x''y' AND flag = true", []byte{1, 0, 0x17, 0x86, 2, 3, 5}, uint8(1))
+	f.Add("SELECT value * 2 FROM events WHERE true", "SELECT * FROM t LIMIT 5", []byte{0, 1, 0x46}, uint8(4))
 	opts := compiler.Options{Level: 3, Accel: true}
-	f.Fuzz(func(t *testing.T, sqlA, sqlB string, ops []byte, k, parts uint8) {
+	f.Fuzz(func(t *testing.T, sqlA, sqlB string, ops []byte, k uint8) {
 		steps := fuzzSteps(sqlA, sqlB, ops)
-		key, lexed := programKey(steps, int(parts))
+		key, lexed := programKey(steps)
 		if key == "" {
 			return
 		}
@@ -243,14 +240,13 @@ func FuzzProgramShape(f *testing.F) {
 		if err != nil || prog.ValueShaped() || !slices.Equal(lexed, prog.Graph().Binds()) {
 			return // not a template
 		}
-		stampParts(prog.Graph(), int(parts))
 		others := slices.Clone(steps)
 		for i := range others {
 			if others[i].Op == "sql" {
 				others[i].SQL = redraw(others[i].SQL, k)
 			}
 		}
-		otherKey, otherLexed := programKey(others, int(parts))
+		otherKey, otherLexed := programKey(others)
 		if otherKey != key {
 			return // the cache would not serve it from this template
 		}
@@ -261,7 +257,6 @@ func FuzzProgramShape(f *testing.F) {
 		if q.ValueShaped() || !slices.Equal(otherLexed, q.Graph().Binds()) {
 			t.Fatalf("%+v: lexed %#v, built %#v (value-shaped %t)", others, otherLexed, q.Graph().Binds(), q.ValueShaped())
 		}
-		stampParts(q.Graph(), int(parts))
 		if compiler.Key(prog.Graph(), opts) != compiler.Key(q.Graph(), opts) {
 			t.Fatalf("%+v and %+v share a program shape key but not a plan key", steps, others)
 		}

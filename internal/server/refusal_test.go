@@ -97,11 +97,12 @@ func TestRequestSurfaceRefusals(t *testing.T) {
 }
 
 // TestCompilerOptionsAreNotRequestFields: a request cannot choose its
-// compiler options. A body naming "level" or "accel" is an unknown field on
-// /query and /query/stream alike, refused before anything is prepared.
+// compiler options or its partition fan-out. A body naming "level", "accel"
+// or "parts" is an unknown field on /query and /query/stream alike, refused
+// before anything is prepared.
 func TestCompilerOptionsAreNotRequestFields(t *testing.T) {
 	ts := newTestServer(t, polystore.ServeConfig{})
-	for _, field := range []string{`"level":0`, `"accel":false`} {
+	for _, field := range []string{`"level":0`, `"accel":false`, `"parts":7`} {
 		body := `{"frontend":"sql","statement":"SELECT pid FROM patients",` + field + `}`
 		name := strings.SplitN(field, ":", 2)[0]
 		for _, path := range []string{"/query", "/query/stream"} {

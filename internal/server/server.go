@@ -206,6 +206,10 @@ type Server struct {
 	// maxTimeout caps client-requested deadlines: the maxTimeout constant,
 	// lower only in tests.
 	maxTimeout time.Duration
+	// parts pins the partition fan-out of every partitionable operator the
+	// server compiles: 0, automatic sizing from each operator's input,
+	// except in tests.
+	parts int
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -307,7 +311,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// QueryRequest is the POST /query body.
+// QueryRequest is the POST /query body. It names what to run, not how: the
+// compiler options and the partition fan-out are the deployment's, so a
+// body naming "level", "accel" or "parts" is refused as an unknown field.
 type QueryRequest struct {
 	// Frontend selects the program builder: "sql", "nl", "text" or
 	// "program".
@@ -325,12 +331,6 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxRows caps result rows (clamped to the server's MaxRows).
 	MaxRows int `json:"max_rows,omitempty"`
-	// Parts pins the partition fan-out of every partitionable operator in
-	// the program (filter/project/group-by/hash-join scans, timeseries
-	// windows). 0 keeps automatic sizing. Results are identical at any value
-	// — the partition-equivalence guarantee — so this is a tuning and
-	// testing knob, and it participates in the plan/result cache keys.
-	Parts int `json:"parts,omitempty"`
 	// Trace returns the request's span tree in the response ("trace" field,
 	// or a trailing NDJSON trace record on /query/stream). Tracing never
 	// changes results and does not participate in cache keys.

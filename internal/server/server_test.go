@@ -53,6 +53,14 @@ type testOpt struct {
 // executeAll turns single-flight off, so every request executes its own plan.
 var executeAll = testOpt{seam: server.WithoutSingleFlight}
 
+// pinParts pins the server's partition fan-out at n.
+func pinParts(n int) testOpt {
+	return testOpt{seam: func(h http.Handler) http.Handler { return server.PinParts(h, n) }}
+}
+
+// fanOuts are the partition fan-outs the equivalence suites pin a server at.
+var fanOuts = []int{1, 2, 7, 64}
+
 // subplanBytes sizes the System's subplan cache; negative disables it.
 func subplanBytes(n int64) testOpt { return testOpt{sys: polystore.WithSubplanCacheBytes(n)} }
 

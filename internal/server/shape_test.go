@@ -53,14 +53,14 @@ func eventsStore(t *testing.T, rows int) *relational.Store {
 
 // TestShapeFamiliesEqualFresh serves statements of one shape and several
 // literal sets — bench/'s similar_family, cold_analytic and stream_scan
-// templates — through one server with every reuse layer on, at 1, 2, 7 and
-// 64 partitions. Each family compiles once, and every answer is a fresh
-// server's. A result or subplan key that dropped the constants would answer
-// one family member with another's rows.
+// templates — through one server with every reuse layer on per fan-out,
+// pinned at 1, 2, 7 and 64 partitions. Each family compiles once per server,
+// and every answer is a fresh server's at the same fan-out. A result or
+// subplan key that dropped the constants would answer one family member with
+// another's rows.
 func TestShapeFamiliesEqualFresh(t *testing.T) {
 	store := eventsStore(t, 4096)
 	cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 5000}
-	srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
 	families := map[string][]int{
 		"SELECT id, value FROM events WHERE kind = %d ORDER BY value DESC LIMIT 10":                               {7, 3, 31},
 		"SELECT kind, count(*) AS n, sum(value) AS total FROM events WHERE id >= %d GROUP BY kind":                {700, 0, 4000},
@@ -69,16 +69,15 @@ func TestShapeFamiliesEqualFresh(t *testing.T) {
 		"SELECT count(*) AS n, min(value) AS lo, max(value) AS hi, sum(value) AS total FROM events WHERE id < %d": {2748, 1, 4096},
 		"SELECT * FROM events WHERE id >= %d":                                                                     {3200, 4095, 3900},
 	}
-	compiles := 0
-	for _, parts := range []int{1, 2, 7, 64} {
+	for _, parts := range fanOuts {
+		srv := server.PinParts(polystore.New(polystore.WithRelational("db", store)).Handler(cfg), parts)
 		for tmpl, args := range families {
-			compiles++
 			for _, a := range args {
 				stmt := fmt.Sprintf(tmpl, a)
-				body := fmt.Sprintf(`{"frontend":"sql","statement":%q,"parts":%d}`, stmt, parts)
+				body := fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt)
 				for round := 0; round < 2; round++ {
 					got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", body))
-					fresh := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+					fresh := server.PinParts(polystore.New(polystore.WithRelational("db", store)).Handler(cfg), parts)
 					want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", body))
 					if !strings.Contains(stmt, "ORDER BY") {
 						sortRows(got.Rows)
@@ -88,15 +87,9 @@ func TestShapeFamiliesEqualFresh(t *testing.T) {
 				}
 			}
 		}
-	}
-	var stats struct {
-		PlanMisses int `json:"plan_cache_miss"`
-	}
-	if err := json.Unmarshal(serve(t, srv, http.MethodGet, "/stats", ""), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.PlanMisses != compiles {
-		t.Errorf("%d plan-cache misses, want one per family and fan-out: %d", stats.PlanMisses, compiles)
+		if c := planStats(t, srv); c.Misses != int64(len(families)) {
+			t.Errorf("parts %d: %d plan-cache misses, want one per family: %d", parts, c.Misses, len(families))
+		}
 	}
 }
 
@@ -161,28 +154,28 @@ func TestShapeFamilyCompilesOnce(t *testing.T) {
 }
 
 // TestProgramShapeFamilyEqualFresh serves bench/'s cross_engine program with
-// its (a, v) redrawn through one server with every reuse layer on, at 1, 2,
-// 7 and 64 partitions, each program twice. Each fan-out compiles once — one
-// plan-cache miss, every other program prepared from the plan its program
-// shape key maps to — and every answer is a fresh server's, which builds and
-// compiles the program with nothing cached.
+// its (a, v) redrawn through one server with every reuse layer on per
+// fan-out, pinned at 1, 2, 7 and 64 partitions, each program twice. Each
+// server compiles once — one plan-cache miss, every other program prepared
+// from the plan its program shape key maps to — and every answer is a fresh
+// server's at the same fan-out, which builds and compiles the program with
+// nothing cached.
 func TestProgramShapeFamilyEqualFresh(t *testing.T) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cfg polystore.ServeConfig
-	srv := polystore.New(polystore.WithClinical(data)).Handler(cfg)
 	rng := rand.New(rand.NewSource(44))
-	misses := int64(0)
-	for _, parts := range []int{1, 2, 7, 64} {
+	for _, parts := range fanOuts {
+		srv := server.PinParts(polystore.New(polystore.WithClinical(data)).Handler(cfg), parts)
 		for range 4 {
-			req := server.QueryRequest{Frontend: "program", Program: server.CrossEngineProgram(20+rng.Intn(50), rng.Intn(8)), Parts: parts}
+			req := server.QueryRequest{Frontend: "program", Program: server.CrossEngineProgram(20+rng.Intn(50), rng.Intn(8))}
 			body, err := json.Marshal(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := polystore.New(polystore.WithClinical(data)).Handler(cfg)
+			fresh := server.PinParts(polystore.New(polystore.WithClinical(data)).Handler(cfg), parts)
 			want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", string(body)))
 			sortRows(want.Rows)
 			for round := 0; round < 2; round++ {
@@ -191,10 +184,8 @@ func TestProgramShapeFamilyEqualFresh(t *testing.T) {
 				queryEqual(t, got, want, string(body))
 			}
 		}
-		c := planStats(t, srv)
-		if c.Misses-misses != 1 {
-			t.Errorf("parts %d: %d plan-cache misses over 8 programs of one shape, want 1", parts, c.Misses-misses)
+		if c := planStats(t, srv); c.Misses != 1 {
+			t.Errorf("parts %d: %d plan-cache misses over 8 programs of one shape, want 1", parts, c.Misses)
 		}
-		misses = c.Misses
 	}
 }

@@ -252,18 +252,17 @@ func TestStreamLargeScanManyBatches(t *testing.T) {
 
 // TestStreamEquivalenceProperty is the property-style suite: generated
 // random plans (filter / project / group-by / join / window over the
-// datagen clinical data) must stream to exactly the buffered result at
-// partition fan-outs 1, 2, 7 and 64. Caching layers are disabled so both
-// requests execute independently.
+// datagen clinical data) must stream to exactly the buffered result on
+// servers pinned at partition fan-outs 1, 2, 7 and 64. Caching layers are
+// disabled so both requests execute independently.
 func TestStreamEquivalenceProperty(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
-	}, executeAll)
 	rng := rand.New(rand.NewSource(11))
 	bodies := randomQueryBodies(rng, 12)
-	for i, tmpl := range bodies {
-		for _, parts := range []int{1, 2, 7, 64} {
-			body := fmt.Sprintf(tmpl, parts)
+	for _, parts := range fanOuts {
+		ts := newStreamTestServer(t, polystore.ServeConfig{
+			ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
+		}, executeAll, pinParts(parts))
+		for i, body := range bodies {
 			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
 				assertStreamEqualsBuffered(t, ts, body)
 			})
@@ -271,9 +270,9 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// randomQueryBodies generates request-body templates with a %d placeholder
-// for the parts knob. Statements are assembled from random tables, columns,
-// predicates and aggregates so the suite covers plan shapes, not one query.
+// randomQueryBodies generates request bodies. Statements are assembled from
+// random tables, columns, predicates and aggregates so the suite covers plan
+// shapes, not one query.
 func randomQueryBodies(rng *rand.Rand, n int) []string {
 	intCols := map[string][]string{
 		"patients":   {"pid", "age", "gender_male", "prior_visits"},
@@ -282,7 +281,7 @@ func randomQueryBodies(rng *rand.Rand, n int) []string {
 	}
 	tables := []string{"patients", "admissions", "stays"}
 	sqlBody := func(stmt string) string {
-		return fmt.Sprintf(`{"frontend":"sql","statement":"%s","max_rows":100000,"parts":%%d}`, stmt)
+		return fmt.Sprintf(`{"frontend":"sql","statement":"%s","max_rows":100000}`, stmt)
 	}
 	out := make([]string, 0, n)
 	for len(out) < n {
@@ -308,7 +307,7 @@ func randomQueryBodies(rng *rand.Rand, n int) []string {
 			out = append(out, sqlBody(fmt.Sprintf("SELECT * FROM %s ORDER BY %s DESC LIMIT %d", tb, col, 1+rng.Intn(200))))
 		case 5: // vitals summary joined with a patient filter through the program frontend
 			out = append(out, fmt.Sprintf(
-				`{"frontend":"program","max_rows":100000,"parts":%%d,"program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"mean"},{"id":"p","op":"sql","engine":"db-clinical","sql":"SELECT pid, age FROM patients WHERE age > %d"},{"id":"j","op":"join","engine":"db-clinical","left":"p","right":"w","left_col":"pid","right_col":"vpid"}]}`,
+				`{"frontend":"program","max_rows":100000,"program":[{"id":"w","op":"tswindow","engine":"ts-vitals","series_prefix":"vitals/","agg":"mean"},{"id":"p","op":"sql","engine":"db-clinical","sql":"SELECT pid, age FROM patients WHERE age > %d"},{"id":"j","op":"join","engine":"db-clinical","left":"p","right":"w","left_col":"pid","right_col":"vpid"}]}`,
 				20+rng.Intn(60)))
 		}
 	}

@@ -32,9 +32,9 @@ import (
 // so each request truly executes (or truly replays the subplan cache), never
 // the result cache. subplan sizes the subplan cache: 0 is the default
 // (64 MiB), negative disables it.
-func subplanTestServer(t *testing.T, subplan int64) *httptest.Server {
+func subplanTestServer(t *testing.T, subplan int64, opts ...testOpt) *httptest.Server {
 	return newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1, Workers: 8, QueueDepth: 256},
-		executeAll, subplanBytes(subplan))
+		append(opts, executeAll, subplanBytes(subplan))...)
 }
 
 // deterministicFields is the wall-independent slice of a QueryResponse:
@@ -84,17 +84,16 @@ func deterministicResponse(t *testing.T, raw []byte) *deterministicFields {
 
 // TestSubplanEquivalenceProperty is the acceptance suite: randomized query
 // bodies at partition fan-outs 1/2/7/64, each executed against a
-// subplan-off server (golden) and a subplan-on server cold then warm twice.
-// Every response must match the golden byte-for-byte on the deterministic
-// fields, buffered and streamed.
+// subplan-off server (golden) and a subplan-on server cold then warm twice,
+// both pinned at the fan-out. Every response must match the golden
+// byte-for-byte on the deterministic fields, buffered and streamed.
 func TestSubplanEquivalenceProperty(t *testing.T) {
-	off := subplanTestServer(t, -1)
-	on := subplanTestServer(t, 0)
 	rng := rand.New(rand.NewSource(41))
 	bodies := randomQueryBodies(rng, 6)
-	for i, tmpl := range bodies {
-		for _, parts := range []int{1, 2, 7, 64} {
-			body := fmt.Sprintf(tmpl, parts)
+	for _, parts := range fanOuts {
+		off := subplanTestServer(t, -1, pinParts(parts))
+		on := subplanTestServer(t, 0, pinParts(parts))
+		for i, body := range bodies {
 			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
 				code, raw := postRaw(t, off, body)
 				if code != http.StatusOK {

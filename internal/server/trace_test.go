@@ -51,19 +51,19 @@ func assertSpanTree(t *testing.T, tree *obs.Tree, nodes int, body string) {
 }
 
 // TestTraceEquivalenceProperty is the tracing counterpart of the streaming
-// equivalence suite: for generated plans across partition fan-outs 1/2/7/64,
-// a traced request must return byte-identical results to an untraced one,
-// and its span tree must cover every executed plan node exactly once.
-// Caching layers are disabled so both requests execute independently.
+// equivalence suite: for generated plans on servers pinned at partition
+// fan-outs 1/2/7/64, a traced request must return byte-identical results to
+// an untraced one, and its span tree must cover every executed plan node
+// exactly once. Caching layers are disabled so both requests execute
+// independently.
 func TestTraceEquivalenceProperty(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
-	}, executeAll)
 	rng := rand.New(rand.NewSource(23))
 	bodies := randomQueryBodies(rng, 8)
-	for i, tmpl := range bodies {
-		for _, parts := range []int{1, 2, 7, 64} {
-			body := fmt.Sprintf(tmpl, parts)
+	for _, parts := range fanOuts {
+		ts := newStreamTestServer(t, polystore.ServeConfig{
+			ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
+		}, executeAll, pinParts(parts))
+		for i, body := range bodies {
 			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
 				code, plain, raw := postQuery(t, ts, body)
 				if code != http.StatusOK {
@@ -126,13 +126,13 @@ func TestTraceCrossEnginePlan(t *testing.T) {
 	}
 }
 
-// TestPinnedPartsReportedOnSpan: pinned means pinned. A request that sets
-// "parts" runs every partitioned operator at that fan-out however often the
-// server has seen the statement, and its trace spans say so.
+// TestPinnedPartsReportedOnSpan: pinned means pinned. A server pinned at a
+// fan-out runs every partitioned operator at it however often it has seen
+// the statement, and the trace spans say so.
 func TestPinnedPartsReportedOnSpan(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll, subplanBytes(-1))
+	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll, subplanBytes(-1), pinParts(7))
 	// patients holds 120 rows: automatic sizing would not fan out at all.
-	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age + 1 AS adj FROM patients","parts":7}`)
+	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age + 1 AS adj FROM patients"}`)
 	for round := 0; round < 8; round++ {
 		code, qr, raw := postQuery(t, ts, body)
 		if code != http.StatusOK {
@@ -146,7 +146,7 @@ func TestPinnedPartsReportedOnSpan(t *testing.T) {
 			case 7:
 				pinned++
 			default:
-				t.Fatalf("round %d: span %s ran at parts %d, request pinned 7", round, sp.Kind, sp.Parts)
+				t.Fatalf("round %d: span %s ran at parts %d, server pinned 7", round, sp.Kind, sp.Parts)
 			}
 		}
 		if pinned == 0 {
