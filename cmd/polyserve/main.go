@@ -83,7 +83,6 @@ func main() {
 	queue := flag.Int("queue", 32, "admission queue depth beyond workers (overflow -> 429; 0 disables queuing)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 	planCache := flag.Int("plancache", 256, "plan-cache LRU entries: one per compiled plan under its plan key, and one more per SQL or program shape under its shape key")
-	resultCache := flag.Int("resultcache", 256, "result-cache LRU entries keyed on (plan fingerprint, data version); 0 disables")
 	subplanCache := flag.Int64("subplancache", 64<<20, "subplan-cache byte budget for memoized intermediates shared across near-identical queries; 0 disables")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profile handlers under /debug/pprof/")
 	traceAll := flag.Bool("traceall", false, "trace every request server-side so /debug/queries captures recent and slowest executions")
@@ -111,25 +110,21 @@ func main() {
 	if *queue == 0 {
 		*queue = -1 // flag 0 means "no queue"; Config zero means "default"
 	}
-	if *resultCache == 0 {
-		*resultCache = -1 // flag 0 means "off"; Config zero means "default"
-	}
 	if *subplanCache == 0 {
 		*subplanCache = -1 // flag 0 means "off"; WithSubplanCacheBytes zero means "default"
 	}
 	cfg := polystore.ServeConfig{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *timeout,
-		PlanCacheSize:   *planCache,
-		ResultCacheSize: *resultCache,
-		EnablePprof:     *pprofOn,
-		TraceAll:        *traceAll,
-		TenantRate:      *tenantRate,
-		TenantBurst:     *tenantBurst,
-		TenantQuotas:    quotas,
-		ShedHighWater:   *shedHighWater,
-		DrainTimeout:    *drainTimeout,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		PlanCacheSize:  *planCache,
+		EnablePprof:    *pprofOn,
+		TraceAll:       *traceAll,
+		TenantRate:     *tenantRate,
+		TenantBurst:    *tenantBurst,
+		TenantQuotas:   quotas,
+		ShedHighWater:  *shedHighWater,
+		DrainTimeout:   *drainTimeout,
 	}
 
 	if err := run(*addr, *scenario, *patients, *customers, *txPerCustomer,
@@ -237,9 +232,9 @@ func run(addr, scenario string, patients, customers, txPerCustomer int,
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d resultcache=%d subplancache=%d level=%d accel=%t pprof=%t traceall=%t)\n",
+	fmt.Printf("polyserve: scenario=%s listening on %s (workers=%d queue=%d timeout=%s plancache=%d subplancache=%d level=%d accel=%t pprof=%t traceall=%t)\n",
 		scenario, addr, cfg.Workers, cfg.QueueDepth, cfg.DefaultTimeout, cfg.PlanCacheSize,
-		cfg.ResultCacheSize, subplanBytes, level, accel, cfg.EnablePprof, cfg.TraceAll)
+		subplanBytes, level, accel, cfg.EnablePprof, cfg.TraceAll)
 	fmt.Printf("polyserve: tenancy rate=%g burst=%g quotas=%d shed=%g drain=%s\n",
 		cfg.TenantRate, cfg.TenantBurst, len(cfg.TenantQuotas), cfg.ShedHighWater, cfg.DrainTimeout)
 	if bk != nil {

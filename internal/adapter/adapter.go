@@ -77,8 +77,8 @@ type Adapter interface {
 }
 
 // DataVersioner is implemented by adapters whose backing store exposes a
-// monotonic mutation counter. The serving layer keys result caches on the
-// sum across adapters, so any store mutation invalidates results computed
+// monotonic mutation counter. Version vectors, which the subplan cache keys
+// on, are built from it, so any store mutation invalidates results computed
 // over the previous state. Pure adapters (the seeded ML engine) do not
 // implement it.
 type DataVersioner interface {

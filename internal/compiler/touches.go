@@ -8,8 +8,8 @@ import (
 
 // Touches records the stored data a program reads: which engine instances,
 // and — for relational engines, where scans name their tables — which
-// tables. The serving layer keys result caches on the data versions of
-// exactly this set (core.Runtime.VersionVector), so a write to an engine or
+// tables. Single-flight and the subplan cache key on the data versions of
+// exactly such a set (core.Runtime.VersionVector), so a write to an engine or
 // table a plan never reads leaves its cached results valid: the surgical
 // invalidation the ROADMAP's "per-table data versions" item asks for.
 type Touches struct {

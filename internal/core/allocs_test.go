@@ -157,3 +157,68 @@ func TestServedWideExecuteAllocBudget(t *testing.T) {
 	}
 	t.Logf("%.0f allocs/run", allocs)
 }
+
+// TestProbeRootAllocBudget: on hashJoinCase's plan a root-probe hit returns
+// what Execute returns for the plan served whole, within Execute's budget
+// for it, and dispatches nothing; a miss — before the plan is published, and
+// after a write to a table it reads — allocates nothing and counts nothing.
+func TestProbeRootAllocBudget(t *testing.T) {
+	_, g := hashJoinCase(t)
+	rt := NewRuntime(hw.NewHostCPU(), WithAccelerators(hw.Coprocessor, hw.NewFPGA(), hw.NewGPU(), hw.NewTPU()))
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(loweringStore(t))))
+	plan, err := compiler.Compile(g, compiler.Options{Level: 3, Accel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	miss := func(when string) {
+		t.Helper()
+		counted := rt.st.subplanPlansProbed.Value() + rt.st.subplanMisses.Value() + rt.st.subplanHits.Value()
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, ok := rt.ProbeRoot(ctx, plan); ok {
+				t.Fatalf("%s: the root probe hit", when)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a root-probe miss allocates %.0f times, want 0", when, allocs)
+		}
+		if rt.st.subplanPlansProbed.Value()+rt.st.subplanMisses.Value()+rt.st.subplanHits.Value() != counted {
+			t.Fatalf("%s: a root-probe miss was counted", when)
+		}
+	}
+	miss("before publication")
+	var wantRes *Results
+	var wantRep *Report
+	for range 2 { // publish, then the plan is served whole
+		if wantRes, wantRep, err = rt.Execute(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, conc, reused := rt.st.execSequential.Value(), rt.st.execConcurrent.Value(), rt.st.subplanPlansReused.Value()
+	res, rep, ok := rt.ProbeRoot(ctx, plan)
+	if !ok {
+		t.Fatal("the root probe missed a published plan")
+	}
+	batchesEqual(t, res, wantRes)
+	reportsEqual(t, rep, wantRep)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, ok := rt.ProbeRoot(ctx, plan); !ok {
+			t.Fatal("the root probe missed")
+		}
+	})
+	if got := rt.st.subplanPlansReused.Value() - reused; got != 22 {
+		t.Fatalf("%d plans reused over 22 hits", got)
+	}
+	if rt.st.execSequential.Value() != seq || rt.st.execConcurrent.Value() != conc {
+		t.Fatal("a root-probe hit was dispatched")
+	}
+	if allocs > servedWideExecuteAllocs {
+		t.Fatalf("root-probe hit: %.0f allocs/run, ceiling %d", allocs, servedWideExecuteAllocs)
+	}
+	t.Logf("%.0f allocs/hit", allocs)
+
+	if err := rt.Ingest(ctx, "db", adapter.Ingest{Table: "visits", Row: []any{int64(5000), int64(1), int64(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	miss("after a write to visits")
+}

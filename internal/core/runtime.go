@@ -225,11 +225,12 @@ func (r *Runtime) Ingest(ctx context.Context, engine string, w adapter.Ingest) e
 
 // VersionVector renders the data versions of exactly the engines (and, for
 // relational engines, tables) in t as a canonical "engine=version,..."
-// string — the per-engine version vector the serving layer appends to result
-// cache keys. Engines whose reads are table-scoped use the adapter's
-// ScopedVersion; whole-engine reads use DataVersion; engines that read no
-// stored data (pure operators over migrated inputs) and engines without a
-// versioner (the ML engine) contribute nothing. Every component is
+// string — the per-engine version vector that subplan cache keys and the
+// serving layer's single-flight keys end in. Engines whose reads are
+// table-scoped use the adapter's ScopedVersion; whole-engine reads use
+// DataVersion; engines that read no stored data (pure operators over
+// migrated inputs) and engines without a versioner (the ML engine)
+// contribute nothing. Every component is
 // monotonic, so two equal vectors bracket an interval in which none of the
 // touched data changed — writes to untouched engines change nothing here,
 // which is what keeps their cached results addressable.
@@ -346,8 +347,20 @@ func isChain(order []*ir.Node, pr *planProbe) bool {
 	return true
 }
 
-// Execute runs the plan and returns its sink values and the report. It is
-// the plan driver: it walks the nodes in topological order
+// Execute runs the plan and returns its sink values and the report: it
+// probes the subplan cache for the plan's candidates (prepareSubplan), then
+// drives the plan.
+func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
+	t0 := time.Now()
+	if len(plan.Binds) < plan.Slots {
+		return nil, nil, fmt.Errorf("%w: %w: the plan holds %d slots, %d are bound", ErrExec, relational.ErrUnbound, plan.Slots, len(plan.Binds))
+	}
+	pr := r.prepareSubplan(ctx, plan)
+	defer pr.close()
+	return r.drive(ctx, t0, plan, pr)
+}
+
+// drive is the plan driver: it walks the nodes in topological order
 // (Plan.Order, each node holding holes first bound to the plan's constants
 // by bindNodes) and, for each, obtains the node's real execution (a
 // nodeRun), charges it to the simulated clock and hands the outcome to the
@@ -356,21 +369,17 @@ func isChain(order []*ir.Node, pr *planProbe) bool {
 // the real executions were dispatched.
 //
 // A node a subplan hit serves never runs: the driver costs it from the
-// entry's record. The dispatch mode is chosen on the nodes that run. When
+// entry's record, and a plan served whole is dispatched in no mode at all.
+// The dispatch mode is chosen on the nodes that run. When
 // they form a chain (isChain), and under WithSequentialExecutor, they run
 // inline: runNode is called on this goroutine, one node at a time, into one
 // reused run, and nothing is allocated for coordination — the reference the
 // concurrent mode is verified against. Otherwise they run as a dataflow of
 // one goroutine per node, at most engineWorkers per engine (scheduler.go).
-// Either way each running node's record lives in one slab (recs).
-func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
-	t0 := time.Now()
-	if len(plan.Binds) < plan.Slots {
-		return nil, nil, fmt.Errorf("%w: %w: the plan holds %d slots, %d are bound", ErrExec, relational.ErrUnbound, plan.Slots, len(plan.Binds))
-	}
+// Either way each running node's record lives in one slab (recs). The
+// report's Wall is the host time since t0.
+func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, pr *planProbe) (*Results, *Report, error) {
 	tr := obs.From(ctx)
-	pr := r.prepareSubplan(ctx, plan)
-	defer pr.close()
 	order, runs, err := bindNodes(plan, pr)
 	if err != nil {
 		return nil, nil, err
@@ -378,13 +387,15 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 	recs := make([]subplan.NodeCost, runs)
 
 	var sched *scheduler
-	if !r.sequential && !isChain(order, pr) {
+	switch {
+	case runs == 0: // served whole: nothing to dispatch
+	case !r.sequential && !isChain(order, pr):
 		r.st.execConcurrent.Inc()
 		sched = r.dispatch(ctx, order, recs, tr, pr)
 		// Stops the node goroutines on every exit path, before the subplan
 		// leases are released; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
-	} else {
+	default:
 		r.st.execSequential.Inc()
 	}
 

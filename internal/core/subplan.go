@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"time"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
@@ -162,7 +163,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 			vv, vvOf = r.appendVersionVector(vv[:0], st.Touches), st.Touches.ByEngine
 		}
 		lo, at := len(keys), 0
-		if keys, at = appendKey(keys, st, plan.Binds, vv); pr.serveHit(tr, "hit", st, keys[lo:]) {
+		if keys, at = appendKey(keys, st, plan.Binds, vv); pr.serveHit(tr, "hit", st, keys[lo:], r.subtreeEntry(st, keys[lo:])) {
 			keys = keys[:lo]
 			continue
 		}
@@ -209,7 +210,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 				i = attempts // deadline: run the subtree ourselves
 				continue
 			}
-			if pr.serveHit(tr, "flight-hit", m.sub, keys[m.lo:m.hi]) {
+			if pr.serveHit(tr, "flight-hit", m.sub, keys[m.lo:m.hi], r.subtreeEntry(m.sub, keys[m.lo:m.hi])) {
 				break
 			}
 			// Leader released without publishing (error, oversized entry,
@@ -245,13 +246,51 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	return pr
 }
 
-// serveHit probes the cache for st under key and, on a hit — a well-formed
-// entry whose records match st's closure — marks st served: every closure
-// node is costed from the entry's record, the root yields the memoized
-// batch, and inner candidates are skipped since their roots are served.
-func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, key []byte) bool {
-	e, ok := pr.rt.subplan.cache.GetBytes(key)
+// ProbeRoot answers plan from the subplan cache before any work is
+// admitted. It applies when the plan's outermost candidate covers every node
+// (so its root is the one sink) and the cache holds that candidate under the
+// key prepareSubplan builds for it at the current version vector. A hit
+// returns what Execute returns for a plan served whole: the same driver
+// costs every node from the entry's records, and Wall is the probe's own
+// time. A miss (ok false) allocates and counts nothing; Execute then
+// probes, runs and publishes as usual.
+func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan) (res *Results, rep *Report, ok bool) {
+	t0 := time.Now()
+	if r.subplan == nil || len(plan.Subtrees) == 0 || len(plan.Subtrees[0].Closure) != len(plan.Order) || len(plan.Binds) < plan.Slots {
+		return nil, nil, false
+	}
+	st := &plan.Subtrees[0]
+	var kb [512]byte
+	var vb [128]byte
+	key, _ := appendKey(kb[:0], st, plan.Binds, r.appendVersionVector(vb[:0], st.Touches))
+	e := r.subtreeEntry(st, key)
+	if e == nil {
+		return nil, nil, false
+	}
+	pr := &planProbe{rt: r, nodes: make([]probeNode, plan.Graph.IDBound())}
+	pr.serveHit(obs.From(ctx), "hit", st, key, e)
+	r.st.subplanPlansProbed.Inc()
+	r.st.subplanPlansReused.Inc()
+	res, rep, err := r.drive(ctx, t0, plan, pr)
+	return res, rep, err == nil
+}
+
+// subtreeEntry returns the entry the cache holds for st under key when it is
+// well formed — its records match st's closure — and nil otherwise.
+func (r *Runtime) subtreeEntry(st *compiler.Subtree, key []byte) *subplan.Entry {
+	e, ok := r.subplan.cache.GetBytes(key)
 	if !ok || e.Output == nil || len(e.Costs) != len(st.Closure) {
+		return nil
+	}
+	return e
+}
+
+// serveHit marks st served from e, the entry under key, unless e is nil:
+// every closure node is costed from the entry's record, the root yields the
+// memoized batch, and inner candidates are skipped since their roots are
+// served.
+func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, key []byte, e *subplan.Entry) bool {
+	if e == nil {
 		return false
 	}
 	for i, id := range st.Closure {

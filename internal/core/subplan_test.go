@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
@@ -325,7 +326,9 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 // TestSubplanSingleFlightConcurrent hammers one cold runtime with the same
 // plan from many goroutines (run under -race): every execution must return
 // equal batches and the baseline report, and the flight protocol must not
-// deadlock or double-publish per key generation.
+// deadlock or double-publish per key generation. The test holds the plan's
+// lease until every execution waits on it, then releases it unpublished,
+// so each one waits, finds nothing and contends again.
 func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
 	base := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
@@ -335,6 +338,11 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	}
 
 	rt := testRuntime(t, 2000, false)
+	root := &plan.Subtrees[0]
+	key, _ := appendKey(nil, root, plan.Binds, rt.appendVersionVector(nil, root.Touches))
+	if leader, _ := rt.subplan.flight.Acquire(string(key)); !leader {
+		t.Fatal("a cold runtime's flight already has a leader")
+	}
 	const goroutines = 16
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -347,6 +355,12 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 			ress[i], reps[i], errs[i] = rt.Execute(context.Background(), plan)
 		}(i)
 	}
+	for deadline := time.Now().Add(10 * time.Second); rt.st.subplanFlightWaits.Value() < goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d executions wait on the held lease", rt.st.subplanFlightWaits.Value(), goroutines)
+		}
+	}
+	rt.subplan.flight.Release(string(key))
 	wg.Wait()
 	for i := 0; i < goroutines; i++ {
 		if errs[i] != nil {

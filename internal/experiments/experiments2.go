@@ -339,13 +339,6 @@ func dseSpace(scale int) (optimizer.Space, optimizer.Evaluator) {
 		"cpu": hw.NewHostCPU(), "gpu": hw.NewGPU(), "fpga": hw.NewFPGA(),
 		"tpu": hw.NewTPU(), "cgra": hw.NewCGRA(),
 	}
-	// Preload kernels so the space is about steady-state placement.
-	for _, d := range devs {
-		if d.Kind == hw.FPGA || d.Kind == hw.CGRA {
-			must(d.ConfigureKernel(hw.KSort.String(), hw.LUTCost(hw.KSort)))
-			must(d.ConfigureKernel(hw.KGEMM.String(), hw.LUTCost(hw.KGEMM)))
-		}
-	}
 	nic := hw.NewRDMANIC()
 	rows := int64(500_000 * scale)
 	eval := func(cfg []int) ([]float64, error) {

@@ -87,8 +87,8 @@ func (s *Store) Put(key string, value []byte) int64 {
 }
 
 // Version returns the store-wide monotonic mutation count: the sum of the
-// per-shard counters. The serving layer keys result caches on it, so writes
-// invalidate cached results. Each per-shard counter is monotonic, so the sum
+// per-shard counters. The subplan cache keys on it, so writes invalidate
+// cached results. Each per-shard counter is monotonic, so the sum
 // is too. It takes shard read locks only: Version sits on the serving hot
 // path (at least twice per request), and a store-wide write lock there would
 // serialize all workers on this store.

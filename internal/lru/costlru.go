@@ -27,7 +27,6 @@ type CostCache[V any] struct {
 	maxCost    int64 // <= 0 means no cost bound
 	cost       int64
 	evictions  int64
-	bypassed   int64
 	entries    map[string]*costEntry[V]
 	// root is the sentinel of the intrusive recency ring: root.next is the
 	// most recently used entry, root.prev the least.
@@ -124,7 +123,7 @@ func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
 // incumbent when the key is already present (racing fills produce
 // equivalent values; the incumbent's cost and owner are kept), and
 // (v, false) when the entry is oversized — its cost alone exceeds the cost
-// bound — and was bypassed (counted in Stats). After an insert, if more
+// bound — and was bypassed. After an insert, if more
 // than one owner holds entries and owner's total charge exceeds its share of
 // the budget, owner's oldest entries are evicted (never the entry just
 // inserted) until it fits.
@@ -147,7 +146,6 @@ func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool
 	}
 	cost = max(cost, 1)
 	if c.maxCost > 0 && cost > c.maxCost {
-		c.bypassed++
 		return v, false
 	}
 	e := &costEntry[V]{key: key, val: v, cost: cost}
@@ -233,7 +231,6 @@ type Stats struct {
 	Cost      int64 // summed cost of the cached entries
 	MaxCost   int64 // the cost bound; <= 0 when there is none
 	Evictions int64 // entries evicted over the cache's lifetime
-	Bypassed  int64 // oversized entries refused over the cache's lifetime
 	// Owners is the cost charged to each owner holding entries (nil when
 	// none does).
 	Owners map[string]int64
@@ -247,7 +244,7 @@ func (c *CostCache[V]) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{Entries: len(c.entries), Cost: c.cost, MaxCost: c.maxCost, Evictions: c.evictions, Bypassed: c.bypassed}
+	st := Stats{Entries: len(c.entries), Cost: c.cost, MaxCost: c.maxCost, Evictions: c.evictions}
 	if len(c.owners) > 0 {
 		st.Owners = make(map[string]int64, len(c.owners))
 		for owner, oc := range c.owners {

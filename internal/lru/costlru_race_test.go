@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,6 +29,7 @@ func TestCostCacheConcurrent(t *testing.T) {
 	}
 	c := NewCost[val](maxEntries, maxCost)
 	owners := []string{"alice", "bob"}
+	var bypassed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -44,10 +46,14 @@ func TestCostCacheConcurrent(t *testing.T) {
 				case 0:
 					c.Get(key)
 				case 1:
-					c.Put(key, val{cost: cost}, cost)
+					if _, ok := c.Put(key, val{cost: cost}, cost); !ok {
+						bypassed.Add(1)
+					}
 				case 2:
 					o := owners[rng.Intn(len(owners))]
-					c.PutOwned(key, val{cost: cost, owner: o}, cost, o)
+					if _, ok := c.PutOwned(key, val{cost: cost, owner: o}, cost, o); !ok {
+						bypassed.Add(1)
+					}
 				case 3:
 					if st := c.Stats(); st.Entries > maxEntries || st.Cost > maxCost {
 						t.Errorf("snapshot over bounds: %d entries, cost %d", st.Entries, st.Cost)
@@ -85,7 +91,7 @@ func TestCostCacheConcurrent(t *testing.T) {
 	if st.Entries != c.Len() || st.Entries > maxEntries || st.Cost > maxCost {
 		t.Fatalf("%d entries (Len %d), cost %d: over bounds %d, %d", st.Entries, c.Len(), st.Cost, maxEntries, maxCost)
 	}
-	if st.Bypassed == 0 || st.Evictions == 0 {
-		t.Fatalf("bypassed %d, evictions %d: the run exercised neither", st.Bypassed, st.Evictions)
+	if bypassed.Load() == 0 || st.Evictions == 0 {
+		t.Fatalf("bypassed %d, evictions %d: the run exercised neither", bypassed.Load(), st.Evictions)
 	}
 }

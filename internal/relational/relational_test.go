@@ -111,7 +111,7 @@ func TestStoreCreateAndLookup(t *testing.T) {
 }
 
 // TestSnapshotIsolatedFromInserts pins the snapshot contract the serving
-// layer's result cache relies on: a snapshot taken at one data version keeps
+// layer's subplan cache relies on: a snapshot taken at one data version keeps
 // showing exactly that version's rows — and stays race-free to read — while
 // writers append concurrently.
 func TestSnapshotIsolatedFromInserts(t *testing.T) {

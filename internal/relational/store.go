@@ -104,8 +104,8 @@ func (s *Store) TableVersion(name string) uint64 {
 // VersionOf sums the mutation counts of exactly the named tables. Because
 // each count is monotonic, the sum is a valid version for that table set:
 // it changes on every mutation of a named table and never on mutations of
-// other tables — the per-table data version the serving layer keys
-// surgically-invalidated result caches on.
+// other tables — the per-table data version the subplan cache keys
+// surgically-invalidated entries on.
 func (s *Store) VersionOf(tables []string) uint64 {
 	var v uint64
 	for _, t := range tables {
@@ -441,7 +441,7 @@ func flipCmp(op BinOp) BinOp {
 // Snapshot returns a read-only view of the heap frozen at the current row
 // count. Concurrent inserts never disturb it (append-only storage), so a
 // snapshot taken at one data version keeps showing exactly that version —
-// the serving layer's result cache depends on this.
+// the subplan cache depends on this.
 func (t *Table) Snapshot() *cast.Batch {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

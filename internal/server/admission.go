@@ -50,7 +50,7 @@ func (c cause) String() string {
 // concurrently; at most `queueCap` more wait; from the high-water mark on
 // it sheds executions before the queue is full, and anything whose
 // estimated queue wait already exceeds its deadline: an honest 503 now
-// instead of a certain 504 after occupying queue space. Result-cache hits
+// instead of a certain 504 after occupying queue space. Root-probe hits
 // and single-flight followers never come here, which is what keeps cached
 // reads serving through an overload. Waiters are grouped into one flow per
 // tenant, and the flows that have waiters form a ring: a free worker goes to

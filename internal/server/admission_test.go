@@ -85,7 +85,7 @@ func TestInflightCountsOnlyRunning(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 	}})
-	s := New(rt, compiler.Options{}, Config{Workers: 1, QueueDepth: 1, ResultCacheSize: -1})
+	s := New(rt, compiler.Options{}, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(WithoutSingleFlight(s))
 	defer ts.Close()
 	free := sync.OnceFunc(func() { close(release) })

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"polystorepp/internal/compiler"
-	"polystorepp/internal/lru"
 )
 
 // Prepared is what preparing a request yields for the reuse layers to key on.
@@ -49,13 +48,5 @@ func CapTimeout(h http.Handler, d time.Duration) http.Handler {
 // the suites that check an answer is the same at any fan-out.
 func PinParts(h http.Handler, n int) http.Handler {
 	h.(*Server).parts = n
-	return h
-}
-
-// BoundResultBytes rebuilds the result cache with a byte budget of n instead
-// of resultCacheBytes.
-func BoundResultBytes(h http.Handler, n int64) http.Handler {
-	s := h.(*Server)
-	s.results = lru.NewCost[resultEntry](s.cfg.ResultCacheSize, n)
 	return h
 }

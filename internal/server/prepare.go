@@ -44,7 +44,6 @@ type preparedQuery struct {
 	planKey  string
 	touches  compiler.Touches
 	vv       string
-	resKey   string
 
 	// tenant is who the request runs for: its admission flow.
 	tenant string
@@ -76,13 +75,11 @@ func (s *Server) prepare(p *preparedQuery) error {
 	if err := s.prepareProgram(p); err != nil {
 		return err
 	}
-	// The plan cache keys on the program's shape; the result cache and
-	// single-flight add the program's constants and the version vector of
-	// exactly the engines/tables the program touches, so results never
-	// outlive the data they were computed on — and writes to untouched
-	// stores don't rotate the key (surgical invalidation).
+	// The plan cache keys on the program's shape; single-flight adds the
+	// program's constants and the version vector of exactly the
+	// engines/tables the program touches, so a shared execution never
+	// outlives the data it was computed on.
 	p.vv = s.rt.VersionVector(p.touches)
-	p.resKey = resultKey(p.planKey, p.binds, p.vv)
 	return nil
 }
 
@@ -193,9 +190,9 @@ func appendNum(dst []byte, n int) []byte {
 	return append(strconv.AppendInt(dst, int64(n), 10), '|')
 }
 
-// resultKey is the result-cache and single-flight key of one execution: the
-// shape key, the bind vector and the version vector.
-func resultKey(planKey string, binds []any, vv string) string {
+// flightKey is the single-flight key of one execution: the plan key, the
+// bind vector and the version vector.
+func flightKey(planKey string, binds []any, vv string) string {
 	var buf [256]byte
 	b := append(buf[:0], planKey...)
 	b = append(b, '|')

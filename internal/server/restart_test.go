@@ -113,8 +113,8 @@ func TestServerRestartServesAcknowledgedWrites(t *testing.T) {
 
 // TestServerRestartColdCacheKeys pins the cache-aliasing seam directly: the
 // version vector a query reports after restart differs from the one the same
-// query reported before the crash, so result-cache keys from the killed
-// process can never match.
+// query reported before the crash, so cache keys from the killed process
+// can never match.
 func TestServerRestartColdCacheKeys(t *testing.T) {
 	dir := t.TempDir()
 	query := `{"frontend":"program","program":[{"id":"a","op":"kvscan","engine":"kv-events","prefix":"k"}]}`

@@ -5,7 +5,7 @@
 // execution — and Polystore++ §IV-D notes that runtime statistics are the
 // prerequisite for optimization, which a serving layer naturally produces.
 //
-// The server adds five things on top of core.Runtime:
+// The server adds four things on top of core.Runtime:
 //
 //   - Admission control: a bounded worker pool plus bounded wait queue.
 //     Requests beyond the bound get HTTP 429 immediately; queued requests
@@ -23,19 +23,18 @@
 //     are exported on /metrics). The same cache maps a SQL statement's
 //     lexed shape key to its plan, so a statement of a compiled shape skips
 //     the parser, the IR build and the fingerprint as well (prepare.go).
-//   - A result cache keyed on (shape fingerprint + options, the program's
-//     constants, version vector of the engines/tables the plan touches):
-//     repeated queries over
-//     unchanged data skip execution entirely, a mutation of touched data
-//     rotates the vector so stale results stop being addressable, and
-//     writes to untouched stores leave cached results valid (surgical
-//     invalidation; runQuery and executeOnce). Admission is byte-bounded
-//     with an oversized-entry bypass.
 //   - Single-flight: identical queries in flight at the same time share one
 //     execution; only the leader holds a worker slot (singleflight.go).
 //   - Observability: every reported number is declared once in the stat
 //     table (stats.go), which /stats renders as JSON and /metrics as
 //     Prometheus text; /healthz reports liveness.
+//
+// A repeated read is answered by the runtime's subplan cache: before
+// single-flight and admission, runQuery asks core.Runtime.ProbeRoot whether
+// the cache holds the whole plan at the current version vector of the data
+// it reads, so a cached read takes no worker slot and no flight, a write to
+// a store it reads rotates the key, and writes to other stores leave it
+// addressable.
 //
 // Endpoints:
 //
@@ -69,7 +68,6 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
-	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/tenant"
 )
@@ -92,11 +90,6 @@ type Config struct {
 	// compiled plan takes one under its plan key, and a SQL or program shape
 	// one more under its shape key.
 	PlanCacheSize int
-	// ResultCacheSize bounds the executed-result LRU keyed on
-	// (plan fingerprint + options, touched-engine version vector), besides
-	// its resultCacheBytes budget. Zero selects the default (256 entries);
-	// negative disables result caching.
-	ResultCacheSize int
 	// MaxRows caps rows returned per response; clients may lower it per
 	// request but not exceed it (default 1000).
 	MaxRows int
@@ -162,9 +155,6 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 256
 	}
-	if c.ResultCacheSize == 0 {
-		c.ResultCacheSize = 256
-	}
 	if c.MaxRows <= 0 {
 		c.MaxRows = 1000
 	}
@@ -180,14 +170,8 @@ func (c Config) withDefaults() Config {
 // defaultShedHighWater is the shedding threshold when none is configured.
 const defaultShedHighWater = 0.85
 
-const (
-	// maxTimeout caps client-requested deadlines.
-	maxTimeout = 60 * time.Second
-	// resultCacheBytes bounds the result cache by total cached result bytes
-	// (cost-aware admission: a result larger than the whole budget bypasses
-	// the cache).
-	resultCacheBytes = 64 << 20
-)
+// maxTimeout caps client-requested deadlines.
+const maxTimeout = 60 * time.Second
 
 // Server serves heterogeneous queries over one core.Runtime. Construct with
 // New; Server implements http.Handler.
@@ -196,7 +180,6 @@ type Server struct {
 	opts    compiler.Options
 	cfg     Config
 	cache   *compiler.PlanCache
-	results *lru.CostCache[resultEntry] // nil when disabled
 	flight  *flightGroup
 	adm     *admission
 	tenants *tenantControl
@@ -241,9 +224,6 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		maxTimeout: maxTimeout,
 	}
 	s.tenants = newTenantControl(cfg)
-	if cfg.ResultCacheSize > 0 {
-		s.results = lru.NewCost[resultEntry](cfg.ResultCacheSize, resultCacheBytes)
-	}
 	if cfg.NL != (NLBinding{}) {
 		s.nl = eide.NewNLTranslator(cfg.NL)
 	}
@@ -352,16 +332,14 @@ type QueryResponse struct {
 	NLRule string `json:"nl_rule,omitempty"`
 	// PlanCache is "hit" or "miss".
 	PlanCache string `json:"plan_cache"`
-	// ResultCache is "hit" or "miss" ("" when result caching is disabled).
-	ResultCache string `json:"result_cache,omitempty"`
 	// SingleFlight is true when this response shared another identical
 	// request's in-flight execution instead of running its own.
 	SingleFlight bool `json:"single_flight,omitempty"`
 	// DataVersion is the global store mutation counter at response time
-	// (kept for observability; the cache keys on VersionVector instead).
+	// (kept for observability; the caches key on version vectors instead).
 	DataVersion uint64 `json:"data_version"`
 	// VersionVector is the per-engine data-version vector of the engines
-	// and tables this query touches — the result cache's invalidation key.
+	// and tables this query touches — part of its single-flight key.
 	VersionVector string `json:"version_vector,omitempty"`
 	// Simulated execution outcome (see core.Report).
 	SimLatencySeconds float64 `json:"sim_latency_seconds"`
@@ -370,9 +348,10 @@ type QueryResponse struct {
 	Migrations        int     `json:"migrations"`
 	Nodes             int     `json:"nodes"`
 	// Trace is the request's span tree, present only when the request set
-	// "trace": true. On a cache hit or single-flight share it carries the
-	// serving events (cache probe, single-flight role) without node spans —
-	// the spans belong to the execution that actually ran.
+	// "trace": true. A read the root probe answers carries the cache.subplan
+	// hit event and every node's span marked cached; a single-flight share
+	// carries the serving events without node spans — the spans belong to
+	// the execution that actually ran.
 	Trace *obs.Tree `json:"trace,omitempty"`
 }
 
@@ -549,9 +528,6 @@ func (s *Server) startTrace(p *preparedQuery) *obs.Trace {
 func (s *Server) decorateResponse(resp *QueryResponse, p *preparedQuery, out queryOutcome) {
 	resp.NLRule = p.nlRule
 	resp.PlanCache = hitMiss(out.planHit)
-	if s.results != nil {
-		resp.ResultCache = hitMiss(out.resultHit)
-	}
 	resp.SingleFlight = out.shared
 	resp.DataVersion = s.rt.DataVersion()
 	resp.VersionVector = p.vv
@@ -566,33 +542,32 @@ func hitMiss(hit bool) string {
 
 // queryOutcome is one served query's results plus which layer produced them.
 type queryOutcome struct {
-	res       *core.Results
-	rep       *core.Report
-	planHit   bool
-	resultHit bool
-	shared    bool
+	res     *core.Results
+	rep     *core.Report
+	planHit bool
+	shared  bool
 }
 
-// runQuery serves one compiled-and-executed query through the acceleration
-// layers, cheapest first: result cache (no admission — a map lookup does not
-// need a worker), then single-flight (followers wait without a slot), then
-// admission-controlled compile + execute. Every way returns the finished
-// outcome; how it is written to the client is the caller's business.
+// runQuery serves one query through the acceleration layers, cheapest
+// first: the root probe when prepare found the plan (no admission — a cache
+// lookup does not need a worker), then single-flight (followers wait without
+// a slot), then admission-controlled compile + execute. Every way returns
+// the finished outcome; how it is written to the client is the caller's
+// business.
 func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, error) {
-	tr := obs.From(ctx)
-	if s.results != nil {
-		if e, ok := s.results.Get(p.resKey); ok {
-			s.st.resultHits.Inc()
-			tr.Event("cache.result", "hit")
-			return queryOutcome{res: e.res, rep: e.rep, planHit: true, resultHit: true}, nil
+	var plan *compiler.Plan // p's plan bound to its constants; nil until compiled
+	if p.plan != nil {
+		plan = p.plan.WithBinds(p.binds)
+		if res, rep, ok := s.rt.ProbeRoot(ctx, plan); ok {
+			return queryOutcome{res: res, rep: rep, planHit: true}, nil
 		}
-		s.st.resultMisses.Inc()
-		tr.Event("cache.result", "miss")
 	}
 	if s.flight == nil { // tests that count executions turn single-flight off
-		res, rep, planHit, err := s.executeOnce(ctx, p)
+		res, rep, planHit, err := s.executeOnce(ctx, p, plan)
 		return queryOutcome{res: res, rep: rep, planHit: planHit}, err
 	}
+	tr := obs.From(ctx)
+	key := flightKey(p.planKey, p.binds, p.vv)
 	var (
 		res     *core.Results
 		rep     *core.Report
@@ -606,8 +581,8 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, 
 	// retry wave elects exactly one new leader instead of stampeding
 	// admission (or inheriting a 500 for a query that would succeed).
 	for attempt := 0; ; attempt++ {
-		res, rep, planHit, shared, err = s.flight.do(ctx, p.resKey, func() (*core.Results, *core.Report, bool, error) {
-			return s.executeOnce(ctx, p)
+		res, rep, planHit, shared, err = s.flight.do(ctx, key, func() (*core.Results, *core.Report, bool, error) {
+			return s.executeOnce(ctx, p, plan)
 		})
 		if shared && err != nil && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -643,11 +618,12 @@ func leadersGone(last error) *refusal {
 }
 
 // executeOnce acquires a worker (or is shed), compiles when prepare found no
-// plan, executes, then publishes the outcome to the result cache. Result-cache
-// hits and single-flight followers never reach this function, which is what
-// makes admission's "cached reads survive overload" policy structural: only
-// work that must actually occupy a worker can be shed.
-func (s *Server) executeOnce(ctx context.Context, p *preparedQuery) (*core.Results, *core.Report, bool, error) {
+// plan (plan, p's plan bound to its constants, is nil), and executes. Reads
+// the root probe answers and single-flight followers never reach this
+// function, which is what makes admission's "cached reads survive overload"
+// policy structural: only work that must actually occupy a worker can be
+// shed.
+func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, plan *compiler.Plan) (*core.Results, *core.Report, bool, error) {
 	tr := obs.From(ctx)
 	var admT0 time.Time
 	if tr != nil {
@@ -670,81 +646,25 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery) (*core.Resul
 
 	// Compiling under admission lets a cold compile be shed; the incumbent
 	// of a racing compile wins.
-	plan, hit := p.plan, p.plan != nil
+	hit := plan != nil
 	if !hit {
-		var err error
-		if plan, err = s.cache.Compile(p.planKey, p.graph, s.opts); err != nil {
+		compiled, err := s.cache.Compile(p.planKey, p.graph, s.opts)
+		if err != nil {
 			return nil, nil, false, err
 		}
 		if p.shapeKey != "" {
-			s.cache.Put(p.shapeKey, plan)
+			s.cache.Put(p.shapeKey, compiled)
 		}
+		plan = compiled.WithBinds(p.binds)
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
-	res, rep, err := s.rt.Execute(ctx, plan.WithBinds(p.binds))
+	res, rep, err := s.rt.Execute(ctx, plan)
 	if err != nil {
 		return nil, nil, hit, err
 	}
 	svc = time.Since(execT0)
-	// Publish only when the version vector of the *touched* engines is still
-	// the one the key was built from: a touched store mutated mid-execution
-	// may have leaked into this result, which must not be addressable as a
-	// clean snapshot of the keyed vector. Mutations of untouched stores
-	// cannot leak in and no longer discard the result (they used to, when
-	// this guard re-checked the global version sum). The requester still
-	// gets it — one response computed over moving data is the same contract
-	// a non-caching server gives.
-	if s.results != nil && s.rt.VersionVector(p.touches) == p.vv {
-		cached := pruneToSinks(res)
-		s.results.PutOwned(p.resKey, resultEntry{res: cached, rep: rep}, resultBytes(cached)+lru.EntryOverheadBytes, p.tenant)
-	}
 	return res, rep, hit, nil
-}
-
-// resultEntry is one executed outcome in the result cache, keyed on
-// (plan-cache key, the program's constants, version vector of the stores the
-// plan touches). Entries are sound to share across requests because Results
-// and Reports are never mutated after Execute returns (response encoding
-// only reads them). Invalidation is by key rotation: a mutation of a
-// touched store rotates the vector, so stale entries stop being addressable
-// and age out of the LRU, while writes to untouched stores leave keys (and
-// so cached results) intact. Each entry is charged its sink payload bytes to
-// the tenant whose execution filled it; racing executions of one key
-// produce equivalent results and the incumbent is kept.
-type resultEntry struct {
-	res *core.Results
-	rep *core.Report
-}
-
-// resultBytes sizes a result's sink payloads.
-func resultBytes(res *core.Results) int64 {
-	var n int64
-	for _, s := range res.Sinks {
-		if b := res.Values[s].Batch; b != nil {
-			n += b.ByteSize()
-		}
-	}
-	return n
-}
-
-// pruneToSinks trims a result to what a cached entry should hold for its LRU
-// lifetime. Intermediate node values go: responses only ever read sink
-// values, and an entry pinning every migrated intermediate batch multiplies
-// resident memory by the plan's node count for no serving benefit. And a
-// selection-backed sink batch is compacted: the 50 rows of an ORDER BY …
-// LIMIT 50 would otherwise keep the whole sorted input alive behind a charge
-// of 50 rows.
-func pruneToSinks(res *core.Results) *core.Results {
-	vals := make([]adapter.Value, len(res.Values))
-	for _, s := range res.Sinks {
-		v := res.Values[s]
-		if v.Batch != nil {
-			v.Batch = v.Batch.Compact()
-		}
-		vals[s] = v
-	}
-	return &core.Results{Values: vals, Sinks: res.Sinks}
 }
 
 // classifyQueryError maps a runQuery failure to its wire status, message
@@ -889,9 +809,9 @@ type IngestResponse struct {
 // routes one write to an engine adapter. Writes deliberately skip admission
 // control — they are single-store appends, far cheaper than plan execution —
 // and their only interaction with the serving accelerations is bumping the
-// target store's version so cached results over the written data stop being
-// addressable (results over other stores stay cached; that is the point of
-// the version vector).
+// target store's version so cached intermediates over the written data stop
+// being addressable (those over other stores stay cached; that is the point
+// of the version vector).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !postOnly(w, r) {
 		return

@@ -27,9 +27,9 @@ import (
 // BenchmarkServeConcurrent is the serving-path benchmark: N concurrent
 // clients fire the same hot SQL query at one System and the benchmark
 // reports throughput (req/s) and tail latency (p50/p99 in microseconds).
-// Because the query repeats over unchanging data, steady state is served
-// from the result cache (single-flight merges the warmup); the NoDedup
-// variant below measures the raw execute path.
+// Because the query repeats over unchanging data, steady state is answered
+// by the root probe from the subplan cache (single-flight merges the
+// warmup); the NoDedup variant below measures the raw execute path.
 func BenchmarkServeConcurrent(b *testing.B) {
 	benchServe(b, polystore.ServeConfig{
 		Workers:          16,
@@ -38,15 +38,14 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkServeConcurrentNoDedup disables the result cache, single-flight
-// and the subplan cache, so every request compiles (through the plan cache)
-// and executes — the pre-dedup serving trajectory, kept for comparison.
+// BenchmarkServeConcurrentNoDedup disables single-flight and the subplan
+// cache, so every request compiles (through the plan cache) and executes —
+// the pre-dedup serving trajectory, kept for comparison.
 func BenchmarkServeConcurrentNoDedup(b *testing.B) {
 	benchServe(b, polystore.ServeConfig{
 		Workers:          16,
 		QueueDepth:       256,
 		DefaultSQLEngine: "db-clinical",
-		ResultCacheSize:  -1,
 	}, executeAll, subplanBytes(-1))
 }
 
@@ -59,7 +58,6 @@ func BenchmarkServeConcurrentTraced(b *testing.B) {
 		Workers:          16,
 		QueueDepth:       256,
 		DefaultSQLEngine: "db-clinical",
-		ResultCacheSize:  -1,
 		TraceAll:         true,
 	}, executeAll, subplanBytes(-1))
 }
@@ -67,9 +65,10 @@ func BenchmarkServeConcurrentTraced(b *testing.B) {
 // BenchmarkMixedReadWrite is the mixed-workload benchmark: 95% hot reads of
 // a relational query, 5% writes appended to a timeseries store the read plan
 // never touches. With version-vector cache keys the writes leave the cached
-// result addressable, so steady state serves reads from the result cache;
-// the reported hit-rate metric is the regression canary for surgical
-// invalidation (a fallback to global data-version keys drags it to ~0).
+// plan addressable, so steady state answers reads from the root probe; the
+// reported hit-rate metric (plans reusing the subplan cache over plans
+// probing it) is the regression canary for surgical invalidation (a
+// fallback to global data-version keys drags it to ~0).
 func BenchmarkMixedReadWrite(b *testing.B) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 200)
 	if err != nil {
@@ -133,24 +132,25 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Hits   int64 `json:"result_cache_hits"`
-		Misses int64 `json:"result_cache_miss"`
+		Probed float64 `json:"subplan_plans_probed"`
+		Reused float64 `json:"subplan_plans_reused"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		b.Fatal(err)
 	}
-	if st.Hits+st.Misses > 0 {
-		b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-rate")
+	if st.Probed > 0 {
+		b.ReportMetric(st.Reused/st.Probed, "hit-rate")
 	}
 }
 
 // BenchmarkServeSimilar is the near-identical-query benchmark the subplan
 // cache targets: concurrent clients cycle through 64 LIMIT variants of one
-// SQL statement, so every request has a distinct plan-cache and result-cache
-// key but shares the scan→filter→sort prefix. The result cache and
-// single-flight are disabled, leaving the subplan cache (default-on) as the
-// only reuse layer; the benchmark reports throughput and the subtree reuse
-// rate read back from /stats.
+// SQL statement, so every request has a distinct plan-cache key but shares
+// the scan→filter→sort prefix. Single-flight is disabled, leaving the
+// subplan cache (default-on) as the only reuse layer: a variant's first run
+// replays the prefix, its repeats are answered whole by the root probe. The
+// benchmark reports throughput and the subtree reuse rate read back from
+// /stats.
 func BenchmarkServeSimilar(b *testing.B) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 200)
 	if err != nil {
@@ -167,7 +167,6 @@ func BenchmarkServeSimilar(b *testing.B) {
 		Workers:          16,
 		QueueDepth:       256,
 		DefaultSQLEngine: "db-clinical",
-		ResultCacheSize:  -1,
 	})))
 	defer ts.Close()
 
@@ -220,9 +219,9 @@ func BenchmarkServeSimilar(b *testing.B) {
 // BenchmarkServeStream measures the partial-result path: concurrent clients
 // stream a 10k-row scan over POST /query/stream and the benchmark reports
 // throughput (req/s), time-to-first-row, full-result latency and row
-// throughput. The result cache, single-flight and the subplan cache are
-// disabled so every request exercises the live streaming executor rather
-// than a cached replay.
+// throughput. Single-flight and the subplan cache are disabled so every
+// request exercises the live streaming executor rather than a cached
+// replay.
 func BenchmarkServeStream(b *testing.B) {
 	store := relational.NewStore("db-bench")
 	events, err := store.CreateTable("events", cast.MustSchema(
@@ -246,7 +245,6 @@ func BenchmarkServeStream(b *testing.B) {
 		Workers: 16, QueueDepth: 256,
 		DefaultSQLEngine: "db-bench",
 		MaxRows:          20000,
-		ResultCacheSize:  -1,
 	}, []testOpt{executeAll, subplanBytes(-1)}, polystore.WithRelational("db-bench", store))
 
 	body := `{"frontend":"sql","statement":"SELECT * FROM events"}`

@@ -155,6 +155,43 @@ var statementErrors = []struct{ name, steps string }{
 		{"id":"m","op":"train","engine":"ml","input":"a","feature_cols":["ward"],"label_col":"aid"}`},
 }
 
+// probeCounts are the /stats counters that tell a read the root probe
+// answered from one that executed.
+type probeCounts struct {
+	Reused     int64 `json:"subplan_plans_reused"`
+	Sequential int64 `json:"executor_sequential_plans"`
+	Concurrent int64 `json:"executor_concurrent_plans"`
+}
+
+func getProbeCounts(t *testing.T, ts *httptest.Server) probeCounts {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var c probeCounts
+	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// postProbed posts body to /query, fails the test unless it answers 200, and
+// reports whether the root probe answered it: subplan_plans_reused rose and
+// no plan was executed.
+func postProbed(t *testing.T, ts *httptest.Server, body string) (bool, *queryResponse) {
+	t.Helper()
+	before := getProbeCounts(t, ts)
+	code, qr, raw := postQuery(t, ts, body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	after := getProbeCounts(t, ts)
+	executed := after.Sequential+after.Concurrent != before.Sequential+before.Concurrent
+	return !executed && after.Reused > before.Reused, qr
+}
+
 // programBody wraps program steps (comma-separated JSON objects) in a request.
 func programBody(steps string) string {
 	return `{"frontend":"program","program":[` + steps + `]}`
@@ -246,7 +283,7 @@ func TestQueueOverflow429(t *testing.T) {
 	// ShedHighWater -1 disables load shedding so overflow exercises the queue
 	// bound's 429 path rather than admission's earlier shed 503.
 	ts := newTestServer(t, polystore.ServeConfig{
-		Workers: 1, QueueDepth: 1, ResultCacheSize: -1, ShedHighWater: -1,
+		Workers: 1, QueueDepth: 1, ShedHighWater: -1,
 	}, executeAll)
 	heavy := `{"frontend":"nl","statement":"predict long stay"}`
 
@@ -357,12 +394,12 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	}
 
 	// Repeated identical queries must have been deduplicated by some layer:
-	// the result cache absorbs repeats after the first execution, single-
+	// the subplan cache absorbs repeats after the first execution, single-
 	// flight merges simultaneous ones, and the plan cache catches any that
 	// still compile.
 	var stats struct {
 		PlanCacheHits      int64 `json:"plan_cache_hits"`
-		ResultCacheHits    int64 `json:"result_cache_hits"`
+		SubplanPlansReused int64 `json:"subplan_plans_reused"`
 		SingleFlightShared int64 `json:"single_flight_shared"`
 	}
 	resp, err := http.Get(ts.URL + "/stats")
@@ -373,7 +410,7 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.PlanCacheHits+stats.ResultCacheHits+stats.SingleFlightShared == 0 {
+	if stats.PlanCacheHits+stats.SubplanPlansReused+stats.SingleFlightShared == 0 {
 		t.Fatal("no cache layer recorded hits under repeated concurrent queries")
 	}
 }

@@ -100,7 +100,7 @@ func quantilesUS(h *metrics.Histogram) map[string]float64 {
 type serverStats struct {
 	requests, rejected, badRequest, execErrors, deadline, ingests *metrics.Counter
 	planHits, planMisses                                          *metrics.Counter
-	resultHits, resultMisses, flightShared                        *metrics.Counter
+	flightShared                                                  *metrics.Counter
 	streamRequests, streamRows, streamBatches                     *metrics.Counter
 	streamErrorsInband, streamAborted                             *metrics.Counter
 	tenantRate, tenantBreaker, drainRejected                      *metrics.Counter
@@ -159,14 +159,9 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	add("default_accel", "", kindInfo, "Whether plans may target accelerators.", val(s.opts.Accel))
 	add("default_timeout", "", kindInfo, "Per-request deadline when the request sets none.", val(s.cfg.DefaultTimeout.String()))
 
-	// Plan cache, result cache, single-flight.
+	// Plan cache, single-flight.
 	st.planHits = counter("plan_cache_hits", "server.plancache.hits", "Queries prepared with a cached plan: a SQL statement or program of a shape compiled before skips the parser, the IR build, the fingerprint and the compiler; any other request skips the compiler.")
 	st.planMisses = counter("plan_cache_miss", "server.plancache.misses", "Queries prepared without a cached plan; their execution compiles one.")
-	add("result_cache_enabled", "", kindInfo, "Whether executed results are cached.", val(s.results != nil))
-	st.resultHits = counter("result_cache_hits", "server.resultcache.hits", "Queries answered from the result cache without executing.")
-	st.resultMisses = counter("result_cache_miss", "server.resultcache.misses", "Result-cache probes that missed.")
-	add("result_cache_size", "server.resultcache.size", kindGauge, "Results cached.", func() any { return s.results.Stats().Entries })
-	add("result_cache_max_bytes", "", kindInfo, "Result-cache byte budget (0 when disabled).", func() any { return s.results.Stats().MaxCost })
 	add("single_flight", "", kindInfo, "Whether identical in-flight queries share one execution.", func() any { return s.flight != nil })
 	st.flightShared = counter("single_flight_shared", "server.singleflight.shared", "Requests that shared another request's in-flight execution.")
 
@@ -198,7 +193,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	st.drainRejected = counter("drain_rejected", "server.drain.rejected", "Requests refused with 503 while draining.")
 	add("tenants", "", kindInfo, "Per-tenant rows (fields below).", func() any {
 		sp, _ := s.rt.SubplanCacheStats()
-		return s.tenants.statsJSON(s.results.Stats().Owners, sp.Owners)
+		return s.tenants.statsJSON(sp.Owners)
 	})
 
 	add("backend", "", kindInfo, "Storage backend block (fields below).", func() any { return statsJSON(s.backendStats()) })
@@ -206,17 +201,14 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 }
 
 // snapshotStats declares the top-level rows whose values arrive together in
-// one snapshot another component owns — plan cache, result cache, subplan
-// cache, partition pool — reading each snapshot once per scrape rather than
-// once per row.
+// one snapshot another component owns — plan cache, subplan cache,
+// partition pool — reading each snapshot once per scrape rather than once
+// per row.
 func (s *Server) snapshotStats() []stat {
-	rc := s.results.Stats()
 	sp, spOn := s.rt.SubplanCacheStats()
 	spawned, inlined := partition.Shared().Stats()
 	return []stat{
 		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL or program shape mapped to its plan.", get: val(s.cache.Len())},
-		{key: "result_cache_bytes", name: "server.resultcache.bytes", kind: kindGauge, help: "Payload bytes of the cached results.", get: val(rc.Cost)},
-		{key: "result_cache_bypassed", name: "server.resultcache.bypassed", kind: kindGauge, help: "Results too large for the byte budget, served uncached.", get: val(rc.Bypassed)},
 		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},
 		{key: "subplan_cache_entries", name: "core.subplan.entries", kind: kindGauge, help: "Intermediates cached.", get: val(sp.Entries)},
 		{key: "subplan_cache_bytes", name: "core.subplan.bytes", kind: kindGauge, help: "Bytes of the cached intermediates.", get: val(sp.Cost)},

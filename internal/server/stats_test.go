@@ -23,7 +23,7 @@ func statBlocks(s *Server) map[string][]stat {
 	return map[string][]stat{
 		"top level": s.topLevel(),
 		"backend":   s.backendStats(),
-		"tenants":   tenantDefs(&tenantState{}, 0, 0),
+		"tenants":   tenantDefs(&tenantState{}, 0),
 	}
 }
 
@@ -213,7 +213,7 @@ func TestOperationsDocInSync(t *testing.T) {
 	sb.WriteString("| `/stats` key | `/metrics` family | kind | meaning |\n|---|---|---|---|\n")
 	writeDocs(&sb, "top level", s.topLevel())
 	writeDocs(&sb, "`backend` block", s.backendStats())
-	writeDocs(&sb, "`tenants` rows (their `/metrics` samples carry a `tenant` label)", tenantDefs(&tenantState{}, 0, 0))
+	writeDocs(&sb, "`tenants` rows (their `/metrics` samples carry a `tenant` label)", tenantDefs(&tenantState{}, 0))
 
 	const path, begin, end = "../../docs/operations.md", "<!-- stats:begin -->\n", "<!-- stats:end -->"
 	raw, err := os.ReadFile(path)

@@ -1,5 +1,5 @@
 // POST /query/stream: the buffered /query answer in NDJSON. The request
-// runs exactly as on /query — result cache, single-flight, admission,
+// runs exactly as on /query — root probe, single-flight, admission,
 // execution — and once the outcome is finished and the worker slot released,
 // the outcome is written one JSON record per line, each flushed:
 //
@@ -17,7 +17,7 @@
 // record; clients must treat a stream without a summary record as failed.
 //
 // Records are cut in one place, ndjsonStream.EmitBatch, from the finished
-// batch, so a result-cache hit or a single-flight follower's stream is
+// batch, so a root-probe hit's or a single-flight follower's stream is
 // byte-identical to that of the execution that produced it. No worker slot
 // waits on a client's read cadence: a stalled reader holds only its own
 // goroutine and the result it is being sent.
@@ -150,8 +150,8 @@ func (st *ndjsonStream) StartStream(schema cast.Schema) error {
 // EmitBatch is the one place a result is cut into wire records: rows up to
 // the row cap, relational.ChunkRows to a batch record, the request context
 // read before each. Rows past the cap are not sent (the execution has run to
-// completion, so the result cache holds the full result and the summary the
-// true row count, exactly like /query).
+// completion, so the summary carries the true row count, exactly like
+// /query).
 func (st *ndjsonStream) EmitBatch(b *cast.Batch) error {
 	n := min(b.Rows(), st.maxRows)
 	for lo := 0; lo < n; lo += relational.ChunkRows {

@@ -40,7 +40,6 @@ type ndLine struct {
 	Truncated    bool   `json:"truncated"`
 	Model        bool   `json:"model"`
 	PlanCache    string `json:"plan_cache"`
-	ResultCache  string `json:"result_cache"`
 	SingleFlight bool   `json:"single_flight"`
 }
 
@@ -253,15 +252,15 @@ func TestStreamLargeScanManyBatches(t *testing.T) {
 // TestStreamEquivalenceProperty is the property-style suite: generated
 // random plans (filter / project / group-by / join / window over the
 // datagen clinical data) must stream to exactly the buffered result on
-// servers pinned at partition fan-outs 1, 2, 7 and 64. Caching layers are
-// disabled so both requests execute independently.
+// servers pinned at partition fan-outs 1, 2, 7 and 64. The buffered
+// request executes; the stream is answered whole from the subplan cache the
+// execution filled when its plan has a whole-plan candidate, and executes
+// again when it has none.
 func TestStreamEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bodies := randomQueryBodies(rng, 12)
 	for _, parts := range fanOuts {
-		ts := newStreamTestServer(t, polystore.ServeConfig{
-			ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
-		}, executeAll, pinParts(parts))
+		ts := newStreamTestServer(t, polystore.ServeConfig{Workers: 8, QueueDepth: 256}, executeAll, pinParts(parts))
 		for i, body := range bodies {
 			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
 				assertStreamEqualsBuffered(t, ts, body)
@@ -314,22 +313,26 @@ func randomQueryBodies(rng *rand.Rand, n int) []string {
 	return out
 }
 
-// TestStreamReplayFromResultCache: a cache hit replays the cached batches —
-// the stream looks identical to a live one and the summary says "hit".
-func TestStreamReplayFromResultCache(t *testing.T) {
+// TestStreamReplayFromProbe: a stream the root probe answers replays the
+// cached batch — it looks identical to a live one, and no plan executes.
+func TestStreamReplayFromProbe(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	body := `{"frontend":"sql","statement":"SELECT k, val FROM points WHERE k < 3000"}`
 	// Prime with a buffered request, then stream the same key.
 	if code, _, raw := postQuery(t, ts, body); code != http.StatusOK {
 		t.Fatalf("prime status %d: %s", code, raw)
 	}
+	before := getProbeCounts(t, ts)
 	code, lines, raw := postStream(t, ts, body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
+	if after := getProbeCounts(t, ts); after.Reused != before.Reused+1 || after.Sequential+after.Concurrent != before.Sequential+before.Concurrent {
+		t.Fatalf("stream of a primed read: /stats %+v -> %+v, want one plan reused and none executed", before, after)
+	}
 	_, batches, terminal := splitStream(t, lines)
-	if terminal.Type != "summary" || terminal.ResultCache != "hit" {
-		t.Fatalf("terminal = %+v, want result_cache hit", terminal)
+	if terminal.Type != "summary" {
+		t.Fatalf("terminal = %+v, want a summary", terminal)
 	}
 	if rows := concatRows(batches); len(rows) != 3000 {
 		t.Fatalf("replayed %d rows", len(rows))
@@ -379,27 +382,32 @@ func TestStreamMidStreamErrorInBand(t *testing.T) {
 	}
 }
 
-// TestStreamLiveEqualsReplay: a stream replayed from the result cache is
-// byte-identical to the live one up to the summary record, which alone says
-// whether the cache was hit. The filter keeps a tenth of the rows of every
+// TestStreamLiveEqualsReplay: a stream the root probe answers from the
+// subplan cache is byte-identical to the live one up to the summary record
+// (whose wall_us differs). The filter keeps a tenth of the rows of every
 // 1024-row input chunk, so a stream cut per input chunk would differ from
 // one cut from the finished result.
 func TestStreamLiveEqualsReplay(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	body := `{"frontend":"sql","statement":"SELECT * FROM points WHERE val < 10"}`
-	records := func(want string) string {
+	records := func(wantExecuted bool) string {
 		t.Helper()
+		before := getProbeCounts(t, ts)
 		code, lines, raw := postStream(t, ts, body)
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, raw)
 		}
-		if _, _, terminal := splitStream(t, lines); terminal.Type != "summary" || terminal.ResultCache != want {
-			t.Fatalf("terminal = %+v, want a summary with result_cache %q", terminal, want)
+		after := getProbeCounts(t, ts)
+		if executed := after.Sequential+after.Concurrent != before.Sequential+before.Concurrent; executed != wantExecuted {
+			t.Fatalf("stream executed %t, want %t", executed, wantExecuted)
+		}
+		if _, _, terminal := splitStream(t, lines); terminal.Type != "summary" {
+			t.Fatalf("terminal = %+v, want a summary", terminal)
 		}
 		return raw[:strings.LastIndex(strings.TrimSuffix(raw, "\n"), "\n")+1]
 	}
-	live := records("miss")
-	if replayed := records("hit"); replayed != live {
+	live := records(true)
+	if replayed := records(false); replayed != live {
 		t.Fatalf("replay differs from the live stream: %d bytes live, %d replayed", len(live), len(replayed))
 	}
 }
@@ -424,16 +432,18 @@ func TestFilterDivisionBehindGuard(t *testing.T) {
 // TestNonFiniteFloatFailsLoudly: JSON cannot carry ±Inf or NaN, so a result
 // holding one fails the request where the client can see it — /query with a
 // 500 and its reason, /query/stream with a terminal in-band 500 record —
-// whether the rows were just computed or are replayed from the result cache.
-// Neither is a client that went away: nothing may count as a stream abort.
+// whether the rows were just computed or are replayed from the subplan
+// cache. Neither is a client that went away: nothing may count as a stream
+// abort.
 func TestNonFiniteFloatFailsLoudly(t *testing.T) {
 	ts := newStreamTestServer(t, polystore.ServeConfig{})
-	counters := func() (execErrors, inband, hits int64) {
+	counters := func() (execErrors, inband, executed int64) {
 		t.Helper()
 		var st struct {
 			ExecErrors int64 `json:"exec_errors"`
 			Inband     int64 `json:"stream_errors_inband"`
-			Hits       int64 `json:"result_cache_hits"`
+			Sequential int64 `json:"executor_sequential_plans"`
+			Concurrent int64 `json:"executor_concurrent_plans"`
 		}
 		resp, err := http.Get(ts.URL + "/stats")
 		if err != nil {
@@ -443,20 +453,20 @@ func TestNonFiniteFloatFailsLoudly(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		return st.ExecErrors, st.Inband, st.Hits
+		return st.ExecErrors, st.Inband, st.Sequential + st.Concurrent
 	}
 	inf := `{"frontend":"sql","statement":"SELECT k, val * 1e308 * 1e308 AS y FROM points WHERE k > 0 LIMIT 2"}`
 	nan := `{"frontend":"sql","statement":"SELECT k, val * 1e308 * 1e308 - val * 1e308 * 1e308 AS y FROM points WHERE k > 0 LIMIT 2"}`
 
-	// Buffered: computed, then replayed from the result cache (the result
+	// Buffered: computed, then replayed from the subplan cache (the result
 	// itself is sound and is cached; it is its JSON rendering that fails).
-	for i, want := range []string{"miss", "hit"} {
+	for i := range 2 {
 		code, _, raw := postQuery(t, ts, inf)
 		if code != http.StatusInternalServerError || !strings.Contains(raw, `"error":"encode results: `) || !strings.Contains(raw, "+Inf") {
-			t.Fatalf("/query (result cache %s): status %d, body %q", want, code, raw)
+			t.Fatalf("/query #%d: status %d, body %q", i, code, raw)
 		}
-		if execErrors, _, hits := counters(); execErrors != int64(i+1) || hits != int64(i) {
-			t.Fatalf("/query (result cache %s): exec_errors=%d result_cache_hits=%d", want, execErrors, hits)
+		if execErrors, _, executed := counters(); execErrors != int64(i+1) || executed != 1 {
+			t.Fatalf("/query #%d: exec_errors=%d, %d plans executed; want %d and 1", i, execErrors, executed, i+1)
 		}
 	}
 	// Streamed: a replay of that cached result, then a live execution of
@@ -471,8 +481,8 @@ func TestNonFiniteFloatFailsLoudly(t *testing.T) {
 			terminal.Status != http.StatusInternalServerError || !strings.Contains(terminal.Error, "encode results: ") {
 			t.Fatalf("/query/stream #%d: want schema then a terminal 500 error record, got\n%s", i, raw)
 		}
-		if _, inband, hits := counters(); inband != int64(i+1) || hits != 2 {
-			t.Fatalf("/query/stream #%d: stream_errors_inband=%d result_cache_hits=%d", i, inband, hits)
+		if _, inband, executed := counters(); inband != int64(i+1) || executed != int64(i+1) {
+			t.Fatalf("/query/stream #%d: stream_errors_inband=%d, %d plans executed", i, inband, executed)
 		}
 	}
 	if execErrors, _, _ := counters(); execErrors != 4 {
@@ -510,9 +520,7 @@ func TestStreamDeadlineMidStream(t *testing.T) {
 // must release the admission slot promptly and leak no goroutines (the
 // goleak-style count check).
 func TestStreamClientDisconnectFreesWorker(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		ResultCacheSize: -1, Workers: 4, QueueDepth: 16,
-	}, executeAll)
+	ts := newStreamTestServer(t, polystore.ServeConfig{Workers: 4, QueueDepth: 16}, executeAll)
 	// Warm up (connection pools, lazily started runtime goroutines).
 	if code, _, raw := postQuery(t, ts, `{"frontend":"sql","statement":"SELECT count(*) AS n FROM points"}`); code != http.StatusOK {
 		t.Fatalf("warmup: %d %s", code, raw)
@@ -580,9 +588,7 @@ func TestStreamClientDisconnectFreesWorker(t *testing.T) {
 // of a large result and then stops reading holds no worker: with the only
 // one free, a cold /query behind it is admitted rather than shed.
 func TestStreamStalledReaderHoldsNoWorker(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{
-		Workers: 1, QueueDepth: -1, ResultCacheSize: -1,
-	}, executeAll)
+	ts := newStreamTestServer(t, polystore.ServeConfig{Workers: 1, QueueDepth: -1}, executeAll)
 	// About 1M joined rows: far more than any socket buffer holds, so the
 	// server's writes block on the stalled reader.
 	body := `{"frontend":"sql","statement":"SELECT k, dkey FROM points JOIN dup ON x = dkey","max_rows":2000000}`

@@ -28,12 +28,11 @@ import (
 	"polystorepp/internal/server"
 )
 
-// subplanTestServer is newStreamTestServer with every other reuse layer off,
-// so each request truly executes (or truly replays the subplan cache), never
-// the result cache. subplan sizes the subplan cache: 0 is the default
-// (64 MiB), negative disables it.
+// subplanTestServer is newStreamTestServer with single-flight off, so each
+// request executes or replays the subplan cache itself. subplan sizes the
+// subplan cache: 0 is the default (64 MiB), negative disables it.
 func subplanTestServer(t *testing.T, subplan int64, opts ...testOpt) *httptest.Server {
-	return newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1, Workers: 8, QueueDepth: 256},
+	return newStreamTestServer(t, polystore.ServeConfig{Workers: 8, QueueDepth: 256},
 		append(opts, executeAll, subplanBytes(subplan))...)
 }
 
@@ -296,7 +295,7 @@ func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 	rt := core.NewRuntime(hw.NewHostCPU(), core.WithSubplanCacheBytes(budget))
 	rt.Register(adapter.NewRelational("db", relational.NewEngine(store)))
 	ts := httptest.NewServer(server.WithoutSingleFlight(server.New(rt, compiler.Options{Level: 3}, server.Config{
-		DefaultSQLEngine: "db", ResultCacheSize: -1,
+		DefaultSQLEngine: "db",
 	})))
 	defer ts.Close()
 	query := func(tenant string, k int) {
@@ -338,15 +337,14 @@ func TestSubplanTenantShareAtRuntimeSize(t *testing.T) {
 // TestOneSystemOneSubplanCache: a System's servers share its one subplan
 // cache, sized when the System was built. Building a second handler leaves
 // the first server's warm intermediates in place, so the first server's
-// repeat of a query hits the cache. The result cache is off, so only the
-// subplan cache can answer the repeat.
+// repeat of a query hits the cache.
 func TestOneSystemOneSubplanCache(t *testing.T) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := polystore.New(polystore.WithClinical(data))
-	cfg := polystore.ServeConfig{DefaultSQLEngine: "db-clinical", ResultCacheSize: -1}
+	cfg := polystore.ServeConfig{DefaultSQLEngine: "db-clinical"}
 	a := httptest.NewServer(sys.Handler(cfg))
 	defer a.Close()
 	body := `{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 60 ORDER BY age DESC LIMIT 10"}`

@@ -247,7 +247,6 @@ func TestDrainAllowsInflightStreams(t *testing.T) {
 	h := sys.Handler(polystore.ServeConfig{
 		DefaultSQLEngine: "db-drain",
 		MaxRows:          20000,
-		ResultCacheSize:  -1, // force a live streaming execution
 	})
 	srv, ok := h.(*server.Server)
 	if !ok {

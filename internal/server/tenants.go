@@ -215,8 +215,8 @@ func isStatementError(err error) bool {
 
 // tenantDefs declares one tenant's row — the fields of its /stats "tenants"
 // entry and its samples in the per-tenant /metrics families — bound to the
-// tenant's counters and its charges in the two byte-bounded caches.
-func tenantDefs(ts *tenantState, resultBytes, subplanBytes int64) []stat {
+// tenant's counters and its subplan-cache charge.
+func tenantDefs(ts *tenantState, subplanBytes int64) []stat {
 	mean := 0.0
 	if served := ts.served.Load(); served > 0 {
 		mean = float64(ts.latencyUS.Load()) / float64(served)
@@ -232,17 +232,16 @@ func tenantDefs(ts *tenantState, resultBytes, subplanBytes int64) []stat {
 		{key: "breaker_state", kind: kindInfo, help: "Circuit breaker position: closed, open or half-open.", get: val(state.String())},
 		{name: "breaker_state", kind: kindGauge, help: "Circuit breaker position per tenant (0=closed 1=open 2=half-open).", get: val(int(state))},
 		{key: "mean_latency_us", kind: kindGauge, help: "Mean wall time of the tenant's completed requests.", get: val(mean)},
-		{key: "result_cache_bytes", kind: kindGauge, help: "Result-cache bytes charged to the tenant.", get: val(resultBytes)},
 		{key: "subplan_cache_bytes", kind: kindGauge, help: "Subplan-cache bytes charged to the tenant.", get: val(subplanBytes)},
 	}
 }
 
 // statsJSON renders every live tenant's row for /stats, folding in
-// per-tenant cache charges from the two byte-bounded caches.
-func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) map[string]any {
+// per-tenant subplan-cache charges.
+func (tc *tenantControl) statsJSON(subplanBytes map[string]int64) map[string]any {
 	out := make(map[string]any)
 	for _, ts := range tc.states.Values() {
-		out[ts.id] = statsJSON(tenantDefs(ts, resultBytes[ts.id], subplanBytes[ts.id]))
+		out[ts.id] = statsJSON(tenantDefs(ts, subplanBytes[ts.id]))
 	}
 	return out
 }
@@ -254,8 +253,8 @@ func (tc *tenantControl) statsJSON(resultBytes, subplanBytes map[string]int64) m
 func (tc *tenantControl) writeProm(w io.Writer) {
 	var rows []promRow
 	for _, ts := range tc.states.Values() {
-		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", ts.id), defs: tenantDefs(ts, 0, 0)})
+		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", ts.id), defs: tenantDefs(ts, 0)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
-	writeProm(w, tenantDefs(&tenantState{}, 0, 0), rows)
+	writeProm(w, tenantDefs(&tenantState{}, 0), rows)
 }

@@ -79,7 +79,7 @@ func TestSortLimitServedIsFullSortPrefix(t *testing.T) {
 	servers := map[pinned]*httptest.Server{}
 	for name, subplan := range map[string]int64{"subplan-on": 0, "subplan-off": -1} {
 		for _, parts := range fanOuts {
-			cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000, ResultCacheSize: -1}
+			cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000}
 			servers[pinned{name, parts}] = serveTest(t, cfg, []testOpt{executeAll, subplanBytes(subplan), pinParts(parts)},
 				polystore.WithRelational("db", store))
 		}

@@ -53,16 +53,14 @@ func assertSpanTree(t *testing.T, tree *obs.Tree, nodes int, body string) {
 // TestTraceEquivalenceProperty is the tracing counterpart of the streaming
 // equivalence suite: for generated plans on servers pinned at partition
 // fan-outs 1/2/7/64, a traced request must return byte-identical results to
-// an untraced one, and its span tree must cover every executed plan node
-// exactly once. Caching layers are disabled so both requests execute
-// independently.
+// an untraced one, and its span tree must cover every plan node exactly
+// once, whether the node ran or the subplan cache the untraced request
+// filled served it.
 func TestTraceEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	bodies := randomQueryBodies(rng, 8)
 	for _, parts := range fanOuts {
-		ts := newStreamTestServer(t, polystore.ServeConfig{
-			ResultCacheSize: -1, Workers: 8, QueueDepth: 256,
-		}, executeAll, pinParts(parts))
+		ts := newStreamTestServer(t, polystore.ServeConfig{Workers: 8, QueueDepth: 256}, executeAll, pinParts(parts))
 		for i, body := range bodies {
 			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
 				code, plain, raw := postQuery(t, ts, body)
@@ -130,7 +128,7 @@ func TestTraceCrossEnginePlan(t *testing.T) {
 // fan-out runs every partitioned operator at it however often it has seen
 // the statement, and the trace spans say so.
 func TestPinnedPartsReportedOnSpan(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll, subplanBytes(-1), pinParts(7))
+	ts := newStreamTestServer(t, polystore.ServeConfig{}, executeAll, subplanBytes(-1), pinParts(7))
 	// patients holds 120 rows: automatic sizing would not fan out at all.
 	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age + 1 AS adj FROM patients"}`)
 	for round := 0; round < 8; round++ {
@@ -158,7 +156,7 @@ func TestPinnedPartsReportedOnSpan(t *testing.T) {
 // TestTraceStreamRecord: on /query/stream the span tree travels as a
 // dedicated NDJSON record between the last batch and the summary.
 func TestTraceStreamRecord(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1})
+	ts := newStreamTestServer(t, polystore.ServeConfig{})
 	body := withTrace(`{"frontend":"sql","statement":"SELECT pid, age FROM patients WHERE age > 40"}`)
 	resp, err := http.Post(ts.URL+"/query/stream", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -224,7 +222,7 @@ func getDebugQueries(t *testing.T, ts *httptest.Server) debugQueriesDoc {
 // at 32, sorted slowest-first; and a genuinely slow query survives the ring
 // rolling over — the slowest-N retention acceptance check.
 func TestDebugQueriesFlightRecorder(t *testing.T) {
-	ts := newStreamTestServer(t, polystore.ServeConfig{ResultCacheSize: -1}, executeAll)
+	ts := newStreamTestServer(t, polystore.ServeConfig{}, executeAll)
 
 	if doc := getDebugQueries(t, ts); doc.TracedTotal != 0 || len(doc.Recent) != 0 {
 		t.Fatalf("fresh server already has traces: %+v", doc)

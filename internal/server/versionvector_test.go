@@ -33,54 +33,47 @@ func (m *mutatingAdapter) DataVersion() uint64 {
 	return m.Adapter.(adapter.DataVersioner).DataVersion()
 }
 
-// TestPublishGuardIgnoresUnrelatedWrites is the ISSUE's satellite fix: the
-// result cache's mid-execution mutation guard must compare the
-// touched-engine version vector, not the global sum, so a write to an
-// unrelated store during execution no longer discards a just-computed
-// cacheable result — while a write to a touched store still does.
+// TestPublishGuardIgnoresUnrelatedWrites: the subplan cache's publication
+// guard re-checks the version vector of the stores a subtree touches, not
+// the global sum, so a write to an unrelated store during execution does not
+// discard a just-computed result — while a write to a touched store still
+// does, and the next repeat executes instead of being answered stale.
 func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
-	run := func(t *testing.T, mutateTouched bool) bool {
+	run := func(t *testing.T, mutateTouched bool) (published, skipped int64) {
 		t.Helper()
-		storeA := kvstore.New("kv-a")
-		storeB := kvstore.New("kv-b")
-		storeA.Put("user/1", []byte("x"))
-		storeB.Put("other/1", []byte("y"))
-
-		rt := core.NewRuntime(hw.NewHostCPU())
-		var hook func()
-		rt.Register(&mutatingAdapter{
-			Adapter: adapter.NewKV("kv-a", storeA),
-			hook:    func() { hook() },
-		})
-		rt.Register(adapter.NewKV("kv-b", storeB))
-		if mutateTouched {
-			hook = func() { storeA.Put("user/2", []byte("mid-exec")) }
-		} else {
-			hook = func() { storeB.Put("other/2", []byte("mid-exec")) }
+		store := relational.NewStore("db")
+		t1, err := store.CreateTable("t1", cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}))
+		if err != nil {
+			t.Fatal(err)
 		}
+		other := kvstore.New("kv-b")
+		rt := core.NewRuntime(hw.NewHostCPU())
+		hook := func() { other.Put("other/2", []byte("mid-exec")) }
+		if mutateTouched {
+			hook = func() { _ = t1.Insert(int64(7)) }
+		}
+		rt.Register(&mutatingAdapter{Adapter: adapter.NewRelational("db", relational.NewEngine(store)), hook: hook})
+		rt.Register(adapter.NewKV("kv-b", other))
 
 		s := New(rt, compiler.Options{}, Config{})
 		prog := eide.NewProgram()
-		prog.KVScan("kv-a", "user/")
-		g := prog.Graph()
-		p := &preparedQuery{graph: g}
-		p.planKey = compiler.Key(g, s.opts)
-		p.touches = compiler.TouchesOf(g)
-		p.vv = s.rt.VersionVector(p.touches)
-		p.resKey = p.planKey + "|" + p.vv
-
-		if _, _, _, err := s.executeOnce(context.Background(), p); err != nil {
+		if _, err := prog.SQL("db", "SELECT a FROM t1 WHERE a > 0"); err != nil {
 			t.Fatal(err)
 		}
-		_, published := s.results.Get(p.resKey)
-		return published
+		g := prog.Graph()
+		p := &preparedQuery{graph: g, binds: g.Binds(), planKey: compiler.Key(g, s.opts)}
+		if _, _, _, err := s.executeOnce(context.Background(), p, nil); err != nil {
+			t.Fatal(err)
+		}
+		reg := rt.Metrics()
+		return reg.Counter("core.subplan.published").Value(), reg.Counter("core.subplan.stale_skips").Value()
 	}
 
-	if published := run(t, false); !published {
-		t.Fatal("write to an UNTOUCHED store mid-execution discarded the result (guard still global?)")
+	if published, skipped := run(t, false); published == 0 || skipped != 0 {
+		t.Fatalf("write to an UNTOUCHED store mid-execution: %d published, %d skipped (guard still global?)", published, skipped)
 	}
-	if published := run(t, true); published {
-		t.Fatal("write to a TOUCHED store mid-execution must suppress publication")
+	if published, skipped := run(t, true); published != 0 || skipped == 0 {
+		t.Fatalf("write to a TOUCHED store mid-execution: %d published, %d skipped; want the publication suppressed", published, skipped)
 	}
 }
 

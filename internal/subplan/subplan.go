@@ -4,17 +4,16 @@
 // single-flight coordinator that lets concurrently in-flight plans sharing
 // a hot subtree execute it once.
 //
-// This is the middle tier of the serving stack's three caches. The plan
-// cache (compiler.PlanCache) memoizes compilation; the result cache
-// (server) memoizes whole responses for byte-identical requests; the
-// subplan cache sits between them and is what makes *near*-identical
-// traffic cheap — the same scan/filter/join prefix under a different
-// projection, limit, or window replays the memoized intermediate instead
-// of re-executing the subtree. Keys are position independent
-// (ir.Graph.SubtreeFingerprints), so the sharing works across distinct
-// plans, and version-vectored, so invalidation is as surgical as the
-// result cache's: a write to a store the subtree never reads changes
-// nothing.
+// It is one of the serving stack's two caches. The plan cache
+// (compiler.PlanCache) memoizes compilation; the subplan cache memoizes
+// execution. It answers a repeated read whole — the runtime's root probe
+// finds the plan's outermost subtree before any work is admitted — and
+// makes *near*-identical traffic cheap: the same scan/filter/join prefix
+// under a different projection, limit, or window replays the memoized
+// intermediate instead of re-executing the subtree. Keys are position
+// independent (ir.Graph.SubtreeFingerprints), so the sharing works across
+// distinct plans, and version-vectored, so invalidation is surgical: a
+// write to a store the subtree never reads changes nothing.
 package subplan
 
 import (

@@ -38,8 +38,8 @@ type Store struct {
 	version uint64
 }
 
-// Version returns the store's monotonic mutation count. The serving layer
-// keys result caches on it, so index changes invalidate cached results.
+// Version returns the store's monotonic mutation count. The subplan cache
+// keys on it, so index changes invalidate cached results.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -121,7 +121,7 @@ type Store struct {
 	mu     sync.RWMutex
 	name   string
 	series map[string]*series
-	// version counts appends; result caches key on it (see Version).
+	// version counts appends; the subplan cache keys on it (see Version).
 	version uint64
 	// journal, when installed, receives every applied append as an encoded
 	// record (durability tap; see durable.go). Guarded by mu.
@@ -173,8 +173,8 @@ func (s *Store) seriesLocked(name string) *series {
 	return sr
 }
 
-// Version returns the store's monotonic mutation count. The serving layer
-// keys result caches on it, so appends invalidate cached query results.
+// Version returns the store's monotonic mutation count. The subplan cache
+// keys on it, so appends invalidate cached query results.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

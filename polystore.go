@@ -55,7 +55,7 @@ type (
 	// Options are compiler options (optimization level, acceleration).
 	Options = compiler.Options
 	// ServeConfig tunes the HTTP serving subsystem (workers, queue depth,
-	// deadlines, plan and result cache sizes, frontend defaults).
+	// deadlines, plan cache size, frontend defaults).
 	ServeConfig = server.Config
 	// NLBinding names the engines the served NL translator targets.
 	NLBinding = server.NLBinding

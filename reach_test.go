@@ -23,7 +23,7 @@ import (
 // reachAllow names the symbols and fields that may have no reader outside
 // tests, each with the test that needs it.
 var reachAllow = map[string]string{
-	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, resultcache_test, tenant_e2e_test, fuzz_test and server_bench_test)",
+	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, probe_test, tenant_e2e_test, fuzz_test and server_bench_test)",
 	"core.NodeReport.Start":      "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
 	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan read the access path Engine.Query chose through it",
 	"relational.OpStats.RowsIn":  "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
