@@ -56,23 +56,30 @@ func crossEnginePrograms(t testing.TB) []crossEngineProgram {
 		age, visits int
 		features    []string
 	}{{20, 0, all}, {45, 3, all}, {60, 6, all}, {20, 0, small}} {
-		p := eide.NewProgram()
-		pn, err := p.SQL(cfg.Relational, fmt.Sprintf(
-			"SELECT pid, age, gender_male, prior_visits FROM patients WHERE age > %d AND prior_visits >= %d", f.age, f.visits))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nn, err := p.SQL(cfg.Relational, "SELECT pid AS npid, sum(icu_hours) AS icu_hours, count(*) AS n_stays, max(long_stay) AS long_stay FROM stays GROUP BY pid")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := p.Graph().Add(ir.OpTSWindow, cfg.Timeseries, map[string]any{"series_prefix": "vitals/", "agg": "mean"})
-		pns := p.Join(cfg.Relational, p.Join(cfg.Relational, pn, nn, "pid", "npid"), s, "pid", "vpid")
-		m := p.Train(cfg.ML, pns, f.features, "long_stay", 16, 2, 64, 0.3)
-		out = append(out, crossEngineProgram{fmt.Sprintf("bench a=%d v=%d %d features", f.age, f.visits, len(f.features)),
-			p.Graph(), p.Predict(cfg.ML, m, pns, f.features)})
+		out = append(out, benchProgram(t, cfg, f.age, f.visits, f.features))
 	}
 	return out
+}
+
+// benchProgram is bench/'s cross_engine program over the given features for
+// patients older than age with at least visits prior visits.
+func benchProgram(t testing.TB, cfg eide.Binding, age, visits int, features []string) crossEngineProgram {
+	t.Helper()
+	p := eide.NewProgram()
+	pn, err := p.SQL(cfg.Relational, fmt.Sprintf(
+		"SELECT pid, age, gender_male, prior_visits FROM patients WHERE age > %d AND prior_visits >= %d", age, visits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := p.SQL(cfg.Relational, "SELECT pid AS npid, sum(icu_hours) AS icu_hours, count(*) AS n_stays, max(long_stay) AS long_stay FROM stays GROUP BY pid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.Graph().Add(ir.OpTSWindow, cfg.Timeseries, map[string]any{"series_prefix": "vitals/", "agg": "mean"})
+	pns := p.Join(cfg.Relational, p.Join(cfg.Relational, pn, nn, "pid", "npid"), s, "pid", "vpid")
+	m := p.Train(cfg.ML, pns, features, "long_stay", 16, 2, 64, 0.3)
+	return crossEngineProgram{fmt.Sprintf("bench a=%d v=%d %d features", age, visits, len(features)),
+		p.Graph(), p.Predict(cfg.ML, m, pns, features)}
 }
 
 // clinicalTestRuntime serves the clinical relational, timeseries and ML

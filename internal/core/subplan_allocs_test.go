@@ -28,17 +28,19 @@ import (
 // keeps only L rows, a top-L over the entry's ≤ 100 rows), so each request
 // runs it and binds its own copy of the sort node.
 //
-// The budget is this test's reading since an execution's bookkeeping is
-// sized once from the plan (the bound sort shares the plan node's
+// The budget is this test's reading: 33 allocations and 4 000 bytes (it
+// reads 3 978 to 3 980 at 1 to 32 Ps). It read 35 and 4 010 to 4 024 while
+// each owned cache entry took a list cell of its owner's ledger beside it;
+// 73 and 7 632 while served nodes cost no run of their own but the rest was
+// allocated per node and per candidate (an execution's bookkeeping is now
+// sized once from the plan: the bound sort shares the plan node's
 // attributes, a probe that hits builds no key string, version vectors are
-// rendered on the stack): 35 allocations and 4 064 bytes (it reads 4 010 to
-// 4 024 at 1 to 32 Ps). It read 73 and 7 632 while served nodes cost no run
-// of their own but the rest was allocated per node and per candidate, and
-// 87 and 10 576 while each served node got a run holding a copy of its
-// record, and the driver and the probe kept per-node maps. While the sorted prefix was served and LIMIT was a view
-// over it, it read 101 and 9 480 (the figures of publishing by copy, which
-// that layout was held to).
-const servedAllocs, servedBytes = 35, 4064
+// rendered on the stack); and 87 and 10 576 while each served node got a run
+// holding a copy of its record, and the driver and the probe kept per-node
+// maps. While the sorted prefix was served and LIMIT was a view over it, it
+// read 101 and 9 480 (the figures of publishing by copy, which that layout
+// was held to).
+const servedAllocs, servedBytes = 33, 4000
 
 func TestSubplanHitServesDenseViews(t *testing.T) {
 	const kinds, perKind = 32, 100
@@ -124,11 +126,13 @@ func TestSubplanHitServesDenseViews(t *testing.T) {
 // allocates with the subplan cache on, where all of its 4 nested candidates
 // miss and publish, beyond what the same execution allocates with the cache
 // off: the probe, the keys, the entries and their cache cells, and the
-// publications' record pointers. It read 6 112 bytes while each publication
-// copied the record of every node of its closure (168 bytes each, 14 copies
-// for closures of 5, 4, 3 and 2 nodes); records are now written once, in the
-// execution's slab, and each entry points at them.
-const chainPublishBytes = 2048
+// publications' record pointers. It reads 1 794 to 1 798; it read 1 863
+// while each entry took a list cell of its owner's ledger beside it, and
+// 6 112 while each publication copied the record of every node of its
+// closure (168 bytes each, 14 copies for closures of 5, 4, 3 and 2 nodes);
+// records are now written once, in the execution's slab, and each entry
+// points at them.
+const chainPublishBytes = 1824
 
 // TestChainPublicationsShareRecords executes scan -> filter -> project ->
 // sort -> limit (bench/'s cold_analytic ORDER BY template) with a constant

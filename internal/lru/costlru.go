@@ -1,16 +1,21 @@
 package lru
 
 import (
-	"container/list"
+	"cmp"
+	"slices"
 	"sync"
 )
 
-// CostCache is a least-recently-used map bounded by entry count and by a
-// per-entry cost dimension, so one cache bound can mean "at most 64 MiB of
-// cached results" instead of only "at most 256 results". Entries whose cost
-// alone exceeds the cost bound are bypassed rather than admitted (admitting
-// one would evict the whole cache for an entry unlikely to be re-served
-// before aging out).
+// CostCache is a map bounded by entry count and by a per-entry cost
+// dimension, so one cache bound can mean "at most 64 MiB of cached results"
+// instead of only "at most 256 results". It evicts by GreedyDual-Size (Cao
+// and Irani, USITS 1997): an insert or a hit gives an entry the priority
+// H = L + 1/cost; eviction takes the least H (of equals, the least recently
+// used) and raises L to it. Small entries outlive large ones used as
+// recently, unused ones age out as L rises, and at equal costs this is LRU.
+// Entries whose cost alone exceeds the cost bound are bypassed rather than
+// admitted (admitting one would evict the whole cache for an entry unlikely
+// to be re-served before aging out).
 //
 // An entry may be charged to an owner (PutOwned): while more than one owner
 // holds entries, each owner's total charge is capped at DefaultTenantShare
@@ -28,33 +33,60 @@ type CostCache[V any] struct {
 	cost       int64
 	evictions  int64
 	entries    map[string]*costEntry[V]
-	// root is the sentinel of the intrusive recency ring: root.next is the
-	// most recently used entry, root.prev the least.
-	root   costEntry[V]
-	owners map[string]*ownerCharge
+	// heap is a min-heap by the priority each entry had when last placed: a
+	// hit only raises it, so a hit is O(1) and evictMin re-places the top.
+	heap   []*costEntry[V]
+	l      float64 // GreedyDual-Size's L: the last evicted minimum's H
+	clock  uint64  // stamp of the latest insert or hit
+	owners map[string]*ownerCharge[V]
 }
 
 type costEntry[V any] struct {
-	key        string
-	val        V
-	cost       int64
+	key  string
+	val  V
+	cost int64
+	// h and seq are the priority and recency stamp of the latest insert or
+	// hit; hk and hseq those the heap places the entry by, at index i.
+	h, hk     float64
+	seq, hseq uint64
+	i         int
+	// owner is who the entry is charged to (nil for Put), prev/next its ring.
+	owner      *ownerCharge[V]
 	prev, next *costEntry[V]
-	// owner is who the entry is charged to (nil for plain Put); ownerEl is
-	// its cell in the owner's insertion-order list.
-	owner   *ownerCharge
-	ownerEl *list.Element
 }
 
-// ownerCharge is one owner's ledger: summed cost and its entries in
-// insertion order (front = oldest), the order the share trims in.
-type ownerCharge struct {
-	name  string
-	cost  int64
-	order list.List // values are *costEntry[V]
+// ownerCharge is one owner's ledger: summed cost and the sentinel of its
+// entries' ring in insertion order (root.next = oldest), the share's order.
+type ownerCharge[V any] struct {
+	name string
+	cost int64
+	root costEntry[V]
+}
+
+// less orders the heap: by placed priority, then by placed recency.
+func (a *costEntry[V]) less(b *costEntry[V]) bool {
+	return a.hk < b.hk || a.hk == b.hk && a.hseq < b.hseq
+}
+
+// settle places e by its current priority at heap index i, in place of the
+// entry there: the hole descends along lesser children to a leaf and e rises
+// from there, one comparison per level where e belongs near the leaves.
+func (c *CostCache[V]) settle(e *costEntry[V], i int) {
+	e.hk, e.hseq = e.h, e.seq
+	for j := 2*i + 1; j < len(c.heap); i, j = j, 2*j+1 {
+		if j+1 < len(c.heap) && c.heap[j+1].less(c.heap[j]) {
+			j++
+		}
+		c.heap[i], c.heap[j].i = c.heap[j], i
+	}
+	for ; i > 0 && e.less(c.heap[(i-1)/2]); i = (i - 1) / 2 {
+		c.heap[i], c.heap[(i-1)/2].i = c.heap[(i-1)/2], i
+	}
+	c.heap[i], e.i = e, i
 }
 
 // EntryOverheadBytes is what a byte-bounded cache charges per entry on top
-// of its payload: the entry, map and list cells, and the key.
+// of its payload: the entry, map and heap cells, and the key.
 const EntryOverheadBytes = 512
 
 // DefaultTenantShare is the fraction of the cost budget one owner may hold
@@ -65,29 +97,23 @@ const DefaultTenantShare = 0.5
 // NewCost returns a cache bounded to maxEntries entries (< 1 treated as 1)
 // and maxCost total cost (<= 0 disables the cost bound).
 func NewCost[V any](maxEntries int, maxCost int64) *CostCache[V] {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	c := &CostCache[V]{
+	maxEntries = max(maxEntries, 1)
+	return &CostCache[V]{
 		maxEntries: maxEntries,
 		maxCost:    maxCost,
 		entries:    make(map[string]*costEntry[V]),
-		owners:     make(map[string]*ownerCharge),
+		heap:       make([]*costEntry[V], 0, maxEntries), // a Put never grows it
+		owners:     make(map[string]*ownerCharge[V]),
 	}
-	c.root.prev, c.root.next = &c.root, &c.root
-	return c
 }
 
-// touch makes e the most recently used entry (linking it if it is new).
+// touch gives e the priority L + 1/cost and the latest recency stamp.
 func (c *CostCache[V]) touch(e *costEntry[V]) {
-	if e.prev != nil {
-		e.prev.next, e.next.prev = e.next, e.prev
-	}
-	e.prev, e.next = &c.root, c.root.next
-	e.prev.next, e.next.prev = e, e
+	c.clock++
+	e.h, e.seq = c.l+1/float64(e.cost), c.clock
 }
 
-// Get returns the value under key, marking it most recently used.
+// Get returns the value under key, renewing its priority.
 func (c *CostCache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	v, ok := c.found(c.entries[key])
@@ -103,7 +129,7 @@ func (c *CostCache[V]) GetBytes(key []byte) (V, bool) {
 	return v, ok
 }
 
-// found returns e's value, marking it most recently used (nil e: a miss).
+// found returns e's value, renewing its priority (nil e: a miss).
 func (c *CostCache[V]) found(e *costEntry[V]) (v V, ok bool) {
 	if e != nil {
 		c.touch(e)
@@ -121,9 +147,9 @@ func (c *CostCache[V]) Put(key string, v V, cost int64) (V, bool) {
 // PutOwned stores v under key with the given cost, charged to owner. It
 // returns the value now cached plus whether the key is cached at all: the
 // incumbent when the key is already present (racing fills produce
-// equivalent values; the incumbent's cost and owner are kept), and
-// (v, false) when the entry is oversized — its cost alone exceeds the cost
-// bound — and was bypassed. After an insert, if more
+// equivalent values; the incumbent's cost and owner are kept), and (v, false)
+// when the entry is oversized — its cost alone exceeds the cost bound — and
+// was bypassed. An insert evicts other entries until it fits; then, if more
 // than one owner holds entries and owner's total charge exceeds its share of
 // the budget, owner's oldest entries are evicted (never the entry just
 // inserted) until it fits.
@@ -148,26 +174,38 @@ func (c *CostCache[V]) put(key string, v V, cost int64, owner string, owned bool
 	if c.maxCost > 0 && cost > c.maxCost {
 		return v, false
 	}
+	for len(c.entries) >= c.maxEntries || (c.maxCost > 0 && c.cost+cost > c.maxCost) {
+		c.evictMin()
+	}
 	e := &costEntry[V]{key: key, val: v, cost: cost}
-	c.entries[key] = e
 	c.touch(e)
+	c.heap = append(c.heap, e)
+	c.settle(e, len(c.heap)-1)
+	c.entries[key] = e
 	c.cost += cost
 	if owned {
 		oc := c.owners[owner]
 		if oc == nil {
-			oc = &ownerCharge{name: owner}
+			oc = &ownerCharge[V]{name: owner}
+			oc.root.prev, oc.root.next = &oc.root, &oc.root
 			c.owners[owner] = oc
 		}
 		oc.cost += cost
-		e.owner, e.ownerEl = oc, oc.order.PushBack(e)
-	}
-	for len(c.entries) > c.maxEntries || (c.maxCost > 0 && c.cost > c.maxCost) {
-		c.evict(c.root.prev)
-	}
-	if e.owner != nil {
+		e.owner, e.prev, e.next = oc, oc.root.prev, &oc.root
+		e.prev.next, e.next.prev = e, e
 		c.enforceShare(e)
 	}
 	return v, true
+}
+
+// evictMin evicts the entry of least priority and raises L to its H, once
+// the top is placed by its current priority (then no entry's is less).
+func (c *CostCache[V]) evictMin() {
+	for e := c.heap[0]; e.hseq != e.seq; e = c.heap[0] {
+		c.settle(e, 0)
+	}
+	c.l = c.heap[0].h
+	c.evict(c.heap[0])
 }
 
 // enforceShare trims keep's owner back under its budget share, sparing keep
@@ -182,25 +220,25 @@ func (c *CostCache[V]) enforceShare(keep *costEntry[V]) {
 		return
 	}
 	limit := int64(DefaultTenantShare * float64(c.maxCost))
-	for oc := keep.owner; oc.cost > limit; {
-		oldest := oc.order.Front().Value.(*costEntry[V])
-		if oldest == keep {
-			break
-		}
-		c.evict(oldest)
+	for oc := keep.owner; oc.cost > limit && oc.root.next != keep; {
+		c.evict(oc.root.next)
 	}
 }
 
-// evict drops e from the map, the recency ring and its owner's ledger.
+// evict drops e from the map, the heap and its owner's ledger.
 func (c *CostCache[V]) evict(e *costEntry[V]) {
 	delete(c.entries, e.key)
-	e.prev.next, e.next.prev = e.next, e.prev
+	last := c.heap[len(c.heap)-1]
+	c.heap[len(c.heap)-1], c.heap = nil, c.heap[:len(c.heap)-1]
+	if last != e {
+		c.settle(last, e.i)
+	}
 	c.cost -= e.cost
 	c.evictions++
 	if oc := e.owner; oc != nil {
 		oc.cost -= e.cost
-		oc.order.Remove(e.ownerEl)
-		if oc.order.Len() == 0 {
+		e.prev.next, e.next.prev = e.next, e.prev
+		if oc.root.next == &oc.root {
 			delete(c.owners, oc.name)
 		}
 	}
@@ -214,13 +252,15 @@ func (c *CostCache[V]) Len() int {
 }
 
 // Values returns the cached values, most recently used first, without
-// changing recency.
+// changing any priority.
 func (c *CostCache[V]) Values() []V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]V, 0, len(c.entries))
-	for e := c.root.next; e != &c.root; e = e.next {
-		out = append(out, e.val)
+	es := slices.Clone(c.heap)
+	slices.SortFunc(es, func(a, b *costEntry[V]) int { return cmp.Compare(b.seq, a.seq) })
+	out := make([]V, len(es))
+	for i, e := range es {
+		out[i] = e.val
 	}
 	return out
 }

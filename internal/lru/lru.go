@@ -1,11 +1,10 @@
-// Package lru provides the one bounded least-recently-used map in the
-// serving layer: CostCache, bounded by entry count and by summed cost, with
-// optional per-owner charging. It backs the result and subplan caches
-// directly and, through Cache (every entry costing 1), the plan cache and
-// the tenant table. Every method is safe for concurrent use: the cache holds
-// its own lock, and the callers' hit, miss and publish accounting lives in
-// atomic counters outside it. Eviction, recency, bypass and owner-charging
-// policy therefore live here and nowhere else.
+// Package lru provides the one bounded cache of the serving layer:
+// CostCache, bounded by entry count and by summed cost, evicting by
+// GreedyDual-Size (least recently used at equal costs), with optional
+// per-owner charging. It backs the subplan cache directly and, through Cache
+// (every entry costing 1, so strictly LRU), the plan cache and the tenant
+// table. Every method is safe for concurrent use, and eviction, bypass and
+// owner-charging policy live here and nowhere else.
 package lru
 
 // Cache maps string keys to values, evicting the least recently used entry

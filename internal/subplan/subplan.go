@@ -78,12 +78,12 @@ func maxEntriesFor(maxBytes int64) int {
 	return min(max(int(maxBytes/(4<<10)), 16), 65536)
 }
 
-// Cache is a byte-bounded LRU of subplan entries: an lru.CostCache whose
-// Put charges each entry its payload plus lru.EntryOverheadBytes. Entries
-// are charged to the tenant whose execution published them: while more than
-// one tenant holds entries, each tenant's bytes are capped at a share of the
-// budget, so one tenant's working set cannot evict everyone else's memoized
-// intermediates.
+// Cache is a byte-bounded cache of subplan entries: an lru.CostCache, which
+// evicts by GreedyDual-Size (small entries outlast large ones), whose Put
+// charges each entry its payload plus lru.EntryOverheadBytes to the tenant
+// whose execution published it: while more than one tenant holds entries,
+// each tenant's bytes are capped at a share of the budget, so one tenant's
+// working set cannot evict everyone else's memoized intermediates.
 type Cache struct {
 	*lru.CostCache[*Entry]
 }
