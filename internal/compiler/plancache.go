@@ -50,6 +50,9 @@ func Key(g *ir.Graph, opts Options) string {
 // (Plan.WithBinds).
 func (c *PlanCache) Get(key string) (*Plan, bool) { return c.plans.Get(key) }
 
+// GetBytes is Get for a key held as bytes: it allocates no string.
+func (c *PlanCache) GetBytes(key []byte) (*Plan, bool) { return c.plans.GetBytes(key) }
+
 // Put caches plan under key and returns the plan the cache holds there: the
 // incumbent when key is already present — racing compiles produce
 // equivalent immutable plans, and keeping one lets every hit share it —

@@ -19,6 +19,9 @@ func New[V any](capacity int) *Cache[V] { return &Cache[V]{c: NewCost[V](capacit
 // Get returns the value under key, marking it most recently used.
 func (c *Cache[V]) Get(key string) (V, bool) { return c.c.Get(key) }
 
+// GetBytes is Get for a key held as bytes: it allocates no string.
+func (c *Cache[V]) GetBytes(key []byte) (V, bool) { return c.c.GetBytes(key) }
+
 // Put stores v under key and returns the value now cached: the incumbent
 // when the key is already present — racing fills produce equivalent values
 // and keeping one lets repeated hits share it — otherwise v.

@@ -66,9 +66,11 @@ func TestEmitBatchAllocBudget(t *testing.T) {
 // TestPrepareShapeHitAllocBudget: a SQL statement whose shape was compiled
 // before is lexed once and keyed, and its shape key hands it the plan, plan
 // key and touches — no parse, no IR build, no fingerprint, no touch analysis,
-// no plan copy — so preparing it, everything after the body is decoded, stays
-// within 7 allocations (122 when every statement was parsed, built and
-// fingerprinted).
+// no plan copy — and the key is built in the pooled preamble's buffer and
+// probed as bytes, so preparing it, everything after the body is decoded,
+// takes 2 allocations, its bind vector and its version vector (3 while the
+// key was copied into a string, 122 when every statement was parsed, built
+// and fingerprinted).
 func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	store := relational.NewStore("db")
 	if _, err := store.CreateTable("events", cast.MustSchema(cast.Column{Name: "id", Type: cast.Int64},
@@ -86,11 +88,12 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	}
 	i := 0
 	prepare := func() {
-		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
+		p := pooled(reqs[i%len(reqs)], ts.id)
 		i++
 		if err := s.prepare(p); err != nil {
 			t.Fatal(err)
 		}
+		p.release()
 	}
 	// The shape's first statement is parsed, compiled and run.
 	p := &preparedQuery{req: reqs[0], tenant: ts.id}
@@ -100,8 +103,8 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 	if _, err := s.runQuery(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, prepare); allocs > 7 {
-		t.Fatalf("preparing a statement of a compiled shape: %.0f allocations, budget 7", allocs)
+	if allocs := testing.AllocsPerRun(200, prepare); allocs > 2 {
+		t.Fatalf("preparing a statement of a compiled shape: %.0f allocations, budget 2", allocs)
 	}
 	if hits := s.st.planHits.Value(); hits < 200 {
 		t.Fatalf("plan_cache_hits = %d, want every statement after the first", hits)
@@ -112,21 +115,24 @@ func TestPrepareShapeHitAllocBudget(t *testing.T) {
 // was compiled before is keyed in one pass over its steps — each SQL step
 // lexed once — and its program shape key hands it the plan, plan key and
 // touches: no parse, no IR build, no engine check, no fingerprint, no touch
-// analysis. Preparing it, everything after the body is decoded, stays within
-// 12 allocations (282 when every program was built and fingerprinted).
+// analysis. The key is built in the pooled preamble's buffer and probed as
+// bytes, so preparing it, everything after the body is decoded, takes 2
+// allocations, its bind vector and its version vector (3 while the key was
+// copied into a string, 282 when every program was built and fingerprinted).
 func TestPrepareProgramShapeHitAllocBudget(t *testing.T) {
 	s, reqs := programServer(t)
 	ts := s.tenants.state("")
 	i := 0
 	prepare := func() {
-		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
+		p := pooled(reqs[i%len(reqs)], ts.id)
 		i++
 		if err := s.prepare(p); err != nil {
 			t.Fatal(err)
 		}
+		p.release()
 	}
-	if allocs := testing.AllocsPerRun(200, prepare); allocs > 12 {
-		t.Fatalf("preparing a program of a compiled shape: %.0f allocations, budget 12", allocs)
+	if allocs := testing.AllocsPerRun(200, prepare); allocs > 2 {
+		t.Fatalf("preparing a program of a compiled shape: %.0f allocations, budget 2", allocs)
 	}
 	if hits := s.st.planHits.Value(); hits < 200 {
 		t.Fatalf("plan_cache_hits = %d, want every program after the first", hits)

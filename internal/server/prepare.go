@@ -27,7 +27,7 @@ import (
 
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
 // /query/stream: the plan or program, the per-request deadline and the cache
-// keys.
+// keys. It is pooled: nothing may keep it past serveQuery, which releases it.
 type preparedQuery struct {
 	req    QueryRequest
 	nlRule string
@@ -47,23 +47,40 @@ type preparedQuery struct {
 
 	// tenant is who the request runs for: its admission flow.
 	tenant string
+	steps  []ProgramStep // the array req.Program is decoded into, kept for reuse
+	key    []byte        // the shape-key buffer, kept likewise
 }
 
-// prepareQuery decodes the request body and prepares it. On failure it
-// writes the error response and returns nil (nothing has been executed yet,
-// so plain HTTP status codes still apply on both the buffered and streaming
-// paths).
-func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenantState) *preparedQuery {
-	p := &preparedQuery{tenant: ts.id}
+// release zeroes p but for its step array and key buffer, and pools it
+// unless either grew past 16 steps or 16 KiB. Every step up to the array's
+// capacity is zeroed: a decode keeps each field its body omits, and would
+// decode into a step's FeatureCols, which a compiled plan may hold, in place.
+func (p *preparedQuery) release() {
+	clear(p.steps[:cap(p.steps)])
+	*p = preparedQuery{steps: p.steps[:0], key: p.key[:0]}
+	if cap(p.steps) <= 16 && cap(p.key) <= 16<<10 {
+		preambles.Put(p)
+	}
+}
+
+// prepareQuery decodes the request body into p, a released preamble, and
+// prepares it. On failure it writes the error response and returns false
+// (nothing has been executed yet, so plain HTTP status codes still apply on
+// both the buffered and streaming paths).
+func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenantState, p *preparedQuery) bool {
+	p.tenant, p.req.Program = ts.id, p.steps
 	if !s.decodeBody(w, r, &p.req) {
-		return nil
+		return false // release zeroes p.steps, the array written before any growth
+	}
+	if p.steps = p.req.Program; len(p.steps) == 0 {
+		p.req.Program = nil // as a fresh decode leaves a body without steps
 	}
 	if err := s.prepare(p); err != nil {
 		s.st.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil
+		return false
 	}
-	return p
+	return true
 }
 
 // prepare derives everything but the body from p.req: the deadline, the
@@ -87,12 +104,9 @@ func (s *Server) prepare(p *preparedQuery) error {
 // touches through the plan cache, counting one plan-cache outcome: a hit
 // under the shape key or the plan key, or a miss.
 func (s *Server) prepareProgram(p *preparedQuery) error {
-	var key string // the request's shape key; "" when it has none
-	var buf [1024]byte
-	k, lexed, ok := appendShapeKey(buf[:0], &p.req, s.sqlEngine(&p.req), make([]any, 0, 8))
-	if ok {
-		key = string(k)
-		if plan, ok := s.cache.Get(key); ok {
+	k, lexed, keyed := appendShapeKey(p.key[:0], &p.req, s.sqlEngine(&p.req), make([]any, 0, 8))
+	if p.key = k; keyed { // k is the request's shape key, probed as bytes
+		if plan, ok := s.cache.GetBytes(k); ok {
 			s.st.planHits.Inc()
 			p.plan, p.binds, p.planKey, p.touches = plan, lexed, plan.Key, plan.Touches
 			return nil
@@ -116,8 +130,8 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	// exactly the literals the lexer found, and no literal's value shaped
 	// them: then every request of its shape key builds this plan key with
 	// its own constants bound.
-	if key != "" && !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
-		p.shapeKey = key
+	if keyed && !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
+		p.shapeKey = string(k)
 	}
 	if plan, ok := s.cache.Get(p.planKey); ok {
 		s.st.planHits.Inc()

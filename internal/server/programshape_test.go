@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -35,21 +39,33 @@ func crossEngineProgram(a, v int) []ProgramStep {
 	}
 }
 
+// clinicalData is a small clinical deployment's data: 40 patients.
+func clinicalData(tb testing.TB) *datagen.Clinical {
+	tb.Helper()
+	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 40)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// clinicalServer serves data's relational, timeseries and ML engines, with
+// nothing cached.
+func clinicalServer(data *datagen.Clinical) *Server {
+	rt := core.NewRuntime(hw.NewHostCPU())
+	rt.Register(adapter.NewRelational("db-clinical", relational.NewEngine(data.Relational)))
+	rt.Register(adapter.NewTimeseries("ts-vitals", data.Timeseries))
+	rt.Register(adapter.NewML(datagen.MLEngine, 1))
+	return New(rt, compiler.Options{Level: 3, Accel: true}, Config{DefaultSQLEngine: "db-clinical"})
+}
+
 // programServer serves a small clinical deployment, and primes its plan
 // cache with the cross_engine program: the first request of the shape is
 // built, compiled and run. It returns 400 requests of that shape, bench/'s
 // (a, v) grid.
 func programServer(tb testing.TB) (*Server, []QueryRequest) {
 	tb.Helper()
-	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 40)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rt := core.NewRuntime(hw.NewHostCPU())
-	rt.Register(adapter.NewRelational("db-clinical", relational.NewEngine(data.Relational)))
-	rt.Register(adapter.NewTimeseries("ts-vitals", data.Timeseries))
-	rt.Register(adapter.NewML(datagen.MLEngine, 1))
-	s := New(rt, compiler.Options{Level: 3, Accel: true}, Config{})
+	s := clinicalServer(clinicalData(tb))
 	var reqs []QueryRequest
 	for a := 20; a < 70; a++ {
 		for v := 0; v < 8; v++ {
@@ -67,20 +83,64 @@ func programServer(tb testing.TB) (*Server, []QueryRequest) {
 	return s, reqs
 }
 
+// pooled is a preamble from the pool holding req for tenant, its steps
+// copied into the preamble's own array, where decoding would put them.
+func pooled(req QueryRequest, tenant string) *preparedQuery {
+	p := preambles.Get().(*preparedQuery)
+	p.steps = append(p.steps, req.Program...)
+	p.req, p.tenant = req, tenant
+	p.req.Program = p.steps
+	return p
+}
+
 // BenchmarkPrepareProgramShapeHit is the price of preparing a cross_engine
 // request, everything after the body is decoded, once its shape is compiled:
-// the program shape key, a plan-cache hit, the version vector and the result
-// key.
+// the program shape key, a plan-cache hit and the version vector.
 func BenchmarkPrepareProgramShapeHit(b *testing.B) {
 	s, reqs := programServer(b)
 	ts := s.tenants.state("")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &preparedQuery{req: reqs[i%len(reqs)], tenant: ts.id}
+		p := pooled(reqs[i%len(reqs)], ts.id)
 		if err := s.prepare(p); err != nil || p.plan == nil {
 			b.Fatalf("plan %v, err %v", p.plan, err)
 		}
+		p.release()
+	}
+}
+
+// BenchmarkPrepareQueryProgram is the frontend-parse layer of a cross_engine
+// request whose shape is compiled: prepareQuery from the body's bytes —
+// decode into a pooled preamble, program shape key, plan-cache hit, version
+// vector — and the release. The requests are built outside the timer.
+func BenchmarkPrepareQueryProgram(b *testing.B) {
+	s, reqs := programServer(b)
+	ts := s.tenants.state("")
+	bodies := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rs := make([]*http.Request, len(reqs))
+	w := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(rs) == 0 {
+			b.StopTimer()
+			for j, body := range bodies {
+				rs[j] = httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+			}
+			b.StartTimer()
+		}
+		p := preambles.Get().(*preparedQuery)
+		if !s.prepareQuery(w, rs[i%len(rs)], ts, p) || p.plan == nil {
+			b.Fatalf("prepare failed: %d %s", w.Code, w.Body)
+		}
+		p.release()
 	}
 }
 

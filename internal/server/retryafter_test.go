@@ -226,7 +226,10 @@ func TestHalfOpenProbeAlwaysReturned(t *testing.T) {
 				// Every attempt to share the healthy query's execution finds
 				// a leader that has already died of its client going away.
 				req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(healthy))
-				p := s.prepareQuery(httptest.NewRecorder(), req, ts)
+				p := new(preparedQuery)
+				if !s.prepareQuery(httptest.NewRecorder(), req, ts, p) {
+					t.Fatal("the healthy query does not prepare")
+				}
 				key := flightKey(p.planKey, p.binds, p.vv)
 				dead := &flightCall{done: make(chan struct{}), err: context.Canceled}
 				close(dead.done)

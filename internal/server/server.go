@@ -371,6 +371,7 @@ func (buf *wireBuf) Write(p []byte) (int, error) {
 }
 
 var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+var preambles = sync.Pool{New: func() any { return new(preparedQuery) }} // see preparedQuery.release
 
 func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
 
@@ -409,11 +410,11 @@ func postOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
-// unknown fields and anything but whitespace after the value; on failure it
-// writes the 400 and returns false. A number bound to an untyped field
-// (IngestRequest.Row) stays a json.Number, so an integer beyond 2^53 is not
-// rounded through float64.
+// decodeBody decodes a JSON request body into v, which holds no field but the
+// arrays it lends the decode, rejecting unknown fields and anything but
+// whitespace after the value; on failure it writes the 400, or the 413 past
+// 1 MiB, and returns false. A number bound to an untyped field stays a
+// json.Number, so an integer beyond 2^53 is not rounded through float64.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -421,10 +422,17 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	err := dec.Decode(v)
 	if _, tail := dec.Token(); err == nil && tail != io.EOF {
 		err = errors.New("data after the JSON value")
+		if errors.As(tail, new(*http.MaxBytesError)) {
+			err = tail // the value fit, its trailing whitespace did not
+		}
 	}
 	if err != nil {
 		s.st.badRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -469,8 +477,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	// does not decode or prepare never ran, and still returns its probe.
 	result := neutral
 	defer func() { tk.done(result) }()
-	p := s.prepareQuery(w, r, ts)
-	if p == nil {
+	p := preambles.Get().(*preparedQuery)
+	defer p.release()
+	if !s.prepareQuery(w, r, ts, p) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)

@@ -498,3 +498,59 @@ func TestTrailingBodyIs400(t *testing.T) {
 		t.Errorf("after one well-formed ingest: %s", got)
 	}
 }
+
+// TestBodyOverLimitIs413: every request body is bounded at 1 MiB. A body of
+// exactly 1 MiB is read (here a well-formed one padded with whitespace
+// answers 200); one byte more is a 413 on /query, /query/stream and /ingest
+// — whether the JSON value or its trailing whitespace crosses the bound —
+// counted under bad_requests, and the ingest writes nothing.
+func TestBodyOverLimitIs413(t *testing.T) {
+	srv := newPreparedServer(preparedStore(t))
+	const (
+		query  = `{"frontend":"sql","statement":"SELECT count(*) AS n FROM events WHERE id = 5000`
+		ingest = `{"engine":"db","table":"events","row":[5000,1,2.5],"key":"`
+		limit  = 1 << 20
+	)
+	// inValue pads the last string of prefix to n bytes of body; trailing
+	// closes prefix and pads with whitespace.
+	inValue := func(prefix, closing string, n int) string {
+		return prefix + strings.Repeat(" ", n-len(prefix)-len(closing)) + closing
+	}
+	trailing := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+	bad := func() int64 {
+		var stats struct {
+			BadRequests int64 `json:"bad_requests"`
+		}
+		if err := json.Unmarshal(serve(t, srv, http.MethodGet, "/stats", ""), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.BadRequests
+	}
+	before := bad()
+	over := 0
+	for _, tc := range []struct{ path, prefix, closing string }{
+		{"/query", query, `"}`}, {"/query/stream", query, `"}`}, {"/ingest", ingest, `"}`},
+	} {
+		for _, body := range []string{inValue(tc.prefix, tc.closing, limit+1), trailing(tc.prefix+tc.closing, limit+1)} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(body)))
+			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body too large") {
+				t.Errorf("%s, %d-byte body: %d %s, want 413", tc.path, len(body), rec.Code, rec.Body)
+			}
+			over++
+		}
+		if tc.path != "/ingest" {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(trailing(tc.prefix+tc.closing, limit))))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s, a body of exactly 1 MiB: %d %s, want 200", tc.path, rec.Code, rec.Body)
+			}
+		}
+	}
+	if got := bad() - before; got != int64(over) {
+		t.Errorf("bad_requests grew by %d over %d oversized bodies", got, over)
+	}
+	if got := serve(t, srv, http.MethodPost, "/query", query+`"}`); !strings.Contains(string(got), `"rows":[[0]]`) {
+		t.Errorf("an oversized ingest wrote a row: %s", got)
+	}
+}

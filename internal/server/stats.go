@@ -144,7 +144,7 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 	// Requests and their outcomes.
 	st.requests = counter("requests", "server.requests", "Requests received on /query and /query/stream.")
 	st.rejected = counter("rejected", "server.rejected", "Requests refused with 429 or 503: rate limit, queue overflow or shedding.")
-	st.badRequest = counter("bad_requests", "server.bad_request", "Requests answered 400: malformed body, unknown engine, compile or ingest validation error, or a statement error the engine found at execution (unknown table or column, duplicate column name, type mismatch, unsupported operator).")
+	st.badRequest = counter("bad_requests", "server.bad_request", "Requests answered 400, or 413 for a body over 1 MiB: malformed or oversized body, unknown engine, compile or ingest validation error, or a statement error the engine found at execution (unknown table or column, duplicate column name, type mismatch, unsupported operator).")
 	st.execErrors = counter("exec_errors", "server.exec_errors", "Requests that failed during execution or encoding (500), or answered 503 because every shared leader was canceled or a write could not be made durable.")
 	st.deadline = counter("deadline_errors", "server.deadline", "Requests that outlived their deadline (504).")
 	st.ingests = counter("ingests", "server.ingests", "Writes acknowledged on /ingest.")
