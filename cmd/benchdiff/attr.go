@@ -12,7 +12,7 @@ package main
 //	go run ./cmd/benchdiff -attr before.json after.json
 //
 // Inputs are either full /stats documents (the "op_stats" field is used) or
-// bare OpStats snapshot maps. The report is diagnostic only: it ranks and
+// bare op_stats maps. The report is diagnostic only: it ranks and
 // never fails the build, because absolute wall deltas also grow with request
 // volume — the per-call mean column is the regression signal.
 //
@@ -29,8 +29,8 @@ import (
 	"strings"
 )
 
-// opSnap mirrors the JSON shape of obs.OpSnapshot (internal/obs), the
-// per-(engine, operator) entry of a /stats "op_stats" dump.
+// opSnap reads the ranked fields of one /stats "op_stats" row, as declared
+// by opDefs in the server's stat table (internal/server/stats.go).
 type opSnap struct {
 	Engine      string  `json:"engine"`
 	Op          string  `json:"op"`

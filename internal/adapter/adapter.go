@@ -63,7 +63,7 @@ type ExecInfo struct {
 	RuleNodes int64
 	// Parts is the partition fan-out the operator actually used (0 when the
 	// operator does not partition) — surfaced in trace spans and the
-	// per-operator stats registry.
+	// per-operator aggregates (obs.OpStats).
 	Parts int
 }
 

@@ -82,7 +82,7 @@ func TestWideExecuteAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if rt.Metrics().Counter("core.exec.concurrent").Value() == 0 {
+	if rt.st.execConcurrent.Value() == 0 {
 		t.Fatal("the plan did not run in the concurrent mode")
 	}
 	if allocs > wideExecuteAllocs {

@@ -3,8 +3,9 @@
 // hardware accelerators. It owns the executor (stage-ordered node
 // execution, §IV-D), the runtime optimizer's device selection (LogCA-style
 // cost comparison per kernel call), the data migrator invocation on
-// cross-engine edges, and the runtime-statistics registry the paper calls
-// out as a prerequisite for optimization (§IV-D-d).
+// cross-engine edges, and the runtime statistics the paper calls out as a
+// prerequisite for optimization (§IV-D-d): counters declared in stats.go and
+// per-operator aggregates in obs.OpStats.
 //
 // Simulated time is scheduled explicitly: each node starts when its inputs
 // have finished and its device is free, so the report's end-to-end latency
@@ -28,7 +29,6 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
-	"polystorepp/internal/metrics"
 	"polystorepp/internal/migrate"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/relational"
@@ -54,7 +54,6 @@ type Runtime struct {
 	accels   []*hw.Device
 	mode     hw.Mode
 	migrator *migrate.Migrator
-	reg      *metrics.Registry
 	st       coreStats
 	ops      *obs.OpStats
 
@@ -115,13 +114,12 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 		host:     host,
 		mode:     hw.Coprocessor,
 		migrator: migrate.New(host, hw.NewRDMANIC()),
-		reg:      metrics.NewRegistry(),
 		ops:      obs.NewOpStats(),
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	r.st = newCoreStats(r.reg, r.accels)
+	r.st = newCoreStats(r.accels)
 	r.subplan = newSubplanState(r.subplanBytes)
 	r.preloadKernels()
 	return r
@@ -161,11 +159,8 @@ func (r *Runtime) Register(a adapter.Adapter) {
 	r.adapters[a.Engine()] = a
 }
 
-// Metrics returns the runtime-statistics registry.
-func (r *Runtime) Metrics() *metrics.Registry { return r.reg }
-
-// OpStats returns the per-(engine, op-kind) execution-statistics registry —
-// the input surface for benchdiff attribution.
+// OpStats returns the per-(engine, op-kind) execution aggregates — the
+// op_stats rows of /stats and /metrics, which benchdiff -attr diffs.
 func (r *Runtime) OpStats() *obs.OpStats { return r.ops }
 
 // HasEngine reports whether an adapter is registered under name.

@@ -114,9 +114,21 @@ func TestOffloadCountsInMetrics(t *testing.T) {
 	if _, _, err := rt.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Metrics().Counter("core.offloads.fpga-stratix").Value() == 0 {
+	if offloads(t, rt, hw.NewFPGA().Name) == 0 {
 		t.Fatal("expected FPGA offloads")
 	}
+}
+
+// offloads reads the offload counter of the attached accelerator named name.
+func offloads(t *testing.T, rt *Runtime, name string) int64 {
+	t.Helper()
+	for d, c := range rt.st.offloads {
+		if d.Name == name {
+			return c.Value()
+		}
+	}
+	t.Fatalf("no accelerator %s is attached", name)
+	return 0
 }
 
 func TestSmallWorkStaysOnHost(t *testing.T) {

@@ -122,7 +122,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conRT.Metrics().Counter("core.exec.concurrent").Value() != 1 {
+	if conRT.st.execConcurrent.Value() != 1 {
 		t.Fatal("plan did not go through the concurrent scheduler")
 	}
 	resultsEqual(t, gotRes, wantRes)
@@ -457,7 +457,7 @@ func TestChargeKernelPinnedDevice(t *testing.T) {
 	if !found {
 		t.Fatal("no sort node in report")
 	}
-	if rt.Metrics().Counter("core.offloads."+fpga).Value() == 0 {
+	if offloads(t, rt, fpga) == 0 {
 		t.Fatal("pinned offload not counted")
 	}
 }
@@ -516,10 +516,10 @@ func TestPlanWidthFastPath(t *testing.T) {
 	if _, _, err := rt.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Metrics().Counter("core.exec.concurrent").Value() != 0 {
+	if rt.st.execConcurrent.Value() != 0 {
 		t.Fatal("chain plan went through the concurrent scheduler")
 	}
-	if rt.Metrics().Counter("core.exec.sequential").Value() != 1 {
+	if rt.st.execSequential.Value() != 1 {
 		t.Fatal("chain plan not counted as sequential")
 	}
 }

@@ -5,18 +5,20 @@ import (
 	"polystorepp/internal/metrics"
 )
 
-// Stat declares one number the runtime counts: its registry name (the
-// /metrics family once sanitized), its /stats key ("" keeps it off /stats)
-// and its help text. The serving layer's stat table (internal/server/
+// Stat declares one number the runtime counts: its name (the /metrics
+// family once sanitized), its /stats key ("" keeps it off /stats), its help
+// text and the handle the driver bumps — a Counter, or a Gauge for a
+// point-in-time number. The serving layer's stat table (internal/server/
 // stats.go) renders these declarations; it spells none of them.
 type Stat struct {
 	Name, Key, Help string
-	Gauge           bool // a point-in-time number, not a monotonic count
+	Counter         *metrics.Counter
+	Gauge           *metrics.Gauge
 }
 
-// coreStats are the runtime's counters, resolved from the registry once at
-// construction: the driver bumps a handle per node and per plan, never a
-// name. decls holds each handle's declaration, in field order.
+// coreStats are the runtime's counters, created once at construction: the
+// driver bumps a handle per node and per plan. decls holds each handle's
+// declaration, in field order.
 type coreStats struct {
 	subplanHits, subplanMisses, subplanPublished, subplanBypassed *metrics.Counter
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
@@ -31,15 +33,17 @@ type coreStats struct {
 	decls []Stat
 }
 
-func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
+func newCoreStats(accels []*hw.Device) coreStats {
 	var decls []Stat
 	c := func(key, name, help string) *metrics.Counter {
-		decls = append(decls, Stat{Name: name, Key: key, Help: help})
-		return reg.Counter(name)
+		h := new(metrics.Counter)
+		decls = append(decls, Stat{Name: name, Key: key, Help: help, Counter: h})
+		return h
 	}
 	g := func(key, name, help string) *metrics.Gauge {
-		decls = append(decls, Stat{Name: name, Key: key, Help: help, Gauge: true})
-		return reg.Gauge(name)
+		h := new(metrics.Gauge)
+		decls = append(decls, Stat{Name: name, Key: key, Help: help, Gauge: h})
+		return h
 	}
 	st := coreStats{
 		subplanHits:        c("subplan_cache_hits", "core.subplan.hits", "Subtree probes served from the subplan cache."),
@@ -70,6 +74,6 @@ func newCoreStats(reg *metrics.Registry, accels []*hw.Device) coreStats {
 }
 
 // Stats lists the declaration of every counter and gauge the runtime
-// registered: the subplan cache's (names under "core.subplan."), then the
+// counts: the subplan cache's (names under "core.subplan."), then the
 // executor's, then one offload counter per attached accelerator.
 func (r *Runtime) Stats() []Stat { return r.st.decls }

@@ -102,14 +102,14 @@ func TestSubplanHitServesDenseViews(t *testing.T) {
 				plans = append(plans, compile(k, l))
 			}
 		}
-		hits := rt.Metrics().Counter("core.subplan.hits").Value()
+		hits := rt.st.subplanHits.Value()
 		runtime.ReadMemStats(&before)
 		serve(plans)
 		runtime.ReadMemStats(&after)
 		if round == 0 {
 			continue
 		}
-		if got := rt.Metrics().Counter("core.subplan.hits").Value() - hits; got != int64(len(plans)) {
+		if got := rt.st.subplanHits.Value() - hits; got != int64(len(plans)) {
 			t.Fatalf("%d subplan hits for %d new statements over warmed prefixes", got, len(plans))
 		}
 		allocs = min(allocs, (after.Mallocs-before.Mallocs)/uint64(len(plans)))

@@ -106,7 +106,7 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 			}
 			batchesEqual(t, coldRes, wantRes)
 			reportsEqual(t, coldRep, wantRep)
-			if on.Metrics().Counter("core.subplan.published").Value() == 0 {
+			if on.st.subplanPublished.Value() == 0 {
 				t.Fatal("cold run published nothing")
 			}
 
@@ -116,10 +116,10 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 			}
 			batchesEqual(t, warmRes, wantRes)
 			reportsEqual(t, warmRep, wantRep)
-			if on.Metrics().Counter("core.subplan.hits").Value() == 0 {
+			if on.st.subplanHits.Value() == 0 {
 				t.Fatal("warm run hit nothing")
 			}
-			if on.Metrics().Counter("core.subplan.plans_reused").Value() == 0 {
+			if on.st.subplanPlansReused.Value() == 0 {
 				t.Fatal("warm run not counted as reused")
 			}
 		})
@@ -134,14 +134,14 @@ func TestSubplanSharedPrefixAcrossPlans(t *testing.T) {
 	if _, _, err := rt.Execute(context.Background(), mustCompile(t, limitProgram(10), 3)); err != nil {
 		t.Fatal(err)
 	}
-	hits0 := rt.Metrics().Counter("core.subplan.hits").Value()
+	hits0 := rt.st.subplanHits.Value()
 
 	// Different limit: whole-plan key differs, prefix key matches.
 	res, _, err := rt.Execute(context.Background(), mustCompile(t, limitProgram(25), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Metrics().Counter("core.subplan.hits").Value() <= hits0 {
+	if rt.st.subplanHits.Value() <= hits0 {
 		t.Fatal("limit variant did not hit the shared prefix subtree")
 	}
 	if got := res.First().Batch.Rows(); got != 25 {
@@ -185,7 +185,7 @@ func TestSubplanStreamWarmReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Metrics().Counter("core.subplan.hits").Value() == 0 {
+	if on.st.subplanHits.Value() == 0 {
 		t.Fatal("warm stream hit nothing")
 	}
 	if !warmSink.started || warmSink.starts != 1 {
@@ -254,11 +254,11 @@ func TestSubplanUntouchedWriteKeepsHits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits0 := rt.Metrics().Counter("core.subplan.hits").Value()
+	hits0 := rt.st.subplanHits.Value()
 	if _, _, err := rt.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Metrics().Counter("core.subplan.hits").Value() <= hits0 {
+	if rt.st.subplanHits.Value() <= hits0 {
 		t.Fatal("write to an untouched store invalidated the subplan entry")
 	}
 }
@@ -312,10 +312,10 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 		values[id] = run.out
 		pr.onNodeCosted(id, run)
 	}
-	if got := rt.Metrics().Counter("core.subplan.stale_skips").Value(); got == 0 {
+	if got := rt.st.subplanStaleSkips.Value(); got == 0 {
 		t.Fatal("mid-flight write did not suppress publication")
 	}
-	if got := rt.Metrics().Counter("core.subplan.published").Value(); got != 0 {
+	if got := rt.st.subplanPublished.Value(); got != 0 {
 		t.Fatalf("published %d entries despite mid-flight write", got)
 	}
 	if s, _ := rt.SubplanCacheStats(); s.Entries != 0 {
@@ -369,8 +369,7 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 		batchesEqual(t, ress[i], wantRes)
 		reportsEqual(t, reps[i], wantRep)
 	}
-	reg := rt.Metrics()
-	probed := reg.Counter("core.subplan.plans_probed").Value()
+	probed := rt.st.subplanPlansProbed.Value()
 	if probed != goroutines {
 		t.Fatalf("plans probed = %d, want %d", probed, goroutines)
 	}
@@ -474,7 +473,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		pr.onNodeCosted(id, r)
 	}
 	pr.close() // the subtree is published: followers may replay it
-	if rt.Metrics().Counter("core.subplan.published").Value() == 0 {
+	if rt.st.subplanPublished.Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
 	e, ok := rt.subplan.cache.Get(pr.key(pr.nodes[order[len(order)-2]].pub))
@@ -506,7 +505,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		}
 		batchesEqual(t, res, want)
 	}
-	if rt.Metrics().Counter("core.subplan.hits").Value() == 0 {
+	if rt.st.subplanHits.Value() == 0 {
 		t.Fatal("no replay was served from the cache")
 	}
 }
@@ -554,12 +553,11 @@ func TestSubplanPublishedCountsStoredEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reg := rt.Metrics()
-	if misses := reg.Counter("core.subplan.misses").Value(); misses != 6 {
+	if misses := rt.st.subplanMisses.Value(); misses != 6 {
 		t.Fatalf("misses = %d, want 6: each execution misses its three candidates", misses)
 	}
 	st, _ := rt.SubplanCacheStats()
-	if published := reg.Counter("core.subplan.published").Value(); st.Entries != 4 || published != 4 {
+	if published := rt.st.subplanPublished.Value(); st.Entries != 4 || published != 4 {
 		t.Fatalf("published %d, %d entries cached; want 4 and 4 (two chains, two shared subtrees)", published, st.Entries)
 	}
 }

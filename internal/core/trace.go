@@ -11,7 +11,7 @@ import (
 // execution pays one context lookup total — the nil-trace fast path the
 // serving benchmark pins.
 
-// opEngine labels a node for the per-operator stats registry and trace
+// opEngine labels a node for the per-operator aggregates and trace
 // spans, and names the slots it takes in the concurrent mode: its engine, or
 // "middleware" for engine-less migration nodes.
 func opEngine(n *ir.Node) string {
@@ -32,7 +32,7 @@ func valueBytes(v adapter.Value) int64 {
 }
 
 // observeOp folds one finished node execution into the always-on
-// per-(engine, op-kind) registry.
+// per-(engine, op-kind) aggregates.
 func (r *Runtime) observeOp(n *ir.Node, run *nodeRun) {
 	r.ops.Observe(opEngine(n), n.Kind.String(), obs.Obs{
 		Wall:     run.wall,

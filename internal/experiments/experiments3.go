@@ -75,7 +75,7 @@ func E12AdapterOffload(scale int) *Table {
 	p := eide.NewProgram()
 	buildFigure5(p.Graph())
 	runProgram(ctx, rt, p.Graph(), compiler.Options{Level: 3})
-	ruleNodes := rt.Metrics().Counter("core.rule_nodes").Value()
+	ruleNodes := counter(rt, "core.rule_nodes")
 	// Scale the translation workload to a busy adapter: the measured plan's
 	// rule applications per query times a queries/sec target.
 	queries := int64(10_000)

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
+	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
 )
 
@@ -275,4 +277,21 @@ func TestByIDAndTableString(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Fatal("ByID(E99) should miss")
 	}
+}
+
+// TestCounterFailsOnUnknownName: E12 reads its rule-node count by declared
+// name, and a name the runtime does not declare stops the run rather than
+// reading 0.
+func TestCounterFailsOnUnknownName(t *testing.T) {
+	rt := core.NewRuntime(hw.NewHostCPU())
+	if n := counter(rt, "core.rule_nodes"); n != 0 {
+		t.Fatalf("core.rule_nodes = %d on a fresh runtime", n)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "core.rule_node") {
+			t.Fatalf("recovered %v, want a panic naming the missing counter", r)
+		}
+	}()
+	counter(rt, "core.rule_node")
+	t.Fatal("an undeclared name read as a value")
 }

@@ -28,6 +28,17 @@ func check(err error) {
 	}
 }
 
+// counter reads the runtime counter declared under name; a name the runtime
+// does not declare stops the run instead of reading 0.
+func counter(rt *core.Runtime, name string) int64 {
+	for _, st := range rt.Stats() {
+		if st.Name == name && st.Counter != nil {
+			return st.Counter.Value()
+		}
+	}
+	panic("experiments: the runtime declares no counter " + name)
+}
+
 // registerClinical wires the clinical dataset's engines into a runtime.
 func registerClinical(rt *core.Runtime, data *datagen.Clinical) {
 	b := data.Binding()

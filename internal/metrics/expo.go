@@ -46,11 +46,11 @@ func (h *Histogram) WriteProm(w io.Writer, name, help string) {
 	}
 }
 
-// SanitizeMetricName maps an arbitrary registry name onto the exposition
+// SanitizeMetricName maps a declared stat name onto the exposition
 // alphabet: runs of characters outside [a-zA-Z0-9_] become single
-// underscores, and a leading digit gets an underscore prefix — the
-// registry's hierarchical names ("core.subplan.hits") become flat families
-// ("core_subplan_hits").
+// underscores, and a leading digit gets an underscore prefix — hierarchical
+// names ("core.subplan.hits", "core.offloads.fpga-stratix") become flat
+// families ("core_subplan_hits", "core_offloads_fpga_stratix").
 func SanitizeMetricName(name string) string {
 	var sb strings.Builder
 	sb.Grow(len(name) + 1)

@@ -1,7 +1,9 @@
-// Package metrics provides the runtime statistics fabric of the Polystore++
+// Package metrics provides the runtime statistics of the Polystore++
 // middleware (§IV-D-d of the paper): counters, gauges and one
-// fixed-boundary histogram, collected by adapters, the executor and the
-// hardware simulators, and consumed by the runtime optimizer's cost models.
+// fixed-boundary histogram, and the one spelling of the Prometheus text
+// format. Each handle is owned by the component that bumps it and declared
+// once where it is created; the server's stat table renders them on /stats
+// and /metrics. No optimizer reads them yet.
 //
 // All types are safe for concurrent use.
 package metrics
@@ -10,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -133,51 +134,4 @@ func (h *Histogram) Snapshot() (n int64, sum float64) {
 		n += h.buckets[i].Load()
 	}
 	return n, h.sum.Value()
-}
-
-// Registry is a namespace of named counters and gauges, created on first
-// use. Code that bumps a metric per request resolves its handle once at
-// construction; lookups by name are for readers (experiments, tests). The
-// zero value is not usable; construct with NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]*Counter), gauges: make(map[string]*Gauge)}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter { return getOrCreate(r, r.counters, name) }
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge { return getOrCreate(r, r.gauges, name) }
-
-// Names lists every registered counter and gauge, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := m[name]
-	if !ok {
-		v = new(T)
-		m[name] = v
-	}
-	return v
 }

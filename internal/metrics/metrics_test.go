@@ -83,21 +83,6 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ops").Add(3)
-	if r.Counter("ops").Value() != 3 {
-		t.Fatal("counter not shared by name")
-	}
-	r.Gauge("load").SetMax(0.5)
-	if r.Gauge("load").Value() != 0.5 {
-		t.Fatal("gauge not shared by name")
-	}
-	if names := r.Names(); len(names) != 2 || names[0] != "load" || names[1] != "ops" {
-		t.Fatalf("Names() = %v, want [load ops]", names)
-	}
-}
-
 func TestGaugeConcurrentAdd(t *testing.T) {
 	var g Gauge
 	var wg sync.WaitGroup
@@ -136,24 +121,5 @@ func TestGaugeSetMax(t *testing.T) {
 	wg.Wait()
 	if got := g.Value(); got != 15*500+499 {
 		t.Fatalf("high watermark = %g, want %d", got, 15*500+499)
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Counter("shared").Inc()
-				r.Gauge("g").Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("shared").Value(); got != 800 {
-		t.Fatalf("shared counter = %d, want 800", got)
 	}
 }

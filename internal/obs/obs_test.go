@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,31 +112,53 @@ func TestOpStatsObserveAndSnapshot(t *testing.T) {
 	s.Observe("db1", "filter", Obs{Wall: 300 * time.Microsecond, RowsIn: 1, RowsOut: 1, Parts: 2})
 	s.Observe("ts", "ts_window", Obs{Wall: 2 * time.Millisecond, RowsOut: 7})
 
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("got %d entries, want 2", len(snap))
+	if n := len(s.Entries()); n != 2 {
+		t.Fatalf("got %d entries, want 2", n)
 	}
-	f := snap["db1/filter"]
-	if f.Count != 101 || f.RowsIn != 1001 || f.RowsOut != 501 || f.BytesIn != 8000 {
-		t.Fatalf("bad aggregate: %+v", f)
+	f := entry(t, s, "db1", "filter")
+	if count(f) != 101 || f.RowsIn.Load() != 1001 || f.RowsOut.Load() != 501 || f.BytesIn.Load() != 8000 || f.BytesOut.Load() != 4000 {
+		t.Fatalf("bad aggregate: count=%d rows=%d/%d bytes=%d/%d", count(f), f.RowsIn.Load(), f.RowsOut.Load(), f.BytesIn.Load(), f.BytesOut.Load())
 	}
-	if f.MaxParts != 4 {
-		t.Fatalf("max_parts = %d, want 4", f.MaxParts)
+	if f.MaxParts.Value() != 4 {
+		t.Fatalf("max_parts = %g, want 4", f.MaxParts.Value())
 	}
-	if f.P50US != 50 { // 40µs falls in the (25, 50] bucket
-		t.Fatalf("p50 = %d, want 50", f.P50US)
+	if q := f.Latency.Quantile(0.50); q != 50 { // 40µs falls in the (25, 50] bucket
+		t.Fatalf("p50 = %g, want 50", q)
 	}
-	if f.P99US != 50 { // 1 outlier in 101 samples sits above the p99 rank
-		t.Fatalf("p99 = %d, want 50", f.P99US)
+	if q := f.Latency.Quantile(0.99); q != 50 { // 1 outlier in 101 samples sits above the p99 rank
+		t.Fatalf("p99 = %g, want 50", q)
 	}
-	wantWall := (100*40*time.Microsecond + 300*time.Microsecond + 0).Seconds()
-	if diff := f.WallSeconds - wantWall; diff < -1e-9 || diff > 1e-9 {
-		t.Fatalf("wall = %g, want %g", f.WallSeconds, wantWall)
+	if want := 100*40*time.Microsecond + 300*time.Microsecond; f.WallNanos.Load() != want.Nanoseconds() {
+		t.Fatalf("wall = %dns, want %d", f.WallNanos.Load(), want.Nanoseconds())
 	}
-	w := snap["ts/ts_window"]
-	if w.Count != 1 || w.RowsOut != 7 || w.MaxParts != 0 {
-		t.Fatalf("bad ts aggregate: %+v", w)
+	w := entry(t, s, "ts", "ts_window")
+	if count(w) != 1 || w.RowsOut.Load() != 7 || w.MaxParts.Value() != 0 {
+		t.Fatalf("bad ts aggregate: count=%d rows_out=%d max_parts=%g", count(w), w.RowsOut.Load(), w.MaxParts.Value())
 	}
+}
+
+// entry returns the aggregate of (engine, op), failing the test when there
+// is none.
+func entry(t *testing.T, s *OpStats, engine, op string) *OpEntry {
+	t.Helper()
+	for _, e := range s.Entries() {
+		if e.Engine == engine && e.Op == op {
+			return e
+		}
+	}
+	t.Fatalf("no aggregate for %s/%s", engine, op)
+	return nil
+}
+
+// count is an aggregate's execution count.
+func count(e *OpEntry) int64 {
+	n, _ := e.Latency.Snapshot()
+	return n
+}
+
+// quantilesUS reads an aggregate's p50/p95/p99 in whole microseconds.
+func quantilesUS(e *OpEntry) [3]int64 {
+	return [3]int64{int64(e.Latency.Quantile(0.50)), int64(e.Latency.Quantile(0.95)), int64(e.Latency.Quantile(0.99))}
 }
 
 func TestOpStatsConcurrent(t *testing.T) {
@@ -152,33 +173,24 @@ func TestOpStatsConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
+	// A scrape lists and reads the entries while the executor observes.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			for _, e := range s.Entries() {
+				_ = count(e) + e.RowsOut.Load()
+			}
+		}
+	}()
 	wg.Wait()
-	snap := s.Snapshot()
+	<-done
 	var total int64
-	for _, o := range snap {
-		total += o.Count
+	for _, e := range s.Entries() {
+		total += count(e)
 	}
 	if total != 8000 {
 		t.Fatalf("total count = %d, want 8000", total)
-	}
-}
-
-func TestOpStatsWriteProm(t *testing.T) {
-	s := NewOpStats()
-	s.Observe("db1", "hash_join", Obs{Wall: time.Millisecond, RowsIn: 100, RowsOut: 30})
-	var sb strings.Builder
-	s.WriteProm(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"core_op_db1_hash_join_count 1",
-		"core_op_db1_hash_join_rows_out_total 30",
-		"# TYPE core_op_db1_hash_join_wall_seconds_total counter",
-		"# HELP core_op_db1_hash_join_p95_us p95 latency in microseconds of hash_join on engine db1.",
-		"core_op_db1_hash_join_p95_us 1000",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -188,9 +200,8 @@ func TestOpStatsTailQuantile(t *testing.T) {
 		s.Observe("e", "scan", Obs{Wall: 40 * time.Microsecond})
 	}
 	s.Observe("e", "scan", Obs{Wall: 300 * time.Microsecond})
-	o := s.Snapshot()["e/scan"]
-	if o.P50US != 50 || o.P95US != 500 || o.P99US != 500 {
-		t.Fatalf("quantiles = %d/%d/%d, want 50/500/500", o.P50US, o.P95US, o.P99US)
+	if q := quantilesUS(entry(t, s, "e", "scan")); q != [3]int64{50, 500, 500} {
+		t.Fatalf("quantiles = %v, want [50 500 500]", q)
 	}
 }
 
@@ -239,13 +250,13 @@ func TestBucketQuantileEdges(t *testing.T) {
 		s.Observe("e", "scan", Obs{Wall: time.Minute})
 	}
 	last := int64(latBoundsUS[len(latBoundsUS)-1])
-	if o := s.Snapshot()["e/scan"]; o.P50US != last || o.P99US != last {
-		t.Fatalf("overflow quantiles = %d/%d, want %d", o.P50US, o.P99US, last)
+	if q := quantilesUS(entry(t, s, "e", "scan")); q[0] != last || q[2] != last {
+		t.Fatalf("overflow quantiles = %d/%d, want %d", q[0], q[2], last)
 	}
 	// A latency exactly on a bound belongs to that bound's bucket.
 	s.Observe("e", "edge", Obs{Wall: 25 * time.Microsecond})
-	if o := s.Snapshot()["e/edge"]; o.P50US != 25 {
-		t.Fatalf("on-bound quantile = %d, want 25", o.P50US)
+	if q := quantilesUS(entry(t, s, "e", "edge")); q[0] != 25 {
+		t.Fatalf("on-bound quantile = %d, want 25", q[0])
 	}
 }
 
@@ -269,10 +280,10 @@ func TestOpStatsQuantilesMatchReference(t *testing.T) {
 			s.Observe("e", "op", Obs{Wall: wall})
 			counts[refBucketOf(bounds, wall.Microseconds())]++
 		}
-		o := s.Snapshot()["e/op"]
+		e := entry(t, s, "e", "op")
 		want := [3]int64{refBucketQuantile(bounds, counts, n, 0.50), refBucketQuantile(bounds, counts, n, 0.95), refBucketQuantile(bounds, counts, n, 0.99)}
-		if got := [3]int64{o.P50US, o.P95US, o.P99US}; got != want || o.Count != n {
-			t.Fatalf("trial %d: count=%d quantiles=%v, reference n=%d %v", trial, o.Count, got, n, want)
+		if got := quantilesUS(e); got != want || count(e) != n {
+			t.Fatalf("trial %d: count=%d quantiles=%v, reference n=%d %v", trial, count(e), got, n, want)
 		}
 	}
 }

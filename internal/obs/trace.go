@@ -2,9 +2,9 @@
 // middleware: request-scoped execution traces carried through
 // context.Context from server admission down into the executors, adapters
 // and the partition pool, plus the aggregated per-(engine, op-kind) runtime
-// statistics registry (OpStats) the paper's runtime optimizer consumes
-// (§IV-D-d — "runtime statistics collected across heterogeneous engines
-// feed the optimizer's placement decisions").
+// statistics (OpStats) that the paper's §IV-D-d names as the optimizer's
+// input. Here they are reported on /stats and /metrics; no optimizer reads
+// them yet.
 //
 // Tracing is strictly opt-in and zero-cost when off: From returns nil for
 // an untouched context, and every method on a nil *Trace is a no-op, so the

@@ -913,7 +913,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, block := range [][]stat{s.topLevel(), s.backendStats()} {
 		writeProm(w, block, []promRow{{defs: block}})
 	}
-	s.rt.OpStats().WriteProm(w)
+	writeOpProm(w, s.rt.OpStats())
 	s.tenants.writeProm(w)
 }
 

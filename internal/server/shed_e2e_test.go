@@ -79,13 +79,12 @@ func TestShedColdServesCached(t *testing.T) {
 
 	// The identical overload cannot touch the cached read: it never needs
 	// the worker the load is holding.
-	reused := rt.Metrics().Counter("core.subplan.plans_reused")
-	before := reused.Value()
+	before := statValue(t, s, "subplan_plans_reused")
 	resp, raw = post(warm)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached query under load: status %d, want 200: %s", resp.StatusCode, raw)
 	}
-	if reused.Value() != before+1 {
+	if statValue(t, s, "subplan_plans_reused") != before+1 {
 		t.Fatalf("cached query was not answered by the root probe: %s", raw)
 	}
 }

@@ -1,17 +1,20 @@
 // The stat table. Every number the server reports is declared here once —
-// its /stats key, its registry name (the /metrics family once sanitized),
-// its kind and its help text — next to the handle the request path bumps or
-// the getter that reads a value another component owns. /stats (JSON),
+// its /stats key, its name (the /metrics family once sanitized), its kind
+// and its help text — next to the handle the request path bumps or the
+// getter that reads a value another component owns. /stats (JSON),
 // /metrics (Prometheus text) and the generated block of docs/operations.md
 // are three renderers over these declarations; none of them names a stat.
 package server
 
 import (
+	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"polystorepp/internal/backend"
 	"polystorepp/internal/metrics"
+	"polystorepp/internal/obs"
 	"polystorepp/internal/partition"
 )
 
@@ -53,9 +56,10 @@ type promRow struct {
 }
 
 // writeProm renders the declarations that carry a family name: schema names
-// the families, each row adds its sample. An unlabelled block is its own
-// single row.
+// the families, each row adds its sample, in label order. An unlabelled
+// block is its own single row.
 func writeProm(w io.Writer, schema []stat, rows []promRow) {
+	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
 	for i, d := range schema {
 		if d.name == "" {
 			continue
@@ -95,8 +99,9 @@ func quantilesUS(h *metrics.Histogram) map[string]float64 {
 	}
 }
 
-// serverStats are the handles the request path bumps, handed out by the
-// declarations in newStatTable.
+// serverStats are the handles the request path bumps, created by the
+// declarations in newStatTable: each server counts its own requests, while
+// the runtime's counters (core/stats.go) are shared by every server over it.
 type serverStats struct {
 	requests, rejected, badRequest, execErrors, deadline, ingests *metrics.Counter
 	planHits, planMisses                                          *metrics.Counter
@@ -111,27 +116,24 @@ type serverStats struct {
 // newStatTable declares every top-level stat of s. Called once from New,
 // after every component the getters read has been built.
 func newStatTable(s *Server) (st serverStats, defs []stat) {
-	reg := s.rt.Metrics()
 	add := func(key, name, kind, help string, get func() any) {
 		defs = append(defs, stat{key: key, name: name, kind: kind, help: help, get: get})
 	}
 	counter := func(key, name, help string) *metrics.Counter {
-		c := reg.Counter(name)
+		c := new(metrics.Counter)
 		add(key, name, kindCounter, help, func() any { return c.Value() })
 		return c
 	}
-	// runtimeStats renders the runtime's own declarations (core/stats.go):
-	// the subplan cache's, or the rest. The registry name resolves to the
-	// handle core bumps.
+	// runtimeStats renders the runtime's own declarations (core/stats.go),
+	// bound to the handles core bumps: the subplan cache's, or the rest.
 	runtimeStats := func(subplan bool) {
 		for _, d := range s.rt.Stats() {
 			switch {
 			case strings.HasPrefix(d.Name, "core.subplan.") != subplan:
-			case d.Gauge:
-				g := reg.Gauge(d.Name)
-				add(d.Key, d.Name, kindGauge, d.Help, func() any { return g.Value() })
+			case d.Gauge != nil:
+				add(d.Key, d.Name, kindGauge, d.Help, func() any { return d.Gauge.Value() })
 			default:
-				counter(d.Key, d.Name, d.Help)
+				add(d.Key, d.Name, kindCounter, d.Help, func() any { return d.Counter.Value() })
 			}
 		}
 	}
@@ -179,7 +181,13 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 
 	// Executor.
 	runtimeStats(false)
-	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates; on /metrics as `core_op_<engine>_<op>_*`.", func() any { return s.rt.OpStats().Snapshot() })
+	add("op_stats", "", kindInfo, "Per-(engine, op) execution aggregates, keyed engine/op (fields below).", func() any {
+		out := make(map[string]any)
+		for _, e := range s.rt.OpStats().Entries() {
+			out[e.Engine+"/"+e.Op] = statsJSON(opDefs(e))
+		}
+		return out
+	})
 	add("traces_recorded", "", kindCounter, "Request traces kept by the flight recorder.", func() any { _, _, n := s.traces.Snapshot(); return n })
 
 	// Tenancy, shedding, drain.
@@ -223,6 +231,42 @@ func (s *Server) snapshotStats() []stat {
 // newStatTable followed by snapshotStats.
 func (s *Server) topLevel() []stat {
 	return append(s.stats[:len(s.stats):len(s.stats)], s.snapshotStats()...)
+}
+
+// opDefs declares one op_stats row — the fields of its /stats entry and its
+// samples in the core_op_* families, which carry engine and op labels —
+// bound to one (engine, op) aggregate.
+func opDefs(e *obs.OpEntry) []stat {
+	n, _ := e.Latency.Snapshot()
+	us := func(q float64) int64 { return int64(e.Latency.Quantile(q)) }
+	return []stat{
+		{key: "engine", kind: kindInfo, help: "Engine instance that ran the operator.", get: val(e.Engine)},
+		{key: "op", kind: kindInfo, help: "Operator kind.", get: val(e.Op)},
+		{key: "count", name: "core.op.count", kind: kindCounter, help: "Executions of the operator.", get: val(n)},
+		{key: "rows_in", name: "core.op.rows_in_total", kind: kindCounter, help: "Rows the executions consumed.", get: val(e.RowsIn.Load())},
+		{key: "rows_out", name: "core.op.rows_out_total", kind: kindCounter, help: "Rows the executions produced.", get: val(e.RowsOut.Load())},
+		{key: "bytes_in", name: "core.op.bytes_in_total", kind: kindCounter, help: "Bytes the executions consumed.", get: val(e.BytesIn.Load())},
+		{key: "bytes_out", name: "core.op.bytes_out_total", kind: kindCounter, help: "Bytes the executions produced.", get: val(e.BytesOut.Load())},
+		{key: "wall_seconds", name: "core.op.wall_seconds_total", kind: kindCounter, help: "Summed host wall time of the executions, in seconds.", get: val(float64(e.WallNanos.Load()) / 1e9)},
+		{key: "p50_us", name: "core.op.p50_us", kind: kindGauge, help: "Median execution latency in microseconds (a bucket upper bound).", get: val(us(0.50))},
+		{key: "p95_us", name: "core.op.p95_us", kind: kindGauge, help: "p95 execution latency in microseconds (a bucket upper bound).", get: val(us(0.95))},
+		{key: "p99_us", name: "core.op.p99_us", kind: kindGauge, help: "p99 execution latency in microseconds (a bucket upper bound).", get: val(us(0.99))},
+		{key: "max_parts", name: "core.op.max_parts", kind: kindGauge, help: "Widest partition fan-out of one execution.", get: val(int64(e.MaxParts.Value()))},
+	}
+}
+
+// opSchema is the op_stats row schema: the declarations over an empty
+// aggregate, which name the core_op_* families before any operator ran.
+var opSchema = opDefs(&obs.OpEntry{Latency: new(metrics.Histogram)})
+
+// writeOpProm emits the core_op_* families with one sample per aggregate,
+// labelled by engine and op.
+func writeOpProm(w io.Writer, ops *obs.OpStats) {
+	var rows []promRow
+	for _, e := range ops.Entries() {
+		rows = append(rows, promRow{labels: fmt.Sprintf("engine=%q,op=%q", e.Engine, e.Op), defs: opDefs(e)})
+	}
+	writeProm(w, opSchema, rows)
 }
 
 // backendStats declares the storage backend block over one Stats snapshot:

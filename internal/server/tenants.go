@@ -2,8 +2,8 @@
 // tenantState holding its token bucket, circuit breaker, and counters. The
 // set is a bounded LRU (identity floods evict the least-recently-seen tenant
 // instead of growing without bound), and per-tenant observability is
-// emitted from snapshots of it rather than per-tenant metric names, so
-// hostile ids cannot leak entries into the metrics registry.
+// emitted from snapshots of it as labelled rows of fixed families, so
+// hostile ids cannot mint metric families.
 //
 // A query's way in is one protocol: enter (rate, then breaker) hands back a
 // ticket or a refusal; admission.acquire (shed, queue) a worker slot or a
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -246,15 +245,13 @@ func (tc *tenantControl) statsJSON(subplanBytes map[string]int64) map[string]any
 	return out
 }
 
-// writeProm emits the per-tenant families with manual tenant labels, sorted
-// by tenant. The metrics registry is label-free and never learns tenant
-// names; emitting from the bounded tenant set keeps cardinality bounded
-// under hostile identity floods.
+// writeProm emits the per-tenant families with manual tenant labels;
+// emitting from the bounded tenant set keeps cardinality bounded under
+// hostile identity floods.
 func (tc *tenantControl) writeProm(w io.Writer) {
 	var rows []promRow
 	for _, ts := range tc.states.Values() {
 		rows = append(rows, promRow{labels: fmt.Sprintf("tenant=%q", ts.id), defs: tenantDefs(ts, 0)})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
 	writeProm(w, tenantDefs(&tenantState{}, 0), rows)
 }

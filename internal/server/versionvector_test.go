@@ -65,8 +65,7 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		if _, _, _, err := s.executeOnce(context.Background(), p, nil); err != nil {
 			t.Fatal(err)
 		}
-		reg := rt.Metrics()
-		return reg.Counter("core.subplan.published").Value(), reg.Counter("core.subplan.stale_skips").Value()
+		return statValue(t, s, "subplan_cache_published"), statValue(t, s, "subplan_cache_stale_skips")
 	}
 
 	if published, skipped := run(t, false); published == 0 || skipped != 0 {

@@ -32,9 +32,7 @@ var update = flag.Bool("update", false, "rewrite testdata goldens and the genera
 //     fields and of the op_stats entries' fields. Captured from the commit
 //     before the stat table (this file runs unchanged there with -update).
 //   - testdata/metrics_families.golden: the /metrics family set, which is
-//     complete from boot. Families of the per-(engine, op) aggregates
-//     (core_op_*) are left out: they exist per operator a deployment has
-//     executed.
+//     complete from boot, the per-(engine, op) core_op_* families included.
 
 // wireServer boots a server over a wal backend with a relational and a
 // key/value store, one accelerator, and a tenant whose bucket holds a single
@@ -88,13 +86,12 @@ func wireDo(t *testing.T, s *Server, method, path, tenant, body string) *httptes
 	return rec
 }
 
-// metricFamilies returns the sorted family names of a /metrics scrape,
-// without the per-operator core_op_* families.
+// metricFamilies returns the sorted family names of a /metrics scrape.
 func metricFamilies(t *testing.T, s *Server) []string {
 	t.Helper()
 	var out []string
 	for _, line := range strings.Split(wireDo(t, s, http.MethodGet, "/metrics", "scraper", "").Body.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && !strings.HasPrefix(f[2], "core_op_") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
 			out = append(out, f[2])
 		}
 	}

@@ -31,7 +31,7 @@ const Anon = "anon"
 
 // Invalid is the bucket tenant id assigned to requests whose X-Tenant header
 // fails validation. Lumping malformed ids into one tenant bounds metric and
-// registry cardinality against hostile header floods: every junk id shares
+// tenant-table cardinality against hostile header floods: every junk id shares
 // one quota instead of minting fresh state.
 const Invalid = "invalid"
 

@@ -29,7 +29,6 @@ var reachAllow = map[string]string{
 	"relational.OpStats.RowsIn":  "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
 	"relational.OpStats.RowsOut": "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows each step kept",
 	"cast.ReadBinary":            "fuzz entry point: FuzzReadBinary and the CI fuzz smoke drive the pipe decoder through it",
-	"metrics.Registry.Names":     "test oracle: server's TestStatTableCoversRegistry enumerates the registry to hold the stat table complete",
 	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
 	"textstore.Store.Doc":        "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text through it",
 	"tensor.MatMul":              "test oracle: the allocating reference mlengine's TestTrainTrajectoryBitEqualToReference and tensor's TestPropertyFusedKernelsEqualReference hold the workspace trainer and the three Into GEMMs bit-equal to",
