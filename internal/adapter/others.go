@@ -3,11 +3,7 @@ package adapter
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -158,80 +154,29 @@ func (a *Timeseries) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, E
 	}
 }
 
-// entitySummary aggregates all series under prefix into one row per entity:
-// "<prefix><id>/<metric>" -> columns "<metric>_mean". The Figure 2 vitals
-// feature extraction.
+// entitySummary shapes the store's summary fold (timeseries.Store.Summary)
+// into one row per entity: "<prefix><id>/<metric>" -> columns
+// "<metric>_mean". The Figure 2 vitals feature extraction.
 func (a *Timeseries) entitySummary(prefix string, info ExecInfo) (Value, ExecInfo, error) {
-	names := a.store.SeriesNames()
-	type key struct{ id, metric string }
-	means := make(map[key]float64)
-	metricSet := make(map[string]bool)
-	idSet := make(map[string]bool)
-	var items int64
-	for _, name := range names {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(name, prefix)
-		parts := strings.SplitN(rest, "/", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		pts, err := a.store.Range(name, math.MinInt64/2, math.MaxInt64/2)
-		if err != nil {
-			return Value{}, info, err
-		}
-		var sum float64
-		for _, p := range pts {
-			sum += p.Value
-		}
-		mean := 0.0
-		if len(pts) > 0 {
-			mean = sum / float64(len(pts))
-		}
-		items += int64(len(pts))
-		means[key{parts[0], parts[1]}] = mean
-		metricSet[parts[1]] = true
-		idSet[parts[0]] = true
-	}
-	metrics := make([]string, 0, len(metricSet))
-	for m := range metricSet {
-		metrics = append(metrics, m)
-	}
-	sort.Strings(metrics)
-	ids := make([]string, 0, len(idSet))
-	for id := range idSet {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	cols := []cast.Column{{Name: "vpid", Type: cast.Int64}}
-	for _, m := range metrics {
+	fold := a.store.Summary(prefix)
+	cols := append(make([]cast.Column, 0, 1+len(fold.Metrics)), cast.Column{Name: "vpid", Type: cast.Int64})
+	data := append(make([]any, 0, 1+len(fold.Metrics)), fold.IDs)
+	for i, m := range fold.Metrics {
 		cols = append(cols, cast.Column{Name: m + "_mean", Type: cast.Float64})
+		data = append(data, fold.Means[i])
 	}
 	s, err := cast.NewSchema(cols...)
 	if err != nil {
 		return Value{}, info, err
 	}
-	out := cast.NewBatch(s, len(ids))
-	for _, id := range ids {
-		pid, err := strconv.ParseInt(id, 10, 64)
-		if err != nil {
-			continue // non-numeric entity ids are skipped
-		}
-		vals := make([]any, 0, len(cols))
-		vals = append(vals, pid)
-		for _, m := range metrics {
-			vals = append(vals, means[key{id, m}])
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return Value{}, info, err
-		}
+	out, err := cast.BatchOf(s, data...)
+	if err != nil {
+		return Value{}, info, err
 	}
-	info.RowsIn = items
+	info.RowsIn = fold.Points
 	info.RowsOut = int64(out.Rows())
 	info.Native = fmt.Sprintf("EntitySummary(%s*)", prefix)
-	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: items, Bytes: items * 16}, OutBytes: out.ByteSize()}}
+	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: fold.Points, Bytes: fold.Points * 16}, OutBytes: out.ByteSize()}}
 	return Value{Batch: out}, info, nil
 }
 

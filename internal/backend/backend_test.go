@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -402,6 +403,49 @@ func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 	if w.errors.Load() == 0 {
 		t.Fatal("dropped append not counted as an error")
 	}
+}
+
+// TestWALSyncCoveredByLeader drives both ways sync finds its record already
+// durable without an fsync of its own: before taking the leader lock, and
+// after waiting for it while a leader's fsync covered the record.
+func TestWALSyncCoveredByLeader(t *testing.T) {
+	w, err := openWAL(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	seq := w.append([]byte("first"))
+	if err := w.sync(seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.sync(seq); err != nil || w.fsyncs.Load() != 1 {
+		t.Fatalf("sync of a covered record: %v, %d fsyncs, want 1", err, w.fsyncs.Load())
+	}
+
+	seq = w.append([]byte("second"))
+	w.flushMu.Lock() // the leader
+	done := make(chan error, 1)
+	go func() { done <- w.sync(seq) }()
+	// Past its first check, the follower waits for the leader lock.
+	for buf := make([]byte, 1<<20); !waitingInSync(buf); {
+		runtime.Gosched()
+	}
+	w.synced.Store(seq) // the leader's fsync covered it
+	w.flushMu.Unlock()
+	if err := <-done; err != nil || w.fsyncs.Load() != 1 {
+		t.Fatalf("follower covered by the leader: %v, %d fsyncs, want 1", err, w.fsyncs.Load())
+	}
+}
+
+// waitingInSync reports whether a goroutine is inside wal.sync waiting for
+// a mutex, reading every goroutine's stack into buf.
+func waitingInSync(buf []byte) bool {
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*wal).sync(") && strings.Contains(g, "Mutex).lockSlow") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOpen pins the one kind Open knows and the unknown-kind error.

@@ -180,9 +180,10 @@ func (r *Runtime) Engines() []string {
 }
 
 // DataVersion sums the mutation counters of every registered adapter's
-// backing store (see adapter.DataVersioner). Any store mutation changes the
-// sum, so (plan fingerprint, DataVersion) keys stay valid exactly as long as
-// the data they were computed over.
+// backing store (see adapter.DataVersioner): any store mutation changes it.
+// Nothing keys on the sum; it is reported (/stats data_version, the /query
+// and /ingest replies). Caches key on VersionVector, the versions of just the
+// stores a plan reads.
 func (r *Runtime) DataVersion() uint64 {
 	var v uint64
 	for _, a := range r.adapters {

@@ -6,7 +6,7 @@
 //
 // Storage is hash-sharded: keys map onto fixed buckets, each with its own
 // lock and mutation counter, so puts on different keys never contend on a
-// store-wide mutex. A prefix scan sweeps the buckets in turn.
+// store-wide mutex. A prefix scan read-locks every bucket at once.
 package kvstore
 
 import (
@@ -116,19 +116,25 @@ func (s *Store) Len() int {
 }
 
 // ScanPrefix returns the keys with the given prefix, sorted, and values[i],
-// the value of keys[i], read under the same shard lock as the key.
+// the value of keys[i]. It holds every shard's read lock for the scan, taken
+// in index order, so the scan is one cut of the store: it never returns a
+// put without an earlier one. A writer takes one shard lock, so the order
+// leaves no cycle to deadlock on.
 func (s *Store) ScanPrefix(prefix string) (keys, values []string) {
 	type pair struct{ key, value string }
 	var found []pair
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.data {
+		s.shards[i].mu.RLock()
+	}
+	for i := range s.shards {
+		for k, e := range s.shards[i].data {
 			if strings.HasPrefix(k, prefix) {
 				found = append(found, pair{k, string(e.value)})
 			}
 		}
-		sh.mu.RUnlock()
+	}
+	for i := range s.shards {
+		s.shards[i].mu.RUnlock()
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
 	keys, values = make([]string, len(found)), make([]string, len(found))

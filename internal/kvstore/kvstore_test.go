@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -68,6 +69,52 @@ func TestScanPrefix(t *testing.T) {
 	keys, values := s.ScanPrefix("user:")
 	if fmt.Sprint(keys, values) != "[user:1 user:2] [a b]" {
 		t.Fatalf("ScanPrefix = %q, %q", keys, values)
+	}
+}
+
+// TestScanPrefixIsOneCut: a writer puts its k-th value, k, under key A and
+// then under key B, with A in the first shard and B in the last. Any state
+// of the store has A at least at B's value, so a scan that is one cut of it
+// never reads B ahead of A. Sweeping the shards one lock at a time reads A
+// early and B late, and shows it.
+func TestScanPrefixIsOneCut(t *testing.T) {
+	s := New("kv")
+	keyIn := func(shard int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("k/%d", i); s.shardFor(k) == &s.shards[shard] {
+				return k
+			}
+		}
+	}
+	a, b := keyIn(0), keyIn(numShards-1)
+	for i := 0; i < 1600; i++ { // filler the scan walks past between A and B
+		s.Put(fmt.Sprintf("z/%d", i), nil)
+	}
+	const puts = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; k < puts; k++ {
+			s.Put(a, []byte(strconv.Itoa(k)))
+			s.Put(b, []byte(strconv.Itoa(k)))
+		}
+	}()
+	for scans := 0; ; scans++ {
+		select {
+		case <-done:
+			t.Logf("%d scans", scans)
+			return
+		default:
+		}
+		keys, values := s.ScanPrefix("k/")
+		got := map[string]int{}
+		for i, k := range keys {
+			got[k], _ = strconv.Atoi(values[i])
+		}
+		if got[a] < got[b] {
+			<-done
+			t.Fatalf("scan %d: A = %d, B = %d, a state the store never held", scans, got[a], got[b])
+		}
 	}
 }
 

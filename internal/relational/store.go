@@ -77,8 +77,10 @@ func (s *Store) newTableLocked(name string, schema cast.Schema) *Table {
 }
 
 // Version returns the store's monotonic data version: the sum of every
-// table's mutation count plus schema changes. The serving layer keys result
-// caches on it, so any write invalidates results computed over prior state.
+// table's mutation count plus schema changes. A version vector carries it for
+// a plan that reads the store as a whole (one that names its tables carries
+// their Table.Version instead), so any write invalidates results computed
+// over prior state.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

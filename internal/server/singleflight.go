@@ -17,8 +17,9 @@ var errFlightPanic = errors.New("server: single-flight leader panicked")
 // "batching of identical in-flight queries (single-flight)"): the first
 // request for a key becomes the leader and executes; followers arriving
 // while it runs wait for the leader's outcome instead of holding a worker
-// slot. Keys are (plan-cache key, data version), the same as the result
-// cache, so a follower never shares a result computed over different data.
+// slot. Keys are the plan key, the bind vector and the version vector of the
+// stores the plan reads (flightKey), so a follower never shares a result
+// computed from other constants or over different data.
 //
 // Unlike golang.org/x/sync/singleflight this wait is context-aware: a
 // follower whose deadline expires gives up with its own context error while

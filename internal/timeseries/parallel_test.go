@@ -7,46 +7,8 @@ import (
 	"testing"
 )
 
-// TestRangeChunkPartitionEquivalence pins the chunk fan-out at 1/2/7/64 and
-// checks every partitioning returns exactly the sequential decode — order,
-// boundaries, and values.
-func TestRangeChunkPartitionEquivalence(t *testing.T) {
-	s := New("ts")
-	const n = 20 * chunkSize // 20 chunks
-	for i := 0; i < n; i++ {
-		if err := s.Append("m", int64(i)*10, float64(i%1000)*0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.mu.RLock()
-	sr := s.series["m"]
-	chunks := append([]*chunk(nil), sr.chunks...)
-	s.mu.RUnlock()
-
-	for _, span := range []struct{ from, to int64 }{
-		{0, int64(n) * 10},        // everything
-		{12345, 98765},            // interior, unaligned to chunks
-		{-100, -1},                // before all data
-		{int64(n) * 100, 1 << 60}, // after all data
-		{5120, 5120},              // a single point
-	} {
-		want := rangeChunks(chunks, span.from, span.to, 1)
-		for _, parts := range []int{2, 7, 64} {
-			got := rangeChunks(chunks, span.from, span.to, parts)
-			if len(got) != len(want) {
-				t.Fatalf("span %+v parts=%d: %d points, want %d", span, parts, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("span %+v parts=%d: point %d = %+v, want %+v", span, parts, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestRangeMatchesWindowAfterParallelDecode guards the WindowN path, which
-// consumes Range output, against any reordering from the parallel decode.
+// TestRangeMatchesWindowAfterParallelDecode guards WindowN's fold over eight
+// chunks, enough to fan out, against any reordering from the parallel decode.
 func TestRangeMatchesWindowAfterParallelDecode(t *testing.T) {
 	s := New("ts")
 	const n = 8 * chunkSize
@@ -213,7 +175,7 @@ func TestWindowConcurrentWithAppends(t *testing.T) {
 	<-done
 }
 
-// TestRangeConcurrentWithAppends exercises parallel decode racing appends
+// TestRangeConcurrentWithAppends exercises Range's chunk walk racing appends
 // (the -race build is the assertion).
 func TestRangeConcurrentWithAppends(t *testing.T) {
 	s := New("ts")

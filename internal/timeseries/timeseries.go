@@ -1,16 +1,19 @@
 // Package timeseries implements the timeseries engine of the polystore (the
 // TimescaleDB role: clickstreams in Figure 1, bedside-monitor vitals in the
 // MIMIC workload of Figure 2). Points are stored in per-series chunks with
-// delta-of-delta timestamp compression; queries are range scans and windowed
-// aggregations.
+// delta-of-delta timestamp compression; queries are range scans, windowed
+// aggregations and the per-entity summary fold (Summary).
 package timeseries
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"polystorepp/internal/partition"
@@ -96,7 +99,7 @@ func (s *series) append(pts []Point) (int, error) {
 			// check must compare against the previous chunk here — otherwise a
 			// stale timestamp arriving exactly at a chunk boundary would slip in
 			// and break the chunks-are-time-ordered invariant the window fold
-			// and range stitch rely on.
+			// and chunksIn rely on.
 			if n := len(s.chunks); n > 0 && pts[applied].TS <= s.chunks[n-1].lastTS {
 				return applied, fmt.Errorf("%w: %d after %d", ErrOutOfOrder, pts[applied].TS, s.chunks[n-1].lastTS)
 			}
@@ -193,12 +196,17 @@ func (s *Store) SeriesNames() []string {
 	return out
 }
 
-// Range returns the points of the series with from <= TS <= to. Candidate
-// chunks (already time-ordered) are decoded in parallel over the shared scan
-// pool — one task per time-range slab of chunks — and stitched back in chunk
-// order, so the result is identical to a sequential decode. The read lock is
-// held throughout: chunks are only mutated by appends, which take the write
-// lock.
+// chunksIn returns the series' chunks holding points in [from, to]. Chunks
+// are time-ordered and disjoint, so they are one contiguous run.
+func (sr *series) chunksIn(from, to int64) []*chunk {
+	lo := sort.Search(len(sr.chunks), func(i int) bool { return sr.chunks[i].lastTS >= from })
+	hi := sort.Search(len(sr.chunks), func(i int) bool { return sr.chunks[i].first > to })
+	return sr.chunks[lo:max(lo, hi)]
+}
+
+// Range returns the points of the series with from <= TS <= to, in time
+// order. The read lock is held throughout: chunks are only mutated by
+// appends, which take the write lock.
 func (s *Store) Range(name string, from, to int64) ([]Point, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -206,62 +214,95 @@ func (s *Store) Range(name string, from, to int64) ([]Point, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, name)
 	}
-	var cands []*chunk
-	for _, c := range sr.chunks {
-		if c.lastTS < from || c.first > to {
+	out := make([]Point, 0, 64)
+	for _, c := range sr.chunksIn(from, to) {
+		c.walk(func(ts int64, v float64) {
+			if ts >= from && ts <= to {
+				out = append(out, Point{TS: ts, Value: v})
+			}
+		})
+	}
+	return out, nil
+}
+
+// Summary is one row per numeric entity id and one mean column per metric.
+type Summary struct {
+	IDs     []int64     // entity ids, in the string order of their names
+	Metrics []string    // sorted metric names
+	Means   [][]float64 // Means[m][row]: the mean of Metrics[m] for IDs[row], 0 if it has none
+	Points  int64       // points folded, those of skipped ids included
+}
+
+// Summary folds every series named "<prefix><id>/<metric>" into the mean of
+// its points in [MinInt64/2, MaxInt64/2], summed in time order and without
+// materializing them. The fold holds the read lock once, so the summary is
+// one cut of the store: it never shows an append without an earlier one. A
+// name without a "/<metric>" part is ignored; an id that is not a decimal
+// int64 gets no row, though its points and metric still count.
+func (s *Store) Summary(prefix string) Summary {
+	const from, to = math.MinInt64 / 2, math.MaxInt64 / 2
+	type mean struct {
+		id, metric string
+		v          float64
+	}
+	var out Summary
+	s.mu.RLock()
+	found := make([]mean, 0, len(s.series)) // at most one per series
+	for name, sr := range s.series {
+		rest, ok := strings.CutPrefix(name, prefix)
+		id, metric, named := strings.Cut(rest, "/")
+		if !ok || !named {
 			continue
 		}
-		cands = append(cands, c)
+		m, n := mean{id: id, metric: metric}, 0
+		for _, c := range sr.chunksIn(from, to) {
+			c.walk(func(ts int64, v float64) {
+				if ts >= from && ts <= to {
+					m.v += v
+					n++
+				}
+			})
+		}
+		if n > 0 {
+			m.v /= float64(n)
+		}
+		found = append(found, m)
+		out.Points += int64(n)
 	}
-	return rangeChunks(cands, from, to, 0), nil
-}
+	s.mu.RUnlock()
 
-// rangeChunks decodes the candidate chunks and keeps points in [from, to].
-// parts <= 0 selects the fan-out automatically from the decoded volume.
-func rangeChunks(cands []*chunk, from, to int64, parts int) []Point {
-	pool := partition.Shared()
-	parts = partition.Effective(len(cands)*chunkSize, parts)
-	if parts > len(cands) {
-		parts = len(cands)
-	}
-	if parts <= 1 {
-		out := make([]Point, 0, 64)
-		for _, c := range cands {
-			out = appendRange(out, c, from, to)
+	slices.SortFunc(found, func(a, b mean) int { return strings.Compare(a.id, b.id) })
+	entities := 0
+	for i, f := range found {
+		if i == 0 || f.id != found[i-1].id { // an entity's series are adjacent
+			entities++
 		}
-		return out
-	}
-	ranges := partition.Split(len(cands), parts)
-	slabs := make([][]Point, len(ranges))
-	// Decoding cannot fail; Do's only error source is a canceled context,
-	// and Background never cancels.
-	_ = pool.Do(context.Background(), len(ranges), func(i int) error {
-		var out []Point
-		for _, c := range cands[ranges[i].Lo:ranges[i].Hi] {
-			out = appendRange(out, c, from, to)
+		if m, ok := slices.BinarySearch(out.Metrics, f.metric); !ok {
+			out.Metrics = slices.Insert(out.Metrics, m, f.metric)
 		}
-		slabs[i] = out
-		return nil
-	})
-	total := 0
-	for _, sl := range slabs {
-		total += len(sl)
 	}
-	out := make([]Point, 0, total)
-	for _, sl := range slabs {
-		out = append(out, sl...)
+	out.IDs = make([]int64, 0, entities)
+	out.Means = make([][]float64, len(out.Metrics))
+	for m := range out.Means {
+		out.Means[m] = make([]float64, 0, entities)
+	}
+	skip := false
+	for i, f := range found {
+		if i == 0 || f.id != found[i-1].id {
+			id, err := strconv.ParseInt(f.id, 10, 64)
+			if skip = err != nil; !skip {
+				out.IDs = append(out.IDs, id)
+				for m := range out.Means {
+					out.Means[m] = append(out.Means[m], 0)
+				}
+			}
+		}
+		if !skip {
+			m, _ := slices.BinarySearch(out.Metrics, f.metric)
+			out.Means[m][len(out.IDs)-1] = f.v
+		}
 	}
 	return out
-}
-
-// appendRange appends the chunk's in-range points to dst.
-func appendRange(dst []Point, c *chunk, from, to int64) []Point {
-	c.walk(func(ts int64, v float64) {
-		if ts >= from && ts <= to {
-			dst = append(dst, Point{TS: ts, Value: v})
-		}
-	})
-	return dst
 }
 
 // AggKind selects the aggregation of a window.
@@ -303,9 +344,8 @@ func chunkWindowPartials(c *chunk, from, to, width int64) []WindowResult {
 
 // windowChunks computes the window partials of the candidate chunks: the
 // per-chunk partials are computed in parallel over the shared scan pool —
-// one task per chunk slab, during the decode that Range already
-// parallelizes — and folded strictly in chunk order. parts <= 0 selects the
-// fan-out automatically from the decoded volume.
+// one task per chunk slab — and folded strictly in chunk order. parts <= 0
+// selects the fan-out automatically from the decoded volume.
 //
 // Because partials are per *chunk* and the fold always walks chunks
 // left-to-right, the task fan-out only changes which worker decodes which
@@ -375,14 +415,7 @@ func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts i
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, name)
 	}
-	var cands []*chunk
-	for _, c := range sr.chunks {
-		if c.lastTS < from || c.first > to {
-			continue
-		}
-		cands = append(cands, c)
-	}
-	out := windowChunks(cands, from, to, width, parts)
+	out := windowChunks(sr.chunksIn(from, to), from, to, width, parts)
 	for i := range out {
 		out[i].Value /= float64(out[i].N) // no window is emitted empty
 	}

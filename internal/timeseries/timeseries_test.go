@@ -54,7 +54,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 // TestOutOfOrderRejectedAtChunkBoundary: a stale timestamp arriving exactly
 // when the previous chunk is full opens a fresh chunk with no lastTS of its
 // own — the cross-chunk ordering check must still reject it, or the
-// time-ordered-chunks invariant behind the window fold and range stitch
+// time-ordered-chunks invariant behind the window fold and chunksIn
 // breaks silently.
 func TestOutOfOrderRejectedAtChunkBoundary(t *testing.T) {
 	s := New("ts")
