@@ -98,8 +98,7 @@ func run() error {
 			}
 			lastLoss = loss
 			trainWall += time.Since(t1)
-			for _, gw := range model.EpochGEMMWork(batch.Rows(), batch.Rows()) {
-				gw.Items = 0
+			for _, gw := range model.AppendGEMMs(nil, batch.Rows(), true) {
 				if c, err := cpu.KernelCost(hw.KGEMM, gw); err == nil {
 					trainSim += c.Seconds
 				}

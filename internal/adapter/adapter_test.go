@@ -322,7 +322,7 @@ func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x, err := readFeatures(b, []string{"ok", "t.i", "f", "at"})
+	x, err := readFeatures(nil, b, []string{"ok", "t.i", "f", "at"})
 	if err != nil {
 		t.Fatal(err)
 	}

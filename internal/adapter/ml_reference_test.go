@@ -171,6 +171,94 @@ func TestMLColumnFedEqualsTensorReference(t *testing.T) {
 	}
 }
 
+// A model wider than the feature array a node resolves its columns in
+// (inlineFeatures) reads them from storage grown past it, and still answers
+// bit for bit what the whole-input tensor path answered; so does k-means over
+// the same columns, against its own run over the reference tensor.
+func TestMLWideFeaturesEqualTensorReference(t *testing.T) {
+	ctx := context.Background()
+	const n, width = 300, inlineFeatures + 3
+	types := []cast.Type{cast.Float64, cast.Int64, cast.Bool, cast.Timestamp}
+	cols := []cast.Column{{Name: "y", Type: cast.Int64}}
+	var features []string
+	for j := range width {
+		features = append(features, fmt.Sprintf("c%d", j))
+		cols = append(cols, cast.Column{Name: features[j], Type: types[j%len(types)]})
+	}
+	b := cast.NewBatch(cast.MustSchema(cols...), n)
+	rng := rand.New(rand.NewSource(11))
+	row := make([]any, len(cols))
+	for r := 0; r < n; r++ {
+		sum := 0.0
+		for j := range width {
+			f := rng.Float64()*2 - 1
+			switch types[j%len(types)] {
+			case cast.Float64:
+				row[1+j] = f
+			case cast.Bool:
+				row[1+j], f = f > 0, max(f, 0)
+			default:
+				row[1+j] = int64(f * 4)
+				f = float64(int64(f*4)) / 4
+			}
+			sum += f
+		}
+		row[0] = int64(0)
+		if sum > 0 {
+			row[0] = int64(1)
+		}
+		if err := b.AppendRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := NewML("ml", 9)
+	want := referencePredictions(t, 9, b, features, "y", 8, 3, 64, 0.3)
+	model, _, err := a.Execute(ctx, node(ir.OpTrain, "ml", map[string]any{
+		"feature_cols": features, "label_col": "y", "hidden": int64(8), "epochs": int64(3), "batch": int64(64), "lr": 0.3,
+	}), []Value{{Batch: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, _, err := a.Execute(ctx, node(ir.OpPredict, "ml", map[string]any{"feature_cols": features}), []Value{model, {Batch: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := pred.Batch.Floats(1)
+	if len(got) != n {
+		t.Fatalf("%d predictions of %d rows", len(got), n)
+	}
+	distinct := map[float64]bool{}
+	for r := range want {
+		if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+			t.Fatalf("row %d predicts %v, reference %v", r, got[r], want[r])
+		}
+		distinct[got[r]] = true
+	}
+	if len(distinct) < 10 {
+		t.Fatalf("only %d distinct predictions: the comparison would not see columns swapped", len(distinct))
+	}
+
+	x, err := featureTensor(b, features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := mlengine.KMeans(rand.New(rand.NewSource(9)), x, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, _, err := a.Execute(ctx, node(ir.OpKMeans, "ml", map[string]any{"cols": features, "k": int64(3), "iters": int64(5)}), []Value{{Batch: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, _ := clusters.Batch.Ints(1)
+	for r, c := range ref.Assign {
+		if assign[r] != int64(c) {
+			t.Fatalf("k-means puts row %d in cluster %d, reference %d", r, assign[r], c)
+		}
+	}
+}
+
 // A feature list the batch cannot serve fails as the tensor path failed,
 // with the same error, on train, predict and k-means alike.
 func TestMLColumnFedErrorsEqualTensorReference(t *testing.T) {

@@ -19,6 +19,17 @@ import (
 	"polystorepp/internal/timeseries"
 )
 
+// The output schemas of the operators whose columns do not depend on their
+// input, built once: a Schema is never written after NewSchema, so every
+// batch of an operator shares its one.
+var (
+	graphMatchSchema = cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}, cast.Column{Name: "b", Type: cast.Int64})
+	textSearchSchema = cast.MustSchema(cast.Column{Name: "doc_id", Type: cast.Int64}, cast.Column{Name: "score", Type: cast.Float64})
+	kvScanSchema     = cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
+	predictSchema    = cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "prob", Type: cast.Float64})
+	kmeansSchema     = cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "cluster", Type: cast.Int64})
+)
+
 // --- Graph adapter ---
 
 // Graph adapts a graph engine instance.
@@ -44,8 +55,7 @@ func (a *Graph) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecIn
 	switch n.Kind {
 	case ir.OpGraphMatch:
 		pairs := a.store.MatchPattern(n.StringAttr("label_a"), n.StringAttr("edge_type"), n.StringAttr("label_b"))
-		s := cast.MustSchema(cast.Column{Name: "a", Type: cast.Int64}, cast.Column{Name: "b", Type: cast.Int64})
-		out := cast.NewBatch(s, len(pairs))
+		out := cast.NewBatch(graphMatchSchema, len(pairs))
 		for _, p := range pairs {
 			if err := out.AppendRow(int64(p[0]), int64(p[1])); err != nil {
 				return Value{}, info, err
@@ -89,8 +99,7 @@ func (a *Text) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInf
 		if err != nil {
 			return Value{}, info, err
 		}
-		s := cast.MustSchema(cast.Column{Name: "doc_id", Type: cast.Int64}, cast.Column{Name: "score", Type: cast.Float64})
-		out := cast.NewBatch(s, len(hits))
+		out := cast.NewBatch(textSearchSchema, len(hits))
 		for _, h := range hits {
 			if err := out.AppendRow(h.DocID, h.Score); err != nil {
 				return Value{}, info, err
@@ -215,8 +224,7 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 	case ir.OpKVScan:
 		prefix := n.StringAttr("prefix")
 		keys, vals := a.store.ScanPrefix(prefix)
-		s := cast.MustSchema(cast.Column{Name: "key", Type: cast.String}, cast.Column{Name: "value", Type: cast.String})
-		out, err := cast.BatchOf(s, keys, vals)
+		out, err := cast.BatchOf(kvScanSchema, keys, vals)
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -276,11 +284,13 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		featureCols, _ := n.Attr("feature_cols").([]string)
-		x, err := readFeatures(in, featureCols)
+		var xa [inlineFeatures]featureCol
+		var ya [1]featureCol
+		x, err := readFeatures(xa[:0], in, featureCols)
 		if err != nil {
 			return Value{}, info, err
 		}
-		y, err := readFeatures(in, []string{n.StringAttr("label_col")})
+		y, err := readFeatures(ya[:0], in, []string{n.StringAttr("label_col")})
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -312,12 +322,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		}
 		info.RowsIn = int64(nRows)
 		if steps := (nRows + batch - 1) / batch * epochs; steps > 0 {
-			works := m.EpochGEMMWork(nRows, batch)
-			info.Kernels = make([]KernelCall, len(works))
-			for i, w := range works {
-				w.Items = 0
-				info.Kernels[i] = KernelCall{Class: hw.KGEMM, Work: w, Repeat: steps}
-			}
+			info.Kernels = gemmCalls(m, batch, true, steps)
 		}
 		return Value{Model: m}, info, nil
 
@@ -331,7 +336,8 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		featureCols, _ := n.Attr("feature_cols").([]string)
-		x, err := readFeatures(in, featureCols)
+		var xa [inlineFeatures]featureCol
+		x, err := readFeatures(xa[:0], in, featureCols)
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -342,17 +348,9 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 				return Value{}, info, err
 			}
 			probs = p.Data()
-			sizes := m.Sizes()
-			info.Kernels = make([]KernelCall, 0, len(sizes)-1)
-			for i := 0; i+1 < len(sizes); i++ {
-				info.Kernels = append(info.Kernels, KernelCall{Class: hw.KGEMM, Work: hw.Work{
-					M: len(rows), K: sizes[i], N: sizes[i+1],
-					Bytes: int64(len(rows)*sizes[i]+sizes[i]*sizes[i+1]) * 8,
-				}})
-			}
+			info.Kernels = gemmCalls(m, len(rows), false, 0)
 		}
-		s := cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "prob", Type: cast.Float64})
-		out, err := cast.BatchOf(s, rows, probs)
+		out, err := cast.BatchOf(predictSchema, rows, probs)
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -367,7 +365,8 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		cols, _ := n.Attr("cols").([]string)
-		f, err := readFeatures(in, cols)
+		var fa [inlineFeatures]featureCol
+		f, err := readFeatures(fa[:0], in, cols)
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -384,8 +383,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
-		s := cast.MustSchema(cast.Column{Name: "row", Type: cast.Int64}, cast.Column{Name: "cluster", Type: cast.Int64})
-		out := cast.NewBatch(s, len(res.Assign))
+		out := cast.NewBatch(kmeansSchema, len(res.Assign))
 		for i, c := range res.Assign {
 			if err := out.AppendRow(int64(i), int64(c)); err != nil {
 				return Value{}, info, err
@@ -402,6 +400,18 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on ml engine", ErrUnsupported, n.Kind)
 	}
+}
+
+// gemmCalls is the kernel calls charged for m's GEMMs over rows examples
+// (mlengine.MLP.AppendGEMMs), each made repeat times.
+func gemmCalls(m *mlengine.MLP, rows int, train bool, repeat int) []KernelCall {
+	var inline [6]hw.Work // a one-hidden-layer model's training step
+	shapes := m.AppendGEMMs(inline[:0], rows, train)
+	calls := make([]KernelCall, len(shapes))
+	for i, w := range shapes {
+		calls[i] = KernelCall{Class: hw.KGEMM, Work: w, Repeat: repeat}
+	}
+	return calls
 }
 
 // features are named numeric columns of a batch read in place as model
@@ -454,20 +464,24 @@ func numbered(n int) []int64 {
 	return rows
 }
 
-// readFeatures resolves cols in b. Every column is checked, even when b has
-// no rows.
-func readFeatures(b *cast.Batch, cols []string) (features, error) {
+// inlineFeatures is how many feature columns a node resolves in an array of
+// its own frame; a wider input grows past it onto the heap.
+const inlineFeatures = 8
+
+// readFeatures resolves cols in b, appending them to dst, which a caller
+// points at an array of its own (dst[:0]). Every column is checked, even
+// when b has no rows.
+func readFeatures(dst features, b *cast.Batch, cols []string) (features, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrBadNode)
 	}
-	f := make(features, len(cols))
-	for j, name := range cols {
+	for _, name := range cols {
 		idx, err := b.Schema().Index(relational.BaseName(name))
 		if err != nil {
 			return nil, err
 		}
-		c := &f[j]
-		switch c.typ = b.Schema().Col(idx).Type; c.typ {
+		c := featureCol{typ: b.Schema().Col(idx).Type}
+		switch c.typ {
 		case cast.Int64, cast.Timestamp:
 			c.ints, _ = b.Ints(idx) // the schema just named the type
 		case cast.Float64:
@@ -477,8 +491,9 @@ func readFeatures(b *cast.Batch, cols []string) (features, error) {
 		default:
 			return nil, fmt.Errorf("%w: column %q is not numeric", ErrBadInput, name)
 		}
+		dst = append(dst, c)
 	}
-	return f, nil
+	return dst, nil
 }
 
 // fill writes rows [lo, hi) into dst, hi-lo rows of len(f) values each; it

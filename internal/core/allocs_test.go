@@ -117,9 +117,10 @@ func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
 // first stage is two nodes wide — when a subplan hit serves its root
 // subtree, the whole plan. No node runs, so the driver dispatches nothing:
 // no goroutine, channel or run for any node. It was 53 while the plan's
-// width chose the dataflow and every served node got all three, and 21
-// while the probe built a key string and a version vector per candidate.
-const servedWideExecuteAllocs = 9
+// width chose the dataflow and every served node got all three, 21 while
+// the probe built a key string and a version vector per candidate, and 9
+// while each execution made its probe, node table and miss list afresh.
+const servedWideExecuteAllocs = 6
 
 // TestServedWideExecuteAllocBudget warms the subplan cache with the plan,
 // then measures executions that are served whole.

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"polystorepp/internal/adapter"
@@ -81,6 +82,8 @@ type pendingPub struct {
 // before any node runs (prepareSubplan), its serve decisions read-only from
 // then on, and fed finished runs by the driver for publication. All methods
 // tolerate a nil receiver so the disabled path stays free.
+// Probes are pooled (probes) and cleared by close; what a published entry
+// keeps — keys, costs, the driver's recs — is made per execution.
 type planProbe struct {
 	rt *Runtime
 	// tenant is who this execution runs for, captured at prepare time; the
@@ -96,6 +99,27 @@ type planProbe struct {
 	// leases are the single-flight keys this execution leads; released on
 	// every exit path (close), after any publications.
 	leases []string
+	// misses are the candidates the cache missed, in probe order; a node's
+	// pub points into it.
+	misses []pendingPub
+}
+
+var probes = sync.Pool{New: func() any { return new(planProbe) }}
+
+// maxPooledNodes bounds the node table a pooled probe keeps: a rare huge
+// plan's goes with its probe.
+const maxPooledNodes = 1 << 10
+
+// newProbe takes a cleared probe from the pool with a node table of n
+// entries.
+func (r *Runtime) newProbe(tenant string, n int) *planProbe {
+	pr := probes.Get().(*planProbe)
+	pr.rt, pr.tenant = r, tenant
+	if cap(pr.nodes) < n {
+		pr.nodes = make([]probeNode, n)
+	}
+	pr.nodes = pr.nodes[:n]
+	return pr
 }
 
 // probeNode is what one execution's probe knows of one node.
@@ -144,7 +168,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		return nil
 	}
 	tr := obs.From(ctx)
-	pr := &planProbe{rt: r, tenant: tenant.From(ctx), nodes: make([]probeNode, plan.Graph.IDBound())}
+	pr := r.newProbe(tenant.From(ctx), plan.Graph.IDBound())
 
 	// Phase 1: probe outermost-first (Plan.Subtrees orders candidates by
 	// closure size). Closed candidates are nested or disjoint, so a hit
@@ -153,7 +177,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	// when the touch set differs from the last one's (nested candidates
 	// mostly share one): a probe allocates nothing.
 	keys, vv, vvOf := make([]byte, 0, 512), make([]byte, 0, 128), map[string][]string(nil)
-	misses := make([]pendingPub, 0, len(plan.Subtrees))
+	misses := slices.Grow(pr.misses[:0], len(plan.Subtrees))
 	for i := range plan.Subtrees {
 		st := &plan.Subtrees[i]
 		if pr.serves(st.Root) {
@@ -173,7 +197,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		}
 		misses = append(misses, pendingPub{sub: st, lo: lo, vv: at, hi: len(keys)})
 	}
-	pr.keys = string(keys)
+	pr.keys, pr.misses = string(keys), misses
 
 	// Phase 2: single-flight the maximal misses (the pairwise-disjoint
 	// outermost ones: containment is root membership, as closed subtrees
@@ -241,6 +265,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		r.st.subplanPlansReused.Inc()
 	}
 	if pr.hits == 0 && pubs == 0 && len(pr.leases) == 0 {
+		pr.close()
 		return nil
 	}
 	return pr
@@ -267,7 +292,8 @@ func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan) (res *Resu
 	if e == nil {
 		return nil, nil, false
 	}
-	pr := &planProbe{rt: r, nodes: make([]probeNode, plan.Graph.IDBound())}
+	pr := r.newProbe("", plan.Graph.IDBound())
+	defer pr.close()
 	pr.serveHit(obs.From(ctx), "hit", st, key, e)
 	r.st.subplanPlansProbed.Inc()
 	r.st.subplanPlansReused.Inc()
@@ -361,9 +387,10 @@ func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
 	}
 }
 
-// close releases every single-flight lease this execution holds. Runs on
-// every exit path; followers then re-probe — a hit if we published, a
-// fresh leader election if we failed.
+// close releases every single-flight lease this execution holds — followers
+// then re-probe: a hit if we published, a fresh leader election if we
+// failed — and hands the probe back to the pool cleared. Runs on every exit
+// path, once nothing reads the probe any more.
 func (pr *planProbe) close() {
 	if pr == nil {
 		return
@@ -371,5 +398,11 @@ func (pr *planProbe) close() {
 	for _, k := range pr.leases {
 		pr.rt.subplan.flight.Release(k)
 	}
-	pr.leases = nil
+	clear(pr.nodes)
+	clear(pr.misses)
+	clear(pr.leases)
+	*pr = planProbe{nodes: pr.nodes[:0], misses: pr.misses[:0], leases: pr.leases[:0]}
+	if cap(pr.nodes) <= maxPooledNodes {
+		probes.Put(pr)
+	}
 }

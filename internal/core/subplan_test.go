@@ -472,11 +472,12 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		values[id] = r.out
 		pr.onNodeCosted(id, r)
 	}
-	pr.close() // the subtree is published: followers may replay it
+	key := pr.key(pr.nodes[order[len(order)-2]].pub)
+	pr.close() // the subtree is published: followers may replay it; the probe goes back to the pool
 	if rt.st.subplanPublished.Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
-	e, ok := rt.subplan.cache.Get(pr.key(pr.nodes[order[len(order)-2]].pub))
+	e, ok := rt.subplan.cache.Get(key)
 	if !ok || e.Output != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}

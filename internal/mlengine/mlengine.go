@@ -58,9 +58,6 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 	return m, nil
 }
 
-// Sizes returns the layer sizes.
-func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
-
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 func relu(x float64) float64    { return math.Max(0, x) }
 
@@ -283,29 +280,19 @@ func (m *MLP) step(ws *Workspace, x, y *tensor.Tensor, lr float64) float64 {
 	return loss
 }
 
-// EpochGEMMWork returns the hw.Work items of one epoch of training on n
-// examples with batch size b — used to charge TPU/GPU cost for an epoch.
-func (m *MLP) EpochGEMMWork(n, b int) []hw.Work {
-	if b <= 0 || n <= 0 {
-		return nil
-	}
-	batches := (n + b - 1) / b
-	var works []hw.Work
+// AppendGEMMs appends the shape of every GEMM one pass of the model over
+// rows examples runs, the shapes TPU/GPU cost is charged from: per layer the
+// forward GEMM and, when train is set, the two backward GEMMs of an SGD step
+// beside it, charged at the forward's shape.
+func (m *MLP) AppendGEMMs(dst []hw.Work, rows int, train bool) []hw.Work {
 	for i := 0; i+1 < len(m.sizes); i++ {
 		in, out := m.sizes[i], m.sizes[i+1]
-		// Forward + two backward GEMMs per layer per batch.
-		for k := 0; k < 3; k++ {
-			works = append(works, hw.Work{
-				M: b, K: in, N: out,
-				Bytes: int64(b*in+in*out) * 8,
-			})
+		w := hw.Work{M: rows, K: in, N: out, Bytes: int64(rows*in+in*out) * 8}
+		if dst = append(dst, w); train {
+			dst = append(dst, w, w)
 		}
 	}
-	// Scale by batch count via repetition marker: callers multiply.
-	for i := range works {
-		works[i].Items = int64(batches)
-	}
-	return works
+	return dst
 }
 
 // --- k-means ---

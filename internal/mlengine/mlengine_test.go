@@ -35,12 +35,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if _, err := NewMLP(rng, 4, 0, 1); !errors.Is(err, ErrConfig) {
 		t.Fatalf("empty hidden layer: %v", err)
 	}
-	m, err := NewMLP(rng, 4, 8, 1)
-	if err != nil {
+	if _, err := NewMLP(rng, 4, 8, 1); err != nil {
 		t.Fatal(err)
-	}
-	if len(m.Sizes()) != 3 {
-		t.Fatal("accessors wrong")
 	}
 }
 
@@ -141,23 +137,24 @@ func TestMLPTrainBatchLabelShape(t *testing.T) {
 	}
 }
 
-func TestEpochGEMMWork(t *testing.T) {
+func TestAppendGEMMs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, _ := NewMLP(rng, 10, 20, 1)
-	works := m.EpochGEMMWork(1000, 100)
-	if len(works) != 6 { // 2 layers x 3 GEMMs
+	var inline [6]hw.Work
+	works := m.AppendGEMMs(inline[:0], 100, true)
+	if len(works) != 6 || &works[0] != &inline[0] { // 2 layers x 3 GEMMs, in the caller's storage
 		t.Fatalf("works = %d", len(works))
 	}
-	for _, w := range works {
-		if w.Items != 10 { // 10 batches
-			t.Fatalf("batches = %d", w.Items)
+	for i, w := range works {
+		if k, n := []int{10, 20}[i/3], []int{20, 1}[i/3]; w.M != 100 || w.K != k || w.N != n || w.Bytes != int64(100*k+k*n)*8 {
+			t.Fatalf("GEMM %d is %+v", i, w)
 		}
 		if w.FLOPs() == 0 {
 			t.Fatal("no FLOPs in work")
 		}
 	}
-	if got := m.EpochGEMMWork(0, 10); got != nil {
-		t.Fatal("zero examples should yield nil")
+	if fwd := m.AppendGEMMs(works, 7, false); len(fwd) != 8 || fwd[6].M != 7 || fwd[6].K != 10 || fwd[7].N != 1 {
+		t.Fatalf("forward GEMMs appended: %+v", fwd[6:])
 	}
 }
 

@@ -120,8 +120,9 @@ func TestPooledPreambleLeaksNoField(t *testing.T) {
 	}
 }
 
-// answerOf is a /query answer with what differs between equal answers taken
-// out: wall time and cache verdicts gone, rows sorted.
+// answerOf is a /query (or /ingest) answer with what differs between equal
+// answers taken out: wall time, cache verdicts and the global data version
+// (which any write moves) gone, rows sorted.
 func answerOf(code int, raw []byte) string {
 	if code != http.StatusOK {
 		return fmt.Sprintf("%d %s", code, raw)
@@ -133,6 +134,7 @@ func answerOf(code int, raw []byte) string {
 	delete(resp, "wall_us")
 	delete(resp, "plan_cache")
 	delete(resp, "single_flight")
+	delete(resp, "data_version")
 	if rows, ok := resp["rows"].([]any); ok {
 		slices.SortFunc(rows, func(a, b any) int { return strings.Compare(fmt.Sprint(a), fmt.Sprint(b)) })
 	}
@@ -142,7 +144,7 @@ func answerOf(code int, raw []byte) string {
 
 // streamAnswerOf is a /query/stream answer reduced as answerOf reduces a
 // /query one: the schema record, the rows of every batch record sorted, and
-// the summary without wall time or cache verdicts.
+// the summary without wall time, cache verdicts or data version.
 func streamAnswerOf(code int, raw []byte) string {
 	if code != http.StatusOK {
 		return fmt.Sprintf("%d %s", code, raw)
@@ -161,6 +163,7 @@ func streamAnswerOf(code int, raw []byte) string {
 		delete(rec, "wall_us")
 		delete(rec, "plan_cache")
 		delete(rec, "single_flight")
+		delete(rec, "data_version")
 		records = append(records, rec)
 	}
 	slices.SortFunc(rows, func(a, b any) int { return strings.Compare(fmt.Sprint(a), fmt.Sprint(b)) })
@@ -245,9 +248,11 @@ func TestPooledPlanKeepsFeatureCols(t *testing.T) {
 // SQL bodies to /query and /query/stream — several clients the same body at
 // once, so single-flight shares executions, beside malformed and oversized
 // bodies and requests canceled mid-flight — through one server's pooled
-// preambles. Every answer equals the one a fresh server gives the body, but
-// for a canceled request's, which may stop short. CI runs it under the race
-// detector twenty times.
+// preambles and decoders, and /ingest rows (to a table no query reads, each
+// id beyond 2^53) between malformed and oversized /ingest bodies. Every
+// answer equals the one a fresh server gives the body, but for a canceled
+// request's, which may stop short, and every row reads back exact. CI runs
+// it under the race detector twenty times.
 func TestPooledPreambleConcurrent(t *testing.T) {
 	data := clinicalData(t)
 	s := clinicalServer(data)
@@ -276,8 +281,17 @@ func TestPooledPreambleConcurrent(t *testing.T) {
 	bodies = append(bodies, malformed...)
 	bodies = append(bodies, oversized)
 
+	badIngests := []string{
+		`{"engine":"db-clinical","table":"admissions","row":[1,3,1200000000000000000,"icu"],"bogus":1}`,
+		`{"engine":"db-clinical","table":"admissions","row":[1,3,`,
+		`{"engine":"db-clinical","table":"admissions","row":[1,3,1200000000000000000,"icu"]}` + strings.Repeat(" ", 1<<20),
+	}
+
 	fresh := clinicalServer(data)
 	want := map[[2]string]string{}
+	for _, body := range badIngests {
+		want[[2]string{"/ingest", body}] = serveAnswer(fresh, context.Background(), "/ingest", body)
+	}
 	for _, path := range []string{"/query", "/query/stream"} {
 		for i, body := range bodies {
 			w := serveAnswer(fresh, context.Background(), path, body)
@@ -290,23 +304,33 @@ func TestPooledPreambleConcurrent(t *testing.T) {
 	}
 
 	const clients = 4
-	var wg sync.WaitGroup
+	var written []int
+	jobs := make([][]job, clients)
 	for c := range clients {
 		// Every client posts the same valid bodies in the same order, three
 		// rounds, so identical requests run at once; between them it posts
 		// a malformed or oversized body of its own, and it cancels one valid
-		// body mid-flight each round.
-		var jobs []job
+		// body mid-flight each round. After every read it also writes a row
+		// of its own, or posts a malformed write.
 		for i, body := range slices.Concat(bodies[:8], bodies[:8], bodies[:8]) {
-			i %= 8
-			path := []string{"/query", "/query/stream"}[(i+c)%2]
-			jobs = append(jobs, job{path: path, body: body, cancel: i == 2*c+1})
-			jobs = append(jobs, job{path: path, body: bodies[8+(i+c)%5]})
+			path := []string{"/query", "/query/stream"}[(i%8+c)%2]
+			jobs[c] = append(jobs[c], job{path: path, body: body, cancel: i%8 == 2*c+1})
+			jobs[c] = append(jobs[c], job{path: path, body: bodies[8+(i%8+c)%5]})
+			write := badIngests[(i+c)%len(badIngests)]
+			if i%2 == 0 {
+				aid := 1<<53 + 1 + 100*c + i
+				write = fmt.Sprintf(`{"engine":"db-clinical","table":"admissions","row":[%d,3,1200000000000000000,"icu"]}`, aid)
+				want[[2]string{"/ingest", write}], written = `{"ok":true}`, append(written, aid)
+			}
+			jobs[c] = append(jobs[c], job{path: "/ingest", body: write})
 		}
+	}
+	var wg sync.WaitGroup
+	for c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, j := range jobs {
+			for _, j := range jobs[c] {
 				ctx, cancel := context.WithCancel(context.Background())
 				if j.cancel {
 					time.AfterFunc(time.Duration(c)*time.Millisecond, cancel)
@@ -323,4 +347,16 @@ func TestPooledPreambleConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	slices.Sort(written)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(
+		`{"frontend":"sql","statement":"SELECT aid FROM admissions WHERE aid > 9007199254740992 ORDER BY aid"}`)))
+	var read struct{ Rows [][]int }
+	if err := json.Unmarshal(rec.Body.Bytes(), &read); err != nil {
+		t.Fatal(err)
+	}
+	if got := slices.Concat(read.Rows...); !slices.Equal(got, written) {
+		t.Fatalf("the rows written read back as %v, want %v", got, written)
+	}
 }

@@ -410,17 +410,53 @@ func postOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// bodyDecoder is a pooled JSON decoder over itself as its source: body is
+// one request's body for a decode (nil in the pool), and n counts the bytes
+// it has yielded.
+type bodyDecoder struct {
+	*json.Decoder
+	body io.Reader
+	n    int
+}
+
+func (d *bodyDecoder) Read(p []byte) (int, error) {
+	n, err := d.body.Read(p)
+	d.n += n
+	return n, err
+}
+
+var bodyDecoders = sync.Pool{New: func() any {
+	d := new(bodyDecoder)
+	d.Decoder = json.NewDecoder(d)
+	d.DisallowUnknownFields()
+	d.UseNumber()
+	return d
+}}
+
+// maxPooledBody bounds what a pooled decoder has read: json.Decoder's buffer
+// is private, so the bytes its body yielded are the only bound on it.
+const maxPooledBody = 16 << 10
+
 // decodeBody decodes a JSON request body into v, which holds no field but the
 // arrays it lends the decode, rejecting unknown fields and anything but
 // whitespace after the value; on failure it writes the 400, or the 413 past
 // 1 MiB, and returns false. A number bound to an untyped field stays a
 // json.Number, so an integer beyond 2^53 is not rounded through float64.
+//
+// The decoder is pooled. It goes back to the pool only after a body it read
+// to the end — one value, then io.EOF — of at most maxPooledBody bytes; on
+// any error it is dropped, so a decoder mid-value or holding a saved error
+// is never read again. What a pooled one keeps is a buffer of at most the
+// last body's trailing whitespace, which the next value skips.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
-	err := dec.Decode(v)
-	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+	d := bodyDecoders.Get().(*bodyDecoder)
+	d.body, d.n = http.MaxBytesReader(w, r.Body, 1<<20), 0
+	err := d.Decode(v)
+	_, tail := d.Token()
+	if d.body = nil; err == nil && tail == io.EOF && d.n <= maxPooledBody {
+		bodyDecoders.Put(d)
+	}
+	if err == nil && tail != io.EOF {
 		err = errors.New("data after the JSON value")
 		if errors.As(tail, new(*http.MaxBytesError)) {
 			err = tail // the value fit, its trailing whitespace did not
