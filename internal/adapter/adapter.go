@@ -11,11 +11,14 @@ package adapter
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"polystorepp/internal/cast"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
+	"polystorepp/internal/migrate"
 	"polystorepp/internal/mlengine"
+	"polystorepp/internal/relational"
 )
 
 // Sentinel errors.
@@ -52,20 +55,51 @@ type KernelCall struct {
 }
 
 // ExecInfo is the per-node execution report sent to the middleware's
-// optimizer (§IV-D-d).
+// optimizer (§IV-D-d); Native renders from it what the engine ran.
 type ExecInfo struct {
 	RowsIn  int64
 	RowsOut int64
 	Kernels []KernelCall
-	Native  string // what the engine actually ran
-	// RuleNodes counts IR-translation rule applications, the work §III-A4
-	// proposes offloading to an accelerator.
-	RuleNodes int64
+	Path    string // the access path or join orientation a relational kernel chose
 	// Parts is the partition fan-out the operator actually used (0 when the
 	// operator does not partition) — surfaced in trace spans and the
 	// per-operator aggregates (obs.OpStats).
 	Parts int
 }
+
+// Native renders what ran for n (an engine's operator or the middleware's
+// migration) from its bound attributes and info, when a report row or trace
+// span is rendered; an unknown kind renders "".
+func Native(n *ir.Node, info ExecInfo) string {
+	switch n.Kind {
+	case ir.OpScan, ir.OpIndexScan, ir.OpHashJoin, ir.OpMergeJoin:
+		return info.Path
+	case ir.OpFilter:
+		pred, _ := n.Attr("pred").(relational.Expr) // a filter without one fails before it reports
+		return "Filter" + pred.String()
+	case ir.OpLimit:
+		return fmt.Sprintf("Limit(%d)", info.RowsOut)
+	case ir.OpGraphMatch:
+		return fmt.Sprintf("MATCH (:%s)-[:%s]->(:%s)", n.StringAttr("label_a"), n.StringAttr("edge_type"), n.StringAttr("label_b"))
+	case ir.OpTextSearch:
+		return fmt.Sprintf("Search(%q)", n.StringAttr("query"))
+	case ir.OpTSWindow:
+		return fmt.Sprintf("EntitySummary(%s*)", n.StringAttr("series_prefix"))
+	case ir.OpKVScan:
+		return fmt.Sprintf("ScanPrefix(%q)", n.StringAttr("prefix"))
+	case ir.OpTrain:
+		cols, _ := n.Attr("feature_cols").([]string)
+		return fmt.Sprintf("TrainMLP(%d->%d->1, %d epochs)", len(cols), n.IntAttr("hidden"), n.IntAttr("epochs"))
+	case ir.OpKMeans:
+		return fmt.Sprintf("KMeans(k=%d, %d iters)", n.IntAttr("k"), info.Kernels[0].Repeat) // the one call, made once per iteration
+	case ir.OpMigrate:
+		return fmt.Sprintf("Migrate(%s->%s, %s)", n.StringAttr("from"), n.StringAttr("to"), migrate.Transport(n.IntAttr("transport")))
+	}
+	return fixedNative[n.Kind]
+}
+
+// fixedNative labels the kinds whose label says nothing more.
+var fixedNative = map[ir.OpKind]string{ir.OpProject: "Project", ir.OpSort: "Sort", ir.OpGroupBy: "GroupBy", ir.OpPredict: "Predict"}
 
 // Adapter translates and executes IR nodes on one engine instance.
 type Adapter interface {

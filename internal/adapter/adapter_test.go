@@ -37,11 +37,12 @@ func TestRelationalScanFilterProject(t *testing.T) {
 	if a.Engine() != "db" {
 		t.Fatal("engine name")
 	}
-	scanOut, info, err := a.Execute(ctx, node(ir.OpScan, "db", map[string]any{"table": "patients"}), nil)
+	scan := node(ir.OpScan, "db", map[string]any{"table": "patients"})
+	scanOut, info, err := a.Execute(ctx, scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanOut.Rows() != 60 || info.Native == "" || len(info.Kernels) == 0 {
+	if scanOut.Rows() != 60 || Native(scan, info) == "" || len(info.Kernels) == 0 {
 		t.Fatalf("scan info = %+v", info)
 	}
 	filtOut, info, err := a.Execute(ctx, node(ir.OpFilter, "db", map[string]any{
@@ -229,8 +230,8 @@ func TestMLAdapterTrainPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.Model == nil || len(info.Kernels) == 0 {
-		t.Fatal("no model or kernels")
+	if model.Model == nil || model.Rows() != 0 || len(info.Kernels) == 0 {
+		t.Fatalf("model %v (%d rows), %d kernel calls: want a model, no rows and kernels", model.Model, model.Rows(), len(info.Kernels))
 	}
 	pred, _, err := a.Execute(ctx, node(ir.OpPredict, "ml", map[string]any{
 		"feature_cols": []string{"x"},
@@ -358,5 +359,12 @@ func TestMLAdapterTypedFeaturesAndKernelSequence(t *testing.T) {
 	rows, _ := pred.Batch.Ints(0)
 	if len(info.Kernels) != 2 || info.Kernels[0].Work.M != 130 || pred.Batch.Rows() != 130 || rows[129] != 129 {
 		t.Fatalf("predict: %d kernels, %d rows", len(info.Kernels), pred.Batch.Rows())
+	}
+}
+
+// TestNativeUnknownKind: a kind nothing runs renders no label.
+func TestNativeUnknownKind(t *testing.T) {
+	if got := Native(&ir.Node{Kind: ir.OpKind(0)}, ExecInfo{}); got != "" {
+		t.Fatalf("Native of kind 0 = %q, want \"\"", got)
 	}
 }

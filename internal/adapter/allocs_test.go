@@ -34,8 +34,8 @@ func TestIndexSeekAllocatesNoColumn(t *testing.T) {
 	n := node(ir.OpIndexScan, "db", map[string]any{"table": "patients", "pred": onPid})
 	seek := func() {
 		v, info, err := a.Execute(ctx, n, nil)
-		if err != nil || v.Rows() != 2490 || info.Native != "IndexScan(patients.pid)" {
-			t.Fatalf("%s returned %d rows: %v", info.Native, v.Rows(), err)
+		if err != nil || v.Rows() != 2490 || Native(n, info) != "IndexScan(patients.pid)" {
+			t.Fatalf("%s returned %d rows: %v", Native(n, info), v.Rows(), err)
 		}
 	}
 	seek() // warm lazily built state

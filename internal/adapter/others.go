@@ -51,7 +51,7 @@ func (a *Graph) DataVersion() uint64 { return a.store.Version() }
 
 // Execute implements Adapter.
 func (a *Graph) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	switch n.Kind {
 	case ir.OpGraphMatch:
 		pairs := a.store.MatchPattern(n.StringAttr("label_a"), n.StringAttr("edge_type"), n.StringAttr("label_b"))
@@ -62,7 +62,6 @@ func (a *Graph) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecIn
 			}
 		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("MATCH (:%s)-[:%s]->(:%s)", n.StringAttr("label_a"), n.StringAttr("edge_type"), n.StringAttr("label_b"))
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Edges())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
@@ -92,7 +91,7 @@ func (a *Text) DataVersion() uint64 { return a.store.Version() }
 
 // Execute implements Adapter.
 func (a *Text) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	switch n.Kind {
 	case ir.OpTextSearch:
 		hits, err := a.store.Search(n.StringAttr("query"), int(n.IntAttr("k")))
@@ -106,7 +105,6 @@ func (a *Text) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInf
 			}
 		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Search(%q)", n.StringAttr("query"))
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Len())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
@@ -145,7 +143,7 @@ func (a *Timeseries) Ingest(_ context.Context, w Ingest) error {
 
 // Execute implements Adapter.
 func (a *Timeseries) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	switch n.Kind {
 	case ir.OpTSWindow:
 		prefix := n.StringAttr("series_prefix")
@@ -184,7 +182,6 @@ func (a *Timeseries) entitySummary(prefix string, info ExecInfo) (Value, ExecInf
 	}
 	info.RowsIn = fold.Points
 	info.RowsOut = int64(out.Rows())
-	info.Native = fmt.Sprintf("EntitySummary(%s*)", prefix)
 	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: fold.Points, Bytes: fold.Points * 16}, OutBytes: out.ByteSize()}}
 	return Value{Batch: out}, info, nil
 }
@@ -219,7 +216,7 @@ func (a *KV) Ingest(_ context.Context, w Ingest) error {
 
 // Execute implements Adapter.
 func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	switch n.Kind {
 	case ir.OpKVScan:
 		prefix := n.StringAttr("prefix")
@@ -229,7 +226,6 @@ func (a *KV) Execute(_ context.Context, n *ir.Node, _ []Value) (Value, ExecInfo,
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("ScanPrefix(%q)", prefix)
 		info.Kernels = []KernelCall{{Class: hw.KHashProbe, Work: hw.Work{Items: int64(a.store.Len())}, OutBytes: out.ByteSize()}}
 		return Value{Batch: out}, info, nil
 
@@ -271,7 +267,7 @@ func (a *ML) rng() *rand.Rand {
 
 // Execute implements Adapter.
 func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	switch n.Kind {
 	case ir.OpFilter, ir.OpProject:
 		// The ML engine hosts a general-purpose runtime (the Python/Spark
@@ -302,7 +298,6 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 			return Value{}, info, err
 		}
 		epochs := int(n.IntAttr("epochs"))
-		info.Native = fmt.Sprintf("TrainMLP(%d->%d->1, %d epochs)", len(featureCols), hidden, epochs)
 		nRows := in.Rows()
 		if nRows == 0 { // nothing to learn from: the initialised model, no kernel charged
 			return Value{Model: m}, info, nil
@@ -356,7 +351,6 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
-		info.Native = "Predict"
 		return Value{Batch: out}, info, nil
 
 	case ir.OpKMeans:
@@ -391,7 +385,6 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("KMeans(k=%d, %d iters)", k, res.Iterations)
 		info.Kernels = []KernelCall{{Class: hw.KKMeansAssign, Work: hw.Work{
 			Items: int64(x.Dim(0)), K: x.Dim(1), N: k, Bytes: int64(x.Size()) * 8,
 		}, Repeat: res.Iterations}}
@@ -403,16 +396,38 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 }
 
 // gemmCalls is the kernel calls charged for m's GEMMs over rows examples
-// (mlengine.MLP.AppendGEMMs), each made repeat times.
+// (mlengine.MLP.AppendGEMMs), each made repeat times: built once per
+// gemmKey, as nobody writes them, and shared by the executions of a plan.
 func gemmCalls(m *mlengine.MLP, rows int, train bool, repeat int) []KernelCall {
-	var inline [6]hw.Work // a one-hidden-layer model's training step
-	shapes := m.AppendGEMMs(inline[:0], rows, train)
+	k := gemmKey{repeat: repeat}
+	shapes := m.AppendGEMMs(k.shapes[:0], rows, train)
+	keyed := len(shapes) <= len(k.shapes) // not a deeper model than a node trains
+	gemmMemo.Lock()
+	defer gemmMemo.Unlock()
+	if calls, ok := gemmMemo.calls[k]; ok && keyed {
+		return calls
+	}
 	calls := make([]KernelCall, len(shapes))
 	for i, w := range shapes {
 		calls[i] = KernelCall{Class: hw.KGEMM, Work: w, Repeat: repeat}
 	}
+	if keyed && len(gemmMemo.calls) < 1024 { // bounded, as rows vary
+		gemmMemo.calls[k] = calls
+	}
 	return calls
 }
+
+// gemmKey is one MLP pass's GEMM shapes (a one-hidden-layer model's
+// training step has six) and the times each is made.
+type gemmKey struct {
+	shapes [6]hw.Work
+	repeat int
+}
+
+var gemmMemo = struct {
+	sync.Mutex
+	calls map[gemmKey][]KernelCall
+}{calls: make(map[gemmKey][]KernelCall)}
 
 // features are named numeric columns of a batch read in place as model
 // input: the typed column slices are resolved once, and fill writes any row
@@ -539,7 +554,6 @@ func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, inf
 		if !ok {
 			return nil, fmt.Errorf("%w: filter without pred", ErrBadNode)
 		}
-		info.Native = "Filter" + pred.String()
 		out, err = relational.Filter(ctx, in, pred, parts)
 	case ir.OpProject:
 		items, ok := n.Attr("items").([]relational.ProjItem)
@@ -550,7 +564,7 @@ func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, inf
 		if schema, err = relational.ProjectSchema(in.Schema(), items); err != nil {
 			return nil, err
 		}
-		class, info.Native = hw.KProject, "Project"
+		class = hw.KProject
 		out, err = relational.Project(ctx, in, items, schema, parts)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)

@@ -69,7 +69,7 @@ func (a *Relational) Ingest(_ context.Context, w Ingest) error {
 // Execute implements Adapter: the rule table from IR op kinds to relational
 // kernels.
 func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
-	info := ExecInfo{RuleNodes: 1}
+	var info ExecInfo
 	var out *cast.Batch
 	parts := int(n.IntAttr("parts"))
 	switch n.Kind {
@@ -85,7 +85,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if n.Kind == ir.OpIndexScan {
 			pred, _ = n.Attr("pred").(relational.Expr)
 		}
-		if out, info.Native, err = relational.Scan(ctx, t, pred); err != nil {
+		if out, info.Path, err = relational.Scan(ctx, t, pred); err != nil {
 			return Value{}, info, err
 		}
 		info.RowsOut = int64(out.Rows())
@@ -112,7 +112,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if n.Kind == ir.OpHashJoin {
 			// The build side is indexed whole, in one sequential pass; the
 			// probe is the only part that fans out.
-			if out, info.Native, err = relational.HashJoin(ctx, left, right, lc, rc, parts); err != nil {
+			if out, info.Path, err = relational.HashJoin(ctx, left, right, lc, rc, parts); err != nil {
 				return Value{}, info, err
 			}
 			info.Parts = partition.Effective(left.Rows(), parts)
@@ -121,7 +121,7 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
 			}
 		} else {
-			if out, info.Native, err = relational.MergeJoin(ctx, left, right, lc, rc); err != nil {
+			if out, info.Path, err = relational.MergeJoin(ctx, left, right, lc, rc); err != nil {
 				return Value{}, info, err
 			}
 			info.Kernels = []KernelCall{
@@ -151,7 +151,6 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if out, err = relational.Sort(ctx, in, order, limit); err != nil {
 			return Value{}, info, err
 		}
-		info.Native = "Sort"
 		info.unary(hw.KSort, in, out)
 
 	case ir.OpGroupBy:
@@ -172,7 +171,6 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 			return Value{}, info, err
 		}
 		info.Parts = partition.Effective(in.Rows(), parts)
-		info.Native = "GroupBy"
 		info.unary(hw.KHashBuild, in, out)
 
 	case ir.OpLimit:
@@ -185,7 +183,6 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		}
 		info.RowsIn = int64(in.Rows())
 		info.RowsOut = int64(out.Rows())
-		info.Native = fmt.Sprintf("Limit(%d)", out.Rows())
 
 	default:
 		return Value{}, info, fmt.Errorf("%w: %s on relational engine", ErrUnsupported, n.Kind)

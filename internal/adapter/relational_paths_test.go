@@ -11,7 +11,7 @@ import (
 )
 
 // TestRelationalBufferedEqualsStreamed runs every relational op kind through
-// Execute and pins its report: Native, RuleNodes and the partition fan-out
+// Execute and pins its report: Native and the partition fan-out
 // each kind ran at. There is one delivery path: a streamed response is cut
 // into records from the value Execute returns, above the adapter, so a
 // streamed filter, project or hash join fans out and reports it exactly like
@@ -87,12 +87,13 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 			if info.Parts != tc.parts {
 				t.Fatalf("Parts = %d, want %d", info.Parts, tc.parts)
 			}
-			if info.Native == "" || (tc.native != "" && info.Native != tc.native) || info.RuleNodes < 1 {
-				t.Fatalf("ExecInfo = %+v", info)
+			native := Native(n, info)
+			if native == "" || (tc.native != "" && native != tc.native) {
+				t.Fatalf("ExecInfo = %+v, native %q", info, native)
 			}
 			// A scan that does not seek hands on the heap snapshot itself: the
 			// table's columns, shared, whether or not a predicate was pushed.
-			if info.Native == "SeqScan(patients)" {
+			if native == "SeqScan(patients)" {
 				x, _ := got.Batch.Ints(0)
 				y, _ := patients.Batch.Ints(0)
 				if &x[0] != &y[0] {

@@ -91,7 +91,6 @@ func referenceEntitySummary(store *timeseries.Store, prefix string, info ExecInf
 	}
 	info.RowsIn = items
 	info.RowsOut = int64(out.Rows())
-	info.Native = fmt.Sprintf("EntitySummary(%s*)", prefix)
 	info.Kernels = []KernelCall{{Class: hw.KWindowAgg, Work: hw.Work{Items: items, Bytes: items * 16}, OutBytes: out.ByteSize()}}
 	return Value{Batch: out}, info, nil
 }
@@ -168,13 +167,16 @@ func TestEntitySummaryEqualsReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantInfo, err := referenceEntitySummary(tc.store, prefix, ExecInfo{RuleNodes: 1})
+			want, wantInfo, err := referenceEntitySummary(tc.store, prefix, ExecInfo{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameBits(t, got.Batch, want.Batch)
 			if !reflect.DeepEqual(gotInfo, wantInfo) {
 				t.Fatalf("prefix %q: info %+v, want %+v", prefix, gotInfo, wantInfo)
+			}
+			if got, want := Native(n, gotInfo), fmt.Sprintf("EntitySummary(%s*)", prefix); got != want {
+				t.Fatalf("prefix %q: native %q, want %q", prefix, got, want)
 			}
 		}
 	}
@@ -189,7 +191,7 @@ func TestEntitySummaryLongMetricFails(t *testing.T) {
 	}
 	n := node(ir.OpTSWindow, "ts", map[string]any{"series_prefix": "vitals/"})
 	_, _, err := NewTimeseries("ts", s).Execute(context.Background(), n, nil)
-	_, _, want := referenceEntitySummary(s, "vitals/", ExecInfo{RuleNodes: 1})
+	_, _, want := referenceEntitySummary(s, "vitals/", ExecInfo{})
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("err = %v, want %v", err, want)
 	}

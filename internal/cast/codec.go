@@ -341,13 +341,6 @@ func (e *Encoder) writeBatch(w io.Writer, b *Batch) error {
 	return err
 }
 
-// ReadBinary decodes one batch from the columnar binary pipe format.
-func ReadBinary(r io.Reader) (*Batch, error) {
-	d := NewDecoder(r)
-	b := d.Batch()
-	return b, d.Err()
-}
-
 // Batch decodes one pipe-format batch (see WriteBinary), nil on failure.
 func (d *Decoder) Batch() *Batch {
 	cols, n := d.header(nil)

@@ -11,6 +11,15 @@ import (
 	"testing/quick"
 )
 
+// ReadBinary decodes one batch from the columnar binary pipe format: the
+// decoder's batch and error, the entry point its tests and FuzzReadBinary
+// drive.
+func ReadBinary(r io.Reader) (*Batch, error) {
+	d := NewDecoder(r)
+	b := d.Batch()
+	return b, d.Err()
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	b := testBatch(t, 25)
 	var buf bytes.Buffer

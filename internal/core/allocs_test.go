@@ -20,9 +20,10 @@ import (
 // graph on every run (it was 73 while they did). Its nodes run into one
 // reused run over one inputs buffer, and their records share one slab (it
 // was 42 with a run and its record allocated per node, and a device map per
-// costed node). (The race runtime allocates on its own account, hence the
+// costed node; 34 while every execution built its report's rows and its
+// nodes' labels). (The race runtime allocates on its own account, hence the
 // build tag.)
-const chainExecuteAllocs = 34
+const chainExecuteAllocs = 30
 
 // TestChainExecuteAllocBudget runs scan -> filter -> sort — a chain, so the
 // inline mode — with the subplan cache off, so every run executes.
@@ -58,9 +59,10 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 // fanoutProgram: the concurrent mode's goroutine per node, one done channel
 // each and one slot channel per engine (it was 140 with worker queues, a
 // consumer index and per-node producer sets, 125 while the driver kept its
-// values and finish times in maps, and 123 while each node's run and record
-// were allocated by its goroutine; they are held in slabs now).
-const wideExecuteAllocs = 118
+// values and finish times in maps, 123 while each node's run and record
+// were allocated by its goroutine, and 118 while every execution built its
+// report's rows and its nodes' labels).
+const wideExecuteAllocs = 109
 
 // TestWideExecuteAllocBudget runs a width-2 fanoutProgram — scan, a filter on
 // each of two engines, a migration and a sort, so the concurrent mode — with
@@ -118,9 +120,10 @@ func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
 // subtree, the whole plan. No node runs, so the driver dispatches nothing:
 // no goroutine, channel or run for any node. It was 53 while the plan's
 // width chose the dataflow and every served node got all three, 21 while
-// the probe built a key string and a version vector per candidate, and 9
-// while each execution made its probe, node table and miss list afresh.
-const servedWideExecuteAllocs = 6
+// the probe built a key string and a version vector per candidate, 9 while
+// each execution made its probe, node table and miss list afresh, and 6
+// while every execution built its report's rows.
+const servedWideExecuteAllocs = 5
 
 // TestServedWideExecuteAllocBudget warms the subplan cache with the plan,
 // then measures executions that are served whole.
@@ -172,11 +175,12 @@ func TestProbeRootAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var rootMiss RootMiss // its buffer grows to the key on the first probe, the one AllocsPerRun does not count
 	miss := func(when string) {
 		t.Helper()
 		counted := rt.st.subplanPlansProbed.Value() + rt.st.subplanMisses.Value() + rt.st.subplanHits.Value()
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, ok := rt.ProbeRoot(ctx, plan); ok {
+			if _, _, ok := rt.ProbeRoot(ctx, plan, &rootMiss); ok {
 				t.Fatalf("%s: the root probe hit", when)
 			}
 		})
@@ -191,19 +195,19 @@ func TestProbeRootAllocBudget(t *testing.T) {
 	var wantRes *Results
 	var wantRep *Report
 	for range 2 { // publish, then the plan is served whole
-		if wantRes, wantRep, err = rt.Execute(ctx, plan); err != nil {
+		if wantRes, wantRep, err = rt.Execute(askRows(ctx), plan); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seq, conc, reused := rt.st.execSequential.Value(), rt.st.execConcurrent.Value(), rt.st.subplanPlansReused.Value()
-	res, rep, ok := rt.ProbeRoot(ctx, plan)
+	res, rep, ok := rt.ProbeRoot(askRows(ctx), plan, &rootMiss)
 	if !ok {
 		t.Fatal("the root probe missed a published plan")
 	}
 	batchesEqual(t, res, wantRes)
 	reportsEqual(t, rep, wantRep)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, ok := rt.ProbeRoot(ctx, plan); !ok {
+		if _, _, ok := rt.ProbeRoot(ctx, plan, &rootMiss); !ok {
 			t.Fatal("the root probe missed")
 		}
 	})

@@ -134,7 +134,7 @@ func TestSimulatedReportIgnoresHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := context.Background()
+			ctx := askRows(context.Background())
 			_, want, err := rt.Execute(ctx, plan)
 			if err != nil {
 				t.Fatal(err)

@@ -82,7 +82,7 @@ func served(t *testing.T, rt *Runtime, sql string, level int) (*cast.Batch, *Rep
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	res, rep, err := rt.Execute(context.Background(), plan)
+	res, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatalf("%s at L%d: %v", sql, level, err)
 	}

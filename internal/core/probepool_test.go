@@ -76,7 +76,7 @@ func TestProbePoolHygiene(t *testing.T) {
 				records = append(records, *c)
 			}
 		}
-		if _, _, ok := rt.ProbeRoot(ctx, small); !ok {
+		if _, _, ok := rt.ProbeRoot(ctx, small, new(RootMiss)); !ok {
 			t.Fatalf("round %d: the root probe missed a published plan", round)
 		}
 		clean("a ProbeRoot hit")

@@ -286,9 +286,11 @@ type NodeReport struct {
 	Start, Finish float64
 }
 
-// Report is the execution outcome of a plan.
+// Report is the execution outcome of a plan: a summary, and the per-node
+// rows (Nodes) of an execution traced or asked for them (WithNodeReports).
 type Report struct {
-	Nodes []NodeReport
+	Nodes     []NodeReport
+	NodeCount int // the plan's nodes, whether or not Nodes holds their rows
 	// Latency is the simulated end-to-end latency (max sink finish time).
 	Latency float64
 	// Energy is the total simulated energy across devices.
@@ -300,7 +302,7 @@ type Report struct {
 	MigratedBytes int64
 }
 
-// String renders a compact per-node table.
+// String renders the summary and a compact table of the rows.
 func (rep *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "latency=%.6fs energy=%.3fJ wall=%s migrations=%d (%d bytes)\n",
@@ -343,15 +345,32 @@ func isChain(order []*ir.Node, pr *planProbe) bool {
 	return true
 }
 
+// rowsKey is the context key WithNodeReports marks a context with.
+type rowsKey struct{}
+
+// WithNodeReports returns a context under which an execution builds its
+// Report's rows and their labels, as a traced one does; any other fills the
+// summary only.
+func WithNodeReports(ctx context.Context) context.Context {
+	return context.WithValue(ctx, rowsKey{}, true)
+}
+
 // Execute runs the plan and returns its sink values and the report: it
 // probes the subplan cache for the plan's candidates (prepareSubplan), then
 // drives the plan.
 func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *Report, error) {
+	return r.ExecuteAfterMiss(ctx, plan, nil)
+}
+
+// ExecuteAfterMiss is Execute for a plan whose root probe just missed into
+// miss (ProbeRoot): it does not render or probe that key again. A nil miss,
+// or one holding no key of the plan's, is Execute.
+func (r *Runtime) ExecuteAfterMiss(ctx context.Context, plan *compiler.Plan, miss *RootMiss) (*Results, *Report, error) {
 	t0 := time.Now()
 	if len(plan.Binds) < plan.Slots {
 		return nil, nil, fmt.Errorf("%w: %w: the plan holds %d slots, %d are bound", ErrExec, relational.ErrUnbound, plan.Slots, len(plan.Binds))
 	}
-	pr := r.prepareSubplan(ctx, plan)
+	pr := r.prepareSubplan(ctx, plan, miss)
 	defer pr.close()
 	return r.drive(ctx, t0, plan, pr)
 }
@@ -373,10 +392,12 @@ func (r *Runtime) Execute(ctx context.Context, plan *compiler.Plan) (*Results, *
 // concurrent mode is verified against. Otherwise they run as a dataflow of
 // one goroutine per node, at most engineWorkers per engine (scheduler.go).
 // Either way each running node's record lives in one slab (recs). The
-// report's Wall is the host time since t0.
+// report's Wall is the host time since t0. Its rows and labels are built
+// only for a traced execution or a caller that asked (WithNodeReports).
 func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, pr *planProbe) (*Results, *Report, error) {
 	tr := obs.From(ctx)
-	order, runs, err := bindNodes(plan, pr)
+	rows := tr != nil || ctx.Value(rowsKey{}) != nil
+	order, runs, err := bindNodes(plan, pr, rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -398,7 +419,10 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 	span := plan.Graph.IDBound()
 	values := make([]adapter.Value, span)
 	finish := make([]float64, span)
-	rep := &Report{Nodes: make([]NodeReport, 0, len(order))}
+	rep := &Report{NodeCount: len(order)}
+	if rows {
+		rep.Nodes = make([]NodeReport, 0, len(order))
+	}
 	var led ledger
 	var cur nodeRun            // the inline or served run in turn: nothing keeps a run past its node's turn
 	var inputs []adapter.Value // the inline run's inputs, reused likewise
@@ -435,7 +459,7 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 				start = finish[in]
 			}
 		}
-		nr, err := r.costNode(n, run, start, &led)
+		nr, err := r.costNode(n, run, start, &led, rows)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, err)
 		}
@@ -444,13 +468,23 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 		}
 		values[id] = run.out
 		finish[id] = nr.Finish
-		rep.absorb(nr, run)
+		if rows {
+			rep.Nodes = append(rep.Nodes, nr)
+		}
+		if rep.Energy += nr.Sim.Joules; run.Migration != nil {
+			rep.Migrations++
+			rep.MigratedBytes += run.Migration.WireBytes
+		}
 		pr.onNodeCosted(id, run)
 	}
 	if sched != nil {
 		r.st.maxParallel.SetMax(float64(sched.maxInflight.Load()))
 	}
-	rep.finalize(t0, plan.Sinks, finish)
+	for _, s := range plan.Sinks { // the latency is the last sink's finish
+		rep.Latency = max(rep.Latency, finish[s])
+	}
+	rep.Wall = time.Since(t0)
+	slices.SortFunc(rep.Nodes, func(a, b NodeReport) int { return cmp.Compare(a.Node, b.Node) })
 	return &Results{Values: values, Sinks: plan.Sinks}, rep, nil
 }
 
@@ -458,14 +492,17 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 // them run (pr does not serve). They are the plan's own, except that a
 // running node whose attributes hold holes is a copy, in one slab, that
 // shares the plan node's Attrs and carries in Bound the values
-// relational.Bind gives them for plan.Binds.
-func bindNodes(plan *compiler.Plan, pr *planProbe) (order []*ir.Node, runs int, err error) {
+// relational.Bind gives them for plan.Binds. With all, a served node is
+// bound too, for the labels of its row or span.
+func bindNodes(plan *compiler.Plan, pr *planProbe, all bool) (order []*ir.Node, runs int, err error) {
 	copies := 0
 	for _, n := range plan.Order {
 		if !pr.serves(n.ID) {
 			runs++
-			copies += min(len(plan.Bound[n.ID]), 1)
+		} else if !all {
+			continue
 		}
+		copies += min(len(plan.Bound[n.ID]), 1)
 	}
 	if copies == 0 {
 		return plan.Order, runs, nil
@@ -476,7 +513,7 @@ func bindNodes(plan *compiler.Plan, pr *planProbe) (order []*ir.Node, runs int, 
 	nodes, bound := make([]ir.Node, 0, copies), make([]ir.BoundAttr, 0, copies)
 	for i, n := range plan.Order {
 		keys := plan.Bound[n.ID]
-		if len(keys) == 0 || pr.serves(n.ID) {
+		if len(keys) == 0 || !all && pr.serves(n.ID) {
 			continue
 		}
 		lo := len(bound)
@@ -511,28 +548,6 @@ func scanBound(nodes []ir.Node, n *ir.Node, key string) (any, bool) {
 		}
 	}
 	return nil, false
-}
-
-// absorb folds one finished node into the report.
-func (rep *Report) absorb(nr NodeReport, run *nodeRun) {
-	rep.Nodes = append(rep.Nodes, nr)
-	rep.Energy += nr.Sim.Joules
-	if run.Migration != nil {
-		rep.Migrations++
-		rep.MigratedBytes += run.Migration.WireBytes
-	}
-}
-
-// finalize computes plan latency from the sink finish times and orders the
-// node reports.
-func (rep *Report) finalize(t0 time.Time, sinks []ir.NodeID, finish []float64) {
-	for _, s := range sinks {
-		if finish[s] > rep.Latency {
-			rep.Latency = finish[s]
-		}
-	}
-	rep.Wall = time.Since(t0)
-	slices.SortFunc(rep.Nodes, func(a, b NodeReport) int { return cmp.Compare(a.Node, b.Node) })
 }
 
 // nodeRun is the outcome of a node's real (host) execution, before simulated
@@ -579,13 +594,13 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 	}
 	run.wall = time.Since(t0)
 	run.BytesOut = valueBytes(run.out)
-	run.Rows = run.out.Rows()
 	if run.Migration != nil {
 		// A migration passes its rows through.
-		run.Info.RowsIn, run.Info.RowsOut = int64(run.Rows), int64(run.Rows)
+		run.Info.RowsIn, run.Info.RowsOut = int64(run.out.Rows()), int64(run.out.Rows())
 		r.st.migrations.Inc()
+	} else {
+		r.st.ruleNodes.Inc() // an adapter translates a node by one rule (§III-A4)
 	}
-	r.st.ruleNodes.Add(run.Info.RuleNodes)
 	r.st.nodes.Inc()
 	r.observeOp(n, run)
 }
@@ -595,28 +610,22 @@ func (r *Runtime) runNode(ctx context.Context, n *ir.Node, inputs []adapter.Valu
 // (start) and each kernel waits for its device to free up in the ledger.
 // Callers must cost nodes in a deterministic topological order — reservation
 // order decides contention, and the reports are compared across dispatch
-// modes.
-func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *ledger) (NodeReport, error) {
-	nr := NodeReport{Node: n.ID, Kind: n.Kind, Engine: n.Engine, Start: start, Wall: run.wall}
+// modes. Its labels, Native and Device, are rendered only with label.
+func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *ledger, label bool) (NodeReport, error) {
+	nr := NodeReport{Node: n.ID, Kind: n.Kind, Engine: n.Engine, Start: start, Wall: run.wall,
+		RowsIn: run.Info.RowsIn, RowsOut: run.Info.RowsOut} // a migration's are its rows (runNode)
 	if run.Migration != nil {
-		t := migrate.Transport(n.IntAttr("transport"))
-		nr.Sim = run.Migration.Sim
-		nr.Device = migratorDevices[t] // Migrate refuses any other transport
-		nr.Native = fmt.Sprintf("Migrate(%s->%s, %s)", n.StringAttr("from"), n.StringAttr("to"), t)
-		nr.RowsIn = int64(run.Rows)
-		nr.RowsOut = int64(run.Rows)
-		nr.Finish = start + run.Migration.Sim.Seconds
+		if nr.Sim, nr.Finish = run.Migration.Sim, start+run.Migration.Sim.Seconds; label {
+			nr.Native, nr.Device = adapter.Native(n, run.Info), "dm/"+migrate.Transport(n.IntAttr("transport")).String()
+		}
 		return nr, nil
 	}
-	nr.Native = run.Info.Native
-	nr.RowsIn = run.Info.RowsIn
-	nr.RowsOut = run.Info.RowsOut
 
 	// Cost the kernel calls, choosing devices at runtime (§IV-D-a: "IR
 	// mapping to local accelerators ... will ultimately depend on runtime
 	// environment and data-dependent analyses").
 	clock := start
-	devices := make([]string, 0, 4) // the names of the devices the calls ran on, once each
+	devices := make([]string, 0, 4) // the names of the devices the calls ran on, once each, for the label
 	for _, call := range run.Info.Kernels {
 		for range max(call.Repeat, 1) {
 			dev, cost, err := r.chargeKernel(n, call)
@@ -625,16 +634,18 @@ func (r *Runtime) costNode(n *ir.Node, run *nodeRun, start float64, led *ledger)
 			}
 			clock = led.reserve(dev, clock, cost.Seconds)
 			nr.Sim = nr.Sim.AddSeq(cost)
-			if !slices.Contains(devices, dev.Name) {
+			if label && !slices.Contains(devices, dev.Name) {
 				devices = append(devices, dev.Name)
 			}
 		}
 	}
-	if nr.Device = r.host.Name; len(devices) > 0 {
-		slices.Sort(devices)
-		nr.Device = strings.Join(devices, "+") // one name is returned as is
+	if nr.Finish = clock; label {
+		nr.Native, nr.Device = adapter.Native(n, run.Info), r.host.Name
+		if len(devices) > 0 {
+			slices.Sort(devices)
+			nr.Device = strings.Join(devices, "+") // one name is returned as is
+		}
 	}
-	nr.Finish = clock
 	return nr, nil
 }
 
@@ -660,14 +671,6 @@ func (l *ledger) reserve(d *hw.Device, earliest, seconds float64) float64 {
 	return earliest + seconds
 }
 
-// migratorDevices names the data migrator's device per transport, once.
-var migratorDevices = func() (d [migrate.RDMA + 1]string) {
-	for t := range d {
-		d[t] = "dm/" + migrate.Transport(t).String()
-	}
-	return d
-}()
-
 // chargeKernel selects the device for one kernel call (honoring the node's
 // Device annotation) and charges the cost to it. An empty annotation runs on
 // the host; "auto" lets the runtime pick the cheapest device; any other name
@@ -691,7 +694,11 @@ func (r *Runtime) chargeKernel(n *ir.Node, call adapter.KernelCall) (*hw.Device,
 			r.st.offloads[d].Inc()
 			return d, c, nil
 		}
-		return nil, hw.Zero, fmt.Errorf("%w: %q (attached: %s)", ErrNoDevice, n.Device, strings.Join(append([]string{r.host.Name}, r.Accelerators()...), ", "))
+		attached := []string{r.host.Name}
+		for _, d := range r.accels {
+			attached = append(attached, d.Name)
+		}
+		return nil, hw.Zero, fmt.Errorf("%w: %q (attached: %s)", ErrNoDevice, n.Device, strings.Join(attached, ", "))
 	}
 	if n.Device == "" || len(r.accels) == 0 {
 		return r.hostCharge(call)
@@ -732,15 +739,6 @@ func (r *Runtime) hostCharge(call adapter.KernelCall) (*hw.Device, hw.Cost, erro
 		return r.host, hw.Zero, nil
 	}
 	return r.host, c, nil
-}
-
-// Accelerators lists the attached accelerator names, in attachment order.
-func (r *Runtime) Accelerators() []string {
-	out := make([]string, len(r.accels))
-	for i, d := range r.accels {
-		out[i] = d.Name
-	}
-	return out
 }
 
 // executeMigrate moves the single tabular input across engines. When the

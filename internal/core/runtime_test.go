@@ -68,7 +68,7 @@ func TestExecuteSimplePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := rt.Execute(context.Background(), plan)
+	res, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSmallWorkStaysOnHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := rt.Execute(context.Background(), plan)
+	_, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMigrationNodeExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := rt.Execute(context.Background(), plan)
+	res, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSimulatedSchedulingRespectsDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := rt.Execute(context.Background(), plan)
+	_, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBoundNodeReadsBoundValues(t *testing.T) {
 		before[i] = fmt.Sprintf("%#v", *n)
 	}
 	exec := plan.WithBinds([]any{int64(9), int64(4)})
-	order, _, err := bindNodes(exec, nil)
+	order, _, err := bindNodes(exec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,9 @@ func fanoutProgram(width int) *ir.Graph {
 // Host wall times are excluded — they vary run to run by construction.
 func reportsEqual(t *testing.T, got, want *Report) {
 	t.Helper()
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("node count = %d, want %d", len(got.Nodes), len(want.Nodes))
+	if got.NodeCount != want.NodeCount || len(got.Nodes) != len(want.Nodes) || len(want.Nodes) != want.NodeCount {
+		t.Fatalf("node count = %d (%d rows), want %d (%d rows): compare reports asked for their rows",
+			got.NodeCount, len(got.Nodes), want.NodeCount, len(want.Nodes))
 	}
 	for i := range want.Nodes {
 		g, w := got.Nodes[i], want.Nodes[i]
@@ -112,13 +113,13 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 
 	seqRT := testRuntime(t, 3000, true)
 	seqRT.sequential = true
-	wantRes, wantRep, err := seqRT.Execute(context.Background(), plan)
+	wantRes, wantRep, err := seqRT.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	conRT := testRuntime(t, 3000, true)
-	gotRes, gotRep, err := conRT.Execute(context.Background(), plan)
+	gotRes, gotRep, err := conRT.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestConcurrentSharedRuntimeRace(t *testing.T) {
 	}
 	baseRT := testRuntime(t, 1500, false)
 	baseRT.sequential = true
-	_, wantRep, err := baseRT.Execute(context.Background(), plan)
+	_, wantRep, err := baseRT.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestConcurrentSharedRuntimeRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, rep, err := rt.Execute(context.Background(), plan)
+			_, rep, err := rt.Execute(askRows(context.Background()), plan)
 			reps[i], errs[i] = rep, err
 		}(i)
 	}
@@ -440,7 +441,7 @@ func TestChargeKernelPinnedDevice(t *testing.T) {
 			n.Device = hw.NewFPGA().Name
 		}
 	}
-	_, rep, err := rt.Execute(context.Background(), plan)
+	_, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func TestChargeKernelHostPin(t *testing.T) {
 			n.Device = host
 		}
 	}
-	_, rep, err := rt.Execute(context.Background(), plan)
+	_, rep, err := rt.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,3 +545,6 @@ func TestRuntimeDataVersion(t *testing.T) {
 		t.Fatalf("version did not advance on insert: %d -> %d", v0, v1)
 	}
 }
+
+// askRows asks an execution under ctx for its Report's rows.
+func askRows(ctx context.Context) context.Context { return WithNodeReports(ctx) }

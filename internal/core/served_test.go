@@ -48,7 +48,7 @@ func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
 // the batches and the Report (host wall excluded) of the cache-off inline
 // reference and of the cache-off dataflow.
 func TestServedRunsEqualReference(t *testing.T) {
-	ctx := context.Background()
+	ctx := askRows(context.Background())
 	for _, tc := range []struct {
 		name   string
 		beside bool
@@ -122,7 +122,7 @@ func TestServedHitsConcurrentTraced(t *testing.T) {
 	ctx := context.Background()
 	for _, beside := range []bool{false, true} {
 		plan := servedPlan(t, beside, 0)
-		_, wantRep, err := clinicalTestRuntime(t, WithSubplanCacheBytes(-1), WithSequentialExecutor()).Execute(ctx, plan)
+		_, wantRep, err := clinicalTestRuntime(t, WithSubplanCacheBytes(-1), WithSequentialExecutor()).Execute(askRows(ctx), plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,9 @@ type ResultSink interface {
 // ExecuteStream is Execute followed by one hand-off of the first sink's
 // batch to sink (nothing for a model-valued sink or a nil sink). A sink
 // error fails the call. The serving layer encodes finished outcomes itself;
-// this entry point remains for the layer benchmarks.
+// this entry point remains for the layer benchmarks, which read its rows.
 func (r *Runtime) ExecuteStream(ctx context.Context, plan *compiler.Plan, sink ResultSink) (*Results, *Report, error) {
-	res, rep, err := r.Execute(ctx, plan)
+	res, rep, err := r.Execute(WithNodeReports(ctx), plan)
 	if err != nil || sink == nil || len(plan.Sinks) == 0 {
 		return res, rep, err
 	}

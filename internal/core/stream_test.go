@@ -99,7 +99,7 @@ func TestExecuteStreamEqualsExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, rep, err := rt.Execute(context.Background(), plan)
+			res, rep, err := rt.Execute(askRows(context.Background()), plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
@@ -158,12 +159,13 @@ func (pr *planProbe) serves(id ir.NodeID) bool {
 	return pr != nil && pr.nodes[id].serve != nil
 }
 
-// prepareSubplan probes the subplan cache for the plan's candidate
-// subtrees and decides, per candidate: serve from cache (hit), wait for a
-// concurrent leader producing the same key (single-flight), or execute and
-// publish. Returns nil when the cache is disabled or the plan has no
-// candidates — the driver then skips all per-node bookkeeping.
-func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *planProbe {
+// prepareSubplan probes the subplan cache for the plan's candidate subtrees
+// (the outermost not when miss holds its key) and decides, per candidate:
+// serve from cache (hit), wait for a concurrent leader producing the same key
+// (single-flight), or execute and publish. Returns nil when the cache is
+// disabled or the plan has no candidates: the driver then skips all per-node
+// bookkeeping.
+func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss *RootMiss) *planProbe {
 	if r.subplan == nil || len(plan.Subtrees) == 0 {
 		return nil
 	}
@@ -175,7 +177,8 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	// covers every candidate inside it. Keys are built back to back on the
 	// stack, a hit's dropped again, and a version vector is rendered only
 	// when the touch set differs from the last one's (nested candidates
-	// mostly share one): a probe allocates nothing.
+	// mostly share one), or lent by the root probe's miss: a probe allocates
+	// nothing.
 	keys, vv, vvOf := make([]byte, 0, 512), make([]byte, 0, 128), map[string][]string(nil)
 	misses := slices.Grow(pr.misses[:0], len(plan.Subtrees))
 	for i := range plan.Subtrees {
@@ -183,11 +186,17 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		if pr.serves(st.Root) {
 			continue
 		}
-		if vvOf == nil || !maps.EqualFunc(vvOf, st.Touches.ByEngine, sameTables) {
+		lo, at := len(keys), 0
+		keys, at = appendKey(keys, st, plan.Binds, nil)
+		// The root probe missed this key if miss holds its fingerprint and constants.
+		probed := i == 0 && miss != nil && miss.vv == at-lo && bytes.Equal(miss.key[:miss.vv], keys[lo:at])
+		switch {
+		case probed:
+			vv, vvOf = append(vv[:0], miss.key[miss.vv:]...), st.Touches.ByEngine
+		case vvOf == nil || !maps.EqualFunc(vvOf, st.Touches.ByEngine, sameTables):
 			vv, vvOf = r.appendVersionVector(vv[:0], st.Touches), st.Touches.ByEngine
 		}
-		lo, at := len(keys), 0
-		if keys, at = appendKey(keys, st, plan.Binds, vv); pr.serveHit(tr, "hit", st, keys[lo:], r.subtreeEntry(st, keys[lo:])) {
+		if keys = append(keys, vv...); !probed && pr.serveHit(tr, "hit", st, keys[lo:], r.subtreeEntry(st, keys[lo:])) {
 			keys = keys[:lo]
 			continue
 		}
@@ -271,25 +280,35 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 	return pr
 }
 
+// RootMiss is the key a root probe missed (ProbeRoot), ending in the version
+// vector it read. Each probe reuses its buffer.
+type RootMiss struct {
+	key []byte
+	vv  int // where key's version vector starts; 0 when key holds none
+}
+
 // ProbeRoot answers plan from the subplan cache before any work is
 // admitted. It applies when the plan's outermost candidate covers every node
 // (so its root is the one sink) and the cache holds that candidate under the
 // key prepareSubplan builds for it at the current version vector. A hit
 // returns what Execute returns for a plan served whole: the same driver
 // costs every node from the entry's records, and Wall is the probe's own
-// time. A miss (ok false) allocates and counts nothing; Execute then
-// probes, runs and publishes as usual.
-func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan) (res *Results, rep *Report, ok bool) {
+// time. A miss (ok false) counts nothing and leaves its key in miss (none
+// when the probe does not apply) for ExecuteAfterMiss.
+func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, miss *RootMiss) (res *Results, rep *Report, ok bool) {
 	t0 := time.Now()
+	if miss.key, miss.vv = miss.key[:0], 0; cap(miss.key) > 16<<10 {
+		miss.key = nil // a long key's buffer is not kept for the next probe
+	}
 	if r.subplan == nil || len(plan.Subtrees) == 0 || len(plan.Subtrees[0].Closure) != len(plan.Order) || len(plan.Binds) < plan.Slots {
 		return nil, nil, false
 	}
 	st := &plan.Subtrees[0]
-	var kb [512]byte
 	var vb [128]byte
-	key, _ := appendKey(kb[:0], st, plan.Binds, r.appendVersionVector(vb[:0], st.Touches))
+	key, at := appendKey(miss.key, st, plan.Binds, r.appendVersionVector(vb[:0], st.Touches))
 	e := r.subtreeEntry(st, key)
-	if e == nil {
+	if miss.key = key; e == nil {
+		miss.vv = at
 		return nil, nil, false
 	}
 	pr := r.newProbe("", plan.Graph.IDBound())

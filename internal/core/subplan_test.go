@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/eide"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
@@ -94,13 +96,13 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 			}
 
 			off := testRuntime(t, 2000, true, WithSubplanCacheBytes(-1))
-			wantRes, wantRep, err := off.Execute(context.Background(), plan)
+			wantRes, wantRep, err := off.Execute(askRows(context.Background()), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			on := testRuntime(t, 2000, true)
-			coldRes, coldRep, err := on.Execute(context.Background(), plan)
+			coldRes, coldRep, err := on.Execute(askRows(context.Background()), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +112,7 @@ func TestSubplanWarmEqualsCold(t *testing.T) {
 				t.Fatal("cold run published nothing")
 			}
 
-			warmRes, warmRep, err := on.Execute(context.Background(), plan)
+			warmRes, warmRep, err := on.Execute(askRows(context.Background()), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,12 +152,12 @@ func TestSubplanSharedPrefixAcrossPlans(t *testing.T) {
 
 	// Equivalence of the served variant against a cache-disabled runtime.
 	off := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
-	wantRes, wantRep, err := off.Execute(context.Background(), mustCompile(t, limitProgram(25), 3))
+	wantRes, wantRep, err := off.Execute(askRows(context.Background()), mustCompile(t, limitProgram(25), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchesEqual(t, res, wantRes)
-	_, rep2, err := rt.Execute(context.Background(), mustCompile(t, limitProgram(25), 3))
+	_, rep2, err := rt.Execute(askRows(context.Background()), mustCompile(t, limitProgram(25), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 
 	plan := mustCompile(t, limitProgram(100000), 3)
 	ctx := context.Background()
-	pr := rt.prepareSubplan(ctx, plan)
+	pr := rt.prepareSubplan(ctx, plan, nil)
 	if !publishes(pr) {
 		t.Fatalf("probe = %+v, want pending publications", pr)
 	}
@@ -332,7 +334,7 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
 	base := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
-	wantRes, wantRep, err := base.Execute(context.Background(), plan)
+	wantRes, wantRep, err := base.Execute(askRows(context.Background()), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +354,7 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ress[i], reps[i], errs[i] = rt.Execute(context.Background(), plan)
+			ress[i], reps[i], errs[i] = rt.Execute(askRows(context.Background()), plan)
 		}(i)
 	}
 	for deadline := time.Now().Add(10 * time.Second); rt.st.subplanFlightWaits.Value() < goroutines; time.Sleep(time.Millisecond) {
@@ -399,13 +401,13 @@ func TestSubplanPropertyRandomPlans(t *testing.T) {
 				}
 				plan := mustCompile(t, g(), 3)
 				off := testRuntime(t, 1200, false, WithSubplanCacheBytes(-1))
-				wantRes, wantRep, err := off.Execute(context.Background(), plan)
+				wantRes, wantRep, err := off.Execute(askRows(context.Background()), plan)
 				if err != nil {
 					t.Fatal(err)
 				}
 				on := testRuntime(t, 1200, false)
 				for round := 0; round < 3; round++ {
-					res, rep, err := on.Execute(context.Background(), plan)
+					res, rep, err := on.Execute(askRows(context.Background()), plan)
 					if err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
@@ -444,7 +446,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	}
 
 	rt := testRuntime(t, 2000, false)
-	pr := rt.prepareSubplan(ctx, plan)
+	pr := rt.prepareSubplan(ctx, plan, nil)
 	if !publishes(pr) {
 		t.Fatalf("probe = %+v, want pending publications", pr)
 	}
@@ -560,5 +562,82 @@ func TestSubplanPublishedCountsStoredEntries(t *testing.T) {
 	st, _ := rt.SubplanCacheStats()
 	if published := rt.st.subplanPublished.Value(); st.Entries != 4 || published != 4 {
 		t.Fatalf("published %d, %d entries cached; want 4 and 4 (two chains, two shared subtrees)", published, st.Entries)
+	}
+}
+
+// TestRootMissProbedOnce: a root probe that misses and the execution handed
+// its miss (ExecuteAfterMiss) look the outermost candidate's key up once
+// between them — every candidate of the plan once in all, as the cache's
+// Stats count lookups — and the execution still publishes under that key.
+// Execute, and ExecuteAfterMiss with another plan's miss, look it up again.
+func TestRootMissProbedOnce(t *testing.T) {
+	rt := NewRuntime(hw.NewHostCPU())
+	rt.Register(adapter.NewRelational("db", relational.NewEngine(testStore(t, 200))))
+	plan, other := mustCompile(t, limitProgram(10), 3), mustCompile(t, limitProgram(25), 3)
+	if len(plan.Subtrees) < 2 || len(plan.Subtrees[0].Closure) != len(plan.Order) {
+		t.Fatalf("the plan's %d candidates do not nest under one covering it whole", len(plan.Subtrees))
+	}
+	ctx := context.Background()
+	var miss RootMiss
+	probeThen := func(exec func() error) int64 {
+		t.Helper()
+		st, _ := rt.SubplanCacheStats()
+		if _, _, ok := rt.ProbeRoot(ctx, plan, &miss); ok {
+			t.Fatal("the root probe hit an unpublished plan")
+		}
+		if err := exec(); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := rt.SubplanCacheStats()
+		return after.Lookups - st.Lookups
+	}
+	write := func() {
+		t.Helper()
+		if err := rt.Ingest(ctx, "db", adapter.Ingest{Table: "t", Row: []any{int64(1000), int64(3)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := int64(len(plan.Subtrees))
+	if got := probeThen(func() error { _, _, err := rt.ExecuteAfterMiss(ctx, plan, &miss); return err }); got != want {
+		t.Fatalf("a root-probe miss and the execution handed it looked %d keys up, want %d", got, want)
+	}
+	if _, _, ok := rt.ProbeRoot(ctx, plan, &miss); !ok {
+		t.Fatal("the execution handed the miss did not publish under the probed key")
+	}
+	write()
+	if got := probeThen(func() error { _, _, err := rt.Execute(ctx, plan); return err }); got != want+1 {
+		t.Fatalf("a root-probe miss and Execute looked %d keys up, want %d", got, want+1)
+	}
+	write()
+	if got := probeThen(func() error { _, _, err := rt.ExecuteAfterMiss(ctx, other, &miss); return err }); got != 1+int64(len(other.Subtrees)) {
+		t.Fatalf("another plan's execution took the miss: %d lookups, want %d", got, 1+len(other.Subtrees))
+	}
+}
+
+// TestRootMissKeepsNoLongKey: a root probe renders its key into miss's
+// buffer, which a pooled request keeps for the next. A key past 16 KiB (a
+// long constant) is still handed on whole, but its buffer is dropped at the
+// next probe, so a pool does not hold it.
+func TestRootMissKeepsNoLongKey(t *testing.T) {
+	rt := clinicalTestRuntime(t)
+	compile := func(ward string) *compiler.Plan {
+		t.Helper()
+		p := eide.NewProgram()
+		if _, err := p.SQL("db-clinical", "SELECT pid FROM admissions WHERE ward = '"+ward+"'"); err != nil {
+			t.Fatal(err)
+		}
+		return mustCompile(t, p.Graph(), 3)
+	}
+	long, short := compile(strings.Repeat("w", 20<<10)), compile("icu")
+	ctx := context.Background()
+	var miss RootMiss
+	if _, _, ok := rt.ProbeRoot(ctx, long, &miss); ok || cap(miss.key) <= 16<<10 || miss.vv == 0 {
+		t.Fatalf("probe of the long key: hit %v, a %d-byte buffer, key held %v", ok, cap(miss.key), miss.vv > 0)
+	}
+	if _, _, err := rt.ExecuteAfterMiss(ctx, long, &miss); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := rt.ProbeRoot(ctx, short, &miss); ok || cap(miss.key) > 16<<10 || miss.vv == 0 {
+		t.Fatalf("probe of a short key after it: hit %v, a %d-byte buffer, key held %v", ok, cap(miss.key), miss.vv > 0)
 	}
 }

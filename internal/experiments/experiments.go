@@ -67,9 +67,9 @@ func f(format string, args ...any) string { return fmt.Sprintf(format, args...) 
 
 func secs(s float64) string { return f("%.6fs", s) }
 
-// runProgram compiles and executes a program, returning the report.
+// runProgram compiles and executes a program, returning the report, rows too.
 func runProgram(ctx context.Context, rt *core.Runtime, g *ir.Graph, opts compiler.Options) (*core.Results, *core.Report) {
-	res, rep, err := rt.Execute(ctx, must(compiler.Compile(g, opts)))
+	res, rep, err := rt.Execute(core.WithNodeReports(ctx), must(compiler.Compile(g, opts)))
 	check(err)
 	return res, rep
 }

@@ -32,6 +32,7 @@ type CostCache[V any] struct {
 	maxCost    int64 // <= 0 means no cost bound
 	cost       int64
 	evictions  int64
+	lookups    int64
 	entries    map[string]*costEntry[V]
 	// heap is a min-heap by the priority each entry had when last placed: a
 	// hit only raises it, so a hit is O(1) and evictMin re-places the top.
@@ -129,8 +130,9 @@ func (c *CostCache[V]) GetBytes(key []byte) (V, bool) {
 	return v, ok
 }
 
-// found returns e's value, renewing its priority (nil e: a miss).
+// found counts a lookup and returns e's value, renewing its priority (nil e: a miss).
 func (c *CostCache[V]) found(e *costEntry[V]) (v V, ok bool) {
+	c.lookups++
 	if e != nil {
 		c.touch(e)
 		v, ok = e.val, true
@@ -271,6 +273,7 @@ type Stats struct {
 	Cost      int64 // summed cost of the cached entries
 	MaxCost   int64 // the cost bound; <= 0 when there is none
 	Evictions int64 // entries evicted over the cache's lifetime
+	Lookups   int64 // Get and GetBytes calls over the cache's lifetime
 	// Owners is the cost charged to each owner holding entries (nil when
 	// none does).
 	Owners map[string]int64
@@ -284,7 +287,7 @@ func (c *CostCache[V]) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{Entries: len(c.entries), Cost: c.cost, MaxCost: c.maxCost, Evictions: c.evictions}
+	st := Stats{Entries: len(c.entries), Cost: c.cost, MaxCost: c.maxCost, Evictions: c.evictions, Lookups: c.lookups}
 	if len(c.owners) > 0 {
 		st.Owners = make(map[string]int64, len(c.owners))
 		for owner, oc := range c.owners {

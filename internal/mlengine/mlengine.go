@@ -59,7 +59,16 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-func relu(x float64) float64    { return math.Max(0, x) }
+
+// relu is math.Max(0, v) in place: -0 and negatives become +0, and NaN
+// stays NaN (keeping its payload, where math.Max answers the canonical one).
+func relu(d []float64) {
+	for i, v := range d {
+		if v <= 0 {
+			d[i] = 0
+		}
+	}
+}
 
 // Workspace holds every buffer a forward or training pass writes, so a step
 // allocates nothing. It belongs to one goroutine at a time and is never part
@@ -138,7 +147,7 @@ func (m *MLP) forward(ws *Workspace, x *tensor.Tensor) {
 		if i == len(m.weights)-1 {
 			a.ApplyInPlace(sigmoid)
 		} else {
-			a.ApplyInPlace(relu)
+			relu(a.Data())
 		}
 	}
 }
@@ -228,23 +237,25 @@ func (m *MLP) TrainBatch(ws *Workspace, x, y *tensor.Tensor, lr float64) (float6
 	if y.Rank() != 2 || y.Dim(0) != n || y.Dim(1) != 1 {
 		return 0, fmt.Errorf("%w: labels shape %v, want [%d,1]", ErrData, y.Shape(), n)
 	}
-	return m.step(ws, x, y, lr), nil
+	m.step(ws, x, y, lr) // which leaves in ws the predictions it started from
+	var loss float64
+	for i, p := range ws.act[len(ws.act)-1].Data() {
+		p = math.Min(math.Max(p, 1e-12), 1-1e-12)
+		loss += -(y.Data()[i]*math.Log(p) + (1-y.Data()[i])*math.Log(1-p))
+	}
+	return loss / float64(n), nil
 }
 
-// step is TrainBatch on operands shaped for the model and its workspace.
-func (m *MLP) step(ws *Workspace, x, y *tensor.Tensor, lr float64) float64 {
+// step is TrainBatch on operands shaped for its model and workspace, less the loss.
+func (m *MLP) step(ws *Workspace, x, y *tensor.Tensor, lr float64) {
 	n := x.Dim(0)
 	m.forward(ws, x)
 	last := len(m.weights) - 1
-	// BCE loss and output delta (sigmoid + BCE gives delta = pred - y).
-	var loss float64
+	// Output delta (sigmoid + BCE gives delta = pred - y).
 	pd, yd, dd := ws.act[last+1].Data(), y.Data(), ws.delta[last].Data()
 	for i := range pd {
-		p := math.Min(math.Max(pd[i], 1e-12), 1-1e-12)
-		loss += -(yd[i]*math.Log(p) + (1-yd[i])*math.Log(1-p))
 		dd[i] = pd[i] - yd[i]
 	}
-	loss /= float64(n)
 
 	// Backprop.
 	for layer := last; layer >= 0; layer-- {
@@ -277,7 +288,6 @@ func (m *MLP) step(ws *Workspace, x, y *tensor.Tensor, lr float64) float64 {
 		m.weights[layer].AddInPlace(gradW.Scale(-lr))
 		m.biases[layer].AddInPlace(gradB.Scale(-lr))
 	}
-	return loss
 }
 
 // AppendGEMMs appends the shape of every GEMM one pass of the model over

@@ -17,7 +17,7 @@ import (
 func refForward(m *MLP, x *tensor.Tensor) (zs, as []*tensor.Tensor) {
 	as = append(as, x)
 	for i, w := range m.weights {
-		z, _ := tensor.MatMul(as[i], w)
+		z := matMul(as[i], w)
 		zd, bd, cols := z.Data(), m.biases[i].Data(), z.Dim(1)
 		for r := 0; r < z.Dim(0); r++ {
 			for c := 0; c < cols; c++ {
@@ -26,9 +26,9 @@ func refForward(m *MLP, x *tensor.Tensor) (zs, as []*tensor.Tensor) {
 		}
 		zs = append(zs, z)
 		if i == len(m.weights)-1 {
-			as = append(as, z.Clone().ApplyInPlace(sigmoid))
+			as = append(as, clone(z).ApplyInPlace(sigmoid))
 		} else {
-			as = append(as, z.Clone().ApplyInPlace(func(v float64) float64 { return math.Max(0, v) }))
+			as = append(as, clone(z).ApplyInPlace(func(v float64) float64 { return math.Max(0, v) }))
 		}
 	}
 	return zs, as
@@ -45,10 +45,9 @@ func refTrainBatch(m *MLP, x, y *tensor.Tensor, lr float64) float64 {
 		loss += -(yd[i]*math.Log(p) + (1-yd[i])*math.Log(1-p))
 	}
 	loss /= float64(n)
-	delta, _ := tensor.Sub(pred, y)
+	delta := sub(pred, y)
 	for layer := len(m.weights) - 1; layer >= 0; layer-- {
-		aT, _ := tensor.Transpose(as[layer])
-		gradW, _ := tensor.MatMul(aT, delta)
+		gradW := matMul(transpose(as[layer]), delta)
 		gradW.Scale(1 / float64(n))
 		cols := delta.Dim(1)
 		gradB := tensor.New(cols)
@@ -62,8 +61,7 @@ func refTrainBatch(m *MLP, x, y *tensor.Tensor, lr float64) float64 {
 			gb[c] /= float64(n)
 		}
 		if layer > 0 {
-			wT, _ := tensor.Transpose(m.weights[layer])
-			next, _ := tensor.MatMul(delta, wT)
+			next := matMul(delta, transpose(m.weights[layer]))
 			zd, nd := zs[layer-1].Data(), next.Data()
 			for i := range nd {
 				if zd[i] <= 0 {
@@ -78,6 +76,38 @@ func refTrainBatch(m *MLP, x, y *tensor.Tensor, lr float64) float64 {
 	return loss
 }
 
+// matMul, transpose, clone and sub are the reference's allocating operations.
+func matMul(a, b *tensor.Tensor) *tensor.Tensor {
+	c := tensor.New(a.Dim(0), b.Dim(1))
+	tensor.MatMulInto(c, a, b)
+	return c
+}
+
+func transpose(a *tensor.Tensor) *tensor.Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	out := tensor.New(n, m)
+	for i := range m {
+		for j := range n {
+			out.Data()[j*m+i] = a.Data()[i*n+j]
+		}
+	}
+	return out
+}
+
+func clone(a *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(a.Shape()...)
+	copy(out.Data(), a.Data())
+	return out
+}
+
+func sub(a, b *tensor.Tensor) *tensor.Tensor {
+	out := clone(a)
+	for i, v := range b.Data() {
+		out.Data()[i] -= v
+	}
+	return out
+}
+
 // sameBits is exact equality that also tells -0 from +0.
 func sameBits(a, b *tensor.Tensor) bool {
 	ad, bd := a.Data(), b.Data()
@@ -89,9 +119,32 @@ func sameBits(a, b *tensor.Tensor) bool {
 	return slices.Equal(a.Shape(), b.Shape()) && slices.Equal(ad, bd)
 }
 
+// TestReLUIsMax: the ReLU loop answers math.Max(0, v) bit for bit — -0 and
+// every negative become +0 — and NaN for NaN.
+func TestReLUIsMax(t *testing.T) {
+	zero := 0.0
+	vals := []float64{-3, math.Copysign(0, -1), 0, 2.5, -math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(-1), math.Inf(1), math.MaxFloat64, math.NaN(), zero / zero}
+	got := slices.Clone(vals)
+	relu(got)
+	for i, v := range vals {
+		want := math.Max(0, v)
+		if math.IsNaN(want) {
+			if !math.IsNaN(got[i]) {
+				t.Fatalf("relu(NaN) = %v", got[i])
+			}
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("relu(%v) = %v (bits %x), math.Max(0, v) = %v (bits %x)", v, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
 // Three epochs of mini-batch SGD out of one workspace — a short final batch
 // every epoch, two hidden layers — leave exactly the weights the allocating
-// reference leaves, and report exactly its losses.
+// reference leaves, and report exactly its losses. Fit, which computes no
+// loss, leaves them too.
 func TestTrainTrajectoryBitEqualToReference(t *testing.T) {
 	const n, batch, dim = 200, 64, 7
 	x, y := synthBinary(rand.New(rand.NewSource(11)), n, dim)
@@ -116,9 +169,19 @@ func TestTrainTrajectoryBitEqualToReference(t *testing.T) {
 			}
 		}
 	}
+	fit, _ := NewMLP(rand.New(rand.NewSource(12)), dim, 16, 5, 1)
+	rows := func(src *tensor.Tensor) Fill {
+		return func(dst []float64, lo, hi int) { copy(dst, src.Data()[lo*src.Dim(1):hi*src.Dim(1)]) }
+	}
+	if err := fit.Fit(n, batch, 3, 0.3, rows(x), rows(y), func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	for i := range want.weights {
 		if !sameBits(got.weights[i], want.weights[i]) || !sameBits(got.biases[i], want.biases[i]) {
 			t.Fatalf("layer %d parameters diverged from the reference", i)
+		}
+		if !sameBits(fit.weights[i], want.weights[i]) || !sameBits(fit.biases[i], want.biases[i]) {
+			t.Fatalf("layer %d parameters Fit leaves diverged from the reference", i)
 		}
 	}
 }

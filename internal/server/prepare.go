@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/core"
 	"polystorepp/internal/eide"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/relational"
@@ -49,15 +50,20 @@ type preparedQuery struct {
 	tenant string
 	steps  []ProgramStep // the array req.Program is decoded into, kept for reuse
 	key    []byte        // the shape-key buffer, kept likewise
+	miss   core.RootMiss // the root probe's key, its buffer kept likewise
 }
 
-// release zeroes p but for its step array and key buffer, and pools it
-// unless either grew past 16 steps or 16 KiB. Every step up to the array's
-// capacity is zeroed: a decode keeps each field its body omits, and would
-// decode into a step's FeatureCols, which a compiled plan may hold, in place.
+// release zeroes p but for its step array and key buffers, and pools it
+// unless it grew past 16 steps or its shape key past 16 KiB. Every step up
+// to the array's capacity is zeroed — a decode keeps each field its body
+// omits — but for its FeatureCols, emptied for the next body's columns to
+// decode into: the program builder copies them into its nodes.
 func (p *preparedQuery) release() {
-	clear(p.steps[:cap(p.steps)])
-	*p = preparedQuery{steps: p.steps[:0], key: p.key[:0]}
+	for i, st := range p.steps[:cap(p.steps)] {
+		clear(st.FeatureCols)
+		p.steps[:cap(p.steps)][i] = ProgramStep{FeatureCols: st.FeatureCols[:0]}
+	}
+	*p = preparedQuery{steps: p.steps[:0], key: p.key[:0], miss: p.miss} // the next probe resets miss
 	if cap(p.steps) <= 16 && cap(p.key) <= 16<<10 {
 		preambles.Put(p)
 	}
@@ -74,6 +80,11 @@ func (s *Server) prepareQuery(w http.ResponseWriter, r *http.Request, ts *tenant
 	}
 	if p.steps = p.req.Program; len(p.steps) == 0 {
 		p.req.Program = nil // as a fresh decode leaves a body without steps
+	}
+	for i := range p.steps {
+		if len(p.steps[i].FeatureCols) == 0 {
+			p.steps[i].FeatureCols = nil // likewise a step without feature_cols
+		}
 	}
 	if err := s.prepare(p); err != nil {
 		s.st.badRequest.Inc()

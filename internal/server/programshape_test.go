@@ -83,11 +83,19 @@ func programServer(tb testing.TB) (*Server, []QueryRequest) {
 	return s, reqs
 }
 
-// pooled is a preamble from the pool holding req for tenant, its steps
-// copied into the preamble's own array, where decoding would put them.
+// pooled is a preamble from the pool holding req for tenant, its steps and
+// their feature columns copied into the preamble's own arrays, where
+// decoding would put them (release keeps and clears them).
 func pooled(req QueryRequest, tenant string) *preparedQuery {
 	p := preambles.Get().(*preparedQuery)
-	p.steps = append(p.steps, req.Program...)
+	for i, st := range req.Program {
+		var own []string
+		if i < cap(p.steps) {
+			own = p.steps[:cap(p.steps)][i].FeatureCols
+		}
+		st.FeatureCols = append(own[:0], st.FeatureCols...)
+		p.steps = append(p.steps, st)
+	}
 	p.req, p.tenant = req, tenant
 	p.req.Program = p.steps
 	return p

@@ -603,7 +603,7 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, 
 	var plan *compiler.Plan // p's plan bound to its constants; nil until compiled
 	if p.plan != nil {
 		plan = p.plan.WithBinds(p.binds)
-		if res, rep, ok := s.rt.ProbeRoot(ctx, plan); ok {
+		if res, rep, ok := s.rt.ProbeRoot(ctx, plan, &p.miss); ok {
 			return queryOutcome{res: res, rep: rep, planHit: true}, nil
 		}
 	}
@@ -690,9 +690,10 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, plan *compil
 	}
 
 	// Compiling under admission lets a cold compile be shed; the incumbent
-	// of a racing compile wins.
-	hit := plan != nil
+	// of a racing compile wins. runQuery root-probed a plan prepare found.
+	hit, miss := plan != nil, &p.miss
 	if !hit {
+		miss = nil
 		compiled, err := s.cache.Compile(p.planKey, p.graph, s.opts)
 		if err != nil {
 			return nil, nil, false, err
@@ -704,7 +705,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, plan *compil
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
-	res, rep, err := s.rt.Execute(ctx, plan)
+	res, rep, err := s.rt.ExecuteAfterMiss(ctx, plan, miss)
 	if err != nil {
 		return nil, nil, hit, err
 	}
@@ -801,7 +802,7 @@ func (s *Server) summarize(req *QueryRequest, res *core.Results, rep *core.Repor
 		SimEnergyJoules:   rep.Energy,
 		WallMicros:        rep.Wall.Microseconds(),
 		Migrations:        rep.Migrations,
-		Nodes:             len(rep.Nodes),
+		Nodes:             rep.NodeCount,
 	}
 	v := res.First()
 	if v.Model != nil {

@@ -35,11 +35,8 @@ type NodeCost struct {
 	Info adapter.ExecInfo
 	// Migration is a migration's breakdown (nil for every other node).
 	Migration *migrate.Breakdown
-	// Rows is the node's output cardinality (migrations report it from the
-	// materialized batch, which a replayed interior node no longer has).
-	Rows     int
-	BytesIn  int64
-	BytesOut int64
+	BytesIn   int64
+	BytesOut  int64
 }
 
 // Entry is one memoized subtree execution: the root's output plus per-node

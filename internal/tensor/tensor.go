@@ -1,10 +1,8 @@
-// Package tensor implements the dense numeric substrate shared by the ML/DL
-// engine, the array store, and the TPU/GPU kernel simulators: row-major
-// float64 tensors with GEMM/GEMV, elementwise kernels and reductions.
-//
-// The paper (§III-A1) maps deep-learning workloads onto GEMM and GEMV, so
-// these two kernels are the contract the accelerator simulators implement
-// and are verified against.
+// Package tensor implements the dense numeric substrate of the ML/DL engine:
+// row-major float64 tensors with destination-passing GEMM kernels (the
+// paper's §III-A1 maps deep-learning workloads onto GEMM) and in-place
+// elementwise updates. The allocating whole-tensor operations the kernels
+// are verified against live with the tests.
 package tensor
 
 import (
@@ -14,8 +12,7 @@ import (
 	"slices"
 )
 
-// Sentinel errors. Only the allocating whole-tensor operations (MatMul,
-// MatVec, Transpose, Add, Sub) and Set return them; a constructor, a
+// Sentinel errors. Only Set returns one; a constructor, a
 // destination-passing kernel and an in-place update panic with one instead,
 // naming the shapes, as gonum's mat package does: their callers size every
 // operand from shapes they have already checked.
@@ -96,13 +93,6 @@ func (t *Tensor) offset(idx []int) (int, error) {
 		off = off*t.shape[i] + x
 	}
 	return off, nil
-}
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := &Tensor{shape: t.Shape(), data: make([]float64, len(t.data))}
-	copy(out.data, t.data)
-	return out
 }
 
 // The GEMM kernels are destination-passing: the caller owns dst, which must
@@ -191,73 +181,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 			cd[i*n+j] = acc
 		}
 	}
-}
-
-// MatMul computes C = A × B for 2-D tensors into a new tensor.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("%w: MatMul %v × %v", ErrShape, a.shape, b.shape)
-	}
-	c := New(a.shape[0], b.shape[1])
-	MatMulInto(c, a, b)
-	return c, nil
-}
-
-// MatVec computes y = A × x for a 2-D tensor A (m×k) and 1-D x (k) — GEMV.
-func MatVec(a, x *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		return nil, fmt.Errorf("%w: MatVec wants (2,1) ranks, got (%d,%d)", ErrShape, a.Rank(), x.Rank())
-	}
-	m, k := a.shape[0], a.shape[1]
-	if k != x.shape[0] {
-		return nil, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, x.shape[0])
-	}
-	y := New(m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
-		var acc float64
-		for j, v := range row {
-			acc += v * x.data[j]
-		}
-		y.data[i] = acc
-	}
-	return y, nil
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 {
-		return nil, fmt.Errorf("%w: Transpose wants rank-2, got %v", ErrShape, a.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out, nil
-}
-
-// Add computes elementwise a + b into a new tensor.
-func Add(a, b *Tensor) (*Tensor, error) {
-	return zip(a, b, func(x, y float64) float64 { return x + y })
-}
-
-// Sub computes elementwise a - b into a new tensor.
-func Sub(a, b *Tensor) (*Tensor, error) {
-	return zip(a, b, func(x, y float64) float64 { return x - y })
-}
-
-func zip(a, b *Tensor, f func(x, y float64) float64) (*Tensor, error) {
-	if len(a.data) != len(b.data) {
-		return nil, fmt.Errorf("%w: %v vs %v", ErrShape, a.shape, b.shape)
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] = f(a.data[i], b.data[i])
-	}
-	return out, nil
 }
 
 // Scale multiplies every element by s in place and returns the receiver.

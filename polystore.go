@@ -235,13 +235,13 @@ func (sys *System) Run(ctx context.Context, p *Program) (*Results, *Report, erro
 	return sys.RunWith(ctx, p, sys.opts)
 }
 
-// RunWith compiles and executes the program with explicit options.
+// RunWith compiles and executes the program with explicit options (report rows too).
 func (sys *System) RunWith(ctx context.Context, p *Program, opts Options) (*Results, *Report, error) {
 	plan, err := compiler.Compile(p.Graph(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sys.runtime.Execute(ctx, plan)
+	return sys.runtime.Execute(core.WithNodeReports(ctx), plan)
 }
 
 // Engines returns the registered engine instance names, sorted.
