@@ -2,6 +2,7 @@ package adapter
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -402,5 +403,56 @@ func TestPredictRowColumnAroundCap(t *testing.T) {
 	}
 	if got := len(*a.rows.Load()); got != maxSharedRows {
 		t.Fatalf("shared column holds %d rows, want the cap %d", got, maxSharedRows)
+	}
+}
+
+// TestInitialModelIsFreshDraw: the initial weights a train node starts from
+// are drawn once per (seed, sizes) and copied, and they are the weights a
+// fresh generator of the adapter's seed draws: each model initialModel
+// returns — the second after the first was trained — predicts bit for bit
+// what a model drawn from a fresh generator predicts. Sizes NewMLP refuses
+// are refused, not memoized.
+func TestInitialModelIsFreshDraw(t *testing.T) {
+	a := NewML("ml", 42)
+	for range 2 {
+		if _, err := a.initialModel(3, 0); !errors.Is(err, mlengine.ErrConfig) {
+			t.Fatalf("a hidden layer of 0 units: %v, want ErrConfig", err)
+		}
+	}
+	want, err := mlengine.NewMLP(rand.New(rand.NewSource(42)), 3, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := func(dst []float64, lo, hi int) {
+		for i := range dst {
+			dst[i] = float64((lo*3+i)%7) - 3
+		}
+	}
+	y := func(dst []float64, lo, hi int) {
+		for i := range dst {
+			dst[i] = float64((lo + i) % 2)
+		}
+	}
+	predict := func(m *mlengine.MLP) []float64 {
+		p, err := m.PredictFill(8, 3, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Data()
+	}
+	ref := predict(want)
+	for round := range 2 {
+		m, err := a.initialModel(3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range predict(m) {
+			if math.Float64bits(p) != math.Float64bits(ref[i]) {
+				t.Fatalf("round %d: row %d predicts %v, a fresh draw %v", round, i, p, ref[i])
+			}
+		}
+		if err := m.Fit(8, 4, 3, 0.5, x, y, func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

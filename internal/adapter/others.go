@@ -253,16 +253,29 @@ func NewML(name string, seed int64) *ML { return &ML{name: name, seed: seed} }
 // Engine implements Adapter.
 func (a *ML) Engine() string { return a.name }
 
-// rngs recycles the generators ML nodes draw from: a math/rand source is
-// some 5 KiB, and one reseeded replays exactly what a fresh one would.
+// rngs recycles the generators k-means draws from: a math/rand source is
+// some 5 KiB, and one reseeded with the adapter's seed replays exactly what a
+// fresh one would.
 var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// rng returns a generator seeded with the adapter's seed; hand it back to
-// rngs when done.
-func (a *ML) rng() *rand.Rand {
-	r := rngs.Get().(*rand.Rand)
-	r.Seed(a.seed)
-	return r
+// initialModel returns a copy of the model of sizes (in, hidden, 1) drawn
+// from a generator of the adapter's seed: drawn once per (seed, sizes), as
+// reseeding refills a source's whole state, and memoized for ≤ 1 024 keys.
+func (a *ML) initialModel(in, hidden int) (*mlengine.MLP, error) {
+	k := [3]int64{a.seed, int64(in), int64(hidden)}
+	mlMemo.Lock()
+	defer mlMemo.Unlock()
+	if m, ok := mlMemo.models[k]; ok {
+		return m.Clone(), nil
+	}
+	m, err := mlengine.NewMLP(rand.New(rand.NewSource(a.seed)), in, hidden, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(mlMemo.models) < 1024 {
+		mlMemo.models[k] = m
+	}
+	return m.Clone(), nil
 }
 
 // Execute implements Adapter.
@@ -290,10 +303,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		if err != nil {
 			return Value{}, info, err
 		}
-		rng := a.rng()
-		hidden := int(n.IntAttr("hidden"))
-		m, err := mlengine.NewMLP(rng, len(featureCols), hidden, 1)
-		rngs.Put(rng)
+		m, err := a.initialModel(len(featureCols), int(n.IntAttr("hidden")))
 		if err != nil {
 			return Value{}, info, err
 		}
@@ -371,7 +381,8 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 		f.fill(x.Data(), 0, in.Rows())
 		k := int(n.IntAttr("k"))
 		iters := int(n.IntAttr("iters"))
-		rng := a.rng()
+		rng := rngs.Get().(*rand.Rand)
+		rng.Seed(a.seed)
 		res, err := mlengine.KMeans(rng, x, k, iters)
 		rngs.Put(rng)
 		if err != nil {
@@ -402,17 +413,17 @@ func gemmCalls(m *mlengine.MLP, rows int, train bool, repeat int) []KernelCall {
 	k := gemmKey{repeat: repeat}
 	shapes := m.AppendGEMMs(k.shapes[:0], rows, train)
 	keyed := len(shapes) <= len(k.shapes) // not a deeper model than a node trains
-	gemmMemo.Lock()
-	defer gemmMemo.Unlock()
-	if calls, ok := gemmMemo.calls[k]; ok && keyed {
+	mlMemo.Lock()
+	defer mlMemo.Unlock()
+	if calls, ok := mlMemo.calls[k]; ok && keyed {
 		return calls
 	}
 	calls := make([]KernelCall, len(shapes))
 	for i, w := range shapes {
 		calls[i] = KernelCall{Class: hw.KGEMM, Work: w, Repeat: repeat}
 	}
-	if keyed && len(gemmMemo.calls) < 1024 { // bounded, as rows vary
-		gemmMemo.calls[k] = calls
+	if keyed && len(mlMemo.calls) < 1024 { // bounded, as rows vary
+		mlMemo.calls[k] = calls
 	}
 	return calls
 }
@@ -424,10 +435,11 @@ type gemmKey struct {
 	repeat int
 }
 
-var gemmMemo = struct {
+var mlMemo = struct {
 	sync.Mutex
-	calls map[gemmKey][]KernelCall
-}{calls: make(map[gemmKey][]KernelCall)}
+	calls  map[gemmKey][]KernelCall
+	models map[[3]int64]*mlengine.MLP
+}{calls: make(map[gemmKey][]KernelCall), models: make(map[[3]int64]*mlengine.MLP)}
 
 // features are named numeric columns of a batch read in place as model
 // input: the typed column slices are resolved once, and fill writes any row

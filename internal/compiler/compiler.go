@@ -73,8 +73,8 @@ type Plan struct {
 	Slots int
 	// Binds is the bind vector of the statement this plan executes: the
 	// constants its holes stand for. Compile takes it from the input graph;
-	// a plan-cache hit hands out a copy of the shared plan carrying the
-	// requester's own (WithBinds).
+	// a plan-cache hit is executed as a copy of the shared plan carrying the
+	// requester's own.
 	Binds []any
 	// Touches is the data the input graph reads (TouchesOf), taken before
 	// any pass: a result key must be derived alike whether or not the plan
@@ -84,14 +84,6 @@ type Plan struct {
 	// Key is the plan-cache key the plan was compiled under
 	// (PlanCache.Compile); "" for a plan compiled outside a cache.
 	Key string
-}
-
-// WithBinds returns a copy of p that executes with binds; everything else is
-// shared with p.
-func (p *Plan) WithBinds(binds []any) *Plan {
-	cp := *p
-	cp.Binds = binds
-	return &cp
 }
 
 // Compile runs frontend checks, core passes, and the backend lowering.

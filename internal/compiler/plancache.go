@@ -46,8 +46,7 @@ func Key(g *ir.Graph, opts Options) string {
 }
 
 // Get returns the plan cached under key, marking it most recently used. The
-// plan is shared: execute a copy bound to the statement's constants
-// (Plan.WithBinds).
+// plan is shared: execute a copy bound to the statement's constants.
 func (c *PlanCache) Get(key string) (*Plan, bool) { return c.plans.Get(key) }
 
 // GetBytes is Get for a key held as bytes: it allocates no string.
@@ -72,10 +71,10 @@ func (c *PlanCache) Compile(key string, g *ir.Graph, opts Options) (*Plan, error
 }
 
 // GetOrCompileKeyed returns the plan for (g, opts) carrying g's bind vector,
-// compiling and caching the shape on a miss: a copy of the cached plan
-// (Plan.WithBinds). The second result reports whether the plan came from the
-// cache. key is Key(g, opts), precomputed: a caller that fingerprints the
-// graph for its own keys must not hash it twice.
+// compiling and caching the shape on a miss: a copy of the cached plan. The
+// second result reports whether the plan came from the cache. key is Key(g,
+// opts), precomputed: a caller that fingerprints the graph for its own keys
+// must not hash it twice.
 func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*Plan, bool, error) {
 	plan, hit := c.Get(key)
 	if !hit {
@@ -84,7 +83,9 @@ func (c *PlanCache) GetOrCompileKeyed(key string, g *ir.Graph, opts Options) (*P
 			return nil, false, err
 		}
 	}
-	return plan.WithBinds(g.Binds()), hit, nil
+	bound := *plan
+	bound.Binds = g.Binds()
+	return &bound, hit, nil
 }
 
 // Len returns the number of cached entries, of every key kind.

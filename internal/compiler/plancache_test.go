@@ -127,8 +127,9 @@ func TestPlanCacheSharedTemplateConcurrent(t *testing.T) {
 					return
 				}
 				binds := []any{int64(i), int64(j)}
-				if bound := plan.WithBinds(binds); bound.Binds[0] != binds[0] || bound.Binds[1] != binds[1] {
-					t.Errorf("plan bound to %v, want %v", bound.Binds, binds)
+				bound := *plan // executions bind a copy of the shared plan
+				if bound.Binds = binds; bound.Binds[0] != binds[0] || bound.Binds[1] != binds[1] || plan.Binds != nil {
+					t.Errorf("plan bound to %v, want %v; shared plan's binds %v", bound.Binds, binds, plan.Binds)
 					return
 				}
 			}

@@ -21,9 +21,9 @@ import (
 // reused run over one inputs buffer, and their records share one slab (it
 // was 42 with a run and its record allocated per node, and a device map per
 // costed node; 34 while every execution built its report's rows and its
-// nodes' labels). (The race runtime allocates on its own account, hence the
-// build tag.)
-const chainExecuteAllocs = 30
+// nodes' labels; 30 while its Results and Report were two allocations).
+// (The race runtime allocates on its own account, hence the build tag.)
+const chainExecuteAllocs = 29
 
 // TestChainExecuteAllocBudget runs scan -> filter -> sort — a chain, so the
 // inline mode — with the subplan cache off, so every run executes.
@@ -60,9 +60,10 @@ func TestChainExecuteAllocBudget(t *testing.T) {
 // each and one slot channel per engine (it was 140 with worker queues, a
 // consumer index and per-node producer sets, 125 while the driver kept its
 // values and finish times in maps, 123 while each node's run and record
-// were allocated by its goroutine, and 118 while every execution built its
-// report's rows and its nodes' labels).
-const wideExecuteAllocs = 109
+// were allocated by its goroutine, 118 while every execution built its
+// report's rows and its nodes' labels, and 109 while its Results and Report
+// were two allocations).
+const wideExecuteAllocs = 108
 
 // TestWideExecuteAllocBudget runs a width-2 fanoutProgram — scan, a filter on
 // each of two engines, a migration and a sort, so the concurrent mode — with
@@ -121,9 +122,11 @@ func TestAutoPlacementRefusalAllocatesNothing(t *testing.T) {
 // no goroutine, channel or run for any node. It was 53 while the plan's
 // width chose the dataflow and every served node got all three, 21 while
 // the probe built a key string and a version vector per candidate, 9 while
-// each execution made its probe, node table and miss list afresh, and 6
-// while every execution built its report's rows.
-const servedWideExecuteAllocs = 5
+// each execution made its probe, node table and miss list afresh, 6
+// while every execution built its report's rows, and 5 while its finish
+// times and device ledger were its own and its Results and Report two
+// allocations: now they are its values and one Results/Report pair.
+const servedWideExecuteAllocs = 2
 
 // TestServedWideExecuteAllocBudget warms the subplan cache with the plan,
 // then measures executions that are served whole.

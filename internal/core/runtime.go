@@ -393,7 +393,8 @@ func (r *Runtime) ExecuteAfterMiss(ctx context.Context, plan *compiler.Plan, mis
 // one goroutine per node, at most engineWorkers per engine (scheduler.go).
 // Either way each running node's record lives in one slab (recs). The
 // report's Wall is the host time since t0. Its rows and labels are built
-// only for a traced execution or a caller that asked (WithNodeReports).
+// only for a traced execution or a caller that asked (WithNodeReports). Its
+// clock is pr's, so a plan served whole allocates values and a Results/Report.
 func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, pr *planProbe) (*Results, *Report, error) {
 	tr := obs.From(ctx)
 	rows := tr != nil || ctx.Value(rowsKey{}) != nil
@@ -418,12 +419,15 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 
 	span := plan.Graph.IDBound()
 	values := make([]adapter.Value, span)
-	finish := make([]float64, span)
-	rep := &Report{NodeCount: len(order)}
+	finish, led := pr.clock(span, new(ledger))
+	out := &struct { // what is returned, in one allocation
+		res Results
+		rep Report
+	}{rep: Report{NodeCount: len(order)}}
+	rep := &out.rep
 	if rows {
 		rep.Nodes = make([]NodeReport, 0, len(order))
 	}
-	var led ledger
 	var cur nodeRun            // the inline or served run in turn: nothing keeps a run past its node's turn
 	var inputs []adapter.Value // the inline run's inputs, reused likewise
 	k := 0                     // the next running node's rank: its record, and its run in the dataflow
@@ -459,7 +463,7 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 				start = finish[in]
 			}
 		}
-		nr, err := r.costNode(n, run, start, &led, rows)
+		nr, err := r.costNode(n, run, start, led, rows)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: node %d (%s): %w", ErrExec, id, n.Kind, err)
 		}
@@ -485,7 +489,8 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 	}
 	rep.Wall = time.Since(t0)
 	slices.SortFunc(rep.Nodes, func(a, b NodeReport) int { return cmp.Compare(a.Node, b.Node) })
-	return &Results{Values: values, Sinks: plan.Sinks}, rep, nil
+	out.res = Results{Values: values, Sinks: plan.Sinks}
+	return &out.res, rep, nil
 }
 
 // bindNodes returns an execution's nodes in plan.Order, and how many of

@@ -232,7 +232,7 @@ func TestBoundNodeReadsBoundValues(t *testing.T) {
 	for i, n := range plan.Order {
 		before[i] = fmt.Sprintf("%#v", *n)
 	}
-	exec := plan.WithBinds([]any{int64(9), int64(4)})
+	exec := withBinds(plan, []any{int64(9), int64(4)})
 	order, _, err := bindNodes(exec, nil, false)
 	if err != nil {
 		t.Fatal(err)

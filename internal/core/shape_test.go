@@ -17,6 +17,14 @@ import (
 	"polystorepp/internal/relational"
 )
 
+// withBinds is a copy of the shared plan that executes with binds, as the
+// server binds one.
+func withBinds(plan *compiler.Plan, binds []any) *compiler.Plan {
+	bound := *plan
+	bound.Binds = binds
+	return &bound
+}
+
 // shapeFamilies returns families of statements, each of one shape and at
 // least three literal sets: bench/'s similar_family, cold_analytic and
 // stream_scan templates over loweringStore's events, and statements drawn
@@ -140,7 +148,7 @@ func TestShortBindVectorFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, binds := range [][]any{nil, plan.Binds[:1], {"three", int64(5)}} {
-		_, _, err := rt.Execute(ctx, plan.WithBinds(binds))
+		_, _, err := rt.Execute(ctx, withBinds(plan, binds))
 		if !errors.Is(err, relational.ErrUnbound) || !errors.Is(err, ErrExec) {
 			t.Fatalf("binds %v: %v, want ErrExec and relational.ErrUnbound", binds, err)
 		}

@@ -101,8 +101,10 @@ type planProbe struct {
 	// every exit path (close), after any publications.
 	leases []string
 	// misses are the candidates the cache missed, in probe order; a node's
-	// pub points into it.
+	// pub points into it. finish and led are the driver's clock (clock).
 	misses []pendingPub
+	finish []float64
+	led    ledger
 }
 
 var probes = sync.Pool{New: func() any { return new(planProbe) }}
@@ -121,6 +123,17 @@ func (r *Runtime) newProbe(tenant string, n int) *planProbe {
 	}
 	pr.nodes = pr.nodes[:n]
 	return pr
+}
+
+// clock returns the driver's simulated clock: pr's n node finish times,
+// zeroed, and its device ledger, empty; without a probe, fresh ones and own.
+func (pr *planProbe) clock(n int, own *ledger) ([]float64, *ledger) {
+	if pr == nil {
+		return make([]float64, n), own
+	}
+	pr.finish, pr.led = slices.Grow(pr.finish[:0], n)[:n], pr.led[:0]
+	clear(pr.finish)
+	return pr.finish, &pr.led
 }
 
 // probeNode is what one execution's probe knows of one node.
@@ -420,8 +433,9 @@ func (pr *planProbe) close() {
 	clear(pr.nodes)
 	clear(pr.misses)
 	clear(pr.leases)
-	*pr = planProbe{nodes: pr.nodes[:0], misses: pr.misses[:0], leases: pr.leases[:0]}
-	if cap(pr.nodes) <= maxPooledNodes {
+	clear(pr.led)
+	*pr = planProbe{nodes: pr.nodes[:0], misses: pr.misses[:0], leases: pr.leases[:0], finish: pr.finish[:0], led: pr.led[:0]}
+	if cap(pr.nodes) <= maxPooledNodes && cap(pr.finish) <= maxPooledNodes {
 		probes.Put(pr)
 	}
 }

@@ -163,7 +163,7 @@ func TestChainPublicationsShareRecords(t *testing.T) {
 		const n = 200
 		plans := make([]*compiler.Plan, n)
 		for i := range plans {
-			plans[i] = plan.WithBinds([]any{int64(-1 - i), int64(50)}) // every row, under a key of its own
+			plans[i] = withBinds(plan, []any{int64(-1 - i), int64(50)}) // every row, under a key of its own
 		}
 		ctx := context.Background()
 		var before, after runtime.MemStats
@@ -230,7 +230,7 @@ func BenchmarkExecuteColdMiss(b *testing.B) {
 	// a key of its own.
 	plans := make([]*compiler.Plan, b.N)
 	for i := range plans {
-		plans[i] = plan.WithBinds([]any{int64(-i)})
+		plans[i] = withBinds(plan, []any{int64(-i)})
 	}
 	ctx := context.Background()
 	published := rt.st.subplanPublished.Value()

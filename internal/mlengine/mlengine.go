@@ -58,6 +58,18 @@ func NewMLP(rng *rand.Rand, sizes ...int) (*MLP, error) {
 	return m, nil
 }
 
+// Clone returns a model of m's sizes holding a copy of its parameters.
+func (m *MLP) Clone() *MLP {
+	c := &MLP{sizes: slices.Clone(m.sizes)}
+	for i, w := range m.weights {
+		cw, cb := tensor.New(m.sizes[i], m.sizes[i+1]), tensor.New(m.sizes[i+1])
+		copy(cw.Data(), w.Data())
+		copy(cb.Data(), m.biases[i].Data())
+		c.weights, c.biases = append(c.weights, cw), append(c.biases, cb)
+	}
+	return c
+}
+
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // relu is math.Max(0, v) in place: -0 and negatives become +0, and NaN

@@ -27,8 +27,8 @@ import (
 // An nl or text request is built and probed under its plan key.
 
 // preparedQuery is the decoded-and-keyed preamble shared by /query and
-// /query/stream: the plan or program, the per-request deadline and the cache
-// keys. It is pooled: nothing may keep it past serveQuery, which releases it.
+// /query/stream: the plan or program, the deadline, the cache keys, the bound
+// plan and the response. It is pooled: nothing may keep it past serveQuery.
 type preparedQuery struct {
 	req    QueryRequest
 	nlRule string
@@ -36,7 +36,7 @@ type preparedQuery struct {
 	// on a miss it is nil, graph is the program to compile, and shapeKey the
 	// shape key the plan is cached under besides its plan key ("" when the
 	// request is not its shape's template). binds are the constants
-	// the holes stand for.
+	// the holes stand for, in p's own array, and bound the plan bound to them.
 	plan     *compiler.Plan
 	graph    *ir.Graph
 	shapeKey string
@@ -51,20 +51,32 @@ type preparedQuery struct {
 	steps  []ProgramStep // the array req.Program is decoded into, kept for reuse
 	key    []byte        // the shape-key buffer, kept likewise
 	miss   core.RootMiss // the root probe's key, its buffer kept likewise
+	bound  compiler.Plan
+	resp   QueryResponse // the answer summarize renders
+	cols   []string      // the array resp.Columns is cut from, kept likewise
 }
 
-// release zeroes p but for its step array and key buffers, and pools it
-// unless it grew past 16 steps or its shape key past 16 KiB. Every step up
-// to the array's capacity is zeroed — a decode keeps each field its body
-// omits — but for its FeatureCols, emptied for the next body's columns to
-// decode into: the program builder copies them into its nodes.
+// bind returns plan executing with p's constants: a copy in p, not on the heap.
+func (p *preparedQuery) bind(plan *compiler.Plan) *compiler.Plan {
+	p.bound, p.bound.Binds = *plan, p.binds
+	return &p.bound
+}
+
+// release zeroes p, and its bind and column arrays to their capacity, but
+// keeps those and its step array and key buffers; it pools p unless it grew
+// past 16 steps, 256 binds or columns, or a 16 KiB shape key. Every step is
+// zeroed — a decode keeps each field its body omits — but for its
+// FeatureCols, emptied for the next body's columns: the program builder
+// copies them into its nodes.
 func (p *preparedQuery) release() {
 	for i, st := range p.steps[:cap(p.steps)] {
 		clear(st.FeatureCols)
 		p.steps[:cap(p.steps)][i] = ProgramStep{FeatureCols: st.FeatureCols[:0]}
 	}
-	*p = preparedQuery{steps: p.steps[:0], key: p.key[:0], miss: p.miss} // the next probe resets miss
-	if cap(p.steps) <= 16 && cap(p.key) <= 16<<10 {
+	clear(p.binds[:cap(p.binds)])
+	clear(p.cols[:cap(p.cols)])
+	*p = preparedQuery{steps: p.steps[:0], key: p.key[:0], binds: p.binds[:0], cols: p.cols[:0], miss: p.miss}
+	if cap(p.steps) <= 16 && cap(p.key) <= 16<<10 && cap(p.binds) <= 256 && cap(p.cols) <= 256 {
 		preambles.Put(p)
 	}
 }
@@ -115,7 +127,7 @@ func (s *Server) prepare(p *preparedQuery) error {
 // touches through the plan cache, counting one plan-cache outcome: a hit
 // under the shape key or the plan key, or a miss.
 func (s *Server) prepareProgram(p *preparedQuery) error {
-	k, lexed, keyed := appendShapeKey(p.key[:0], &p.req, s.sqlEngine(&p.req), make([]any, 0, 8))
+	k, lexed, keyed := appendShapeKey(p.key[:0], &p.req, s.sqlEngine(&p.req), p.binds[:0])
 	if p.key = k; keyed { // k is the request's shape key, probed as bytes
 		if plan, ok := s.cache.GetBytes(k); ok {
 			s.st.planHits.Inc()
@@ -135,15 +147,15 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	// A pinned fan-out mutates the graph before fingerprinting, so plans
 	// compiled at different fan-outs never share a plan or subplan entry.
 	stampParts(g, s.parts)
-	p.binds, p.nlRule = g.Binds(), nlRule
-	p.planKey = compiler.Key(g, s.opts)
+	p.nlRule, p.planKey = nlRule, compiler.Key(g, s.opts)
 	// The request is its shape's template only when its parses lifted
 	// exactly the literals the lexer found, and no literal's value shaped
 	// them: then every request of its shape key builds this plan key with
 	// its own constants bound.
-	if keyed && !prog.ValueShaped() && slices.Equal(lexed, p.binds) {
+	if keyed && !prog.ValueShaped() && slices.Equal(lexed, g.Binds()) {
 		p.shapeKey = string(k)
 	}
+	p.binds = append(lexed[:0], g.Binds()...) // p's array: release clears it, and a compiled plan keeps g's
 	if plan, ok := s.cache.Get(p.planKey); ok {
 		s.st.planHits.Inc()
 		p.plan, p.touches = plan, plan.Touches

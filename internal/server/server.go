@@ -30,11 +30,11 @@
 //     Prometheus text; /healthz reports liveness.
 //
 // A repeated read is answered by the runtime's subplan cache: before
-// single-flight and admission, runQuery asks core.Runtime.ProbeRoot whether
+// single-flight and admission, serveQuery asks core.Runtime.ProbeRoot whether
 // the cache holds the whole plan at the current version vector of the data
-// it reads, so a cached read takes no worker slot and no flight, a write to
-// a store it reads rotates the key, and writes to other stores leave it
-// addressable.
+// it reads, so a cached read takes no worker slot, no flight and no deadline
+// context, a write to a store it reads rotates the key, and writes to other
+// stores leave it addressable.
 //
 // Endpoints:
 //
@@ -228,8 +228,8 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		s.nl = eide.NewNLTranslator(cfg.NL)
 	}
 	s.st, s.stats = newStatTable(s)
-	s.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, false) })
-	s.mux.HandleFunc("/query/stream", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, true) })
+	s.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, false, newPreamble()) })
+	s.mux.HandleFunc("/query/stream", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, true, newPreamble()) })
 	s.mux.HandleFunc("/ingest", s.handleIngest)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -373,6 +373,8 @@ func (buf *wireBuf) Write(p []byte) (int, error) {
 var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 var preambles = sync.Pool{New: func() any { return new(preparedQuery) }} // see preparedQuery.release
 
+func newPreamble() *preparedQuery { return preambles.Get().(*preparedQuery) }
+
 func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
 
 // putWireBuf recycles buf unless a rare huge response grew it: the pool
@@ -384,6 +386,8 @@ func putWireBuf(buf *wireBuf) {
 	}
 }
 
+var jsonType = []string{"application/json"} // every JSON reply's Content-Type: net/http only reads it
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
@@ -391,7 +395,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.b) // a client that went away; nothing is left to tell it
 }
@@ -488,13 +492,14 @@ func (s *Server) requestTimeout(ms int64) time.Duration {
 }
 
 // serveQuery is the spine /query and /query/stream share: method check,
-// tenant gates (whose ticket is settled on every way out), prepare,
-// deadline, trace, run through the acceleration layers, respond. The
-// endpoints differ only in how the finished outcome leaves, after runQuery
-// has released its worker: /query encodes it into one JSON body,
-// /query/stream into NDJSON records (ndjsonStream, stream.go). A failure of
-// runQuery answers the same HTTP status on both.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bool) {
+// tenant gates (whose ticket is settled on every way out), prepare into p (a
+// released preamble, released on every way out), trace, the root probe, then
+// on a miss the deadline and tenant context (only running nodes and a
+// stream's record cutter read them) and runQuery, respond. The endpoints
+// differ only in how the outcome leaves: /query encodes it into one JSON
+// body, /query/stream into NDJSON records (ndjsonStream, stream.go).
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bool, p *preparedQuery) {
+	defer p.release()
 	if !postOnly(w, r) {
 		return
 	}
@@ -513,19 +518,27 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 	// does not decode or prepare never ran, and still returns its probe.
 	result := neutral
 	defer func() { tk.done(result) }()
-	p := preambles.Get().(*preparedQuery)
-	defer p.release()
 	if !s.prepareQuery(w, r, ts, p) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
-	defer cancel()
-	ctx = tenant.With(ctx, ts.id)
+	deadline := time.Now().Add(p.timeout)
 	tr := s.startTrace(p)
 	tr.Annotate("tenant", ts.id)
-	ctx = obs.With(ctx, tr)
+	ctx := obs.With(r.Context(), tr)
 
-	out, err := s.runQuery(ctx, p)
+	out, hit := queryOutcome{planHit: p.plan != nil}, false
+	if out.planHit { // no admission: a lookup needs no worker; a miss keeps its key in p.miss
+		out.res, out.rep, hit = s.rt.ProbeRoot(ctx, p.bind(p.plan), &p.miss)
+	}
+	if !hit || streaming {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(tenant.With(ctx, ts.id), deadline)
+		defer cancel()
+	}
+	var err error
+	if !hit {
+		out, err = s.runQuery(ctx, p)
+	}
 	result = outcomeOf(err)
 	tree := tr.Finish()
 	s.traces.Record(tree)
@@ -536,7 +549,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 		s.writeQueryError(w, ts, err, p.timeout)
 		return
 	}
-	resp, n := s.summarize(&p.req, out.res, out.rep)
+	resp, n := s.summarize(p, out.res, out.rep)
 	s.decorateResponse(resp, p, out)
 	if streaming {
 		newNDJSONStream(ctx, s, w, s.effectiveMaxRows(&p.req), t0, p.timeout).deliver(out.res, resp, tree)
@@ -593,19 +606,15 @@ type queryOutcome struct {
 	shared  bool
 }
 
-// runQuery serves one query through the acceleration layers, cheapest
-// first: the root probe when prepare found the plan (no admission — a cache
-// lookup does not need a worker), then single-flight (followers wait without
-// a slot), then admission-controlled compile + execute. Every way returns
-// the finished outcome; how it is written to the client is the caller's
-// business.
+// runQuery serves a query the root probe did not answer through the
+// remaining acceleration layers, cheapest first: single-flight (followers
+// wait without a slot), then admission-controlled compile + execute. Every
+// way returns the finished outcome; how it is written to the client is the
+// caller's business.
 func (s *Server) runQuery(ctx context.Context, p *preparedQuery) (queryOutcome, error) {
 	var plan *compiler.Plan // p's plan bound to its constants; nil until compiled
 	if p.plan != nil {
-		plan = p.plan.WithBinds(p.binds)
-		if res, rep, ok := s.rt.ProbeRoot(ctx, plan, &p.miss); ok {
-			return queryOutcome{res: res, rep: rep, planHit: true}, nil
-		}
+		plan = p.bind(p.plan)
 	}
 	if s.flight == nil { // tests that count executions turn single-flight off
 		res, rep, planHit, err := s.executeOnce(ctx, p, plan)
@@ -690,7 +699,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, plan *compil
 	}
 
 	// Compiling under admission lets a cold compile be shed; the incumbent
-	// of a racing compile wins. runQuery root-probed a plan prepare found.
+	// of a racing compile wins. serveQuery root-probed a plan prepare found.
 	hit, miss := plan != nil, &p.miss
 	if !hit {
 		miss = nil
@@ -701,7 +710,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, plan *compil
 		if p.shapeKey != "" {
 			s.cache.Put(p.shapeKey, compiled)
 		}
-		plan = compiled.WithBinds(p.binds)
+		plan = p.bind(compiled)
 	}
 	tr.Event("cache.plan", hitMiss(hit))
 	execT0 := time.Now()
@@ -791,19 +800,20 @@ func (s *Server) effectiveMaxRows(req *QueryRequest) int {
 	return maxRows
 }
 
-// summarize renders everything of a response except the row payload: the
-// execution report, column names, total row count and the truncation flag.
-// It returns the number of rows the wire carries (<= RowCount under the row
-// cap). Both the buffered response and the streaming summary record derive
-// from it, which is what keeps the two paths field-identical.
-func (s *Server) summarize(req *QueryRequest, res *core.Results, rep *core.Report) (*QueryResponse, int) {
-	resp := &QueryResponse{
+// summarize renders everything of p.resp except the row payload: the
+// execution report, column names (in p.cols), total row count and the
+// truncation flag. It returns the number of rows the wire carries (<=
+// RowCount under the row cap). Both the buffered response and the streaming
+// summary record derive from it, which keeps the two paths field-identical.
+func (s *Server) summarize(p *preparedQuery, res *core.Results, rep *core.Report) (*QueryResponse, int) {
+	p.resp = QueryResponse{
 		SimLatencySeconds: rep.Latency,
 		SimEnergyJoules:   rep.Energy,
 		WallMicros:        rep.Wall.Microseconds(),
 		Migrations:        rep.Migrations,
 		Nodes:             rep.NodeCount,
 	}
+	resp := &p.resp
 	v := res.First()
 	if v.Model != nil {
 		resp.Model = true
@@ -814,13 +824,13 @@ func (s *Server) summarize(req *QueryRequest, res *core.Results, rep *core.Repor
 		return resp, 0
 	}
 	schema := b.Schema()
-	resp.Columns = make([]string, schema.Len())
 	for i := 0; i < schema.Len(); i++ {
-		resp.Columns[i] = schema.Col(i).Name
+		p.cols = append(p.cols, schema.Col(i).Name)
 	}
+	resp.Columns = p.cols
 	resp.RowCount = b.Rows()
 	n := b.Rows()
-	if maxRows := s.effectiveMaxRows(req); n > maxRows {
+	if maxRows := s.effectiveMaxRows(&p.req); n > maxRows {
 		n = maxRows
 		resp.Truncated = true
 	}

@@ -131,14 +131,13 @@ const (
 
 // outcomeOf classifies a runQuery result.
 func outcomeOf(err error) outcome {
-	var ref *refusal
 	switch {
 	case err == nil,
 		errors.Is(err, compiler.ErrCompile), // malformed query: cheap, pre-execution
 		isStatementError(err),               // malformed query the engine found at execution
 		errors.Is(err, context.Canceled):    // client went away
 		return served
-	case errors.As(err, &ref):
+	case errors.As(err, new(*refusal)): // allocated only here, not for a nil err
 		return neutral
 	}
 	return failed // execution error or context.DeadlineExceeded
