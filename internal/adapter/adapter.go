@@ -122,6 +122,10 @@ type DataVersioner interface {
 	DataVersion() uint64
 }
 
+// Seeded is implemented by adapters whose results are a function of a seed
+// (the ML engine), which the version vector carries for their pure nodes.
+type Seeded interface{ Seed() int64 }
+
 // Ingest is one serving-path write routed to an engine. Exactly one field
 // group applies per engine family; adapters reject writes they cannot
 // express.

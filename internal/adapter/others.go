@@ -253,6 +253,9 @@ func NewML(name string, seed int64) *ML { return &ML{name: name, seed: seed} }
 // Engine implements Adapter.
 func (a *ML) Engine() string { return a.name }
 
+// Seed implements Seeded.
+func (a *ML) Seed() int64 { return a.seed }
+
 // rngs recycles the generators k-means draws from: a math/rand source is
 // some 5 KiB, and one reseeded with the adapter's seed replays exactly what a
 // fresh one would.

@@ -89,7 +89,7 @@ func TestSubtreesSharedPrefix(t *testing.T) {
 	}
 }
 
-// TestSubtreesExcludeUncacheable: ML training and device-pinned nodes keep
+// TestSubtreesExcludeUncacheable: text-search and device-pinned nodes keep
 // their subtrees out of the candidate set.
 func TestSubtreesExcludeUncacheable(t *testing.T) {
 	g := ir.NewGraph()
@@ -97,15 +97,20 @@ func TestSubtreesExcludeUncacheable(t *testing.T) {
 	f := g.Add(ir.OpFilter, "db", map[string]any{"pred": relational.Bin{
 		Op: relational.OpGt, L: relational.ColRef{Name: "v"}, R: relational.Const{V: int64(1)},
 	}}, scan)
-	g.Add(ir.OpTrain, "ml", map[string]any{"model": "logreg", "label_col": "v"}, f)
+	// A text search (not version-scoped) joined beside the filter.
+	docs := g.Add(ir.OpTextSearch, "docs", map[string]any{"query": "v", "k": int64(5)})
+	g.Add(ir.OpHashJoin, "db", map[string]any{"left_col": "v", "right_col": "doc_id"}, f, docs)
 	plan, err := Compile(g, Options{Level: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(plan.Subtrees) == 0 {
+		t.Fatal("no candidate: the scan -> filter prefix is one")
+	}
 	for _, st := range plan.Subtrees {
 		for _, id := range st.Closure {
-			if plan.Graph.MustNode(id).Kind == ir.OpTrain {
-				t.Fatal("train node inside a cache candidate")
+			if plan.Graph.MustNode(id).Kind == ir.OpTextSearch {
+				t.Fatal("text-search node inside a cache candidate")
 			}
 		}
 	}

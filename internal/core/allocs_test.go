@@ -182,8 +182,9 @@ func TestProbeRootAllocBudget(t *testing.T) {
 	miss := func(when string) {
 		t.Helper()
 		counted := rt.st.subplanPlansProbed.Value() + rt.st.subplanMisses.Value() + rt.st.subplanHits.Value()
+		vv := rt.VersionVector(plan.Touches)
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, ok := rt.ProbeRoot(ctx, plan, &rootMiss); ok {
+			if _, _, ok := rt.ProbeRoot(ctx, plan, vv, &rootMiss); ok {
 				t.Fatalf("%s: the root probe hit", when)
 			}
 		})
@@ -203,14 +204,15 @@ func TestProbeRootAllocBudget(t *testing.T) {
 		}
 	}
 	seq, conc, reused := rt.st.execSequential.Value(), rt.st.execConcurrent.Value(), rt.st.subplanPlansReused.Value()
-	res, rep, ok := rt.ProbeRoot(askRows(ctx), plan, &rootMiss)
+	vv := rt.VersionVector(plan.Touches)
+	res, rep, ok := rt.ProbeRoot(askRows(ctx), plan, vv, &rootMiss)
 	if !ok {
 		t.Fatal("the root probe missed a published plan")
 	}
 	batchesEqual(t, res, wantRes)
 	reportsEqual(t, rep, wantRep)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, ok := rt.ProbeRoot(ctx, plan, &rootMiss); !ok {
+		if _, _, ok := rt.ProbeRoot(ctx, plan, vv, &rootMiss); !ok {
 			t.Fatal("the root probe missed")
 		}
 	})

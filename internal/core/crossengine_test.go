@@ -66,6 +66,16 @@ func crossEnginePrograms(t testing.TB) []crossEngineProgram {
 func benchProgram(t testing.TB, cfg eide.Binding, age, visits int, features []string) crossEngineProgram {
 	t.Helper()
 	p := eide.NewProgram()
+	pns := cohort(t, p, cfg, age, visits)
+	m := p.Train(cfg.ML, pns, features, "long_stay", 16, 2, 64, 0.3)
+	return crossEngineProgram{fmt.Sprintf("bench a=%d v=%d %d features", age, visits, len(features)),
+		p.Graph(), p.Predict(cfg.ML, m, pns, features)}
+}
+
+// cohort adds to p the feature rows (p ⋈ n ⋈ s) of the patients older than
+// age with at least visits prior visits.
+func cohort(t testing.TB, p *eide.Program, cfg eide.Binding, age, visits int) ir.NodeID {
+	t.Helper()
 	pn, err := p.SQL(cfg.Relational, fmt.Sprintf(
 		"SELECT pid, age, gender_male, prior_visits FROM patients WHERE age > %d AND prior_visits >= %d", age, visits))
 	if err != nil {
@@ -76,10 +86,7 @@ func benchProgram(t testing.TB, cfg eide.Binding, age, visits int, features []st
 		t.Fatal(err)
 	}
 	s := p.Graph().Add(ir.OpTSWindow, cfg.Timeseries, map[string]any{"series_prefix": "vitals/", "agg": "mean"})
-	pns := p.Join(cfg.Relational, p.Join(cfg.Relational, pn, nn, "pid", "npid"), s, "pid", "vpid")
-	m := p.Train(cfg.ML, pns, features, "long_stay", 16, 2, 64, 0.3)
-	return crossEngineProgram{fmt.Sprintf("bench a=%d v=%d %d features", age, visits, len(features)),
-		p.Graph(), p.Predict(cfg.ML, m, pns, features)}
+	return p.Join(cfg.Relational, p.Join(cfg.Relational, pn, nn, "pid", "npid"), s, "pid", "vpid")
 }
 
 // clinicalTestRuntime serves the clinical relational, timeseries and ML

@@ -24,7 +24,7 @@ func TestProbePoolHygiene(t *testing.T) {
 	// entry is what the cache holds for plan's outermost candidate.
 	entry := func(plan *compiler.Plan) *subplan.Entry {
 		st := &plan.Subtrees[0]
-		key, _ := appendKey(nil, st, plan.Binds, rt.appendVersionVector(nil, st.Touches))
+		key, _ := appendKey(nil, st, plan.Binds, rt.VersionVector(st.Touches))
 		return rt.subtreeEntry(st, key)
 	}
 	reused := 0
@@ -82,7 +82,7 @@ func TestProbePoolHygiene(t *testing.T) {
 				records = append(records, *c)
 			}
 		}
-		if _, _, ok := rt.ProbeRoot(ctx, small, new(RootMiss)); !ok {
+		if _, _, ok := rt.ProbeRoot(ctx, small, rt.VersionVector(small.Touches), new(RootMiss)); !ok {
 			t.Fatalf("round %d: the root probe missed a published plan", round)
 		}
 		clean("a ProbeRoot hit")

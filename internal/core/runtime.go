@@ -225,10 +225,9 @@ func (r *Runtime) Ingest(ctx context.Context, engine string, w adapter.Ingest) e
 // serving layer's single-flight keys end in. Engines whose reads are
 // table-scoped use the adapter's ScopedVersion; whole-engine reads use
 // DataVersion; engines that read no stored data (pure operators over
-// migrated inputs) and engines without a versioner (the ML engine)
-// contribute nothing. Every component is
-// monotonic, so two equal vectors bracket an interval in which none of the
-// touched data changed — writes to untouched engines change nothing here,
+// migrated inputs) contribute the seed of a Seeded adapter (the ML engine)
+// and nothing otherwise. Every component is monotonic or fixed, so two
+// equal vectors bracket an interval in which none of the touched data changed — writes to untouched engines change nothing here,
 // which is what keeps their cached results addressable.
 func (r *Runtime) VersionVector(t compiler.Touches) string {
 	return string(r.appendVersionVector(make([]byte, 0, 128), t))
@@ -249,8 +248,12 @@ func (r *Runtime) appendVersionVector(dst []byte, t compiler.Touches) []byte {
 		tables := t.ByEngine[e]
 		var v uint64
 		switch {
-		case tables != nil && len(tables) == 0:
-			continue // pure dataflow on this engine: no version dependency
+		case tables != nil && len(tables) == 0: // pure dataflow on this engine
+			sd, ok := a.(adapter.Seeded)
+			if !ok {
+				continue // no version dependency
+			}
+			v = uint64(sd.Seed())
 		case tables != nil:
 			sv, ok := a.(adapter.ScopedVersioner)
 			if ok {

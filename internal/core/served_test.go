@@ -7,16 +7,19 @@ import (
 	"testing"
 
 	"polystorepp/internal/compiler"
+	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/obs"
 )
 
 // servedPlan compiles bench/'s cross_engine program (the a=45 v=3 patient
-// filter over every feature), each partitioned node at parts when parts > 0.
-// Once the subplan cache holds its p ⋈ n ⋈ s closure, migrations included,
-// the nodes that run are train and predict, which reads train's model: a
-// chain. With beside, a k-means over the migrated features sits beside
-// train, so the nodes that run (train, k-means, predict) are not one.
+// filter over every feature), each partitioned node at parts when parts > 0,
+// with its ML nodes pinned to the host: a device-pinned node is never a
+// cache candidate. Once the subplan cache holds its p ⋈ n ⋈ s closure,
+// migrations included, the nodes that run are train and predict, which
+// reads train's model: a chain. With beside, a k-means over the migrated
+// features sits beside train, so the nodes that run (train, k-means,
+// predict) are not one.
 func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
 	t.Helper()
 	prog := crossEnginePrograms(t)[2]
@@ -27,11 +30,12 @@ func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
 			"cols": []string{"gender_male", "prior_visits", "n_stays"}, "k": int64(3), "iters": int64(4),
 		}, features)
 	}
-	if parts > 0 {
-		for _, n := range g.Nodes() {
-			if n.Kind.Partitioned() {
-				n.Attrs["parts"] = int64(parts)
-			}
+	for _, n := range g.Nodes() {
+		if parts > 0 && n.Kind.Partitioned() {
+			n.Attrs["parts"] = int64(parts)
+		}
+		if n.Engine == "ml" {
+			n.Device = hw.NewHostCPU().Name
 		}
 	}
 	plan, err := compiler.Compile(g, compiler.Options{Level: 3, Accel: true})
@@ -170,13 +174,12 @@ func TestServedHitsConcurrentTraced(t *testing.T) {
 	}
 }
 
-// BenchmarkExecuteServedProgram executes bench/'s cross_engine program with
-// its join closure cached: each iteration serves the closure from the
-// subplan cache and runs train, then predict, inline. CI's kernel smoke
-// holds its B/op.
+// BenchmarkExecuteServedProgram executes bench/'s cross_engine program
+// once the subplan cache holds it: each iteration serves the whole plan,
+// trained model and predictions included. CI's kernel smoke holds its B/op.
 func BenchmarkExecuteServedProgram(b *testing.B) {
 	rt := clinicalTestRuntime(b)
-	plan := servedPlan(b, false, 0)
+	plan := compileProgram(b, crossEnginePrograms(b)[2].g)
 	ctx := context.Background()
 	for range 2 { // publish, then the first hit gathers the entry
 		if _, _, err := rt.Execute(ctx, plan); err != nil {
@@ -189,5 +192,36 @@ func BenchmarkExecuteServedProgram(b *testing.B) {
 		if _, _, err := rt.Execute(ctx, plan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExecuteServedModel executes the train-once shape with its model
+// served: trainOnceProgram with predict pinned to the host, so that each
+// iteration serves the model entry and the prediction features from the
+// subplan cache and runs predict, as a program whose prediction input varies
+// does. CI's kernel smoke holds its B/op: it keeps the ML path gated now that
+// a served cross_engine program runs none of it.
+func BenchmarkExecuteServedModel(b *testing.B) {
+	rt := clinicalTestRuntime(b)
+	prog, _ := trainOnceProgram(b, 20)
+	prog.g.MustNode(prog.pred).Device = hw.NewHostCPU().Name
+	plan := compileProgram(b, prog.g)
+	ctx := context.Background()
+	for range 2 { // publish, then the first hits gather the entries
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	predicts := opCount(rt, ir.OpPredict)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := rt.Execute(ctx, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if trains, n := opCount(rt, ir.OpTrain), opCount(rt, ir.OpPredict)-predicts; trains != 1 || n != int64(b.N) {
+		b.Fatalf("train ran %d times, predict %d times in %d iterations", trains, n, b.N)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"polystorepp/internal/adapter"
-	"polystorepp/internal/cast"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/ir"
 	"polystorepp/internal/lru"
@@ -155,7 +154,7 @@ func (pr *planProbe) key(pub *pendingPub) string { return pr.keys[pub.lo:pub.hi]
 
 // appendKey appends a memoized intermediate's content address: shape
 // fingerprint, the constants bound to its holes, and vv, whose start it returns.
-func appendKey(dst []byte, st *compiler.Subtree, binds []any, vv []byte) ([]byte, int) {
+func appendKey(dst []byte, st *compiler.Subtree, binds []any, vv string) ([]byte, int) {
 	dst = append(append(dst, st.Fingerprint...), '|')
 	for _, s := range st.Slots {
 		dst = ir.AppendBind(dst, binds[s])
@@ -200,7 +199,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss 
 			continue
 		}
 		lo, at := len(keys), 0
-		keys, at = appendKey(keys, st, plan.Binds, nil)
+		keys, at = appendKey(keys, st, plan.Binds, "")
 		// The root probe missed this key if miss holds its fingerprint and constants.
 		probed := i == 0 && miss != nil && miss.vv == at-lo && bytes.Equal(miss.key[:miss.vv], keys[lo:at])
 		switch {
@@ -303,12 +302,13 @@ type RootMiss struct {
 // ProbeRoot answers plan from the subplan cache before any work is
 // admitted. It applies when the plan's outermost candidate covers every node
 // (so its root is the one sink) and the cache holds that candidate under the
-// key prepareSubplan builds for it at the current version vector. A hit
+// key prepareSubplan builds for it at vv, the caller's rendering of the
+// version vector of the plan's touches (VersionVector). A hit
 // returns what Execute returns for a plan served whole: the same driver
 // costs every node from the entry's records, and Wall is the probe's own
 // time. A miss (ok false) counts nothing and leaves its key in miss (none
 // when the probe does not apply) for ExecuteAfterMiss.
-func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, miss *RootMiss) (res *Results, rep *Report, ok bool) {
+func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, vv string, miss *RootMiss) (res *Results, rep *Report, ok bool) {
 	t0 := time.Now()
 	if miss.key, miss.vv = miss.key[:0], 0; cap(miss.key) > 16<<10 {
 		miss.key = nil // a long key's buffer is not kept for the next probe
@@ -317,8 +317,7 @@ func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, miss *Root
 		return nil, nil, false
 	}
 	st := &plan.Subtrees[0]
-	var vb [128]byte
-	key, at := appendKey(miss.key, st, plan.Binds, r.appendVersionVector(vb[:0], st.Touches))
+	key, at := appendKey(miss.key, st, plan.Binds, vv)
 	e := r.subtreeEntry(st, key)
 	if miss.key = key; e == nil {
 		miss.vv = at
@@ -337,7 +336,7 @@ func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, miss *Root
 // well formed — its records match st's closure — and nil otherwise.
 func (r *Runtime) subtreeEntry(st *compiler.Subtree, key []byte) *subplan.Entry {
 	e, ok := r.subplan.cache.GetBytes(key)
-	if !ok || e.Output == nil || len(e.Costs) != len(st.Closure) {
+	if !ok || len(e.Costs) != len(st.Closure) {
 		return nil
 	}
 	return e
@@ -345,7 +344,7 @@ func (r *Runtime) subtreeEntry(st *compiler.Subtree, key []byte) *subplan.Entry 
 
 // serveHit marks st served from e, the entry under key, unless e is nil:
 // every closure node is costed from the entry's record, the root yields the
-// memoized batch, and inner candidates are skipped since their roots are
+// memoized value, and inner candidates are skipped since their roots are
 // served.
 func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, key []byte, e *subplan.Entry) bool {
 	if e == nil {
@@ -354,7 +353,7 @@ func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, 
 	for i, id := range st.Closure {
 		pr.nodes[id].serve = e.Costs[i]
 	}
-	pr.nodes[st.Root].out = adapter.Value{Batch: e.Reused()}
+	pr.nodes[st.Root].out = e.Reused()
 	pr.hits++
 	pr.rt.st.subplanHits.Inc()
 	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
@@ -376,20 +375,22 @@ func (pr *planProbe) onNodeCosted(id ir.NodeID, run *nodeRun) {
 	pn := &pr.nodes[id]
 	pn.rec = run.NodeCost
 	if pn.pub != nil {
-		pr.publish(pn.pub, run.out.Batch)
+		pr.publish(pn.pub, run.out)
 	}
 }
 
 // publish memoizes one executed subtree: per-node records plus the root's
-// output batch itself. A batch that has left its producer is immutable
-// (package cast), so the entry, this request's downstream nodes and every
-// later replay share it; nothing is cloned, and a selection-backed output is
-// not gathered until a hit asks for it (subplan.Entry.Reused). Nor are the
-// records: the entry points at this execution's (or an inner hit's). The
-// version vector is re-checked against its prepare-time value so a write to
-// a touched store while the subtree executed suppresses the publication —
-// the batch belongs to neither the old version nor reliably the new one.
-func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
+// output itself, a batch or a model (charged its float64 parameters). A
+// batch that has left its producer is immutable (package cast), and so is a
+// returned model (train starts from a copy of its initial weights), so the
+// entry, this request's downstream nodes and every later replay share it;
+// nothing is cloned, and a selection-backed output is not gathered until a
+// hit asks for it (subplan.Entry.Reused). Nor are the records: the entry
+// points at this execution's (or an inner hit's). The version vector is
+// re-checked against its prepare-time value so a write to a touched store
+// while the subtree executed suppresses the publication — the output belongs
+// to neither the old version nor reliably the new one.
+func (pr *planProbe) publish(pub *pendingPub, out adapter.Value) {
 	n := len(pub.sub.Closure)
 	costs := pr.costs[:n:n]
 	pr.costs = pr.costs[n:]
@@ -397,16 +398,12 @@ func (pr *planProbe) publish(pub *pendingPub, out *cast.Batch) {
 		pr.rt.st.subplanStaleSkips.Inc()
 		return
 	}
-	if out == nil {
-		return // non-tabular root: nothing to memoize
-	}
 	for i, id := range pub.sub.Closure {
 		costs[i] = pr.nodes[id].rec
 	}
-	e := &subplan.Entry{
-		Output: out,
-		Costs:  costs,
-		Bytes:  out.ByteSize(),
+	e := &subplan.Entry{Output: out, Costs: costs, Bytes: valueBytes(out)}
+	if out.Model != nil {
+		e.Bytes = 8 * int64(out.Model.Params())
 	}
 	// Inner candidates are not single-flighted, so a concurrent execution
 	// may have stored this key first: its entry stays, and this one counts

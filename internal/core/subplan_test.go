@@ -341,7 +341,7 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 
 	rt := testRuntime(t, 2000, false)
 	root := &plan.Subtrees[0]
-	key, _ := appendKey(nil, root, plan.Binds, rt.appendVersionVector(nil, root.Touches))
+	key, _ := appendKey(nil, root, plan.Binds, rt.VersionVector(root.Touches))
 	if leader, _ := rt.subplan.flight.Acquire(string(key)); !leader {
 		t.Fatal("a cold runtime's flight already has a leader")
 	}
@@ -480,7 +480,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 		t.Fatal("the sort subtree was not published")
 	}
 	e, ok := rt.subplan.cache.Get(key)
-	if !ok || e.Output != values[order[len(order)-2]].Batch {
+	if !ok || e.Output.Batch != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}
 
@@ -582,7 +582,7 @@ func TestRootMissProbedOnce(t *testing.T) {
 	probeThen := func(exec func() error) int64 {
 		t.Helper()
 		st, _ := rt.SubplanCacheStats()
-		if _, _, ok := rt.ProbeRoot(ctx, plan, &miss); ok {
+		if _, _, ok := rt.ProbeRoot(ctx, plan, rt.VersionVector(plan.Touches), &miss); ok {
 			t.Fatal("the root probe hit an unpublished plan")
 		}
 		if err := exec(); err != nil {
@@ -601,7 +601,7 @@ func TestRootMissProbedOnce(t *testing.T) {
 	if got := probeThen(func() error { _, _, err := rt.ExecuteAfterMiss(ctx, plan, &miss); return err }); got != want {
 		t.Fatalf("a root-probe miss and the execution handed it looked %d keys up, want %d", got, want)
 	}
-	if _, _, ok := rt.ProbeRoot(ctx, plan, &miss); !ok {
+	if _, _, ok := rt.ProbeRoot(ctx, plan, rt.VersionVector(plan.Touches), &miss); !ok {
 		t.Fatal("the execution handed the miss did not publish under the probed key")
 	}
 	write()
@@ -631,13 +631,13 @@ func TestRootMissKeepsNoLongKey(t *testing.T) {
 	long, short := compile(strings.Repeat("w", 20<<10)), compile("icu")
 	ctx := context.Background()
 	var miss RootMiss
-	if _, _, ok := rt.ProbeRoot(ctx, long, &miss); ok || cap(miss.key) <= 16<<10 || miss.vv == 0 {
+	if _, _, ok := rt.ProbeRoot(ctx, long, rt.VersionVector(long.Touches), &miss); ok || cap(miss.key) <= 16<<10 || miss.vv == 0 {
 		t.Fatalf("probe of the long key: hit %v, a %d-byte buffer, key held %v", ok, cap(miss.key), miss.vv > 0)
 	}
 	if _, _, err := rt.ExecuteAfterMiss(ctx, long, &miss); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := rt.ProbeRoot(ctx, short, &miss); ok || cap(miss.key) > 16<<10 || miss.vv == 0 {
+	if _, _, ok := rt.ProbeRoot(ctx, short, rt.VersionVector(short.Touches), &miss); ok || cap(miss.key) > 16<<10 || miss.vv == 0 {
 		t.Fatalf("probe of a short key after it: hit %v, a %d-byte buffer, key held %v", ok, cap(miss.key), miss.vv > 0)
 	}
 }

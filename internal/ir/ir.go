@@ -67,7 +67,9 @@ const (
 	pure
 	// cacheable: output is a deterministic function of the dataflow inputs
 	// and the stores read at a fixed version vector — safe to memoize and
-	// replay. ML training (seeded RNG state), graph and text reads (not
+	// replay. The ML kinds are: their adapter's fixed seed is in the key,
+	// training starts from initial weights memoized per seed and sizes, and
+	// k-means from a reseeded source. Graph and text reads (not
 	// table-version-scoped today) and anything with side effects are not.
 	cacheable
 	// offloadable: the dominant kernels have accelerator implementations;
@@ -100,9 +102,9 @@ var ops = [...]struct {
 
 	OpKVScan: {"kv-scan", cacheable},
 
-	OpTrain:   {"train", pure | offloadable},
-	OpPredict: {"predict", pure | offloadable},
-	OpKMeans:  {"kmeans", pure | offloadable},
+	OpTrain:   {"train", pure | cacheable | offloadable},
+	OpPredict: {"predict", pure | cacheable | offloadable},
+	OpKMeans:  {"kmeans", pure | cacheable | offloadable},
 
 	OpMigrate: {"migrate", cacheable | offloadable},
 }

@@ -70,6 +70,14 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
+// Params returns the model's parameter count, weights and biases.
+func (m *MLP) Params() (n int) {
+	for i, w := range m.weights {
+		n += w.Size() + m.biases[i].Size()
+	}
+	return n
+}
+
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // relu is math.Max(0, v) in place: -0 and negatives become +0, and NaN

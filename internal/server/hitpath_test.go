@@ -182,6 +182,29 @@ func TestStreamRootProbeHitReadsDeadline(t *testing.T) {
 	}
 }
 
+// TestTrainSinkServedFromRootProbe: a program whose sink is train answers
+// "model": true; its repeat is answered whole by the root probe, its model
+// served from the subplan cache, and carries the same body, host times and
+// the plan-cache outcome aside.
+func TestTrainSinkServedFromRootProbe(t *testing.T) {
+	s := fullClinicalServer(t)
+	body := hygieneProgram(`{"id":"a","op":"sql","engine":"db-clinical","sql":"SELECT age, prior_visits, gender_male FROM patients"},
+		{"id":"m","op":"train","engine":"ml","input":"a","feature_cols":["age","prior_visits"],"label_col":"gender_male","hidden":4,"epochs":2}`)
+	cold := serveOn(s, "/query", body)
+	if cold.Code != http.StatusOK || !strings.Contains(cold.Body.String(), `"model":true`) {
+		t.Fatalf("cold: %d %s", cold.Code, cold.Body)
+	}
+	reused, executed := probeCount(t, s)
+	warm := serveOn(s, "/query", body)
+	if r, e := probeCount(t, s); warm.Code != http.StatusOK || r != reused+1 || e != executed {
+		t.Fatalf("the repeat (%d) was not a root-probe hit: reused %d -> %d, executed %d -> %d", warm.Code, reused, r, executed, e)
+	}
+	want := strings.Replace(withoutTimings(t, cold.Body.Bytes()), `"plan_cache":"miss"`, `"plan_cache":"hit"`, 1)
+	if got := withoutTimings(t, warm.Body.Bytes()); got != want {
+		t.Fatalf("from the root probe\n %s\ncold\n %s", got, want)
+	}
+}
+
 // hygieneProgram wraps program steps (comma-separated JSON objects) in a
 // request.
 func hygieneProgram(steps string) string {

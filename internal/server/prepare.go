@@ -118,7 +118,7 @@ func (s *Server) prepare(p *preparedQuery) error {
 	// The plan cache keys on the program's shape; single-flight adds the
 	// program's constants and the version vector of exactly the
 	// engines/tables the program touches, so a shared execution never
-	// outlives the data it was computed on.
+	// outlives the data it was computed on. The root probe keys on it too.
 	p.vv = s.rt.VersionVector(p.touches)
 	return nil
 }

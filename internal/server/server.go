@@ -297,7 +297,7 @@ func (s *Server) Drain(ctx context.Context) error {
 type QueryRequest struct {
 	// Frontend selects the program builder: "sql", "nl", "text" or
 	// "program".
-	Frontend string `json:"frontend"`
+	Frontend Frontend `json:"frontend"`
 	// Engine is the target engine instance for sql/text (defaulted from
 	// config when omitted).
 	Engine string `json:"engine,omitempty"`
@@ -315,6 +315,21 @@ type QueryRequest struct {
 	// or a trailing NDJSON trace record on /query/stream). Tracing never
 	// changes results and does not participate in cache keys.
 	Trace bool `json:"trace,omitempty"`
+}
+
+// Frontend names a request's program builder.
+type Frontend string
+
+// UnmarshalJSON decodes a frontend the server knows into its constant,
+// allocating nothing; any other value decodes as a string does.
+func (f *Frontend) UnmarshalJSON(b []byte) error {
+	for _, k := range [...]Frontend{"sql", "nl", "text", "program"} {
+		if len(b) == len(k)+2 && b[0] == '"' && string(b[1:len(b)-1]) == string(k) {
+			*f = k
+			return nil
+		}
+	}
+	return json.Unmarshal(b, (*string)(f))
 }
 
 // QueryResponse is the POST /query success body.
@@ -528,7 +543,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, streaming bo
 
 	out, hit := queryOutcome{planHit: p.plan != nil}, false
 	if out.planHit { // no admission: a lookup needs no worker; a miss keeps its key in p.miss
-		out.res, out.rep, hit = s.rt.ProbeRoot(ctx, p.bind(p.plan), &p.miss)
+		out.res, out.rep, hit = s.rt.ProbeRoot(ctx, p.bind(p.plan), p.vv, &p.miss)
 	}
 	if !hit || streaming {
 		var cancel context.CancelFunc

@@ -39,11 +39,12 @@ type NodeCost struct {
 	BytesOut  int64
 }
 
-// Entry is one memoized subtree execution: the root's output plus per-node
-// costing replay data. Entries are immutable once published and may be
-// served to many executions concurrently; consumers must not mutate Output.
+// Entry is one memoized subtree execution: the root's output (a batch or a
+// trained model) plus per-node costing replay data. Entries are immutable
+// once published and may be served to many executions concurrently;
+// consumers must not mutate Output.
 //
-// Output is the batch as the subtree handed it on — selection-backed if that
+// A batch Output is as the subtree handed it on — selection-backed if that
 // is what a filter, sort or join left (see package cast) — because every
 // executed candidate publishes and most are never asked for again: publishing
 // copies nothing. The first hit proves the entry reused and gathers it, once;
@@ -51,21 +52,22 @@ type NodeCost struct {
 // Costs points at the publishing execution's records (or an inner hit's):
 // publishing copies none, and records hold no batch.
 type Entry struct {
-	Output *cast.Batch
+	Output adapter.Value
 	Costs  []*NodeCost // closure rank -> replay data
 	Bytes  int64       // Output payload size (lru cost accounting)
 
 	dense atomic.Pointer[cast.Batch]
 }
 
-// Reused returns the output for a hit to serve: Output with every column
-// gathered, so that ranges of it are plain views. First hits that race each
-// compact (cast gathers a column once whoever asks) and one header is kept.
-func (e *Entry) Reused() *cast.Batch {
-	if e.dense.Load() == nil {
-		e.dense.CompareAndSwap(nil, e.Output.Compact())
+// Reused returns the output for a hit to serve: a model as published, a
+// batch with every column gathered, so that ranges of it are plain views.
+// First hits that race each compact (cast gathers a column once whoever
+// asks) and one header is kept.
+func (e *Entry) Reused() adapter.Value {
+	if e.Output.Batch != nil && e.dense.Load() == nil {
+		e.dense.CompareAndSwap(nil, e.Output.Batch.Compact())
 	}
-	return e.dense.Load()
+	return adapter.Value{Batch: e.dense.Load(), Model: e.Output.Model}
 }
 
 // maxEntriesFor scales the entry bound with the byte budget so tiny test

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/lru"
 )
@@ -17,7 +18,7 @@ func testEntry(t *testing.T, rows int) *Entry {
 			t.Fatal(err)
 		}
 	}
-	return &Entry{Output: b, Costs: []*NodeCost{{}, {}}, Bytes: b.ByteSize()}
+	return &Entry{Output: adapter.Value{Batch: b}, Costs: []*NodeCost{{}, {}}, Bytes: b.ByteSize()}
 }
 
 func TestCachePutGet(t *testing.T) {

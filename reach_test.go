@@ -47,8 +47,9 @@ var reachAllow = map[string]string{
 // them from being reported:
 //
 //   - The standard library calls a few interfaces' methods in code the scan
-//     only has export data for: Error, String and GoString through fmt, and
-//     heap.Interface's through container/heap (graphstore's queue). Those
+//     only has export data for: Error, String and GoString through fmt,
+//     heap.Interface's through container/heap (graphstore's queue), and
+//     UnmarshalJSON through encoding/json (server.Frontend). Those
 //     interfaces' methods count as used.
 //   - A call through an interface reaches every method that implements it. A
 //     method counts as used when an interface method of its name is used and
@@ -267,7 +268,7 @@ func unreached(pkgs []checkedPackage, inScope func(*types.Package) bool) []strin
 		}
 	}
 	ifaces := []types.Type{types.Universe.Lookup("error").Type()}
-	for _, name := range []string{"fmt.Stringer", "fmt.GoStringer", "container/heap.Interface"} {
+	for _, name := range []string{"fmt.Stringer", "fmt.GoStringer", "container/heap.Interface", "encoding/json.Unmarshaler"} {
 		path, typ, _ := strings.Cut(name, ".")
 		for _, c := range pkgs {
 			if imp := importOf(c.pkg, path); imp != nil {
