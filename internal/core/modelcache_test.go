@@ -343,11 +343,12 @@ func TestReRegisteredSeedNotServed(t *testing.T) {
 	}
 }
 
-// TestServedModelConcurrent: identical programs executed at once on a cold
-// runtime single-flight — one trains, and the rest are served its plan whole
-// — and then programs predicting for other cohorts at once share the model
-// it published, each answering as a cache-off runtime does (run under -race
-// in CI: a write to the shared model fails it).
+// TestServedModelConcurrent: once one program has trained and published its
+// model, programs predicting for other cohorts at once share that model,
+// each answering as a cache-off runtime does (run under -race in CI: a write
+// to the shared model fails it). Identical programs at once are merged
+// before they execute, by the server's single-flight
+// (server.TestIdenticalProgramsTrainOnce).
 func TestServedModelConcurrent(t *testing.T) {
 	ctx := context.Background()
 	const execs = 8
@@ -365,46 +366,38 @@ func TestServedModelConcurrent(t *testing.T) {
 		}
 		wants[i] = probBits(t, want, progs[i].pred)
 	}
-	// run executes program which(i) on each of execs goroutines at once and
-	// returns the models they hold: the leader's own, a served model entry,
-	// or nil where the whole plan was served.
-	run := func(name string, which func(i int) int) []any {
-		ress := make([]*Results, execs)
-		errs := make([]error, execs)
-		var wg sync.WaitGroup
-		for i := range execs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ress[i], _, errs[i] = rt.Execute(ctx, plans[which(i)])
-			}()
-		}
-		wg.Wait()
-		models := make([]any, execs)
-		for i := range execs {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			j := which(i)
-			if got := probBits(t, ress[i], progs[j].pred); !slices.Equal(got, wants[j]) {
-				t.Fatalf("%s: %s predicts unlike a cache-off runtime", name, progs[j].name)
-			}
-			if mod := ress[i].Values[m].Model; mod != nil {
-				models[i] = mod
-			}
-		}
-		if n := opCount(rt, ir.OpTrain); n != 1 {
-			t.Fatalf("%s: train ran %d times", name, n)
-		}
-		return models
+	first, _, err := rt.Execute(ctx, plans[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	models := slices.DeleteFunc(run("identical", func(int) int { return 0 }), func(mod any) bool { return mod == nil })
-	if len(models) != 1 {
-		t.Fatalf("identical: %d executions hold a model, want the leader alone", len(models))
+	published := first.Values[m].Model
+	if published == nil || !slices.Equal(probBits(t, first, progs[0].pred), wants[0]) {
+		t.Fatalf("%s trained no model or predicts unlike a cache-off runtime", progs[0].name)
 	}
-	for i, mod := range run("other cohorts", func(i int) int { return 1 + i%(execs-1) }) {
-		if mod != models[0] {
-			t.Fatalf("other cohorts: execution %d holds another model than the one published", i)
+	ress := make([]*Results, execs)
+	errs := make([]error, execs)
+	var wg sync.WaitGroup
+	for i := range execs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ress[i], _, errs[i] = rt.Execute(ctx, plans[1+i%(execs-1)])
+		}()
+	}
+	wg.Wait()
+	for i := range execs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
+		j := 1 + i%(execs-1)
+		if got := probBits(t, ress[i], progs[j].pred); !slices.Equal(got, wants[j]) {
+			t.Fatalf("%s predicts unlike a cache-off runtime", progs[j].name)
+		}
+		if ress[i].Values[m].Model != published {
+			t.Fatalf("execution %d holds another model than the one published", i)
+		}
+	}
+	if n := opCount(rt, ir.OpTrain); n != 1 {
+		t.Fatalf("train ran %d times", n)
 	}
 }

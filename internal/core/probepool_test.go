@@ -13,7 +13,7 @@ import (
 // Execute of a plan with a larger IDBound each hand their probe back to the
 // pool, and the probe the pool hands out next holds no out batch, no serve or
 // rec pointer and no pending publication, in its node table up to its
-// capacity, its miss list, its lease list and its device ledger alike.
+// capacity, its miss list and its device ledger alike.
 // Published entries keep
 // what is theirs: after later executions have reused the probe, an entry's
 // Costs still read the records they read when it was published.
@@ -46,17 +46,12 @@ func TestProbePoolHygiene(t *testing.T) {
 				t.Fatalf("after %s: the pooled probe's miss %d holds %+v", after, i, m)
 			}
 		}
-		for i, k := range pr.leases[:cap(pr.leases)] {
-			if k != "" {
-				t.Fatalf("after %s: the pooled probe's lease %d holds %q", after, i, k)
-			}
-		}
 		for i, b := range pr.led[:cap(pr.led)] {
 			if b != (booking{}) {
 				t.Fatalf("after %s: the pooled probe's ledger entry %d holds %+v", after, i, b)
 			}
 		}
-		if pr.rt != nil || pr.tenant != "" || pr.hits != 0 || pr.keys != "" || pr.costs != nil || len(pr.nodes)+len(pr.misses)+len(pr.leases) != 0 {
+		if pr.rt != nil || pr.tenant != "" || pr.hits != 0 || pr.keys != "" || pr.costs != nil || len(pr.nodes)+len(pr.misses) != 0 {
 			t.Fatalf("after %s: the pooled probe holds %+v", after, pr)
 		}
 	}

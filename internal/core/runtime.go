@@ -63,7 +63,7 @@ type Runtime struct {
 	// subplan is the content-addressed subplan cache (subplan.go), sized
 	// once from subplanBytes (WithSubplanCacheBytes) and shared by every
 	// server over the runtime; nil disables it.
-	subplan      *subplanState
+	subplan      *subplan.Cache
 	subplanBytes int64
 
 	// barrier, when non-nil, is awaited after every applied ingest so a
@@ -120,7 +120,7 @@ func NewRuntime(host *hw.Device, opts ...Option) *Runtime {
 		o(r)
 	}
 	r.st = newCoreStats(r.accels)
-	r.subplan = newSubplanState(r.subplanBytes)
+	r.subplan = newSubplanCache(r.subplanBytes)
 	r.preloadKernels()
 	return r
 }
@@ -413,8 +413,8 @@ func (r *Runtime) drive(ctx context.Context, t0 time.Time, plan *compiler.Plan, 
 	case !r.sequential && !isChain(order, pr):
 		r.st.execConcurrent.Inc()
 		sched = r.dispatch(ctx, order, recs, tr, pr)
-		// Stops the node goroutines on every exit path, before the subplan
-		// leases are released; in-flight adapter calls observe the cancellation.
+		// Stops the node goroutines on every exit path, before the probe
+		// goes back to the pool; in-flight adapter calls observe the cancellation.
 		defer sched.stop()
 	default:
 		r.st.execSequential.Inc()

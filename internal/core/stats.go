@@ -22,7 +22,7 @@ type Stat struct {
 type coreStats struct {
 	subplanHits, subplanMisses, subplanPublished, subplanBypassed *metrics.Counter
 	subplanStaleSkips, subplanNodesServed, subplanBytesServed     *metrics.Counter
-	subplanPlansProbed, subplanPlansReused, subplanFlightWaits    *metrics.Counter
+	subplanPlansProbed, subplanPlansReused                        *metrics.Counter
 
 	execConcurrent, execSequential *metrics.Counter
 	maxParallel                    *metrics.Gauge
@@ -55,7 +55,6 @@ func newCoreStats(accels []*hw.Device) coreStats {
 		subplanBytesServed: c("subplan_bytes_served", "core.subplan.bytes_served", "Bytes of cached intermediates handed to plans."),
 		subplanPlansProbed: c("subplan_plans_probed", "core.subplan.plans_probed", "Plans that probed the subplan cache."),
 		subplanPlansReused: c("subplan_plans_reused", "core.subplan.plans_reused", "Plans that reused at least one cached subtree."),
-		subplanFlightWaits: c("subplan_flight_waits", "core.subplan.flight_waits", "Waits on another execution producing the same subtree."),
 
 		execConcurrent: c("executor_concurrent_plans", "core.exec.concurrent", "Plans run by the concurrent DAG scheduler."),
 		execSequential: c("executor_sequential_plans", "core.exec.sequential", "Plans run one node at a time."),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,21 +25,17 @@ import (
 // the driver still costs each node from the entry's record in topological
 // order over the shared reservation ledger — so warm Reports are
 // byte-identical to cold ones (modulo host wall times, like everything else
-// Reports exclude from equivalence). Misses elect a
-// per-key single-flight leader so concurrent plans sharing a hot subtree
-// execute it once; everyone who executes a candidate publishes it when the
-// root's run is costed, guarded by a version-vector re-check so a write to
-// a touched store mid-flight suppresses the publication.
+// Reports exclude from equivalence). Every candidate that misses executes
+// and is published when its root's run is costed, guarded by a
+// version-vector re-check so a write to a touched store mid-flight
+// suppresses the publication. Concurrent cold executions of one subtree each
+// execute it, and the first publication stands (Cache.Put keeps the
+// incumbent): identical concurrent requests are merged before admission, by
+// the serving layer's single-flight, not here.
 
 // DefaultSubplanCacheBytes bounds the subplan cache when no explicit size
 // is configured.
 const DefaultSubplanCacheBytes int64 = 64 << 20
-
-// subplanState bundles the cache with its single-flight coordinator.
-type subplanState struct {
-	cache  *subplan.Cache
-	flight *subplan.Flight
-}
 
 // WithSubplanCacheBytes sizes the runtime's subplan cache: 0 keeps the
 // default (DefaultSubplanCacheBytes), negative disables the cache.
@@ -48,16 +43,16 @@ func WithSubplanCacheBytes(n int64) Option {
 	return func(r *Runtime) { r.subplanBytes = n }
 }
 
-// newSubplanState builds the subplan cache NewRuntime sizes once: n bytes,
+// newSubplanCache builds the subplan cache NewRuntime sizes once: n bytes,
 // DefaultSubplanCacheBytes when n is 0, and none (nil) when n is negative.
-func newSubplanState(n int64) *subplanState {
+func newSubplanCache(n int64) *subplan.Cache {
 	if n < 0 {
 		return nil
 	}
 	if n == 0 {
 		n = DefaultSubplanCacheBytes
 	}
-	return &subplanState{cache: subplan.NewCache(n), flight: subplan.NewFlight()}
+	return subplan.NewCache(n)
 }
 
 // SubplanCacheStats snapshots the subplan cache, per-tenant charges
@@ -65,7 +60,7 @@ func newSubplanState(n int64) *subplanState {
 // is disabled.
 func (r *Runtime) SubplanCacheStats() (st lru.Stats, enabled bool) {
 	if r.subplan != nil {
-		return r.subplan.cache.Stats(), true
+		return r.subplan.Stats(), true
 	}
 	return st, false
 }
@@ -96,9 +91,6 @@ type planProbe struct {
 	// slab publications take their Entry.Costs from, in publication order.
 	keys  string
 	costs []*subplan.NodeCost
-	// leases are the single-flight keys this execution leads; released on
-	// every exit path (close), after any publications.
-	leases []string
 	// misses are the candidates the cache missed, in probe order; a node's
 	// pub points into it. finish and led are the driver's clock (clock).
 	misses []pendingPub
@@ -173,10 +165,9 @@ func (pr *planProbe) serves(id ir.NodeID) bool {
 
 // prepareSubplan probes the subplan cache for the plan's candidate subtrees
 // (the outermost not when miss holds its key) and decides, per candidate:
-// serve from cache (hit), wait for a concurrent leader producing the same key
-// (single-flight), or execute and publish. Returns nil when the cache is
-// disabled or the plan has no candidates: the driver then skips all per-node
-// bookkeeping.
+// serve from cache (hit), or execute and publish. Returns nil when the cache
+// is disabled or the plan has no candidates: the driver then skips all
+// per-node bookkeeping.
 func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss *RootMiss) *planProbe {
 	if r.subplan == nil || len(plan.Subtrees) == 0 {
 		return nil
@@ -184,15 +175,18 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss 
 	tr := obs.From(ctx)
 	pr := r.newProbe(tenant.From(ctx), plan.Graph.IDBound())
 
-	// Phase 1: probe outermost-first (Plan.Subtrees orders candidates by
-	// closure size). Closed candidates are nested or disjoint, so a hit
-	// covers every candidate inside it. Keys are built back to back on the
-	// stack, a hit's dropped again, and a version vector is rendered only
-	// when the touch set differs from the last one's (nested candidates
-	// mostly share one), or lent by the root probe's miss: a probe allocates
-	// nothing.
+	// Probe outermost-first (Plan.Subtrees orders candidates by closure
+	// size). Closed candidates are nested or disjoint, so a hit covers every
+	// candidate inside it. Keys are built back to back on the stack, a hit's
+	// dropped again, and a version vector is rendered only when the touch
+	// set differs from the last one's (nested candidates mostly share one),
+	// or lent by the root probe's miss: a probe allocates nothing. Every
+	// miss publishes on completion — inner candidates too, for extra hit
+	// surface — except a key already missed in this plan (identical sibling
+	// subtrees), whose copy just executes.
 	keys, vv, vvOf := make([]byte, 0, 512), make([]byte, 0, 128), map[string][]string(nil)
 	misses := slices.Grow(pr.misses[:0], len(plan.Subtrees))
+	recs := 0
 	for i := range plan.Subtrees {
 		st := &plan.Subtrees[i]
 		if pr.serves(st.Root) {
@@ -208,7 +202,7 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss 
 		case vvOf == nil || !maps.EqualFunc(vvOf, st.Touches.ByEngine, sameTables):
 			vv, vvOf = r.appendVersionVector(vv[:0], st.Touches), st.Touches.ByEngine
 		}
-		if keys = append(keys, vv...); !probed && pr.serveHit(tr, "hit", st, keys[lo:], r.subtreeEntry(st, keys[lo:])) {
+		if keys = append(keys, vv...); !probed && pr.serveHit(tr, st, keys[lo:], r.subtreeEntry(st, keys[lo:])) {
 			keys = keys[:lo]
 			continue
 		}
@@ -216,78 +210,19 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan, miss 
 		if tr != nil {
 			tr.Event("cache.subplan", fmt.Sprintf("miss root=%d nodes=%d key=%x", st.Root, len(st.Closure), string(keys[lo:lo+8])))
 		}
+		dup := slices.ContainsFunc(misses, func(o pendingPub) bool { return bytes.Equal(keys[o.lo:o.hi], keys[lo:]) })
 		misses = append(misses, pendingPub{sub: st, lo: lo, vv: at, hi: len(keys)})
+		if !dup {
+			recs += len(st.Closure)
+			pr.nodes[st.Root].pub = &misses[len(misses)-1]
+		}
 	}
 	pr.keys, pr.misses = string(keys), misses
-
-	// Phase 2: single-flight the maximal misses (the pairwise-disjoint
-	// outermost ones: containment is root membership, as closed subtrees
-	// are nested or disjoint), in sorted-key order. Every concurrent
-	// execution acquires and waits in the same global key order, so
-	// hold-and-wait cycles between plans leading each other's subtrees
-	// cannot form.
-	maximal := make([]*pendingPub, 0, 8)
-	for i := range misses {
-		m := &misses[i]
-		if !slices.ContainsFunc(misses, func(o pendingPub) bool {
-			return o.sub.Root != m.sub.Root && slices.Contains(o.sub.Closure, m.sub.Root)
-		}) {
-			maximal = append(maximal, m)
-		}
-	}
-	slices.SortFunc(maximal, func(a, b *pendingPub) int { return strings.Compare(pr.key(a), pr.key(b)) })
-	for _, m := range maximal {
-		key := pr.key(m)
-		if pr.serves(m.sub.Root) || slices.Contains(pr.leases, key) {
-			continue
-		}
-		const attempts = 3
-		for i := 0; i < attempts; i++ {
-			leader, done := r.subplan.flight.Acquire(key)
-			if leader {
-				pr.leases = append(pr.leases, key)
-				break
-			}
-			r.st.subplanFlightWaits.Inc()
-			select {
-			case <-done:
-			case <-ctx.Done():
-				i = attempts // deadline: run the subtree ourselves
-				continue
-			}
-			if pr.serveHit(tr, "flight-hit", m.sub, keys[m.lo:m.hi], r.subtreeEntry(m.sub, keys[m.lo:m.hi])) {
-				break
-			}
-			// Leader released without publishing (error, oversized entry,
-			// eviction): contend for the lease again.
-		}
-	}
-
-	// Phase 3: every candidate that still executes publishes on completion
-	// — inner candidates too, for extra hit surface. Duplicate keys inside
-	// one plan (identical sibling subtrees) publish once; the second copy
-	// just executes.
-	pubs, recs := 0, 0
-	for i := range misses {
-		m := &misses[i]
-		if pr.serves(m.sub.Root) || slices.ContainsFunc(misses[:i], func(o pendingPub) bool {
-			return pr.key(&o) == pr.key(m) && pr.nodes[o.sub.Root].pub != nil
-		}) {
-			continue
-		}
-		pubs++
-		recs += len(m.sub.Closure)
-		pr.nodes[m.sub.Root].pub = m
-	}
 	pr.costs = make([]*subplan.NodeCost, recs)
 
 	r.st.subplanPlansProbed.Inc()
 	if pr.hits > 0 {
 		r.st.subplanPlansReused.Inc()
-	}
-	if pr.hits == 0 && pubs == 0 && len(pr.leases) == 0 {
-		pr.close()
-		return nil
 	}
 	return pr
 }
@@ -325,7 +260,7 @@ func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, vv string,
 	}
 	pr := r.newProbe("", plan.Graph.IDBound())
 	defer pr.close()
-	pr.serveHit(obs.From(ctx), "hit", st, key, e)
+	pr.serveHit(obs.From(ctx), st, key, e)
 	r.st.subplanPlansProbed.Inc()
 	r.st.subplanPlansReused.Inc()
 	res, rep, err := r.drive(ctx, t0, plan, pr)
@@ -335,7 +270,7 @@ func (r *Runtime) ProbeRoot(ctx context.Context, plan *compiler.Plan, vv string,
 // subtreeEntry returns the entry the cache holds for st under key when it is
 // well formed — its records match st's closure — and nil otherwise.
 func (r *Runtime) subtreeEntry(st *compiler.Subtree, key []byte) *subplan.Entry {
-	e, ok := r.subplan.cache.GetBytes(key)
+	e, ok := r.subplan.GetBytes(key)
 	if !ok || len(e.Costs) != len(st.Closure) {
 		return nil
 	}
@@ -346,7 +281,7 @@ func (r *Runtime) subtreeEntry(st *compiler.Subtree, key []byte) *subplan.Entry 
 // every closure node is costed from the entry's record, the root yields the
 // memoized value, and inner candidates are skipped since their roots are
 // served.
-func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, key []byte, e *subplan.Entry) bool {
+func (pr *planProbe) serveHit(tr *obs.Trace, st *compiler.Subtree, key []byte, e *subplan.Entry) bool {
 	if e == nil {
 		return false
 	}
@@ -359,7 +294,7 @@ func (pr *planProbe) serveHit(tr *obs.Trace, what string, st *compiler.Subtree, 
 	pr.rt.st.subplanNodesServed.Add(int64(len(st.Closure)))
 	pr.rt.st.subplanBytesServed.Add(e.Bytes)
 	if tr != nil {
-		tr.Event("cache.subplan", fmt.Sprintf("%s root=%d nodes=%d bytes=%d key=%x", what, st.Root, len(st.Closure), e.Bytes, string(key[:8])))
+		tr.Event("cache.subplan", fmt.Sprintf("hit root=%d nodes=%d bytes=%d key=%x", st.Root, len(st.Closure), e.Bytes, string(key[:8])))
 	}
 	return true
 }
@@ -405,10 +340,10 @@ func (pr *planProbe) publish(pub *pendingPub, out adapter.Value) {
 	if out.Model != nil {
 		e.Bytes = 8 * int64(out.Model.Params())
 	}
-	// Inner candidates are not single-flighted, so a concurrent execution
-	// may have stored this key first: its entry stays, and this one counts
-	// as neither published nor bypassed.
-	switch got, ok := pr.rt.subplan.cache.Put(pr.key(pub), e, pr.tenant); {
+	// A concurrent cold execution of the same subtree may have stored this
+	// key first: its entry stays, and this one counts as neither published
+	// nor bypassed. An output over the whole budget is bypassed.
+	switch got, ok := pr.rt.subplan.Put(pr.key(pub), e, pr.tenant); {
 	case !ok:
 		pr.rt.st.subplanBypassed.Inc()
 	case got == e:
@@ -416,22 +351,16 @@ func (pr *planProbe) publish(pub *pendingPub, out adapter.Value) {
 	}
 }
 
-// close releases every single-flight lease this execution holds — followers
-// then re-probe: a hit if we published, a fresh leader election if we
-// failed — and hands the probe back to the pool cleared. Runs on every exit
-// path, once nothing reads the probe any more.
+// close hands the probe back to the pool cleared. Runs on every exit path,
+// once nothing reads the probe any more.
 func (pr *planProbe) close() {
 	if pr == nil {
 		return
 	}
-	for _, k := range pr.leases {
-		pr.rt.subplan.flight.Release(k)
-	}
 	clear(pr.nodes)
 	clear(pr.misses)
-	clear(pr.leases)
 	clear(pr.led)
-	*pr = planProbe{nodes: pr.nodes[:0], misses: pr.misses[:0], leases: pr.leases[:0], finish: pr.finish[:0], led: pr.led[:0]}
+	*pr = planProbe{nodes: pr.nodes[:0], misses: pr.misses[:0], finish: pr.finish[:0], led: pr.led[:0]}
 	if cap(pr.nodes) <= maxPooledNodes && cap(pr.finish) <= maxPooledNodes {
 		probes.Put(pr)
 	}

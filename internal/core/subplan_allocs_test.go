@@ -186,7 +186,7 @@ func TestChainPublicationsShareRecords(t *testing.T) {
 	if _, _, err := rt.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	entries := rt.subplan.cache.Values()
+	entries := rt.subplan.Values()
 	records, pointers := map[*subplan.NodeCost]bool{}, 0
 	for _, e := range entries {
 		for _, rec := range e.Costs {

@@ -47,7 +47,7 @@ func TestFigure2CycleUnderTightBudget(t *testing.T) {
 
 	rt := clinicalTestRuntime(t, WithSubplanCacheBytes(1<<30))
 	cycle(rt)
-	st := rt.subplan.cache.Stats()
+	st := rt.subplan.Stats()
 	if st.Evictions != 0 {
 		t.Fatalf("%d evictions from a 1 GiB cache: the working set is not measured", st.Evictions)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
@@ -325,13 +324,12 @@ func TestSubplanMidFlightWriteSkipsPublish(t *testing.T) {
 	}
 }
 
-// TestSubplanSingleFlightConcurrent hammers one cold runtime with the same
-// plan from many goroutines (run under -race): every execution must return
-// equal batches and the baseline report, and the flight protocol must not
-// deadlock or double-publish per key generation. The test holds the plan's
-// lease until every execution waits on it, then releases it unpublished,
-// so each one waits, finds nothing and contends again.
-func TestSubplanSingleFlightConcurrent(t *testing.T) {
+// TestSubplanConcurrentColdExecutions runs one plan on a cold runtime from
+// many goroutines at once (under -race in CI): each execution that misses
+// runs the plan itself, every one returns the baseline batches and report,
+// and each candidate key is published once — a racing publication keeps the
+// incumbent.
+func TestSubplanConcurrentColdExecutions(t *testing.T) {
 	plan := mustCompile(t, limitProgram(100000), 3)
 	base := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
 	wantRes, wantRep, err := base.Execute(askRows(context.Background()), plan)
@@ -340,11 +338,6 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 	}
 
 	rt := testRuntime(t, 2000, false)
-	root := &plan.Subtrees[0]
-	key, _ := appendKey(nil, root, plan.Binds, rt.VersionVector(root.Touches))
-	if leader, _ := rt.subplan.flight.Acquire(string(key)); !leader {
-		t.Fatal("a cold runtime's flight already has a leader")
-	}
 	const goroutines = 16
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -357,12 +350,6 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 			ress[i], reps[i], errs[i] = rt.Execute(askRows(context.Background()), plan)
 		}(i)
 	}
-	for deadline := time.Now().Add(10 * time.Second); rt.st.subplanFlightWaits.Value() < goroutines; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d executions wait on the held lease", rt.st.subplanFlightWaits.Value(), goroutines)
-		}
-	}
-	rt.subplan.flight.Release(string(key))
 	wg.Wait()
 	for i := 0; i < goroutines; i++ {
 		if errs[i] != nil {
@@ -371,9 +358,18 @@ func TestSubplanSingleFlightConcurrent(t *testing.T) {
 		batchesEqual(t, ress[i], wantRes)
 		reportsEqual(t, reps[i], wantRep)
 	}
-	probed := rt.st.subplanPlansProbed.Value()
-	if probed != goroutines {
+	if probed := rt.st.subplanPlansProbed.Value(); probed != goroutines {
 		t.Fatalf("plans probed = %d, want %d", probed, goroutines)
+	}
+	st, _ := rt.SubplanCacheStats()
+	if published := rt.st.subplanPublished.Value(); published != int64(len(plan.Subtrees)) || st.Entries != len(plan.Subtrees) {
+		t.Fatalf("published %d, %d entries cached; want each of the %d candidate keys once", published, st.Entries, len(plan.Subtrees))
+	}
+	for i := range plan.Subtrees {
+		c := &plan.Subtrees[i]
+		if key, _ := appendKey(nil, c, plan.Binds, rt.VersionVector(c.Touches)); rt.subtreeEntry(c, key) == nil {
+			t.Fatalf("the candidate rooted at %d is not cached", c.Root)
+		}
 	}
 }
 
@@ -479,7 +475,7 @@ func TestSubplanPublishedBatchIsShared(t *testing.T) {
 	if rt.st.subplanPublished.Value() == 0 {
 		t.Fatal("the sort subtree was not published")
 	}
-	e, ok := rt.subplan.cache.Get(key)
+	e, ok := rt.subplan.Get(key)
 	if !ok || e.Output.Batch != values[order[len(order)-2]].Batch {
 		t.Fatal("the cache entry does not hold the published batch itself")
 	}
@@ -530,11 +526,11 @@ func (a *gatedAdapter) Execute(ctx context.Context, n *ir.Node, inputs []adapter
 }
 
 // TestSubplanPublishedCountsStoredEntries: a LIMIT 10 and a LIMIT 25 over
-// one scan → filter → sort share only the inner subtrees. Single-flight
-// leases only maximal misses, the two whole chains, which differ; so when
-// both executions miss before either publishes, both publish the shared
-// scan → filter and scan → filter → sort. The second Put keeps the
-// incumbent, and only the entries the cache stored count as published.
+// one scan → filter → sort share only the inner subtrees. Each execution
+// runs what it misses, so when both miss before either publishes, both
+// publish the shared scan → filter and scan → filter → sort. The second Put
+// keeps the incumbent, and only the entries the cache stored count as
+// published.
 func TestSubplanPublishedCountsStoredEntries(t *testing.T) {
 	rt := NewRuntime(hw.NewHostCPU())
 	gate := &gatedAdapter{Relational: adapter.NewRelational("db", relational.NewEngine(testStore(t, 2000)))}
@@ -562,6 +558,36 @@ func TestSubplanPublishedCountsStoredEntries(t *testing.T) {
 	st, _ := rt.SubplanCacheStats()
 	if published := rt.st.subplanPublished.Value(); st.Entries != 4 || published != 4 {
 		t.Fatalf("published %d, %d entries cached; want 4 and 4 (two chains, two shared subtrees)", published, st.Entries)
+	}
+}
+
+// TestSubplanOversizedOutputBypassed: on a runtime whose subplan cache holds
+// 1 byte, every candidate's output costs more than the whole budget, so the
+// cache refuses each publication (subplan_cache_bypassed), stores nothing
+// and serves nothing, and every execution answers as a cache-off runtime.
+func TestSubplanOversizedOutputBypassed(t *testing.T) {
+	ctx := askRows(context.Background())
+	plan := mustCompile(t, limitProgram(75), 3)
+	off := testRuntime(t, 2000, false, WithSubplanCacheBytes(-1))
+	wantRes, wantRep, err := off.Execute(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := testRuntime(t, 2000, false, WithSubplanCacheBytes(1))
+	for round := 1; round <= 2; round++ {
+		res, rep, err := rt.Execute(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchesEqual(t, res, wantRes)
+		reportsEqual(t, rep, wantRep)
+		if got, want := rt.st.subplanBypassed.Value(), int64(round*len(plan.Subtrees)); got != want {
+			t.Fatalf("round %d: bypassed = %d, want %d", round, got, want)
+		}
+	}
+	st, _ := rt.SubplanCacheStats()
+	if st.Entries != 0 || rt.st.subplanPublished.Value() != 0 || rt.st.subplanHits.Value() != 0 {
+		t.Fatalf("%d entries cached, %d published, %d hits; want none", st.Entries, rt.st.subplanPublished.Value(), rt.st.subplanHits.Value())
 	}
 }
 

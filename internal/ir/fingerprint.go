@@ -76,31 +76,15 @@ func (n *Node) slots(dst []int) []int {
 	return dst
 }
 
-// writeCanonicalValue renders one attribute value deterministically. The
-// only nondeterministic Go values are maps (iteration order); they are
-// emitted with sorted keys. Everything else — struct values such as
-// relational expressions, slices, and scalars — formats deterministically
-// with %#v, which also embeds the concrete type name so values of different
-// types never collide, and writes a hole, at any depth, as its type alone.
+// writeCanonicalValue renders one attribute value deterministically. Slices
+// and arrays are written element by element; everything else — struct
+// values such as relational expressions, scalars, and maps, whose keys fmt
+// prints sorted — formats deterministically with %#v, which also embeds the
+// concrete type name so values of different types never collide, and writes
+// a hole, at any depth, as its type alone.
 func writeCanonicalValue(w io.Writer, v any) {
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {
-	case reflect.Map:
-		fmt.Fprintf(w, "%s{", rv.Type())
-		keys := make([]string, 0, rv.Len())
-		byKey := make(map[string]reflect.Value, rv.Len())
-		for _, k := range rv.MapKeys() {
-			ks := fmt.Sprintf("%#v", k.Interface())
-			keys = append(keys, ks)
-			byKey[ks] = rv.MapIndex(k)
-		}
-		sort.Strings(keys)
-		for _, ks := range keys {
-			fmt.Fprintf(w, "%s:", ks)
-			writeCanonicalValue(w, byKey[ks].Interface())
-			io.WriteString(w, ",")
-		}
-		io.WriteString(w, "}")
 	case reflect.Slice, reflect.Array:
 		fmt.Fprintf(w, "%s[", rv.Type())
 		for i := 0; i < rv.Len(); i++ {

@@ -1,6 +1,10 @@
 package ir
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -297,4 +301,45 @@ func FuzzSubtreeFingerprint(f *testing.F) {
 			t.Fatal("wiring mutation kept the root fingerprint")
 		}
 	})
+}
+
+// TestMapAttrFingerprintIgnoresInsertionOrder: a map-valued attribute
+// fingerprints the same whatever order its keys were inserted in, and a
+// changed value still changes the fingerprint. Slices and scalars keep
+// their element-by-element and %#v encodings.
+func TestMapAttrFingerprintIgnoresInsertionOrder(t *testing.T) {
+	graph := func(keys []string, bump string) *Graph {
+		m := make(map[string]any, len(keys))
+		for i, k := range keys {
+			m[k] = int64(len(k))
+			if k == bump {
+				m[k] = int64(len(k) + i + 1)
+			}
+		}
+		g := NewGraph()
+		g.Add(OpScan, "db", map[string]any{"table": "t", "opts": m})
+		return g
+	}
+	var keys []string
+	for i := range 64 {
+		keys = append(keys, fmt.Sprintf("k%02d", i))
+	}
+	want := graph(keys, "").Fingerprint()
+	for seed := range int64(8) {
+		shuffled := slices.Clone(keys)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := graph(shuffled, "").Fingerprint(); got != want {
+			t.Fatalf("seed %d: insertion order changed the fingerprint: %s, want %s", seed, got, want)
+		}
+	}
+	if graph(keys, "k07").Fingerprint() == want {
+		t.Fatal("a changed map value kept the fingerprint")
+	}
+
+	var b strings.Builder
+	writeCanonicalValue(&b, []any{int64(1), "a", []string{"x"}})
+	writeCanonicalValue(&b, int64(7))
+	if got, want := b.String(), `[]interface {}[1,"a",[]string["x",],]7`; got != want {
+		t.Fatalf("slice and scalar encoding = %s, want %s", got, want)
+	}
 }

@@ -50,9 +50,9 @@ func clinicalData(tb testing.TB) *datagen.Clinical {
 }
 
 // clinicalServer serves data's relational, timeseries and ML engines, with
-// nothing cached.
-func clinicalServer(data *datagen.Clinical) *Server {
-	rt := core.NewRuntime(hw.NewHostCPU())
+// nothing cached, over a runtime built with opts.
+func clinicalServer(data *datagen.Clinical, opts ...core.Option) *Server {
+	rt := core.NewRuntime(hw.NewHostCPU(), opts...)
 	rt.Register(adapter.NewRelational("db-clinical", relational.NewEngine(data.Relational)))
 	rt.Register(adapter.NewTimeseries("ts-vitals", data.Timeseries))
 	rt.Register(adapter.NewML(datagen.MLEngine, 1))

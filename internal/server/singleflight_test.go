@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/ir"
 )
 
 // TestFlightGroupDedup makes the leader block until followers have joined,
@@ -189,5 +191,56 @@ func TestFlightGroupSequentialCallersRunSeparately(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Fatalf("runs = %d, want 3", runs)
+	}
+}
+
+// TestIdenticalProgramsTrainOnce sends 8 identical Figure-2 programs at once
+// to a fresh server with single-flight on: the server merges them before
+// admission, so train runs once, and every response predicts, byte for byte,
+// what a server over a cache-off runtime does.
+func TestIdenticalProgramsTrainOnce(t *testing.T) {
+	const requests = 8
+	data := clinicalData(t)
+	body, err := json.Marshal(QueryRequest{Frontend: "program", Program: crossEngineProgram(40, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(rec *httptest.ResponseRecorder) string {
+		t.Helper()
+		var resp struct{ Rows json.RawMessage }
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Rows) == 0 {
+			t.Fatalf("status %d, no rows: %s", rec.Code, rec.Body)
+		}
+		return string(resp.Rows)
+	}
+	want := rows(serveOn(clinicalServer(data, core.WithSubplanCacheBytes(-1)), "/query", string(body)))
+
+	s := clinicalServer(data)
+	start := make(chan struct{})
+	recs := make([]*httptest.ResponseRecorder, requests)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			recs[i] = serveOn(s, "/query", string(body))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, rec := range recs {
+		if got := rows(rec); got != want {
+			t.Fatalf("response %d predicts\n %s\na cache-off runtime\n %s", i, got, want)
+		}
+	}
+	trains := int64(0)
+	for _, e := range s.rt.OpStats().Entries() {
+		if e.Op == ir.OpTrain.String() {
+			trains, _ = e.Latency.Snapshot()
+		}
+	}
+	if trains != 1 {
+		t.Fatalf("train ran %d times for %d identical programs, want once", trains, requests)
 	}
 }

@@ -1,8 +1,9 @@
 // Package subplan implements the middleware's content-addressed subplan
 // cache: memoized intermediate batches keyed on (subtree fingerprint,
-// version vector of the stores the subtree touches), plus the per-key
-// single-flight coordinator that lets concurrently in-flight plans sharing
-// a hot subtree execute it once.
+// version vector of the stores the subtree touches). Concurrent cold
+// executions of one subtree each execute it and the first publication
+// stands (Put keeps the incumbent); identical concurrent requests are merged
+// before they execute, by the serving layer's single-flight.
 //
 // It is one of the serving stack's two caches. The plan cache
 // (compiler.PlanCache) memoizes compilation; the subplan cache memoizes

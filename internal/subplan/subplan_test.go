@@ -1,7 +1,6 @@
 package subplan
 
 import (
-	"sync"
 	"testing"
 
 	"polystorepp/internal/adapter"
@@ -84,61 +83,5 @@ func TestCacheIncumbentWins(t *testing.T) {
 	got, _ := c.Get("k")
 	if got != first {
 		t.Fatal("racing fill displaced the incumbent entry")
-	}
-}
-
-func TestFlightLeaderFollower(t *testing.T) {
-	f := NewFlight()
-	leader, done := f.Acquire("k")
-	if !leader || done != nil {
-		t.Fatalf("first acquire: leader=%v done=%v", leader, done)
-	}
-	l2, d2 := f.Acquire("k")
-	if l2 || d2 == nil {
-		t.Fatal("second acquire became leader")
-	}
-	select {
-	case <-d2:
-		t.Fatal("done closed before release")
-	default:
-	}
-	f.Release("k")
-	<-d2 // must be closed now
-
-	// After release the key is free: a new leader can be elected.
-	l3, _ := f.Acquire("k")
-	if !l3 {
-		t.Fatal("key not released")
-	}
-	f.Release("k")
-	f.Release("k") // unheld release is a no-op
-}
-
-// TestFlightConcurrent hammers one key from many goroutines under -race:
-// exactly one leader per generation, every follower eventually wakes.
-func TestFlightConcurrent(t *testing.T) {
-	f := NewFlight()
-	const n = 32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	leaders := 0
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			leader, done := f.Acquire("hot")
-			if leader {
-				mu.Lock()
-				leaders++
-				mu.Unlock()
-				f.Release("hot")
-				return
-			}
-			<-done
-		}()
-	}
-	wg.Wait()
-	if leaders == 0 {
-		t.Fatal("no leader elected")
 	}
 }
