@@ -49,11 +49,10 @@ breaker opens when half of at least 20 requests in 10s failed, and probes
 again after 5s. SIGTERM drains in-flight work bounded by -drain-timeout
 before exiting.
 
-Placement and partition fan-out are static: the device of an offloadable
-kernel is the cheapest under the hw cost model, and a node fans out at the
-size its input justifies (a request can pin neither). Simulated
-latency and energy are a function of plan, data and attached devices, never
-of request history.
+Placement is static: the device of an offloadable kernel is the cheapest
+under the hw cost model (a request cannot pin it), and every kernel runs one
+pass over its input on one goroutine. Simulated latency and energy are a
+function of plan, data and attached devices, never of request history.
 
 With -data-dir the relational, timeseries and key/value engines persist
 through a write-ahead log with snapshot compaction: acknowledged ingests

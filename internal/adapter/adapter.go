@@ -61,10 +61,6 @@ type ExecInfo struct {
 	RowsOut int64
 	Kernels []KernelCall
 	Path    string // the access path or join orientation a relational kernel chose
-	// Parts is the partition fan-out the operator actually used (0 when the
-	// operator does not partition) — surfaced in trace spans and the
-	// per-operator aggregates (obs.OpStats).
-	Parts int
 }
 
 // Native renders what ran for n (an engine's operator or the middleware's

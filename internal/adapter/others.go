@@ -288,7 +288,7 @@ func (a *ML) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, Ex
 	case ir.OpFilter, ir.OpProject:
 		// The ML engine hosts a general-purpose runtime (the Python/Spark
 		// role of Figure 5), so plain dataflow operators run here too.
-		out, err := execTabular(ctx, n, inputs, 0, &info)
+		out, err := execTabular(ctx, n, inputs, &info)
 		return Value{Batch: out}, info, err
 	case ir.OpTrain:
 		in, err := tabular(inputs, 0)
@@ -554,9 +554,8 @@ func (f features) fill(dst []float64, lo, hi int) {
 // execTabular runs an engine-agnostic Filter or Project node over its
 // tabular input with the relational kernel: the relational adapter's rule for
 // both kinds, and what adapters whose engines host general-purpose runtimes
-// run too. parts pins the partition fan-out (0 sizes it from the input). It
-// fills every info field but Parts.
-func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, info *ExecInfo) (*cast.Batch, error) {
+// run too.
+func execTabular(ctx context.Context, n *ir.Node, inputs []Value, info *ExecInfo) (*cast.Batch, error) {
 	in, err := tabular(inputs, 0)
 	if err != nil {
 		return nil, err
@@ -569,7 +568,7 @@ func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, inf
 		if !ok {
 			return nil, fmt.Errorf("%w: filter without pred", ErrBadNode)
 		}
-		out, err = relational.Filter(ctx, in, pred, parts)
+		out, err = relational.Filter(ctx, in, pred)
 	case ir.OpProject:
 		items, ok := n.Attr("items").([]relational.ProjItem)
 		if !ok {
@@ -580,7 +579,7 @@ func execTabular(ctx context.Context, n *ir.Node, inputs []Value, parts int, inf
 			return nil, err
 		}
 		class = hw.KProject
-		out, err = relational.Project(ctx, in, items, schema, parts)
+		out, err = relational.Project(ctx, in, items, schema)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, n.Kind)
 	}

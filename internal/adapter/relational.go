@@ -7,7 +7,6 @@ import (
 	"polystorepp/internal/cast"
 	"polystorepp/internal/hw"
 	"polystorepp/internal/ir"
-	"polystorepp/internal/partition"
 	"polystorepp/internal/relational"
 )
 
@@ -71,7 +70,6 @@ func (a *Relational) Ingest(_ context.Context, w Ingest) error {
 func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (Value, ExecInfo, error) {
 	var info ExecInfo
 	var out *cast.Batch
-	parts := int(n.IntAttr("parts"))
 	switch n.Kind {
 	case ir.OpScan, ir.OpIndexScan:
 		t, err := a.engine.Store().Table(n.StringAttr("table"))
@@ -94,10 +92,9 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 
 	case ir.OpFilter, ir.OpProject:
 		var err error
-		if out, err = execTabular(ctx, n, inputs, parts, &info); err != nil {
+		if out, err = execTabular(ctx, n, inputs, &info); err != nil {
 			return Value{}, info, err
 		}
-		info.Parts = partition.Effective(int(info.RowsIn), parts)
 
 	case ir.OpHashJoin, ir.OpMergeJoin:
 		left, err := tabular(inputs, 0)
@@ -110,12 +107,9 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		}
 		lc, rc := n.StringAttr("left_col"), n.StringAttr("right_col")
 		if n.Kind == ir.OpHashJoin {
-			// The build side is indexed whole, in one sequential pass; the
-			// probe is the only part that fans out.
-			if out, info.Path, err = relational.HashJoin(ctx, left, right, lc, rc, parts); err != nil {
+			if out, info.Path, err = relational.HashJoin(ctx, left, right, lc, rc); err != nil {
 				return Value{}, info, err
 			}
-			info.Parts = partition.Effective(left.Rows(), parts)
 			info.Kernels = []KernelCall{
 				{Class: hw.KHashBuild, Work: hw.Work{Items: int64(right.Rows()), Bytes: right.ByteSize()}},
 				{Class: hw.KHashProbe, Work: hw.Work{Items: int64(left.Rows()), Bytes: left.ByteSize()}, OutBytes: out.ByteSize()},
@@ -167,10 +161,9 @@ func (a *Relational) Execute(ctx context.Context, n *ir.Node, inputs []Value) (V
 		if err != nil {
 			return Value{}, info, err
 		}
-		if out, err = relational.GroupBy(ctx, in, groupCols, aggs, schema, parts); err != nil {
+		if out, err = relational.GroupBy(ctx, in, groupCols, aggs, schema); err != nil {
 			return Value{}, info, err
 		}
-		info.Parts = partition.Effective(in.Rows(), parts)
 		info.unary(hw.KHashBuild, in, out)
 
 	case ir.OpLimit:

@@ -11,14 +11,10 @@ import (
 )
 
 // TestRelationalBufferedEqualsStreamed runs every relational op kind through
-// Execute and pins its report: Native and the partition fan-out
-// each kind ran at. There is one delivery path: a streamed response is cut
-// into records from the value Execute returns, above the adapter, so a
-// streamed filter, project or hash join fans out and reports it exactly like
-// a buffered one.
-//
-// The input is 2500 rows, under partition.Auto's fan-out threshold, so
-// "parts": 0 resolves to 1 on any host.
+// Execute and pins its report's Native. There is one delivery path: a
+// streamed response is cut into records from the value Execute returns,
+// above the adapter, so a streamed filter, project or hash join reports
+// exactly like a buffered one.
 func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 	ctx := context.Background()
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(8)), 2500)
@@ -46,13 +42,6 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 	items := []relational.ProjItem{{E: relational.ColRef{Name: "pid"}, Name: "pid"}, {E: relational.ColRef{Name: "age"}, Name: "age"}}
 	join := map[string]any{"left_col": "pid", "right_col": "spid"}
 	group := map[string]any{"group_cols": []string{"pid"}, "aggs": []relational.AggSpec{{Fn: relational.AggCount, As: "n"}}}
-	with := func(attrs map[string]any, k string, v any) map[string]any {
-		out := map[string]any{k: v}
-		for k, v := range attrs {
-			out[k] = v
-		}
-		return out
-	}
 
 	cases := []struct {
 		name   string
@@ -60,21 +49,16 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 		attrs  map[string]any
 		inputs []Value
 		native string // pinned when set
-		parts  int
 	}{
 		{name: "scan", kind: ir.OpScan, attrs: map[string]any{"table": "patients"}},
 		{name: "index-scan", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": onPid}, native: "IndexScan(patients.pid)"},
 		{name: "index-scan/no-index", kind: ir.OpIndexScan, attrs: map[string]any{"table": "patients", "pred": pred}, native: "SeqScan(patients)"},
-		{name: "filter", kind: ir.OpFilter, attrs: map[string]any{"pred": pred}, inputs: []Value{patients}, parts: 1},
-		{name: "filter/parts=3", kind: ir.OpFilter, attrs: map[string]any{"pred": pred, "parts": int64(3)}, inputs: []Value{patients}, parts: 3},
-		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}, parts: 1},
-		{name: "project/parts=3", kind: ir.OpProject, attrs: map[string]any{"items": items, "parts": int64(3)}, inputs: []Value{patients}, parts: 3},
-		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}, parts: 1},
-		{name: "hash-join/parts=3", kind: ir.OpHashJoin, attrs: with(join, "parts", int64(3)), inputs: []Value{patients, stays}, parts: 3},
+		{name: "filter", kind: ir.OpFilter, attrs: map[string]any{"pred": pred}, inputs: []Value{patients}},
+		{name: "project", kind: ir.OpProject, attrs: map[string]any{"items": items}, inputs: []Value{patients}},
+		{name: "hash-join", kind: ir.OpHashJoin, attrs: join, inputs: []Value{patients, stays}},
 		{name: "merge-join", kind: ir.OpMergeJoin, attrs: join, inputs: []Value{patients, stays}},
 		{name: "sort", kind: ir.OpSort, attrs: map[string]any{"order_by": []relational.OrderItem{{Col: "age", Desc: true}, {Col: "pid"}}}, inputs: []Value{patients}},
-		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}, parts: 1},
-		{name: "group-by/parts=3", kind: ir.OpGroupBy, attrs: with(group, "parts", int64(3)), inputs: []Value{patients}, parts: 3},
+		{name: "group-by", kind: ir.OpGroupBy, attrs: group, inputs: []Value{patients}},
 		{name: "limit", kind: ir.OpLimit, attrs: map[string]any{"n": int64(2100)}, inputs: []Value{patients}},
 	}
 	for _, tc := range cases {
@@ -83,9 +67,6 @@ func TestRelationalBufferedEqualsStreamed(t *testing.T) {
 			got, info, err := a.Execute(ctx, n, tc.inputs)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if info.Parts != tc.parts {
-				t.Fatalf("Parts = %d, want %d", info.Parts, tc.parts)
 			}
 			native := Native(n, info)
 			if native == "" || (tc.native != "" && native != tc.native) {

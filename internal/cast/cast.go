@@ -549,8 +549,7 @@ func (b *Batch) View() *Batch {
 // storage — no data is copied. It carries the same aliasing contract as
 // View (safe against append-only growth of b, must not be mutated); the
 // backing slices are capacity-clamped so even an erroneous append to the
-// view cannot clobber b's rows. Partition-parallel scans use it to hand each
-// worker a zero-copy row range. A selection-backed column is not gathered:
+// view cannot clobber b's rows. A selection-backed column is not gathered:
 // the view takes a copy of its part of the selection (a short view must not
 // keep a long selection alive), or, once some reader has gathered the
 // column, a plain range of the result.

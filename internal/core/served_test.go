@@ -13,14 +13,13 @@ import (
 )
 
 // servedPlan compiles bench/'s cross_engine program (the a=45 v=3 patient
-// filter over every feature), each partitioned node at parts when parts > 0,
-// with its ML nodes pinned to the host: a device-pinned node is never a
-// cache candidate. Once the subplan cache holds its p ⋈ n ⋈ s closure,
-// migrations included, the nodes that run are train and predict, which
-// reads train's model: a chain. With beside, a k-means over the migrated
-// features sits beside train, so the nodes that run (train, k-means,
-// predict) are not one.
-func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
+// filter over every feature), with its ML nodes pinned to the host: a
+// device-pinned node is never a cache candidate. Once the subplan cache holds
+// its p ⋈ n ⋈ s closure, migrations included, the nodes that run are train
+// and predict, which reads train's model: a chain. With beside, a k-means
+// over the migrated features sits beside train, so the nodes that run
+// (train, k-means, predict) are not one.
+func servedPlan(t testing.TB, beside bool) *compiler.Plan {
 	t.Helper()
 	prog := crossEnginePrograms(t)[2]
 	g := prog.g
@@ -31,9 +30,6 @@ func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
 		}, features)
 	}
 	for _, n := range g.Nodes() {
-		if parts > 0 && n.Kind.Partitioned() {
-			n.Attrs["parts"] = int64(parts)
-		}
 		if n.Engine == "ml" {
 			n.Device = hw.NewHostCPU().Name
 		}
@@ -48,18 +44,21 @@ func servedPlan(t testing.TB, beside bool, parts int) *compiler.Plan {
 // TestServedRunsEqualReference: once a plan's intermediates are served, a
 // served node never runs and the dispatch mode is chosen on the nodes that
 // do. Whether those form a chain (inline) or not (dataflow), every warm
-// execution — buffered and streamed, at 1, 2, 7 and 64 partitions — returns
-// the batches and the Report (host wall excluded) of the cache-off inline
-// reference and of the cache-off dataflow.
+// execution — buffered and streamed — returns the batches and the Report
+// (host wall excluded) of the cache-off inline reference and of the
+// cache-off dataflow.
 func TestServedRunsEqualReference(t *testing.T) {
 	ctx := askRows(context.Background())
 	for _, tc := range []struct {
 		name   string
 		beside bool
 	}{{"chain runs", false}, {"dataflow runs", true}} {
+		// Each case once ran at four partition fan-outs. No kernel fans out
+		// now, so its four rounds compile and serve the same plan on fresh
+		// runtimes; they keep the fan-outs' labels.
 		for _, parts := range []int{1, 2, 7, 64} {
 			t.Run(fmt.Sprintf("%s/parts=%d", tc.name, parts), func(t *testing.T) {
-				plan := servedPlan(t, tc.beside, parts)
+				plan := servedPlan(t, tc.beside)
 				if stageWidth(plan) < 2 {
 					t.Fatalf("plan width %d: the whole plan would run inline anyway", stageWidth(plan))
 				}
@@ -125,7 +124,7 @@ func TestServedRunsEqualReference(t *testing.T) {
 func TestServedHitsConcurrentTraced(t *testing.T) {
 	ctx := context.Background()
 	for _, beside := range []bool{false, true} {
-		plan := servedPlan(t, beside, 0)
+		plan := servedPlan(t, beside)
 		_, wantRep, err := clinicalTestRuntime(t, WithSubplanCacheBytes(-1), WithSequentialExecutor()).Execute(askRows(ctx), plan)
 		if err != nil {
 			t.Fatal(err)

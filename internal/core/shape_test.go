@@ -70,10 +70,10 @@ func shapeFamilies(rng *rand.Rand) [][]string {
 // TestShapePlanEqualsNative serves each family through one plan: every
 // statement after a family's first is a plan-cache hit, so it executes the
 // shape compiled for the first one, bound to its own constants. With the
-// subplan cache on — cold, then warm — and at 1, 2, 7 and 64 partitions,
-// every answer must be Engine.Query's, which parses the statement with its
-// literals in place. Keys that dropped the constants would serve one family
-// member another's intermediates, and fail here.
+// subplan cache on — cold, then warm — every answer must be Engine.Query's,
+// which parses the statement with its literals in place. Keys that dropped
+// the constants would serve one family member another's intermediates, and
+// fail here.
 func TestShapePlanEqualsNative(t *testing.T) {
 	store := loweringStore(t)
 	engine := relational.NewEngine(store)
@@ -82,44 +82,37 @@ func TestShapePlanEqualsNative(t *testing.T) {
 	ctx := context.Background()
 	opts := compiler.Options{Level: 3, Accel: true}
 	fams := shapeFamilies(rand.New(rand.NewSource(43)))
-	for _, parts := range []int{1, 2, 7, 64} {
-		cache := compiler.NewPlanCache(128)
-		for _, fam := range fams {
-			for i, sql := range fam {
-				want, _, err := engine.Query(ctx, sql)
+	cache := compiler.NewPlanCache(128)
+	for _, fam := range fams {
+		for i, sql := range fam {
+			want, _, err := engine.Query(ctx, sql)
+			if err != nil {
+				t.Fatalf("%s: native: %v", sql, err)
+			}
+			ordered := strings.Contains(sql, "ORDER BY")
+			p := eide.NewProgram()
+			if _, err := p.SQL("db", sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			plan, hit, err := cache.GetOrCompileKeyed(compiler.Key(p.Graph(), opts), p.Graph(), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if i > 0 && !hit {
+				t.Fatalf("%s: plan-cache miss: the family is not one shape", sql)
+			}
+			for round := 0; round < 2; round++ {
+				res, _, err := rt.Execute(ctx, plan)
 				if err != nil {
-					t.Fatalf("%s: native: %v", sql, err)
-				}
-				ordered := strings.Contains(sql, "ORDER BY")
-				p := eide.NewProgram()
-				if _, err := p.SQL("db", sql); err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
-				for _, n := range p.Graph().Nodes() {
-					if n.Kind.Partitioned() {
-						n.Attrs["parts"] = int64(parts)
-					}
+				got := res.First().Batch
+				if !got.Schema().Equal(want.Schema()) {
+					t.Fatalf("%s: schema %s, native %s", sql, got.Schema(), want.Schema())
 				}
-				plan, hit, err := cache.GetOrCompileKeyed(compiler.Key(p.Graph(), opts), p.Graph(), opts)
-				if err != nil {
-					t.Fatalf("%s: %v", sql, err)
-				}
-				if i > 0 && !hit {
-					t.Fatalf("%s: plan-cache miss: the family is not one shape", sql)
-				}
-				for round := 0; round < 2; round++ {
-					res, _, err := rt.Execute(ctx, plan)
-					if err != nil {
-						t.Fatalf("%s parts=%d: %v", sql, parts, err)
-					}
-					got := res.First().Batch
-					if !got.Schema().Equal(want.Schema()) {
-						t.Fatalf("%s parts=%d: schema %s, native %s", sql, parts, got.Schema(), want.Schema())
-					}
-					if d := firstDiff(rowsOf(t, got, ordered), rowsOf(t, want, ordered)); d >= 0 {
-						t.Fatalf("%s parts=%d round %d: %d rows, native %d; first difference at row %d",
-							sql, parts, round, got.Rows(), want.Rows(), d)
-					}
+				if d := firstDiff(rowsOf(t, got, ordered), rowsOf(t, want, ordered)); d >= 0 {
+					t.Fatalf("%s round %d: %d rows, native %d; first difference at row %d",
+						sql, round, got.Rows(), want.Rows(), d)
 				}
 			}
 		}

@@ -40,7 +40,6 @@ func (r *Runtime) observeOp(n *ir.Node, run *nodeRun) {
 		RowsOut:  run.Info.RowsOut,
 		BytesIn:  run.BytesIn,
 		BytesOut: run.BytesOut,
-		Parts:    run.Info.Parts,
 	})
 }
 
@@ -60,7 +59,6 @@ func nodeSpan(tr *obs.Trace, n *ir.Node, run *nodeRun, nr NodeReport) obs.Span {
 		RowsOut:  nr.RowsOut,
 		BytesIn:  run.BytesIn,
 		BytesOut: run.BytesOut,
-		Parts:    run.Info.Parts,
 		Cached:   run.cached,
 	}
 	if !run.hostStart.IsZero() {

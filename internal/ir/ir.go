@@ -75,8 +75,6 @@ const (
 	// offloadable: the dominant kernels have accelerator implementations;
 	// the runtime picks the device by cost when the node is Device="auto".
 	offloadable
-	// partitioned: execution honors a "parts" partition-count attribute.
-	partitioned
 )
 
 // ops declares every operator kind once: its name and its properties.
@@ -86,12 +84,12 @@ var ops = [...]struct {
 }{
 	OpScan:      {"scan", relational | cacheable},
 	OpIndexScan: {"index-scan", relational | cacheable},
-	OpFilter:    {"filter", relational | pure | cacheable | offloadable | partitioned},
-	OpProject:   {"project", relational | pure | cacheable | offloadable | partitioned},
-	OpHashJoin:  {"hash-join", relational | pure | cacheable | offloadable | partitioned},
+	OpFilter:    {"filter", relational | pure | cacheable | offloadable},
+	OpProject:   {"project", relational | pure | cacheable | offloadable},
+	OpHashJoin:  {"hash-join", relational | pure | cacheable | offloadable},
 	OpMergeJoin: {"merge-join", relational | pure | cacheable | offloadable},
 	OpSort:      {"sort", relational | pure | cacheable | offloadable},
-	OpGroupBy:   {"group-by", relational | pure | cacheable | offloadable | partitioned},
+	OpGroupBy:   {"group-by", relational | pure | cacheable | offloadable},
 	OpLimit:     {"limit", relational | pure | cacheable},
 
 	OpGraphMatch: {"graph-match", 0},
@@ -133,9 +131,6 @@ func (k OpKind) Cacheable() bool { return k.has(cacheable) }
 
 // Offloadable reports whether k's kernels have accelerator implementations.
 func (k OpKind) Offloadable() bool { return k.has(offloadable) }
-
-// Partitioned reports whether k's execution honors a "parts" attribute.
-func (k OpKind) Partitioned() bool { return k.has(partitioned) }
 
 // NodeID identifies a node within one graph.
 type NodeID int

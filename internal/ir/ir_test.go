@@ -209,7 +209,7 @@ func TestOpKindStrings(t *testing.T) {
 	if past := OpKind(len(ops)); past.Valid() || past.String() != fmt.Sprintf("OpKind(%d)", len(ops)) || past.Pure() {
 		t.Fatalf("undeclared kind: valid=%t name=%q", past.Valid(), past)
 	}
-	if !OpFilter.Partitioned() || OpSort.Partitioned() || OpKind(999).Cacheable() {
+	if !OpFilter.Offloadable() || OpScan.Offloadable() || OpKind(999).Cacheable() {
 		t.Fatal("properties wrong")
 	}
 }

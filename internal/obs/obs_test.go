@@ -106,10 +106,10 @@ func TestOpStatsObserveAndSnapshot(t *testing.T) {
 	s := NewOpStats()
 	for i := 0; i < 100; i++ {
 		s.Observe("db1", "filter", Obs{
-			Wall: 40 * time.Microsecond, RowsIn: 10, RowsOut: 5, BytesIn: 80, BytesOut: 40, Parts: 4,
+			Wall: 40 * time.Microsecond, RowsIn: 10, RowsOut: 5, BytesIn: 80, BytesOut: 40,
 		})
 	}
-	s.Observe("db1", "filter", Obs{Wall: 300 * time.Microsecond, RowsIn: 1, RowsOut: 1, Parts: 2})
+	s.Observe("db1", "filter", Obs{Wall: 300 * time.Microsecond, RowsIn: 1, RowsOut: 1})
 	s.Observe("ts", "ts_window", Obs{Wall: 2 * time.Millisecond, RowsOut: 7})
 
 	if n := len(s.Entries()); n != 2 {
@@ -118,9 +118,6 @@ func TestOpStatsObserveAndSnapshot(t *testing.T) {
 	f := entry(t, s, "db1", "filter")
 	if count(f) != 101 || f.RowsIn.Load() != 1001 || f.RowsOut.Load() != 501 || f.BytesIn.Load() != 8000 || f.BytesOut.Load() != 4000 {
 		t.Fatalf("bad aggregate: count=%d rows=%d/%d bytes=%d/%d", count(f), f.RowsIn.Load(), f.RowsOut.Load(), f.BytesIn.Load(), f.BytesOut.Load())
-	}
-	if f.MaxParts.Value() != 4 {
-		t.Fatalf("max_parts = %g, want 4", f.MaxParts.Value())
 	}
 	if q := f.Latency.Quantile(0.50); q != 50 { // 40µs falls in the (25, 50] bucket
 		t.Fatalf("p50 = %g, want 50", q)
@@ -132,8 +129,8 @@ func TestOpStatsObserveAndSnapshot(t *testing.T) {
 		t.Fatalf("wall = %dns, want %d", f.WallNanos.Load(), want.Nanoseconds())
 	}
 	w := entry(t, s, "ts", "ts_window")
-	if count(w) != 1 || w.RowsOut.Load() != 7 || w.MaxParts.Value() != 0 {
-		t.Fatalf("bad ts aggregate: count=%d rows_out=%d max_parts=%g", count(w), w.RowsOut.Load(), w.MaxParts.Value())
+	if count(w) != 1 || w.RowsOut.Load() != 7 {
+		t.Fatalf("bad ts aggregate: count=%d rows_out=%d", count(w), w.RowsOut.Load())
 	}
 }
 

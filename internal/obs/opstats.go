@@ -26,7 +26,6 @@ var latBoundsUS = []float64{
 type OpEntry struct {
 	Engine, Op                                    string
 	RowsIn, RowsOut, BytesIn, BytesOut, WallNanos atomic.Int64
-	MaxParts                                      metrics.Gauge
 	Latency                                       *metrics.Histogram // whole microseconds per execution
 }
 
@@ -37,7 +36,6 @@ type Obs struct {
 	RowsOut  int64
 	BytesIn  int64
 	BytesOut int64
-	Parts    int
 }
 
 // OpStats aggregates per-(engine, op-kind) execution statistics across every
@@ -77,7 +75,6 @@ func (s *OpStats) Observe(engine, op string, o Obs) {
 	e.BytesIn.Add(o.BytesIn)
 	e.BytesOut.Add(o.BytesOut)
 	e.WallNanos.Add(o.Wall.Nanoseconds())
-	e.MaxParts.SetMax(float64(o.Parts))
 	e.Latency.Observe(float64(o.Wall.Microseconds()))
 }
 

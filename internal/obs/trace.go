@@ -1,7 +1,7 @@
 // Package obs is the end-to-end observability layer of the Polystore++
 // middleware: request-scoped execution traces carried through
-// context.Context from server admission down into the executors, adapters
-// and the partition pool, plus the aggregated per-(engine, op-kind) runtime
+// context.Context from server admission down into the executors and
+// adapters, plus the aggregated per-(engine, op-kind) runtime
 // statistics (OpStats) that the paper's §IV-D-d names as the optimizer's
 // input. Here they are reported on /stats and /metrics; no optimizer reads
 // them yet.
@@ -38,10 +38,8 @@ func From(ctx context.Context) *Trace {
 	return tr
 }
 
-// Span records one plan node's execution: scheduling delay, host wall time,
-// data volumes and the partition fan-out the operator actually used.
-// Durations are microseconds; Parts is 0 when the operator did not
-// partition (or execution never reached the operator's fan-out decision).
+// Span records one plan node's execution: scheduling delay, host wall time
+// and data volumes. Durations are microseconds.
 type Span struct {
 	Node     int64   `json:"node"`
 	Kind     string  `json:"kind"`
@@ -55,7 +53,6 @@ type Span struct {
 	RowsOut  int64   `json:"rows_out"`
 	BytesIn  int64   `json:"bytes_in"`
 	BytesOut int64   `json:"bytes_out"`
-	Parts    int     `json:"parts,omitempty"`
 	Cached   bool    `json:"cached,omitempty"` // served from the subplan cache, not executed
 	Inputs   []int64 `json:"inputs,omitempty"` // producer node ids (span-tree edges)
 }

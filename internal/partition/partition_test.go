@@ -9,66 +9,8 @@ import (
 	"testing"
 )
 
-func TestSplitCoversAllRows(t *testing.T) {
-	for _, tc := range []struct{ n, parts int }{
-		{0, 1}, {0, 4}, {1, 1}, {1, 7}, {5, 7}, {100, 7}, {4096, 64}, {10, 0},
-	} {
-		rs := Split(tc.n, tc.parts)
-		wantParts := tc.parts
-		if wantParts < 1 {
-			wantParts = 1
-		}
-		if len(rs) != wantParts {
-			t.Fatalf("Split(%d,%d) = %d ranges, want %d", tc.n, tc.parts, len(rs), wantParts)
-		}
-		lo, total := 0, 0
-		for _, r := range rs {
-			if r.Lo != lo {
-				t.Fatalf("Split(%d,%d): gap at %d (got Lo=%d)", tc.n, tc.parts, lo, r.Lo)
-			}
-			if r.Hi < r.Lo {
-				t.Fatalf("Split(%d,%d): inverted range %+v", tc.n, tc.parts, r)
-			}
-			lo = r.Hi
-			total += r.Hi - r.Lo
-		}
-		if total != tc.n {
-			t.Fatalf("Split(%d,%d) covers %d rows", tc.n, tc.parts, total)
-		}
-	}
-}
-
-func TestSplitBalance(t *testing.T) {
-	rs := Split(10, 3)
-	min, max := rs[0].Hi-rs[0].Lo, rs[0].Hi-rs[0].Lo
-	for _, r := range rs {
-		if r.Hi-r.Lo < min {
-			min = r.Hi - r.Lo
-		}
-		if r.Hi-r.Lo > max {
-			max = r.Hi - r.Lo
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("unbalanced split: sizes differ by %d", max-min)
-	}
-}
-
-func TestAuto(t *testing.T) {
-	p := NewPool(8)
-	if got := Auto(10, p); got != 1 {
-		t.Fatalf("Auto(10) = %d, want 1", got)
-	}
-	if got := Auto(minPartitionRows*2, p); got != 2 {
-		t.Fatalf("Auto(%d) = %d, want 2", minPartitionRows*2, got)
-	}
-	if got := Auto(1<<30, p); got != 8 {
-		t.Fatalf("Auto(huge) = %d, want pool width 8", got)
-	}
-}
-
 func TestDoRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
+	p := newPool(4)
 	var ran [100]atomic.Bool
 	if err := p.Do(context.Background(), len(ran), func(i int) error {
 		ran[i].Store(true)
@@ -84,7 +26,7 @@ func TestDoRunsAllTasks(t *testing.T) {
 }
 
 func TestDoReturnsLowestIndexError(t *testing.T) {
-	p := NewPool(4)
+	p := newPool(4)
 	e3, e7 := errors.New("three"), errors.New("seven")
 	err := p.Do(context.Background(), 10, func(i int) error {
 		switch i {
@@ -101,7 +43,7 @@ func TestDoReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestDoSaturatedPoolRunsInline(t *testing.T) {
-	p := NewPool(1)
+	p := newPool(1)
 	// Occupy the only slot so every task must run inline on the caller.
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
@@ -115,9 +57,6 @@ func TestDoSaturatedPoolRunsInline(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("ran %d of 5 tasks", n)
 	}
-	if _, inlined := p.Stats(); inlined < 5 {
-		t.Fatalf("inlined = %d, want >= 5", inlined)
-	}
 }
 
 // TestDoWorkerPanicBecomesError checks a panic in a task never escapes as a
@@ -125,7 +64,7 @@ func TestDoSaturatedPoolRunsInline(t *testing.T) {
 // inline tasks propagate it to the caller (where net/http's per-connection
 // recover applies) — either way it stays survivable.
 func TestDoWorkerPanicBecomesError(t *testing.T) {
-	p := NewPool(4)
+	p := newPool(4)
 	var err error
 	func() {
 		defer func() {
@@ -146,7 +85,7 @@ func TestDoWorkerPanicBecomesError(t *testing.T) {
 }
 
 func TestDoCanceledContext(t *testing.T) {
-	p := NewPool(2)
+	p := newPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := p.Do(ctx, 4, func(int) error { return nil }); !errors.Is(err, context.Canceled) {

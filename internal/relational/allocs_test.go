@@ -40,7 +40,7 @@ func TestFilterAllocBudget(t *testing.T) {
 	var kept *cast.Batch
 	run := func() {
 		var err error
-		if kept, err = parFilter(context.Background(), b, pred, 1); err != nil {
+		if kept, err = Filter(context.Background(), b, pred); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,24 +57,20 @@ func TestFilterAllocBudget(t *testing.T) {
 
 // TestRangeFilterAllocatesNoVector: a range predicate over clustered rows
 // keeps one run, finds that out by counting, and hands on a view: under
-// 1 KiB at one partition (the view's header is most of it). Fanned out, the
-// pool's bookkeeping per task comes on top, and still nothing per row — one
-// bool per input row would be 50 000 bytes, one row number per kept row up to
-// 200 000.
+// 1 KiB (the view's header is most of it), and nothing per row — one bool per
+// input row would be 50 000 bytes, one row number per kept row up to 200 000.
 func TestRangeFilterAllocatesNoVector(t *testing.T) {
 	b := allocBatch(t, 50_000, 8)
-	for parts, budget := range map[int]uint64{1: 1 << 10, 0: 4 << 10, 7: 4 << 10} {
-		for _, k := range []int64{0, 12_345, 49_999, 50_000} {
-			pred := Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: k}}
-			got := allocatedBytes(func() {
-				kept, err := parFilter(context.Background(), b, pred, parts)
-				if err != nil || kept.Rows() != 50_000-int(k) {
-					t.Fatalf("id >= %d kept %d rows: %v", k, kept.Rows(), err)
-				}
-			})
-			if got >= budget {
-				t.Errorf("id >= %d over 50k clustered rows at parts %d: %d bytes allocated, budget %d", k, parts, got, budget)
+	for _, k := range []int64{0, 12_345, 49_999, 50_000} {
+		pred := Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: k}}
+		got := allocatedBytes(func() {
+			kept, err := Filter(context.Background(), b, pred)
+			if err != nil || kept.Rows() != 50_000-int(k) {
+				t.Fatalf("id >= %d kept %d rows: %v", k, kept.Rows(), err)
 			}
+		})
+		if got >= 1<<10 {
+			t.Errorf("id >= %d over 50k clustered rows: %d bytes allocated, budget 1 KiB", k, got)
 		}
 	}
 }
@@ -121,12 +117,12 @@ func TestZoneScanAllocBudget(t *testing.T) {
 		}
 	}
 	in := tab.Snapshot()
-	if kept, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}}, 1); err != nil || kept != in {
+	if kept, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(0)}}); err != nil || kept != in {
 		t.Fatalf("a filter keeping every row handed on a copy or a view: %v", err)
 	}
 	filtered := testing.AllocsPerRun(10, func() {
 		in, _, _ := Scan(ctx, tab, pruned)
-		if out, err := Filter(ctx, in, pruned, 0); err != nil || out.Rows() != 10_000 {
+		if out, err := Filter(ctx, in, pruned); err != nil || out.Rows() != 10_000 {
 			t.Fatalf("filtered pruned scan: %v", err)
 		}
 	})
@@ -144,7 +140,7 @@ func TestGroupByAllocBudget(t *testing.T) {
 	for _, groups := range []int{64, 1024} {
 		b := allocBatch(t, 10_000, groups)
 		run := func() {
-			if out, err := groupBy(context.Background(), b, []string{"kind"}, aggs, 1); err != nil || out.Rows() != groups {
+			if out, err := groupBy(context.Background(), b, []string{"kind"}, aggs); err != nil || out.Rows() != groups {
 				t.Fatalf("group-by: %v", err)
 			}
 		}
@@ -241,7 +237,7 @@ func TestHashJoinAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		return func() {
-			out, err := hashJoin(context.Background(), left, right, "k", "k2", 1)
+			out, err := hashJoin(context.Background(), left, right, "k", "k2")
 			if err != nil || out.Rows() != rows {
 				t.Fatalf("join: %d rows, %v", out.Rows(), err)
 			}

@@ -20,8 +20,8 @@ func NewEngine(store *Store) *Engine { return &Engine{store: store} }
 func (e *Engine) Store() *Store { return e.store }
 
 // Query parses sql, lowers it (SelectStmt.Steps) and runs it, one kernel per
-// step over the whole output of the step before, at automatic fan-out — the
-// way the relational adapter runs each IR node. Joins are left-deep hash joins
+// step over the whole output of the step before — the way the relational
+// adapter runs each IR node. Joins are left-deep hash joins
 // in clause order, and the scan seeks when the table has an index the WHERE
 // clause can use. It returns the result and one OpStats per step, in step
 // order: a scan's RowsIn is the rows it read, a join's its build rows plus
@@ -48,20 +48,20 @@ func (e *Engine) Query(ctx context.Context, sql string) (*cast.Batch, []OpStats,
 			if t, err = e.store.Table(st.Table); err == nil {
 				right := t.Snapshot()
 				stat.RowsIn = int64(right.Rows())
-				out, stat.Kind, err = HashJoin(ctx, in, right, st.LeftCol, st.RightCol, 0)
+				out, stat.Kind, err = HashJoin(ctx, in, right, st.LeftCol, st.RightCol)
 			}
 		case StepFilter:
 			stat.Kind = "Filter" + st.Pred.String()
-			out, err = Filter(ctx, in, st.Pred, 0)
+			out, err = Filter(ctx, in, st.Pred)
 		case StepGroupBy:
 			stat.Kind = "GroupBy"
 			if schema, err = GroupBySchema(in.Schema(), st.GroupCols, st.Aggs); err == nil {
-				out, err = GroupBy(ctx, in, st.GroupCols, st.Aggs, schema, 0)
+				out, err = GroupBy(ctx, in, st.GroupCols, st.Aggs, schema)
 			}
 		case StepProject:
 			stat.Kind = "Project"
 			if schema, err = ProjectSchema(in.Schema(), st.Items); err == nil {
-				out, err = Project(ctx, in, st.Items, schema, 0)
+				out, err = Project(ctx, in, st.Items, schema)
 			}
 		case StepSort:
 			stat.Kind = "Sort"

@@ -9,16 +9,16 @@ import (
 	"slices"
 
 	"polystorepp/internal/cast"
-	"polystorepp/internal/partition"
 )
 
 // This file holds the relational kernels: each is a function from whole input
 // batches to one output batch, the unit the middleware dispatches and costs
 // (§III-A1). Engine.Query and the relational adapter call the same ones, so a
-// statement means one thing whichever way it enters. Every kernel reads ctx
-// on entry and returns its error with no output; the partitioned ones read it
-// again per task (partition.Pool.Do). What leaves a kernel is immutable and
-// shares its inputs' column storage wherever it can (see package cast).
+// statement means one thing whichever way it enters. Each runs one pass over
+// its whole input on the calling goroutine, so an answer is the same on any
+// host. Every kernel reads ctx on entry and returns its error with no output.
+// What leaves a kernel is immutable and shares its inputs' column storage
+// wherever it can (see package cast).
 
 // ChunkRows is the rows per record a streamed result is cut into, the rows
 // of one zone-map chunk of a table heap, and how many matched pairs a join's
@@ -48,13 +48,40 @@ func Scan(ctx context.Context, t *Table, pred Expr) (*cast.Batch, string, error)
 }
 
 // Filter keeps the rows of in that satisfy pred, in order, and fails with the
-// first failing row's error. The predicate fans out over fixed row-range
-// partitions on the shared scan pool (parallel.go).
-func Filter(ctx context.Context, in *cast.Batch, pred Expr, parts int) (*cast.Batch, error) {
+// first failing row's error.
+func Filter(ctx context.Context, in *cast.Batch, pred Expr) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return parFilter(ctx, in, pred, parts)
+	kept, err := filterRange(in, pred, runOf(0, in.Rows()))
+	if err != nil {
+		return nil, err
+	}
+	return take(in, kept)
+}
+
+// filterRange evaluates pred over rows of b and returns the kept ones. It
+// stops at the first failing row, with that row's error.
+func filterRange(b *cast.Batch, pred Expr, rows selection) (selection, error) {
+	kept, _, err := pred.evalSel(b, rows)
+	if t, ok := err.(notBool); ok {
+		err = fmt.Errorf("%w: predicate returned %s", ErrExpr, string(t))
+	}
+	return kept, err
+}
+
+// take returns the rows of src that sel names. A run is one zero-copy view,
+// or src itself when it covers all of it — a range predicate over clustered
+// rows, a join whose every row matches once; a list is handed to
+// cast.Batch.Take, which gathers nothing until a column is read.
+func take(src *cast.Batch, sel selection) (*cast.Batch, error) {
+	switch {
+	case len(sel.rows) > 0:
+		return src.Take(sel.rows), nil
+	case sel.hi-sel.lo == src.Rows():
+		return src, nil
+	}
+	return src.ViewRange(sel.lo, sel.hi)
 }
 
 // ProjItem is one output column of a projection: an expression plus its
@@ -79,14 +106,43 @@ func ProjectSchema(in cast.Schema, items []ProjItem) (cast.Schema, error) {
 
 // Project evaluates items per row of in into a batch under schema, which is
 // ProjectSchema of in's, resolved by the caller. It fails with the error of
-// the lowest failing row, and there of the leftmost failing item. Computed
-// items fan out over row-range partitions (parallel.go); bare columns share
-// in's storage.
-func Project(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema, parts int) (*cast.Batch, error) {
+// the lowest failing row, and there of the leftmost failing item. A bare
+// column reference shares in's column storage; computed items get fresh
+// columns.
+func Project(ctx context.Context, in *cast.Batch, items []ProjItem, schema cast.Schema) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return parProject(ctx, in, items, schema, parts)
+	n := in.Rows()
+	if n == 0 {
+		return cast.NewBatch(schema, 0), nil
+	}
+	// A row-order loop fails on the lowest failing row, and there on the
+	// leftmost failing item: each item is evaluated only up to the earliest
+	// failure so far, so a later item's error wins only on a strictly
+	// earlier row.
+	var firstErr error
+	vecs, upto := make([]vec, len(items)), n
+	for i, it := range items {
+		v, ok, err := it.E.evalVec(in, runOf(0, upto))
+		if err != nil {
+			firstErr, upto = err, ok
+		}
+		vecs[i] = v
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	cols := make([]any, len(items))
+	for i, v := range vecs {
+		// An int64 value under a float64 column widens; an identity-selected
+		// column is shared as it stands.
+		if v.t == cast.Int64 && schema.Col(i).Type == cast.Float64 {
+			v = convert(v, n)
+		}
+		cols[i] = v.column(n)
+	}
+	return cast.BatchOf(schema, cols...)
 }
 
 // orientJoin returns an ON clause's columns probe side first. The clause may
@@ -102,14 +158,12 @@ func orientJoin(right cast.Schema, leftCol, rightCol string) (string, string) {
 // HashJoin hash equi-joins left and right on left.leftCol = right.rightCol,
 // the two columns given in either order; the output schema is left ++ right,
 // in left's row order with each row's matches in right-row order. right is
-// the build side, indexed in one sequential pass into a chained table of two
-// arrays; the probe of left fans out one task per partition with an
-// order-preserving merge (join_parallel.go), and gathers neither side. ctx is
-// read before each partition and once per ChunkRows matched pairs, so a
-// cancelled join stops within one batch of output however many rows its keys
-// multiply into. The second result names the join for reports, ON columns
-// probe side first.
-func HashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, string, error) {
+// the build side, indexed in one pass into a chained table of two arrays,
+// and one pass over left probes it (join.go). ctx is read on entry and once
+// per ChunkRows matched pairs, so a cancelled join stops within one batch of
+// output however many rows its keys multiply into. The second result names
+// the join for reports, ON columns probe side first.
+func HashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string) (*cast.Batch, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
@@ -127,7 +181,7 @@ func HashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol st
 		return nil, "", err
 	}
 	table := buildJoinTable(right, ci, left.Schema().Col(li).Type)
-	out, err := parProbe(ctx, left, li, table, right, schema, parts)
+	out, err := table.join(ctx, left, li, right, schema)
 	if err != nil {
 		return nil, "", err
 	}
@@ -338,19 +392,16 @@ type aggCols struct {
 	ext  []int32
 }
 
-// int128 is an exact integer sum in two's complement. Adding is associative,
-// so partial sums combine to the same total in any grouping.
+// int128 is an exact integer sum in two's complement.
 type int128 struct {
 	hi int64
 	lo uint64
 }
 
-func (s *int128) add(v int64) { s.addWide(int128{hi: v >> 63, lo: uint64(v)}) }
-
-func (s *int128) addWide(t int128) {
+func (s *int128) add(v int64) {
 	var c uint64
-	s.lo, c = bits.Add64(s.lo, t.lo, 0)
-	s.hi += t.hi + int64(c)
+	s.lo, c = bits.Add64(s.lo, uint64(v), 0)
+	s.hi += v>>63 + int64(c)
 }
 
 // int64 returns the sum and whether it fits an int64.
@@ -362,21 +413,19 @@ func (s int128) int64() (int64, bool) {
 // ids live in a stack array of this size, never in one sized from the input.
 const vectorRows = 256
 
-// slotSpan caps the slot table of a single int64 key: a partition of n rows
+// slotSpan caps the slot table of a single int64 key: an input of n rows
 // takes one when its keys span at most min(2n, slotSpan) values.
 const slotSpan = 1 << 16
 
-// groupAccum is the aggregation state of one contiguous row range of the
-// input: its groups, each remembered by its first row (which also carries
-// the group's key values), the count of each, and one aggCols per aggregate.
-// A single Int64/Timestamp key whose values span little finds its groups
-// through the slot table slots (key k is group slots[k-base], -1 when none),
-// which opens every group of the range in key order before any row is
-// folded, so the columns are sized exactly. Other keys go through a map: an
-// int64 or string map for a single key column of that type, else the key
-// columns' cast.AppendKey rendering built in a reused buffer. A key outside
-// the slot table — a later partition's, met in combine — goes to the int64
-// map.
+// groupAccum is the aggregation state of a group-by: its groups, each
+// remembered by its first row (which also carries the group's key values),
+// the count of each, and one aggCols per aggregate. A single Int64/Timestamp
+// key whose values span little finds its groups through the slot table slots
+// (key k is group slots[k-base]), which opens every group of the input in key
+// order before any row is folded, so the columns are sized exactly. Other
+// keys go through a map: an int64 or string map for a single key column of
+// that type, else the key columns' cast.AppendKey rendering built in a
+// reused buffer.
 type groupAccum struct {
 	in      *cast.Batch
 	keyCols []int
@@ -394,27 +443,30 @@ type groupAccum struct {
 	states []aggCols // one per aggregate
 }
 
-func newGroupAccum(in *cast.Batch, keyCols []int, aggs []aggInput, lo, hi int) *groupAccum {
+func newGroupAccum(in *cast.Batch, keyCols []int, aggs []aggInput) *groupAccum {
 	acc := &groupAccum{in: in, keyCols: keyCols, aggs: aggs, states: make([]aggCols, len(aggs))}
 	if len(keyCols) == 1 {
 		switch in.Schema().Col(keyCols[0]).Type {
 		case cast.Int64, cast.Timestamp:
 			acc.keyInts, _ = in.Ints(keyCols[0])
-			acc.slotTable(lo, hi)
+			acc.slotTable()
 		case cast.String:
 			acc.keyStrs, _ = in.Strings(keyCols[0])
 		}
 	}
-	if len(keyCols) > 0 && acc.keyInts == nil {
+	switch {
+	case acc.keyInts != nil && acc.slots == nil:
+		acc.byInt = make(map[int64]int32)
+	case len(keyCols) > 0 && acc.keyInts == nil:
 		acc.byStr = make(map[string]int32)
 	}
 	return acc
 }
 
-// slotTable sets up the slot table for rows [lo, hi) when their keys span
-// few enough values, and opens their groups in key order.
-func (acc *groupAccum) slotTable(lo, hi int) {
-	keys := acc.keyInts[lo:hi]
+// slotTable sets up the slot table when the keys span few enough values,
+// and opens their groups in key order.
+func (acc *groupAccum) slotTable() {
+	keys := acc.keyInts
 	if len(keys) == 0 {
 		return
 	}
@@ -431,7 +483,7 @@ func (acc *groupAccum) slotTable(lo, hi int) {
 		slots[i] = -1
 	}
 	for i := len(keys) - 1; i >= 0; i-- { // the earliest row's write lands last
-		slots[keys[i]-kmin] = int32(lo + i)
+		slots[keys[i]-kmin] = int32(i)
 	}
 	groups := 0
 	for _, first := range slots {
@@ -481,24 +533,12 @@ func (acc *groupAccum) open(r int32) int32 {
 	return g
 }
 
-// group returns the group of input row r, opening it when the key is new.
+// group returns the group of input row r, opening it when the key is new. A
+// key with a slot table never comes here: groupIDs reads the table itself.
 func (acc *groupAccum) group(r int32) int32 {
 	switch {
-	case len(acc.keyCols) == 0:
-		if len(acc.first) > 0 {
-			return 0
-		}
 	case acc.keyInts != nil:
 		k := acc.keyInts[r]
-		if i := uint64(k - acc.base); i < uint64(len(acc.slots)) {
-			if acc.slots[i] < 0 {
-				acc.slots[i] = acc.open(r)
-			}
-			return acc.slots[i]
-		}
-		if acc.byInt == nil {
-			acc.byInt = make(map[int64]int32)
-		}
 		if g, ok := acc.byInt[k]; ok {
 			return g
 		}
@@ -536,25 +576,25 @@ func (acc *groupAccum) groupIDs(ids []int32, lo int) {
 	}
 }
 
-// accumulate folds input rows [lo, hi) into a fresh accumulator. Grouped, it
-// takes a vector of rows at a time: first their group ids and counts, then
-// each aggregate as its own typed loop over its column. Ungrouped, there
-// are no ids: one loop per aggregate over the whole range. Either way each
-// group's rows fold in row order.
-func accumulate(m *cast.Batch, groupIdx []int, aggs []aggInput, lo, hi int) *groupAccum {
-	acc := newGroupAccum(m, groupIdx, aggs, lo, hi)
+// accumulate folds every row of m into a fresh accumulator, in one pass.
+// Grouped, it takes a vector of rows at a time: first their group ids and
+// counts, then each aggregate as its own typed loop over its column.
+// Ungrouped, there are no ids: one loop per aggregate over all rows. Either
+// way each group's rows fold in row order.
+func accumulate(m *cast.Batch, groupIdx []int, aggs []aggInput) *groupAccum {
+	acc, hi := newGroupAccum(m, groupIdx, aggs), m.Rows()
 	if len(groupIdx) == 0 {
-		if lo < hi {
-			acc.open(int32(lo))
-			acc.counts[0] = int64(hi - lo)
+		if hi > 0 {
+			acc.open(0)
+			acc.counts[0] = int64(hi)
 			for i := range aggs {
-				acc.fold(i, nil, lo, hi)
+				acc.fold(i, nil, 0, hi)
 			}
 		}
 		return acc
 	}
 	var ids [vectorRows]int32
-	for v := lo; v < hi; v += vectorRows {
+	for v := 0; v < hi; v += vectorRows {
 		vec := ids[:min(vectorRows, hi-v)]
 		acc.groupIDs(vec, v)
 		for i := range aggs {
@@ -657,8 +697,6 @@ func extFold[T int64 | float64 | string](ext []int32, v []T, ids []int32, lo, hi
 // replaces. The extreme a group reports is its first row when that is a NaN
 // (renderGroups): a row-order fold keeps a NaN it starts from, since nothing
 // compares below or above one, and from a number on never takes a NaN.
-// Folding past NaNs this way makes the fold associative, so partitions
-// combine to the row-order answer.
 func beats[T int64 | float64 | string](x, e T, max bool) bool {
 	if max {
 		return x > e || e != e
@@ -674,46 +712,6 @@ func boolBeats(v []bool, x, e int32, max bool) bool {
 	return !v[x] && v[e]
 }
 
-// beats is beats between rows x and e of aggregate i's column.
-func (acc *groupAccum) beats(i int, x, e int32) bool {
-	a := &acc.aggs[i]
-	switch {
-	case a.ints != nil:
-		return beats(a.ints[x], a.ints[e], a.max)
-	case a.flts != nil:
-		return beats(a.flts[x], a.flts[e], a.max)
-	}
-	if strs, err := acc.in.Strings(int(a.col)); err == nil {
-		return beats(strs[x], strs[e], a.max)
-	}
-	bools, _ := acc.in.Bools(int(a.col))
-	return boolBeats(bools, x, e, a.max)
-}
-
-// combine folds a later partition's accumulator into acc, preserving
-// row-order semantics: a group's first row comes from the earliest partition
-// containing it, extremes keep the earlier row on ties (as row-order
-// iteration does), and sums add in ascending partition order.
-func (acc *groupAccum) combine(next *groupAccum) {
-	for ng, row := range next.first {
-		g := acc.group(row)
-		acc.counts[g] += next.counts[ng]
-		for i := range acc.states {
-			st, nx := &acc.states[i], &next.states[i]
-			switch acc.aggs[i].kind {
-			case keepWide:
-				st.wide[g].addWide(nx.wide[ng])
-			case keepSum:
-				st.sums[g] += nx.sums[ng]
-			case keepExt:
-				if acc.beats(i, nx.ext[ng], st.ext[g]) {
-					st.ext[g] = nx.ext[ng]
-				}
-			}
-		}
-	}
-}
-
 // GroupBy hash-aggregates m into a batch under schema, which is
 // GroupBySchema of m's; with no group columns it produces a single
 // global-aggregate row. COUNT counts rows; SUM of an Int64/Timestamp column
@@ -721,11 +719,9 @@ func (acc *groupAccum) combine(next *groupAccum) {
 // SUM of a Float64 column and AVG of any column fold float64s in row order;
 // MIN/MAX keep the order a comparison filters by (a NaN is level with
 // everything) and, on ties, the earliest row — a group that starts with a NaN
-// reports it. The accumulation fans out over fixed
-// row-range partitions on the shared scan pool and the partial aggregates
-// combine in ascending partition order (parallel.go's equivalence argument),
-// so results match single-partition execution.
-func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggSpec, schema cast.Schema, parts int) (*cast.Batch, error) {
+// reports it. One pass folds every row, so the float64 sum behind a SUM or
+// AVG is a plain row loop's, to the last bit, on any host.
+func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggSpec, schema cast.Schema) (*cast.Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -765,19 +761,7 @@ func GroupBy(ctx context.Context, m *cast.Batch, groupCols []string, aggs []AggS
 			in.kind = keepSum
 		}
 	}
-	ranges := partition.Split(m.Rows(), partition.Effective(m.Rows(), parts))
-	accums := make([]*groupAccum, len(ranges))
-	if err := partition.Shared().Do(ctx, len(ranges), func(i int) error {
-		accums[i] = accumulate(m, groupIdx, inputs, ranges[i].Lo, ranges[i].Hi)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	acc := accums[0]
-	for _, nx := range accums[1:] {
-		acc.combine(nx)
-	}
-	return renderGroups(m, acc, groupIdx, aggs, schema)
+	return renderGroups(m, accumulate(m, groupIdx, inputs), groupIdx, aggs, schema)
 }
 
 // renderGroups renders the groups, ordered by their AppendKey rendering (the

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -191,8 +192,7 @@ var refKeys = []struct {
 		return [...]int64{math.MinInt64, math.MaxInt64, -1, -7, 0, 3}[rng.Intn(6)]
 	}},
 	// The second half's keys lie outside the first half's span, or inside it
-	// on values the first half never had: a later partition's groups meet
-	// the first's slot table in combine.
+	// on values the first half never had.
 	{"halves", func(rng *rand.Rand, r, n int) int64 {
 		switch {
 		case r < n/2:
@@ -207,8 +207,7 @@ var refKeys = []struct {
 // refBatch draws n rows: floats from a few multiples of 0.25 (every sum of
 // them exact, so any fold order gives the same bits) with NaN, -0 and +0;
 // and with huge set, w's int64s near ±2^62, so its sums overflow or cancel
-// back into range (AVG, a float fold, rounds those differently per fan-out,
-// so it reads n only).
+// back into range (AVG, a float fold, reads n only).
 func refBatch(t *testing.T, rng *rand.Rand, n int, key func(rng *rand.Rand, r, n int) int64, huge bool) *cast.Batch {
 	t.Helper()
 	b := cast.NewBatch(refSchema(), n)
@@ -235,9 +234,9 @@ func refBatch(t *testing.T, rng *rand.Rand, n int, key func(rng *rand.Rand, r, n
 	return b
 }
 
-// TestGroupByEqualsReference: at 1, 2, 7 and 64 partitions, GroupBy yields
-// refGroupBy's rows bit for bit, or its overflow, for every key shape the
-// group lookup special-cases and every aggregate over every column type.
+// TestGroupByEqualsReference: GroupBy yields refGroupBy's rows bit for bit,
+// or its overflow, for every key shape the group lookup special-cases and
+// every aggregate over every column type.
 func TestGroupByEqualsReference(t *testing.T) {
 	aggs := []AggSpec{{Fn: AggCount, As: "n_all"}, {Fn: AggCount, Col: "f", As: "n_f"}, {Fn: AggSum, Col: "w", As: "sum_w"}}
 	for _, c := range []string{"n", "f", "ts"} {
@@ -254,19 +253,17 @@ func TestGroupByEqualsReference(t *testing.T) {
 			in := refBatch(t, rng, n, shape.key, trial%5 == 0)
 			for _, keys := range keySets {
 				want, wantErr := refGroupBy(t, in, keys, aggs)
-				for _, parts := range partCounts {
-					got, err := groupBy(context.Background(), in, keys, aggs, parts)
-					switch {
-					case wantErr != nil:
-						if !errors.Is(err, ErrOverflow) {
-							t.Fatalf("%s trial %d, keys %v, parts %d: error %v, want the reference's overflow", shape.name, trial, keys, parts, err)
-						}
-					case err != nil:
-						t.Fatalf("%s trial %d, keys %v, parts %d: %v", shape.name, trial, keys, parts, err)
-					default:
-						if diff := diffRows(got, want); diff != "" {
-							t.Fatalf("%s trial %d, keys %v, parts %d: %s", shape.name, trial, keys, parts, diff)
-						}
+				got, err := groupBy(context.Background(), in, keys, aggs)
+				switch {
+				case wantErr != nil:
+					if !errors.Is(err, ErrOverflow) {
+						t.Fatalf("%s trial %d, keys %v: error %v, want the reference's overflow", shape.name, trial, keys, err)
+					}
+				case err != nil:
+					t.Fatalf("%s trial %d, keys %v: %v", shape.name, trial, keys, err)
+				default:
+					if diff := diffRows(got, want); diff != "" {
+						t.Fatalf("%s trial %d, keys %v: %s", shape.name, trial, keys, diff)
 					}
 				}
 			}
@@ -274,12 +271,10 @@ func TestGroupByEqualsReference(t *testing.T) {
 	}
 }
 
-// TestIntSumExactAtAnyPartitionCount: an int64 SUM is exact and the same at
-// every fan-out — 2^53 then 3 999 ones, which a float64 fold rounds
-// differently per partition count — even where the running sum leaves int64
-// on its way to the total; a total past int64 fails at every fan-out, naming
-// the aggregate.
-func TestIntSumExactAtAnyPartitionCount(t *testing.T) {
+// TestIntSumExact: an int64 SUM is exact — 2^53 then 3 999 ones, which a
+// float64 fold rounds to 2^53 — even where the running sum leaves int64 on
+// its way to the total; a total past int64 fails, naming the aggregate.
+func TestIntSumExact(t *testing.T) {
 	schema := cast.MustSchema(cast.Column{Name: "v", Type: cast.Int64}, cast.Column{Name: "g", Type: cast.Int64})
 	batch := func(vals ...int64) *cast.Batch {
 		b := cast.NewBatch(schema, len(vals))
@@ -308,21 +303,63 @@ func TestIntSumExactAtAnyPartitionCount(t *testing.T) {
 	} {
 		in := batch(tc.vals...)
 		for _, keys := range [][]string{nil, {"g"}} {
-			for _, parts := range partCounts {
-				out, err := groupBy(context.Background(), in, keys, aggs, parts)
-				if tc.want == 0 {
-					if !errors.Is(err, ErrOverflow) || !strings.Contains(err.Error(), "sum(v) AS total") {
-						t.Errorf("%d values, keys %v, parts %d: error %v, want an overflow naming sum(v) AS total", len(tc.vals), keys, parts, err)
-					}
-					continue
+			out, err := groupBy(context.Background(), in, keys, aggs)
+			if tc.want == 0 {
+				if !errors.Is(err, ErrOverflow) || !strings.Contains(err.Error(), "sum(v) AS total") {
+					t.Errorf("%d values, keys %v: error %v, want an overflow naming sum(v) AS total", len(tc.vals), keys, err)
 				}
-				if err != nil {
-					t.Fatalf("%d values, keys %v, parts %d: %v", len(tc.vals), keys, parts, err)
-				}
-				if got, _ := out.Value(0, len(keys)); got != tc.want {
-					t.Errorf("%d values, keys %v, parts %d: sum %v, want %d", len(tc.vals), keys, parts, got, tc.want)
-				}
+				continue
 			}
+			if err != nil {
+				t.Fatalf("%d values, keys %v: %v", len(tc.vals), keys, err)
+			}
+			if got, _ := out.Value(0, len(keys)); got != tc.want {
+				t.Errorf("%d values, keys %v: sum %v, want %d", len(tc.vals), keys, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestFloatAggregatesFoldInRowOrder: a float SUM and AVG are what a plain
+// loop over the rows computes, bit for bit, through GroupBy and through
+// Engine.Query. Over 10 000 rows of 0.1·(i%7+1) the row-order sum is
+// 3999.3999999998059; adding the first and second halves' sums instead gives
+// 3999.3999999999937, which a fold split across cores would answer.
+func TestFloatAggregatesFoldInRowOrder(t *testing.T) {
+	const rows = 10_000
+	store := NewStore("floats")
+	tab, err := store.CreateTable("t", cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "v", Type: cast.Float64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i := 0; i < rows; i++ {
+		v := 0.1 * float64(i%7+1)
+		sum += v
+		if err := tab.Insert(int64(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum != 3999.3999999998059 {
+		t.Fatalf("row-order sum %v, want 3999.3999999998059", sum)
+	}
+	want := []any{sum, sum / rows}
+	ctx := context.Background()
+	aggs := []AggSpec{{Fn: AggSum, Col: "v", As: "total"}, {Fn: AggAvg, Col: "v", As: "mean"}}
+	viaGroupBy, err := groupBy(ctx, tab.Snapshot(), nil, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaQuery, _, err := NewEngine(store).Query(ctx, "SELECT sum(v) AS total, avg(v) AS mean FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]*cast.Batch{"GroupBy": viaGroupBy, "Engine.Query": viaQuery} {
+		if got, err := out.Row(0); err != nil || out.Rows() != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v of %d rows (%v), want %v", name, got, out.Rows(), err, want)
 		}
 	}
 }

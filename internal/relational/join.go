@@ -5,11 +5,10 @@ import (
 	"math/bits"
 
 	"polystorepp/internal/cast"
-	"polystorepp/internal/partition"
 )
 
-// This file implements the hash join's table: a sequential chained build
-// and a partition-parallel probe.
+// This file implements the hash join's table: a chained build and a probe,
+// one pass each.
 //
 // Build: one pass over the build side's key column, read in place, links
 // every build row into a chained hash table — a power-of-two head array
@@ -18,14 +17,11 @@ import (
 // lists its rows in ascending row order. The table is those two arrays
 // however many distinct keys the build holds.
 //
-// Probe: the probe side is split into contiguous row ranges; one task per
-// range walks each probe row's chain, comparing keys (a bucket may hold
-// several), and lists the matched (left row, build row) pairs as two
-// selections. Both sides are then taken once, in partition order
-// (takeSels) — the same order-preserving discipline parallel.go uses — so
-// the output equals a one-partition probe's row for row. A task polls ctx
-// once per ChunkRows pairs it lists, so a join whose output explodes stops
-// within one batch of its cancellation.
+// Probe: one pass over the probe side walks each probe row's chain,
+// comparing keys (a bucket may hold several), and lists the matched (left
+// row, build row) pairs as two selections, which join takes once each.
+// The probe polls ctx once per ChunkRows pairs it lists, so a join whose
+// output explodes stops within one batch of its cancellation.
 
 // joinTable is a chained hash table from join key to build-side row indices.
 // Keys are typed: the int64 values when both sides' key columns are
@@ -61,21 +57,22 @@ func hashStr(key string) uint64 {
 	return h * fib
 }
 
-// strKeys returns the table's string keys of rows [lo, hi) of column ci of
-// b: the column itself when the table keys on strings as stored, else the
-// rows' AppendKey renderings, which share one allocation.
-func (t *joinTable) strKeys(b *cast.Batch, ci, lo, hi int) []string {
+// strKeys returns the table's string keys of column ci of b: the column
+// itself when the table keys on strings as stored, else the rows' AppendKey
+// renderings, which share one allocation.
+func (t *joinTable) strKeys(b *cast.Batch, ci int) []string {
 	if !t.rendered {
 		keys, _ := b.Strings(ci)
-		return keys[lo:hi]
+		return keys
 	}
-	cols, ends := []int{ci}, make([]int, hi-lo)
+	n := b.Rows()
+	cols, ends := []int{ci}, make([]int, n)
 	var buf []byte
-	for r := lo; r < hi; r++ {
+	for r := 0; r < n; r++ {
 		buf = b.AppendKey(buf, r, cols)
-		ends[r-lo] = len(buf)
+		ends[r] = len(buf)
 	}
-	all, keys, start := string(buf), make([]string, hi-lo), 0
+	all, keys, start := string(buf), make([]string, n), 0
 	for i, end := range ends {
 		keys[i], start = all[start:end], end
 	}
@@ -95,7 +92,7 @@ func buildJoinTable(build *cast.Batch, ci int, probe cast.Type) *joinTable {
 		link(t, t.ints, hashInt)
 	} else {
 		t.rendered = bt != cast.String || probe != cast.String
-		t.strs = t.strKeys(build, ci, 0, n)
+		t.strs = t.strKeys(build, ci)
 		link(t, t.strs, hashStr)
 	}
 	return t
@@ -110,24 +107,23 @@ func link[K comparable](t *joinTable, keys []K, hash func(K) uint64) {
 	}
 }
 
-// probeRange matches rows [lo, hi) of lb's key column li against the table.
-// It returns the matched pairs as two selections — left rows (lb's numbering)
-// and build rows — in left-row order with each left row's matches in
-// build-row order: the sequential emission order. Unlike a filter's, these
-// lists may repeat a row and the build rows come in any order; a side is a
-// run when the loop saw it be one.
-func (t *joinTable) probeRange(ctx context.Context, lb *cast.Batch, li, lo, hi int) (left, right selection, err error) {
+// probe matches every row of lb's key column li against the table. It
+// returns the matched pairs as two selections — left rows and build rows —
+// in left-row order with each left row's matches in build-row order. Unlike
+// a filter's, these lists may repeat a row and the build rows come in any
+// order; a side is a run when the loop saw it be one.
+func (t *joinTable) probe(ctx context.Context, lb *cast.Batch, li int) (left, right selection, err error) {
 	if t.intKeyed {
 		keys, _ := lb.Ints(li)
-		return probeChains(ctx, t, t.ints, keys[lo:hi], lo, hashInt)
+		return probeChains(ctx, t, t.ints, keys, hashInt)
 	}
-	return probeChains(ctx, t, t.strs, t.strKeys(lb, li, lo, hi), lo, hashStr)
+	return probeChains(ctx, t, t.strs, t.strKeys(lb, li), hashStr)
 }
 
-// probeChains walks each probe key's chain; probe[i] is the key of row lo+i.
-func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe []K, lo int, hash func(K) uint64) (left, right selection, err error) {
+// probeChains walks each probe key's chain; probe[i] is the key of row i.
+func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe []K, hash func(K) uint64) (left, right selection, err error) {
 	// ls stays unlisted while every probe row has matched exactly once: the
-	// left side is then the run [lo, lo+i).
+	// left side is then the run [0, i).
 	var ls []int32
 	rs, consecutive, poll := make([]int32, 0, len(probe)), true, ChunkRows
 	for i, k := range probe {
@@ -146,13 +142,13 @@ func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe [
 			}
 		}
 		if ls == nil && matches != 1 {
-			ls = runOf(lo, lo+i).list(make([]int32, 0, len(probe)))
+			ls = runOf(0, i).list(make([]int32, 0, len(probe)))
 		}
 		for ; ls != nil && matches > 0; matches-- {
-			ls = append(ls, int32(lo+i))
+			ls = append(ls, int32(i))
 		}
 	}
-	left, right = runOf(lo, lo+len(probe)), selection{rows: rs}
+	left, right = runOf(0, len(probe)), selection{rows: rs}
 	if ls != nil {
 		left = selection{rows: ls}
 	}
@@ -162,25 +158,20 @@ func probeChains[K comparable](ctx context.Context, t *joinTable, build, probe [
 	return left, right, nil
 }
 
-// parProbe probes in against table across partitions: each computes the
-// matched pairs of its row range, then both sides are handed on as one
-// selection each, in partition order, and zipped under schema. Neither side
-// is gathered here: a consumer that reads three of the joined columns
-// gathers three.
-func parProbe(ctx context.Context, in *cast.Batch, li int, table *joinTable, rightMat *cast.Batch, schema cast.Schema, parts int) (*cast.Batch, error) {
-	ranges := partition.Split(in.Rows(), partition.Effective(in.Rows(), parts))
-	lefts, rights := make([]selection, len(ranges)), make([]selection, len(ranges))
-	if err := partition.Shared().Do(ctx, len(ranges), func(i int) (err error) {
-		lefts[i], rights[i], err = table.probeRange(ctx, in, li, ranges[i].Lo, ranges[i].Hi)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	lg, err := takeSels(in, lefts)
+// join probes lb's key column li against the table and zips the matched rows
+// of lb and of build, the table's build side, under schema. Neither side is
+// gathered here: a consumer that reads three of the joined columns gathers
+// three.
+func (t *joinTable) join(ctx context.Context, lb *cast.Batch, li int, build *cast.Batch, schema cast.Schema) (*cast.Batch, error) {
+	left, right, err := t.probe(ctx, lb, li)
 	if err != nil {
 		return nil, err
 	}
-	rg, err := takeSels(rightMat, rights)
+	lg, err := take(lb, left)
+	if err != nil {
+		return nil, err
+	}
+	rg, err := take(build, right)
 	if err != nil {
 		return nil, err
 	}

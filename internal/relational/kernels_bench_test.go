@@ -8,8 +8,7 @@ import (
 	"polystorepp/internal/cast"
 )
 
-// benchTable builds a wide scan target (200k rows) so partition-parallel
-// scans have real work per partition.
+// benchTable builds a wide scan target (200k rows).
 func benchTable(b *testing.B) *Table {
 	b.Helper()
 	s := cast.MustSchema(
@@ -34,33 +33,38 @@ func benchTable(b *testing.B) *Table {
 	return tab
 }
 
-// scanFilter is scan -> filter over tab: the snapshot, then pred() at parts.
-func scanFilter(tab *Table, parts int) (*cast.Batch, error) {
+// pred keeps the rows with id >= 100 AND val < 20.
+func pred() Expr {
+	return Bin{Op: OpAnd,
+		L: Bin{Op: OpGe, L: ColRef{Name: "id"}, R: Const{V: int64(100)}},
+		R: Bin{Op: OpLt, L: ColRef{Name: "val"}, R: Const{V: 20.0}},
+	}
+}
+
+// scanFilter is scan -> filter over tab: the snapshot, then pred().
+func scanFilter(tab *Table) (*cast.Batch, error) {
 	in, _, err := Scan(context.Background(), tab, nil)
 	if err != nil {
 		return nil, err
 	}
-	return Filter(context.Background(), in, pred(), parts)
+	return Filter(context.Background(), in, pred())
 }
 
-func benchFilter(b *testing.B, parts int) {
+// BenchmarkFilter is scan -> filter over the 200k rows.
+func BenchmarkFilter(b *testing.B) {
 	tab := benchTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scanFilter(tab, parts); err != nil {
+		if _, err := scanFilter(tab); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFilterSequential pins one partition — the pre-partitioning path.
-func BenchmarkFilterSequential(b *testing.B) { benchFilter(b, 1) }
-
-// BenchmarkFilterParallel lets the kernel fan out over the scan pool.
-func BenchmarkFilterParallel(b *testing.B) { benchFilter(b, 0) }
-
-func benchGroupBy(b *testing.B, parts int) {
+// BenchmarkGroupBy is count, sum and max over 19 string groups of the 200k
+// rows.
+func BenchmarkGroupBy(b *testing.B) {
 	tab := benchTable(b)
 	aggs := []AggSpec{
 		{Fn: AggCount, Col: "", As: "n"},
@@ -70,17 +74,11 @@ func benchGroupBy(b *testing.B, parts int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := groupBy(context.Background(), tab.Snapshot(), []string{"grp"}, aggs, parts); err != nil {
+		if _, err := groupBy(context.Background(), tab.Snapshot(), []string{"grp"}, aggs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkGroupBySequential pins one partition.
-func BenchmarkGroupBySequential(b *testing.B) { benchGroupBy(b, 1) }
-
-// BenchmarkGroupByParallel lets the aggregation fan out.
-func BenchmarkGroupByParallel(b *testing.B) { benchGroupBy(b, 0) }
 
 // benchJoinTables builds a 200k-row probe table and a 20k-row build table
 // of distinct keys with ~50% probe hit rate, so the build, the probe and the
@@ -127,26 +125,17 @@ func benchJoinTables(b *testing.B) (*Table, *Table) {
 	return left, right
 }
 
-func benchHashJoin(b *testing.B, parts int) {
+// BenchmarkHashJoin builds the 20 000-row table and probes the 200 000 rows.
+func BenchmarkHashJoin(b *testing.B) {
 	left, right := benchJoinTables(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hashJoin(context.Background(), left.Snapshot(), right.Snapshot(), "k", "k2", parts); err != nil {
+		if _, err := hashJoin(context.Background(), left.Snapshot(), right.Snapshot(), "k", "k2"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkHashJoinSequential builds the 20 000-row table and probes the
-// 200 000 rows at one partition.
-func BenchmarkHashJoinSequential(b *testing.B) { benchHashJoin(b, 1) }
-
-// BenchmarkHashJoinParallel lets the probe fan out over the scan pool (the
-// build is one sequential pass either way). Auto gives the 200 000 probe rows
-// one partition per pool slot, so on a single-core host this tracks
-// BenchmarkHashJoinSequential, and with two slots the probe runs in halves.
-func BenchmarkHashJoinParallel(b *testing.B) { benchHashJoin(b, 0) }
 
 // BenchmarkSortBy50k sorts a 50k-row table on a float key, descending, with
 // an int tiebreak — the cold_analytic ORDER BY shape.
@@ -189,7 +178,7 @@ func BenchmarkSortLimit50(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterReadOneColumn is BenchmarkFilterSequential with a consumer:
+// BenchmarkFilterReadOneColumn is BenchmarkFilter with a consumer:
 // the 200k-row filter, then the sum of one column of what it kept — so a
 // filter that defers its gather is charged for the column somebody reads.
 func BenchmarkFilterReadOneColumn(b *testing.B) {
@@ -197,7 +186,7 @@ func BenchmarkFilterReadOneColumn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kept, err := scanFilter(tab, 1)
+		kept, err := scanFilter(tab)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,14 +253,14 @@ func benchAggregate(b *testing.B, groupCols []string, aggs []AggSpec) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GroupBy(context.Background(), in, groupCols, aggs, schema, 1); err != nil {
+		if _, err := GroupBy(context.Background(), in, groupCols, aggs, schema); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkAggregate40k is the ungrouped count, min, max and sum of the
-// cold_analytic aggregate template over 40 000 rows at one partition.
+// cold_analytic aggregate template over 40 000 rows.
 func BenchmarkAggregate40k(b *testing.B) {
 	benchAggregate(b, nil, []AggSpec{
 		{Fn: AggCount, As: "n"},
@@ -303,7 +292,7 @@ func BenchmarkZoneScanFilter(b *testing.B) {
 		if err != nil || kind != "ZoneScan(rows.id)" {
 			b.Fatal(kind, err)
 		}
-		if out, err := Filter(ctx, in, pred, 1); err != nil || out.Rows() != 10_000 {
+		if out, err := Filter(ctx, in, pred); err != nil || out.Rows() != 10_000 {
 			b.Fatal(err)
 		}
 	}

@@ -94,8 +94,16 @@ func TestParseLiftedBindsToParse(t *testing.T) {
 func TestUnboundParamFails(t *testing.T) {
 	users := newTestStore(t, 20).MustTable(t, "users").Snapshot()
 	pred := Bin{Op: OpGt, L: ColRef{Name: "age"}, R: Param{Slot: 1, Type: cast.Int64}}
-	if _, err := Filter(context.Background(), users, pred, 0); !errors.Is(err, ErrUnbound) {
+	if _, err := Filter(context.Background(), users, pred); !errors.Is(err, ErrUnbound) {
 		t.Fatalf("filter on an unbound param: %v", err)
+	}
+	// Over no rows the param is never evaluated, so nothing fails.
+	none, err := users.ViewRange(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Filter(context.Background(), none, pred); err != nil || out.Rows() != 0 {
+		t.Fatalf("filter of no rows on an unbound param: %v (%v)", out, err)
 	}
 	items := []ProjItem{{E: Param{Slot: 0, Type: cast.String}, Name: "p"}}
 	if _, err := ProjectSchema(users.Schema(), items); !errors.Is(err, ErrUnbound) {

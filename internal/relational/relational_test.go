@@ -58,40 +58,19 @@ func newTestStore(t testing.TB, n int) *Store {
 	return s
 }
 
-// kernel is a one-input kernel bound to its arguments, run at parts.
-type kernel func(ctx context.Context, in *cast.Batch, parts int) (*cast.Batch, error)
-
-// filterK and projectK bind a kernel to its arguments.
-func filterK(pred Expr) kernel {
-	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-		return Filter(ctx, b, pred, parts)
-	}
-}
-
-func projectK(t testing.TB, in cast.Schema, items []ProjItem) kernel {
-	t.Helper()
-	schema, err := ProjectSchema(in, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(ctx context.Context, b *cast.Batch, parts int) (*cast.Batch, error) {
-		return Project(ctx, b, items, schema, parts)
-	}
-}
-
 // hashJoin is HashJoin without the join's report name.
-func hashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string, parts int) (*cast.Batch, error) {
-	out, _, err := HashJoin(ctx, left, right, leftCol, rightCol, parts)
+func hashJoin(ctx context.Context, left, right *cast.Batch, leftCol, rightCol string) (*cast.Batch, error) {
+	out, _, err := HashJoin(ctx, left, right, leftCol, rightCol)
 	return out, err
 }
 
-// groupBy resolves the output schema and aggregates in at parts.
-func groupBy(ctx context.Context, in *cast.Batch, groupCols []string, aggs []AggSpec, parts int) (*cast.Batch, error) {
+// groupBy resolves the output schema and aggregates in.
+func groupBy(ctx context.Context, in *cast.Batch, groupCols []string, aggs []AggSpec) (*cast.Batch, error) {
 	schema, err := GroupBySchema(in.Schema(), groupCols, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return GroupBy(ctx, in, groupCols, aggs, schema, parts)
+	return GroupBy(ctx, in, groupCols, aggs, schema)
 }
 
 func TestStoreCreateAndLookup(t *testing.T) {
@@ -181,7 +160,7 @@ func TestStreamedScanDrainsToSnapshotView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}}, 0)
+		out, err := Filter(ctx, in, Bin{Op: OpGe, L: ColRef{Name: "uid"}, R: Const{V: int64(from)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +292,7 @@ func TestExprEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.e, err)
 		}
-		out, err := Project(context.Background(), b, items, schema, 1)
+		out, err := Project(context.Background(), b, items, schema)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.e, err)
 		}
@@ -324,7 +303,7 @@ func TestExprEval(t *testing.T) {
 }
 
 // TestExprErrorWording pins every error text evaluation can produce as a
-// literal, through Filter and Project at every fan-out, so the wording cannot
+// literal, through Filter and Project, so the wording cannot
 // drift even where the kernels and the reference drift together. Rows marked
 // filterOnly are values, not predicates: only a filter rejects them.
 func TestExprErrorWording(t *testing.T) {
@@ -379,17 +358,15 @@ func TestExprErrorWording(t *testing.T) {
 	ctx := context.Background()
 	placeholder := cast.MustSchema(cast.Column{Name: "x", Type: cast.Bool})
 	for _, tc := range cases {
-		for _, parts := range partCounts {
-			if _, err := Filter(ctx, b, tc.e, parts); err == nil || err.Error() != tc.want {
-				t.Errorf("parts %d: filter %s: %v, want %q", parts, tc.e, err, tc.want)
-			}
-			if tc.filterOnly {
-				continue
-			}
-			items := []ProjItem{{E: tc.e, Name: "x"}}
-			if _, err := Project(ctx, b, items, placeholder, parts); err == nil || err.Error() != tc.want {
-				t.Errorf("parts %d: project %s: %v, want %q", parts, tc.e, err, tc.want)
-			}
+		if _, err := Filter(ctx, b, tc.e); err == nil || err.Error() != tc.want {
+			t.Errorf("filter %s: %v, want %q", tc.e, err, tc.want)
+		}
+		if tc.filterOnly {
+			continue
+		}
+		items := []ProjItem{{E: tc.e, Name: "x"}}
+		if _, err := Project(ctx, b, items, placeholder); err == nil || err.Error() != tc.want {
+			t.Errorf("project %s: %v, want %q", tc.e, err, tc.want)
 		}
 	}
 }
@@ -406,14 +383,14 @@ func TestSeqScanAndFilter(t *testing.T) {
 		t.Fatalf("%s rows = %d", kind, out.Rows())
 	}
 	pred := Bin{OpLt, ColRef{Name: "uid"}, Const{V: int64(100)}}
-	if out, err = Filter(ctx, out, pred, 0); err != nil {
+	if out, err = Filter(ctx, out, pred); err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 100 {
 		t.Fatalf("filter rows = %d", out.Rows())
 	}
 	older := Bin{OpGt, ColRef{Name: "age"}, Const{V: int64(60)}}
-	over60, err := Filter(ctx, users.Snapshot(), older, 0)
+	over60, err := Filter(ctx, users.Snapshot(), older)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,11 +445,11 @@ func TestIndexScanMatchesFilteredSeqScan(t *testing.T) {
 	if kind != "IndexScan(users.uid)" || seek.Rows() != 1100 {
 		t.Fatalf("%s returns %d rows, want the 1100 with uid >= 100 from the index", kind, seek.Rows())
 	}
-	viaIndex, err := Filter(ctx, seek, pred, 0)
+	viaIndex, err := Filter(ctx, seek, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaScan, err := Filter(ctx, users.Snapshot(), pred, 0)
+	viaScan, err := Filter(ctx, users.Snapshot(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,11 +470,15 @@ func TestProject(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, 10)
 	users, _ := s.Table("users")
-	p := projectK(t, users.Schema(), []ProjItem{
+	items := []ProjItem{
 		{E: ColRef{Name: "name"}, Name: "n"},
 		{E: Bin{OpAdd, ColRef{Name: "age"}, Const{V: int64(1)}}, Name: "age_next"},
-	})
-	out, err := p(ctx, users.Snapshot(), 0)
+	}
+	schema, err := ProjectSchema(users.Schema(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Project(ctx, users.Snapshot(), items, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +496,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	users, _ := s.Table("users")
 	orders, _ := s.Table("orders")
 
-	got, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid", 0)
+	got, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +526,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	s := newTestStore(t, 200)
 	users, _ := s.Table("users")
 	orders, _ := s.Table("orders")
-	viaHash, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid", 0)
+	viaHash, err := hashJoin(ctx, orders.Snapshot(), users.Snapshot(), "user_id", "uid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +590,7 @@ func TestGroupBy(t *testing.T) {
 		{Fn: AggAvg, Col: "age", As: "avg_age"},
 		{Fn: AggMin, Col: "age", As: "min_age"},
 		{Fn: AggMax, Col: "age", As: "max_age"},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +620,7 @@ func TestGroupByGlobalEmptyInput(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore("empty")
 	tb, _ := s.CreateTable("t", usersSchema())
-	out, err := groupBy(ctx, tb.Snapshot(), nil, []AggSpec{{Fn: AggCount, As: "n"}}, 0)
+	out, err := groupBy(ctx, tb.Snapshot(), nil, []AggSpec{{Fn: AggCount, As: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +670,7 @@ func TestPropertyHashJoinCardinality(t *testing.T) {
 			}
 			rCount[k]++
 		}
-		out, err := hashJoin(ctx, lt.Snapshot(), rt.Snapshot(), "k", "rk", 0)
+		out, err := hashJoin(ctx, lt.Snapshot(), rt.Snapshot(), "k", "rk")
 		if err != nil {
 			return false
 		}

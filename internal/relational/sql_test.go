@@ -3,6 +3,7 @@ package relational
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -576,5 +577,65 @@ func TestParseInvalidUTF8String(t *testing.T) {
 	}
 	if _, binds, err := Shape(nil, sql, nil); err != nil || !reflect.DeepEqual(binds, []any{"x�y"}) {
 		t.Fatalf("Shape binds %q (%v)", binds, err)
+	}
+}
+
+// TestParallelSQLEquivalence checks Engine.Query end to end on a 12 000-row
+// table — once large enough for the kernels to fan out, which none does now —
+// against the rows a plain loop over the inserted values keeps.
+func TestParallelSQLEquivalence(t *testing.T) {
+	const rows = 12000
+	store := NewStore("sql-par")
+	s := cast.MustSchema(
+		cast.Column{Name: "id", Type: cast.Int64},
+		cast.Column{Name: "grp", Type: cast.String},
+		cast.Column{Name: "val", Type: cast.Float64},
+	)
+	big, err := store.CreateTable("rows", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp := func(i int) string { return fmt.Sprintf("g%d", i%7) }
+	val := func(i int) float64 { return float64(i%31) * 0.5 } // halves add exactly in any order
+	for i := 0; i < rows; i++ {
+		if err := big.Insert(int64(i), grp(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(store)
+
+	grouped, _, err := e.Query(context.Background(), "SELECT grp, count(*) AS n, sum(val) AS total FROM rows WHERE id > 1000 GROUP BY grp ORDER BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, totals := map[string]int64{}, map[string]float64{}
+	for i := 1001; i < rows; i++ {
+		counts[grp(i)]++
+		totals[grp(i)] += val(i)
+	}
+	for r := 0; r < 7; r++ {
+		row, err := grouped.Row(r)
+		g := fmt.Sprintf("g%d", r)
+		if err != nil || grouped.Rows() != 7 || row[0] != g || row[1] != counts[g] || row[2] != totals[g] {
+			t.Fatalf("group %s of %d: %v, want count %d and total %v (%v)", g, grouped.Rows(), row, counts[g], totals[g], err)
+		}
+	}
+
+	top, _, err := e.Query(context.Background(), "SELECT id, val FROM rows WHERE val < 3.0 ORDER BY id LIMIT 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := 0
+	for i := 0; i < rows && r < 50; i++ {
+		if val(i) >= 3.0 {
+			continue
+		}
+		if row, err := top.Row(r); err != nil || row[0] != int64(i) || row[1] != val(i) {
+			t.Fatalf("row %d: %v, want id %d (%v)", r, row, i, err)
+		}
+		r++
+	}
+	if top.Rows() != 50 {
+		t.Fatalf("LIMIT 50 returns %d rows", top.Rows())
 	}
 }

@@ -142,9 +142,8 @@ func sameError(got, want error) bool {
 	return got.Error() == want.Error() && errors.Is(got, ErrExpr) == errors.Is(want, ErrExpr)
 }
 
-// TestVectorEqualsRowFilter: at every fan-out, the filter keeps exactly the
-// rows a row-order refBool loop keeps, or fails with that loop's first
-// error.
+// TestVectorEqualsRowFilter: the filter keeps exactly the rows a row-order
+// refBool loop keeps, or fails with that loop's first error.
 func TestVectorEqualsRowFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 1500; trial++ {
@@ -158,21 +157,18 @@ func TestVectorEqualsRowFilter(t *testing.T) {
 				kept = append(kept, int32(r))
 			}
 		}
-		for _, parts := range partCounts {
-			got, err := Filter(context.Background(), b, pred, parts)
-			if !sameError(err, wantErr) {
-				t.Fatalf("trial %d parts %d: %s\nerror %v, row loop says %v", trial, parts, pred, err, wantErr)
-			}
-			if err == nil && !sameBatch(got, b.Take(kept)) {
-				t.Fatalf("trial %d parts %d: %s\nkept %d rows, row loop keeps %d", trial, parts, pred, got.Rows(), len(kept))
-			}
+		got, err := Filter(context.Background(), b, pred)
+		if !sameError(err, wantErr) {
+			t.Fatalf("trial %d: %s\nerror %v, row loop says %v", trial, pred, err, wantErr)
+		}
+		if err == nil && !sameBatch(got, b.Take(kept)) {
+			t.Fatalf("trial %d: %s\nkept %d rows, row loop keeps %d", trial, pred, got.Rows(), len(kept))
 		}
 	}
 }
 
-// TestVectorEqualsRowProject: at every fan-out, a projection yields the
-// values of a row-major refEval loop, or that loop's first error (lowest row,
-// then leftmost item).
+// TestVectorEqualsRowProject: a projection yields the values of a row-major
+// refEval loop, or that loop's first error (lowest row, then leftmost item).
 func TestVectorEqualsRowProject(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 1500; trial++ {
@@ -198,14 +194,12 @@ func TestVectorEqualsRowProject(t *testing.T) {
 				wantErr = want.AppendRow(vals...)
 			}
 		}
-		for _, parts := range partCounts {
-			got, err := Project(context.Background(), b, items, schema, parts)
-			if !sameError(err, wantErr) {
-				t.Fatalf("trial %d parts %d: %v\nerror %v, row loop says %v", trial, parts, items, err, wantErr)
-			}
-			if err == nil && !sameBatch(got, want) {
-				t.Fatalf("trial %d parts %d: %v\nvalues differ from the row loop's", trial, parts, items)
-			}
+		got, err := Project(context.Background(), b, items, schema)
+		if !sameError(err, wantErr) {
+			t.Fatalf("trial %d: %v\nerror %v, row loop says %v", trial, items, err, wantErr)
+		}
+		if err == nil && !sameBatch(got, want) {
+			t.Fatalf("trial %d: %v\nvalues differ from the row loop's", trial, items)
 		}
 	}
 }
@@ -238,7 +232,7 @@ func TestVectorPinnedSemantics(t *testing.T) {
 		{Bin{Op: OpLt, L: col("q"), R: col("p")}, []int32{0, 1, 2, 3}},
 	}
 	for _, tc := range cases {
-		got, err := Filter(context.Background(), b, tc.pred, 0)
+		got, err := Filter(context.Background(), b, tc.pred)
 		if err != nil || !sameBatch(got, b.Take(tc.want)) {
 			ids, _ := got.Ints(0)
 			t.Errorf("%s keeps rows %v, want %v", tc.pred, ids, tc.want)
@@ -246,7 +240,7 @@ func TestVectorPinnedSemantics(t *testing.T) {
 	}
 	// The same division, unguarded, fails on the first zero divisor.
 	_, err := Filter(context.Background(), b,
-		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}}, 0)
+		Bin{Op: OpGe, L: Bin{Op: OpDiv, L: col("i"), R: col("j")}, R: Const{V: int64(0)}})
 	if _, want := refBool(Bin{Op: OpDiv, L: col("i"), R: col("j")}, b, 0); !sameError(err, want) {
 		t.Errorf("unguarded division: %v, want %v", err, want)
 	}
@@ -274,7 +268,7 @@ func TestIntArithExact(t *testing.T) {
 					Bin{Op: op, L: ColRef{Name: "a"}, R: Const{V: c}},
 				} {
 					want, wantErr := refEval(e, b, 0)
-					got, err := Project(context.Background(), b, []ProjItem{{E: e, Name: "x"}}, out, 1)
+					got, err := Project(context.Background(), b, []ProjItem{{E: e, Name: "x"}}, out)
 					if !sameError(err, wantErr) || errors.Is(err, ErrOverflow) != errors.Is(wantErr, ErrOverflow) {
 						t.Fatalf("%s over (%d, %d): error %v, reference says %v", e, a, c, err, wantErr)
 					}
@@ -322,7 +316,7 @@ func TestFilterStopsAtFirstError(t *testing.T) {
 	calls := 0
 	pred := Bin{Op: OpEq, L: counted{ColRef{Name: "id"}, &calls}, R: Const{V: "zero"}}
 	_, want := refBool(Bin{Op: OpEq, L: ColRef{Name: "id"}, R: Const{V: "zero"}}, b, 0)
-	_, err := Filter(context.Background(), b, pred, 1)
+	_, err := Filter(context.Background(), b, pred)
 	if err == nil || !sameError(err, want) || !errors.Is(err, ErrExpr) {
 		t.Fatalf("error %v, want row 0's %v", err, want)
 	}
@@ -365,7 +359,7 @@ func TestIndexScanReadsItsOpenSnapshot(t *testing.T) {
 	}
 }
 
-// shapeBatch is 210 clustered rows — 7 partitions of 30 — with the columns the
+// shapeBatch is 210 clustered rows — 7 blocks of 30 — with the columns the
 // shape predicates below pick survivors by.
 func shapeBatch(t testing.TB) *cast.Batch {
 	t.Helper()
@@ -385,7 +379,7 @@ func shapeBatch(t testing.TB) *cast.Batch {
 
 // shapeLeaves are predicates whose survivors take each shape the selection
 // kernels special-case — none, all, one run, a run at either end, one run
-// per partition (at 7), alternating rows, a bool column — and three that
+// per block, alternating rows, a bool column — and three that
 // fail: on row 2, on row 150, and (a type mismatch) on whichever row is
 // evaluated first.
 func shapeLeaves() []Expr {
@@ -399,7 +393,7 @@ func shapeLeaves() []Expr {
 		and(cmp(OpGe, id, n(50)), cmp(OpLt, id, n(120))),                               // one run
 		cmp(OpLt, id, n(45)),                                                           // a run at the start
 		cmp(OpGe, id, n(171)),                                                          // a run at the end
-		and(cmp(OpGe, in30, n(10)), cmp(OpLt, in30, n(20))),                            // one run per partition
+		and(cmp(OpGe, in30, n(10)), cmp(OpLt, in30, n(20))),                            // one run per block
 		cmp(OpEq, ColRef{Name: "alt"}, n(1)),                                           // alternating rows
 		ColRef{Name: "flag"},                                                           // a bool column
 		cmp(OpEq, ColRef{Name: "s"}, Const{V: "s1"}),                                   // every third row
@@ -426,9 +420,9 @@ func rowLoop(pred Expr, b *cast.Batch, rows []int32) (kept []int32, evaluated in
 
 // TestSelectionKernelShapes: every survivor shape the kernels special-case,
 // nested three deep under AND, OR and NOT, keeps the rows of a row-order
-// refBool loop at 1, 2, 7 and 64 partitions, or fails with that loop's first
-// error — the lowest failing row's, and there the leftmost item's — whether
-// the failing item sits behind a guard that admits it or one that does not.
+// refBool loop, or fails with that loop's first error — the lowest failing
+// row's, and there the leftmost item's — whether the failing item sits
+// behind a guard that admits it or one that does not.
 func TestSelectionKernelShapes(t *testing.T) {
 	b, leaves := shapeBatch(t), shapeLeaves()
 	all := runOf(0, b.Rows()).list(nil)
@@ -449,14 +443,12 @@ func TestSelectionKernelShapes(t *testing.T) {
 	}
 	for _, pred := range preds {
 		want, _, wantErr := rowLoop(pred, b, all)
-		for _, parts := range partCounts {
-			got, err := Filter(context.Background(), b, pred, parts)
-			if !sameError(err, wantErr) {
-				t.Fatalf("parts %d: %s\nerror %v, row loop says %v", parts, pred, err, wantErr)
-			}
-			if err == nil && !sameBatch(got, b.Take(want)) {
-				t.Fatalf("parts %d: %s\nkept %d rows, row loop keeps %d", parts, pred, got.Rows(), len(want))
-			}
+		got, err := Filter(context.Background(), b, pred)
+		if !sameError(err, wantErr) {
+			t.Fatalf("%s\nerror %v, row loop says %v", pred, err, wantErr)
+		}
+		if err == nil && !sameBatch(got, b.Take(want)) {
+			t.Fatalf("%s\nkept %d rows, row loop keeps %d", pred, got.Rows(), len(want))
 		}
 	}
 }

@@ -135,18 +135,17 @@ func zoneValues(n int, id func(i int) int64) []int64 {
 }
 
 // TestZoneScanEqualsSeqScan: whatever path the scan takes over whatever
-// layout, its rows filtered by the predicate at 1, 2, 7 and 64 partitions
-// are row for row those of the heap snapshot
-// filtered by it. A scan that prunes reads fewer rows than the heap; one that
-// does not is the snapshot, and a predicate with no integer conjunct never
-// prunes.
+// layout, its rows filtered by the predicate are row for row those of the
+// heap snapshot filtered by it. A scan that prunes reads fewer rows than the
+// heap; one that does not is the snapshot, and a predicate with no integer
+// conjunct never prunes.
 func TestZoneScanEqualsSeqScan(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range zoneTables() {
 		tab := zoneTable(t, NewStore("db"), tc.n, tc.id)
 		pruned := 0
 		for _, pred := range zonePreds(zoneValues(tc.n, tc.id)) {
-			want, err := Filter(ctx, tab.Snapshot(), pred, 1)
+			want, err := Filter(ctx, tab.Snapshot(), pred)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", tc.name, pred, err)
 			}
@@ -161,11 +160,9 @@ func TestZoneScanEqualsSeqScan(t *testing.T) {
 			default:
 				t.Fatalf("%s: %s: %s of %d rows over a heap of %d", tc.name, pred, kind, scanned.Rows(), tc.n)
 			}
-			for _, parts := range []int{1, 2, 7, 64} {
-				got, err := Filter(ctx, scanned, pred, parts)
-				if err != nil || !got.Equal(want) {
-					t.Fatalf("%s: %s at %d partitions over %s: %d rows, want %d (%v)", tc.name, pred, parts, kind, got.Rows(), want.Rows(), err)
-				}
+			got, err := Filter(ctx, scanned, pred)
+			if err != nil || !got.Equal(want) {
+				t.Fatalf("%s: %s over %s: %d rows, want %d (%v)", tc.name, pred, kind, got.Rows(), want.Rows(), err)
 			}
 		}
 		if tc.n > ChunkRows && pruned == 0 {
@@ -286,7 +283,7 @@ func TestZoneScanUnderConcurrentInserts(t *testing.T) {
 		if err != nil || kind != "ZoneScan(zt.id)" {
 			t.Fatalf("round %d: %s: %v", round, kind, err)
 		}
-		kept, err := Filter(ctx, scanned, pred, 0)
+		kept, err := Filter(ctx, scanned, pred)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,11 +42,3 @@ func CapTimeout(h http.Handler, d time.Duration) http.Handler {
 	h.(*Server).maxTimeout = d
 	return h
 }
-
-// PinParts pins the partition fan-out of every partitionable operator the
-// server compiles at n instead of sizing it from each operator's input: for
-// the suites that check an answer is the same at any fan-out.
-func PinParts(h http.Handler, n int) http.Handler {
-	h.(*Server).parts = n
-	return h
-}

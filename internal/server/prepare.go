@@ -144,9 +144,6 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 	if err := s.checkEngines(g); err != nil {
 		return err
 	}
-	// A pinned fan-out mutates the graph before fingerprinting, so plans
-	// compiled at different fan-outs never share a plan or subplan entry.
-	stampParts(g, s.parts)
 	p.nlRule, p.planKey = nlRule, compiler.Key(g, s.opts)
 	// The request is its shape's template only when its parses lifted
 	// exactly the literals the lexer found, and no literal's value shaped
@@ -174,7 +171,7 @@ func (s *Server) prepareProgram(p *preparedQuery) error {
 // none. A sql request's key is "sql|", its engine and its statement's token
 // stream (relational.Shape); a program's is "prog|" and every field of every
 // step, length-prefixed, a sql step's text replaced by its token stream. The
-// compiler options and the fan-out are the server's, so no key holds them.
+// compiler options are the server's, so no key holds them.
 // Plan keys start with a fingerprint. nl and text requests have no shape
 // key, nor has a statement Shape refuses: the build path answers why.
 func appendShapeKey(dst []byte, req *QueryRequest, engine string, binds []any) ([]byte, []any, bool) {
@@ -238,23 +235,6 @@ func flightKey(planKey string, binds []any, vv string) string {
 	}
 	b = append(b, '|')
 	return string(append(b, vv...))
-}
-
-// stampParts pins the partition fan-out of every partitionable operator in
-// the program. parts 0 leaves automatic sizing untouched.
-func stampParts(g *ir.Graph, parts int) {
-	if parts == 0 {
-		return
-	}
-	for _, n := range g.Nodes() {
-		if !n.Kind.Partitioned() {
-			continue
-		}
-		if n.Attrs == nil {
-			n.Attrs = make(map[string]any, 1)
-		}
-		n.Attrs["parts"] = int64(parts)
-	}
 }
 
 // sqlEngine is the engine a sql request runs on: its own, else the

@@ -189,10 +189,6 @@ type Server struct {
 	// maxTimeout caps client-requested deadlines: the maxTimeout constant,
 	// lower only in tests.
 	maxTimeout time.Duration
-	// parts pins the partition fan-out of every partitionable operator the
-	// server compiles: 0, automatic sizing from each operator's input,
-	// except in tests.
-	parts int
 
 	// st holds the counters and histograms the request path bumps; stats is
 	// the table that declared them. /stats and /metrics render it followed
@@ -292,8 +288,9 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // QueryRequest is the POST /query body. It names what to run, not how: the
-// compiler options and the partition fan-out are the deployment's, so a
-// body naming "level", "accel" or "parts" is refused as an unknown field.
+// compiler options are the deployment's and no kernel has a fan-out to pin,
+// so a body naming "level", "accel" or "parts" is refused as an unknown
+// field.
 type QueryRequest struct {
 	// Frontend selects the program builder: "sql", "nl", "text" or
 	// "program".

@@ -53,13 +53,11 @@ type testOpt struct {
 // executeAll turns single-flight off, so every request executes its own plan.
 var executeAll = testOpt{seam: server.WithoutSingleFlight}
 
-// pinParts pins the server's partition fan-out at n.
-func pinParts(n int) testOpt {
-	return testOpt{seam: func(h http.Handler) http.Handler { return server.PinParts(h, n) }}
-}
-
-// fanOuts are the partition fan-outs the equivalence suites pin a server at.
-var fanOuts = []int{1, 2, 7, 64}
+// rounds are the equivalence suites' four rounds, each on fresh servers with
+// request bodies of its own. A round's number is the partition fan-out it
+// once pinned the servers at, which its subtests' names still carry; no
+// kernel fans out now.
+var rounds = []int{1, 2, 7, 64}
 
 // subplanBytes sizes the System's subplan cache; negative disables it.
 func subplanBytes(n int64) testOpt { return testOpt{sys: polystore.WithSubplanCacheBytes(n)} }

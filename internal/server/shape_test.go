@@ -53,9 +53,8 @@ func eventsStore(t *testing.T, rows int) *relational.Store {
 
 // TestShapeFamiliesEqualFresh serves statements of one shape and several
 // literal sets — bench/'s similar_family, cold_analytic and stream_scan
-// templates — through one server with every reuse layer on per fan-out,
-// pinned at 1, 2, 7 and 64 partitions. Each family compiles once per server,
-// and every answer is a fresh server's at the same fan-out. A result or
+// templates — through one server with every reuse layer on. Each family
+// compiles once, and every answer is a fresh server's. A result or
 // subplan key that dropped the constants would answer one family member with
 // another's rows.
 func TestShapeFamiliesEqualFresh(t *testing.T) {
@@ -69,27 +68,25 @@ func TestShapeFamiliesEqualFresh(t *testing.T) {
 		"SELECT count(*) AS n, min(value) AS lo, max(value) AS hi, sum(value) AS total FROM events WHERE id < %d": {2748, 1, 4096},
 		"SELECT * FROM events WHERE id >= %d":                                                                     {3200, 4095, 3900},
 	}
-	for _, parts := range fanOuts {
-		srv := server.PinParts(polystore.New(polystore.WithRelational("db", store)).Handler(cfg), parts)
-		for tmpl, args := range families {
-			for _, a := range args {
-				stmt := fmt.Sprintf(tmpl, a)
-				body := fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt)
-				for round := 0; round < 2; round++ {
-					got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", body))
-					fresh := server.PinParts(polystore.New(polystore.WithRelational("db", store)).Handler(cfg), parts)
-					want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", body))
-					if !strings.Contains(stmt, "ORDER BY") {
-						sortRows(got.Rows)
-						sortRows(want.Rows)
-					}
-					queryEqual(t, got, want, body)
+	srv := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+	for tmpl, args := range families {
+		for _, a := range args {
+			stmt := fmt.Sprintf(tmpl, a)
+			body := fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt)
+			for round := 0; round < 2; round++ {
+				got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", body))
+				fresh := polystore.New(polystore.WithRelational("db", store)).Handler(cfg)
+				want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", body))
+				if !strings.Contains(stmt, "ORDER BY") {
+					sortRows(got.Rows)
+					sortRows(want.Rows)
 				}
+				queryEqual(t, got, want, body)
 			}
 		}
-		if c := planStats(t, srv); c.Misses != int64(len(families)) {
-			t.Errorf("parts %d: %d plan-cache misses, want one per family: %d", parts, c.Misses, len(families))
-		}
+	}
+	if c := planStats(t, srv); c.Misses != int64(len(families)) {
+		t.Errorf("%d plan-cache misses, want one per family: %d", c.Misses, len(families))
 	}
 }
 
@@ -155,12 +152,11 @@ func TestShapeFamilyCompilesOnce(t *testing.T) {
 }
 
 // TestProgramShapeFamilyEqualFresh serves bench/'s cross_engine program with
-// its (a, v) redrawn through one server with every reuse layer on per
-// fan-out, pinned at 1, 2, 7 and 64 partitions, each program twice. Each
-// server compiles once — one plan-cache miss, every other program prepared
-// from the plan its program shape key maps to — and every answer is a fresh
-// server's at the same fan-out, which builds and compiles the program with
-// nothing cached.
+// its (a, v) redrawn 16 times through one server with every reuse layer on,
+// each program twice. The server compiles once — one plan-cache miss, every
+// other program prepared from the plan its program shape key maps to — and
+// every answer is a fresh server's, which builds and compiles the program
+// with nothing cached.
 func TestProgramShapeFamilyEqualFresh(t *testing.T) {
 	data, err := datagen.GenerateClinical(rand.New(rand.NewSource(7)), 120)
 	if err != nil {
@@ -168,25 +164,23 @@ func TestProgramShapeFamilyEqualFresh(t *testing.T) {
 	}
 	var cfg polystore.ServeConfig
 	rng := rand.New(rand.NewSource(44))
-	for _, parts := range fanOuts {
-		srv := server.PinParts(polystore.New(polystore.WithClinical(data)).Handler(cfg), parts)
-		for range 4 {
-			req := server.QueryRequest{Frontend: "program", Program: server.CrossEngineProgram(20+rng.Intn(50), rng.Intn(8))}
-			body, err := json.Marshal(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := server.PinParts(polystore.New(polystore.WithClinical(data)).Handler(cfg), parts)
-			want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", string(body)))
-			sortRows(want.Rows)
-			for round := 0; round < 2; round++ {
-				got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", string(body)))
-				sortRows(got.Rows)
-				queryEqual(t, got, want, string(body))
-			}
+	srv := polystore.New(polystore.WithClinical(data)).Handler(cfg)
+	for range 16 {
+		req := server.QueryRequest{Frontend: "program", Program: server.CrossEngineProgram(20+rng.Intn(50), rng.Intn(8))}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c := planStats(t, srv); c.Misses != 1 {
-			t.Errorf("parts %d: %d plan-cache misses over 8 programs of one shape, want 1", parts, c.Misses)
+		fresh := polystore.New(polystore.WithClinical(data)).Handler(cfg)
+		want := deterministicResponse(t, serve(t, fresh, http.MethodPost, "/query", string(body)))
+		sortRows(want.Rows)
+		for round := 0; round < 2; round++ {
+			got := deterministicResponse(t, serve(t, srv, http.MethodPost, "/query", string(body)))
+			sortRows(got.Rows)
+			queryEqual(t, got, want, string(body))
 		}
+	}
+	if c := planStats(t, srv); c.Misses != 1 {
+		t.Errorf("%d plan-cache misses over 32 programs of one shape, want 1", c.Misses)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"polystorepp/internal/backend"
 	"polystorepp/internal/metrics"
 	"polystorepp/internal/obs"
-	"polystorepp/internal/partition"
 )
 
 // A stat's kind is its /metrics TYPE; info declarations (configuration, a
@@ -209,12 +208,10 @@ func newStatTable(s *Server) (st serverStats, defs []stat) {
 }
 
 // snapshotStats declares the top-level rows whose values arrive together in
-// one snapshot another component owns — plan cache, subplan cache,
-// partition pool — reading each snapshot once per scrape rather than once
-// per row.
+// one snapshot another component owns — plan cache, subplan cache —
+// reading each snapshot once per scrape rather than once per row.
 func (s *Server) snapshotStats() []stat {
 	sp, spOn := s.rt.SubplanCacheStats()
-	spawned, inlined := partition.Shared().Stats()
 	return []stat{
 		{key: "plan_cache_size", name: "server.plancache.size", kind: kindGauge, help: "Plan-cache entries: one per compiled plan under its plan key, and one per SQL or program shape mapped to its plan.", get: val(s.cache.Len())},
 		{key: "subplan_cache_enabled", kind: kindInfo, help: "Whether materialized intermediates are cached.", get: val(spOn)},
@@ -222,8 +219,6 @@ func (s *Server) snapshotStats() []stat {
 		{key: "subplan_cache_bytes", name: "core.subplan.bytes", kind: kindGauge, help: "Bytes of the cached intermediates.", get: val(sp.Cost)},
 		{key: "subplan_cache_max_bytes", kind: kindInfo, help: "Subplan-cache byte budget.", get: val(sp.MaxCost)},
 		{key: "subplan_cache_evictions", name: "core.subplan.evictions", kind: kindGauge, help: "Intermediates evicted for space.", get: val(sp.Evictions)},
-		{key: "partition_spawned", kind: kindCounter, help: "Partition tasks run on a pool goroutine.", get: val(spawned)},
-		{key: "partition_inlined", kind: kindCounter, help: "Partition tasks run inline on the caller.", get: val(inlined)},
 	}
 }
 
@@ -251,7 +246,6 @@ func opDefs(e *obs.OpEntry) []stat {
 		{key: "p50_us", name: "core.op.p50_us", kind: kindGauge, help: "Median execution latency in microseconds (a bucket upper bound).", get: val(us(0.50))},
 		{key: "p95_us", name: "core.op.p95_us", kind: kindGauge, help: "p95 execution latency in microseconds (a bucket upper bound).", get: val(us(0.95))},
 		{key: "p99_us", name: "core.op.p99_us", kind: kindGauge, help: "p99 execution latency in microseconds (a bucket upper bound).", get: val(us(0.99))},
-		{key: "max_parts", name: "core.op.max_parts", kind: kindGauge, help: "Widest partition fan-out of one execution.", get: val(int64(e.MaxParts.Value()))},
 	}
 }
 

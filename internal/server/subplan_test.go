@@ -31,9 +31,8 @@ import (
 // subplanTestServer is newStreamTestServer with single-flight off, so each
 // request executes or replays the subplan cache itself. subplan sizes the
 // subplan cache: 0 is the default (64 MiB), negative disables it.
-func subplanTestServer(t *testing.T, subplan int64, opts ...testOpt) *httptest.Server {
-	return newStreamTestServer(t, polystore.ServeConfig{Workers: 8, QueueDepth: 256},
-		append(opts, executeAll, subplanBytes(subplan))...)
+func subplanTestServer(t *testing.T, subplan int64) *httptest.Server {
+	return newStreamTestServer(t, polystore.ServeConfig{Workers: 8, QueueDepth: 256}, executeAll, subplanBytes(subplan))
 }
 
 // deterministicFields is the wall-independent slice of a QueryResponse:
@@ -81,19 +80,19 @@ func deterministicResponse(t *testing.T, raw []byte) *deterministicFields {
 	return out
 }
 
-// TestSubplanEquivalenceProperty is the acceptance suite: randomized query
-// bodies at partition fan-outs 1/2/7/64, each executed against a
-// subplan-off server (golden) and a subplan-on server cold then warm twice,
-// both pinned at the fan-out. Every response must match the golden
-// byte-for-byte on the deterministic fields, buffered and streamed.
+// TestSubplanEquivalenceProperty is the acceptance suite: four rounds of
+// randomized query bodies, each executed against a subplan-off server
+// (golden) and a subplan-on server cold then warm twice. Every response must
+// match the golden byte-for-byte on the deterministic fields, buffered and
+// streamed.
 func TestSubplanEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	bodies := randomQueryBodies(rng, 6)
-	for _, parts := range fanOuts {
-		off := subplanTestServer(t, -1, pinParts(parts))
-		on := subplanTestServer(t, 0, pinParts(parts))
+	for _, round := range rounds {
+		bodies := randomQueryBodies(rng, 6)
+		off := subplanTestServer(t, -1)
+		on := subplanTestServer(t, 0)
 		for i, body := range bodies {
-			t.Run(fmt.Sprintf("q%d_parts%d", i, parts), func(t *testing.T) {
+			t.Run(fmt.Sprintf("q%d_parts%d", i, round), func(t *testing.T) {
 				code, raw := postRaw(t, off, body)
 				if code != http.StatusOK {
 					t.Fatalf("off status %d: %s", code, raw)

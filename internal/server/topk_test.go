@@ -43,10 +43,9 @@ func sameRows(got, want [][]any) bool {
 // bounded top-n, answers the full sort's first n rows — ties in row order —
 // and what Engine.Query answers. The statements are bench/'s cold_analytic
 // and similar_family sort templates, a two-key order over heavily tied
-// strings, and GROUP BY … ORDER BY … LIMIT with tied counts; each runs on
-// servers pinned at 1/2/7/64 partitions, with the subplan cache on and off,
-// over /query and /query/stream, for limits inside, at and beyond the row
-// count.
+// strings, and GROUP BY … ORDER BY … LIMIT with tied counts; each runs with
+// the subplan cache on and off, over /query and /query/stream, for limits
+// inside, at and beyond the row count.
 func TestSortLimitServedIsFullSortPrefix(t *testing.T) {
 	store := eventsStore(t, 4096)
 	labels, err := store.CreateTable("labels", cast.MustSchema(
@@ -71,18 +70,12 @@ func TestSortLimitServedIsFullSortPrefix(t *testing.T) {
 		"SELECT kind, count(*) AS n, sum(value) AS total FROM events GROUP BY kind ORDER BY total%s",
 	}
 	limits := []int{0, 1, 2, 7, 50, 128, 1 << 40}
-	// One server per fan-out, with the subplan cache on and off.
-	type pinned struct {
-		subplan string
-		parts   int
-	}
-	servers := map[pinned]*httptest.Server{}
+	// One server with the subplan cache on, one with it off.
+	servers := map[string]*httptest.Server{}
 	for name, subplan := range map[string]int64{"subplan-on": 0, "subplan-off": -1} {
-		for _, parts := range fanOuts {
-			cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000}
-			servers[pinned{name, parts}] = serveTest(t, cfg, []testOpt{executeAll, subplanBytes(subplan), pinParts(parts)},
-				polystore.WithRelational("db", store))
-		}
+		cfg := polystore.ServeConfig{DefaultSQLEngine: "db", MaxRows: 10000}
+		servers[name] = serveTest(t, cfg, []testOpt{executeAll, subplanBytes(subplan)},
+			polystore.WithRelational("db", store))
 	}
 	for _, tmpl := range templates {
 		full := engineRows(t, engine, fmt.Sprintf(tmpl, ""))
@@ -93,41 +86,39 @@ func TestSortLimitServedIsFullSortPrefix(t *testing.T) {
 				t.Fatalf("%s: Engine.Query answers %v, the full sort's prefix is %v", stmt, native, want)
 			}
 			body := fmt.Sprintf(`{"frontend":"sql","statement":%q}`, stmt)
-			for pin, ts := range servers {
+			for name, ts := range servers {
 				code, qr, raw := postQuery(t, ts, body)
 				if code != http.StatusOK {
-					t.Fatalf("%+v %s: status %d: %s", pin, body, code, raw)
+					t.Fatalf("%s %s: status %d: %s", name, body, code, raw)
 				}
 				if !sameRows(qr.Rows, want) {
-					t.Fatalf("%+v %s:\n served %v\n full sort's prefix %v", pin, body, qr.Rows, want)
+					t.Fatalf("%s %s:\n served %v\n full sort's prefix %v", name, body, qr.Rows, want)
 				}
 				scode, lines, sraw := postStream(t, ts, body)
 				if scode != http.StatusOK {
-					t.Fatalf("%+v stream %s: status %d: %s", pin, body, scode, sraw)
+					t.Fatalf("%s stream %s: status %d: %s", name, body, scode, sraw)
 				}
 				_, batches, terminal := splitStream(t, lines)
 				if terminal.Type != "summary" {
-					t.Fatalf("%+v stream %s: %+v", pin, body, terminal)
+					t.Fatalf("%s stream %s: %+v", name, body, terminal)
 				}
 				if got := concatRows(batches); !sameRows(got, want) {
-					t.Fatalf("%+v stream %s:\n streamed %v\n full sort's prefix %v", pin, body, got, want)
+					t.Fatalf("%s stream %s:\n streamed %v\n full sort's prefix %v", name, body, got, want)
 				}
 			}
 		}
 	}
-	// The LIMIT families shared their scan -> filter prefixes on each server
+	// The LIMIT families shared their scan -> filter prefixes on the server
 	// that caches them.
-	for _, parts := range fanOuts {
-		var stats struct {
-			SubplanReused int64 `json:"subplan_plans_reused"`
-		}
-		code, raw := getRaw(t, servers[pinned{"subplan-on", parts}], "/stats")
-		if err := json.Unmarshal(raw, &stats); code != http.StatusOK || err != nil {
-			t.Fatalf("/stats: %d %v", code, err)
-		}
-		if stats.SubplanReused == 0 {
-			t.Fatalf("parts %d: no statement reused a shared prefix", parts)
-		}
+	var stats struct {
+		SubplanReused int64 `json:"subplan_plans_reused"`
+	}
+	code, raw := getRaw(t, servers["subplan-on"], "/stats")
+	if err := json.Unmarshal(raw, &stats); code != http.StatusOK || err != nil {
+		t.Fatalf("/stats: %d %v", code, err)
+	}
+	if stats.SubplanReused == 0 {
+		t.Fatal("no statement reused a shared prefix")
 	}
 }
 

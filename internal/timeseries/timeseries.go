@@ -6,7 +6,6 @@
 package timeseries
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -15,8 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"polystorepp/internal/partition"
 )
 
 // Sentinel errors.
@@ -320,88 +317,36 @@ type WindowResult struct {
 	N     int
 }
 
-// chunkWindowPartials sums one chunk's in-range points into per-window
-// partials. Points in a chunk are strictly time-ordered, so the buckets come
-// out in ascending start order.
-func chunkWindowPartials(c *chunk, from, to, width int64) []WindowResult {
+// windowChunks folds the in-range points of the candidate chunks into
+// windows, in one pass in time order. Chunks of a series are time-ordered and
+// disjoint, so the windows come out in ascending start order with no sort,
+// and each window's sum is a plain loop's over its points.
+func windowChunks(cands []*chunk, from, to, width int64) []WindowResult {
 	var out []WindowResult
-	c.walk(func(ts int64, v float64) {
-		if ts < from || ts > to {
-			return
-		}
-		// ts >= from, so the offset from from is exact as a uint64, where
-		// ts-from in int64 arithmetic would wrap past MaxInt64.
-		start := from + int64(uint64(ts-from)/uint64(width)*uint64(width))
-		if n := len(out); n == 0 || out[n-1].Start != start {
-			out = append(out, WindowResult{Start: start})
-		}
-		w := &out[len(out)-1]
-		w.Value += v
-		w.N++
-	})
-	return out
-}
-
-// windowChunks computes the window partials of the candidate chunks: the
-// per-chunk partials are computed in parallel over the shared scan pool —
-// one task per chunk slab — and folded strictly in chunk order. parts <= 0
-// selects the fan-out automatically from the decoded volume.
-//
-// Because partials are per *chunk* and the fold always walks chunks
-// left-to-right, the task fan-out only changes which worker decodes which
-// chunk — never the shape of any floating-point reduction — so results are
-// byte-identical at any partition count.
-func windowChunks(cands []*chunk, from, to, width int64, parts int) []WindowResult {
-	perChunk := make([][]WindowResult, len(cands))
-	pool := partition.Shared()
-	parts = partition.Effective(len(cands)*chunkSize, parts)
-	if parts > len(cands) {
-		parts = len(cands)
-	}
-	if parts <= 1 {
-		for i, c := range cands {
-			perChunk[i] = chunkWindowPartials(c, from, to, width)
-		}
-	} else {
-		ranges := partition.Split(len(cands), parts)
-		// Decoding cannot fail; Do's only error source is a canceled
-		// context, and Background never cancels.
-		_ = pool.Do(context.Background(), len(ranges), func(i int) error {
-			for ci := ranges[i].Lo; ci < ranges[i].Hi; ci++ {
-				perChunk[ci] = chunkWindowPartials(cands[ci], from, to, width)
+	for _, c := range cands {
+		c.walk(func(ts int64, v float64) {
+			if ts < from || ts > to {
+				return
 			}
-			return nil
+			// ts >= from, so the offset from from is exact as a uint64, where
+			// ts-from in int64 arithmetic would wrap past MaxInt64.
+			start := from + int64(uint64(ts-from)/uint64(width)*uint64(width))
+			if n := len(out); n == 0 || out[n-1].Start != start {
+				out = append(out, WindowResult{Start: start})
+			}
+			w := &out[len(out)-1]
+			w.Value += v
+			w.N++
 		})
-	}
-	// Chunks of a series are time-ordered and disjoint, so each chunk's
-	// bucket list ascends and only the boundary bucket can repeat across
-	// adjacent chunks: the merged list stays sorted with a single pass and
-	// no sort. Sums add in chunk order.
-	var out []WindowResult
-	for _, ps := range perChunk {
-		for _, p := range ps {
-			if n := len(out); n > 0 && out[n-1].Start == p.Start {
-				out[n-1].Value += p.Value
-				out[n-1].N += p.N
-			} else {
-				out = append(out, p)
-			}
-		}
 	}
 	return out
 }
 
 // WindowN aggregates the series into tumbling windows of the given width
-// (nanoseconds) across [from, to], starting on from's grid. The aggregation
-// runs over per-chunk partial aggregates computed during the parallel chunk
-// decode and combined in chunk order (windowChunks), so results are
-// deterministic and windows come out already sorted by start. parts is the
-// partition fan-out of the per-chunk partial computation: 0 selects
-// automatically from the decoded volume, 1 forces a sequential fold, larger
-// values pin the task count (clamped to the candidate chunk count). Results
-// are byte-identical at any value — the equivalence the parallel window fold
-// guarantees — so the knob exists for tuning and for the equivalence tests
-// that pin that guarantee.
+// (nanoseconds) across [from, to], starting on from's grid, in ascending
+// start order (windowChunks). parts is unused: the fold has one path. The
+// parameter stays only because the benchmark harness in bench/ calls WindowN
+// with it, and it goes when WindowN does.
 func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts int) ([]WindowResult, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("%w: width %d", ErrBadWindow, width)
@@ -415,7 +360,7 @@ func (s *Store) WindowN(name string, from, to, width int64, agg AggKind, parts i
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, name)
 	}
-	out := windowChunks(sr.chunksIn(from, to), from, to, width, parts)
+	out := windowChunks(sr.chunksIn(from, to), from, to, width)
 	for i := range out {
 		out[i].Value /= float64(out[i].N) // no window is emitted empty
 	}

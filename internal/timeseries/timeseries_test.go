@@ -2,8 +2,10 @@ package timeseries
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -313,4 +315,125 @@ func TestPropertyWindowSumPartition(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flatWindow is the reference implementation: bucket every in-range point
+// into a map, then average each bucket's value list in point order.
+func flatWindow(pts []Point, from, width int64) []WindowResult {
+	byWindow := make(map[int64][]float64)
+	for _, p := range pts {
+		start := from + (p.TS-from)/width*width
+		byWindow[start] = append(byWindow[start], p.Value)
+	}
+	starts := make([]int64, 0, len(byWindow))
+	for st := range byWindow {
+		starts = append(starts, st)
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	out := make([]WindowResult, 0, len(starts))
+	for _, st := range starts {
+		vals := byWindow[st]
+		var v float64
+		for _, x := range vals {
+			v += x
+		}
+		out = append(out, WindowResult{Start: st, Value: v / float64(len(vals)), N: len(vals)})
+	}
+	return out
+}
+
+// TestWindowMatchesFlatReference compares Store.WindowN against the
+// map-and-sort reference over the same points, bit for bit.
+func TestWindowMatchesFlatReference(t *testing.T) {
+	s := New("ts")
+	const n = 9*chunkSize + 17 // partial tail chunk
+	for i := 0; i < n; i++ {
+		if err := s.Append("m", int64(i)*3, float64(i%41)*0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, span := range []struct {
+		from, to, width int64
+	}{
+		{0, int64(n) * 3, 100},
+		{500, 9000, 64},
+		{-1000, 4000, 333},
+	} {
+		pts, err := s.Range("m", span.from, span.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := flatWindow(pts, span.from, span.width)
+		got, err := s.WindowN("m", span.from, span.to, span.width, AggMean, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("span %+v: %d windows, want %d", span, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("span %+v: window %d = %+v, want %+v", span, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestWindowConcurrentWithAppends exercises Window's chunk walk racing
+// appends, as a tswindow node races /ingest (the -race build is the
+// assertion).
+func TestWindowConcurrentWithAppends(t *testing.T) {
+	s := New("ts")
+	for i := 0; i < 2*chunkSize; i++ {
+		if err := s.Append("m", int64(i)*10, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 2 * chunkSize; i < 6*chunkSize; i++ {
+			if err := s.Append("m", int64(i)*10, float64(i)); err != nil {
+				panic(fmt.Sprintf("append: %v", err))
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := s.WindowN("m", 0, int64(6*chunkSize)*10, 1000, AggMean, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+}
+
+// TestRangeConcurrentWithAppends exercises Range's chunk walk racing appends
+// (the -race build is the assertion).
+func TestRangeConcurrentWithAppends(t *testing.T) {
+	s := New("ts")
+	for i := 0; i < 4*chunkSize; i++ {
+		if err := s.Append("m", int64(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 4 * chunkSize; i < 8*chunkSize; i++ {
+			if err := s.Append("m", int64(i), float64(i)); err != nil {
+				panic(fmt.Sprintf("append: %v", err))
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		pts, err := s.Range("m", 0, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j < len(pts); j++ {
+			if pts[j].TS <= pts[j-1].TS {
+				t.Fatalf("out-of-order points at %d: %v then %v", j, pts[j-1], pts[j])
+			}
+		}
+	}
+	<-done
 }

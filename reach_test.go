@@ -23,14 +23,15 @@ import (
 // reachAllow names the symbols and fields that may have no reader outside
 // tests, each with the test that needs it.
 var reachAllow = map[string]string{
-	"polystore.System.Handler":   "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, probe_test, tenant_e2e_test, fuzz_test and server_bench_test)",
-	"core.NodeReport.Start":      "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
-	"lru.Stats.Lookups":          "test oracle: core's TestRootMissProbedOnce counts through it the subplan-cache lookups a root-probe miss and the execution after it make",
-	"relational.OpStats.Kind":    "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan read the access path Engine.Query chose through it",
-	"relational.OpStats.RowsIn":  "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
-	"relational.OpStats.RowsOut": "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows each step kept",
-	"relational.Table.HasBTree":  "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
-	"textstore.Store.Doc":        "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text through it",
+	"polystore.System.Handler":      "test harness: nine internal/server test files build their servers through it (newTestServer in server_test.go; stream_test, prepare_test, shape_test, topk_test, probe_test, tenant_e2e_test, fuzz_test and server_bench_test)",
+	"core.NodeReport.Start":         "test oracle: TestSimulatedSchedulingRespectsDependencies, and reportsEqual in TestConcurrentMatchesSequential and TestSimulatedReportIgnoresHistory, hold the simulated schedule through it",
+	"lru.Stats.Lookups":             "test oracle: core's TestRootMissProbedOnce counts through it the subplan-cache lookups a root-probe miss and the execution after it make",
+	"relational.OpStats.Kind":       "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan read the access path Engine.Query chose through it",
+	"relational.OpStats.RowsIn":     "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows a scan read, and the first a join's build plus probe rows",
+	"relational.OpStats.RowsOut":    "test oracle: TestSeqScanAndFilter and TestQueryUsesIndexScan check through it the rows each step kept",
+	"relational.Table.HasBTree":     "test oracle: TestGenerateClinicalShape and the backend suites' assertEquiv check through it that a deployment and a restored store carry their B-trees",
+	"textstore.Store.Doc":           "test oracle: datagen's TestGeneratedDataPinned digests every generated note's text through it",
+	"timeseries.WindowResult.Value": "test oracle: TestWindowMatchesFlatReference and timeseries_test.go's window tests read the means through it; WindowN's one non-test caller, bench/'s timeseries.window_us probe, times it and reads no window",
 }
 
 // TestExportedMiddlewareSymbolsAreReached is the reachability ratchet beside
