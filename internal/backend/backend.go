@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -185,5 +186,11 @@ func Open(kind string, cfg Config) (Backend, error) {
 	if kind != "wal" {
 		return nil, fmt.Errorf("backend: unknown kind %q (have [wal])", kind)
 	}
-	return openWALBackend(cfg)
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("backend: wal backend requires a data directory")
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	return openWALBackend(cfg, osDir(cfg.Dir))
 }

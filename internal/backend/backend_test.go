@@ -188,7 +188,7 @@ func TestDurableSnapshotCompaction(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 // simulating a crash mid-write.
 func tearSegmentTail(t *testing.T, dir string) {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osDir(dir))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
@@ -385,7 +385,7 @@ func TestDurableSkippedRecordsStillRecovered(t *testing.T) {
 // rather than be silently dropped and acknowledged.
 func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1)
+	w, err := openWAL(osDir(dir), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestWALAppendAfterCloseFailsSync(t *testing.T) {
 // durable without an fsync of its own: before taking the leader lock, and
 // after waiting for it while a leader's fsync covered the record.
 func TestWALSyncCoveredByLeader(t *testing.T) {
-	w, err := openWAL(t.TempDir(), 1)
+	w, err := openWAL(osDir(t.TempDir()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,6 +541,9 @@ func TestHasState(t *testing.T) {
 	dir := t.TempDir()
 	if HasState(dir) {
 		t.Fatal("empty dir has state")
+	}
+	if HasState(filepath.Join(dir, "missing")) {
+		t.Fatal("a missing dir has state")
 	}
 	live := newStores(t)
 	b, _ := openStarted(t, dir, live)

@@ -59,7 +59,7 @@ func FuzzWALFrame(f *testing.F) {
 			got = append(got, slices.Clone(p))
 			return nil
 		}
-		n, truncated, err := replaySegments(dir, []uint64{1}, collect)
+		n, truncated, err := replaySegments(osDir(dir), []uint64{1}, collect)
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
@@ -78,7 +78,7 @@ func FuzzWALFrame(f *testing.F) {
 		}
 
 		got = nil
-		n, truncated, err = replaySegments(dir, []uint64{1}, collect)
+		n, truncated, err = replaySegments(osDir(dir), []uint64{1}, collect)
 		if err != nil || truncated || n != wantBytes || !slices.EqualFunc(got, want, bytes.Equal) {
 			t.Fatalf("second replay = (%d bytes, truncated %t, %v, %d payloads), want (%d, false, nil, %d)",
 				n, truncated, err, len(got), wantBytes, len(want))
@@ -96,7 +96,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	src := newStores(f)
 	writeMix(f, src, 0, 40)
 	dir := f.TempDir() // executions within one process run one at a time
-	if _, err := writeSnapshot(dir, map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
+	if _, err := writeSnapshot(osDir(dir), map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
 		f.Fatal(err)
 	}
 	path := filepath.Join(dir, snapFile)
@@ -121,7 +121,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		before := versions(s)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, ok, err := restoreSnapshot(Config{Dir: dir}, attached)
+		_, ok, err := restoreSnapshot(Config{}, osDir(dir), attached)
 		runtime.ReadMemStats(&m1)
 		if got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(512<<10+64*len(data)); got > budget {
 			t.Fatalf("restoring a %d-byte snapshot allocated %d", len(data), got)
@@ -162,7 +162,7 @@ func TestSnapshotRepeatedSectionRejected(t *testing.T) {
 	src := newStores(t)
 	writeMix(t, src, 0, 40)
 	dir := t.TempDir()
-	if _, err := writeSnapshot(dir, map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
+	if _, err := writeSnapshot(osDir(dir), map[string]Durable{"kv": src.kv, "ts": src.ts, "db": src.rel}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, snapFile)
@@ -175,7 +175,7 @@ func TestSnapshotRepeatedSectionRejected(t *testing.T) {
 	}
 	s := newStores(t)
 	before := versions(s)
-	if _, ok, err := restoreSnapshot(Config{Dir: dir}, map[string]Durable{"kv": s.kv, "ts": s.ts, "db": s.rel}); ok || !errors.Is(err, ErrCorrupt) {
+	if _, ok, err := restoreSnapshot(Config{}, osDir(dir), map[string]Durable{"kv": s.kv, "ts": s.ts, "db": s.rel}); ok || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("restore = ok %t, %v; want ErrCorrupt", ok, err)
 	}
 	if after := versions(s); after != before || s.kv.Len() != 0 {

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -39,10 +38,9 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // writeSnapshot persists every store's section atomically into dir and
-// returns the file size.
-func writeSnapshot(dir string, stores map[string]Durable) (int64, error) {
-	tmp := filepath.Join(dir, snapTemp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// returns the file size. It returns an error unless the rename is durable.
+func writeSnapshot(dir fsDir, stores map[string]Durable) (int64, error) {
+	f, err := dir.OpenFile(snapTemp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
 	}
@@ -54,21 +52,20 @@ func writeSnapshot(dir string, stores map[string]Durable) (int64, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, snapFile))
+		err = dir.Rename(snapTemp, snapFile)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		dir.Remove(snapTemp)
 		return 0, err
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	if err := dir.Sync(); err != nil {
+		return 0, err
 	}
 	return size, nil
 }
 
 // writeSections streams the header and each store's section to f.
-func writeSections(f *os.File, stores map[string]Durable) (size int64, err error) {
+func writeSections(f fsFile, stores map[string]Durable) (size int64, err error) {
 	names := sortedKeys(stores)
 	crc := crc32.NewIEEE()
 	out := &countWriter{w: io.MultiWriter(f, crc)}
@@ -119,11 +116,11 @@ type section struct {
 	off, n int64
 }
 
-// restoreSnapshot verifies the snapshot file in cfg.Dir end to end, then
+// restoreSnapshot verifies the snapshot file in dir end to end, then
 // restores each section into the store attached under its name; ok is false
 // when no snapshot exists. Nothing is restored unless everything verified.
-func restoreSnapshot(cfg Config, stores map[string]Durable) (size int64, ok bool, err error) {
-	f, err := os.Open(filepath.Join(cfg.Dir, snapFile))
+func restoreSnapshot(cfg Config, dir fsDir, stores map[string]Durable) (size int64, ok bool, err error) {
+	f, err := dir.OpenFile(snapFile, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, false, nil
@@ -152,7 +149,7 @@ func restoreSnapshot(cfg Config, stores map[string]Durable) (size int64, ok bool
 // length and CRC, and that the last section ends the file. Lengths come
 // from the file itself, so sections are checksummed as a stream: a damaged
 // length costs an error, not an allocation.
-func verifySnapshot(f *os.File) (sections []section, size int64, err error) {
+func verifySnapshot(f io.Reader) (sections []section, size int64, err error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(snapMagic)+4)
 	if _, err := io.ReadFull(br, hdr); err != nil {

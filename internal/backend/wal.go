@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,11 +37,10 @@ func segName(index uint64) string {
 // sync(), a leader-elected batched fsync. Rotation (rotate) seals the active
 // segment for snapshot compaction.
 type wal struct {
-	dir string
-
-	// mu guards the active segment handle, sizes and sequence numbers.
+	// mu guards the active segment handle, sizes and sequence numbers;
+	// segIndex changes only in rotate, under flushMu too.
 	mu       sync.Mutex
-	f        *os.File
+	f        fsFile
 	segIndex uint64
 	size     int64  // bytes in the active segment
 	seq      uint64 // last written record sequence
@@ -60,12 +58,9 @@ type wal struct {
 }
 
 // listSegments returns the existing segment indexes in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+func listSegments(dir fsDir) ([]uint64, error) {
+	ents, err := dir.ReadDir()
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, err
 	}
 	var out []uint64
@@ -84,15 +79,14 @@ func listSegments(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// openWAL creates the active segment after the highest existing index.
-// Recovery must have consumed the existing segments first.
-func openWAL(dir string, nextIndex uint64) (*wal, error) {
-	w := &wal{dir: dir, segIndex: nextIndex}
-	f, err := os.OpenFile(filepath.Join(dir, segName(nextIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+// openWAL creates the active segment nextIndex, after the highest existing
+// index: a rotation out of an empty log. Recovery must have consumed the
+// existing segments first.
+func openWAL(dir fsDir, nextIndex uint64) (*wal, error) {
+	w := &wal{segIndex: nextIndex - 1}
+	if _, err := w.rotate(dir); err != nil {
 		return nil, err
 	}
-	w.f = f
 	return w, nil
 }
 
@@ -155,27 +149,27 @@ func (w *wal) sync(seq uint64) error {
 	if w.synced.Load() >= seq { // a previous leader's batch covered us
 		return w.writeErr()
 	}
-	w.fsyncLocked()
-	return w.writeErr()
-}
-
-// fsyncLocked fsyncs the active segment, covering everything written so
-// far. Caller holds flushMu. Rotation seals (and fsyncs) old segments under
-// flushMu too, so records are never left un-synced in a previous segment.
-func (w *wal) fsyncLocked() {
 	w.mu.Lock()
 	f, top := w.f, w.seq
 	w.mu.Unlock()
-	if f == nil {
-		return
+	if f != nil {
+		w.fsyncLocked(f, top, "fsync")
 	}
+	return w.writeErr()
+}
+
+// fsyncLocked fsyncs f, which holds every record through top: synced
+// advances to top, or the failure sticks and every later Barrier surfaces
+// it. Caller holds flushMu. Rotation seals (and fsyncs) old segments under
+// flushMu too, so records are never left un-synced in a previous segment.
+func (w *wal) fsyncLocked(f fsFile, top uint64, what string) {
 	if err := f.Sync(); err != nil {
+		w.errors.Add(1)
 		w.mu.Lock()
 		if w.werr == nil {
-			w.werr = fmt.Errorf("backend: wal fsync: %w", err)
+			w.werr = fmt.Errorf("backend: wal %s: %w", what, err)
 		}
 		w.mu.Unlock()
-		w.errors.Add(1)
 		return
 	}
 	w.fsyncs.Add(1)
@@ -191,47 +185,36 @@ func (w *wal) writeErr() error {
 	return w.werr
 }
 
-// rotate seals the active segment (fsynced, closed) and opens the next one,
+// rotate creates the next segment in dir and fsyncs dir, so the new entry
+// is durable before any Barrier acknowledges a record written into it; then
+// it makes that segment active and seals the previous one (fsynced, closed),
 // returning the sealed segment's index. Every record in sealed segments is
-// durable afterwards, which is what lets fsyncLocked touch only the active
-// file.
-func (w *wal) rotate() (sealed uint64, err error) {
+// durable afterwards, which is what lets sync touch only the active file.
+// When the next segment cannot be created the active one stays active.
+func (w *wal) rotate(dir fsDir) (sealed uint64, err error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	old, oldIndex := w.f, w.segIndex
-	next := w.segIndex + 1
-	nf, ferr := os.OpenFile(filepath.Join(w.dir, segName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if ferr != nil {
-		w.mu.Unlock()
-		return 0, ferr
+	nf, err := dir.OpenFile(segName(w.segIndex+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return 0, err
 	}
+	if err := dir.Sync(); err != nil {
+		nf.Close()
+		return 0, err
+	}
+	w.mu.Lock()
+	old, sealed, top := w.f, w.segIndex, w.seq
 	w.f = nf
-	w.segIndex = next
+	w.segIndex++
 	w.size = 0
-	top := w.seq
 	w.mu.Unlock()
-
 	if old != nil {
-		if serr := old.Sync(); serr == nil {
-			w.fsyncs.Add(1)
-			if w.synced.Load() < top {
-				w.synced.Store(top)
-			}
-		} else {
-			// The sealed segment holds records that may never reach disk, and
-			// no later fsync (of the new, empty active file) covers them.
-			// Sticky failure: Barrier must refuse to acknowledge them.
-			w.errors.Add(1)
-			w.mu.Lock()
-			if w.werr == nil {
-				w.werr = fmt.Errorf("backend: wal seal fsync: %w", serr)
-			}
-			w.mu.Unlock()
-		}
+		// A failed seal sticks: no later fsync (of the new, empty active
+		// file) covers the sealed segment's records.
+		w.fsyncLocked(old, top, "seal fsync")
 		old.Close()
 	}
-	return oldIndex, nil
+	return sealed, nil
 }
 
 // tail returns the last written record sequence.
@@ -266,9 +249,6 @@ func (w *wal) close() error {
 	return err
 }
 
-// replayFn receives one decoded record payload during replay.
-type replayFn func(payload []byte) error
-
 // replaySegments reads the framed records of the given segments in order. A
 // torn or corrupt frame (the crash signature: an un-fsynced tail) ends that
 // segment's replay at its valid prefix; the segment is truncated to that
@@ -278,10 +258,9 @@ type replayFn func(payload []byte) error
 // recovery would stop at the same torn frame and silently drop the
 // acknowledged records in those later segments. It returns payload bytes
 // consumed and whether any segment was cut short.
-func replaySegments(dir string, segs []uint64, fn replayFn) (bytes uint64, truncated bool, err error) {
+func replaySegments(dir fsDir, segs []uint64, fn func(payload []byte) error) (bytes uint64, truncated bool, err error) {
 	for _, idx := range segs {
-		path := filepath.Join(dir, segName(idx))
-		data, rerr := os.ReadFile(path)
+		data, rerr := dir.ReadFile(segName(idx))
 		if rerr != nil {
 			return bytes, truncated, rerr
 		}
@@ -311,7 +290,7 @@ func replaySegments(dir string, segs []uint64, fn replayFn) (bytes uint64, trunc
 		}
 		if torn {
 			truncated = true
-			if terr := os.Truncate(path, int64(off)); terr != nil {
+			if terr := dir.Truncate(segName(idx), int64(off)); terr != nil {
 				// Fail loudly: booting over an unrepaired torn segment would
 				// re-lose everything journaled after it on the next restart.
 				return bytes, truncated, fmt.Errorf("backend: repair torn segment %s: %w", segName(idx), terr)
@@ -321,14 +300,21 @@ func replaySegments(dir string, segs []uint64, fn replayFn) (bytes uint64, trunc
 	return bytes, truncated, nil
 }
 
-// removeSegments deletes the given sealed segments (post-snapshot
-// compaction).
-func removeSegments(dir string, segs []uint64) error {
-	var first error
-	for _, idx := range segs {
-		if err := os.Remove(filepath.Join(dir, segName(idx))); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
+// removeSegments deletes every segment up to and including through — the
+// sealed segments a snapshot now covers — and returns how many it deleted.
+func removeSegments(dir fsDir, through uint64) (removed int, err error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return 0, err
 	}
-	return first
+	for _, idx := range segs {
+		if idx > through {
+			break
+		}
+		if err := dir.Remove(segName(idx)); err != nil && !os.IsNotExist(err) {
+			return removed, err
+		}
+		removed++
+	}
+	return removed, nil
 }

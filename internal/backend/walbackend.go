@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +27,7 @@ const defaultSnapshotBytes = 8 << 20
 // changes what survives, never what a query returns.
 type walBackend struct {
 	cfg       Config
+	dir       fsDir
 	snapBytes int64
 
 	mu      sync.Mutex
@@ -49,29 +48,24 @@ type walBackend struct {
 	wg             sync.WaitGroup
 }
 
-// openWALBackend constructs the "wal" backend over cfg.Dir (created if
-// absent). No files are written until Start.
-func openWALBackend(cfg Config) (*walBackend, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("backend: wal backend requires a data directory")
-	}
+// openWALBackend constructs the "wal" backend over dir. No files are
+// written until Start.
+func openWALBackend(cfg Config, dir fsDir) (*walBackend, error) {
 	if cfg.Sync != "" && cfg.Sync != SyncGroup {
 		return nil, fmt.Errorf("backend: unknown sync policy %q (group commit is the one policy)", cfg.Sync)
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
 	}
 	snapBytes := cfg.SnapshotBytes
 	if snapBytes == 0 {
 		snapBytes = defaultSnapshotBytes
 	}
-	return &walBackend{cfg: cfg, snapBytes: snapBytes, stores: make(map[string]Durable), nextSeg: 1}, nil
+	return &walBackend{cfg: cfg, dir: dir, snapBytes: snapBytes, stores: make(map[string]Durable), nextSeg: 1}, nil
 }
 
 // HasState reports whether dir holds recoverable state (a snapshot or any
 // non-empty log segment) — the boot-time "recover or seed?" question.
-func HasState(dir string) bool {
-	if fi, err := os.Stat(filepath.Join(dir, snapFile)); err == nil && fi.Size() > 0 {
+func HasState(path string) bool {
+	var dir fsDir = osDir(path)
+	if fi, err := dir.Stat(snapFile); err == nil && fi.Size() > 0 {
 		return true
 	}
 	segs, err := listSegments(dir)
@@ -79,7 +73,7 @@ func HasState(dir string) bool {
 		return false
 	}
 	for _, idx := range segs {
-		if fi, err := os.Stat(filepath.Join(dir, segName(idx))); err == nil && fi.Size() > 0 {
+		if fi, err := dir.Stat(segName(idx)); err == nil && fi.Size() > 0 {
 			return true
 		}
 	}
@@ -112,7 +106,7 @@ func (d *walBackend) Recover() (RecoverStats, error) {
 	}
 	var rec RecoverStats
 
-	snapSize, ok, err := restoreSnapshot(d.cfg, d.stores)
+	snapSize, ok, err := restoreSnapshot(d.cfg, d.dir, d.stores)
 	if err != nil {
 		return rec, fmt.Errorf("backend: load snapshot: %w", err)
 	}
@@ -121,14 +115,14 @@ func (d *walBackend) Recover() (RecoverStats, error) {
 		d.snapshotLast.Store(snapSize)
 	}
 
-	segs, err := listSegments(d.cfg.Dir)
+	segs, err := listSegments(d.dir)
 	if err != nil {
 		return rec, err
 	}
 	if n := len(segs); n > 0 {
 		d.nextSeg = segs[n-1] + 1
 	}
-	nbytes, truncated, err := replaySegments(d.cfg.Dir, segs, func(payload []byte) error {
+	nbytes, truncated, err := replaySegments(d.dir, segs, func(payload []byte) error {
 		name, record, err := splitRecord(payload)
 		if err != nil {
 			return err
@@ -187,7 +181,7 @@ func (d *walBackend) Start() error {
 	if d.started {
 		return nil
 	}
-	w, err := openWAL(d.cfg.Dir, d.nextSeg)
+	w, err := openWAL(d.dir, d.nextSeg)
 	if err != nil {
 		return err
 	}
@@ -287,31 +281,22 @@ func (d *walBackend) checkpoint() error {
 	w, stores := d.w, d.stores
 	d.mu.Unlock()
 
-	sealed, err := w.rotate()
+	sealed, err := w.rotate(d.dir)
 	if err != nil {
 		return fmt.Errorf("backend: rotate: %w", err)
 	}
-	size, err := writeSnapshot(d.cfg.Dir, stores)
+	size, err := writeSnapshot(d.dir, stores)
 	if err != nil {
 		return fmt.Errorf("backend: write snapshot: %w", err)
 	}
 	d.snapshotWrites.Add(1)
 	d.snapshotLast.Store(size)
 
-	segs, err := listSegments(d.cfg.Dir)
+	removed, err := removeSegments(d.dir, sealed)
 	if err != nil {
 		return err
 	}
-	var old []uint64
-	for _, idx := range segs {
-		if idx <= sealed {
-			old = append(old, idx)
-		}
-	}
-	if err := removeSegments(d.cfg.Dir, old); err != nil {
-		return err
-	}
-	d.cfg.logf("backend: snapshot %d bytes, %d sealed segment(s) compacted", size, len(old))
+	d.cfg.logf("backend: snapshot %d bytes, %d sealed segment(s) compacted", size, removed)
 	return nil
 }
 
